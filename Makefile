@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-analyze bench-scaling report report-full demo clean
+.PHONY: build test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
 
 build:
 	go build ./...
@@ -65,13 +65,26 @@ bench:
 bench-full:
 	LOOPPOINT_FULL=1 go test -run xxx -bench . -benchtime 1x .
 
-# Checkpoint-parallel analysis front-end: serial vs sharded Analyze at
+# The end-to-end benchmark (bench/, its own module; BENCHMARK.json is its
+# contract). bench-e2e is one small round per workload — a smoke test
+# that every job still produces its golden digest, not a measurement;
+# for numbers run `go run -C bench .` (see bench/README.md). bench-test
+# runs the benchmark's own tests: helpers, golden digests, BENCHMARK.json
+# == code, and — because bench/ builds against ../ — that it still
+# compiles against the internal APIs it calls.
+bench-e2e:
+	go run -C bench . -quick
+
+bench-test:
+	cd bench && go test ./...
+
+# Serial vs checkpoint-parallel Analyze (recording included) at
 # GOMAXPROCS widths 1/2/4/8 (the parallel benchmark sets AnalyzeWorkers
 # to GOMAXPROCS, so the -cpu axis is the worker axis). Feeds
 # BENCH_analyze.json; see the oversubscription note on bench-scaling.
 bench-analyze:
 	go test -run xxx -cpu 1,2,4,8 -bench 'Analyze(Serial|Parallel)' \
-		-benchtime 3x ./internal/core/
+		-benchtime 20x ./internal/core/
 
 # Multi-core scaling sweep: the data-plane and kernel benchmarks at
 # GOMAXPROCS widths 1/2/4/8 (results carry a -N suffix per width).

@@ -4,51 +4,50 @@ import (
 	"runtime"
 	"testing"
 
-	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
-	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
 )
 
 // make bench-analyze runs these with -cpu 1,2,4,8: the parallel
 // benchmark sets AnalyzeWorkers to GOMAXPROCS, so the -cpu axis is the
-// worker-count axis. On a single-CPU host the parallel numbers measure
-// oversubscription overhead, not speedup — BENCH_analyze.json records
-// which kind of host produced it. The recording happens once outside
-// the timed loop; both benchmarks profile the same pinball.
+// worker-count axis; BENCH_analyze.json records which kind of host
+// produced it. Each iteration is a whole Analyze — the recording run
+// (which builds the DCFG) plus the BBV pass — because the graph's cost
+// now sits inside the recording and would vanish from a replay-only
+// timing. The internal entry points are called directly so the parallel
+// path's serial fallback can never stand in for it.
 
-func benchAnalyzeSetup(b *testing.B) (Config, *isa.Program, *pinball.Pinball) {
+func benchAnalyze(b *testing.B, workers int, analyze func(*isa.Program, Config) (*Analysis, error)) {
 	b.Helper()
 	p := testprog.Phased(4, 24, 400, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb, err := pinball.RecordWithOptions(p, cfg.Seed, exec.RunOpts{
-		FlowWindow: cfg.FlowWindow, QuantumBias: cfg.HostBias,
-	})
-	if err != nil {
-		b.Fatal(err)
+	cfg.AnalyzeWorkers = workers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analyze(p, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return cfg, p, pb
 }
 
 func BenchmarkAnalyzeSerial(b *testing.B) {
-	cfg, p, pb := benchAnalyzeSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analyzeSerial(p, cfg, pb); err != nil {
-			b.Fatal(err)
+	benchAnalyze(b, 0, func(p *isa.Program, cfg Config) (*Analysis, error) {
+		pb, g, err := recordWithGraph(p, &cfg)
+		if err != nil {
+			return nil, err
 		}
-	}
+		return analyzeSerial(p, cfg, pb, g)
+	})
 }
 
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	cfg, p, pb := benchAnalyzeSetup(b)
-	cfg.AnalyzeWorkers = runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analyzeParallel(p, cfg, pb); err != nil {
-			b.Fatal(err)
+	benchAnalyze(b, runtime.GOMAXPROCS(0), func(p *isa.Program, cfg Config) (*Analysis, error) {
+		pb, g, err := recordWithGraph(p, &cfg)
+		if err != nil {
+			return nil, err
 		}
-	}
+		return analyzeParallel(p, cfg, pb, g)
+	})
 }

@@ -68,13 +68,15 @@ type Config struct {
 	// early at a worker-loop entry when the basic-block mix shifts.
 	VariableSlices bool
 	// SlowPath forces the per-instruction reference engine everywhere the
-	// pipeline would otherwise use the block-batched fast path — the BBV
-	// collector attaches to the per-instruction observer tier, region
-	// simulators fast-forward one instruction at a time — and forces the
-	// naive serial clustering reference path (ProjectRegionsSlow +
-	// KMeansSlow) instead of the sparse/Hamerly fast engine. Model-derived
-	// output is byte-identical either way (pinned by the determinism
-	// tests); the flag exists for cross-checking and debugging.
+	// pipeline would otherwise use the block-batched fast path — the DCFG
+	// builder and the BBV collector attach to the per-instruction observer
+	// tier (the builder through a replay of its own instead of riding the
+	// recording), region simulators fast-forward one instruction at a
+	// time — and forces the naive serial clustering reference path
+	// (ProjectRegionsSlow + KMeansSlow) instead of the sparse/Hamerly fast
+	// engine. Model-derived output is byte-identical either way (pinned by
+	// the determinism tests); the flag exists for cross-checking and
+	// debugging.
 	SlowPath bool
 	// ClusterWorkers bounds the worker pool the clustering stage fans out
 	// on — the BBV projections and the k=1..MaxK BIC sweep (0 = one
@@ -82,8 +84,8 @@ type Config struct {
 	// width; only host time changes.
 	ClusterWorkers int
 	// AnalyzeWorkers enables the checkpoint-parallel analysis front-end:
-	// the DCFG and BBV replay passes are sharded at deterministic
-	// checkpoint boundaries and run on a pool of this width (<= 0 keeps
+	// the BBV replay pass is sharded at deterministic checkpoint
+	// boundaries and run on a pool of this width (<= 0 keeps
 	// the serial reference path). The profile is byte-identical at every
 	// width — pinned by the analyze identity suite — and any shard
 	// failure degrades to a serial re-replay of the same recording.
@@ -189,12 +191,13 @@ type Analysis struct {
 	Config  Config
 }
 
-// Analyze records the program once and profiles the recording: a DCFG
-// replay identifies worker loops, then a BBV replay collects sliced,
-// spin-filtered vectors at loop boundaries. With Config.AnalyzeWorkers
-// set, both replay passes run checkpoint-parallel over shards of the
-// recording (byte-identical to serial; see analyzeParallel), degrading
-// to the serial reference path if any shard fails.
+// Analyze executes the program twice: the recording run, which also
+// builds the DCFG (the builder rides the recording machine on the block
+// tier), and one BBV replay of the recording that collects sliced,
+// spin-filtered vectors at the loop boundaries the graph identified. With
+// Config.AnalyzeWorkers set, the BBV pass runs checkpoint-parallel over
+// shards of the recording (byte-identical to serial; see analyzeParallel),
+// degrading to the serial reference path if any shard fails.
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
 	if cfg.ProgressDir != "" && !cfg.SlowPath && !cfg.VariableSlices {
@@ -205,22 +208,44 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 		// crash-only path (unwritable directory, unrecoverable state)
 		// falls back to the stateless pipeline below.
 	}
-	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
-		FlowWindow:  cfg.FlowWindow,
-		QuantumBias: cfg.HostBias,
-	})
+	pb, g, err := recordWithGraph(prog, &cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
+		return nil, err
 	}
 	if cfg.AnalyzeWorkers > 0 && !cfg.SlowPath && !cfg.VariableSlices {
-		if a, err := analyzeParallel(prog, cfg, pb); err == nil {
+		if a, err := analyzeParallel(prog, cfg, pb, g); err == nil {
 			return a, nil
 		}
 		// A shard failure (fault injection, resource trouble) is never
 		// fatal: the serial reference path re-replays the same recording
 		// and produces the identical analysis.
 	}
-	return analyzeSerial(prog, cfg, pb)
+	return analyzeSerial(prog, cfg, pb, g)
+}
+
+// recordWithGraph records the whole-program pinball and returns it with
+// the DCFG of the recorded execution, built while recording. SlowPath
+// records bare and drives the builder's per-instruction reference through
+// a replay of the recording instead; the graph is identical either way.
+func recordWithGraph(prog *isa.Program, cfg *Config) (*pinball.Pinball, *dcfg.Graph, error) {
+	db := dcfg.NewBuilder(prog, prog.NumThreads())
+	var observers []exec.BlockObserver
+	if !cfg.SlowPath {
+		observers = append(observers, db)
+	}
+	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
+		FlowWindow:  cfg.FlowWindow,
+		QuantumBias: cfg.HostBias,
+	}, observers...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
+	}
+	if cfg.SlowPath {
+		if _, err := pb.Replay(prog, exec.ObserverFunc(db.OnInstr)); err != nil {
+			return nil, nil, fmt.Errorf("core: DCFG replay of %s: %w", prog.Name, err)
+		}
+	}
+	return pb, db.Graph(), nil
 }
 
 // sliceTargetFor returns the global filtered-instruction budget per
@@ -229,11 +254,13 @@ func sliceTargetFor(prog *isa.Program, cfg *Config) uint64 {
 	return cfg.SliceUnit * uint64(prog.NumThreads())
 }
 
-// markersAndModulus derives the marker set and the per-marker hit-count
-// moduli from the whole-run DCFG — shared verbatim by the serial and
-// checkpoint-parallel analysis paths, so marker choice can never differ
-// between them.
-func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph, loops *dcfg.LoopTable) ([]uint64, map[uint64]uint64, error) {
+// markersAndModulus derives everything the BBV pass needs from the
+// whole-run DCFG — the loop table, the marker set and the per-marker
+// hit-count moduli — shared verbatim by the serial, checkpoint-parallel
+// and durable analysis paths, so marker choice can never differ between
+// them.
+func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*dcfg.LoopTable, []uint64, map[uint64]uint64, error) {
+	loops := g.FindLoops()
 	sliceTarget := sliceTargetFor(prog, cfg)
 	expectedSlices := pb.Schedule.Steps()/sliceTarget + 1
 	maxExecs := cfg.MarkerEntryBudget * expectedSlices
@@ -242,7 +269,7 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 		markers = append(markers, h.Addr)
 	}
 	if len(markers) == 0 {
-		return nil, nil, fmt.Errorf("core: %s has no loops to mark regions with", prog.Name)
+		return nil, nil, nil, fmt.Errorf("core: %s has no loops to mark regions with", prog.Name)
 	}
 	// Symmetric worker-loop headers (entered once per thread per episode)
 	// fire in N-hit bursts under natural scheduling; restrict their
@@ -256,21 +283,14 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 			}
 		}
 	}
-	return markers, modulus, nil
+	return loops, markers, modulus, nil
 }
 
-// analyzeSerial is the reference analysis pipeline: two whole-run serial
-// replays of the recording (DCFG, then BBV). The parallel front-end is
+// analyzeSerial is the reference analysis pipeline over a recording and
+// its graph: one whole-run serial BBV replay. The parallel front-end is
 // pinned byte-identical to this path and degrades to it on any failure.
-func analyzeSerial(prog *isa.Program, cfg Config, pb *pinball.Pinball) (*Analysis, error) {
-	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	if _, err := pb.Replay(prog, db); err != nil {
-		return nil, fmt.Errorf("core: DCFG replay of %s: %w", prog.Name, err)
-	}
-	g := db.Graph()
-	loops := g.FindLoops()
-
-	markers, modulus, err := markersAndModulus(prog, &cfg, pb, g, loops)
+func analyzeSerial(prog *isa.Program, cfg Config, pb *pinball.Pinball, g *dcfg.Graph) (*Analysis, error) {
+	loops, markers, modulus, err := markersAndModulus(prog, &cfg, pb, g)
 	if err != nil {
 		return nil, err
 	}

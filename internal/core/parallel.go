@@ -12,21 +12,18 @@ import (
 	"looppoint/internal/pool"
 )
 
-// Checkpoint-parallel analysis front-end. The recording is swept once to
-// capture snapshots at deterministic step boundaries; each shard of the
-// schedule then replays independently from its checkpoint, and per-shard
-// observer state merges in shard order:
+// Checkpoint-parallel analysis front-end. The DCFG arrives finished from
+// the recording run; what shards here is the BBV pass. The recording is
+// swept once to capture snapshots at deterministic step boundaries; each
+// shard of the schedule then replays independently from its checkpoint as
+// scan → decide → accumulate (bbv.Scanner / Decider / Accumulator): the
+// cheap close-rule decisions chain serially in shard order while the
+// expensive vector accumulation of decided shards overlaps the scanning
+// of later ones.
 //
-//   - DCFG shards carry symbolic references across boundaries
-//     (dcfg.ShardBuilder); the merged graph deep-equals the serial one.
-//   - BBV runs as scan → decide → accumulate (bbv.Scanner / Decider /
-//     Accumulator): the cheap close-rule decisions chain serially in
-//     shard order while the expensive vector accumulation of decided
-//     shards overlaps the scanning of later ones.
-//
-// Marker selection needs the *whole* merged DCFG (StableMarkers ranks
-// globally), so the DCFG pass is a genuine barrier before the BBV pass;
-// the overlap is within the BBV pass, not across the two.
+// That is three walks of the recording (sweep, scan, accumulate) against
+// the serial path's one, so the front-end only pays off with enough idle
+// cores to hide two of them; fusing the walks is ROADMAP item 2.
 //
 // Boundaries are derived from the recording alone (CheckpointEvery, or a
 // deterministic default from the schedule length), never from the worker
@@ -60,7 +57,12 @@ func shardEvery(cfg *Config, total uint64) uint64 {
 // shards. Any error (including injected shard faults) makes Analyze fall
 // back to analyzeSerial on the same recording; the identity tests call
 // this function directly so the fallback can never mask a divergence.
-func analyzeParallel(prog *isa.Program, cfg Config, pb *pinball.Pinball) (*Analysis, error) {
+func analyzeParallel(prog *isa.Program, cfg Config, pb *pinball.Pinball, g *dcfg.Graph) (*Analysis, error) {
+	loops, markers, modulus, err := markersAndModulus(prog, &cfg, pb, g)
+	if err != nil {
+		return nil, err
+	}
+
 	total := pb.Schedule.Steps()
 	cks, err := pb.Checkpoints(prog, shardEvery(&cfg, total))
 	if err != nil {
@@ -76,33 +78,7 @@ func analyzeParallel(prog *isa.Program, cfg Config, pb *pinball.Pinball) (*Analy
 	opts := pool.Options{Width: cfg.AnalyzeWorkers}
 	ctx := context.Background()
 
-	// Pass 1: DCFG shards, merged in shard order. The merge must see
-	// every shard (carry chaining), so this pass is a barrier.
-	shards, _, err := pool.MapWith(ctx, nshards, opts,
-		func(ctx context.Context, k int) (*dcfg.ShardBuilder, error) {
-			if err := faults.Check("core.analyze.shard"); err != nil {
-				return nil, err
-			}
-			sb := dcfg.NewShardBuilder(prog.NumThreads())
-			if _, err := pb.ReplayWindow(prog, cks[k], width(k), sb); err != nil {
-				return nil, err
-			}
-			return sb, nil
-		})
-	if err != nil {
-		return nil, fmt.Errorf("core: DCFG shard replay of %s: %w", prog.Name, err)
-	}
-	g, err := dcfg.MergeShards(prog, shards)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", prog.Name, err)
-	}
-	loops := g.FindLoops()
-	markers, modulus, err := markersAndModulus(prog, &cfg, pb, g, loops)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 2+3: BBV scan and accumulate, pipelined over one pool sweep of
+	// BBV scan and accumulate, pipelined over one pool sweep of
 	// 2×nshards items (scans first, then accumulates — the pool claims
 	// items in index order). A decider goroutine consumes scans in shard
 	// order and publishes each shard's close decisions the moment they

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"looppoint/internal/bbv"
+	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
@@ -43,8 +46,13 @@ func parallelTestPrograms() map[string]*isa.Program {
 	}
 }
 
-// recordFor records the analysis pinball exactly as Analyze does.
-func recordFor(t *testing.T, p *isa.Program, cfg Config) *pinball.Pinball {
+// recordFor records the analysis pinball exactly as Analyze does, but
+// bare, and builds the reference graph the old way: the per-instruction
+// OnInstr oracle driven through a replay of the recording. Every identity
+// suite's expectation therefore rests on the oracle, and the paths under
+// test (which take their graph from the recording run itself) are checked
+// against it.
+func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcfg.Graph) {
 	t.Helper()
 	cfg.fill()
 	pb, err := pinball.RecordWithOptions(p, cfg.Seed, exec.RunOpts{
@@ -53,7 +61,11 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) *pinball.Pinball {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pb
+	db := dcfg.NewBuilder(p, p.NumThreads())
+	if _, err := pb.Replay(p, exec.ObserverFunc(db.OnInstr)); err != nil {
+		t.Fatal(err)
+	}
+	return pb, db.Graph()
 }
 
 // TestAnalyzeParallelIdentity is the tentpole pin: the checkpoint-
@@ -67,8 +79,8 @@ func TestAnalyzeParallelIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.fill()
-			pb := recordFor(t, p, cfg)
-			want, err := analyzeSerial(p, cfg, pb)
+			pb, g := recordFor(t, p, cfg)
+			want, err := analyzeSerial(p, cfg, pb, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +90,7 @@ func TestAnalyzeParallelIdentity(t *testing.T) {
 					pcfg := cfg
 					pcfg.AnalyzeWorkers = workers
 					pcfg.CheckpointEvery = every
-					got, err := analyzeParallel(p, pcfg, pb)
+					got, err := analyzeParallel(p, pcfg, pb, g)
 					if err != nil {
 						t.Fatalf("j=%d every=%d: %v", workers, every, err)
 					}
@@ -98,8 +110,8 @@ func TestAnalyzeParallelBoundaryOnMarker(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb)
+	pb, g := recordFor(t, p, cfg)
+	want, err := analyzeSerial(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +125,7 @@ func TestAnalyzeParallelBoundaryOnMarker(t *testing.T) {
 		pcfg := cfg
 		pcfg.AnalyzeWorkers = 2
 		pcfg.CheckpointEvery = every
-		got, err := analyzeParallel(p, pcfg, pb)
+		got, err := analyzeParallel(p, pcfg, pb, g)
 		if err != nil {
 			t.Fatalf("every=%d: %v", every, err)
 		}
@@ -128,8 +140,8 @@ func TestAnalyzeParallelZeroMarkerShards(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	a, err := analyzeSerial(p, cfg, pb)
+	pb, g := recordFor(t, p, cfg)
+	a, err := analyzeSerial(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,23 +189,43 @@ func TestAnalyzeShardFaultDegradesToSerial(t *testing.T) {
 	analysisEquals(t, "fault-degraded", got, want)
 }
 
-// TestAnalyzePublicParallelMatchesSerial pins the public entry point:
-// Analyze with AnalyzeWorkers set equals Analyze without, and SlowPath
-// or VariableSlices force the serial path even when workers are set.
-func TestAnalyzePublicParallelMatchesSerial(t *testing.T) {
+// TestAnalyzePublicMatchesOracle pins the public entry point on every
+// path it can take: serial, every parallel width, durable (cold), and the
+// SlowPath/VariableSlices-forced serial path with workers set. All take
+// their graph from the recording run (SlowPath: from the OnInstr
+// reference over a replay) and must equal the reference built on the
+// oracle graph.
+func TestAnalyzePublicMatchesOracle(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	serialCfg := testConfig()
-	want, err := Analyze(p, serialCfg)
+	pb, g := recordFor(t, p, testConfig())
+	refCfg := testConfig()
+	refCfg.fill()
+	want, err := analyzeSerial(p, refCfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCfg := testConfig()
-	parCfg.AnalyzeWorkers = 4
-	got, err := Analyze(p, parCfg)
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		cfg := testConfig()
+		cfg.AnalyzeWorkers = workers
+		got, err := Analyze(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analysisEquals(t, fmt.Sprintf("public j=%d", workers), got, want)
+		if !bytes.Equal(got.Pinball.AppendBinary(nil), pb.AppendBinary(nil)) {
+			t.Fatalf("j=%d: recording with the DCFG builder attached differs from a bare recording", workers)
+		}
+	}
+
+	dcfg := durableConfig(t.TempDir())
+	durable, err := Analyze(p, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysisEquals(t, "public-parallel", got, want)
+	analysisEquals(t, "public durable", durable, want)
+	if saves, _, _, _, _ := dcfg.Progress.Snapshot(); saves == 0 {
+		t.Fatal("durable Analyze saved no epochs: it fell back to the stateless path")
+	}
 
 	slowCfg := testConfig()
 	slowCfg.AnalyzeWorkers = 4

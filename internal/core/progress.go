@@ -22,29 +22,33 @@ import (
 )
 
 // Durable mid-job progress (crash-only analysis). With Config.ProgressDir
-// set, Analyze runs as a sequence of bounded epochs over the recording —
-// the same deterministic checkpoint boundaries the parallel front-end
-// shards at — and persists, after every epoch, everything a fresh process
-// needs to continue: the replay checkpoint (snapshot + syscall cursors +
-// step), plus the analysis carry (partial DCFG and merge carry in the
-// DCFG phase; decider and stitcher state in the BBV phase). A worker
-// SIGKILLed mid-analysis resumes from its last durable epoch instead of
-// step 0, and the resumed profile is byte-identical to an uninterrupted
-// run — pinned by the progress identity and chaos tests.
+// set, Analyze persists the recording as soon as it exists and then runs
+// the BBV replay as a sequence of bounded epochs — the same deterministic
+// checkpoint boundaries the parallel front-end shards at — persisting,
+// after every epoch, everything a fresh process needs to continue: the
+// replay checkpoint (snapshot + syscall cursors + step), the finished DCFG
+// the recording run built, and the decider and stitcher state of the BBV
+// chain. A worker SIGKILLed mid-analysis resumes from its last durable
+// epoch instead of re-recording, and the resumed profile is
+// byte-identical to an uninterrupted run — pinned by the progress
+// identity and chaos tests.
 //
 // Recovery ladder (never wedges a job):
 //
-//	latest epoch file → next-older epoch file → restart from step 0
+//	latest epoch file → next-older epoch file → re-record
 //
 // Every rung is checksummed and validated before use; a torn write, bit
 // rot, a version skew, or a foreign fingerprint just falls to the next
-// rung. Saves are best-effort: a failed save (injection site
+// rung. The bottom rung runs the program again: the graph exists only as
+// a product of the recording run (and inside the epoch files), so a saved
+// pinball with no usable epoch is not worth a DCFG replay of its own.
+// Saves are best-effort: a failed save (injection site
 // "core.progress.save", disk trouble) loses at most one epoch of
 // progress, never correctness. If the durable path itself errors,
 // Analyze falls back to the stateless pipeline on a fresh recording.
 
 // progressVersion is the progress-file format version.
-const progressVersion = 1
+const progressVersion = 2
 
 // progMagic brands durable progress files.
 const progMagic = "LOOPPROG"
@@ -91,9 +95,10 @@ func (s *ProgressStats) countLadderFall() {
 }
 
 // Snapshot returns the current counter values: durable epoch saves,
-// failed saves, successful recoveries, schedule steps those recoveries
-// skipped re-replaying, and recovery-ladder falls (progress files
-// rejected as torn/corrupt/foreign).
+// failed saves, successful recoveries, the work those recoveries skipped
+// (schedule steps of BBV replay already behind a resumed analysis, plus
+// instructions of region simulations served from the journal), and
+// recovery-ladder falls (progress files rejected as torn/corrupt/foreign).
 func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved, ladderFalls uint64) {
 	if s == nil {
 		return
@@ -102,26 +107,22 @@ func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved,
 		s.stepsSaved.Load(), s.ladderFalls.Load()
 }
 
-// progressState is the JSON carry attached to each epoch's checkpoint.
-// Phase 0 persists the partial DCFG merge (graph + carry); phase 1
-// persists the close-decision and stitch chain (decider + stitcher). The
-// whole blob lives inside the checksummed progress envelope, so torn or
-// flipped bytes are caught before any of it is parsed.
+// progressState is the JSON carry attached to each epoch's checkpoint:
+// the finished DCFG (loops and markers are re-derived from it on resume —
+// they are deterministic functions of it) and the close-decision and
+// stitch chain of the BBV replay so far. The whole blob lives inside the
+// checksummed progress envelope, so torn or flipped bytes are caught
+// before any of it is parsed.
 type progressState struct {
 	Key         string
 	Fingerprint string
 	Epoch       int
-	// Phase is 0 while the DCFG replay is in progress, 1 during the BBV
-	// replay (markers and loops are re-derived from the finished graph on
-	// resume — they are deterministic functions of it).
-	Phase int
-	Total uint64
-	Every uint64
+	Total       uint64
+	Every       uint64
 
-	Graph    *dcfg.GraphState   `json:",omitempty"`
-	Carry    *dcfg.CarryState   `json:",omitempty"`
-	Decider  *bbv.DeciderState  `json:",omitempty"`
-	Stitcher *bbv.StitcherState `json:",omitempty"`
+	Graph    *dcfg.GraphState
+	Decider  *bbv.DeciderState
+	Stitcher *bbv.StitcherState
 }
 
 func marshalProgressState(st *progressState) ([]byte, error) { return json.Marshal(st) }
@@ -331,16 +332,15 @@ func progressCandidates(base string) []string {
 	return paths
 }
 
-// resumedAnalysis is a validated recovery-ladder rung, restored into
-// live structures and ready to continue the epoch loop.
-type resumedAnalysis struct {
+// epochCarry is everything the epoch loop carries from one epoch to the
+// next: where the replay stands, and the analysis state at that step. A
+// fresh recording starts one at step 0; a validated recovery-ladder rung
+// restores one mid-run.
+type epochCarry struct {
 	ck    pinball.Checkpoint
 	epoch int
-	phase int
-	// Phase-0 carry.
 	g     *dcfg.Graph
-	carry dcfg.Carry
-	// Phase-1 carry (graph is complete; loops/markers re-derived).
+	// Deterministic functions of the graph, derived once.
 	loops   *dcfg.LoopTable
 	markers []uint64
 	modulus map[uint64]uint64
@@ -348,16 +348,27 @@ type resumedAnalysis struct {
 	stitch  *bbv.Stitcher
 }
 
+// newEpochCarry derives the loop table and marker set from the finished
+// graph and positions the carry at ck. The caller supplies the BBV chain
+// state (dec, stitch): fresh at step 0, restored on a rung.
+func newEpochCarry(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph, ck pinball.Checkpoint) (*epochCarry, error) {
+	loops, markers, modulus, err := markersAndModulus(prog, cfg, pb, g)
+	if err != nil {
+		return nil, err
+	}
+	return &epochCarry{ck: ck, g: g, loops: loops, markers: markers, modulus: modulus}, nil
+}
+
 // recoverAnalysis walks the recovery ladder: newest epoch file first,
 // falling to older rungs on any load or validation failure, nil when
-// every rung fails (restart from step 0). A rung whose bytes are bad
-// (torn, corrupt, version-skewed) is deleted so it cannot re-fail every
-// future restart; a rung that merely failed to read (injected Transient,
-// I/O trouble) is left in place.
-func recoverAnalysis(prog *isa.Program, cfg *Config, pb *pinball.Pinball, base, key, fp string, total uint64) *resumedAnalysis {
+// every rung fails (re-record). A rung whose bytes are bad (torn,
+// corrupt, version-skewed) is deleted so it cannot re-fail every future
+// restart; a rung that merely failed to read (injected Transient, I/O
+// trouble) is left in place.
+func recoverAnalysis(prog *isa.Program, cfg *Config, pb *pinball.Pinball, base, key, fp string) *epochCarry {
 	ps := cfg.Progress
 	for _, path := range progressCandidates(base) {
-		r, err := restoreRung(prog, cfg, pb, path, key, fp, total)
+		c, err := restoreRung(prog, cfg, pb, path, key, fp)
 		if err != nil {
 			if !errors.Is(err, faults.ErrInjected) {
 				os.Remove(path)
@@ -365,19 +376,15 @@ func recoverAnalysis(prog *isa.Program, cfg *Config, pb *pinball.Pinball, base, 
 			ps.countLadderFall()
 			continue
 		}
-		steps := r.ck.Step
-		if r.phase == 1 {
-			steps += total // the whole DCFG pass is behind us too
-		}
-		ps.countRecovery(steps)
-		return r
+		ps.countRecovery(c.ck.Step)
+		return c
 	}
 	return nil
 }
 
 // restoreRung loads one epoch file and restores it into live structures,
 // validating everything against the program and recording first.
-func restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path, key, fp string, total uint64) (*resumedAnalysis, error) {
+func restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path, key, fp string) (*epochCarry, error) {
 	ck, st, err := loadEpoch(path)
 	if err != nil {
 		return nil, err
@@ -385,96 +392,51 @@ func restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path, key,
 	if st.Key != key || st.Fingerprint != fp {
 		return nil, fmt.Errorf("core: progress file %s belongs to job %s/%s: %w", path, st.Key, st.Fingerprint, artifact.ErrCorrupt)
 	}
-	if st.Total != total || ck.Step > total {
+	if total := pb.Schedule.Steps(); st.Total != total || ck.Step > total {
 		return nil, fmt.Errorf("core: progress file %s positions step %d of %d in a %d-step recording: %w",
 			path, ck.Step, st.Total, total, artifact.ErrCorrupt)
 	}
 	if len(ck.Snap.Threads) != prog.NumThreads() || len(ck.SysPos) != len(pb.Syscalls) {
 		return nil, fmt.Errorf("core: progress file %s snapshot shape mismatch: %w", path, artifact.ErrCorrupt)
 	}
-	if st.Graph == nil {
-		return nil, fmt.Errorf("core: progress file %s has no graph: %w", path, artifact.ErrCorrupt)
+	if st.Graph == nil || st.Decider == nil || st.Stitcher == nil {
+		return nil, fmt.Errorf("core: progress file %s is missing its graph, decider or stitcher: %w", path, artifact.ErrCorrupt)
 	}
 	g, err := dcfg.RestoreGraph(prog, st.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
 	}
-	r := &resumedAnalysis{ck: ck, epoch: st.Epoch, phase: st.Phase, g: g}
-	switch st.Phase {
-	case 0:
-		if st.Carry == nil {
-			return nil, fmt.Errorf("core: progress file %s has no merge carry: %w", path, artifact.ErrCorrupt)
-		}
-		if r.carry, err = dcfg.RestoreCarry(prog, *st.Carry); err != nil {
-			return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-		}
-	case 1:
-		if st.Decider == nil || st.Stitcher == nil {
-			return nil, fmt.Errorf("core: progress file %s has no decider/stitcher: %w", path, artifact.ErrCorrupt)
-		}
-		r.loops = g.FindLoops()
-		if r.markers, r.modulus, err = markersAndModulus(prog, cfg, pb, g, r.loops); err != nil {
-			return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-		}
-		if r.dec, err = bbv.RestoreDecider(sliceTargetFor(prog, cfg), r.modulus, st.Decider); err != nil {
-			return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-		}
-		if r.stitch, err = st.Stitcher.RestoreStitcher(prog); err != nil {
-			return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-		}
-	default:
-		return nil, fmt.Errorf("core: progress file %s has unknown phase %d: %w", path, st.Phase, artifact.ErrCorrupt)
-	}
-	return r, nil
-}
-
-// durablePinball loads the job's saved recording, or records afresh and
-// saves it durably. The recording is deterministic in the fingerprinted
-// config, so a reload and a re-record are interchangeable; a missing,
-// torn, or foreign pinball file just costs a re-record.
-func durablePinball(prog *isa.Program, cfg *Config, base string) (*pinball.Pinball, error) {
-	path := base + ".pinball"
-	if pb, err := pinball.Load(path); err == nil && pb.Name == prog.Name {
-		return pb, nil
-	}
-	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
-		FlowWindow:  cfg.FlowWindow,
-		QuantumBias: cfg.HostBias,
-	})
+	c, err := newEpochCarry(prog, cfg, pb, g, ck)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
+		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
 	}
-	if err := artifact.WriteFileDurable(path, pb.AppendBinary(nil)); err != nil {
-		cfg.Progress.countSaveFailure() // best-effort: a restart re-records
+	c.epoch = st.Epoch
+	if c.dec, err = bbv.RestoreDecider(sliceTargetFor(prog, cfg), c.modulus, st.Decider); err != nil {
+		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
 	}
-	return pb, nil
+	if c.stitch, err = st.Stitcher.RestoreStitcher(prog); err != nil {
+		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
+	}
+	return c, nil
 }
 
 // replayEpoch replays one epoch's window of the schedule from the
-// checkpoint with a single observer attached (block tier when the
-// observer supports it, mirroring Replay), and returns the checkpoint at
+// checkpoint with the observer attached, and returns the checkpoint at
 // the window's end — the exact carry the next epoch resumes from.
-func replayEpoch(prog *isa.Program, pb *pinball.Pinball, from pinball.Checkpoint, steps uint64, obs exec.Observer) (_ pinball.Checkpoint, err error) {
-	defer exec.Recover(&err)
-	m, replay := pb.ReplayFrom(prog, from)
-	if bo, ok := obs.(exec.BlockObserver); ok {
-		m.AddBlockObserver(bo)
-	} else {
-		m.AddObserver(obs)
+func replayEpoch(prog *isa.Program, pb *pinball.Pinball, from pinball.Checkpoint, steps uint64, obs exec.Observer) (pinball.Checkpoint, error) {
+	m, err := pb.ReplayWindow(prog, from, steps, obs)
+	if err != nil {
+		return pinball.Checkpoint{}, err
 	}
-	window := pb.Schedule.Skip(from.Step).Take(steps)
-	if err := m.RunSchedule(window); err != nil {
-		return pinball.Checkpoint{}, fmt.Errorf("core: epoch at step %d of %s: %w", from.Step, prog.Name, err)
-	}
-	if replay.Diverged {
-		return pinball.Checkpoint{}, fmt.Errorf("core: syscall injection log exhausted at step %d of %s", from.Step, prog.Name)
-	}
-	return pinball.Checkpoint{Snap: m.Snapshot(), SysPos: replay.Positions(), Step: from.Step + steps}, nil
+	// ReplayWindow positions its machine with ReplayFrom, which installs
+	// the replay OS whose cursors are the other half of the checkpoint.
+	return pinball.Checkpoint{Snap: m.Snapshot(), SysPos: m.OS.(*exec.ReplayOS).Positions(), Step: from.Step + steps}, nil
 }
 
-// analyzeDurable is the crash-only analysis pipeline: record (or reload)
-// the pinball, then replay it in durable epochs — DCFG phase, then BBV
-// phase — persisting a recovery point after every epoch. The profile is
+// analyzeDurable is the crash-only analysis pipeline: resume from the
+// saved recording and the newest valid epoch, or record afresh (building
+// the graph) and save the recording; then replay the BBV pass in durable
+// epochs, persisting a recovery point after every one. The profile is
 // byte-identical to the serial and parallel paths (the epoch loop is the
 // shard pipeline run serially at ProgressEvery-step boundaries, and
 // profiles are invariant under shard widths). Any error returns to
@@ -491,122 +453,84 @@ func analyzeDurable(prog *isa.Program, cfg Config) (*Analysis, error) {
 	fp := progressFingerprint(prog, &cfg)
 	ps := cfg.Progress
 
-	pb, err := durablePinball(prog, &cfg, base)
-	if err != nil {
-		return nil, err
+	// Resuming takes both products of the recording run: the saved
+	// pinball, and its graph out of an epoch file. The recording is
+	// deterministic in the fingerprinted config, so a missing, torn or
+	// foreign file of either kind just costs a re-record.
+	var c *epochCarry
+	pb, err := pinball.Load(base + ".pinball")
+	if err == nil && pb.Name == prog.Name && pb.Verify() == nil {
+		c = recoverAnalysis(prog, &cfg, pb, base, key, fp)
 	}
-	if err := pb.Verify(); err != nil {
-		return nil, err
+	fresh := c == nil
+	if fresh {
+		var g *dcfg.Graph
+		if pb, g, err = recordWithGraph(prog, &cfg); err != nil {
+			return nil, err
+		}
+		if err := artifact.WriteFileDurable(base+".pinball", pb.AppendBinary(nil)); err != nil {
+			ps.countSaveFailure() // best-effort: a restart re-records
+		}
+		if c, err = newEpochCarry(prog, &cfg, pb, g, pb.StartCheckpoint()); err != nil {
+			return nil, err
+		}
+		c.dec = bbv.NewDecider(sliceTargetFor(prog, &cfg), c.modulus)
+		c.stitch = bbv.NewStitcher(prog)
 	}
+
 	total := pb.Schedule.Steps()
 	every := cfg.ProgressEvery
 	if every == 0 {
 		every = shardEvery(&cfg, total)
 	}
-
-	// Start state: step 0 of the DCFG phase, or wherever the recovery
-	// ladder lands.
-	g := dcfg.NewGraph(prog)
-	carry := dcfg.StartCarry(prog.NumThreads())
-	ck := pb.StartCheckpoint()
-	phase, epoch := 0, 0
-	var (
-		loops   *dcfg.LoopTable
-		markers []uint64
-		modulus map[uint64]uint64
-		dec     *bbv.Decider
-		stitch  *bbv.Stitcher
-	)
-	if r := recoverAnalysis(prog, &cfg, pb, base, key, fp, total); r != nil {
-		ck, epoch, phase, g = r.ck, r.epoch, r.phase, r.g
-		carry = r.carry
-		loops, markers, modulus = r.loops, r.markers, r.modulus
-		dec, stitch = r.dec, r.stitch
-	}
-
-	width := func(step uint64) uint64 {
-		if rem := total - step; rem < every {
-			return rem
-		}
-		return every
-	}
-
-	// Phase 0: DCFG epochs. One ShardBuilder window per epoch, merged
-	// into the growing graph through the carry chain — exactly the
-	// parallel front-end's merge, in shard order.
-	if phase == 0 {
-		for ck.Step < total {
-			w := width(ck.Step)
-			sb := dcfg.NewShardBuilder(prog.NumThreads())
-			next, err := replayEpoch(prog, pb, ck, w, sb)
-			if err != nil {
-				return nil, err
-			}
-			if carry, err = sb.MergeInto(g, carry); err != nil {
-				return nil, fmt.Errorf("core: %s: %w", prog.Name, err)
-			}
-			ck = next
-			epoch++
-			cs := carry.State()
-			saveEpoch(base, ck, &progressState{
-				Key: key, Fingerprint: fp, Epoch: epoch, Phase: 0,
-				Total: total, Every: every, Graph: g.State(), Carry: &cs,
-			}, ps)
-		}
-		loops = g.FindLoops()
-		if markers, modulus, err = markersAndModulus(prog, &cfg, pb, g, loops); err != nil {
-			return nil, err
-		}
-		dec = bbv.NewDecider(sliceTargetFor(prog, &cfg), modulus)
-		stitch = bbv.NewStitcher(prog)
-		ck = pb.StartCheckpoint()
-		phase = 1
-		// A phase-boundary save, so a crash here resumes into the BBV
-		// phase instead of re-replaying the whole DCFG pass.
-		epoch++
-		ds, ss := dec.State(), stitch.State()
-		saveEpoch(base, ck, &progressState{
-			Key: key, Fingerprint: fp, Epoch: epoch, Phase: 1,
-			Total: total, Every: every, Graph: g.State(), Decider: ds, Stitcher: ss,
+	graphState := c.g.State() // the graph is finished: one serialization serves every epoch
+	save := func() {
+		c.epoch++
+		saveEpoch(base, c.ck, &progressState{
+			Key: key, Fingerprint: fp, Epoch: c.epoch, Total: total, Every: every,
+			Graph: graphState, Decider: c.dec.State(), Stitcher: c.stitch.State(),
 		}, ps)
 	}
+	if fresh {
+		// A step-0 save, so a crash in the first epoch resumes with the
+		// graph instead of re-recording for it.
+		save()
+	}
 
-	// Phase 1: BBV epochs. Scan the window, chain the close decisions,
-	// accumulate the window's pieces, stitch — the parallel front-end's
-	// scan → decide → accumulate pipeline, one shard at a time.
-	for ck.Step < total {
-		w := width(ck.Step)
-		sc := bbv.NewScanner(markers, cfg.NoSpinFilter)
-		if _, err := pb.ReplayWindow(prog, ck, w, sc); err != nil {
+	// BBV epochs. Scan the window, chain the close decisions, accumulate
+	// the window's pieces, stitch — the parallel front-end's scan →
+	// decide → accumulate pipeline, one shard at a time.
+	for c.ck.Step < total {
+		w := every
+		if rem := total - c.ck.Step; rem < w {
+			w = rem
+		}
+		sc := bbv.NewScanner(c.markers, cfg.NoSpinFilter)
+		if _, err := pb.ReplayWindow(prog, c.ck, w, sc); err != nil {
 			return nil, fmt.Errorf("core: BBV scan of %s: %w", prog.Name, err)
 		}
-		closes := dec.Feed(sc.Scan())
+		closes := c.dec.Feed(sc.Scan())
 		events := make([]int, len(closes))
-		for j, c := range closes {
-			events[j] = c.Event
+		for j, cl := range closes {
+			events[j] = cl.Event
 		}
-		ac := bbv.NewAccumulator(prog, markers, events, cfg.NoSpinFilter)
-		next, err := replayEpoch(prog, pb, ck, w, ac)
+		ac := bbv.NewAccumulator(prog, c.markers, events, cfg.NoSpinFilter)
+		next, err := replayEpoch(prog, pb, c.ck, w, ac)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: BBV epoch of %s: %w", prog.Name, err)
 		}
-		stitch.Feed(ac.Pieces(), closes)
-		ck = next
-		epoch++
-		ds, ss := dec.State(), stitch.State()
-		saveEpoch(base, ck, &progressState{
-			Key: key, Fingerprint: fp, Epoch: epoch, Phase: 1,
-			Total: total, Every: every, Graph: g.State(), Decider: ds, Stitcher: ss,
-		}, ps)
+		c.stitch.Feed(ac.Pieces(), closes)
+		c.ck = next
+		save()
 	}
 
-	totFiltered, totICount := dec.Totals()
-	prof := stitch.Finish(prog, dec.MarkerCounts(), totFiltered, totICount)
+	totFiltered, totICount := c.dec.Totals()
+	prof := c.stitch.Finish(prog, c.dec.MarkerCounts(), totFiltered, totICount)
 	if len(prof.Regions) == 0 {
 		return nil, fmt.Errorf("core: %s produced no regions", prog.Name)
 	}
 	return &Analysis{
-		Prog: prog, Pinball: pb, Graph: g, Loops: loops,
-		Markers: markers, Profile: prof, Config: cfg,
+		Prog: prog, Pinball: pb, Graph: c.g, Loops: c.loops,
+		Markers: c.markers, Profile: prof, Config: cfg,
 	}, nil
 }

@@ -11,11 +11,10 @@ import (
 	"testing"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/dcfg"
+	"looppoint/internal/bbv"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
-	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
 )
@@ -55,8 +54,8 @@ func TestAnalyzeDurableIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.fill()
-			pb := recordFor(t, p, cfg)
-			want, err := analyzeSerial(p, cfg, pb)
+			pb, g := recordFor(t, p, cfg)
+			want, err := analyzeSerial(p, cfg, pb, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,22 +104,25 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (kille
 }
 
 // TestAnalyzeDurableResumeAfterKill is the chaos drill: kill the worker
-// at several points of both analysis phases, restart it cold, and
-// require the resumed run to (a) skip re-replaying the durable prefix
-// (recovery_steps_saved > 0) and (b) produce an analysis byte-identical
-// to the uninterrupted serial reference.
+// right after the step-0 save, mid-BBV and near the tail, restart it
+// cold, and require the resumed run to (a) recover from the durable
+// prefix instead of re-recording — skipping every BBV step behind the
+// rung (recovery_steps_saved > 0 for any rung past step 0; the step-0
+// rung saves the recording run and its graph, which the counter does not
+// measure) — and (b) produce an analysis byte-identical to the
+// uninterrupted serial reference.
 func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb)
+	pb, g := recordFor(t, p, cfg)
+	want, err := analyzeSerial(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Count the clean run's saves so kill positions can target the
-	// start, the middle (straddling the phase boundary), and the tail.
+	// start, the middle, and the tail.
 	probe := durableConfig(t.TempDir())
 	probe.fill()
 	if _, err := analyzeDurable(p, probe); err != nil {
@@ -153,8 +155,8 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 		if recoveries != 1 {
 			t.Fatalf("kill@%d: %d recoveries, want 1", after, recoveries)
 		}
-		if stepsSaved == 0 {
-			t.Fatalf("kill@%d: recovery saved no steps", after)
+		if (stepsSaved > 0) != (after > 1) {
+			t.Fatalf("kill@%d: recovery saved %d steps", after, stepsSaved)
 		}
 	}
 }
@@ -162,14 +164,15 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 // TestAnalyzeDurableCorruptLadderFalls: with the newest epoch file
 // bit-flipped and a stray temp file in the directory, the restart falls
 // one rung down the ladder, resumes from the older epoch, and still
-// reproduces the reference analysis. With every rung corrupted it
-// restarts from step 0 — corruption never wedges or poisons a job.
+// reproduces the reference analysis. With every rung corrupted it falls
+// to the bottom of the ladder and re-records (the graph lives only in the
+// epoch files) — corruption never wedges or poisons a job.
 func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb)
+	pb, g := recordFor(t, p, cfg)
+	want, err := analyzeSerial(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +220,8 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 		t.Fatalf("corrupt rung %s not quarantined", newest)
 	}
 
-	// Corrupt every remaining rung: restart must fall to step 0 and
-	// still match.
+	// Corrupt every remaining rung: restart must re-record and still
+	// match.
 	for _, f := range progressFiles(t, dir) {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -232,9 +235,9 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	dcfg.Progress = &ProgressStats{}
 	got, err = analyzeDurable(p, dcfg)
 	if err != nil {
-		t.Fatalf("restart from zero: %v", err)
+		t.Fatalf("restart by re-recording: %v", err)
 	}
-	analysisEquals(t, "restart-from-zero", got, want)
+	analysisEquals(t, "re-recorded", got, want)
 	_, _, recoveries, _, _ = dcfg.Progress.Snapshot()
 	if recoveries != 0 {
 		t.Fatalf("%d recoveries with every rung corrupt, want 0", recoveries)
@@ -247,8 +250,8 @@ func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb)
+	pb, g := recordFor(t, p, cfg)
+	want, err := analyzeSerial(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +276,7 @@ func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 
 // TestAnalyzeDurableLoadFaultFallsToZero: transient load faults on every
 // rung mean no recovery — but the rungs are NOT quarantined (the bytes
-// were never proven bad), and the job completes from step 0.
+// were never proven bad), and the job completes by re-recording.
 func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	dir := t.TempDir()
@@ -298,22 +301,6 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	if recoveries != 0 || falls < uint64(before) {
 		t.Fatalf("recoveries=%d falls=%d under Rate-1 load faults over %d rungs", recoveries, falls, before)
 	}
-}
-
-// partialMerge replays the whole recording through one shard builder
-// and merges it into an empty graph — a genuine mid-analysis graph and
-// carry for the envelope matrix tests.
-func partialMerge(p *isa.Program, pb *pinball.Pinball) (*dcfg.Graph, dcfg.Carry, error) {
-	sb := dcfg.NewShardBuilder(p.NumThreads())
-	if _, err := pb.ReplayWindow(p, pb.StartCheckpoint(), pb.Schedule.Steps(), sb); err != nil {
-		return nil, dcfg.Carry{}, err
-	}
-	g := dcfg.NewGraph(p)
-	carry, err := sb.MergeInto(g, dcfg.StartCarry(p.NumThreads()))
-	if err != nil {
-		return nil, dcfg.Carry{}, err
-	}
-	return g, carry, nil
 }
 
 // TestProgressEnvelopeTruncation: a truncation at any 8-byte boundary
@@ -371,22 +358,23 @@ func TestProgressEnvelopeVersionSkew(t *testing.T) {
 	}
 }
 
-// buildProgressEnvelope encodes a genuine mid-phase-0 progress file from
-// a short recording.
+// buildProgressEnvelope encodes a genuine step-0 progress file from a
+// short recording: the finished graph plus a fresh decider and stitcher.
 func buildProgressEnvelope(t *testing.T) []byte {
 	t.Helper()
 	p := testprog.Phased(2, 3, 30, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
-	pb := recordFor(t, p, cfg)
-	g, carry, err := partialMerge(p, pb)
+	pb, g := recordFor(t, p, cfg)
+	c, err := newEpochCarry(p, &cfg, pb, g, pb.StartCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := carry.State()
-	data, err := encodeProgress(pb.StartCheckpoint(), &progressState{
-		Key: "job", Fingerprint: "fp", Epoch: 3, Phase: 0,
-		Total: pb.Schedule.Steps(), Every: 64, Graph: g.State(), Carry: &cs,
+	data, err := encodeProgress(c.ck, &progressState{
+		Key: "job", Fingerprint: "fp", Epoch: 3,
+		Total: pb.Schedule.Steps(), Every: 64, Graph: g.State(),
+		Decider:  bbv.NewDecider(sliceTargetFor(p, &cfg), c.modulus).State(),
+		Stitcher: bbv.NewStitcher(p).State(),
 	})
 	if err != nil {
 		t.Fatal(err)

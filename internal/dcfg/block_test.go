@@ -1,0 +1,261 @@
+package dcfg
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"looppoint/internal/exec"
+	"looppoint/internal/isa"
+	"looppoint/internal/omp"
+	"looppoint/internal/pinball"
+	"looppoint/internal/testprog"
+	"looppoint/internal/workloads"
+)
+
+type recording struct {
+	prog *isa.Program
+	pb   *pinball.Pinball
+}
+
+func testRecordings(t *testing.T) map[string]recording {
+	t.Helper()
+	out := map[string]recording{}
+	for _, rec := range []struct {
+		name string
+		prog *isa.Program
+		seed uint64
+		flow uint64
+	}{
+		{"phased", testprog.Phased(4, 3, 40, omp.Passive), 5, 0},
+		{"syscalls", testprog.WithSyscalls(4, 60, omp.Passive), 11, 16},
+		{"active", testprog.Phased(3, 2, 20, omp.Active), 1, 8},
+	} {
+		pb, err := pinball.Record(rec.prog, rec.seed, rec.flow)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.name, err)
+		}
+		out[rec.name] = recording{rec.prog, pb}
+	}
+	return out
+}
+
+// replayGraph builds the whole-run graph from a constrained replay of the
+// recording (block tier: Replay routes a BlockObserver there).
+func replayGraph(t *testing.T, p *isa.Program, pb *pinball.Pinball) *Graph {
+	t.Helper()
+	db := NewBuilder(p, p.NumThreads())
+	if _, err := pb.Replay(p, db); err != nil {
+		t.Fatal(err)
+	}
+	return db.Graph()
+}
+
+// eventShapes counts the block-event shapes the differential suite must
+// reach for its verdict to mean anything.
+type eventShapes struct {
+	midBlock      int // FirstIdx > 0: resumed after a futex wake, a budget or break-PC split, a return
+	coalesced     int // Entries > 1: back-to-back self-loop passes in one event
+	parked        int // the event's last instruction parked the thread on a futex
+	budgetSplit   int // the event ended mid-block for no reason but its budget
+	resumeReentry int // a resumed partial pass followed by fresh entries in the same event
+	calls, rets   int
+}
+
+func (s *eventShapes) add(o eventShapes) {
+	s.midBlock += o.midBlock
+	s.coalesced += o.coalesced
+	s.parked += o.parked
+	s.budgetSplit += o.budgetSplit
+	s.resumeReentry += o.resumeReentry
+	s.calls += o.calls
+	s.rets += o.rets
+}
+
+func (s *eventShapes) note(ev *exec.BlockEvent) {
+	last := &ev.Block.Instrs[(ev.FirstIdx+int(ev.Instrs)-1)%len(ev.Block.Instrs)]
+	if ev.FirstIdx > 0 {
+		s.midBlock++
+		if ev.Entries > 0 {
+			s.resumeReentry++
+		}
+	}
+	if ev.Entries > 1 {
+		s.coalesced++
+	}
+	switch {
+	case ev.Blocked:
+		s.parked++
+	case last.Op == isa.OpCall:
+		s.calls++
+	case last.Op == isa.OpRet:
+		s.rets++
+	case len(ev.Woken) == 0 && last != &ev.Block.Instrs[len(ev.Block.Instrs)-1]:
+		s.budgetSplit++
+	}
+}
+
+// tierGraphs runs p twice from the same seed under the same scheduler
+// options — observed per instruction (the oracle) and on the block tier
+// with the hottest multi-instruction block registered as a break PC —
+// and returns both graphs.
+func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventShapes) (oracle, block *Graph) {
+	t.Helper()
+	ob := NewBuilder(p, p.NumThreads())
+	m := exec.NewMachine(p, 3)
+	m.AddObserver(exec.ObserverFunc(ob.OnInstr))
+	if err := m.Run(opts); err != nil {
+		t.Fatalf("per-instruction run: %v", err)
+	}
+	oracle = ob.Graph()
+
+	var hot *Node
+	for _, e := range oracle.Edges() { // sorted: the choice is deterministic
+		if n := oracle.Nodes[e.To]; len(n.Block.Instrs) > 1 && (hot == nil || n.Execs > hot.Execs) {
+			hot = n
+		}
+	}
+
+	bb := NewBuilder(p, p.NumThreads())
+	m = exec.NewMachine(p, 3)
+	if hot != nil {
+		m.AddBreakPC(hot.Block.Addr)
+	}
+	m.AddBlockObserver(exec.BlockObserverFunc(func(ev *exec.BlockEvent) {
+		shapes.note(ev)
+		bb.OnBlock(ev)
+	}))
+	if err := m.Run(opts); err != nil {
+		t.Fatalf("block-tier run: %v", err)
+	}
+	return oracle, bb.Graph()
+}
+
+// requireSameGraph asserts everything downstream consumes: the graph
+// itself (node and per-thread counts, edge kinds and trip counts, and the
+// first-occurrence Out/In order), the loop table and the marker choice.
+func requireSameGraph(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: block-tier graph differs from the per-instruction oracle (%v vs %v)", label, got, want)
+	}
+	gl, wl := got.FindLoops(), want.FindLoops()
+	if !reflect.DeepEqual(gl, wl) {
+		t.Fatalf("%s: loop tables differ", label)
+	}
+	for _, maxExecs := range []uint64{1, 64, 1 << 40} {
+		if !reflect.DeepEqual(got.StableMarkers(gl, maxExecs), want.StableMarkers(wl, maxExecs)) {
+			t.Fatalf("%s: stable markers differ at maxExecs=%d", label, maxExecs)
+		}
+	}
+}
+
+// selfLoopWithCall builds a program whose hot block is a self-loop that
+// calls a library routine mid-block: every iteration is a call event, a
+// callee event ending in the return, and a resumed partial pass that
+// re-enters the block through its own back edge.
+func selfLoopWithCall(t *testing.T, nthreads int, iters int64) *isa.Program {
+	t.Helper()
+	p := isa.NewProgram("selfloop-call", nthreads)
+	lib := p.AddImage("lib", false).NewRoutine("leaf")
+	lb := lib.NewBlock("entry")
+	lb.IOpI(isa.OpIAdd, 3, 3, 1)
+	lb.Ret()
+
+	r := p.AddImage("main", false).NewRoutine("main")
+	entry := r.NewBlock("entry")
+	loop := r.NewBlock("loop")
+	done := r.NewBlock("done")
+	entry.IMovI(0, 0)
+	entry.Br(loop)
+	loop.IOpI(isa.OpIAdd, 0, 0, 1)
+	loop.Call(lib)
+	loop.IOpI(isa.OpIAdd, 2, 2, 1)
+	loop.BrCondI(isa.CondLT, 0, iters, loop, done)
+	done.Halt()
+	for tid := 0; tid < nthreads; tid++ {
+		p.SetEntry(tid, r)
+	}
+	if err := p.Link(); err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	return p
+}
+
+// TestBlockTierMatchesInstrOracle is the differential pin for the block
+// tier: over hand-built programs and every registered workload, at
+// several scheduling quanta and with a break PC registered, OnBlock must
+// build exactly the graph OnInstr builds.
+func TestBlockTierMatchesInstrOracle(t *testing.T) {
+	type prog struct {
+		name string
+		p    *isa.Program
+	}
+	progs := []prog{
+		{"selfloop-call", selfLoopWithCall(t, 2, 50)},
+		{"phased-passive", testprog.Phased(4, 3, 40, omp.Passive)},
+		{"phased-active", testprog.Phased(3, 2, 20, omp.Active)},
+		{"hetero", testprog.Heterogeneous(4, 3, 30, omp.Passive)},
+		{"syscalls", testprog.WithSyscalls(4, 60, omp.Passive)},
+	}
+	for _, spec := range workloads.All() {
+		for _, threads := range []int{2, 4} {
+			for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
+				app, err := spec.Build(workloads.BuildParams{Threads: threads, Input: workloads.InputTest, Policy: policy})
+				if err != nil {
+					t.Fatalf("%s: %v", spec.Name, err)
+				}
+				progs = append(progs, prog{fmt.Sprintf("%s/%d/%v", spec.Name, threads, policy), app.Prog})
+			}
+		}
+	}
+
+	var (
+		mu     sync.Mutex
+		shapes eventShapes
+	)
+	t.Run("programs", func(t *testing.T) {
+		for _, pr := range progs {
+			t.Run(pr.name, func(t *testing.T) {
+				t.Parallel()
+				var seen eventShapes
+				for _, q := range []int{1, 7, 64} {
+					opts := exec.RunOpts{Quantum: q, FlowWindow: 4096}
+					oracle, block := tierGraphs(t, pr.p, opts, &seen)
+					requireSameGraph(t, fmt.Sprintf("quantum=%d", q), block, oracle)
+				}
+				mu.Lock()
+				shapes.add(seen)
+				mu.Unlock()
+			})
+		}
+	})
+	for name, n := range map[string]int{
+		"mid-block resumption":          shapes.midBlock,
+		"coalesced self-loop passes":    shapes.coalesced,
+		"futex-parked events":           shapes.parked,
+		"budget splits":                 shapes.budgetSplit,
+		"resumed pass then fresh entry": shapes.resumeReentry,
+		"calls":                         shapes.calls,
+		"returns":                       shapes.rets,
+	} {
+		if n == 0 {
+			t.Errorf("the suite never produced an event with %s", name)
+		}
+	}
+}
+
+// TestBlockTierMatchesInstrOracleOnReplay: the same identity through the
+// production attach points — a constrained replay routes the builder to
+// the block tier, and wrapping OnInstr (what Config.SlowPath does) forces
+// the reference.
+func TestBlockTierMatchesInstrOracleOnReplay(t *testing.T) {
+	for name, w := range testRecordings(t) {
+		ob := NewBuilder(w.prog, w.prog.NumThreads())
+		if _, err := w.pb.Replay(w.prog, exec.ObserverFunc(ob.OnInstr)); err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, name, replayGraph(t, w.prog, w.pb), ob.Graph())
+	}
+}

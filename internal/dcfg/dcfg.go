@@ -82,25 +82,32 @@ type Graph struct {
 	edges map[[2]int]*Edge
 }
 
-// Builder is an exec.Observer that constructs a Graph while a program
-// runs (typically during constrained pinball replay, so the graph is
-// reproducible).
+// Builder constructs a Graph while a program runs. It observes on the
+// block tier (OnBlock) — cheap enough to ride the recording run itself,
+// which is where core.Analyze attaches it — and keeps the per-instruction
+// OnInstr as the reference the block tier is tested against (and what
+// Config.SlowPath drives through a replay).
 type Builder struct {
 	g   *Graph
 	cur []*isa.Block   // last block per thread, nil right after a call
 	stk [][]*isa.Block // per-thread caller-block stacks
+	// nodes indexes the graph's nodes by Block.Global: the block tier's
+	// hot-path lookup. Graph.Nodes stays the sparse public view; both
+	// tiers create nodes through it, so they can share one builder.
+	nodes []*Node
 }
 
 // NewBuilder creates a DCFG builder for a machine with nthreads threads.
 func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	return &Builder{
-		g:   &Graph{Prog: p, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge)},
-		cur: make([]*isa.Block, nthreads),
-		stk: make([][]*isa.Block, nthreads),
+		g:     &Graph{Prog: p, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge)},
+		cur:   make([]*isa.Block, nthreads),
+		stk:   make([][]*isa.Block, nthreads),
+		nodes: make([]*Node, p.NumBlocks()),
 	}
 }
 
-// OnInstr implements exec.Observer.
+// OnInstr implements exec.Observer: the per-instruction reference.
 func (b *Builder) OnInstr(ev *exec.Event) {
 	tid := ev.Tid
 	if ev.BlockEntry {
@@ -111,7 +118,7 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 		}
 		n.ThreadExecs[tid]++
 		if prev := b.cur[tid]; prev != nil && prev.Routine == ev.Block.Routine {
-			b.g.addEdge(prev, ev.Block, EdgeBranch)
+			b.g.addEdge(prev, ev.Block, EdgeBranch, 1)
 		}
 		b.cur[tid] = ev.Block
 	}
@@ -119,7 +126,7 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 	case isa.OpCall:
 		caller := b.cur[tid]
 		callee := ev.Instr.Callee.Blocks[0]
-		b.g.addEdge(caller, callee, EdgeCall)
+		b.g.addEdge(caller, callee, EdgeCall, 1)
 		b.stk[tid] = append(b.stk[tid], caller)
 		b.cur[tid] = nil // callee entry must not become an intra-routine edge
 	case isa.OpRet:
@@ -130,12 +137,82 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 		caller := b.stk[tid][n-1]
 		b.stk[tid] = b.stk[tid][:n-1]
 		if b.cur[tid] != nil {
-			b.g.addEdge(b.cur[tid], caller, EdgeReturn)
+			b.g.addEdge(b.cur[tid], caller, EdgeReturn, 1)
 		}
 		// Execution resumes mid-block in the caller; the next
 		// intra-routine edge hangs off the call-site block.
 		b.cur[tid] = caller
 	}
+}
+
+// OnBlock implements exec.BlockObserver, producing the graph OnInstr
+// would from the same execution. It relies on three BlockEvent
+// guarantees: an event stays inside one block; Entries counts the passes
+// that began at instruction 0, of which only the first can arrive from
+// another block (a batch re-enters its block solely through the block's
+// own self-loop terminator); and a call or return always ends its event,
+// so it can only be the event's last retired instruction.
+func (b *Builder) OnBlock(ev *exec.BlockEvent) {
+	tid, blk := ev.Tid, ev.Block
+	if ev.Entries > 0 {
+		n := b.node(blk)
+		n.Execs += ev.Entries
+		for len(n.ThreadExecs) <= tid {
+			n.ThreadExecs = append(n.ThreadExecs, 0)
+		}
+		n.ThreadExecs[tid] += ev.Entries
+		if prev := b.cur[tid]; prev != nil && prev.Routine == blk.Routine {
+			b.addEdge(prev, blk, EdgeBranch, 1)
+		}
+		if ev.Entries > 1 {
+			b.addEdge(blk, blk, EdgeBranch, ev.Entries-1)
+		}
+		b.cur[tid] = blk
+	}
+	// The event's last retired instruction; the index wraps when the
+	// event coalesced further passes.
+	li := ev.FirstIdx + int(ev.Instrs) - 1
+	if li >= len(blk.Instrs) {
+		li %= len(blk.Instrs)
+	}
+	last := &blk.Instrs[li]
+	switch last.Op {
+	case isa.OpCall:
+		b.addEdge(blk, last.Callee.Blocks[0], EdgeCall, 1)
+		b.stk[tid] = append(b.stk[tid], blk)
+		b.cur[tid] = nil
+	case isa.OpRet:
+		n := len(b.stk[tid])
+		if n == 0 {
+			return
+		}
+		caller := b.stk[tid][n-1]
+		b.stk[tid] = b.stk[tid][:n-1]
+		b.addEdge(blk, caller, EdgeReturn, 1)
+		b.cur[tid] = caller
+	}
+}
+
+// node is Graph.node behind the dense per-block index.
+func (b *Builder) node(blk *isa.Block) *Node {
+	n := b.nodes[blk.Global]
+	if n == nil {
+		n = b.g.node(blk)
+		b.nodes[blk.Global] = n
+	}
+	return n
+}
+
+// addEdge is Graph.addEdge behind a scan of the source's short out-list:
+// a known edge is found without hashing the pair.
+func (b *Builder) addEdge(from, to *isa.Block, kind EdgeKind, count uint64) {
+	for _, e := range b.node(from).Out {
+		if e.To == to.Global {
+			e.Count += count
+			return
+		}
+	}
+	b.g.addEdge(from, to, kind, count)
 }
 
 // Graph returns the constructed graph.
@@ -150,7 +227,10 @@ func (g *Graph) node(blk *isa.Block) *Node {
 	return n
 }
 
-func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind) {
+// addEdge records count traversals of the (from, to) edge. The first
+// traversal fixes the edge's Kind and its position in the endpoint
+// nodes' Out/In order.
+func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind, count uint64) {
 	key := [2]int{from.Global, to.Global}
 	e, ok := g.edges[key]
 	if !ok {
@@ -159,7 +239,7 @@ func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind) {
 		g.node(from).Out = append(g.node(from).Out, e)
 		g.node(to).In = append(g.node(to).In, e)
 	}
-	e.Count++
+	e.Count += count
 }
 
 // Edges returns all edges sorted by (From, To) for stable iteration.

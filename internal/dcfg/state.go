@@ -7,26 +7,18 @@ import (
 	"looppoint/internal/isa"
 )
 
-// Serializable snapshots of partial DCFG construction, for durable
-// mid-analysis progress files. A Graph halfway through a shard merge and
-// the Carry at the last merged boundary are together enough to resume
-// merging where a crashed run stopped; restoring them into a fresh
-// process must reproduce the exact in-memory structures, including the
-// Node.Out/In insertion order the serial builder would have produced —
-// downstream passes (loop finding, marker ranking) iterate those slices,
-// so order is part of the byte-identity contract.
+// The serializable form of a Graph, for durable mid-analysis progress
+// files: every epoch file of the BBV phase carries the finished graph, so
+// a restarted worker gets it without re-recording. Restoring it into a
+// fresh process must reproduce the exact in-memory structure, including
+// the Node.Out/In insertion order the builder produced — downstream
+// passes (loop finding, marker ranking) iterate those slices, so order is
+// part of the byte-identity contract.
 //
 // Blocks are referenced by their global index, which is stable across
 // processes for the same program; restore validates every index against
 // the program and returns an error (the caller classifies it as
 // corruption) rather than ever panicking on hostile input.
-
-// NewGraph returns an empty graph ready for incremental shard merging
-// (ShardBuilder.MergeInto) — the durable analysis loop builds its graph
-// one epoch at a time instead of via MergeShards.
-func NewGraph(p *isa.Program) *Graph {
-	return &Graph{Prog: p, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge)}
-}
 
 // EdgeState is one edge of a serialized graph.
 type EdgeState struct {
@@ -135,78 +127,4 @@ func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 		g.Nodes[ns.Global] = n
 	}
 	return g, nil
-}
-
-// CarryState is the serializable form of a Carry: blocks by global
-// index, -1 for nil (no previous block).
-type CarryState struct {
-	Cur []int
-	Stk [][]int
-}
-
-// State captures the carry's serializable form.
-func (c Carry) State() CarryState {
-	st := CarryState{Cur: make([]int, len(c.cur)), Stk: make([][]int, len(c.stk))}
-	for i, b := range c.cur {
-		st.Cur[i] = blockIndex(b)
-	}
-	for i, frames := range c.stk {
-		if frames == nil {
-			continue
-		}
-		s := make([]int, len(frames))
-		for j, b := range frames {
-			s[j] = blockIndex(b)
-		}
-		st.Stk[i] = s
-	}
-	return st
-}
-
-func blockIndex(b *isa.Block) int {
-	if b == nil {
-		return -1
-	}
-	return b.Global
-}
-
-// RestoreCarry rebuilds a Carry from its serialized state, validating
-// block indices against the program.
-func RestoreCarry(p *isa.Program, st CarryState) (Carry, error) {
-	if len(st.Cur) != len(st.Stk) {
-		return Carry{}, fmt.Errorf("dcfg: carry has %d cur entries but %d stacks", len(st.Cur), len(st.Stk))
-	}
-	blocks := p.Blocks()
-	resolve := func(gi int) (*isa.Block, error) {
-		if gi == -1 {
-			return nil, nil
-		}
-		if gi < 0 || gi >= len(blocks) {
-			return nil, fmt.Errorf("dcfg: carry references block %d outside program of %d blocks", gi, len(blocks))
-		}
-		return blocks[gi], nil
-	}
-	c := StartCarry(len(st.Cur))
-	for i, gi := range st.Cur {
-		b, err := resolve(gi)
-		if err != nil {
-			return Carry{}, err
-		}
-		c.cur[i] = b
-	}
-	for i, frames := range st.Stk {
-		if frames == nil {
-			continue
-		}
-		s := make([]*isa.Block, len(frames))
-		for j, gi := range frames {
-			b, err := resolve(gi)
-			if err != nil {
-				return Carry{}, err
-			}
-			s[j] = b
-		}
-		c.stk[i] = s
-	}
-	return c, nil
 }

@@ -74,6 +74,32 @@ func (s Schedule) Take(n uint64) Schedule {
 	return out
 }
 
+// Window returns the n steps that follow the first from steps —
+// Skip(from).Take(n) in one walk that copies only the window's entries,
+// so slicing a recording into shards or epochs costs the windows, not a
+// copy of the remaining schedule per cut.
+func (s Schedule) Window(from, n uint64) Schedule {
+	var out Schedule
+	for _, e := range s {
+		if n == 0 {
+			break
+		}
+		run := uint64(e.N)
+		if run <= from {
+			from -= run
+			continue
+		}
+		run -= from
+		from = 0
+		if run > n {
+			run = n
+		}
+		out = append(out, ScheduleEntry{Tid: e.Tid, N: uint32(run)})
+		n -= run
+	}
+	return out
+}
+
 // RunOpts configures a machine run.
 type RunOpts struct {
 	// Quantum is the number of instructions a thread retires before the

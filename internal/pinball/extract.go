@@ -95,7 +95,7 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 				EndHitsAtSnapshot:   markerHits(hits, s.End),
 			}
 			rp.Syscalls = sliceSyscalls(pb.Syscalls, replay.Positions(), nil)
-			rp.Schedule = pb.Schedule.Skip(steps).Take(s.EndStep - s.WarmupStartStep)
+			rp.Schedule = pb.Schedule.Window(steps, s.EndStep-s.WarmupStartStep)
 			rp.MemChecksum = fnv1a(snap.Mem)
 			out[i] = rp
 			next++

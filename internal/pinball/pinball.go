@@ -82,11 +82,20 @@ func Record(p *isa.Program, seed uint64, flowWindow uint64) (*Pinball, error) {
 // RecordWithOptions is Record with full scheduler control — most notably
 // exec.RunOpts.QuantumBias, which emulates host imbalance during the
 // recording so the flow-control ablation can show what the paper's
-// equal-progress mechanism protects against.
-func RecordWithOptions(p *isa.Program, seed uint64, opts exec.RunOpts) (*Pinball, error) {
+// equal-progress mechanism protects against. Block observers ride the
+// recording run itself — the logged run is the one pass that executes at
+// full speed, so analysis that needs only block events (the DCFG builder)
+// is built there instead of in a replay. Observers never perturb the
+// recording: batching changes how retirements group into events, not
+// what retires when, so the pinball is byte-identical with or without
+// them.
+func RecordWithOptions(p *isa.Program, seed uint64, opts exec.RunOpts, observers ...exec.BlockObserver) (*Pinball, error) {
 	m := exec.NewMachine(p, seed)
 	rec := exec.NewRecordingOS(m.OS, p.NumThreads())
 	m.OS = rec
+	for _, o := range observers {
+		m.AddBlockObserver(o)
+	}
 	start := m.Snapshot()
 	var sched exec.Schedule
 	opts.Record = &sched

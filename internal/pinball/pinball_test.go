@@ -1,12 +1,16 @@
 package pinball
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
+	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 )
@@ -228,5 +232,61 @@ func TestScheduleSkipTake(t *testing.T) {
 		if s.Take(n).Steps()+s.Skip(n).Steps() != 22 {
 			t.Errorf("Take(%d)+Skip(%d) do not partition", n, n)
 		}
+	}
+}
+
+// TestScheduleWindowEqualsSkipTake is the property Window exists under:
+// on random schedules, Window(from, n) is exactly Skip(from).Take(n) —
+// including cuts inside an entry, windows inside one entry, empty
+// windows, and windows that start or reach past the end.
+func TestScheduleWindowEqualsSkipTake(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		s := make(exec.Schedule, rng.Intn(12))
+		for i := range s {
+			s[i] = exec.ScheduleEntry{Tid: rng.Intn(4), N: uint32(1 + rng.Intn(9))}
+		}
+		total := s.Steps()
+		from := uint64(rng.Intn(int(total) + 4))
+		n := uint64(rng.Intn(int(total) + 4))
+		got, want := s.Window(from, n), s.Skip(from).Take(n)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v.Window(%d, %d) = %v, Skip.Take = %v", s, from, n, got, want)
+		}
+	}
+}
+
+// TestRecordingUnperturbedByBlockObservers: attaching the DCFG builder to
+// the recording machine changes nothing about the recording — the pinball
+// is byte-identical to a bare one — and the graph it takes from the
+// recording run deep-equals the graph built from replaying that pinball.
+func TestRecordingUnperturbedByBlockObservers(t *testing.T) {
+	for name, w := range map[string]*isa.Program{
+		"phased-passive": testprog.Phased(4, 3, 40, omp.Passive),
+		"phased-active":  testprog.Phased(3, 2, 20, omp.Active),
+		"syscalls":       testprog.WithSyscalls(4, 60, omp.Passive),
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := exec.RunOpts{FlowWindow: 64, QuantumBias: []int{1, 3}}
+			bare, err := RecordWithOptions(w, 9, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := dcfg.NewBuilder(w, w.NumThreads())
+			observed, err := RecordWithOptions(w, 9, opts, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(observed.AppendBinary(nil), bare.AppendBinary(nil)) {
+				t.Fatal("recording with a block observer attached differs from a bare recording")
+			}
+			rb := dcfg.NewBuilder(w, w.NumThreads())
+			if _, err := bare.Replay(w, rb); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(db.Graph(), rb.Graph()) {
+				t.Fatalf("graph from the recording run (%v) differs from the replay's (%v)", db.Graph(), rb.Graph())
+			}
+		})
 	}
 }

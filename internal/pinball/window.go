@@ -13,8 +13,8 @@ import (
 // schedule cursor is the step offset itself — Schedule.Skip(Step) is the
 // remainder of the interleaving. Together these are the whole carry a
 // windowed replay needs; everything else an observer accumulates is
-// observer state, handled by the shard merge rules (dcfg.ShardBuilder,
-// bbv scanner/accumulator).
+// observer state, handled by the shard merge rules (bbv
+// scanner/accumulator).
 //
 // Checkpoint boundaries are deterministic because they are defined in
 // retired-instruction step counts over the *recorded* schedule: the same
@@ -126,8 +126,7 @@ func (pb *Pinball) ReplayWindow(p *isa.Program, from Checkpoint, steps uint64, o
 			m.AddObserver(o)
 		}
 	}
-	window := pb.Schedule.Skip(from.Step).Take(steps)
-	if err := m.RunSchedule(window); err != nil {
+	if err := m.RunSchedule(pb.Schedule.Window(from.Step, steps)); err != nil {
 		return nil, fmt.Errorf("pinball %s: window at step %d: %w", pb.Name, from.Step, err)
 	}
 	if replay.Diverged {
