@@ -78,12 +78,11 @@ bench-e2e:
 bench-test:
 	cd bench && go test ./...
 
-# Serial vs checkpoint-parallel Analyze (recording included) at
-# GOMAXPROCS widths 1/2/4/8 (the parallel benchmark sets AnalyzeWorkers
-# to GOMAXPROCS, so the -cpu axis is the worker axis). Feeds
-# BENCH_analyze.json; see the oversubscription note on bench-scaling.
+# Stateless vs durable Analyze (recording included; the durable run is
+# the same loop cut at the default epoch width, cold in a fresh temp dir
+# every iteration). Feeds BENCH_analyze.json.
 bench-analyze:
-	go test -run xxx -cpu 1,2,4,8 -bench 'Analyze(Serial|Parallel)' \
+	go test -run xxx -bench 'Analyze(Serial|Durable)' \
 		-benchtime 20x ./internal/core/
 
 # Multi-core scaling sweep: the data-plane and kernel benchmarks at

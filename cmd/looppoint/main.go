@@ -37,8 +37,7 @@ func main() {
 		inorder    = flag.Bool("inorder", false, "simulate on the in-order core model")
 		native     = flag.Bool("native", false, "run the application functionally without any sampling or timing (smoke test)")
 		list       = flag.Bool("list", false, "list available programs and exit")
-		jobs       = flag.Int("j", 0, "worker count for the checkpoint-parallel analysis front-end and the clustering stage (0 = serial analysis, one clustering worker per CPU); results are byte-identical at every setting")
-		ckEvery    = flag.Uint64("checkpoint-every", 0, "shard width in schedule steps for the -j analysis sharding (0 = a deterministic default derived from the recording length)")
+		jobs       = flag.Int("j", 0, "worker count for the clustering stage (0 = one worker per CPU); results are byte-identical at every setting")
 	)
 	flag.Parse()
 
@@ -66,9 +65,7 @@ func main() {
 	cfg.Selector = *selector
 	cfg.SampleBudget = *budget
 	cfg.Confidence = *confidence
-	cfg.AnalyzeWorkers = *jobs
 	cfg.ClusterWorkers = *jobs
-	cfg.CheckpointEvery = *ckEvery
 
 	for _, name := range strings.Split(*programs, ",") {
 		name = strings.TrimSpace(name)

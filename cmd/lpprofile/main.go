@@ -42,8 +42,7 @@ func main() {
 		jsonOut    = flag.String("json", "", "write the selection (markers + multipliers) as JSON to this file")
 		dot        = flag.String("dot", "", "write the dynamic control-flow graph as Graphviz DOT to this file")
 		verify     = flag.Bool("verify", false, "re-load every artifact written this run and check its integrity (checksums, version, structure)")
-		jobs       = flag.Int("j", 0, "worker count for the checkpoint-parallel analysis front-end (DCFG/BBV replay shards; 0 = serial) and the clustering stage (0 = one worker per CPU); profile and selection are byte-identical at every setting")
-		ckEvery    = flag.Uint64("checkpoint-every", 0, "shard width in schedule steps for the -j analysis sharding (0 = a deterministic default derived from the recording length)")
+		jobs       = flag.Int("j", 0, "worker count for the clustering stage (0 = one worker per CPU); profile and selection are byte-identical at every setting")
 		slowPath   = flag.Bool("slowpath", false, "force the naive reference paths (per-instruction engine, serial naive clustering) instead of the fast ones; identical output, slower")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile to this file")
 		pprofHeap  = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
@@ -82,8 +81,6 @@ func main() {
 		cfg.MaxK = *maxK
 	}
 	cfg.ClusterWorkers = *jobs
-	cfg.AnalyzeWorkers = *jobs
-	cfg.CheckpointEvery = *ckEvery
 	cfg.SlowPath = *slowPath
 	cfg.Selector = *selector
 	cfg.SampleBudget = *budget

@@ -55,7 +55,7 @@ func main() {
 		pending     = flag.String("pending", "lpserved.pending.jsonl", "drain checkpoint file for jobs the daemon gave up on (empty disables); resubmitted at next boot")
 
 		progressDir   = flag.String("progress-dir", "", "durable mid-job checkpoint directory: analysis epochs and finished region simulations persist here, and a restarted daemon resumes them instead of redoing the work (empty disables)")
-		progressEvery = flag.Uint64("progress-every", 0, "durable-epoch length in schedule steps (0 = the analysis shard width)")
+		progressEvery = flag.Uint64("progress-every", 0, "durable-epoch length in schedule steps (0 = a sixteenth of the recording, at least 4096)")
 
 		retryBudget = flag.Float64("retry-budget", serve.DefaultRetryBudget, "maximum banked retry tokens (negative disables job retries)")
 		retryRatio  = flag.Float64("retry-ratio", serve.DefaultRetryRatio, "retry tokens earned per admitted job")

@@ -123,7 +123,10 @@ type Collector struct {
 	varMinFrac float64
 	varThresh  float64
 	varEnabled bool
-	prevNorm   map[int]float64 // previous region's normalized global BBV
+	// prevNorm caches the last closed region's normalized global BBV; it
+	// is derived on first use after every close, so it is never part of
+	// the collector's persisted state.
+	prevNorm map[int]float64
 
 	// modulus restricts which hit counts of a marker may end a region:
 	// only counts with (count-1) % modulus == 0 qualify. Symmetric
@@ -222,8 +225,12 @@ func manhattan(a, b map[int]float64) float64 {
 // phaseChanged reports whether the accumulating region's mix diverged
 // from the previous region's.
 func (c *Collector) phaseChanged() bool {
-	if c.prevNorm == nil {
+	n := len(c.profile.Regions)
+	if n == 0 {
 		return false
+	}
+	if c.prevNorm == nil {
+		c.prevNorm = c.normalizedVector(c.profile.Regions[n-1])
 	}
 	cur := c.normalizedVector(c.cur)
 	return manhattan(cur, c.prevNorm) > c.varThresh
@@ -416,9 +423,7 @@ func (c *Collector) onBlockByICount(ev *exec.BlockEvent) {
 func (c *Collector) closeRegion(end Marker) {
 	c.cur.End = end
 	c.cur.EndICount = c.icount
-	if c.varEnabled {
-		c.prevNorm = c.normalizedVector(c.cur)
-	}
+	c.prevNorm = nil
 	c.profile.Regions = append(c.profile.Regions, c.cur)
 	c.cur = c.newRegion(end, c.icount)
 	c.sliceStart = c.filtered

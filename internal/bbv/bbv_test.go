@@ -395,3 +395,47 @@ func TestMarkerModulusRestrictsBoundaries(t *testing.T) {
 			restricted.TotalFiltered, free.TotalFiltered)
 	}
 }
+
+// TestCloseRuleBudgetModulusAndOverrunValve drives the collector with
+// hand-built events and checks the close rule hit by hit: a close needs
+// the slice budget reached AND an admitted hit count, and a 2x budget
+// overrun forces a close on a hit the modulus would not admit.
+func TestCloseRuleBudgetModulusAndOverrunValve(t *testing.T) {
+	p := buildPhased(t, 2, 3, 100, omp.Passive)
+	addrs := markerAddrs(t, p)
+	marker, _ := p.BlockByAddr(addrs[0])
+	var filler *isa.Block
+	for _, b := range marker.Routine.Blocks {
+		if b != marker {
+			filler = b
+		}
+	}
+	const target = 100
+	c := NewCollector(p, addrs[:1], target)
+	c.SetMarkerModulus(map[uint64]uint64{marker.Addr: 4})
+	work := func(n uint64) { c.OnBlock(&exec.BlockEvent{Block: filler, Instrs: n, Entries: 1}) }
+	hit := func() { c.OnBlock(&exec.BlockEvent{Block: marker, Instrs: 1, Entries: 1}) }
+
+	work(50)
+	hit() // count 1: admitted, but only 50 of the budget used
+	work(69)
+	hit() // count 2: budget met (120), not admitted
+	work(29)
+	hit() // count 3: 150, not admitted
+	work(59)
+	hit() // count 4: not admitted, but 210 >= 2x budget forces the close
+	work(29)
+	hit() // count 5: admitted, but the new region holds only 30
+	prof := c.Finish()
+
+	if len(prof.Regions) != 2 {
+		t.Fatalf("%d regions, want 2 (one forced close, one trailing)", len(prof.Regions))
+	}
+	r := prof.Regions[0]
+	if want := (Marker{PC: marker.Addr, Count: 4}); r.End != want || r.Filtered != 210 || r.EndICount != 211 {
+		t.Fatalf("first region ends %v after %d filtered at icount %d, want %v after 210 at 211", r.End, r.Filtered, r.EndICount, want)
+	}
+	if prof.MarkerCounts[marker.Addr] != 5 || prof.TotalFiltered != 241 || prof.TotalICount != 241 {
+		t.Fatalf("marker count %d, totals %d/%d", prof.MarkerCounts[marker.Addr], prof.TotalFiltered, prof.TotalICount)
+	}
+}

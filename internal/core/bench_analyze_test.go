@@ -1,53 +1,42 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
-	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 )
 
-// make bench-analyze runs these with -cpu 1,2,4,8: the parallel
-// benchmark sets AnalyzeWorkers to GOMAXPROCS, so the -cpu axis is the
-// worker-count axis; BENCH_analyze.json records which kind of host
-// produced it. Each iteration is a whole Analyze — the recording run
+// make bench-analyze runs these; BENCH_analyze.json records which kind of
+// host produced it. Each iteration is a whole Analyze — the recording run
 // (which builds the DCFG) plus the BBV pass — because the graph's cost
-// now sits inside the recording and would vanish from a replay-only
-// timing. The internal entry points are called directly so the parallel
-// path's serial fallback can never stand in for it.
+// sits inside the recording and would vanish from a replay-only timing.
+// The durable benchmark is the same loop cut at the default epoch width,
+// with every iteration starting cold in a fresh directory, so it pays the
+// pinball and every epoch's encode + fsync + rename.
 
-func benchAnalyze(b *testing.B, workers int, analyze func(*isa.Program, Config) (*Analysis, error)) {
+func benchAnalyze(b *testing.B, durable bool) {
 	b.Helper()
 	p := testprog.Phased(4, 24, 400, omp.Passive)
 	cfg := testConfig()
-	cfg.fill()
-	cfg.AnalyzeWorkers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analyze(p, cfg); err != nil {
+		if durable {
+			b.StopTimer()
+			cfg.ProgressDir, cfg.Progress = b.TempDir(), &ProgressStats{}
+			b.StartTimer()
+		}
+		if _, err := Analyze(p, cfg); err != nil {
 			b.Fatal(err)
+		}
+		if durable {
+			if saves, fails, _, _, _ := cfg.Progress.Snapshot(); saves == 0 || fails != 0 {
+				b.Fatalf("durable Analyze fell back to the stateless run (saves=%d fails=%d)", saves, fails)
+			}
 		}
 	}
 }
 
-func BenchmarkAnalyzeSerial(b *testing.B) {
-	benchAnalyze(b, 0, func(p *isa.Program, cfg Config) (*Analysis, error) {
-		pb, g, err := recordWithGraph(p, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		return analyzeSerial(p, cfg, pb, g)
-	})
-}
+func BenchmarkAnalyzeSerial(b *testing.B) { benchAnalyze(b, false) }
 
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	benchAnalyze(b, runtime.GOMAXPROCS(0), func(p *isa.Program, cfg Config) (*Analysis, error) {
-		pb, g, err := recordWithGraph(p, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		return analyzeParallel(p, cfg, pb, g)
-	})
-}
+func BenchmarkAnalyzeDurable(b *testing.B) { benchAnalyze(b, true) }

@@ -83,28 +83,15 @@ type Config struct {
 	// worker per CPU, 1 = serial). Selections are byte-identical at every
 	// width; only host time changes.
 	ClusterWorkers int
-	// AnalyzeWorkers enables the checkpoint-parallel analysis front-end:
-	// the BBV replay pass is sharded at deterministic checkpoint
-	// boundaries and run on a pool of this width (<= 0 keeps
-	// the serial reference path). The profile is byte-identical at every
-	// width — pinned by the analyze identity suite — and any shard
-	// failure degrades to a serial re-replay of the same recording.
-	// SlowPath and VariableSlices force the serial path.
-	AnalyzeWorkers int
-	// CheckpointEvery is the shard width in schedule steps for the
-	// parallel analysis (0 = a deterministic default derived from the
-	// recording length only, so results never depend on worker count).
-	CheckpointEvery uint64
 	// ProgressDir enables durable mid-job progress (crash-only workers):
-	// the analysis replays in bounded epochs and persists a checksummed
+	// the BBV pass replays in bounded epochs and persists a checksummed
 	// recovery point after each one, and region simulation journals every
 	// completed region, all under this directory. A killed job restarted
 	// with the same ProgressKey resumes from its last durable epoch
-	// instead of step 0, byte-identically. Empty disables; SlowPath and
-	// VariableSlices force the non-durable reference path.
+	// instead of step 0, byte-identically. Empty disables.
 	ProgressDir string
 	// ProgressEvery is the durable-progress epoch width in schedule steps
-	// (0 = the parallel front-end's deterministic shard width).
+	// (0 = a sixteenth of the recording, at least 4096 steps).
 	ProgressEvery uint64
 	// ProgressKey names this job's progress files. Jobs sharing a key and
 	// an analysis-relevant configuration resume each other's work (the
@@ -193,34 +180,41 @@ type Analysis struct {
 
 // Analyze executes the program twice: the recording run, which also
 // builds the DCFG (the builder rides the recording machine on the block
-// tier), and one BBV replay of the recording that collects sliced,
-// spin-filtered vectors at the loop boundaries the graph identified. With
-// Config.AnalyzeWorkers set, the BBV pass runs checkpoint-parallel over
-// shards of the recording (byte-identical to serial; see analyzeParallel),
-// degrading to the serial reference path if any shard fails.
+// tier), and one BBV replay of the recording in which a single
+// bbv.Collector gathers sliced, spin-filtered vectors at the loop
+// boundaries the graph identified. With Config.ProgressDir set the same
+// replay is cut into epochs with a durable recovery point after each (see
+// progress.go); without it the replay is one window.
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
-	if cfg.ProgressDir != "" && !cfg.SlowPath && !cfg.VariableSlices {
-		if a, err := analyzeDurable(prog, cfg); err == nil {
-			return a, nil
+	if cfg.ProgressDir != "" {
+		if dp, err := openProgress(prog, &cfg); err == nil {
+			if a, err := analyze(prog, cfg, dp); err == nil {
+				return a, nil
+			}
 		}
 		// Durable progress must never wedge a job: any failure in the
-		// crash-only path (unwritable directory, unrecoverable state)
-		// falls back to the stateless pipeline below.
+		// crash-only path (unwritable directory, a recovered state the
+		// replay rejects) falls back to a stateless run on a fresh
+		// recording.
 	}
-	pb, g, err := recordWithGraph(prog, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.AnalyzeWorkers > 0 && !cfg.SlowPath && !cfg.VariableSlices {
-		if a, err := analyzeParallel(prog, cfg, pb, g); err == nil {
-			return a, nil
+	return analyze(prog, cfg, nil)
+}
+
+// analyze is the one analysis pipeline; dp is nil for a stateless run.
+func analyze(prog *isa.Program, cfg Config, dp *progressLog) (*Analysis, error) {
+	pass := dp.resume(prog, &cfg)
+	if pass == nil {
+		pb, g, err := recordWithGraph(prog, &cfg)
+		if err != nil {
+			return nil, err
 		}
-		// A shard failure (fault injection, resource trouble) is never
-		// fatal: the serial reference path re-replays the same recording
-		// and produces the identical analysis.
+		if pass, err = newBBVPass(prog, &cfg, pb, g, pb.StartCheckpoint(), nil); err != nil {
+			return nil, err
+		}
+		dp.begin(pass)
 	}
-	return analyzeSerial(prog, cfg, pb, g)
+	return pass.run(dp)
 }
 
 // recordWithGraph records the whole-program pinball and returns it with
@@ -256,9 +250,9 @@ func sliceTargetFor(prog *isa.Program, cfg *Config) uint64 {
 
 // markersAndModulus derives everything the BBV pass needs from the
 // whole-run DCFG — the loop table, the marker set and the per-marker
-// hit-count moduli — shared verbatim by the serial, checkpoint-parallel
-// and durable analysis paths, so marker choice can never differ between
-// them.
+// hit-count moduli. A resumed job re-derives them from its restored graph
+// through this same function, so marker choice can never differ between a
+// fresh and a resumed run.
 func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*dcfg.LoopTable, []uint64, map[uint64]uint64, error) {
 	loops := g.FindLoops()
 	sliceTarget := sliceTargetFor(prog, cfg)
@@ -286,16 +280,31 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 	return loops, markers, modulus, nil
 }
 
-// analyzeSerial is the reference analysis pipeline over a recording and
-// its graph: one whole-run serial BBV replay. The parallel front-end is
-// pinned byte-identical to this path and degrades to it on any failure.
-func analyzeSerial(prog *isa.Program, cfg Config, pb *pinball.Pinball, g *dcfg.Graph) (*Analysis, error) {
-	loops, markers, modulus, err := markersAndModulus(prog, &cfg, pb, g)
+// bbvPass is the BBV replay mid-run: the analysis it is filling in, the
+// one Collector, and the checkpoint the next replay window starts from. A
+// fresh recording starts one at step 0; a durable epoch file restores one
+// mid-run.
+type bbvPass struct {
+	a     *Analysis // Profile is set by run
+	col   *bbv.Collector
+	ck    pinball.Checkpoint
+	total uint64 // schedule steps in the recording
+}
+
+// newBBVPass derives the loop table and markers from the finished graph
+// and positions a collector at ck: fresh when st is nil, otherwise resumed
+// at the saved state. Both get the same configuration.
+func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph, ck pinball.Checkpoint, st *bbv.CollectorState) (*bbvPass, error) {
+	loops, markers, modulus, err := markersAndModulus(prog, cfg, pb, g)
 	if err != nil {
 		return nil, err
 	}
-
-	col := bbv.NewCollector(prog, markers, sliceTargetFor(prog, &cfg))
+	var col *bbv.Collector
+	if st == nil {
+		col = bbv.NewCollector(prog, markers, sliceTargetFor(prog, cfg))
+	} else if col, err = bbv.RestoreCollector(prog, markers, sliceTargetFor(prog, cfg), st); err != nil {
+		return nil, err
+	}
 	col.SetMarkerModulus(modulus)
 	if cfg.NoSpinFilter {
 		col.DisableSyncFilter()
@@ -303,25 +312,43 @@ func analyzeSerial(prog *isa.Program, cfg Config, pb *pinball.Pinball, g *dcfg.G
 	if cfg.VariableSlices {
 		col.SetVariableSlices(0.25, 0.5)
 	}
-	// The collector implements exec.BlockObserver, so Replay normally
+	return &bbvPass{
+		a: &Analysis{
+			Prog: prog, Pinball: pb, Graph: g, Loops: loops,
+			Markers: markers, Config: *cfg,
+		},
+		col: col, ck: ck, total: pb.Schedule.Steps(),
+	}, nil
+}
+
+// run feeds the collector the rest of the recording, one replay window at
+// a time, and finishes the profile. A stateless run (nil dp) is a single
+// window; a durable one persists a recovery point after every window.
+// The window that ends the recording verifies its final checksum.
+func (bp *bbvPass) run(dp *progressLog) (*Analysis, error) {
+	a := bp.a
+	// The collector implements exec.BlockObserver, so the replay normally
 	// routes it to the block-batched tier. SlowPath hides that method by
 	// wrapping the per-instruction entry point, forcing the reference
 	// engine; the resulting profile is byte-identical.
-	var bbvObs exec.Observer = col
-	if cfg.SlowPath {
-		bbvObs = exec.ObserverFunc(col.OnInstr)
+	var obs exec.Observer = bp.col
+	if a.Config.SlowPath {
+		obs = exec.ObserverFunc(bp.col.OnInstr)
 	}
-	if _, err := pb.Replay(prog, bbvObs); err != nil {
-		return nil, fmt.Errorf("core: BBV replay of %s: %w", prog.Name, err)
+	every := dp.epochSteps(bp.total)
+	for bp.ck.Step < bp.total {
+		next, err := a.Pinball.ReplayWindow(a.Prog, bp.ck, every, obs)
+		if err != nil {
+			return nil, fmt.Errorf("core: BBV replay of %s: %w", a.Prog.Name, err)
+		}
+		bp.ck = next
+		dp.save(bp)
 	}
-	prof := col.Finish()
-	if len(prof.Regions) == 0 {
-		return nil, fmt.Errorf("core: %s produced no regions", prog.Name)
+	a.Profile = bp.col.Finish()
+	if len(a.Profile.Regions) == 0 {
+		return nil, fmt.Errorf("core: %s produced no regions", a.Prog.Name)
 	}
-	return &Analysis{
-		Prog: prog, Pinball: pb, Graph: g, Loops: loops,
-		Markers: markers, Profile: prof, Config: cfg,
-	}, nil
+	return a, nil
 }
 
 // LoopPoint is one selected representative region with its extrapolation

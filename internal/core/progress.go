@@ -15,23 +15,21 @@ import (
 	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
-	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
 )
 
 // Durable mid-job progress (crash-only analysis). With Config.ProgressDir
-// set, Analyze persists the recording as soon as it exists and then runs
-// the BBV replay as a sequence of bounded epochs — the same deterministic
-// checkpoint boundaries the parallel front-end shards at — persisting,
-// after every epoch, everything a fresh process needs to continue: the
-// replay checkpoint (snapshot + syscall cursors + step), the finished DCFG
-// the recording run built, and the decider and stitcher state of the BBV
-// chain. A worker SIGKILLed mid-analysis resumes from its last durable
-// epoch instead of re-recording, and the resumed profile is
-// byte-identical to an uninterrupted run — pinned by the progress
-// identity and chaos tests.
+// set, Analyze persists the recording as soon as it exists and then cuts
+// the BBV replay — the same loop, the same Collector — into bounded
+// epochs, persisting after every one everything a fresh process needs to
+// continue: the replay checkpoint at the window's end (snapshot + syscall
+// cursors + step), the finished DCFG the recording run built, and the
+// Collector's state. A worker SIGKILLed mid-analysis resumes from its last
+// durable epoch instead of re-recording, and the resumed profile is
+// byte-identical to an uninterrupted run — pinned by the analysis identity
+// matrix and the chaos tests.
 //
 // Recovery ladder (never wedges a job):
 //
@@ -44,11 +42,11 @@ import (
 // pinball with no usable epoch is not worth a DCFG replay of its own.
 // Saves are best-effort: a failed save (injection site
 // "core.progress.save", disk trouble) loses at most one epoch of
-// progress, never correctness. If the durable path itself errors,
-// Analyze falls back to the stateless pipeline on a fresh recording.
+// progress, never correctness. If the durable run itself errors, Analyze
+// falls back to a stateless run on a fresh recording.
 
 // progressVersion is the progress-file format version.
-const progressVersion = 2
+const progressVersion = 3
 
 // progMagic brands durable progress files.
 const progMagic = "LOOPPROG"
@@ -109,20 +107,18 @@ func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved,
 
 // progressState is the JSON carry attached to each epoch's checkpoint:
 // the finished DCFG (loops and markers are re-derived from it on resume —
-// they are deterministic functions of it) and the close-decision and
-// stitch chain of the BBV replay so far. The whole blob lives inside the
-// checksummed progress envelope, so torn or flipped bytes are caught
-// before any of it is parsed.
+// they are deterministic functions of it) and the Collector between two
+// windows. The whole blob lives inside the checksummed progress envelope,
+// so torn or flipped bytes are caught before any of it is parsed.
 type progressState struct {
-	Key         string
-	Fingerprint string
-	Epoch       int
-	Total       uint64
-	Every       uint64
+	// Job is the file-name stem (progressBase) the epoch was written
+	// under: key and configuration fingerprint.
+	Job   string
+	Epoch int
+	Total uint64
 
-	Graph    *dcfg.GraphState
-	Decider  *bbv.DeciderState
-	Stitcher *bbv.StitcherState
+	Graph     *dcfg.GraphState
+	Collector *bbv.CollectorState
 }
 
 func marshalProgressState(st *progressState) ([]byte, error) { return json.Marshal(st) }
@@ -139,9 +135,9 @@ func unmarshalProgressState(data []byte) (*progressState, error) {
 // recording and the profile: two jobs with the same key and fingerprint
 // may resume each other's progress; anything else falls the ladder.
 func progressFingerprint(prog *isa.Program, cfg *Config) string {
-	sig := fmt.Sprintf("v%d|prog=%s|threads=%d|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v",
+	sig := fmt.Sprintf("v%d|prog=%s|threads=%d|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v|varslices=%v",
 		progressVersion, prog.Name, prog.NumThreads(), cfg.SliceUnit, cfg.Seed,
-		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter)
+		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter, cfg.VariableSlices)
 	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
 }
 
@@ -332,205 +328,139 @@ func progressCandidates(base string) []string {
 	return paths
 }
 
-// epochCarry is everything the epoch loop carries from one epoch to the
-// next: where the replay stands, and the analysis state at that step. A
-// fresh recording starts one at step 0; a validated recovery-ladder rung
-// restores one mid-run.
-type epochCarry struct {
-	ck    pinball.Checkpoint
+// progressLog is one job's durable-progress files: where they live, how
+// wide an epoch is, and the epoch counter. Every method is safe on a nil
+// receiver, which is the stateless run: nothing to resume, one window,
+// nothing saved.
+type progressLog struct {
+	base  string // <dir>/<key>-<fingerprint>
+	every uint64 // Config.ProgressEvery
+	ps    *ProgressStats
 	epoch int
-	g     *dcfg.Graph
-	// Deterministic functions of the graph, derived once.
-	loops   *dcfg.LoopTable
-	markers []uint64
-	modulus map[uint64]uint64
-	dec     *bbv.Decider
-	stitch  *bbv.Stitcher
+	graph *dcfg.GraphState // the graph is finished: one serialization serves every epoch
 }
 
-// newEpochCarry derives the loop table and marker set from the finished
-// graph and positions the carry at ck. The caller supplies the BBV chain
-// state (dec, stitch): fresh at step 0, restored on a rung.
-func newEpochCarry(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph, ck pinball.Checkpoint) (*epochCarry, error) {
-	loops, markers, modulus, err := markersAndModulus(prog, cfg, pb, g)
-	if err != nil {
-		return nil, err
+const (
+	// defaultEpochs is how many epochs the recording splits into when
+	// ProgressEvery is unset.
+	defaultEpochs = 16
+	// minEpochSteps keeps the default from slicing short recordings into
+	// windows smaller than a save is worth.
+	minEpochSteps = 4096
+)
+
+func openProgress(prog *isa.Program, cfg *Config) (*progressLog, error) {
+	if err := os.MkdirAll(cfg.ProgressDir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: progress dir: %w", err)
 	}
-	return &epochCarry{ck: ck, g: g, loops: loops, markers: markers, modulus: modulus}, nil
+	return &progressLog{
+		base:  progressBase(cfg.ProgressDir, prog, cfg),
+		every: cfg.ProgressEvery,
+		ps:    cfg.Progress,
+	}, nil
 }
 
-// recoverAnalysis walks the recovery ladder: newest epoch file first,
-// falling to older rungs on any load or validation failure, nil when
-// every rung fails (re-record). A rung whose bytes are bad (torn,
-// corrupt, version-skewed) is deleted so it cannot re-fail every future
-// restart; a rung that merely failed to read (injected Transient, I/O
-// trouble) is left in place.
-func recoverAnalysis(prog *isa.Program, cfg *Config, pb *pinball.Pinball, base, key, fp string) *epochCarry {
-	ps := cfg.Progress
-	for _, path := range progressCandidates(base) {
-		c, err := restoreRung(prog, cfg, pb, path, key, fp)
+// epochSteps returns the replay-window width: the whole recording for a
+// stateless run, else the configured epoch width or a default derived
+// from the recording length only.
+func (dp *progressLog) epochSteps(total uint64) uint64 {
+	switch {
+	case dp == nil:
+		return total
+	case dp.every > 0:
+		return dp.every
+	}
+	return max(total/defaultEpochs, minEpochSteps)
+}
+
+// resume takes both products of the recording run — the saved pinball,
+// and its graph out of an epoch file — and walks the recovery ladder:
+// newest epoch file first, falling to older rungs on any load or
+// validation failure, nil when there is nothing usable (re-record: the
+// recording is deterministic in the fingerprinted config, so a missing,
+// torn or foreign file of either kind costs no more than that). A rung
+// whose bytes are bad (torn, corrupt, version-skewed) is deleted so it
+// cannot re-fail every future restart; a rung that merely failed to read
+// (injected Transient, I/O trouble) is left in place.
+func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
+	if dp == nil {
+		return nil
+	}
+	pb, err := pinball.Load(dp.base + ".pinball")
+	if err != nil || pb.Name != prog.Name || pb.Verify() != nil {
+		return nil
+	}
+	for _, path := range progressCandidates(dp.base) {
+		bp, err := dp.restoreRung(prog, cfg, pb, path)
 		if err != nil {
 			if !errors.Is(err, faults.ErrInjected) {
 				os.Remove(path)
 			}
-			ps.countLadderFall()
+			dp.ps.countLadderFall()
 			continue
 		}
-		ps.countRecovery(c.ck.Step)
-		return c
+		dp.ps.countRecovery(bp.ck.Step)
+		return bp
 	}
 	return nil
 }
 
-// restoreRung loads one epoch file and restores it into live structures,
+// restoreRung loads one epoch file and restores it into a live pass,
 // validating everything against the program and recording first.
-func restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path, key, fp string) (*epochCarry, error) {
+func (dp *progressLog) restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path string) (*bbvPass, error) {
 	ck, st, err := loadEpoch(path)
 	if err != nil {
 		return nil, err
 	}
-	if st.Key != key || st.Fingerprint != fp {
-		return nil, fmt.Errorf("core: progress file %s belongs to job %s/%s: %w", path, st.Key, st.Fingerprint, artifact.ErrCorrupt)
+	corrupt := func(err error) error {
+		return fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
+	}
+	if job := filepath.Base(dp.base); st.Job != job {
+		return nil, corrupt(fmt.Errorf("belongs to job %s, not %s", st.Job, job))
 	}
 	if total := pb.Schedule.Steps(); st.Total != total || ck.Step > total {
-		return nil, fmt.Errorf("core: progress file %s positions step %d of %d in a %d-step recording: %w",
-			path, ck.Step, st.Total, total, artifact.ErrCorrupt)
+		return nil, corrupt(fmt.Errorf("positions step %d of %d in a %d-step recording", ck.Step, st.Total, total))
 	}
 	if len(ck.Snap.Threads) != prog.NumThreads() || len(ck.SysPos) != len(pb.Syscalls) {
-		return nil, fmt.Errorf("core: progress file %s snapshot shape mismatch: %w", path, artifact.ErrCorrupt)
+		return nil, corrupt(errors.New("snapshot shape mismatch"))
 	}
-	if st.Graph == nil || st.Decider == nil || st.Stitcher == nil {
-		return nil, fmt.Errorf("core: progress file %s is missing its graph, decider or stitcher: %w", path, artifact.ErrCorrupt)
+	if st.Graph == nil || st.Collector == nil {
+		return nil, corrupt(errors.New("missing its graph or collector"))
 	}
 	g, err := dcfg.RestoreGraph(prog, st.Graph)
 	if err != nil {
-		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
+		return nil, corrupt(err)
 	}
-	c, err := newEpochCarry(prog, cfg, pb, g, ck)
+	bp, err := newBBVPass(prog, cfg, pb, g, ck, st.Collector)
 	if err != nil {
-		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
+		return nil, corrupt(err)
 	}
-	c.epoch = st.Epoch
-	if c.dec, err = bbv.RestoreDecider(sliceTargetFor(prog, cfg), c.modulus, st.Decider); err != nil {
-		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-	}
-	if c.stitch, err = st.Stitcher.RestoreStitcher(prog); err != nil {
-		return nil, fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
-	}
-	return c, nil
+	dp.epoch, dp.graph = st.Epoch, st.Graph
+	return bp, nil
 }
 
-// replayEpoch replays one epoch's window of the schedule from the
-// checkpoint with the observer attached, and returns the checkpoint at
-// the window's end — the exact carry the next epoch resumes from.
-func replayEpoch(prog *isa.Program, pb *pinball.Pinball, from pinball.Checkpoint, steps uint64, obs exec.Observer) (pinball.Checkpoint, error) {
-	m, err := pb.ReplayWindow(prog, from, steps, obs)
-	if err != nil {
-		return pinball.Checkpoint{}, err
+// begin makes a fresh recording durable: the pinball, then a step-0
+// epoch, so a crash in the first window resumes with the graph instead of
+// re-recording for it.
+func (dp *progressLog) begin(bp *bbvPass) {
+	if dp == nil {
+		return
 	}
-	// ReplayWindow positions its machine with ReplayFrom, which installs
-	// the replay OS whose cursors are the other half of the checkpoint.
-	return pinball.Checkpoint{Snap: m.Snapshot(), SysPos: m.OS.(*exec.ReplayOS).Positions(), Step: from.Step + steps}, nil
+	if err := artifact.WriteFileDurable(dp.base+".pinball", bp.a.Pinball.AppendBinary(nil)); err != nil {
+		dp.ps.countSaveFailure() // best-effort: a restart re-records
+	}
+	dp.graph = bp.a.Graph.State()
+	dp.save(bp)
 }
 
-// analyzeDurable is the crash-only analysis pipeline: resume from the
-// saved recording and the newest valid epoch, or record afresh (building
-// the graph) and save the recording; then replay the BBV pass in durable
-// epochs, persisting a recovery point after every one. The profile is
-// byte-identical to the serial and parallel paths (the epoch loop is the
-// shard pipeline run serially at ProgressEvery-step boundaries, and
-// profiles are invariant under shard widths). Any error returns to
-// Analyze, which falls back to the stateless pipeline.
-func analyzeDurable(prog *isa.Program, cfg Config) (*Analysis, error) {
-	if err := os.MkdirAll(cfg.ProgressDir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: progress dir: %w", err)
+// save persists the pass as the next epoch.
+func (dp *progressLog) save(bp *bbvPass) {
+	if dp == nil {
+		return
 	}
-	base := progressBase(cfg.ProgressDir, prog, &cfg)
-	key := cfg.ProgressKey
-	if key == "" {
-		key = fmt.Sprintf("%016x", artifact.Checksum([]byte(prog.Name)))
-	}
-	fp := progressFingerprint(prog, &cfg)
-	ps := cfg.Progress
-
-	// Resuming takes both products of the recording run: the saved
-	// pinball, and its graph out of an epoch file. The recording is
-	// deterministic in the fingerprinted config, so a missing, torn or
-	// foreign file of either kind just costs a re-record.
-	var c *epochCarry
-	pb, err := pinball.Load(base + ".pinball")
-	if err == nil && pb.Name == prog.Name && pb.Verify() == nil {
-		c = recoverAnalysis(prog, &cfg, pb, base, key, fp)
-	}
-	fresh := c == nil
-	if fresh {
-		var g *dcfg.Graph
-		if pb, g, err = recordWithGraph(prog, &cfg); err != nil {
-			return nil, err
-		}
-		if err := artifact.WriteFileDurable(base+".pinball", pb.AppendBinary(nil)); err != nil {
-			ps.countSaveFailure() // best-effort: a restart re-records
-		}
-		if c, err = newEpochCarry(prog, &cfg, pb, g, pb.StartCheckpoint()); err != nil {
-			return nil, err
-		}
-		c.dec = bbv.NewDecider(sliceTargetFor(prog, &cfg), c.modulus)
-		c.stitch = bbv.NewStitcher(prog)
-	}
-
-	total := pb.Schedule.Steps()
-	every := cfg.ProgressEvery
-	if every == 0 {
-		every = shardEvery(&cfg, total)
-	}
-	graphState := c.g.State() // the graph is finished: one serialization serves every epoch
-	save := func() {
-		c.epoch++
-		saveEpoch(base, c.ck, &progressState{
-			Key: key, Fingerprint: fp, Epoch: c.epoch, Total: total, Every: every,
-			Graph: graphState, Decider: c.dec.State(), Stitcher: c.stitch.State(),
-		}, ps)
-	}
-	if fresh {
-		// A step-0 save, so a crash in the first epoch resumes with the
-		// graph instead of re-recording for it.
-		save()
-	}
-
-	// BBV epochs. Scan the window, chain the close decisions, accumulate
-	// the window's pieces, stitch — the parallel front-end's scan →
-	// decide → accumulate pipeline, one shard at a time.
-	for c.ck.Step < total {
-		w := every
-		if rem := total - c.ck.Step; rem < w {
-			w = rem
-		}
-		sc := bbv.NewScanner(c.markers, cfg.NoSpinFilter)
-		if _, err := pb.ReplayWindow(prog, c.ck, w, sc); err != nil {
-			return nil, fmt.Errorf("core: BBV scan of %s: %w", prog.Name, err)
-		}
-		closes := c.dec.Feed(sc.Scan())
-		events := make([]int, len(closes))
-		for j, cl := range closes {
-			events[j] = cl.Event
-		}
-		ac := bbv.NewAccumulator(prog, c.markers, events, cfg.NoSpinFilter)
-		next, err := replayEpoch(prog, pb, c.ck, w, ac)
-		if err != nil {
-			return nil, fmt.Errorf("core: BBV epoch of %s: %w", prog.Name, err)
-		}
-		c.stitch.Feed(ac.Pieces(), closes)
-		c.ck = next
-		save()
-	}
-
-	totFiltered, totICount := c.dec.Totals()
-	prof := c.stitch.Finish(prog, c.dec.MarkerCounts(), totFiltered, totICount)
-	if len(prof.Regions) == 0 {
-		return nil, fmt.Errorf("core: %s produced no regions", prog.Name)
-	}
-	return &Analysis{
-		Prog: prog, Pinball: pb, Graph: c.g, Loops: c.loops,
-		Markers: c.markers, Profile: prof, Config: cfg,
-	}, nil
+	dp.epoch++
+	saveEpoch(dp.base, bp.ck, &progressState{
+		Job: filepath.Base(dp.base), Epoch: dp.epoch, Total: bp.total,
+		Graph: dp.graph, Collector: bp.col.State(),
+	}, dp.ps)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/bbv"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
@@ -46,44 +45,25 @@ func progressFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// TestAnalyzeDurableIdentity pins the crash-only pipeline's profile
-// byte-identical to the serial reference at several epoch widths,
-// including a width wider than the whole recording.
-func TestAnalyzeDurableIdentity(t *testing.T) {
-	for name, p := range parallelTestPrograms() {
-		t.Run(name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.fill()
-			pb, g := recordFor(t, p, cfg)
-			want, err := analyzeSerial(p, cfg, pb, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := pb.Schedule.Steps()
-			for _, every := range []uint64{0, 512, total / 3, total + 1000} {
-				dcfg := durableConfig(t.TempDir())
-				dcfg.fill()
-				dcfg.ProgressEvery = every
-				got, err := analyzeDurable(p, dcfg)
-				if err != nil {
-					t.Fatalf("every=%d: %v", every, err)
-				}
-				analysisEquals(t, name, got, want)
-				saves, fails, recov, _, _ := dcfg.Progress.Snapshot()
-				if saves == 0 || fails != 0 || recov != 0 {
-					t.Fatalf("every=%d: saves=%d fails=%d recoveries=%d on a clean run", every, saves, fails, recov)
-				}
-			}
-		})
+// runDurable is Analyze's durable route without its stateless fallback,
+// so a failure of the crash-only path cannot hide behind a correct
+// stateless result.
+func runDurable(p *isa.Program, cfg Config) (*Analysis, error) {
+	cfg.fill()
+	dp, err := openProgress(p, &cfg)
+	if err != nil {
+		return nil, err
 	}
+	return analyze(p, cfg, dp)
 }
 
 // crashAnalyze runs the durable analysis with a one-shot Panic armed at
 // the save site — the in-process stand-in for SIGKILL mid-job — and
-// reports whether the "kill" fired. Progress written before the kill
-// stays durable; the epoch being saved when the kill lands is lost,
-// exactly like a real torn run.
-func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (killed bool) {
+// reports whether the "kill" fired (a run that outlives the kill position
+// returns its analysis instead). Progress written before the kill stays
+// durable; the epoch being saved when the kill lands is lost, exactly
+// like a real torn run.
+func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (a *Analysis, killed bool) {
 	t.Helper()
 	plan := faults.NewPlan(faults.SeedFromEnv(7),
 		faults.Rule{Site: "core.progress.save", Kind: faults.Panic, Rate: 1, Count: 1, After: after})
@@ -97,10 +77,11 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (kille
 			panic(r)
 		}
 	}()
-	if _, err := analyzeDurable(p, cfg); err != nil {
+	a, err := runDurable(p, cfg)
+	if err != nil {
 		t.Fatalf("durable analysis died before the kill: %v", err)
 	}
-	return killed
+	return a, false
 }
 
 // TestAnalyzeDurableResumeAfterKill is the chaos drill: kill the worker
@@ -113,19 +94,13 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (kille
 // uninterrupted serial reference.
 func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := testConfig()
-	cfg.fill()
-	pb, g := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceAnalysis(t, p, testConfig())
 
 	// Count the clean run's saves so kill positions can target the
 	// start, the middle, and the tail.
 	probe := durableConfig(t.TempDir())
 	probe.fill()
-	if _, err := analyzeDurable(p, probe); err != nil {
+	if _, err := runDurable(p, probe); err != nil {
 		t.Fatal(err)
 	}
 	saves, _, _, _, _ := probe.Progress.Snapshot()
@@ -137,7 +112,7 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 		dir := t.TempDir()
 		cfg := durableConfig(dir)
 		cfg.fill()
-		if !crashAnalyze(t, p, cfg, after) {
+		if _, killed := crashAnalyze(t, p, cfg, after); !killed {
 			t.Fatalf("kill after %d saves never fired", after)
 		}
 		if len(progressFiles(t, dir)) == 0 {
@@ -146,7 +121,7 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 
 		// Cold restart: fresh stats, no faults.
 		cfg.Progress = &ProgressStats{}
-		got, err := analyzeDurable(p, cfg)
+		got, err := runDurable(p, cfg)
 		if err != nil {
 			t.Fatalf("restart after kill@%d: %v", after, err)
 		}
@@ -169,18 +144,12 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 // epoch files) — corruption never wedges or poisons a job.
 func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := testConfig()
-	cfg.fill()
-	pb, g := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceAnalysis(t, p, testConfig())
 
 	dir := t.TempDir()
 	dcfg := durableConfig(dir)
 	dcfg.fill()
-	if !crashAnalyze(t, p, dcfg, 5) {
+	if _, killed := crashAnalyze(t, p, dcfg, 5); !killed {
 		t.Fatal("kill never fired")
 	}
 	files := progressFiles(t, dir)
@@ -204,7 +173,7 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	}
 
 	dcfg.Progress = &ProgressStats{}
-	got, err := analyzeDurable(p, dcfg)
+	got, err := runDurable(p, dcfg)
 	if err != nil {
 		t.Fatalf("restart over corrupt rung: %v", err)
 	}
@@ -233,7 +202,7 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 		}
 	}
 	dcfg.Progress = &ProgressStats{}
-	got, err = analyzeDurable(p, dcfg)
+	got, err = runDurable(p, dcfg)
 	if err != nil {
 		t.Fatalf("restart by re-recording: %v", err)
 	}
@@ -248,19 +217,13 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 // Transient) costs resumability, never the analysis itself.
 func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := testConfig()
-	cfg.fill()
-	pb, g := recordFor(t, p, cfg)
-	want, err := analyzeSerial(p, cfg, pb, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceAnalysis(t, p, testConfig())
 	dir := t.TempDir()
 	dcfg := durableConfig(dir)
 	dcfg.fill()
 	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
 		faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))()
-	got, err := analyzeDurable(p, dcfg)
+	got, err := runDurable(p, dcfg)
 	if err != nil {
 		t.Fatalf("analysis failed under save faults: %v", err)
 	}
@@ -282,7 +245,7 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
 	cfg.fill()
-	if !crashAnalyze(t, p, cfg, 4) {
+	if _, killed := crashAnalyze(t, p, cfg, 4); !killed {
 		t.Fatal("kill never fired")
 	}
 	before := len(progressFiles(t, dir))
@@ -292,7 +255,7 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	cfg.Progress = &ProgressStats{}
 	restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
 		faults.Rule{Site: "core.progress.load", Kind: faults.Transient, Rate: 1}))
-	_, err := analyzeDurable(p, cfg)
+	_, err := runDurable(p, cfg)
 	restore()
 	if err != nil {
 		t.Fatalf("analysis failed under load faults: %v", err)
@@ -300,6 +263,45 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	_, _, recoveries, _, falls := cfg.Progress.Snapshot()
 	if recoveries != 0 || falls < uint64(before) {
 		t.Fatalf("recoveries=%d falls=%d under Rate-1 load faults over %d rungs", recoveries, falls, before)
+	}
+}
+
+// TestProgressFingerprintCoversVariableSlices: variable slicing reaches
+// the durable route and changes the profile, so a job must never resume
+// epochs written under the other setting. Two runs share one progress
+// directory and key, differing only in VariableSlices: the second starts
+// clean (no recovery) and matches its own stateless run.
+func TestProgressFingerprintCoversVariableSlices(t *testing.T) {
+	p := testprog.Phased(4, 10, 150, omp.Passive)
+	dir := t.TempDir()
+	fixed := durableConfig(dir)
+	variableSlices(&fixed)
+	fixed.VariableSlices = false
+	fx, err := Analyze(p, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variable := durableConfig(dir)
+	variableSlices(&variable)
+	got, err := Analyze(p, variable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves, _, recoveries, _, falls := variable.Progress.Snapshot()
+	if saves == 0 || recoveries != 0 || falls != 0 {
+		t.Fatalf("saves=%d recoveries=%d ladder_falls=%d: the toggled job did not start clean", saves, recoveries, falls)
+	}
+	stateless := testConfig()
+	variableSlices(&stateless)
+	want, err := Analyze(p, stateless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Profile, want.Profile) {
+		t.Fatal("durable variable-slices profile differs from the stateless run")
+	}
+	if reflect.DeepEqual(fx.Profile, want.Profile) {
+		t.Fatal("variable slicing left the profile unchanged; the toggle proves nothing on this program")
 	}
 }
 
@@ -359,22 +361,20 @@ func TestProgressEnvelopeVersionSkew(t *testing.T) {
 }
 
 // buildProgressEnvelope encodes a genuine step-0 progress file from a
-// short recording: the finished graph plus a fresh decider and stitcher.
+// short recording: the finished graph plus a fresh collector.
 func buildProgressEnvelope(t *testing.T) []byte {
 	t.Helper()
 	p := testprog.Phased(2, 3, 30, omp.Passive)
 	cfg := testConfig()
 	cfg.fill()
 	pb, g := recordFor(t, p, cfg)
-	c, err := newEpochCarry(p, &cfg, pb, g, pb.StartCheckpoint())
+	bp, err := newBBVPass(p, &cfg, pb, g, pb.StartCheckpoint(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := encodeProgress(c.ck, &progressState{
-		Key: "job", Fingerprint: "fp", Epoch: 3,
-		Total: pb.Schedule.Steps(), Every: 64, Graph: g.State(),
-		Decider:  bbv.NewDecider(sliceTargetFor(p, &cfg), c.modulus).State(),
-		Stitcher: bbv.NewStitcher(p).State(),
+	data, err := encodeProgress(bp.ck, &progressState{
+		Job: "job-fp", Epoch: 3, Total: pb.Schedule.Steps(),
+		Graph: g.State(), Collector: bp.col.State(),
 	})
 	if err != nil {
 		t.Fatal(err)

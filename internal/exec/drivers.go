@@ -75,28 +75,40 @@ func (s Schedule) Take(n uint64) Schedule {
 }
 
 // Window returns the n steps that follow the first from steps —
-// Skip(from).Take(n) in one walk that copies only the window's entries,
-// so slicing a recording into shards or epochs costs the windows, not a
-// copy of the remaining schedule per cut.
+// Skip(from).Take(n) as one walk to find the window's entries and one
+// exactly-sized copy of them, so slicing a recording into epochs costs
+// the windows, not a copy of the remaining schedule per cut (and a window
+// spanning a million-entry recording costs one memmove, not a slice grown
+// entry by entry).
 func (s Schedule) Window(from, n uint64) Schedule {
-	var out Schedule
-	for _, e := range s {
+	// [first, end) are the entries the window touches; the first loses
+	// `from` leading steps, the last keeps only what n still allows.
+	first, end := -1, 0
+	var lastN uint64
+	for i, e := range s {
 		if n == 0 {
 			break
 		}
 		run := uint64(e.N)
-		if run <= from {
-			from -= run
-			continue
+		if first < 0 {
+			if run <= from {
+				from -= run
+				continue
+			}
+			first = i
+			run -= from
 		}
-		run -= from
-		from = 0
-		if run > n {
-			run = n
-		}
-		out = append(out, ScheduleEntry{Tid: e.Tid, N: uint32(run)})
-		n -= run
+		lastN = min(run, n)
+		n -= lastN
+		end = i + 1
 	}
+	if first < 0 {
+		return nil
+	}
+	out := make(Schedule, end-first)
+	copy(out, s[first:end])
+	out[0].N -= uint32(from)
+	out[len(out)-1].N = uint32(lastN)
 	return out
 }
 

@@ -86,7 +86,7 @@ type Options struct {
 	// flag; see core.Config.ProgressDir).
 	ProgressDir string
 	// ProgressEvery is the durable-epoch length in schedule steps
-	// (0 = the analysis shard width; see core.Config.ProgressEvery).
+	// (0 = core's default; see core.Config.ProgressEvery).
 	ProgressEvery uint64
 	// Progress, when non-nil, receives the durable-progress counters of
 	// every evaluation (shared with the serving layer's /v1/stats).

@@ -3,17 +3,15 @@ package pinball
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/exec"
-	"looppoint/internal/faults"
 )
 
-// Durable checkpoint files. A Checkpoint is the whole carry a windowed
-// replay needs (snapshot + syscall cursors + step offset), so persisting
-// one lets a crashed job resume mid-recording instead of from step 0.
-// The format mirrors the pinball envelope: magic, version, little-endian
+// Checkpoint codec. A Checkpoint is the whole carry a windowed replay
+// needs (snapshot + syscall cursors + step offset), so persisting one —
+// core's epoch files embed these bytes — lets a crashed job resume
+// mid-recording instead of from step 0. The format mirrors the pinball envelope: magic, version, little-endian
 // u64 payload, trailing FNV-1a over the payload (magic excluded), and
 // loaders classify failures into the artifact sentinels so the recovery
 // ladder in core can tell a torn write (ErrTruncated) from bit rot
@@ -89,43 +87,6 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	want := artifact.Update(artifact.FNVOffset, data[len(ckptMagic):off])
 	if got := binary.LittleEndian.Uint64(data[off:]); got != want {
 		return ck, fmt.Errorf("pinball: checkpoint integrity hash mismatch (file %#x, computed %#x): %w", got, want, artifact.ErrCorrupt)
-	}
-	return ck, nil
-}
-
-// SaveCheckpoint writes the checkpoint durably: encode, write to a temp
-// file in the same directory, fsync, rename over the final path. A crash
-// at any point leaves either the old file or the new one, never a torn
-// mix; a crash between temp write and rename leaves only a stray .tmp
-// the loaders ignore. Injection site "pinball.ckpt.save" can fail the
-// write (Transient) or corrupt the written bytes (Corrupt).
-func SaveCheckpoint(path string, ck Checkpoint) error {
-	if err := faults.Check("pinball.ckpt.save"); err != nil {
-		return fmt.Errorf("pinball: save checkpoint %s: %w", path, err)
-	}
-	data, err := EncodeCheckpoint(ck)
-	if err != nil {
-		return err
-	}
-	faults.CorruptBytes("pinball.ckpt.save", data)
-	return artifact.WriteFileDurable(path, data)
-}
-
-// LoadCheckpoint reads and verifies a checkpoint file. Injection site
-// "pinball.ckpt.load" can fail the read or corrupt the bytes after they
-// leave disk.
-func LoadCheckpoint(path string) (Checkpoint, error) {
-	if err := faults.Check("pinball.ckpt.load"); err != nil {
-		return Checkpoint{}, fmt.Errorf("pinball: load checkpoint %s: %w", path, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	faults.CorruptBytes("pinball.ckpt.load", data)
-	ck, err := DecodeCheckpoint(data)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("load %s: %w", path, err)
 	}
 	return ck, nil
 }

@@ -3,14 +3,11 @@ package pinball
 import (
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 )
@@ -25,48 +22,10 @@ func midRunCheckpoint(t *testing.T) (ck Checkpoint, total uint64) {
 		t.Fatal(err)
 	}
 	total = pb.Schedule.Steps()
-	cks, err := pb.Checkpoints(p, total/3)
-	if err != nil {
+	if ck, err = pb.ReplayWindow(p, pb.StartCheckpoint(), total/3); err != nil {
 		t.Fatal(err)
 	}
-	if len(cks) < 2 {
-		t.Fatalf("want a mid-run checkpoint, got %d checkpoints", len(cks))
-	}
-	return cks[1], total
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	ck, _ := midRunCheckpoint(t)
-	path := filepath.Join(t.TempDir(), "job.ckpt")
-	if err := SaveCheckpoint(path, ck); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatal("loaded checkpoint differs from saved one")
-	}
-	// Saving over an existing file must atomically replace it.
-	ck2 := ck
-	ck2.Step++
-	if err := SaveCheckpoint(path, ck2); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = LoadCheckpoint(path); err != nil || got.Step != ck2.Step {
-		t.Fatalf("overwrite: step %d err %v, want %d", got.Step, err, ck2.Step)
-	}
-	// No temp files may survive a successful save.
-	ents, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("stray temp file %s after save", e.Name())
-		}
-	}
+	return ck, total
 }
 
 // TestCheckpointCorruptionMatrix flips one bit at every byte offset of
@@ -124,45 +83,6 @@ func TestCheckpointVersionSkew(t *testing.T) {
 	}
 }
 
-// TestCheckpointSaveLoadFaultInjection drives the pinball.ckpt.save and
-// pinball.ckpt.load sites: a transient save fails cleanly, a corrupting
-// save produces a file the loader rejects with a typed error, and a
-// corrupting load rejects bytes that were fine on disk.
-func TestCheckpointSaveLoadFaultInjection(t *testing.T) {
-	ck, _ := midRunCheckpoint(t)
-	dir := t.TempDir()
-
-	restore := faults.Enable(faults.NewPlan(1, faults.Rule{Site: "pinball.ckpt.save", Kind: faults.Transient, Rate: 1}))
-	if err := SaveCheckpoint(filepath.Join(dir, "a.ckpt"), ck); err == nil {
-		t.Fatal("transient save fault not surfaced")
-	}
-	restore()
-
-	restore = faults.Enable(faults.NewPlan(2, faults.Rule{Site: "pinball.ckpt.save", Kind: faults.Corrupt, Rate: 1}))
-	path := filepath.Join(dir, "b.ckpt")
-	if err := SaveCheckpoint(path, ck); err != nil {
-		t.Fatalf("corrupting save should still write: %v", err)
-	}
-	restore()
-	if _, err := LoadCheckpoint(path); err == nil || !typed(err) {
-		t.Fatalf("load of corrupted checkpoint: %v, want typed error", err)
-	}
-
-	good := filepath.Join(dir, "c.ckpt")
-	if err := SaveCheckpoint(good, ck); err != nil {
-		t.Fatal(err)
-	}
-	restore = faults.Enable(faults.NewPlan(3, faults.Rule{Site: "pinball.ckpt.load", Kind: faults.Corrupt, Rate: 1}))
-	_, err := LoadCheckpoint(good)
-	restore()
-	if err == nil || !typed(err) {
-		t.Fatalf("corrupting load: %v, want typed error", err)
-	}
-	if got, err := LoadCheckpoint(good); err != nil || got.Step != ck.Step {
-		t.Fatalf("file must be intact after in-memory load corruption: %v", err)
-	}
-}
-
 // TestCheckpointRoundTripReplayIdentity is the property test: for every
 // checkpoint position, Snapshot → encode → decode → Restore →
 // ReplayWindow to the end of the recording must land on machine state
@@ -180,11 +100,7 @@ func TestCheckpointRoundTripReplayIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := w.pb.Schedule.Steps()
-			cks, err := w.pb.Checkpoints(w.prog, total/5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, ck := range cks {
+			for k, ck := range chainWindows(t, w.prog, w.pb, total/5) {
 				enc, err := EncodeCheckpoint(ck)
 				if err != nil {
 					t.Fatalf("checkpoint %d: %v", k, err)
@@ -196,11 +112,11 @@ func TestCheckpointRoundTripReplayIdentity(t *testing.T) {
 				if !reflect.DeepEqual(dec, ck) {
 					t.Fatalf("checkpoint %d: decode differs from original", k)
 				}
-				m, err := w.pb.ReplayWindow(w.prog, dec, total-dec.Step)
+				end, err := w.pb.ReplayWindow(w.prog, dec, total-dec.Step)
 				if err != nil {
 					t.Fatalf("checkpoint %d: %v", k, err)
 				}
-				got, err := m.Snapshot().MarshalBinary()
+				got, err := end.Snap.MarshalBinary()
 				if err != nil {
 					t.Fatalf("checkpoint %d: %v", k, err)
 				}

@@ -157,13 +157,23 @@ func (pb *Pinball) Replay(p *isa.Program, observers ...exec.Observer) (*exec.Mac
 	if replay.Diverged {
 		return nil, fmt.Errorf("pinball %s: syscall injection log exhausted (replay diverged)", pb.Name)
 	}
-	if pb.FinalChecksum != 0 {
-		if got := fnv1a(m.Mem); got != pb.FinalChecksum {
-			return nil, fmt.Errorf("pinball %s: final state checksum mismatch (got %#x, want %#x)",
-				pb.Name, got, pb.FinalChecksum)
-		}
+	if err := pb.verifyFinal(m); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// verifyFinal checks a machine that has replayed the recording to its end
+// against the recorded final memory checksum (0 = none recorded).
+func (pb *Pinball) verifyFinal(m *exec.Machine) error {
+	if pb.FinalChecksum == 0 {
+		return nil
+	}
+	if got := fnv1a(m.Mem); got != pb.FinalChecksum {
+		return fmt.Errorf("pinball %s: final state checksum mismatch (got %#x, want %#x)",
+			pb.Name, got, pb.FinalChecksum)
+	}
+	return nil
 }
 
 // ReplayUntil replays the pinball until the given marker fires (or to the
@@ -246,7 +256,7 @@ func (pb *Pinball) RecordRegion(p *isa.Program, name string, bounds RegionBounds
 	// The positioning machine's job ends here: package the warmup-start
 	// state as a checkpoint and run the continuation through the shared
 	// windowed-replay primitive, on a fresh machine — the same mechanism
-	// the checkpoint-parallel analysis shards use. The mid-run snapshot
+	// the analysis replay windows use. The mid-run snapshot
 	// carries the futex wake order and OS cursors, so the continuation is
 	// byte-identical to continuing the positioning machine (pinned by the
 	// legacy-path identity test).
