@@ -1,9 +1,13 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
+.PHONY: build fmt-check test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
 
 build:
 	go build ./...
+
+# Fails, listing the files, if any .go file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...

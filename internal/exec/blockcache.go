@@ -132,7 +132,15 @@ func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
 	}
 	cb := t.cur.blk
 	blk := t.cur.rt.Blocks[cb]
-	d := m.decodedFor(blk, cb)
+	// The decode-cache hit, by hand: a timing-driven caller steps symmetric
+	// threads one instruction an event, so the prologue is paid per
+	// instruction and decodedFor is too large to inline.
+	var d *decodedBlock
+	if g := blk.Global; g < len(m.dblocks) && m.dblocks[g].decoded {
+		d = &m.dblocks[g]
+	} else {
+		d = m.decodedFor(blk, cb)
+	}
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {

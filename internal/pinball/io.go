@@ -65,10 +65,10 @@ const (
 // buffer with at least this much spare capacity performs no allocation.
 func (pb *Pinball) EncodedSize() int {
 	n := len(magic)
-	n += 8            // version
+	n += 8 // version
 	n += 8 + len(pb.Name)
-	n += 6 * 8        // NumThreads … EndHitsAtSnapshot
-	n += 3 * 3 * 8    // region markers
+	n += 6 * 8                  // NumThreads … EndHitsAtSnapshot
+	n += 3 * 3 * 8              // region markers
 	n += pb.Start.EncodedSize() // snapshot section
 	n += 8                      // syscall log count
 	for _, log := range pb.Syscalls {

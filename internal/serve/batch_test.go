@@ -237,7 +237,10 @@ func TestServeBatchHalfOpenProbeAdmission(t *testing.T) {
 		}})
 		done <- resp
 	}()
-	<-br.started // the probe sub-job is running; its siblings were shed
+	<-br.started // the probe sub-job is running
+	// The admission loop may still be working through the probe's
+	// siblings: wait until every one of them has met the breaker.
+	waitFor(t, func() bool { st := s.Stats(); return st.Admitted+st.ShedBreaker >= 5 })
 	if st := s.Stats(); st.Admitted != 2 || st.ShedBreaker != 3 {
 		t.Fatalf("stats %+v, want exactly one probe admitted and 3 shed", st)
 	}

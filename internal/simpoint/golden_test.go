@@ -48,11 +48,11 @@ const goldenPath = "testdata/selections_golden.json"
 
 func TestGoldenSelections(t *testing.T) {
 	fixtures := []struct {
-		name              string
-		seed              uint64
-		n, k, dim         int
-		jitter            float64
-		budget            int
+		name      string
+		seed      uint64
+		n, k, dim int
+		jitter    float64
+		budget    int
 	}{
 		{"clustered-small", 101, 30, 3, 5, 1.5, 0},
 		{"clustered-large", 202, 80, 5, 8, 3.0, 24},

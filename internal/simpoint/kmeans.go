@@ -21,15 +21,15 @@ const boundSlack = 1e-12
 // allocations. Centroids and points live in flat contiguous arrays — no
 // [][]float64 pointer chasing on the hot distance loops.
 type kmeansScratch struct {
-	cents    []float64 // k*dims current centroids
-	prev     []float64 // k*dims previous centroids (movement computation)
-	counts   []int     // per-centroid member count
-	mv       []float64 // per-centroid movement since last iteration (inflated)
-	half     []float64 // per-centroid half-distance to nearest other centroid (deflated)
-	upper    []float64 // per-point upper bound on distance to assigned centroid
-	lower    []float64 // per-point lower bound on distance to any other centroid
-	assign   []int
-	d2       []float64 // k-means++ running nearest-centroid distances
+	cents  []float64 // k*dims current centroids
+	prev   []float64 // k*dims previous centroids (movement computation)
+	counts []int     // per-centroid member count
+	mv     []float64 // per-centroid movement since last iteration (inflated)
+	half   []float64 // per-centroid half-distance to nearest other centroid (deflated)
+	upper  []float64 // per-point upper bound on distance to assigned centroid
+	lower  []float64 // per-point lower bound on distance to any other centroid
+	assign []int
+	d2     []float64 // k-means++ running nearest-centroid distances
 }
 
 func newKMeansScratch(n, k, dims int) *kmeansScratch {

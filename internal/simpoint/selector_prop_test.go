@@ -330,10 +330,10 @@ func TestRegisterSelectorDuplicatePanics(t *testing.T) {
 // vectors, zero weights) are in the seed corpus.
 func FuzzSelectors(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(3), uint16(8), false)
-	f.Add(uint64(2), uint8(1), uint8(1), uint16(0), false)   // singleton
-	f.Add(uint64(3), uint8(2), uint8(1), uint16(100), true)  // over-budget
-	f.Add(uint64(4), uint8(50), uint8(5), uint16(1), true)   // under-budget
-	f.Add(uint64(5), uint8(9), uint8(2), uint16(4), false)   // tiny
+	f.Add(uint64(2), uint8(1), uint8(1), uint16(0), false)  // singleton
+	f.Add(uint64(3), uint8(2), uint8(1), uint16(100), true) // over-budget
+	f.Add(uint64(4), uint8(50), uint8(5), uint16(1), true)  // under-budget
+	f.Add(uint64(5), uint8(9), uint8(2), uint16(4), false)  // tiny
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw uint8, budgetRaw uint16, zeroWeights bool) {
 		n := 1 + int(nRaw)%64
 		k := 1 + int(kRaw)%6

@@ -13,33 +13,42 @@ import (
 	"looppoint/internal/testprog"
 )
 
-// regionPinballs records a whole-program pinball and extracts a few
-// region pinballs from it, for exercising the checkpoint and
-// constrained paths on a reused Simulator.
-func regionPinballs(t *testing.T) ([]*pinball.Pinball, *pinball.Pinball) {
-	t.Helper()
-	p := arenaProg()
+// recordedProfile records p, builds its DCFG and slices the recording
+// into regions of about slice instructions at the stable loop markers —
+// the analysis a test needs before it can extract region pinballs.
+func recordedProfile(tb testing.TB, p *isa.Program, slice uint64) (*pinball.Pinball, *bbv.Profile) {
+	tb.Helper()
 	whole, err := pinball.Record(p, 5, 512)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	db := dcfg.NewBuilder(p, 4)
+	db := dcfg.NewBuilder(p, p.NumThreads())
 	if _, err := whole.Replay(p, db); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := db.Graph()
 	var addrs []uint64
 	for _, h := range g.StableMarkers(g.FindLoops(), 300) {
 		addrs = append(addrs, h.Addr)
 	}
-	col := bbv.NewCollector(p, addrs, 4*1500)
+	col := bbv.NewCollector(p, addrs, slice)
 	if _, err := whole.Replay(p, col); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	prof := col.Finish()
 	if len(prof.Regions) < 4 {
-		t.Fatalf("only %d regions", len(prof.Regions))
+		tb.Fatalf("only %d regions", len(prof.Regions))
 	}
+	return whole, prof
+}
+
+// regionPinballs records a whole-program pinball and extracts a few
+// region pinballs from it, for exercising the checkpoint and
+// constrained paths on a reused Simulator.
+func regionPinballs(t *testing.T) ([]*pinball.Pinball, *pinball.Pinball) {
+	t.Helper()
+	p := arenaProg()
+	whole, prof := recordedProfile(t, p, 4*1500)
 	var specs []pinball.RegionSpec
 	for i := 1; i < 4; i++ {
 		reg := prof.Regions[i]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"looppoint/internal/omp"
+	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
 )
 
@@ -89,4 +90,46 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 		}
 		b.ReportMetric(float64(st.Instructions)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 	}
+}
+
+// BenchmarkWarmupLockstep measures the fast-forward loop where it is
+// slowest: an 8-thread checkpoint whose warm-up prefix (the program from
+// its start) dwarfs the measured region. Symmetric threads sit at equal
+// cycle counts, so the min-cycle scheduler alternates after every
+// instruction and an event retires one instruction; instrs/ff-event is
+// that ratio as the run measured it.
+func BenchmarkWarmupLockstep(b *testing.B) {
+	p := testprog.Phased(8, 12, 150, omp.Passive)
+	pb, prof := recordedProfile(b, p, 8*1500)
+	reg := prof.Regions[len(prof.Regions)-2]
+	rps, err := pb.ExtractRegions(p, []pinball.RegionSpec{{
+		Name:      "late",
+		StartStep: reg.StartICount,
+		EndStep:   reg.EndICount,
+		Start:     reg.Start,
+		End:       reg.End,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := New(Gainestown(8), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instrs, ffInstrs, ffEvents uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := sim.SimulateCheckpoint(rps[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += sim.sys.ffInstrs + st.Instructions
+		ffInstrs += sim.sys.ffInstrs
+		ffEvents += sim.sys.ffEvents
+	}
+	if ffInstrs < 4*(instrs-ffInstrs) {
+		b.Fatalf("warm-up does not dominate: %d of %d instructions", ffInstrs, instrs)
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	b.ReportMetric(float64(ffInstrs)/float64(ffEvents), "instrs/ff-event")
 }

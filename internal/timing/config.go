@@ -134,10 +134,18 @@ func InOrderConfig(n int) Config {
 	return cfg
 }
 
+// MaxCores bounds Config.Cores: the coherence directory keeps a line's
+// sharers as one uint64 bit per core (1 << core wraps silently beyond
+// that), and the scheduler's run queue is a ring of this many threads.
+const MaxCores = 64
+
 // Validate checks the configuration for obvious mistakes.
 func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("timing: need at least one core")
+	}
+	if c.Cores > MaxCores {
+		return fmt.Errorf("timing: %d cores, at most %d are supported (a line's sharers are a 64-bit mask)", c.Cores, MaxCores)
 	}
 	if c.FreqGHz <= 0 {
 		return fmt.Errorf("timing: frequency must be positive")

@@ -48,7 +48,7 @@ type Simulator struct {
 
 	// sys is the timing-state arena, reused across simulations: the
 	// first run pays the allocation wave (cache backing arrays,
-	// predictor tables, directory maps), later runs clear and rebind it.
+	// predictor tables, the directory), later runs clear and rebind it.
 	// Reuse makes a Simulator single-threaded; run one per worker.
 	sys *system
 }
@@ -154,17 +154,16 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 	if maxSteps == 0 {
 		maxSteps = 2_000_000_000
 	}
-	delta := 1.0 / float64(s.Cfg.Dispatch)
 
 	// Fast-forward: until the start marker flips the simulation into
-	// detail, instructions retire in block batches — caches, predictors,
-	// and the coherence directory warm from the batches' coalesced
-	// reference streams (warmBlock), while cycles accumulate the same
-	// uniform dispatch slot per instruction the per-instruction loop
-	// charges. Batch budgets are capped so the scheduler's pick sequence
-	// and every marker boundary land on the exact instructions the
-	// per-instruction engine would visit; marker PCs are break PCs, so
-	// their block entries arrive as single-instruction events.
+	// detail, threads step through the block tier — caches, predictors,
+	// and the coherence directory warm from each event's reference stream
+	// (warmBlock), while cycles accumulate the same uniform dispatch slot
+	// per instruction the per-instruction loop charges. An event's budget
+	// is capped so the scheduler's pick sequence and every marker boundary
+	// land on the exact instructions the per-instruction engine would
+	// visit; marker PCs are break PCs, so their block entries arrive as
+	// single-instruction events.
 	if !inDetail && !s.SlowPath {
 		if !start.IsStart() && !start.IsICount() {
 			m.AddBreakPC(start.PC)
@@ -173,15 +172,12 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 			m.AddBreakPC(end.PC)
 		}
 		ev := &exec.BlockEvent{}
-		for !inDetail && !m.Done() {
-			tid := s.pickNext(m, sys)
+		for !inDetail && sys.alive > 0 {
+			tid := sys.next()
 			if tid < 0 {
-				if m.Deadlocked() {
-					return nil, exec.ErrDeadlock
-				}
-				break
+				return nil, exec.ErrDeadlock
 			}
-			budget := s.batchAllowance(m, sys, tid, delta)
+			budget := sys.allowance()
 			if rem := maxSteps - steps; budget > rem {
 				budget = rem + 1 // allow the step that trips the cap
 			}
@@ -240,33 +236,31 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 			if flipped {
 				// The flip instruction is measured: charge it in full
 				// detail, exactly as the per-instruction loop would.
-				sys.cores[tid].cycle += sys.costOf(tid, inputFromBlockEvent(ev))
+				one := singleEvent(ev)
+				sys.cycle[tid] += sys.cost(tid, &one)
 			} else {
+				sys.ffEvents++
+				sys.ffInstrs += ev.Instrs
 				if warming {
 					sys.warmBlock(tid, ev)
 				}
 				// Replicate the per-instruction additions: n separate
-				// float adds are not n*delta.
+				// float adds are not n*slot.
 				for i := uint64(0); i < ev.Instrs; i++ {
-					sys.cores[tid].cycle += delta
+					sys.cycle[tid] += sys.slot
 				}
 			}
-			if len(ev.Woken) > 0 {
-				sys.wake(sys.cores[tid].cycle, ev.Woken)
-			}
+			sys.settle(tid, ev.Woken)
 			if flipped && s.Trace != nil {
 				s.Trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
 			}
 		}
 	}
 
-	for !m.Done() {
-		tid := s.pickNext(m, sys)
+	for sys.alive > 0 {
+		tid := sys.next()
 		if tid < 0 {
-			if m.Deadlocked() {
-				return nil, exec.ErrDeadlock
-			}
-			break
+			return nil, exec.ErrDeadlock
 		}
 		ev, ok := m.Step(tid)
 		if !ok {
@@ -319,19 +313,15 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 		// state warms functionally (warmOf) without stall arithmetic, so
 		// the fast-forward charge is a uniform dispatch slot regardless
 		// of warmup mode and the block-batched engine can reproduce it.
-		var c float64
 		if inDetail {
-			c = sys.cost(tid, ev)
+			sys.cycle[tid] += sys.cost(tid, ev)
 		} else {
 			if warming {
-				sys.warmOf(tid, inputFromEvent(ev))
+				sys.warmOf(tid, ev)
 			}
-			c = delta
+			sys.cycle[tid] += sys.slot
 		}
-		sys.cores[tid].cycle += c
-		if len(ev.Woken) > 0 {
-			sys.wake(sys.cores[tid].cycle, ev.Woken)
-		}
+		sys.settle(tid, ev.Woken)
 		if inDetail && s.Trace != nil {
 			s.Trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
 		}
@@ -375,13 +365,10 @@ func (s *Simulator) SimulatePeriodic(detail, period uint64) (_ *Stats, err error
 	var estCycles float64
 	windowStart := sys.wallCycle()
 	inDetail := true
-	for !m.Done() {
-		tid := s.pickNext(m, sys)
+	for sys.alive > 0 {
+		tid := sys.next()
 		if tid < 0 {
-			if m.Deadlocked() {
-				return nil, exec.ErrDeadlock
-			}
-			break
+			return nil, exec.ErrDeadlock
 		}
 		ev, ok := m.Step(tid)
 		if !ok {
@@ -400,11 +387,8 @@ func (s *Simulator) SimulatePeriodic(detail, period uint64) (_ *Stats, err error
 			inDetail = wantDetail
 			sys.setDetail(wantDetail)
 		}
-		c := sys.cost(tid, ev)
-		sys.cores[tid].cycle += c
-		if len(ev.Woken) > 0 {
-			sys.wake(sys.cores[tid].cycle, ev.Woken)
-		}
+		sys.cycle[tid] += sys.cost(tid, ev)
+		sys.settle(tid, ev.Woken)
 	}
 	if inDetail {
 		estCycles += (sys.wallCycle() - windowStart) * float64(period) / float64(detail)
@@ -412,57 +396,6 @@ func (s *Simulator) SimulatePeriodic(detail, period uint64) (_ *Stats, err error
 	st := sys.stats(0)
 	st.Cycles = estCycles
 	return st, nil
-}
-
-// pickNext returns the runnable thread whose core has the smallest cycle
-// count (ties broken by thread ID), or -1 if none can run. During
-// fast-forward all cycles are equal, so this degrades to round-robin-like
-// ordering that still interleaves threads fairly.
-func (s *Simulator) pickNext(m *exec.Machine, sys *system) int {
-	best := -1
-	var bestCycle float64
-	for tid, t := range m.Threads {
-		if t.State != exec.StateRunning {
-			continue
-		}
-		c := sys.cores[tid].cycle
-		if best == -1 || c < bestCycle {
-			best, bestCycle = tid, c
-		}
-	}
-	return best
-}
-
-// batchAllowance returns how many instructions thread tid may retire
-// before the min-cycle scheduler would pick a different thread, assuming
-// each instruction costs exactly delta cycles (the fast-forward charge).
-// It replays the same float additions the per-instruction loop performs,
-// so the resulting scheduling sequence is bit-identical: tid stays the
-// pick while its cycle is below the other threads' minimum, or equal to
-// it with a lower thread ID (pickNext's tie rule).
-func (s *Simulator) batchAllowance(m *exec.Machine, sys *system, tid int, delta float64) uint64 {
-	oc, oj := 0.0, -1
-	for j, t := range m.Threads {
-		if j == tid || t.State != exec.StateRunning {
-			continue
-		}
-		if c := sys.cores[j].cycle; oj == -1 || c < oc {
-			oc, oj = c, j
-		}
-	}
-	if oj == -1 {
-		return ^uint64(0) // only runnable thread: no scheduling constraint
-	}
-	cy := sys.cores[tid].cycle
-	var n uint64
-	for cy < oc || (cy == oc && tid < oj) {
-		cy += delta
-		n++
-		if n == 1<<20 {
-			break // split enormous leads into several batches
-		}
-	}
-	return n
 }
 
 // SimulateConstrained replays a pinball under the timing model with the
@@ -501,11 +434,8 @@ func (s *Simulator) SimulateConstrained(pb *pinball.Pinball) (_ *Stats, err erro
 				base = sys.wallCycle()
 			}
 			sys.constrainedOrderStall(e.Tid, ev)
-			c := sys.cost(e.Tid, ev)
-			sys.cores[e.Tid].cycle += c
-			if len(ev.Woken) > 0 {
-				sys.wake(sys.cores[e.Tid].cycle, ev.Woken)
-			}
+			sys.cycle[e.Tid] += sys.cost(e.Tid, ev)
+			sys.wake(e.Tid, ev.Woken)
 		}
 	}
 	if replay.Diverged {

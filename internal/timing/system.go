@@ -1,13 +1,15 @@
 package timing
 
 import (
+	"math/bits"
+
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 )
 
-// coreState holds one core's timing state.
+// coreState holds one core's timing state, except its cycle count, which
+// the scheduler compares across cores and so lives in system.cycle.
 type coreState struct {
-	cycle        float64
 	l1i, l1d, l2 *Cache
 	bp           *BranchPredictor
 	instrs       uint64 // retired in detail mode
@@ -22,12 +24,27 @@ type coreState struct {
 type system struct {
 	cfg    Config
 	m      *exec.Machine
-	cores  []*coreState
+	cores  []coreState
+	cycle  []float64 // per-core cycle count
 	l3     *Cache
-	dir    map[uint64]uint64 // cache line -> bitmask of cores holding it
-	clock  uint64            // LRU clock: total accesses
+	dir    []uint64 // cache line -> bitmask of cores holding it; grown on demand
+	clock  uint64   // LRU clock: total accesses
 	detail bool
-	trace  *IPCTrace
+	charges
+
+	// Min-cycle scheduler: a ring of the runnable threads sorted by
+	// (cycle, tid), runq[head] first, so the pick and the thread that
+	// bounds how long it stays the pick are the first two. settle keeps
+	// it sorted from the stepped thread's state and the threads it woke;
+	// alive counts the threads that have not halted.
+	runq     [MaxCores]int
+	head     uint
+	runnable int
+	alive    int
+
+	// Fast-forward events and the instructions they retired
+	// (BenchmarkWarmupLockstep reports their ratio).
+	ffEvents, ffInstrs uint64
 
 	// constrained-mode shared-order enforcement
 	constrained bool
@@ -42,37 +59,107 @@ type lineAccess struct {
 	cycle float64
 }
 
+// charges holds every per-instruction charge that depends only on the
+// configuration. Each is computed once per system by the expression the
+// per-instruction code used to evaluate, on the same operands, so the
+// hoisted value has the same bits as the recomputed one.
+type charges struct {
+	slot   float64    // one dispatch slot: the base cost of an instruction
+	lat    [5]float64 // data latency by hit level (1 = L1 ... 4 = memory)
+	ifetch [5]float64 // front-end penalty of an instruction fetch by hit level
+	stall  [5]float64 // lat beyond the hide window
+	mlp    [5]float64 // stall when it overlaps an outstanding miss
+
+	div, sqrt, atomic, futex, pause   float64
+	mispredict, coherenceLat, wakeLat float64
+}
+
+func newCharges(cfg Config) charges {
+	ch := charges{
+		slot:         1.0 / float64(cfg.Dispatch),
+		div:          float64(cfg.DivCycles),
+		sqrt:         float64(cfg.SqrtCycles),
+		atomic:       float64(cfg.AtomicCycles),
+		futex:        float64(cfg.FutexCycles),
+		pause:        float64(cfg.PauseCycles),
+		mispredict:   float64(cfg.MispredictPenalty),
+		coherenceLat: float64(cfg.CoherenceCycles),
+		wakeLat:      float64(cfg.WakeCycles),
+	}
+	if cfg.Kind == OOO {
+		ch.div /= 2
+		ch.sqrt /= 2
+	}
+	hide := cfg.hideWindow()
+	for lvl := range ch.lat {
+		lat := cfg.dLatency(lvl)
+		ch.lat[lvl] = lat
+		ch.ifetch[lvl] = lat
+		if cfg.Kind == OOO {
+			ch.ifetch[lvl] /= 2 // decoupled front end hides part of it
+		}
+		ch.stall[lvl] = lat - hide
+		ch.mlp[lvl] = ch.stall[lvl] / cfg.MLP
+	}
+	return ch
+}
+
 func newSystem(cfg Config, m *exec.Machine) *system {
 	s := &system{
 		cfg:      cfg,
-		m:        m,
-		dir:      make(map[uint64]uint64),
+		cores:    make([]coreState, cfg.Cores),
+		cycle:    make([]float64, cfg.Cores),
 		lineLast: make(map[uint64]lineAccess),
+		charges:  newCharges(cfg),
 	}
 	s.l3 = NewCache(cfg.L3, nil)
-	for i := 0; i < cfg.Cores; i++ {
+	for i := range s.cores {
 		l2 := NewCache(cfg.L2, s.l3)
-		c := &coreState{
+		s.cores[i] = coreState{
 			l1i: NewCache(cfg.L1I, l2),
 			l1d: NewCache(cfg.L1D, l2),
 			l2:  l2,
 			bp:  NewBranchPredictor(),
 		}
-		s.cores = append(s.cores, c)
 	}
+	s.bind(m)
 	return s
+}
+
+// bind attaches the functional machine (nil for trace-driven runs): the
+// scheduler starts from its thread states, and the directory covers every
+// line of its memory so that only prefetches past the last line ever grow
+// it. Every core's cycle count must be zero, which makes ascending thread
+// IDs the sorted order.
+func (s *system) bind(m *exec.Machine) {
+	s.m = m
+	s.head, s.runnable, s.alive = 0, 0, 0
+	if m == nil {
+		return
+	}
+	for tid, t := range m.Threads {
+		if t.State != exec.StateHalted {
+			s.alive++
+		}
+		if t.State == exec.StateRunning {
+			s.runq[s.runnable] = tid
+			s.runnable++
+		}
+	}
+	if lines := (len(m.Mem) + 7) / 8; lines > len(s.dir) { // eight words to a line
+		s.dir = append(s.dir, make([]uint64, lines-len(s.dir))...)
+	}
 }
 
 // reset returns the system to its newSystem state while reusing every
 // allocation — cache backing arrays, predictor tables, core states, and
-// the directory maps — and rebinds the functional machine. Only
-// capacity carries over; every bit of observable state is cleared, and
-// the identity tests pin reset-then-simulate byte-identical to fresh
+// the directory — and rebinds the functional machine. Only capacity
+// carries over; every bit of observable state is cleared, and the
+// identity tests pin reset-then-simulate byte-identical to fresh
 // construction.
 func (s *system) reset(m *exec.Machine) {
-	s.m = m
-	for _, c := range s.cores {
-		c.cycle = 0
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.l1i.Reset()
 		c.l1d.Reset()
 		c.l2.Reset()
@@ -81,21 +168,24 @@ func (s *system) reset(m *exec.Machine) {
 		c.lastMissEnd = 0
 		c.stack = CPIStack{}
 	}
+	clear(s.cycle)
 	s.l3.Reset()
 	clear(s.dir)
 	s.clock = 0
 	s.detail = false
-	s.trace = nil
+	s.ffEvents, s.ffInstrs = 0, 0
 	s.constrained = false
 	clear(s.lineLast)
 	s.coherenceInv = 0
 	s.futexWaits = 0
+	s.bind(m)
 }
 
 // setDetail flips between functional-warming and detailed mode.
 func (s *system) setDetail(detail bool) {
 	s.detail = detail
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.l1i.SetWarming(!detail)
 		c.l1d.SetWarming(!detail)
 		c.l2.SetWarming(!detail)
@@ -105,156 +195,113 @@ func (s *system) setDetail(detail bool) {
 }
 
 // dLatency maps the hit level of a data access (1=L1D) to total latency.
-func (s *system) dLatency(level int) float64 {
+func (cfg Config) dLatency(level int) float64 {
 	switch level {
 	case 1:
-		return float64(s.cfg.L1D.Latency)
+		return float64(cfg.L1D.Latency)
 	case 2:
-		return float64(s.cfg.L2.Latency)
+		return float64(cfg.L2.Latency)
 	case 3:
-		return float64(s.cfg.L3.Latency)
+		return float64(cfg.L3.Latency)
 	default:
-		return float64(s.cfg.L3.Latency + s.cfg.MemLatency)
+		return float64(cfg.L3.Latency + cfg.MemLatency)
 	}
 }
 
 // hideWindow is how many cycles of memory latency the core hides.
-func (s *system) hideWindow() float64 {
-	if s.cfg.Kind == OOO {
-		return float64(s.cfg.ROB) / float64(2*s.cfg.Dispatch)
+func (cfg Config) hideWindow() float64 {
+	if cfg.Kind == OOO {
+		return float64(cfg.ROB) / float64(2*cfg.Dispatch)
 	}
 	return 2
 }
 
-// memStall charges a load-class stall with MLP overlap.
-func (s *system) memStall(c *coreState, lat float64) float64 {
-	stall := lat - s.hideWindow()
+// memStall charges a load-class stall, for an access that hit at level
+// lvl, with MLP overlap.
+func (s *system) memStall(tid, lvl int) float64 {
+	stall := s.stall[lvl]
 	if stall <= 0 {
 		return 0
 	}
-	now := c.cycle
+	c := &s.cores[tid]
+	lat := s.lat[lvl]
+	now := s.cycle[tid]
 	if now < c.lastMissEnd {
 		// Overlaps an outstanding miss: only the serialization share.
 		if now+lat > c.lastMissEnd {
 			c.lastMissEnd = now + lat
 		}
-		return stall / s.cfg.MLP
+		return s.mlp[lvl]
 	}
 	c.lastMissEnd = now + lat
 	return stall
 }
 
-// costInput is the microarchitecture-relevant slice of one executed
-// instruction — everything the timing model needs, whether the source is
-// a live functional execution (exec.Event) or a recorded trace.
-type costInput struct {
-	Op         isa.Op
-	PC         uint64 // instruction address (branch prediction index)
-	BlockAddr  uint64 // owning block address (instruction fetch)
-	BlockEntry bool
-	MemAddr    uint64
-	Taken      bool
-	Blocked    bool
-	Sync       bool // instruction belongs to a synchronization image
-}
-
-func inputFromEvent(ev *exec.Event) costInput {
-	return costInput{
-		Op:         ev.Instr.Op,
-		PC:         ev.Instr.Addr,
-		BlockAddr:  ev.Block.Addr,
-		BlockEntry: ev.BlockEntry,
-		MemAddr:    ev.MemAddr,
-		Taken:      ev.Taken,
-		Blocked:    ev.Blocked,
-		Sync:       ev.Block.Routine.Image.Sync,
-	}
-}
-
 // cost computes the cycle cost of one executed instruction on core tid
-// and updates all microarchitectural state.
+// and updates all microarchitectural state. It reads from ev only what
+// the instruction's class needs: the opcode, the block address on a
+// block entry, the memory address of a memory operation, the PC and
+// outcome of a conditional branch.
 func (s *system) cost(tid int, ev *exec.Event) float64 {
-	return s.costOf(tid, inputFromEvent(ev))
-}
-
-// costOf is cost on the flat representation.
-func (s *system) costOf(tid int, in costInput) float64 {
-	c := s.cores[tid]
+	c := &s.cores[tid]
 	s.clock++
-	cycles := 1.0 / float64(s.cfg.Dispatch)
+	cycles := s.slot
 	var ifetchCycles float64
 
 	// Instruction fetch: charge on block entry when the line misses L1I.
-	if in.BlockEntry {
-		lvl := c.l1i.Access(in.BlockAddr*8, s.clock)
-		if lvl > 1 {
-			pen := s.dLatency(lvl)
-			if s.cfg.Kind == OOO {
-				pen /= 2 // decoupled front end hides part of it
-			}
-			ifetchCycles = pen
-			cycles += pen
+	if ev.BlockEntry {
+		if lvl := c.l1i.Access(ev.Block.Addr*8, s.clock); lvl > 1 {
+			ifetchCycles = s.ifetch[lvl]
+			cycles += ifetchCycles
 		}
 	}
 
 	base := cycles
 	var memCycles, syncCycles, computeCycles, branchCycles float64
 
-	switch {
-	case in.Op == isa.OpILoad || in.Op == isa.OpFLoad:
-		lvl := c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
-		memCycles += s.memStall(c, s.dLatency(lvl))
-		s.warmPrefetch(c, tid, in.MemAddr, lvl, s.clock)
-	case in.Op == isa.OpIStore || in.Op == isa.OpFStore:
-		lvl := c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
-		memCycles += s.memStall(c, s.dLatency(lvl)) / 2 // store buffer
-		memCycles += s.coherence(tid, in.MemAddr)
-		s.warmPrefetch(c, tid, in.MemAddr, lvl, s.clock)
-	case in.Op.IsAtomic():
-		lvl := c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
+	switch ev.Instr.Op {
+	case isa.OpILoad, isa.OpFLoad:
+		lvl := c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
+		memCycles += s.memStall(tid, lvl)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl, s.clock)
+	case isa.OpIStore, isa.OpFStore:
+		lvl := c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
+		memCycles += s.memStall(tid, lvl) / 2 // store buffer
+		memCycles += s.coherence(tid, ev.MemAddr)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl, s.clock)
+	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
+		lvl := c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
 		// Atomics serialize: full latency, no ROB hiding.
-		syncCycles += s.dLatency(lvl) + float64(s.cfg.AtomicCycles)
-		syncCycles += s.coherence(tid, in.MemAddr)
-	case in.Op == isa.OpFutexWait:
-		syncCycles += float64(s.cfg.FutexCycles)
-		if in.Blocked && s.detail {
+		syncCycles += s.lat[lvl] + s.atomic
+		syncCycles += s.coherence(tid, ev.MemAddr)
+	case isa.OpFutexWait:
+		syncCycles += s.futex
+		if ev.Blocked && s.detail {
 			s.futexWaits++
 		}
-	case in.Op == isa.OpFutexWake:
-		syncCycles += float64(s.cfg.FutexCycles)
-	case in.Op == isa.OpIDiv || in.Op == isa.OpIRem || in.Op == isa.OpFDiv:
-		pen := float64(s.cfg.DivCycles)
-		if s.cfg.Kind == OOO {
-			pen /= 2
-		}
-		computeCycles += pen
-	case in.Op == isa.OpFSqrt:
-		pen := float64(s.cfg.SqrtCycles)
-		if s.cfg.Kind == OOO {
-			pen /= 2
-		}
-		computeCycles += pen
-	case in.Op == isa.OpPause:
-		syncCycles += float64(s.cfg.PauseCycles)
-	case in.Op == isa.OpSyscall:
-		syncCycles += float64(s.cfg.FutexCycles)
-	}
-
-	// Branch prediction: conditional branches consult the predictor;
-	// unconditional transfers are free beyond the base cost.
-	if in.Op == isa.OpBrCond {
-		if !c.bp.Predict(in.PC*8, in.Taken) {
-			branchCycles += float64(s.cfg.MispredictPenalty)
+	case isa.OpFutexWake, isa.OpSyscall:
+		syncCycles += s.futex
+	case isa.OpIDiv, isa.OpIRem, isa.OpFDiv:
+		computeCycles += s.div
+	case isa.OpFSqrt:
+		computeCycles += s.sqrt
+	case isa.OpPause:
+		syncCycles += s.pause
+	case isa.OpBrCond:
+		// Conditional branches consult the predictor; unconditional
+		// transfers are free beyond the base cost.
+		if !c.bp.Predict(ev.Instr.Addr*8, ev.Taken) {
+			branchCycles += s.mispredict
 		}
 	}
 
 	cycles = base + memCycles + syncCycles + computeCycles + branchCycles
 	if s.detail {
 		c.instrs++
-		if !in.Sync {
+		if !ev.Block.Routine.Image.Sync {
 			c.filtered++
 		}
 		c.stack.Base += base - ifetchCycles
@@ -280,35 +327,40 @@ func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int, clk u
 }
 
 // warmOf functionally warms microarchitectural state for one fast-forward
-// instruction: caches, coherence directory, prefetcher, and branch
-// predictor update exactly as costOf would update them, but no stall
-// arithmetic runs and no cycles are computed (the fast-forward charge is
-// a uniform dispatch slot per instruction). The access order and LRU
-// clocks are identical to costOf's, so the warmed state is bit-identical
-// to a detailed walk over the same instruction stream.
-func (s *system) warmOf(tid int, in costInput) {
-	c := s.cores[tid]
+// instruction of the per-instruction reference engine: caches, coherence
+// directory, prefetcher, and branch predictor update exactly as cost
+// would update them, but no stall arithmetic runs and no cycles are
+// computed (the fast-forward charge is a uniform dispatch slot per
+// instruction). The access order and LRU clocks are identical to
+// cost's, so the warmed state is bit-identical to a detailed walk over
+// the same instruction stream.
+func (s *system) warmOf(tid int, ev *exec.Event) {
+	c := &s.cores[tid]
 	s.clock++
-	if in.BlockEntry {
-		c.l1i.Access(in.BlockAddr*8, s.clock)
+	if ev.BlockEntry {
+		c.l1i.Access(ev.Block.Addr*8, s.clock)
 	}
-	switch {
-	case in.Op == isa.OpILoad || in.Op == isa.OpFLoad:
-		lvl := c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
-		s.warmPrefetch(c, tid, in.MemAddr, lvl, s.clock)
-	case in.Op == isa.OpIStore || in.Op == isa.OpFStore:
-		lvl := c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
-		s.coherence(tid, in.MemAddr)
-		s.warmPrefetch(c, tid, in.MemAddr, lvl, s.clock)
-	case in.Op.IsAtomic():
-		c.l1d.Access(in.MemAddr, s.clock)
-		s.noteFill(tid, in.MemAddr)
-		s.coherence(tid, in.MemAddr)
+	switch ev.Instr.Op {
+	case isa.OpILoad, isa.OpFLoad:
+		s.warmRef(c, tid, exec.RefLoad, ev.MemAddr, s.clock)
+	case isa.OpIStore, isa.OpFStore:
+		s.warmRef(c, tid, exec.RefStore, ev.MemAddr, s.clock)
+	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
+		s.warmRef(c, tid, exec.RefAtomic, ev.MemAddr, s.clock)
+	case isa.OpBrCond:
+		c.bp.Predict(ev.Instr.Addr*8, ev.Taken)
 	}
-	if in.Op == isa.OpBrCond {
-		c.bp.Predict(in.PC*8, in.Taken)
+}
+
+// warmRef warms the data side for one reference at LRU clock clk.
+func (s *system) warmRef(c *coreState, tid int, kind exec.RefKind, addr, clk uint64) {
+	lvl := c.l1d.Access(addr, clk)
+	s.noteFill(tid, addr)
+	if kind != exec.RefLoad {
+		s.coherence(tid, addr)
+	}
+	if kind != exec.RefAtomic {
+		s.warmPrefetch(c, tid, addr, lvl, clk)
 	}
 }
 
@@ -319,34 +371,33 @@ func (s *system) warmOf(tid int, in costInput) {
 // calls to warmOf. Conditional-terminator outcomes replay as CondSelf
 // same-outcome updates followed by the exit outcome.
 func (s *system) warmBlock(tid int, ev *exec.BlockEvent) {
-	c := s.cores[tid]
+	c := &s.cores[tid]
 	blk := ev.Block
-	L := uint64(len(blk.Instrs))
 	base := s.clock
+	s.clock = base + ev.Instrs
 
-	ref := func(r *exec.MemRef) {
-		clk := base + uint64(r.Off) + 1
-		switch r.Kind {
-		case exec.RefLoad:
-			lvl := c.l1d.Access(r.Addr, clk)
-			s.noteFill(tid, r.Addr)
-			s.warmPrefetch(c, tid, r.Addr, lvl, clk)
-		case exec.RefStore:
-			lvl := c.l1d.Access(r.Addr, clk)
-			s.noteFill(tid, r.Addr)
-			s.coherence(tid, r.Addr)
-			s.warmPrefetch(c, tid, r.Addr, lvl, clk)
-		case exec.RefAtomic:
-			c.l1d.Access(r.Addr, clk)
-			s.noteFill(tid, r.Addr)
-			s.coherence(tid, r.Addr)
+	// One instruction — what symmetric threads produce, since equal cycle
+	// counts make the scheduler alternate after every instruction: at most
+	// one fetch, one reference and one branch outcome, nothing to merge.
+	if ev.Instrs == 1 {
+		if ev.Entries > 0 {
+			c.l1i.Access(blk.Addr*8, s.clock)
 		}
+		if len(ev.Mem) > 0 {
+			s.warmRef(c, tid, ev.Mem[0].Kind, ev.Mem[0].Addr, s.clock)
+		} else if ev.CondSelf > 0 {
+			c.bp.Predict(blk.Instrs[ev.FirstIdx].Addr*8, ev.SelfTaken)
+		} else if ev.CondExit {
+			c.bp.Predict(blk.Instrs[ev.FirstIdx].Addr*8, ev.ExitTaken)
+		}
+		return
 	}
 
 	// Merge instruction fetches and data references by instruction
 	// offset: the shared L2/L3 see accesses in the same order as a
 	// per-instruction walk (an entry instruction fetches before its own
-	// data access, matching costOf).
+	// data access, matching cost).
+	L := uint64(len(blk.Instrs))
 	mi := 0
 	if ev.Entries > 0 {
 		off := uint64(0)
@@ -354,18 +405,18 @@ func (s *system) warmBlock(tid int, ev *exec.BlockEvent) {
 			off = L - uint64(ev.FirstIdx) // partial leading pass first
 		}
 		for e := uint64(0); e < ev.Entries; e++ {
-			for mi < len(ev.Mem) && uint64(ev.Mem[mi].Off) < off {
-				ref(&ev.Mem[mi])
-				mi++
+			for ; mi < len(ev.Mem) && uint64(ev.Mem[mi].Off) < off; mi++ {
+				r := &ev.Mem[mi]
+				s.warmRef(c, tid, r.Kind, r.Addr, base+uint64(r.Off)+1)
 			}
 			c.l1i.Access(blk.Addr*8, base+off+1)
 			off += L
 		}
 	}
 	for ; mi < len(ev.Mem); mi++ {
-		ref(&ev.Mem[mi])
+		r := &ev.Mem[mi]
+		s.warmRef(c, tid, r.Kind, r.Addr, base+uint64(r.Off)+1)
 	}
-	s.clock = base + ev.Instrs
 
 	if ev.CondSelf > 0 || ev.CondExit {
 		pc := blk.Instrs[L-1].Addr * 8
@@ -378,54 +429,57 @@ func (s *system) warmBlock(tid int, ev *exec.BlockEvent) {
 	}
 }
 
-// inputFromBlockEvent flattens a single-instruction block event (a
-// break-PC or budget-capped boundary event) into a costInput. It must
-// only be called on events with Instrs == 1.
-func inputFromBlockEvent(ev *exec.BlockEvent) costInput {
-	in := ev.Block.Instrs[ev.FirstIdx]
-	ci := costInput{
-		Op:         in.Op,
-		PC:         in.Addr,
-		BlockAddr:  ev.Block.Addr,
-		BlockEntry: ev.FirstIdx == 0,
-		Blocked:    ev.Blocked,
-		Sync:       ev.Block.Routine.Image.Sync,
+// singleEvent is the per-instruction event of a single-instruction block
+// event (a break-PC or budget-capped boundary event), as far as cost reads
+// it. It must only be called on events with Instrs == 1.
+func singleEvent(bev *exec.BlockEvent) exec.Event {
+	ev := exec.Event{
+		Tid:        bev.Tid,
+		Instr:      &bev.Block.Instrs[bev.FirstIdx],
+		Block:      bev.Block,
+		BlockEntry: bev.FirstIdx == 0,
+		Blocked:    bev.Blocked,
 	}
-	if len(ev.Mem) > 0 {
-		ci.MemAddr = ev.Mem[0].Addr
+	if len(bev.Mem) > 0 {
+		ev.MemAddr = bev.Mem[0].Addr
 	}
-	if ev.CondSelf > 0 {
-		ci.Taken = ev.SelfTaken
-	} else if ev.CondExit {
-		ci.Taken = ev.ExitTaken
+	if bev.CondSelf > 0 {
+		ev.Taken = bev.SelfTaken
+	} else if bev.CondExit {
+		ev.Taken = bev.ExitTaken
 	}
-	return ci
+	return ev
 }
 
 // noteFill records private-cache residency for the coherence directory.
 func (s *system) noteFill(tid int, addr uint64) {
 	line := addr >> 6
+	if line >= uint64(len(s.dir)) {
+		// A prefetch past the last line of memory, or a trace-driven run
+		// (no machine to size the directory from).
+		s.dir = append(s.dir, make([]uint64, line+1-uint64(len(s.dir)))...)
+	}
 	s.dir[line] |= 1 << uint(tid)
 }
 
 // coherence invalidates remote copies on a write and charges the penalty.
+// The writer's own fill (noteFill) comes first, so the line is in range.
 func (s *system) coherence(tid int, addr uint64) float64 {
 	line := addr >> 6
 	others := s.dir[line] &^ (1 << uint(tid))
 	if others == 0 {
 		return 0
 	}
-	for t := 0; t < s.cfg.Cores; t++ {
-		if others&(1<<uint(t)) != 0 {
-			s.cores[t].l1d.Invalidate(addr)
-			s.cores[t].l2.Invalidate(addr)
-		}
+	for ; others != 0; others &= others - 1 {
+		t := bits.TrailingZeros64(others)
+		s.cores[t].l1d.Invalidate(addr)
+		s.cores[t].l2.Invalidate(addr)
 	}
 	s.dir[line] = 1 << uint(tid)
 	if s.detail {
 		s.coherenceInv++
 	}
-	return float64(s.cfg.CoherenceCycles)
+	return s.coherenceLat
 }
 
 // constrainedOrderStall enforces the recorded shared-memory dependency
@@ -447,28 +501,114 @@ func (s *system) constrainedOrderStall(tid int, ev *exec.Event) {
 		return
 	}
 	line := ev.MemAddr >> 6
-	c := s.cores[tid]
-	if last, ok := s.lineLast[line]; ok && last.tid != tid && last.cycle > c.cycle {
-		c.cycle = last.cycle
+	if last, ok := s.lineLast[line]; ok && last.tid != tid && last.cycle > s.cycle[tid] {
+		s.cycle[tid] = last.cycle
 	}
-	s.lineLast[line] = lineAccess{tid: tid, cycle: c.cycle}
+	s.lineLast[line] = lineAccess{tid: tid, cycle: s.cycle[tid]}
 }
 
-// wake propagates wake-up timing: woken threads resume no earlier than
-// the waker plus the wake latency.
-func (s *system) wake(wakerCycle float64, woken []int) {
+// wake propagates wake-up timing: threads woken by tid resume no earlier
+// than tid's cycle count plus the wake latency.
+func (s *system) wake(tid int, woken []int) {
+	resume := s.cycle[tid] + s.wakeLat
 	for _, w := range woken {
-		if resume := wakerCycle + float64(s.cfg.WakeCycles); resume > s.cores[w].cycle {
-			s.cores[w].cycle = resume
+		if resume > s.cycle[w] {
+			s.cycle[w] = resume
 		}
 	}
+}
+
+// before reports whether thread tid, at cycle count c, is scheduled before
+// thread o: the smaller cycle count first, ties broken by thread ID.
+func (s *system) before(c float64, tid, o int) bool {
+	oc := s.cycle[o]
+	return c < oc || (c == oc && tid < o)
+}
+
+// queued returns the i-th runnable thread in scheduling order.
+func (s *system) queued(i int) int { return s.runq[(s.head+uint(i))%MaxCores] }
+
+// next returns the runnable thread whose core has the smallest cycle
+// count (ties broken by thread ID), or -1 if none can run.
+func (s *system) next() int {
+	if s.runnable == 0 {
+		return -1
+	}
+	return s.queued(0)
+}
+
+// settle finishes the step of the scheduled thread (tid is next's pick)
+// once its cycles are charged. While tid still runs and still precedes
+// the second thread, nothing moves: no other core's cycle count changed.
+// Otherwise it leaves the front of the ring — for good if the step parked
+// or halted it, else for its sorted place, found from the back: symmetric
+// threads run in lockstep, where the thread that just stepped goes last.
+// Threads it woke are timed and then enter the ring.
+func (s *system) settle(tid int, woken []int) {
+	h, n := s.head, s.runnable
+	if st := s.m.Threads[tid].State; st != exec.StateRunning {
+		s.head, s.runnable = h+1, n-1
+		if st == exec.StateHalted {
+			s.alive--
+		}
+	} else if c := s.cycle[tid]; n > 1 && !s.before(c, tid, s.runq[(h+1)%MaxCores]) {
+		h++
+		i := h + uint(n-1)
+		for ; i != h; i-- {
+			o := s.runq[(i-1)%MaxCores]
+			if !s.before(c, tid, o) {
+				break
+			}
+			s.runq[i%MaxCores] = o
+		}
+		s.runq[i%MaxCores] = tid
+		s.head = h
+	}
+	if len(woken) > 0 {
+		s.wake(tid, woken)
+		for _, w := range woken {
+			s.enter(w)
+		}
+	}
+}
+
+// enter makes thread w runnable: it goes to the front of the ring and
+// settles from there like a thread that just stepped.
+func (s *system) enter(w int) {
+	s.head--
+	s.runq[s.head%MaxCores] = w
+	s.runnable++
+	s.settle(w, nil)
+}
+
+// allowance returns how many instructions the scheduled thread may retire
+// before next would pick a different one, assuming each costs exactly one
+// dispatch slot (the fast-forward charge). It replays the same float
+// additions the run performs, so the event ends on the instruction after
+// which the per-instruction scheduler would switch. The first instruction
+// is not in question: the ring is sorted, so the pick precedes the second
+// thread until it has retired something.
+func (s *system) allowance() uint64 {
+	if s.runnable < 2 {
+		return ^uint64(0) // only runnable thread: no scheduling constraint
+	}
+	tid, ru := s.queued(0), s.queued(1)
+	cy, oc := s.cycle[tid], s.cycle[ru]
+	n := uint64(1)
+	for cy += s.slot; cy < oc || (cy == oc && tid < ru); cy += s.slot {
+		n++
+		if n == 1<<20 {
+			break // split enormous leads into several batches
+		}
+	}
+	return n
 }
 
 // totalInstrs returns instructions retired in detail mode.
 func (s *system) totalInstrs() uint64 {
 	var n uint64
-	for _, c := range s.cores {
-		n += c.instrs
+	for i := range s.cores {
+		n += s.cores[i].instrs
 	}
 	return n
 }
@@ -476,9 +616,9 @@ func (s *system) totalInstrs() uint64 {
 // wallCycle is the simulated wall clock: the maximum core cycle.
 func (s *system) wallCycle() float64 {
 	var w float64
-	for _, c := range s.cores {
-		if c.cycle > w {
-			w = c.cycle
+	for _, c := range s.cycle {
+		if c > w {
+			w = c
 		}
 	}
 	return w
@@ -492,7 +632,8 @@ func (s *system) stats(baseCycles float64) *Stats {
 	if st.Cycles < 0 {
 		st.Cycles = 0
 	}
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		st.CoreInstr = append(st.CoreInstr, c.instrs)
 		st.Instructions += c.instrs
 		st.FilteredInstructions += c.filtered

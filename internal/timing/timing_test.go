@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"strings"
 	"testing"
 
 	"looppoint/internal/bbv"
@@ -321,6 +322,16 @@ func TestConfigValidate(t *testing.T) {
 	bad.Cores = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero cores accepted")
+	}
+	// One bit per core in a line's sharer mask: 64 is the most.
+	bad = good
+	bad.Cores = MaxCores
+	if err := bad.Validate(); err != nil {
+		t.Errorf("%d cores rejected: %v", MaxCores, err)
+	}
+	bad.Cores = MaxCores + 1
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("%d cores: err = %v, want a clear refusal", bad.Cores, err)
 	}
 	bad = good
 	bad.MLP = 0

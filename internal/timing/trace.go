@@ -33,6 +33,12 @@ const (
 	tfMem        = 1 << 4
 )
 
+// maxTraceAddr bounds the byte addresses a trace may carry. The coherence
+// directory is a slice indexed by cache line that grows to the highest
+// line touched, so an address from a corrupt or hostile trace must not
+// size it; 256 MB is several hundred times the largest ref-input program.
+const maxTraceAddr = 1 << 28
+
 // TraceWriter is an exec.Observer that streams one compact record per
 // executed instruction. Attach it to any run — a live execution or a
 // pinball replay — and Close when done.
@@ -129,6 +135,14 @@ func SimulateTrace(cfg Config, src io.Reader) (*Stats, error) {
 	blocked := make([]bool, cfg.Cores)
 	var lastCycle float64
 
+	// Each record is turned back into the event it was written from, as
+	// far as cost reads one: the instruction and its block exist only as
+	// the fields the record carries.
+	routines := [2]isa.Routine{{Image: &isa.Image{}}, {Image: &isa.Image{Sync: true}}}
+	var instr isa.Instr
+	var blk isa.Block
+	ev := exec.Event{Instr: &instr, Block: &blk}
+
 	var rec [27]byte
 	for {
 		if _, err := io.ReadFull(r, rec[:]); err == io.EOF {
@@ -141,28 +155,32 @@ func SimulateTrace(cfg Config, src io.Reader) (*Stats, error) {
 			return nil, fmt.Errorf("timing: trace thread %d exceeds %d cores", tid, cfg.Cores)
 		}
 		flags := rec[2]
-		in := costInput{
-			Op:         isa.Op(rec[1]),
-			PC:         binary.LittleEndian.Uint64(rec[3:]),
-			BlockAddr:  binary.LittleEndian.Uint64(rec[11:]),
-			MemAddr:    binary.LittleEndian.Uint64(rec[19:]),
-			BlockEntry: flags&tfBlockEntry != 0,
-			Taken:      flags&tfTaken != 0,
-			Blocked:    flags&tfBlocked != 0,
-			Sync:       flags&tfSync != 0,
+		instr.Op = isa.Op(rec[1])
+		instr.Addr = binary.LittleEndian.Uint64(rec[3:])
+		blk.Addr = binary.LittleEndian.Uint64(rec[11:])
+		blk.Routine = &routines[0]
+		if flags&tfSync != 0 {
+			blk.Routine = &routines[1]
 		}
-		c := sys.cores[tid]
+		ev.Tid = tid
+		ev.MemAddr = binary.LittleEndian.Uint64(rec[19:])
+		ev.BlockEntry = flags&tfBlockEntry != 0
+		ev.Taken = flags&tfTaken != 0
+		ev.Blocked = flags&tfBlocked != 0
+		if ev.MemAddr > maxTraceAddr {
+			return nil, fmt.Errorf("timing: trace address %#x beyond the %d-byte limit", ev.MemAddr, uint64(maxTraceAddr))
+		}
 		if blocked[tid] {
 			// Wake-up: resume after the record that (in trace order)
 			// preceded this thread's return, plus the wake latency.
-			if resume := lastCycle + float64(cfg.WakeCycles); resume > c.cycle {
-				c.cycle = resume
+			if resume := lastCycle + float64(cfg.WakeCycles); resume > sys.cycle[tid] {
+				sys.cycle[tid] = resume
 			}
 			blocked[tid] = false
 		}
-		c.cycle += sys.costOf(tid, in)
-		lastCycle = c.cycle
-		if in.Blocked {
+		sys.cycle[tid] += sys.cost(tid, &ev)
+		lastCycle = sys.cycle[tid]
+		if ev.Blocked {
 			blocked[tid] = true
 		}
 	}

@@ -2,9 +2,11 @@ package timing
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
@@ -62,6 +64,12 @@ func TestTraceDrivenMatchesConstrained(t *testing.T) {
 		t.Errorf("cache misses differ: L1D %d/%d L2 %d/%d",
 			traced.L1DMisses, constrained.L1DMisses, traced.L2Misses, constrained.L2Misses)
 	}
+	// The trace run has no machine to size its coherence directory from;
+	// grown line by line, it must still see every sharer.
+	if traced.CoherenceInvalidations == 0 || traced.CoherenceInvalidations != constrained.CoherenceInvalidations {
+		t.Errorf("coherence invalidations differ (or are zero): trace %d vs constrained %d",
+			traced.CoherenceInvalidations, constrained.CoherenceInvalidations)
+	}
 	ratio := traced.Cycles / constrained.Cycles
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("cycles diverge: trace %.0f vs constrained %.0f (%.2fx)",
@@ -85,6 +93,20 @@ func TestTraceRejectsGarbage(t *testing.T) {
 	data := append(buf.Bytes(), 0x01, 0x02, 0x03)
 	if _, err := SimulateTrace(Gainestown(2), bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+	// An address that would size the coherence directory to terabytes.
+	rec := make([]byte, 27)
+	rec[1] = uint8(isa.OpILoad)
+	rec[2] = tfMem
+	binary.LittleEndian.PutUint64(rec[19:], 1<<50)
+	data = append(buf.Bytes(), rec...)
+	if _, err := SimulateTrace(Gainestown(2), bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "address") {
+		t.Fatalf("trace with a 2^50 address: err = %v, want an address error", err)
+	}
+	binary.LittleEndian.PutUint64(rec[19:], maxTraceAddr)
+	data = append(buf.Bytes(), rec...)
+	if _, err := SimulateTrace(Gainestown(2), bytes.NewReader(data)); err != nil {
+		t.Fatalf("trace at the address limit rejected: %v", err)
 	}
 }
 
