@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build fmt-check test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
+.PHONY: build fmt-check loc test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
 
 build:
 	go build ./...
@@ -8,6 +8,13 @@ build:
 # Fails, listing the files, if any .go file is not gofmt-clean.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines outside bench/, per package directory and in total —
+# the number ROADMAP item 3 tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 test:
 	go test ./...

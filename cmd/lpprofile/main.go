@@ -6,8 +6,7 @@
 // the region structure of a workload.
 //
 // The clustering stage fans out over a worker pool (-j N; 0 = one worker
-// per CPU) and the selection is byte-identical at every width. -slowpath
-// forces the naive reference engines for cross-checking; -pprof-cpu /
+// per CPU) and the selection is byte-identical at every width; -pprof-cpu /
 // -pprof-heap write standard runtime/pprof profiles.
 package main
 
@@ -43,7 +42,6 @@ func main() {
 		dot        = flag.String("dot", "", "write the dynamic control-flow graph as Graphviz DOT to this file")
 		verify     = flag.Bool("verify", false, "re-load every artifact written this run and check its integrity (checksums, version, structure)")
 		jobs       = flag.Int("j", 0, "worker count for the clustering stage (0 = one worker per CPU); profile and selection are byte-identical at every setting")
-		slowPath   = flag.Bool("slowpath", false, "force the naive reference paths (per-instruction engine, serial naive clustering) instead of the fast ones; identical output, slower")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile to this file")
 		pprofHeap  = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
@@ -81,7 +79,6 @@ func main() {
 		cfg.MaxK = *maxK
 	}
 	cfg.ClusterWorkers = *jobs
-	cfg.SlowPath = *slowPath
 	cfg.Selector = *selector
 	cfg.SampleBudget = *budget
 	if *disasm {

@@ -69,7 +69,6 @@ func main() {
 		jobs     = flag.Int("j", 0, "worker-pool width inside each evaluation (0 = one worker per CPU)")
 		slice    = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
 		input    = flag.String("input", "", "override every job's input class (e.g. test) — smoke runs only")
-		slowPath = flag.Bool("slowpath", false, "force the per-instruction reference engine")
 		resume   = flag.String("resume", "", "evaluator resume journal: completed evaluations persist across restarts")
 		degraded = flag.Bool("degraded", false, "tolerate per-region simulation failures inside evaluations")
 		retries  = flag.Int("retries", 1, "attempts per region simulation inside an evaluation")
@@ -90,7 +89,6 @@ func main() {
 		Parallelism:   *jobs,
 		SliceUnit:     *slice,
 		InputOverride: workloads.InputClass(*input),
-		SlowPath:      *slowPath,
 		Resume:        *resume,
 		Degraded:      *degraded,
 		Retries:       *retries,

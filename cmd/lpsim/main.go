@@ -45,7 +45,6 @@ func main() {
 		constrain  = flag.Bool("constrained", false, "with -checkpoint: constrained replay instead of unconstrained simulation")
 		dumpTrace  = flag.String("dump-trace", "", "record the workload and write an instruction trace to this file (no timing simulation)")
 		fromTrace  = flag.String("from-trace", "", "run a timing-only simulation of a trace file (-n selects the core count; no workload executes)")
-		slowPath   = flag.Bool("slowpath", false, "force the per-instruction reference engine instead of the block-batched fast path (identical statistics, slower)")
 		retries    = flag.Int("retries", 1, "attempts per checkpoint simulation in directory mode (transient failures are retried with backoff)")
 		regionTO   = flag.Duration("region-timeout", 0, "per-attempt time limit for one checkpoint simulation in directory mode (0 = none)")
 		minCov     = flag.Float64("min-coverage", 1.0, "directory mode: minimum fraction of checkpoints that must simulate; bad pinballs are quarantined and the rest continue, but falling below this exits nonzero")
@@ -109,7 +108,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	sim.SlowPath = *slowPath
 	if *trace > 0 {
 		sim.Trace = timing.NewIPCTrace(*trace)
 	}
@@ -145,7 +143,7 @@ func main() {
 	case *checkpoint != "":
 		if fi, err := os.Stat(*checkpoint); err == nil && fi.IsDir() {
 			simulateCheckpointDir(w, cfg, *checkpoint, dirOpts{
-				jobs: *jobs, constrain: *constrain, slowPath: *slowPath,
+				jobs: *jobs, constrain: *constrain,
 				retries: *retries, regionTimeout: *regionTO, minCoverage: *minCov,
 				confidence: *confid, mmap: *mmapLoad,
 			})
@@ -202,7 +200,6 @@ func main() {
 type dirOpts struct {
 	jobs          int
 	constrain     bool
-	slowPath      bool
 	retries       int
 	regionTimeout time.Duration
 	minCoverage   float64
@@ -314,7 +311,6 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 				return regionRun{}, err
 			}
 			defer sims.Put(sim)
-			sim.SlowPath = opts.slowPath
 			var st *timing.Stats
 			if opts.constrain {
 				st, err = sim.SimulateConstrained(pbs[i].pb)

@@ -3,8 +3,10 @@ package artifact
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"sync"
 )
 
 // Checksummed-JSONL primitives, shared by every append-only journal and
@@ -62,12 +64,11 @@ func VerifyLine(line []byte) ([]byte, bool) {
 
 // RepairTornTail truncates a trailing unterminated line — a record torn
 // by a SIGKILL mid-write. The repair itself is crash-safe: the retained
-// prefix is written to a sibling temp file, fsynced BEFORE the atomic
-// rename over the journal, so a kill at any point during the repair
-// leaves either the old journal or the fully repaired one on disk,
-// never a half-truncated file (a rename that outruns its data's fsync
-// can publish an empty or partial file after a power cut). A missing
-// file is not an error.
+// prefix goes through WriteFileDurable, so a kill at any point during
+// the repair leaves either the old journal or the fully repaired one on
+// disk, never a half-truncated file (a rename that outruns its data's
+// fsync can publish an empty or partial file after a power cut). A
+// missing file is not an error.
 func RepairTornTail(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -83,19 +84,21 @@ func RepairTornTail(path string) error {
 	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
 		keep = i + 1
 	}
-	return writeFileSynced(path, data[:keep])
+	return WriteFileDurable(path, data[:keep])
 }
 
 // WriteChecksummedFile publishes one record as a standalone checksummed
-// envelope file (the content-addressed cache format): temp file, fsync
-// BEFORE the atomic rename, so readers only ever observe a missing file
-// or a complete one.
+// envelope file (the content-addressed cache format) through
+// WriteFileDurable, so readers only ever observe a missing file or a
+// complete one — also when several writers publish the same path at once
+// (campaigns sharing a cache directory store the same content-addressed
+// key): each stages into its own temp file and the renames are atomic.
 func WriteChecksummedFile(path string, record []byte) error {
 	line, err := ChecksumLine(record)
 	if err != nil {
 		return err
 	}
-	return writeFileSynced(path, append(line, '\n'))
+	return WriteFileDurable(path, append(line, '\n'))
 }
 
 // ReadChecksummedFile reads a file written by WriteChecksummedFile and
@@ -114,27 +117,74 @@ func ReadChecksummedFile(path string) ([]byte, error) {
 	return rec, nil
 }
 
-// writeFileSynced writes data to path crash-safely: temp sibling, fsync
-// before the atomic rename.
-func writeFileSynced(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// ErrJournalDead is returned by appends to a Journal after an earlier
+// append failed.
+var ErrJournalDead = errors.New("artifact: journal dead after a failed append")
+
+// Journal is the append side of every checksummed-JSONL journal: one
+// envelope line per record, fsynced before the append returns, safe for
+// concurrent use. What the records mean, how they are fingerprinted and
+// which of them a restart trusts is the owning package's business.
+type Journal struct {
+	mu   sync.Mutex
+	f    *os.File
+	dead bool // an append failed; the file may end in a partial line
+}
+
+// OpenJournal opens (creating if needed) the journal at path for
+// appending. A final line torn by a mid-write kill is truncated away
+// first (RepairTornTail), so the next append starts on a fresh line
+// instead of corrupt-concatenating with the torn bytes, which would lose
+// both the torn record and the new one.
+func OpenJournal(path string) (*Journal, error) {
+	if err := RepairTornTail(path); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &Journal{f: f}, nil
+}
+
+// Append wraps one compact JSON record in its checksummed envelope and
+// appends it durably.
+func (j *Journal) Append(record []byte) error {
+	line, err := ChecksumLine(record)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	return j.AppendLine(line)
+}
+
+// AppendLine appends one envelope line (as ChecksumLine returns it, no
+// trailing newline) and fsyncs before returning, so an acknowledged
+// record survives a SIGKILL. A failed write or fsync is returned and
+// kills the journal — the file may now end mid-line, which the next
+// OpenJournal repairs — and every later append returns ErrJournalDead.
+// Callers that checksum first and append second (fault injection that
+// corrupts the line after its checksum is taken) use this directly.
+func (j *Journal) AppendLine(line []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.dead {
+		return ErrJournalDead
+	}
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		j.dead = true
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := j.f.Sync(); err != nil {
+		j.dead = true
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return nil
+}
+
+// Close releases the journal's file handle. Appends after Close fail.
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.dead = true
+	return j.f.Close()
 }

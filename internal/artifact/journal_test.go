@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -175,5 +177,129 @@ func TestChecksummedFileRoundTripAndCorruption(t *testing.T) {
 
 	if _, err := ReadChecksummedFile(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
 		t.Fatalf("missing file: err=%v, want IsNotExist", err)
+	}
+}
+
+// TestWriteChecksummedFileConcurrentWriters: several writers publishing
+// one path at once (campaigns sharing a cache directory store the same
+// content-addressed key) must not see each other's staging files. Every
+// write succeeds, a concurrent reader only ever observes a missing file
+// or one writer's complete record, and no temp file survives. With a
+// fixed staging name the writers truncate each other's temp file, one
+// rename publishes a file another is still filling, and the loser's
+// rename fails with ENOENT.
+func TestWriteChecksummedFileConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "deadbeef.json")
+	const writers, rounds = 8, 40
+	records := make(map[string]bool)
+	recs := make([][]byte, writers)
+	for w := range recs {
+		// Different lengths, large enough that a write is not one page.
+		recs[w] = []byte(fmt.Sprintf(`{"writer":%d,"pad":"%s"}`, w, strings.Repeat("x", 20000+3000*w)))
+		records[string(recs[w])] = true
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := WriteChecksummedFile(path, recs[w]); err != nil {
+					t.Errorf("writer %d round %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	reads := 0
+	for reading := true; reading; reads++ {
+		select {
+		case <-done:
+			reading = false // one more read after the last write
+		default:
+		}
+		rec, err := ReadChecksummedFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("read %d observed a torn file: %v", reads, err)
+		}
+		if !records[string(rec)] {
+			t.Fatalf("read %d verified but is no writer's record (%d bytes)", reads, len(rec))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "deadbeef.json" {
+		t.Fatalf("stray files survive the writers: %v", entries)
+	}
+}
+
+// TestJournalAppendsDurableLines: OpenJournal repairs a torn tail before
+// the first append, concurrent appends land as whole verified lines, and
+// a closed journal refuses further appends.
+func TestJournalAppendsDurableLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	first, _ := ChecksumLine([]byte(`{"k":"first"}`))
+	torn := append(append(append([]byte{}, first...), '\n'), []byte(`{"fnv1a":"0xdead","rec`)...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders = 8
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			var err error
+			if rec := []byte(fmt.Sprintf(`{"k":%d}`, a)); a%2 == 0 {
+				err = j.Append(rec)
+			} else if line, lerr := ChecksumLine(rec); lerr != nil {
+				err = lerr
+			} else {
+				err = j.AppendLine(line)
+			}
+			if err != nil {
+				t.Errorf("append %d: %v", a, err)
+			}
+		}(a)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(`{}`)); !errors.Is(err, ErrJournalDead) {
+		t.Fatalf("append after Close: err=%v, want ErrJournalDead", err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	if len(lines) != 1+appenders {
+		t.Fatalf("%d lines, want %d (torn tail repaired, one line per append)", len(lines), 1+appenders)
+	}
+	seen := make(map[string]bool)
+	for i, line := range lines {
+		rec, ok := VerifyLine(line)
+		if !ok {
+			t.Fatalf("line %d does not verify: %q", i, line)
+		}
+		seen[string(rec)] = true
+	}
+	if len(seen) != 1+appenders || !seen[`{"k":"first"}`] {
+		t.Fatalf("records lost or duplicated: %v", seen)
 	}
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	// on active-wait workloads far exceeds LoopPoint's. Heterogeneous
 	// work + active spinning is its worst case.
 	p1 := testprog.Heterogeneous(4, 12, 180, omp.Active)
-	lp, err := core.Run(p1, testConfig(), timing.Gainestown(4), core.RunOpts{SimulateFull: true, Parallel: true})
+	lp, err := core.Run(context.Background(), p1, testConfig(), timing.Gainestown(4), core.RunOpts{SimulateFull: true, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres, err := core.SimulateRegions(nsel, timing.Gainestown(4), true)
+	nres, _, err := core.SimulateRegions(context.Background(), nsel, timing.Gainestown(4), core.SimOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

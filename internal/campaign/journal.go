@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"looppoint/internal/artifact"
@@ -45,8 +44,7 @@ func ConfigFingerprint(tag string) string {
 
 // Journal is an append-only, fsync'd campaign completion log.
 type Journal struct {
-	f    *os.File
-	path string
+	j *artifact.Journal
 }
 
 // OpenJournal opens (or creates) the journal at path for the campaign
@@ -55,37 +53,32 @@ type Journal struct {
 // from a different campaign config yields a fresh journal and zero
 // restored results.
 func OpenJournal(path, tag string) (*Journal, []*Result, error) {
-	if err := artifact.RepairTornTail(path); err != nil {
-		return nil, nil, fmt.Errorf("campaign: repair journal: %w", err)
-	}
-	restored, ok, err := loadJournal(path, tag)
-	if err != nil {
-		return nil, nil, err
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !ok {
-		// No trustworthy header: reset and start a fresh journal for
-		// this campaign.
-		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		restored = nil
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	aj, err := artifact.OpenJournal(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	restored, ok, err := loadJournal(path, tag)
+	if err != nil {
+		aj.Close()
+		return nil, nil, err
+	}
 	if !ok {
-		hdr, merr := json.Marshal(journalHeader{Campaign: SchemaVersion, Config: ConfigFingerprint(tag), Tag: tag})
-		if merr != nil {
-			f.Close()
-			return nil, nil, merr
+		// No trustworthy header: reset and start a fresh journal for
+		// this campaign (the append handle writes at the new end).
+		restored = nil
+		hdr, err := json.Marshal(journalHeader{Campaign: SchemaVersion, Config: ConfigFingerprint(tag), Tag: tag})
+		if err == nil {
+			err = os.Truncate(path, 0)
 		}
-		if err := j.appendRecord(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
+		if err == nil {
+			err = aj.Append(hdr)
+		}
+		if err != nil {
+			aj.Close()
+			return nil, nil, fmt.Errorf("campaign: reset journal: %w", err)
 		}
 	}
-	return j, restored, nil
+	return &Journal{j: aj}, restored, nil
 }
 
 // loadJournal reads every verified record; ok reports whether the file
@@ -144,32 +137,11 @@ func (j *Journal) Append(r *Result) error {
 	if err != nil {
 		return err
 	}
-	return j.appendRecord(rec)
-}
-
-func (j *Journal) appendRecord(rec []byte) error {
-	line, err := artifact.ChecksumLine(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if err := j.j.Append(rec); err != nil {
 		return fmt.Errorf("campaign: append journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync journal: %w", err)
 	}
 	return nil
 }
 
 // Close closes the journal file.
-func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	if err != nil && err != io.ErrClosedPipe {
-		return err
-	}
-	return nil
-}
+func (j *Journal) Close() error { return j.j.Close() }

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -19,7 +18,6 @@ import (
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
-	"looppoint/internal/pool"
 	"looppoint/internal/simpoint"
 	"looppoint/internal/timing"
 )
@@ -67,17 +65,6 @@ type Config struct {
 	// (Section III-B's alternative after Lau et al.): regions may close
 	// early at a worker-loop entry when the basic-block mix shifts.
 	VariableSlices bool
-	// SlowPath forces the per-instruction reference engine everywhere the
-	// pipeline would otherwise use the block-batched fast path — the DCFG
-	// builder and the BBV collector attach to the per-instruction observer
-	// tier (the builder through a replay of its own instead of riding the
-	// recording), region simulators fast-forward one instruction at a
-	// time — and forces the naive serial clustering reference path
-	// (ProjectRegionsSlow + KMeansSlow) instead of the sparse/Hamerly fast
-	// engine. Model-derived output is byte-identical either way (pinned by
-	// the determinism tests); the flag exists for cross-checking and
-	// debugging.
-	SlowPath bool
 	// ClusterWorkers bounds the worker pool the clustering stage fans out
 	// on — the BBV projections and the k=1..MaxK BIC sweep (0 = one
 	// worker per CPU, 1 = serial). Selections are byte-identical at every
@@ -218,26 +205,16 @@ func analyze(prog *isa.Program, cfg Config, dp *progressLog) (*Analysis, error) 
 }
 
 // recordWithGraph records the whole-program pinball and returns it with
-// the DCFG of the recorded execution, built while recording. SlowPath
-// records bare and drives the builder's per-instruction reference through
-// a replay of the recording instead; the graph is identical either way.
+// the DCFG of the recorded execution, built while recording: the builder
+// rides the recording machine on the block tier.
 func recordWithGraph(prog *isa.Program, cfg *Config) (*pinball.Pinball, *dcfg.Graph, error) {
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	var observers []exec.BlockObserver
-	if !cfg.SlowPath {
-		observers = append(observers, db)
-	}
 	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
 		FlowWindow:  cfg.FlowWindow,
 		QuantumBias: cfg.HostBias,
-	}, observers...)
+	}, db)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
-	}
-	if cfg.SlowPath {
-		if _, err := pb.Replay(prog, exec.ObserverFunc(db.OnInstr)); err != nil {
-			return nil, nil, fmt.Errorf("core: DCFG replay of %s: %w", prog.Name, err)
-		}
 	}
 	return pb, db.Graph(), nil
 }
@@ -327,17 +304,11 @@ func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Gra
 // The window that ends the recording verifies its final checksum.
 func (bp *bbvPass) run(dp *progressLog) (*Analysis, error) {
 	a := bp.a
-	// The collector implements exec.BlockObserver, so the replay normally
-	// routes it to the block-batched tier. SlowPath hides that method by
-	// wrapping the per-instruction entry point, forcing the reference
-	// engine; the resulting profile is byte-identical.
-	var obs exec.Observer = bp.col
-	if a.Config.SlowPath {
-		obs = exec.ObserverFunc(bp.col.OnInstr)
-	}
 	every := dp.epochSteps(bp.total)
 	for bp.ck.Step < bp.total {
-		next, err := a.Pinball.ReplayWindow(a.Prog, bp.ck, every, obs)
+		// The collector implements exec.BlockObserver, so the replay
+		// drives it on the block-batched tier.
+		next, err := a.Pinball.ReplayWindow(a.Prog, bp.ck, every, bp.col)
 		if err != nil {
 			return nil, fmt.Errorf("core: BBV replay of %s: %w", a.Prog.Name, err)
 		}
@@ -403,25 +374,11 @@ func (s *Selection) Engine() string {
 func Select(a *Analysis) (*Selection, error) {
 	cfg := a.Config
 	regions := a.Profile.Regions
-	// The fast clustering engine (sparse projections, Hamerly-bounded
-	// k-means, parallel BIC sweep) and the naive -slowpath reference are
-	// byte-identical (pinned by TestFastSlowPathsByteIdentical and the
-	// simpoint identity suite), so selections, journals, and golden files
-	// never depend on which path produced them.
 	var vectors [][]float64
-	switch {
-	case cfg.SumBBVs && cfg.SlowPath:
-		vectors = simpoint.SumProjectRegionsSlow(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed)
-	case cfg.SumBBVs:
+	if cfg.SumBBVs {
 		vectors = simpoint.SumProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
-	case cfg.SlowPath:
-		vectors = simpoint.ProjectRegionsSlow(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed)
-	default:
+	} else {
 		vectors = simpoint.ProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
-	}
-	weights := make([]float64, len(regions))
-	for i, r := range regions {
-		weights[i] = float64(r.Filtered)
 	}
 	engine := cfg.Selector
 	if engine == "" {
@@ -431,9 +388,22 @@ func Select(a *Analysis) (*Selection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", a.Prog.Name, err)
 	}
+	return selectFrom(a, vectors, sl)
+}
+
+// selectFrom draws representatives from the projected regions with the
+// given engine and attaches the extrapolation multipliers. Split from
+// Select so the pipeline-vs-oracles test can feed it the naive projection
+// and a naive medoid engine.
+func selectFrom(a *Analysis, vectors [][]float64, sl simpoint.Selector) (*Selection, error) {
+	cfg := a.Config
+	regions := a.Profile.Regions
+	weights := make([]float64, len(regions))
+	for i, r := range regions {
+		weights[i] = float64(r.Filtered)
+	}
 	sp, err := sl.Select(vectors, weights, simpoint.Options{
-		MaxK: cfg.MaxK, Seed: cfg.Seed,
-		Workers: cfg.ClusterWorkers, Slow: cfg.SlowPath,
+		MaxK: cfg.MaxK, Seed: cfg.Seed, Workers: cfg.ClusterWorkers,
 	}, simpoint.SelectorOpts{
 		Budget: cfg.SampleBudget, Pilot: cfg.PilotPerStratum,
 		Proportional: cfg.ProportionalAlloc,
@@ -514,39 +484,6 @@ type RegionResult struct {
 	Point    LoopPoint
 	Stats    *timing.Stats
 	HostTime time.Duration
-}
-
-// SimulateRegions runs a detailed simulation of every looppoint. With
-// parallel true the regions are simulated concurrently (checkpoints make
-// the runs independent — Section III-J) on a pool bounded at one worker
-// per CPU; see SimulateRegionsN for an explicit width.
-func SimulateRegions(sel *Selection, simCfg timing.Config, parallel bool) ([]RegionResult, error) {
-	width := 1
-	if parallel {
-		width = pool.DefaultWidth()
-	}
-	return SimulateRegionsN(sel, simCfg, width)
-}
-
-// SimulateRegionsN simulates every looppoint on a worker pool of the
-// given width (<= 0 means one worker per CPU). Each region gets its own
-// simulator seeded from the analysis config, so the per-region statistics
-// — and therefore the extrapolated prediction — are byte-identical at any
-// width; only host time varies. The first simulation error cancels the
-// remaining unstarted regions.
-func SimulateRegionsN(sel *Selection, simCfg timing.Config, width int) ([]RegionResult, error) {
-	return SimulateRegionsNCtx(context.Background(), sel, simCfg, width)
-}
-
-// SimulateRegionsNCtx is SimulateRegionsN under a caller context:
-// cancellation or deadline expiry stops the sweep at the next region
-// boundary instead of draining the remaining queue.
-func SimulateRegionsNCtx(ctx context.Context, sel *Selection, simCfg timing.Config, width int) ([]RegionResult, error) {
-	results, _, err := SimulateRegionsOptCtx(ctx, sel, simCfg, SimOpts{Width: width})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Prediction is the extrapolated whole-program performance (Equation 1,

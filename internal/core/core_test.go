@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,6 +15,13 @@ func testConfig() Config {
 	cfg.SliceUnit = 1500 // small program, small slices
 	cfg.FlowWindow = 512
 	return cfg
+}
+
+// simulateAll is the strict (non-degraded) region sweep at the given
+// pool width (0 = one worker per CPU).
+func simulateAll(sel *Selection, simCfg timing.Config, width int) ([]RegionResult, error) {
+	res, _, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: width})
+	return res, err
 }
 
 func TestAnalyzeProducesRegionsAndMarkers(t *testing.T) {
@@ -74,7 +82,7 @@ func TestEndToEndPredictionError(t *testing.T) {
 	// phased workload, for both wait policies (Figure 5a's shape).
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 12, 200, policy)
-		rep, err := Run(p, testConfig(), timing.Gainestown(4), RunOpts{SimulateFull: true, Parallel: true})
+		rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(4), RunOpts{SimulateFull: true, Parallel: true})
 		if err != nil {
 			t.Fatalf("policy %v: Run: %v", policy, err)
 		}
@@ -109,7 +117,7 @@ func TestSelfSamplingIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, err := SimulateRegions(sel, timing.Gainestown(2), false)
+	regions, err := simulateAll(sel, timing.Gainestown(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,7 @@ func TestHeterogeneousThreadsKeepClusters(t *testing.T) {
 
 func TestRunWithoutFullSim(t *testing.T) {
 	p := testprog.Phased(2, 6, 100, omp.Passive)
-	rep, err := Run(p, testConfig(), timing.Gainestown(2), RunOpts{})
+	rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(2), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +204,11 @@ func TestParallelAndSerialRegionSimsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := SimulateRegions(sel, timing.Gainestown(2), false)
+	serial, err := simulateAll(sel, timing.Gainestown(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SimulateRegions(sel, timing.Gainestown(2), true)
+	par, err := simulateAll(sel, timing.Gainestown(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +264,7 @@ func TestRegionSimulationsMatchProfiledWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := SimulateRegions(sel, timing.Gainestown(8), false)
+	results, err := simulateAll(sel, timing.Gainestown(8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

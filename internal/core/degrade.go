@@ -165,7 +165,6 @@ func simulateOneRegion(ctx context.Context, sel *Selection, arena *simulatorAren
 	}
 	defer arena.put(sim)
 	sim.Seed = a.Config.Seed
-	sim.SlowPath = a.Config.SlowPath
 	var st *timing.Stats
 	if checkpoints != nil {
 		st, err = sim.SimulateCheckpoint(checkpoints[i])
@@ -178,24 +177,25 @@ func simulateOneRegion(ctx context.Context, sel *Selection, arena *simulatorAren
 	return RegionResult{Point: lp, Stats: st, HostTime: time.Since(start)}, nil
 }
 
-// SimulateRegionsOpt is the fault-tolerant region-simulation sweep. In
-// strict mode (Degraded false) it behaves like SimulateRegionsN — the
-// first failure (after any per-region retries) aborts the sweep — and the
-// returned Degradation is nil. In degraded mode every region gets its
-// attempt budget; regions that still fail are dropped, their loss is
-// recorded in the returned Degradation, and the surviving results are
-// returned in region order. If the surviving extrapolation mass falls
-// below MinCoverage the sweep fails with ErrLowCoverage.
-func SimulateRegionsOpt(sel *Selection, simCfg timing.Config, opts SimOpts) ([]RegionResult, *Degradation, error) {
-	return SimulateRegionsOptCtx(context.Background(), sel, simCfg, opts)
-}
-
-// SimulateRegionsOptCtx is SimulateRegionsOpt under a caller context:
-// cancellation or deadline expiry stops the sweep at the next region
-// boundary instead of draining the queue, unstarted regions report
+// SimulateRegions runs a detailed simulation of every looppoint on a
+// worker pool (checkpoints make the runs independent — Section III-J).
+// Each region gets its own simulator seeded from the analysis config, so
+// the per-region statistics — and therefore the extrapolated prediction —
+// are byte-identical at any width; only host time varies.
+//
+// In strict mode (Degraded false) the first failure (after any per-region
+// retries) aborts the sweep and the returned Degradation is nil. In
+// degraded mode every region gets its attempt budget; regions that still
+// fail are dropped, their loss is recorded in the returned Degradation,
+// and the surviving results are returned in region order. If the
+// surviving extrapolation mass falls below MinCoverage the sweep fails
+// with ErrLowCoverage.
+//
+// Cancellation or deadline expiry of ctx stops the sweep at the next
+// region boundary instead of draining the queue, unstarted regions report
 // ctx.Err(), and the aggregate error is the cancellation. The serving
 // layer uses this to bound jobs by per-request deadlines.
-func SimulateRegionsOptCtx(ctx context.Context, sel *Selection, simCfg timing.Config, opts SimOpts) ([]RegionResult, *Degradation, error) {
+func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, opts SimOpts) ([]RegionResult, *Degradation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

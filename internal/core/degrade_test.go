@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -37,7 +38,7 @@ func TestDegradedDropsFailedRegion(t *testing.T) {
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
 	// Width 1 makes the failing invocation deterministic: the first point.
-	results, deg, err := SimulateRegionsOpt(sel, timing.Gainestown(4), SimOpts{
+	results, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, Degraded: true, MinCoverage: 0.01,
 	})
 	if err != nil {
@@ -65,13 +66,13 @@ func TestDegradedDropsFailedRegion(t *testing.T) {
 // budget yields a complete, byte-identical sweep.
 func TestDegradedRetryRecovers(t *testing.T) {
 	sel := testSelection(t)
-	strict, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	strict, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	results, deg, err := SimulateRegionsOpt(sel, timing.Gainestown(4), SimOpts{
+	results, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, Degraded: true, Attempts: 3,
 	})
 	if err != nil {
@@ -96,7 +97,7 @@ func TestDegradedPanicBecomesRegionFailure(t *testing.T) {
 	sel := testSelection(t)
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Panic, Rate: 1, Count: 1}))()
-	results, deg, err := SimulateRegionsOpt(sel, timing.Gainestown(4), SimOpts{
+	results, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, Degraded: true, MinCoverage: 0.01,
 	})
 	if err != nil {
@@ -115,7 +116,7 @@ func TestLowCoverageIsTyped(t *testing.T) {
 	sel := testSelection(t)
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1}))()
-	_, deg, err := SimulateRegionsOpt(sel, timing.Gainestown(4), SimOpts{
+	_, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, Degraded: true,
 	})
 	if !errors.Is(err, ErrLowCoverage) {
@@ -130,7 +131,7 @@ func TestLowCoverageIsTyped(t *testing.T) {
 // extrapolation divided by the residual coverage.
 func TestExtrapolateDegradedScales(t *testing.T) {
 	sel := testSelection(t)
-	results, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	results, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRunDegradedReportMarksLoss(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	rep, err := Run(p, testConfig(), timing.Gainestown(4), RunOpts{
+	rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(4), RunOpts{
 		Width: 1, Degraded: true, MinCoverage: 0.01,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"looppoint/internal/omp"
+	"looppoint/internal/simpoint"
 	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
 )
@@ -24,13 +25,13 @@ func TestSimulateRegionsWidthInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := timing.Gainestown(1).FreqGHz
-	base, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	base, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	basePred := Extrapolate(base, freq)
 	for _, width := range []int{2, 4, 8} {
-		res, err := SimulateRegionsN(sel, timing.Gainestown(4), width)
+		res, err := simulateAll(sel, timing.Gainestown(4), width)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
@@ -98,56 +99,80 @@ func TestSelectClusterWorkersInvariant(t *testing.T) {
 	}
 }
 
-// TestFastSlowPathsByteIdentical runs the entire methodology — analysis,
-// clustering, checkpoint extraction, region simulation, extrapolation —
-// once on the block-batched fast path and once on the per-instruction
-// reference engine, and requires every model-derived artifact to be
-// byte-identical: BBV profiles, marker sets, looppoint selections,
-// per-region statistics, and the final prediction. Host time is the only
-// thing the fast path is allowed to change.
+// naiveMedoid is the medoid selection engine over the naive clustering
+// reference: one stratum per cluster of simpoint.ClusterSlow (serial
+// KMeansSlow sweep), each cluster's nearest-to-centroid region drawn once.
+type naiveMedoid struct{}
+
+func (naiveMedoid) Name() string { return "simpoint" }
+
+func (naiveMedoid) Select(vectors [][]float64, weights []float64, copts simpoint.Options, _ simpoint.SelectorOpts) (*simpoint.Selection, error) {
+	res, err := simpoint.ClusterSlow(vectors, weights, copts)
+	if err != nil {
+		return nil, err
+	}
+	sel := &simpoint.Selection{Engine: "simpoint", Result: res, Strata: make([]simpoint.Stratum, res.K)}
+	for i, j := range res.Assign {
+		sel.Strata[j].Members = append(sel.Strata[j].Members, i)
+		sel.Strata[j].Work += weights[i]
+	}
+	simpoint.NormalizeStrata(sel.Strata)
+	for j, rep := range res.Reps {
+		sel.Strata[j].Sampled = 1
+		sel.Regions = append(sel.Regions, simpoint.SelectedRegion{Index: rep, Stratum: j})
+	}
+	return simpoint.FinishSelection(sel), nil
+}
+
+// TestFastSlowPathsByteIdentical holds the pipeline to the layer oracles.
+// No flag selects a reference engine; the expected side is composed here
+// from the references themselves — a bare recording, the DCFG builder's
+// OnInstr driven through a replay of it, a Collector driven per
+// instruction (referenceAnalysis), the naive projection
+// (ProjectRegionsSlow / SumProjectRegionsSlow) and the naive k-means
+// sweep behind a hand-rolled medoid engine — and Analyze→Select must
+// equal it on markers, profile, clustering, looppoints and multipliers.
+// Region simulation against the per-instruction warm-up loop is pinned
+// where that loop lives, in timing/fastforward_test.go.
 func TestFastSlowPathsByteIdentical(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
+	configs := identityConfigs()
+	configs["sumbbvs"] = func(c *Config) { c.SumBBVs = true }
+	for name, mutate := range configs {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			mutate(&cfg)
 
-	run := func(slow bool) (*Analysis, *Selection, []RegionResult, Prediction) {
-		cfg := testConfig()
-		cfg.SlowPath = slow
-		a, err := Analyze(p, cfg)
-		if err != nil {
-			t.Fatalf("Analyze(slow=%v): %v", slow, err)
-		}
-		sel, err := Select(a)
-		if err != nil {
-			t.Fatalf("Select(slow=%v): %v", slow, err)
-		}
-		res, err := SimulateRegionsN(sel, timing.Gainestown(4), 4)
-		if err != nil {
-			t.Fatalf("SimulateRegionsN(slow=%v): %v", slow, err)
-		}
-		return a, sel, res, Extrapolate(res, timing.Gainestown(1).FreqGHz)
-	}
+			want := referenceAnalysis(t, p, cfg)
+			prof := want.Profile
+			project := simpoint.ProjectRegionsSlow
+			if cfg.SumBBVs {
+				project = simpoint.SumProjectRegionsSlow
+			}
+			wantSel, err := selectFrom(want,
+				project(prof.Regions, prof.NumBlocks, want.Config.Dims, want.Config.Seed), naiveMedoid{})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	fa, fsel, fres, fpred := run(false)
-	sa, ssel, sres, spred := run(true)
-
-	if !reflect.DeepEqual(fa.Markers, sa.Markers) {
-		t.Errorf("marker sets differ:\nfast: %#x\nslow: %#x", fa.Markers, sa.Markers)
-	}
-	if !reflect.DeepEqual(fa.Profile, sa.Profile) {
-		t.Error("BBV profiles differ between fast and slow paths")
-	}
-	if !reflect.DeepEqual(fsel.Points, ssel.Points) {
-		t.Error("looppoint selections differ between fast and slow paths")
-	}
-	if len(fres) != len(sres) {
-		t.Fatalf("result counts differ: %d vs %d", len(fres), len(sres))
-	}
-	for i := range fres {
-		if !reflect.DeepEqual(fres[i].Stats, sres[i].Stats) {
-			t.Errorf("region %d stats differ:\nfast: %+v\nslow: %+v",
-				fres[i].Point.Region.Index, fres[i].Stats, sres[i].Stats)
-		}
-	}
-	if fpred != spred {
-		t.Errorf("predictions differ:\nfast: %+v\nslow: %+v", fpred, spred)
+			got, err := Analyze(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSel, err := Select(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analysisEquals(t, "pipeline vs oracles", got, want)
+			if !reflect.DeepEqual(gotSel.Result, wantSel.Result) {
+				t.Error("clustering Result differs from the naive projection + k-means sweep")
+			}
+			if !reflect.DeepEqual(gotSel.Sample, wantSel.Sample) {
+				t.Error("strata and draws differ from the naive medoid engine")
+			}
+			if len(gotSel.Points) == 0 || !reflect.DeepEqual(gotSel.Points, wantSel.Points) {
+				t.Errorf("looppoints or multipliers differ from the oracles:\npipeline: %+v\noracles:  %+v", gotSel.Points, wantSel.Points)
+			}
+		})
 	}
 }

@@ -69,7 +69,11 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcf
 
 // referenceAnalysis is what every route through Analyze must equal: the
 // bare recording and the oracle graph of recordFor, profiled by one
-// Collector over a single unbroken replay window.
+// Collector driven per instruction — its OnInstr oracle, the block tier
+// hidden behind an ObserverFunc — over a single unbroken replay. Every
+// column of the identity matrix is therefore a comparison of the product
+// path (block-tier builder riding the recording, block-tier collector in
+// replay windows) against the per-instruction reference engines.
 func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	t.Helper()
 	cfg.fill()
@@ -78,11 +82,11 @@ func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := bp.run(nil)
-	if err != nil {
+	if _, err := pb.Replay(p, exec.ObserverFunc(bp.col.OnInstr)); err != nil {
 		t.Fatal(err)
 	}
-	return a
+	bp.a.Profile = bp.col.Finish()
+	return bp.a
 }
 
 // identityConfigs are the analysis configurations that change what the
@@ -92,7 +96,6 @@ func identityConfigs() map[string]func(*Config) {
 		"default":        func(*Config) {},
 		"nospinfilter":   func(c *Config) { c.NoSpinFilter = true },
 		"variableslices": variableSlices,
-		"slowpath":       func(c *Config) { c.SlowPath = true },
 	}
 }
 

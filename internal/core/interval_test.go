@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func stratifiedConfig() Config {
 // under the clock rescale, and the interval surfaced in Summary().
 func TestStratifiedRunProducesIntervals(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	rep, err := Run(p, stratifiedConfig(), timing.Gainestown(4), RunOpts{})
+	rep, err := Run(context.Background(), p, stratifiedConfig(), timing.Gainestown(4), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestStratifiedRunProducesIntervals(t *testing.T) {
 // width fiction).
 func TestSimPointRunIntervalsNil(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	rep, err := Run(p, testConfig(), timing.Gainestown(4), RunOpts{})
+	rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(4), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestIntervalsWidthInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := timing.Gainestown(1).FreqGHz
-	base, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	base, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestIntervalsWidthInvariant(t *testing.T) {
 		t.Fatal("no intervals at width 1")
 	}
 	for _, width := range []int{2, 8} {
-		res, err := SimulateRegionsN(sel, timing.Gainestown(4), width)
+		res, err := simulateAll(sel, timing.Gainestown(4), width)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -398,7 +399,7 @@ func TestSimulateRegionsResumeFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SimulateRegionsN(sel, timing.Gainestown(4), 2)
+	first, err := simulateAll(sel, timing.Gainestown(4), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestSimulateRegionsResumeFromJournal(t *testing.T) {
 	// simulate, so an error-free identical sweep proves full recovery.
 	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(2),
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1}))()
-	second, err := SimulateRegionsN(sel, timing.Gainestown(4), 2)
+	second, err := simulateAll(sel, timing.Gainestown(4), 2)
 	if err != nil {
 		t.Fatalf("journal-resumed sweep failed: %v", err)
 	}
@@ -439,7 +440,7 @@ func TestSimProgressCorruptLineResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	first, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestSimProgressCorruptLineResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	second, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	reference, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +513,7 @@ func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 
 	restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(4),
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))
-	partial, deg, err := SimulateRegionsOpt(sel, timing.Gainestown(4), SimOpts{
+	partial, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, Degraded: true, MinCoverage: 0.01,
 	})
 	restore()
@@ -523,7 +524,7 @@ func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 		t.Fatalf("fault did not degrade the sweep (%d of %d survived)", len(partial), len(sel.Points))
 	}
 
-	full, err := SimulateRegionsN(sel, timing.Gainestown(4), 1)
+	full, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatalf("restart after degraded sweep: %v", err)
 	}

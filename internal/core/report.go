@@ -135,17 +135,12 @@ func (o RunOpts) width() int {
 
 // Run performs the complete LoopPoint flow on one program: analyze,
 // select, simulate the looppoints, extrapolate, and (optionally) compare
-// against the full detailed simulation.
-func Run(prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts) (*Report, error) {
-	return RunCtx(context.Background(), prog, cfg, simCfg, opts)
-}
-
-// RunCtx is Run under a caller context. The analysis and full-simulation
+// against the full detailed simulation. The analysis and full-simulation
 // phases are CPU-bound kernels that do not poll ctx, so cancellation is
 // honored at phase boundaries and — within the region sweep — at region
 // boundaries; a cancelled run returns ctx's error instead of finishing
 // the remaining work.
-func RunCtx(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts) (*Report, error) {
+func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -157,7 +152,7 @@ func RunCtx(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Co
 	if err != nil {
 		return nil, err
 	}
-	regions, deg, err := SimulateRegionsOptCtx(ctx, sel, simCfg, SimOpts{
+	regions, deg, err := SimulateRegions(ctx, sel, simCfg, SimOpts{
 		Width:         opts.width(),
 		Degraded:      opts.Degraded,
 		Attempts:      opts.Retries,
@@ -186,7 +181,6 @@ func RunCtx(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Co
 			return nil, err
 		}
 		sim.Seed = cfg.Seed
-		sim.SlowPath = cfg.SlowPath // no-op today: full runs are entirely detailed
 		full, err := sim.SimulateFull()
 		if err != nil {
 			return nil, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)

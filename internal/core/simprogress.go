@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"looppoint/internal/artifact"
@@ -50,9 +49,9 @@ func simFingerprint(sel *Selection, simCfg timing.Config) string {
 	for _, lp := range sel.Points {
 		bounds = fmt.Appendf(bounds, "|%d:%d:%d", lp.Region.Index, lp.Region.StartICount, lp.Region.EndICount)
 	}
-	sig := fmt.Sprintf("v%d|%s|sim=%+v|warmup=%d|wregions=%d|mode=%d|seed=%d|slow=%v|points=%s",
+	sig := fmt.Sprintf("v%d|%s|sim=%+v|warmup=%d|wregions=%d|mode=%d|seed=%d|points=%s",
 		progressVersion, progressFingerprint(a.Prog, &cfg), simCfg,
-		cfg.Warmup, cfg.WarmupRegions, cfg.RegionSim, cfg.Seed, cfg.SlowPath, bounds)
+		cfg.Warmup, cfg.WarmupRegions, cfg.RegionSim, cfg.Seed, bounds)
 	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
 }
 
@@ -63,10 +62,7 @@ type simProgress struct {
 	fp        string
 	ps        *ProgressStats
 	recovered map[int]RegionResult
-
-	mu   sync.Mutex
-	f    *os.File
-	dead bool
+	j         *artifact.Journal // nil when the file could not be opened
 }
 
 // openSimProgress opens (creating if needed) the sweep's journal and
@@ -75,7 +71,7 @@ type simProgress struct {
 func openSimProgress(sel *Selection, simCfg timing.Config) *simProgress {
 	a := sel.Analysis
 	cfg := a.Config
-	if cfg.ProgressDir == "" || a.Prog == nil || cfg.SlowPath {
+	if cfg.ProgressDir == "" || a.Prog == nil {
 		return nil
 	}
 	if err := os.MkdirAll(cfg.ProgressDir, 0o755); err != nil {
@@ -88,13 +84,8 @@ func openSimProgress(sel *Selection, simCfg timing.Config) *simProgress {
 	}
 	path := progressBase(cfg.ProgressDir, a.Prog, &cfg) + ".sim.progress"
 	sp.load(path, sel)
-	if err := artifact.RepairTornTail(path); err == nil {
-		if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-			sp.f = f
-		}
-	}
-	if sp.f == nil {
-		sp.dead = true
+	if j, err := artifact.OpenJournal(path); err == nil {
+		sp.j = j
 	}
 	return sp
 }
@@ -181,19 +172,7 @@ func (sp *simProgress) record(i int, res RegionResult) {
 		return
 	}
 	faults.CorruptBytes("core.progress.save", line)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.dead {
-		sp.ps.countSaveFailure()
-		return
-	}
-	if _, err := sp.f.Write(append(line, '\n')); err != nil {
-		sp.dead = true
-		sp.ps.countSaveFailure()
-		return
-	}
-	if err := sp.f.Sync(); err != nil {
-		sp.dead = true
+	if sp.j == nil || sp.j.AppendLine(line) != nil {
 		sp.ps.countSaveFailure()
 		return
 	}
@@ -202,8 +181,8 @@ func (sp *simProgress) record(i int, res RegionResult) {
 
 // close releases the journal's file handle.
 func (sp *simProgress) close() {
-	if sp == nil || sp.f == nil {
+	if sp == nil || sp.j == nil {
 		return
 	}
-	sp.f.Close()
+	sp.j.Close()
 }

@@ -248,8 +248,8 @@ func TestBlockTierMatchesInstrOracle(t *testing.T) {
 
 // TestBlockTierMatchesInstrOracleOnReplay: the same identity through the
 // production attach points — a constrained replay routes the builder to
-// the block tier, and wrapping OnInstr (what Config.SlowPath does) forces
-// the reference.
+// the block tier, and wrapping OnInstr in an ObserverFunc hides OnBlock,
+// forcing the reference.
 func TestBlockTierMatchesInstrOracleOnReplay(t *testing.T) {
 	for name, w := range testRecordings(t) {
 		ob := NewBuilder(w.prog, w.prog.NumThreads())

@@ -85,8 +85,9 @@ type Graph struct {
 // Builder constructs a Graph while a program runs. It observes on the
 // block tier (OnBlock) — cheap enough to ride the recording run itself,
 // which is where core.Analyze attaches it — and keeps the per-instruction
-// OnInstr as the reference the block tier is tested against (and what
-// Config.SlowPath drives through a replay).
+// OnInstr as the reference the block tier is tested against (block_test.go
+// here and the identity suites of internal/core drive it through a replay
+// of a bare recording).
 type Builder struct {
 	g   *Graph
 	cur []*isa.Block   // last block per thread, nil right after a call
@@ -256,9 +257,6 @@ func (g *Graph) Edges() []*Edge {
 	})
 	return out
 }
-
-// NumNodes returns the number of executed basic blocks.
-func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
 func (g *Graph) String() string {
 	return fmt.Sprintf("dcfg{%d nodes, %d edges}", len(g.Nodes), len(g.edges))

@@ -157,19 +157,7 @@ func (m *Machine) blockMode() bool {
 // entry frame) surface as a *ExecError wrapping ErrMachine.
 func (m *Machine) Run(opts RunOpts) (err error) {
 	defer Recover(&err)
-	return m.run(opts, m.blockMode())
-}
-
-// RunBlocks is Run with block-batched dispatch forced on: every retired
-// batch is delivered to the machine's BlockObservers as one coalesced
-// BlockEvent. Per-instruction observers, if any, still fire exactly —
-// the batches are then assembled from the precise Step path.
-func (m *Machine) RunBlocks(opts RunOpts) (err error) {
-	defer Recover(&err)
-	return m.run(opts, true)
-}
-
-func (m *Machine) run(opts RunOpts, blocks bool) error {
+	blocks := m.blockMode()
 	q := opts.Quantum
 	if q <= 0 {
 		q = 64

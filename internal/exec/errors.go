@@ -15,7 +15,7 @@ var ErrMachine = errors.New("exec: machine fault")
 // hot loops cannot thread error returns through every instruction
 // without losing their shape, so faults travel as a panic of this type
 // and are converted back into an ordinary error by Recover at each
-// public API boundary (exec.Run/RunBlocks/RunSchedule and the pinball
+// public API boundary (exec.Run/RunSchedule and the pinball
 // and timing entry points). Programmer-error panics — plain strings,
 // other types — are not intercepted and still crash loudly.
 type ExecError struct {

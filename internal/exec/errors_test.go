@@ -32,8 +32,7 @@ func oobProgram(t *testing.T) *isa.Program {
 func TestMachineFaultIsTypedError(t *testing.T) {
 	p := oobProgram(t)
 	drivers := map[string]func(m *Machine) error{
-		"Run":       func(m *Machine) error { return m.Run(RunOpts{}) },
-		"RunBlocks": func(m *Machine) error { return m.RunBlocks(RunOpts{}) },
+		"Run": func(m *Machine) error { return m.Run(RunOpts{}) },
 		"RunSchedule": func(m *Machine) error {
 			return m.RunSchedule(Schedule{{Tid: 0, N: 8}})
 		},

@@ -142,12 +142,6 @@ func NewMachine(p *isa.Program, seed uint64) *Machine {
 // observers keep receiving coalesced events assembled from it.
 func (m *Machine) AddObserver(o Observer) { m.observers = append(m.observers, o) }
 
-// RemoveObservers drops all registered observers, both tiers.
-func (m *Machine) RemoveObservers() {
-	m.observers = nil
-	m.blockObservers = nil
-}
-
 // Done reports whether every thread has halted.
 func (m *Machine) Done() bool {
 	for _, t := range m.Threads {
@@ -183,9 +177,6 @@ func (m *Machine) TotalICount() uint64 {
 
 // LoadWord reads one word of shared memory (for tests and runtime setup).
 func (m *Machine) LoadWord(addr uint64) uint64 { return m.Mem[addr] }
-
-// StoreWord writes one word of shared memory.
-func (m *Machine) StoreWord(addr, v uint64) { m.Mem[addr] = v }
 
 // Step executes one instruction of thread tid. It returns the event
 // describing the instruction and whether an instruction was retired.

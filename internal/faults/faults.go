@@ -299,9 +299,6 @@ func Enable(p *Plan) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Disable removes any active plan.
-func Disable() { active.Store(nil) }
-
 // Enabled reports whether a plan is active.
 func Enabled() bool { return active.Load() != nil }
 

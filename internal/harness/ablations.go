@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"looppoint/internal/core"
@@ -46,7 +47,7 @@ func (e *Evaluator) runVariant(name string, policy omp.WaitPolicy, label string,
 	cfg := e.Opts.config()
 	mutate(&cfg)
 	e.logf("ablation %s: %s", name, label)
-	rep, err := core.Run(app.Prog, cfg, timing.Gainestown(app.Prog.NumThreads()),
+	rep, err := core.Run(context.TODO(), app.Prog, cfg, timing.Gainestown(app.Prog.NumThreads()),
 		core.RunOpts{SimulateFull: true, Width: e.Opts.Parallelism})
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("harness: ablation %s/%s: %w", name, label, err)
@@ -211,7 +212,7 @@ func (e *Evaluator) AblationPrefetcher() (*AblationResult, error) {
 		simCfg := timing.Gainestown(app.Prog.NumThreads())
 		simCfg.PrefetchNextLines = lines
 		e.logf("ablation %s: prefetch %d lines", appName, lines)
-		rep, err := core.Run(app.Prog, e.Opts.config(), simCfg,
+		rep, err := core.Run(context.TODO(), app.Prog, e.Opts.config(), simCfg,
 			core.RunOpts{SimulateFull: true, Width: e.Opts.Parallelism})
 		if err != nil {
 			return AblationRow{}, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"looppoint/internal/baselines"
 	"looppoint/internal/core"
 	"looppoint/internal/exec"
@@ -52,7 +53,8 @@ func (e *Evaluator) NaiveSimPoint() (*NaiveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			nres, err := core.SimulateRegionsN(nsel, timing.Gainestown(app.Prog.NumThreads()), e.Opts.Parallelism)
+			nres, _, err := core.SimulateRegions(context.TODO(), nsel, timing.Gainestown(app.Prog.NumThreads()),
+				core.SimOpts{Width: e.Opts.Parallelism})
 			if err != nil {
 				return nil, err
 			}

@@ -110,55 +110,6 @@ func TestReportSingleflightNoStampede(t *testing.T) {
 	}
 }
 
-// TestReportsIdenticalAcrossEnginePaths pins the other axis of the
-// determinism guarantee: the block-batched fast path and the
-// per-instruction reference engine must render byte-identical figures
-// and produce an identical extrapolated prediction. Together with
-// TestReportsDeterministicAcrossParallelism this means neither -j nor
-// -slowpath may change any model-derived output.
-func TestReportsIdenticalAcrossEnginePaths(t *testing.T) {
-	type outcome struct {
-		fig5a string
-		fig9  string
-		pred  core.Prediction
-	}
-	run := func(slow bool) outcome {
-		opts := smokeOpts()
-		opts.Parallelism = 4
-		opts.SlowPath = slow
-		e := NewEvaluator(opts)
-		f5, err := e.Fig5a()
-		if err != nil {
-			t.Fatalf("slow=%v: Fig5a: %v", slow, err)
-		}
-		f9, err := e.Fig9()
-		if err != nil {
-			t.Fatalf("slow=%v: Fig9: %v", slow, err)
-		}
-		rep, err := e.Report(ReportKey{
-			App: "603.bwaves_s.1", Policy: omp.Active, Input: e.Opts.trainInput(),
-			Threads: e.Opts.Threads, Full: true,
-		})
-		if err != nil {
-			t.Fatalf("slow=%v: Report: %v", slow, err)
-		}
-		return outcome{fig5a: f5.Render(), fig9: f9.Render(), pred: rep.Predicted}
-	}
-
-	fast, slow := run(false), run(true)
-	if fast.fig5a != slow.fig5a {
-		t.Errorf("Fig5a render differs between engine paths:\n--- fast\n%s\n--- slow\n%s",
-			fast.fig5a, slow.fig5a)
-	}
-	if fast.fig9 != slow.fig9 {
-		t.Errorf("Fig9 render differs between engine paths")
-	}
-	if fast.pred != slow.pred {
-		t.Errorf("prediction differs between engine paths:\nfast: %+v\nslow: %+v",
-			fast.pred, slow.pred)
-	}
-}
-
 // TestReportCtxCancelledFailsFast: a cancelled context fails the
 // evaluation before any work (or journaling) happens, and the failure is
 // not cached — a later call with a live context evaluates normally.

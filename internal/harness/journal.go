@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"looppoint/internal/artifact"
@@ -26,9 +26,9 @@ import (
 // Lines that fail their checksum or do not parse are dropped silently:
 // a torn final line from a killed run must not poison the restart.
 //
-// ReportKey alone does not pin down a report's numbers — -slice, -seed,
-// -slowpath, and the degraded/retry knobs all change what an evaluation
-// produces without appearing in the key. Each record therefore also
+// ReportKey alone does not pin down a report's numbers — -slice, -seed
+// and the degraded/retry knobs all change what an evaluation produces
+// without appearing in the key. Each record therefore also
 // carries a fingerprint of the evaluator configuration it was computed
 // under, and resume skips (with a warning) records whose fingerprint
 // does not match the current run instead of silently serving numbers
@@ -40,11 +40,12 @@ import (
 // and the fingerprinted config gained the selection-engine knobs.
 // v3: the core config grew the durable-progress fields (excluded from
 // the fingerprint below, but they shift the %+v rendering).
-const journalConfigVersion = 3
+// v4: the core config lost its reference-engine switch.
+const journalConfigVersion = 4
 
 // configFingerprint hashes the evaluator configuration that determines a
 // report's numbers beyond its ReportKey: the resolved core config
-// (slice unit, seed, slow path, …) plus the degraded-mode and retry
+// (slice unit, seed, …) plus the degraded-mode and retry
 // knobs. Threads and input are omitted — they are part of every
 // ReportKey — as are Parallelism, Quick, Log, and Resume, which cannot
 // change report bytes. The durable-progress knobs are zeroed first:
@@ -141,9 +142,7 @@ type journalRecord struct {
 // journal appends completed evaluations to a JSONL file.
 type journal struct {
 	config string // fingerprint stamped on every appended record
-	mu     sync.Mutex
-	f      *os.File
-	dead   bool // a write failed; stop appending, keep evaluating
+	j      *artifact.Journal
 }
 
 // loadJournal parses an existing journal file into rehydrated reports.
@@ -191,55 +190,30 @@ func loadJournal(path, config string) (restored map[string]*core.Report, dropped
 }
 
 // openJournal opens (creating if needed) the journal for appending
-// records stamped with the given config fingerprint. A final line torn
-// by a mid-write kill is truncated away first (artifact.RepairTornTail,
-// crash-safe), so the next append starts on a fresh line instead of
-// corrupt-concatenating with the torn bytes (which would lose both the
-// torn record and the new one).
+// records stamped with the given config fingerprint.
 func openJournal(path, config string) (*journal, error) {
-	if err := artifact.RepairTornTail(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := artifact.OpenJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	return &journal{config: config, f: f}, nil
+	return &journal{config: config, j: j}, nil
 }
 
-// append writes one completed evaluation. The line is checksummed so a
-// restart can reject records torn by a mid-write kill, and fsynced so a
-// SIGKILL right after a drain checkpoint (the serving layer journals
-// in-flight work on SIGTERM) never loses an acknowledged record to the
-// page cache.
+// append writes one completed evaluation, durably: a SIGKILL right after
+// a drain checkpoint (the serving layer journals in-flight work on
+// SIGTERM) never loses an acknowledged record to the page cache. The
+// first failed write is returned; after it the journal stops appending
+// while the evaluator keeps evaluating, so later calls report nothing.
 func (j *journal) append(key string, rep *core.Report) error {
 	rec, err := json.Marshal(journalRecord{Key: key, Config: j.config, Report: newReportData(rep)})
 	if err != nil {
 		return err
 	}
-	line, err := artifact.ChecksumLine(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return nil
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		j.dead = true
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.dead = true
-		return err
+	if err := j.j.Append(rec); !errors.Is(err, artifact.ErrJournalDead) {
+		return err // nil, or the write that killed the journal
 	}
 	return nil
 }
 
 // Close releases the journal's file handle.
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *journal) Close() error { return j.j.Close() }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
 	"looppoint/internal/core"
 	"looppoint/internal/stats"
@@ -141,11 +142,18 @@ func TestJournalAppendWithoutRepairLosesBoth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := &journal{config: config, f: f}
-	if err := raw.append("c", stubReport("c", 3, 3)); err != nil {
+	rec, err := json.Marshal(journalRecord{Key: "c", Config: config, Report: newReportData(stubReport("c", 3, 3))})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Close(); err != nil {
+	line, err := artifact.ChecksumLine(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	restored, dropped, _, err := loadJournal(path, config)

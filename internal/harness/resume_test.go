@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"looppoint/internal/faults"
@@ -142,7 +144,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 
 // TestResumeJournalRejectsConfigMismatch: a journal written under one
 // evaluator configuration must not satisfy a resume under another —
-// -slice (like -seed or -slowpath) changes every report's numbers
+// -slice (like -seed) changes every report's numbers
 // without appearing in the ReportKey, so rehydrating across it would
 // silently serve wrong tables.
 func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
@@ -179,6 +181,48 @@ func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
 	defer e3.Close()
 	if e3.Restored() != 1 {
 		t.Errorf("restored %d reports under the original config, want 1", e3.Restored())
+	}
+}
+
+// TestResumeSkipsV3Journal: testdata/journal_v3.jsonl is a real journal
+// the parent of the PR that removed the engine switch wrote (schema v3,
+// smokeOpts, resumeKeys[0]). Its line still verifies and still parses —
+// the record schema did not change — so only the config fingerprint
+// stands between it and this build: it must count as mismatched, not be
+// dropped as corrupt and not be served.
+func TestResumeSkipsV3Journal(t *testing.T) {
+	v3, err := os.ReadFile(filepath.Join("testdata", "journal_v3.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(jpath, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := smokeOpts()
+	restored, dropped, mismatched, err := loadJournal(jpath, configFingerprint(opts.fill()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored) != 0 || dropped != 0 || mismatched != 1 {
+		t.Fatalf("v3 journal: restored %d dropped %d mismatched %d, want 0/0/1", len(restored), dropped, mismatched)
+	}
+
+	var log bytes.Buffer
+	opts.Resume, opts.Log = jpath, &log
+	e := NewEvaluator(opts)
+	defer e.Close()
+	if e.Restored() != 0 {
+		t.Fatalf("restored %d reports from a v3 journal, want 0", e.Restored())
+	}
+	if !strings.Contains(log.String(), "skipped 1 journal record(s)") {
+		t.Errorf("resume did not report the skipped v3 record:\n%s", log.String())
+	}
+	if _, err := e.Report(resumeKeys(e)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Evaluations(); n != 1 {
+		t.Errorf("evaluations = %d, want 1 (the v3 record must not satisfy the cache)", n)
 	}
 }
 

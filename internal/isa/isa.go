@@ -380,18 +380,6 @@ func (p *Program) Alloc(name string, n uint64) uint64 {
 	return addr
 }
 
-// AllocUnaligned reserves n words without cache-line padding, for workloads
-// that deliberately construct false sharing.
-func (p *Program) AllocUnaligned(name string, n uint64) uint64 {
-	if _, dup := p.symbols[name]; dup {
-		panic(fmt.Sprintf("isa: duplicate symbol %q", name))
-	}
-	addr := p.brk
-	p.symbols[name] = addr
-	p.brk += n
-	return addr
-}
-
 // Symbol returns the address of a previously allocated symbol.
 func (p *Program) Symbol(name string) (uint64, bool) {
 	a, ok := p.symbols[name]

@@ -176,34 +176,6 @@ func (pb *Pinball) verifyFinal(m *exec.Machine) error {
 	return nil
 }
 
-// ReplayUntil replays the pinball until the given marker fires (or to the
-// end if it never does) and returns the machine positioned there, the
-// number of schedule steps consumed, and the per-thread syscall positions
-// consumed. It does not check the final checksum (the replay is partial).
-func (pb *Pinball) ReplayUntil(p *isa.Program, marker bbv.Marker, observers ...exec.Observer) (*exec.Machine, uint64, []int, error) {
-	if err := pb.Verify(); err != nil {
-		return nil, 0, nil, err
-	}
-	m := exec.NewMachine(p, 0)
-	m.Restore(pb.Start)
-	replay := exec.NewReplayOS(pb.Syscalls)
-	m.OS = replay
-	w := bbv.NewWatcher(m, marker)
-	m.AddObserver(w)
-	for _, o := range observers {
-		m.AddObserver(o)
-	}
-	startIC := m.TotalICount()
-	if err := m.RunSchedule(pb.Schedule); err != nil {
-		return nil, 0, nil, fmt.Errorf("pinball %s: %w", pb.Name, err)
-	}
-	if replay.Diverged {
-		return nil, 0, nil, fmt.Errorf("pinball %s: syscall log exhausted during partial replay", pb.Name)
-	}
-	steps := m.TotalICount() - startIC
-	return m, steps, replay.Positions(), nil
-}
-
 // RecordRegion extracts a region pinball from a whole-program pinball:
 // the snapshot is taken at the warmup-start marker (equal to the region
 // start when no warmup prefix is requested), and the schedule and syscall

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/core"
 	"looppoint/internal/faults"
 	"looppoint/internal/pool"
@@ -976,33 +977,19 @@ func (s *Server) cancelActive() []*job {
 	return jobs
 }
 
-// writePendingCheckpoint writes the drain checkpoint crash-safely:
-// temp file, fsync BEFORE the atomic rename, so a SIGKILL mid-drain
-// leaves either no checkpoint or a complete one — never a torn file.
+// writePendingCheckpoint writes the drain checkpoint — plain JSONL, one
+// PendingJob per line — crash-safely (artifact.WriteFileDurable), so a
+// SIGKILL mid-drain leaves either no checkpoint or a complete one — never
+// a torn file.
 func writePendingCheckpoint(path string, pending []PendingJob) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, p := range pending {
 		if err := enc.Encode(p); err != nil {
-			f.Close()
-			os.Remove(tmp)
 			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return artifact.WriteFileDurable(path, buf.Bytes())
 }
 
 // LoadPendingCheckpoint reads a drain checkpoint back — the resubmission

@@ -71,7 +71,7 @@ func BenchmarkClusterSlow(b *testing.B) {
 	w := ones(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(vecs, w, Options{MaxK: 20, Seed: 1, Slow: true}); err != nil {
+		if _, err := ClusterSlow(vecs, w, Options{MaxK: 20, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,7 +146,7 @@ func TestClusterFastSlowIdentityFuzz(t *testing.T) {
 			weights[i] = float64(1 + rng.intn(10_000))
 		}
 
-		slow, err := Cluster(vectors, weights, Options{MaxK: maxK, Seed: seed, Slow: true})
+		slow, err := ClusterSlow(vectors, weights, Options{MaxK: maxK, Seed: seed})
 		if err != nil {
 			t.Fatalf("trial %d: slow: %v", trial, err)
 		}
@@ -189,7 +189,7 @@ func TestClusterMaxKGreaterThanN(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		vecs, _ := blobs(n, min(n, 2), 6, 3)
 		w := ones(n)
-		slow, err := Cluster(vecs, w, Options{MaxK: 50, Seed: 2, Slow: true})
+		slow, err := ClusterSlow(vecs, w, Options{MaxK: 50, Seed: 2})
 		if err != nil {
 			t.Fatalf("n=%d slow: %v", n, err)
 		}
@@ -219,7 +219,11 @@ func TestClusterDuplicatePointsCompact(t *testing.T) {
 		vecs[i] = []float64{4, 4, 4, 4}
 	}
 	for _, slow := range []bool{false, true} {
-		res, err := Cluster(vecs, ones(12), Options{MaxK: 5, Seed: 11, Slow: slow})
+		engine := Cluster
+		if slow {
+			engine = ClusterSlow
+		}
+		res, err := engine(vecs, ones(12), Options{MaxK: 5, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +290,7 @@ func TestClusterGoldenSelections(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("n%d-k%d", tc.n, tc.trueK), func(t *testing.T) {
 			vecs, _ := blobs(tc.n, tc.trueK, tc.dims, tc.seed)
-			slow, err := Cluster(vecs, ones(tc.n), Options{MaxK: tc.maxK, Seed: tc.seed, Slow: true})
+			slow, err := ClusterSlow(vecs, ones(tc.n), Options{MaxK: tc.maxK, Seed: tc.seed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,11 +11,11 @@
 // projection-matrix rows so each touched row is hashed exactly once,
 // accelerates Lloyd's iterations with Hamerly-style triangle-inequality
 // bounds over flat contiguous arrays, and fans the k=1..maxK BIC sweep
-// out over a worker pool. The naive reference path (ProjectRegionsSlow,
-// KMeansSlow, Options.Slow) is the original straight-line implementation.
-// Both produce byte-identical Results for the same inputs and seeds —
-// pinned by the identity tests — so selections, resume journals, and
-// golden files are interchangeable between them.
+// out over a worker pool. The naive reference (slowpath.go:
+// ProjectRegionsSlow, KMeansSlow, ClusterSlow) is the original
+// straight-line implementation, kept as the oracle the identity tests
+// compare the fast engine against byte for byte; nothing but tests calls
+// it.
 package simpoint
 
 import (
@@ -221,11 +221,6 @@ type Options struct {
 	// its own seed, and attempts are gathered by k, so the Result is
 	// byte-identical at every width.
 	Workers int
-	// Slow forces the naive reference path: serial sweep over KMeansSlow
-	// with no triangle-inequality acceleration. Output is identical to
-	// the fast path (the identity tests pin this); the flag exists for
-	// cross-checking and for the -slowpath plumbing.
-	Slow bool
 }
 
 func (o *Options) fill() {
@@ -258,6 +253,35 @@ type attempt struct {
 // and attempts are collected by k before the BIC threshold scan, so the
 // chosen k, assignments, and scores do not depend on the width.
 func Cluster(vectors [][]float64, weights []float64, opts Options) (*Result, error) {
+	return cluster(vectors, weights, opts, fastSweep)
+}
+
+// fastSweep runs the k=1..maxK k-means attempts on the worker pool over
+// one flat copy of the vectors.
+func fastSweep(vectors [][]float64, maxK int, varFloor float64, opts Options) ([]attempt, error) {
+	n, dims := len(vectors), len(vectors[0])
+	flat := make([]float64, n*dims)
+	for i, v := range vectors {
+		copy(flat[i*dims:(i+1)*dims], v)
+	}
+	attempts, err := pool.Map(context.Background(), opts.Workers, maxK,
+		func(_ context.Context, i int) (attempt, error) {
+			k := i + 1
+			assign, cents, dist := kmeansFast(flat, n, dims, k, opts.Seed+uint64(k), opts.MaxIter)
+			return attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist}, nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("simpoint: BIC sweep: %w", err)
+	}
+	return attempts, nil
+}
+
+// cluster is Cluster around a given k-sweep: input checks, the variance
+// floor, the BIC threshold scan and representative selection are one
+// code path; only how the per-k attempts are produced differs between
+// the product (fastSweep) and the reference (ClusterSlow).
+func cluster(vectors [][]float64, weights []float64, opts Options,
+	sweep func(vectors [][]float64, maxK int, varFloor float64, opts Options) ([]attempt, error)) (*Result, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("simpoint: no regions to cluster")
 	}
@@ -288,28 +312,9 @@ func Cluster(vectors [][]float64, weights []float64, opts Options) (*Result, err
 		varFloor = 1e-12
 	}
 
-	var attempts []attempt
-	if opts.Slow {
-		for k := 1; k <= maxK; k++ {
-			assign, cents, dist := KMeansSlow(vectors, k, opts.Seed+uint64(k), opts.MaxIter)
-			attempts = append(attempts, attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist})
-		}
-	} else {
-		dims := len(vectors[0])
-		flat := make([]float64, n*dims)
-		for i, v := range vectors {
-			copy(flat[i*dims:(i+1)*dims], v)
-		}
-		var err error
-		attempts, err = pool.Map(context.Background(), opts.Workers, maxK,
-			func(_ context.Context, i int) (attempt, error) {
-				k := i + 1
-				assign, cents, dist := kmeansFast(flat, n, dims, k, opts.Seed+uint64(k), opts.MaxIter)
-				return attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist}, nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("simpoint: BIC sweep: %w", err)
-		}
+	attempts, err := sweep(vectors, maxK, varFloor, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	best := math.Inf(-1)

@@ -8,9 +8,10 @@ import (
 )
 
 // This file is the naive reference implementation of the clustering
-// pipeline — the exact code the fast engine replaced, kept as the
-// -slowpath cross-check (the same playbook the block-batched execution
-// fast path followed). The identity tests assert the two paths produce
+// pipeline — the exact code the fast engine replaced, kept as a test
+// oracle (the same playbook the block-batched execution fast path
+// followed). No product path reaches it: the identity tests here and the
+// pipeline-vs-oracles test in internal/core call it directly and assert
 // byte-identical projections and Results; any divergence is a bug in the
 // fast engine, never an accepted behaviour change.
 
@@ -185,4 +186,21 @@ func KMeansSlow(vectors [][]float64, k int, seed uint64, maxIter int) ([]int, []
 		dist += sqDist(v, cents[assign[i]])
 	}
 	return assign, cents, dist
+}
+
+// ClusterSlow is the naive reference for Cluster: a serial k=1..maxK
+// sweep over KMeansSlow, with no flat copy, no triangle-inequality
+// bounds and no worker pool (Options.Workers is ignored). The Result is
+// byte-identical to Cluster's.
+func ClusterSlow(vectors [][]float64, weights []float64, opts Options) (*Result, error) {
+	return cluster(vectors, weights, opts, slowSweep)
+}
+
+func slowSweep(vectors [][]float64, maxK int, varFloor float64, opts Options) ([]attempt, error) {
+	var attempts []attempt
+	for k := 1; k <= maxK; k++ {
+		assign, cents, dist := KMeansSlow(vectors, k, opts.Seed+uint64(k), opts.MaxIter)
+		attempts = append(attempts, attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist})
+	}
+	return attempts, nil
 }

@@ -161,11 +161,3 @@ func (c *Cache) Invalidate(addr uint64) {
 		ways[i].key = 0
 	}
 }
-
-// MissRatio returns misses/accesses (0 when idle).
-func (c *Cache) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}

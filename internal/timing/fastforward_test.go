@@ -52,7 +52,7 @@ func TestSimulateRegionFastSlowIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SlowPath = slow
+				s.perInstrWarmup = slow
 				st, err := s.SimulateRegion(start, end, warm)
 				if err != nil {
 					t.Fatalf("SimulateRegion(slow=%v, %v..%v): %v", slow, start, end, err)
@@ -134,7 +134,7 @@ func TestSimulateCheckpointFastSlowIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SlowPath = slow
+		s.perInstrWarmup = slow
 		st, err := s.SimulateCheckpoint(rps[0])
 		if err != nil {
 			t.Fatalf("SimulateCheckpoint(slow=%v): %v", slow, err)

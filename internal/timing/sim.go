@@ -40,11 +40,13 @@ type Simulator struct {
 	Trace *IPCTrace
 	// MaxSteps bounds any single simulation (0 = default safety cap).
 	MaxSteps uint64
-	// SlowPath forces region simulations onto the per-instruction
-	// reference engine instead of the block-batched fast-forward.
-	// Results are identical either way (the equivalence is pinned by
-	// tests); the flag exists for verification and debugging.
-	SlowPath bool
+
+	// perInstrWarmup is the in-package test hook that keeps the
+	// per-instruction warm-up loop comparable: set, runMarked skips the
+	// block-batched fast-forward and warms through the reference loop
+	// below it (fastforward_test.go pins the two bit-identical). Nothing
+	// outside this package's tests sets it.
+	perInstrWarmup bool
 
 	// sys is the timing-state arena, reused across simulations: the
 	// first run pays the allocation wave (cache backing arrays,
@@ -65,7 +67,7 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 }
 
 // Reset re-points the Simulator at a new program and restores New's
-// defaults (seed, step cap, no trace, fast path) while keeping the
+// defaults (seed, step cap, no trace) while keeping the
 // timing-state arenas for reuse — the region-restart path a sampling
 // worker takes between pinballs. It performs the same validation as
 // New: after a successful Reset the Simulator behaves exactly as a
@@ -81,7 +83,6 @@ func (s *Simulator) Reset(prog *isa.Program) error {
 	s.Seed = 1
 	s.Trace = nil
 	s.MaxSteps = 2_000_000_000
-	s.SlowPath = false
 	return nil
 }
 
@@ -164,7 +165,7 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 	// land on the exact instructions the per-instruction engine would
 	// visit; marker PCs are break PCs, so their block entries arrive as
 	// single-instruction events.
-	if !inDetail && !s.SlowPath {
+	if !inDetail && !s.perInstrWarmup {
 		if !start.IsStart() && !start.IsICount() {
 			m.AddBreakPC(start.PC)
 		}

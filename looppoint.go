@@ -42,6 +42,7 @@
 package looppoint
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -170,7 +171,7 @@ func Evaluate(w *Workload, cfg Config, opts EvalOptions) (*Report, error) {
 	if opts.System != nil {
 		simCfg = *opts.System
 	}
-	return core.Run(w.App.Prog, cfg, simCfg, core.RunOpts{
+	return core.Run(context.TODO(), w.App.Prog, cfg, simCfg, core.RunOpts{
 		SimulateFull: opts.CompareFull,
 		Parallel:     !opts.Serial,
 		Width:        opts.Parallelism,

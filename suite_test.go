@@ -1,6 +1,7 @@
 package looppoint
 
 import (
+	"context"
 	"testing"
 
 	"looppoint/internal/core"
@@ -33,7 +34,7 @@ func TestEveryWorkloadEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: build: %v", policy, err)
 				}
-				rep, err := core.Run(app.Prog, cfg, timing.Gainestown(app.Prog.NumThreads()),
+				rep, err := core.Run(context.Background(), app.Prog, cfg, timing.Gainestown(app.Prog.NumThreads()),
 					core.RunOpts{SimulateFull: true, Parallel: true})
 				if err != nil {
 					t.Fatalf("%v: run: %v", policy, err)
