@@ -41,7 +41,6 @@ func main() {
 		trace      = flag.Uint64("trace", 0, "emit an IPC trace sampled every N instructions")
 		checkpoint = flag.String("checkpoint", "", "simulate a saved region pinball, or every *.pinball in a directory (from lpprofile -save-regions); build flags must match the profiling run")
 		jobs       = flag.Int("j", 0, "worker-pool width for directory checkpoint simulation (0 = one worker per CPU)")
-		mmapLoad   = flag.Bool("mmap", false, "load pinballs through a read-only memory mapping (zero-copy fast path; falls back to a normal read where unsupported)")
 		constrain  = flag.Bool("constrained", false, "with -checkpoint: constrained replay instead of unconstrained simulation")
 		dumpTrace  = flag.String("dump-trace", "", "record the workload and write an instruction trace to this file (no timing simulation)")
 		fromTrace  = flag.String("from-trace", "", "run a timing-only simulation of a trace file (-n selects the core count; no workload executes)")
@@ -53,10 +52,6 @@ func main() {
 		pprofHeap  = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	if *mmapLoad && !pinball.MmapSupported {
-		fmt.Fprintln(os.Stderr, "lpsim: -mmap is not supported on this platform; pinballs will be loaded through the copying loader (results are identical)")
-	}
 
 	// FAULTS_PLAN/FAULTS_SEED inject deterministic faults without
 	// recompiling (see internal/faults).
@@ -145,11 +140,11 @@ func main() {
 			simulateCheckpointDir(w, cfg, *checkpoint, dirOpts{
 				jobs: *jobs, constrain: *constrain,
 				retries: *retries, regionTimeout: *regionTO, minCoverage: *minCov,
-				confidence: *confid, mmap: *mmapLoad,
+				confidence: *confid,
 			})
 			return
 		}
-		pb, err := loadPinball(*checkpoint, *mmapLoad)
+		pb, err := pinball.Load(*checkpoint)
 		if err != nil {
 			fail(err)
 		}
@@ -204,16 +199,6 @@ type dirOpts struct {
 	regionTimeout time.Duration
 	minCoverage   float64
 	confidence    float64
-	mmap          bool
-}
-
-// loadPinball loads one pinball via the flag-selected path: the default
-// copying loader, or the zero-copy mapped loader under -mmap.
-func loadPinball(path string, mmap bool) (*pinball.Pinball, error) {
-	if mmap {
-		return pinball.LoadMapped(path)
-	}
-	return pinball.Load(path)
 }
 
 // simulateCheckpointDir simulates every region pinball in dir on a
@@ -248,11 +233,10 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 	wall := time.Now()
 
 	// Stage 1: load every pinball concurrently on the same worker width
-	// (decode is CPU work worth parallelizing since the slab fast path;
-	// -mmap additionally skips the file-buffer copy). A pinball that
-	// fails to load is quarantined here and skipped by the simulate
-	// stage; results stay index-ordered, so reports print in name order
-	// no matter which worker finished first.
+	// (decode is CPU work worth parallelizing since the slab fast path).
+	// A pinball that fails to load is quarantined here and skipped by the
+	// simulate stage; results stay index-ordered, so reports print in name
+	// order no matter which worker finished first.
 	type loaded struct {
 		pb   *pinball.Pinball
 		host time.Duration
@@ -264,7 +248,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 	},
 		func(_ context.Context, i int) (loaded, error) {
 			start := time.Now()
-			pb, err := loadPinball(files[i], opts.mmap)
+			pb, err := pinball.Load(files[i])
 			if err != nil {
 				return loaded{}, err
 			}

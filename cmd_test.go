@@ -120,13 +120,17 @@ func TestCmdCheckpointWorkflow(t *testing.T) {
 			t.Fatalf("lpsim directory checkpoint output missing %q:\n%s", want, dirSim)
 		}
 	}
-	// The zero-copy mapped loader must report the same per-file results
-	// as the copying loader, in the same name order, at any -j width.
-	mmapSim := goRun(t, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
-		"-checkpoint", dir, "-j", "2", "-mmap")
-	if reportLines(dirSim) != reportLines(mmapSim) {
-		t.Fatalf("-mmap directory sweep reports differ from the copying loader:\n--- copy:\n%s\n--- mmap:\n%s",
-			dirSim, mmapSim)
+	// The sweep must report the same per-file results, in the same name
+	// order, at any -j width.
+	narrowSim := goRun(t, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+		"-checkpoint", dir, "-j", "2")
+	if reportLines(dirSim) != reportLines(narrowSim) {
+		t.Fatalf("directory sweep reports differ between -j 4 and -j 2:\n--- -j 4:\n%s\n--- -j 2:\n%s",
+			dirSim, narrowSim)
+	}
+	// -mmap selected a second loader of identical output; it is gone.
+	if out, err := goRunEnv(nil, "./cmd/lpsim", "-mmap"); err == nil || !strings.Contains(out, "flag provided but not defined") {
+		t.Fatalf("lpsim -mmap: err = %v, want an undefined-flag exit:\n%s", err, out)
 	}
 }
 

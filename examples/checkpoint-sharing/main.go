@@ -35,31 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := sel.Analysis
-	var paths []string
+	paths, err := looppoint.ExportRegionPinballs(sel, dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var multipliers []float64
 	for _, lp := range sel.Points {
-		r := lp.Region
-		warm := r.StartICount
-		if r.Index > 0 {
-			warm = a.Profile.Regions[r.Index-1].StartICount
-		}
-		pbs, err := a.Pinball.ExtractRegions(a.Prog, []pinball.RegionSpec{{
-			Name:            fmt.Sprintf("r%d", r.Index),
-			WarmupStartStep: warm,
-			StartStep:       r.StartICount,
-			EndStep:         r.EndICount,
-			Start:           r.Start,
-			End:             r.End,
-		}})
-		if err != nil {
-			log.Fatal(err)
-		}
-		path := filepath.Join(dir, pbs[0].Name+".pinball")
-		if err := pbs[0].Save(path); err != nil {
-			log.Fatal(err)
-		}
-		paths = append(paths, path)
 		multipliers = append(multipliers, lp.Multiplier)
 	}
 	fmt.Printf("user A exported %d looppoint checkpoints to %s\n\n", len(paths), dir)

@@ -31,8 +31,6 @@ type Config struct {
 	SliceUnit uint64
 	// MaxK caps the number of clusters (paper: 50).
 	MaxK int
-	// Dims is the projected BBV dimensionality (paper: 100).
-	Dims int
 	// Seed drives every random choice (projection, k-means, OS model).
 	Seed uint64
 	// FlowWindow is the flow-control window (in instructions) used while
@@ -44,7 +42,7 @@ type Config struct {
 	// Warmup selects region-simulation warmup (perfect/functional by default).
 	Warmup timing.WarmupMode
 	// WarmupRegions is how many preceding regions a checkpoint-driven
-	// region simulation warms over (default 1; the paper assumes "a
+	// region simulation warms over (default 2; the paper assumes "a
 	// large enough warmup region added to the representative region").
 	WarmupRegions int
 	// RegionSim selects how looppoints are simulated (checkpoint-driven
@@ -97,15 +95,9 @@ type Config struct {
 	// SampleBudget is the total region-draw budget for multi-draw
 	// engines (0 = engine default; the medoid engine ignores it).
 	SampleBudget int
-	// PilotPerStratum is the stratified engine's phase-one pilot draw
-	// count per cluster (0 = simpoint.DefaultPilot).
-	PilotPerStratum int
 	// Confidence is the level for extrapolated confidence intervals
 	// (0 = simpoint.DefaultConfidence, i.e. 95%).
 	Confidence float64
-	// ProportionalAlloc switches the stratified engine from Neyman to
-	// proportional phase-two allocation (calibration ablation).
-	ProportionalAlloc bool
 }
 
 // DefaultConfig returns the paper's parameters at this repository's scale.
@@ -113,7 +105,6 @@ func DefaultConfig() Config {
 	return Config{
 		SliceUnit:         100_000,
 		MaxK:              simpoint.DefaultMaxK,
-		Dims:              simpoint.DefaultDims,
 		Seed:              42,
 		FlowWindow:        4096,
 		MarkerEntryBudget: 64,
@@ -128,9 +119,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxK == 0 {
 		c.MaxK = simpoint.DefaultMaxK
-	}
-	if c.Dims == 0 {
-		c.Dims = simpoint.DefaultDims
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -376,9 +364,9 @@ func Select(a *Analysis) (*Selection, error) {
 	regions := a.Profile.Regions
 	var vectors [][]float64
 	if cfg.SumBBVs {
-		vectors = simpoint.SumProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
+		vectors = simpoint.SumProjectRegionsN(regions, a.Profile.NumBlocks, simpoint.DefaultDims, cfg.Seed, cfg.ClusterWorkers)
 	} else {
-		vectors = simpoint.ProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
+		vectors = simpoint.ProjectRegionsN(regions, a.Profile.NumBlocks, simpoint.DefaultDims, cfg.Seed, cfg.ClusterWorkers)
 	}
 	engine := cfg.Selector
 	if engine == "" {
@@ -404,10 +392,7 @@ func selectFrom(a *Analysis, vectors [][]float64, sl simpoint.Selector) (*Select
 	}
 	sp, err := sl.Select(vectors, weights, simpoint.Options{
 		MaxK: cfg.MaxK, Seed: cfg.Seed, Workers: cfg.ClusterWorkers,
-	}, simpoint.SelectorOpts{
-		Budget: cfg.SampleBudget, Pilot: cfg.PilotPerStratum,
-		Proportional: cfg.ProportionalAlloc,
-	})
+	}, simpoint.SelectorOpts{Budget: cfg.SampleBudget})
 	if err != nil {
 		return nil, fmt.Errorf("core: selecting %s: %w", a.Prog.Name, err)
 	}

@@ -79,13 +79,14 @@ type SimOpts struct {
 	MinCoverage float64
 }
 
-// extractCheckpoints performs the one-sweep region-pinball extraction for
-// checkpoint-driven simulation (nil for binary-driven mode).
-func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
+// RegionSpecs describes every looppoint's region checkpoint for
+// pinball.ExtractRegions: the region's bounds and markers, with the
+// snapshot taken Config.WarmupRegions regions back under functional
+// warm-up (clamped at the program start) and at the region start under
+// WarmupNone. It is the one rule both the in-process sweep and exported
+// checkpoint files are cut by.
+func (sel *Selection) RegionSpecs() []pinball.RegionSpec {
 	a := sel.Analysis
-	if a.Config.RegionSim != RegionSimCheckpoint {
-		return nil, nil
-	}
 	warmupRegions := a.Config.WarmupRegions
 	if warmupRegions <= 0 {
 		warmupRegions = 1
@@ -110,7 +111,17 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 			End:             r.End,
 		}
 	}
-	checkpoints, err := a.Pinball.ExtractRegions(a.Prog, specs)
+	return specs
+}
+
+// extractCheckpoints performs the one-sweep region-pinball extraction for
+// checkpoint-driven simulation (nil for binary-driven mode).
+func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
+	a := sel.Analysis
+	if a.Config.RegionSim != RegionSimCheckpoint {
+		return nil, nil
+	}
+	checkpoints, err := a.Pinball.ExtractRegions(a.Prog, sel.RegionSpecs())
 	if err != nil {
 		return nil, fmt.Errorf("core: extracting region pinballs: %w", err)
 	}

@@ -150,7 +150,7 @@ func TestFastSlowPathsByteIdentical(t *testing.T) {
 				project = simpoint.SumProjectRegionsSlow
 			}
 			wantSel, err := selectFrom(want,
-				project(prof.Regions, prof.NumBlocks, want.Config.Dims, want.Config.Seed), naiveMedoid{})
+				project(prof.Regions, prof.NumBlocks, simpoint.DefaultDims, want.Config.Seed), naiveMedoid{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,8 +41,8 @@ func BenchmarkInterpreterWithObserver(b *testing.B) {
 
 // BenchmarkInterpreterBlockObserver measures the block-batched fast
 // path with a block observer attached — the configuration BBV profiling
-// and functional warmup run in. Compare against
-// BenchmarkInterpreterWithObserver for the per-instruction equivalent.
+// runs in. Compare against BenchmarkInterpreterWithObserver for the
+// per-instruction equivalent.
 func BenchmarkInterpreterBlockObserver(b *testing.B) {
 	p, _ := buildCounterProgram(b, 4, 1_000_000_000, omp.Passive)
 	m := NewMachine(p, 1)

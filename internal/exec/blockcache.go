@@ -19,11 +19,10 @@ import (
 //   - brk marks registered break PCs: entries execute one instruction at
 //     a time so (PC, count) markers fire at exact boundaries.
 type decodedBlock struct {
-	decoded   bool
-	brk       bool
-	aluLen    int
-	selfLoop  bool
-	selfTaken bool // BrCond outcome that re-enters the block (selfLoop && cond terminator)
+	decoded  bool
+	brk      bool
+	aluLen   int
+	selfLoop bool
 }
 
 // isComputeOp reports whether op is pure register work: no memory, no
@@ -55,20 +54,13 @@ func decodeBlock(d *decodedBlock, blk *isa.Block, blkIdx int, brk bool) {
 		d.aluLen++
 	}
 	d.selfLoop = false
-	d.selfTaken = false
 	term := &blk.Instrs[len(blk.Instrs)-1]
 	switch term.Op {
 	case isa.OpBr:
 		d.selfLoop = term.Target == blkIdx
 	case isa.OpBrCond:
-		// Coalescable only when exactly one edge re-enters the block:
-		// with Target == Else == blkIdx the outcome varies per pass and
-		// every pass must end its event to record it.
-		if term.Target == blkIdx && term.Else != blkIdx {
-			d.selfLoop, d.selfTaken = true, true
-		} else if term.Else == blkIdx && term.Target != blkIdx {
-			d.selfLoop, d.selfTaken = true, false
-		}
+		// Coalescable only when exactly one edge re-enters the block.
+		d.selfLoop = (term.Target == blkIdx) != (term.Else == blkIdx)
 	}
 }
 
@@ -132,15 +124,7 @@ func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
 	}
 	cb := t.cur.blk
 	blk := t.cur.rt.Blocks[cb]
-	// The decode-cache hit, by hand: a timing-driven caller steps symmetric
-	// threads one instruction an event, so the prologue is paid per
-	// instruction and decodedFor is too large to inline.
-	var d *decodedBlock
-	if g := blk.Global; g < len(m.dblocks) && m.dblocks[g].decoded {
-		d = &m.dblocks[g]
-	} else {
-		d = m.decodedFor(blk, cb)
-	}
+	d := m.decodedFor(blk, cb)
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {
@@ -216,29 +200,23 @@ passes:
 
 			case isa.OpILoad:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefLoad, Addr: a * 8})
 				t.R[in.Dst] = int64(m.Mem[a])
 			case isa.OpIStore:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefStore, Addr: a * 8})
 				m.Mem[a] = uint64(t.R[in.B])
 			case isa.OpFLoad:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefLoad, Addr: a * 8})
 				t.F[in.Dst] = math.Float64frombits(m.Mem[a])
 			case isa.OpFStore:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefStore, Addr: a * 8})
 				m.Mem[a] = math.Float64bits(t.F[in.B])
 			case isa.OpAtomicAdd:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefAtomic, Addr: a * 8})
 				old := int64(m.Mem[a])
 				m.Mem[a] = uint64(old + t.R[in.B])
 				t.R[in.Dst] = old
 			case isa.OpCmpXchg:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefAtomic, Addr: a * 8})
 				if int64(m.Mem[a]) == t.R[in.B] {
 					m.Mem[a] = uint64(t.R[in.Dst])
 					t.R[in.Dst] = 1
@@ -247,7 +225,6 @@ passes:
 				}
 			case isa.OpXchg:
 				a := m.effAddr(t, in)
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefAtomic, Addr: a * 8})
 				old := int64(m.Mem[a])
 				m.Mem[a] = uint64(t.R[in.B])
 				t.R[in.Dst] = old
@@ -270,15 +247,9 @@ passes:
 					nxt = in.Target
 				}
 				t.cur.blk, t.cur.idx = nxt, 0
-				if nxt == cb {
-					ev.CondSelf++
-					ev.SelfTaken = taken
-					if d.selfLoop && !d.brk && retired < budget {
-						ev.Entries++
-						continue passes
-					}
-				} else {
-					ev.CondExit, ev.ExitTaken = true, taken
+				if nxt == cb && d.selfLoop && !d.brk && retired < budget {
+					ev.Entries++
+					continue passes
 				}
 				break passes
 			case isa.OpCall:
@@ -421,16 +392,6 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 			break // unreachable: loop only continues while running in-block
 		}
 		retired++
-		if sev.IsMem {
-			switch sev.Instr.Op {
-			case isa.OpILoad, isa.OpFLoad:
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefLoad, Addr: sev.MemAddr})
-			case isa.OpIStore, isa.OpFStore:
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefStore, Addr: sev.MemAddr})
-			case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
-				ev.Mem = append(ev.Mem, MemRef{Off: uint32(retired - 1), Kind: RefAtomic, Addr: sev.MemAddr})
-			}
-		}
 		if len(sev.Woken) > 0 {
 			ev.Woken = append(ev.Woken, sev.Woken...)
 			break
@@ -445,14 +406,6 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 		op := sev.Instr.Op
 		if op == isa.OpBr || op == isa.OpBrCond {
 			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
-			if op == isa.OpBrCond {
-				if selfEntry {
-					ev.CondSelf++
-					ev.SelfTaken = sev.Taken
-				} else {
-					ev.CondExit, ev.ExitTaken = true, sev.Taken
-				}
-			}
 			if selfEntry && d.selfLoop && !d.brk && retired < budget {
 				ev.Entries++
 				continue

@@ -8,36 +8,13 @@ import "looppoint/internal/isa"
 // granularity for throughput: the interpreter executes whole basic blocks
 // (and back-to-back re-entries of self-loop blocks) in a tight loop and
 // emits ONE coalesced BlockEvent per batch. Consumers that only need
-// block-level counts (BBV profiling, functional cache/branch warming,
-// region extraction) run an order of magnitude fewer dynamic dispatches.
+// block-level counts (recording, DCFG construction, BBV profiling, region
+// extraction) run an order of magnitude fewer dynamic dispatches.
 //
 // Exactness is preserved through break PCs (AddBreakPC): entering a block
 // whose address is registered produces a single-instruction event, so a
 // (PC, count) region marker still fires at precisely the same retired-
 // instruction position as it would under per-instruction observation.
-
-// RefKind classifies one data-memory reference inside a BlockEvent.
-type RefKind uint8
-
-// Reference kinds. Futex and syscall instructions are deliberately not
-// recorded: they touch memory functionally but bypass the data cache in
-// the timing model, and no block-tier consumer needs their addresses.
-const (
-	RefLoad RefKind = iota
-	RefStore
-	RefAtomic
-)
-
-// MemRef is one data-memory reference within a block-batched event. Off
-// is the 0-based offset of the owning instruction in the event — the
-// position at which a per-instruction replay would observe the access —
-// so consumers can reconstruct exact access ordering (and LRU clocks)
-// across coalesced passes.
-type MemRef struct {
-	Off  uint32
-	Kind RefKind
-	Addr uint64 // byte address
-}
 
 // BlockEvent describes a batched run of instructions inside one basic
 // block: at most one partial leading pass (when resuming mid-block) plus
@@ -57,19 +34,6 @@ type BlockEvent struct {
 	Entries uint64
 	// Instrs is the number of instructions the event retired.
 	Instrs uint64
-	// Mem lists the data-memory references (loads, stores, atomics) in
-	// program order; futex and syscall instructions are not recorded.
-	Mem []MemRef
-	// CondSelf counts executions of a conditional-branch terminator that
-	// re-entered the same block; every one had outcome SelfTaken (a
-	// given block re-enters itself through only one edge per event).
-	// CondExit reports that the event's final instruction was a
-	// conditional terminator with outcome ExitTaken. Together they
-	// replay the exact branch-outcome sequence of the batch.
-	CondSelf  uint64
-	SelfTaken bool
-	CondExit  bool
-	ExitTaken bool
 	// Blocked reports that the final instruction parked the thread on a
 	// futex. Woken lists threads woken by a FutexWake; a wake that
 	// unparks at least one thread always ends the event so schedulers
@@ -78,19 +42,14 @@ type BlockEvent struct {
 	Woken   []int
 }
 
-// reset prepares a (possibly recycled) event for reuse, keeping the Mem
-// and Woken backing arrays so steady-state dispatch is allocation-free.
+// reset prepares a (possibly recycled) event for reuse, keeping the Woken
+// backing array so steady-state dispatch is allocation-free.
 func (ev *BlockEvent) reset(tid int, blk *isa.Block, firstIdx int) {
 	ev.Tid = tid
 	ev.Block = blk
 	ev.FirstIdx = firstIdx
 	ev.Entries = 0
 	ev.Instrs = 0
-	ev.Mem = ev.Mem[:0]
-	ev.CondSelf = 0
-	ev.SelfTaken = false
-	ev.CondExit = false
-	ev.ExitTaken = false
 	ev.Blocked = false
 	ev.Woken = ev.Woken[:0]
 }

@@ -250,7 +250,7 @@ func TestBlockEventDispatchAllocFree(t *testing.T) {
 	var instrs uint64
 	m.AddBlockObserver(BlockObserverFunc(func(ev *BlockEvent) { instrs += ev.Instrs }))
 	var ev BlockEvent
-	// Warm the decode cache and the event's Mem capacity.
+	// Warm the decode cache.
 	m.StepBlock(0, 1024, &ev)
 	allocs := testing.AllocsPerRun(100, func() {
 		for tid := 0; tid < 2; tid++ {

@@ -41,7 +41,8 @@ import (
 // v3: the core config grew the durable-progress fields (excluded from
 // the fingerprint below, but they shift the %+v rendering).
 // v4: the core config lost its reference-engine switch.
-const journalConfigVersion = 4
+// v5: the core config lost Dims, PilotPerStratum and ProportionalAlloc.
+const journalConfigVersion = 5
 
 // configFingerprint hashes the evaluator configuration that determines a
 // report's numbers beyond its ReportKey: the resolved core config

@@ -184,45 +184,51 @@ func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsV3Journal: testdata/journal_v3.jsonl is a real journal
-// the parent of the PR that removed the engine switch wrote (schema v3,
-// smokeOpts, resumeKeys[0]). Its line still verifies and still parses —
-// the record schema did not change — so only the config fingerprint
-// stands between it and this build: it must count as mismatched, not be
-// dropped as corrupt and not be served.
+// TestResumeSkipsV3Journal: testdata/journal_v3.jsonl and journal_v4.jsonl
+// are real journals written at the parents of the two PRs that changed
+// the fingerprinted config (v3: before the engine switch went; v4: before
+// Dims, PilotPerStratum and ProportionalAlloc went; both smokeOpts,
+// resumeKeys[0]). Their lines still verify and still parse — the record
+// schema did not change — so only the config fingerprint stands between
+// them and this build: each must count as mismatched, not be dropped as
+// corrupt and not be served.
 func TestResumeSkipsV3Journal(t *testing.T) {
-	v3, err := os.ReadFile(filepath.Join("testdata", "journal_v3.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(jpath, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opts := smokeOpts()
-	restored, dropped, mismatched, err := loadJournal(jpath, configFingerprint(opts.fill()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored) != 0 || dropped != 0 || mismatched != 1 {
-		t.Fatalf("v3 journal: restored %d dropped %d mismatched %d, want 0/0/1", len(restored), dropped, mismatched)
-	}
+	for _, name := range []string{"journal_v3.jsonl", "journal_v4.jsonl"} {
+		t.Run(name, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(jpath, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := smokeOpts()
+			restored, dropped, mismatched, err := loadJournal(jpath, configFingerprint(opts.fill()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(restored) != 0 || dropped != 0 || mismatched != 1 {
+				t.Fatalf("restored %d dropped %d mismatched %d, want 0/0/1", len(restored), dropped, mismatched)
+			}
 
-	var log bytes.Buffer
-	opts.Resume, opts.Log = jpath, &log
-	e := NewEvaluator(opts)
-	defer e.Close()
-	if e.Restored() != 0 {
-		t.Fatalf("restored %d reports from a v3 journal, want 0", e.Restored())
-	}
-	if !strings.Contains(log.String(), "skipped 1 journal record(s)") {
-		t.Errorf("resume did not report the skipped v3 record:\n%s", log.String())
-	}
-	if _, err := e.Report(resumeKeys(e)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.Evaluations(); n != 1 {
-		t.Errorf("evaluations = %d, want 1 (the v3 record must not satisfy the cache)", n)
+			var log bytes.Buffer
+			opts.Resume, opts.Log = jpath, &log
+			e := NewEvaluator(opts)
+			defer e.Close()
+			if e.Restored() != 0 {
+				t.Fatalf("restored %d reports from an old journal, want 0", e.Restored())
+			}
+			if !strings.Contains(log.String(), "skipped 1 journal record(s)") {
+				t.Errorf("resume did not report the skipped record:\n%s", log.String())
+			}
+			if _, err := e.Report(resumeKeys(e)[0]); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Evaluations(); n != 1 {
+				t.Errorf("evaluations = %d, want 1 (the old record must not satisfy the cache)", n)
+			}
+		})
 	}
 }
 

@@ -99,25 +99,3 @@ func BenchmarkPinballSaveLoad(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPinballLoadMapped measures the zero-copy load path (mmap on
-// linux) against the same file BenchmarkPinballSaveLoad writes.
-func BenchmarkPinballLoadMapped(b *testing.B) {
-	pb := benchPinball(b)
-	path := filepath.Join(b.TempDir(), "bench.pinball")
-	if err := pb.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fi.Size())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadMapped(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

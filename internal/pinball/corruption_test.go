@@ -91,55 +91,6 @@ func TestCorruptionMatrixTruncation(t *testing.T) {
 	}
 }
 
-// TestCorruptionMatrixMmap replays representative damage — bad magic, a
-// torn tail, and a flipped byte in each section — through the mmap load
-// path, which must classify exactly like the in-memory loaders.
-func TestCorruptionMatrixMmap(t *testing.T) {
-	orig := savedPinballBytes(t)
-	dir := t.TempDir()
-	cases := []struct {
-		name string
-		data []byte
-		want error // nil means any typed artifact error
-	}{
-		{"bad-magic", append([]byte("NOTApinb"), orig[len(magic):]...), artifact.ErrCorrupt},
-		{"torn-tail", orig[:len(orig)-3], artifact.ErrTruncated},
-		{"half-file", orig[:len(orig)/2], artifact.ErrTruncated},
-		{"flip-header", flipAt(orig, len(magic)+8+2), nil},
-		{"flip-snapshot", flipAt(orig, len(orig)/2), nil},
-		{"flip-hash", flipAt(orig, len(orig)-1), artifact.ErrCorrupt},
-		{"version-skew", flipAt(orig, len(magic)), artifact.ErrVersion},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name+".pinball")
-			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := LoadMapped(path)
-			if tc.want != nil && !errors.Is(err, tc.want) {
-				t.Fatalf("err = %v, want %v", err, tc.want)
-			}
-			if tc.want == nil && !typed(err) {
-				t.Fatalf("err = %v, want a typed artifact error", err)
-			}
-		})
-	}
-	good := filepath.Join(dir, "good.pinball")
-	if err := os.WriteFile(good, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMapped(good); err != nil {
-		t.Fatalf("LoadMapped of intact file: %v", err)
-	}
-}
-
-func flipAt(orig []byte, off int) []byte {
-	data := append([]byte(nil), orig...)
-	data[off] ^= 0x10
-	return data
-}
-
 // TestVersionSkewIsTyped: a future version number is ErrVersion, not a
 // generic failure, on both decode paths.
 func TestVersionSkewIsTyped(t *testing.T) {

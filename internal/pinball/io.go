@@ -24,7 +24,7 @@ import (
 //
 //   - the slab path (AppendBinary / Decode) serializes into one
 //     exact-size buffer and decodes from a byte slice with a single
-//     checksum pass — the hot path used by Save, Load, and LoadMapped;
+//     checksum pass — the hot path used by Save and Load;
 //   - the streaming path (ReadFrom) reads incrementally from any
 //     io.Reader with growth caps, so a corrupted-but-plausible length
 //     fails at the real end of input instead of committing gigabytes.

@@ -236,33 +236,6 @@ func TestGoldenPinballBytes(t *testing.T) {
 	if _, err := Load(golden); err != nil {
 		t.Fatalf("Load golden: %v", err)
 	}
-	if _, err := LoadMapped(golden); err != nil {
-		t.Fatalf("LoadMapped golden: %v", err)
-	}
-}
-
-// TestLoadMappedMatchesLoad: the zero-copy path returns the same
-// pinball as the copying loader.
-func TestLoadMappedMatchesLoad(t *testing.T) {
-	pb, err := Record(testprog.WithSyscalls(4, 60, omp.Passive), 11, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.pinball")
-	if err := pb.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	viaCopy, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMap, err := LoadMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaCopy, viaMap) {
-		t.Fatal("LoadMapped and Load disagree")
-	}
 }
 
 // TestAppendBinarySteadyStateAllocs: encoding into a buffer with enough

@@ -92,12 +92,11 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmupLockstep measures the fast-forward loop where it is
-// slowest: an 8-thread checkpoint whose warm-up prefix (the program from
-// its start) dwarfs the measured region. Symmetric threads sit at equal
-// cycle counts, so the min-cycle scheduler alternates after every
-// instruction and an event retires one instruction; instrs/ff-event is
-// that ratio as the run measured it.
+// BenchmarkWarmupLockstep measures the warm-up loop where it is slowest:
+// an 8-thread checkpoint whose warm-up prefix (the program from its start)
+// dwarfs the measured region. Symmetric threads sit at equal cycle counts,
+// so the min-cycle scheduler alternates after every instruction. Minstr/s
+// counts the steps the pinball recorded, warm-up and region.
 func BenchmarkWarmupLockstep(b *testing.B) {
 	p := testprog.Phased(8, 12, 150, omp.Passive)
 	pb, prof := recordedProfile(b, p, 8*1500)
@@ -112,24 +111,19 @@ func BenchmarkWarmupLockstep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	steps, warm := rps[0].Schedule.Steps(), rps[0].WarmupSteps
+	if warm < 4*(steps-warm) {
+		b.Fatalf("warm-up does not dominate: %d of %d instructions", warm, steps)
+	}
 	sim, err := New(Gainestown(8), p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var instrs, ffInstrs, ffEvents uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := sim.SimulateCheckpoint(rps[0])
-		if err != nil {
+		if _, err := sim.SimulateCheckpoint(rps[0]); err != nil {
 			b.Fatal(err)
 		}
-		instrs += sim.sys.ffInstrs + st.Instructions
-		ffInstrs += sim.sys.ffInstrs
-		ffEvents += sim.sys.ffEvents
 	}
-	if ffInstrs < 4*(instrs-ffInstrs) {
-		b.Fatalf("warm-up does not dominate: %d of %d instructions", ffInstrs, instrs)
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-	b.ReportMetric(float64(ffInstrs)/float64(ffEvents), "instrs/ff-event")
+	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }

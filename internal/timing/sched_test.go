@@ -11,12 +11,11 @@ import (
 	"looppoint/internal/testprog"
 )
 
-// pickNext and batchAllowance are the scheduler as it was written before
-// it moved into system: two walks over every thread per instruction. They
-// stay here as the oracle the run queue is checked against.
-
 // pickNext returns the runnable thread whose core has the smallest cycle
-// count (ties broken by thread ID), or -1 if none can run.
+// count (ties broken by thread ID), or -1 if none can run. It is the
+// scheduler as it was written before it moved into system — a walk over
+// every thread per instruction — kept as the oracle the run queue is
+// checked against.
 func pickNext(m *exec.Machine, cycle []float64) int {
 	best := -1
 	var bestCycle float64
@@ -30,34 +29,6 @@ func pickNext(m *exec.Machine, cycle []float64) int {
 		}
 	}
 	return best
-}
-
-// batchAllowance returns how many instructions thread tid may retire
-// before pickNext would pick a different thread, assuming each costs
-// exactly delta cycles.
-func batchAllowance(m *exec.Machine, cycle []float64, tid int, delta float64) uint64 {
-	oc, oj := 0.0, -1
-	for j, t := range m.Threads {
-		if j == tid || t.State != exec.StateRunning {
-			continue
-		}
-		if c := cycle[j]; oj == -1 || c < oc {
-			oc, oj = c, j
-		}
-	}
-	if oj == -1 {
-		return ^uint64(0)
-	}
-	cy := cycle[tid]
-	var n uint64
-	for cy < oc || (cy == oc && tid < oj) {
-		cy += delta
-		n++
-		if n == 1<<20 {
-			break
-		}
-	}
-	return n
 }
 
 // checkAgainstOracle compares the run queue's view with the oracle's.
@@ -74,20 +45,15 @@ func checkAgainstOracle(t *testing.T, sys *system, when string) int {
 	if dead := tid < 0 && sys.alive > 0; dead != m.Deadlocked() {
 		t.Fatalf("%s: next() = %d, alive = %d but Deadlocked() = %v", when, tid, sys.alive, m.Deadlocked())
 	}
-	if tid >= 0 {
-		if got, want := sys.allowance(), batchAllowance(m, sys.cycle, tid, sys.slot); got != want {
-			t.Fatalf("%s: allowance() = %d, batchAllowance = %d (tid %d, cycles %v)", when, got, want, tid, sys.cycle)
-		}
-	}
 	return tid
 }
 
 // TestSchedulerMatchesOracle: over seeded random thread sets, cycle
 // vectors and step sequences, the run queue picks the thread pickNext
-// picks and grants the budget batchAllowance grants, and its alive count
-// agrees with Done and Deadlocked. Cycle vectors are built to collide:
-// exact ties, offsets below one dispatch slot, and magnitudes just under
-// a power of two, where adding a slot rounds.
+// picks, and its alive count agrees with Done and Deadlocked. Cycle
+// vectors are built to collide: exact ties, offsets below one dispatch
+// slot, and magnitudes just under a power of two, where adding a slot
+// rounds.
 func TestSchedulerMatchesOracle(t *testing.T) {
 	machines := map[int]*exec.Machine{}
 	for _, n := range []int{1, 2, 3, 8, MaxCores} {
@@ -143,16 +109,10 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 			if tid < 0 {
 				break
 			}
-			// Charge like a fast-forward event (whole slots, at most the
-			// budget) or like a detailed instruction (any positive cost).
+			// Charge like a fast-forward instruction (one slot) or like a
+			// detailed one (any positive cost).
 			if rng.Intn(2) == 0 {
-				k := 1 + uint64(rng.Intn(3))
-				if b := sys.allowance(); k > b {
-					k = b
-				}
-				for ; k > 0; k-- {
-					sys.cycle[tid] += sys.slot
-				}
+				sys.cycle[tid] += sys.slot
 			} else {
 				sys.cycle[tid] += sys.slot + float64(rng.Intn(200))*sys.slot/2
 			}
@@ -179,76 +139,61 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRunLoopsPickLikeOracle drives the two loops of runMarked by hand —
-// block events under the fast-forward charge, then single instructions
-// under cost — and checks before every step that the run queue, which
-// keeps its pick until it is overtaken, names the thread a fresh walk
-// over all threads would. The detailed statistics must equal a
-// SimulateFull of the same program, so the loop checked here is the loop
-// that ships.
+// TestRunLoopsPickLikeOracle drives runMarked's loop by hand — single
+// instructions under cost, then under the fast-forward charge — and checks
+// before every step that the run queue, which keeps its pick until it is
+// overtaken, names the thread a fresh walk over all threads would. The
+// detailed statistics must equal a SimulateFull of the same program, so
+// the loop checked here is the loop that ships.
 func TestRunLoopsPickLikeOracle(t *testing.T) {
-	batched := false
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 6, 80, policy)
 		cfg := Gainestown(4)
-
-		// Detailed from the first instruction.
-		m := exec.NewMachine(p, 1)
-		sys := newSystem(cfg, m)
-		sys.setDetail(true)
-		stays := 0
-		for last := -1; sys.alive > 0; {
-			tid := checkAgainstOracle(t, sys, "detail loop")
-			if tid < 0 {
-				t.Fatal("deadlock")
+		for _, detail := range []bool{true, false} {
+			m := exec.NewMachine(p, 1)
+			sys := newSystem(cfg, m)
+			sys.setDetail(detail)
+			stays := 0
+			for last := -1; sys.alive > 0; {
+				tid := checkAgainstOracle(t, sys, "run loop")
+				if tid < 0 {
+					t.Fatal("deadlock")
+				}
+				if tid == last {
+					stays++
+				}
+				last = tid
+				ev, ok := m.Step(tid)
+				if !ok {
+					t.Fatalf("thread %d could not step", tid)
+				}
+				if detail {
+					sys.cycle[tid] += sys.cost(tid, ev)
+				} else {
+					sys.warmOf(tid, ev)
+					sys.cycle[tid] += sys.slot
+				}
+				sys.settle(tid, ev.Woken)
 			}
-			if tid == last {
-				stays++
+			if !detail {
+				// Under the uniform charge spinning threads alternate
+				// after every instruction; nothing more to compare.
+				continue
 			}
-			last = tid
-			ev, ok := m.Step(tid)
-			if !ok {
-				t.Fatalf("thread %d could not step", tid)
+			if stays == 0 {
+				t.Errorf("policy %v: detail loop never kept its pick: stay-until-overtaken not exercised", policy)
 			}
-			sys.cycle[tid] += sys.cost(tid, ev)
-			sys.settle(tid, ev.Woken)
-		}
-		if stays == 0 {
-			t.Error("detail loop never kept its pick: stay-until-overtaken not exercised")
-		}
-		sim, err := New(cfg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sim.SimulateFull()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.stats(0); !reflect.DeepEqual(got, want) {
-			t.Errorf("policy %v: hand-driven detail loop differs from SimulateFull\ngot:  %+v\nwant: %+v", policy, got, want)
-		}
-
-		// Fast-forward to the end.
-		m = exec.NewMachine(p, 1)
-		sys.reset(m)
-		ev := &exec.BlockEvent{}
-		for sys.alive > 0 {
-			tid := checkAgainstOracle(t, sys, "fast-forward loop")
-			if tid < 0 {
-				t.Fatal("deadlock")
+			sim, err := New(cfg, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !m.StepBlock(tid, sys.allowance(), ev) {
-				t.Fatalf("thread %d could not step", tid)
+			want, err := sim.SimulateFull()
+			if err != nil {
+				t.Fatal(err)
 			}
-			batched = batched || ev.Instrs > 1
-			sys.warmBlock(tid, ev)
-			for i := uint64(0); i < ev.Instrs; i++ {
-				sys.cycle[tid] += sys.slot
+			if got := sys.stats(0); !reflect.DeepEqual(got, want) {
+				t.Errorf("policy %v: hand-driven detail loop differs from SimulateFull\ngot:  %+v\nwant: %+v", policy, got, want)
 			}
-			sys.settle(tid, ev.Woken)
 		}
-	}
-	if !batched {
-		t.Error("fast-forward loop never retired more than one instruction in an event")
 	}
 }

@@ -41,13 +41,6 @@ type Simulator struct {
 	// MaxSteps bounds any single simulation (0 = default safety cap).
 	MaxSteps uint64
 
-	// perInstrWarmup is the in-package test hook that keeps the
-	// per-instruction warm-up loop comparable: set, runMarked skips the
-	// block-batched fast-forward and warms through the reference loop
-	// below it (fastforward_test.go pins the two bit-identical). Nothing
-	// outside this package's tests sets it.
-	perInstrWarmup bool
-
 	// sys is the timing-state arena, reused across simulations: the
 	// first run pays the allocation wave (cache backing arrays,
 	// predictor tables, the directory), later runs clear and rebind it.
@@ -156,108 +149,6 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 		maxSteps = 2_000_000_000
 	}
 
-	// Fast-forward: until the start marker flips the simulation into
-	// detail, threads step through the block tier — caches, predictors,
-	// and the coherence directory warm from each event's reference stream
-	// (warmBlock), while cycles accumulate the same uniform dispatch slot
-	// per instruction the per-instruction loop charges. An event's budget
-	// is capped so the scheduler's pick sequence and every marker boundary
-	// land on the exact instructions the per-instruction engine would
-	// visit; marker PCs are break PCs, so their block entries arrive as
-	// single-instruction events.
-	if !inDetail && !s.perInstrWarmup {
-		if !start.IsStart() && !start.IsICount() {
-			m.AddBreakPC(start.PC)
-		}
-		if !end.IsEnd && !end.IsICount() {
-			m.AddBreakPC(end.PC)
-		}
-		ev := &exec.BlockEvent{}
-		for !inDetail && sys.alive > 0 {
-			tid := sys.next()
-			if tid < 0 {
-				return nil, exec.ErrDeadlock
-			}
-			budget := sys.allowance()
-			if rem := maxSteps - steps; budget > rem {
-				budget = rem + 1 // allow the step that trips the cap
-			}
-			if start.IsICount() {
-				// The instruction that crosses the icount boundary must
-				// arrive as a single-instruction event (it is charged in
-				// full detail); approach the boundary without crossing.
-				if rem := start.Count - steps; rem > 1 {
-					if rem-1 < budget {
-						budget = rem - 1
-					}
-				} else {
-					budget = 1
-				}
-			}
-			if !m.StepBlock(tid, budget, ev) {
-				return nil, fmt.Errorf("timing: scheduled thread %d could not step", tid)
-			}
-			steps += ev.Instrs
-			if steps > maxSteps {
-				return nil, fmt.Errorf("timing: %w", exec.ErrMaxSteps)
-			}
-
-			// Marker bookkeeping in the exact per-instruction order.
-			flipped := false
-			if start.IsICount() && !inDetail && steps >= start.Count {
-				inDetail = true
-				sys.setDetail(true)
-				detailBase = sys.wallCycle()
-				flipped = true
-			}
-			if end.IsICount() && inDetail && steps >= end.Count {
-				return sys.stats(detailBase), nil
-			}
-			if ev.Entries > 0 {
-				if !start.IsStart() && ev.Block.Addr == start.PC {
-					startHits += ev.Entries
-					if !inDetail && startHits >= start.Count {
-						inDetail = true
-						sys.setDetail(true)
-						detailBase = sys.wallCycle()
-						flipped = true
-					}
-				}
-				if !end.IsEnd && ev.Block.Addr == end.PC {
-					endHits += ev.Entries
-					if inDetail && endHits >= end.Count {
-						return sys.stats(detailBase), nil
-					}
-				}
-			}
-			if flipped && ev.Instrs != 1 {
-				return nil, fmt.Errorf("timing: internal: detail flip landed inside a %d-instruction batch", ev.Instrs)
-			}
-
-			if flipped {
-				// The flip instruction is measured: charge it in full
-				// detail, exactly as the per-instruction loop would.
-				one := singleEvent(ev)
-				sys.cycle[tid] += sys.cost(tid, &one)
-			} else {
-				sys.ffEvents++
-				sys.ffInstrs += ev.Instrs
-				if warming {
-					sys.warmBlock(tid, ev)
-				}
-				// Replicate the per-instruction additions: n separate
-				// float adds are not n*slot.
-				for i := uint64(0); i < ev.Instrs; i++ {
-					sys.cycle[tid] += sys.slot
-				}
-			}
-			sys.settle(tid, ev.Woken)
-			if flipped && s.Trace != nil {
-				s.Trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
-			}
-		}
-	}
-
 	for sys.alive > 0 {
 		tid := sys.next()
 		if tid < 0 {
@@ -313,7 +204,7 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 		// threads fairly even while fast-forwarding; microarchitectural
 		// state warms functionally (warmOf) without stall arithmetic, so
 		// the fast-forward charge is a uniform dispatch slot regardless
-		// of warmup mode and the block-batched engine can reproduce it.
+		// of warmup mode.
 		if inDetail {
 			sys.cycle[tid] += sys.cost(tid, ev)
 		} else {

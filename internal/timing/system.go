@@ -42,10 +42,6 @@ type system struct {
 	runnable int
 	alive    int
 
-	// Fast-forward events and the instructions they retired
-	// (BenchmarkWarmupLockstep reports their ratio).
-	ffEvents, ffInstrs uint64
-
 	// constrained-mode shared-order enforcement
 	constrained bool
 	lineLast    map[uint64]lineAccess
@@ -173,7 +169,6 @@ func (s *system) reset(m *exec.Machine) {
 	clear(s.dir)
 	s.clock = 0
 	s.detail = false
-	s.ffEvents, s.ffInstrs = 0, 0
 	s.constrained = false
 	clear(s.lineLast)
 	s.coherenceInv = 0
@@ -264,13 +259,13 @@ func (s *system) cost(tid int, ev *exec.Event) float64 {
 		lvl := c.l1d.Access(ev.MemAddr, s.clock)
 		s.noteFill(tid, ev.MemAddr)
 		memCycles += s.memStall(tid, lvl)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl, s.clock)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
 	case isa.OpIStore, isa.OpFStore:
 		lvl := c.l1d.Access(ev.MemAddr, s.clock)
 		s.noteFill(tid, ev.MemAddr)
 		memCycles += s.memStall(tid, lvl) / 2 // store buffer
 		memCycles += s.coherence(tid, ev.MemAddr)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl, s.clock)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
 	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
 		lvl := c.l1d.Access(ev.MemAddr, s.clock)
 		s.noteFill(tid, ev.MemAddr)
@@ -315,25 +310,24 @@ func (s *system) cost(tid int, ev *exec.Event) float64 {
 }
 
 // warmPrefetch replays the next-line prefetcher's fills for a data access
-// that missed L1D, at LRU clock clk.
-func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int, clk uint64) {
+// that missed L1D.
+func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int) {
 	if lvl > 1 && s.cfg.PrefetchNextLines > 0 {
 		for n := 1; n <= s.cfg.PrefetchNextLines; n++ {
 			pf := addr + uint64(n*64)
-			c.l1d.FillQuiet(pf, clk)
+			c.l1d.FillQuiet(pf, s.clock)
 			s.noteFill(tid, pf)
 		}
 	}
 }
 
 // warmOf functionally warms microarchitectural state for one fast-forward
-// instruction of the per-instruction reference engine: caches, coherence
-// directory, prefetcher, and branch predictor update exactly as cost
-// would update them, but no stall arithmetic runs and no cycles are
-// computed (the fast-forward charge is a uniform dispatch slot per
-// instruction). The access order and LRU clocks are identical to
-// cost's, so the warmed state is bit-identical to a detailed walk over
-// the same instruction stream.
+// instruction: caches, coherence directory, prefetcher, and branch
+// predictor update exactly as cost would update them, but no stall
+// arithmetic runs and no cycles are computed (the fast-forward charge is a
+// uniform dispatch slot per instruction). The access order and LRU clocks
+// are identical to cost's, so the warmed state is bit-identical to a
+// detailed walk over the same instruction stream.
 func (s *system) warmOf(tid int, ev *exec.Event) {
 	c := &s.cores[tid]
 	s.clock++
@@ -342,113 +336,21 @@ func (s *system) warmOf(tid int, ev *exec.Event) {
 	}
 	switch ev.Instr.Op {
 	case isa.OpILoad, isa.OpFLoad:
-		s.warmRef(c, tid, exec.RefLoad, ev.MemAddr, s.clock)
+		lvl := c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
 	case isa.OpIStore, isa.OpFStore:
-		s.warmRef(c, tid, exec.RefStore, ev.MemAddr, s.clock)
+		lvl := c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
+		s.coherence(tid, ev.MemAddr)
+		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
 	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
-		s.warmRef(c, tid, exec.RefAtomic, ev.MemAddr, s.clock)
+		c.l1d.Access(ev.MemAddr, s.clock)
+		s.noteFill(tid, ev.MemAddr)
+		s.coherence(tid, ev.MemAddr)
 	case isa.OpBrCond:
 		c.bp.Predict(ev.Instr.Addr*8, ev.Taken)
 	}
-}
-
-// warmRef warms the data side for one reference at LRU clock clk.
-func (s *system) warmRef(c *coreState, tid int, kind exec.RefKind, addr, clk uint64) {
-	lvl := c.l1d.Access(addr, clk)
-	s.noteFill(tid, addr)
-	if kind != exec.RefLoad {
-		s.coherence(tid, addr)
-	}
-	if kind != exec.RefAtomic {
-		s.warmPrefetch(c, tid, addr, lvl, clk)
-	}
-}
-
-// warmBlock is warmOf over a whole coalesced block event. Instruction
-// fetches (at pass starts) and data references are replayed in exact
-// instruction order at their per-instruction LRU clocks, so every cache,
-// directory, and predictor structure ends in the same state as ev.Instrs
-// calls to warmOf. Conditional-terminator outcomes replay as CondSelf
-// same-outcome updates followed by the exit outcome.
-func (s *system) warmBlock(tid int, ev *exec.BlockEvent) {
-	c := &s.cores[tid]
-	blk := ev.Block
-	base := s.clock
-	s.clock = base + ev.Instrs
-
-	// One instruction — what symmetric threads produce, since equal cycle
-	// counts make the scheduler alternate after every instruction: at most
-	// one fetch, one reference and one branch outcome, nothing to merge.
-	if ev.Instrs == 1 {
-		if ev.Entries > 0 {
-			c.l1i.Access(blk.Addr*8, s.clock)
-		}
-		if len(ev.Mem) > 0 {
-			s.warmRef(c, tid, ev.Mem[0].Kind, ev.Mem[0].Addr, s.clock)
-		} else if ev.CondSelf > 0 {
-			c.bp.Predict(blk.Instrs[ev.FirstIdx].Addr*8, ev.SelfTaken)
-		} else if ev.CondExit {
-			c.bp.Predict(blk.Instrs[ev.FirstIdx].Addr*8, ev.ExitTaken)
-		}
-		return
-	}
-
-	// Merge instruction fetches and data references by instruction
-	// offset: the shared L2/L3 see accesses in the same order as a
-	// per-instruction walk (an entry instruction fetches before its own
-	// data access, matching cost).
-	L := uint64(len(blk.Instrs))
-	mi := 0
-	if ev.Entries > 0 {
-		off := uint64(0)
-		if ev.FirstIdx != 0 {
-			off = L - uint64(ev.FirstIdx) // partial leading pass first
-		}
-		for e := uint64(0); e < ev.Entries; e++ {
-			for ; mi < len(ev.Mem) && uint64(ev.Mem[mi].Off) < off; mi++ {
-				r := &ev.Mem[mi]
-				s.warmRef(c, tid, r.Kind, r.Addr, base+uint64(r.Off)+1)
-			}
-			c.l1i.Access(blk.Addr*8, base+off+1)
-			off += L
-		}
-	}
-	for ; mi < len(ev.Mem); mi++ {
-		r := &ev.Mem[mi]
-		s.warmRef(c, tid, r.Kind, r.Addr, base+uint64(r.Off)+1)
-	}
-
-	if ev.CondSelf > 0 || ev.CondExit {
-		pc := blk.Instrs[L-1].Addr * 8
-		for k := uint64(0); k < ev.CondSelf; k++ {
-			c.bp.Predict(pc, ev.SelfTaken)
-		}
-		if ev.CondExit {
-			c.bp.Predict(pc, ev.ExitTaken)
-		}
-	}
-}
-
-// singleEvent is the per-instruction event of a single-instruction block
-// event (a break-PC or budget-capped boundary event), as far as cost reads
-// it. It must only be called on events with Instrs == 1.
-func singleEvent(bev *exec.BlockEvent) exec.Event {
-	ev := exec.Event{
-		Tid:        bev.Tid,
-		Instr:      &bev.Block.Instrs[bev.FirstIdx],
-		Block:      bev.Block,
-		BlockEntry: bev.FirstIdx == 0,
-		Blocked:    bev.Blocked,
-	}
-	if len(bev.Mem) > 0 {
-		ev.MemAddr = bev.Mem[0].Addr
-	}
-	if bev.CondSelf > 0 {
-		ev.Taken = bev.SelfTaken
-	} else if bev.CondExit {
-		ev.Taken = bev.ExitTaken
-	}
-	return ev
 }
 
 // noteFill records private-cache residency for the coherence directory.
@@ -525,16 +427,13 @@ func (s *system) before(c float64, tid, o int) bool {
 	return c < oc || (c == oc && tid < o)
 }
 
-// queued returns the i-th runnable thread in scheduling order.
-func (s *system) queued(i int) int { return s.runq[(s.head+uint(i))%MaxCores] }
-
 // next returns the runnable thread whose core has the smallest cycle
 // count (ties broken by thread ID), or -1 if none can run.
 func (s *system) next() int {
 	if s.runnable == 0 {
 		return -1
 	}
-	return s.queued(0)
+	return s.runq[s.head%MaxCores]
 }
 
 // settle finishes the step of the scheduled thread (tid is next's pick)
@@ -579,29 +478,6 @@ func (s *system) enter(w int) {
 	s.runq[s.head%MaxCores] = w
 	s.runnable++
 	s.settle(w, nil)
-}
-
-// allowance returns how many instructions the scheduled thread may retire
-// before next would pick a different one, assuming each costs exactly one
-// dispatch slot (the fast-forward charge). It replays the same float
-// additions the run performs, so the event ends on the instruction after
-// which the per-instruction scheduler would switch. The first instruction
-// is not in question: the ring is sorted, so the pick precedes the second
-// thread until it has retired something.
-func (s *system) allowance() uint64 {
-	if s.runnable < 2 {
-		return ^uint64(0) // only runnable thread: no scheduling constraint
-	}
-	tid, ru := s.queued(0), s.queued(1)
-	cy, oc := s.cycle[tid], s.cycle[ru]
-	n := uint64(1)
-	for cy += s.slot; cy < oc || (cy == oc && tid < ru); cy += s.slot {
-		n++
-		if n == 1<<20 {
-			break // split enormous leads into several batches
-		}
-	}
-	return n
 }
 
 // totalInstrs returns instructions retired in detail mode.

@@ -50,15 +50,13 @@ import (
 	"looppoint/internal/core"
 	"looppoint/internal/harness"
 	"looppoint/internal/omp"
-	"looppoint/internal/pinball"
 	"looppoint/internal/simpoint"
 	"looppoint/internal/timing"
 	"looppoint/internal/workloads"
 )
 
-// Config holds the methodology parameters (slice size, maxK, projection
-// dimensions, seed, flow-control window, warmup and region-simulation
-// modes). Zero values fall back to the paper's defaults at this
+// Config holds the methodology parameters (slice size, maxK, seed,
+// flow-control window, warmup and region-simulation modes). Zero values fall back to the paper's defaults at this
 // repository's scale.
 type Config = core.Config
 
@@ -209,30 +207,15 @@ func ExportSelection(sel *Selection, path string) error {
 	return sel.File().SaveJSON(path)
 }
 
-// ExportRegionPinballs extracts every looppoint's region checkpoint
-// (with warmup prefix) in one replay sweep and writes one .pinball file
-// per looppoint into dir, returning the file paths. Another user can
-// simulate the files with timing.SimulateCheckpoint or
+// ExportRegionPinballs extracts every looppoint's region checkpoint in
+// one replay sweep — cut as the in-process simulation cuts them, warm-up
+// prefix included (core.Selection.RegionSpecs) — and writes one .pinball
+// file per looppoint into dir, returning the file paths. Another user
+// can simulate the files with timing.SimulateCheckpoint or
 // `lpsim -checkpoint` without rerunning the analysis.
 func ExportRegionPinballs(sel *Selection, dir string) ([]string, error) {
 	a := sel.Analysis
-	var specs []pinball.RegionSpec
-	for _, lp := range sel.Points {
-		r := lp.Region
-		warm := r.StartICount
-		if r.Index > 0 {
-			warm = a.Profile.Regions[r.Index-1].StartICount
-		}
-		specs = append(specs, pinball.RegionSpec{
-			Name:            fmt.Sprintf("%s.r%d", a.Prog.Name, r.Index),
-			WarmupStartStep: warm,
-			StartStep:       r.StartICount,
-			EndStep:         r.EndICount,
-			Start:           r.Start,
-			End:             r.End,
-		})
-	}
-	pbs, err := a.Pinball.ExtractRegions(a.Prog, specs)
+	pbs, err := a.Pinball.ExtractRegions(a.Prog, sel.RegionSpecs())
 	if err != nil {
 		return nil, err
 	}
