@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"looppoint"
@@ -266,16 +265,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 	// one Simulator across all the regions it draws (timing-state
 	// arenas); the identity tests pin reused reports byte-identical to
 	// fresh construction at every width.
-	sims := &sync.Pool{}
-	getSim := func() (*timing.Simulator, error) {
-		if v := sims.Get(); v != nil {
-			sim := v.(*timing.Simulator)
-			if err := sim.Reset(w.App.Prog); err == nil {
-				return sim, nil
-			}
-		}
-		return timing.New(cfg, w.App.Prog)
-	}
+	sims := &timing.Arena{Cfg: cfg}
 	runs, errs, err := pool.MapWith(context.Background(), len(files), pool.Options{
 		Width:       width,
 		Attempts:    opts.retries,
@@ -290,7 +280,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 				return regionRun{}, err
 			}
 			start := time.Now()
-			sim, err := getSim()
+			sim, err := sims.Get(w.App.Prog)
 			if err != nil {
 				return regionRun{}, err
 			}

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -60,6 +61,28 @@ func VerifyLine(line []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return compact.Bytes(), true
+}
+
+// ScanRecords is the read side of every checksummed-JSONL journal: it
+// walks the non-blank lines of a journal image and hands fn each line's
+// verified compact record, or (nil, false) for a line VerifyLine
+// rejects. fn returns false to stop the walk. What a bad line means —
+// drop and count it, skip it, stop trusting the rest — is the caller's
+// policy, in its callback. The error is the scanner's (a line past
+// 16 MiB).
+func ScanRecords(data []byte, fn func(rec []byte, ok bool) bool) error {
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, 16<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if !fn(VerifyLine(line)) {
+			return nil
+		}
+	}
+	return sc.Err()
 }
 
 // RepairTornTail truncates a trailing unterminated line — a record torn

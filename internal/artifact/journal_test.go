@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -301,5 +302,34 @@ func TestJournalAppendsDurableLines(t *testing.T) {
 	}
 	if len(seen) != 1+appenders || !seen[`{"k":"first"}`] {
 		t.Fatalf("records lost or duplicated: %v", seen)
+	}
+}
+
+// TestScanRecords: the walk skips blank lines, hands over each verified
+// record, reports a failing line as (nil, false) without stopping, and
+// stops when the callback says so.
+func TestScanRecords(t *testing.T) {
+	a, _ := ChecksumLine([]byte(`{"k":"a"}`))
+	b, _ := ChecksumLine([]byte(`{"k":"b"}`))
+	data := bytes.Join([][]byte{a, nil, []byte("  not an envelope "), b, nil}, []byte("\n"))
+
+	var got []string
+	err := ScanRecords(data, func(rec []byte, ok bool) bool {
+		if !ok && rec != nil {
+			t.Errorf("failing line carried a record: %q", rec)
+		}
+		got = append(got, fmt.Sprintf("%s/%v", rec, ok))
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{`{"k":"a"}/true`, `/false`, `{"k":"b"}/true`}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk saw %q, want %q", got, want)
+	}
+
+	calls := 0
+	if err := ScanRecords(data, func([]byte, bool) bool { calls++; return false }); err != nil || calls != 1 {
+		t.Fatalf("stopped walk: %d calls, err %v; want 1, nil", calls, err)
 	}
 }

@@ -124,7 +124,7 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	// on active-wait workloads far exceeds LoopPoint's. Heterogeneous
 	// work + active spinning is its worst case.
 	p1 := testprog.Heterogeneous(4, 12, 180, omp.Active)
-	lp, err := core.Run(context.Background(), p1, testConfig(), timing.Gainestown(4), core.RunOpts{SimulateFull: true, Parallel: true})
+	lp, err := core.Run(context.Background(), p1, testConfig(), timing.Gainestown(4), core.RunOpts{SimulateFull: true})
 	if err != nil {
 		t.Fatal(err)
 	}

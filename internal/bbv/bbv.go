@@ -446,99 +446,3 @@ func (c *Collector) Finish() *Profile {
 	}
 	return c.profile
 }
-
-// Watcher observes an execution and fires when a (PC, count) marker is
-// reached, optionally requesting the machine to stop. It is how both
-// profiling validation and region simulation locate region boundaries.
-type Watcher struct {
-	machine *exec.Machine
-	marker  Marker
-	count   uint64
-	Fired   bool
-	// OnFire, if set, runs when the marker is hit (before the stop request).
-	OnFire func()
-	// StopOnFire requests the machine to stop at the marker (default true).
-	StopOnFire bool
-}
-
-// NewWatcher creates a marker watcher bound to a machine. A start marker
-// fires immediately on the first instruction.
-func NewWatcher(m *exec.Machine, marker Marker) *Watcher {
-	return &Watcher{machine: m, marker: marker, StopOnFire: true}
-}
-
-// SkipCounted credits n prior hits of the marker PC, for watchers attached
-// mid-execution: marker counts are global since program start.
-func (w *Watcher) SkipCounted(n uint64) { w.count = n }
-
-// OnInstr implements exec.Observer.
-func (w *Watcher) OnInstr(ev *exec.Event) {
-	if w.Fired || w.marker.IsEnd {
-		return
-	}
-	if w.marker.IsStart() {
-		w.fire()
-		return
-	}
-	if w.marker.IsICount() {
-		if w.machine.TotalICount() >= w.marker.Count {
-			w.fire()
-		}
-		return
-	}
-	if ev.BlockEntry && ev.Block.Addr == w.marker.PC {
-		w.count++
-		if w.count >= w.marker.Count {
-			w.fire()
-		}
-	}
-}
-
-// BreakPCs implements exec.PCBreaker: a (PC, count) watcher needs the
-// marker block split out of batches so the stop lands on the exact
-// instruction. Start/end/icount markers need no break PCs.
-func (w *Watcher) BreakPCs() []uint64 {
-	if w.marker.IsStart() || w.marker.IsICount() || w.marker.IsEnd {
-		return nil
-	}
-	return []uint64{w.marker.PC}
-}
-
-// OnBlock implements exec.BlockObserver. For (PC, count) markers the
-// watcher must be attached with exec.Machine.AddBlockObserver so its
-// break PC registers, making the firing position identical to
-// per-instruction observation. Icount markers fire at event granularity
-// in block mode (the timing simulator handles icount boundaries itself by
-// capping batch budgets); start markers fire after the first batch rather
-// than the first instruction.
-func (w *Watcher) OnBlock(ev *exec.BlockEvent) {
-	if w.Fired || w.marker.IsEnd {
-		return
-	}
-	if w.marker.IsStart() {
-		w.fire()
-		return
-	}
-	if w.marker.IsICount() {
-		if w.machine.TotalICount() >= w.marker.Count {
-			w.fire()
-		}
-		return
-	}
-	if ev.Entries > 0 && ev.Block.Addr == w.marker.PC {
-		w.count += ev.Entries
-		if w.count >= w.marker.Count {
-			w.fire()
-		}
-	}
-}
-
-func (w *Watcher) fire() {
-	w.Fired = true
-	if w.OnFire != nil {
-		w.OnFire()
-	}
-	if w.StopOnFire {
-		w.machine.RequestStop()
-	}
-}

@@ -99,70 +99,6 @@ func TestCollectorBlockTierMatchesPerInstr(t *testing.T) {
 	}
 }
 
-// TestWatcherBlockTierStopsAtSamePosition pins marker-boundary exactness
-// end to end: a (PC, count) watcher attached through the block tier must
-// stop the machine at the identical retired-instruction position — and
-// identical per-thread state — as the per-instruction tier, including
-// when the marker count lands inside what would otherwise be a coalesced
-// spin burst (active wait policy).
-func TestWatcherBlockTierStopsAtSamePosition(t *testing.T) {
-	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
-		policy := policy
-		name := "passive"
-		if policy == omp.Active {
-			name = "active"
-		}
-		t.Run(name, func(t *testing.T) {
-			build := func() *isa.Program { return buildPhased(t, 4, 8, 100, policy) }
-			addrs := markerAddrs(t, build())
-			prof := collect(t, build(), addrs, 4*900)
-			tested := 0
-			for _, r := range prof.Regions {
-				if r.End.IsEnd || r.End.IsStart() || r.End.IsICount() {
-					continue
-				}
-				run := func(blockTier bool) (uint64, []uint64, []uint64) {
-					m := exec.NewMachine(build(), 1)
-					w := NewWatcher(m, r.End)
-					if blockTier {
-						m.AddBlockObserver(w)
-					} else {
-						m.AddObserver(w)
-					}
-					if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
-						t.Fatalf("run: %v", err)
-					}
-					if !w.Fired {
-						t.Fatalf("watcher for %v never fired (block=%v)", r.End, blockTier)
-					}
-					var pcs, ics []uint64
-					for _, th := range m.Threads {
-						if th.State != exec.StateHalted {
-							pcs = append(pcs, th.PC())
-						} else {
-							pcs = append(pcs, 0)
-						}
-						ics = append(ics, th.ICount)
-					}
-					return m.TotalICount(), pcs, ics
-				}
-				sIC, sPCs, sICs := run(false)
-				bIC, bPCs, bICs := run(true)
-				if sIC != bIC {
-					t.Errorf("marker %v: stop position differs: per-instr %d, block %d", r.End, sIC, bIC)
-				}
-				if !reflect.DeepEqual(sPCs, bPCs) || !reflect.DeepEqual(sICs, bICs) {
-					t.Errorf("marker %v: per-thread stop state differs", r.End)
-				}
-				tested++
-			}
-			if tested == 0 {
-				t.Fatal("no interior markers to test")
-			}
-		})
-	}
-}
-
 // TestCollectorPanicsOnUnregisteredMarker documents the contract: marker
 // PCs must be break PCs before block-tier profiling starts.
 func TestCollectorPanicsOnUnregisteredMarker(t *testing.T) {

@@ -13,7 +13,7 @@ type SparseEntry struct {
 
 // SparseVector materializes the region's concatenated global BBV as a
 // sorted (index, weight) slice: thread t's block b appears at index
-// t*nblocks + b, exactly the row layout simpoint.ProjectRegions projects
+// t*nblocks + b, exactly the row layout simpoint.ProjectRegionsN projects
 // (Section III-B's per-thread concatenation). Because threads are visited
 // in order and each thread's block indices are below nblocks, the
 // concatenation is globally sorted by construction; entries are unique.

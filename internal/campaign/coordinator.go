@@ -201,12 +201,6 @@ func New(cfg Config, workers []WorkerClient) (*Coordinator, error) {
 	}, nil
 }
 
-// Cache exposes the result cache (stats, tests).
-func (c *Coordinator) Cache() *Cache { return c.cache }
-
-// Registry exposes the worker registry (stats, tests).
-func (c *Coordinator) Registry() *Registry { return c.reg }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log != nil {
 		c.cfg.Log(format, args...)

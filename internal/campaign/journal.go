@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -84,47 +82,38 @@ func OpenJournal(path, tag string) (*Journal, []*Result, error) {
 // loadJournal reads every verified record; ok reports whether the file
 // carries a matching header (i.e. appending to it is safe).
 func loadJournal(path, tag string) (restored []*Result, ok bool, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("campaign: read journal: %w", err)
 	}
-	defer f.Close()
-
 	want := ConfigFingerprint(tag)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, valid := artifact.VerifyLine(line)
+	err = artifact.ScanRecords(data, func(rec []byte, valid bool) bool {
 		if !valid {
 			// A checksum-failing interior line means the file was
 			// corrupted at rest, not torn mid-append (RepairTornTail
 			// already ran). Nothing after it can be trusted to belong to
 			// this campaign's sequence.
-			return restored, !first, nil
+			return false
 		}
 		if first {
-			first = false
 			var hdr journalHeader
 			if json.Unmarshal(rec, &hdr) != nil || hdr.Campaign != SchemaVersion || hdr.Config != want {
-				return nil, false, nil
+				return false
 			}
-			continue
+			first = false
+			return true
 		}
 		var r Result
-		if json.Unmarshal(rec, &r) != nil || r.Key == "" || r.Res == nil {
-			continue
+		if json.Unmarshal(rec, &r) == nil && r.Key != "" && r.Res != nil {
+			restored = append(restored, &r)
 		}
-		restored = append(restored, &r)
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, false, fmt.Errorf("campaign: scan journal: %w", err)
 	}
 	return restored, !first, nil

@@ -82,7 +82,7 @@ func TestEndToEndPredictionError(t *testing.T) {
 	// phased workload, for both wait policies (Figure 5a's shape).
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 12, 200, policy)
-		rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(4), RunOpts{SimulateFull: true, Parallel: true})
+		rep, err := Run(context.Background(), p, testConfig(), timing.Gainestown(4), RunOpts{SimulateFull: true})
 		if err != nil {
 			t.Fatalf("policy %v: Run: %v", policy, err)
 		}

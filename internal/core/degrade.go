@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"looppoint/internal/faults"
-	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
 	"looppoint/internal/pool"
 	"looppoint/internal/timing"
@@ -128,39 +126,13 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 	return checkpoints, nil
 }
 
-// simulatorArena recycles timing.Simulators across the regions of one
-// sweep: a worker's first region pays the allocation wave (cache
-// backing arrays, predictor tables, directory maps); later regions
-// clear and reuse it via timing.Simulator.Reset. The identity tests pin
-// reused-simulator reports byte-identical to fresh construction, so the
-// sweep's results are independent of which worker simulated which
-// region at which width.
-type simulatorArena struct {
-	pool sync.Pool
-	cfg  timing.Config
-}
-
-func (ar *simulatorArena) get(prog *isa.Program) (*timing.Simulator, error) {
-	if v := ar.pool.Get(); v != nil {
-		sim := v.(*timing.Simulator)
-		if err := sim.Reset(prog); err == nil {
-			return sim, nil
-		}
-		// A simulator that fails revalidation (config mutated somehow) is
-		// dropped; fall through to fresh construction.
-	}
-	return timing.New(ar.cfg, prog)
-}
-
-func (ar *simulatorArena) put(sim *timing.Simulator) { ar.pool.Put(sim) }
-
 // simulateOneRegion runs one looppoint's detailed simulation. Injection
 // site "core.region.sim" can force transient failures, slow calls, or
 // panics here — the unit of failure the degraded mode tolerates. The
 // simulation kernel itself is CPU-bound and does not poll ctx; the
 // entry check plus the pool's per-item claim check are what make a
 // cancelled sweep stop at region boundaries.
-func simulateOneRegion(ctx context.Context, sel *Selection, arena *simulatorArena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
+func simulateOneRegion(ctx context.Context, sel *Selection, arena *timing.Arena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RegionResult{}, err
 	}
@@ -170,11 +142,11 @@ func simulateOneRegion(ctx context.Context, sel *Selection, arena *simulatorAren
 	a := sel.Analysis
 	lp := sel.Points[i]
 	start := time.Now()
-	sim, err := arena.get(a.Prog)
+	sim, err := arena.Get(a.Prog)
 	if err != nil {
 		return RegionResult{}, err
 	}
-	defer arena.put(sim)
+	defer arena.Put(sim)
 	sim.Seed = a.Config.Seed
 	var st *timing.Stats
 	if checkpoints != nil {
@@ -220,7 +192,7 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 		ItemTimeout: opts.RegionTimeout,
 		Degraded:    opts.Degraded,
 	}
-	arena := &simulatorArena{cfg: simCfg}
+	arena := &timing.Arena{Cfg: simCfg}
 	// With Config.ProgressDir set, completed regions journal durably and
 	// a restarted sweep serves them from the journal instead of
 	// re-simulating (see simprogress.go); sp is nil otherwise.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"looppoint/internal/isa"
-	"looppoint/internal/pool"
 	"looppoint/internal/timing"
 )
 
@@ -101,13 +100,9 @@ type RunOpts struct {
 	// compute prediction errors (skipped for ref-scale inputs, where the
 	// paper also only reports speedups).
 	SimulateFull bool
-	// Parallel simulates looppoints concurrently (one pool worker per
-	// CPU when Width is zero).
-	Parallel bool
-	// Width bounds the number of concurrently simulated looppoints.
-	// Zero falls back to one worker per CPU when Parallel is set and to
-	// serial simulation otherwise. The prediction is identical at every
-	// width; only host time changes.
+	// Width bounds the number of concurrently simulated looppoints
+	// (<= 0: one per CPU, 1: serial). The prediction is identical at
+	// every width; only host time changes.
 	Width int
 	// Degraded tolerates per-region simulation failures: failed regions
 	// are dropped, recorded in Report.Degradation, and the prediction is
@@ -120,17 +115,6 @@ type RunOpts struct {
 	// MinCoverage is the degraded-mode residual-coverage floor
 	// (0: DefaultMinCoverage; negative: no floor).
 	MinCoverage float64
-}
-
-// width resolves the effective pool width.
-func (o RunOpts) width() int {
-	if o.Width > 0 {
-		return o.Width
-	}
-	if o.Parallel {
-		return pool.DefaultWidth()
-	}
-	return 1
 }
 
 // Run performs the complete LoopPoint flow on one program: analyze,
@@ -153,7 +137,7 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 		return nil, err
 	}
 	regions, deg, err := SimulateRegions(ctx, sel, simCfg, SimOpts{
-		Width:         opts.width(),
+		Width:         opts.Width,
 		Degraded:      opts.Degraded,
 		Attempts:      opts.Retries,
 		RegionTimeout: opts.RegionTimeout,

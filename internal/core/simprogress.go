@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -103,27 +101,19 @@ func (sp *simProgress) load(path string, sel *Selection) {
 		return
 	}
 	faults.CorruptBytes("core.progress.load", data)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 16<<20)
 	var stepsSaved uint64
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		recBytes, ok := artifact.VerifyLine(line)
-		if !ok {
-			continue
-		}
+	// Best-effort: bad, foreign and duplicate lines are skipped, and a
+	// scan error just ends the recovery early.
+	_ = artifact.ScanRecords(data, func(recBytes []byte, ok bool) bool {
 		var rec simRecord
-		if json.Unmarshal(recBytes, &rec) != nil || rec.Fp != sp.fp || rec.Stats == nil {
-			continue
+		if !ok || json.Unmarshal(recBytes, &rec) != nil || rec.Fp != sp.fp || rec.Stats == nil {
+			return true
 		}
 		if rec.Region < 0 || rec.Region >= len(sel.Points) {
-			continue
+			return true
 		}
 		if _, dup := sp.recovered[rec.Region]; dup {
-			continue
+			return true
 		}
 		lp := sel.Points[rec.Region]
 		sp.recovered[rec.Region] = RegionResult{
@@ -132,7 +122,8 @@ func (sp *simProgress) load(path string, sel *Selection) {
 			HostTime: time.Duration(rec.HostTimeNS),
 		}
 		stepsSaved += lp.Region.UnfilteredLen()
-	}
+		return true
+	})
 	if len(sp.recovered) > 0 {
 		sp.ps.countRecovery(stepsSaved)
 	}

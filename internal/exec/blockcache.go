@@ -93,13 +93,6 @@ func (m *Machine) AddBreakPC(addr uint64) {
 	}
 }
 
-// SetFastPath enables or disables the tight-loop block executor (enabled
-// by default). When disabled, StepBlock assembles identical events by
-// driving Step — the reference implementation equivalence tests compare
-// against. Per-instruction observers also force the reference path, so
-// mixed-tier observation stays exact.
-func (m *Machine) SetFastPath(enabled bool) { m.fastDisabled = !enabled }
-
 // StepBlock executes up to budget instructions of thread tid within its
 // current basic block (coalescing consecutive self-loop passes) and
 // fills ev with the batched result. It returns false without touching ev
@@ -114,8 +107,12 @@ func (m *Machine) SetFastPath(enabled bool) { m.fastDisabled = !enabled }
 // the machine step counter advance exactly as an equivalent sequence of
 // Step calls would, except that ICount/step totals are published at
 // event end rather than per instruction.
+//
+// With per-instruction observers attached, the identical event is
+// assembled by driving Step (stepBlockViaStep), so mixed-tier observation
+// stays exact; equivalence tests reach that reference the same way.
 func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
-	if m.fastDisabled || len(m.observers) > 0 {
+	if len(m.observers) > 0 {
 		return m.stepBlockViaStep(tid, budget, ev)
 	}
 	t := m.Threads[tid]

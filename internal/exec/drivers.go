@@ -135,24 +135,20 @@ type RunOpts struct {
 	QuantumBias []int
 }
 
-// RequestStop asks the current Run/RunSchedule loop to return after the
-// instruction that set it. Observers use it to stop at region markers.
-func (m *Machine) RequestStop() { m.stopReq = true }
-
 // blockMode reports whether the drivers should retire instructions in
 // block batches: mandatory when block observers are attached (they must
 // see coalesced events), profitable when no observers are attached at
 // all. Per-instruction observers with no block observers keep the plain
 // Step loop (assembling unused block events would only cost).
 func (m *Machine) blockMode() bool {
-	return len(m.blockObservers) > 0 || (len(m.observers) == 0 && !m.fastDisabled)
+	return len(m.blockObservers) > 0 || len(m.observers) == 0
 }
 
 // Run drives the machine with a deterministic round-robin scheduler until
-// every thread halts, an observer requests a stop, or an error occurs.
-// When block observers are attached (or no observers at all), it retires
-// instructions through the block-batched engine; the schedule it records
-// and the states it visits are identical either way. Machine faults
+// every thread halts or an error occurs. When block observers are
+// attached (or no observers at all), it retires instructions through the
+// block-batched engine; the schedule it records and the states it visits
+// are identical either way. Machine faults
 // raised mid-step (unimplemented opcode, wild address, return past the
 // entry frame) surface as a *ExecError wrapping ErrMachine.
 func (m *Machine) Run(opts RunOpts) (err error) {
@@ -162,7 +158,6 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 	if q <= 0 {
 		q = 64
 	}
-	m.stopReq = false
 	var steps uint64
 	for !m.Done() {
 		progressed := false
@@ -191,9 +186,6 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 					for _, o := range m.blockObservers {
 						o.OnBlock(ev)
 					}
-					if m.stopReq {
-						break
-					}
 				}
 				m.putBlockEvent(ev)
 			} else {
@@ -204,9 +196,6 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 					}
 					ran++
 					steps++
-					if m.stopReq {
-						break
-					}
 				}
 			}
 			if ran > 0 {
@@ -214,10 +203,6 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 				if opts.Record != nil {
 					appendRun(opts.Record, tid, ran)
 				}
-			}
-			if m.stopReq {
-				m.stopReq = false
-				return nil
 			}
 			if opts.MaxSteps > 0 && steps >= opts.MaxSteps {
 				return fmt.Errorf("%w (%d)", ErrMaxSteps, opts.MaxSteps)
@@ -259,13 +244,12 @@ func appendRun(s *Schedule, tid, n int) {
 
 // RunSchedule replays a recorded thread interleaving exactly (constrained
 // replay). It returns ErrScheduleDiverged if the schedule asks a thread to
-// run when it cannot, and stops early if an observer requests a stop.
-// Like Run, it retires instructions through the block-batched engine when
-// the observer configuration allows; the replayed execution is identical.
+// run when it cannot. Like Run, it retires instructions through the
+// block-batched engine when the observer configuration allows; the
+// replayed execution is identical.
 // Machine faults surface as a *ExecError wrapping ErrMachine, as in Run.
 func (m *Machine) RunSchedule(sched Schedule) (err error) {
 	defer Recover(&err)
-	m.stopReq = false
 	if m.blockMode() {
 		ev := m.getBlockEvent()
 		defer m.putBlockEvent(ev)
@@ -280,10 +264,6 @@ func (m *Machine) RunSchedule(sched Schedule) (err error) {
 				for _, o := range m.blockObservers {
 					o.OnBlock(ev)
 				}
-				if m.stopReq {
-					m.stopReq = false
-					return nil
-				}
 			}
 		}
 		return nil
@@ -293,10 +273,6 @@ func (m *Machine) RunSchedule(sched Schedule) (err error) {
 			if _, ok := m.Step(e.Tid); !ok {
 				return fmt.Errorf("%w: thread %d is %s", ErrScheduleDiverged,
 					e.Tid, m.Threads[e.Tid].State)
-			}
-			if m.stopReq {
-				m.stopReq = false
-				return nil
 			}
 		}
 	}

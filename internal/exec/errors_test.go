@@ -40,7 +40,9 @@ func TestMachineFaultIsTypedError(t *testing.T) {
 	for name, drive := range drivers {
 		for _, fast := range []bool{true, false} {
 			m := NewMachine(p, 1)
-			m.SetFastPath(fast)
+			if !fast {
+				forceReference(m)
+			}
 			err := drive(m)
 			if !errors.Is(err, ErrMachine) {
 				t.Errorf("%s (fast=%v): err = %v, want ErrMachine", name, fast, err)

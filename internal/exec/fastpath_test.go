@@ -54,6 +54,11 @@ func fastPathPrograms(t testing.TB) map[string]*isa.Program {
 	return out
 }
 
+// forceReference puts a machine on the reference engine: a per-instruction
+// observer makes StepBlock assemble its events by driving Step
+// (stepBlockViaStep) and keeps Run/RunSchedule on the plain Step loop.
+func forceReference(m *Machine) { m.AddObserver(ObserverFunc(func(*Event) {})) }
+
 // TestStepBlockMatchesStep drives two machines through identical budget
 // sequences — one on the tight-loop fast path, one on the Step-assembled
 // reference path — and requires identical event streams and identical
@@ -63,7 +68,7 @@ func TestStepBlockMatchesStep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fast := NewMachine(p, 7)
 			slow := NewMachine(p, 7)
-			slow.SetFastPath(false)
+			forceReference(slow)
 
 			// A break PC exercises marker splitting: use the first
 			// worker-loop-like block address we can find (any block with
@@ -112,7 +117,6 @@ func TestRunBlockModeMatchesStepLoop(t *testing.T) {
 				{FlowWindow: 16, QuantumBias: []int{1, 3, 1, 2}},
 			} {
 				slow := NewMachine(p, 3)
-				slow.SetFastPath(false)
 				slowCounts := map[int]uint64{}
 				slow.AddObserver(ObserverFunc(func(ev *Event) {
 					slowCounts[ev.Block.Global]++
@@ -162,7 +166,7 @@ func TestRunScheduleBlockModeMatches(t *testing.T) {
 				t.Fatalf("record: %v", err)
 			}
 			slow := NewMachine(p, 9)
-			slow.SetFastPath(false)
+			forceReference(slow)
 			if err := slow.RunSchedule(sched); err != nil {
 				t.Fatalf("slow replay: %v", err)
 			}

@@ -111,12 +111,10 @@ type Machine struct {
 	ev             Event
 	evFree         []*BlockEvent // recycled block events (see getBlockEvent)
 	steps          uint64
-	stopReq        bool
 
 	// Block-batched fast path state (blockcache.go).
-	dblocks      []decodedBlock // lazily decoded, indexed by Block.Global
-	breakPCs     map[uint64]bool
-	fastDisabled bool
+	dblocks  []decodedBlock // lazily decoded, indexed by Block.Global
+	breakPCs map[uint64]bool
 }
 
 // NewMachine creates a machine for a linked program with zeroed memory and

@@ -8,28 +8,16 @@ import (
 	"looppoint/internal/artifact"
 )
 
-// Binary serialization for Snapshot. Two forms share one section layout:
+// Binary serialization for Snapshot: the section form (EncodedSize /
+// AppendBinary / DecodeSnapshotAt) is a raw little-endian u64 payload
+// with no header, embedded verbatim inside larger envelopes — the
+// pinball format and the durable checkpoint/progress files both carry
+// it, so the bytes here are pinned by the pinball golden files, and it
+// is versioned and checksummed by whatever envelope embeds it.
 //
-//   - the section form (EncodedSize / AppendBinary / DecodeSnapshotAt)
-//     is a raw little-endian u64 payload with no header, embedded
-//     verbatim inside larger envelopes — the pinball format and the
-//     durable checkpoint/progress files both carry it, so the bytes here
-//     are pinned by the pinball golden files;
-//   - the standalone form (MarshalBinary / UnmarshalSnapshot) wraps the
-//     section in its own magic + version + trailing FNV-1a envelope so a
-//     snapshot can live in a file of its own and be verified before use.
-//
-// Decoders classify failures into the artifact package's typed
+// The decoder classifies failures into the artifact package's typed
 // sentinels: artifact.ErrTruncated (with the absolute byte offset) for
-// input that ends early, artifact.ErrCorrupt for implausible lengths,
-// bad magic, or checksum mismatches, artifact.ErrVersion for skew.
-
-const (
-	snapshotMagic = "LOOPSNAP"
-	// snapshotVersion guards the standalone envelope only; the section
-	// form is versioned by whatever envelope embeds it.
-	snapshotVersion = uint32(1)
-)
+// input that ends early, artifact.ErrCorrupt for implausible lengths.
 
 // Plausibility caps for the snapshot section. A declared length past its
 // cap is corruption, not truncation: no well-formed snapshot is that
@@ -251,46 +239,4 @@ func DecodeSnapshotAt(data []byte, off int) (*Snapshot, int, error) {
 		return nil, d.off, d.err
 	}
 	return s, d.off, nil
-}
-
-// MarshalBinary serializes the snapshot in its standalone checksummed
-// envelope: magic, version, the snapshot section, and a trailing FNV-1a
-// over every payload byte (magic excluded).
-func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, len(snapshotMagic)+8+s.EncodedSize()+8)
-	buf = append(buf, snapshotMagic...)
-	buf = snapU64(buf, uint64(snapshotVersion))
-	buf = s.AppendBinary(buf)
-	sum := artifact.Update(artifact.FNVOffset, buf[len(snapshotMagic):])
-	return snapU64(buf, sum), nil
-}
-
-// UnmarshalSnapshot decodes and verifies a snapshot from its standalone
-// envelope, classifying failures into the artifact sentinels.
-func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapshotMagic) {
-		return nil, fmt.Errorf("exec: snapshot header: %w at byte offset %d", artifact.ErrTruncated, len(data))
-	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("exec: bad snapshot magic %q: %w", data[:len(snapshotMagic)], artifact.ErrCorrupt)
-	}
-	d := &snapDecoder{data: data, off: len(snapshotMagic)}
-	if v := uint32(d.u64()); d.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("exec: snapshot version %d (want %d): %w", v, snapshotVersion, artifact.ErrVersion)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("exec: snapshot: %w", d.err)
-	}
-	s, off, err := DecodeSnapshotAt(data, d.off)
-	if err != nil {
-		return nil, fmt.Errorf("exec: snapshot: %w", err)
-	}
-	if len(data)-off < 8 {
-		return nil, fmt.Errorf("exec: snapshot integrity hash: %w at byte offset %d", artifact.ErrTruncated, len(data))
-	}
-	want := artifact.Update(artifact.FNVOffset, data[len(snapshotMagic):off])
-	if got := binary.LittleEndian.Uint64(data[off:]); got != want {
-		return nil, fmt.Errorf("exec: snapshot integrity hash mismatch (file %#x, computed %#x): %w", got, want, artifact.ErrCorrupt)
-	}
-	return s, nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -39,75 +38,72 @@ func ioTestSnapshot() *Snapshot {
 	return s
 }
 
-func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
+// TestSnapshotSectionRoundTrip: the section decodes back to the same
+// snapshot from the middle of a larger buffer — how pinballs and durable
+// checkpoints embed it — and reports the offset one past itself.
+func TestSnapshotSectionRoundTrip(t *testing.T) {
 	s := ioTestSnapshot()
-	data, err := s.MarshalBinary()
+	const lead = 24
+	data := s.AppendBinary(make([]byte, lead))
+	if len(data) != lead+s.EncodedSize() {
+		t.Fatalf("section size %d, want EncodedSize %d", len(data)-lead, s.EncodedSize())
+	}
+	data = append(data, 0xaa, 0xbb) // the embedding envelope's trailing bytes
+	got, off, err := DecodeSnapshotAt(data, lead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != len(snapshotMagic)+8+s.EncodedSize()+8 {
-		t.Fatalf("envelope size %d, want %d", len(data), len(snapshotMagic)+8+s.EncodedSize()+8)
-	}
-	got, err := UnmarshalSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
+	if off != lead+s.EncodedSize() {
+		t.Fatalf("end offset %d, want %d", off, lead+s.EncodedSize())
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatal("decoded snapshot differs from original")
 	}
 }
 
-// TestSnapshotEnvelopeBitFlips flips one bit at every byte offset and
-// asserts each flip is rejected with a typed artifact error — the
-// trailing FNV-1a catches any payload damage the structural caps miss.
-func TestSnapshotEnvelopeBitFlips(t *testing.T) {
-	orig, err := ioTestSnapshot().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSnapshotSectionBitFlips flips one bit at every byte offset. The
+// section carries no checksum of its own (the embedding envelope's
+// trailing FNV-1a catches payload damage), so a flip may decode — but it
+// must never panic, never run past the input, and every rejection must
+// be a typed artifact error with no snapshot alongside it.
+func TestSnapshotSectionBitFlips(t *testing.T) {
+	orig := ioTestSnapshot().AppendBinary(nil)
+	rejected := 0
 	for off := range orig {
 		data := append([]byte(nil), orig...)
 		data[off] ^= 1 << uint(off%8)
-		got, err := UnmarshalSnapshot(data)
+		got, end, err := DecodeSnapshotAt(data, 0)
 		if err == nil {
-			t.Fatalf("flip at byte %d accepted", off)
+			if got == nil || end > len(data) {
+				t.Fatalf("flip at byte %d: snapshot %v, end offset %d of %d", off, got != nil, end, len(data))
+			}
+			continue
 		}
+		rejected++
 		if got != nil {
 			t.Fatalf("flip at byte %d returned a snapshot alongside error %v", off, err)
 		}
-		if !errors.Is(err, artifact.ErrCorrupt) && !errors.Is(err, artifact.ErrTruncated) && !errors.Is(err, artifact.ErrVersion) {
+		if !errors.Is(err, artifact.ErrCorrupt) && !errors.Is(err, artifact.ErrTruncated) {
 			t.Fatalf("flip at byte %d: untyped error %v", off, err)
 		}
 	}
+	if rejected == 0 {
+		t.Fatal("no flip was rejected: the length-prefix checks are not running")
+	}
 }
 
-// TestSnapshotEnvelopeTruncation truncates at every 8-byte boundary and
-// asserts typed classification; prefixes that cut the payload must be
-// ErrTruncated.
-func TestSnapshotEnvelopeTruncation(t *testing.T) {
-	orig, err := ioTestSnapshot().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSnapshotSectionTruncation truncates at every 8-byte boundary and
+// asserts typed classification: a cut section is ErrTruncated (or
+// ErrCorrupt where a length prefix is what remains).
+func TestSnapshotSectionTruncation(t *testing.T) {
+	orig := ioTestSnapshot().AppendBinary(nil)
 	for end := 0; end < len(orig); end += 8 {
-		_, err := UnmarshalSnapshot(orig[:end])
+		_, _, err := DecodeSnapshotAt(orig[:end], 0)
 		if err == nil {
 			t.Fatalf("truncation at byte %d accepted", end)
 		}
 		if !errors.Is(err, artifact.ErrTruncated) && !errors.Is(err, artifact.ErrCorrupt) {
 			t.Fatalf("truncation at byte %d: wrong classification %v", end, err)
 		}
-	}
-}
-
-func TestSnapshotEnvelopeVersionSkew(t *testing.T) {
-	orig, err := ioTestSnapshot().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), orig...)
-	binary.LittleEndian.PutUint64(data[len(snapshotMagic):], uint64(snapshotVersion+7))
-	if _, err := UnmarshalSnapshot(data); !errors.Is(err, artifact.ErrVersion) {
-		t.Fatalf("version skew classified as %v, want ErrVersion", err)
 	}
 }

@@ -22,8 +22,7 @@ func roundTripVariants() []roundTripVariant {
 	return []roundTripVariant{
 		{"fast", func(m *Machine, p *isa.Program) {}},
 		{"per-instr", func(m *Machine, p *isa.Program) {
-			m.SetFastPath(false)
-			m.AddObserver(ObserverFunc(func(ev *Event) {}))
+			forceReference(m)
 		}},
 		{"break-pc", func(m *Machine, p *isa.Program) {
 			// Register every conditional self-loop header as a break PC so

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -45,7 +46,7 @@ func (e *Evaluator) accuracy(figure string, kind timing.CoreKind) (*AccuracyResu
 	rows, err := forEach(e, e.Opts.SpecApps(), func(app string) (ErrRow, error) {
 		row := ErrRow{App: app}
 		for _, policy := range []omp.WaitPolicy{omp.Active, omp.Passive} {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: app, Policy: policy, Input: e.Opts.trainInput(),
 				Threads: e.Opts.Threads, Core: kind, Full: true,
 			})
@@ -107,7 +108,7 @@ func (e *Evaluator) Fig6() (*Fig6Result, error) {
 	rows, err := forEach(e, e.Opts.NPBApps(), func(app string) (NPBThreadRow, error) {
 		row := NPBThreadRow{App: app}
 		for _, threads := range []int{8, 16} {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: app, Policy: omp.Passive, Input: e.Opts.npbInput(),
 				Threads: threads, Full: true,
 			})
@@ -173,7 +174,7 @@ func (e *Evaluator) Fig7() (*Fig7Result, error) {
 	perApp, err := forEach(e, e.Opts.SpecApps(), func(app string) ([]MetricsRow, error) {
 		var rows []MetricsRow
 		for _, policy := range []omp.WaitPolicy{omp.Active, omp.Passive} {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: app, Policy: policy, Input: e.Opts.trainInput(),
 				Threads: e.Opts.Threads, Full: true,
 			})

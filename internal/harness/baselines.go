@@ -34,7 +34,7 @@ func (e *Evaluator) NaiveSimPoint() (*NaiveResult, error) {
 	perApp, err := forEach(e, e.Opts.SpecApps(), func(name string) ([]NaiveRow, error) {
 		var rows []NaiveRow
 		for _, policy := range []omp.WaitPolicy{omp.Active, omp.Passive} {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: name, Policy: policy, Input: e.Opts.trainInput(),
 				Threads: e.Opts.Threads, Full: true,
 			})
@@ -109,7 +109,7 @@ func (e *Evaluator) Constrained() (*ConstrainedResult, error) {
 	apps := []string{"657.xz_s.2", "603.bwaves_s.1"}
 	res := &ConstrainedResult{}
 	for _, name := range apps {
-		rep, err := e.Report(ReportKey{
+		rep, err := e.Report(context.TODO(), ReportKey{
 			App: name, Policy: omp.Active, Input: e.Opts.trainInput(),
 			Threads: e.Opts.Threads, Full: true,
 		})

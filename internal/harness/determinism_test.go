@@ -34,7 +34,7 @@ func TestReportsDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("j=%d: Fig9: %v", j, err)
 		}
-		rep, err := e.Report(ReportKey{
+		rep, err := e.Report(context.Background(), ReportKey{
 			App: "603.bwaves_s.1", Policy: omp.Active, Input: e.Opts.trainInput(),
 			Threads: e.Opts.Threads, Full: true,
 		})
@@ -84,7 +84,7 @@ func TestReportSingleflightNoStampede(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			reps[i], errs[i] = e.Report(key)
+			reps[i], errs[i] = e.Report(context.Background(), key)
 		}(i)
 	}
 	close(start)
@@ -102,7 +102,7 @@ func TestReportSingleflightNoStampede(t *testing.T) {
 		t.Errorf("evaluations = %d, want 1 (stampede not collapsed)", n)
 	}
 	// A later call must hit the cache without re-evaluating.
-	if _, err := e.Report(key); err != nil {
+	if _, err := e.Report(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.Evaluations(); n != 1 {
@@ -110,26 +110,26 @@ func TestReportSingleflightNoStampede(t *testing.T) {
 	}
 }
 
-// TestReportCtxCancelledFailsFast: a cancelled context fails the
+// TestReportCancelledFailsFast: a cancelled context fails the
 // evaluation before any work (or journaling) happens, and the failure is
 // not cached — a later call with a live context evaluates normally.
-func TestReportCtxCancelledFailsFast(t *testing.T) {
+func TestReportCancelledFailsFast(t *testing.T) {
 	e := smokeEvaluator()
 	k := ReportKey{App: "644.nab_s.1", Policy: omp.Passive, Input: e.Opts.trainInput(), Threads: e.Opts.Threads}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ReportCtx(ctx, k); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReportCtx err = %v, want context.Canceled", err)
+	if _, err := e.Report(ctx, k); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Report err = %v, want context.Canceled", err)
 	}
 	if n := e.Evaluations(); n != 0 {
 		t.Fatalf("%d evaluations ran under a cancelled context, want 0", n)
 	}
-	if _, _, err := e.AnalyzeOnlyCtx(ctx, "644.nab_s.1", omp.Passive, e.Opts.trainInput(), e.Opts.Threads); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeOnlyCtx err = %v, want context.Canceled", err)
+	if _, _, err := e.AnalyzeOnly(ctx, "644.nab_s.1", omp.Passive, e.Opts.trainInput(), e.Opts.Threads); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AnalyzeOnly err = %v, want context.Canceled", err)
 	}
-	rep, err := e.ReportCtx(context.Background(), k)
+	rep, err := e.Report(context.Background(), k)
 	if err != nil {
-		t.Fatalf("ReportCtx after cancellation was sticky: %v", err)
+		t.Fatalf("Report after cancellation was sticky: %v", err)
 	}
 	if rep == nil || e.Evaluations() != 1 {
 		t.Fatalf("live-context evaluation did not run (evals=%d)", e.Evaluations())

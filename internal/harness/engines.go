@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"looppoint/internal/omp"
@@ -55,7 +56,7 @@ func (e *Evaluator) Engines(engines []string) (*EnginesResult, error) {
 	perApp, err := forEach(e, apps, func(name string) ([]EngineRow, error) {
 		var rows []EngineRow
 		for _, engine := range engines {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: name, Policy: omp.Active, Input: e.Opts.trainInput(),
 				Threads: e.Opts.Threads, Full: true, Selector: engine,
 			})

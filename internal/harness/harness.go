@@ -204,14 +204,9 @@ func (o Options) NPBApps() []string {
 type Evaluator struct {
 	Opts Options
 
-	mu         sync.Mutex
-	reports    map[string]*core.Report
-	apps       map[string]*workloads.App
-	selections map[string]*core.Selection
-
-	reportFlight pool.Flight[*core.Report]
-	appFlight    pool.Flight[*workloads.App]
-	selFlight    pool.Flight[*core.Selection]
+	reports    memo[*core.Report]
+	apps       memo[*workloads.App]
+	selections memo[*core.Selection]
 
 	journal  *journal
 	restored int
@@ -220,23 +215,61 @@ type Evaluator struct {
 	evals atomic.Int64
 }
 
+// memo is a keyed cache behind a singleflight: however many goroutines
+// ask for a key, one of them computes it and the rest share the result.
+// Successes are cached; failures are not, so a later call re-evaluates.
+// The zero value is ready to use.
+type memo[V any] struct {
+	mu     sync.Mutex
+	vals   map[string]V
+	flight pool.Flight[V]
+}
+
+func (m *memo[V]) lookup(key string) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.vals[key]
+	return v, ok
+}
+
+func (m *memo[V]) do(key string, compute func() (V, error)) (V, error) {
+	if v, ok := m.lookup(key); ok {
+		return v, nil
+	}
+	v, err, _ := m.flight.Do(key, func() (V, error) {
+		// Re-check under the flight: the previous holder of this key may
+		// have stored its result between the lookup above and Do.
+		if v, ok := m.lookup(key); ok {
+			return v, nil
+		}
+		v, err := compute()
+		if err != nil {
+			var zero V
+			return zero, err
+		}
+		m.mu.Lock()
+		if m.vals == nil {
+			m.vals = make(map[string]V)
+		}
+		m.vals[key] = v
+		m.mu.Unlock()
+		return v, nil
+	})
+	return v, err
+}
+
 // NewEvaluator creates an evaluator. When Options.Resume names a
 // journal, previously completed evaluations are rehydrated into the
 // report cache and new ones are appended as they finish.
 func NewEvaluator(opts Options) *Evaluator {
-	e := &Evaluator{
-		Opts:       opts.fill(),
-		reports:    make(map[string]*core.Report),
-		apps:       make(map[string]*workloads.App),
-		selections: make(map[string]*core.Selection),
-	}
+	e := &Evaluator{Opts: opts.fill()}
 	if opts.Resume != "" {
 		config := configFingerprint(e.Opts)
 		restored, dropped, mismatched, err := loadJournal(opts.Resume, config)
 		if err != nil {
 			e.logf("resume: cannot read journal %s: %v (starting fresh)", opts.Resume, err)
 		} else {
-			e.reports = restored
+			e.reports.vals = restored
 			e.restored = len(restored)
 			if dropped > 0 {
 				e.logf("resume: dropped %d corrupt journal line(s) from %s", dropped, opts.Resume)
@@ -298,33 +331,13 @@ func forEach[T, R any](e *Evaluator, items []T, fn func(T) (R, error)) ([]R, err
 // requests for the same instance share one build.
 func (e *Evaluator) BuildApp(name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*workloads.App, error) {
 	key := fmt.Sprintf("%s/%v/%s/%d", name, policy, input, threads)
-	e.mu.Lock()
-	app, ok := e.apps[key]
-	e.mu.Unlock()
-	if ok {
-		return app, nil
-	}
-	app, err, _ := e.appFlight.Do(key, func() (*workloads.App, error) {
-		e.mu.Lock()
-		app, ok := e.apps[key]
-		e.mu.Unlock()
-		if ok {
-			return app, nil
-		}
-		spec, ok2 := workloads.Lookup(name)
-		if !ok2 {
+	return e.apps.do(key, func() (*workloads.App, error) {
+		spec, ok := workloads.Lookup(name)
+		if !ok {
 			return nil, fmt.Errorf("harness: unknown workload %q", name)
 		}
-		app, err := spec.Build(workloads.BuildParams{Threads: threads, Input: input, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.apps[key] = app
-		e.mu.Unlock()
-		return app, nil
+		return spec.Build(workloads.BuildParams{Threads: threads, Input: input, Policy: policy})
 	})
-	return app, err
 }
 
 // ReportKey identifies one memoized evaluation.
@@ -344,35 +357,19 @@ type ReportKey struct {
 // Report runs (or returns the cached) end-to-end LoopPoint evaluation.
 // Concurrent callers of the same key block on one in-flight evaluation
 // instead of duplicating the record/profile/cluster/simulate run.
-func (e *Evaluator) Report(k ReportKey) (*core.Report, error) {
-	return e.ReportCtx(context.Background(), k)
-}
-
-// ReportCtx is Report under a caller context: cancellation or deadline
-// expiry stops the evaluation at the next phase or region boundary with
-// ctx's error instead of finishing the remaining work — the contract the
-// serving layer's per-request deadlines rely on. Cache hits ignore ctx.
+// Cancellation or deadline expiry of ctx stops the evaluation at the
+// next phase or region boundary with ctx's error instead of finishing
+// the remaining work — the contract the serving layer's per-request
+// deadlines rely on. Cache hits ignore ctx.
 //
 // Singleflight caveat: concurrent callers of the same key share the
 // first caller's evaluation, so cancelling that first caller's context
 // fails the shared attempt for everyone waiting on it (failures are not
 // cached; a later call re-evaluates). Callers that must not be coupled
 // should use distinct keys or an outer retry.
-func (e *Evaluator) ReportCtx(ctx context.Context, k ReportKey) (*core.Report, error) {
+func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, error) {
 	key := fmt.Sprintf("%+v", k)
-	e.mu.Lock()
-	rep, ok := e.reports[key]
-	e.mu.Unlock()
-	if ok {
-		return rep, nil
-	}
-	rep, err, _ := e.reportFlight.Do(key, func() (*core.Report, error) {
-		e.mu.Lock()
-		rep, ok := e.reports[key]
-		e.mu.Unlock()
-		if ok {
-			return rep, nil
-		}
+	return e.reports.do(key, func() (*core.Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -399,7 +396,7 @@ func (e *Evaluator) ReportCtx(ctx context.Context, k ReportKey) (*core.Report, e
 			cfg.Selector = k.Selector
 		}
 		cfg.ProgressKey = progressKey(k.App, k.Policy, k.Input, k.Threads, cfg.Selector)
-		rep, err = core.Run(ctx, app.Prog, cfg, simCfg, core.RunOpts{
+		rep, err := core.Run(ctx, app.Prog, cfg, simCfg, core.RunOpts{
 			SimulateFull: k.Full, Width: e.Opts.Parallelism,
 			Degraded: e.Opts.Degraded, Retries: e.Opts.Retries,
 			RegionTimeout: e.Opts.RegionTimeout, MinCoverage: e.Opts.MinCoverage,
@@ -409,9 +406,6 @@ func (e *Evaluator) ReportCtx(ctx context.Context, k ReportKey) (*core.Report, e
 		}
 		e.logf("evaluated %s (%v, %s) in %v",
 			k.App, k.Policy, k.Input, time.Since(start).Round(time.Millisecond))
-		e.mu.Lock()
-		e.reports[key] = rep
-		e.mu.Unlock()
 		if e.journal != nil {
 			if jerr := e.journal.append(key, rep); jerr != nil {
 				e.logf("resume: journal append failed: %v (journaling disabled)", jerr)
@@ -419,20 +413,14 @@ func (e *Evaluator) ReportCtx(ctx context.Context, k ReportKey) (*core.Report, e
 		}
 		return rep, nil
 	})
-	return rep, err
 }
 
 // AnalyzeOnly runs analysis and selection without any timing simulation
 // (used for the ref-input speedup studies, where full simulation is the
 // very thing being avoided). Concurrent callers share one analysis.
-func (e *Evaluator) AnalyzeOnly(name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*core.Selection, *workloads.App, error) {
-	return e.AnalyzeOnlyCtx(context.Background(), name, policy, input, threads)
-}
-
-// AnalyzeOnlyCtx is AnalyzeOnly under a caller context. Analysis is one
-// CPU-bound phase, so cancellation is honored at phase boundaries (the
-// same singleflight coupling as ReportCtx applies).
-func (e *Evaluator) AnalyzeOnlyCtx(ctx context.Context, name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*core.Selection, *workloads.App, error) {
+// Analysis is one CPU-bound phase, so cancellation of ctx is honored at
+// phase boundaries (the same singleflight coupling as Report applies).
+func (e *Evaluator) AnalyzeOnly(ctx context.Context, name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*core.Selection, *workloads.App, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -441,19 +429,7 @@ func (e *Evaluator) AnalyzeOnlyCtx(ctx context.Context, name string, policy omp.
 		return nil, nil, err
 	}
 	key := fmt.Sprintf("%s/%v/%s/%d", name, policy, input, threads)
-	e.mu.Lock()
-	sel, ok := e.selections[key]
-	e.mu.Unlock()
-	if ok {
-		return sel, app, nil
-	}
-	sel, err, _ = e.selFlight.Do(key, func() (*core.Selection, error) {
-		e.mu.Lock()
-		sel, ok := e.selections[key]
-		e.mu.Unlock()
-		if ok {
-			return sel, nil
-		}
+	sel, err := e.selections.do(key, func() (*core.Selection, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -465,15 +441,12 @@ func (e *Evaluator) AnalyzeOnlyCtx(ctx context.Context, name string, policy omp.
 		if err != nil {
 			return nil, err
 		}
-		sel, err = core.Select(a)
+		sel, err := core.Select(a)
 		if err != nil {
 			return nil, err
 		}
 		e.logf("analyzed %s (%v, %s) in %v", name, policy, input,
 			time.Since(start).Round(time.Millisecond))
-		e.mu.Lock()
-		e.selections[key] = sel
-		e.mu.Unlock()
 		return sel, nil
 	})
 	if err != nil {

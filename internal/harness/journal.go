@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -161,30 +159,19 @@ func loadJournal(path, config string) (restored map[string]*core.Report, dropped
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		recBytes, ok := artifact.VerifyLine(line)
-		if !ok {
-			dropped++
-			continue
-		}
+	err = artifact.ScanRecords(data, func(recBytes []byte, ok bool) bool {
 		var rec journalRecord
-		if json.Unmarshal(recBytes, &rec) != nil || rec.Key == "" {
+		switch {
+		case !ok || json.Unmarshal(recBytes, &rec) != nil || rec.Key == "":
 			dropped++
-			continue
-		}
-		if rec.Config != config {
+		case rec.Config != config:
 			mismatched++
-			continue
+		default:
+			restored[rec.Key] = rec.Report.report()
 		}
-		restored[rec.Key] = rec.Report.report()
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, 0, 0, err
 	}
 	return restored, dropped, mismatched, nil

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"looppoint/internal/core"
@@ -40,7 +41,7 @@ func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 	ref := NewEvaluator(smokeOpts())
 	key.Input = ref.Opts.trainInput()
 	key.Threads = ref.Opts.Threads
-	refRep, err := ref.Report(key)
+	refRep, err := ref.Report(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 	optsA := smokeOpts()
 	optsA.ProgressDir = dir
 	optsA.Progress = &core.ProgressStats{}
-	repA, err := NewEvaluator(optsA).Report(key)
+	repA, err := NewEvaluator(optsA).Report(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 	optsB := smokeOpts()
 	optsB.ProgressDir = dir
 	optsB.Progress = &core.ProgressStats{}
-	repB, err := NewEvaluator(optsB).Report(key)
+	repB, err := NewEvaluator(optsB).Report(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

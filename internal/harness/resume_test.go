@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	refKeys := resumeKeys(ref)
 	refSums := make([]string, len(refKeys))
 	for i, k := range refKeys {
-		rep, err := ref.Report(k)
+		rep, err := ref.Report(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +51,11 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	restore := faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "harness.report", Kind: faults.Transient, Rate: 1, After: 1}))
 	keys := resumeKeys(e1)
-	rep0, err := e1.Report(keys[0])
+	rep0, err := e1.Report(context.Background(), keys[0])
 	if err != nil {
 		t.Fatalf("first report under fault plan: %v", err)
 	}
-	if _, err := e1.Report(keys[1]); !errors.Is(err, faults.ErrInjected) {
+	if _, err := e1.Report(context.Background(), keys[1]); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("second report: err = %v, want injected kill", err)
 	}
 	restore()
@@ -71,7 +72,7 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	if e2.Restored() != 1 {
 		t.Fatalf("restored %d reports, want 1", e2.Restored())
 	}
-	r0, err := e2.Report(keys[0])
+	r0, err := e2.Report(context.Background(), keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	if got := r0.Summary(); got != refSums[0] {
 		t.Errorf("rehydrated summary differs:\n got %s\nwant %s", got, refSums[0])
 	}
-	r1, err := e2.Report(keys[1])
+	r1, err := e2.Report(context.Background(), keys[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 	opts.Resume = jpath
 	e1 := NewEvaluator(opts)
 	k := resumeKeys(e1)[0]
-	if _, err := e1.Report(k); err != nil {
+	if _, err := e1.Report(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.Close(); err != nil {
@@ -134,7 +135,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 	if e2.Restored() != 0 {
 		t.Fatalf("restored %d reports from corrupt journal, want 0", e2.Restored())
 	}
-	if _, err := e2.Report(k); err != nil {
+	if _, err := e2.Report(context.Background(), k); err != nil {
 		t.Fatalf("evaluation after corrupt journal: %v", err)
 	}
 	if n := e2.Evaluations(); n != 1 {
@@ -153,7 +154,7 @@ func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
 	opts.Resume = jpath
 	e1 := NewEvaluator(opts)
 	k := resumeKeys(e1)[0]
-	if _, err := e1.Report(k); err != nil {
+	if _, err := e1.Report(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.Close(); err != nil {
@@ -169,7 +170,7 @@ func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
 	if e2.Restored() != 0 {
 		t.Fatalf("restored %d reports across a config change, want 0", e2.Restored())
 	}
-	if _, err := e2.Report(k); err != nil {
+	if _, err := e2.Report(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 	if n := e2.Evaluations(); n != 1 {
@@ -222,7 +223,7 @@ func TestResumeSkipsV3Journal(t *testing.T) {
 			if !strings.Contains(log.String(), "skipped 1 journal record(s)") {
 				t.Errorf("resume did not report the skipped record:\n%s", log.String())
 			}
-			if _, err := e.Report(resumeKeys(e)[0]); err != nil {
+			if _, err := e.Report(context.Background(), resumeKeys(e)[0]); err != nil {
 				t.Fatal(err)
 			}
 			if n := e.Evaluations(); n != 1 {
@@ -243,7 +244,7 @@ func TestDegradedEvaluatorSurvivesRegionLoss(t *testing.T) {
 	e := NewEvaluator(opts)
 	defer faults.Enable(faults.NewPlan(1,
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	rep, err := e.Report(resumeKeys(e)[0])
+	rep, err := e.Report(context.Background(), resumeKeys(e)[0])
 	if err != nil {
 		t.Fatalf("degraded evaluation failed: %v", err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -29,7 +30,7 @@ type Fig8Result struct {
 // Fig8 computes speedups from the train evaluations.
 func (e *Evaluator) Fig8() (*Fig8Result, error) {
 	rows, err := forEach(e, e.Opts.SpecApps(), func(app string) (SpeedupRow, error) {
-		rep, err := e.Report(ReportKey{
+		rep, err := e.Report(context.TODO(), ReportKey{
 			App: app, Policy: omp.Active, Input: e.Opts.trainInput(),
 			Threads: e.Opts.Threads, Full: true,
 		})
@@ -88,7 +89,7 @@ type Fig9Result struct {
 // Fig9 runs the ref-input analysis for both methodologies.
 func (e *Evaluator) Fig9() (*Fig9Result, error) {
 	rows, err := forEach(e, e.Opts.SpecApps(), func(name string) (RefSpeedupRow, error) {
-		sel, app, err := e.AnalyzeOnly(name, omp.Passive, e.Opts.refInput(), e.Opts.Threads)
+		sel, app, err := e.AnalyzeOnly(context.TODO(), name, omp.Passive, e.Opts.refInput(), e.Opts.Threads)
 		if err != nil {
 			return RefSpeedupRow{}, err
 		}
@@ -154,7 +155,7 @@ func (e *Evaluator) Fig10() (*Fig10Result, error) {
 	rows, err := forEach(e, e.Opts.NPBApps(), func(app string) (NPBSpeedupRow, error) {
 		row := NPBSpeedupRow{App: app}
 		for _, threads := range []int{8, 16} {
-			rep, err := e.Report(ReportKey{
+			rep, err := e.Report(context.TODO(), ReportKey{
 				App: app, Policy: omp.Passive, Input: e.Opts.npbInput(),
 				Threads: threads, Full: true,
 			})
@@ -227,7 +228,7 @@ func (e *Evaluator) Fig1() (*Fig1Result, error) {
 		// Per-app cost estimates computed on the pool; the deterministic
 		// part is that contributions are summed in app order below.
 		contribs, err := forEach(e, cb.apps, func(name string) (Fig1Row, error) {
-			sel, app, err := e.AnalyzeOnly(name, omp.Passive, cb.input, e.Opts.Threads)
+			sel, app, err := e.AnalyzeOnly(context.TODO(), name, omp.Passive, cb.input, e.Opts.Threads)
 			if err != nil {
 				return Fig1Row{}, err
 			}

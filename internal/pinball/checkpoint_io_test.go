@@ -1,6 +1,7 @@
 package pinball
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -95,10 +96,7 @@ func TestCheckpointRoundTripReplayIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := serial.Snapshot().MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := serial.Snapshot().AppendBinary(nil)
 			total := w.pb.Schedule.Steps()
 			for k, ck := range chainWindows(t, w.prog, w.pb, total/5) {
 				enc, err := EncodeCheckpoint(ck)
@@ -116,11 +114,7 @@ func TestCheckpointRoundTripReplayIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("checkpoint %d: %v", k, err)
 				}
-				got, err := end.Snap.MarshalBinary()
-				if err != nil {
-					t.Fatalf("checkpoint %d: %v", k, err)
-				}
-				if string(got) != string(want) {
+				if got := end.Snap.AppendBinary(nil); !bytes.Equal(got, want) {
 					t.Fatalf("checkpoint %d (step %d): resumed replay is not byte-identical to unbroken replay", k, dec.Step)
 				}
 			}

@@ -59,7 +59,9 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 
 	m, replay := pb.ReplayFrom(p, pb.StartCheckpoint())
 	if slowExtract {
-		m.SetFastPath(false)
+		// A per-instruction observer makes StepBlock assemble its events
+		// by driving Step — the reference engine.
+		m.AddObserver(exec.ObserverFunc(func(*exec.Event) {}))
 	}
 
 	// Track global hit counts of every marker PC of interest. They are
@@ -94,7 +96,7 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 				StartHitsAtSnapshot: markerHits(hits, s.Start),
 				EndHitsAtSnapshot:   markerHits(hits, s.End),
 			}
-			rp.Syscalls = sliceSyscalls(pb.Syscalls, replay.Positions(), nil)
+			rp.Syscalls = syscallsFrom(pb.Syscalls, replay.Positions())
 			rp.Schedule = pb.Schedule.Window(steps, s.EndStep-s.WarmupStartStep)
 			rp.MemChecksum = fnv1a(snap.Mem)
 			out[i] = rp
@@ -131,9 +133,10 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 		return nil, fmt.Errorf("pinball: %d region snapshots not reached (recording has %d steps)",
 			len(order)-next, pb.Schedule.Steps())
 	}
-	// Trim each region's syscall log to its own span: the logs currently
-	// run to the end of the recording, which is harmless for replay but
-	// wasteful; leave them intact (slices share backing arrays).
+	// Each region's syscall log is its own copy running from the
+	// snapshot's cursors to the end of the recording (the sweep stops at
+	// the last snapshot, before any region's end cursors are known). The
+	// tail is harmless for replay, and saved region pinballs carry it.
 	return out, nil
 }
 

@@ -176,112 +176,11 @@ func (pb *Pinball) verifyFinal(m *exec.Machine) error {
 	return nil
 }
 
-// RecordRegion extracts a region pinball from a whole-program pinball:
-// the snapshot is taken at the warmup-start marker (equal to the region
-// start when no warmup prefix is requested), and the schedule and syscall
-// logs cover warmup start through region end. The resulting pinball can
-// be simulated in isolation — and in parallel with other regions.
-func (pb *Pinball) RecordRegion(p *isa.Program, name string, bounds RegionBounds) (*Pinball, error) {
-	if err := pb.Verify(); err != nil {
-		return nil, fmt.Errorf("pinball: record region %s: %w", name, err)
-	}
-	m := exec.NewMachine(p, 0)
-	m.Restore(pb.Start)
-	replay := exec.NewReplayOS(pb.Syscalls)
-	m.OS = replay
-
-	// Marker counts are global since program start; count start- and
-	// end-marker PC hits consumed during positioning so the watchers used
-	// after the snapshot can be rebased.
-	var endHits, startHits uint64
-	if !bounds.End.IsEnd && !bounds.End.IsStart() {
-		m.AddObserver(exec.ObserverFunc(func(ev *exec.Event) {
-			if ev.BlockEntry && ev.Block.Addr == bounds.End.PC {
-				endHits++
-			}
-		}))
-	}
-	trackStart := bounds.Start != bounds.WarmupStart && !bounds.Start.IsStart()
-	if trackStart {
-		m.AddObserver(exec.ObserverFunc(func(ev *exec.Event) {
-			if ev.BlockEntry && ev.Block.Addr == bounds.Start.PC {
-				startHits++
-			}
-		}))
-	}
-
-	// Position the replay at the warmup start.
-	var steps0 uint64
-	base := m.TotalICount()
-	if !bounds.WarmupStart.IsStart() {
-		w := bbv.NewWatcher(m, bounds.WarmupStart)
-		m.AddObserver(w)
-		if err := m.RunSchedule(pb.Schedule); err != nil {
-			return nil, fmt.Errorf("pinball: record region %s: %w", name, err)
-		}
-		if !w.Fired {
-			return nil, fmt.Errorf("pinball: record region %s: warmup-start marker %v not reached",
-				name, bounds.WarmupStart)
-		}
-		steps0 = m.TotalICount() - base
-	}
-	// The positioning machine's job ends here: package the warmup-start
-	// state as a checkpoint and run the continuation through the shared
-	// windowed-replay primitive, on a fresh machine — the same mechanism
-	// the analysis replay windows use. The mid-run snapshot
-	// carries the futex wake order and OS cursors, so the continuation is
-	// byte-identical to continuing the positioning machine (pinned by the
-	// legacy-path identity test).
-	ck := Checkpoint{Snap: m.Snapshot(), SysPos: replay.Positions(), Step: steps0}
-	cm, crep := pb.ReplayFrom(p, ck)
-
-	// Continue to the region end, noting where the warmup prefix ends.
-	var warmupSteps uint64
-	if trackStart {
-		sw := bbv.NewWatcher(cm, bounds.Start)
-		sw.SkipCounted(startHits)
-		sw.StopOnFire = false
-		sw.OnFire = func() { warmupSteps = cm.TotalICount() - base - steps0 }
-		cm.AddObserver(sw)
-	}
-	ew := bbv.NewWatcher(cm, bounds.End)
-	ew.SkipCounted(endHits)
-	cm.AddObserver(ew)
-	rest := pb.Schedule.Skip(steps0)
-	if err := cm.RunSchedule(rest); err != nil {
-		return nil, fmt.Errorf("pinball: record region %s: %w", name, err)
-	}
-	if !bounds.End.IsEnd && !ew.Fired {
-		return nil, fmt.Errorf("pinball: record region %s: end marker %v not reached", name, bounds.End)
-	}
-	steps1 := cm.TotalICount() - base - steps0
-	sys1 := crep.Positions()
-
-	region := &Pinball{
-		Name:        name,
-		NumThreads:  pb.NumThreads,
-		Start:       ck.Snap,
-		Syscalls:    sliceSyscalls(pb.Syscalls, ck.SysPos, sys1),
-		Schedule:    rest.Take(steps1),
-		Region:      bounds,
-		WarmupSteps: warmupSteps,
-	}
-	region.MemChecksum = fnv1a(ck.Snap.Mem)
-	region.FinalChecksum = fnv1a(cm.Mem)
-	return region, nil
-}
-
-func sliceSyscalls(log [][]int64, from, to []int) [][]int64 {
+// syscallsFrom copies each thread's injection log from its cursor on.
+func syscallsFrom(log [][]int64, from []int) [][]int64 {
 	out := make([][]int64, len(log))
 	for t := range log {
-		f, e := 0, len(log[t])
-		if t < len(from) {
-			f = from[t]
-		}
-		if t < len(to) {
-			e = to[t]
-		}
-		out[t] = append([]int64(nil), log[t][f:e]...)
+		out[t] = append([]int64(nil), log[t][from[t]:]...)
 	}
 	return out
 }

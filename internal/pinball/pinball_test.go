@@ -117,15 +117,12 @@ func TestReplayDetectsTamperedSchedule(t *testing.T) {
 	}
 }
 
-func TestRegionPinballExtraction(t *testing.T) {
-	p := testprog.Phased(4, 8, 150, omp.Active)
-	pb, err := Record(p, 11, 512)
-	if err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-
-	// Profile the replay to get region markers.
-	db := dcfg.NewBuilder(p, 4)
+// profileRegions profiles a recording the way the analysis pipeline does
+// — DCFG replay for the main-image loop headers, then a BBV replay
+// slicing at them — and returns the regions.
+func profileRegions(t *testing.T, p *isa.Program, pb *Pinball, slice uint64) []*bbv.Region {
+	t.Helper()
+	db := dcfg.NewBuilder(p, p.NumThreads())
 	if _, err := pb.Replay(p, db); err != nil {
 		t.Fatalf("DCFG replay: %v", err)
 	}
@@ -133,36 +130,51 @@ func TestRegionPinballExtraction(t *testing.T) {
 	for _, h := range db.Graph().FindLoops().MainImageHeaders() {
 		addrs = append(addrs, h.Addr)
 	}
-	col := bbv.NewCollector(p, addrs, 4*1500)
+	col := bbv.NewCollector(p, addrs, slice)
 	if _, err := pb.Replay(p, col); err != nil {
 		t.Fatalf("BBV replay: %v", err)
 	}
-	prof := col.Finish()
-	if len(prof.Regions) < 3 {
-		t.Fatalf("want >= 3 regions, got %d", len(prof.Regions))
+	return col.Finish().Regions
+}
+
+func TestRegionPinballExtraction(t *testing.T) {
+	p := testprog.Phased(4, 8, 150, omp.Active)
+	pb, err := Record(p, 11, 512)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	regions := profileRegions(t, p, pb, 4*1500)
+	if len(regions) < 3 {
+		t.Fatalf("want >= 3 regions, got %d", len(regions))
 	}
 
 	// Extract the middle region as its own pinball, with the previous
-	// region as warmup prefix.
-	reg := prof.Regions[1]
-	bounds := RegionBounds{
-		Start:       reg.Start,
-		End:         reg.End,
-		WarmupStart: prof.Regions[0].Start, // program start
-	}
-	rpb, err := pb.RecordRegion(p, "phased.r1", bounds)
+	// region (from the program start) as warmup prefix.
+	reg := regions[1]
+	rpbs, err := pb.ExtractRegions(p, []RegionSpec{{
+		Name:            "phased.r1",
+		WarmupStartStep: regions[0].StartICount,
+		StartStep:       reg.StartICount,
+		EndStep:         reg.EndICount,
+		Start:           reg.Start,
+		End:             reg.End,
+	}})
 	if err != nil {
-		t.Fatalf("RecordRegion: %v", err)
+		t.Fatalf("ExtractRegions: %v", err)
 	}
-	if rpb.Schedule.Steps() == 0 {
-		t.Fatal("region pinball has empty schedule")
+	rpb := rpbs[0]
+	if got, want := rpb.Schedule.Steps(), reg.EndICount-regions[0].StartICount; got != want {
+		t.Errorf("region schedule steps = %d, want warmup + region = %d", got, want)
+	}
+	if got, want := rpb.WarmupSteps, regions[0].UnfilteredLen(); got != want {
+		t.Errorf("warmup steps = %d, want the previous region's %d", got, want)
 	}
 	if rpb.Schedule.Steps() >= pb.Schedule.Steps() {
 		t.Error("region pinball not smaller than whole-program pinball")
 	}
 
-	// Replaying the region pinball must succeed and reproduce the same
-	// instruction span.
+	// Replaying the region pinball must succeed and stop at the region
+	// end, not the program's.
 	m, err := rpb.Replay(p)
 	if err != nil {
 		t.Fatalf("region Replay: %v", err)
@@ -178,35 +190,36 @@ func TestRegionPinballMidProgramStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Record: %v", err)
 	}
-	db := dcfg.NewBuilder(p, 2)
-	if _, err := pb.Replay(p, db); err != nil {
-		t.Fatalf("DCFG replay: %v", err)
+	regions := profileRegions(t, p, pb, 2*800)
+	if len(regions) < 4 {
+		t.Skipf("only %d regions", len(regions))
 	}
-	var addrs []uint64
-	for _, h := range db.Graph().FindLoops().MainImageHeaders() {
-		addrs = append(addrs, h.Addr)
-	}
-	col := bbv.NewCollector(p, addrs, 2*800)
-	if _, err := pb.Replay(p, col); err != nil {
-		t.Fatalf("BBV replay: %v", err)
-	}
-	prof := col.Finish()
-	if len(prof.Regions) < 4 {
-		t.Skipf("only %d regions", len(prof.Regions))
-	}
-	reg := prof.Regions[2]
-	rpb, err := pb.RecordRegion(p, "mid", RegionBounds{
-		Start: reg.Start, End: reg.End, WarmupStart: reg.Start,
-	})
+	reg := regions[2]
+	rpbs, err := pb.ExtractRegions(p, []RegionSpec{{
+		Name:            "mid",
+		WarmupStartStep: reg.StartICount,
+		StartStep:       reg.StartICount,
+		EndStep:         reg.EndICount,
+		Start:           reg.Start,
+		End:             reg.End,
+	}})
 	if err != nil {
-		t.Fatalf("RecordRegion: %v", err)
+		t.Fatalf("ExtractRegions: %v", err)
 	}
+	rpb := rpbs[0]
 	// The region schedule length must match the region's unfiltered span.
 	if got, want := rpb.Schedule.Steps(), reg.UnfilteredLen(); got != want {
 		t.Errorf("region schedule steps = %d, want %d", got, want)
 	}
-	if _, err := rpb.Replay(p); err != nil {
+	if rpb.Schedule.Steps() >= pb.Schedule.Steps() {
+		t.Error("region pinball not smaller than whole-program pinball")
+	}
+	m, err := rpb.Replay(p)
+	if err != nil {
 		t.Fatalf("region Replay: %v", err)
+	}
+	if m.Done() {
+		t.Error("region replay ran to program completion")
 	}
 }
 

@@ -40,10 +40,9 @@ func (pb *Pinball) StartCheckpoint() Checkpoint {
 // snapshot restored and a replay OS whose injection cursors resume where
 // the checkpointed run left off. Callers attach observers and drive the
 // machine over (a window of) Schedule.Skip(from.Step). This is the one
-// primitive every partial replay in the package routes through —
-// RecordRegion's continuation, the region extraction sweep, and the
-// analysis windows — so mid-run positioning semantics live in exactly
-// one place.
+// primitive every partial replay in the package routes through — the
+// region extraction sweep and the analysis windows — so mid-run
+// positioning semantics live in exactly one place.
 func (pb *Pinball) ReplayFrom(p *isa.Program, from Checkpoint) (*exec.Machine, *exec.ReplayOS) {
 	m := exec.NewMachine(p, 0)
 	// Restore before installing the replay OS: a start checkpoint's

@@ -15,10 +15,10 @@ import (
 // points, so repeated requests for the same workload hit the evaluator
 // cache (and its resume journal) instead of recomputing.
 //
-//   - analyze  → AnalyzeOnlyCtx: profile + cluster + select, no timing.
-//   - simulate → ReportCtx with Full forced off: sampled simulation and
+//   - analyze  → AnalyzeOnly: profile + cluster + select, no timing.
+//   - simulate → Report with Full forced off: sampled simulation and
 //     extrapolation only (the cheap production shape).
-//   - report   → ReportCtx honoring req.Full: optionally simulates the
+//   - report   → Report honoring req.Full: optionally simulates the
 //     whole program too, for error reporting.
 //
 // The per-request deadline context flows through the evaluator into
@@ -53,7 +53,7 @@ func EvaluatorRunner(e *harness.Evaluator) RunFunc {
 
 		res := &JobResult{ID: req.ID, Class: req.Class, App: req.App}
 		if req.Class == ClassAnalyze {
-			sel, _, err := e.AnalyzeOnlyCtx(ctx, req.App, policy, input, threads)
+			sel, _, err := e.AnalyzeOnly(ctx, req.App, policy, input, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +64,7 @@ func EvaluatorRunner(e *harness.Evaluator) RunFunc {
 		}
 
 		full := req.Full && req.Class == ClassReport
-		rep, err := e.ReportCtx(ctx, harness.ReportKey{
+		rep, err := e.Report(ctx, harness.ReportKey{
 			App: req.App, Policy: policy, Input: input,
 			Threads: threads, Core: core, Full: full,
 		})

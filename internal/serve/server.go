@@ -351,9 +351,6 @@ func (s *Server) Start() {
 	}
 }
 
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Breaker returns the given class's breaker (nil for unknown classes) —
 // observability for tests and the daemon.
 func (s *Server) Breaker(class string) *Breaker { return s.breakers[class] }

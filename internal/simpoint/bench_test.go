@@ -36,7 +36,7 @@ func BenchmarkProjectRegions(b *testing.B) {
 	regions := benchRegions(1000, 8, 40, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ProjectRegions(regions, 500, DefaultDims, 42)
+		ProjectRegionsN(regions, 500, DefaultDims, 42, 1)
 	}
 }
 

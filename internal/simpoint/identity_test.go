@@ -64,13 +64,13 @@ func TestProjectRegionsFastSlowIdentity(t *testing.T) {
 		seed := rng.next()
 		regions := randomRegions(&rng, n, threads, nblocks)
 
-		fast := ProjectRegions(regions, nblocks, dims, seed)
+		fast := ProjectRegionsN(regions, nblocks, dims, seed, 1)
 		slow := ProjectRegionsSlow(regions, nblocks, dims, seed)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("trial %d: ProjectRegions fast/slow differ (n=%d threads=%d nblocks=%d dims=%d seed=%d)",
 				trial, n, threads, nblocks, dims, seed)
 		}
-		sumFast := SumProjectRegions(regions, nblocks, dims, seed)
+		sumFast := SumProjectRegionsN(regions, nblocks, dims, seed, 1)
 		sumSlow := SumProjectRegionsSlow(regions, nblocks, dims, seed)
 		if !reflect.DeepEqual(sumFast, sumSlow) {
 			t.Fatalf("trial %d: SumProjectRegions fast/slow differ", trial)
@@ -140,7 +140,7 @@ func TestClusterFastSlowIdentityFuzz(t *testing.T) {
 		seed := rng.next()
 		maxK := 1 + rng.intn(12)
 		regions := randomRegions(&rng, n, threads, nblocks)
-		vectors := ProjectRegions(regions, nblocks, dims, seed)
+		vectors := ProjectRegionsN(regions, nblocks, dims, seed, 1)
 		weights := make([]float64, n)
 		for i := range weights {
 			weights[i] = float64(1 + rng.intn(10_000))

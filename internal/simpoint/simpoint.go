@@ -83,7 +83,7 @@ func (p *projRows) row(r int) []float64 {
 	return p.flat[off : off+p.dims]
 }
 
-// ProjectRegions concatenates each region's per-thread BBVs into one
+// ProjectRegionsN concatenates each region's per-thread BBVs into one
 // global sparse vector (thread t's block b maps to row t*nblocks+b),
 // normalizes it to unit L1 mass, and projects it to dims dimensions.
 // The concatenation preserves per-thread behaviour so heterogeneous
@@ -93,31 +93,20 @@ func (p *projRows) row(r int) []float64 {
 // (index, weight) vectors and projected by sparse dot products against
 // cached matrix rows. The accumulation order — threads in order, block
 // indices ascending — matches ProjectRegionsSlow term for term, so the
-// output is byte-identical to the naive path. It runs serially; see
-// ProjectRegionsN for the parallel variant (same output).
-func ProjectRegions(regions []*bbv.Region, nblocks, dims int, seed uint64) [][]float64 {
-	return ProjectRegionsN(regions, nblocks, dims, seed, 1)
-}
-
-// ProjectRegionsN is ProjectRegions fanned out over a worker pool
-// (workers <= 0 means one per CPU). Each region's projection is an
-// independent computation and results are gathered by region index, so
-// the output is byte-identical at every width.
+// output is byte-identical to the naive path. The work fans out over a
+// worker pool (workers <= 0 means one per CPU): each region's projection
+// is an independent computation and results are gathered by region
+// index, so the output is byte-identical at every width.
 func ProjectRegionsN(regions []*bbv.Region, nblocks, dims int, seed uint64, workers int) [][]float64 {
 	return projectAll(regions, nblocks, dims, seed, 0, workers)
 }
 
-// SumProjectRegions is the naive alternative used by the baseline
+// SumProjectRegionsN is the naive alternative used by the baseline
 // multi-threaded SimPoint adaptation: per-thread vectors are summed
 // instead of concatenated, losing thread-heterogeneity information.
-// Like ProjectRegions it runs on the sparse fast path (rows are folded
+// Like ProjectRegionsN it runs on the sparse fast path (rows are folded
 // modulo nblocks, preserving the per-(thread, block) accumulation order
-// of SumProjectRegionsSlow, which keeps the floats identical).
-func SumProjectRegions(regions []*bbv.Region, nblocks, dims int, seed uint64) [][]float64 {
-	return SumProjectRegionsN(regions, nblocks, dims, seed, 1)
-}
-
-// SumProjectRegionsN is SumProjectRegions on a worker pool; output is
+// of SumProjectRegionsSlow, which keeps the floats identical) and is
 // byte-identical at every width.
 func SumProjectRegionsN(regions []*bbv.Region, nblocks, dims int, seed uint64, workers int) [][]float64 {
 	return projectAll(regions, nblocks, dims, seed, nblocks, workers)

@@ -189,7 +189,7 @@ func TestProjectRegionsLinearity(t *testing.T) {
 	a := map[int]float64{0: 2, 3: 5, 7: 1}
 	b := map[int]float64{0: 20, 3: 50, 7: 10}
 	rs := regionsFor([]map[int]float64{a, b})
-	proj := ProjectRegions(rs, 8, 10, 99)
+	proj := ProjectRegionsN(rs, 8, 10, 99, 1)
 	for d := range proj[0] {
 		if math.Abs(proj[0][d]-proj[1][d]) > 1e-9 {
 			t.Fatalf("normalization broken at dim %d: %f vs %f", d, proj[0][d], proj[1][d])
@@ -203,11 +203,11 @@ func TestProjectRegionsDistinguishesThreads(t *testing.T) {
 	// identically under summation (the naive baseline).
 	r1 := &bbv.Region{Vectors: []map[int]float64{{1: 10}, {2: 10}}}
 	r2 := &bbv.Region{Vectors: []map[int]float64{{2: 10}, {1: 10}}}
-	concat := ProjectRegions([]*bbv.Region{r1, r2}, 4, 16, 5)
+	concat := ProjectRegionsN([]*bbv.Region{r1, r2}, 4, 16, 5, 1)
 	if dist := sqDist(concat[0], concat[1]); dist < 1e-6 {
 		t.Errorf("concatenated projection lost thread heterogeneity (dist %g)", dist)
 	}
-	summed := SumProjectRegions([]*bbv.Region{r1, r2}, 4, 16, 5)
+	summed := SumProjectRegionsN([]*bbv.Region{r1, r2}, 4, 16, 5, 1)
 	if dist := sqDist(summed[0], summed[1]); dist > 1e-9 {
 		t.Errorf("summed projection should be identical (dist %g)", dist)
 	}
@@ -215,7 +215,7 @@ func TestProjectRegionsDistinguishesThreads(t *testing.T) {
 
 func TestProjectEmptyRegion(t *testing.T) {
 	r := &bbv.Region{Vectors: []map[int]float64{{}}}
-	proj := ProjectRegions([]*bbv.Region{r}, 4, 8, 1)
+	proj := ProjectRegionsN([]*bbv.Region{r}, 4, 8, 1, 1)
 	for _, v := range proj[0] {
 		if v != 0 {
 			t.Fatal("empty region projected to non-zero vector")

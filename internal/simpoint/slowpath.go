@@ -17,7 +17,7 @@ import (
 
 // ProjectRegionsSlow is the naive reference projection: per-entry
 // projection-matrix hashing with no row cache and no materialized sparse
-// vectors. Output is byte-identical to ProjectRegions.
+// vectors. Output is byte-identical to ProjectRegionsN.
 func ProjectRegionsSlow(regions []*bbv.Region, nblocks, dims int, seed uint64) [][]float64 {
 	out := make([][]float64, len(regions))
 	for i, r := range regions {
@@ -53,7 +53,7 @@ func ProjectRegionsSlow(regions []*bbv.Region, nblocks, dims int, seed uint64) [
 }
 
 // SumProjectRegionsSlow is the naive reference for the summed-BBV
-// baseline projection. Output is byte-identical to SumProjectRegions.
+// baseline projection. Output is byte-identical to SumProjectRegionsN.
 func SumProjectRegionsSlow(regions []*bbv.Region, nblocks, dims int, seed uint64) [][]float64 {
 	out := make([][]float64, len(regions))
 	for i, r := range regions {

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"fmt"
+	"sync"
 
 	"looppoint/internal/bbv"
 	"looppoint/internal/exec"
@@ -78,6 +79,34 @@ func (s *Simulator) Reset(prog *isa.Program) error {
 	s.MaxSteps = 2_000_000_000
 	return nil
 }
+
+// Arena recycles Simulators across the regions of one sweep: a worker's
+// first region pays the allocation wave (cache backing arrays, predictor
+// tables, directory maps); later regions clear and reuse it via Reset.
+// The identity tests pin reused-simulator reports byte-identical to
+// fresh construction, so a sweep's results are independent of which
+// worker simulated which region at which width. Safe for concurrent
+// use; the zero value with Cfg set is ready.
+type Arena struct {
+	Cfg  Config
+	pool sync.Pool
+}
+
+// Get returns a simulator for prog in New's initial state.
+func (ar *Arena) Get(prog *isa.Program) (*Simulator, error) {
+	if v := ar.pool.Get(); v != nil {
+		sim := v.(*Simulator)
+		if err := sim.Reset(prog); err == nil {
+			return sim, nil
+		}
+		// A simulator that fails revalidation (config mutated somehow) is
+		// dropped; fall through to fresh construction.
+	}
+	return New(ar.Cfg, prog)
+}
+
+// Put hands a simulator back for reuse by a later Get.
+func (ar *Arena) Put(sim *Simulator) { ar.pool.Put(sim) }
 
 // acquireSystem returns the reusable timing system bound to m, clearing
 // the cached arena when one exists for the current configuration and

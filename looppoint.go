@@ -169,10 +169,13 @@ func Evaluate(w *Workload, cfg Config, opts EvalOptions) (*Report, error) {
 	if opts.System != nil {
 		simCfg = *opts.System
 	}
+	width := opts.Parallelism
+	if opts.Serial {
+		width = 1
+	}
 	return core.Run(context.TODO(), w.App.Prog, cfg, simCfg, core.RunOpts{
 		SimulateFull: opts.CompareFull,
-		Parallel:     !opts.Serial,
-		Width:        opts.Parallelism,
+		Width:        width,
 	})
 }
 

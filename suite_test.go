@@ -35,7 +35,7 @@ func TestEveryWorkloadEndToEnd(t *testing.T) {
 					t.Fatalf("%v: build: %v", policy, err)
 				}
 				rep, err := core.Run(context.Background(), app.Prog, cfg, timing.Gainestown(app.Prog.NumThreads()),
-					core.RunOpts{SimulateFull: true, Parallel: true})
+					core.RunOpts{SimulateFull: true})
 				if err != nil {
 					t.Fatalf("%v: run: %v", policy, err)
 				}
