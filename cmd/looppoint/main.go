@@ -28,7 +28,7 @@ func main() {
 		inputClass = flag.String("i", "", "input class (test/train/ref for SPEC, A/C/D for NPB; default test for demo, train/C otherwise)")
 		waitPolicy = flag.String("w", "passive", "OpenMP wait policy: passive or active")
 		noFull     = flag.Bool("no-fullsim", false, "skip the full-application reference simulation (use for ref inputs)")
-		serial     = flag.Bool("serial", false, "simulate regions back-to-back instead of in parallel")
+		serial     = flag.Bool("serial", false, "simulate one at a time in phase order (regions back-to-back, then the full run) instead of in parallel")
 		sliceUnit  = flag.Uint64("slice", 0, "per-thread slice unit in instructions (default 100000)")
 		maxK       = flag.Int("maxk", 0, "maximum clusters (default 50)")
 		selector   = flag.String("selector", "", "selection engine: "+strings.Join(looppoint.Selectors(), ", ")+" (default simpoint)")

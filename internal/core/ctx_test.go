@@ -43,10 +43,10 @@ func TestSimulateRegionsCtxCancelledStopsSweep(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundMatchesRun: the context is pure plumbing — a run
-// under a live deadline that never fires produces the report a run under
-// the background context does, byte for byte.
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
+// TestRunUnderLiveDeadlineMatchesBackground: the context is pure plumbing
+// — a run under a live deadline that never fires produces the report a
+// run under the background context does, byte for byte.
+func TestRunUnderLiveDeadlineMatchesBackground(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	cfg := testConfig()
 	simCfg := timing.Gainestown(p.NumThreads())

@@ -60,7 +60,8 @@ func (d *Degradation) Summary() string {
 
 // SimOpts controls a fault-tolerant region-simulation sweep.
 type SimOpts struct {
-	// Width bounds concurrent region simulations (<= 0: one per CPU).
+	// Width bounds the sweep's simulations in flight (<= 0: one per CPU);
+	// under Run it is one budget shared with an overlapped full run.
 	Width int
 	// Degraded enables collect-what-you-can mode: a region that still
 	// fails after its attempt budget is dropped and recorded instead of
@@ -75,7 +76,18 @@ type SimOpts struct {
 	// DefaultMinCoverage; a negative value disables the floor entirely
 	// (any surviving coverage is accepted).
 	MinCoverage float64
+
+	// slots is Run's budget of simulations in flight, a semaphore shared
+	// with the overlapped full run: a simulation holds one token while it
+	// runs, so it owns a core when Width <= CPUs and its host time is its
+	// own. Waiters do not watch ctx — holders are CPU-bound and finish, and
+	// Run joins them anyway. Nil for a sweep on its own.
+	slots chan struct{}
 }
+
+// simGauge, replaced only by tests, sees every detailed simulation — the
+// full run (full) or one region attempt — start (+1) and end (-1).
+var simGauge = func(full bool, delta int) {}
 
 // RegionSpecs describes every looppoint's region checkpoint for
 // pinball.ExtractRegions: the region's bounds and markers, with the
@@ -129,16 +141,15 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 // simulateOneRegion runs one looppoint's detailed simulation. Injection
 // site "core.region.sim" can force transient failures, slow calls, or
 // panics here — the unit of failure the degraded mode tolerates. The
-// simulation kernel itself is CPU-bound and does not poll ctx; the
-// entry check plus the pool's per-item claim check are what make a
-// cancelled sweep stop at region boundaries.
-func simulateOneRegion(ctx context.Context, sel *Selection, arena *timing.Arena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RegionResult{}, err
-	}
+// simulation kernel itself is CPU-bound and does not poll ctx;
+// RetryValue's check before each attempt plus the pool's per-item claim
+// check are what make a cancelled sweep stop at region boundaries.
+func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
 	if err := faults.Check("core.region.sim"); err != nil {
 		return RegionResult{}, err
 	}
+	simGauge(false, +1)
+	defer simGauge(false, -1)
 	a := sel.Analysis
 	lp := sel.Points[i]
 	start := time.Now()
@@ -186,12 +197,12 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	if err != nil {
 		return nil, nil, err
 	}
-	popts := pool.Options{
-		Width:       opts.Width,
-		Attempts:    opts.Attempts,
-		ItemTimeout: opts.RegionTimeout,
-		Degraded:    opts.Degraded,
+	slots := opts.slots
+	if slots == nil { // never blocks: the pool runs at most one worker per point
+		slots = make(chan struct{}, len(sel.Points))
 	}
+	popts := pool.Options{Width: opts.Width, Degraded: opts.Degraded}
+	attempt := pool.Options{Attempts: opts.Attempts, ItemTimeout: opts.RegionTimeout}
 	arena := &timing.Arena{Cfg: simCfg}
 	// With Config.ProgressDir set, completed regions journal durably and
 	// a restarted sweep serves them from the journal instead of
@@ -203,7 +214,13 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 			if res, ok := sp.lookup(i); ok {
 				return res, nil
 			}
-			res, err := simulateOneRegion(ctx, sel, arena, checkpoints, i)
+			// Attempts run inside the slot, so the wait for it is outside
+			// the RegionTimeout clock and outside HostTime.
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			res, err := pool.RetryValue(ctx, attempt, func(context.Context) (RegionResult, error) {
+				return simulateOneRegion(sel, arena, checkpoints, i)
+			})
 			if err == nil {
 				sp.record(i, res)
 			}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"looppoint/internal/isa"
+	"looppoint/internal/pool"
 	"looppoint/internal/timing"
 )
 
@@ -100,9 +102,10 @@ type RunOpts struct {
 	// compute prediction errors (skipped for ref-scale inputs, where the
 	// paper also only reports speedups).
 	SimulateFull bool
-	// Width bounds the number of concurrently simulated looppoints
-	// (<= 0: one per CPU, 1: serial). The prediction is identical at
-	// every width; only host time changes.
+	// Width is the budget of detailed simulations in flight — looppoints
+	// and, with SimulateFull, the full run overlapped with them (<= 0: one
+	// per CPU, 1: serial). The report is identical at every width; only
+	// host time changes.
 	Width int
 	// Degraded tolerates per-region simulation failures: failed regions
 	// are dropped, recorded in Report.Degradation, and the prediction is
@@ -119,15 +122,59 @@ type RunOpts struct {
 
 // Run performs the complete LoopPoint flow on one program: analyze,
 // select, simulate the looppoints, extrapolate, and (optionally) compare
-// against the full detailed simulation. The analysis and full-simulation
-// phases are CPU-bound kernels that do not poll ctx, so cancellation is
-// honored at phase boundaries and — within the region sweep — at region
-// boundaries; a cancelled run returns ctx's error instead of finishing
-// the remaining work.
+// against the full detailed simulation. The full run needs nothing the
+// sampled lane computes: at width >= 2 it starts on its own goroutine
+// before Analyze, holds one slot of the width until it ends (the sweep is
+// width-1 wide until then, width wide after) and is joined after
+// extrapolation; at width 1 it is called in place after the sweep.
+//
+// The kernels are CPU-bound and do not poll ctx: cancellation is honored
+// at phase boundaries and, within the sweep, at region boundaries. The
+// overlapped full run is joined on every return path — no goroutine
+// outlives Run — so a cancelled or failed overlapped run returns when the
+// full run ends, as a run cancelled in the width-1 full-run phase does.
 func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	width := opts.Width
+	if width <= 0 {
+		width = pool.DefaultWidth()
+	}
+	slots := make(chan struct{}, width)
+	var overlapped chan fullRun
+	if opts.SimulateFull && width >= 2 {
+		overlapped = make(chan fullRun, 1)
+		go func() { overlapped <- simulateFull(ctx, prog, cfg, simCfg, slots) }()
+	}
+	rep, err := runSampled(ctx, prog, cfg, simCfg, opts, slots)
+	var full fullRun
+	if overlapped != nil {
+		full = <-overlapped
+	} else if opts.SimulateFull && err == nil {
+		full = simulateFull(ctx, prog, cfg, simCfg, slots)
+	}
+	var pe *pool.PanicError
+	if errors.As(full.err, &pe) {
+		panic(pe) // re-raised on the caller's goroutine, as the pool does
+	}
+	if err == nil {
+		err = full.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	if full.stats != nil {
+		rep.Full, rep.FullHostTime = full.stats, full.host
+		rep.computeErrors()
+		rep.Speedups.AddActual(rep.FullHostTime, rep.Regions)
+	}
+	return rep, nil
+}
+
+// runSampled is Run's sampled lane: analysis, selection, the region sweep
+// under the shared slot budget, and extrapolation.
+func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts, slots chan struct{}) (*Report, error) {
 	a, err := Analyze(prog, cfg)
 	if err != nil {
 		return nil, err
@@ -142,11 +189,12 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 		Attempts:      opts.Retries,
 		RegionTimeout: opts.RegionTimeout,
 		MinCoverage:   opts.MinCoverage,
+		slots:         slots,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
+	return &Report{
 		Name:        prog.Name,
 		Selection:   sel,
 		Regions:     regions,
@@ -154,27 +202,38 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 		Predicted:   ExtrapolateDegraded(regions, simCfg.FreqGHz, deg),
 		Intervals:   ComputeIntervals(sel, regions, simCfg.FreqGHz, sel.Analysis.Config.Confidence),
 		Speedups:    ComputeTheoretical(sel),
-	}
-	if opts.SimulateFull {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	}, nil
+}
+
+// fullRun is the outcome of the whole-application reference simulation.
+type fullRun struct {
+	stats *timing.Stats
+	host  time.Duration
+	err   error
+}
+
+// simulateFull runs the reference simulation in one slot of the budget,
+// unless ctx is already done; a panic comes back as a *pool.PanicError.
+func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, slots chan struct{}) fullRun {
+	f, err := pool.RetryValue(ctx, pool.Options{}, func(ctx context.Context) (fullRun, error) {
+		slots <- struct{}{}
+		defer func() { <-slots }()
+		simGauge(true, +1)
+		defer simGauge(true, -1)
 		start := time.Now()
 		sim, err := timing.New(simCfg, prog)
 		if err != nil {
-			return nil, err
+			return fullRun{}, err
 		}
 		sim.Seed = cfg.Seed
-		full, err := sim.SimulateFull()
+		stats, err := sim.SimulateFull()
 		if err != nil {
-			return nil, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)
+			return fullRun{}, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)
 		}
-		rep.Full = full
-		rep.FullHostTime = time.Since(start)
-		rep.computeErrors()
-		rep.Speedups.AddActual(rep.FullHostTime, regions)
-	}
-	return rep, nil
+		return fullRun{stats: stats, host: time.Since(start)}, nil
+	})
+	f.err = err
+	return f
 }
 
 func (r *Report) computeErrors() {

@@ -81,9 +81,8 @@ type Event struct {
 	IsWrite    bool
 	IsBranch   bool
 	Taken      bool
-	NextAddr   uint64 // address of the next instruction (branch resolution)
-	Blocked    bool   // the instruction parked the thread on a futex
-	Woken      []int  // threads woken by a FutexWake
+	Blocked    bool  // the instruction parked the thread on a futex
+	Woken      []int // threads woken by a FutexWake
 }
 
 // Observer receives every executed instruction. Implementations must be
@@ -346,9 +345,6 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		t.cur.idx++
 	}
 	t.ICount++
-	if t.State == StateRunning {
-		ev.NextAddr = t.PC()
-	}
 	for _, o := range m.observers {
 		o.OnInstr(ev)
 	}

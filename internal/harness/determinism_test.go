@@ -3,24 +3,33 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"looppoint/internal/core"
 	"looppoint/internal/omp"
+	"looppoint/internal/timing"
 )
 
 // TestReportsDeterministicAcrossParallelism pins the central guarantee
 // of the parallel evaluation engine: the same seed produces byte-
 // identical rendered reports and an identical extrapolated prediction
-// at every worker-pool width. Host-time-derived metrics (actual
-// speedups) are excluded by construction — Fig5a and Fig9 render only
-// model-derived numbers.
+// at every worker-pool width — width 1 being the serial phase order,
+// every wider one overlapping each report's full run with its analysis
+// and region sweep — and at width 2 on a single P. Host-time-derived
+// metrics (actual speedups) are excluded by construction — Fig5a and
+// Fig9 render only model-derived numbers.
 func TestReportsDeterministicAcrossParallelism(t *testing.T) {
 	type outcome struct {
-		fig5a string
-		fig9  string
-		pred  core.Prediction
+		fig5a   string
+		fig9    string
+		pred    core.Prediction
+		full    timing.Stats
+		errs    [6]float64
+		regions []timing.Stats
 	}
 	run := func(j int) outcome {
 		opts := smokeOpts()
@@ -41,24 +50,43 @@ func TestReportsDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("j=%d: Report: %v", j, err)
 		}
-		return outcome{fig5a: f5.Render(), fig9: f9.Render(), pred: rep.Predicted}
+		out := outcome{fig5a: f5.Render(), fig9: f9.Render(), pred: rep.Predicted, full: *rep.Full,
+			errs: [6]float64{rep.RuntimeErrPct, rep.CyclesErrPct, rep.BranchMPKIDiff,
+				rep.L1DMPKIDiff, rep.L2MPKIDiff, rep.L3MPKIDiff}}
+		for _, r := range rep.Regions {
+			out.regions = append(out.regions, *r.Stats)
+		}
+		return out
 	}
 
 	base := run(1)
-	for _, j := range []int{4, 8} {
-		got := run(j)
+	check := func(label string, got outcome) {
 		if got.fig5a != base.fig5a {
-			t.Errorf("Fig5a render differs between j=1 and j=%d:\n--- j=1\n%s\n--- j=%d\n%s",
-				j, base.fig5a, j, got.fig5a)
+			t.Errorf("Fig5a render differs between j=1 and %s:\n--- j=1\n%s\n--- %s\n%s",
+				label, base.fig5a, label, got.fig5a)
 		}
 		if got.fig9 != base.fig9 {
-			t.Errorf("Fig9 render differs between j=1 and j=%d", j)
+			t.Errorf("Fig9 render differs between j=1 and %s", label)
 		}
 		if got.pred != base.pred {
-			t.Errorf("prediction differs between j=1 and j=%d:\nj=1: %+v\nj=%d: %+v",
-				j, base.pred, j, got.pred)
+			t.Errorf("prediction differs between j=1 and %s:\nj=1: %+v\n%s: %+v",
+				label, base.pred, label, got.pred)
+		}
+		if !reflect.DeepEqual(got.full, base.full) || got.errs != base.errs {
+			t.Errorf("full run or error fields differ between j=1 and %s:\nj=1: %+v %v\n%s: %+v %v",
+				label, base.full, base.errs, label, got.full, got.errs)
+		}
+		if !reflect.DeepEqual(got.regions, base.regions) {
+			t.Errorf("region statistics differ between j=1 and %s", label)
 		}
 	}
+	for _, j := range []int{2, 4, 8} {
+		check(fmt.Sprintf("j=%d", j), run(j))
+	}
+	prev := runtime.GOMAXPROCS(1)
+	onOneP := run(2)
+	runtime.GOMAXPROCS(prev)
+	check("j=2 under GOMAXPROCS(1)", onOneP)
 }
 
 // TestReportSingleflightNoStampede fires many concurrent Report calls

@@ -44,10 +44,11 @@ type Options struct {
 	SliceUnit uint64
 	// Seed drives all randomized steps.
 	Seed uint64
-	// Parallelism bounds how many application evaluations (and, within
-	// each, region simulations) run concurrently — the -j flag. Zero
-	// means one worker per CPU. Results are deterministic and
-	// ordering-stable at every setting.
+	// Parallelism bounds how many application evaluations run concurrently
+	// and, within each, its detailed simulations in flight (regions plus
+	// the full run, core.RunOpts.Width) — the -j flag. Zero means one
+	// worker per CPU, 1 the serial phase order. Results are deterministic
+	// and ordering-stable at every setting.
 	Parallelism int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer

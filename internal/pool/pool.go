@@ -8,7 +8,7 @@
 // Section III-J), which is what licenses running them concurrently at
 // all; this package is what turns that independence into bounded,
 // deterministic host-side parallelism. Every fan-out in the repository
-// (core.SimulateRegionsN, the harness experiments, lpsim's checkpoint
+// (core.SimulateRegions, the harness experiments, lpsim's checkpoint
 // directory mode) goes through Run/Map, and results are always collected
 // by item index, so output is ordering-stable regardless of the width:
 // the same seed produces byte-identical reports at width 1 and width N.

@@ -148,13 +148,16 @@ func BuildWorkload(name string, opts WorkloadOptions) (*Workload, error) {
 // EvalOptions control an evaluation.
 type EvalOptions struct {
 	// CompareFull also simulates the entire application in detail to
-	// compute prediction errors (skip for ref-scale inputs).
+	// compute prediction errors (skip for ref-scale inputs). At a
+	// parallelism of two or more the full run overlaps the analysis and
+	// the region sweep, so it costs ≈ max(full, analysis + sweep).
 	CompareFull bool
-	// Serial disables concurrent region simulation.
+	// Serial runs one simulation at a time, in phase order (same as
+	// Parallelism 1).
 	Serial bool
-	// Parallelism bounds the number of concurrently simulated
-	// looppoints (0 = one pool worker per CPU). The prediction is
-	// byte-identical at every setting; only host time changes.
+	// Parallelism is the budget of detailed simulations in flight —
+	// looppoints and the CompareFull run together (0 = one per CPU). The
+	// report is byte-identical at every setting; only host time changes.
 	Parallelism int
 	// System overrides the simulated system (default: Gainestown with
 	// one core per thread).
