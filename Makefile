@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build fmt-check loc test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling report report-full demo clean
+.PHONY: build fmt-check loc test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
 
 build:
 	go build ./...
@@ -98,6 +98,17 @@ bench-test:
 bench-analyze:
 	go test -run xxx -bench 'Analyze(Serial|Durable)' \
 		-benchtime 20x ./internal/core/
+
+# Where one Analyze spends its time: a CPU profile of the product CLI on
+# the benchmark's barrier-free ref input (record + DCFG, the BBV replay,
+# selection), listed by cumulative time. Fails unless the profile holds
+# samples under core.Analyze. PROF_INPUT=train makes it a sub-second smoke
+# (CI runs that; the test input ends inside one 10 ms sampling tick).
+PROF_INPUT ?= ref
+prof-analyze:
+	go run ./cmd/lpprofile -p 657.xz_s.2 -i $(PROF_INPUT) -n 4 -pprof-cpu analyze.prof > /dev/null
+	go tool pprof -top -cum -nodecount 30 analyze.prof | tee analyze.prof.txt
+	@grep -q 'core\.Analyze' analyze.prof.txt || { echo "prof-analyze: no samples under core.Analyze"; exit 1; }
 
 # Multi-core scaling sweep: the data-plane and kernel benchmarks at
 # GOMAXPROCS widths 1/2/4/8 (results carry a -N suffix per width).

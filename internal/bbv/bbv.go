@@ -128,6 +128,16 @@ type Collector struct {
 	// the collector's persisted state.
 	prevNorm map[int]float64
 
+	// The block tier's hot path indexes by Block.Global and hashes
+	// nothing: isMarker is markers resolved once, and acc[tid][g] holds the
+	// instructions OnBlock has accounted to the open region and flush has
+	// not yet folded into cur.Vectors[tid][g]; touched[tid] lists the g
+	// with acc[tid][g] != 0. Every reader of the open region's vectors
+	// (closeRegion, State, phaseChanged) flushes first.
+	isMarker []bool
+	acc      [][]float64
+	touched  [][]int
+
 	// modulus restricts which hit counts of a marker may end a region:
 	// only counts with (count-1) % modulus == 0 qualify. Symmetric
 	// worker-loop headers (entered once per thread per episode) use
@@ -232,6 +242,7 @@ func (c *Collector) phaseChanged() bool {
 	if c.prevNorm == nil {
 		c.prevNorm = c.normalizedVector(c.profile.Regions[n-1])
 	}
+	c.flush()
 	cur := c.normalizedVector(c.cur)
 	return manhattan(cur, c.prevNorm) > c.varThresh
 }
@@ -254,12 +265,17 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 		panic("bbv: sliceTarget must be positive")
 	}
 	mk := make(map[uint64]bool, len(markerAddrs))
+	isMarker := make([]bool, p.NumBlocks())
 	for _, a := range markerAddrs {
 		mk[a] = true
+		if blk, ok := p.BlockByAddr(a); ok {
+			isMarker[blk.Global] = true
+		}
 	}
 	c := &Collector{
 		prog:        p,
 		markers:     mk,
+		isMarker:    isMarker,
 		sliceTarget: sliceTarget,
 		nthreads:    p.NumThreads(),
 		profile: &Profile{
@@ -268,8 +284,13 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 			MarkerCounts: make(map[uint64]uint64),
 		},
 		markerCounts: make(map[uint64]uint64),
+		acc:          make([][]float64, p.NumThreads()),
+		touched:      make([][]int, p.NumThreads()),
 	}
 	c.cur = c.newRegion(Marker{}, 0)
+	for t := range c.acc {
+		c.acc[t] = make([]float64, p.NumBlocks())
+	}
 	return c
 }
 
@@ -333,10 +354,11 @@ func (c *Collector) markerEntry(addr uint64) {
 	}
 }
 
-// account attributes n instructions of a block event to the current
+// account attributes n > 0 instructions of a block event to the current
 // region, applying the synchronization filter. Counts are added as a
-// single float64 — exact (and identical to n unit additions) for any
-// region size below 2^53 instructions.
+// single float64 — exact (and identical to n unit additions, in the
+// accumulator or the map, in any order) for any region size below 2^53
+// instructions.
 func (c *Collector) account(ev *exec.BlockEvent, n uint64) {
 	blk := ev.Block
 	if blk.Routine.Image.Sync && !c.includeSync {
@@ -345,7 +367,23 @@ func (c *Collector) account(ev *exec.BlockEvent, n uint64) {
 	c.filtered += n
 	c.cur.Filtered += n
 	c.cur.ThreadFiltered[ev.Tid] += n
-	c.cur.Vectors[ev.Tid][blk.Global] += float64(n)
+	acc, g := c.acc[ev.Tid], blk.Global
+	if acc[g] == 0 {
+		c.touched[ev.Tid] = append(c.touched[ev.Tid], g)
+	}
+	acc[g] += float64(n)
+}
+
+// flush folds the accumulators into the open region's vectors.
+func (c *Collector) flush() {
+	for t, touched := range c.touched {
+		acc, v := c.acc[t], c.cur.Vectors[t]
+		for _, g := range touched {
+			v[g] += acc[g]
+			acc[g] = 0
+		}
+		c.touched[t] = touched[:0]
+	}
 }
 
 // BreakPCs implements exec.PCBreaker: every marker address must split
@@ -378,7 +416,7 @@ func (c *Collector) OnBlock(ev *exec.BlockEvent) {
 		return
 	}
 	blk := ev.Block
-	if ev.Entries > 0 && c.markers[blk.Addr] {
+	if ev.Entries > 0 && c.isMarker[blk.Global] {
 		// A marker block is a break PC, so its entries arrive as
 		// single-instruction events; anything else means the marker was
 		// not registered before the run started.
@@ -421,6 +459,7 @@ func (c *Collector) onBlockByICount(ev *exec.BlockEvent) {
 }
 
 func (c *Collector) closeRegion(end Marker) {
+	c.flush()
 	c.cur.End = end
 	c.cur.EndICount = c.icount
 	c.prevNorm = nil

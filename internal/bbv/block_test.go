@@ -115,3 +115,31 @@ func TestCollectorPanicsOnUnregisteredMarker(t *testing.T) {
 	}()
 	_ = m.Run(exec.RunOpts{FlowWindow: 1000})
 }
+
+// TestCollectorOnBlockAllocFree pins the block tier's steady state: once a
+// region has seen a block, further events of it — marker entries included —
+// allocate nothing (an add into the thread's accumulator; no map, no
+// touched-list growth).
+func TestCollectorOnBlockAllocFree(t *testing.T) {
+	p := buildPhased(t, 4, 6, 150, omp.Passive)
+	c := NewCollector(p, markerAddrs(t, buildPhased(t, 4, 6, 150, omp.Passive)), 1<<40) // never closes a region
+	var events []exec.BlockEvent
+	m := exec.NewMachine(p, 1)
+	m.AddBlockObserver(c) // the warm-up pass; registers the break PCs
+	m.AddBlockObserver(exec.BlockObserverFunc(func(ev *exec.BlockEvent) {
+		events = append(events, exec.BlockEvent{Tid: ev.Tid, Block: ev.Block, FirstIdx: ev.FirstIdx, Entries: ev.Entries, Instrs: ev.Instrs})
+	}))
+	if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for i := range events {
+			c.OnBlock(&events[i])
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations per replay of %d block events, want 0", allocs, len(events))
+	}
+	if got, want := c.Finish().TotalICount, 7*m.TotalICount(); got != want { // warm-up + AllocsPerRun's 1+5
+		t.Errorf("collector counted %d instructions, want %d", got, want)
+	}
+}

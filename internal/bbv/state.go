@@ -25,6 +25,7 @@ type CollectorState struct {
 // State captures the collector mid-run. It aliases the live regions and
 // marker counts — serialize it before the next window feeds the collector.
 func (c *Collector) State() *CollectorState {
+	c.flush()
 	return &CollectorState{
 		Regions:      c.profile.Regions,
 		Cur:          c.cur,

@@ -3,11 +3,13 @@ package bbv_test
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
+	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
@@ -85,17 +87,17 @@ func (cc collectorConfig) apply(col *bbv.Collector) {
 }
 
 // windowedProfile feeds one collector the recording as chained replay
-// windows of `every` steps. With restore set, the collector is thrown
+// windows of every() steps. With restore set, the collector is thrown
 // away at every window boundary and revived from a JSON round trip of its
 // State — the exact persistence the durable analysis performs.
-func windowedProfile(t *testing.T, w recording, markers []uint64, target uint64, cc collectorConfig, every uint64, restore bool) *bbv.Profile {
+func windowedProfile(t *testing.T, w recording, markers []uint64, target uint64, cc collectorConfig, every func() uint64, restore bool) *bbv.Profile {
 	t.Helper()
 	col := bbv.NewCollector(w.prog, markers, target)
 	cc.apply(col)
 	ck := w.pb.StartCheckpoint()
 	for total := w.pb.Schedule.Steps(); ck.Step < total; {
 		var err error
-		if ck, err = w.pb.ReplayWindow(w.prog, ck, every, col); err != nil {
+		if ck, err = w.pb.ReplayWindow(w.prog, ck, every(), col); err != nil {
 			t.Fatalf("window at step %d: %v", ck.Step, err)
 		}
 		if !restore {
@@ -116,6 +118,8 @@ func windowedProfile(t *testing.T, w recording, markers []uint64, target uint64,
 	}
 	return col.Finish()
 }
+
+func fixed(every uint64) func() uint64 { return func() uint64 { return every } }
 
 // TestCollectorWindowedIdentity pins the one BBV engine's resumability:
 // a Collector fed the recording in windows — carried across them in
@@ -144,7 +148,7 @@ func TestCollectorWindowedIdentity(t *testing.T) {
 				{label: "variable", variable: true},
 			} {
 				t.Run(cc.label, func(t *testing.T) {
-					want := windowedProfile(t, w, markers, target, cc, total, false)
+					want := windowedProfile(t, w, markers, target, cc, fixed(total), false)
 					if cc.label == "plain" {
 						plain = want
 					} else if cc.variable && len(want.Regions) != len(plain.Regions) {
@@ -152,7 +156,7 @@ func TestCollectorWindowedIdentity(t *testing.T) {
 					}
 					for _, every := range []uint64{total / 2, total / 3, total / 7, 64, total + 5} {
 						for _, restore := range []bool{false, true} {
-							got := windowedProfile(t, w, markers, target, cc, every, restore)
+							got := windowedProfile(t, w, markers, target, cc, fixed(every), restore)
 							if !reflect.DeepEqual(got, want) {
 								t.Errorf("every=%d restore=%v: windowed profile differs from unbroken (%d vs %d regions, totals %d/%d vs %d/%d)",
 									every, restore, len(got.Regions), len(want.Regions),
@@ -166,6 +170,63 @@ func TestCollectorWindowedIdentity(t *testing.T) {
 	}
 	if !variableMattered {
 		t.Error("variable slicing never closed a region early on any recording; the prevNorm re-derivation is not exercised")
+	}
+}
+
+// TestCollectorStateAtArbitraryCuts cuts the block-tier replay at seeded
+// random step offsets, so a cut lands inside a block, a quantum and a
+// region with counts still pending in the collector's dense accumulators:
+// State() → JSON → RestoreCollector → continue must give the unbroken
+// profile under fixed and variable slicing and without the sync filter,
+// for both wait policies. And one collector fed on the two tiers
+// alternately, nothing flushed in between, must give the profile of pure
+// per-instruction observation.
+func TestCollectorStateAtArbitraryCuts(t *testing.T) {
+	for name, w := range windowRecordings(t) {
+		t.Run(name, func(t *testing.T) {
+			markers := loopMarkers(t, w.prog)
+			target := uint64(60 * w.prog.NumThreads())
+			total := w.pb.Schedule.Steps()
+			for _, cc := range []collectorConfig{
+				{label: "fixed"},
+				{label: "variable", variable: true},
+				{label: "nosyncfilter", includeSync: true},
+			} {
+				want := windowedProfile(t, w, markers, target, cc, fixed(total), false)
+				for seed := int64(1); seed <= 4; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					random := func() uint64 { return 1 + uint64(rng.Int63n(int64(total/6))) }
+					if got := windowedProfile(t, w, markers, target, cc, random, true); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s seed %d: profile restored at random cuts differs from unbroken (%d vs %d regions)",
+							cc.label, seed, len(got.Regions), len(want.Regions))
+					}
+				}
+
+				// Tiers alternate window by window on one live collector.
+				rng := rand.New(rand.NewSource(9))
+				pure, mixed := bbv.NewCollector(w.prog, markers, target), bbv.NewCollector(w.prog, markers, target)
+				cc.apply(pure)
+				cc.apply(mixed)
+				if _, err := w.pb.ReplayWindow(w.prog, w.pb.StartCheckpoint(), total, exec.ObserverFunc(pure.OnInstr)); err != nil {
+					t.Fatal(err)
+				}
+				ck := w.pb.StartCheckpoint()
+				for perInstr := false; ck.Step < total; perInstr = !perInstr {
+					var obs exec.Observer = mixed // a BlockObserver too: rides the block tier
+					if perInstr {
+						obs = exec.ObserverFunc(mixed.OnInstr)
+					}
+					var err error
+					if ck, err = w.pb.ReplayWindow(w.prog, ck, 1+uint64(rng.Int63n(int64(total/9))), obs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, want := mixed.Finish(), pure.Finish(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: collector fed OnBlock and OnInstr alternately differs from pure OnInstr (%d vs %d regions)",
+						cc.label, len(got.Regions), len(want.Regions))
+				}
+			}
+		})
 	}
 }
 

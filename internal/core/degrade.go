@@ -83,6 +83,9 @@ type SimOpts struct {
 	// own. Waiters do not watch ctx — holders are CPU-bound and finish, and
 	// Run joins them anyway. Nil for a sweep on its own.
 	slots chan struct{}
+	// arena is Run's simulator arena, shared with its full run; nil for a
+	// sweep on its own.
+	arena *timing.Arena
 }
 
 // simGauge, replaced only by tests, sees every detailed simulation — the
@@ -203,7 +206,10 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	}
 	popts := pool.Options{Width: opts.Width, Degraded: opts.Degraded}
 	attempt := pool.Options{Attempts: opts.Attempts, ItemTimeout: opts.RegionTimeout}
-	arena := &timing.Arena{Cfg: simCfg}
+	arena := opts.arena
+	if arena == nil {
+		arena = &timing.Arena{Cfg: simCfg}
+	}
 	// With Config.ProgressDir set, completed regions journal durably and
 	// a restarted sweep serves them from the journal instead of
 	// re-simulating (see simprogress.go); sp is nil otherwise.

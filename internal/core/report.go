@@ -142,17 +142,20 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 		width = pool.DefaultWidth()
 	}
 	slots := make(chan struct{}, width)
+	// One arena for the job: at width 1 the full run reuses the timing
+	// system the sweep's last region released instead of building its own.
+	arena := &timing.Arena{Cfg: simCfg}
 	var overlapped chan fullRun
 	if opts.SimulateFull && width >= 2 {
 		overlapped = make(chan fullRun, 1)
-		go func() { overlapped <- simulateFull(ctx, prog, cfg, simCfg, slots) }()
+		go func() { overlapped <- simulateFull(ctx, prog, cfg, arena, slots) }()
 	}
-	rep, err := runSampled(ctx, prog, cfg, simCfg, opts, slots)
+	rep, err := runSampled(ctx, prog, cfg, arena, opts, slots)
 	var full fullRun
 	if overlapped != nil {
 		full = <-overlapped
 	} else if opts.SimulateFull && err == nil {
-		full = simulateFull(ctx, prog, cfg, simCfg, slots)
+		full = simulateFull(ctx, prog, cfg, arena, slots)
 	}
 	var pe *pool.PanicError
 	if errors.As(full.err, &pe) {
@@ -174,7 +177,8 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 
 // runSampled is Run's sampled lane: analysis, selection, the region sweep
 // under the shared slot budget, and extrapolation.
-func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts, slots chan struct{}) (*Report, error) {
+func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, opts RunOpts, slots chan struct{}) (*Report, error) {
+	simCfg := arena.Cfg
 	a, err := Analyze(prog, cfg)
 	if err != nil {
 		return nil, err
@@ -190,6 +194,7 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timin
 		RegionTimeout: opts.RegionTimeout,
 		MinCoverage:   opts.MinCoverage,
 		slots:         slots,
+		arena:         arena,
 	})
 	if err != nil {
 		return nil, err
@@ -214,17 +219,18 @@ type fullRun struct {
 
 // simulateFull runs the reference simulation in one slot of the budget,
 // unless ctx is already done; a panic comes back as a *pool.PanicError.
-func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, slots chan struct{}) fullRun {
+func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, slots chan struct{}) fullRun {
 	f, err := pool.RetryValue(ctx, pool.Options{}, func(ctx context.Context) (fullRun, error) {
 		slots <- struct{}{}
 		defer func() { <-slots }()
 		simGauge(true, +1)
 		defer simGauge(true, -1)
 		start := time.Now()
-		sim, err := timing.New(simCfg, prog)
+		sim, err := arena.Get(prog)
 		if err != nil {
 			return fullRun{}, err
 		}
+		defer arena.Put(sim)
 		sim.Seed = cfg.Seed
 		stats, err := sim.SimulateFull()
 		if err != nil {

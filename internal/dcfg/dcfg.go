@@ -90,8 +90,8 @@ type Graph struct {
 // of a bare recording).
 type Builder struct {
 	g   *Graph
-	cur []*isa.Block   // last block per thread, nil right after a call
-	stk [][]*isa.Block // per-thread caller-block stacks
+	cur []*Node   // the node each thread is in, nil right after a call
+	stk [][]*Node // per-thread call-site stacks
 	// nodes indexes the graph's nodes by Block.Global: the block tier's
 	// hot-path lookup. Graph.Nodes stays the sparse public view; both
 	// tiers create nodes through it, so they can share one builder.
@@ -102,8 +102,8 @@ type Builder struct {
 func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	return &Builder{
 		g:     &Graph{Prog: p, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge)},
-		cur:   make([]*isa.Block, nthreads),
-		stk:   make([][]*isa.Block, nthreads),
+		cur:   make([]*Node, nthreads),
+		stk:   make([][]*Node, nthreads),
 		nodes: make([]*Node, p.NumBlocks()),
 	}
 }
@@ -114,20 +114,17 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 	if ev.BlockEntry {
 		n := b.g.node(ev.Block)
 		n.Execs++
-		for len(n.ThreadExecs) <= tid {
-			n.ThreadExecs = append(n.ThreadExecs, 0)
-		}
 		n.ThreadExecs[tid]++
-		if prev := b.cur[tid]; prev != nil && prev.Routine == ev.Block.Routine {
-			b.g.addEdge(prev, ev.Block, EdgeBranch, 1)
+		if prev := b.cur[tid]; prev != nil && prev.Block.Routine == ev.Block.Routine {
+			b.g.addEdge(prev.Block, ev.Block, EdgeBranch, 1)
 		}
-		b.cur[tid] = ev.Block
+		b.cur[tid] = n
 	}
 	switch ev.Instr.Op {
 	case isa.OpCall:
 		caller := b.cur[tid]
 		callee := ev.Instr.Callee.Blocks[0]
-		b.g.addEdge(caller, callee, EdgeCall, 1)
+		b.g.addEdge(caller.Block, callee, EdgeCall, 1)
 		b.stk[tid] = append(b.stk[tid], caller)
 		b.cur[tid] = nil // callee entry must not become an intra-routine edge
 	case isa.OpRet:
@@ -138,7 +135,7 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 		caller := b.stk[tid][n-1]
 		b.stk[tid] = b.stk[tid][:n-1]
 		if b.cur[tid] != nil {
-			b.g.addEdge(b.cur[tid], caller, EdgeReturn, 1)
+			b.g.addEdge(b.cur[tid].Block, caller.Block, EdgeReturn, 1)
 		}
 		// Execution resumes mid-block in the caller; the next
 		// intra-routine edge hangs off the call-site block.
@@ -155,20 +152,26 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 // so it can only be the event's last retired instruction.
 func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	tid, blk := ev.Tid, ev.Block
+	// An event that enters nothing resumes the block the thread is in
+	// (after a budget or break-PC split, a futex wake, or a return to the
+	// call site), so the cursor is already its node — the builder, like
+	// OnInstr, must watch a thread from a block entry on.
+	n := b.cur[tid]
 	if ev.Entries > 0 {
-		n := b.node(blk)
-		n.Execs += ev.Entries
-		for len(n.ThreadExecs) <= tid {
-			n.ThreadExecs = append(n.ThreadExecs, 0)
+		prev := n
+		if n = b.nodes[blk.Global]; n == nil {
+			n = b.g.node(blk)
+			b.nodes[blk.Global] = n
 		}
+		n.Execs += ev.Entries
 		n.ThreadExecs[tid] += ev.Entries
-		if prev := b.cur[tid]; prev != nil && prev.Routine == blk.Routine {
+		if prev != nil && prev.Block.Routine == blk.Routine {
 			b.addEdge(prev, blk, EdgeBranch, 1)
 		}
 		if ev.Entries > 1 {
-			b.addEdge(blk, blk, EdgeBranch, ev.Entries-1)
+			b.addEdge(n, blk, EdgeBranch, ev.Entries-1)
 		}
-		b.cur[tid] = blk
+		b.cur[tid] = n
 	}
 	// The event's last retired instruction; the index wraps when the
 	// event coalesced further passes.
@@ -179,41 +182,31 @@ func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	last := &blk.Instrs[li]
 	switch last.Op {
 	case isa.OpCall:
-		b.addEdge(blk, last.Callee.Blocks[0], EdgeCall, 1)
-		b.stk[tid] = append(b.stk[tid], blk)
+		b.addEdge(n, last.Callee.Blocks[0], EdgeCall, 1)
+		b.stk[tid] = append(b.stk[tid], n)
 		b.cur[tid] = nil
 	case isa.OpRet:
-		n := len(b.stk[tid])
-		if n == 0 {
+		k := len(b.stk[tid])
+		if k == 0 {
 			return
 		}
-		caller := b.stk[tid][n-1]
-		b.stk[tid] = b.stk[tid][:n-1]
-		b.addEdge(blk, caller, EdgeReturn, 1)
+		caller := b.stk[tid][k-1]
+		b.stk[tid] = b.stk[tid][:k-1]
+		b.addEdge(n, caller.Block, EdgeReturn, 1)
 		b.cur[tid] = caller
 	}
 }
 
-// node is Graph.node behind the dense per-block index.
-func (b *Builder) node(blk *isa.Block) *Node {
-	n := b.nodes[blk.Global]
-	if n == nil {
-		n = b.g.node(blk)
-		b.nodes[blk.Global] = n
-	}
-	return n
-}
-
 // addEdge is Graph.addEdge behind a scan of the source's short out-list:
 // a known edge is found without hashing the pair.
-func (b *Builder) addEdge(from, to *isa.Block, kind EdgeKind, count uint64) {
-	for _, e := range b.node(from).Out {
+func (b *Builder) addEdge(from *Node, to *isa.Block, kind EdgeKind, count uint64) {
+	for _, e := range from.Out {
 		if e.To == to.Global {
 			e.Count += count
 			return
 		}
 	}
-	b.g.addEdge(from, to, kind, count)
+	b.g.addEdge(from.Block, to, kind, count)
 }
 
 // Graph returns the constructed graph.
@@ -222,7 +215,7 @@ func (b *Builder) Graph() *Graph { return b.g }
 func (g *Graph) node(blk *isa.Block) *Node {
 	n, ok := g.Nodes[blk.Global]
 	if !ok {
-		n = &Node{Block: blk}
+		n = &Node{Block: blk, ThreadExecs: make([]uint64, g.Prog.NumThreads())}
 		g.Nodes[blk.Global] = n
 	}
 	return n

@@ -6,90 +6,15 @@ import (
 	"looppoint/internal/isa"
 )
 
-// decodedBlock caches the execution-relevant shape of one basic block so
-// the fast path can decide, once per block entry, how to run it:
-//
-//   - aluLen is the length of the leading straight-line compute run
-//     (register-only ALU/mov/FP work with no memory traffic, no control
-//     transfer, and no OS interaction) which executes in a tight loop
-//     with zero event bookkeeping;
-//   - selfLoop marks blocks whose terminator can re-enter the block
-//     through exactly one edge, making back-to-back passes coalescable
-//     into a single event;
-//   - brk marks registered break PCs: entries execute one instruction at
-//     a time so (PC, count) markers fire at exact boundaries.
-type decodedBlock struct {
-	decoded  bool
-	brk      bool
-	aluLen   int
-	selfLoop bool
-}
-
-// isComputeOp reports whether op is pure register work: no memory, no
-// control transfer, no OS model, no futex queue. These are the only
-// opcodes the tight compute loop may execute.
-func isComputeOp(op isa.Op) bool {
-	switch op {
-	case isa.OpNop, isa.OpPause,
-		isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIDiv, isa.OpIRem,
-		isa.OpIAnd, isa.OpIOr, isa.OpIXor, isa.OpIShl, isa.OpIShr,
-		isa.OpIMov, isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv,
-		isa.OpFMov, isa.OpFMA, isa.OpFSqrt, isa.OpFCmp,
-		isa.OpICvtF, isa.OpFCvtI:
-		return true
-	}
-	return false
-}
-
-// decodeBlock fills d for blk. blkIdx is the block's index within its
-// routine (the value terminator Target/Else fields refer to).
-func decodeBlock(d *decodedBlock, blk *isa.Block, blkIdx int, brk bool) {
-	d.decoded = true
-	d.brk = brk
-	d.aluLen = 0
-	for i := range blk.Instrs {
-		if !isComputeOp(blk.Instrs[i].Op) {
-			break
-		}
-		d.aluLen++
-	}
-	d.selfLoop = false
-	term := &blk.Instrs[len(blk.Instrs)-1]
-	switch term.Op {
-	case isa.OpBr:
-		d.selfLoop = term.Target == blkIdx
-	case isa.OpBrCond:
-		// Coalescable only when exactly one edge re-enters the block.
-		d.selfLoop = (term.Target == blkIdx) != (term.Else == blkIdx)
-	}
-}
-
-// decodedFor returns the (lazily built) decode cache entry for blk on
-// thread position (rt, blkIdx).
-func (m *Machine) decodedFor(blk *isa.Block, blkIdx int) *decodedBlock {
-	if m.dblocks == nil {
-		m.dblocks = make([]decodedBlock, m.Prog.NumBlocks())
-	}
-	d := &m.dblocks[blk.Global]
-	if !d.decoded {
-		decodeBlock(d, blk, blkIdx, m.breakPCs[blk.Addr])
-	}
-	return d
-}
-
 // AddBreakPC registers the block address addr as a break PC: the block-
 // batched fast path executes entries of that block one instruction at a
 // time, each as its own single-instruction event, so observers watching
 // a (PC, count) marker see the exact boundary a per-instruction run
-// would. Registering a PC invalidates the decode cache (it is rebuilt
-// lazily).
+// would. It takes effect at the block's next entry. The block's other
+// execution-shape facts (isa.Block.ALULen, SelfLoop) are fixed at Link.
 func (m *Machine) AddBreakPC(addr uint64) {
-	if m.breakPCs == nil {
-		m.breakPCs = make(map[uint64]bool)
-	}
-	if !m.breakPCs[addr] {
-		m.breakPCs[addr] = true
-		m.dblocks = nil
+	if blk, ok := m.Prog.BlockByAddr(addr); ok {
+		m.brk[blk.Global] = true
 	}
 }
 
@@ -121,12 +46,12 @@ func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
 	}
 	cb := t.cur.blk
 	blk := t.cur.rt.Blocks[cb]
-	d := m.decodedFor(blk, cb)
+	brk, aluLen := m.brk[blk.Global], blk.ALULen
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {
 		ev.Entries = 1
-		if d.brk {
+		if brk {
 			budget = 1
 		}
 	}
@@ -136,8 +61,8 @@ func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
 passes:
 	for {
 		idx := t.cur.idx
-		if idx < d.aluLen {
-			n := d.aluLen - idx
+		if idx < aluLen {
+			n := aluLen - idx
 			if rem := budget - retired; uint64(n) > rem {
 				n = int(rem)
 			}
@@ -145,7 +70,7 @@ passes:
 			idx += n
 			t.cur.idx = idx
 			retired += uint64(n)
-			if idx < d.aluLen { // budget exhausted inside the run
+			if idx < aluLen { // budget exhausted inside the run
 				break passes
 			}
 		}
@@ -228,7 +153,7 @@ passes:
 
 			case isa.OpBr:
 				t.cur.blk, t.cur.idx = in.Target, 0
-				if in.Target == cb && !d.brk && retired < budget {
+				if in.Target == cb && !brk && retired < budget {
 					ev.Entries++
 					continue passes
 				}
@@ -244,7 +169,7 @@ passes:
 					nxt = in.Target
 				}
 				t.cur.blk, t.cur.idx = nxt, 0
-				if nxt == cb && d.selfLoop && !d.brk && retired < budget {
+				if nxt == cb && blk.SelfLoop && !brk && retired < budget {
 					ev.Entries++
 					continue passes
 				}
@@ -372,12 +297,12 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 	cb := t.cur.blk
 	rt := t.cur.rt
 	blk := rt.Blocks[cb]
-	d := m.decodedFor(blk, cb)
+	brk := m.brk[blk.Global]
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {
 		ev.Entries = 1
-		if d.brk {
+		if brk {
 			budget = 1
 		}
 	}
@@ -403,7 +328,7 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 		op := sev.Instr.Op
 		if op == isa.OpBr || op == isa.OpBrCond {
 			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
-			if selfEntry && d.selfLoop && !d.brk && retired < budget {
+			if selfEntry && blk.SelfLoop && !brk && retired < budget {
 				ev.Entries++
 				continue
 			}

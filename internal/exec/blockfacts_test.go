@@ -1,0 +1,138 @@
+package exec
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"looppoint/internal/isa"
+	"looppoint/internal/omp"
+	"looppoint/internal/workloads"
+)
+
+// referenceDecode is the per-machine block decode that isa.Program.Link's
+// ALULen/SelfLoop replaced, kept as their oracle with its own opcode list.
+// blkIdx is the block's index within its routine.
+func referenceDecode(blk *isa.Block, blkIdx int) (aluLen int, selfLoop bool) {
+	for i := range blk.Instrs {
+		switch blk.Instrs[i].Op {
+		case isa.OpNop, isa.OpPause,
+			isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIDiv, isa.OpIRem,
+			isa.OpIAnd, isa.OpIOr, isa.OpIXor, isa.OpIShl, isa.OpIShr,
+			isa.OpIMov, isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv,
+			isa.OpFMov, isa.OpFMA, isa.OpFSqrt, isa.OpFCmp,
+			isa.OpICvtF, isa.OpFCvtI:
+			aluLen++
+			continue
+		}
+		break
+	}
+	switch term := blk.Instrs[len(blk.Instrs)-1]; term.Op {
+	case isa.OpBr:
+		selfLoop = term.Target == blkIdx
+	case isa.OpBrCond:
+		selfLoop = (term.Target == blkIdx) != (term.Else == blkIdx)
+	}
+	return aluLen, selfLoop
+}
+
+// TestBlockFactsMatchDecode checks the Link-time block facts against the
+// decode they replaced on every block of every registered workload, and
+// that a break PC registered after its block has already run coalesced
+// still splits the block's next entry (there is no decoded state to
+// invalidate any more).
+func TestBlockFactsMatchDecode(t *testing.T) {
+	blocks, selfLoops, computeRuns := 0, 0, 0
+	for _, spec := range workloads.All() {
+		for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
+			app, err := spec.Build(workloads.BuildParams{Threads: 4, Input: workloads.InputTest, Policy: policy})
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			for _, img := range app.Prog.Images {
+				for _, rt := range img.Routines {
+					for i, blk := range rt.Blocks {
+						aluLen, selfLoop := referenceDecode(blk, i)
+						if blk.ALULen != aluLen || blk.SelfLoop != selfLoop {
+							t.Errorf("%s %s: Link says ALULen=%d SelfLoop=%v, decode says %d %v",
+								spec.Name, blk, blk.ALULen, blk.SelfLoop, aluLen, selfLoop)
+						}
+						blocks++
+						if selfLoop {
+							selfLoops++
+						}
+						if aluLen > 0 {
+							computeRuns++
+						}
+					}
+				}
+			}
+		}
+	}
+	if t.Failed() {
+		t.FailNow() // the interpreter cannot be trusted with wrong facts
+	}
+	if selfLoops == 0 || computeRuns == 0 {
+		t.Fatalf("of %d blocks, %d self-loops and %d with a compute run: nothing compared", blocks, selfLoops, computeRuns)
+	}
+
+	p, _ := buildCounterProgram(t, 1, 50, omp.Passive)
+	m := NewMachine(p, 1)
+	var ev BlockEvent
+	var loop *isa.Block
+	for loop == nil {
+		if !m.StepBlock(0, 12, &ev) {
+			t.Fatal("thread stopped before its loop coalesced")
+		}
+		if ev.Entries > 1 {
+			loop = ev.Block
+		}
+	}
+	m.AddBreakPC(loop.Addr)
+	split := 0
+	for m.StepBlock(0, 12, &ev) {
+		if ev.Block == loop && ev.FirstIdx == 0 {
+			if ev.Instrs != 1 || ev.Entries != 1 {
+				t.Fatalf("entry of the late break PC arrived as %d instrs, %d entries; want 1, 1", ev.Instrs, ev.Entries)
+			}
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("the loop was never entered again after its break PC was registered")
+	}
+}
+
+// TestRecordScheduleTraffic bounds what recording costs beyond the
+// schedule itself: over a run of thousands of quanta the bytes allocated
+// on the schedule's behalf stay within 2.5× its final size (chunks filled
+// once plus one exact-size concatenation; growing one slice by append
+// allocates ≈ 5× and re-copies as much). The allocation of the same run
+// without a recorder is subtracted.
+func TestRecordScheduleTraffic(t *testing.T) {
+	p, _ := buildCounterProgram(t, 4, 100_000, omp.Passive)
+	run := func(rec *Schedule) uint64 {
+		m := NewMachine(p, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := m.Run(RunOpts{Quantum: 16, Record: rec}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bare := run(nil)
+	var sched Schedule
+	traffic := run(&sched) - bare
+	size := uint64(len(sched)) * uint64(unsafe.Sizeof(ScheduleEntry{}))
+	if len(sched) < 8*recordChunk {
+		t.Fatalf("schedule has %d entries; the test needs several chunks", len(sched))
+	}
+	if cap(sched) != len(sched) {
+		t.Errorf("schedule has capacity %d for %d entries, want exact", cap(sched), len(sched))
+	}
+	if traffic > size*5/2 {
+		t.Errorf("recording allocated %d bytes for a %d-byte schedule (%.2fx), want <= 2.5x", traffic, size, float64(traffic)/float64(size))
+	}
+	t.Logf("%d entries, %d bytes; recording allocated %d (%.2fx), the bare run %d", len(sched), size, traffic, float64(traffic)/float64(size), bare)
+}

@@ -125,7 +125,8 @@ type RunOpts struct {
 	FlowWindow uint64
 	// MaxSteps aborts the run with ErrMaxSteps when exceeded (0 = no cap).
 	MaxSteps uint64
-	// Record, when non-nil, accumulates the thread interleaving.
+	// Record, when non-nil, is set to the run's thread interleaving when
+	// Run returns (also on error, to what ran until then).
 	Record *Schedule
 	// QuantumBias, when non-empty, multiplies each thread's scheduling
 	// quantum by the given per-thread factor. It emulates host-processor
@@ -157,6 +158,10 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 	q := opts.Quantum
 	if q <= 0 {
 		q = 64
+	}
+	var rec recorder
+	if opts.Record != nil {
+		defer func() { *opts.Record = rec.schedule() }()
 	}
 	var steps uint64
 	for !m.Done() {
@@ -201,7 +206,7 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 			if ran > 0 {
 				progressed = true
 				if opts.Record != nil {
-					appendRun(opts.Record, tid, ran)
+					rec.add(tid, ran)
 				}
 			}
 			if opts.MaxSteps > 0 && steps >= opts.MaxSteps {
@@ -234,12 +239,41 @@ func (m *Machine) minRunningICount() uint64 {
 	return min
 }
 
-func appendRun(s *Schedule, tid, n int) {
-	if k := len(*s); k > 0 && (*s)[k-1].Tid == tid && uint64((*s)[k-1].N)+uint64(n) < 1<<32 {
-		(*s)[k-1].N += uint32(n)
+// recordChunk is the recorder's allocation unit, in entries (32 KB).
+const recordChunk = 2048
+
+// recorder accumulates a run's schedule in fixed chunks and concatenates
+// them once, at its exact size, when the run ends: an entry moves once. (A
+// ref recording is 0.5–1 M entries; one slice grown by append re-copies it
+// ≈ 5 times over, 1.25× at a time and onto fresh pages each time.)
+type recorder struct {
+	full []Schedule // filled chunks
+	cur  Schedule   // the chunk being filled; never empty after the first add
+}
+
+// add appends n instructions retired by tid, extending the last entry
+// when the same thread ran again.
+func (r *recorder) add(tid, n int) {
+	if k := len(r.cur); k > 0 && r.cur[k-1].Tid == tid && uint64(r.cur[k-1].N)+uint64(n) < 1<<32 {
+		r.cur[k-1].N += uint32(n)
 		return
 	}
-	*s = append(*s, ScheduleEntry{Tid: tid, N: uint32(n)})
+	if len(r.cur) == cap(r.cur) {
+		if r.cur != nil {
+			r.full = append(r.full, r.cur)
+		}
+		r.cur = make(Schedule, 0, recordChunk)
+	}
+	r.cur = append(r.cur, ScheduleEntry{Tid: tid, N: uint32(n)})
+}
+
+// schedule returns the recording as one exactly-sized slice.
+func (r *recorder) schedule() Schedule {
+	out := make(Schedule, 0, len(r.full)*recordChunk+len(r.cur))
+	for _, c := range r.full {
+		out = append(out, c...)
+	}
+	return append(out, r.cur...)
 }
 
 // RunSchedule replays a recorded thread interleaving exactly (constrained

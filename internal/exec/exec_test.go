@@ -222,15 +222,15 @@ func TestObserverSeesBlockEntriesAndBranches(t *testing.T) {
 		if ev.BlockEntry {
 			blockEntries++
 		}
-		if ev.IsBranch {
+		if ev.Instr.Op.IsBranch() {
 			branches++
 			if ev.Taken {
 				taken++
 			}
 		}
-		if ev.IsMem {
+		if ev.Instr.Op.IsMem() {
 			mem++
-			if ev.IsWrite {
+			if ev.Instr.Op.IsWrite() {
 				writes++
 			}
 		}

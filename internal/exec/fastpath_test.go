@@ -254,7 +254,7 @@ func TestBlockEventDispatchAllocFree(t *testing.T) {
 	var instrs uint64
 	m.AddBlockObserver(BlockObserverFunc(func(ev *BlockEvent) { instrs += ev.Instrs }))
 	var ev BlockEvent
-	// Warm the decode cache.
+	// Settle into the loop (and size the event's Woken array).
 	m.StepBlock(0, 1024, &ev)
 	allocs := testing.AllocsPerRun(100, func() {
 		for tid := 0; tid < 2; tid++ {

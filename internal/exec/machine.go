@@ -76,13 +76,10 @@ type Event struct {
 	Instr      *isa.Instr
 	Block      *isa.Block
 	BlockEntry bool   // first instruction of the block
-	MemAddr    uint64 // byte address for memory ops
-	IsMem      bool
-	IsWrite    bool
-	IsBranch   bool
-	Taken      bool
-	Blocked    bool  // the instruction parked the thread on a futex
-	Woken      []int // threads woken by a FutexWake
+	MemAddr    uint64 // byte address for memory ops (Instr.Op.IsMem)
+	Taken      bool   // a control transfer was taken
+	Blocked    bool   // the instruction parked the thread on a futex
+	Woken      []int  // threads woken by a FutexWake
 }
 
 // Observer receives every executed instruction. Implementations must be
@@ -111,9 +108,8 @@ type Machine struct {
 	evFree         []*BlockEvent // recycled block events (see getBlockEvent)
 	steps          uint64
 
-	// Block-batched fast path state (blockcache.go).
-	dblocks  []decodedBlock // lazily decoded, indexed by Block.Global
-	breakPCs map[uint64]bool
+	// brk flags the registered break PCs (AddBreakPC) by Block.Global.
+	brk []bool
 }
 
 // NewMachine creates a machine for a linked program with zeroed memory and
@@ -125,6 +121,7 @@ func NewMachine(p *isa.Program, seed uint64) *Machine {
 		Mem:    make([]uint64, p.MemWords),
 		OS:     NewDefaultOS(seed),
 		futexQ: make(map[uint64][]int),
+		brk:    make([]bool, p.NumBlocks()),
 	}
 	for tid := 0; tid < p.NumThreads(); tid++ {
 		t := &Thread{ID: tid, cur: frame{rt: p.Entries[tid]}}
@@ -235,29 +232,29 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 
 	case isa.OpILoad:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.MemAddr = true, a*8
+		ev.MemAddr = a * 8
 		t.R[in.Dst] = int64(m.Mem[a])
 	case isa.OpIStore:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.IsWrite, ev.MemAddr = true, true, a*8
+		ev.MemAddr = a * 8
 		m.Mem[a] = uint64(t.R[in.B])
 	case isa.OpFLoad:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.MemAddr = true, a*8
+		ev.MemAddr = a * 8
 		t.F[in.Dst] = math.Float64frombits(m.Mem[a])
 	case isa.OpFStore:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.IsWrite, ev.MemAddr = true, true, a*8
+		ev.MemAddr = a * 8
 		m.Mem[a] = math.Float64bits(t.F[in.B])
 	case isa.OpAtomicAdd:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.IsWrite, ev.MemAddr = true, true, a*8
+		ev.MemAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(old + t.R[in.B])
 		t.R[in.Dst] = old
 	case isa.OpCmpXchg:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.IsWrite, ev.MemAddr = true, true, a*8
+		ev.MemAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			m.Mem[a] = uint64(t.R[in.Dst])
 			t.R[in.Dst] = 1
@@ -266,7 +263,7 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		}
 	case isa.OpXchg:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.IsWrite, ev.MemAddr = true, true, a*8
+		ev.MemAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(t.R[in.B])
 		t.R[in.Dst] = old
@@ -274,13 +271,12 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 	case isa.OpBr:
 		t.cur.blk, t.cur.idx = in.Target, 0
 		advance = false
-		ev.IsBranch, ev.Taken = true, true
+		ev.Taken = true
 	case isa.OpBrCond:
 		b := t.R[in.B]
 		if in.UseImm {
 			b = in.Imm
 		}
-		ev.IsBranch = true
 		if in.Cond.EvalInt(t.R[in.A], b) {
 			t.cur.blk, ev.Taken = in.Target, true
 		} else {
@@ -292,7 +288,7 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		t.stack = append(t.stack, frame{rt: t.cur.rt, blk: t.cur.blk, idx: t.cur.idx + 1})
 		t.cur = frame{rt: in.Callee}
 		advance = false
-		ev.IsBranch, ev.Taken = true, true
+		ev.Taken = true
 	case isa.OpRet:
 		if len(t.stack) == 0 {
 			throwf("exec: thread %d returned from entry routine %s", tid, t.cur.rt.Name)
@@ -300,14 +296,14 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		t.cur = t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		advance = false
-		ev.IsBranch, ev.Taken = true, true
+		ev.Taken = true
 	case isa.OpHalt:
 		t.State = StateHalted
 		advance = false
 
 	case isa.OpFutexWait:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.MemAddr = true, a*8
+		ev.MemAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			t.State = StateBlocked
 			t.futexAddr = a
@@ -316,7 +312,7 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		}
 	case isa.OpFutexWake:
 		a := m.effAddr(t, in)
-		ev.IsMem, ev.MemAddr = true, a*8
+		ev.MemAddr = a * 8
 		n := t.R[in.B]
 		woken := 0
 		q := m.futexQ[a]

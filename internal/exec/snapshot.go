@@ -10,10 +10,9 @@ import "sort"
 // continue byte-identically to the uninterrupted execution: the futex
 // wait queues in their exact FIFO order (Futexes) and the OS model's
 // internal state (OS) when the machine's OS implements StatefulOS. The
-// decoded-block cache and registered break PCs are deliberately absent —
-// they are configuration derived from the program and the attached
-// observers, not architectural state, so any machine running the same
-// program reconstructs them independently.
+// registered break PCs are deliberately absent — they are configuration
+// derived from the attached observers, not architectural state, so any
+// machine running the same program registers them independently.
 type Snapshot struct {
 	Mem     []uint64
 	Threads []ThreadSnapshot

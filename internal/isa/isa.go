@@ -118,6 +118,21 @@ func (o Op) IsWrite() bool {
 	return false
 }
 
+// IsCompute reports whether the opcode is pure register work: no memory,
+// no control transfer, no OS model, no futex queue.
+func (o Op) IsCompute() bool {
+	switch o {
+	case OpNop, OpPause,
+		OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem,
+		OpIAnd, OpIOr, OpIXor, OpIShl, OpIShr,
+		OpIMov, OpFAdd, OpFSub, OpFMul, OpFDiv,
+		OpFMov, OpFMA, OpFSqrt, OpFCmp,
+		OpICvtF, OpFCvtI:
+		return true
+	}
+	return false
+}
+
 // IsAtomic reports whether the opcode is an atomic read-modify-write.
 func (o Op) IsAtomic() bool {
 	switch o {
@@ -275,6 +290,15 @@ type Block struct {
 	Routine *Routine
 	Addr    uint64 // address of the first instruction; assigned by Link
 	Global  int    // global block index across the program; assigned by Link
+
+	// Execution-shape facts the interpreter's block tier reads on every
+	// entry, assigned by Link. ALULen is the length of the leading
+	// straight-line compute run (Op.IsCompute), which executes with no
+	// event bookkeeping. SelfLoop marks a terminator that can re-enter the
+	// block through exactly one edge, so back-to-back passes coalesce into
+	// one event.
+	ALULen   int
+	SelfLoop bool
 }
 
 // Terminator returns the block's final instruction.
@@ -421,7 +445,7 @@ func (p *Program) Link() error {
 			if len(r.Blocks) == 0 {
 				return fmt.Errorf("isa: routine %s/%s has no blocks", img.Name, r.Name)
 			}
-			for _, b := range r.Blocks {
+			for i, b := range r.Blocks {
 				if len(b.Instrs) == 0 {
 					return fmt.Errorf("isa: empty block %s", b)
 				}
@@ -429,13 +453,23 @@ func (p *Program) Link() error {
 				b.Global = global
 				global++
 				p.blockByAddr[addr] = b
-				for i := range b.Instrs {
-					b.Instrs[i].Addr = addr
+				for j := range b.Instrs {
+					b.Instrs[j].Addr = addr
 					addr += codeAlign
 					p.numInstrs++
 				}
 				if err := p.checkBlock(b); err != nil {
 					return err
+				}
+				for b.Instrs[b.ALULen].Op.IsCompute() { // stops at the terminator at the latest
+					b.ALULen++
+				}
+				switch term := b.Terminator(); term.Op {
+				case OpBr:
+					b.SelfLoop = term.Target == i
+				case OpBrCond:
+					// Coalescable only when exactly one edge re-enters.
+					b.SelfLoop = (term.Target == i) != (term.Else == i)
 				}
 			}
 		}

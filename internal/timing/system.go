@@ -395,9 +395,6 @@ func (s *system) coherence(tid int, addr uint64) float64 {
 // applications whose natural thread progress differs from the recording
 // (Section V-A1: worst for low-synchronization apps like 657.xz_s.2).
 func (s *system) constrainedOrderStall(tid int, ev *exec.Event) {
-	if !ev.IsMem {
-		return
-	}
 	op := ev.Instr.Op
 	if !op.IsAtomic() && op != isa.OpFutexWait && op != isa.OpFutexWake {
 		return

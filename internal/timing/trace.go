@@ -83,7 +83,7 @@ func (t *TraceWriter) OnInstr(ev *exec.Event) {
 	if ev.Block.Routine.Image.Sync {
 		flags |= tfSync
 	}
-	if ev.IsMem {
+	if ev.Instr.Op.IsMem() {
 		flags |= tfMem
 	}
 	rec[2] = flags
