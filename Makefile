@@ -100,15 +100,20 @@ bench-analyze:
 		-benchtime 20x ./internal/core/
 
 # Where one Analyze spends its time: a CPU profile of the product CLI on
-# the benchmark's barrier-free ref input (record + DCFG, the BBV replay,
-# selection), listed by cumulative time. Fails unless the profile holds
-# samples under core.Analyze. PROF_INPUT=train makes it a sub-second smoke
-# (CI runs that; the test input ends inside one 10 ms sampling tick).
+# the benchmark's barrier-free ref input (record + DCFG + event log, the
+# BBV pass over the log, selection), listed by cumulative time. Fails unless
+# the profile holds samples under core.Analyze, and fails if any of them is
+# in RunSchedule: the CLI's Analyze executes the program once, and a
+# regression to replay would otherwise only show as a slower benchmark.
+# PROF_INPUT=train makes it a sub-second smoke (CI runs that; the test
+# input ends inside one 10 ms sampling tick).
 PROF_INPUT ?= ref
 prof-analyze:
 	go run ./cmd/lpprofile -p 657.xz_s.2 -i $(PROF_INPUT) -n 4 -pprof-cpu analyze.prof > /dev/null
 	go tool pprof -top -cum -nodecount 30 analyze.prof | tee analyze.prof.txt
 	@grep -q 'core\.Analyze' analyze.prof.txt || { echo "prof-analyze: no samples under core.Analyze"; exit 1; }
+	@! go tool pprof -top -cum -focus 'core\.Analyze' analyze.prof 2>/dev/null | grep 'exec\.(\*Machine)\.RunSchedule' || \
+		{ echo "prof-analyze: core.Analyze replays the recording (RunSchedule has samples under it)"; exit 1; }
 
 # Multi-core scaling sweep: the data-plane and kernel benchmarks at
 # GOMAXPROCS widths 1/2/4/8 (results carry a -N suffix per width).

@@ -1,6 +1,7 @@
 // Command lpprofile runs only the "where to simulate" half of LoopPoint:
-// it records a workload as a pinball, replays it for DCFG/loop analysis
-// and BBV collection, clusters the regions, and prints the selected
+// it records a workload as a pinball — building the DCFG and logging block
+// events in that one run — collects BBVs from the log at the loop
+// boundaries the graph names, clusters the regions, and prints the selected
 // looppoints with their (PC, count) boundaries and multipliers — without
 // any timing simulation. Useful for ref-scale inputs and for inspecting
 // the region structure of a workload.

@@ -153,13 +153,14 @@ type Analysis struct {
 	Config  Config
 }
 
-// Analyze executes the program twice: the recording run, which also
-// builds the DCFG (the builder rides the recording machine on the block
-// tier), and one BBV replay of the recording in which a single
-// bbv.Collector gathers sliced, spin-filtered vectors at the loop
-// boundaries the graph identified. With Config.ProgressDir set the same
-// replay is cut into epochs with a durable recovery point after each (see
-// progress.go); without it the replay is one window.
+// Analyze executes the program once: the recording run builds the DCFG
+// (the builder rides the recording machine on the block tier) and logs its
+// block events (exec.BlockLog); once the finished graph has named the loop
+// boundaries, the log is played into a single bbv.Collector, which gathers
+// sliced, spin-filtered vectors. With Config.ProgressDir set the collector
+// is fed by a constrained replay of the recording instead, cut into epochs
+// with a durable recovery point after each (see progress.go): a resumed
+// process has the pinball but no log.
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
 	if cfg.ProgressDir != "" {
@@ -176,15 +177,22 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	return analyze(prog, cfg, nil)
 }
 
-// analyze is the one analysis pipeline; dp is nil for a stateless run.
+// analyze is the one analysis pipeline; dp is nil for a stateless run,
+// whose collector reads the recording run's own block-event log.
 func analyze(prog *isa.Program, cfg Config, dp *progressLog) (*Analysis, error) {
-	pass := dp.resume(prog, &cfg)
-	if pass == nil {
-		pb, g, err := recordWithGraph(prog, &cfg)
+	if dp == nil {
+		log := exec.NewBlockLog(prog)
+		pass, err := recordPass(prog, &cfg, log)
 		if err != nil {
 			return nil, err
 		}
-		if pass, err = newBBVPass(prog, &cfg, pb, g, pb.StartCheckpoint(), nil); err != nil {
+		log.Play(pass.col)
+		return pass.finish()
+	}
+	pass := dp.resume(prog, &cfg)
+	if pass == nil {
+		var err error
+		if pass, err = recordPass(prog, &cfg); err != nil {
 			return nil, err
 		}
 		dp.begin(pass)
@@ -192,19 +200,19 @@ func analyze(prog *isa.Program, cfg Config, dp *progressLog) (*Analysis, error) 
 	return pass.run(dp)
 }
 
-// recordWithGraph records the whole-program pinball and returns it with
-// the DCFG of the recorded execution, built while recording: the builder
-// rides the recording machine on the block tier.
-func recordWithGraph(prog *isa.Program, cfg *Config) (*pinball.Pinball, *dcfg.Graph, error) {
+// recordPass records the whole-program pinball with the DCFG builder (and
+// any further observers) riding the recording machine on the block tier,
+// and returns the BBV pass the finished graph defines, at step 0.
+func recordPass(prog *isa.Program, cfg *Config, observers ...exec.BlockObserver) (*bbvPass, error) {
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
 	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
 		FlowWindow:  cfg.FlowWindow,
 		QuantumBias: cfg.HostBias,
-	}, db)
+	}, append(observers, db)...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
+		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
-	return pb, db.Graph(), nil
+	return newBBVPass(prog, cfg, pb, db.Graph(), pb.StartCheckpoint(), nil)
 }
 
 // sliceTargetFor returns the global filtered-instruction budget per
@@ -245,12 +253,12 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 	return loops, markers, modulus, nil
 }
 
-// bbvPass is the BBV replay mid-run: the analysis it is filling in, the
-// one Collector, and the checkpoint the next replay window starts from. A
-// fresh recording starts one at step 0; a durable epoch file restores one
-// mid-run.
+// bbvPass is the BBV pass mid-run: the analysis it is filling in, the one
+// Collector, and — for the durable route — the checkpoint the next replay
+// window starts from. A fresh recording starts one at step 0; a durable
+// epoch file restores one mid-run.
 type bbvPass struct {
-	a     *Analysis // Profile is set by run
+	a     *Analysis // Profile is set by finish
 	col   *bbv.Collector
 	ck    pinball.Checkpoint
 	total uint64 // schedule steps in the recording
@@ -287,9 +295,8 @@ func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Gra
 }
 
 // run feeds the collector the rest of the recording, one replay window at
-// a time, and finishes the profile. A stateless run (nil dp) is a single
-// window; a durable one persists a recovery point after every window.
-// The window that ends the recording verifies its final checksum.
+// a time with a recovery point persisted after each, and finishes the
+// profile. The window that ends the recording verifies its final checksum.
 func (bp *bbvPass) run(dp *progressLog) (*Analysis, error) {
 	a := bp.a
 	every := dp.epochSteps(bp.total)
@@ -303,6 +310,12 @@ func (bp *bbvPass) run(dp *progressLog) (*Analysis, error) {
 		bp.ck = next
 		dp.save(bp)
 	}
+	return bp.finish()
+}
+
+// finish closes the collector's profile once it has seen the whole run.
+func (bp *bbvPass) finish() (*Analysis, error) {
+	a := bp.a
 	a.Profile = bp.col.Finish()
 	if len(a.Profile.Regions) == 0 {
 		return nil, fmt.Errorf("core: %s produced no regions", a.Prog.Name)

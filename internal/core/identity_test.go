@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
@@ -90,12 +93,14 @@ func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 }
 
 // identityConfigs are the analysis configurations that change what the
-// Collector does or how it is driven; all of them reach the durable path.
+// Collector does, how it is driven, or what interleaving it is driven over;
+// all of them reach the durable path.
 func identityConfigs() map[string]func(*Config) {
 	return map[string]func(*Config){
 		"default":        func(*Config) {},
 		"nospinfilter":   func(c *Config) { c.NoSpinFilter = true },
 		"variableslices": variableSlices,
+		"hostbias":       func(c *Config) { c.HostBias = []int{1, 3, 1, 2} },
 	}
 }
 
@@ -125,15 +130,19 @@ func killedAtEveryEpoch(t *testing.T, p *isa.Program, cfg Config) (*Analysis, in
 	return nil, 0
 }
 
-// TestAnalyzeIdentityMatrix is the tentpole pin: there is one analysis
-// loop, and however it is cut — not at all (stateless), into durable
-// epochs run cold, or into epochs with the worker killed and resumed from
-// disk at every single boundary — Profile, Graph, Loops and Markers are
-// DeepEqual to the reference built on the OnInstr oracle graph. Epoch
-// widths cover a boundary exactly on a region-closing marker and one step
-// either side (the off-by-one cases of close-then-account), widths narrow
-// enough that most epochs see no marker at all, primes, the default, and
-// a width wider than the recording (one epoch).
+// TestAnalyzeIdentityMatrix is the tentpole pin: there is one Collector,
+// and however it is fed — from the recording run's block-event log
+// (stateless), from a constrained replay cut into durable epochs run cold,
+// or from such epochs with the worker killed and resumed from disk at every
+// single boundary — Profile, Graph, Loops and Markers are DeepEqual to the
+// reference built on the OnInstr oracle graph and a per-instruction replay.
+// The durable columns are product paths too, so the matrix is a standing
+// differential test of log-fed against replay-fed collection. Epoch widths
+// cover a boundary exactly on a region-closing marker and one step either
+// side (the off-by-one cases of close-then-account), widths narrow enough
+// that most epochs see no marker at all, primes, the default, a width wider
+// than the recording (one epoch), and two drawn from a generator seeded by
+// the case's name.
 func TestAnalyzeIdentityMatrix(t *testing.T) {
 	for name, p := range parallelTestPrograms() {
 		for cname, mutate := range identityConfigs() {
@@ -164,6 +173,12 @@ func TestAnalyzeIdentityMatrix(t *testing.T) {
 				end := want.Profile.Regions[0].EndICount
 				total := want.Pinball.Schedule.Steps()
 				widths := []uint64{0, end, end - 1, end + 1, 509, 1021, total / 3, total + 1000}
+				// Random widths stay above total/40: every epoch of the
+				// killed route is a process lifetime and an fsync.
+				rng := rand.New(rand.NewSource(int64(artifact.Checksum([]byte(name + cname)))))
+				for i := 0; i < 2; i++ {
+					widths = append(widths, total/40+uint64(rng.Int63n(int64(total/2))))
+				}
 				if name == "phased-passive" && cname == "default" {
 					// ~1000 epochs, each a process lifetime on the killed
 					// route: once is enough (bbv pins width 64 with a
@@ -236,21 +251,19 @@ func TestIdentityMatrixCoversZeroMarkerEpochs(t *testing.T) {
 }
 
 // TestBBVPassVerifiesFinalChecksum: a recording whose final memory
-// checksum is wrong fails the BBV pass whether it is replayed as one
-// window or as many epochs — the check Pinball.Replay always made, which
-// the epoch loop used to skip.
+// checksum is wrong fails the replay-fed BBV pass whether it is replayed as
+// one window or as many epochs — the check Pinball.Replay always makes. (The
+// stateless pass reads the recording run's own event log and replays
+// nothing, so it has no final state to check.)
 func TestBBVPassVerifiesFinalChecksum(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	for _, every := range []uint64{0, 2048} {
+	for _, every := range []uint64{1 << 40, 2048} {
 		cfg := testConfig()
 		cfg.fill()
-		var dp *progressLog
-		if every > 0 {
-			cfg.ProgressDir, cfg.ProgressEvery = t.TempDir(), every
-			var err error
-			if dp, err = openProgress(p, &cfg); err != nil {
-				t.Fatal(err)
-			}
+		cfg.ProgressDir, cfg.ProgressEvery = t.TempDir(), every
+		dp, err := openProgress(p, &cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		pb, g := recordFor(t, p, cfg)
 		pb.FinalChecksum ^= 1
@@ -262,7 +275,7 @@ func TestBBVPassVerifiesFinalChecksum(t *testing.T) {
 		if _, err := bp.run(dp); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("every=%d: BBV pass over a recording with a wrong final checksum returned %v", every, err)
 		}
-		if every > 0 && bp.ck.Step == 0 {
+		if every == 2048 && bp.ck.Step == 0 {
 			t.Fatal("the many-window route failed before its last window")
 		}
 	}
@@ -281,5 +294,37 @@ func TestAnalyzePublicMatchesOracle(t *testing.T) {
 	analysisEquals(t, "public", got, referenceAnalysis(t, p, testConfig()))
 	if !bytes.Equal(got.Pinball.AppendBinary(nil), pb.AppendBinary(nil)) {
 		t.Fatal("recording with the DCFG builder attached differs from a bare recording")
+	}
+}
+
+// TestStatelessAnalyzeReplaysNothing pins that a stateless Analyze executes
+// the program once. Executions are counted by what each one must allocate:
+// a machine's memory and one snapshot of it (the recording's start, a replay
+// window's end), on a program given 8 MB of memory so that nothing else
+// Analyze allocates comes near one of those. The recording costs two such
+// blocks; a replay would cost two more — which the durable route, run as one
+// window, is shown to do.
+func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
+	p := testprog.Phased(4, 10, 150, omp.Passive)
+	p.MemWords += 1 << 20
+	machine := p.MemWords * 8
+	allocated := func(cfg Config) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Analyze(p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := allocated(testConfig()); got < 2*machine || got >= 3*machine {
+		t.Errorf("stateless Analyze allocated %d bytes, %.2f machine memories; want the recording's two and no replay's",
+			got, float64(got)/float64(machine))
+	}
+	durable := durableConfig(t.TempDir())
+	durable.ProgressEvery = 1 << 40
+	if got := allocated(durable); got < 4*machine {
+		t.Errorf("one-window durable Analyze allocated %d bytes, %.2f machine memories; the count cannot see a replay",
+			got, float64(got)/float64(machine))
 	}
 }

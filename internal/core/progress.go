@@ -21,8 +21,9 @@ import (
 )
 
 // Durable mid-job progress (crash-only analysis). With Config.ProgressDir
-// set, Analyze persists the recording as soon as it exists and then cuts
-// the BBV replay — the same loop, the same Collector — into bounded
+// set, Analyze persists the recording as soon as it exists and then feeds
+// the Collector — the same one, configured the same way as a stateless
+// run's — from a constrained replay of that recording cut into bounded
 // epochs, persisting after every one everything a fresh process needs to
 // continue: the replay checkpoint at the window's end (snapshot + syscall
 // cursors + step), the finished DCFG the recording run built, and the
@@ -329,9 +330,7 @@ func progressCandidates(base string) []string {
 }
 
 // progressLog is one job's durable-progress files: where they live, how
-// wide an epoch is, and the epoch counter. Every method is safe on a nil
-// receiver, which is the stateless run: nothing to resume, one window,
-// nothing saved.
+// wide an epoch is, and the epoch counter.
 type progressLog struct {
 	base  string // <dir>/<key>-<fingerprint>
 	every uint64 // Config.ProgressEvery
@@ -360,14 +359,10 @@ func openProgress(prog *isa.Program, cfg *Config) (*progressLog, error) {
 	}, nil
 }
 
-// epochSteps returns the replay-window width: the whole recording for a
-// stateless run, else the configured epoch width or a default derived
-// from the recording length only.
+// epochSteps returns the replay-window width: the configured epoch width
+// or a default derived from the recording length only.
 func (dp *progressLog) epochSteps(total uint64) uint64 {
-	switch {
-	case dp == nil:
-		return total
-	case dp.every > 0:
+	if dp.every > 0 {
 		return dp.every
 	}
 	return max(total/defaultEpochs, minEpochSteps)
@@ -383,9 +378,6 @@ func (dp *progressLog) epochSteps(total uint64) uint64 {
 // cannot re-fail every future restart; a rung that merely failed to read
 // (injected Transient, I/O trouble) is left in place.
 func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
-	if dp == nil {
-		return nil
-	}
 	pb, err := pinball.Load(dp.base + ".pinball")
 	if err != nil || pb.Name != prog.Name || pb.Verify() != nil {
 		return nil
@@ -443,9 +435,6 @@ func (dp *progressLog) restoreRung(prog *isa.Program, cfg *Config, pb *pinball.P
 // epoch, so a crash in the first window resumes with the graph instead of
 // re-recording for it.
 func (dp *progressLog) begin(bp *bbvPass) {
-	if dp == nil {
-		return
-	}
 	if err := artifact.WriteFileDurable(dp.base+".pinball", bp.a.Pinball.AppendBinary(nil)); err != nil {
 		dp.ps.countSaveFailure() // best-effort: a restart re-records
 	}
@@ -455,9 +444,6 @@ func (dp *progressLog) begin(bp *bbvPass) {
 
 // save persists the pass as the next epoch.
 func (dp *progressLog) save(bp *bbvPass) {
-	if dp == nil {
-		return
-	}
 	dp.epoch++
 	saveEpoch(dp.base, bp.ck, &progressState{
 		Job: filepath.Base(dp.base), Epoch: dp.epoch, Total: bp.total,

@@ -136,3 +136,62 @@ func TestRecordScheduleTraffic(t *testing.T) {
 	}
 	t.Logf("%d entries, %d bytes; recording allocated %d (%.2fx), the bare run %d", len(sched), size, traffic, float64(traffic)/float64(size), bare)
 }
+
+// TestBlockLogTraffic bounds what keeping the block-event log costs, on the
+// benchmark's short-block application (657.xz_s.2, ≈ 3.5 instructions per
+// event): at most half a byte per retired instruction and two per event,
+// nothing allocated per event — only the chunks, with the same run under a
+// counting observer subtracted — and nothing held once Play has returned.
+// A fatter encoding fails here before it shows up as resident memory in the
+// end-to-end benchmark.
+func TestBlockLogTraffic(t *testing.T) {
+	spec, _ := workloads.Lookup("657.xz_s.2")
+	app, err := spec.Build(workloads.BuildParams{Input: workloads.InputTrain, Policy: omp.Passive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events, instrs uint64
+	count := BlockObserverFunc(func(ev *BlockEvent) { events++; instrs += ev.Instrs })
+	run := func(o BlockObserver) uint64 {
+		m := NewMachine(app.Prog, 1)
+		m.AddBlockObserver(o)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := m.Run(RunOpts{FlowWindow: 4096}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	bare := run(count)
+	log := NewBlockLog(app.Prog)
+	allocs := run(log) - bare
+
+	chunks, size := uint64(0), uint64(0)
+	for c := log.head; c != nil; c = c.next {
+		chunks++
+		size += uint64(c.n)
+	}
+	if chunks < 8 {
+		t.Fatalf("the log has %d chunks; the test needs several", chunks)
+	}
+	if perInstr := float64(size) / float64(instrs); perInstr > 0.5 {
+		t.Errorf("log is %d bytes for %d instructions (%.3f B/instr), want <= 0.5", size, instrs, perInstr)
+	}
+	if perEvent := float64(size) / float64(events); perEvent > 2 {
+		t.Errorf("log is %d bytes for %d events (%.2f B/event), want <= 2", size, events, perEvent)
+	}
+	if allocs > size/blockLogChunkBytes+2 {
+		t.Errorf("logging allocated %d objects for %d chunks, want only the chunks", allocs, chunks)
+	}
+	var played uint64
+	log.Play(BlockObserverFunc(func(ev *BlockEvent) { played += ev.Instrs }))
+	if played != instrs {
+		t.Errorf("Play re-emitted %d instructions of %d", played, instrs)
+	}
+	if log.head != nil || log.tail != nil {
+		t.Error("the log still holds chunks after Play")
+	}
+	t.Logf("%d events, %d instructions: %d bytes in %d chunks (%.3f B/instr, %.2f B/event), %d allocations",
+		events, instrs, size, chunks, float64(size)/float64(instrs), float64(size)/float64(events), allocs)
+}

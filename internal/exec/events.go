@@ -78,12 +78,19 @@ type PCBreaker interface {
 // AddBlockObserver registers a block-granular observer. If it implements
 // PCBreaker, its addresses are registered as break PCs first.
 func (m *Machine) AddBlockObserver(o BlockObserver) {
+	markBreakPCs(m.Prog, m.brk, o)
+	m.blockObservers = append(m.blockObservers, o)
+}
+
+// markBreakPCs flags in brk, by Block.Global, the break PCs o asks for.
+func markBreakPCs(p *isa.Program, brk []bool, o BlockObserver) {
 	if br, ok := o.(PCBreaker); ok {
 		for _, pc := range br.BreakPCs() {
-			m.AddBreakPC(pc)
+			if blk, ok := p.BlockByAddr(pc); ok {
+				brk[blk.Global] = true
+			}
 		}
 	}
-	m.blockObservers = append(m.blockObservers, o)
 }
 
 // getBlockEvent pops a recycled event from the machine's free list (or
