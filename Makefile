@@ -65,7 +65,7 @@ campaign-smoke:
 
 # Crash-only worker drill: SIGKILL an lpserved mid-analyze, restart it
 # over the same -progress-dir, and assert the resubmitted job resumes
-# from durable epochs (recoveries >= 1, recovery_steps_saved > 0) with a
+# from its saved recording (recoveries >= 1, recovery_steps_saved > 0) with a
 # result byte-identical to an uninterrupted run; plus the boot-time
 # pending-checkpoint resubmission leg.
 kill-smoke:
@@ -93,8 +93,9 @@ bench-test:
 	cd bench && go test ./...
 
 # Stateless vs durable Analyze (recording included; the durable run is
-# the same loop cut at the default epoch width, cold in a fresh temp dir
-# every iteration). Feeds BENCH_analyze.json.
+# the same pipeline plus its recovery point — pinball and graph published
+# once — cold in a fresh temp dir every iteration). Feeds
+# BENCH_analyze.json.
 bench-analyze:
 	go test -run xxx -bench 'Analyze(Serial|Durable)' \
 		-benchtime 20x ./internal/core/

@@ -19,10 +19,12 @@
 // admitting, drains in-flight work up to -drain-deadline, checkpoints
 // whatever could not finish to -pending, and exits 0.
 //
-// Crash recovery: with -progress-dir set, analysis epochs and finished
-// region simulations checkpoint durably as jobs run, and at boot the
-// previous process's -pending checkpoint is resubmitted automatically —
-// a kill -9 mid-job costs at most one epoch of lost work.
+// Crash recovery: with -progress-dir set, each analysis's recording and
+// graph and every finished region simulation are saved durably as jobs
+// run, and at boot the previous process's -pending checkpoint is
+// resubmitted automatically — a job killed after its recording resumes
+// without executing the program again, and re-simulates only the regions
+// it had not finished.
 package main
 
 import (
@@ -54,8 +56,7 @@ func main() {
 		drainDL     = flag.Duration("drain-deadline", serve.DefaultDrainDeadline, "SIGTERM drain bound before unfinished jobs are cancelled and checkpointed")
 		pending     = flag.String("pending", "lpserved.pending.jsonl", "drain checkpoint file for jobs the daemon gave up on (empty disables); resubmitted at next boot")
 
-		progressDir   = flag.String("progress-dir", "", "durable mid-job checkpoint directory: analysis epochs and finished region simulations persist here, and a restarted daemon resumes them instead of redoing the work (empty disables)")
-		progressEvery = flag.Uint64("progress-every", 0, "durable-epoch length in schedule steps (0 = a sixteenth of the recording, at least 4096)")
+		progressDir = flag.String("progress-dir", "", "durable progress directory: each analysis's recording and graph and every finished region simulation persist here, and a restarted daemon resumes from them instead of redoing the work (empty disables)")
 
 		retryBudget = flag.Float64("retry-budget", serve.DefaultRetryBudget, "maximum banked retry tokens (negative disables job retries)")
 		retryRatio  = flag.Float64("retry-ratio", serve.DefaultRetryRatio, "retry tokens earned per admitted job")
@@ -93,7 +94,6 @@ func main() {
 		Degraded:      *degraded,
 		Retries:       *retries,
 		ProgressDir:   *progressDir,
-		ProgressEvery: *progressEvery,
 		Progress:      progress,
 	}
 	if *verbose {
@@ -125,8 +125,7 @@ func main() {
 	// drain (or was killed holding) are re-enqueued before the listener
 	// opens, and the consumed checkpoint is renamed aside so a boot loop
 	// cannot resubmit the same work twice. The evaluations themselves
-	// resume from -progress-dir epochs, so re-running a killed job costs
-	// at most one epoch of lost work.
+	// resume from what -progress-dir holds of them.
 	if *pending != "" {
 		jobs, err := serve.LoadPendingCheckpoint(*pending)
 		if err != nil && os.IsNotExist(err) {

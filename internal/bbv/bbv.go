@@ -123,9 +123,8 @@ type Collector struct {
 	varMinFrac float64
 	varThresh  float64
 	varEnabled bool
-	// prevNorm caches the last closed region's normalized global BBV; it
-	// is derived on first use after every close, so it is never part of
-	// the collector's persisted state.
+	// prevNorm caches the last closed region's normalized global BBV,
+	// derived on first use after every close.
 	prevNorm map[int]float64
 
 	// The block tier's hot path indexes by Block.Global and hashes
@@ -133,7 +132,7 @@ type Collector struct {
 	// instructions OnBlock has accounted to the open region and flush has
 	// not yet folded into cur.Vectors[tid][g]; touched[tid] lists the g
 	// with acc[tid][g] != 0. Every reader of the open region's vectors
-	// (closeRegion, State, phaseChanged) flushes first.
+	// (closeRegion, phaseChanged) flushes first.
 	isMarker []bool
 	acc      [][]float64
 	touched  [][]int

@@ -11,9 +11,9 @@ import (
 // host produced it. Each iteration is a whole Analyze — the recording run
 // (which builds the DCFG) plus the BBV pass — because the graph's cost
 // sits inside the recording and would vanish from a replay-only timing.
-// The durable benchmark is the same loop cut at the default epoch width,
-// with every iteration starting cold in a fresh directory, so it pays the
-// pinball and every epoch's encode + fsync + rename.
+// The durable benchmark is the same pipeline with every iteration starting
+// cold in a fresh directory, so it pays the recovery point: the pinball's
+// and the graph's encode + fsync + rename.
 
 func benchAnalyze(b *testing.B, durable bool) {
 	b.Helper()
@@ -31,7 +31,7 @@ func benchAnalyze(b *testing.B, durable bool) {
 		}
 		if durable {
 			if saves, fails, _, _, _ := cfg.Progress.Snapshot(); saves == 0 || fails != 0 {
-				b.Fatalf("durable Analyze fell back to the stateless run (saves=%d fails=%d)", saves, fails)
+				b.Fatalf("durable Analyze published no recovery point (saves=%d fails=%d)", saves, fails)
 			}
 		}
 	}

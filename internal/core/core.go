@@ -68,24 +68,22 @@ type Config struct {
 	// worker per CPU, 1 = serial). Selections are byte-identical at every
 	// width; only host time changes.
 	ClusterWorkers int
-	// ProgressDir enables durable mid-job progress (crash-only workers):
-	// the BBV pass replays in bounded epochs and persists a checksummed
-	// recovery point after each one, and region simulation journals every
-	// completed region, all under this directory. A killed job restarted
-	// with the same ProgressKey resumes from its last durable epoch
-	// instead of step 0, byte-identically. Empty disables.
+	// ProgressDir enables durable progress (crash-only workers): Analyze
+	// publishes the recording and its graph, checksummed, the moment the
+	// recording ends, and region simulation journals every completed
+	// region, all under this directory. A killed job restarted with the
+	// same ProgressKey re-derives its profile from the saved recording
+	// instead of executing the program again, byte-identically, and
+	// re-simulates only unfinished regions. Empty disables.
 	ProgressDir string
-	// ProgressEvery is the durable-progress epoch width in schedule steps
-	// (0 = a sixteenth of the recording, at least 4096 steps).
-	ProgressEvery uint64
 	// ProgressKey names this job's progress files. Jobs sharing a key and
 	// an analysis-relevant configuration resume each other's work (the
 	// serving layer derives it from the job's content address). Empty
 	// derives a key from the program name.
 	ProgressKey string
-	// Progress, when set, receives durable-progress counters — epoch
-	// saves, recoveries, steps those recoveries skipped — shared across
-	// every job of a server and exposed via /v1/stats.
+	// Progress, when set, receives durable-progress counters — saves,
+	// recoveries, steps those recoveries skipped — shared across every job
+	// of a server and exposed via /v1/stats.
 	Progress *ProgressStats
 	// Selector names the selection engine ("simpoint" by default; see
 	// simpoint.SelectorNames). "stratified" draws multiple seeded random
@@ -157,62 +155,46 @@ type Analysis struct {
 // (the builder rides the recording machine on the block tier) and logs its
 // block events (exec.BlockLog); once the finished graph has named the loop
 // boundaries, the log is played into a single bbv.Collector, which gathers
-// sliced, spin-filtered vectors. With Config.ProgressDir set the collector
-// is fed by a constrained replay of the recording instead, cut into epochs
-// with a durable recovery point after each (see progress.go): a resumed
-// process has the pinball but no log.
+// sliced, spin-filtered vectors. With Config.ProgressDir set the recording
+// and its graph are published as the job's recovery point before the log is
+// played, and a restart that finds them executes nothing: it feeds the same
+// collector from a constrained replay of the saved recording instead (see
+// progress.go — a resumed process has the pinball but no log).
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
-	if cfg.ProgressDir != "" {
-		if dp, err := openProgress(prog, &cfg); err == nil {
-			if a, err := analyze(prog, cfg, dp); err == nil {
-				return a, nil
-			}
+	dp := openProgress(prog, &cfg)
+	if dp != nil {
+		if pass := dp.resume(prog, &cfg); pass != nil {
+			return pass.finish()
 		}
-		// Durable progress must never wedge a job: any failure in the
-		// crash-only path (unwritable directory, a recovered state the
-		// replay rejects) falls back to a stateless run on a fresh
-		// recording.
 	}
-	return analyze(prog, cfg, nil)
+	log := exec.NewBlockLog(prog)
+	pass, err := recordPass(prog, &cfg, dp, log)
+	if err != nil {
+		return nil, err
+	}
+	log.Play(pass.col)
+	return pass.finish()
 }
 
-// analyze is the one analysis pipeline; dp is nil for a stateless run,
-// whose collector reads the recording run's own block-event log.
-func analyze(prog *isa.Program, cfg Config, dp *progressLog) (*Analysis, error) {
-	if dp == nil {
-		log := exec.NewBlockLog(prog)
-		pass, err := recordPass(prog, &cfg, log)
-		if err != nil {
-			return nil, err
-		}
-		log.Play(pass.col)
-		return pass.finish()
-	}
-	pass := dp.resume(prog, &cfg)
-	if pass == nil {
-		var err error
-		if pass, err = recordPass(prog, &cfg); err != nil {
-			return nil, err
-		}
-		dp.begin(pass)
-	}
-	return pass.run(dp)
-}
-
-// recordPass records the whole-program pinball with the DCFG builder (and
-// any further observers) riding the recording machine on the block tier,
-// and returns the BBV pass the finished graph defines, at step 0.
-func recordPass(prog *isa.Program, cfg *Config, observers ...exec.BlockObserver) (*bbvPass, error) {
+// recordPass records the whole-program pinball with the DCFG builder and
+// the block-event log riding the recording machine on the block tier,
+// publishes the two as dp's recovery point (a nil dp saves nothing) and
+// returns the BBV pass the finished graph defines, its collector not yet
+// fed. The save sits here, ahead of everything that reads the log, so a
+// kill at any later point finds it on disk.
+func recordPass(prog *isa.Program, cfg *Config, dp *progressLog, log *exec.BlockLog) (*bbvPass, error) {
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
 	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
 		FlowWindow:  cfg.FlowWindow,
 		QuantumBias: cfg.HostBias,
-	}, append(observers, db)...)
+	}, log, db)
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
-	return newBBVPass(prog, cfg, pb, db.Graph(), pb.StartCheckpoint(), nil)
+	g := db.Graph()
+	dp.save(pb, g)
+	return newBBVPass(prog, cfg, pb, g)
 }
 
 // sliceTargetFor returns the global filtered-instruction budget per
@@ -253,31 +235,22 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 	return loops, markers, modulus, nil
 }
 
-// bbvPass is the BBV pass mid-run: the analysis it is filling in, the one
-// Collector, and — for the durable route — the checkpoint the next replay
-// window starts from. A fresh recording starts one at step 0; a durable
-// epoch file restores one mid-run.
+// bbvPass is the BBV pass between its two halves: the analysis it is
+// filling in and the one Collector, fed by the recording's block-event log
+// or, on a resume, by a replay of the saved recording.
 type bbvPass struct {
-	a     *Analysis // Profile is set by finish
-	col   *bbv.Collector
-	ck    pinball.Checkpoint
-	total uint64 // schedule steps in the recording
+	a   *Analysis // Profile is set by finish
+	col *bbv.Collector
 }
 
 // newBBVPass derives the loop table and markers from the finished graph
-// and positions a collector at ck: fresh when st is nil, otherwise resumed
-// at the saved state. Both get the same configuration.
-func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph, ck pinball.Checkpoint, st *bbv.CollectorState) (*bbvPass, error) {
+// and configures a fresh collector for them.
+func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*bbvPass, error) {
 	loops, markers, modulus, err := markersAndModulus(prog, cfg, pb, g)
 	if err != nil {
 		return nil, err
 	}
-	var col *bbv.Collector
-	if st == nil {
-		col = bbv.NewCollector(prog, markers, sliceTargetFor(prog, cfg))
-	} else if col, err = bbv.RestoreCollector(prog, markers, sliceTargetFor(prog, cfg), st); err != nil {
-		return nil, err
-	}
+	col := bbv.NewCollector(prog, markers, sliceTargetFor(prog, cfg))
 	col.SetMarkerModulus(modulus)
 	if cfg.NoSpinFilter {
 		col.DisableSyncFilter()
@@ -290,27 +263,8 @@ func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Gra
 			Prog: prog, Pinball: pb, Graph: g, Loops: loops,
 			Markers: markers, Config: *cfg,
 		},
-		col: col, ck: ck, total: pb.Schedule.Steps(),
+		col: col,
 	}, nil
-}
-
-// run feeds the collector the rest of the recording, one replay window at
-// a time with a recovery point persisted after each, and finishes the
-// profile. The window that ends the recording verifies its final checksum.
-func (bp *bbvPass) run(dp *progressLog) (*Analysis, error) {
-	a := bp.a
-	every := dp.epochSteps(bp.total)
-	for bp.ck.Step < bp.total {
-		// The collector implements exec.BlockObserver, so the replay
-		// drives it on the block-batched tier.
-		next, err := a.Pinball.ReplayWindow(a.Prog, bp.ck, every, bp.col)
-		if err != nil {
-			return nil, fmt.Errorf("core: BBV replay of %s: %w", a.Prog.Name, err)
-		}
-		bp.ck = next
-		dp.save(bp)
-	}
-	return bp.finish()
 }
 
 // finish closes the collector's profile once it has seen the whole run.

@@ -2,16 +2,14 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
-	"looppoint/internal/artifact"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
+	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
@@ -75,13 +73,13 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcf
 // Collector driven per instruction — its OnInstr oracle, the block tier
 // hidden behind an ObserverFunc — over a single unbroken replay. Every
 // column of the identity matrix is therefore a comparison of the product
-// path (block-tier builder riding the recording, block-tier collector in
-// replay windows) against the per-instruction reference engines.
+// path (block-tier builder riding the recording, block-tier collector fed by
+// the event log or a replay) against the per-instruction reference engines.
 func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	t.Helper()
 	cfg.fill()
 	pb, g := recordFor(t, p, cfg)
-	bp, err := newBBVPass(p, &cfg, pb, g, pb.StartCheckpoint(), nil)
+	bp, err := newBBVPass(p, &cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,36 +111,14 @@ func variableSlices(c *Config) {
 	c.MarkerEntryBudget = 1000
 }
 
-// killedAtEveryEpoch runs the durable analysis as a worker that is killed
-// at every epoch boundary: each incarnation resumes from the newest epoch
-// file, gets one more epoch saved, and dies at the save after it — the
-// Panic at "core.progress.save" is the in-process stand-in for SIGKILL —
-// until one incarnation has so little left that it finishes. Every epoch
-// boundary of the run is therefore crossed through the files on disk.
-func killedAtEveryEpoch(t *testing.T, p *isa.Program, cfg Config) (*Analysis, int) {
-	t.Helper()
-	for incarnations := 1; incarnations < 1<<14; incarnations++ {
-		if a, killed := crashAnalyze(t, p, cfg, 1); !killed {
-			return a, incarnations
-		}
-	}
-	t.Fatal("killed-and-resumed analysis makes no progress")
-	return nil, 0
-}
-
 // TestAnalyzeIdentityMatrix is the tentpole pin: there is one Collector,
 // and however it is fed — from the recording run's block-event log
-// (stateless), from a constrained replay cut into durable epochs run cold,
-// or from such epochs with the worker killed and resumed from disk at every
-// single boundary — Profile, Graph, Loops and Markers are DeepEqual to the
-// reference built on the OnInstr oracle graph and a per-instruction replay.
-// The durable columns are product paths too, so the matrix is a standing
-// differential test of log-fed against replay-fed collection. Epoch widths
-// cover a boundary exactly on a region-closing marker and one step either
-// side (the off-by-one cases of close-then-account), widths narrow enough
-// that most epochs see no marker at all, primes, the default, a width wider
-// than the recording (one epoch), and two drawn from a generator seeded by
-// the case's name.
+// (stateless, and cold with durable progress on), or from a constrained
+// replay of the saved recording by a restart that found the recovery point
+// on disk — Profile, Graph, Loops and Markers are DeepEqual to the reference
+// built on the OnInstr oracle graph and a per-instruction replay. The resume
+// is the product's one replay-fed collector, so the matrix is a standing
+// differential test of log-fed against replay-fed collection.
 func TestAnalyzeIdentityMatrix(t *testing.T) {
 	for name, p := range parallelTestPrograms() {
 		for cname, mutate := range identityConfigs() {
@@ -151,7 +127,7 @@ func TestAnalyzeIdentityMatrix(t *testing.T) {
 				mutate(&cfg)
 				want := referenceAnalysis(t, p, cfg)
 				if len(want.Profile.Regions) < 2 {
-					t.Fatal("need at least two regions for the boundary cases")
+					t.Fatal("need at least two regions")
 				}
 				if cfg.VariableSlices {
 					fixed := cfg
@@ -167,48 +143,24 @@ func TestAnalyzeIdentityMatrix(t *testing.T) {
 				}
 				analysisEquals(t, "stateless", got, want)
 
-				// The global unfiltered count doubles as the schedule step
-				// offset, so a region's EndICount IS an epoch boundary on
-				// its closing marker.
-				end := want.Profile.Regions[0].EndICount
-				total := want.Pinball.Schedule.Steps()
-				widths := []uint64{0, end, end - 1, end + 1, 509, 1021, total / 3, total + 1000}
-				// Random widths stay above total/40: every epoch of the
-				// killed route is a process lifetime and an fsync.
-				rng := rand.New(rand.NewSource(int64(artifact.Checksum([]byte(name + cname)))))
-				for i := 0; i < 2; i++ {
-					widths = append(widths, total/40+uint64(rng.Int63n(int64(total/2))))
-				}
-				if name == "phased-passive" && cname == "default" {
-					// ~1000 epochs, each a process lifetime on the killed
-					// route: once is enough (bbv pins width 64 with a
-					// restore at every boundary on every configuration).
-					widths = append(widths, 64)
-				}
-				for _, every := range widths {
-					label := fmt.Sprintf("every=%d", every)
-					cold := durableConfig(t.TempDir())
-					mutate(&cold)
-					cold.ProgressEvery = every
-					got, err := Analyze(p, cold)
+				durable := durableConfig(t.TempDir())
+				mutate(&durable)
+				for _, run := range []struct {
+					label             string
+					saves, recoveries uint64
+				}{{"cold durable", 1, 0}, {"resumed from disk", 0, 1}} {
+					durable.Progress = &ProgressStats{}
+					got, err := Analyze(p, durable)
 					if err != nil {
-						t.Fatalf("%s cold: %v", label, err)
+						t.Fatalf("%s: %v", run.label, err)
 					}
-					analysisEquals(t, label+" cold", got, want)
-					saves, fails, recov, _, _ := cold.Progress.Snapshot()
-					if saves < 2 || fails != 0 || recov != 0 {
-						t.Fatalf("%s cold: saves=%d fails=%d recoveries=%d; the durable route did not run clean", label, saves, fails, recov)
+					analysisEquals(t, run.label, got, want)
+					saves, fails, recov, stepsSaved, falls := durable.Progress.Snapshot()
+					if saves != run.saves || recov != run.recoveries || fails != 0 || falls != 0 {
+						t.Fatalf("%s: saves=%d fails=%d recoveries=%d ladder_falls=%d", run.label, saves, fails, recov, falls)
 					}
-
-					killed := durableConfig(t.TempDir())
-					mutate(&killed)
-					killed.ProgressEvery = every
-					got, incarnations := killedAtEveryEpoch(t, p, killed)
-					analysisEquals(t, label+" killed at every epoch", got, want)
-					// One incarnation per save of the cold run, each but the
-					// first starting from a recovered epoch.
-					if _, _, recov, _, _ := killed.Progress.Snapshot(); uint64(incarnations) != saves || recov != saves-1 {
-						t.Fatalf("%s: %d incarnations made %d recoveries over a %d-save run", label, incarnations, recov, saves)
+					if stepsSaved != run.recoveries*want.Pinball.Schedule.Steps() {
+						t.Fatalf("%s: %d steps saved over a %d-step recording", run.label, stepsSaved, want.Pinball.Schedule.Steps())
 					}
 				}
 			})
@@ -216,68 +168,43 @@ func TestAnalyzeIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestIdentityMatrixCoversZeroMarkerEpochs verifies the narrow widths of
-// the identity matrix really do produce epochs in which no marker fires,
-// so carrying an untouched close rule across a boundary is genuinely
-// covered.
-func TestIdentityMatrixCoversZeroMarkerEpochs(t *testing.T) {
+// TestBBVPassVerifiesFinalChecksum: a saved recording whose final memory
+// checksum is wrong — sealed in a valid envelope, so only replaying it to
+// the end can tell — is rejected by the resume: one ladder fall, the pinball
+// deleted, and the analysis re-recorded correctly. (The log-fed pass reads
+// the recording run's own events and replays nothing, so it has no final
+// state to check.)
+func TestBBVPassVerifiesFinalChecksum(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := testConfig()
-	cfg.fill()
-	pb, g := recordFor(t, p, cfg)
-	bp, err := newBBVPass(p, &cfg, pb, g, pb.StartCheckpoint(), nil)
+	cfg := durableConfig(t.TempDir())
+	want, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := func() (n uint64) {
-		for _, c := range bp.col.State().MarkerCounts {
-			n += c
-		}
-		return n
+	pbPath, graphPath := recoveryPoint(p, cfg)
+	pb, err := pinball.Load(pbPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	empty, epochs := 0, 0
-	for total := pb.Schedule.Steps(); bp.ck.Step < total; epochs++ {
-		before := hits()
-		if bp.ck, err = pb.ReplayWindow(p, bp.ck, 509, bp.col); err != nil {
-			t.Fatal(err)
-		}
-		if hits() == before {
-			empty++
-		}
+	pb.FinalChecksum ^= 1
+	if err := os.WriteFile(pbPath, pb.AppendBinary(nil), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if empty == 0 {
-		t.Fatalf("no zero-marker epoch among %d at width 509; the identity matrix is not covering that case", epochs)
-	}
-}
 
-// TestBBVPassVerifiesFinalChecksum: a recording whose final memory
-// checksum is wrong fails the replay-fed BBV pass whether it is replayed as
-// one window or as many epochs — the check Pinball.Replay always makes. (The
-// stateless pass reads the recording run's own event log and replays
-// nothing, so it has no final state to check.)
-func TestBBVPassVerifiesFinalChecksum(t *testing.T) {
-	p := testprog.Phased(4, 10, 150, omp.Passive)
-	for _, every := range []uint64{1 << 40, 2048} {
-		cfg := testConfig()
-		cfg.fill()
-		cfg.ProgressDir, cfg.ProgressEvery = t.TempDir(), every
-		dp, err := openProgress(p, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, g := recordFor(t, p, cfg)
-		pb.FinalChecksum ^= 1
-		bp, err := newBBVPass(p, &cfg, pb, g, pb.StartCheckpoint(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp.begin(bp)
-		if _, err := bp.run(dp); err == nil || !strings.Contains(err.Error(), "checksum") {
-			t.Fatalf("every=%d: BBV pass over a recording with a wrong final checksum returned %v", every, err)
-		}
-		if every == 2048 && bp.ck.Step == 0 {
-			t.Fatal("the many-window route failed before its last window")
-		}
+	cfg.Progress = &ProgressStats{}
+	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
+		faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))()
+	got, err := Analyze(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysisEquals(t, "re-recorded", got, want)
+	if _, _, recoveries, stepsSaved, falls := cfg.Progress.Snapshot(); recoveries != 0 || stepsSaved != 0 || falls != 1 {
+		t.Fatalf("recoveries=%d steps_saved=%d ladder_falls=%d: the resume accepted a recording that does not end on its checksum",
+			recoveries, stepsSaved, falls)
+	}
+	if exists(t, pbPath) || !exists(t, graphPath) {
+		t.Fatal("the pinball that failed its final checksum must be deleted, and only it")
 	}
 }
 
@@ -297,13 +224,14 @@ func TestAnalyzePublicMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStatelessAnalyzeReplaysNothing pins that a stateless Analyze executes
-// the program once. Executions are counted by what each one must allocate:
-// a machine's memory and one snapshot of it (the recording's start, a replay
-// window's end), on a program given 8 MB of memory so that nothing else
-// Analyze allocates comes near one of those. The recording costs two such
-// blocks; a replay would cost two more — which the durable route, run as one
-// window, is shown to do.
+// TestStatelessAnalyzeReplaysNothing pins that Analyze executes the program
+// once, with durable progress off or on, and that a resume replays the saved
+// recording once and executes nothing else. Executions are counted by what
+// each one must allocate: a machine's memory and one snapshot of it (the
+// recording's start; a resume decodes the start snapshot and restores it into
+// a machine), on a program given 8 MB of memory so that nothing else Analyze
+// allocates comes near one of those. A cold durable run allocates a third
+// such block: the encoded pinball it publishes.
 func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	p.MemWords += 1 << 20
@@ -322,9 +250,15 @@ func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
 			got, float64(got)/float64(machine))
 	}
 	durable := durableConfig(t.TempDir())
-	durable.ProgressEvery = 1 << 40
-	if got := allocated(durable); got < 4*machine {
-		t.Errorf("one-window durable Analyze allocated %d bytes, %.2f machine memories; the count cannot see a replay",
+	if got := allocated(durable); got < 2*machine || got >= 4*machine {
+		t.Errorf("cold durable Analyze allocated %d bytes, %.2f machine memories; want the recording's two, the encoded pinball and no replay's",
 			got, float64(got)/float64(machine))
+	}
+	if got := allocated(durable); got >= 4*machine {
+		t.Errorf("resumed Analyze allocated %d bytes, %.2f machine memories; want no more than one replay's (file, decoded snapshot, machine)",
+			got, float64(got)/float64(machine))
+	}
+	if saves, _, recoveries, _, _ := durable.Progress.Snapshot(); saves != 1 || recoveries != 1 {
+		t.Fatalf("saves=%d recoveries=%d: the second durable run did not resume", saves, recoveries)
 	}
 }

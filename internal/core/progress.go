@@ -1,60 +1,53 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
 )
 
-// Durable mid-job progress (crash-only analysis). With Config.ProgressDir
-// set, Analyze persists the recording as soon as it exists and then feeds
-// the Collector — the same one, configured the same way as a stateless
-// run's — from a constrained replay of that recording cut into bounded
-// epochs, persisting after every one everything a fresh process needs to
-// continue: the replay checkpoint at the window's end (snapshot + syscall
-// cursors + step), the finished DCFG the recording run built, and the
-// Collector's state. A worker SIGKILLed mid-analysis resumes from its last
-// durable epoch instead of re-recording, and the resumed profile is
-// byte-identical to an uninterrupted run — pinned by the analysis identity
-// matrix and the chaos tests.
+// Durable analysis progress (crash-only workers): one recovery point, two
+// rungs. With Config.ProgressDir set, Analyze publishes both products of
+// the recording run the moment it ends, before the BBV pass reads the
+// block-event log: the pinball in its own checksummed envelope
+// (<stem>.pinball) and then the finished DCFG (<stem>.graph, a checksummed
+// JSON record naming the job and the recording's length). Every later pass
+// is a deterministic function of that pair, so a worker SIGKILLed after the
+// recording resumes from it: the restart loads and validates the pair and
+// feeds a fresh Collector — configured exactly as a cold run's — from one
+// constrained replay of the pinball, which verifies the recording's final
+// memory checksum. The resumed profile is byte-identical to an
+// uninterrupted run's (the analysis identity matrix and the kill drills).
 //
 // Recovery ladder (never wedges a job):
 //
-//	latest epoch file → next-older epoch file → re-record
+//	saved pinball + graph → re-record
 //
-// Every rung is checksummed and validated before use; a torn write, bit
-// rot, a version skew, or a foreign fingerprint just falls to the next
-// rung. The bottom rung runs the program again: the graph exists only as
-// a product of the recording run (and inside the epoch files), so a saved
-// pinball with no usable epoch is not worth a DCFG replay of its own.
-// Saves are best-effort: a failed save (injection site
-// "core.progress.save", disk trouble) loses at most one epoch of
-// progress, never correctness. If the durable run itself errors, Analyze
-// falls back to a stateless run on a fresh recording.
+// Any failure on the top rung — a missing half, a torn write, bit rot,
+// version skew, a foreign job, a replay that does not end on the recorded
+// checksum — counts a ladder fall and falls to recording; a file whose
+// bytes are proven bad is deleted so it cannot re-fail every restart, one
+// that merely failed to read is left in place. The graph is written last:
+// it is the commit record, and a kill between the two writes leaves a
+// pinball nobody resumes from. Saves are best-effort: a failed save
+// (injection site "core.progress.save", disk trouble) costs resumability,
+// never correctness.
 
-// progressVersion is the progress-file format version.
-const progressVersion = 3
-
-// progMagic brands durable progress files.
-const progMagic = "LOOPPROG"
-
-// progressRetain is how many epoch files are kept per job: the newest
-// and one fallback rung for the recovery ladder.
-const progressRetain = 2
+// progressVersion is the recovery-point format version; it is part of the
+// fingerprint in every file name, so files of another version are never
+// looked at. 4: one pinball + graph pair per analysis (3 was LOOPPROG epoch
+// files carrying snapshots and collector state).
+const progressVersion = 4
 
 // ProgressStats aggregates durable-progress counters, shared by every
 // job that is handed the same instance (the serving layer exposes them
@@ -93,9 +86,10 @@ func (s *ProgressStats) countLadderFall() {
 	}
 }
 
-// Snapshot returns the current counter values: durable epoch saves,
-// failed saves, successful recoveries, the work those recoveries skipped
-// (schedule steps of BBV replay already behind a resumed analysis, plus
+// Snapshot returns the current counter values: durable saves (one per
+// analysis recovery point, one per journaled region), failed saves,
+// successful recoveries, the work those recoveries skipped (the schedule
+// steps of the recording a resumed analysis did not execute again, plus
 // instructions of region simulations served from the journal), and
 // recovery-ladder falls (progress files rejected as torn/corrupt/foreign).
 func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved, ladderFalls uint64) {
@@ -104,32 +98,6 @@ func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved,
 	}
 	return s.saves.Load(), s.saveFailures.Load(), s.recoveries.Load(),
 		s.stepsSaved.Load(), s.ladderFalls.Load()
-}
-
-// progressState is the JSON carry attached to each epoch's checkpoint:
-// the finished DCFG (loops and markers are re-derived from it on resume —
-// they are deterministic functions of it) and the Collector between two
-// windows. The whole blob lives inside the checksummed progress envelope,
-// so torn or flipped bytes are caught before any of it is parsed.
-type progressState struct {
-	// Job is the file-name stem (progressBase) the epoch was written
-	// under: key and configuration fingerprint.
-	Job   string
-	Epoch int
-	Total uint64
-
-	Graph     *dcfg.GraphState
-	Collector *bbv.CollectorState
-}
-
-func marshalProgressState(st *progressState) ([]byte, error) { return json.Marshal(st) }
-
-func unmarshalProgressState(data []byte) (*progressState, error) {
-	st := &progressState{}
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // progressFingerprint hashes the configuration that determines the
@@ -154,299 +122,176 @@ func progressBase(dir string, prog *isa.Program, cfg *Config) string {
 	return filepath.Join(dir, key+"-"+progressFingerprint(prog, cfg))
 }
 
-// encodeProgress wraps one epoch's checkpoint and carry state in the
-// progress envelope: magic, version, length-prefixed checkpoint envelope
-// (pinball.EncodeCheckpoint), length-prefixed JSON state, trailing
-// FNV-1a over everything after the magic.
-func encodeProgress(ck pinball.Checkpoint, st *progressState) ([]byte, error) {
-	ckBytes, err := pinball.EncodeCheckpoint(ck)
-	if err != nil {
-		return nil, err
-	}
-	stBytes, err := marshalProgressState(st)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, len(progMagic)+8+8+len(ckBytes)+8+len(stBytes)+16)
-	buf = append(buf, progMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, progressVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ckBytes)))
-	buf = append(buf, ckBytes...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(stBytes)))
-	buf = append(buf, stBytes...)
-	sum := artifact.Update(artifact.FNVOffset, buf[len(progMagic):])
-	return binary.LittleEndian.AppendUint64(buf, sum), nil
+// graphRecord is the JSON record of <stem>.graph: the finished DCFG (loops
+// and markers are re-derived from it on resume — they are deterministic
+// functions of it) and what ties it to its recording.
+type graphRecord struct {
+	Version int
+	Job     string // the file-name stem (progressBase): key and configuration fingerprint
+	Total   uint64 // schedule steps of the recording the graph was built on
+	Graph   *dcfg.GraphState
 }
 
-// decodeProgress verifies and unwraps a progress envelope, classifying
-// failures into the artifact sentinels for the recovery ladder.
-func decodeProgress(data []byte) (pinball.Checkpoint, *progressState, error) {
-	var none pinball.Checkpoint
-	if len(data) < len(progMagic) {
-		return none, nil, fmt.Errorf("core: progress header: %w at byte offset %d", artifact.ErrTruncated, len(data))
-	}
-	if string(data[:len(progMagic)]) != progMagic {
-		return none, nil, fmt.Errorf("core: bad progress magic %q: %w", data[:len(progMagic)], artifact.ErrCorrupt)
-	}
-	// Integrity first: the payload holds variable-length sections, so a
-	// flipped length byte would otherwise send the section reads astray.
-	if len(data) < len(progMagic)+8 {
-		return none, nil, fmt.Errorf("core: progress integrity hash: %w at byte offset %d", artifact.ErrTruncated, len(data))
-	}
-	payload := data[len(progMagic) : len(data)-8]
-	want := artifact.Update(artifact.FNVOffset, payload)
-	if got := binary.LittleEndian.Uint64(data[len(data)-8:]); got != want {
-		return none, nil, fmt.Errorf("core: progress integrity hash mismatch (file %#x, computed %#x): %w", got, want, artifact.ErrCorrupt)
-	}
-	off := 0
-	u64 := func() (uint64, bool) {
-		if off+8 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-		return v, true
-	}
-	v, ok := u64()
-	if !ok {
-		return none, nil, fmt.Errorf("core: progress version: %w at byte offset %d", artifact.ErrTruncated, len(data))
-	}
-	if v != progressVersion {
-		return none, nil, fmt.Errorf("core: progress version %d (want %d): %w", v, progressVersion, artifact.ErrVersion)
-	}
-	section := func(name string) ([]byte, error) {
-		n, ok := u64()
-		if !ok || n > uint64(len(payload)-off) {
-			return nil, fmt.Errorf("core: progress %s: %w at byte offset %d", name, artifact.ErrTruncated, len(data))
-		}
-		s := payload[off : off+int(n)]
-		off += int(n)
-		return s, nil
-	}
-	ckBytes, err := section("checkpoint")
-	if err != nil {
-		return none, nil, err
-	}
-	stBytes, err := section("state")
-	if err != nil {
-		return none, nil, err
-	}
-	ck, err := pinball.DecodeCheckpoint(ckBytes)
-	if err != nil {
-		return none, nil, err
-	}
-	st, err := unmarshalProgressState(stBytes)
-	if err != nil {
-		return none, nil, fmt.Errorf("core: progress state: %v: %w", err, artifact.ErrCorrupt)
-	}
-	return ck, st, nil
+// progressLog is one job's recovery point: the stem its two files share
+// and the counters they report to.
+type progressLog struct {
+	base string // <dir>/<key>-<fingerprint>
+	ps   *ProgressStats
 }
 
-// progressPath names one epoch's progress file.
-func progressPath(base string, epoch int) string {
-	return fmt.Sprintf("%s.e%06d.progress", base, epoch)
+func (dp *progressLog) pinballPath() string { return dp.base + ".pinball" }
+func (dp *progressLog) graphPath() string   { return dp.base + ".graph" }
+
+// openProgress returns the job's recovery point, or nil with durable
+// progress off.
+func openProgress(prog *isa.Program, cfg *Config) *progressLog {
+	if cfg.ProgressDir == "" {
+		return nil
+	}
+	return &progressLog{base: progressBase(cfg.ProgressDir, prog, cfg), ps: cfg.Progress}
 }
 
-// saveEpoch persists one epoch durably (temp + fsync + rename). Saves
-// are best-effort: any failure — including an injected Transient at site
-// "core.progress.save" — is counted and swallowed; the job keeps going
-// and at most one epoch of resumability is lost. An injected Corrupt
-// flips bytes in the written file, which the load-side checksum catches.
-func saveEpoch(base string, ck pinball.Checkpoint, st *progressState, ps *ProgressStats) {
-	data, err := encodeProgress(ck, st)
-	if err != nil {
-		ps.countSaveFailure()
+// save publishes the recovery point and counts the outcome. Best-effort: a
+// failure costs resumability, never the analysis.
+func (dp *progressLog) save(pb *pinball.Pinball, g *dcfg.Graph) {
+	if dp == nil {
 		return
 	}
+	if err := dp.publish(pb, g); err != nil {
+		dp.ps.countSaveFailure()
+		return
+	}
+	dp.ps.countSave()
+}
+
+// publish writes the pinball, then the graph record in the
+// artifact.WriteChecksummedFile format; the graph is never written without
+// its pinball.
+func (dp *progressLog) publish(pb *pinball.Pinball, g *dcfg.Graph) error {
+	rec, err := json.Marshal(graphRecord{
+		Version: progressVersion, Job: filepath.Base(dp.base),
+		Total: pb.Schedule.Steps(), Graph: g.State(),
+	})
+	if err != nil {
+		return err
+	}
+	line, err := artifact.ChecksumLine(rec)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(dp.base), 0o755); err != nil {
+		return err
+	}
+	if err := writeProgress(dp.pinballPath(), pb.AppendBinary(nil)); err != nil {
+		return err
+	}
+	return writeProgress(dp.graphPath(), append(line, '\n'))
+}
+
+// writeProgress writes one recovery-point file durably (temp + fsync +
+// rename) through injection site "core.progress.save": a Transient fails
+// the write, a Corrupt flips bytes in the written file, which the load-side
+// checksum catches.
+func writeProgress(path string, data []byte) error {
 	if err := faults.Check("core.progress.save"); err != nil {
-		ps.countSaveFailure()
-		return
+		return err
 	}
 	faults.CorruptBytes("core.progress.save", data)
-	if err := artifact.WriteFileDurable(progressPath(base, st.Epoch), data); err != nil {
-		ps.countSaveFailure()
-		return
-	}
-	ps.countSave()
-	// Retention: this epoch plus one fallback rung.
-	os.Remove(progressPath(base, st.Epoch-progressRetain))
+	return artifact.WriteFileDurable(path, data)
 }
 
-// loadEpoch reads and verifies one progress file. Injection site
-// "core.progress.load" can fail the read (Transient) or corrupt the
+// readProgress reads one recovery-point file through injection site
+// "core.progress.load", which can fail the read (Transient) or corrupt the
 // bytes after they leave disk (Corrupt).
-func loadEpoch(path string) (pinball.Checkpoint, *progressState, error) {
+func readProgress(path string) ([]byte, error) {
 	if err := faults.Check("core.progress.load"); err != nil {
-		return pinball.Checkpoint{}, nil, fmt.Errorf("core: load progress %s: %w", path, err)
+		return nil, fmt.Errorf("core: load %s: %w", path, err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return pinball.Checkpoint{}, nil, err
+		return nil, err
 	}
 	faults.CorruptBytes("core.progress.load", data)
-	ck, st, err := decodeProgress(data)
-	if err != nil {
-		return pinball.Checkpoint{}, nil, fmt.Errorf("load %s: %w", path, err)
-	}
-	return ck, st, nil
+	return data, nil
 }
 
-// progressCandidates lists a job's epoch files newest-first — the
-// recovery ladder's rungs. Stray temp files from a crash between write
-// and rename never match the ".e<N>.progress" shape, so they are
-// ignored by construction.
-func progressCandidates(base string) []string {
-	dir, stem := filepath.Split(base)
-	if dir == "" {
-		dir = "."
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	type cand struct {
-		path  string
-		epoch int
-	}
-	var cands []cand
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, stem+".e") || !strings.HasSuffix(name, ".progress") {
-			continue
-		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, stem+".e"), ".progress")
-		epoch, err := strconv.Atoi(numeric)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{filepath.Join(dir, name), epoch})
-	}
-	sort.Slice(cands, func(i, k int) bool { return cands[i].epoch > cands[k].epoch })
-	paths := make([]string, len(cands))
-	for i, c := range cands {
-		paths[i] = c.path
-	}
-	return paths
-}
-
-// progressLog is one job's durable-progress files: where they live, how
-// wide an epoch is, and the epoch counter.
-type progressLog struct {
-	base  string // <dir>/<key>-<fingerprint>
-	every uint64 // Config.ProgressEvery
-	ps    *ProgressStats
-	epoch int
-	graph *dcfg.GraphState // the graph is finished: one serialization serves every epoch
-}
-
-const (
-	// defaultEpochs is how many epochs the recording splits into when
-	// ProgressEvery is unset.
-	defaultEpochs = 16
-	// minEpochSteps keeps the default from slicing short recordings into
-	// windows smaller than a save is worth.
-	minEpochSteps = 4096
-)
-
-func openProgress(prog *isa.Program, cfg *Config) (*progressLog, error) {
-	if err := os.MkdirAll(cfg.ProgressDir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: progress dir: %w", err)
-	}
-	return &progressLog{
-		base:  progressBase(cfg.ProgressDir, prog, cfg),
-		every: cfg.ProgressEvery,
-		ps:    cfg.Progress,
-	}, nil
-}
-
-// epochSteps returns the replay-window width: the configured epoch width
-// or a default derived from the recording length only.
-func (dp *progressLog) epochSteps(total uint64) uint64 {
-	if dp.every > 0 {
-		return dp.every
-	}
-	return max(total/defaultEpochs, minEpochSteps)
-}
-
-// resume takes both products of the recording run — the saved pinball,
-// and its graph out of an epoch file — and walks the recovery ladder:
-// newest epoch file first, falling to older rungs on any load or
-// validation failure, nil when there is nothing usable (re-record: the
-// recording is deterministic in the fingerprinted config, so a missing,
-// torn or foreign file of either kind costs no more than that). A rung
-// whose bytes are bad (torn, corrupt, version-skewed) is deleted so it
-// cannot re-fail every future restart; a rung that merely failed to read
-// (injected Transient, I/O trouble) is left in place.
+// resume walks the ladder's top rung and returns the BBV pass it fed, or
+// nil when the job must record: silently when no file exists (a cold job),
+// otherwise after counting a ladder fall and deleting the blamed file if
+// its bytes were proven bad — one that merely failed to read (injected
+// Transient, I/O trouble) is left in place.
 func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
-	pb, err := pinball.Load(dp.base + ".pinball")
-	if err != nil || pb.Name != prog.Name || pb.Verify() != nil {
+	_, pbErr := os.Stat(dp.pinballPath())
+	_, gErr := os.Stat(dp.graphPath())
+	if errors.Is(pbErr, os.ErrNotExist) && errors.Is(gErr, os.ErrNotExist) {
 		return nil
 	}
-	for _, path := range progressCandidates(dp.base) {
-		bp, err := dp.restoreRung(prog, cfg, pb, path)
-		if err != nil {
-			if !errors.Is(err, faults.ErrInjected) {
-				os.Remove(path)
-			}
-			dp.ps.countLadderFall()
-			continue
-		}
-		dp.ps.countRecovery(bp.ck.Step)
-		return bp
+	pass, blamed, err := dp.restore(prog, cfg)
+	if err == nil {
+		dp.ps.countRecovery(pass.a.Pinball.Schedule.Steps())
+		return pass
+	}
+	dp.ps.countLadderFall()
+	if errors.Is(err, artifact.ErrCorrupt) || errors.Is(err, artifact.ErrTruncated) || errors.Is(err, artifact.ErrVersion) {
+		_ = os.Remove(blamed) // best-effort: the re-record republishes it anyway
 	}
 	return nil
 }
 
-// restoreRung loads one epoch file and restores it into a live pass,
-// validating everything against the program and recording first.
-func (dp *progressLog) restoreRung(prog *isa.Program, cfg *Config, pb *pinball.Pinball, path string) (*bbvPass, error) {
-	ck, st, err := loadEpoch(path)
-	if err != nil {
-		return nil, err
-	}
+// restore loads the saved pair, validates it against the program, the job
+// and each other, and feeds a fresh collector from one constrained replay
+// of the pinball, which verifies the recording's final memory checksum. On
+// failure it names the file at fault; validation failures wrap
+// artifact.ErrCorrupt.
+func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string, error) {
+	blamed := dp.pinballPath()
 	corrupt := func(err error) error {
-		return fmt.Errorf("core: progress file %s: %v: %w", path, err, artifact.ErrCorrupt)
+		return fmt.Errorf("core: progress file %s: %v: %w", blamed, err, artifact.ErrCorrupt)
 	}
-	if job := filepath.Base(dp.base); st.Job != job {
-		return nil, corrupt(fmt.Errorf("belongs to job %s, not %s", st.Job, job))
+	data, err := readProgress(blamed)
+	if err != nil {
+		return nil, blamed, err
 	}
-	if total := pb.Schedule.Steps(); st.Total != total || ck.Step > total {
-		return nil, corrupt(fmt.Errorf("positions step %d of %d in a %d-step recording", ck.Step, st.Total, total))
+	pb, err := pinball.Decode(data)
+	if err != nil {
+		return nil, blamed, err
 	}
-	if len(ck.Snap.Threads) != prog.NumThreads() || len(ck.SysPos) != len(pb.Syscalls) {
-		return nil, corrupt(errors.New("snapshot shape mismatch"))
+	if pb.Name != prog.Name || pb.NumThreads != prog.NumThreads() {
+		return nil, blamed, corrupt(fmt.Errorf("records %s on %d threads", pb.Name, pb.NumThreads))
 	}
-	if st.Graph == nil || st.Collector == nil {
-		return nil, corrupt(errors.New("missing its graph or collector"))
+	if err := pb.Verify(); err != nil {
+		return nil, blamed, err
+	}
+
+	blamed = dp.graphPath()
+	if data, err = readProgress(blamed); err != nil {
+		return nil, blamed, err
+	}
+	rec, ok := artifact.VerifyLine(bytes.TrimSpace(data))
+	var st graphRecord
+	if !ok || json.Unmarshal(rec, &st) != nil {
+		return nil, blamed, corrupt(errors.New("envelope checksum failed"))
+	}
+	if st.Version != progressVersion {
+		return nil, blamed, fmt.Errorf("core: progress file %s: version %d (want %d): %w", blamed, st.Version, progressVersion, artifact.ErrVersion)
+	}
+	if job, total := filepath.Base(dp.base), pb.Schedule.Steps(); st.Job != job || st.Total != total || st.Graph == nil {
+		return nil, blamed, corrupt(fmt.Errorf("is job %s's graph of a %d-step recording, not %s's of %d steps", st.Job, st.Total, job, total))
 	}
 	g, err := dcfg.RestoreGraph(prog, st.Graph)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, blamed, corrupt(err)
 	}
-	bp, err := newBBVPass(prog, cfg, pb, g, ck, st.Collector)
+	pass, err := newBBVPass(prog, cfg, pb, g)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, blamed, corrupt(err)
 	}
-	dp.epoch, dp.graph = st.Epoch, st.Graph
-	return bp, nil
-}
 
-// begin makes a fresh recording durable: the pinball, then a step-0
-// epoch, so a crash in the first window resumes with the graph instead of
-// re-recording for it.
-func (dp *progressLog) begin(bp *bbvPass) {
-	if err := artifact.WriteFileDurable(dp.base+".pinball", bp.a.Pinball.AppendBinary(nil)); err != nil {
-		dp.ps.countSaveFailure() // best-effort: a restart re-records
+	// The collector implements exec.BlockObserver, so the replay drives it
+	// on the block-batched tier.
+	if _, err := pb.Replay(prog, pass.col); err != nil {
+		blamed = dp.pinballPath()
+		return nil, blamed, corrupt(err)
 	}
-	dp.graph = bp.a.Graph.State()
-	dp.save(bp)
-}
-
-// save persists the pass as the next epoch.
-func (dp *progressLog) save(bp *bbvPass) {
-	dp.epoch++
-	saveEpoch(dp.base, bp.ck, &progressState{
-		Job: filepath.Base(dp.base), Epoch: dp.epoch, Total: bp.total,
-		Graph: dp.graph, Collector: bp.col.State(),
-	}, dp.ps)
+	return pass, "", nil
 }

@@ -3,8 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,9 +11,11 @@ import (
 	"testing"
 
 	"looppoint/internal/artifact"
+	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
+	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
 )
@@ -24,193 +25,237 @@ import (
 func durableConfig(dir string) Config {
 	cfg := testConfig()
 	cfg.ProgressDir = dir
-	cfg.ProgressEvery = 2048
 	cfg.ProgressKey = "job"
 	cfg.Progress = &ProgressStats{}
 	return cfg
 }
 
-// progressFiles lists the job's epoch files in dir.
-func progressFiles(t *testing.T, dir string) []string {
+// recoveryPoint names the two files of the job's recovery point.
+func recoveryPoint(p *isa.Program, cfg Config) (pinballPath, graphPath string) {
+	cfg.fill()
+	dp := openProgress(p, &cfg)
+	return dp.pinballPath(), dp.graphPath()
+}
+
+func exists(t *testing.T, path string) bool {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	_, err := os.Stat(path)
+	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".progress") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	return files
+	return err == nil
 }
 
-// runDurable is Analyze's durable route without its stateless fallback,
-// so a failure of the crash-only path cannot hide behind a correct
-// stateless result.
-func runDurable(p *isa.Program, cfg Config) (*Analysis, error) {
-	cfg.fill()
-	dp, err := openProgress(p, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	return analyze(p, cfg, dp)
-}
-
-// crashAnalyze runs the durable analysis with a one-shot Panic armed at
-// the save site — the in-process stand-in for SIGKILL mid-job — and
-// reports whether the "kill" fired (a run that outlives the kill position
-// returns its analysis instead). Progress written before the kill stays
-// durable; the epoch being saved when the kill lands is lost, exactly
+// crashAnalyze runs a durable Analyze with a one-shot Panic armed at the
+// save site — the in-process stand-in for SIGKILL — after `after` of its
+// two durable writes, and requires the kill to fire. What was published
+// before the kill stays on disk; the write it lands on is lost, exactly
 // like a real torn run.
-func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) (a *Analysis, killed bool) {
+func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) {
 	t.Helper()
 	plan := faults.NewPlan(faults.SeedFromEnv(7),
 		faults.Rule{Site: "core.progress.save", Kind: faults.Panic, Rate: 1, Count: 1, After: after})
 	defer faults.Enable(plan)()
 	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *faults.Fault:
-			killed = true
-		default:
-			panic(r)
+		if _, ok := recover().(*faults.Fault); !ok {
+			t.Fatalf("kill after %d durable writes never fired", after)
 		}
 	}()
-	a, err := runDurable(p, cfg)
-	if err != nil {
-		t.Fatalf("durable analysis died before the kill: %v", err)
-	}
-	return a, false
+	Analyze(p, cfg)
 }
 
-// TestAnalyzeDurableResumeAfterKill is the chaos drill: kill the worker
-// right after the step-0 save, mid-BBV and near the tail, restart it
-// cold, and require the resumed run to (a) recover from the durable
-// prefix instead of re-recording — skipping every BBV step behind the
-// rung (recovery_steps_saved > 0 for any rung past step 0; the step-0
-// rung saves the recording run and its graph, which the counter does not
-// measure) — and (b) produce an analysis byte-identical to the
-// uninterrupted serial reference.
+// TestAnalyzeDurableResumeAfterKill is the chaos drill, at the places a
+// kill can differ. Killed at the save site before anything is durable, or
+// between the two writes (the pinball is on disk, its commit record — the
+// graph — is not), the restart records again. Killed once the pair is
+// published — recordPass has returned, nothing of the BBV pass has run —
+// the restart executes nothing and reports the recording's whole schedule
+// as steps saved. Every restart is byte-identical to the per-instruction
+// reference.
 func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
 
-	// Count the clean run's saves so kill positions can target the
-	// start, the middle, and the tail.
-	probe := durableConfig(t.TempDir())
-	probe.fill()
-	if _, err := runDurable(p, probe); err != nil {
+	restart := func(cfg Config, label string, wantRecoveries, wantFalls uint64) {
+		t.Helper()
+		cfg.Progress = &ProgressStats{}
+		got, err := Analyze(p, cfg)
+		if err != nil {
+			t.Fatalf("restart after %s: %v", label, err)
+		}
+		analysisEquals(t, "restart after "+label, got, want)
+		saves, _, recoveries, stepsSaved, falls := cfg.Progress.Snapshot()
+		if recoveries != wantRecoveries || falls != wantFalls {
+			t.Fatalf("%s: recoveries=%d ladder_falls=%d, want %d and %d", label, recoveries, falls, wantRecoveries, wantFalls)
+		}
+		if wantSteps := wantRecoveries * want.Pinball.Schedule.Steps(); stepsSaved != wantSteps {
+			t.Fatalf("%s: recovery saved %d steps, want %d (the recording's schedule)", label, stepsSaved, wantSteps)
+		}
+		// A restart that recorded publishes a fresh recovery point; one
+		// that resumed has nothing new to save.
+		if saves != 1-wantRecoveries {
+			t.Fatalf("%s: %d saves", label, saves)
+		}
+	}
+
+	cfg := durableConfig(t.TempDir())
+	pbPath, graphPath := recoveryPoint(p, cfg)
+	crashAnalyze(t, p, cfg, 0)
+	if exists(t, pbPath) || exists(t, graphPath) {
+		t.Fatal("a kill at the first durable write left a file behind")
+	}
+	restart(cfg, "kill before anything is durable", 0, 0)
+
+	cfg = durableConfig(t.TempDir())
+	pbPath, graphPath = recoveryPoint(p, cfg)
+	crashAnalyze(t, p, cfg, 1)
+	if !exists(t, pbPath) || exists(t, graphPath) {
+		t.Fatal("a kill between the two writes must find the pinball durable and no graph: the graph is the commit record")
+	}
+	restart(cfg, "kill between the two writes", 0, 1)
+
+	// The kill after the pair is published: the worker dies holding the
+	// pass recordPass returned, its collector never fed.
+	cfg = durableConfig(t.TempDir())
+	cfg.fill()
+	if _, err := recordPass(p, &cfg, openProgress(p, &cfg), exec.NewBlockLog(p)); err != nil {
 		t.Fatal(err)
 	}
-	saves, _, _, _, _ := probe.Progress.Snapshot()
-	if saves < 4 {
-		t.Fatalf("only %d epoch saves; recording too short for the drill", saves)
+	if saves, fails, _, _, _ := cfg.Progress.Snapshot(); saves != 1 || fails != 0 {
+		t.Fatalf("saves=%d save_failures=%d once the recording has ended; a kill in the BBV pass must find the pair on disk", saves, fails)
 	}
-
-	for _, after := range []uint64{1, saves / 2, saves - 2} {
-		dir := t.TempDir()
-		cfg := durableConfig(dir)
-		cfg.fill()
-		if _, killed := crashAnalyze(t, p, cfg, after); !killed {
-			t.Fatalf("kill after %d saves never fired", after)
-		}
-		if len(progressFiles(t, dir)) == 0 {
-			t.Fatalf("kill after %d saves left no durable progress", after)
-		}
-
-		// Cold restart: fresh stats, no faults.
-		cfg.Progress = &ProgressStats{}
-		got, err := runDurable(p, cfg)
-		if err != nil {
-			t.Fatalf("restart after kill@%d: %v", after, err)
-		}
-		analysisEquals(t, "resumed", got, want)
-		_, _, recoveries, stepsSaved, _ := cfg.Progress.Snapshot()
-		if recoveries != 1 {
-			t.Fatalf("kill@%d: %d recoveries, want 1", after, recoveries)
-		}
-		if (stepsSaved > 0) != (after > 1) {
-			t.Fatalf("kill@%d: recovery saved %d steps", after, stepsSaved)
-		}
-	}
+	restart(cfg, "kill before the log is played", 1, 0)
 }
 
-// TestAnalyzeDurableCorruptLadderFalls: with the newest epoch file
-// bit-flipped and a stray temp file in the directory, the restart falls
-// one rung down the ladder, resumes from the older epoch, and still
-// reproduces the reference analysis. With every rung corrupted it falls
-// to the bottom of the ladder and re-records (the graph lives only in the
-// epoch files) — corruption never wedges or poisons a job.
+// TestAnalyzeDurableCorruptLadderFalls is the corruption matrix over the
+// recovery point's two files: whatever is wrong with the pair, the restart
+// counts one ladder fall, records again and reproduces the reference
+// analysis, and a file whose bytes were proven bad is gone. The restart's
+// own saves are failed by injection, so what is on disk afterwards is what
+// the ladder left there.
 func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
 
-	dir := t.TempDir()
-	dcfg := durableConfig(dir)
-	dcfg.fill()
-	if _, killed := crashAnalyze(t, p, dcfg, 5); !killed {
-		t.Fatal("kill never fired")
-	}
-	files := progressFiles(t, dir)
-	if len(files) != progressRetain {
-		t.Fatalf("%d retained epoch files, want %d", len(files), progressRetain)
-	}
-
-	// Corrupt the newest rung; leave a stray temp file (the crash-
-	// between-write-and-rename artifact) that loaders must ignore.
-	newest := files[len(files)-1]
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest+".tmp123", []byte("torn temp write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	dcfg.Progress = &ProgressStats{}
-	got, err := runDurable(p, dcfg)
-	if err != nil {
-		t.Fatalf("restart over corrupt rung: %v", err)
-	}
-	analysisEquals(t, "ladder-fall resume", got, want)
-	_, _, recoveries, _, falls := dcfg.Progress.Snapshot()
-	if falls < 1 {
-		t.Fatalf("%d ladder falls, want >= 1", falls)
-	}
-	if recoveries != 1 {
-		t.Fatalf("%d recoveries, want 1 (from the older rung)", recoveries)
-	}
-	if _, err := os.Stat(newest); !os.IsNotExist(err) {
-		t.Fatalf("corrupt rung %s not quarantined", newest)
-	}
-
-	// Corrupt every remaining rung: restart must re-record and still
-	// match.
-	for _, f := range progressFiles(t, dir) {
-		data, err := os.ReadFile(f)
+	// rewriteGraph edits the graph record and re-seals its envelope, so the
+	// edit reaches the validation behind the checksum.
+	rewriteGraph := func(t *testing.T, path string, edit func(*graphRecord)) {
+		t.Helper()
+		rec, err := artifact.ReadChecksummedFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)-3] ^= 0x80
-		if err := os.WriteFile(f, data, 0o644); err != nil {
+		var st graphRecord
+		if err := json.Unmarshal(rec, &st); err != nil {
+			t.Fatal(err)
+		}
+		edit(&st)
+		if rec, err = json.Marshal(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := artifact.WriteChecksummedFile(path, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dcfg.Progress = &ProgressStats{}
-	got, err = runDurable(p, dcfg)
-	if err != nil {
-		t.Fatalf("restart by re-recording: %v", err)
+	mangle := func(t *testing.T, path string, f func([]byte) []byte) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	analysisEquals(t, "re-recorded", got, want)
-	_, _, recoveries, _, _ = dcfg.Progress.Snapshot()
-	if recoveries != 0 {
-		t.Fatalf("%d recoveries with every rung corrupt, want 0", recoveries)
+	flip := func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }
+	truncate := func(b []byte) []byte { return b[:len(b)*2/3] }
+
+	type damage struct {
+		name string
+		do   func(t *testing.T, pbPath, graphPath string)
+		// gone is the suffix of the file the ladder must delete ("" =
+		// neither: an orphan's bytes are not proven bad).
+		gone string
+	}
+	const pinballFile, graphFile, neither = ".pinball", ".graph", ""
+	for _, d := range []damage{
+		{"pinball truncated", func(t *testing.T, pb, _ string) { mangle(t, pb, truncate) }, pinballFile},
+		{"pinball bit flipped", func(t *testing.T, pb, _ string) { mangle(t, pb, flip) }, pinballFile},
+		{"graph truncated", func(t *testing.T, _, g string) { mangle(t, g, truncate) }, graphFile},
+		{"graph bit flipped", func(t *testing.T, _, g string) { mangle(t, g, flip) }, graphFile},
+		{"graph version skewed", func(t *testing.T, _, g string) {
+			rewriteGraph(t, g, func(st *graphRecord) { st.Version++ })
+		}, graphFile},
+		{"graph of a foreign job", func(t *testing.T, _, g string) {
+			rewriteGraph(t, g, func(st *graphRecord) { st.Job = "other-" + st.Job })
+		}, graphFile},
+		{"graph Total disagrees with the pinball", func(t *testing.T, _, g string) {
+			rewriteGraph(t, g, func(st *graphRecord) { st.Total++ })
+		}, graphFile},
+		{"graph references a block outside the program", func(t *testing.T, _, g string) {
+			rewriteGraph(t, g, func(st *graphRecord) { st.Graph.Edges[0].To = 1 << 30 })
+		}, graphFile},
+		{"pinball of another program", func(t *testing.T, pb, _ string) {
+			other, err := pinball.Record(testprog.Phased(4, 3, 40, omp.Passive), 5, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other.Name = "someone-else"
+			if err := os.WriteFile(pb, other.AppendBinary(nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, pinballFile},
+		{"pinball without graph", func(t *testing.T, _, g string) { os.Remove(g) }, neither},
+		{"graph without pinball", func(t *testing.T, pb, _ string) { os.Remove(pb) }, neither},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			cfg := durableConfig(t.TempDir())
+			if _, err := Analyze(p, cfg); err != nil {
+				t.Fatal(err)
+			}
+			pbPath, graphPath := recoveryPoint(p, cfg)
+			d.do(t, pbPath, graphPath)
+			// The crash-between-write-and-rename artifact, which loaders
+			// must ignore.
+			if err := os.WriteFile(graphPath+".tmp123", []byte("torn temp write"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			hadPinball, hadGraph := exists(t, pbPath), exists(t, graphPath)
+
+			cfg.Progress = &ProgressStats{}
+			restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
+				faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))
+			got, err := Analyze(p, cfg)
+			restore()
+			if err != nil {
+				t.Fatalf("restart over damaged recovery point: %v", err)
+			}
+			analysisEquals(t, "re-recorded", got, want)
+			if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 0 || falls != 1 {
+				t.Fatalf("recoveries=%d ladder_falls=%d, want 0 and 1", recoveries, falls)
+			}
+			deleted := func(path string) bool { return d.gone != "" && strings.HasSuffix(path, d.gone) }
+			if exists(t, pbPath) != (hadPinball && !deleted(pbPath)) || exists(t, graphPath) != (hadGraph && !deleted(graphPath)) {
+				t.Fatalf("after the fall: pinball present=%v graph present=%v, want only %q deleted",
+					exists(t, pbPath), exists(t, graphPath), d.gone)
+			}
+
+			// With saves working again the next start is clean: the
+			// re-recorded pair replaces whatever was left.
+			cfg.Progress = &ProgressStats{}
+			if _, err := Analyze(p, cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Progress = &ProgressStats{}
+			got, err = Analyze(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analysisEquals(t, "resumed from the replaced pair", got, want)
+			if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 1 || falls != 0 {
+				t.Fatalf("after re-publishing: recoveries=%d ladder_falls=%d, want 1 and 0", recoveries, falls)
+			}
+		})
 	}
 }
 
@@ -219,59 +264,69 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
-	dir := t.TempDir()
-	dcfg := durableConfig(dir)
-	dcfg.fill()
+	cfg := durableConfig(t.TempDir())
 	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
 		faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))()
-	got, err := runDurable(p, dcfg)
+	got, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatalf("analysis failed under save faults: %v", err)
 	}
 	analysisEquals(t, "save-faulted", got, want)
-	saves, fails, _, _, _ := dcfg.Progress.Snapshot()
+	saves, fails, _, _, _ := cfg.Progress.Snapshot()
 	if saves != 0 || fails == 0 {
 		t.Fatalf("saves=%d fails=%d under a Rate-1 Transient", saves, fails)
 	}
-	if n := len(progressFiles(t, dir)); n != 0 {
-		t.Fatalf("%d progress files written despite save faults", n)
+	if pbPath, graphPath := recoveryPoint(p, cfg); exists(t, pbPath) || exists(t, graphPath) {
+		t.Fatal("recovery-point files written despite save faults")
 	}
 }
 
-// TestAnalyzeDurableLoadFaultFallsToZero: transient load faults on every
-// rung mean no recovery — but the rungs are NOT quarantined (the bytes
-// were never proven bad), and the job completes by re-recording.
+// TestAnalyzeDurableLoadFaultFallsToZero: a transient load fault means no
+// recovery — but the files are NOT deleted (their bytes were never proven
+// bad), the job completes by re-recording, and the next restart resumes
+// from them.
 func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	cfg.fill()
-	if _, killed := crashAnalyze(t, p, cfg, 4); !killed {
-		t.Fatal("kill never fired")
+	want := referenceAnalysis(t, p, testConfig())
+	cfg := durableConfig(t.TempDir())
+	if _, err := Analyze(p, cfg); err != nil {
+		t.Fatal(err)
 	}
-	before := len(progressFiles(t, dir))
-	if before == 0 {
-		t.Fatal("no durable progress to fault")
+	pbPath, graphPath := recoveryPoint(p, cfg)
+	// After: 0 faults the pinball's read, After: 1 lets it through and
+	// faults the graph's.
+	for after := uint64(0); after < 2; after++ {
+		cfg.Progress = &ProgressStats{}
+		restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
+			faults.Rule{Site: "core.progress.load", Kind: faults.Transient, Rate: 1, After: after},
+			faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))
+		got, err := Analyze(p, cfg)
+		restore()
+		if err != nil {
+			t.Fatalf("analysis failed under load faults: %v", err)
+		}
+		analysisEquals(t, "load-faulted", got, want)
+		if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 0 || falls != 1 {
+			t.Fatalf("recoveries=%d ladder_falls=%d under a load fault on read %d", recoveries, falls, after)
+		}
+		if !exists(t, pbPath) || !exists(t, graphPath) {
+			t.Fatalf("a file that merely failed to read (read %d) was deleted", after)
+		}
 	}
 	cfg.Progress = &ProgressStats{}
-	restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
-		faults.Rule{Site: "core.progress.load", Kind: faults.Transient, Rate: 1}))
-	_, err := runDurable(p, cfg)
-	restore()
-	if err != nil {
-		t.Fatalf("analysis failed under load faults: %v", err)
+	if _, err := Analyze(p, cfg); err != nil {
+		t.Fatal(err)
 	}
-	_, _, recoveries, _, falls := cfg.Progress.Snapshot()
-	if recoveries != 0 || falls < uint64(before) {
-		t.Fatalf("recoveries=%d falls=%d under Rate-1 load faults over %d rungs", recoveries, falls, before)
+	if _, _, recoveries, _, _ := cfg.Progress.Snapshot(); recoveries != 1 {
+		t.Fatalf("%d recoveries from the spared files, want 1", recoveries)
 	}
 }
 
-// TestProgressFingerprintCoversVariableSlices: variable slicing reaches
-// the durable route and changes the profile, so a job must never resume
-// epochs written under the other setting. Two runs share one progress
-// directory and key, differing only in VariableSlices: the second starts
-// clean (no recovery) and matches its own stateless run.
+// TestProgressFingerprintCoversVariableSlices: variable slicing changes
+// the profile, so a job must never resume a recovery point written under
+// the other setting. Two runs share one progress directory and key,
+// differing only in VariableSlices: the second starts clean (no recovery)
+// and matches its own stateless run.
 func TestProgressFingerprintCoversVariableSlices(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	dir := t.TempDir()
@@ -304,83 +359,6 @@ func TestProgressFingerprintCoversVariableSlices(t *testing.T) {
 	if reflect.DeepEqual(fx.Profile, want.Profile) {
 		t.Fatal("variable slicing left the profile unchanged; the toggle proves nothing on this program")
 	}
-}
-
-// TestProgressEnvelopeTruncation: a truncation at any 8-byte boundary
-// (and at the raw tail) classifies as ErrTruncated with a byte offset,
-// never a panic or a silent success.
-func TestProgressEnvelopeTruncation(t *testing.T) {
-	data := buildProgressEnvelope(t)
-	for cut := 0; cut < len(data); cut += 8 {
-		if _, _, err := decodeProgress(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d of %d accepted", cut, len(data))
-		} else if !errors.Is(err, artifact.ErrTruncated) && !errors.Is(err, artifact.ErrCorrupt) {
-			t.Fatalf("truncation at %d: wrong class %v", cut, err)
-		}
-	}
-	if _, _, err := decodeProgress(data[:len(data)-1]); !errors.Is(err, artifact.ErrTruncated) && !errors.Is(err, artifact.ErrCorrupt) {
-		t.Fatalf("tail truncation: wrong class %v", err)
-	}
-	if _, _, err := decodeProgress(data); err != nil {
-		t.Fatalf("pristine envelope rejected: %v", err)
-	}
-}
-
-// TestProgressEnvelopeCorruptFlips: single-bit flips across the file —
-// sampled at a prime stride plus both edges — always classify into the
-// artifact sentinels.
-func TestProgressEnvelopeCorruptFlips(t *testing.T) {
-	data := buildProgressEnvelope(t)
-	offsets := []int{0, 1, 7, 8, 15, len(data) - 2, len(data) - 1}
-	for off := 16; off < len(data); off += 251 {
-		offsets = append(offsets, off)
-	}
-	for _, off := range offsets {
-		mut := append([]byte(nil), data...)
-		mut[off] ^= 0x40
-		_, _, err := decodeProgress(mut)
-		if err == nil {
-			t.Fatalf("bit flip at %d accepted", off)
-		}
-		if !errors.Is(err, artifact.ErrCorrupt) && !errors.Is(err, artifact.ErrTruncated) && !errors.Is(err, artifact.ErrVersion) {
-			t.Fatalf("bit flip at %d: unclassified error %v", off, err)
-		}
-	}
-}
-
-// TestProgressEnvelopeVersionSkew: a future format version (with a
-// recomputed valid checksum) classifies as ErrVersion.
-func TestProgressEnvelopeVersionSkew(t *testing.T) {
-	data := buildProgressEnvelope(t)
-	mut := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(mut[len(progMagic):], progressVersion+1)
-	sum := artifact.Update(artifact.FNVOffset, mut[len(progMagic):len(mut)-8])
-	binary.LittleEndian.PutUint64(mut[len(mut)-8:], sum)
-	if _, _, err := decodeProgress(mut); !errors.Is(err, artifact.ErrVersion) {
-		t.Fatalf("version skew classified as %v, want ErrVersion", err)
-	}
-}
-
-// buildProgressEnvelope encodes a genuine step-0 progress file from a
-// short recording: the finished graph plus a fresh collector.
-func buildProgressEnvelope(t *testing.T) []byte {
-	t.Helper()
-	p := testprog.Phased(2, 3, 30, omp.Passive)
-	cfg := testConfig()
-	cfg.fill()
-	pb, g := recordFor(t, p, cfg)
-	bp, err := newBBVPass(p, &cfg, pb, g, pb.StartCheckpoint(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := encodeProgress(bp.ck, &progressState{
-		Job: "job-fp", Epoch: 3, Total: pb.Schedule.Steps(),
-		Graph: g.State(), Collector: bp.col.State(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestSimulateRegionsResumeFromJournal: a sweep journals every region;

@@ -22,8 +22,8 @@ import (
 // mid-write) are truncated away on open; lines that fail their checksum
 // or belong to a different selection/configuration are skipped. The
 // journal shares the "core.progress.save"/"core.progress.load" fault
-// sites with the analysis epochs: saves are best-effort, loads fall
-// back to simulating from scratch.
+// sites with the analysis recovery point: saves are best-effort, loads
+// fall back to simulating from scratch.
 
 // simRecord is one journaled region result. The looppoint itself is not
 // serialized — the restart's own selection provides it (the fingerprint

@@ -7,13 +7,13 @@ import (
 	"looppoint/internal/isa"
 )
 
-// The serializable form of a Graph, for durable mid-analysis progress
-// files: every epoch file of the BBV phase carries the finished graph, so
-// a restarted worker gets it without re-recording. Restoring it into a
-// fresh process must reproduce the exact in-memory structure, including
-// the Node.Out/In insertion order the builder produced — downstream
-// passes (loop finding, marker ranking) iterate those slices, so order is
-// part of the byte-identity contract.
+// The serializable form of a Graph, for the durable analysis's recovery
+// point: the finished graph is saved beside the recording that built it,
+// so a restarted worker gets it without executing the program again
+// (core/progress.go). Restoring it into a fresh process must reproduce the
+// exact in-memory structure, including the Node.Out/In insertion order the
+// builder produced — downstream passes (loop finding, marker ranking)
+// iterate those slices, so order is part of the byte-identity contract.
 //
 // Blocks are referenced by their global index, which is stable across
 // processes for the same program; restore validates every index against
@@ -79,8 +79,11 @@ func (g *Graph) State() *GraphState {
 	return st
 }
 
-// RestoreGraph rebuilds a live Graph from its serialized state,
-// validating every block and edge reference against the program.
+// RestoreGraph rebuilds a live Graph from its serialized state, validating
+// every block and edge reference against the program and the adjacency
+// lists against the edges: each edge sits exactly once on its source's Out
+// list and once on its target's In list, so both endpoints are nodes and
+// the loop finder walks an ordinary digraph.
 func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 	blocks := p.Blocks()
 	g := &Graph{Prog: p, Nodes: make(map[int]*Node, len(st.Nodes)), edges: make(map[[2]int]*Edge, len(st.Edges))}
@@ -100,7 +103,25 @@ func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 		edges[i] = e
 		g.edges[key] = e
 	}
-	for _, ns := range st.Nodes {
+	// listed[0][i] / listed[1][i]: edge i has been seen on an Out / In list.
+	listed := [2][]bool{make([]bool, len(edges)), make([]bool, len(edges))}
+	adjacency := func(ns *NodeState, side int, list []int) ([]*Edge, error) {
+		var out []*Edge
+		for _, ei := range list {
+			if ei < 0 || ei >= len(edges) {
+				return nil, fmt.Errorf("dcfg: node %d edge index %d outside %d edges", ns.Global, ei, len(edges))
+			}
+			e := edges[ei]
+			if end := [2]int{e.From, e.To}[side]; end != ns.Global || listed[side][ei] {
+				return nil, fmt.Errorf("dcfg: node %d lists edge %d -> %d on the wrong side or twice", ns.Global, e.From, e.To)
+			}
+			listed[side][ei] = true
+			out = append(out, e)
+		}
+		return out, nil
+	}
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
 		if ns.Global < 0 || ns.Global >= len(blocks) {
 			return nil, fmt.Errorf("dcfg: node references block %d outside program of %d blocks", ns.Global, len(blocks))
 		}
@@ -112,19 +133,19 @@ func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 			Execs:       ns.Execs,
 			ThreadExecs: append([]uint64(nil), ns.ThreadExecs...),
 		}
-		for _, ei := range ns.Out {
-			if ei < 0 || ei >= len(edges) {
-				return nil, fmt.Errorf("dcfg: node %d out-edge index %d outside %d edges", ns.Global, ei, len(edges))
-			}
-			n.Out = append(n.Out, edges[ei])
+		var err error
+		if n.Out, err = adjacency(ns, 0, ns.Out); err != nil {
+			return nil, err
 		}
-		for _, ei := range ns.In {
-			if ei < 0 || ei >= len(edges) {
-				return nil, fmt.Errorf("dcfg: node %d in-edge index %d outside %d edges", ns.Global, ei, len(edges))
-			}
-			n.In = append(n.In, edges[ei])
+		if n.In, err = adjacency(ns, 1, ns.In); err != nil {
+			return nil, err
 		}
 		g.Nodes[ns.Global] = n
+	}
+	for i, e := range edges {
+		if !listed[0][i] || !listed[1][i] {
+			return nil, fmt.Errorf("dcfg: edge %d -> %d is missing from an endpoint's list", e.From, e.To)
+		}
 	}
 	return g, nil
 }

@@ -32,21 +32,32 @@ func TestGraphStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRestoreValidation feeds hostile states and requires typed
-// errors, never panics or silent acceptance.
+// hostileStates are graph states RestoreGraph must reject, for a program of
+// nblocks blocks.
+func hostileStates(nblocks int) []GraphState {
+	return []GraphState{
+		{Nodes: []NodeState{{Global: -1}}},
+		{Nodes: []NodeState{{Global: nblocks}}},
+		{Nodes: []NodeState{{Global: 0, Out: []int{0}}}},
+		{Edges: []EdgeState{{From: 0, To: nblocks, Kind: 0}}},
+		{Edges: []EdgeState{{From: 0, To: 0, Kind: 9}}},
+		{Nodes: []NodeState{{Global: 0}, {Global: 0}}},
+		{Edges: []EdgeState{{From: 0, To: 0}, {From: 0, To: 0}}},
+		// Found by FuzzRestoreGraph: an edge on no adjacency list was
+		// accepted and then lost by State(), which enumerates edges through
+		// the Out lists. The lists must agree with the edges.
+		{Edges: []EdgeState{{From: 0, To: 0}}},
+		{Nodes: []NodeState{{Global: 0, Out: []int{0}}, {Global: 1}}, Edges: []EdgeState{{From: 0, To: 1}}},
+		{Nodes: []NodeState{{Global: 0, Out: []int{0}, In: []int{0}}, {Global: 1}}, Edges: []EdgeState{{From: 0, To: 1}}},
+		{Nodes: []NodeState{{Global: 0, Out: []int{0, 0}, In: []int{0}}}, Edges: []EdgeState{{From: 0, To: 0}}},
+	}
+}
+
+// TestStateRestoreValidation feeds hostile states and requires errors,
+// never panics or silent acceptance.
 func TestStateRestoreValidation(t *testing.T) {
 	for _, w := range testRecordings(t) {
-		nblocks := len(w.prog.Blocks())
-		bad := []GraphState{
-			{Nodes: []NodeState{{Global: -1}}},
-			{Nodes: []NodeState{{Global: nblocks}}},
-			{Nodes: []NodeState{{Global: 0, Out: []int{0}}}},
-			{Edges: []EdgeState{{From: 0, To: nblocks, Kind: 0}}},
-			{Edges: []EdgeState{{From: 0, To: 0, Kind: 9}}},
-			{Nodes: []NodeState{{Global: 0}, {Global: 0}}},
-			{Edges: []EdgeState{{From: 0, To: 0}, {From: 0, To: 0}}},
-		}
-		for i, st := range bad {
+		for i, st := range hostileStates(len(w.prog.Blocks())) {
 			if _, err := RestoreGraph(w.prog, &st); err == nil {
 				t.Fatalf("hostile graph state %d accepted", i)
 			}

@@ -76,10 +76,10 @@ func (s Schedule) Take(n uint64) Schedule {
 
 // Window returns the n steps that follow the first from steps —
 // Skip(from).Take(n) as one walk to find the window's entries and one
-// exactly-sized copy of them, so slicing a recording into epochs costs
-// the windows, not a copy of the remaining schedule per cut (and a window
-// spanning a million-entry recording costs one memmove, not a slice grown
-// entry by entry).
+// exactly-sized copy of them, so slicing a recording into region
+// pinballs costs the windows, not a copy of the remaining schedule per cut
+// (and a window spanning a million-entry recording costs one memmove, not
+// a slice grown entry by entry).
 func (s Schedule) Window(from, n uint64) Schedule {
 	// [first, end) are the entries the window touches; the first loses
 	// `from` leading steps, the last keeps only what n still allows.

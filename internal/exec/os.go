@@ -126,17 +126,6 @@ func NewReplayOS(log [][]int64) *ReplayOS {
 	return &ReplayOS{Log: log, pos: make([]int, len(log))}
 }
 
-// NewReplayOSAt builds a ReplayOS whose per-thread injection cursors
-// start at pos instead of zero — replaying a window of an execution from
-// a mid-run snapshot resumes consuming each thread's log exactly where
-// the snapshotted run left off. pos may be shorter than the log; missing
-// cursors start at zero.
-func NewReplayOSAt(log [][]int64, pos []int) *ReplayOS {
-	o := &ReplayOS{Log: log, pos: make([]int, len(log))}
-	copy(o.pos, pos)
-	return o
-}
-
 // SnapshotOS implements StatefulOS: the per-thread injection cursors.
 func (o *ReplayOS) SnapshotOS() []uint64 {
 	state := make([]uint64, len(o.pos))

@@ -177,9 +177,9 @@ func phasedProgramWithWaiters(t *testing.T) *isa.Program {
 	return nil
 }
 
-// TestReplayOSPositionSeeding pins NewReplayOSAt and the StatefulOS
-// round-trip on the replay OS: a window replay seeded with the cursor a
-// snapshot captured consumes the log exactly where the full replay did.
+// TestReplayOSPositionSeeding pins the StatefulOS round-trip on the replay
+// OS: cursors restored from a snapshot's OS state consume the log exactly
+// where the snapshotted replay left off.
 func TestReplayOSPositionSeeding(t *testing.T) {
 	log := [][]int64{{10, 11, 12}, {20, 21}}
 	o := NewReplayOS(log)
@@ -188,17 +188,15 @@ func TestReplayOSPositionSeeding(t *testing.T) {
 	o.Syscall(nil, 0, isa.SysRand, 0)
 	state := o.SnapshotOS()
 
-	seeded := NewReplayOSAt(log, []int{2, 1})
-	if got := seeded.Syscall(nil, 0, isa.SysRand, 0); got != 12 {
-		t.Fatalf("seeded tid 0 got %d, want 12", got)
-	}
-	if got := seeded.Syscall(nil, 1, isa.SysRand, 0); got != 21 {
-		t.Fatalf("seeded tid 1 got %d, want 21", got)
-	}
-
 	restored := NewReplayOS(log)
 	restored.RestoreOS(state)
 	if got := restored.Positions(); !reflect.DeepEqual(got, []int{2, 1}) {
 		t.Fatalf("RestoreOS positions = %v, want [2 1]", got)
+	}
+	if got := restored.Syscall(nil, 0, isa.SysRand, 0); got != 12 {
+		t.Fatalf("restored tid 0 got %d, want 12", got)
+	}
+	if got := restored.Syscall(nil, 1, isa.SysRand, 0); got != 21 {
+		t.Fatalf("restored tid 1 got %d, want 21", got)
 	}
 }

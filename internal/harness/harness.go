@@ -75,15 +75,13 @@ type Options struct {
 	// MinCoverage is the degraded-mode residual-coverage floor
 	// (0: core.DefaultMinCoverage; negative: no floor).
 	MinCoverage float64
-	// ProgressDir, when set, makes every evaluation crash-only: analysis
-	// epochs and completed region simulations checkpoint durably under
-	// this directory, and a restarted evaluation of the same key resumes
-	// from its last durable epoch instead of step 0 (the -progress-dir
-	// flag; see core.Config.ProgressDir).
+	// ProgressDir, when set, makes every evaluation crash-only: the
+	// analysis's recording and graph, and every completed region
+	// simulation, are saved durably under this directory, and a restarted
+	// evaluation of the same key resumes from them instead of executing
+	// the program again (the -progress-dir flag; see
+	// core.Config.ProgressDir).
 	ProgressDir string
-	// ProgressEvery is the durable-epoch length in schedule steps
-	// (0 = core's default; see core.Config.ProgressEvery).
-	ProgressEvery uint64
 	// Progress, when non-nil, receives the durable-progress counters of
 	// every evaluation (shared with the serving layer's /v1/stats).
 	Progress *core.ProgressStats
@@ -156,7 +154,6 @@ func (o Options) config() core.Config {
 	cfg.SampleBudget = o.SampleBudget
 	cfg.Confidence = o.Confidence
 	cfg.ProgressDir = o.ProgressDir
-	cfg.ProgressEvery = o.ProgressEvery
 	cfg.Progress = o.Progress
 	return cfg
 }
@@ -165,8 +162,8 @@ func (o Options) config() core.Config {
 // stable across restarts (it hashes only the identifying strings) and
 // filename-safe. Keyed on the workload identity plus the selection
 // engine — not the report class — so an analyze job, a simulate job, and
-// a report job over the same workload resume each other's analysis
-// epochs and region journal; core's config fingerprint rejects any
+// a report job over the same workload resume each other's saved
+// recording and region journal; core's config fingerprint rejects any
 // progress the key alone would conflate.
 func progressKey(app string, policy omp.WaitPolicy, input workloads.InputClass, threads int, selector string) string {
 	key := fmt.Sprintf("analysis/%s/%v/%s/%d/%s", app, policy, input, threads, selector)

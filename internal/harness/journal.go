@@ -40,7 +40,8 @@ import (
 // the fingerprint below, but they shift the %+v rendering).
 // v4: the core config lost its reference-engine switch.
 // v5: the core config lost Dims, PilotPerStratum and ProportionalAlloc.
-const journalConfigVersion = 5
+// v6: the core config lost its durable-epoch width.
+const journalConfigVersion = 6
 
 // configFingerprint hashes the evaluator configuration that determines a
 // report's numbers beyond its ReportKey: the resolved core config
@@ -52,7 +53,7 @@ const journalConfigVersion = 5
 // computes (and the stats pointer would render as an address, breaking
 // fingerprint stability across restarts).
 func configFingerprint(o Options) string {
-	o.ProgressDir, o.ProgressEvery, o.Progress = "", 0, nil
+	o.ProgressDir, o.Progress = "", nil
 	sig := fmt.Sprintf("v%d|cfg=%+v|degraded=%v|retries=%d|region_timeout=%v|min_coverage=%v",
 		journalConfigVersion, o.config(), o.Degraded, o.Retries, o.RegionTimeout, o.MinCoverage)
 	return fmt.Sprintf("%#x", artifact.Checksum([]byte(sig)))

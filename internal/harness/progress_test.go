@@ -16,7 +16,6 @@ func TestConfigFingerprintIgnoresProgressKnobs(t *testing.T) {
 	base := smokeOpts().fill()
 	with := base
 	with.ProgressDir = "/tmp/progress"
-	with.ProgressEvery = 4096
 	with.Progress = &core.ProgressStats{}
 	if configFingerprint(base) != configFingerprint(with) {
 		t.Fatal("progress knobs changed the journal config fingerprint")
@@ -30,11 +29,10 @@ func TestConfigFingerprintIgnoresProgressKnobs(t *testing.T) {
 
 // TestEvaluatorProgressResumeIdentical: an evaluation run with
 // -progress-dir produces the same report as one without, and a fresh
-// evaluator pointed at the same directory resumes the durable epochs
-// and the region journal instead of recomputing from step 0 — the
-// harness-level half of the crash-only contract (the core tests kill
-// the process mid-epoch; here the "crash" is simply a new process image
-// with an empty cache).
+// evaluator pointed at the same directory resumes the saved recording
+// and the region journal instead of recomputing — the harness-level half
+// of the crash-only contract (the core tests kill the process mid-job;
+// here the "crash" is simply a new process image with an empty cache).
 func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 	key := ReportKey{App: "644.nab_s.1", Policy: omp.Passive}
 

@@ -57,7 +57,7 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 		}
 	}
 
-	m, replay := pb.ReplayFrom(p, pb.StartCheckpoint())
+	m, replay := pb.startMachine(p)
 	if slowExtract {
 		// A per-instruction observer makes StepBlock assemble its events
 		// by driving Step — the reference engine.

@@ -140,10 +140,7 @@ func (pb *Pinball) Replay(p *isa.Program, observers ...exec.Observer) (*exec.Mac
 	if err := pb.Verify(); err != nil {
 		return nil, err
 	}
-	m := exec.NewMachine(p, 0)
-	m.Restore(pb.Start)
-	replay := exec.NewReplayOS(pb.Syscalls)
-	m.OS = replay
+	m, replay := pb.startMachine(p)
 	for _, o := range observers {
 		if bo, ok := o.(exec.BlockObserver); ok {
 			m.AddBlockObserver(bo)
@@ -157,23 +154,26 @@ func (pb *Pinball) Replay(p *isa.Program, observers ...exec.Observer) (*exec.Mac
 	if replay.Diverged {
 		return nil, fmt.Errorf("pinball %s: syscall injection log exhausted (replay diverged)", pb.Name)
 	}
-	if err := pb.verifyFinal(m); err != nil {
-		return nil, err
+	if pb.FinalChecksum != 0 {
+		if got := fnv1a(m.Mem); got != pb.FinalChecksum {
+			return nil, fmt.Errorf("pinball %s: final state checksum mismatch (got %#x, want %#x)",
+				pb.Name, got, pb.FinalChecksum)
+		}
 	}
 	return m, nil
 }
 
-// verifyFinal checks a machine that has replayed the recording to its end
-// against the recorded final memory checksum (0 = none recorded).
-func (pb *Pinball) verifyFinal(m *exec.Machine) error {
-	if pb.FinalChecksum == 0 {
-		return nil
-	}
-	if got := fnv1a(m.Mem); got != pb.FinalChecksum {
-		return fmt.Errorf("pinball %s: final state checksum mismatch (got %#x, want %#x)",
-			pb.Name, got, pb.FinalChecksum)
-	}
-	return nil
+// startMachine returns a fresh machine standing at the start of the
+// recording, with a replay OS injecting the recorded syscall results from
+// the top. The snapshot is restored before the replay OS is installed: it
+// carries recording-time DefaultOS state, which must not be poured into the
+// replay OS's injection cursors.
+func (pb *Pinball) startMachine(p *isa.Program) (*exec.Machine, *exec.ReplayOS) {
+	m := exec.NewMachine(p, 0)
+	m.Restore(pb.Start)
+	replay := exec.NewReplayOS(pb.Syscalls)
+	m.OS = replay
+	return m, replay
 }
 
 // syscallsFrom copies each thread's injection log from its cursor on.

@@ -104,6 +104,21 @@ func TestReplayDetectsTruncatedSyscallLog(t *testing.T) {
 	}
 }
 
+// TestReplayVerifiesFinalChecksum: a recording whose final memory checksum
+// is wrong replays to the end and is then rejected — the check a resumed
+// analysis relies on.
+func TestReplayVerifiesFinalChecksum(t *testing.T) {
+	p := testprog.WithSyscalls(2, 50, omp.Passive)
+	pb, err := Record(p, 7, 0)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	pb.FinalChecksum ^= 1
+	if _, err := pb.Replay(p); err == nil || !strings.Contains(err.Error(), "final state checksum") {
+		t.Fatalf("Replay with a wrong final checksum = %v, want a final-checksum error", err)
+	}
+}
+
 func TestReplayDetectsTamperedSchedule(t *testing.T) {
 	p := testprog.WithSyscalls(2, 50, omp.Passive)
 	pb, err := Record(p, 7, 0)

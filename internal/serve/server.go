@@ -242,8 +242,10 @@ type Stats struct {
 	Resubmitted uint64 `json:"resubmitted"`
 
 	// Durable-progress counters (zero unless Config.Progress is set):
-	// epoch/region saves, failed saves, successful crash recoveries, the
-	// schedule steps those recoveries skipped re-executing, and
+	// saves (one per analysis recovery point, one per journaled region),
+	// failed saves, successful crash recoveries, the work those recoveries
+	// skipped (the recording's schedule steps for a resumed analysis,
+	// instructions of regions served from the journal), and
 	// recovery-ladder falls (progress files rejected as torn/corrupt).
 	ProgressSaves        uint64 `json:"progress_saves"`
 	ProgressSaveFailures uint64 `json:"progress_save_failures"`

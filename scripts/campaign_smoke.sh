@@ -26,8 +26,8 @@ go build -o "$workdir/lpcoord" ./cmd/lpcoord
 
 # start_worker <name>: boots one lpserved, sets WORKER_BASE/WORKER_PID.
 # Every worker shares one -progress-dir, so a job leased from a killed
-# worker resumes the victim's durable epochs on its replacement instead
-# of restarting from step 0.
+# worker resumes from the victim's saved recording and region journal on
+# its replacement instead of starting over.
 # (No command substitution around the body — the pid bookkeeping must
 # land in this shell, not a subshell.)
 start_worker() {
@@ -82,7 +82,7 @@ grep -q 'failed=0' "$coordlog" || fail "campaign reported failed jobs"
     fail "fleet report should have 1 header + 6 job lines: $(cat "$workdir/report_fleet.txt")"
 # The coordinator folds the fleet's /v1/stats durable-progress counters
 # into its stats line; with a shared -progress-dir the surviving worker
-# must have journaled durable epochs.
+# must have saved recovery points.
 fleet_stats=$(grep 'campaign stats:' "$coordlog" | tail -1)
 echo "$fleet_stats" | grep -q 'progress_saves=[1-9]' || \
     fail "fleet stats line missing durable-progress saves: $fleet_stats"

@@ -5,7 +5,7 @@
 #   1. build lpserved; run the reference job on a worker WITHOUT
 #      -progress-dir and keep its (volatile-field-stripped) response
 #   2. boot a worker WITH -progress-dir, submit the same job, poll
-#      /v1/stats until durable epochs exist, then kill -9 the worker
+#      /v1/stats until its recovery point is durable, then kill -9 the worker
 #   3. restart a worker over the same progress dir, resubmit the job:
 #      the response must be byte-identical to the reference and
 #      /v1/stats must show recoveries >= 1 with recovery_steps_saved > 0
@@ -63,10 +63,10 @@ grep -q 'looppoints' "$workdir/ref.json" || fail "reference job failed: $(cat "$
 kill -KILL "$WORKER_PID" 2>/dev/null || true
 
 echo "kill-smoke: booting durable worker (progress dir $progdir)"
-start_worker victim -pending "" -progress-dir "$progdir" -progress-every 1024
+start_worker victim -pending "" -progress-dir "$progdir"
 victim_base=$WORKER_BASE; victim_pid=$WORKER_PID
 
-echo "kill-smoke: submitting job, waiting for durable epochs, then kill -9"
+echo "kill-smoke: submitting job, waiting for its recovery point, then kill -9"
 curl -fsS -m 300 -H 'Content-Type: application/json' -d "$JOB" \
     "$victim_base/v1/jobs" >/dev/null 2>&1 &
 curlpid=$!
@@ -75,18 +75,18 @@ stats=""
 for _ in $(seq 1 600); do
     stats=$(curl -fsS -m 5 "$victim_base/v1/stats" 2>/dev/null) || true
     saves=$(stat_field "${stats:-}" progress_saves)
-    [[ -n "$saves" && "$saves" -ge 2 ]] && break
+    [[ -n "$saves" && "$saves" -ge 1 ]] && break
     kill -0 "$victim_pid" 2>/dev/null || fail "victim worker died on its own"
     sleep 0.02
 done
-[[ -n "$saves" && "$saves" -ge 1 ]] || fail "no durable epochs were saved before the job finished"
+[[ -n "$saves" && "$saves" -ge 1 ]] || fail "no recovery point was saved before the job finished"
 kill -KILL "$victim_pid" 2>/dev/null || true
 wait "$curlpid" 2>/dev/null || true
 echo "kill-smoke: killed the worker after $saves durable save(s)"
-ls "$progdir" | grep -q '\.progress$\|\.pinball$' || fail "progress dir is empty after the kill"
+ls "$progdir" | grep -q '\.graph$' || fail "progress dir holds no recovery point after the kill"
 
 echo "kill-smoke: restarting over the same progress dir and resubmitting"
-start_worker survivor -pending "" -progress-dir "$progdir" -progress-every 1024
+start_worker survivor -pending "" -progress-dir "$progdir"
 surv_log=$WORKER_LOG
 curl -fsS -m 300 -H 'Content-Type: application/json' -d "$JOB" \
     "$WORKER_BASE/v1/jobs" | normalize >"$workdir/resumed.json"
