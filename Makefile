@@ -51,8 +51,20 @@ test-stats:
 	go test -count=1 -run 'Calibration|Selector|Stratified|Golden|Fuzz' \
 		-v ./internal/simpoint/
 
-# Boot the lpserved daemon, hit /readyz and one job endpoint, then
-# SIGTERM it and assert a clean drain and exit 0.
+# Every native fuzzer for FUZZTIME each (go test -fuzz takes one target
+# and one package at a time). `go test ./...` only replays their seed
+# corpora; this is where they mutate. A finding is written under the
+# package's testdata/fuzz/ — check it in with the fix.
+FUZZTIME ?= 30s
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/pinball/
+	go test -run '^$$' -fuzz '^FuzzRestoreGraph$$' -fuzztime $(FUZZTIME) ./internal/dcfg/
+	go test -run '^$$' -fuzz '^FuzzSelectors$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
+	go test -run '^$$' -fuzz '^FuzzStratifiedAllocation$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
+
+# Boot the lpserved daemon, hit /readyz, run one job and then three
+# concurrent ones over POST /v1/jobs, SIGTERM it with three more in
+# flight, and assert every one is answered and the drain exits 0.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

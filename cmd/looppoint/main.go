@@ -86,7 +86,10 @@ func main() {
 			fmt.Printf("[%s] built for %d threads; native mode runs no simulation\n", name, w.Threads())
 			continue
 		}
-		opts := looppoint.EvalOptions{CompareFull: !*noFull, Serial: *serial}
+		opts := looppoint.EvalOptions{CompareFull: !*noFull}
+		if *serial {
+			opts.Parallelism = 1
+		}
 		if *inorder {
 			sys := looppoint.InOrderSystem(w.Threads())
 			opts.System = &sys

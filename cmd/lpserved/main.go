@@ -15,7 +15,9 @@
 // GET /readyz (flips to 503 the moment drain starts), GET /v1/stats
 // (bare counter snapshot, including the durable-progress and recovery
 // counters), POST /v1/jobs (synchronous; the response is the job's
-// result or a typed outcome). On SIGTERM/SIGINT the daemon stops
+// result or a typed outcome) and POST /v1/claim (the same submission
+// under lpcoord's key and lease, answered in a checksummed envelope). On
+// SIGTERM/SIGINT the daemon stops
 // admitting, drains in-flight work up to -drain-deadline, checkpoints
 // whatever could not finish to -pending, and exits 0.
 //

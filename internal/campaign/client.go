@@ -15,14 +15,14 @@ import (
 	"looppoint/internal/serve"
 )
 
-// ErrCorrupt marks a worker response whose result bytes failed their
-// checksum (or carried the wrong claim key). The coordinator treats it
+// ErrCorrupt marks a worker response that failed its envelope checksum
+// (or carried the wrong claim key). The coordinator treats it
 // as a retryable dispatch failure — corrupt data is re-fetched, never
 // recorded.
 var ErrCorrupt = errors.New("campaign: corrupt worker response")
 
-// ClaimOutcome is one delivered claim reply, transport-verified: when
-// Status is 200, Result passed its checksum and echoes the right key.
+// ClaimOutcome is one delivered claim reply, transport-verified: every
+// field passed the envelope checksum and the reply echoes the right key.
 type ClaimOutcome struct {
 	Status       int
 	Outcome      string
@@ -79,27 +79,13 @@ func (w *HTTPWorker) Ready(ctx context.Context) error {
 	return nil
 }
 
-// claimWire mirrors serve.ClaimResponse with the result kept raw, so the
-// checksum can be verified over the exact bytes the worker sent before
-// anything is decoded into a struct.
-type claimWire struct {
-	Key     string          `json:"key"`
-	Status  int             `json:"status"`
-	Outcome string          `json:"outcome"`
-	Dedup   bool            `json:"dedup"`
-	Result  json.RawMessage `json:"result"`
-	FNV1a   string          `json:"fnv1a"`
-	Error   *struct {
-		Outcome      string `json:"outcome"`
-		Error        string `json:"error"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-	} `json:"error"`
-}
-
-// Claim POSTs one claim and verifies the reply. A decode failure or
-// checksum mismatch returns an error wrapping ErrCorrupt; a delivered
-// non-200 outcome (shed, timeout, server error) is NOT a Go error — it
-// comes back as a ClaimOutcome for the coordinator to classify.
+// Claim POSTs one claim and verifies the reply: the body must be one
+// checksummed envelope (artifact.VerifyLine) around a serve.ClaimResponse
+// that echoes this claim's key. Anything else — flipped bits anywhere in
+// the reply, a foreign key, a non-envelope body — returns an error
+// wrapping ErrCorrupt; a delivered non-200 outcome (shed, timeout, server
+// error) is NOT a Go error — it comes back as a ClaimOutcome for the
+// coordinator to classify.
 func (w *HTTPWorker) Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error) {
 	if err := faults.Check("campaign.claim"); err != nil {
 		return nil, err
@@ -126,35 +112,17 @@ func (w *HTTPWorker) Claim(ctx context.Context, key string, leaseMS int64, job s
 	// here to prove the checksum catches what the transport delivers.
 	faults.CorruptBytes("campaign.result", raw)
 
-	var cw claimWire
-	if err := json.Unmarshal(raw, &cw); err != nil {
-		return nil, fmt.Errorf("%w: undecodable claim reply from %s: %v", ErrCorrupt, w.name, err)
+	var cr serve.ClaimResponse
+	rec, ok := artifact.VerifyLine(raw)
+	if !ok || json.Unmarshal(rec, &cr) != nil {
+		return nil, fmt.Errorf("%w: claim reply from %s fails its envelope checksum", ErrCorrupt, w.name)
 	}
-	out := &ClaimOutcome{Status: cw.Status, Outcome: cw.Outcome, Dedup: cw.Dedup}
-	if cw.Error != nil {
-		out.Err = cw.Error.Error
-		out.RetryAfterMS = cw.Error.RetryAfterMS
+	if cr.Key != key {
+		return nil, fmt.Errorf("%w: %s answered claim %s with key %s", ErrCorrupt, w.name, key, cr.Key)
 	}
-	if cw.Status != http.StatusOK {
-		return out, nil
+	out := &ClaimOutcome{Status: cr.Status, Outcome: cr.Outcome, Dedup: cr.Dedup, Result: cr.Result}
+	if cr.Error != nil {
+		out.Err, out.RetryAfterMS = cr.Error.Error, cr.Error.RetryAfterMS
 	}
-	if cw.Key != key {
-		return nil, fmt.Errorf("%w: %s answered claim %s with key %s", ErrCorrupt, w.name, key, cw.Key)
-	}
-	if len(cw.Result) == 0 || cw.FNV1a == "" {
-		return nil, fmt.Errorf("%w: %s sent a success with no result/checksum", ErrCorrupt, w.name)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, cw.Result); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if got := fmt.Sprintf("%#x", artifact.Checksum(compact.Bytes())); got != cw.FNV1a {
-		return nil, fmt.Errorf("%w: %s result checksum %s, envelope says %s", ErrCorrupt, w.name, got, cw.FNV1a)
-	}
-	var res serve.JobResult
-	if err := json.Unmarshal(cw.Result, &res); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	out.Result = &res
 	return out, nil
 }

@@ -216,18 +216,9 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if len(spec.Jobs) == 0 {
 		return nil, errors.New("campaign: empty spec")
 	}
-	for i, j := range spec.Jobs {
-		valid := false
-		for _, cl := range serve.JobClasses {
-			if j.Class == cl {
-				valid = true
-			}
-		}
-		if !valid {
-			return nil, fmt.Errorf("campaign: job %d: unknown class %q", i, j.Class)
-		}
-		if j.App == "" {
-			return nil, fmt.Errorf("campaign: job %d: missing app", i)
+	for i := range spec.Jobs {
+		if err := serve.ValidateJob(&spec.Jobs[i]); err != nil {
+			return nil, fmt.Errorf("campaign: job %d: %w", i, err)
 		}
 	}
 

@@ -37,46 +37,9 @@ func (s Schedule) Steps() uint64 {
 	return n
 }
 
-// Skip returns the schedule suffix after the first n steps.
-func (s Schedule) Skip(n uint64) Schedule {
-	var out Schedule
-	for i, e := range s {
-		if n == 0 {
-			return append(out, s[i:]...)
-		}
-		if uint64(e.N) <= n {
-			n -= uint64(e.N)
-			continue
-		}
-		out = append(out, ScheduleEntry{Tid: e.Tid, N: e.N - uint32(n)})
-		n = 0
-		out = append(out, s[i+1:]...)
-		return out
-	}
-	return out
-}
-
-// Take returns the schedule prefix covering the first n steps.
-func (s Schedule) Take(n uint64) Schedule {
-	var out Schedule
-	for _, e := range s {
-		if n == 0 {
-			return out
-		}
-		if uint64(e.N) <= n {
-			out = append(out, e)
-			n -= uint64(e.N)
-			continue
-		}
-		out = append(out, ScheduleEntry{Tid: e.Tid, N: uint32(n)})
-		return out
-	}
-	return out
-}
-
-// Window returns the n steps that follow the first from steps —
-// Skip(from).Take(n) as one walk to find the window's entries and one
-// exactly-sized copy of them, so slicing a recording into region
+// Window returns the n steps that follow the first from steps (fewer
+// where the schedule ends first): one walk to find the window's entries
+// and one exactly-sized copy of them, so slicing a recording into region
 // pinballs costs the windows, not a copy of the remaining schedule per cut
 // (and a window spanning a million-entry recording costs one memmove, not
 // a slice grown entry by entry).

@@ -90,7 +90,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					continue
 				}
 				a := NewMachine(p, 11)
-				if err := a.RunSchedule(sched.Take(n)); err != nil {
+				if err := a.RunSchedule(sched.Window(0, n)); err != nil {
 					t.Fatalf("prefix run to %d: %v", n, err)
 				}
 				snap := a.Snapshot()
@@ -101,7 +101,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					b := NewMachine(p, 99) // wrong seed on purpose: Restore must overwrite OS state
 					v.setup(b, p)
 					b.Restore(snap)
-					if err := b.RunSchedule(sched.Skip(n)); err != nil {
+					if err := b.RunSchedule(sched.Window(n, total-n)); err != nil {
 						t.Fatalf("cut %d (%s): resume: %v", n, v.name, err)
 					}
 					got := b.Snapshot()
@@ -133,7 +133,7 @@ func TestRestoreHonorsFutexQueueOrder(t *testing.T) {
 	var snap *Snapshot
 	for n := uint64(1); n < total; n++ {
 		a := NewMachine(p, 5)
-		if err := a.RunSchedule(sched.Take(n)); err != nil {
+		if err := a.RunSchedule(sched.Window(0, n)); err != nil {
 			t.Fatalf("prefix %d: %v", n, err)
 		}
 		s := a.Snapshot()

@@ -238,48 +238,70 @@ func TestRegionPinballMidProgramStart(t *testing.T) {
 	}
 }
 
+// TestScheduleSkipTake: the two cuts a recording is split with — skip the
+// first n steps, take the first n steps — spelled with Window, including
+// cuts past the end, and the two halves of every cut partition the
+// schedule.
 func TestScheduleSkipTake(t *testing.T) {
 	s := exec.Schedule{{Tid: 0, N: 10}, {Tid: 1, N: 5}, {Tid: 0, N: 7}}
-	if got := s.Skip(0).Steps(); got != 22 {
-		t.Errorf("Skip(0) = %d steps, want 22", got)
+	skip := func(n uint64) exec.Schedule { return s.Window(n, s.Steps()) }
+	take := func(n uint64) exec.Schedule { return s.Window(0, n) }
+	if got := skip(0).Steps(); got != 22 {
+		t.Errorf("skip 0 = %d steps, want 22", got)
 	}
-	if got := s.Skip(12).Steps(); got != 10 {
-		t.Errorf("Skip(12) = %d steps, want 10", got)
+	if got := skip(12).Steps(); got != 10 {
+		t.Errorf("skip 12 = %d steps, want 10", got)
 	}
-	if got := s.Take(12).Steps(); got != 12 {
-		t.Errorf("Take(12) = %d steps, want 12", got)
+	if got := take(12).Steps(); got != 12 {
+		t.Errorf("take 12 = %d steps, want 12", got)
 	}
-	if got := s.Take(100).Steps(); got != 22 {
-		t.Errorf("Take(100) = %d steps, want 22", got)
+	if got := take(100).Steps(); got != 22 {
+		t.Errorf("take 100 = %d steps, want 22", got)
 	}
-	if got := s.Skip(100).Steps(); got != 0 {
-		t.Errorf("Skip(100) = %d steps, want 0", got)
+	if got := skip(100).Steps(); got != 0 {
+		t.Errorf("skip 100 = %d steps, want 0", got)
 	}
-	// Skip+Take partition.
 	for n := uint64(0); n <= 22; n++ {
-		if s.Take(n).Steps()+s.Skip(n).Steps() != 22 {
-			t.Errorf("Take(%d)+Skip(%d) do not partition", n, n)
+		if take(n).Steps()+skip(n).Steps() != 22 {
+			t.Errorf("take %d + skip %d do not partition", n, n)
 		}
 	}
 }
 
 // TestScheduleWindowEqualsSkipTake is the property Window exists under:
-// on random schedules, Window(from, n) is exactly Skip(from).Take(n) —
-// including cuts inside an entry, windows inside one entry, empty
-// windows, and windows that start or reach past the end.
+// on random schedules, Window(from, n) is exactly "skip from steps, take
+// n" — checked against an oracle that shares nothing with it: the
+// schedule expanded to one record per retired step, sliced, and
+// re-coalesced by source entry. Covers cuts inside an entry, windows
+// inside one entry, empty windows, and windows that start or reach past
+// the end.
 func TestScheduleWindowEqualsSkipTake(t *testing.T) {
+	type step struct{ entry, tid int }
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		s := make(exec.Schedule, rng.Intn(12))
+		var steps []step
 		for i := range s {
 			s[i] = exec.ScheduleEntry{Tid: rng.Intn(4), N: uint32(1 + rng.Intn(9))}
+			for k := uint32(0); k < s[i].N; k++ {
+				steps = append(steps, step{i, s[i].Tid})
+			}
 		}
 		total := s.Steps()
 		from := uint64(rng.Intn(int(total) + 4))
 		n := uint64(rng.Intn(int(total) + 4))
-		got, want := s.Window(from, n), s.Skip(from).Take(n)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v.Window(%d, %d) = %v, Skip.Take = %v", s, from, n, got, want)
+
+		var want exec.Schedule
+		last := -1
+		for _, st := range steps[min(from, total):min(from+n, total)] {
+			if st.entry != last {
+				want = append(want, exec.ScheduleEntry{Tid: st.tid})
+				last = st.entry
+			}
+			want[len(want)-1].N++
+		}
+		if got := s.Window(from, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v.Window(%d, %d) = %v, per-step oracle says %v", s, from, n, got, want)
 		}
 	}
 }

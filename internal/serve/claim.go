@@ -2,10 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"time"
 
 	"looppoint/internal/artifact"
 )
@@ -21,10 +18,11 @@ import (
 // re-dispatch to a different worker runs independently and the
 // coordinator resolves the duplicate (first-complete wins).
 //
-// The response carries the FNV-1a checksum of the result's compact JSON
-// so the coordinator can detect a response corrupted in transit (or by
-// the chaos plan) and treat it as a retryable failure instead of
-// recording garbage.
+// Every reply is one line of the repository's checksummed envelope
+// (artifact.ChecksumLine) around the ClaimResponse record, so the
+// coordinator can detect a reply corrupted in transit (or by the chaos
+// plan) — in its key, status, outcome or error as much as in its result
+// — and treat it as a retryable failure instead of recording garbage.
 
 // ClaimRequest is the JSON body of POST /v1/claim.
 type ClaimRequest struct {
@@ -40,20 +38,16 @@ type ClaimRequest struct {
 	Job JobRequest `json:"job"`
 }
 
-// ClaimResponse is the JSON body of every /v1/claim reply. Status echoes
-// the HTTP status (the same per-job statuses /v1/jobs uses), so the
-// envelope is self-describing when it travels through the batch-style
-// tooling.
+// ClaimResponse is the record inside every /v1/claim reply's envelope.
+// Status echoes the HTTP status (the same per-job statuses /v1/jobs
+// uses), so the record is self-describing once it has left its response.
 type ClaimResponse struct {
 	Key     string     `json:"key"`
 	Status  int        `json:"status"`
 	Outcome string     `json:"outcome"`
 	Dedup   bool       `json:"dedup,omitempty"`
 	Result  *JobResult `json:"result,omitempty"`
-	// FNV1a is the checksum of Result's compact JSON (success only):
-	// the coordinator's corruption check.
-	FNV1a string     `json:"fnv1a,omitempty"`
-	Error *errorBody `json:"error,omitempty"`
+	Error   *errorBody `json:"error,omitempty"`
 }
 
 // claimEntry is one in-flight claim execution; duplicate claims block on
@@ -63,33 +57,22 @@ type claimEntry struct {
 	outcome jobOutcome
 }
 
-// handleClaim admits and runs one idempotent claim. The first claim for
-// a key goes through the exact same admission dance as POST /v1/jobs —
-// drain check, class breaker, bounded queue — so claims are sheddable
-// and breaker-gated like any other job. Duplicate claims while the first
-// is in flight attach to its outcome without consuming admission
-// capacity. Entries are dropped once the outcome is published: claims
-// are an in-flight dedupe, not a cache — the coordinator's content-
-// addressed cache owns completed results.
+// handleClaim runs one idempotent claim. The first claim for a key is
+// the same submit call POST /v1/jobs makes — validation, drain check,
+// class breaker, bounded queue — so claims are sheddable and
+// breaker-gated like any other job. Duplicate claims while the first is
+// in flight attach to its outcome without consuming admission capacity.
+// Entries are dropped once the outcome is published: claims are an
+// in-flight dedupe, not a cache — the coordinator's content-addressed
+// cache owns completed results.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var creq ClaimRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&creq); err != nil {
-		writeJSON(w, http.StatusBadRequest, ClaimResponse{Status: http.StatusBadRequest,
-			Outcome: "bad_request", Error: &errorBody{Outcome: "bad_request", Error: "bad JSON: " + err.Error()}})
+	if bad, ok := decodeBody(r, &creq); !ok {
+		writeClaim(w, "", bad, false)
 		return
 	}
 	if creq.Key == "" {
-		writeJSON(w, http.StatusBadRequest, ClaimResponse{Status: http.StatusBadRequest,
-			Outcome: "bad_request", Error: &errorBody{Outcome: "bad_request", Error: "missing claim key"}})
-		return
-	}
-	if bad := s.validateJob(&creq.Job); bad != nil {
-		writeClaim(w, creq.Key, *bad, false)
+		writeClaim(w, "", badRequest("missing claim key"), false)
 		return
 	}
 	if creq.Job.ID == "" {
@@ -119,37 +102,30 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	s.claimFlight[creq.Key] = e
 	s.claimMu.Unlock()
 
-	var o jobOutcome
-	if j, shed := s.admit(r.Context(), &creq.Job); shed != nil {
-		o = *shed
-	} else {
-		o = s.awaitJob(j)
-	}
-	e.outcome = o
+	e.outcome = s.submit(r.Context(), &creq.Job)
 	s.claimMu.Lock()
 	delete(s.claimFlight, creq.Key)
 	s.claimMu.Unlock()
 	close(e.done)
-	writeClaim(w, creq.Key, o, false)
+	writeClaim(w, creq.Key, e.outcome, false)
 }
 
-// writeClaim renders one claim outcome as the full HTTP response,
-// stamping the result checksum on success.
+// writeClaim renders one claim outcome as the full HTTP response: the
+// ClaimResponse record inside its checksummed envelope line.
 func writeClaim(w http.ResponseWriter, key string, o jobOutcome, dedup bool) {
-	cr := ClaimResponse{Key: key, Status: o.status, Dedup: dedup}
-	if o.res != nil {
-		cr.Outcome = "ok"
-		cr.Result = o.res
-		if b, err := json.Marshal(o.res); err == nil {
-			cr.FNV1a = fmt.Sprintf("%#x", artifact.Checksum(b))
-		}
-	} else {
-		eb := o.errB
-		cr.Outcome = eb.Outcome
-		cr.Error = &eb
+	cr := ClaimResponse{Key: key, Status: o.status, Outcome: "ok", Dedup: dedup, Result: o.res}
+	if o.res == nil {
+		cr.Outcome, cr.Error = o.errB.Outcome, &o.errB
 	}
-	if o.errB.RetryAfterMS > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(time.Duration(o.errB.RetryAfterMS)*time.Millisecond))
+	line, err := json.Marshal(cr)
+	if err == nil {
+		line, err = artifact.ChecksumLine(line)
 	}
-	writeJSON(w, o.status, cr)
+	if err != nil {
+		// An unencodable result: not an envelope, so the coordinator reads
+		// it as corrupt and retries instead of recording it.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	respond(w, o, json.RawMessage(line))
 }

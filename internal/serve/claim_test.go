@@ -13,7 +13,8 @@ import (
 	"looppoint/internal/artifact"
 )
 
-// postClaim drives /v1/claim directly and decodes the envelope.
+// postClaim drives /v1/claim directly, verifies the reply's checksummed
+// envelope and decodes the record inside.
 func postClaim(t *testing.T, s *Server, req ClaimRequest) (int, ClaimResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -23,14 +24,19 @@ func postClaim(t *testing.T, s *Server, req ClaimRequest) (int, ClaimResponse) {
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/claim", bytes.NewReader(body)))
 	var out ClaimResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
-		t.Fatalf("bad claim body %q: %v", w.Body.String(), err)
+	rec, ok := artifact.VerifyLine(w.Body.Bytes())
+	if !ok {
+		t.Fatalf("claim reply is not a verifying envelope: %q", w.Body.String())
+	}
+	if err := json.Unmarshal(rec, &out); err != nil {
+		t.Fatalf("bad claim record %q: %v", rec, err)
 	}
 	return w.Code, out
 }
 
-// TestClaimOK: a claim runs like a job, echoes its key, and stamps a
-// checksum that verifies against the result's compact JSON.
+// TestClaimOK: a claim runs like a job, echoes its key, and answers in
+// an envelope that verifies (postClaim) around the same result
+// /v1/jobs would have sent.
 func TestClaimOK(t *testing.T) {
 	s := startServer(t, Config{MaxInflight: 2}, okRunner)
 	code, cr := postClaim(t, s, ClaimRequest{Key: "cafe01",
@@ -44,22 +50,23 @@ func TestClaimOK(t *testing.T) {
 	if cr.Result == nil || cr.Result.ID != "cafe01" {
 		t.Fatalf("claim result should inherit the key as job id: %+v", cr.Result)
 	}
-	b, err := json.Marshal(cr.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("%#x", artifact.Checksum(b)); cr.FNV1a != want {
-		t.Fatalf("claim checksum %s does not verify (want %s)", cr.FNV1a, want)
+	if cr.Result.Summary != "ok" || cr.Result.Attempts != 1 || cr.Error != nil {
+		t.Fatalf("claim result: %+v error %+v", cr.Result, cr.Error)
 	}
 	if st := s.Stats(); st.Claims != 1 || st.ClaimDedups != 0 || st.Completed != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestClaimValidation: missing key, bad class — rejected with 400 and
-// nothing admitted.
+// TestClaimValidation: unparseable body, missing key, bad class —
+// rejected with 400 inside a verifying envelope, and nothing admitted.
 func TestClaimValidation(t *testing.T) {
 	s := startServer(t, Config{MaxInflight: 1}, okRunner)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/claim", bytes.NewReader([]byte("{nope"))))
+	if rec, ok := artifact.VerifyLine(w.Body.Bytes()); w.Code != http.StatusBadRequest || !ok || !bytes.Contains(rec, []byte(`"bad_request"`)) {
+		t.Fatalf("bad JSON: %d %q", w.Code, w.Body.String())
+	}
 	if code, cr := postClaim(t, s, ClaimRequest{Job: JobRequest{Class: ClassAnalyze, App: "x"}}); code != http.StatusBadRequest || cr.Outcome != "bad_request" {
 		t.Fatalf("missing key: %d %+v", code, cr)
 	}
@@ -138,7 +145,7 @@ func TestClaimShedsLikeJobs(t *testing.T) {
 	// One failure tripped the analyze breaker: the next claim sheds.
 	code, cr := postClaim(t, s, ClaimRequest{Key: "k2",
 		Job: JobRequest{Class: ClassAnalyze, App: "a"}})
-	if code != http.StatusServiceUnavailable || cr.Outcome != "shed_breaker" || cr.Error == nil {
+	if code != http.StatusServiceUnavailable || cr.Outcome != "shed_breaker" || cr.Error == nil || cr.Error.RetryAfterMS <= 0 {
 		t.Fatalf("breaker-gated claim: %d %+v", code, cr)
 	}
 }

@@ -71,12 +71,6 @@ func TestStatsEndpointServesProgressCounters(t *testing.T) {
 	if !strings.Contains(w.Body.String(), `"recovery_steps_saved"`) {
 		t.Fatalf("/v1/stats body missing recovery_steps_saved: %s", w.Body.String())
 	}
-
-	w = httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/stats", nil))
-	if w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/stats status %d, want 405", w.Code)
-	}
 }
 
 // TestProgressDeltaOnJobLogLine: with Config.Progress set, every

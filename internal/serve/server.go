@@ -21,8 +21,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,7 +229,6 @@ type job struct {
 // Stats is a snapshot of the server's counters.
 type Stats struct {
 	Admitted    uint64 `json:"admitted"`
-	Batches     uint64 `json:"batches"`
 	Claims      uint64 `json:"claims"`
 	ClaimDedups uint64 `json:"claim_dedups"`
 	Completed   uint64 `json:"completed"`
@@ -307,7 +306,7 @@ type Server struct {
 
 	admitted, completed, errsN, timeouts atomic.Uint64
 	shedQueue, shedBreaker, shedDrain    atomic.Uint64
-	journaled, batches, resubmitted      atomic.Uint64
+	journaled, resubmitted               atomic.Uint64
 	claims, claimDedups                  atomic.Uint64
 
 	claimMu     sync.Mutex
@@ -361,7 +360,6 @@ func (s *Server) Breaker(class string) *Breaker { return s.breakers[class] }
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Admitted:      s.admitted.Load(),
-		Batches:       s.batches.Load(),
 		Claims:        s.claims.Load(),
 		ClaimDedups:   s.claimDedups.Load(),
 		Completed:     s.completed.Load(),
@@ -392,19 +390,17 @@ func (s *Server) Stats() Stats {
 
 // Handler returns the HTTP API: GET /healthz (liveness + stats), GET
 // /readyz (admission readiness), GET /v1/stats (the bare counter
-// snapshot, for coordinators and drills), POST /v1/jobs (synchronous
-// job run).
+// snapshot, for coordinators and drills) and the two wire forms of the
+// one submit path — POST /v1/jobs (a bare job spec in, the job's own
+// payload out) and POST /v1/claim (claim.go: a keyed, leased spec in, one
+// checksummed envelope out). The method patterns make the mux answer a
+// wrong method on those routes with 405 and an Allow header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "stats": s.Stats()})
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -414,132 +410,9 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 	})
-	mux.HandleFunc("/v1/jobs", s.handleJob)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("/v1/claim", s.handleClaim)
+	mux.HandleFunc("POST /v1/jobs", s.handleJob)
+	mux.HandleFunc("POST /v1/claim", s.handleClaim)
 	return mux
-}
-
-// MaxBatchJobs caps the jobs in one POST /v1/batch request.
-const MaxBatchJobs = 64
-
-// BatchRequest is the JSON body of POST /v1/batch: up to MaxBatchJobs
-// job specs admitted and executed as one request.
-type BatchRequest struct {
-	Jobs []JobRequest `json:"jobs"`
-}
-
-// BatchItem is one sub-job's result inside a BatchResponse: the same
-// payloads the single-job endpoint returns, wrapped with the HTTP
-// status it would have carried.
-type BatchItem struct {
-	ID      string     `json:"id"`
-	Status  int        `json:"status"`
-	Outcome string     `json:"outcome"`
-	Result  *JobResult `json:"result,omitempty"`
-	Error   *errorBody `json:"error,omitempty"`
-}
-
-// BatchResponse is the envelope of POST /v1/batch. The HTTP status is
-// 200 whenever the batch itself was well-formed; per-sub-job dispositions
-// (shed, timeout, error…) are in Results, index-aligned with the
-// request's Jobs.
-type BatchResponse struct {
-	Results   []BatchItem `json:"results"`
-	Succeeded int         `json:"succeeded"`
-	Shed      int         `json:"shed"`
-	Failed    int         `json:"failed"`
-}
-
-// handleBatch admits and runs a batch of jobs as one request. Each
-// sub-job goes through the exact same admission dance as a single POST
-// /v1/jobs — drain check, class breaker, bounded queue — so a batch is
-// individually sheddable per sub-job: an open breaker or a full queue
-// sheds some items while the rest run. Admitted sub-jobs execute
-// concurrently (bounded by the worker pool, like any other jobs) and
-// share the evaluator's memoization, so batches repeating a workload
-// decode and analyze it once. Drain mid-batch finishes or journals each
-// sub-job individually; the batch response reports every disposition.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var breq BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&breq); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Outcome: "bad_request", Error: "bad JSON: " + err.Error()})
-		return
-	}
-	if len(breq.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Outcome: "bad_request", Error: "empty batch"})
-		return
-	}
-	if len(breq.Jobs) > MaxBatchJobs {
-		writeJSON(w, http.StatusBadRequest, errorBody{Outcome: "bad_request",
-			Error: fmt.Sprintf("batch of %d jobs exceeds the %d-job cap", len(breq.Jobs), MaxBatchJobs)})
-		return
-	}
-	s.batches.Add(1)
-
-	// Admit every sub-job first (admission is fast and non-blocking), so
-	// the whole batch is enqueued before any awaiting starts: sub-jobs
-	// behind a wide batch overlap on the worker pool instead of
-	// serializing behind their siblings' completions.
-	items := make([]BatchItem, len(breq.Jobs))
-	admitted := make([]*job, len(breq.Jobs))
-	for i := range breq.Jobs {
-		req := &breq.Jobs[i]
-		if bad := s.validateJob(req); bad != nil {
-			items[i] = batchItem(req.ID, *bad)
-			continue
-		}
-		j, shed := s.admit(r.Context(), req)
-		if shed != nil {
-			items[i] = batchItem(req.ID, *shed)
-			continue
-		}
-		admitted[i] = j
-	}
-	var wg sync.WaitGroup
-	for i, j := range admitted {
-		if j == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, j *job) {
-			defer wg.Done()
-			items[i] = batchItem(j.req.ID, s.awaitJob(j))
-		}(i, j)
-	}
-	wg.Wait()
-
-	resp := BatchResponse{Results: items}
-	for _, it := range items {
-		switch {
-		case it.Status == http.StatusOK:
-			resp.Succeeded++
-		case strings.HasPrefix(it.Outcome, "shed_") || it.Outcome == "drained":
-			resp.Shed++
-		default:
-			resp.Failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchItem wraps one sub-job's outcome for the batch envelope.
-func batchItem(id string, o jobOutcome) BatchItem {
-	it := BatchItem{ID: id, Status: o.status}
-	if o.res != nil {
-		it.Outcome = "ok"
-		it.Result = o.res
-		return it
-	}
-	eb := o.errB
-	it.Outcome = eb.Outcome
-	it.Error = &eb
-	return it
 }
 
 // errorBody is the JSON envelope for every non-200 job response.
@@ -553,60 +426,72 @@ type errorBody struct {
 }
 
 // jobOutcome is one job's HTTP-renderable terminal state: a success
-// payload or a typed error body plus status. The single-job handler
-// writes it as the whole response; the batch handler embeds one per
-// sub-job.
+// payload or a typed error body plus status. /v1/jobs writes it as the
+// whole response; /v1/claim wraps it in its keyed envelope.
 type jobOutcome struct {
 	status int
 	res    *JobResult // non-nil on success (status 200)
 	errB   errorBody
 }
 
-// writeOutcome renders a jobOutcome as the whole HTTP response.
-func writeOutcome(w http.ResponseWriter, o jobOutcome) {
+func badRequest(msg string) jobOutcome {
+	return jobOutcome{status: http.StatusBadRequest, errB: errorBody{Outcome: "bad_request", Error: msg}}
+}
+
+// respond writes one outcome's status, Retry-After hint and JSON body.
+func respond(w http.ResponseWriter, o jobOutcome, body any) {
 	if o.errB.RetryAfterMS > 0 {
 		w.Header().Set("Retry-After", retryAfterSeconds(time.Duration(o.errB.RetryAfterMS)*time.Millisecond))
 	}
-	if o.res != nil {
-		writeJSON(w, o.status, o.res)
-		return
-	}
-	writeJSON(w, o.status, o.errB)
+	writeJSON(w, o.status, body)
 }
 
-// validateJob rejects structurally bad job specs before admission.
-func (s *Server) validateJob(req *JobRequest) *jobOutcome {
-	if s.breakers[req.Class] == nil {
-		return &jobOutcome{status: http.StatusBadRequest, errB: errorBody{Outcome: "bad_request",
-			Error: fmt.Sprintf("unknown class %q (want one of %v)", req.Class, JobClasses)}}
+// decodeBody reads one wire form's JSON body into v; a body that does not
+// parse yields that form's bad_request outcome and false.
+func decodeBody(r *http.Request, v any) (jobOutcome, bool) {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v); err != nil {
+		return badRequest("bad JSON: " + err.Error()), false
+	}
+	return jobOutcome{}, true
+}
+
+// ValidateJob rejects a structurally bad job spec — the one check every
+// way in runs before admission: both wire forms, Resubmit, and the
+// campaign coordinator before it dispatches anything.
+func ValidateJob(req *JobRequest) error {
+	if !slices.Contains(JobClasses, req.Class) {
+		return fmt.Errorf("unknown class %q (want one of %v)", req.Class, JobClasses)
 	}
 	if req.App == "" {
-		return &jobOutcome{status: http.StatusBadRequest, errB: errorBody{Outcome: "bad_request", Error: "missing app"}}
+		return errors.New("missing app")
 	}
 	return nil
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+// submit is the one way into a worker — validate, admit, await — and
+// returns the job's terminal outcome. Both wire forms decode into it.
+func (s *Server) submit(ctx context.Context, req *JobRequest) jobOutcome {
+	if err := ValidateJob(req); err != nil {
+		return badRequest(err.Error())
 	}
-	var req JobRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Outcome: "bad_request", Error: "bad JSON: " + err.Error()})
-		return
-	}
-	if bad := s.validateJob(&req); bad != nil {
-		writeOutcome(w, *bad)
-		return
-	}
-	j, shed := s.admit(r.Context(), &req)
+	j, shed := s.admit(ctx, req)
 	if shed != nil {
-		writeOutcome(w, *shed)
+		return *shed
+	}
+	return s.awaitJob(j)
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	o, ok := decodeBody(r, &req)
+	if ok {
+		o = s.submit(r.Context(), &req)
+	}
+	if o.res != nil {
+		respond(w, o, o.res)
 		return
 	}
-	writeOutcome(w, s.awaitJob(j))
+	respond(w, o, o.errB)
 }
 
 // admit runs the admission dance for one validated job, in shed-priority
@@ -617,71 +502,58 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // re-check so Drain's Wait provably covers every job that can still
 // reach the queue.
 func (s *Server) admit(httpCtx context.Context, req *JobRequest) (*job, *jobOutcome) {
-	id := s.seq.Add(1)
+	j := &job{id: s.seq.Add(1), req: req, deadline: s.cfg.DefaultDeadline,
+		breaker: s.breakers[req.Class], done: make(chan jobDone, 1)}
 	if req.ID == "" {
-		req.ID = fmt.Sprintf("job-%d", id)
+		req.ID = fmt.Sprintf("job-%d", j.id)
 	}
-	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
+		j.deadline = min(time.Duration(req.DeadlineMS)*time.Millisecond, s.cfg.MaxDeadline)
 	}
-	br := s.breakers[req.Class]
+	drained := errorBody{Outcome: "shed_drain", Error: ErrDraining.Error()}
 
 	if s.draining.Load() {
-		s.shedDrain.Add(1)
-		s.logLine(req, id, "shed_drain", br, 0, 0, 0, ErrDraining)
-		return nil, &jobOutcome{status: http.StatusServiceUnavailable,
-			errB: errorBody{Outcome: "shed_drain", Error: ErrDraining.Error()}}
+		return s.shed(j, &s.shedDrain, http.StatusServiceUnavailable, drained)
 	}
-	if err := br.Allow(); err != nil {
+	if err := j.breaker.Allow(); err != nil {
 		var open *BreakerOpenError
 		errors.As(err, &open)
-		s.shedBreaker.Add(1)
-		s.logLine(req, id, "shed_breaker", br, 0, 0, 0, err)
-		return nil, &jobOutcome{status: http.StatusServiceUnavailable, errB: errorBody{
+		return s.shed(j, &s.shedBreaker, http.StatusServiceUnavailable, errorBody{
 			Outcome: "shed_breaker", Error: err.Error(),
 			RetryAfterMS: open.RetryAfter.Milliseconds(), Breaker: open.State.String(),
-		}}
+		})
 	}
 
-	ctx, cancel := context.WithTimeout(httpCtx, deadline)
-	j := &job{
-		id: id, req: req, ctx: ctx, cancel: cancel,
-		deadline: deadline, breaker: br,
-		enq:  s.cfg.Now(),
-		done: make(chan jobDone, 1),
-	}
+	j.ctx, j.cancel = context.WithTimeout(httpCtx, j.deadline)
+	j.enq = s.cfg.Now()
 	s.accepted.Add(1)
+	if !s.draining.Load() { // the re-check: Drain may have begun since the first
+		select {
+		case s.jobs <- j:
+			s.admitted.Add(1)
+			s.budget.Deposit()
+			return j, nil
+		default:
+		}
+	}
+	// Raced with Drain or the queue is full: undo, and shed explicitly
+	// instead of queuing unboundedly.
+	s.accepted.Done()
+	j.cancel()
+	j.breaker.Forget()
 	if s.draining.Load() {
-		// Raced with Drain after the first check: undo and shed.
-		s.accepted.Done()
-		cancel()
-		br.Forget()
-		s.shedDrain.Add(1)
-		s.logLine(req, id, "shed_drain", br, 0, 0, 0, ErrDraining)
-		return nil, &jobOutcome{status: http.StatusServiceUnavailable,
-			errB: errorBody{Outcome: "shed_drain", Error: ErrDraining.Error()}}
+		return s.shed(j, &s.shedDrain, http.StatusServiceUnavailable, drained)
 	}
-	select {
-	case s.jobs <- j:
-	default:
-		// Queue full: shed explicitly instead of queuing unboundedly.
-		s.accepted.Done()
-		cancel()
-		br.Forget()
-		s.shedQueue.Add(1)
-		retry := s.cfg.DefaultDeadline / 4
-		s.logLine(req, id, "shed_queue", br, 0, 0, 0, errors.New("queue full"))
-		return nil, &jobOutcome{status: http.StatusTooManyRequests, errB: errorBody{
-			Outcome: "shed_queue", Error: "job queue full", RetryAfterMS: retry.Milliseconds(),
-		}}
-	}
-	s.admitted.Add(1)
-	s.budget.Deposit()
-	return j, nil
+	return s.shed(j, &s.shedQueue, http.StatusTooManyRequests, errorBody{
+		Outcome: "shed_queue", Error: "job queue full", RetryAfterMS: (s.cfg.DefaultDeadline / 4).Milliseconds(),
+	})
+}
+
+// shed counts, logs and renders one refused admission.
+func (s *Server) shed(j *job, counter *atomic.Uint64, status int, eb errorBody) (*job, *jobOutcome) {
+	counter.Add(1)
+	s.logLine(j, eb.Outcome, jobDone{}, errors.New(eb.Error))
+	return nil, &jobOutcome{status: status, errB: eb}
 }
 
 // awaitJob blocks until an admitted job reaches a terminal state and
@@ -711,7 +583,7 @@ func (s *Server) awaitJob(j *job) jobOutcome {
 			terr := &TimeoutError{Phase: phase, Deadline: j.deadline}
 			s.timeouts.Add(1)
 			br.Done(false) // a dependency answering late is a failing dependency
-			s.logLine(j.req, j.id, "timeout", br, wait, 0, 0, terr)
+			s.logLine(j, "timeout", jobDone{wait: wait}, terr)
 			return jobOutcome{status: http.StatusGatewayTimeout,
 				errB: errorBody{Outcome: "timeout", Error: terr.Error(), Timeout: true}}
 		}
@@ -728,17 +600,16 @@ func (s *Server) awaitJob(j *job) jobOutcome {
 				return s.finishOutcome(j, d)
 			case <-t.C:
 				br.Forget()
-				s.logLine(j.req, j.id, "drained", br, wait, 0, 0, ErrDraining)
+				s.logLine(j, "drained", jobDone{wait: wait}, ErrDraining)
 				return jobOutcome{status: http.StatusServiceUnavailable,
 					errB: errorBody{Outcome: "drained", Error: ErrDraining.Error()}}
 			}
 		}
 		// Client disconnected: outcome unknowable, neutral for the breaker.
-		// The response body goes nowhere on a real disconnect; rendering it
-		// anyway keeps the batch path (whose sub-jobs share the batch
-		// request's context) uniform.
+		// The response body goes nowhere on a real disconnect, but duplicate
+		// claims attached to this execution (claim.go) still read it.
 		br.Forget()
-		s.logLine(j.req, j.id, "canceled", br, wait, 0, 0, j.ctx.Err())
+		s.logLine(j, "canceled", jobDone{wait: wait}, j.ctx.Err())
 		return jobOutcome{status: http.StatusServiceUnavailable,
 			errB: errorBody{Outcome: "canceled", Error: j.ctx.Err().Error()}}
 	}
@@ -754,13 +625,13 @@ func (s *Server) finishOutcome(j *job, d jobDone) jobOutcome {
 		d.res.QueueWaitMS = d.wait.Milliseconds()
 		d.res.RunMS = d.run.Milliseconds()
 		d.res.Attempts = d.attempts
-		s.logLineX(j.req, j.id, "ok", br, d.wait, d.run, d.attempts, nil, d.prog)
+		s.logLine(j, "ok", d, nil)
 		return jobOutcome{status: http.StatusOK, res: d.res}
 	case errors.Is(d.err, ErrDraining):
 		// Flushed by Drain: checkpointed, not a dependency failure.
 		s.shedDrain.Add(1)
 		br.Forget()
-		s.logLine(j.req, j.id, "drained", br, d.wait, d.run, d.attempts, d.err)
+		s.logLine(j, "drained", d, d.err)
 		return jobOutcome{status: http.StatusServiceUnavailable, errB: errorBody{
 			Outcome: "drained", Error: d.err.Error(), Journaled: s.cfg.PendingPath != "",
 		}}
@@ -768,18 +639,18 @@ func (s *Server) finishOutcome(j *job, d jobDone) jobOutcome {
 		terr := &TimeoutError{Phase: "running", Deadline: j.deadline}
 		s.timeouts.Add(1)
 		br.Done(false)
-		s.logLine(j.req, j.id, "timeout", br, d.wait, d.run, d.attempts, terr)
+		s.logLine(j, "timeout", d, terr)
 		return jobOutcome{status: http.StatusGatewayTimeout,
 			errB: errorBody{Outcome: "timeout", Error: terr.Error(), Timeout: true}}
 	case errors.Is(d.err, context.Canceled):
 		br.Forget()
-		s.logLine(j.req, j.id, "canceled", br, d.wait, d.run, d.attempts, d.err)
+		s.logLine(j, "canceled", d, d.err)
 		return jobOutcome{status: http.StatusServiceUnavailable,
 			errB: errorBody{Outcome: "canceled", Error: d.err.Error()}}
 	default:
 		s.errsN.Add(1)
 		br.Done(false)
-		s.logLineX(j.req, j.id, "error", br, d.wait, d.run, d.attempts, d.err, d.prog)
+		s.logLine(j, "error", d, d.err)
 		return jobOutcome{status: http.StatusInternalServerError,
 			errB: errorBody{Outcome: "error", Error: d.err.Error()}}
 	}
@@ -1022,7 +893,7 @@ func LoadPendingCheckpoint(path string) ([]PendingJob, error) {
 func (s *Server) Resubmit(pending []PendingJob) (accepted, rejected int) {
 	for _, p := range pending {
 		job := p.Job
-		if job == nil || s.validateJob(job) != nil {
+		if job == nil || ValidateJob(job) != nil {
 			rejected++
 			continue
 		}
@@ -1040,14 +911,10 @@ func (s *Server) Resubmit(pending []PendingJob) (accepted, rejected int) {
 }
 
 // logLine emits the structured per-request line: one line per request,
-// logfmt-shaped, carrying everything an operator greps for.
-func (s *Server) logLine(req *JobRequest, id uint64, outcome string, br *Breaker, wait, run time.Duration, attempts int, err error) {
-	s.logLineX(req, id, outcome, br, wait, run, attempts, err, "")
-}
-
-// logLineX is logLine with extra pre-rendered logfmt fields appended —
-// worker-delivered outcomes carry the job's durable-progress delta.
-func (s *Server) logLineX(req *JobRequest, id uint64, outcome string, br *Breaker, wait, run time.Duration, attempts int, err error, extra string) {
+// logfmt-shaped, carrying everything an operator greps for. d supplies
+// the timings a worker delivered (zero for a job that never ran) and the
+// durable-progress delta observed while the job ran.
+func (s *Server) logLine(j *job, outcome string, d jobDone, err error) {
 	if s.cfg.Log == nil {
 		return
 	}
@@ -1056,8 +923,8 @@ func (s *Server) logLineX(req *JobRequest, id uint64, outcome string, br *Breake
 		errStr = fmt.Sprintf(" err=%q", err.Error())
 	}
 	s.logf("job=%d id=%q class=%s app=%s outcome=%s queue_wait=%s run=%s attempts=%d breaker=%s%s%s",
-		id, req.ID, req.Class, req.App, outcome,
-		wait.Round(time.Microsecond), run.Round(time.Microsecond), attempts, br.State(), extra, errStr)
+		j.id, j.req.ID, j.req.Class, j.req.App, outcome,
+		d.wait.Round(time.Microsecond), d.run.Round(time.Microsecond), d.attempts, j.breaker.State(), d.prog, errStr)
 }
 
 // logf serializes writer access so concurrent requests do not interleave

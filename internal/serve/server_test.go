@@ -124,14 +124,16 @@ func TestServeQueueFullSheds429(t *testing.T) {
 	br := newBlockingRunner()
 	s := startServer(t, Config{MaxInflight: 1, QueueDepth: 1}, br.run)
 
+	// One at a time: posted together, the second can meet the one-deep
+	// queue before the worker has dequeued the first and be shed itself.
 	results := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			code, _ := postJob(t, s, JobRequest{ID: fmt.Sprintf("j%d", i), Class: ClassAnalyze, App: "npb-cg"})
-			results <- code
-		}(i)
+	post := func(id string) {
+		code, _ := postJob(t, s, JobRequest{ID: id, Class: ClassAnalyze, App: "npb-cg"})
+		results <- code
 	}
-	<-br.started // one job running; wait for the other to be queued
+	go post("j0")
+	<-br.started // j0 is running and the queue is empty again
+	go post("j1")
 	waitFor(t, func() bool { return s.Stats().Queued == 1 })
 
 	code, body := postJob(t, s, JobRequest{ID: "overload", Class: ClassAnalyze, App: "npb-cg"})
@@ -347,6 +349,199 @@ func TestServeDrainJournalsUnfinished(t *testing.T) {
 	}
 	if code, body := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusServiceUnavailable || body["outcome"] != "shed_drain" {
 		t.Fatalf("admission while draining: %d %v, want 503 shed_drain", code, body)
+	}
+}
+
+// TestServeDrainMidFlight: a drain that lands with one job finished, one
+// running and one queued changes nothing about the finished one, cancels
+// and journals the running one, flushes and journals the queued one, and
+// every concurrent POST /v1/jobs still gets its own answer; posts that
+// arrive afterwards are shed_drain.
+func TestServeDrainMidFlight(t *testing.T) {
+	pending := filepath.Join(t.TempDir(), "pending.jsonl")
+	br := newBlockingRunner()
+	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
+		if req.ID == "finished" {
+			return okRunner(ctx, req)
+		}
+		return br.run(ctx, req)
+	}
+	s := New(Config{MaxInflight: 1, QueueDepth: 4, DrainDeadline: 300 * time.Millisecond, PendingPath: pending}, run)
+	s.Start()
+
+	if code, _ := postJob(t, s, JobRequest{ID: "finished", Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusOK {
+		t.Fatalf("first job: status %d, want 200", code)
+	}
+	bodies := make(chan map[string]any, 2)
+	post := func(id string) {
+		_, body := postJob(t, s, JobRequest{ID: id, Class: ClassAnalyze, App: "npb-cg"})
+		body["id"] = id
+		bodies <- body
+	}
+	go post("running")
+	<-br.started
+	go post("queued")
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
+
+	ds := s.Drain()
+	if ds.Clean || ds.JournaledRunning != 1 || ds.JournaledQueued != 1 {
+		t.Fatalf("drain %+v, want unclean with 1 running + 1 queued journaled", ds)
+	}
+	want := map[string]string{"running": "canceled", "queued": "drained"}
+	for range want {
+		body := <-bodies
+		if id := body["id"].(string); body["outcome"] != want[id] {
+			t.Fatalf("job %s answered %v, want outcome %s", id, body, want[id])
+		}
+	}
+	jobs, err := LoadPendingCheckpoint(pending)
+	if err != nil || len(jobs) != 2 {
+		t.Fatalf("checkpoint: %v, %d jobs, want the 2 unfinished ones", err, len(jobs))
+	}
+	for _, p := range jobs {
+		if p.Job == nil || p.Job.ID != p.State {
+			t.Fatalf("checkpoint entry %+v: state and job disagree", p)
+		}
+	}
+	if st := s.Stats(); st.Completed != 1 || st.Journaled != 2 {
+		t.Fatalf("stats %+v, want completed=1 journaled=2", st)
+	}
+	if code, body := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusServiceUnavailable || body["outcome"] != "shed_drain" {
+		t.Fatalf("post after drain: %d %v, want 503 shed_drain", code, body)
+	}
+}
+
+// halfOpenServer boots a server whose analyze breaker has tripped on one
+// failure and whose open hold has passed, so the next admission probes
+// half-open. Jobs for app "boom" fail; every other job blocks on br.
+func halfOpenServer(t *testing.T, probes int) (*Server, *blockingRunner) {
+	t.Helper()
+	clk := newFakeClock()
+	br := newBlockingRunner()
+	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
+		if req.App == "boom" {
+			return nil, fmt.Errorf("dependency down")
+		}
+		return br.run(ctx, req)
+	}
+	s := startServer(t, Config{MaxInflight: 4, QueueDepth: 16,
+		Breaker: BreakerOpts{FailureThreshold: 1, OpenFor: 10 * time.Second, HalfOpenProbes: probes, Now: clk.Now},
+	}, run)
+	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "boom"}); code != http.StatusInternalServerError {
+		t.Fatalf("trip job: status %d", code)
+	}
+	clk.Advance(11 * time.Second)
+	return s, br
+}
+
+// TestServeHalfOpenProbeAdmission: while the one half-open probe is still
+// running, every further POST /v1/jobs of that class is shed with
+// shed_breaker / half-open and a retry hint — the probe slot goes to the
+// first arrival — and the probe's success closes the breaker for
+// whatever comes next.
+func TestServeHalfOpenProbeAdmission(t *testing.T) {
+	s, br := halfOpenServer(t, 1)
+	probe := make(chan int, 1)
+	go func() {
+		code, _ := postJob(t, s, JobRequest{ID: "p0", Class: ClassAnalyze, App: "npb-cg"})
+		probe <- code
+	}()
+	if id := <-br.started; id != "p0" {
+		t.Fatalf("probe slot went to %q", id)
+	}
+	for _, id := range []string{"p1", "p2", "p3"} {
+		code, body := postJob(t, s, JobRequest{ID: id, Class: ClassAnalyze, App: "npb-ft"})
+		if code != http.StatusServiceUnavailable || body["outcome"] != "shed_breaker" ||
+			body["breaker"] != "half-open" || body["retry_after_ms"].(float64) <= 0 {
+			t.Fatalf("%s behind the probe: %d %v, want 503 shed_breaker half-open", id, code, body)
+		}
+	}
+	if st := s.Stats(); st.Admitted != 2 || st.ShedBreaker != 3 {
+		t.Fatalf("stats %+v, want the trip job + one probe admitted and 3 shed", st)
+	}
+	close(br.release)
+	if code := <-probe; code != http.StatusOK {
+		t.Fatalf("probe finished with %d", code)
+	}
+	if b := s.Breaker(ClassAnalyze); b.State() != BreakerClosed {
+		t.Fatalf("breaker %v after successful probe, want closed", b.State())
+	}
+	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-ft"}); code != http.StatusOK {
+		t.Fatalf("post after close: %d, want 200", code)
+	}
+}
+
+// TestServeHalfOpenProbeRace: N concurrent POST /v1/jobs racing into a
+// half-open breaker let exactly HalfOpenProbes through between them —
+// concurrent admissions cannot widen the probe window — and only once
+// every probe has succeeded does the breaker close.
+func TestServeHalfOpenProbeRace(t *testing.T) {
+	for _, probes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("probes=%d", probes), func(t *testing.T) {
+			s, br := halfOpenServer(t, probes)
+			const posts = 8
+			codes := make(chan int, posts)
+			for i := 0; i < posts; i++ {
+				go func() {
+					code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"})
+					codes <- code
+				}()
+			}
+			for i := 0; i < probes; i++ {
+				<-br.started
+			}
+			waitFor(t, func() bool { return s.Stats().ShedBreaker == uint64(posts-probes) })
+			if st := s.Stats(); st.Admitted != uint64(1+probes) {
+				t.Fatalf("stats %+v: the breaker admitted more than its %d probes", st, probes)
+			}
+			if b := s.Breaker(ClassAnalyze); b.State() != BreakerHalfOpen {
+				t.Fatalf("breaker %v with probes still running, want half-open", b.State())
+			}
+			close(br.release)
+			ok, shed := 0, 0
+			for i := 0; i < posts; i++ {
+				switch <-codes {
+				case http.StatusOK:
+					ok++
+				case http.StatusServiceUnavailable:
+					shed++
+				}
+			}
+			if ok != probes || shed != posts-probes {
+				t.Fatalf("%d succeeded, %d shed; want exactly %d probes through", ok, shed, probes)
+			}
+			if b := s.Breaker(ClassAnalyze); b.State() != BreakerClosed {
+				t.Fatalf("breaker %v after every probe succeeded, want closed", b.State())
+			}
+		})
+	}
+}
+
+// TestServeWrongMethodAnswers405: the method patterns the routes are
+// registered with answer a wrong method with 405 and an Allow header,
+// and admit nothing.
+func TestServeWrongMethodAnswers405(t *testing.T) {
+	s := startServer(t, Config{MaxInflight: 1}, okRunner)
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/jobs", http.MethodPost},
+		{http.MethodPut, "/v1/claim", http.MethodPost},
+		{http.MethodPost, "/v1/stats", "GET, HEAD"},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path, bytes.NewReader([]byte(`{"class":"analyze","app":"x"}`))))
+		if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s: status %d Allow %q, want 405 Allow %q", c.method, c.path, w.Code, w.Header().Get("Allow"), c.allow)
+		}
+	}
+	for _, path := range []string{"/v1/nope", "/v1/jobs/again"} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, nil))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404 (two submission routes, no third)", path, w.Code)
+		}
+	}
+	if st := s.Stats(); st.Admitted != 0 {
+		t.Fatalf("wrong-method requests were admitted: %+v", st)
 	}
 }
 

@@ -34,9 +34,15 @@ const DefaultDims = 100
 // DefaultMaxK is the paper's maximum cluster count.
 const DefaultMaxK = 50
 
-// DefaultBICThreshold selects the smallest k scoring at least this
-// fraction of the best BIC range (the standard SimPoint heuristic).
-const DefaultBICThreshold = 0.9
+// bicCutoff selects the smallest k scoring at least this fraction of
+// the best BIC range (the standard SimPoint heuristic), and lloydIters
+// bounds the Lloyd iterations of each k's run. They are constants of the
+// method, not options; the product sweep and its reference (slowpath.go)
+// read the same two.
+const (
+	bicCutoff  = 0.9
+	lloydIters = 100
+)
 
 // splitmix64 is the deterministic hash behind the projection matrix and
 // the k-means seeding.
@@ -201,10 +207,8 @@ type Result struct {
 
 // Options configures clustering.
 type Options struct {
-	MaxK         int     // maximum clusters (default DefaultMaxK)
-	Seed         uint64  // deterministic seeding
-	BICThreshold float64 // default DefaultBICThreshold
-	MaxIter      int     // Lloyd iterations per k (default 100)
+	MaxK int    // maximum clusters (default DefaultMaxK)
+	Seed uint64 // deterministic seeding
 	// Workers bounds the parallel k=1..maxK BIC sweep (0 = one worker
 	// per CPU, 1 = serial). Every k is an independent k-means run with
 	// its own seed, and attempts are gathered by k, so the Result is
@@ -215,12 +219,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxK <= 0 {
 		o.MaxK = DefaultMaxK
-	}
-	if o.BICThreshold <= 0 {
-		o.BICThreshold = DefaultBICThreshold
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
 	}
 }
 
@@ -256,7 +254,7 @@ func fastSweep(vectors [][]float64, maxK int, varFloor float64, opts Options) ([
 	attempts, err := pool.Map(context.Background(), opts.Workers, maxK,
 		func(_ context.Context, i int) (attempt, error) {
 			k := i + 1
-			assign, cents, dist := kmeansFast(flat, n, dims, k, opts.Seed+uint64(k), opts.MaxIter)
+			assign, cents, dist := kmeansFast(flat, n, dims, k, opts.Seed+uint64(k), lloydIters)
 			return attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist}, nil
 		})
 	if err != nil {
@@ -317,7 +315,7 @@ func cluster(vectors [][]float64, weights []float64, opts Options,
 		}
 	}
 	// Smallest k whose BIC reaches the threshold fraction of the range.
-	cut := worst + opts.BICThreshold*(best-worst)
+	cut := worst + bicCutoff*(best-worst)
 	chosen := attempts[len(attempts)-1]
 	for _, a := range attempts {
 		if a.bic >= cut {

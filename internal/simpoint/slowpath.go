@@ -199,7 +199,7 @@ func ClusterSlow(vectors [][]float64, weights []float64, opts Options) (*Result,
 func slowSweep(vectors [][]float64, maxK int, varFloor float64, opts Options) ([]attempt, error) {
 	var attempts []attempt
 	for k := 1; k <= maxK; k++ {
-		assign, cents, dist := KMeansSlow(vectors, k, opts.Seed+uint64(k), opts.MaxIter)
+		assign, cents, dist := KMeansSlow(vectors, k, opts.Seed+uint64(k), lloydIters)
 		attempts = append(attempts, attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist})
 	}
 	return attempts, nil

@@ -154,12 +154,10 @@ type EvalOptions struct {
 	// parallelism of two or more the full run overlaps the analysis and
 	// the region sweep, so it costs ≈ max(full, analysis + sweep).
 	CompareFull bool
-	// Serial runs one simulation at a time, in phase order (same as
-	// Parallelism 1).
-	Serial bool
 	// Parallelism is the budget of detailed simulations in flight —
-	// looppoints and the CompareFull run together (0 = one per CPU). The
-	// report is byte-identical at every setting; only host time changes.
+	// looppoints and the CompareFull run together (0 = one per CPU; 1 =
+	// one simulation at a time, in phase order). The report is
+	// byte-identical at every setting; only host time changes.
 	Parallelism int
 	// System overrides the simulated system (default: Gainestown with
 	// one core per thread).
@@ -174,13 +172,9 @@ func Evaluate(w *Workload, cfg Config, opts EvalOptions) (*Report, error) {
 	if opts.System != nil {
 		simCfg = *opts.System
 	}
-	width := opts.Parallelism
-	if opts.Serial {
-		width = 1
-	}
 	return core.Run(context.TODO(), w.App.Prog, cfg, simCfg, core.RunOpts{
 		SimulateFull: opts.CompareFull,
-		Width:        width,
+		Width:        opts.Parallelism,
 	})
 }
 

@@ -4,9 +4,9 @@
 #   1. build and start the daemon on an ephemeral port
 #   2. /readyz answers ready
 #   3. one analyze job round-trips with a 200
-#   4. a 3-job batch round-trips with per-job results
-#   5. SIGTERM lands while a second batch is in flight: the batch still
-#      answers with a disposition for every sub-job and the daemon exits 0
+#   4. three concurrent POST /v1/jobs round-trip, each with its own result
+#   5. SIGTERM lands while three more are in flight: each request is still
+#      answered with its own disposition and the daemon exits 0
 #   6. the drain is reported and, when everything finished in time, clean
 # Used by `make serve-smoke` and CI.
 set -euo pipefail
@@ -47,53 +47,63 @@ echo "serve-smoke: job ok: $job"
 health=$(curl -fsS "$base/healthz")
 echo "$health" | grep -q '"completed":1' || fail "/healthz does not count the job: $health"
 
-echo "serve-smoke: submitting 3-job batch"
-batch=$(curl -fsS -m 180 -H 'Content-Type: application/json' \
-    -d '{"jobs":[
-        {"id":"batch-0","class":"analyze","app":"npb-cg","input":"test","threads":4},
-        {"id":"batch-1","class":"analyze","app":"npb-cg","input":"test","threads":4},
-        {"id":"batch-2","class":"analyze","app":"npb-ft","input":"test","threads":4}]}' \
-    "$base/v1/batch")
-echo "$batch" | grep -q '"succeeded":3' || fail "batch did not succeed all 3 jobs: $batch"
-for id in batch-0 batch-1 batch-2; do
-    echo "$batch" | grep -q "\"id\":\"$id\"" || fail "batch response missing per-job result $id: $batch"
+# post_job <id> <app> <outfile>: one POST /v1/jobs in the background. The
+# body lands in <outfile> whatever the status (a drained or canceled job
+# answers 503 with a typed outcome, which is still an answer).
+post_job() {
+    curl -sS -m 180 -H 'Content-Type: application/json' \
+        -d "{\"id\":\"$1\",\"class\":\"analyze\",\"app\":\"$2\",\"input\":\"test\",\"threads\":4}" \
+        "$base/v1/jobs" >"$3" &
+}
+
+echo "serve-smoke: submitting 3 concurrent jobs"
+curlpids=()
+for spec in conc-0:npb-cg conc-1:npb-cg conc-2:npb-ft; do
+    post_job "${spec%%:*}" "${spec##*:}" "$workdir/${spec%%:*}.json"
+    curlpids+=($!)
 done
-echo "serve-smoke: batch ok"
+for cp in "${curlpids[@]}"; do
+    wait "$cp" || fail "concurrent job request failed outright"
+done
+for id in conc-0 conc-1 conc-2; do
+    out=$(cat "$workdir/$id.json")
+    echo "$out" | grep -q "\"id\":\"$id\"" || fail "job $id did not get its own result: $out"
+    echo "$out" | grep -q '"summary"' || fail "job $id did not succeed: $out"
+done
+echo "serve-smoke: concurrent jobs ok"
 
 health=$(curl -fsS "$base/healthz")
-echo "$health" | grep -q '"batches":1' || fail "/healthz does not count the batch: $health"
-echo "$health" | grep -q '"completed":4' || fail "/healthz does not count batch sub-jobs: $health"
+echo "$health" | grep -q '"completed":4' || fail "/healthz does not count the concurrent jobs: $health"
 
-echo "serve-smoke: sending SIGTERM mid-batch"
-# Launch a batch of cold (un-memoized) workloads and drain while it is
-# in flight. Whatever the race — sub-jobs finished, flushed as drained,
-# or canceled mid-run — the batch must answer with 3 dispositions and
-# the daemon must exit 0.
-curl -fsS -m 180 -H 'Content-Type: application/json' \
-    -d '{"jobs":[
-        {"id":"drain-0","class":"analyze","app":"npb-bt","input":"test","threads":4},
-        {"id":"drain-1","class":"analyze","app":"npb-lu","input":"test","threads":4},
-        {"id":"drain-2","class":"analyze","app":"npb-sp","input":"test","threads":4}]}' \
-    "$base/v1/batch" >"$workdir/drain_batch.json" &
-curlpid=$!
-# Signal only once the server has actually received the batch, so the
-# drain genuinely races the in-flight request rather than the connect.
+echo "serve-smoke: sending SIGTERM with 3 jobs in flight"
+# Launch three cold (un-memoized) workloads and drain while they are in
+# flight. Whatever the race — finished, flushed as drained, or canceled
+# mid-run — each request must be answered with a disposition of its own
+# and the daemon must exit 0.
+curlpids=()
+for spec in drain-0:npb-bt drain-1:npb-lu drain-2:npb-sp; do
+    post_job "${spec%%:*}" "${spec##*:}" "$workdir/${spec%%:*}.json"
+    curlpids+=($!)
+done
+# Signal only once the server has admitted all three, so the drain
+# genuinely races in-flight requests rather than their connects.
 for _ in $(seq 1 100); do
-    curl -fsS -m 5 "$base/healthz" 2>/dev/null | grep -q '"batches":2' && break
-    kill -0 "$curlpid" 2>/dev/null || break
+    curl -fsS -m 5 "$base/healthz" 2>/dev/null | grep -q '"admitted":7' && break
     sleep 0.05
 done
 kill -TERM "$pid"
 rc=0
 wait "$pid" || rc=$?
 [[ "$rc" -eq 0 ]] || fail "daemon exited $rc after SIGTERM, want 0"
-wait "$curlpid" || fail "mid-drain batch request failed outright"
-drain_batch=$(cat "$workdir/drain_batch.json")
-for id in drain-0 drain-1 drain-2; do
-    echo "$drain_batch" | grep -q "\"id\":\"$id\"" || \
-        fail "mid-drain batch lost sub-job $id: $drain_batch"
+for cp in "${curlpids[@]}"; do
+    wait "$cp" || fail "mid-drain job request failed outright"
 done
-echo "serve-smoke: mid-drain batch answered every sub-job"
+for id in drain-0 drain-1 drain-2; do
+    out=$(cat "$workdir/$id.json")
+    echo "$out" | grep -Eq '"summary"|"outcome":"(drained|canceled|shed_drain)"' || \
+        fail "mid-drain job $id got no disposition: $out"
+done
+echo "serve-smoke: every mid-drain job was answered"
 grep -q 'drained clean=' "$srvlog" || fail "daemon did not report its drain"
 if grep -q 'drained clean=true' "$srvlog"; then
     [[ ! -e "$workdir/pending.jsonl" ]] || fail "clean drain left a pending checkpoint"
