@@ -34,7 +34,7 @@ test-race:
 test-faults:
 	for seed in 1 2 3 4 5; do \
 		FAULTS_SEED=$$seed go test -race \
-			-run 'Fault|Corrupt|Quarantine|Degrad|Resume|Retry|Truncat|Panic' \
+			-run 'Fault|Corrupt|Quarantine|Degrad|Resume|Retr|AttemptCap|Truncat|Panic' \
 			./internal/faults/ ./internal/pool/ ./internal/pinball/ \
 			./internal/core/ ./internal/harness/ ./internal/exec/ \
 			./internal/serve/ ./internal/campaign/ . \

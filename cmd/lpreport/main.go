@@ -45,8 +45,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "log per-application progress")
 		resume    = flag.String("resume", "", "journal completed evaluations to this file and skip ones already journaled — a killed run restarts where it stopped")
 		degraded  = flag.Bool("degraded", false, "tolerate per-region simulation failures: drop the region, reweight the prediction, and mark the report degraded")
-		retries   = flag.Int("retries", 1, "attempts per region simulation (transient failures are retried with backoff)")
-		regionTO  = flag.Duration("region-timeout", 0, "per-attempt time limit for one region simulation (0 = none)")
 		minCov    = flag.Float64("min-coverage", 0, "degraded mode: minimum surviving fraction of extrapolation weight (0 = default 0.9, negative = no floor)")
 		selector  = flag.String("selector", "", "selection engine for every experiment (default simpoint); the engines experiment always sweeps all of them")
 		budget    = flag.Int("budget", 0, "stratified engine: total region draw budget (0 = 2x cluster count)")
@@ -80,8 +78,6 @@ func main() {
 		InputOverride: workloads.InputClass(*input),
 		Resume:        *resume,
 		Degraded:      *degraded,
-		Retries:       *retries,
-		RegionTimeout: *regionTO,
 		MinCoverage:   *minCov,
 		Selector:      *selector,
 		SampleBudget:  *budget,

@@ -2,9 +2,9 @@
 // profiling/clustering/simulation jobs arrive as HTTP/JSON, run on the
 // shared memoizing evaluator, and are protected by the internal/serve
 // stack — admission control with a bounded queue and 429 load shedding,
-// per-class circuit breakers, per-request deadlines, a server-wide
-// retry budget, and graceful SIGTERM drain that checkpoints unfinished
-// jobs for resubmission.
+// per-class circuit breakers, per-request deadlines, and graceful
+// SIGTERM drain that checkpoints unfinished jobs for resubmission. A job
+// runs once; lpcoord retries a failed one on another worker.
 //
 //	lpserved -quick -slice 2000            # fast smoke configuration
 //	lpserved -addr 127.0.0.1:0             # ephemeral port, printed at boot
@@ -60,10 +60,6 @@ func main() {
 
 		progressDir = flag.String("progress-dir", "", "durable progress directory: each analysis's recording and graph and every finished region simulation persist here, and a restarted daemon resumes from them instead of redoing the work (empty disables)")
 
-		retryBudget = flag.Float64("retry-budget", serve.DefaultRetryBudget, "maximum banked retry tokens (negative disables job retries)")
-		retryRatio  = flag.Float64("retry-ratio", serve.DefaultRetryRatio, "retry tokens earned per admitted job")
-		maxRetries  = flag.Int("max-retries", serve.DefaultMaxRetries, "cap on client-requested extra attempts per job")
-
 		brFailures = flag.Int("breaker-failures", serve.DefaultFailureThreshold, "consecutive failures that trip a job class's circuit breaker")
 		brOpen     = flag.Duration("breaker-open", serve.DefaultOpenFor, "how long a tripped breaker holds open before probing")
 		brProbes   = flag.Int("breaker-probes", serve.DefaultHalfOpenProbes, "half-open probe slots (and successes required to close)")
@@ -74,7 +70,6 @@ func main() {
 		input    = flag.String("input", "", "override every job's input class (e.g. test) — smoke runs only")
 		resume   = flag.String("resume", "", "evaluator resume journal: completed evaluations persist across restarts")
 		degraded = flag.Bool("degraded", false, "tolerate per-region simulation failures inside evaluations")
-		retries  = flag.Int("retries", 1, "attempts per region simulation inside an evaluation")
 		verbose  = flag.Bool("v", false, "log evaluator progress to stderr")
 	)
 	flag.Parse()
@@ -94,7 +89,6 @@ func main() {
 		InputOverride: workloads.InputClass(*input),
 		Resume:        *resume,
 		Degraded:      *degraded,
-		Retries:       *retries,
 		ProgressDir:   *progressDir,
 		Progress:      progress,
 	}
@@ -109,9 +103,6 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		DrainDeadline:   *drainDL,
-		MaxRetries:      *maxRetries,
-		RetryBudget:     *retryBudget,
-		RetryRatio:      *retryRatio,
 		Breaker: serve.BreakerOpts{
 			FailureThreshold: *brFailures,
 			OpenFor:          *brOpen,

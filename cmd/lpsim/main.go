@@ -43,8 +43,6 @@ func main() {
 		constrain  = flag.Bool("constrained", false, "with -checkpoint: constrained replay instead of unconstrained simulation")
 		dumpTrace  = flag.String("dump-trace", "", "record the workload and write an instruction trace to this file (no timing simulation)")
 		fromTrace  = flag.String("from-trace", "", "run a timing-only simulation of a trace file (-n selects the core count; no workload executes)")
-		retries    = flag.Int("retries", 1, "attempts per checkpoint simulation in directory mode (transient failures are retried with backoff)")
-		regionTO   = flag.Duration("region-timeout", 0, "per-attempt time limit for one checkpoint simulation in directory mode (0 = none)")
 		minCov     = flag.Float64("min-coverage", 1.0, "directory mode: minimum fraction of checkpoints that must simulate; bad pinballs are quarantined and the rest continue, but falling below this exits nonzero")
 		confid     = flag.Float64("confidence", 0.95, "directory mode: level for the across-checkpoint IPC confidence interval")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile to this file")
@@ -137,8 +135,7 @@ func main() {
 	case *checkpoint != "":
 		if fi, err := os.Stat(*checkpoint); err == nil && fi.IsDir() {
 			simulateCheckpointDir(w, cfg, *checkpoint, dirOpts{
-				jobs: *jobs, constrain: *constrain,
-				retries: *retries, regionTimeout: *regionTO, minCoverage: *minCov,
+				jobs: *jobs, constrain: *constrain, minCoverage: *minCov,
 				confidence: *confid,
 			})
 			return
@@ -192,12 +189,10 @@ func main() {
 
 // dirOpts bundles the directory-mode knobs.
 type dirOpts struct {
-	jobs          int
-	constrain     bool
-	retries       int
-	regionTimeout time.Duration
-	minCoverage   float64
-	confidence    float64
+	jobs        int
+	constrain   bool
+	minCoverage float64
+	confidence  float64
 }
 
 // simulateCheckpointDir simulates every region pinball in dir on a
@@ -207,9 +202,9 @@ type dirOpts struct {
 // print in name order regardless of which worker finished first.
 //
 // The sweep is fault-tolerant: a pinball that fails to load or simulate
-// (after -retries attempts) is quarantined — reported and skipped — and
-// the remaining checkpoints still complete. The exit status is nonzero
-// only when the surviving fraction falls below -min-coverage.
+// is quarantined — reported and skipped — and the remaining checkpoints
+// still complete. The exit status is nonzero only when the surviving
+// fraction falls below -min-coverage.
 func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string, opts dirOpts) {
 	files, err := filepath.Glob(filepath.Join(dir, "*.pinball"))
 	if err != nil {
@@ -240,11 +235,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 		pb   *pinball.Pinball
 		host time.Duration
 	}
-	pbs, loadErrs, err := pool.MapWith(context.Background(), len(files), pool.Options{
-		Width:    width,
-		Attempts: opts.retries,
-		Degraded: true,
-	},
+	pbs, loadErrs, err := pool.MapWith(context.Background(), len(files), pool.Options{Width: width, Degraded: true},
 		func(_ context.Context, i int) (loaded, error) {
 			start := time.Now()
 			pb, err := pinball.Load(files[i])
@@ -266,12 +257,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 	// arenas); the identity tests pin reused reports byte-identical to
 	// fresh construction at every width.
 	sims := &timing.Arena{Cfg: cfg}
-	runs, errs, err := pool.MapWith(context.Background(), len(files), pool.Options{
-		Width:       width,
-		Attempts:    opts.retries,
-		ItemTimeout: opts.regionTimeout,
-		Degraded:    true,
-	},
+	runs, errs, err := pool.MapWith(context.Background(), len(files), pool.Options{Width: width, Degraded: true},
 		func(_ context.Context, i int) (regionRun, error) {
 			if loadErrs[i] != nil {
 				return regionRun{}, loadErrs[i]

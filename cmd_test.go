@@ -200,32 +200,22 @@ func TestCmdLpsimQuarantine(t *testing.T) {
 	}
 }
 
-// TestCmdLpsimEnvFaultRetry injects a transient region fault through the
-// FAULTS_PLAN environment and requires -retries to absorb it.
-func TestCmdLpsimEnvFaultRetry(t *testing.T) {
+// TestCmdLpsimEnvFaultQuarantine injects a transient region fault
+// through the FAULTS_PLAN environment and requires directory-mode lpsim
+// to quarantine the faulted checkpoint and finish the rest: a checkpoint
+// simulation runs once, and the quarantine is what absorbs its failure.
+func TestCmdLpsimEnvFaultQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	goRun(t, "./cmd/lpprofile", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-slice", "3000", "-save-regions", dir)
 	env := []string{"FAULTS_PLAN=lpsim.region:transient:1:1", "FAULTS_SEED=1"}
-
-	// Without retries the injected fault quarantines a checkpoint.
 	out, err := goRunEnv(env, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-checkpoint", dir, "-min-coverage", "0.1")
 	if err != nil {
 		t.Fatalf("faulted sweep failed outright: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "QUARANTINED") {
-		t.Fatalf("injected fault did not quarantine a checkpoint:\n%s", out)
-	}
-
-	// With an attempt budget the retry absorbs the transient fault.
-	out, err = goRunEnv(env, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
-		"-checkpoint", dir, "-retries", "3")
-	if err != nil {
-		t.Fatalf("sweep with -retries failed: %v\n%s", err, out)
-	}
-	if strings.Contains(out, "QUARANTINED") {
-		t.Errorf("-retries 3 did not absorb the transient fault:\n%s", out)
+	if !strings.Contains(out, "QUARANTINED") || !strings.Contains(out, "quarantined    1 of") {
+		t.Fatalf("injected fault did not quarantine exactly one checkpoint:\n%s", out)
 	}
 }
 

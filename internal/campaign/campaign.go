@@ -43,11 +43,11 @@ type Spec struct {
 }
 
 // Normalize maps a job spec to its canonical form: per-request plumbing
-// (ID, deadline, retries) cleared, and the evaluator's documented
+// (ID, deadline) cleared, and the evaluator's documented
 // defaults spelled out, so "empty means default" and the explicit
 // default are one job, not two.
 func Normalize(j serve.JobRequest) serve.JobRequest {
-	j.ID, j.DeadlineMS, j.Retries = "", 0, 0
+	j.ID, j.DeadlineMS = "", 0
 	if j.Input == "" {
 		j.Input = "train"
 	}
@@ -95,14 +95,14 @@ func (r *Result) CanonicalBytes() ([]byte, error) {
 }
 
 // CanonicalResult strips a worker's result of everything that varies
-// between runs of the same job — queue wait, run time, attempt count,
-// server-minted vs key-derived id — leaving only what the job computed.
+// between runs of the same job — queue wait, run time, server-minted vs
+// key-derived id — leaving only what the job computed.
 // Two honest executions of one key must produce byte-identical canonical
 // results; anything else is a determinism bug and the duplicate
 // comparison will say so.
 func CanonicalResult(key string, res *serve.JobResult) *serve.JobResult {
 	c := *res
 	c.ID = key
-	c.QueueWaitMS, c.RunMS, c.Attempts = 0, 0, 0
+	c.QueueWaitMS, c.RunMS = 0, 0
 	return &c
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +43,7 @@ type fakeWorker struct {
 	shedFirst int // answer 503 to the first N claims
 	hangFirst int // block the first N claims until their ctx dies
 	badReq    bool
+	delay     time.Duration // answer each successful claim this late
 }
 
 func (f *fakeWorker) Name() string                    { return f.name }
@@ -66,6 +69,7 @@ func (f *fakeWorker) Claim(ctx context.Context, key string, leaseMS int64, job s
 	case bad:
 		return &ClaimOutcome{Status: http.StatusBadRequest, Outcome: "bad_request", Err: "injected bad request"}, nil
 	}
+	time.Sleep(f.delay)
 	res := fakeResult(job)
 	res.ID = key
 	return &ClaimOutcome{Status: http.StatusOK, Outcome: "ok", Result: res}, nil
@@ -109,7 +113,7 @@ func runCampaign(t *testing.T, cfg Config, workers []WorkerClient, spec Spec) *R
 
 func TestKeyTaggedNormalizes(t *testing.T) {
 	explicit := serve.JobRequest{ID: "x", Class: serve.ClassAnalyze, App: "npb-cg",
-		Input: "train", Policy: "passive", Core: "ooo", DeadlineMS: 5000, Retries: 2}
+		Input: "train", Policy: "passive", Core: "ooo", DeadlineMS: 5000}
 	implicit := serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg"}
 	if KeyTagged("t", explicit) != KeyTagged("t", implicit) {
 		t.Fatal("spelled-out defaults and empty defaults should share a key")
@@ -258,6 +262,65 @@ func TestCoordinatorRetriesTransientFaults(t *testing.T) {
 	}
 	if rep.Stats.Dispatched < 4+3+2 {
 		t.Fatalf("dispatched %d, want at least %d (retries burn dispatches)", rep.Stats.Dispatched, 9)
+	}
+}
+
+// TestCoordinatorAttemptCapBoundsDispatches: the coordinator is the one
+// retry bound. A real worker whose runner always fails answers each
+// claim once, so a campaign of n jobs with MaxAttempts m dispatches
+// exactly n·m claims, runs the job no more often than that, fails every
+// job and settles — retries cannot amplify below the coordinator.
+func TestCoordinatorAttemptCapBoundsDispatches(t *testing.T) {
+	const n, m = 4, 3
+	var runs atomic.Int64
+	s := serve.New(serve.Config{MaxInflight: 2, QueueDepth: 8, Breaker: serve.BreakerOpts{FailureThreshold: 1000}},
+		func(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
+			runs.Add(1)
+			return nil, fmt.Errorf("deterministic failure")
+		})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Drain()
+	})
+	cfg := quickConfig("cap")
+	cfg.Lease, cfg.RequestTimeout = time.Second, 2*time.Second // no steals
+	cfg.MaxAttempts = m
+	cfg.Breaker.FailureThreshold = 1000
+	rep := runCampaign(t, cfg, []WorkerClient{NewHTTPWorker("w", ts.URL)}, npbSpec(n))
+	if rep.Stats.Failed != n || rep.Stats.Completed != 0 {
+		t.Fatalf("want all %d jobs failed: %s", n, rep.Stats.Line())
+	}
+	if rep.Stats.Dispatched != n*m {
+		t.Fatalf("dispatched %d, want n·m = %d: %s", rep.Stats.Dispatched, n*m, rep.Stats.Line())
+	}
+	if got := runs.Load(); got > int64(rep.Stats.Dispatched) {
+		t.Fatalf("runner invoked %d times for %d dispatches: the worker re-ran jobs", got, rep.Stats.Dispatched)
+	}
+}
+
+// TestCoordinatorBreakerSkipsFailingWorker: a worker whose every claim
+// fails trips its dispatch breaker and stops being sent claims — the
+// healthy (and slower) worker finishes the campaign — instead of taking
+// its share of every job's attempts.
+func TestCoordinatorBreakerSkipsFailingWorker(t *testing.T) {
+	bad := &fakeWorker{name: "bad", failFirst: 1 << 30}
+	cfg := quickConfig("breaker")
+	cfg.Breaker = serve.BreakerOpts{FailureThreshold: 1, OpenFor: time.Minute}
+	var spec Spec
+	for i := 1; i <= 32; i++ {
+		spec.Jobs = append(spec.Jobs, serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg", Threads: i})
+	}
+	rep := runCampaign(t, cfg, []WorkerClient{bad, &fakeWorker{name: "good", delay: 2 * time.Millisecond}}, spec)
+	if rep.Stats.Failed != 0 || rep.Stats.Completed != 32 {
+		t.Fatalf("stats %s", rep.Stats.Line())
+	}
+	bad.mu.Lock()
+	claims := bad.claims
+	bad.mu.Unlock()
+	if limit := 2 * DefaultWorkerInflight; claims > limit {
+		t.Fatalf("the failing worker got %d claims, want <= %d once its breaker tripped", claims, limit)
 	}
 }
 

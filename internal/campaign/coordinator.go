@@ -411,7 +411,9 @@ func (c *Coordinator) steal(t *task) {
 
 // retryLater re-enqueues t after its seeded full-jitter backoff, or
 // declares it failed once the attempt budget is spent with nothing in
-// flight.
+// flight. It is the system's one retry loop: a worker runs a job once
+// and its region sweep simulates each region once, so every retry is a
+// fresh dispatch that any worker, the failed one included, may pop.
 func (c *Coordinator) retryLater(t *task, attempt int, reason string) {
 	c.mu.Lock()
 	if t.done {
@@ -424,8 +426,7 @@ func (c *Coordinator) retryLater(t *task, attempt int, reason string) {
 		c.mu.Unlock()
 		return
 	}
-	delay := pool.BackoffDelay(pool.Options{Backoff: c.cfg.Backoff, MaxBackoff: c.cfg.MaxBackoff},
-		attempt, &t.jitter)
+	delay := pool.BackoffDelay(c.cfg.Backoff, c.cfg.MaxBackoff, attempt, &t.jitter)
 	c.mu.Unlock()
 	c.logf("campaign: retrying %s (attempt %d) in %v: %s", t.key, attempt, delay, reason)
 	c.pushAfter(t, delay)

@@ -23,13 +23,13 @@ var ErrLowCoverage = errors.New("core: residual coverage below threshold")
 // estimate.
 const DefaultMinCoverage = 0.9
 
-// RegionFailure records one looppoint whose simulation failed after its
-// attempt budget. Err is a string, not an error, so failures serialize
-// cleanly into the harness resume journal.
+// RegionFailure records one looppoint whose simulation failed. Err is a
+// string, not an error, so failures serialize cleanly into the harness
+// resume journal.
 type RegionFailure struct {
 	// Region is the failed looppoint's region index.
 	Region int `json:"region"`
-	// Err is the final attempt's error text.
+	// Err is the simulation's error text.
 	Err string `json:"err"`
 	// Weight is the share of the selection's extrapolation mass
 	// (multiplier × filtered work) this looppoint carried.
@@ -63,14 +63,9 @@ type SimOpts struct {
 	// Width bounds the sweep's simulations in flight (<= 0: one per CPU);
 	// under Run it is one budget shared with an overlapped full run.
 	Width int
-	// Degraded enables collect-what-you-can mode: a region that still
-	// fails after its attempt budget is dropped and recorded instead of
-	// aborting the sweep.
+	// Degraded enables collect-what-you-can mode: a region that fails is
+	// dropped and recorded instead of aborting the sweep.
 	Degraded bool
-	// Attempts is the per-region attempt budget (<= 1: single attempt).
-	Attempts int
-	// RegionTimeout bounds each simulation attempt (0: none).
-	RegionTimeout time.Duration
 	// MinCoverage is the residual-coverage floor in degraded mode.
 	// Falling below it returns ErrLowCoverage. Zero means
 	// DefaultMinCoverage; a negative value disables the floor entirely
@@ -89,7 +84,7 @@ type SimOpts struct {
 }
 
 // simGauge, replaced only by tests, sees every detailed simulation — the
-// full run (full) or one region attempt — start (+1) and end (-1).
+// full run (full) or one region — start (+1) and end (-1).
 var simGauge = func(full bool, delta int) {}
 
 // RegionSpecs describes every looppoint's region checkpoint for
@@ -144,9 +139,9 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 // simulateOneRegion runs one looppoint's detailed simulation. Injection
 // site "core.region.sim" can force transient failures, slow calls, or
 // panics here — the unit of failure the degraded mode tolerates. The
-// simulation kernel itself is CPU-bound and does not poll ctx;
-// RetryValue's check before each attempt plus the pool's per-item claim
-// check are what make a cancelled sweep stop at region boundaries.
+// simulation kernel itself is CPU-bound and does not poll ctx; the pool's
+// per-item claim check plus SimulateRegions' check once a region holds its
+// slot are what make a cancelled sweep stop at region boundaries.
 func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
 	if err := faults.Check("core.region.sim"); err != nil {
 		return RegionResult{}, err
@@ -180,13 +175,15 @@ func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinba
 // the per-region statistics — and therefore the extrapolated prediction —
 // are byte-identical at any width; only host time varies.
 //
-// In strict mode (Degraded false) the first failure (after any per-region
-// retries) aborts the sweep and the returned Degradation is nil. In
-// degraded mode every region gets its attempt budget; regions that still
-// fail are dropped, their loss is recorded in the returned Degradation,
-// and the surviving results are returned in region order. If the
-// surviving extrapolation mass falls below MinCoverage the sweep fails
-// with ErrLowCoverage.
+// Each region is simulated once: it is a deterministic function of its
+// checkpoint, so a second run in place would fail the same way.
+//
+// In strict mode (Degraded false) the first failure aborts the sweep and
+// the returned Degradation is nil. In degraded mode every region runs;
+// regions that fail are dropped, their loss is recorded in the returned
+// Degradation, and the surviving results are returned in region order. If
+// the surviving extrapolation mass falls below MinCoverage the sweep
+// fails with ErrLowCoverage.
 //
 // Cancellation or deadline expiry of ctx stops the sweep at the next
 // region boundary instead of draining the queue, unstarted regions report
@@ -204,8 +201,6 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	if slots == nil { // never blocks: the pool runs at most one worker per point
 		slots = make(chan struct{}, len(sel.Points))
 	}
-	popts := pool.Options{Width: opts.Width, Degraded: opts.Degraded}
-	attempt := pool.Options{Attempts: opts.Attempts, ItemTimeout: opts.RegionTimeout}
 	arena := opts.arena
 	if arena == nil {
 		arena = &timing.Arena{Cfg: simCfg}
@@ -215,18 +210,19 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	// re-simulating (see simprogress.go); sp is nil otherwise.
 	sp := openSimProgress(sel, simCfg)
 	defer sp.close()
-	results, errs, err := pool.MapWith(ctx, len(sel.Points), popts,
+	results, errs, err := pool.MapWith(ctx, len(sel.Points), pool.Options{Width: opts.Width, Degraded: opts.Degraded},
 		func(ctx context.Context, i int) (RegionResult, error) {
 			if res, ok := sp.lookup(i); ok {
 				return res, nil
 			}
-			// Attempts run inside the slot, so the wait for it is outside
-			// the RegionTimeout clock and outside HostTime.
+			// The simulation runs inside the slot, so the wait for it is
+			// outside HostTime; a sweep cancelled during the wait stops here.
 			slots <- struct{}{}
 			defer func() { <-slots }()
-			res, err := pool.RetryValue(ctx, attempt, func(context.Context) (RegionResult, error) {
-				return simulateOneRegion(sel, arena, checkpoints, i)
-			})
+			if err := ctx.Err(); err != nil {
+				return RegionResult{}, err
+			}
+			res, err := simulateOneRegion(sel, arena, checkpoints, i)
 			if err == nil {
 				sp.record(i, res)
 			}

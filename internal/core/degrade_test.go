@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -59,35 +58,6 @@ func TestDegradedDropsFailedRegion(t *testing.T) {
 	want := 1 - deg.Failed[0].Weight
 	if math.Abs(deg.ResidualCoverage-want) > 1e-12 {
 		t.Errorf("residual coverage %f, want %f", deg.ResidualCoverage, want)
-	}
-}
-
-// TestDegradedRetryRecovers: a transient single-shot fault plus a retry
-// budget yields a complete, byte-identical sweep.
-func TestDegradedRetryRecovers(t *testing.T) {
-	sel := testSelection(t)
-	strict, err := simulateAll(sel, timing.Gainestown(4), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer faults.Enable(faults.NewPlan(1,
-		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	results, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
-		Width: 1, Degraded: true, Attempts: 3,
-	})
-	if err != nil {
-		t.Fatalf("sweep with retries failed: %v", err)
-	}
-	if deg.Degraded() {
-		t.Fatalf("degradation = %+v, want complete recovery", deg)
-	}
-	if len(results) != len(strict) {
-		t.Fatalf("%d results, want %d", len(results), len(strict))
-	}
-	for i := range results {
-		if !reflect.DeepEqual(results[i].Stats, strict[i].Stats) {
-			t.Errorf("region %d stats differ after recovered retry", i)
-		}
 	}
 }
 

@@ -283,32 +283,52 @@ func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 			t.Error("degraded report lost the full run's comparison")
 		}
 	})
+
+	t.Run("slow-region", func(t *testing.T) {
+		// A region that runs long stays inside its slot until it ends: Run
+		// returns only after every simulation it started has ended, and the
+		// slow region never pushes the width past its budget.
+		defer faults.Enable(faults.NewPlan(1, faults.Rule{
+			Site: "core.region.sim", Kind: faults.Slow, Rate: 1, Count: 1, Delay: 200 * time.Millisecond}))()
+		w := watchSims(t, 0)
+		rep, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.settled(t, 1)
+		if w.peak > 2 {
+			t.Errorf("%d simulations in flight at once, want <= 2", w.peak)
+		}
+		if len(rep.Regions) != len(rep.Selection.Points) {
+			t.Errorf("%d of %d regions simulated", len(rep.Regions), len(rep.Selection.Points))
+		}
+	})
 }
 
-// TestRunBudgetSlotWaitOutsideRegionTimeout: a region that waits for a
-// slot longer than RegionTimeout — as it does behind a full run far
-// longer than any region — does not time out: the clock starts when it
-// holds the slot. The test plays the full run itself, holding the only
-// slot of a width-1 budget for twice the timeout.
-func TestRunBudgetSlotWaitOutsideRegionTimeout(t *testing.T) {
+// TestRunBudgetSlotWaitOutsideHostTime: a region that waits for a slot —
+// as it does behind a full run far longer than any region — starts its
+// HostTime clock when it holds the slot, not when it starts waiting. The
+// test plays the full run itself, holding the only slot of a width-1
+// budget for hold.
+func TestRunBudgetSlotWaitOutsideHostTime(t *testing.T) {
 	sel := testSelection(t)
-	const timeout = 250 * time.Millisecond
+	const hold = 500 * time.Millisecond
 	slots := make(chan struct{}, 1)
 	slots <- struct{}{}
 	released := make(chan time.Time, 1)
 	go func() {
-		time.Sleep(2 * timeout)
+		time.Sleep(hold)
 		released <- time.Now()
 		<-slots
 	}()
 	res, _, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
-		Width: 1, RegionTimeout: timeout, slots: slots,
+		Width: 1, slots: slots,
 	})
 	if err != nil {
 		t.Fatalf("sweep behind a held slot: %v", err)
 	}
 	for _, r := range res {
-		if r.HostTime >= timeout {
+		if r.HostTime >= hold/2 {
 			t.Errorf("region %d: HostTime %v includes the slot wait", r.Point.Region.Index, r.HostTime)
 		}
 	}

@@ -111,10 +111,6 @@ type RunOpts struct {
 	// are dropped, recorded in Report.Degradation, and the prediction is
 	// reweighted by the residual coverage.
 	Degraded bool
-	// Retries is the per-region attempt budget (<= 1: single attempt).
-	Retries int
-	// RegionTimeout bounds each region-simulation attempt (0: none).
-	RegionTimeout time.Duration
 	// MinCoverage is the degraded-mode residual-coverage floor
 	// (0: DefaultMinCoverage; negative: no floor).
 	MinCoverage float64
@@ -188,13 +184,11 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timin
 		return nil, err
 	}
 	regions, deg, err := SimulateRegions(ctx, sel, simCfg, SimOpts{
-		Width:         opts.Width,
-		Degraded:      opts.Degraded,
-		Attempts:      opts.Retries,
-		RegionTimeout: opts.RegionTimeout,
-		MinCoverage:   opts.MinCoverage,
-		slots:         slots,
-		arena:         arena,
+		Width:       opts.Width,
+		Degraded:    opts.Degraded,
+		MinCoverage: opts.MinCoverage,
+		slots:       slots,
+		arena:       arena,
 	})
 	if err != nil {
 		return nil, err
@@ -220,7 +214,10 @@ type fullRun struct {
 // simulateFull runs the reference simulation in one slot of the budget,
 // unless ctx is already done; a panic comes back as a *pool.PanicError.
 func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, slots chan struct{}) fullRun {
-	f, err := pool.RetryValue(ctx, pool.Options{}, func(ctx context.Context) (fullRun, error) {
+	if err := ctx.Err(); err != nil {
+		return fullRun{err: err}
+	}
+	f, err := pool.Protect(func() (fullRun, error) {
 		slots <- struct{}{}
 		defer func() { <-slots }()
 		simGauge(true, +1)

@@ -8,8 +8,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"looppoint/internal/core"
+	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/timing"
 )
@@ -161,5 +163,52 @@ func TestReportCancelledFailsFast(t *testing.T) {
 	}
 	if rep == nil || e.Evaluations() != 1 {
 		t.Fatalf("live-context evaluation did not run (evals=%d)", e.Evaluations())
+	}
+}
+
+// TestReportJoinerOutlivesLeaderCancel: a caller that joins another
+// caller's in-flight evaluation of the same key is not answered with that
+// caller's cancellation. A slow fault at harness.report holds A inside its
+// evaluation while B joins it with a live context; A is then cancelled
+// and its evaluation ends canceled, and B — failures are not cached —
+// leads a fresh evaluation and gets its report: two evaluations in all.
+func TestReportJoinerOutlivesLeaderCancel(t *testing.T) {
+	e := smokeEvaluator()
+	k := ReportKey{App: "644.nab_s.1", Policy: omp.Passive, Input: e.Opts.trainInput(), Threads: e.Opts.Threads}
+	plan := faults.NewPlan(1, faults.Rule{Site: "harness.report", Kind: faults.Slow, Rate: 1, Count: 1,
+		Delay: 300 * time.Millisecond})
+	defer faults.Enable(plan)()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := e.Report(ctxA, k)
+		errA <- err
+	}()
+	for plan.Fired("harness.report") == 0 { // A now leads the flight, held by the fault
+		time.Sleep(time.Millisecond)
+	}
+	type result struct {
+		rep *core.Report
+		err error
+	}
+	resB := make(chan result, 1)
+	go func() {
+		rep, err := e.Report(context.Background(), k)
+		resB <- result{rep, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // B attaches to A's flight while the fault holds A
+	cancelA()
+
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("A: err = %v, want context.Canceled", err)
+	}
+	b := <-resB
+	if b.err != nil || b.rep == nil {
+		t.Fatalf("B inherited A's cancellation: %v", b.err)
+	}
+	if n := e.Evaluations(); n != 2 {
+		t.Fatalf("evaluations = %d, want 2 (A's cancelled one, B's fresh one)", n)
 	}
 }

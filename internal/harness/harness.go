@@ -17,6 +17,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -61,17 +62,13 @@ type Options struct {
 	// and every new evaluation is appended — a killed campaign restarts
 	// where it stopped. Corrupt journal lines are dropped, and records
 	// journaled under a different evaluator configuration (slice, seed,
-	// degraded/retry knobs) are skipped with a warning rather
-	// than served as this run's numbers; a journal that cannot be opened
-	// is logged and ignored (the run proceeds fresh).
+	// degraded knobs) are skipped with a warning rather than served as
+	// this run's numbers; a journal that cannot be opened is logged and
+	// ignored (the run proceeds fresh).
 	Resume string
 	// Degraded tolerates per-region simulation failures inside each
 	// evaluation (see core.RunOpts.Degraded).
 	Degraded bool
-	// Retries is the per-region attempt budget (<= 1: single attempt).
-	Retries int
-	// RegionTimeout bounds each region-simulation attempt (0: none).
-	RegionTimeout time.Duration
 	// MinCoverage is the degraded-mode residual-coverage floor
 	// (0: core.DefaultMinCoverage; negative: no floor).
 	MinCoverage float64
@@ -216,6 +213,9 @@ type Evaluator struct {
 // memo is a keyed cache behind a singleflight: however many goroutines
 // ask for a key, one of them computes it and the rest share the result.
 // Successes are cached; failures are not, so a later call re-evaluates.
+// A shared computation runs under the context of the caller that started
+// it: when that context ends it, a caller whose own context is live does
+// not inherit the failure but leads or joins a fresh computation.
 // The zero value is ready to use.
 type memo[V any] struct {
 	mu     sync.Mutex
@@ -230,30 +230,36 @@ func (m *memo[V]) lookup(key string) (V, bool) {
 	return v, ok
 }
 
-func (m *memo[V]) do(key string, compute func() (V, error)) (V, error) {
-	if v, ok := m.lookup(key); ok {
-		return v, nil
-	}
-	v, err, _ := m.flight.Do(key, func() (V, error) {
-		// Re-check under the flight: the previous holder of this key may
-		// have stored its result between the lookup above and Do.
+func (m *memo[V]) do(ctx context.Context, key string, compute func() (V, error)) (V, error) {
+	for {
 		if v, ok := m.lookup(key); ok {
 			return v, nil
 		}
-		v, err := compute()
-		if err != nil {
-			var zero V
-			return zero, err
+		v, err, shared := m.flight.Do(key, func() (V, error) {
+			// Re-check under the flight: the previous holder of this key may
+			// have stored its result between the lookup above and Do.
+			if v, ok := m.lookup(key); ok {
+				return v, nil
+			}
+			v, err := compute()
+			if err != nil {
+				var zero V
+				return zero, err
+			}
+			m.mu.Lock()
+			if m.vals == nil {
+				m.vals = make(map[string]V)
+			}
+			m.vals[key] = v
+			m.mu.Unlock()
+			return v, nil
+		})
+		if shared && ctx.Err() == nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue // the leader's context ended the shared computation, not ours
 		}
-		m.mu.Lock()
-		if m.vals == nil {
-			m.vals = make(map[string]V)
-		}
-		m.vals[key] = v
-		m.mu.Unlock()
-		return v, nil
-	})
-	return v, err
+		return v, err
+	}
 }
 
 // NewEvaluator creates an evaluator. When Options.Resume names a
@@ -273,7 +279,7 @@ func NewEvaluator(opts Options) *Evaluator {
 				e.logf("resume: dropped %d corrupt journal line(s) from %s", dropped, opts.Resume)
 			}
 			if mismatched > 0 {
-				e.logf("resume: skipped %d journal record(s) in %s computed under a different configuration (slice/seed/degraded/retry flags); they will be re-evaluated", mismatched, opts.Resume)
+				e.logf("resume: skipped %d journal record(s) in %s computed under a different configuration (slice/seed/degraded flags); they will be re-evaluated", mismatched, opts.Resume)
 			}
 			if len(restored) > 0 {
 				e.logf("resume: restored %d completed evaluation(s) from %s", len(restored), opts.Resume)
@@ -329,7 +335,8 @@ func forEach[T, R any](e *Evaluator, items []T, fn func(T) (R, error)) ([]R, err
 // requests for the same instance share one build.
 func (e *Evaluator) BuildApp(name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*workloads.App, error) {
 	key := fmt.Sprintf("%s/%v/%s/%d", name, policy, input, threads)
-	return e.apps.do(key, func() (*workloads.App, error) {
+	// A build watches no context, so none of its failures is a cancellation.
+	return e.apps.do(context.Background(), key, func() (*workloads.App, error) {
 		spec, ok := workloads.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown workload %q", name)
@@ -360,14 +367,14 @@ type ReportKey struct {
 // the remaining work — the contract the serving layer's per-request
 // deadlines rely on. Cache hits ignore ctx.
 //
-// Singleflight caveat: concurrent callers of the same key share the
-// first caller's evaluation, so cancelling that first caller's context
-// fails the shared attempt for everyone waiting on it (failures are not
-// cached; a later call re-evaluates). Callers that must not be coupled
-// should use distinct keys or an outer retry.
+// Concurrent callers of the same key share one evaluation, run under the
+// context of the caller that started it. If that context ends the
+// evaluation, the callers whose own contexts are still live are not
+// answered with its cancellation: failures are not cached, so each of
+// them leads or joins a fresh evaluation.
 func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, error) {
 	key := fmt.Sprintf("%+v", k)
-	return e.reports.do(key, func() (*core.Report, error) {
+	return e.reports.do(ctx, key, func() (*core.Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -396,8 +403,7 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 		cfg.ProgressKey = progressKey(k.App, k.Policy, k.Input, k.Threads, cfg.Selector)
 		rep, err := core.Run(ctx, app.Prog, cfg, simCfg, core.RunOpts{
 			SimulateFull: k.Full, Width: e.Opts.Parallelism,
-			Degraded: e.Opts.Degraded, Retries: e.Opts.Retries,
-			RegionTimeout: e.Opts.RegionTimeout, MinCoverage: e.Opts.MinCoverage,
+			Degraded: e.Opts.Degraded, MinCoverage: e.Opts.MinCoverage,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", k.App, err)
@@ -417,7 +423,8 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 // (used for the ref-input speedup studies, where full simulation is the
 // very thing being avoided). Concurrent callers share one analysis.
 // Analysis is one CPU-bound phase, so cancellation of ctx is honored at
-// phase boundaries (the same singleflight coupling as Report applies).
+// phase boundaries (a shared analysis ended by another caller's context
+// is re-run for live callers, as in Report).
 func (e *Evaluator) AnalyzeOnly(ctx context.Context, name string, policy omp.WaitPolicy, input workloads.InputClass, threads int) (*core.Selection, *workloads.App, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -427,7 +434,7 @@ func (e *Evaluator) AnalyzeOnly(ctx context.Context, name string, policy omp.Wai
 		return nil, nil, err
 	}
 	key := fmt.Sprintf("%s/%v/%s/%d", name, policy, input, threads)
-	sel, err := e.selections.do(key, func() (*core.Selection, error) {
+	sel, err := e.selections.do(ctx, key, func() (*core.Selection, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

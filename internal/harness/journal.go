@@ -25,7 +25,7 @@ import (
 // a torn final line from a killed run must not poison the restart.
 //
 // ReportKey alone does not pin down a report's numbers — -slice, -seed
-// and the degraded/retry knobs all change what an evaluation produces
+// and the degraded knobs all change what an evaluation produces
 // without appearing in the key. Each record therefore also
 // carries a fingerprint of the evaluator configuration it was computed
 // under, and resume skips (with a warning) records whose fingerprint
@@ -41,12 +41,12 @@ import (
 // v4: the core config lost its reference-engine switch.
 // v5: the core config lost Dims, PilotPerStratum and ProportionalAlloc.
 // v6: the core config lost its durable-epoch width.
-const journalConfigVersion = 6
+// v7: the fingerprint lost the per-region retries and region timeout.
+const journalConfigVersion = 7
 
 // configFingerprint hashes the evaluator configuration that determines a
 // report's numbers beyond its ReportKey: the resolved core config
-// (slice unit, seed, …) plus the degraded-mode and retry
-// knobs. Threads and input are omitted — they are part of every
+// (slice unit, seed, …) plus the degraded-mode knobs. Threads and input are omitted — they are part of every
 // ReportKey — as are Parallelism, Quick, Log, and Resume, which cannot
 // change report bytes. The durable-progress knobs are zeroed first:
 // they move where mid-job checkpoints live, never what an evaluation
@@ -54,8 +54,8 @@ const journalConfigVersion = 6
 // fingerprint stability across restarts).
 func configFingerprint(o Options) string {
 	o.ProgressDir, o.Progress = "", nil
-	sig := fmt.Sprintf("v%d|cfg=%+v|degraded=%v|retries=%d|region_timeout=%v|min_coverage=%v",
-		journalConfigVersion, o.config(), o.Degraded, o.Retries, o.RegionTimeout, o.MinCoverage)
+	sig := fmt.Sprintf("v%d|cfg=%+v|degraded=%v|min_coverage=%v",
+		journalConfigVersion, o.config(), o.Degraded, o.MinCoverage)
 	return fmt.Sprintf("%#x", artifact.Checksum([]byte(sig)))
 }
 

@@ -16,13 +16,11 @@ package pool
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultWidth is the width used when a caller passes width <= 0: one
@@ -45,50 +43,43 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("pool: worker panic: %v\n%s", p.Value, p.Stack)
 }
 
-// Options extends Run/Map with the fault-tolerance knobs the sampling
-// pipeline uses. The zero value reproduces the historical Run/Map
-// behavior exactly: DefaultWidth workers, one attempt per item, no
-// timeout, strict first-error cancellation with panic re-raise.
+// asPanicError wraps a recovered panic value with the current stack,
+// keeping a nested pool's *PanicError (and the stack it captured) as is.
+func asPanicError(r any) *PanicError {
+	if pe, ok := r.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
+// Protect runs fn once and returns a panic in it as a *PanicError error
+// instead of unwinding the caller — for a single call that must report a
+// bug as its result (core's overlapped full run, serve's job) rather than
+// take its goroutine down.
+func Protect[T any](fn func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, err = zero, asPanicError(r)
+		}
+	}()
+	return fn()
+}
+
+// Options extends Run/Map with the degraded mode the sampling pipeline
+// uses. The zero value is Run/Map: DefaultWidth workers, one call per
+// item, strict first-error cancellation with panic re-raise. There is no
+// per-item retry: an item is a deterministic function of its input, so a
+// second call in place fails the same way (DESIGN.md §9).
 type Options struct {
 	// Width bounds concurrent workers; <= 0 means DefaultWidth.
 	Width int
-	// Attempts is the per-item attempt budget (<= 1 means a single
-	// attempt). Failed attempts are retried with Retry's capped
-	// exponential backoff; Permanent-wrapped errors and *PanicError stop
-	// early.
-	Attempts int
-	// Backoff is the delay before the second attempt, doubling each
-	// retry (default 1ms when retries are armed).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 250ms).
-	MaxBackoff time.Duration
-	// ItemTimeout bounds each attempt; 0 means no timeout. See Retry for
-	// the abandoned-goroutine semantics on CPU-bound work: Run/RunWith fn
-	// side effects must tolerate a concurrent abandoned attempt, while
-	// MapWith results are published only after a non-abandoned attempt
-	// succeeds, so pure value-returning fn need no extra care.
-	ItemTimeout time.Duration
 	// Degraded switches the pool from all-or-nothing to collect-what-you-
-	// can: an item's failure (after its attempt budget) no longer cancels
-	// siblings, and a panic in a worker is downgraded to that item's
-	// *PanicError result instead of being re-raised. Per-item errors come
-	// back in the []error slice; callers decide how much failure is
-	// tolerable.
+	// can: an item's failure no longer cancels siblings, and a panic in a
+	// worker is downgraded to that item's *PanicError result instead of
+	// being re-raised. Per-item errors come back in the []error slice;
+	// callers decide how much failure is tolerable.
 	Degraded bool
-	// JitterSeed seeds the deterministic full-jitter stream applied to
-	// Retry's backoff (each delay is drawn uniformly from [0, d] where d
-	// is the capped exponential schedule). Zero draws a distinct seed per
-	// Retry call from a process-wide counter, which desynchronizes
-	// concurrent retriers; tests that need an exact, reproducible delay
-	// schedule fix the seed. RunWith/MapWith derive a distinct per-item
-	// stream from a fixed seed, so sibling items never back off in
-	// lockstep.
-	JitterSeed uint64
-	// NoJitter disables backoff jitter entirely: delays follow the exact
-	// Backoff, 2×Backoff, … doubling. Only for tests that script precise
-	// timing; production callers should keep jitter to avoid synchronized
-	// retry storms.
-	NoJitter bool
 }
 
 // Run executes fn(ctx, i) for every i in [0, n) on at most width
@@ -134,17 +125,6 @@ func RunWith(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	item := fn
-	if opts.Attempts > 1 || opts.ItemTimeout > 0 {
-		item = func(ctx context.Context, i int) error {
-			iopts := opts
-			if iopts.JitterSeed != 0 {
-				iopts.JitterSeed = MixSeed(iopts.JitterSeed, uint64(i))
-			}
-			return Retry(ctx, iopts, func(ctx context.Context) error { return fn(ctx, i) })
-		}
-	}
-
 	errs := make([]error, n)
 	var (
 		next      atomic.Int64
@@ -176,10 +156,7 @@ func RunWith(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							pe, ok := r.(*PanicError)
-							if !ok {
-								pe = &PanicError{Value: r, Stack: debug.Stack()}
-							}
+							pe := asPanicError(r)
 							if opts.Degraded {
 								errs[i] = pe
 								return
@@ -188,15 +165,9 @@ func RunWith(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 							cancel()
 						}
 					}()
-					err := item(ctx, i)
+					err := fn(ctx, i)
 					if err == nil {
 						return
-					}
-					// Retry surfaces worker panics as *PanicError errors;
-					// strict mode owes the caller a re-raise.
-					var pe *PanicError
-					if !opts.Degraded && errors.As(err, &pe) {
-						panic(pe)
 					}
 					errs[i] = err
 					if !opts.Degraded {
@@ -238,33 +209,12 @@ func Map[T any](ctx context.Context, width, n int, fn func(ctx context.Context, 
 // results are kept — the collect-what-you-can contract degradation in
 // core builds on. In strict mode a failure returns the aggregate error
 // and the partial results should be discarded, as with Map.
-//
-// Retries and ItemTimeout are applied here via RetryValue rather than
-// through RunWith's wrapper, so the shared result slice is written only
-// by the pool worker after an attempt RetryValue actually waited for
-// succeeds: an attempt abandoned by ItemTimeout has its value discarded
-// inside RetryValue and can never race a later attempt's write or the
-// caller's read of the results.
 func MapWith[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	out := make([]T, n)
-	retried := opts.Attempts > 1 || opts.ItemTimeout > 0
-	runOpts := opts
-	runOpts.Attempts = 0
-	runOpts.ItemTimeout = 0
-	errs, err := RunWith(ctx, n, runOpts, func(ctx context.Context, i int) error {
-		var v T
-		var ferr error
-		if retried {
-			iopts := opts
-			if iopts.JitterSeed != 0 {
-				iopts.JitterSeed = MixSeed(iopts.JitterSeed, uint64(i))
-			}
-			v, ferr = RetryValue(ctx, iopts, func(ctx context.Context) (T, error) { return fn(ctx, i) })
-		} else {
-			v, ferr = fn(ctx, i)
-		}
-		if ferr != nil {
-			return ferr
+	errs, err := RunWith(ctx, n, opts, func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i)
+		if err != nil {
+			return err
 		}
 		out[i] = v
 		return nil

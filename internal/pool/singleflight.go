@@ -1,9 +1,6 @@
 package pool
 
-import (
-	"runtime/debug"
-	"sync"
-)
+import "sync"
 
 // flightCall is one in-flight computation shared by concurrent callers.
 type flightCall[V any] struct {
@@ -47,7 +44,7 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (val V, err error, shar
 	normal := false
 	defer func() {
 		if !normal {
-			c.err = &PanicError{Value: recover(), Stack: debug.Stack()}
+			c.err = asPanicError(recover())
 		}
 		f.mu.Lock()
 		delete(f.calls, key)

@@ -191,35 +191,3 @@ func TestBreakerTripCounter(t *testing.T) {
 		t.Fatalf("trips %d, want 2", got)
 	}
 }
-
-// TestBudgetBounds: the retry budget denies once drained and refills at
-// Ratio per admitted job, capped at Max.
-func TestBudgetBounds(t *testing.T) {
-	b := NewBudget(2, 0.5)
-	if !b.Withdraw() || !b.Withdraw() {
-		t.Fatal("a full budget must fund two withdrawals")
-	}
-	if b.Withdraw() {
-		t.Fatal("an empty budget must deny")
-	}
-	if got := b.Denied(); got != 1 {
-		t.Fatalf("denied %d, want 1", got)
-	}
-	b.Deposit()
-	b.Deposit() // 1.0 token: fundable again
-	if !b.Withdraw() {
-		t.Fatal("deposits must refill the budget")
-	}
-	for i := 0; i < 100; i++ {
-		b.Deposit()
-	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("tokens %v, want cap 2", got)
-	}
-	// max <= 0 disables retries outright.
-	off := NewBudget(0, 0.5)
-	off.Deposit()
-	if off.Withdraw() {
-		t.Fatal("zero-max budget must always deny")
-	}
-}

@@ -5,10 +5,11 @@
 // with a bounded queue and explicit load shedding (429 + Retry-After),
 // a per-job-class circuit breaker (closed/open/half-open under an
 // injected clock), per-request deadlines propagated as contexts through
-// every layer below, a server-wide retry *budget* so client retries
-// cannot amplify overload, and graceful drain on SIGTERM: stop
-// admitting, finish in-flight work up to a drain deadline, and
-// checkpoint whatever could not finish so an operator can resubmit it.
+// every layer below, and graceful drain on SIGTERM: stop admitting,
+// finish in-flight work up to a drain deadline, and checkpoint whatever
+// could not finish so an operator can resubmit it. A job runs once: a
+// failure is answered as it is, and the campaign coordinator retries it
+// on another worker (DESIGN.md §9).
 // DESIGN.md §11 states the invariants; cmd/lpserved is the binary.
 package serve
 
@@ -50,9 +51,6 @@ const (
 	DefaultDeadline         = 2 * time.Minute  // per-request deadline when the client sets none
 	DefaultMaxDeadline      = 10 * time.Minute // cap on client-requested deadlines
 	DefaultDrainDeadline    = 30 * time.Second // SIGTERM → forced-checkpoint bound
-	DefaultMaxRetries       = 3                // cap on client-requested extra attempts
-	DefaultRetryBackoff     = 25 * time.Millisecond
-	DefaultRetryMaxBackoff  = 2 * time.Second
 )
 
 // ErrDraining rejects work because the server is shutting down.
@@ -93,10 +91,6 @@ type JobRequest struct {
 	// DeadlineMS is the client's deadline for the whole request,
 	// including queue wait (0: server default; capped at the server max).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Retries is how many extra attempts the client wants on failure.
-	// The server clamps it (MaxRetries) and charges each retry to the
-	// shared retry budget, so retries never amplify an overload.
-	Retries int `json:"retries,omitempty"`
 }
 
 // JobResult is the success payload of POST /v1/jobs.
@@ -119,7 +113,6 @@ type JobResult struct {
 	// Filled by the server.
 	QueueWaitMS int64 `json:"queue_wait_ms"`
 	RunMS       int64 `json:"run_ms"`
-	Attempts    int   `json:"attempts"`
 }
 
 // RunFunc executes one admitted job under its deadline context.
@@ -139,16 +132,6 @@ type Config struct {
 	// DrainDeadline bounds Drain: in-flight work past it is cancelled and
 	// checkpointed instead of awaited forever.
 	DrainDeadline time.Duration
-	// MaxRetries caps per-job client-requested extra attempts.
-	MaxRetries int
-	// RetryBudget / RetryRatio configure the shared retry token bucket
-	// (see Budget). RetryBudget < 0 disables retries outright.
-	RetryBudget float64
-	RetryRatio  float64
-	// RetryBackoff / RetryMaxBackoff shape the jittered backoff between
-	// job attempts.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 	// Breaker configures every class's circuit breaker (each class gets
 	// its own instance).
 	Breaker BreakerOpts
@@ -183,18 +166,6 @@ func (c Config) fill() Config {
 	if c.DrainDeadline <= 0 {
 		c.DrainDeadline = DefaultDrainDeadline
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = DefaultRetryBudget
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
-	if c.RetryMaxBackoff <= 0 {
-		c.RetryMaxBackoff = DefaultRetryMaxBackoff
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -203,11 +174,10 @@ func (c Config) fill() Config {
 
 // jobDone carries one job's terminal state from worker to handler.
 type jobDone struct {
-	res      *JobResult
-	err      error
-	attempts int
-	wait     time.Duration
-	run      time.Duration
+	res  *JobResult
+	err  error
+	wait time.Duration
+	run  time.Duration
 	// prog is the pre-rendered durable-progress delta observed while this
 	// job ran (empty without Config.Progress), appended to the log line.
 	prog string
@@ -256,9 +226,6 @@ type Stats struct {
 	HighWater int64 `json:"high_water"`
 	Queued    int   `json:"queued"`
 
-	RetryTokens   float64 `json:"retry_tokens"`
-	RetriesDenied uint64  `json:"retries_denied"`
-
 	Draining bool                    `json:"draining"`
 	Breakers map[string]BreakerState `json:"breakers"`
 	Trips    map[string]uint64       `json:"breaker_trips"`
@@ -286,7 +253,6 @@ type PendingJob struct {
 type Server struct {
 	cfg      Config
 	run      RunFunc
-	budget   *Budget
 	breakers map[string]*Breaker
 
 	jobs     chan *job
@@ -321,7 +287,6 @@ func New(cfg Config, run RunFunc) *Server {
 	s := &Server{
 		cfg:         cfg,
 		run:         run,
-		budget:      NewBudget(cfg.RetryBudget, cfg.RetryRatio),
 		breakers:    make(map[string]*Breaker, len(JobClasses)),
 		jobs:        make(chan *job, cfg.QueueDepth),
 		active:      make(map[uint64]*job),
@@ -359,25 +324,23 @@ func (s *Server) Breaker(class string) *Breaker { return s.breakers[class] }
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Admitted:      s.admitted.Load(),
-		Claims:        s.claims.Load(),
-		ClaimDedups:   s.claimDedups.Load(),
-		Completed:     s.completed.Load(),
-		Errors:        s.errsN.Load(),
-		Timeouts:      s.timeouts.Load(),
-		ShedQueue:     s.shedQueue.Load(),
-		ShedBreaker:   s.shedBreaker.Load(),
-		ShedDrain:     s.shedDrain.Load(),
-		Journaled:     s.journaled.Load(),
-		Resubmitted:   s.resubmitted.Load(),
-		Inflight:      s.inflight.Load(),
-		HighWater:     s.highWater.Load(),
-		Queued:        len(s.jobs),
-		RetryTokens:   s.budget.Tokens(),
-		RetriesDenied: s.budget.Denied(),
-		Draining:      s.draining.Load(),
-		Breakers:      make(map[string]BreakerState, len(s.breakers)),
-		Trips:         make(map[string]uint64, len(s.breakers)),
+		Admitted:    s.admitted.Load(),
+		Claims:      s.claims.Load(),
+		ClaimDedups: s.claimDedups.Load(),
+		Completed:   s.completed.Load(),
+		Errors:      s.errsN.Load(),
+		Timeouts:    s.timeouts.Load(),
+		ShedQueue:   s.shedQueue.Load(),
+		ShedBreaker: s.shedBreaker.Load(),
+		ShedDrain:   s.shedDrain.Load(),
+		Journaled:   s.journaled.Load(),
+		Resubmitted: s.resubmitted.Load(),
+		Inflight:    s.inflight.Load(),
+		HighWater:   s.highWater.Load(),
+		Queued:      len(s.jobs),
+		Draining:    s.draining.Load(),
+		Breakers:    make(map[string]BreakerState, len(s.breakers)),
+		Trips:       make(map[string]uint64, len(s.breakers)),
 	}
 	for class, b := range s.breakers {
 		st.Breakers[class] = b.State()
@@ -531,7 +494,6 @@ func (s *Server) admit(httpCtx context.Context, req *JobRequest) (*job, *jobOutc
 		select {
 		case s.jobs <- j:
 			s.admitted.Add(1)
-			s.budget.Deposit()
 			return j, nil
 		default:
 		}
@@ -624,7 +586,6 @@ func (s *Server) finishOutcome(j *job, d jobDone) jobOutcome {
 		br.Done(true)
 		d.res.QueueWaitMS = d.wait.Milliseconds()
 		d.res.RunMS = d.run.Milliseconds()
-		d.res.Attempts = d.attempts
 		s.logLine(j, "ok", d, nil)
 		return jobOutcome{status: http.StatusOK, res: d.res}
 	case errors.Is(d.err, ErrDraining):
@@ -681,7 +642,7 @@ func (s *Server) runOne(j *job) {
 	if s.cfg.Progress != nil {
 		saves0, fails0, recov0, steps0, _ = s.cfg.Progress.Snapshot()
 	}
-	res, err, attempts := s.executeJob(j.ctx, j.req)
+	res, err := s.executeJob(j.ctx, j.req)
 	// The counters are shared across workers, so under concurrency the
 	// delta attributes overlapping jobs' progress to each of them — an
 	// observability aid, not an exact per-job ledger.
@@ -695,49 +656,21 @@ func (s *Server) runOne(j *job) {
 	s.activeMu.Lock()
 	delete(s.active, j.id)
 	s.activeMu.Unlock()
-	j.done <- jobDone{res: res, err: err, attempts: attempts, wait: wait, run: s.cfg.Now().Sub(start), prog: prog}
+	j.done <- jobDone{res: res, err: err, wait: wait, run: s.cfg.Now().Sub(start), prog: prog}
 }
 
-// executeJob runs the job with budget-limited, jitter-backed retries.
-// Each attempt is panic-protected (site "serve.job" is the chaos
-// injection point); a panic is a bug, reported once and never retried.
-func (s *Server) executeJob(ctx context.Context, req *JobRequest) (res *JobResult, err error, attempts int) {
-	maxAttempts := 1
-	if req.Retries > 0 {
-		extra := req.Retries
-		if extra > s.cfg.MaxRetries {
-			extra = s.cfg.MaxRetries
+// executeJob runs the job once, panic-protected; site "serve.job" is the
+// chaos injection point. A failure — a panic included, as a
+// *pool.PanicError — is the job's answer: the job is a deterministic
+// function of its spec, so a second run in place would fail the same way,
+// and the coordinator retries on another worker.
+func (s *Server) executeJob(ctx context.Context, req *JobRequest) (*JobResult, error) {
+	return pool.Protect(func() (*JobResult, error) {
+		if err := faults.Check("serve.job"); err != nil {
+			return nil, err
 		}
-		maxAttempts += extra
-	}
-	jopts := pool.Options{Backoff: s.cfg.RetryBackoff, MaxBackoff: s.cfg.RetryMaxBackoff}
-	jitter := pool.JitterState(jopts)
-	for a := 1; ; a++ {
-		attempts = a
-		res, err = pool.RetryValue(ctx, pool.Options{}, func(ctx context.Context) (*JobResult, error) {
-			if ferr := faults.Check("serve.job"); ferr != nil {
-				return nil, ferr
-			}
-			return s.run(ctx, req)
-		})
-		if err == nil || a >= maxAttempts || ctx.Err() != nil {
-			return res, err, attempts
-		}
-		var pe *pool.PanicError
-		if errors.As(err, &pe) {
-			return res, err, attempts
-		}
-		if !s.budget.Withdraw() {
-			return res, err, attempts // budget empty: the first error stands
-		}
-		t := time.NewTimer(pool.BackoffDelay(jopts, a, &jitter))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return res, err, attempts
-		case <-t.C:
-		}
-	}
+		return s.run(ctx, req)
+	})
 }
 
 // Drain performs graceful shutdown: stop admitting, wait for admitted
@@ -922,9 +855,9 @@ func (s *Server) logLine(j *job, outcome string, d jobDone, err error) {
 	if err != nil {
 		errStr = fmt.Sprintf(" err=%q", err.Error())
 	}
-	s.logf("job=%d id=%q class=%s app=%s outcome=%s queue_wait=%s run=%s attempts=%d breaker=%s%s%s",
+	s.logf("job=%d id=%q class=%s app=%s outcome=%s queue_wait=%s run=%s breaker=%s%s%s",
 		j.id, j.req.ID, j.req.Class, j.req.App, outcome,
-		d.wait.Round(time.Microsecond), d.run.Round(time.Microsecond), d.attempts, j.breaker.State(), d.prog, errStr)
+		d.wait.Round(time.Microsecond), d.run.Round(time.Microsecond), j.breaker.State(), d.prog, errStr)
 }
 
 // logf serializes writer access so concurrent requests do not interleave

@@ -74,7 +74,7 @@ func TestServeJobOK(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d body %v, want 200", code, body)
 	}
-	if body["summary"] != "ok" || body["attempts"].(float64) != 1 {
+	if body["summary"] != "ok" {
 		t.Fatalf("bad result: %v", body)
 	}
 	if body["id"] == "" {
@@ -239,46 +239,35 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestServeRetryBudgetBoundsAmplification: client-requested retries are
-// funded by the shared budget; once it is empty, jobs fail with their
-// first attempt's error instead of retrying — overload cannot be
-// amplified by eager clients.
-func TestServeRetryBudgetBoundsAmplification(t *testing.T) {
-	var mu sync.Mutex
-	tries := map[string]int{}
-	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
-		mu.Lock()
-		tries[req.ID]++
-		n := tries[req.ID]
-		mu.Unlock()
-		if n == 1 {
-			return nil, fmt.Errorf("first attempt always fails")
+// TestServeJobRunsOnce: a failing job is answered 500 after one run of
+// the runner — an error and a panic alike — and a request that still
+// carries the old "retries" field is accepted and runs once too.
+func TestServeJobRunsOnce(t *testing.T) {
+	var runs atomic.Int64
+	s := startServer(t, Config{MaxInflight: 1, Breaker: BreakerOpts{FailureThreshold: 100}},
+		func(ctx context.Context, req *JobRequest) (*JobResult, error) {
+			runs.Add(1)
+			if req.App == "panic" {
+				panic("runner bug")
+			}
+			return nil, fmt.Errorf("deterministic failure")
+		})
+	for _, body := range []string{
+		`{"class":"report","app":"a","retries":3}`,
+		`{"class":"report","app":"panic","retries":3}`,
+	} {
+		before := runs.Load()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader([]byte(body))))
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d %s, want 500", body, w.Code, w.Body.String())
 		}
-		return okRunner(ctx, req)
+		if n := runs.Load() - before; n != 1 {
+			t.Fatalf("%s: runner invoked %d times, want 1", body, n)
+		}
 	}
-	s := startServer(t, Config{
-		MaxInflight: 1,
-		RetryBudget: 1, RetryRatio: 1e-9, // one banked retry, no meaningful refill
-		RetryBackoff: time.Millisecond, RetryMaxBackoff: 2 * time.Millisecond,
-		Breaker: BreakerOpts{FailureThreshold: 100},
-	}, run)
-
-	code, body := postJob(t, s, JobRequest{ID: "funded", Class: ClassReport, App: "a", Retries: 2})
-	if code != http.StatusOK || body["attempts"].(float64) != 2 {
-		t.Fatalf("funded retry: status %d body %v, want 200 after 2 attempts", code, body)
-	}
-	code, body = postJob(t, s, JobRequest{ID: "starved", Class: ClassReport, App: "a", Retries: 2})
-	if code != http.StatusInternalServerError {
-		t.Fatalf("starved retry: status %d body %v, want 500 (budget empty)", code, body)
-	}
-	mu.Lock()
-	starvedTries := tries["starved"]
-	mu.Unlock()
-	if starvedTries != 1 {
-		t.Fatalf("starved job ran %d attempts, want 1 (budget must deny the retry)", starvedTries)
-	}
-	if st := s.Stats(); st.RetriesDenied < 1 {
-		t.Fatalf("stats %+v, want retries_denied >= 1", st)
+	if st := s.Stats(); st.Admitted != 2 || st.Errors != 2 {
+		t.Fatalf("stats %+v, want 2 admitted, 2 errors", st)
 	}
 }
 
@@ -597,9 +586,8 @@ func TestServeChaosFaultNoHangs(t *testing.T) {
 	s := New(Config{
 		MaxInflight: maxInflight, QueueDepth: 8,
 		DefaultDeadline: deadline,
-		RetryBackoff:    time.Millisecond, RetryMaxBackoff: 5 * time.Millisecond,
-		Breaker:       BreakerOpts{FailureThreshold: 4, OpenFor: 50 * time.Millisecond},
-		DrainDeadline: 2 * time.Second,
+		Breaker:         BreakerOpts{FailureThreshold: 4, OpenFor: 50 * time.Millisecond},
+		DrainDeadline:   2 * time.Second,
 	}, run)
 	s.Start()
 
@@ -618,7 +606,7 @@ func TestServeChaosFaultNoHangs(t *testing.T) {
 			start := time.Now()
 			code, body := postJob(t, s, JobRequest{
 				ID: fmt.Sprintf("chaos-%d", i), Class: classes[i%len(classes)],
-				App: "npb-cg", Threads: i, Retries: 1,
+				App: "npb-cg", Threads: i,
 				DeadlineMS: deadline.Milliseconds(),
 			})
 			outcome, _ := body["outcome"].(string)
