@@ -117,7 +117,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if _, err := pb.Replay(w.App.Prog, tw); err != nil {
+		if _, err := pb.StepReplay(w.App.Prog, tw.OnInstr); err != nil {
 			fail(err)
 		}
 		if err := tw.Close(); err != nil {

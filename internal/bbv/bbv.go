@@ -103,7 +103,7 @@ func (p *Profile) ThreadShare() [][]float64 {
 	return out
 }
 
-// Collector is an exec.Observer that builds a Profile.
+// Collector is an exec.BlockObserver that builds a Profile.
 type Collector struct {
 	prog        *isa.Program
 	markers     map[uint64]bool // marker block addresses (main-image loop headers)
@@ -307,7 +307,8 @@ func (c *Collector) newRegion(start Marker, startIC uint64) *Region {
 	return r
 }
 
-// OnInstr implements exec.Observer.
+// OnInstr is the per-instruction reference OnBlock is tested against, fed
+// by pinball.StepReplay; an oracle kept for ROADMAP item 2a.
 func (c *Collector) OnInstr(ev *exec.Event) {
 	if c.finished {
 		return

@@ -73,7 +73,7 @@ func markerAddrs(t testing.TB, p *isa.Program) []uint64 {
 	t.Helper()
 	m := exec.NewMachine(p, 1)
 	db := dcfg.NewBuilder(p, p.NumThreads())
-	m.AddObserver(db)
+	m.AddBlockObserver(db)
 	if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
 		t.Fatalf("DCFG run: %v", err)
 	}
@@ -92,7 +92,7 @@ func collect(t testing.TB, p *isa.Program, addrs []uint64, slice uint64) *Profil
 	t.Helper()
 	m := exec.NewMachine(p, 1)
 	c := NewCollector(p, addrs, slice)
-	m.AddObserver(c)
+	m.AddBlockObserver(c)
 	if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
 		t.Fatalf("profile run: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestMarkersReproducibleOnReplay(t *testing.T) {
 	var sched exec.Schedule
 	m1 := exec.NewMachine(p1, 1)
 	c1 := NewCollector(p1, addrs, 4*800)
-	m1.AddObserver(c1)
+	m1.AddBlockObserver(c1)
 	if err := m1.Run(exec.RunOpts{FlowWindow: 1000, Record: &sched}); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestMarkersReproducibleOnReplay(t *testing.T) {
 	p2 := buildPhased(t, 4, 5, 100, omp.Active)
 	m2 := exec.NewMachine(p2, 1)
 	c2 := NewCollector(p2, addrs, 4*800)
-	m2.AddObserver(c2)
+	m2.AddBlockObserver(c2)
 	if err := m2.RunSchedule(sched); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestMarkerTotalsScheduleInvariant(t *testing.T) {
 	p2 := buildPhased(t, 4, 5, 100, omp.Active)
 	m := exec.NewMachine(p2, 42)
 	c := NewCollector(p2, addrs, 4*800)
-	m.AddObserver(c)
+	m.AddBlockObserver(c)
 	if err := m.Run(exec.RunOpts{Quantum: 13}); err != nil { // different schedule
 		t.Fatalf("run: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestMarkersReachableUnderDifferentSchedule(t *testing.T) {
 	p2 := buildPhased(t, 4, 6, 100, omp.Active)
 	m := exec.NewMachine(p2, 9)
 	c := NewCollector(p2, addrs, 4*800)
-	m.AddObserver(c)
+	m.AddBlockObserver(c)
 	if err := m.Run(exec.RunOpts{Quantum: 7}); err != nil { // different seed and quantum
 		t.Fatalf("run: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestVariableSlicesSplitAtPhaseChanges(t *testing.T) {
 	m := exec.NewMachine(p2, 1)
 	c := NewCollector(p2, addrs, 4*3000)
 	c.SetVariableSlices(0.1, 0.5)
-	m.AddObserver(c)
+	m.AddBlockObserver(c)
 	if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestMarkerModulusRestrictsBoundaries(t *testing.T) {
 			}
 			c.SetMarkerModulus(mm)
 		}
-		m.AddObserver(c)
+		m.AddBlockObserver(c)
 		if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
 			t.Fatalf("run: %v", err)
 		}

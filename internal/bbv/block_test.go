@@ -9,30 +9,42 @@ import (
 	"looppoint/internal/omp"
 )
 
-// profileBoth runs the same program through the per-instruction observer
-// tier and the block-batched tier (cfg tweaks applied to both collectors)
-// and returns the two profiles for comparison.
+// profileBoth runs the same program on the block-batched tier and then
+// steps its recorded schedule through OnInstr one instruction at a time
+// (cfg tweaks applied to both collectors), and returns the per-instruction
+// and block profiles for comparison.
 func profileBoth(t *testing.T, build func() *isa.Program, addrs []uint64, slice uint64,
 	cfg func(*Collector)) (perInstr, block *Profile) {
 	t.Helper()
-	run := func(blockTier bool) *Profile {
-		p := build()
-		m := exec.NewMachine(p, 1)
+	collector := func(p *isa.Program) *Collector {
 		c := NewCollector(p, addrs, slice)
 		if cfg != nil {
 			cfg(c)
 		}
-		if blockTier {
-			m.AddBlockObserver(c)
-		} else {
-			m.AddObserver(c)
-		}
-		if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
-			t.Fatalf("run (block=%v): %v", blockTier, err)
-		}
-		return c.Finish()
+		return c
 	}
-	return run(false), run(true)
+	p := build()
+	m := exec.NewMachine(p, 1)
+	bc := collector(p)
+	m.AddBlockObserver(bc)
+	var sched exec.Schedule
+	if err := m.Run(exec.RunOpts{FlowWindow: 1000, Record: &sched}); err != nil {
+		t.Fatalf("block run: %v", err)
+	}
+
+	p = build()
+	m = exec.NewMachine(p, 1)
+	ic := collector(p)
+	for _, e := range sched {
+		for i := uint32(0); i < e.N; i++ {
+			ev, ok := m.Step(e.Tid)
+			if !ok {
+				t.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
+			}
+			ic.OnInstr(ev)
+		}
+	}
+	return ic.Finish(), bc.Finish()
 }
 
 func requireProfilesEqual(t *testing.T, perInstr, block *Profile) {

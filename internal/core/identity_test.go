@@ -48,7 +48,7 @@ func parallelTestPrograms() map[string]*isa.Program {
 
 // recordFor records the analysis pinball exactly as Analyze does, but
 // bare, and builds the reference graph the old way: the per-instruction
-// OnInstr oracle driven through a replay of the recording. Every identity
+// OnInstr oracle driven through a StepReplay of the recording. Every identity
 // suite's expectation therefore rests on the oracle, and the paths under
 // test (which take their graph from the recording run itself) are checked
 // against it.
@@ -62,7 +62,7 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcf
 		t.Fatal(err)
 	}
 	db := dcfg.NewBuilder(p, p.NumThreads())
-	if _, err := pb.Replay(p, exec.ObserverFunc(db.OnInstr)); err != nil {
+	if _, err := pb.StepReplay(p, db.OnInstr); err != nil {
 		t.Fatal(err)
 	}
 	return pb, db.Graph()
@@ -70,8 +70,8 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcf
 
 // referenceAnalysis is what every route through Analyze must equal: the
 // bare recording and the oracle graph of recordFor, profiled by one
-// Collector driven per instruction — its OnInstr oracle, the block tier
-// hidden behind an ObserverFunc — over a single unbroken replay. Every
+// Collector driven per instruction — its OnInstr oracle — over a single
+// unbroken StepReplay. Every
 // column of the identity matrix is therefore a comparison of the product
 // path (block-tier builder riding the recording, block-tier collector fed by
 // the event log or a replay) against the per-instruction reference engines.
@@ -83,7 +83,7 @@ func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pb.Replay(p, exec.ObserverFunc(bp.col.OnInstr)); err != nil {
+	if _, err := pb.StepReplay(p, bp.col.OnInstr); err != nil {
 		t.Fatal(err)
 	}
 	bp.a.Profile = bp.col.Finish()

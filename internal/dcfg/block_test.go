@@ -97,16 +97,19 @@ func (s *eventShapes) note(ev *exec.BlockEvent) {
 }
 
 // tierGraphs runs p twice from the same seed under the same scheduler
-// options — observed per instruction (the oracle) and on the block tier
-// with the hottest multi-instruction block registered as a break PC —
-// and returns both graphs.
+// options — recorded and stepped through per instruction by StepReplay
+// (the oracle), and run on the block tier with the hottest
+// multi-instruction block registered as a break PC — and returns both
+// graphs.
 func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventShapes) (oracle, block *Graph) {
 	t.Helper()
+	pb, err := pinball.RecordWithOptions(p, 3, opts)
+	if err != nil {
+		t.Fatalf("record: %v", err)
+	}
 	ob := NewBuilder(p, p.NumThreads())
-	m := exec.NewMachine(p, 3)
-	m.AddObserver(exec.ObserverFunc(ob.OnInstr))
-	if err := m.Run(opts); err != nil {
-		t.Fatalf("per-instruction run: %v", err)
+	if _, err := pb.StepReplay(p, ob.OnInstr); err != nil {
+		t.Fatalf("per-instruction replay: %v", err)
 	}
 	oracle = ob.Graph()
 
@@ -118,7 +121,7 @@ func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventSh
 	}
 
 	bb := NewBuilder(p, p.NumThreads())
-	m = exec.NewMachine(p, 3)
+	m := exec.NewMachine(p, 3)
 	if hot != nil {
 		m.AddBreakPC(hot.Block.Addr)
 	}
@@ -247,13 +250,12 @@ func TestBlockTierMatchesInstrOracle(t *testing.T) {
 }
 
 // TestBlockTierMatchesInstrOracleOnReplay: the same identity through the
-// production attach points — a constrained replay routes the builder to
-// the block tier, and wrapping OnInstr in an ObserverFunc hides OnBlock,
-// forcing the reference.
+// replay entry points — Replay feeds the builder block events, StepReplay
+// feeds the oracle every instruction.
 func TestBlockTierMatchesInstrOracleOnReplay(t *testing.T) {
 	for name, w := range testRecordings(t) {
 		ob := NewBuilder(w.prog, w.prog.NumThreads())
-		if _, err := w.pb.Replay(w.prog, exec.ObserverFunc(ob.OnInstr)); err != nil {
+		if _, err := w.pb.StepReplay(w.prog, ob.OnInstr); err != nil {
 			t.Fatal(err)
 		}
 		requireSameGraph(t, name, replayGraph(t, w.prog, w.pb), ob.Graph())

@@ -86,8 +86,8 @@ type Graph struct {
 // block tier (OnBlock) — cheap enough to ride the recording run itself,
 // which is where core.Analyze attaches it — and keeps the per-instruction
 // OnInstr as the reference the block tier is tested against (block_test.go
-// here and the identity suites of internal/core drive it through a replay
-// of a bare recording).
+// here and the identity suites of internal/core drive it through a
+// StepReplay of a bare recording).
 type Builder struct {
 	g   *Graph
 	cur []*Node   // the node each thread is in, nil right after a call
@@ -108,7 +108,8 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	}
 }
 
-// OnInstr implements exec.Observer: the per-instruction reference.
+// OnInstr is the per-instruction reference the block tier is tested
+// against, fed by pinball.StepReplay; an oracle kept for ROADMAP item 2a.
 func (b *Builder) OnInstr(ev *exec.Event) {
 	tid := ev.Tid
 	if ev.BlockEntry {

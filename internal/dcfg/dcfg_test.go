@@ -59,7 +59,7 @@ func runWithDCFG(t *testing.T, p *isa.Program) *Graph {
 	t.Helper()
 	m := exec.NewMachine(p, 1)
 	b := NewBuilder(p, p.NumThreads())
-	m.AddObserver(b)
+	m.AddBlockObserver(b)
 	if err := m.Run(exec.RunOpts{}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -20,29 +20,9 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(m.TotalICount())/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkInterpreterWithObserver quantifies observer overhead.
-func BenchmarkInterpreterWithObserver(b *testing.B) {
-	p, _ := buildCounterProgram(b, 4, 1_000_000_000, omp.Passive)
-	m := NewMachine(p, 1)
-	var blocks uint64
-	m.AddObserver(ObserverFunc(func(ev *Event) {
-		if ev.BlockEntry {
-			blocks++
-		}
-	}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for tid := 0; tid < 4; tid++ {
-			m.Step(tid)
-		}
-	}
-	b.ReportMetric(float64(m.TotalICount())/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
 // BenchmarkInterpreterBlockObserver measures the block-batched fast
 // path with a block observer attached — the configuration BBV profiling
-// runs in. Compare against BenchmarkInterpreterWithObserver for the
-// per-instruction equivalent.
+// runs in.
 func BenchmarkInterpreterBlockObserver(b *testing.B) {
 	p, _ := buildCounterProgram(b, 4, 1_000_000_000, omp.Passive)
 	m := NewMachine(p, 1)

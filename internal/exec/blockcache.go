@@ -31,15 +31,9 @@ func (m *Machine) AddBreakPC(addr uint64) {
 // event. Thread state, memory, futex queues, OS interaction, ICount and
 // the machine step counter advance exactly as an equivalent sequence of
 // Step calls would, except that ICount/step totals are published at
-// event end rather than per instruction.
-//
-// With per-instruction observers attached, the identical event is
-// assembled by driving Step (stepBlockViaStep), so mixed-tier observation
-// stays exact; equivalence tests reach that reference the same way.
+// event end rather than per instruction. That equivalence is pinned
+// against a Step-driven reference in the package tests.
 func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
-	if len(m.observers) > 0 {
-		return m.stepBlockViaStep(tid, budget, ev)
-	}
 	t := m.Threads[tid]
 	if t.State != StateRunning || budget == 0 {
 		return false
@@ -283,64 +277,4 @@ func execComputeRun(t *Thread, instrs []isa.Instr) {
 			t.R[in.Dst] = int64(t.F[in.A])
 		}
 	}
-}
-
-// stepBlockViaStep assembles the same event StepBlock's fast path would,
-// by driving Step — dispatching per-instruction observers along the way.
-// It is both the compatibility bridge for mixed-tier observation and the
-// reference implementation the fast path is tested against.
-func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool {
-	t := m.Threads[tid]
-	if t.State != StateRunning || budget == 0 {
-		return false
-	}
-	cb := t.cur.blk
-	rt := t.cur.rt
-	blk := rt.Blocks[cb]
-	brk := m.brk[blk.Global]
-
-	ev.reset(tid, blk, t.cur.idx)
-	if t.cur.idx == 0 {
-		ev.Entries = 1
-		if brk {
-			budget = 1
-		}
-	}
-
-	var retired uint64
-	for {
-		sev, ok := m.Step(tid)
-		if !ok {
-			break // unreachable: loop only continues while running in-block
-		}
-		retired++
-		if len(sev.Woken) > 0 {
-			ev.Woken = append(ev.Woken, sev.Woken...)
-			break
-		}
-		if sev.Blocked {
-			ev.Blocked = true
-			break
-		}
-		if t.State == StateHalted {
-			break
-		}
-		op := sev.Instr.Op
-		if op == isa.OpBr || op == isa.OpBrCond {
-			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
-			if selfEntry && blk.SelfLoop && !brk && retired < budget {
-				ev.Entries++
-				continue
-			}
-			break
-		}
-		if op == isa.OpCall || op == isa.OpRet {
-			break
-		}
-		if retired == budget {
-			break
-		}
-	}
-	ev.Instrs = retired
-	return true
 }

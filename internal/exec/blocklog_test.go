@@ -41,10 +41,6 @@ func newInstrStream(p *isa.Program, breakPCs []uint64, steps uint64) *instrStrea
 
 func (s *instrStream) BreakPCs() []uint64 { return s.breakPCs }
 
-// OnInstr makes the stream an exec.Observer, which is what Pinball.Replay
-// takes; implementing BlockObserver too keeps it on the block tier.
-func (s *instrStream) OnInstr(*exec.Event) { panic("instrStream attached per instruction") }
-
 func (s *instrStream) OnBlock(ev *exec.BlockEvent) {
 	s.events++
 	if s.isBreak[ev.Block] && ev.Entries > 0 && (ev.FirstIdx != 0 || ev.Entries != 1 || ev.Instrs != 1) && s.err == nil {

@@ -86,7 +86,9 @@ type RunOpts struct {
 	// threads by more than the window. This enforces equal forward
 	// progress during analysis.
 	FlowWindow uint64
-	// MaxSteps aborts the run with ErrMaxSteps when exceeded (0 = no cap).
+	// MaxSteps caps the instructions the run retires (0 = no cap): Run
+	// stops after exactly MaxSteps and returns ErrMaxSteps if a thread is
+	// still alive then.
 	MaxSteps uint64
 	// Record, when non-nil, is set to the run's thread interleaving when
 	// Run returns (also on error, to what ran until then).
@@ -99,25 +101,14 @@ type RunOpts struct {
 	QuantumBias []int
 }
 
-// blockMode reports whether the drivers should retire instructions in
-// block batches: mandatory when block observers are attached (they must
-// see coalesced events), profitable when no observers are attached at
-// all. Per-instruction observers with no block observers keep the plain
-// Step loop (assembling unused block events would only cost).
-func (m *Machine) blockMode() bool {
-	return len(m.blockObservers) > 0 || len(m.observers) == 0
-}
-
 // Run drives the machine with a deterministic round-robin scheduler until
-// every thread halts or an error occurs. When block observers are
-// attached (or no observers at all), it retires instructions through the
-// block-batched engine; the schedule it records and the states it visits
-// are identical either way. Machine faults
-// raised mid-step (unimplemented opcode, wild address, return past the
-// entry frame) surface as a *ExecError wrapping ErrMachine.
+// every thread halts or an error occurs, retiring instructions in block
+// batches (StepBlock) and dispatching each batch to the block observers.
+// Machine faults raised mid-step (unimplemented opcode, wild address,
+// return past the entry frame) surface as a *ExecError wrapping
+// ErrMachine.
 func (m *Machine) Run(opts RunOpts) (err error) {
 	defer Recover(&err)
-	blocks := m.blockMode()
 	q := opts.Quantum
 	if q <= 0 {
 		q = 64
@@ -127,6 +118,8 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 		defer func() { *opts.Record = rec.schedule() }()
 	}
 	var steps uint64
+	ev := m.getBlockEvent()
+	defer m.putBlockEvent(ev)
 	for !m.Done() {
 		progressed := false
 		minIC := m.minRunningICount()
@@ -138,41 +131,28 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 			if opts.FlowWindow > 0 && t.ICount > minIC+opts.FlowWindow {
 				continue // too far ahead; let the others catch up
 			}
-			quantum := q
+			quantum := uint64(q)
 			if tid < len(opts.QuantumBias) && opts.QuantumBias[tid] > 0 {
-				quantum = q * opts.QuantumBias[tid]
+				quantum *= uint64(opts.QuantumBias[tid])
 			}
-			ran := 0
-			if blocks {
-				ev := m.getBlockEvent()
-				for ran < quantum {
-					if !m.StepBlock(tid, uint64(quantum-ran), ev) {
-						break
-					}
-					ran += int(ev.Instrs)
-					steps += ev.Instrs
-					for _, o := range m.blockObservers {
-						o.OnBlock(ev)
-					}
-				}
-				m.putBlockEvent(ev)
-			} else {
-				for ran < quantum {
-					_, ok := m.Step(tid)
-					if !ok {
-						break
-					}
-					ran++
-					steps++
+			if opts.MaxSteps > 0 {
+				quantum = min(quantum, opts.MaxSteps-steps)
+			}
+			var ran uint64
+			for ran < quantum && m.StepBlock(tid, quantum-ran, ev) {
+				ran += ev.Instrs
+				for _, o := range m.blockObservers {
+					o.OnBlock(ev)
 				}
 			}
+			steps += ran
 			if ran > 0 {
 				progressed = true
 				if opts.Record != nil {
-					rec.add(tid, ran)
+					rec.add(tid, int(ran))
 				}
 			}
-			if opts.MaxSteps > 0 && steps >= opts.MaxSteps {
+			if opts.MaxSteps > 0 && steps == opts.MaxSteps && !m.Done() {
 				return fmt.Errorf("%w (%d)", ErrMaxSteps, opts.MaxSteps)
 			}
 		}
@@ -240,36 +220,23 @@ func (r *recorder) schedule() Schedule {
 }
 
 // RunSchedule replays a recorded thread interleaving exactly (constrained
-// replay). It returns ErrScheduleDiverged if the schedule asks a thread to
-// run when it cannot. Like Run, it retires instructions through the
-// block-batched engine when the observer configuration allows; the
-// replayed execution is identical.
+// replay), retiring instructions in block batches as Run does. It returns
+// ErrScheduleDiverged if the schedule asks a thread to run when it cannot.
 // Machine faults surface as a *ExecError wrapping ErrMachine, as in Run.
 func (m *Machine) RunSchedule(sched Schedule) (err error) {
 	defer Recover(&err)
-	if m.blockMode() {
-		ev := m.getBlockEvent()
-		defer m.putBlockEvent(ev)
-		for _, e := range sched {
-			rem := uint64(e.N)
-			for rem > 0 {
-				if !m.StepBlock(e.Tid, rem, ev) {
-					return fmt.Errorf("%w: thread %d is %s", ErrScheduleDiverged,
-						e.Tid, m.Threads[e.Tid].State)
-				}
-				rem -= ev.Instrs
-				for _, o := range m.blockObservers {
-					o.OnBlock(ev)
-				}
-			}
-		}
-		return nil
-	}
+	ev := m.getBlockEvent()
+	defer m.putBlockEvent(ev)
 	for _, e := range sched {
-		for i := uint32(0); i < e.N; i++ {
-			if _, ok := m.Step(e.Tid); !ok {
+		rem := uint64(e.N)
+		for rem > 0 {
+			if !m.StepBlock(e.Tid, rem, ev) {
 				return fmt.Errorf("%w: thread %d is %s", ErrScheduleDiverged,
 					e.Tid, m.Threads[e.Tid].State)
+			}
+			rem -= ev.Instrs
+			for _, o := range m.blockObservers {
+				o.OnBlock(ev)
 			}
 		}
 	}

@@ -27,8 +27,9 @@ func oobProgram(t *testing.T) *isa.Program {
 }
 
 // TestMachineFaultIsTypedError: a machine fault surfaces from every
-// driver as an error wrapping ErrMachine, with the *ExecError detail
-// available via errors.As — never as a panic.
+// driver, the block engine's and a Step loop's, as an error wrapping
+// ErrMachine, with the *ExecError detail available via errors.As — never
+// as a panic.
 func TestMachineFaultIsTypedError(t *testing.T) {
 	p := oobProgram(t)
 	drivers := map[string]func(m *Machine) error{
@@ -36,22 +37,19 @@ func TestMachineFaultIsTypedError(t *testing.T) {
 		"RunSchedule": func(m *Machine) error {
 			return m.RunSchedule(Schedule{{Tid: 0, N: 8}})
 		},
+		"Step": func(m *Machine) error {
+			return stepSchedule(m, Schedule{{Tid: 0, N: 8}})
+		},
 	}
 	for name, drive := range drivers {
-		for _, fast := range []bool{true, false} {
-			m := NewMachine(p, 1)
-			if !fast {
-				forceReference(m)
-			}
-			err := drive(m)
-			if !errors.Is(err, ErrMachine) {
-				t.Errorf("%s (fast=%v): err = %v, want ErrMachine", name, fast, err)
-				continue
-			}
-			var ee *ExecError
-			if !errors.As(err, &ee) || ee.Msg == "" {
-				t.Errorf("%s (fast=%v): no *ExecError detail in %v", name, fast, err)
-			}
+		err := drive(NewMachine(p, 1))
+		if !errors.Is(err, ErrMachine) {
+			t.Errorf("%s: err = %v, want ErrMachine", name, err)
+			continue
+		}
+		var ee *ExecError
+		if !errors.As(err, &ee) || ee.Msg == "" {
+			t.Errorf("%s: no *ExecError detail in %v", name, err)
 		}
 	}
 }

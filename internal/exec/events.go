@@ -2,19 +2,16 @@ package exec
 
 import "looppoint/internal/isa"
 
-// This file defines the block-granular observer tier. The per-instruction
-// Observer interface (machine.go) is the precise tier: every retired
-// instruction produces one OnInstr call. The BlockObserver tier trades
-// granularity for throughput: the interpreter executes whole basic blocks
-// (and back-to-back re-entries of self-loop blocks) in a tight loop and
-// emits ONE coalesced BlockEvent per batch. Consumers that only need
-// block-level counts (recording, DCFG construction, BBV profiling, region
-// extraction) run an order of magnitude fewer dynamic dispatches.
+// This file defines the machine's observer interface: block events. The
+// interpreter executes whole basic blocks (and back-to-back re-entries of
+// self-loop blocks) in a tight loop and emits ONE coalesced BlockEvent per
+// batch, which is all recording, DCFG construction, BBV profiling and
+// region extraction need.
 //
 // Exactness is preserved through break PCs (AddBreakPC): entering a block
 // whose address is registered produces a single-instruction event, so a
-// (PC, count) region marker still fires at precisely the same retired-
-// instruction position as it would under per-instruction observation.
+// (PC, count) region marker fires at precisely the retired-instruction
+// position a per-instruction Step loop would see.
 
 // BlockEvent describes a batched run of instructions inside one basic
 // block: at most one partial leading pass (when resuming mid-block) plus

@@ -6,6 +6,7 @@ import (
 
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
+	"looppoint/internal/testprog"
 )
 
 // buildCounterProgram builds an N-thread program where each thread
@@ -119,10 +120,7 @@ func TestFlowControlEqualizesProgress(t *testing.T) {
 	m := NewMachine(p, 1)
 	const window = 128
 	maxGap := uint64(0)
-	m.AddObserver(ObserverFunc(func(ev *Event) {
-		if ev.Tid != 0 {
-			return
-		}
+	m.AddBlockObserver(BlockObserverFunc(func(*BlockEvent) {
 		var lo, hi uint64 = ^uint64(0), 0
 		for _, th := range m.Threads {
 			if th.State == StateHalted {
@@ -187,6 +185,30 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 }
 
+// TestMaxStepsBudgetIsExact pins MaxSteps as an exact instruction cap: a
+// budget equal to the program's length finishes it without error, and one
+// instruction less stops there with ErrMaxSteps.
+func TestMaxStepsBudgetIsExact(t *testing.T) {
+	p := testprog.Phased(2, 3, 50, omp.Passive)
+	m := NewMachine(p, 1)
+	if err := m.Run(RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	total := m.TotalICount()
+
+	m = NewMachine(p, 1)
+	if err := m.Run(RunOpts{MaxSteps: total}); err != nil || !m.Done() {
+		t.Fatalf("MaxSteps = program length: Run = %v, done = %v; want nil, true", err, m.Done())
+	}
+	m = NewMachine(p, 1)
+	if err := m.Run(RunOpts{MaxSteps: total - 1}); !errors.Is(err, ErrMaxSteps) {
+		t.Fatalf("MaxSteps = program length - 1: Run = %v, want ErrMaxSteps", err)
+	}
+	if got := m.TotalICount(); got != total-1 {
+		t.Fatalf("MaxSteps = %d retired %d instructions", total-1, got)
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p, acc := buildCounterProgram(t, 4, 300, omp.Passive)
 	m := NewMachine(p, 5)
@@ -218,7 +240,7 @@ func TestObserverSeesBlockEntriesAndBranches(t *testing.T) {
 	p, _ := buildCounterProgram(t, 2, 10, omp.Passive)
 	m := NewMachine(p, 1)
 	var blockEntries, branches, taken, mem, writes int
-	m.AddObserver(ObserverFunc(func(ev *Event) {
+	_, err := stepRun(m, RunOpts{}, func(ev *Event) {
 		if ev.BlockEntry {
 			blockEntries++
 		}
@@ -234,9 +256,9 @@ func TestObserverSeesBlockEntriesAndBranches(t *testing.T) {
 				writes++
 			}
 		}
-	}))
-	if err := m.Run(RunOpts{}); err != nil {
-		t.Fatalf("Run: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("stepRun: %v", err)
 	}
 	if blockEntries == 0 || branches == 0 || taken == 0 || mem == 0 || writes == 0 {
 		t.Errorf("observer counts: blocks=%d branches=%d taken=%d mem=%d writes=%d; all must be > 0",

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -54,10 +55,119 @@ func fastPathPrograms(t testing.TB) map[string]*isa.Program {
 	return out
 }
 
-// forceReference puts a machine on the reference engine: a per-instruction
-// observer makes StepBlock assemble its events by driving Step
-// (stepBlockViaStep) and keeps Run/RunSchedule on the plain Step loop.
-func forceReference(m *Machine) { m.AddObserver(ObserverFunc(func(*Event) {})) }
+// stepBlockViaStep assembles the same event StepBlock's fast path would,
+// by driving Step: the reference implementation the fast path is tested
+// against.
+func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool {
+	t := m.Threads[tid]
+	if t.State != StateRunning || budget == 0 {
+		return false
+	}
+	cb := t.cur.blk
+	rt := t.cur.rt
+	blk := rt.Blocks[cb]
+	brk := m.brk[blk.Global]
+
+	ev.reset(tid, blk, t.cur.idx)
+	if t.cur.idx == 0 {
+		ev.Entries = 1
+		if brk {
+			budget = 1
+		}
+	}
+
+	var retired uint64
+	for {
+		sev, ok := m.Step(tid)
+		if !ok {
+			break // unreachable: loop only continues while running in-block
+		}
+		retired++
+		if len(sev.Woken) > 0 {
+			ev.Woken = append(ev.Woken, sev.Woken...)
+			break
+		}
+		if sev.Blocked {
+			ev.Blocked = true
+			break
+		}
+		if t.State == StateHalted {
+			break
+		}
+		op := sev.Instr.Op
+		if op == isa.OpBr || op == isa.OpBrCond {
+			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
+			if selfEntry && blk.SelfLoop && !brk && retired < budget {
+				ev.Entries++
+				continue
+			}
+			break
+		}
+		if op == isa.OpCall || op == isa.OpRet {
+			break
+		}
+		if retired == budget {
+			break
+		}
+	}
+	ev.Instrs = retired
+	return true
+}
+
+// stepRun is Run's per-instruction reference: the same round-robin order,
+// quantum (scaled by QuantumBias) and flow-window rule, retiring one Step
+// at a time and handing each event to fn. It returns the schedule it ran.
+func stepRun(m *Machine, opts RunOpts, fn func(*Event)) (_ Schedule, err error) {
+	defer Recover(&err)
+	q := opts.Quantum
+	if q <= 0 {
+		q = 64
+	}
+	var rec recorder
+	for !m.Done() {
+		progressed := false
+		minIC := m.minRunningICount()
+		for tid, t := range m.Threads {
+			if t.State != StateRunning || (opts.FlowWindow > 0 && t.ICount > minIC+opts.FlowWindow) {
+				continue
+			}
+			quantum := q
+			if tid < len(opts.QuantumBias) && opts.QuantumBias[tid] > 0 {
+				quantum *= opts.QuantumBias[tid]
+			}
+			ran := 0
+			for ; ran < quantum; ran++ {
+				ev, ok := m.Step(tid)
+				if !ok {
+					break
+				}
+				fn(ev)
+			}
+			if ran > 0 {
+				progressed = true
+				rec.add(tid, ran)
+			}
+		}
+		if !progressed {
+			return rec.schedule(), ErrDeadlock
+		}
+	}
+	return rec.schedule(), nil
+}
+
+// stepSchedule is RunSchedule's per-instruction reference: it retires
+// sched one Step at a time.
+func stepSchedule(m *Machine, sched Schedule) (err error) {
+	defer Recover(&err)
+	for _, e := range sched {
+		for i := uint32(0); i < e.N; i++ {
+			if _, ok := m.Step(e.Tid); !ok {
+				return fmt.Errorf("%w: thread %d is %s", ErrScheduleDiverged, e.Tid, m.Threads[e.Tid].State)
+			}
+		}
+	}
+	return nil
+}
 
 // TestStepBlockMatchesStep drives two machines through identical budget
 // sequences — one on the tight-loop fast path, one on the Step-assembled
@@ -68,7 +178,6 @@ func TestStepBlockMatchesStep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fast := NewMachine(p, 7)
 			slow := NewMachine(p, 7)
-			forceReference(slow)
 
 			// A break PC exercises marker splitting: use the first
 			// worker-loop-like block address we can find (any block with
@@ -81,7 +190,7 @@ func TestStepBlockMatchesStep(t *testing.T) {
 				b := budgets[bi%len(budgets)]
 				bi++
 				fok := fast.StepBlock(tid, b, &fev)
-				sok := slow.StepBlock(tid, b, &sev)
+				sok := slow.stepBlockViaStep(tid, b, &sev)
 				if fok != sok {
 					t.Fatalf("round %d tid %d: fast ok=%v slow ok=%v", round, tid, fok, sok)
 				}
@@ -103,10 +212,10 @@ func TestStepBlockMatchesStep(t *testing.T) {
 	}
 }
 
-// TestRunBlockModeMatchesStepLoop pins that Run in block mode visits the
-// same execution as the per-instruction loop: identical recorded
-// schedules, identical final state, and identical per-block retired
-// counts observed through the respective observer tiers.
+// TestRunBlockModeMatchesStepLoop pins that Run's block batches visit the
+// same execution as the per-instruction reference loop (stepRun):
+// identical recorded schedules, identical final state, and identical
+// per-block retired counts.
 func TestRunBlockModeMatchesStepLoop(t *testing.T) {
 	for name, p := range fastPathPrograms(t) {
 		t.Run(name, func(t *testing.T) {
@@ -118,13 +227,10 @@ func TestRunBlockModeMatchesStepLoop(t *testing.T) {
 			} {
 				slow := NewMachine(p, 3)
 				slowCounts := map[int]uint64{}
-				slow.AddObserver(ObserverFunc(func(ev *Event) {
+				slowSched, err := stepRun(slow, opts, func(ev *Event) {
 					slowCounts[ev.Block.Global]++
-				}))
-				var slowSched Schedule
-				so := opts
-				so.Record = &slowSched
-				if err := slow.Run(so); err != nil {
+				})
+				if err != nil {
 					t.Fatalf("slow run: %v", err)
 				}
 
@@ -156,7 +262,7 @@ func TestRunBlockModeMatchesStepLoop(t *testing.T) {
 }
 
 // TestRunScheduleBlockModeMatches replays a recorded schedule through
-// both engines and compares final states.
+// RunSchedule and the per-instruction reference and compares final states.
 func TestRunScheduleBlockModeMatches(t *testing.T) {
 	for name, p := range fastPathPrograms(t) {
 		t.Run(name, func(t *testing.T) {
@@ -166,8 +272,7 @@ func TestRunScheduleBlockModeMatches(t *testing.T) {
 				t.Fatalf("record: %v", err)
 			}
 			slow := NewMachine(p, 9)
-			forceReference(slow)
-			if err := slow.RunSchedule(sched); err != nil {
+			if err := stepSchedule(slow, sched); err != nil {
 				t.Fatalf("slow replay: %v", err)
 			}
 			fast := NewMachine(p, 9)

@@ -1,8 +1,8 @@
 // Package exec provides the functional execution engine for mini-ISA
 // programs: an interpreter for N threads over a shared flat memory, with
-// pluggable per-instruction observers, futex semantics, an OS model with
-// recordable side effects, and deterministic schedulers (round-robin and
-// the paper's flow-control scheduler, Section III-B).
+// block-granular observers, futex semantics, an OS model with recordable
+// side effects, and deterministic schedulers (round-robin and the paper's
+// flow-control scheduler, Section III-B).
 package exec
 
 import (
@@ -61,16 +61,16 @@ func (t *Thread) PC() uint64 {
 	return t.cur.rt.Blocks[t.cur.blk].Instrs[t.cur.idx].Addr
 }
 
-// Event describes one executed (or blocking) instruction.
+// Event describes one instruction executed by Step.
 //
 // Aliasing contract: a single machine-owned Event value is reused by
-// every call to Step — the pointer observers receive (and Step returns)
-// is invalidated by the next Step on the same machine. Observers and
-// drivers must consume the event before stepping again and must never
-// retain the pointer or the Woken slice. The block tier (BlockEvent) has
-// the same lifetime rule but is recycled through an explicit free list,
-// so drivers that need to hold an event across steps can own one
-// (StepBlock fills a caller-provided event and copies nothing).
+// every call to Step — the pointer Step returns is invalidated by the
+// next Step on the same machine. Callers must consume the event before
+// stepping again and must never retain the pointer or the Woken slice.
+// The drivers (Run, RunSchedule) never call Step: they retire block
+// batches and dispatch BlockEvents. Step is the timing model's engine and
+// the per-instruction replay (pinball's StepReplay) that feeds the trace
+// writer and the OnInstr test oracles.
 type Event struct {
 	Tid        int
 	Instr      *isa.Instr
@@ -82,18 +82,6 @@ type Event struct {
 	Woken      []int  // threads woken by a FutexWake
 }
 
-// Observer receives every executed instruction. Implementations must be
-// cheap; they run on the interpreter hot path.
-type Observer interface {
-	OnInstr(ev *Event)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(ev *Event)
-
-// OnInstr implements Observer.
-func (f ObserverFunc) OnInstr(ev *Event) { f(ev) }
-
 // Machine executes a linked program.
 type Machine struct {
 	Prog    *isa.Program
@@ -101,7 +89,6 @@ type Machine struct {
 	Threads []*Thread
 	OS      OS
 
-	observers      []Observer
 	blockObservers []BlockObserver
 	futexQ         map[uint64][]int // word address -> waiting thread IDs (FIFO)
 	ev             Event
@@ -130,11 +117,6 @@ func NewMachine(p *isa.Program, seed uint64) *Machine {
 	}
 	return m
 }
-
-// AddObserver registers a per-instruction observer. Any per-instruction
-// observer forces the drivers onto the precise Step path; block-tier
-// observers keep receiving coalesced events assembled from it.
-func (m *Machine) AddObserver(o Observer) { m.observers = append(m.observers, o) }
 
 // Done reports whether every thread has halted.
 func (m *Machine) Done() bool {
@@ -341,9 +323,6 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		t.cur.idx++
 	}
 	t.ICount++
-	for _, o := range m.observers {
-		o.OnInstr(ev)
-	}
 	return ev, true
 }
 

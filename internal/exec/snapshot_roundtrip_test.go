@@ -7,23 +7,23 @@ import (
 	"looppoint/internal/isa"
 )
 
-// roundTripVariant configures how the continued machine runs: the fast
-// block tier, the per-instruction reference engine, or the block tier
+// roundTripVariant configures how the continued machine runs: the block
+// tier, the per-instruction reference (stepSchedule), or the block tier
 // with a break PC registered (marker splitting). A mid-run snapshot must
-// restore byte-identically under every mode because the parallel
-// analysis front-end replays shards under different observer tiers than
-// the sweep that captured the checkpoints.
+// restore byte-identically under every mode: the extraction sweep that
+// captures checkpoints and the replays and simulations that resume from
+// them retire instructions at different granularities.
 type roundTripVariant struct {
 	name  string
 	setup func(m *Machine, p *isa.Program)
+	run   func(m *Machine, s Schedule) error
 }
 
 func roundTripVariants() []roundTripVariant {
+	runSchedule := (*Machine).RunSchedule
 	return []roundTripVariant{
-		{"fast", func(m *Machine, p *isa.Program) {}},
-		{"per-instr", func(m *Machine, p *isa.Program) {
-			forceReference(m)
-		}},
+		{"fast", func(m *Machine, p *isa.Program) {}, runSchedule},
+		{"per-instr", func(m *Machine, p *isa.Program) {}, stepSchedule},
 		{"break-pc", func(m *Machine, p *isa.Program) {
 			// Register every conditional self-loop header as a break PC so
 			// the continuation exercises single-instruction marker events.
@@ -37,7 +37,7 @@ func roundTripVariants() []roundTripVariant {
 					}
 				}
 			}
-		}},
+		}, runSchedule},
 	}
 }
 
@@ -101,7 +101,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					b := NewMachine(p, 99) // wrong seed on purpose: Restore must overwrite OS state
 					v.setup(b, p)
 					b.Restore(snap)
-					if err := b.RunSchedule(sched.Window(n, total-n)); err != nil {
+					if err := v.run(b, sched.Window(n, total-n)); err != nil {
 						t.Fatalf("cut %d (%s): resume: %v", n, v.name, err)
 					}
 					got := b.Snapshot()

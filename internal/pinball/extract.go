@@ -9,10 +9,6 @@ import (
 	"looppoint/internal/isa"
 )
 
-// slowExtract forces the extraction replay onto the per-instruction
-// reference engine; tests flip it to pin fast/slow equivalence.
-var slowExtract bool
-
 // RegionSpec names a region to extract from a whole-program pinball by
 // its global step offsets in the recorded schedule (known exactly from
 // the BBV profile collected on the same replay) plus the (PC, count)
@@ -58,11 +54,6 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 	}
 
 	m, replay := pb.startMachine(p)
-	if slowExtract {
-		// A per-instruction observer makes StepBlock assemble its events
-		// by driving Step — the reference engine.
-		m.AddObserver(exec.ObserverFunc(func(*exec.Event) {}))
-	}
 
 	// Track global hit counts of every marker PC of interest. They are
 	// accumulated from the block events' entry counts — exact, because

@@ -129,28 +129,52 @@ func (pb *Pinball) Verify() error {
 }
 
 // Replay performs a constrained replay of the pinball on a fresh machine
-// for the same program, attaching the given observers first. An observer
-// that also implements exec.BlockObserver is attached to the block-
-// batched tier (its break PCs registered), letting the replay run on the
-// fast path; others attach per-instruction, which forces the precise
-// path. The returned machine holds the final state. Replay verifies the
-// snapshot checksum before starting and the final memory checksum
-// afterwards.
-func (pb *Pinball) Replay(p *isa.Program, observers ...exec.Observer) (*exec.Machine, error) {
+// for the same program, with the given block observers attached (their
+// break PCs registered). The returned machine holds the final state.
+// Replay verifies the snapshot checksum before starting and the final
+// memory checksum afterwards.
+func (pb *Pinball) Replay(p *isa.Program, observers ...exec.BlockObserver) (*exec.Machine, error) {
 	if err := pb.Verify(); err != nil {
 		return nil, err
 	}
 	m, replay := pb.startMachine(p)
 	for _, o := range observers {
-		if bo, ok := o.(exec.BlockObserver); ok {
-			m.AddBlockObserver(bo)
-		} else {
-			m.AddObserver(o)
-		}
+		m.AddBlockObserver(o)
 	}
 	if err := m.RunSchedule(pb.Schedule); err != nil {
 		return nil, fmt.Errorf("pinball %s: %w", pb.Name, err)
 	}
+	return pb.finish(m, replay)
+}
+
+// StepReplay is Replay one instruction at a time: it retires the recorded
+// schedule through exec.Machine.Step, hands every event to fn, and makes
+// the same checks. It serves the per-instruction consumers — the trace
+// writer behind lpsim -dump-trace and the OnInstr reference oracles the
+// block tier is tested against.
+func (pb *Pinball) StepReplay(p *isa.Program, fn func(*exec.Event)) (_ *exec.Machine, err error) {
+	defer exec.Recover(&err)
+	if err := pb.Verify(); err != nil {
+		return nil, err
+	}
+	m, replay := pb.startMachine(p)
+	for _, e := range pb.Schedule {
+		for i := uint32(0); i < e.N; i++ {
+			ev, ok := m.Step(e.Tid)
+			if !ok {
+				return nil, fmt.Errorf("pinball %s: %w: thread %d is %s", pb.Name,
+					exec.ErrScheduleDiverged, e.Tid, m.Threads[e.Tid].State)
+			}
+			fn(ev)
+		}
+	}
+	return pb.finish(m, replay)
+}
+
+// finish returns the replayed machine, or an error if the replay ran out
+// of injected syscall results or ended on memory other than the
+// recording's.
+func (pb *Pinball) finish(m *exec.Machine, replay *exec.ReplayOS) (*exec.Machine, error) {
 	if replay.Diverged {
 		return nil, fmt.Errorf("pinball %s: syscall injection log exhausted (replay diverged)", pb.Name)
 	}

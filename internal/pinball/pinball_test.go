@@ -2,6 +2,7 @@ package pinball
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -129,6 +130,41 @@ func TestReplayDetectsTamperedSchedule(t *testing.T) {
 	pb.Schedule = append(pb.Schedule, exec.ScheduleEntry{Tid: 0, N: 100})
 	if _, err := pb.Replay(p); err == nil {
 		t.Fatal("replay with tampered schedule succeeded")
+	}
+}
+
+// loadProgram is a one-thread program that loads from addr and halts.
+func loadProgram(t *testing.T, addr int64) *isa.Program {
+	t.Helper()
+	p := isa.NewProgram("load", 1)
+	p.Alloc("x", 1)
+	img := p.AddImage("main", false)
+	r := img.NewRoutine("main")
+	blk := r.NewBlock("entry")
+	blk.IMovI(1, addr)
+	blk.ILoad(2, 1, 0)
+	blk.Halt()
+	p.SetEntry(0, r)
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestReplayMachineFaultIsTypedError: a program that faults where the
+// recorded one did not (an out-of-range load) makes both replays return
+// an error wrapping exec.ErrMachine instead of panicking.
+func TestReplayMachineFaultIsTypedError(t *testing.T) {
+	pb, err := Record(loadProgram(t, 0), 7, 0)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	faulty := loadProgram(t, 1<<40)
+	if _, err := pb.Replay(faulty); !errors.Is(err, exec.ErrMachine) {
+		t.Errorf("Replay = %v, want ErrMachine", err)
+	}
+	if _, err := pb.StepReplay(faulty, func(*exec.Event) {}); !errors.Is(err, exec.ErrMachine) {
+		t.Errorf("StepReplay = %v, want ErrMachine", err)
 	}
 }
 

@@ -39,9 +39,9 @@ const (
 // size it; 256 MB is several hundred times the largest ref-input program.
 const maxTraceAddr = 1 << 28
 
-// TraceWriter is an exec.Observer that streams one compact record per
-// executed instruction. Attach it to any run — a live execution or a
-// pinball replay — and Close when done.
+// TraceWriter streams one compact record per executed instruction. Feed
+// OnInstr every event of a per-instruction run (pinball.StepReplay) and
+// Close when done.
 type TraceWriter struct {
 	w   *bufio.Writer
 	err error
@@ -62,7 +62,7 @@ func NewTraceWriter(dst io.Writer) (*TraceWriter, error) {
 	return w, nil
 }
 
-// OnInstr implements exec.Observer.
+// OnInstr appends the record of one executed instruction.
 func (t *TraceWriter) OnInstr(ev *exec.Event) {
 	if t.err != nil {
 		return

@@ -30,7 +30,7 @@ func TestTraceDrivenMatchesConstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pb.Replay(p, tw); err != nil {
+	if _, err := pb.StepReplay(p, tw.OnInstr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -118,7 +118,7 @@ func TestTraceThreadBoundsChecked(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tw, _ := NewTraceWriter(&buf)
-	if _, err := pb.Replay(p, tw); err != nil {
+	if _, err := pb.StepReplay(p, tw.OnInstr); err != nil {
 		t.Fatal(err)
 	}
 	tw.Close()
