@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build fmt-check loc test test-race test-faults test-stats serve-smoke campaign-smoke kill-smoke bench bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
+.PHONY: build fmt-check loc test test-race test-faults test-stats fuzz-smoke serve-smoke campaign-smoke kill-smoke bench bench-full bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
 
 build:
 	go build ./...
@@ -78,8 +78,9 @@ campaign-smoke:
 # Crash-only worker drill: SIGKILL an lpserved mid-analyze, restart it
 # over the same -progress-dir, and assert the resubmitted job resumes
 # from its saved recording (recoveries >= 1, recovery_steps_saved > 0) with a
-# result byte-identical to an uninterrupted run; plus the boot-time
-# pending-checkpoint resubmission leg.
+# result byte-identical to an uninterrupted run; then the same with a
+# SIGTERM mid-job instead (drain deadline shorter than the job): the
+# worker exits 0 and the restart recovers exactly as after the kill.
 kill-smoke:
 	bash scripts/kill_smoke.sh
 

@@ -3,30 +3,30 @@
 // shared memoizing evaluator, and are protected by the internal/serve
 // stack — admission control with a bounded queue and 429 load shedding,
 // per-class circuit breakers, per-request deadlines, and graceful
-// SIGTERM drain that checkpoints unfinished jobs for resubmission. A job
-// runs once; lpcoord retries a failed one on another worker.
+// SIGTERM drain. A job runs once; lpcoord retries a failed one on another
+// worker.
 //
 //	lpserved -quick -slice 2000            # fast smoke configuration
 //	lpserved -addr 127.0.0.1:0             # ephemeral port, printed at boot
 //	curl localhost:8347/readyz
 //	curl -d '{"class":"analyze","app":"npb-cg","input":"test"}' localhost:8347/v1/jobs
 //
-// Endpoints: GET /healthz (liveness + counters + breaker states),
-// GET /readyz (flips to 503 the moment drain starts), GET /v1/stats
-// (bare counter snapshot, including the durable-progress and recovery
-// counters), POST /v1/jobs (synchronous; the response is the job's
-// result or a typed outcome) and POST /v1/claim (the same submission
-// under lpcoord's key and lease, answered in a checksummed envelope). On
-// SIGTERM/SIGINT the daemon stops
-// admitting, drains in-flight work up to -drain-deadline, checkpoints
-// whatever could not finish to -pending, and exits 0.
+// Endpoints: GET /healthz (liveness), GET /readyz (flips to 503 the
+// moment drain starts), GET /v1/stats (the counters, breaker states and
+// the durable-progress and recovery counters), POST /v1/jobs
+// (synchronous; the response is the job's result or a typed outcome) and
+// POST /v1/claim (the same submission under lpcoord's key and lease,
+// answered in a checksummed envelope). On SIGTERM/SIGINT the daemon stops
+// admitting, waits for in-flight work up to -drain-deadline, cancels
+// whatever is left — each request still gets its own answer — and exits 0.
 //
 // Crash recovery: with -progress-dir set, each analysis's recording and
 // graph and every finished region simulation are saved durably as jobs
-// run, and at boot the previous process's -pending checkpoint is
-// resubmitted automatically — a job killed after its recording resumes
-// without executing the program again, and re-simulates only the regions
-// it had not finished.
+// run. Shutdown is crash-only: after a SIGTERM or a SIGKILL alike, a
+// restarted daemon keeps nothing but that directory, and the caller
+// resubmits — a job stopped after its recording resumes without
+// executing the program again, and re-simulates only the regions it had
+// not finished.
 package main
 
 import (
@@ -55,8 +55,7 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 0, "admitted-but-waiting job bound; beyond it requests are shed with 429 (0 = 2×max-inflight)")
 		deadline    = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline when the client sets none")
 		maxDeadline = flag.Duration("max-deadline", serve.DefaultMaxDeadline, "cap on client-requested deadlines")
-		drainDL     = flag.Duration("drain-deadline", serve.DefaultDrainDeadline, "SIGTERM drain bound before unfinished jobs are cancelled and checkpointed")
-		pending     = flag.String("pending", "lpserved.pending.jsonl", "drain checkpoint file for jobs the daemon gave up on (empty disables); resubmitted at next boot")
+		drainDL     = flag.Duration("drain-deadline", serve.DefaultDrainDeadline, "SIGTERM drain bound before unfinished jobs are cancelled")
 
 		progressDir = flag.String("progress-dir", "", "durable progress directory: each analysis's recording and graph and every finished region simulation persist here, and a restarted daemon resumes from them instead of redoing the work (empty disables)")
 
@@ -108,36 +107,10 @@ func main() {
 			OpenFor:          *brOpen,
 			HalfOpenProbes:   *brProbes,
 		},
-		PendingPath: *pending,
-		Progress:    progress,
-		Log:         os.Stderr,
+		Progress: progress,
+		Log:      os.Stderr,
 	}, serve.EvaluatorRunner(e))
 	srv.Start()
-
-	// Boot-time crash recovery: jobs the previous process checkpointed at
-	// drain (or was killed holding) are re-enqueued before the listener
-	// opens, and the consumed checkpoint is renamed aside so a boot loop
-	// cannot resubmit the same work twice. The evaluations themselves
-	// resume from what -progress-dir holds of them.
-	if *pending != "" {
-		jobs, err := serve.LoadPendingCheckpoint(*pending)
-		if err != nil && os.IsNotExist(err) {
-			// No checkpoint: clean previous shutdown or first boot.
-		} else {
-			if err != nil {
-				// Partial decode still yields the valid prefix; resubmit it.
-				fmt.Fprintf(os.Stderr, "lpserved: pending checkpoint %s: %v (resubmitting the %d job(s) that decoded)\n",
-					*pending, err, len(jobs))
-			}
-			accepted, rejected := srv.Resubmit(jobs)
-			aside := *pending + ".resubmitted"
-			if rerr := os.Rename(*pending, aside); rerr != nil && !os.IsNotExist(rerr) {
-				fmt.Fprintf(os.Stderr, "lpserved: cannot move consumed checkpoint aside: %v\n", rerr)
-			}
-			fmt.Printf("lpserved: resubmitted=%d rejected=%d from %s (moved to %s)\n",
-				accepted, rejected, *pending, aside)
-		}
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -171,10 +144,6 @@ func main() {
 	if err := e.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "lpserved: evaluator close: %v\n", err)
 	}
-	fmt.Printf("lpserved: drained clean=%v journaled_queued=%d journaled_running=%d leaked_workers=%d\n",
-		ds.Clean, ds.JournaledQueued, ds.JournaledRunning, ds.LeakedWorkers)
-	if !ds.Clean && ds.PendingCheckpoint != "" {
-		fmt.Printf("lpserved: unfinished jobs checkpointed to %s\n", ds.PendingCheckpoint)
-	}
+	fmt.Printf("lpserved: drained clean=%v leaked_workers=%d\n", ds.Clean, ds.LeakedWorkers)
 	os.Exit(0)
 }

@@ -189,10 +189,9 @@ func openJournal(path, config string) (*journal, error) {
 }
 
 // append writes one completed evaluation, durably: a SIGKILL right after
-// a drain checkpoint (the serving layer journals in-flight work on
-// SIGTERM) never loses an acknowledged record to the page cache. The
-// first failed write is returned; after it the journal stops appending
-// while the evaluator keeps evaluating, so later calls report nothing.
+// it never loses an acknowledged record to the page cache. The first
+// failed write is returned; after it the journal stops appending while
+// the evaluator keeps evaluating, so later calls report nothing.
 func (j *journal) append(key string, rep *core.Report) error {
 	rec, err := json.Marshal(journalRecord{Key: key, Config: j.config, Report: newReportData(rep)})
 	if err != nil {

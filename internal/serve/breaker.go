@@ -203,7 +203,7 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Trips returns how many times the breaker has tripped — observability
-// for /healthz and the chaos tests.
+// for /v1/stats and the chaos tests.
 func (b *Breaker) Trips() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

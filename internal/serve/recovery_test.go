@@ -2,23 +2,18 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"looppoint/internal/core"
 )
 
 // syncBuffer is a mutex-guarded log sink: the server serializes writes
-// under its own lock, but detached jobs may still be logging when a test
-// reads the buffer.
+// under its own lock, which a test reading the buffer does not take.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -87,66 +82,5 @@ func TestProgressDeltaOnJobLogLine(t *testing.T) {
 	if !strings.Contains(out, "outcome=ok") || !strings.Contains(out, "progress_saves=0") ||
 		!strings.Contains(out, "recoveries=0") || !strings.Contains(out, "steps_saved=0") {
 		t.Fatalf("job log line missing progress delta fields:\n%s", out)
-	}
-}
-
-// TestResubmitPendingJobs: a drain checkpoint written by one server is
-// loaded and resubmitted into a fresh one — valid jobs run to
-// completion and count as resubmitted, garbage entries are rejected,
-// and nothing is double-run.
-func TestResubmitPendingJobs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pending.jsonl")
-	pending := []PendingJob{
-		{State: "queued", Job: &JobRequest{ID: "p-1", Class: ClassAnalyze, App: "npb-cg"}},
-		{State: "running", Job: &JobRequest{ID: "p-2", Class: ClassSimulate, App: "npb-ft"}},
-		{State: "queued", Job: &JobRequest{ID: "p-bad", Class: "no-such-class", App: "x"}},
-		{State: "queued", Job: nil},
-	}
-	if err := writePendingCheckpoint(path, pending); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := LoadPendingCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(pending) {
-		t.Fatalf("loaded %d pending jobs, want %d", len(loaded), len(pending))
-	}
-
-	var ran atomic.Int64
-	s := startServer(t, Config{MaxInflight: 2}, func(ctx context.Context, req *JobRequest) (*JobResult, error) {
-		ran.Add(1)
-		return &JobResult{ID: req.ID, Class: req.Class, App: req.App, Summary: "ok"}, nil
-	})
-	accepted, rejected := s.Resubmit(loaded)
-	if accepted != 2 || rejected != 2 {
-		t.Fatalf("Resubmit accepted=%d rejected=%d, want 2/2", accepted, rejected)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Completed < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("resubmitted jobs did not complete: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := s.Stats()
-	if st.Resubmitted != 2 || st.Admitted != 2 || ran.Load() != 2 {
-		t.Fatalf("resubmitted=%d admitted=%d ran=%d, want 2/2/2", st.Resubmitted, st.Admitted, ran.Load())
-	}
-}
-
-// TestResubmitDuringDrainRejectsAll: a draining server sheds every
-// resubmitted job instead of enqueueing work it will never run.
-func TestResubmitDuringDrainRejectsAll(t *testing.T) {
-	s := New(Config{MaxInflight: 1, DrainDeadline: 50 * time.Millisecond}, okRunner)
-	s.Start()
-	s.Drain()
-	accepted, rejected := s.Resubmit([]PendingJob{
-		{State: "queued", Job: &JobRequest{Class: ClassAnalyze, App: "npb-cg"}},
-	})
-	if accepted != 0 || rejected != 1 {
-		t.Fatalf("draining Resubmit accepted=%d rejected=%d, want 0/1", accepted, rejected)
 	}
 }

@@ -6,29 +6,28 @@
 // a per-job-class circuit breaker (closed/open/half-open under an
 // injected clock), per-request deadlines propagated as contexts through
 // every layer below, and graceful drain on SIGTERM: stop admitting,
-// finish in-flight work up to a drain deadline, and checkpoint whatever
-// could not finish so an operator can resubmit it. A job runs once: a
-// failure is answered as it is, and the campaign coordinator retries it
-// on another worker (DESIGN.md §9).
+// finish in-flight work up to a drain deadline, then cancel the rest and
+// answer every request with its own disposition. Shutdown is crash-only:
+// a stop keeps nothing a kill would not — the evaluator's -progress-dir
+// state — and the caller resubmits what was not answered with a result.
+// A job runs once: a failure is answered as it is, and the campaign
+// coordinator retries it on another worker (DESIGN.md §9).
 // DESIGN.md §11 states the invariants; cmd/lpserved is the binary.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"looppoint/internal/artifact"
 	"looppoint/internal/core"
 	"looppoint/internal/faults"
 	"looppoint/internal/pool"
@@ -50,7 +49,7 @@ const (
 	DefaultQueueDepthFactor = 2                // queue depth = factor × max-inflight
 	DefaultDeadline         = 2 * time.Minute  // per-request deadline when the client sets none
 	DefaultMaxDeadline      = 10 * time.Minute // cap on client-requested deadlines
-	DefaultDrainDeadline    = 30 * time.Second // SIGTERM → forced-checkpoint bound
+	DefaultDrainDeadline    = 30 * time.Second // SIGTERM → cancellation bound
 )
 
 // ErrDraining rejects work because the server is shutting down.
@@ -129,15 +128,12 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines.
 	MaxDeadline time.Duration
-	// DrainDeadline bounds Drain: in-flight work past it is cancelled and
-	// checkpointed instead of awaited forever.
+	// DrainDeadline bounds Drain: in-flight work past it is cancelled
+	// instead of awaited forever.
 	DrainDeadline time.Duration
 	// Breaker configures every class's circuit breaker (each class gets
 	// its own instance).
 	Breaker BreakerOpts
-	// PendingPath, when set, receives the JSONL checkpoint of jobs that
-	// could not drain (see Drain).
-	PendingPath string
 	// Progress, when set, is the shared durable-progress counter sink the
 	// evaluations below report into (core.Config.Progress). The server
 	// only reads it: /v1/stats exposes the totals and each job's log line
@@ -207,8 +203,6 @@ type Stats struct {
 	ShedQueue   uint64 `json:"shed_queue"`
 	ShedBreaker uint64 `json:"shed_breaker"`
 	ShedDrain   uint64 `json:"shed_drain"`
-	Journaled   uint64 `json:"journaled"`
-	Resubmitted uint64 `json:"resubmitted"`
 
 	// Durable-progress counters (zero unless Config.Progress is set):
 	// saves (one per analysis recovery point, one per journaled region),
@@ -233,18 +227,8 @@ type Stats struct {
 
 // DrainStats reports what Drain did.
 type DrainStats struct {
-	Clean             bool // every admitted job finished within the deadline
-	JournaledQueued   int  // queued jobs checkpointed instead of run
-	JournaledRunning  int  // running jobs cancelled and checkpointed
-	LeakedWorkers     int  // workers still stuck in CPU-bound work at exit
-	PendingCheckpoint string
-}
-
-// PendingJob is one line of the drain checkpoint: a job the server
-// admitted but could not finish, with enough of the spec to resubmit.
-type PendingJob struct {
-	State string      `json:"state"` // "queued" or "running"
-	Job   *JobRequest `json:"job"`
+	Clean         bool // every admitted job finished within the deadline
+	LeakedWorkers int  // workers still stuck in CPU-bound work at exit
 }
 
 // Server is the resilient job-serving daemon core. Build with New,
@@ -258,21 +242,19 @@ type Server struct {
 	jobs     chan *job
 	accepted sync.WaitGroup // admitted jobs not yet terminal
 	workers  sync.WaitGroup
+	// baseCtx is the server-scoped cancellation Drain fires: it stops the
+	// workers and cancels every admitted job's context.
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
 	draining atomic.Bool
 	seq      atomic.Uint64
 
-	activeMu sync.Mutex
-	active   map[uint64]*job
-
 	inflight  atomic.Int64
 	highWater atomic.Int64
 
 	admitted, completed, errsN, timeouts atomic.Uint64
 	shedQueue, shedBreaker, shedDrain    atomic.Uint64
-	journaled, resubmitted               atomic.Uint64
 	claims, claimDedups                  atomic.Uint64
 
 	claimMu     sync.Mutex
@@ -289,7 +271,6 @@ func New(cfg Config, run RunFunc) *Server {
 		run:         run,
 		breakers:    make(map[string]*Breaker, len(JobClasses)),
 		jobs:        make(chan *job, cfg.QueueDepth),
-		active:      make(map[uint64]*job),
 		claimFlight: make(map[string]*claimEntry),
 	}
 	for _, class := range JobClasses {
@@ -333,8 +314,6 @@ func (s *Server) Stats() Stats {
 		ShedQueue:   s.shedQueue.Load(),
 		ShedBreaker: s.shedBreaker.Load(),
 		ShedDrain:   s.shedDrain.Load(),
-		Journaled:   s.journaled.Load(),
-		Resubmitted: s.resubmitted.Load(),
 		Inflight:    s.inflight.Load(),
 		HighWater:   s.highWater.Load(),
 		Queued:      len(s.jobs),
@@ -351,17 +330,17 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Handler returns the HTTP API: GET /healthz (liveness + stats), GET
-// /readyz (admission readiness), GET /v1/stats (the bare counter
-// snapshot, for coordinators and drills) and the two wire forms of the
-// one submit path — POST /v1/jobs (a bare job spec in, the job's own
-// payload out) and POST /v1/claim (claim.go: a keyed, leased spec in, one
-// checksummed envelope out). The method patterns make the mux answer a
-// wrong method on those routes with 405 and an Allow header.
+// Handler returns the HTTP API: GET /healthz (liveness only), GET
+// /readyz (admission readiness), GET /v1/stats (the one counter
+// snapshot, for operators, coordinators and drills) and the two wire
+// forms of the one submit path — POST /v1/jobs (a bare job spec in, the
+// job's own payload out) and POST /v1/claim (claim.go: a keyed, leased
+// spec in, one checksummed envelope out). The method patterns make the
+// mux answer a wrong method on those routes with 405 and an Allow header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "stats": s.Stats()})
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -383,7 +362,6 @@ type errorBody struct {
 	Outcome      string `json:"outcome"`
 	Error        string `json:"error"`
 	Timeout      bool   `json:"timeout,omitempty"`
-	Journaled    bool   `json:"journaled,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 	Breaker      string `json:"breaker,omitempty"`
 }
@@ -419,8 +397,8 @@ func decodeBody(r *http.Request, v any) (jobOutcome, bool) {
 }
 
 // ValidateJob rejects a structurally bad job spec — the one check every
-// way in runs before admission: both wire forms, Resubmit, and the
-// campaign coordinator before it dispatches anything.
+// way in runs before admission: both wire forms, and the campaign
+// coordinator before it dispatches anything.
 func ValidateJob(req *JobRequest) error {
 	if !slices.Contains(JobClasses, req.Class) {
 		return fmt.Errorf("unknown class %q (want one of %v)", req.Class, JobClasses)
@@ -460,7 +438,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // admit runs the admission dance for one validated job, in shed-priority
 // order: drain beats breaker beats queue. On success the job is queued
 // and the caller must consume it with awaitJob (which releases the
-// deadline context); a non-nil jobOutcome means the job was shed and
+// deadline context and its tie to Drain's cancellation); a non-nil jobOutcome means the job was shed and
 // nothing was enqueued. The accepted.Add happens before the draining
 // re-check so Drain's Wait provably covers every job that can still
 // reach the queue.
@@ -487,7 +465,9 @@ func (s *Server) admit(httpCtx context.Context, req *JobRequest) (*job, *jobOutc
 		})
 	}
 
-	j.ctx, j.cancel = context.WithTimeout(httpCtx, j.deadline)
+	ctx, cancel := context.WithTimeout(httpCtx, j.deadline)
+	detach := context.AfterFunc(s.baseCtx, cancel) // Drain cancels every admitted job
+	j.ctx, j.cancel = ctx, func() { detach(); cancel() }
 	j.enq = s.cfg.Now()
 	s.accepted.Add(1)
 	if !s.draining.Load() { // the re-check: Drain may have begun since the first
@@ -589,13 +569,12 @@ func (s *Server) finishOutcome(j *job, d jobDone) jobOutcome {
 		s.logLine(j, "ok", d, nil)
 		return jobOutcome{status: http.StatusOK, res: d.res}
 	case errors.Is(d.err, ErrDraining):
-		// Flushed by Drain: checkpointed, not a dependency failure.
+		// Flushed by Drain before it ran: not a dependency failure.
 		s.shedDrain.Add(1)
 		br.Forget()
 		s.logLine(j, "drained", d, d.err)
-		return jobOutcome{status: http.StatusServiceUnavailable, errB: errorBody{
-			Outcome: "drained", Error: d.err.Error(), Journaled: s.cfg.PendingPath != "",
-		}}
+		return jobOutcome{status: http.StatusServiceUnavailable,
+			errB: errorBody{Outcome: "drained", Error: d.err.Error()}}
 	case errors.Is(d.err, context.DeadlineExceeded):
 		terr := &TimeoutError{Phase: "running", Deadline: j.deadline}
 		s.timeouts.Add(1)
@@ -627,9 +606,6 @@ func (s *Server) runOne(j *job) {
 		return
 	}
 	j.started.Store(true)
-	s.activeMu.Lock()
-	s.active[j.id] = j
-	s.activeMu.Unlock()
 	cur := s.inflight.Add(1)
 	for {
 		hw := s.highWater.Load()
@@ -653,9 +629,6 @@ func (s *Server) runOne(j *job) {
 			saves-saves0, fails-fails0, recov-recov0, steps-steps0)
 	}
 	s.inflight.Add(-1)
-	s.activeMu.Lock()
-	delete(s.active, j.id)
-	s.activeMu.Unlock()
 	j.done <- jobDone{res: res, err: err, wait: wait, run: s.cfg.Now().Sub(start), prog: prog}
 }
 
@@ -674,15 +647,15 @@ func (s *Server) executeJob(ctx context.Context, req *JobRequest) (*JobResult, e
 }
 
 // Drain performs graceful shutdown: stop admitting, wait for admitted
-// jobs up to DrainDeadline, then cancel and checkpoint whatever is left
-// (queued jobs verbatim, running jobs after cancellation) to
-// PendingPath as resubmittable JSONL, and stop the workers. Completed
-// evaluations were already persisted by the evaluator's own resume
-// journal as they finished; the pending checkpoint covers only the work
-// this process is giving up on.
+// jobs up to DrainDeadline, then answer the ones still queued as drained,
+// cancel the ones still running, and stop the workers. Every request gets
+// its own answer; nothing is written. What outlives the process is what a
+// kill would leave too — completed evaluations in the evaluator's resume
+// journal, partial ones in its durable progress — and the caller
+// resubmits a drained or canceled job.
 func (s *Server) Drain() DrainStats {
 	s.draining.Store(true)
-	st := DrainStats{PendingCheckpoint: s.cfg.PendingPath}
+	var st DrainStats
 
 	allDone := make(chan struct{})
 	go func() {
@@ -697,42 +670,23 @@ func (s *Server) Drain() DrainStats {
 	case <-timer.C:
 	}
 
-	var pending []PendingJob
-	if !st.Clean {
-		// Flush jobs still queued: they never started, so their specs
-		// checkpoint verbatim.
-		pending = append(pending, s.flushQueued()...)
-		// Cancel jobs still running and checkpoint their specs too; give
-		// them a short grace to observe cancellation at a region boundary.
-		for _, j := range s.cancelActive() {
-			pending = append(pending, PendingJob{State: "running", Job: j.req})
-		}
-		grace := time.NewTimer(s.cfg.DrainDeadline / 4)
-		select {
-		case <-allDone:
-		case <-grace.C:
-		}
-		grace.Stop()
-		// A racing admitter may have slipped one more job into the queue
-		// between flush and cancel; sweep again so nothing is stranded.
-		pending = append(pending, s.flushQueued()...)
-		for _, p := range pending {
-			if p.State == "queued" {
-				st.JournaledQueued++
-			} else {
-				st.JournaledRunning++
-			}
-		}
-	}
-	if len(pending) > 0 && s.cfg.PendingPath != "" {
-		if err := writePendingCheckpoint(s.cfg.PendingPath, pending); err != nil {
-			s.logf("drain: pending checkpoint %s failed: %v", s.cfg.PendingPath, err)
-		} else {
-			s.journaled.Add(uint64(len(pending)))
-		}
-	}
-
+	// Answer queued jobs before the cancellation reaches them: with a
+	// cancellation-deaf runner wedging every worker, nothing else would
+	// answer them before the listener shuts down.
+	s.flushQueued()
+	// Cancel every admitted job and stop the workers; give running jobs a
+	// short grace to observe cancellation at a region boundary.
 	s.baseStop()
+	grace := time.NewTimer(s.cfg.DrainDeadline / 4)
+	defer grace.Stop()
+	select {
+	case <-allDone:
+	case <-grace.C:
+	}
+	// A racing admitter may have slipped one more job into the queue
+	// after the first sweep; sweep again so nothing is stranded.
+	s.flushQueued()
+
 	workersDone := make(chan struct{})
 	go func() {
 		s.workers.Wait()
@@ -747,100 +701,22 @@ func (s *Server) Drain() DrainStats {
 		// the process is exiting anyway, so report rather than hang.
 		st.LeakedWorkers = int(s.inflight.Load())
 	}
-	s.logf("drain: clean=%v journaled_queued=%d journaled_running=%d leaked=%d",
-		st.Clean, st.JournaledQueued, st.JournaledRunning, st.LeakedWorkers)
+	s.logf("drain: clean=%v leaked=%d", st.Clean, st.LeakedWorkers)
 	return st
 }
 
 // flushQueued empties the queue, finishing each job as drained.
-func (s *Server) flushQueued() []PendingJob {
-	var flushed []PendingJob
+func (s *Server) flushQueued() {
 	for {
 		select {
 		case j := <-s.jobs:
 			j.cancel()
-			flushed = append(flushed, PendingJob{State: "queued", Job: j.req})
 			j.done <- jobDone{err: ErrDraining, wait: s.cfg.Now().Sub(j.enq)}
 			s.accepted.Done()
 		default:
-			return flushed
+			return
 		}
 	}
-}
-
-// cancelActive cancels every running job and returns them.
-func (s *Server) cancelActive() []*job {
-	s.activeMu.Lock()
-	defer s.activeMu.Unlock()
-	jobs := make([]*job, 0, len(s.active))
-	for _, j := range s.active {
-		j.cancel()
-		jobs = append(jobs, j)
-	}
-	return jobs
-}
-
-// writePendingCheckpoint writes the drain checkpoint — plain JSONL, one
-// PendingJob per line — crash-safely (artifact.WriteFileDurable), so a
-// SIGKILL mid-drain leaves either no checkpoint or a complete one — never
-// a torn file.
-func writePendingCheckpoint(path string, pending []PendingJob) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, p := range pending {
-		if err := enc.Encode(p); err != nil {
-			return err
-		}
-	}
-	return artifact.WriteFileDurable(path, buf.Bytes())
-}
-
-// LoadPendingCheckpoint reads a drain checkpoint back — the resubmission
-// half of the drain contract.
-func LoadPendingCheckpoint(path string) ([]PendingJob, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []PendingJob
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var p PendingJob
-		if err := dec.Decode(&p); err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// Resubmit re-enqueues jobs recovered from a drain checkpoint — the
-// boot-time half of the crash-recovery contract: lpserved loads the
-// previous process's pending file, Resubmits it, and renames the file
-// aside. Each job goes through the normal admission dance (drain check,
-// breaker, bounded queue); jobs that fail validation or are shed count
-// as rejected and are dropped — their shed outcome is already logged.
-// Accepted jobs run detached: their results land in the evaluator's
-// resume journal and the per-request log, not in an HTTP response.
-// Call after Start.
-func (s *Server) Resubmit(pending []PendingJob) (accepted, rejected int) {
-	for _, p := range pending {
-		job := p.Job
-		if job == nil || ValidateJob(job) != nil {
-			rejected++
-			continue
-		}
-		j, shed := s.admit(context.Background(), job)
-		if shed != nil {
-			rejected++
-			continue
-		}
-		accepted++
-		s.resubmitted.Add(1)
-		go s.awaitJob(j)
-	}
-	s.logf("boot: resubmitted=%d rejected=%d from drain checkpoint", accepted, rejected)
-	return accepted, rejected
 }
 
 // logLine emits the structured per-request line: one line per request,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,8 +87,8 @@ func TestServeJobOK(t *testing.T) {
 	}
 	w = httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("healthz %d, want 200", w.Code)
+	if w.Code != http.StatusOK || w.Body.String() != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("healthz %d %q, want 200 with liveness only (counters live on /v1/stats)", w.Code, w.Body.String())
 	}
 	st := s.Stats()
 	if st.Admitted != 1 || st.Completed != 1 {
@@ -271,16 +270,14 @@ func TestServeJobRunsOnce(t *testing.T) {
 	}
 }
 
-// TestServeDrainJournalsUnfinished: SIGTERM-style drain stops admitting
-// (readyz flips, new jobs shed), flushes queued jobs and cancels running
-// ones, and checkpoints both to the pending file for resubmission.
-func TestServeDrainJournalsUnfinished(t *testing.T) {
-	pending := filepath.Join(t.TempDir(), "pending.jsonl")
+// TestServeDrainCancelsUnfinished: SIGTERM-style drain stops admitting
+// (readyz flips, new jobs shed), answers queued jobs drained and cancels
+// running ones, each request with its own answer.
+func TestServeDrainCancelsUnfinished(t *testing.T) {
 	br := newBlockingRunner()
 	s := New(Config{
 		MaxInflight: 1, QueueDepth: 4,
 		DrainDeadline: 300 * time.Millisecond,
-		PendingPath:   pending,
 	}, br.run)
 	s.Start()
 
@@ -298,9 +295,6 @@ func TestServeDrainJournalsUnfinished(t *testing.T) {
 	if st.Clean {
 		t.Fatal("drain reported clean with jobs stuck")
 	}
-	if st.JournaledQueued != 2 || st.JournaledRunning != 1 {
-		t.Fatalf("journaled queued=%d running=%d, want 2/1", st.JournaledQueued, st.JournaledRunning)
-	}
 
 	outcomes := map[string]int{}
 	for i := 0; i < 3; i++ {
@@ -309,25 +303,6 @@ func TestServeDrainJournalsUnfinished(t *testing.T) {
 	}
 	if outcomes["drained"] != 2 || outcomes["canceled"] != 1 {
 		t.Fatalf("outcomes %v, want 2 drained + 1 canceled", outcomes)
-	}
-
-	// The checkpoint is loadable and resubmittable.
-	jobs, err := LoadPendingCheckpoint(pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 3 {
-		t.Fatalf("checkpoint holds %d jobs, want 3", len(jobs))
-	}
-	states := map[string]int{}
-	for _, p := range jobs {
-		states[p.State]++
-		if p.Job == nil || p.Job.App != "npb-cg" {
-			t.Fatalf("checkpoint entry lost its spec: %+v", p)
-		}
-	}
-	if states["queued"] != 2 || states["running"] != 1 {
-		t.Fatalf("checkpoint states %v, want 2 queued + 1 running", states)
 	}
 
 	// Draining servers refuse new work and report unready.
@@ -343,11 +318,10 @@ func TestServeDrainJournalsUnfinished(t *testing.T) {
 
 // TestServeDrainMidFlight: a drain that lands with one job finished, one
 // running and one queued changes nothing about the finished one, cancels
-// and journals the running one, flushes and journals the queued one, and
-// every concurrent POST /v1/jobs still gets its own answer; posts that
-// arrive afterwards are shed_drain.
+// the running one, flushes the queued one, and every concurrent POST
+// /v1/jobs still gets its own answer; posts that arrive afterwards are
+// shed_drain.
 func TestServeDrainMidFlight(t *testing.T) {
-	pending := filepath.Join(t.TempDir(), "pending.jsonl")
 	br := newBlockingRunner()
 	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
 		if req.ID == "finished" {
@@ -355,7 +329,7 @@ func TestServeDrainMidFlight(t *testing.T) {
 		}
 		return br.run(ctx, req)
 	}
-	s := New(Config{MaxInflight: 1, QueueDepth: 4, DrainDeadline: 300 * time.Millisecond, PendingPath: pending}, run)
+	s := New(Config{MaxInflight: 1, QueueDepth: 4, DrainDeadline: 300 * time.Millisecond}, run)
 	s.Start()
 
 	if code, _ := postJob(t, s, JobRequest{ID: "finished", Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusOK {
@@ -373,8 +347,8 @@ func TestServeDrainMidFlight(t *testing.T) {
 	waitFor(t, func() bool { return s.Stats().Queued == 1 })
 
 	ds := s.Drain()
-	if ds.Clean || ds.JournaledRunning != 1 || ds.JournaledQueued != 1 {
-		t.Fatalf("drain %+v, want unclean with 1 running + 1 queued journaled", ds)
+	if ds.Clean {
+		t.Fatalf("drain %+v, want unclean", ds)
 	}
 	want := map[string]string{"running": "canceled", "queued": "drained"}
 	for range want {
@@ -383,20 +357,36 @@ func TestServeDrainMidFlight(t *testing.T) {
 			t.Fatalf("job %s answered %v, want outcome %s", id, body, want[id])
 		}
 	}
-	jobs, err := LoadPendingCheckpoint(pending)
-	if err != nil || len(jobs) != 2 {
-		t.Fatalf("checkpoint: %v, %d jobs, want the 2 unfinished ones", err, len(jobs))
-	}
-	for _, p := range jobs {
-		if p.Job == nil || p.Job.ID != p.State {
-			t.Fatalf("checkpoint entry %+v: state and job disagree", p)
-		}
-	}
-	if st := s.Stats(); st.Completed != 1 || st.Journaled != 2 {
-		t.Fatalf("stats %+v, want completed=1 journaled=2", st)
+	if st := s.Stats(); st.Completed != 1 {
+		t.Fatalf("stats %+v, want completed=1", st)
 	}
 	if code, body := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusServiceUnavailable || body["outcome"] != "shed_drain" {
 		t.Fatalf("post after drain: %d %v, want 503 shed_drain", code, body)
+	}
+}
+
+// TestServeDrainWaitsForInflight: a job running when the drain starts
+// and finishing inside the drain deadline gets its result, not a
+// cancellation, and the drain is clean.
+func TestServeDrainWaitsForInflight(t *testing.T) {
+	br := newBlockingRunner()
+	s := New(Config{MaxInflight: 1, DrainDeadline: 5 * time.Second}, br.run)
+	s.Start()
+	answer := make(chan int, 1)
+	go func() {
+		code, _ := postJob(t, s, JobRequest{ID: "inflight", Class: ClassAnalyze, App: "npb-cg"})
+		answer <- code
+	}()
+	<-br.started
+	drained := make(chan DrainStats, 1)
+	go func() { drained <- s.Drain() }()
+	waitFor(t, func() bool { return s.Stats().Draining })
+	close(br.release)
+	if code := <-answer; code != http.StatusOK {
+		t.Fatalf("job in flight at drain answered %d, want 200", code)
+	}
+	if ds := <-drained; !ds.Clean {
+		t.Fatalf("drain %+v, want clean", ds)
 	}
 }
 
@@ -535,20 +525,16 @@ func TestServeWrongMethodAnswers405(t *testing.T) {
 }
 
 // TestServeDrainCleanWhenIdle: draining an idle (or promptly finishing)
-// server is clean — no checkpoint, workers exit.
+// server is clean — workers exit.
 func TestServeDrainCleanWhenIdle(t *testing.T) {
-	pending := filepath.Join(t.TempDir(), "pending.jsonl")
-	s := New(Config{MaxInflight: 2, PendingPath: pending, DrainDeadline: time.Second}, okRunner)
+	s := New(Config{MaxInflight: 2, DrainDeadline: time.Second}, okRunner)
 	s.Start()
 	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusOK {
 		t.Fatal("warmup job failed")
 	}
 	st := s.Drain()
-	if !st.Clean || st.JournaledQueued != 0 || st.JournaledRunning != 0 || st.LeakedWorkers != 0 {
+	if !st.Clean || st.LeakedWorkers != 0 {
 		t.Fatalf("idle drain not clean: %+v", st)
-	}
-	if _, err := LoadPendingCheckpoint(pending); err == nil {
-		t.Fatal("clean drain wrote a pending checkpoint")
 	}
 }
 

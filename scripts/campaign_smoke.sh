@@ -34,7 +34,7 @@ start_worker() {
     local name=$1 log="$workdir/$1.log"
     smoke_track_log "$log"
     "$workdir/lpserved" -addr 127.0.0.1:0 -quick -slice 2000 -input test \
-        -drain-deadline 5s -pending "" -progress-dir "$workdir/progress" \
+        -drain-deadline 5s -progress-dir "$workdir/progress" \
         >"$log" 2>&1 &
     WORKER_PID=$!
     disown "$WORKER_PID" # workers die by SIGKILL; keep bash from reporting it
