@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -60,7 +61,6 @@ func main() {
 		reqTO   = flag.Duration("request-timeout", 0, "claim HTTP timeout (0 = 2×lease)")
 		maxAtt  = flag.Int("max-attempts", 0, "dispatch attempts per job before it fails (0 = max(8, 4×workers))")
 		dup     = flag.Int("dup", campaign.DefaultMaxDuplicates, "max concurrent dispatches per job (original + steals)")
-		wInfl   = flag.Int("worker-inflight", campaign.DefaultWorkerInflight, "concurrent dispatches per worker")
 		backoff = flag.Duration("backoff", campaign.DefaultBackoff, "base retry backoff (full-jittered capped doubling)")
 		maxBO   = flag.Duration("max-backoff", campaign.DefaultMaxBackoff, "retry backoff cap")
 		seed    = flag.Uint64("seed", 1, "jitter seed: one seed reproduces the campaign's whole retry schedule")
@@ -68,7 +68,7 @@ func main() {
 		brFailures = flag.Int("breaker-failures", serve.DefaultFailureThreshold, "consecutive dispatch failures that trip a worker's circuit breaker")
 		brOpen     = flag.Duration("breaker-open", serve.DefaultOpenFor, "how long a tripped worker breaker holds open before probing")
 		brProbes   = flag.Int("breaker-probes", serve.DefaultHalfOpenProbes, "half-open probe slots per worker breaker")
-		probeIvl   = flag.Duration("probe-interval", campaign.DefaultProbeInterval, "/readyz health-probe period")
+		probeIvl   = flag.Duration("probe-interval", campaign.DefaultProbeInterval, "/readyz probe period; each probe re-learns a worker's slots, the claims kept in flight to it")
 
 		timeout = flag.Duration("timeout", 0, "overall campaign deadline (0 = none)")
 		verbose = flag.Bool("v", false, "log dispatch/retry/steal progress to stderr")
@@ -100,7 +100,7 @@ func main() {
 
 	cfg := campaign.Config{
 		Tag: *tag, Lease: *lease, RequestTimeout: *reqTO,
-		MaxAttempts: *maxAtt, MaxDuplicates: *dup, WorkerInflight: *wInfl,
+		MaxAttempts: *maxAtt, MaxDuplicates: *dup,
 		Backoff: *backoff, MaxBackoff: *maxBO, Seed: *seed,
 		Breaker: serve.BreakerOpts{
 			FailureThreshold: *brFailures, OpenFor: *brOpen, HalfOpenProbes: *brProbes,
@@ -128,8 +128,8 @@ func main() {
 		defer cancel()
 	}
 
-	fmt.Fprintf(os.Stderr, "lpcoord: campaign %q: %d jobs across %d workers\n",
-		*tag, len(spec.Jobs), len(clients))
+	fmt.Fprintf(os.Stderr, "lpcoord: campaign %q: %d jobs across %d workers (slots %s)\n",
+		*tag, len(spec.Jobs), len(clients), fleetSlots(ctx, clients, *probeIvl/2))
 	rep, err := coord.Run(ctx, spec)
 	if rep != nil {
 		fmt.Fprintf(os.Stderr, "lpcoord: %s%s\n", rep.Stats.Line(), fleetProgressLine(workerURLs))
@@ -175,6 +175,20 @@ func buildSpec(path, apps, class, input string, threads int, policy, core string
 		return spec, fmt.Errorf("empty campaign: pass -campaign or -apps")
 	}
 	return spec, nil
+}
+
+// fleetSlots runs one registry probe pass — the one the coordinator opens
+// its campaign with — and renders the slots each worker advertises, the
+// claims the coordinator keeps in flight to it, as "2+2" in -workers
+// order; a worker that is not ready shows 0.
+func fleetSlots(ctx context.Context, clients []campaign.WorkerClient, timeout time.Duration) string {
+	reg := campaign.NewRegistry(clients, serve.BreakerOpts{})
+	reg.Probe(ctx, timeout)
+	var slots []string
+	for _, w := range reg.Workers() {
+		slots = append(slots, strconv.Itoa(w.Slots()))
+	}
+	return strings.Join(slots, "+")
 }
 
 // fleetProgressLine polls every worker's GET /v1/stats and folds the

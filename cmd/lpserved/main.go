@@ -11,9 +11,11 @@
 //	curl localhost:8347/readyz
 //	curl -d '{"class":"analyze","app":"npb-cg","input":"test"}' localhost:8347/v1/jobs
 //
-// Endpoints: GET /healthz (liveness), GET /readyz (flips to 503 the
-// moment drain starts), GET /v1/stats (the counters, breaker states and
-// the durable-progress and recovery counters), POST /v1/jobs
+// Endpoints: GET /healthz (liveness), GET /readyz ({"ready":true,
+// "slots":N} with N the -max-inflight jobs run at once, which lpcoord
+// keeps in flight here; flips to 503 the moment drain starts), GET
+// /v1/stats (the counters, breaker states and the durable-progress and
+// recovery counters), POST /v1/jobs
 // (synchronous; the response is the job's result or a typed outcome) and
 // POST /v1/claim (the same submission under lpcoord's key and lease,
 // answered in a checksummed envelope). On SIGTERM/SIGINT the daemon stops

@@ -220,6 +220,16 @@ func TestCmdLpsimEnvFaultQuarantine(t *testing.T) {
 	}
 }
 
+// TestCmdLpcoordLearnsSlots: lpcoord has no per-worker concurrency flag —
+// it keeps as many claims in flight to a worker as the worker's /readyz
+// advertises — so the old one is rejected as undefined.
+func TestCmdLpcoordLearnsSlots(t *testing.T) {
+	out, err := goRunEnv(nil, "./cmd/lpcoord", "-worker-inflight", "2")
+	if err == nil || !strings.Contains(out, "flag provided but not defined") {
+		t.Fatalf("lpcoord -worker-inflight: err = %v, want an undefined-flag exit:\n%s", err, out)
+	}
+}
+
 // TestCmdLpreportQuickHeadersGolden runs the whole quick report on
 // test-class inputs with a parallel pool and pins the section headers
 // against a golden file: every experiment must be present, titled as

@@ -44,10 +44,11 @@ type fakeWorker struct {
 	hangFirst int // block the first N claims until their ctx dies
 	badReq    bool
 	delay     time.Duration // answer each successful claim this late
+	slots     int           // advertised by Ready (0: 1)
 }
 
-func (f *fakeWorker) Name() string                    { return f.name }
-func (f *fakeWorker) Ready(ctx context.Context) error { return nil }
+func (f *fakeWorker) Name() string                           { return f.name }
+func (f *fakeWorker) Ready(ctx context.Context) (int, error) { return max(f.slots, 1), nil }
 
 func (f *fakeWorker) Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error) {
 	f.mu.Lock()
@@ -305,7 +306,7 @@ func TestCoordinatorAttemptCapBoundsDispatches(t *testing.T) {
 // healthy (and slower) worker finishes the campaign — instead of taking
 // its share of every job's attempts.
 func TestCoordinatorBreakerSkipsFailingWorker(t *testing.T) {
-	bad := &fakeWorker{name: "bad", failFirst: 1 << 30}
+	bad := &fakeWorker{name: "bad", failFirst: 1 << 30, slots: 2}
 	cfg := quickConfig("breaker")
 	cfg.Breaker = serve.BreakerOpts{FailureThreshold: 1, OpenFor: time.Minute}
 	var spec Spec
@@ -319,8 +320,197 @@ func TestCoordinatorBreakerSkipsFailingWorker(t *testing.T) {
 	bad.mu.Lock()
 	claims := bad.claims
 	bad.mu.Unlock()
-	if limit := 2 * DefaultWorkerInflight; claims > limit {
+	slots, _ := bad.Ready(context.Background())
+	if limit := 2 * slots; claims > limit {
 		t.Fatalf("the failing worker got %d claims, want <= %d once its breaker tripped", claims, limit)
+	}
+}
+
+// fleetBarrier holds every claim until the fleet's summed slots are all
+// busy at once, or until a deadline: the fleet fills only if the
+// coordinator sends each worker as many concurrent claims as it
+// advertises.
+type fleetBarrier struct {
+	want     int64
+	inflight atomic.Int64
+	once     sync.Once
+	full     chan struct{}
+	deadline time.Time
+}
+
+func (b *fleetBarrier) wait() {
+	if b.inflight.Add(1) >= b.want {
+		b.once.Do(func() { close(b.full) })
+	}
+	select {
+	case <-b.full:
+	case <-time.After(time.Until(b.deadline)):
+	}
+	b.inflight.Add(-1)
+}
+
+// concurrency counts a fake worker's claims in flight and the most it
+// ever had at once.
+type concurrency struct{ cur, peak atomic.Int64 }
+
+// enter counts one claim in; the returned func counts it out.
+func (c *concurrency) enter() (leave func()) {
+	n := c.cur.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return func() { c.cur.Add(-1) }
+}
+
+// slotCounter is a fake worker that holds each claim at the fleet
+// barrier and records its peak concurrency.
+type slotCounter struct {
+	*fakeWorker
+	concurrency
+	barrier *fleetBarrier
+}
+
+func (w *slotCounter) Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error) {
+	defer w.enter()()
+	w.barrier.wait()
+	return w.fakeWorker.Claim(ctx, key, leaseMS, job)
+}
+
+// TestCoordinatorDispatchMatchesWorkerSlots: the coordinator keeps
+// exactly as many claims in flight to a worker as its probe advertises —
+// a 1-slot and a 3-slot worker reach 1 and 3 concurrent claims, and
+// never more.
+func TestCoordinatorDispatchMatchesWorkerSlots(t *testing.T) {
+	barrier := &fleetBarrier{want: 1 + 3, full: make(chan struct{}), deadline: time.Now().Add(5 * time.Second)}
+	one := &slotCounter{fakeWorker: &fakeWorker{name: "one", slots: 1}, barrier: barrier}
+	three := &slotCounter{fakeWorker: &fakeWorker{name: "three", slots: 3}, barrier: barrier}
+	cfg := quickConfig("slots")
+	cfg.Lease, cfg.RequestTimeout = 10*time.Second, 20*time.Second // nothing here may steal
+	var spec Spec
+	for i := 1; i <= 12; i++ {
+		spec.Jobs = append(spec.Jobs, serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg", Threads: i})
+	}
+	rep := runCampaign(t, cfg, []WorkerClient{one, three}, spec)
+	if rep.Stats.Failed != 0 || rep.Stats.Completed != 12 {
+		t.Fatalf("stats %s", rep.Stats.Line())
+	}
+	for _, w := range []*slotCounter{one, three} {
+		if got, want := w.peak.Load(), int64(w.slots); got != want {
+			t.Errorf("worker %s advertising %d slots peaked at %d concurrent claims", w.name, want, got)
+		}
+	}
+}
+
+// flexWorker advertises the slots the test sets (0: not ready), holds
+// claims at a gate until the test opens it, and records its concurrency.
+type flexWorker struct {
+	*fakeWorker
+	concurrency
+	advertised, done atomic.Int64
+	gate             chan struct{}
+}
+
+func (f *flexWorker) Ready(ctx context.Context) (int, error) {
+	if n := f.advertised.Load(); n > 0 {
+		return int(n), nil
+	}
+	return 0, fmt.Errorf("flex: down")
+}
+
+func (f *flexWorker) Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error) {
+	defer f.done.Add(1)
+	defer f.enter()()
+	<-f.gate
+	return f.fakeWorker.Claim(ctx, key, leaseMS, job)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("not reached within 5s: %s", what)
+		}
+	}
+}
+
+// TestCoordinatorRefitsWorkerSlots: the probe loop re-fits dispatch to
+// what a worker advertises now — a worker that is down at start gets no
+// claims, one that comes up with 3 slots gets 3 at once, and after it
+// shrinks to 1 the runners above slot 0 retire once their claims return.
+func TestCoordinatorRefitsWorkerSlots(t *testing.T) {
+	w := &flexWorker{fakeWorker: &fakeWorker{name: "flex", delay: 5 * time.Millisecond}, gate: make(chan struct{})}
+	cfg := quickConfig("refit")
+	cfg.Lease, cfg.RequestTimeout = 10*time.Second, 20*time.Second // nothing here may steal
+	var spec Spec
+	for i := 1; i <= 60; i++ {
+		spec.Jobs = append(spec.Jobs, serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg", Threads: i})
+	}
+	c, err := New(cfg, []WorkerClient{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make(chan *Report, 1)
+	go func() {
+		rep, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Error(err)
+		}
+		reps <- rep
+	}()
+
+	time.Sleep(5 * cfg.ProbeInterval)
+	if w.peak.Load() != 0 {
+		t.Fatal("a worker that is down got claims")
+	}
+	w.advertised.Store(3)
+	waitFor(t, "3 concurrent claims once the worker advertises 3 slots", func() bool { return w.cur.Load() == 3 })
+	w.advertised.Store(1)
+	waitFor(t, "the probe learning the shrink", func() bool { return c.reg.Workers()[0].Slots() == 1 })
+	close(w.gate)
+	waitFor(t, "the 3 held claims returning", func() bool { return w.done.Load() >= 3 })
+	w.peak.Store(0)
+	rep := <-reps
+	if rep == nil || rep.Stats.Failed != 0 || rep.Stats.Completed != len(spec.Jobs) {
+		t.Fatalf("campaign did not complete: %+v", rep)
+	}
+	if p := w.peak.Load(); p != 1 {
+		t.Fatalf("after shrinking to 1 slot the worker peaked at %d concurrent claims, want 1", p)
+	}
+}
+
+// TestCoordinatorFillsServerSlots: a real worker with MaxInflight 4 runs
+// four of the campaign's jobs at once — the coordinator learns its slots
+// from /readyz — without shedding a claim from its queue.
+func TestCoordinatorFillsServerSlots(t *testing.T) {
+	var s *serve.Server
+	var filled atomic.Bool
+	deadline := time.Now().Add(5 * time.Second)
+	s = serve.New(serve.Config{MaxInflight: 4},
+		func(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
+			for !filled.Load() && time.Now().Before(deadline) {
+				if s.Stats().Inflight == 4 {
+					filled.Store(true)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return fakeResult(*req), nil
+		})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Drain()
+	})
+	cfg := quickConfig("fill")
+	cfg.Lease, cfg.RequestTimeout = 10*time.Second, 20*time.Second // nothing here may steal
+	rep := runCampaign(t, cfg, []WorkerClient{NewHTTPWorker("w", ts.URL)}, npbSpec(8))
+	if rep.Stats.Failed != 0 || rep.Stats.Completed != 8 {
+		t.Fatalf("stats %s", rep.Stats.Line())
+	}
+	if !filled.Load() {
+		t.Fatal("the worker never ran 4 jobs at once: the coordinator did not fill its slots")
+	}
+	if st := s.Stats(); st.HighWater != 4 || st.ShedQueue != 0 {
+		t.Fatalf("high_water=%d shed_queue=%d, want 4 and 0", st.HighWater, st.ShedQueue)
 	}
 }
 
@@ -353,12 +543,12 @@ func TestCoordinatorFailsPermanentlyOnBadRequest(t *testing.T) {
 // TestCoordinatorStealsFromStraggler: a dispatch that outlives its
 // lease has its job stolen — re-enqueued and completed by a later
 // dispatch while the straggler still hangs — and the report matches a
-// clean run exactly. The worker hangs its first two claims (one per
-// runner), so the steal path is the only way those jobs finish before
+// clean run exactly. The worker advertises two slots and hangs its first
+// two claims (one per runner), so the steal path is the only way those jobs finish before
 // the request timeout, and the lease timer always fires first.
 func TestCoordinatorStealsFromStraggler(t *testing.T) {
 	spec := npbSpec(4)
-	rep := runCampaign(t, quickConfig("steal"), []WorkerClient{&fakeWorker{name: "straggler", hangFirst: 2}}, spec)
+	rep := runCampaign(t, quickConfig("steal"), []WorkerClient{&fakeWorker{name: "straggler", hangFirst: 2, slots: 2}}, spec)
 	if rep.Stats.Failed != 0 || rep.Stats.Completed != 4 {
 		t.Fatalf("stats %+v", rep.Stats)
 	}

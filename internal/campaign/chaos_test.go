@@ -14,13 +14,17 @@ import (
 
 // chaosRunner is the workers' deterministic job runner: the fake result
 // (a pure function of the spec), with a fault-injection site in front so
-// the chaos plan can make any worker flake or stall mid-job.
+// the chaos plan can make any worker flake or stall mid-job. Each job
+// takes a few milliseconds, like a real one, so claims sent to a busy
+// worker meet a job still running and a queue still full.
 func chaosRunner(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
 	if err := faults.Check("campaign.worker.run"); err != nil {
 		return nil, err
 	}
-	if ctx.Err() != nil {
+	select {
+	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-time.After(10 * time.Millisecond):
 	}
 	return fakeResult(*req), nil
 }
@@ -46,8 +50,22 @@ func chaosConfig(tag string) Config {
 	cfg.Lease = 60 * time.Millisecond
 	cfg.RequestTimeout = 250 * time.Millisecond
 	cfg.MaxAttempts = 40
-	cfg.WorkerInflight = 3
 	return cfg
+}
+
+// overAdvertised reports more slots than its worker runs, so the
+// coordinator keeps that many claims in flight against it — the pressure
+// a one-slot, one-deep worker answers with 429/503 storms.
+type overAdvertised struct {
+	WorkerClient
+	slots int
+}
+
+func (o overAdvertised) Ready(ctx context.Context) (int, error) {
+	if _, err := o.WorkerClient.Ready(ctx); err != nil {
+		return 0, err
+	}
+	return o.slots, nil
 }
 
 // baselineReport runs the campaign on one healthy worker with no faults
@@ -96,11 +114,11 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	))
 	defer restore()
 
-	// Tiny admission windows: the coordinator's WorkerInflight=3 against
-	// MaxInflight=1/QueueDepth=1 guarantees shed storms under load.
-	_, ts0 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
-	_, ts1 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
-	_, ts2 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
+	// Tiny admission windows: each worker runs one job and queues one, but
+	// advertises three slots, so the coordinator's third claim sheds.
+	s0, ts0 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
+	s1, ts1 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
+	s2, ts2 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
 	// Kill worker 2 mid-flight. httptest.Close waits for in-flight
 	// handlers, so tear the listener down from a goroutine exactly like
 	// a kill -9 would look from the coordinator's side: connections die,
@@ -109,9 +127,9 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	defer kill.Stop()
 
 	rep := runCampaign(t, chaosConfig("chaos"), []WorkerClient{
-		NewHTTPWorker("w0", ts0.URL),
-		NewHTTPWorker("w1", ts1.URL),
-		NewHTTPWorker("w2", ts2.URL),
+		overAdvertised{NewHTTPWorker("w0", ts0.URL), 3},
+		overAdvertised{NewHTTPWorker("w1", ts1.URL), 3},
+		overAdvertised{NewHTTPWorker("w2", ts2.URL), 3},
 	}, spec)
 
 	if rep.Stats.Failed != 0 {
@@ -123,7 +141,15 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	if got := rep.Render(); got != want {
 		t.Fatalf("chaos report diverges from single-node baseline:\n--- chaos\n%s--- baseline\n%s", got, want)
 	}
-	t.Logf("%s", rep.Stats.Line())
+	var shed uint64
+	for _, s := range []*serve.Server{s0, s1, s2} {
+		st := s.Stats()
+		shed += st.ShedQueue + st.ShedBreaker
+	}
+	t.Logf("%s fleet_shed=%d", rep.Stats.Line(), shed)
+	if shed == 0 {
+		t.Fatal("no worker shed a claim: the over-advertised slots put no pressure on the 1-deep queues")
+	}
 }
 
 // TestCampaignResumeAfterCoordinatorKill: a coordinator that dies

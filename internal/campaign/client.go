@@ -33,11 +33,12 @@ type ClaimOutcome struct {
 }
 
 // WorkerClient is one worker as the coordinator sees it: a name, a
-// readiness probe, and the claim call. The HTTP implementation below is
-// the real one; tests substitute in-process fakes.
+// readiness probe that returns the worker's slot count (how many jobs it
+// runs at once), and the claim call. The HTTP implementation below is the
+// real one; tests substitute in-process fakes.
 type WorkerClient interface {
 	Name() string
-	Ready(ctx context.Context) error
+	Ready(ctx context.Context) (slots int, err error)
 	Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error)
 }
 
@@ -61,22 +62,34 @@ func NewHTTPWorker(name, baseURL string) *HTTPWorker {
 
 func (w *HTTPWorker) Name() string { return w.name }
 
-// Ready probes GET /readyz; nil means the worker is admitting work.
-func (w *HTTPWorker) Ready(ctx context.Context) error {
+// Ready probes GET /readyz. A 200 reply {"ready":true,"slots":N} means
+// the worker is admitting work and runs N jobs at once; a reply without
+// slots (an older worker) counts as 1, so no worker is sent more claims
+// than it is known to run.
+func (w *HTTPWorker) Ready(ctx context.Context) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/readyz", nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("campaign: %s not ready: %s", w.name, resp.Status)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("campaign: %s not ready: %s", w.name, resp.Status)
+	}
+	var body struct {
+		Slots int `json:"slots"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		return 0, fmt.Errorf("campaign: %s: bad /readyz reply: %w", w.name, err)
+	}
+	return max(body.Slots, 1), nil
 }
 
 // Claim POSTs one claim and verifies the reply: the body must be one

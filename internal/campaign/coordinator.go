@@ -17,12 +17,11 @@ import (
 // Coordinator defaults. Lease and backoff default conservatively for
 // real fleets; tests shrink them to the millisecond scale.
 const (
-	DefaultLease          = 30 * time.Second
-	DefaultWorkerInflight = 2
-	DefaultMaxDuplicates  = 2
-	DefaultProbeInterval  = 500 * time.Millisecond
-	DefaultBackoff        = 10 * time.Millisecond
-	DefaultMaxBackoff     = 2 * time.Second
+	DefaultLease         = 30 * time.Second
+	DefaultMaxDuplicates = 2
+	DefaultProbeInterval = 500 * time.Millisecond
+	DefaultBackoff       = 10 * time.Millisecond
+	DefaultMaxBackoff    = 2 * time.Second
 )
 
 // Config tunes one campaign run. Zero values take the defaults above.
@@ -43,8 +42,6 @@ type Config struct {
 	// MaxDuplicates caps concurrent dispatches of one job — the original
 	// plus stolen re-dispatches (0: 2).
 	MaxDuplicates int
-	// WorkerInflight is the per-worker dispatch concurrency (0: 2).
-	WorkerInflight int
 	// Backoff/MaxBackoff shape the per-job retry schedule (full-jittered
 	// capped doubling, pool.BackoffDelay).
 	Backoff    time.Duration
@@ -55,7 +52,8 @@ type Config struct {
 	Seed uint64
 	// Breaker configures the per-worker circuit breakers.
 	Breaker serve.BreakerOpts
-	// ProbeInterval paces the /readyz health loop (0: 500ms).
+	// ProbeInterval paces the /readyz loop that learns each worker's
+	// slots, and with them its dispatch concurrency (0: 500ms).
 	ProbeInterval time.Duration
 	// CacheDir and JournalPath enable the durable layers; empty keeps
 	// the campaign memory-only (no resume).
@@ -80,9 +78,6 @@ func (c Config) filled(workers int) Config {
 	}
 	if c.MaxDuplicates <= 0 {
 		c.MaxDuplicates = DefaultMaxDuplicates
-	}
-	if c.WorkerInflight <= 0 {
-		c.WorkerInflight = DefaultWorkerInflight
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = DefaultBackoff
@@ -268,24 +263,31 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if c.remaining > 0 {
 		rctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.reg.Run(rctx, c.cfg.ProbeInterval)
-		}()
-		for _, w := range c.reg.Workers() {
-			for i := 0; i < c.cfg.WorkerInflight; i++ {
-				wg.Add(1)
-				go func(w *Worker) {
-					defer wg.Done()
-					c.runner(rctx, w)
-				}(w)
-			}
-		}
 		for _, t := range pending {
 			c.q.push(t)
 		}
+		// Dispatch concurrency is each worker's advertised slots: one
+		// synchronous probe pass sizes the fleet before any claim goes
+		// out, and every later pass re-fits it.
+		var wg sync.WaitGroup
+		probeTimeout := c.cfg.ProbeInterval / 2
+		c.reg.Probe(rctx, probeTimeout)
+		c.fit(rctx, &wg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(c.cfg.ProbeInterval)
+			defer tick.Stop()
+			for {
+				select {
+				case <-rctx.Done():
+					return
+				case <-tick.C:
+					c.reg.Probe(rctx, probeTimeout)
+					c.fit(rctx, &wg)
+				}
+			}
+		}()
 		select {
 		case <-c.doneCh:
 		case <-ctx.Done():
@@ -302,15 +304,30 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	return rep, nil
 }
 
-// runner is one worker-bound dispatch loop: pop a job, gate it on the
-// worker's readiness and breaker, dispatch. A gated job is re-enqueued
-// after a short delay so a healthy worker's runner picks it up instead.
-func (c *Coordinator) runner(ctx context.Context, w *Worker) {
+// fit starts a runner for every slot of every worker that has none; the
+// runners above a shrunk slot count retire themselves (Worker.keep).
+func (c *Coordinator) fit(ctx context.Context, wg *sync.WaitGroup) {
+	for _, w := range c.reg.Workers() {
+		for _, i := range w.vacant() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.runner(ctx, w, i)
+			}()
+		}
+	}
+}
+
+// runner i of worker w is one dispatch loop: while it fits w's slots, pop
+// a job, gate it on the worker's breaker, dispatch. A gated job is
+// re-enqueued after a short delay so a healthy worker's runner picks it
+// up instead.
+func (c *Coordinator) runner(ctx context.Context, w *Worker, i int) {
 	gateDelay := c.cfg.Lease / 4
 	if gateDelay <= 0 || gateDelay > 250*time.Millisecond {
 		gateDelay = 250 * time.Millisecond
 	}
-	for {
+	for w.keep(i) {
 		t, ok := c.q.pop()
 		if !ok || ctx.Err() != nil {
 			return
@@ -321,9 +338,11 @@ func (c *Coordinator) runner(ctx context.Context, w *Worker) {
 		if skip {
 			continue
 		}
-		if !w.Ready() {
-			c.pushAfter(t, gateDelay)
-			continue
+		if !w.keep(i) {
+			// The worker went down or shrank while this runner waited:
+			// hand the job straight to a runner that still fits.
+			c.q.push(t)
+			return
 		}
 		if err := w.breaker.Allow(); err != nil {
 			c.pushAfter(t, gateDelay)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"looppoint/internal/pool"
 	"looppoint/internal/serve"
 )
 
@@ -109,6 +110,30 @@ func TestClaimReplyBitFlipMatrix(t *testing.T) {
 		if want := 4 + 6; caseBlind != want { // the letters of "fnv1a" and of "record"
 			t.Fatalf("%s: %d flips verified over the unchanged record, want only the %d key-name letters", kind, caseBlind, want)
 		}
+	}
+}
+
+// TestReadyzAdvertisesSlots: a worker's /readyz carries its filled
+// MaxInflight as slots and HTTPWorker.Ready returns it; a 200 without
+// slots (an older worker) reads as one slot; a draining worker is not
+// ready.
+func TestReadyzAdvertisesSlots(t *testing.T) {
+	for _, c := range []struct{ maxInflight, want int }{{3, 3}, {0, pool.DefaultWidth()}} {
+		_, ts := startWorker(t, serve.Config{MaxInflight: c.maxInflight})
+		got, err := NewHTTPWorker("w", ts.URL).Ready(context.Background())
+		if err != nil || got != c.want {
+			t.Fatalf("MaxInflight %d: Ready = %d, %v; want %d slots", c.maxInflight, got, err, c.want)
+		}
+	}
+	canned := func(status int, body string) (int, error) {
+		w := &HTTPWorker{name: "canned", base: "http://canned", hc: &http.Client{Transport: cannedTransport{status, []byte(body)}}}
+		return w.Ready(context.Background())
+	}
+	if got, err := canned(http.StatusOK, `{"ready":true}`); err != nil || got != 1 {
+		t.Fatalf("reply without slots: Ready = %d, %v; want 1 slot", got, err)
+	}
+	if got, err := canned(http.StatusServiceUnavailable, `{"ready":false,"reason":"draining"}`); err == nil || got != 0 {
+		t.Fatalf("draining reply: Ready = %d, %v; want an error and 0 slots", got, err)
 	}
 }
 

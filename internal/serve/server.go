@@ -331,12 +331,14 @@ func (s *Server) Stats() Stats {
 }
 
 // Handler returns the HTTP API: GET /healthz (liveness only), GET
-// /readyz (admission readiness), GET /v1/stats (the one counter
-// snapshot, for operators, coordinators and drills) and the two wire
-// forms of the one submit path — POST /v1/jobs (a bare job spec in, the
-// job's own payload out) and POST /v1/claim (claim.go: a keyed, leased
-// spec in, one checksummed envelope out). The method patterns make the
-// mux answer a wrong method on those routes with 405 and an Allow header.
+// /readyz (admission readiness, and slots: the MaxInflight jobs the
+// server runs at once, which a coordinator keeps in flight to it), GET
+// /v1/stats (the one counter snapshot, for operators, coordinators and
+// drills) and the two wire forms of the one submit path — POST /v1/jobs
+// (a bare job spec in, the job's own payload out) and POST /v1/claim
+// (claim.go: a keyed, leased spec in, one checksummed envelope out). The
+// method patterns make the mux answer a wrong method on those routes with
+// 405 and an Allow header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -350,7 +352,7 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "slots": s.cfg.MaxInflight})
 	})
 	mux.HandleFunc("POST /v1/jobs", s.handleJob)
 	mux.HandleFunc("POST /v1/claim", s.handleClaim)

@@ -82,8 +82,8 @@ func TestServeJobOK(t *testing.T) {
 
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("readyz %d, want 200", w.Code)
+	if w.Code != http.StatusOK || w.Body.String() != "{\"ready\":true,\"slots\":2}\n" {
+		t.Fatalf("readyz %d %q, want 200 advertising MaxInflight as 2 slots", w.Code, w.Body.String())
 	}
 	w = httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # campaign_smoke.sh — the campaign fabric end to end, with a real worker
 # kill:
-#   1. build lpserved + lpcoord, boot 2 workers on OS-assigned ports
+#   1. build lpserved + lpcoord, boot 2 two-slot workers on OS-assigned
+#      ports
 #   2. run a 6-job NPB campaign through the coordinator with a journal
 #      and result cache, SIGKILLing one worker mid-flight
-#   3. assert the campaign completes, exits 0, and every job reports
+#   3. assert the campaign completes, exits 0, every job reports, and the
+#      start line shows the slots the coordinator learned (slots 2+2)
 #   4. run the same campaign on a fresh single worker and assert the two
 #      reports are byte-identical — fleet shape, kills, and retries must
 #      not leak into the output
@@ -34,7 +36,7 @@ start_worker() {
     local name=$1 log="$workdir/$1.log"
     smoke_track_log "$log"
     "$workdir/lpserved" -addr 127.0.0.1:0 -quick -slice 2000 -input test \
-        -drain-deadline 5s -progress-dir "$workdir/progress" \
+        -max-inflight 2 -drain-deadline 5s -progress-dir "$workdir/progress" \
         >"$log" 2>&1 &
     WORKER_PID=$!
     disown "$WORKER_PID" # workers die by SIGKILL; keep bash from reporting it
@@ -77,6 +79,10 @@ echo "campaign-smoke: killed worker1 mid-flight"
 rc=0
 wait "$coordpid" || rc=$?
 [[ "$rc" -eq 0 ]] || fail "lpcoord exited $rc with a worker killed mid-flight, want 0"
+# The coordinator keeps as many claims in flight to a worker as its
+# /readyz advertises, and names the learned counts on its start line.
+grep -q 'campaign "smoke": 6 jobs across 2 workers (slots 2+2)' "$coordlog" || \
+    fail "start line does not show the workers' learned slots: $(grep 'campaign "smoke"' "$coordlog" | head -1)"
 grep -q 'failed=0' "$coordlog" || fail "campaign reported failed jobs"
 [[ $(wc -l <"$workdir/report_fleet.txt") -eq 7 ]] || \
     fail "fleet report should have 1 header + 6 job lines: $(cat "$workdir/report_fleet.txt")"

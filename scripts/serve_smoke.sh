@@ -2,7 +2,7 @@
 # serve_smoke.sh — boot lpserved, prove the serving loop end to end, and
 # assert a clean SIGTERM drain:
 #   1. build and start the daemon on an ephemeral port
-#   2. /healthz answers live and /readyz answers ready
+#   2. /healthz answers live and /readyz answers ready with its slots
 #   3. one analyze job round-trips with a 200
 #   4. three concurrent POST /v1/jobs round-trip, each with its own result
 #   5. SIGTERM lands while three more are in flight: each request is still
@@ -35,7 +35,7 @@ echo "serve-smoke: daemon up at $base (pid $pid)"
 live=$(curl -fsS "$base/healthz")
 [[ "$live" == '{"status":"ok"}' ]] || fail "/healthz is not bare liveness: $live"
 ready=$(curl -fsS "$base/readyz")
-echo "$ready" | grep -q '"ready":true' || fail "/readyz not ready: $ready"
+echo "$ready" | grep -Eq '^\{"ready":true,"slots":[1-9][0-9]*\}$' || fail "/readyz not ready with its slots: $ready"
 
 echo "serve-smoke: submitting analyze job"
 job=$(curl -fsS -m 120 -H 'Content-Type: application/json' \
