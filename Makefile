@@ -35,7 +35,7 @@ test-faults:
 	for seed in 1 2 3 4 5; do \
 		FAULTS_SEED=$$seed go test -race \
 			-run 'Fault|Corrupt|Quarantine|Degrad|Resume|Retr|AttemptCap|Truncat|Panic' \
-			./internal/faults/ ./internal/pool/ ./internal/pinball/ \
+			./internal/artifact/ ./internal/faults/ ./internal/pool/ ./internal/pinball/ \
 			./internal/core/ ./internal/harness/ ./internal/exec/ \
 			./internal/serve/ ./internal/campaign/ . \
 			|| exit 1; \

@@ -43,7 +43,7 @@ func main() {
 		input     = flag.String("input", "", "override every experiment's input class (e.g. test) — smoke runs only")
 		slice     = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
 		verbose   = flag.Bool("v", false, "log per-application progress")
-		resume    = flag.String("resume", "", "journal completed evaluations to this file and skip ones already journaled — a killed run restarts where it stopped")
+		resume    = flag.String("resume", "", "store completed evaluations in this directory and skip ones already stored — a killed run restarts where it stopped")
 		degraded  = flag.Bool("degraded", false, "tolerate per-region simulation failures: drop the region, reweight the prediction, and mark the report degraded")
 		minCov    = flag.Float64("min-coverage", 0, "degraded mode: minimum surviving fraction of extrapolation weight (0 = default 0.9, negative = no floor)")
 		selector  = flag.String("selector", "", "selection engine for every experiment (default simpoint); the engines experiment always sweeps all of them")
@@ -87,7 +87,6 @@ func main() {
 		opts.Log = os.Stderr
 	}
 	e := harness.NewEvaluator(opts)
-	defer e.Close()
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
 			fmt.Fprintf(opts.Log, format+"\n", args...)

@@ -69,7 +69,7 @@ func main() {
 		jobs     = flag.Int("j", 0, "worker-pool width inside each evaluation (0 = one worker per CPU)")
 		slice    = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
 		input    = flag.String("input", "", "override every job's input class (e.g. test) — smoke runs only")
-		resume   = flag.String("resume", "", "evaluator resume journal: completed evaluations persist across restarts")
+		resume   = flag.String("resume", "", "evaluator resume directory: completed evaluations persist here across restarts")
 		degraded = flag.Bool("degraded", false, "tolerate per-region simulation failures inside evaluations")
 		verbose  = flag.Bool("v", false, "log evaluator progress to stderr")
 	)
@@ -143,9 +143,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	hs.Shutdown(ctx)
 	cancel()
-	if err := e.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "lpserved: evaluator close: %v\n", err)
-	}
 	fmt.Printf("lpserved: drained clean=%v leaked_workers=%d\n", ds.Clean, ds.LeakedWorkers)
 	os.Exit(0)
 }

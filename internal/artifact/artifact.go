@@ -1,12 +1,12 @@
 // Package artifact defines the shared integrity vocabulary for every
 // on-disk artifact this repository produces — pinballs, selection files,
-// and the harness resume journal. Checkpoints are what make LoopPoint's
-// region simulations independent (paper Section III-J); once they are
-// archived and shared across machines (the checkpoint-sharing workflow),
-// the pipeline has to treat their bytes as untrusted input. Loaders
-// classify failures into three typed sentinels so callers can choose a
-// policy per class: quarantine corrupt files, re-fetch truncated ones,
-// and refuse version skew outright.
+// the campaign journal and the Store of finished results. Checkpoints are
+// what make LoopPoint's region simulations independent (paper Section
+// III-J); once they are archived and shared across machines (the
+// checkpoint-sharing workflow), the pipeline has to treat their bytes as
+// untrusted input. Loaders classify failures into three typed sentinels so
+// callers can choose a policy per class: quarantine corrupt files,
+// re-fetch truncated ones, and refuse version skew outright.
 package artifact
 
 import "errors"

@@ -10,9 +10,8 @@ import (
 	"sync"
 )
 
-// Checksummed-JSONL primitives, shared by every append-only journal and
-// content-addressed store in the repository (the harness resume journal,
-// the campaign journal, and the campaign result cache). One line is a
+// Checksummed-JSONL primitives, shared by the append-only campaign journal
+// and every entry of the content-addressed Store. One line is a
 // small envelope — the FNV-1a checksum of the compact record bytes, then
 // the record itself — so a reader can reject records torn by a mid-write
 // kill without trusting anything beyond this file's own bytes:
@@ -111,27 +110,40 @@ func RepairTornTail(path string) error {
 }
 
 // WriteChecksummedFile publishes one record as a standalone checksummed
-// envelope file (the content-addressed cache format) through
+// envelope file (a Store entry, core's recovery-point graph) through
 // WriteFileDurable, so readers only ever observe a missing file or a
 // complete one — also when several writers publish the same path at once
 // (campaigns sharing a cache directory store the same content-addressed
 // key): each stages into its own temp file and the renames are atomic.
-func WriteChecksummedFile(path string, record []byte) error {
+// seam, when non-nil, sees the envelope after its checksum is taken; its
+// error fails the write.
+func WriteChecksummedFile(path string, record []byte, seam func([]byte) error) error {
 	line, err := ChecksumLine(record)
 	if err != nil {
 		return err
+	}
+	if seam != nil {
+		if err := seam(line); err != nil {
+			return err
+		}
 	}
 	return WriteFileDurable(path, append(line, '\n'))
 }
 
 // ReadChecksummedFile reads a file written by WriteChecksummedFile and
-// returns the verified record bytes. Verification failure is ErrCorrupt:
-// the bytes are present but wrong, and rereading the same file cannot
-// help.
-func ReadChecksummedFile(path string) ([]byte, error) {
+// returns the verified record bytes. seam, when non-nil, sees the bytes
+// as they leave disk; its error is returned as is. Verification failure
+// is ErrCorrupt: the bytes are present but wrong, and rereading the same
+// file cannot help.
+func ReadChecksummedFile(path string, seam func([]byte) error) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	if seam != nil {
+		if err := seam(data); err != nil {
+			return nil, err
+		}
 	}
 	rec, ok := VerifyLine(bytes.TrimSpace(data))
 	if !ok {

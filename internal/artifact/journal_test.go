@@ -156,10 +156,10 @@ func TestChecksummedFileRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "deadbeef.json")
 	rec := []byte(`{"key":"deadbeef","result":{"regions":7}}`)
-	if err := WriteChecksummedFile(path, rec); err != nil {
+	if err := WriteChecksummedFile(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChecksummedFile(path)
+	got, err := ReadChecksummedFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,11 @@ func TestChecksummedFileRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadChecksummedFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadChecksummedFile(path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt cache file: err=%v, want ErrCorrupt", err)
 	}
 
-	if _, err := ReadChecksummedFile(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
+	if _, err := ReadChecksummedFile(filepath.Join(dir, "missing.json"), nil); !os.IsNotExist(err) {
 		t.Fatalf("missing file: err=%v, want IsNotExist", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestWriteChecksummedFileConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := WriteChecksummedFile(path, recs[w]); err != nil {
+				if err := WriteChecksummedFile(path, recs[w], nil); err != nil {
 					t.Errorf("writer %d round %d: %v", w, i, err)
 					return
 				}
@@ -223,7 +223,7 @@ func TestWriteChecksummedFileConcurrentWriters(t *testing.T) {
 			reading = false // one more read after the last write
 		default:
 		}
-		rec, err := ReadChecksummedFile(path)
+		rec, err := ReadChecksummedFile(path, nil)
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -302,6 +302,66 @@ func TestJournalAppendsDurableLines(t *testing.T) {
 	}
 	if len(seen) != 1+appenders || !seen[`{"k":"first"}`] {
 		t.Fatalf("records lost or duplicated: %v", seen)
+	}
+}
+
+// TestJournalAppendWithoutRepairLosesBoth documents the failure mode
+// OpenJournal's tail repair exists for: appending straight onto a torn
+// final line merges the torn bytes and the new record into one line that
+// verifies as neither. Through OpenJournal the same append survives.
+func TestJournalAppendWithoutRepairLosesBoth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	a, _ := ChecksumLine([]byte(`{"k":"a"}`))
+	b, _ := ChecksumLine([]byte(`{"k":"b"}`))
+	c, _ := ChecksumLine([]byte(`{"k":"c"}`))
+	torn := append(append(append([]byte{}, a...), '\n'), b[:len(b)-3]...)
+	count := func() (good, bad int) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ScanRecords(data, func(_ []byte, ok bool) bool {
+			if ok {
+				good++
+			} else {
+				bad++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return good, bad
+	}
+
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(c, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if good, bad := count(); good != 1 || bad != 1 {
+		t.Fatalf("raw append: %d good %d bad lines, want the torn+new merged line lost (1/1)", good, bad)
+	}
+
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendLine(c); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if good, bad := count(); good != 2 || bad != 0 {
+		t.Fatalf("repaired append: %d good %d bad lines, want 2/0", good, bad)
 	}
 }
 

@@ -1,0 +1,103 @@
+package artifact
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+type entry struct {
+	Key string `json:"key"`
+	N   int    `json:"n"`
+}
+
+func validEntry(key string, e *entry) bool { return e.Key == key }
+
+// TestCacheCorruptFileReadsAsMiss: the disk layer round-trips entries, and
+// a file that fails its checksum or the client's validity check is
+// counted, deleted, and re-missed — never served.
+func TestCacheCorruptFileReadsAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewStore(dir, validEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("job/npb-cg")
+	want := &entry{Key: key, N: 7}
+	if err := s1.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := NewStore(dir, validEntry) // cold memory: must come from disk
+	got, ok := s2.Get(key)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("disk round-trip: got %+v, %v; want %+v", got, ok, want)
+	}
+
+	path := filepath.Join(dir, key+".json")
+	data, _ := os.ReadFile(path)
+	data[len(data)/2] ^= 1
+	os.WriteFile(path, data, 0o644)
+	s3, _ := NewStore(dir, validEntry)
+	if _, ok := s3.Get(key); ok {
+		t.Fatal("corrupt store file was served")
+	}
+	if hits, misses, _, corrupt := s3.Counters(); hits != 0 || misses != 1 || corrupt != 1 {
+		t.Fatalf("hits=%d misses=%d corrupt=%d, want 0/1/1", hits, misses, corrupt)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("corrupt store file should be deleted")
+	}
+
+	// An intact envelope holding another key's entry fails validity.
+	other := Key("job/npb-ep")
+	if err := s1.Put(other, want); err != nil {
+		t.Fatal(err)
+	}
+	s4, _ := NewStore(dir, validEntry)
+	if _, ok := s4.Get(other); ok {
+		t.Fatal("an entry filed under the wrong key was served")
+	}
+	if _, _, _, corrupt := s4.Counters(); corrupt != 1 {
+		t.Fatalf("corrupt counter %d, want 1", corrupt)
+	}
+}
+
+// TestStoreSeamsFailAndCorrupt: an error from BeforeWrite fails the Put
+// and leaves nothing on disk; one from AfterRead is a miss that leaves the
+// file in place; bytes AfterRead corrupts fail the checksum and the file
+// goes.
+func TestStoreSeamsFailAndCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	boom := errors.New("injected")
+	s, _ := NewStore[entry](dir, nil)
+	s.BeforeWrite = func([]byte) error { return boom }
+	if err := s.Put("a", &entry{N: 1}); !errors.Is(err, boom) {
+		t.Fatalf("Put through a failing seam: err=%v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("a failed Put left %v", ents)
+	}
+	s.BeforeWrite = nil
+	if err := s.Put("a", &entry{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _ := NewStore[entry](dir, nil)
+	r.AfterRead = func([]byte) error { return boom }
+	if _, ok := r.Get("a"); ok {
+		t.Fatal("a failed read was served")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a.json")); err != nil {
+		t.Fatalf("a file that merely failed to read was deleted: %v", err)
+	}
+	r.AfterRead = func(b []byte) error { b[len(b)/2] ^= 0x10; return nil }
+	if _, ok := r.Get("a"); ok {
+		t.Fatal("corrupted bytes were served")
+	}
+	if _, _, _, corrupt := r.Counters(); corrupt != 1 {
+		t.Fatalf("corrupt counter %d, want 1", corrupt)
+	}
+}

@@ -15,8 +15,9 @@
 //     expires the job is re-enqueued ("stolen") while the original
 //     attempt keeps running. First completion wins; late duplicates are
 //     byte-compared against the winner and counted.
-//   - A content-addressed result cache (Cache) backed by checksummed
-//     files, so a resumed campaign re-simulates nothing it already has.
+//   - A content-addressed result cache (an artifact.Store) backed by
+//     checksummed files, so a resumed campaign re-simulates nothing it
+//     already has.
 //   - An fsync'd, checksummed JSONL journal (Journal) appended before a
 //     completion is acknowledged, so a coordinator crash loses at most
 //     the in-flight jobs — never a completed one.

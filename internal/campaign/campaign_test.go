@@ -195,49 +195,6 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptFileReadsAsMiss: the disk layer round-trips results,
-// and a corrupted cache file is counted, deleted, and re-missed — never
-// served.
-func TestCacheCorruptFileReadsAsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := Normalize(serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg"})
-	key := KeyTagged("t", job)
-	r := &Result{Key: key, Job: job, Res: CanonicalResult(key, fakeResult(job))}
-	if err := c1.Put(r); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, _ := NewCache(dir) // cold memory: must come from disk
-	got, ok := c2.Get(key)
-	if !ok {
-		t.Fatal("disk layer missed a stored result")
-	}
-	gb, _ := got.CanonicalBytes()
-	rb, _ := r.CanonicalBytes()
-	if !bytes.Equal(gb, rb) {
-		t.Fatalf("disk round-trip: got %s want %s", gb, rb)
-	}
-
-	path := filepath.Join(dir, key+".json")
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 1
-	os.WriteFile(path, data, 0o644)
-	c3, _ := NewCache(dir)
-	if _, ok := c3.Get(key); ok {
-		t.Fatal("corrupt cache file was served")
-	}
-	if _, _, _, corrupt := c3.Counters(); corrupt != 1 {
-		t.Fatalf("corrupt counter %d, want 1", corrupt)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt cache file should be deleted")
-	}
-}
-
 // TestCoordinatorFleetMatchesSingleNode: the same campaign through a
 // 3-worker fleet and through one worker renders byte-identical reports.
 func TestCoordinatorFleetMatchesSingleNode(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/pool"
 	"looppoint/internal/serve"
 )
@@ -158,7 +159,7 @@ func (q *queue) close() {
 type Coordinator struct {
 	cfg     Config
 	reg     *Registry
-	cache   *Cache
+	cache   *artifact.Store[Result]
 	journal *Journal
 	q       *queue
 
@@ -182,9 +183,14 @@ func New(cfg Config, workers []WorkerClient) (*Coordinator, error) {
 		return nil, errors.New("campaign: no workers")
 	}
 	cfg = cfg.filled(len(workers))
-	cache, err := NewCache(cfg.CacheDir)
+	// The result cache: a hit is load-bearing for the resume guarantee —
+	// after `lpcoord -resume`, hits equal the previously completed jobs and
+	// dispatches only the remainder.
+	cache, err := artifact.NewStore(cfg.CacheDir, func(key string, r *Result) bool {
+		return r.Key == key && r.Res != nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: cache dir: %w", err)
 	}
 	return &Coordinator{
 		cfg:    cfg,
@@ -241,7 +247,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 		c.journal = j
 		defer c.journal.Close()
 		for _, r := range restored {
-			c.cache.Seed(r)
+			c.cache.Seed(r.Key, r)
 		}
 		c.restored.Store(uint64(len(restored)))
 		if len(restored) > 0 {
@@ -481,7 +487,7 @@ func (c *Coordinator) complete(t *task, res *serve.JobResult, worker string, sto
 			c.logf("campaign: journal append %s: %v", t.key, err)
 		}
 	}
-	if err := c.cache.Put(r); err != nil {
+	if err := c.cache.Put(r.Key, r); err != nil {
 		c.logf("campaign: cache store %s: %v", t.key, err)
 	}
 	c.settle()

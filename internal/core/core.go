@@ -70,7 +70,7 @@ type Config struct {
 	ClusterWorkers int
 	// ProgressDir enables durable progress (crash-only workers): Analyze
 	// publishes the recording and its graph, checksummed, the moment the
-	// recording ends, and region simulation journals every completed
+	// recording ends, and region simulation stores every completed
 	// region, all under this directory. A killed job restarted with the
 	// same ProgressKey re-derives its profile from the saved recording
 	// instead of executing the program again, byte-identically, and
@@ -313,7 +313,7 @@ type Selection struct {
 }
 
 // Engine names the selection engine that produced the selection
-// ("simpoint" for pre-interface selections restored from journals).
+// ("simpoint" for pre-interface selections served from the resume store).
 func (s *Selection) Engine() string {
 	if s.Sample == nil {
 		return "simpoint"

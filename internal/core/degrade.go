@@ -25,7 +25,7 @@ const DefaultMinCoverage = 0.9
 
 // RegionFailure records one looppoint whose simulation failed. Err is a
 // string, not an error, so failures serialize cleanly into the harness
-// resume journal.
+// resume store.
 type RegionFailure struct {
 	// Region is the failed looppoint's region index.
 	Region int `json:"region"`
@@ -205,14 +205,13 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	if arena == nil {
 		arena = &timing.Arena{Cfg: simCfg}
 	}
-	// With Config.ProgressDir set, completed regions journal durably and
-	// a restarted sweep serves them from the journal instead of
-	// re-simulating (see simprogress.go); sp is nil otherwise.
-	sp := openSimProgress(sel, simCfg)
-	defer sp.close()
+	// With Config.ProgressDir set, completed regions are stored durably
+	// and a sweep serves every region the store holds instead of
+	// re-simulating it (see simprogress.go); rs is nil otherwise.
+	rs := openRegionStore(sel, simCfg)
 	results, errs, err := pool.MapWith(ctx, len(sel.Points), pool.Options{Width: opts.Width, Degraded: opts.Degraded},
 		func(ctx context.Context, i int) (RegionResult, error) {
-			if res, ok := sp.lookup(i); ok {
+			if res, ok := rs.lookup(i); ok {
 				return res, nil
 			}
 			// The simulation runs inside the slot, so the wait for it is
@@ -224,7 +223,7 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 			}
 			res, err := simulateOneRegion(sel, arena, checkpoints, i)
 			if err == nil {
-				sp.record(i, res)
+				rs.record(i, res)
 			}
 			return res, err
 		})

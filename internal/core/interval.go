@@ -43,7 +43,7 @@ var regionMetrics = []struct {
 // treated as a per-work rate (metric / filtered instructions); per
 // stratum the rate sample yields W_h·r̄_h with a finite-population-
 // corrected variance (stats.StratifiedEstimate). Returns nil when the
-// selection carries no strata (journal-restored stubs), when no stratum
+// selection carries no strata (stubs served from the resume store), when no stratum
 // holds two or more simulated draws, or when level is out of (0, 1) —
 // the cases where a half-width would be fiction.
 //

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,10 +86,10 @@ func (s *ProgressStats) countLadderFall() {
 }
 
 // Snapshot returns the current counter values: durable saves (one per
-// analysis recovery point, one per journaled region), failed saves,
+// analysis recovery point, one per stored region), failed saves,
 // successful recoveries, the work those recoveries skipped (the schedule
 // steps of the recording a resumed analysis did not execute again, plus
-// instructions of region simulations served from the journal), and
+// instructions of region simulations served from the store), and
 // recovery-ladder falls (progress files rejected as torn/corrupt/foreign).
 func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved, ladderFalls uint64) {
 	if s == nil {
@@ -107,7 +106,7 @@ func progressFingerprint(prog *isa.Program, cfg *Config) string {
 	sig := fmt.Sprintf("v%d|prog=%s|threads=%d|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v|varslices=%v",
 		progressVersion, prog.Name, prog.NumThreads(), cfg.SliceUnit, cfg.Seed,
 		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter, cfg.VariableSlices)
-	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
+	return artifact.Key(sig)
 }
 
 // progressBase returns the per-job file-name stem inside the progress
@@ -117,7 +116,7 @@ func progressFingerprint(prog *isa.Program, cfg *Config) string {
 func progressBase(dir string, prog *isa.Program, cfg *Config) string {
 	key := cfg.ProgressKey
 	if key == "" {
-		key = fmt.Sprintf("%016x", artifact.Checksum([]byte(prog.Name)))
+		key = artifact.Key(prog.Name)
 	}
 	return filepath.Join(dir, key+"-"+progressFingerprint(prog, cfg))
 }
@@ -164,9 +163,8 @@ func (dp *progressLog) save(pb *pinball.Pinball, g *dcfg.Graph) {
 	dp.ps.countSave()
 }
 
-// publish writes the pinball, then the graph record in the
-// artifact.WriteChecksummedFile format; the graph is never written without
-// its pinball.
+// publish writes the pinball, then the graph record as a checksummed
+// envelope file; the graph is never written without its pinball.
 func (dp *progressLog) publish(pb *pinball.Pinball, g *dcfg.Graph) error {
 	rec, err := json.Marshal(graphRecord{
 		Version: progressVersion, Job: filepath.Base(dp.base),
@@ -175,44 +173,33 @@ func (dp *progressLog) publish(pb *pinball.Pinball, g *dcfg.Graph) error {
 	if err != nil {
 		return err
 	}
-	line, err := artifact.ChecksumLine(rec)
-	if err != nil {
-		return err
-	}
 	if err := os.MkdirAll(filepath.Dir(dp.base), 0o755); err != nil {
 		return err
 	}
-	if err := writeProgress(dp.pinballPath(), pb.AppendBinary(nil)); err != nil {
+	data := pb.AppendBinary(nil)
+	if err := saveFault(data); err != nil {
 		return err
 	}
-	return writeProgress(dp.graphPath(), append(line, '\n'))
-}
-
-// writeProgress writes one recovery-point file durably (temp + fsync +
-// rename) through injection site "core.progress.save": a Transient fails
-// the write, a Corrupt flips bytes in the written file, which the load-side
-// checksum catches.
-func writeProgress(path string, data []byte) error {
-	if err := faults.Check("core.progress.save"); err != nil {
+	if err := artifact.WriteFileDurable(dp.pinballPath(), data); err != nil {
 		return err
 	}
-	faults.CorruptBytes("core.progress.save", data)
-	return artifact.WriteFileDurable(path, data)
+	return artifact.WriteChecksummedFile(dp.graphPath(), rec, saveFault)
 }
 
-// readProgress reads one recovery-point file through injection site
-// "core.progress.load", which can fail the read (Transient) or corrupt the
-// bytes after they leave disk (Corrupt).
-func readProgress(path string) ([]byte, error) {
-	if err := faults.Check("core.progress.load"); err != nil {
-		return nil, fmt.Errorf("core: load %s: %w", path, err)
+// saveFault and loadFault are the fault seams every durable-progress byte
+// passes — recovery-point files and region entries alike — on its way to
+// and from disk: injection site "core.progress.save" or
+// "core.progress.load" can fail the write or read (Transient) or flip
+// bytes (Corrupt), which the load-side checksum catches.
+func saveFault(b []byte) error { return progressFault("core.progress.save", b) }
+func loadFault(b []byte) error { return progressFault("core.progress.load", b) }
+
+func progressFault(site string, b []byte) error {
+	if err := faults.Check(site); err != nil {
+		return fmt.Errorf("core: %s: %w", site, err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	faults.CorruptBytes("core.progress.load", data)
-	return data, nil
+	faults.CorruptBytes(site, b)
+	return nil
 }
 
 // resume walks the ladder's top rung and returns the BBV pass it fed, or
@@ -248,7 +235,10 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 	corrupt := func(err error) error {
 		return fmt.Errorf("core: progress file %s: %v: %w", blamed, err, artifact.ErrCorrupt)
 	}
-	data, err := readProgress(blamed)
+	data, err := os.ReadFile(blamed)
+	if err == nil {
+		err = loadFault(data)
+	}
 	if err != nil {
 		return nil, blamed, err
 	}
@@ -264,13 +254,13 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 	}
 
 	blamed = dp.graphPath()
-	if data, err = readProgress(blamed); err != nil {
+	rec, err := artifact.ReadChecksummedFile(blamed, loadFault)
+	if err != nil {
 		return nil, blamed, err
 	}
-	rec, ok := artifact.VerifyLine(bytes.TrimSpace(data))
 	var st graphRecord
-	if !ok || json.Unmarshal(rec, &st) != nil {
-		return nil, blamed, corrupt(errors.New("envelope checksum failed"))
+	if json.Unmarshal(rec, &st) != nil {
+		return nil, blamed, corrupt(errors.New("graph record does not parse"))
 	}
 	if st.Version != progressVersion {
 		return nil, blamed, fmt.Errorf("core: progress file %s: version %d (want %d): %w", blamed, st.Version, progressVersion, artifact.ErrVersion)

@@ -141,7 +141,7 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	// edit reaches the validation behind the checksum.
 	rewriteGraph := func(t *testing.T, path string, edit func(*graphRecord)) {
 		t.Helper()
-		rec, err := artifact.ReadChecksummedFile(path)
+		rec, err := artifact.ReadChecksummedFile(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 		if rec, err = json.Marshal(st); err != nil {
 			t.Fatal(err)
 		}
-		if err := artifact.WriteChecksummedFile(path, rec); err != nil {
+		if err := artifact.WriteChecksummedFile(path, rec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,8 +361,8 @@ func TestProgressFingerprintCoversVariableSlices(t *testing.T) {
 	}
 }
 
-// TestSimulateRegionsResumeFromJournal: a sweep journals every region;
-// a restarted sweep serves all of them from the journal — proven by
+// TestSimulateRegionsResumeFromJournal: a sweep stores every region; a
+// restarted sweep serves all of them from the store — proven by
 // arming a Rate-1 fault at the simulation site, which recovered regions
 // never reach — with identical results including recorded host times.
 func TestSimulateRegionsResumeFromJournal(t *testing.T) {
@@ -389,23 +389,24 @@ func TestSimulateRegionsResumeFromJournal(t *testing.T) {
 		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1}))()
 	second, err := simulateAll(sel, timing.Gainestown(4), 2)
 	if err != nil {
-		t.Fatalf("journal-resumed sweep failed: %v", err)
+		t.Fatalf("store-resumed sweep failed: %v", err)
 	}
 	if !reflect.DeepEqual(second, first) {
-		t.Fatal("journal-resumed results differ from the original sweep")
+		t.Fatal("store-resumed results differ from the original sweep")
 	}
 	saves2, _, recoveries, stepsSaved, _ := cfg.Progress.Snapshot()
 	if recoveries == 0 || stepsSaved == 0 {
-		t.Fatalf("recoveries=%d stepsSaved=%d after journal resume", recoveries, stepsSaved)
+		t.Fatalf("recoveries=%d stepsSaved=%d after a store resume", recoveries, stepsSaved)
 	}
 	if saves2 != saves1 {
-		t.Fatalf("journal grew on a fully recovered sweep (%d -> %d saves)", saves1, saves2)
+		t.Fatalf("a fully recovered sweep stored again (%d -> %d saves)", saves1, saves2)
 	}
 }
 
-// TestSimProgressCorruptLineResimulated: a corrupted journal line drops
-// its region from recovery; the restarted sweep re-simulates exactly
-// that region and the statistics still match end to end.
+// TestSimProgressCorruptLineResimulated: a corrupted region entry is
+// deleted and drops its region from recovery; the restarted sweep
+// re-simulates exactly that region, stores it again, and the statistics
+// still match end to end.
 func TestSimProgressCorruptLineResimulated(t *testing.T) {
 	dir := t.TempDir()
 	p := testprog.Phased(4, 10, 150, omp.Passive)
@@ -422,50 +423,149 @@ func TestSimProgressCorruptLineResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := regionEntries(t, dir)
+	if len(entries) != len(sel.Points) || len(entries) < 2 {
+		t.Fatalf("%d region entries for %d looppoints, want one each and at least 2", len(entries), len(sel.Points))
+	}
 
-	// Flip a byte inside the first journal line's record.
-	var simPath string
-	entries, err := os.ReadDir(dir)
+	// Flip a byte inside one entry's envelope.
+	victim := entries[0]
+	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".sim.progress") {
-			simPath = filepath.Join(dir, e.Name())
-		}
-	}
-	if simPath == "" {
-		t.Fatal("no sim journal written")
-	}
-	data, err := os.ReadFile(simPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 2 {
-		t.Fatal("journal has no complete line")
-	}
-	data[nl/2] ^= 0x04
-	if err := os.WriteFile(simPath, data, 0o644); err != nil {
+	data[len(data)/2] ^= 0x04
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	cfg.Progress = &ProgressStats{}
+	sel.Analysis.Config.Progress = cfg.Progress
 	second, err := simulateAll(sel, timing.Gainestown(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(second) != len(first) {
-		t.Fatalf("%d results after corrupt line, want %d", len(second), len(first))
+		t.Fatalf("%d results after a corrupt entry, want %d", len(second), len(first))
 	}
 	for i := range first {
 		if !reflect.DeepEqual(second[i].Stats, first[i].Stats) {
-			t.Fatalf("region %d stats differ after journal corruption", i)
+			t.Fatalf("region %d stats differ after entry corruption", i)
+		}
+	}
+	saves, _, recoveries, _, _ := cfg.Progress.Snapshot()
+	if saves != 1 || recoveries != 1 {
+		t.Fatalf("saves=%d recoveries=%d: want exactly the corrupt region re-simulated and the rest served", saves, recoveries)
+	}
+	if !exists(t, victim) {
+		t.Fatal("the re-simulated region was not stored again")
+	}
+}
+
+// TestSimulateRegionsReusesRegionsAcrossSelections: a region's result is
+// named by what it is, not by the selection that asked for it. Two sweeps
+// over one analysis and one progress directory select with different
+// MaxK: the second serves the regions both selections share from the
+// store (one recovery), simulates only the rest, and returns results
+// byte-identical to a fresh stateless sweep. Another simulator
+// configuration or another seed serves nothing.
+func TestSimulateRegionsReusesRegionsAcrossSelections(t *testing.T) {
+	p := testprog.Phased(4, 10, 150, omp.Passive)
+	cfg := durableConfig(t.TempDir())
+	a, err := Analyze(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// selectWith re-selects the analysis under another MaxK; withConfig
+	// copies a selection onto an analysis under an edited config. Each gets
+	// its own progress counters.
+	selectWith := func(maxK int) *Selection {
+		t.Helper()
+		b := *a
+		b.Config.MaxK = maxK
+		b.Config.Progress = &ProgressStats{}
+		sel, err := Select(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	withConfig := func(sel *Selection, edit func(*Config)) *Selection {
+		b := *sel.Analysis
+		b.Config.Progress = &ProgressStats{}
+		edit(&b.Config)
+		c := *sel
+		c.Analysis = &b
+		return &c
+	}
+	sweep := func(sel *Selection, simCfg timing.Config) []RegionResult {
+		t.Helper()
+		res, err := simulateAll(sel, simCfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	statsBytes := func(res []RegionResult) []byte {
+		t.Helper()
+		var all []*timing.Stats
+		for _, r := range res {
+			all = append(all, r.Stats)
+		}
+		b, err := json.Marshal(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	small := selectWith(3)
+	sweep(small, timing.Gainestown(4))
+	large := selectWith(5)
+	inSmall := map[int]bool{}
+	for _, lp := range small.Points {
+		inSmall[lp.Region.Index] = true
+	}
+	var shared int
+	var sharedSteps uint64
+	for _, lp := range large.Points {
+		if inSmall[lp.Region.Index] {
+			shared++
+			sharedSteps += lp.Region.UnfilteredLen()
+		}
+	}
+	if shared == 0 || shared == len(large.Points) {
+		t.Fatalf("%d of %d regions shared: the two selections do not overlap partially", shared, len(large.Points))
+	}
+
+	got := sweep(large, timing.Gainestown(4))
+	saves, _, recoveries, stepsSaved, _ := large.Analysis.Config.Progress.Snapshot()
+	if recoveries != 1 || stepsSaved != sharedSteps || saves != uint64(len(large.Points)-shared) {
+		t.Fatalf("recoveries=%d steps_saved=%d saves=%d; want 1, %d and %d (only the unshared regions simulated)",
+			recoveries, stepsSaved, saves, sharedSteps, len(large.Points)-shared)
+	}
+	fresh := withConfig(large, func(c *Config) { c.ProgressDir = "" })
+	if want := sweep(fresh, timing.Gainestown(4)); !bytes.Equal(statsBytes(got), statsBytes(want)) {
+		t.Fatal("a sweep served partly from the store differs from a fresh one")
+	}
+
+	for _, c := range []struct {
+		name   string
+		sel    *Selection
+		simCfg timing.Config
+	}{
+		{"in-order core", withConfig(large, func(*Config) {}), timing.InOrderConfig(4)},
+		{"another seed", withConfig(large, func(c *Config) { c.Seed++ }), timing.Gainestown(4)},
+	} {
+		sweep(c.sel, c.simCfg)
+		if _, _, recoveries, _, _ := c.sel.Analysis.Config.Progress.Snapshot(); recoveries != 0 {
+			t.Fatalf("%s: %d recoveries, want none", c.name, recoveries)
 		}
 	}
 }
 
 // TestSimulateRegionsResumePartialDegraded: a degraded sweep that loses
-// regions journals only the survivors; the clean restart re-simulates
+// regions stores only the survivors; the clean restart re-simulates
 // just the losses and matches the never-faulted reference.
 func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 	dir := t.TempDir()
@@ -483,9 +583,9 @@ func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wipe the journal the reference sweep just wrote: the degraded
+	// Wipe the entries the reference sweep just stored: the degraded
 	// sweep below must start cold to lose anything.
-	for _, f := range simJournals(t, dir) {
+	for _, f := range regionEntries(t, dir) {
 		os.Remove(f)
 	}
 
@@ -513,17 +613,12 @@ func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
 	}
 }
 
-func simJournals(t *testing.T, dir string) []string {
+// regionEntries lists the region-result store entries in dir.
+func regionEntries(t *testing.T, dir string) []string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".sim.progress") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
 	}
 	return files
 }

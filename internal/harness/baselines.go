@@ -128,7 +128,7 @@ func (e *Evaluator) Constrained() (*ConstrainedResult, error) {
 		}
 		pb := rep.Selection.Analysis.Pinball
 		if pb == nil {
-			// A report rehydrated from the resume journal carries no
+			// A report rehydrated from the resume store carries no
 			// analysis pinball; recording is fully seeded, so re-recording
 			// reproduces the exact pinball the original analysis used.
 			cfg := e.Opts.config()

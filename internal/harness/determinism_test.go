@@ -141,7 +141,7 @@ func TestReportSingleflightNoStampede(t *testing.T) {
 }
 
 // TestReportCancelledFailsFast: a cancelled context fails the
-// evaluation before any work (or journaling) happens, and the failure is
+// evaluation before any work (or storing) happens, and the failure is
 // not cached — a later call with a live context evaluates normally.
 func TestReportCancelledFailsFast(t *testing.T) {
 	e := smokeEvaluator()

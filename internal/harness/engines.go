@@ -66,7 +66,7 @@ func (e *Evaluator) Engines(engines []string) (*EnginesResult, error) {
 			row := EngineRow{
 				App:    name,
 				Engine: engine,
-				// Selection.Points survives journal rehydration (Regions
+				// Selection.Points survives resume-store rehydration (Regions
 				// does not), so resumed campaigns render the same counts.
 				Points:        len(rep.Selection.Points),
 				RuntimeErrPct: rep.RuntimeErrPct,

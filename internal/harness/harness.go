@@ -57,14 +57,14 @@ type Options struct {
 	// (train, ref, C, D) with the given one — smoke-testing only; the
 	// figures are defined on their paper inputs.
 	InputOverride workloads.InputClass
-	// Resume names a journal file (JSONL) of completed evaluations. When
-	// set, reports already journaled are rehydrated instead of re-run,
-	// and every new evaluation is appended — a killed campaign restarts
-	// where it stopped. Corrupt journal lines are dropped, and records
-	// journaled under a different evaluator configuration (slice, seed,
-	// degraded knobs) are skipped with a warning rather than served as
-	// this run's numbers; a journal that cannot be opened is logged and
-	// ignored (the run proceeds fresh).
+	// Resume names a directory of completed evaluations (the resume
+	// store). When set, an evaluation already stored under this run's
+	// configuration is served instead of re-run, and every new one is
+	// stored durably — a killed campaign restarts where it stopped. An
+	// entry is keyed by the ReportKey plus every setting that changes its
+	// numbers (slice, seed, degraded knobs), so another configuration
+	// re-evaluates; a corrupt entry is deleted and re-evaluated, and a
+	// directory that cannot be created is logged and ignored.
 	Resume string
 	// Degraded tolerates per-region simulation failures inside each
 	// evaluation (see core.RunOpts.Degraded).
@@ -160,11 +160,10 @@ func (o Options) config() core.Config {
 // filename-safe. Keyed on the workload identity plus the selection
 // engine — not the report class — so an analyze job, a simulate job, and
 // a report job over the same workload resume each other's saved
-// recording and region journal; core's config fingerprint rejects any
+// recording and region results; core's config fingerprint rejects any
 // progress the key alone would conflate.
 func progressKey(app string, policy omp.WaitPolicy, input workloads.InputClass, threads int, selector string) string {
-	key := fmt.Sprintf("analysis/%s/%v/%s/%d/%s", app, policy, input, threads, selector)
-	return fmt.Sprintf("%016x", artifact.Checksum([]byte(key)))
+	return artifact.Key(fmt.Sprintf("analysis/%s/%v/%s/%d/%s", app, policy, input, threads, selector))
 }
 
 // SpecApps returns the SPEC CPU2017 workload names used by the run.
@@ -203,8 +202,7 @@ type Evaluator struct {
 	apps       memo[*workloads.App]
 	selections memo[*core.Selection]
 
-	journal  *journal
-	restored int
+	resume *artifact.Store[reportData] // nil without Options.Resume
 
 	logMu sync.Mutex
 	evals atomic.Int64
@@ -263,49 +261,33 @@ func (m *memo[V]) do(ctx context.Context, key string, compute func() (V, error))
 }
 
 // NewEvaluator creates an evaluator. When Options.Resume names a
-// journal, previously completed evaluations are rehydrated into the
-// report cache and new ones are appended as they finish.
+// directory, evaluations are served from and stored into it.
 func NewEvaluator(opts Options) *Evaluator {
 	e := &Evaluator{Opts: opts.fill()}
 	if opts.Resume != "" {
-		config := configFingerprint(e.Opts)
-		restored, dropped, mismatched, err := loadJournal(opts.Resume, config)
+		st, err := artifact.NewStore[reportData](opts.Resume, nil)
 		if err != nil {
-			e.logf("resume: cannot read journal %s: %v (starting fresh)", opts.Resume, err)
+			e.logf("resume: cannot open %s: %v (resume disabled)", opts.Resume, err)
 		} else {
-			e.reports.vals = restored
-			e.restored = len(restored)
-			if dropped > 0 {
-				e.logf("resume: dropped %d corrupt journal line(s) from %s", dropped, opts.Resume)
-			}
-			if mismatched > 0 {
-				e.logf("resume: skipped %d journal record(s) in %s computed under a different configuration (slice/seed/degraded flags); they will be re-evaluated", mismatched, opts.Resume)
-			}
-			if len(restored) > 0 {
-				e.logf("resume: restored %d completed evaluation(s) from %s", len(restored), opts.Resume)
-			}
-		}
-		j, err := openJournal(opts.Resume, config)
-		if err != nil {
-			e.logf("resume: cannot append to journal %s: %v (journaling disabled)", opts.Resume, err)
-		} else {
-			e.journal = j
+			e.resume = st
 		}
 	}
 	return e
 }
 
-// Restored returns how many completed evaluations were rehydrated from
-// the resume journal.
-func (e *Evaluator) Restored() int { return e.restored }
-
-// Close releases the resume journal, if any.
-func (e *Evaluator) Close() error {
-	if e.journal == nil {
-		return nil
+// Restored returns how many evaluations were served from the resume
+// store.
+func (e *Evaluator) Restored() int {
+	if e.resume == nil {
+		return 0
 	}
-	return e.journal.Close()
+	hits, _, _, _ := e.resume.Counters()
+	return int(hits)
 }
+
+// Close is a no-op: the resume store holds no open file, and every entry
+// is durable by the time Report returns.
+func (e *Evaluator) Close() error { return nil }
 
 // Evaluations returns how many end-to-end report evaluations have
 // actually executed (cache and singleflight hits do not count) — the
@@ -365,7 +347,7 @@ type ReportKey struct {
 // Cancellation or deadline expiry of ctx stops the evaluation at the
 // next phase or region boundary with ctx's error instead of finishing
 // the remaining work — the contract the serving layer's per-request
-// deadlines rely on. Cache hits ignore ctx.
+// deadlines rely on. Cache and resume-store hits ignore ctx.
 //
 // Concurrent callers of the same key share one evaluation, run under the
 // context of the caller that started it. If that context ends the
@@ -375,12 +357,20 @@ type ReportKey struct {
 func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, error) {
 	key := fmt.Sprintf("%+v", k)
 	return e.reports.do(ctx, key, func() (*core.Report, error) {
+		var rkey string
+		if e.resume != nil {
+			rkey = resumeKey(e.Opts, key)
+			if d, ok := e.resume.Get(rkey); ok {
+				e.logf("restored %s (%v, %s) from %s", k.App, k.Policy, k.Input, e.Opts.Resume)
+				return d.report(), nil
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Injection site "harness.report" lets the fault suite kill an
 		// experiment campaign between evaluations and exercise the
-		// resume journal.
+		// resume store.
 		if err := faults.Check("harness.report"); err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", k.App, err)
 		}
@@ -410,9 +400,10 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 		}
 		e.logf("evaluated %s (%v, %s) in %v",
 			k.App, k.Policy, k.Input, time.Since(start).Round(time.Millisecond))
-		if e.journal != nil {
-			if jerr := e.journal.append(key, rep); jerr != nil {
-				e.logf("resume: journal append failed: %v (journaling disabled)", jerr)
+		if e.resume != nil {
+			d := newReportData(rep)
+			if err := e.resume.Put(rkey, &d); err != nil {
+				e.logf("resume: storing %s: %v", k.App, err)
 			}
 		}
 		return rep, nil

@@ -9,28 +9,33 @@ import (
 )
 
 // TestConfigFingerprintIgnoresProgressKnobs: the durable-progress knobs
-// relocate mid-job checkpoints; they cannot change what an evaluation
-// computes, so they must not invalidate a resume journal — and the
-// shared stats pointer must not leak an address into the fingerprint.
+// relocate mid-job checkpoints and the width only changes host time; none
+// can change what an evaluation computes, so none may change a resume
+// entry's key — and the shared stats pointer must not leak an address
+// into it.
 func TestConfigFingerprintIgnoresProgressKnobs(t *testing.T) {
 	base := smokeOpts().fill()
 	with := base
 	with.ProgressDir = "/tmp/progress"
 	with.Progress = &core.ProgressStats{}
-	if configFingerprint(base) != configFingerprint(with) {
-		t.Fatal("progress knobs changed the journal config fingerprint")
+	with.Parallelism = base.Parallelism + 3
+	if resumeKey(base, "k") != resumeKey(with, "k") {
+		t.Fatal("progress knobs or the width changed the resume key")
 	}
 	again := with
-	again.Progress = &core.ProgressStats{} // different allocation, same fingerprint
-	if configFingerprint(with) != configFingerprint(again) {
-		t.Fatal("fingerprint depends on the stats pointer identity")
+	again.Progress = &core.ProgressStats{} // different allocation, same key
+	if resumeKey(with, "k") != resumeKey(again, "k") {
+		t.Fatal("the resume key depends on the stats pointer identity")
+	}
+	if resumeKey(base, "k") == resumeKey(base, "k2") {
+		t.Fatal("the resume key ignores the ReportKey")
 	}
 }
 
 // TestEvaluatorProgressResumeIdentical: an evaluation run with
 // -progress-dir produces the same report as one without, and a fresh
 // evaluator pointed at the same directory resumes the saved recording
-// and the region journal instead of recomputing — the harness-level half
+// and the region results instead of recomputing — the harness-level half
 // of the crash-only contract (the core tests kill the process mid-job;
 // here the "crash" is simply a new process image with an empty cache).
 func TestEvaluatorProgressResumeIdentical(t *testing.T) {
@@ -63,7 +68,7 @@ func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 		t.Fatalf("first durable run recovered %d times with an empty progress dir", recov)
 	}
 
-	// A fresh evaluator (empty memoization cache, no resume journal) over
+	// A fresh evaluator (empty memoization cache, no resume store) over
 	// the same progress dir must resume rather than recompute.
 	optsB := smokeOpts()
 	optsB.ProgressDir = dir

@@ -1,0 +1,111 @@
+package harness
+
+import (
+	"fmt"
+	"time"
+
+	"looppoint/internal/artifact"
+	"looppoint/internal/bbv"
+	"looppoint/internal/core"
+	"looppoint/internal/timing"
+)
+
+// The resume store makes a long experiment campaign restartable: every
+// completed evaluation becomes one entry of an artifact.Store in the
+// Options.Resume directory, and a fresh Evaluator pointed at the same
+// directory serves it instead of redoing the record/profile/cluster/
+// simulate work. Entries hold the scalar subset of a core.Report that the
+// tables and figures consume (prediction, errors, speedups, degradation,
+// and the selection's region/looppoint counts) — everything the renderers
+// read, nothing that cannot be serialized.
+//
+// ReportKey alone does not pin down a report's numbers — -slice, -seed
+// and the degraded knobs all change what an evaluation produces without
+// appearing in it — so an entry's key (resumeKey) hashes them too. A run
+// under another configuration looks up other keys: it re-evaluates, and
+// nothing has to recognise a stale entry.
+
+// reportSchema tags the stored record's schema inside every key; change
+// it when reportData changes shape.
+const reportSchema = "harness-report/1"
+
+// resumeKey names one evaluation's entry: the ReportKey plus the resolved
+// core config and the degraded knobs. Threads and input are part of every
+// ReportKey. The width (Parallelism, and the ClusterWorkers it sets) and
+// the durable-progress knobs are zeroed first: they cannot change report
+// bytes, and the stats pointer would render as an address.
+func resumeKey(o Options, reportKey string) string {
+	o.Parallelism, o.ProgressDir, o.Progress = 0, "", nil
+	return artifact.Key(fmt.Sprintf("%s|key=%s|cfg=%+v|degraded=%v|min_coverage=%v",
+		reportSchema, reportKey, o.config(), o.Degraded, o.MinCoverage))
+}
+
+// reportData is the stored scalar subset of a core.Report.
+type reportData struct {
+	Name           string            `json:"name"`
+	NumRegions     int               `json:"num_regions"`
+	NumPoints      int               `json:"num_points"`
+	Predicted      core.Prediction   `json:"predicted"`
+	Full           *timing.Stats     `json:"full,omitempty"`
+	FullHostTimeNS int64             `json:"full_host_time_ns,omitempty"`
+	RuntimeErrPct  float64           `json:"runtime_err_pct"`
+	CyclesErrPct   float64           `json:"cycles_err_pct"`
+	BranchMPKIDiff float64           `json:"branch_mpki_diff"`
+	L1DMPKIDiff    float64           `json:"l1d_mpki_diff"`
+	L2MPKIDiff     float64           `json:"l2_mpki_diff"`
+	L3MPKIDiff     float64           `json:"l3_mpki_diff"`
+	Speedups       core.Speedups     `json:"speedups"`
+	Degradation    *core.Degradation `json:"degradation,omitempty"`
+	// Intervals round-trips the confidence-interval block byte-identically
+	// (omitted for point-estimate engines, where it is nil).
+	Intervals *core.Intervals `json:"intervals,omitempty"`
+}
+
+func newReportData(rep *core.Report) reportData {
+	return reportData{
+		Name:           rep.Name,
+		NumRegions:     len(rep.Selection.Analysis.Profile.Regions),
+		NumPoints:      len(rep.Selection.Points),
+		Predicted:      rep.Predicted,
+		Full:           rep.Full,
+		FullHostTimeNS: int64(rep.FullHostTime),
+		RuntimeErrPct:  rep.RuntimeErrPct,
+		CyclesErrPct:   rep.CyclesErrPct,
+		BranchMPKIDiff: rep.BranchMPKIDiff,
+		L1DMPKIDiff:    rep.L1DMPKIDiff,
+		L2MPKIDiff:     rep.L2MPKIDiff,
+		L3MPKIDiff:     rep.L3MPKIDiff,
+		Speedups:       rep.Speedups,
+		Degradation:    rep.Degradation,
+		Intervals:      rep.Intervals,
+	}
+}
+
+// report rehydrates a stored record into a core.Report. The selection
+// is a stub carrying only the region/looppoint counts the renderers
+// read; consumers needing the analysis pinball (Constrained) re-record
+// it deterministically.
+func (d reportData) report() *core.Report {
+	sel := &core.Selection{
+		Analysis: &core.Analysis{
+			Profile: &bbv.Profile{Regions: make([]*bbv.Region, d.NumRegions)},
+		},
+		Points: make([]core.LoopPoint, d.NumPoints),
+	}
+	return &core.Report{
+		Name:           d.Name,
+		Selection:      sel,
+		Predicted:      d.Predicted,
+		Degradation:    d.Degradation,
+		Intervals:      d.Intervals,
+		Full:           d.Full,
+		FullHostTime:   time.Duration(d.FullHostTimeNS),
+		RuntimeErrPct:  d.RuntimeErrPct,
+		CyclesErrPct:   d.CyclesErrPct,
+		BranchMPKIDiff: d.BranchMPKIDiff,
+		L1DMPKIDiff:    d.L1DMPKIDiff,
+		L2MPKIDiff:     d.L2MPKIDiff,
+		L3MPKIDiff:     d.L3MPKIDiff,
+		Speedups:       d.Speedups,
+	}
+}

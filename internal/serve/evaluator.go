@@ -13,7 +13,7 @@ import (
 // EvaluatorRunner adapts a harness.Evaluator into the server's RunFunc:
 // the daemon's job classes map onto the evaluator's memoized entry
 // points, so repeated requests for the same workload hit the evaluator
-// cache (and its resume journal) instead of recomputing.
+// cache (and its resume store) instead of recomputing.
 //
 //   - analyze  → AnalyzeOnly: profile + cluster + select, no timing.
 //   - simulate → Report with Full forced off: sampled simulation and

@@ -205,10 +205,10 @@ type Stats struct {
 	ShedDrain   uint64 `json:"shed_drain"`
 
 	// Durable-progress counters (zero unless Config.Progress is set):
-	// saves (one per analysis recovery point, one per journaled region),
+	// saves (one per analysis recovery point, one per stored region),
 	// failed saves, successful crash recoveries, the work those recoveries
 	// skipped (the recording's schedule steps for a resumed analysis,
-	// instructions of regions served from the journal), and
+	// instructions of regions served from the store), and
 	// recovery-ladder falls (progress files rejected as torn/corrupt).
 	ProgressSaves        uint64 `json:"progress_saves"`
 	ProgressSaveFailures uint64 `json:"progress_save_failures"`
@@ -653,7 +653,7 @@ func (s *Server) executeJob(ctx context.Context, req *JobRequest) (*JobResult, e
 // cancel the ones still running, and stop the workers. Every request gets
 // its own answer; nothing is written. What outlives the process is what a
 // kill would leave too — completed evaluations in the evaluator's resume
-// journal, partial ones in its durable progress — and the caller
+// store, partial ones in its durable progress — and the caller
 // resubmits a drained or canceled job.
 func (s *Server) Drain() DrainStats {
 	s.draining.Store(true)

@@ -14,7 +14,7 @@ import (
 // parallel BIC sweep) must be byte-identical to the naive reference path:
 // same seeds in, same floats out, for projections, per-k k-means runs,
 // and the full Cluster Result. These tests are the contract that lets
-// pre-existing selections, resume journals, and golden files stay valid.
+// pre-existing selections, resume stores, and golden files stay valid.
 
 // testRNG is a tiny deterministic generator for fuzz-style inputs.
 type testRNG uint64
@@ -314,7 +314,7 @@ func TestClusterGoldenSelections(t *testing.T) {
 // must carry exactly the Result a direct Cluster call produces (same
 // arguments, same floats) and draw exactly its Reps, one per cluster —
 // the identity that keeps every existing selection, golden file, and
-// resume journal valid under the Selector interface.
+// resume store valid under the Selector interface.
 func TestSimPointSelectorMatchesDirectCluster(t *testing.T) {
 	rng := testRNG(31)
 	for trial := 0; trial < 5; trial++ {

@@ -28,7 +28,7 @@ go build -o "$workdir/lpcoord" ./cmd/lpcoord
 
 # start_worker <name>: boots one lpserved, sets WORKER_BASE/WORKER_PID.
 # Every worker shares one -progress-dir, so a job leased from a killed
-# worker resumes from the victim's saved recording and region journal on
+# worker resumes from the victim's saved recording and region results on
 # its replacement instead of starting over.
 # (No command substitution around the body — the pid bookkeeping must
 # land in this shell, not a subshell.)
