@@ -61,6 +61,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRestoreGraph$$' -fuzztime $(FUZZTIME) ./internal/dcfg/
 	go test -run '^$$' -fuzz '^FuzzSelectors$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 	go test -run '^$$' -fuzz '^FuzzStratifiedAllocation$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
+	go test -run '^$$' -fuzz '^FuzzKMeansFastSlow$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 
 # Boot the lpserved daemon, hit /readyz, run one job and then three
 # concurrent ones over POST /v1/jobs, SIGTERM it with three more in

@@ -7,10 +7,10 @@ import (
 )
 
 // Benchmarks run the fast engine and the naive reference path at
-// paper-like scale (≥1000 regions, dims=100) so a perf regression in
-// either — or an erosion of the fast path's advantage — shows up in the
-// CI bench smoke. BENCH_simpoint.json records the measured before/after
-// numbers.
+// paper-like scale (≥1000 regions, dims=100) and at the re-selection
+// shape (209 regions, MaxK 50) so a perf regression in either — or an
+// erosion of the fast path's advantage — shows up in the CI bench smoke.
+// DESIGN.md §10 gives the measured numbers and links every run.
 
 // benchRegions builds a multi-threaded sparse BBV set shaped like a real
 // profile: n regions, `threads` per-thread vectors, ~blocksPerThread
@@ -59,6 +59,21 @@ func BenchmarkCluster(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Cluster(vecs, w, Options{MaxK: 20, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterReselect is the sweep at checkpoint-reuse's shape:
+// 209 regions, 100 dimensions, MaxK 50 on one worker. With ten seeds
+// per blob at the top of the sweep, it is where the seeding skip and the
+// separation early exit carry the most work.
+func BenchmarkClusterReselect(b *testing.B) {
+	vecs, _ := blobs(209, 5, DefaultDims, 3)
+	w := ones(209)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cluster(vecs, w, Options{MaxK: 50, Seed: 1, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -163,6 +163,96 @@ func TestClusterFastSlowIdentityFuzz(t *testing.T) {
 	}
 }
 
+// reselectVectors builds n points at DefaultDims shaped like a
+// re-selection's input, where every pruning rule of kmeansFast fires:
+// five-centre blobs, every third point a verbatim copy of the one before
+// it, and the last tenth of the points coincident, midway between the
+// first two centres. Two changes to the blobs make the rules decide
+// outcomes:
+//   - the noise along axis 5 is stretched 32×, so each blob is long in
+//     one direction: k-means splits it into a chain of clusters whose
+//     boundary points move between Lloyd passes, and the half-distance
+//     test is what skips them;
+//   - coordinates are snapped to a 1/8 grid, so squared distances are
+//     exact and a point is often exactly as far from two distinct seeds:
+//     the first pass meets ties.
+func reselectVectors(n int) [][]float64 {
+	vecs, _ := blobs(n, 5, DefaultDims, 37)
+	for i, v := range vecs {
+		v[5] *= 32
+		for d := range v {
+			v[d] = math.Round(v[d]*8) / 8
+		}
+		if i%3 == 2 {
+			vecs[i] = vecs[i-1]
+		}
+	}
+	mid := make([]float64, DefaultDims)
+	mid[0], mid[1] = 5, 5
+	for i := n - n/10; i < n; i++ {
+		vecs[i] = mid
+	}
+	return vecs
+}
+
+// kmeansMismatch runs kmeansFast and KMeansSlow on the same points and
+// describes the first output that differs, or returns "".
+func kmeansMismatch(vs [][]float64, k int, seed uint64) string {
+	n, dims := len(vs), len(vs[0])
+	flat := make([]float64, n*dims)
+	for i, v := range vs {
+		copy(flat[i*dims:], v)
+	}
+	sa, sc, sd := KMeansSlow(vs, k, seed, lloydIters)
+	fa, fc, fd := kmeansFast(flat, n, dims, k, seed, lloydIters)
+	switch {
+	case !reflect.DeepEqual(sa, fa):
+		return fmt.Sprintf("assignments differ\nslow: %v\nfast: %v", sa, fa)
+	case !reflect.DeepEqual(sc, fc):
+		return "centroids differ"
+	case sd != fd:
+		return fmt.Sprintf("distortion differs: %v vs %v", sd, fd)
+	}
+	return ""
+}
+
+// TestClusterFastSlowIdentityAtScale runs the full MaxK 50 sweep at
+// DefaultDims, where the seeding skip, the seeded first pass and the
+// separation early exit decide most of the work; the small identity
+// cases above barely reach them. The k = MaxK run is also compared
+// directly: when two coincident seeds tie, compaction drops whichever
+// one lost, so a Result alone can hide the wrong winner.
+func TestClusterFastSlowIdentityAtScale(t *testing.T) {
+	n := 210
+	if testing.Short() {
+		n = 80
+	}
+	vecs := reselectVectors(n)
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = float64(1 + i%7)
+	}
+	opts := Options{MaxK: 50, Seed: 5}
+	slow, err := ClusterSlow(vecs, weights, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
+		fast, err := Cluster(vecs, weights, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(slow, fast) {
+			t.Fatalf("n=%d workers=%d: fast/slow Results differ\nslow: K=%d BIC=%v\nfast: K=%d BIC=%v",
+				n, workers, slow.K, slow.BICByK, fast.K, fast.BICByK)
+		}
+	}
+	if msg := kmeansMismatch(vecs, opts.MaxK, opts.Seed+uint64(opts.MaxK)); msg != "" {
+		t.Fatalf("n=%d k=%d: %s", n, opts.MaxK, msg)
+	}
+}
+
 // TestClusterWorkerWidthInvariant pins the parallel-sweep determinism
 // contract directly: the Result is identical at every worker width.
 func TestClusterWorkerWidthInvariant(t *testing.T) {
@@ -355,4 +445,69 @@ func TestSimPointSelectorMatchesDirectCluster(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzKMeansInput encodes points for FuzzKMeansFastSlow: a five-byte
+// header (n−1, k−1, dims−1, seed, duplicate stride code) and then every
+// coordinate as a signed byte on a 1/8 grid.
+func fuzzKMeansInput(vs [][]float64, k int, seed, dupCode byte) []byte {
+	b := []byte{byte(len(vs) - 1), byte(k - 1), byte(len(vs[0]) - 1), seed, dupCode}
+	for _, v := range vs {
+		for _, x := range v {
+			b = append(b, byte(int8(math.Round(x*8))))
+		}
+	}
+	return b
+}
+
+// FuzzKMeansFastSlow is the differential fuzzer for the k-means engine:
+// kmeansFast must return exactly what KMeansSlow returns — assignments,
+// centroids and distortion — for any points, k, dims and seed. Points
+// sit on a 1/8 grid, so squared distances are exact and ties are common,
+// and every stride-th point is forced to repeat its predecessor.
+func FuzzKMeansFastSlow(f *testing.F) {
+	vecs, _ := blobs(90, 4, 12, 5)
+	f.Add(fuzzKMeansInput(vecs, 8, 1, 0))
+	noisy := make([][]float64, 60)
+	rng := testRNG(99)
+	for i := range noisy {
+		noisy[i] = make([]float64, 10)
+		for d := range noisy[i] {
+			noisy[i][d] = rng.float() * 10
+		}
+	}
+	f.Add(fuzzKMeansInput(noisy, 8, 3, 2))
+	same := make([][]float64, 20)
+	for i := range same {
+		same[i] = []float64{1, 2, 3}
+	}
+	f.Add(fuzzKMeansInput(same, 5, 17, 1))
+	f.Add(fuzzKMeansInput(reselectVectors(80), 50, 55, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := 1 + int(data[0])%96
+		k := min(1+int(data[1])%50, n)
+		dims := 1 + int(data[2])%DefaultDims
+		seed := uint64(data[3])
+		stride := 2 + int(data[4])%6
+		vals := data[5:]
+		vs := make([][]float64, n)
+		for i := range vs {
+			if i%stride == stride-1 {
+				vs[i] = vs[i-1]
+				continue
+			}
+			vs[i] = make([]float64, dims)
+			for d := range vs[i] {
+				if len(vals) > 0 {
+					vs[i][d] = float64(int8(vals[(i*dims+d)%len(vals)])) / 8
+				}
+			}
+		}
+		if msg := kmeansMismatch(vs, k, seed); msg != "" {
+			t.Fatalf("n=%d k=%d dims=%d seed=%d: %s", n, k, dims, seed, msg)
+		}
+	})
 }

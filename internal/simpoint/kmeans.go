@@ -29,7 +29,10 @@ type kmeansScratch struct {
 	upper  []float64 // per-point upper bound on distance to assigned centroid
 	lower  []float64 // per-point lower bound on distance to any other centroid
 	assign []int
-	d2     []float64 // k-means++ running nearest-centroid distances
+	d2     []float64 // running squared distance to the nearest seed
+	near   []int     // index of that nearest seed (first index on ties)
+	sep    []float64 // per-centroid squared distance to the nearest other centroid
+	cc     []float64 // squared distance (or a lower bound on it) from the seed being folded to each earlier seed
 }
 
 func newKMeansScratch(n, k, dims int) *kmeansScratch {
@@ -43,26 +46,38 @@ func newKMeansScratch(n, k, dims int) *kmeansScratch {
 		lower:  make([]float64, n),
 		assign: make([]int, n),
 		d2:     make([]float64, n),
+		near:   make([]int, n),
+		sep:    make([]float64, k),
+		cc:     make([]float64, k),
 	}
 }
 
-// kmeansFast is the accelerated k-means engine: k-means++ seeding with
-// incrementally maintained nearest-centroid distances, then Lloyd
-// iterations with Hamerly-style triangle-inequality bounds that skip
-// provably-unchanged assignments. It returns exactly what KMeansSlow
-// returns for the same inputs — identical assignments, centroids, and
-// distortion, bit for bit:
+// kmeansFast is the accelerated k-means engine. It returns exactly what
+// KMeansSlow returns for the same inputs — identical assignments,
+// centroids, and distortion, bit for bit — and skips only distances the
+// triangle inequality proves cannot change that output:
 //
-//   - the RNG consumption and the ++ selection arithmetic are the slow
-//     path's, and the incremental distance minima are the same floats the
-//     slow path's full recomputation produces (min over identical terms);
-//   - an assignment is skipped only when the slack-guarded bounds prove
-//     the exact argmin could not change; whenever a point is actually
-//     evaluated, the evaluation is the slow path's loop — centroids in
-//     index order, strict less-than — so tie-breaking matches;
+//   - seeding keeps each point's nearest seed (d2, near) and folds in one
+//     seed per round; a point is skipped when the new seed lies more than
+//     2·√d2 from its nearest seed, since then it is strictly farther. The
+//     RNG consumption and the ++ selection arithmetic are the slow path's,
+//     and d2 is the same float the slow path's full rescan produces;
+//   - the first Lloyd pass is the fold of the last seed: the running
+//     minimum over seeds in index order with strict less-than is the slow
+//     path's argmin, floats and first-index ties included;
+//   - later passes skip a point when the slack-guarded Hamerly bounds
+//     prove its argmin unchanged; an evaluated point runs the slow path's
+//     loop — centroids in index order, strict less-than — in argmin2;
+//   - the half-distances behind the bounds visit each centroid pair once
+//     and drop a pair that can lower neither endpoint's minimum;
 //   - centroid recomputation accumulates members in point order over the
 //     flat arrays, the same op sequence as the slow path's nested loops,
 //     and the iteration/termination structure is mirrored exactly.
+//
+// Every distance that is finished is accumulated term by term in
+// dimension order (sqDist, partialSqDist), so it is the slow path's
+// float; an abandoned partial sum is only ever used as a lower bound on
+// that distance.
 func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int, [][]float64, float64) {
 	s := newKMeansScratch(n, k, dims)
 	rng := seed | 1
@@ -73,23 +88,49 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 	pt := func(i int) []float64 { return pts[i*dims : (i+1)*dims] }
 	cent := func(j int) []float64 { return s.cents[j*dims : (j+1)*dims] }
 
-	// k-means++ seeding. The slow path recomputes every point's nearest
-	// seeded centroid from scratch per round (O(nk²·dims)); here d2 holds
-	// the running minimum and each round folds in only the newest
-	// centroid (O(nk·dims)). Seeded centroids never move, so the running
-	// minimum is the same float the full recomputation's first-strict-
-	// minimum scan yields.
+	const inflate = 1 + boundSlack
+	const deflate = 1 - boundSlack
+
+	// fold folds seed j into every point's running nearest seed (d2,
+	// near): the first-strict-minimum scan over seeds 0..j in index order
+	// that the slow path repeats from scratch, advanced by one seed.
+	// Seeds never move, so d2 is the float the full scan yields and near
+	// its first index. A point is skipped when the new seed lies more
+	// than twice its nearest distance from its nearest seed: then
+	// d(p, j) ≥ d(j, near) − d(p, near) > d(p, near), so the strict <
+	// could not fire. The test compares squares, cc > 4·d2, inflated by
+	// the slack so rounding cannot license a skip the exact comparison
+	// would overturn; an exact tie is never skipped. cc may be a partial
+	// sum (a lower bound on the seed-pair distance), abandoned once it
+	// passes 4·far, where far is the largest d2: past that it skips every
+	// point anyway.
+	far := math.Inf(1)
+	fold := func(j int) {
+		c := cent(j)
+		for j2 := 0; j2 < j; j2++ {
+			s.cc[j2] = partialSqDist(c, cent(j2), 4*far*inflate)
+		}
+		far = 0
+		for i := 0; i < n; i++ {
+			if j == 0 || s.cc[s.near[i]] <= 4*s.d2[i]*inflate {
+				if d := sqDist(pt(i), c); j == 0 || d < s.d2[i] {
+					s.d2[i], s.near[i] = d, j
+				}
+			}
+			far = max(far, s.d2[i])
+		}
+	}
+
+	// k-means++ seeding: round m folds in seed m−1 and draws seed m, so
+	// the slow path's O(nk²·dims) recomputation costs O(nk·dims) minus
+	// the skips.
 	first := int(next() % uint64(n))
 	copy(cent(0), pt(first))
 	for m := 1; m < k; m++ {
-		newest := s.cents[(m-1)*dims : m*dims]
+		fold(m - 1)
 		var sum float64
-		for i := 0; i < n; i++ {
-			d := sqDist(pt(i), newest)
-			if m == 1 || d < s.d2[i] {
-				s.d2[i] = d
-			}
-			sum += s.d2[i]
+		for _, d := range s.d2[:n] {
+			sum += d
 		}
 		var pick int
 		if sum == 0 {
@@ -108,22 +149,24 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 		copy(s.cents[m*dims:(m+1)*dims], pt(pick))
 	}
 
-	const inflate = 1 + boundSlack
-	const deflate = 1 - boundSlack
 	assign := s.assign
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		if iter == 0 {
-			// First pass: every point is evaluated exactly; bounds are
-			// initialized from the true best and second-best distances.
+			// First pass: the seeding already holds every point's argmin
+			// over seeds 0..k−2, so folding in seed k−1 completes the slow
+			// path's argmin — same floats, same first-index tie. The
+			// lower bound starts at 0, which is always valid: a point
+			// that cannot skip on half[a] next pass gets an exact one
+			// from argmin2 then.
+			fold(k - 1)
 			for i := 0; i < n; i++ {
-				bestJ, bestD, secondD := argmin2(pt(i), s.cents, k, dims)
-				if assign[i] != bestJ {
-					assign[i] = bestJ
+				if assign[i] != s.near[i] {
+					assign[i] = s.near[i]
 					changed = true
 				}
-				s.upper[i] = math.Sqrt(bestD) * inflate
-				s.lower[i] = math.Sqrt(secondD) * deflate
+				s.upper[i] = math.Sqrt(s.d2[i]) * inflate
+				s.lower[i] = 0
 			}
 		} else {
 			for i := 0; i < n; i++ {
@@ -199,18 +242,24 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 		}
 		// Half the distance from each centroid to its nearest sibling: a
 		// point within that radius of its centroid cannot be closer to
-		// any other (Hamerly's second pruning condition).
+		// any other (Hamerly's second pruning condition). Each unordered
+		// pair is visited once (d(a, b) and d(b, a) are the same float:
+		// the differences only flip sign), and a pair is abandoned once
+		// its partial sum reaches both endpoints' running minima, when it
+		// can lower neither. After row j every pair touching j is in, so
+		// sep[j] is final.
 		for j := 0; j < k; j++ {
-			minD := math.Inf(1)
-			for j2 := 0; j2 < k; j2++ {
-				if j2 == j {
-					continue
-				}
-				if d := sqDist(cent(j), cent(j2)); d < minD {
-					minD = d
+			s.sep[j] = math.Inf(1)
+		}
+		for j := 0; j < k; j++ {
+			for j2 := j + 1; j2 < k; j2++ {
+				limit := max(s.sep[j], s.sep[j2])
+				if d := partialSqDist(cent(j), cent(j2), limit); d < limit {
+					s.sep[j] = min(s.sep[j], d)
+					s.sep[j2] = min(s.sep[j2], d)
 				}
 			}
-			s.half[j] = 0.5 * math.Sqrt(minD) * deflate
+			s.half[j] = 0.5 * math.Sqrt(s.sep[j]) * deflate
 		}
 	}
 
@@ -227,43 +276,48 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 	return outAssign, cents, dist
 }
 
+// partialSqDist is sqDist that may stop early: it accumulates the same
+// terms in the same dimension order, so a sum below limit is the float
+// sqDist returns, and it returns as soon as the partial sum reaches
+// limit — squared terms only grow the sum, so the full distance would be
+// at least limit too.
+func partialSqDist(a, b []float64, limit float64) float64 {
+	var s float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d := a[i] - b[i]
+		s += d * d
+		d = a[i+1] - b[i+1]
+		s += d * d
+		d = a[i+2] - b[i+2]
+		s += d * d
+		d = a[i+3] - b[i+3]
+		s += d * d
+		if s >= limit {
+			return s
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
 // argmin2 scans the flat centroid array in index order with strict
 // less-than comparisons — the slow path's argmin, verbatim — and also
 // tracks the second-best distance for the Hamerly lower bound.
 //
-// Distances accumulate term by term in dimension order, exactly like
-// sqDist, so any distance that finishes the scan is the same float the
-// slow path computes. A centroid may be abandoned early once its partial
-// sum reaches secondD: squared terms only grow the sum, so the full
+// A centroid is abandoned once its partial sum reaches secondD: the full
 // distance would satisfy d >= secondD >= bestD and could change neither
-// the argmin (strict <) nor the second-best — the abandoned value is
-// never used.
+// the argmin (strict <) nor the second-best, so the abandoned value is
+// never used; any distance that finishes is the slow path's float.
 func argmin2(p, cents []float64, k, dims int) (bestJ int, bestD, secondD float64) {
 	bestD, secondD = math.Inf(1), math.Inf(1)
 	for j := 0; j < k; j++ {
-		c := cents[j*dims : (j+1)*dims]
-		var s float64
-		i := 0
-		for i+4 <= dims {
-			d := p[i] - c[i]
-			s += d * d
-			d = p[i+1] - c[i+1]
-			s += d * d
-			d = p[i+2] - c[i+2]
-			s += d * d
-			d = p[i+3] - c[i+3]
-			s += d * d
-			i += 4
-			if s >= secondD {
-				break
-			}
-		}
+		s := partialSqDist(p, cents[j*dims:(j+1)*dims], secondD)
 		if s >= secondD {
 			continue // provably neither best nor second-best
-		}
-		for ; i < dims; i++ {
-			d := p[i] - c[i]
-			s += d * d
 		}
 		if s < bestD {
 			secondD = bestD
