@@ -21,11 +21,11 @@ test:
 
 # Everything under the race detector (slower; exercises the worker pool,
 # singleflight memoization, and every concurrent experiment fan-out),
-# then core.Run's overlapped full run twenty times over, so the two
-# lanes interleave in more than one way.
+# then core.Run's overlapped full run (and region 0 read off it) twenty
+# times over, so the two lanes interleave in more than one way.
 test-race:
 	go test -race ./...
-	go test -race -count=20 -run 'RunOverlap|RunBudget' ./internal/core
+	go test -race -count=20 -run 'RunOverlap|RunBudget|RunFill' ./internal/core
 
 # Fault-tolerance suites (injection, retries, corruption matrices,
 # quarantine, degradation, resume) under the race detector, swept over

@@ -81,6 +81,11 @@ type SimOpts struct {
 	// arena is Run's simulator arena, shared with its full run; nil for a
 	// sweep on its own.
 	arena *timing.Arena
+	// fill, when set, is Run's way to read point 0 — region 0, which starts
+	// where the full run starts — off the full run instead of simulating
+	// it: the sweep skips the point and calls fill once the others are
+	// done. False (the run never reached its tap) simulates the point.
+	fill func() (RegionResult, bool)
 }
 
 // simGauge, replaced only by tests, sees every detailed simulation — the
@@ -175,8 +180,10 @@ func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinba
 // the per-region statistics — and therefore the extrapolated prediction —
 // are byte-identical at any width; only host time varies.
 //
-// Each region is simulated once: it is a deterministic function of its
-// checkpoint, so a second run in place would fail the same way.
+// Each region is simulated at most once: it is a deterministic function of
+// its checkpoint, so a second run in place would fail the same way. Under
+// Run with the full run requested, region 0 may not be simulated at all:
+// its statistics are read off the full run (see Run).
 //
 // In strict mode (Degraded false) the first failure aborts the sweep and
 // the returned Degradation is nil. In degraded mode every region runs;
@@ -209,26 +216,46 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	// and a sweep serves every region the store holds instead of
 	// re-simulating it (see simprogress.go); rs is nil otherwise.
 	rs := openRegionStore(sel, simCfg)
-	results, errs, err := pool.MapWith(ctx, len(sel.Points), pool.Options{Width: opts.Width, Degraded: opts.Degraded},
+	simulate := func(ctx context.Context, i int) (RegionResult, error) {
+		if res, ok := rs.lookup(i); ok {
+			return res, nil
+		}
+		// The simulation runs inside the slot, so the wait for it is
+		// outside HostTime; a sweep cancelled during the wait stops here.
+		slots <- struct{}{}
+		defer func() { <-slots }()
+		if err := ctx.Err(); err != nil {
+			return RegionResult{}, err
+		}
+		res, err := simulateOneRegion(sel, arena, checkpoints, i)
+		if err == nil {
+			rs.record(i, res)
+		}
+		return res, err
+	}
+	popts := pool.Options{Width: opts.Width, Degraded: opts.Degraded}
+	results, errs, err := pool.MapWith(ctx, len(sel.Points), popts,
 		func(ctx context.Context, i int) (RegionResult, error) {
-			if res, ok := rs.lookup(i); ok {
-				return res, nil
+			if i == 0 && opts.fill != nil {
+				return RegionResult{}, nil
 			}
-			// The simulation runs inside the slot, so the wait for it is
-			// outside HostTime; a sweep cancelled during the wait stops here.
-			slots <- struct{}{}
-			defer func() { <-slots }()
-			if err := ctx.Err(); err != nil {
-				return RegionResult{}, err
-			}
-			res, err := simulateOneRegion(sel, arena, checkpoints, i)
-			if err == nil {
-				rs.record(i, res)
-			}
-			return res, err
+			return simulate(ctx, i)
 		})
 	if err != nil {
 		return nil, nil, err
+	}
+	if opts.fill != nil {
+		if res, ok := opts.fill(); ok {
+			results[0] = res
+		} else {
+			// The full run never reached the tap: point 0 is simulated like
+			// any other, so it fails the way it always did.
+			res, perr, err := pool.MapWith(ctx, 1, popts, simulate)
+			if err != nil {
+				return nil, nil, err
+			}
+			results[0], errs[0] = res[0], perr[0]
+		}
 	}
 	if !opts.Degraded {
 		return results, nil, nil

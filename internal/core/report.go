@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"looppoint/internal/bbv"
 	"looppoint/internal/isa"
 	"looppoint/internal/pool"
 	"looppoint/internal/timing"
@@ -121,8 +122,15 @@ type RunOpts struct {
 // against the full detailed simulation. The full run needs nothing the
 // sampled lane computes: at width >= 2 it starts on its own goroutine
 // before Analyze, holds one slot of the width until it ends (the sweep is
-// width-1 wide until then, width wide after) and is joined after
-// extrapolation; at width 1 it is called in place after the sweep.
+// width-1 wide until then, width wide after) and is joined after the
+// sweep; at width 1 it is called in place after the sweep.
+//
+// Region 0 starts where the full run starts, so when its run would also
+// see the same OS answers (firstPointTap) the sweep does not simulate it
+// again: its statistics are the full run's at region 0's end marker, read
+// by a tap on the full run. At width 1 the tap is that marker; at width
+// >= 2 the full run starts before any marker is known, so only a region 0
+// that ends with the program is read off it.
 //
 // The kernels are CPU-bound and do not poll ctx: cancellation is honored
 // at phase boundaries and, within the sweep, at region boundaries. The
@@ -144,14 +152,27 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 	var overlapped chan fullRun
 	if opts.SimulateFull && width >= 2 {
 		overlapped = make(chan fullRun, 1)
-		go func() { overlapped <- simulateFull(ctx, prog, cfg, arena, slots) }()
+		go func() { overlapped <- simulateFull(ctx, prog, cfg, arena, slots, bbv.Marker{IsEnd: true}) }()
 	}
-	rep, err := runSampled(ctx, prog, cfg, arena, opts, slots)
+	// fullWith joins the overlapped run, or runs the full run in place
+	// tapped at tap, the first time it is called; the sweep may call it
+	// first, to fill region 0.
 	var full fullRun
-	if overlapped != nil {
-		full = <-overlapped
-	} else if opts.SimulateFull && err == nil {
-		full = simulateFull(ctx, prog, cfg, arena, slots)
+	joined := false
+	fullWith := func(tap bbv.Marker) fullRun {
+		if !joined {
+			joined = true
+			if overlapped != nil {
+				full = <-overlapped
+			} else {
+				full = simulateFull(ctx, prog, cfg, arena, slots, tap)
+			}
+		}
+		return full
+	}
+	rep, err := runSampled(ctx, prog, cfg, arena, opts, slots, overlapped != nil, fullWith)
+	if opts.SimulateFull && (overlapped != nil || err == nil) {
+		fullWith(bbv.Marker{}) // a start marker: no tap
 	}
 	var pe *pool.PanicError
 	if errors.As(full.err, &pe) {
@@ -172,8 +193,11 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 }
 
 // runSampled is Run's sampled lane: analysis, selection, the region sweep
-// under the shared slot budget, and extrapolation.
-func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, opts RunOpts, slots chan struct{}) (*Report, error) {
+// under the shared slot budget, and extrapolation. With the full run
+// requested, fullWith hands the sweep the full run tapped at region 0's
+// end (overlapped: the run already started, tapped at the program's end).
+func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, opts RunOpts, slots chan struct{},
+	overlapped bool, fullWith func(bbv.Marker) fullRun) (*Report, error) {
 	simCfg := arena.Cfg
 	a, err := Analyze(prog, cfg)
 	if err != nil {
@@ -183,13 +207,23 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timin
 	if err != nil {
 		return nil, err
 	}
-	regions, deg, err := SimulateRegions(ctx, sel, simCfg, SimOpts{
+	sopts := SimOpts{
 		Width:       opts.Width,
 		Degraded:    opts.Degraded,
 		MinCoverage: opts.MinCoverage,
 		slots:       slots,
 		arena:       arena,
-	})
+	}
+	if tap, ok := firstPointTap(sel, cfg.Seed); ok && opts.SimulateFull && (!overlapped || tap.IsEnd) {
+		sopts.fill = func() (RegionResult, bool) {
+			f := fullWith(tap)
+			if f.tap == nil {
+				return RegionResult{}, false
+			}
+			return RegionResult{Point: sel.Points[0], Stats: f.tap, HostTime: f.tapHost}, true
+		}
+	}
+	regions, deg, err := SimulateRegions(ctx, sel, simCfg, sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +238,52 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timin
 	}, nil
 }
 
+// firstPointTap reports whether the selection's first point can be read
+// off a full run seeded with fullSeed, and the marker to tap that run at.
+// It can when it is region 0 — which starts at the program's first
+// instruction, from the initial state with no warm-up, exactly where the
+// full run starts — and its run sees the full run's OS answers: a
+// binary-driven run seeded alike does, and so does a checkpoint whose
+// recording injected no syscall results (the replay then falls through to
+// the seeded OS model, as the full run uses). The end marker must be the
+// program's end or a PC marker.
+func firstPointTap(sel *Selection, fullSeed uint64) (bbv.Marker, bool) {
+	if len(sel.Points) == 0 {
+		return bbv.Marker{}, false
+	}
+	r := sel.Points[0].Region
+	if r.Index != 0 || !r.Start.IsStart() || r.End.IsICount() {
+		return bbv.Marker{}, false
+	}
+	a := sel.Analysis
+	if a.Config.Seed != fullSeed {
+		return bbv.Marker{}, false // the OS models are seeded differently
+	}
+	if a.Config.RegionSim == RegionSimCheckpoint {
+		for _, log := range a.Pinball.Syscalls {
+			if len(log) > 0 {
+				return bbv.Marker{}, false
+			}
+		}
+	}
+	return r.End, true
+}
+
 // fullRun is the outcome of the whole-application reference simulation.
 type fullRun struct {
 	stats *timing.Stats
 	host  time.Duration
 	err   error
+	// tap is the statistics at the run's tap and tapHost the host time the
+	// run had taken when it fired; tap is nil if it never fired.
+	tap     *timing.Stats
+	tapHost time.Duration
 }
 
 // simulateFull runs the reference simulation in one slot of the budget,
-// unless ctx is already done; a panic comes back as a *pool.PanicError.
-func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, slots chan struct{}) fullRun {
+// tapped at tap, unless ctx is already done; a panic comes back as a
+// *pool.PanicError.
+func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, slots chan struct{}, tap bbv.Marker) fullRun {
 	if err := ctx.Err(); err != nil {
 		return fullRun{err: err}
 	}
@@ -229,11 +299,15 @@ func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *tim
 		}
 		defer arena.Put(sim)
 		sim.Seed = cfg.Seed
-		stats, err := sim.SimulateFull()
+		var f fullRun
+		f.stats, err = sim.SimulateFullTap(tap, func(st *timing.Stats) {
+			f.tap, f.tapHost = st, time.Since(start)
+		})
 		if err != nil {
-			return fullRun{}, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)
+			return f, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)
 		}
-		return fullRun{stats: stats, host: time.Since(start)}, nil
+		f.host = time.Since(start)
+		return f, nil
 	})
 	f.err = err
 	return f

@@ -127,13 +127,26 @@ func (s *Simulator) SimulateFull() (*Stats, error) {
 	return s.SimulateRegion(bbv.Marker{}, bbv.Marker{IsEnd: true}, WarmupFunctional)
 }
 
+// SimulateFullTap is SimulateFull with one (PC, count) tap: at is called
+// once, with the statistics accumulated so far, at the block entry whose
+// hit brings tap.PC's count to tap.Count, before that instruction is
+// charged, and the run goes on to the end. That is exactly where a region
+// run ending at the tap marker stops, so a region that starts from the
+// program's initial state and sees the same OS answers measures what the
+// tap reports. An end tap sees the full statistics (a separate snapshot);
+// a tap that is never reached, or any other kind of marker, never calls at.
+func (s *Simulator) SimulateFullTap(tap bbv.Marker, at func(*Stats)) (*Stats, error) {
+	m := exec.NewMachine(s.Prog, s.Seed)
+	return s.runMarked(m, bbv.Marker{}, bbv.Marker{IsEnd: true}, 0, 0, WarmupFunctional, tap, at)
+}
+
 // SimulateRegion runs an unconstrained, binary-driven simulation of the
 // region between two (PC, count) markers: the program executes from its
 // initial state with the timing model deciding thread progress; detailed
 // measurement is enabled between the markers (paper Section V-A1).
 func (s *Simulator) SimulateRegion(start, end bbv.Marker, warm WarmupMode) (*Stats, error) {
 	m := exec.NewMachine(s.Prog, s.Seed)
-	return s.runMarked(m, start, end, 0, 0, warm)
+	return s.runMarked(m, start, end, 0, 0, warm, bbv.Marker{}, nil)
 }
 
 // SimulateCheckpoint runs an unconstrained simulation of a region pinball
@@ -156,16 +169,23 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 	replay.Fallback = exec.NewDefaultOS(s.Seed)
 	m.OS = replay
 	return s.runMarked(m, pb.Region.Start, pb.Region.End,
-		pb.StartHitsAtSnapshot, pb.EndHitsAtSnapshot, WarmupFunctional)
+		pb.StartHitsAtSnapshot, pb.EndHitsAtSnapshot, WarmupFunctional, bbv.Marker{}, nil)
 }
 
 // runMarked drives an unconstrained timing simulation on a prepared
 // machine, warming until the start marker and measuring until the end
 // marker. startBase/endBase rebase global marker counts for machines that
-// begin mid-program.
-func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode) (_ *Stats, err error) {
+// begin mid-program. A non-nil at is SimulateFullTap's tap.
+func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode, tap bbv.Marker, at func(*Stats)) (_ *Stats, err error) {
 	defer exec.Recover(&err)
 	sys := s.acquireSystem(m)
+	var atEnd func(*Stats)
+	if tap.IsEnd {
+		atEnd, at = at, nil
+	} else if tap.IsStart() || tap.IsICount() {
+		at = nil // only PC and end taps fire
+	}
+	var tapHits uint64
 	inDetail := start.IsStart() || (!start.IsICount() && !start.IsEnd && start.Count <= startBase)
 	warming := warm == WarmupFunctional
 	sys.setDetail(inDetail)
@@ -227,6 +247,14 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 					return sys.stats(detailBase), nil
 				}
 			}
+			if at != nil && ev.Block.Addr == tap.PC {
+				// The end-marker check above, for a run that goes on.
+				tapHits++
+				if inDetail && tapHits >= tap.Count {
+					at(sys.stats(detailBase))
+					at = nil
+				}
+			}
 		}
 
 		// Cycles always accumulate so the min-cycle scheduler interleaves
@@ -261,6 +289,9 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 	}
 	if !end.IsEnd && !end.IsICount() && endHits < end.Count {
 		return nil, fmt.Errorf("timing: end marker %v never reached (%d/%d hits)", end, endHits, end.Count)
+	}
+	if atEnd != nil {
+		atEnd(sys.stats(detailBase))
 	}
 	return sys.stats(detailBase), nil
 }
