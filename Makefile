@@ -21,11 +21,13 @@ test:
 
 # Everything under the race detector (slower; exercises the worker pool,
 # singleflight memoization, and every concurrent experiment fan-out),
-# then core.Run's overlapped full run (and region 0 read off it) twenty
-# times over, so the two lanes interleave in more than one way.
+# then core.Run's overlapped full run (and region 0 read off it), two
+# simulations sharing one Simulator and its system pool, and a strict
+# pool whose failing item cancels a waiting sibling, twenty times over, so
+# the goroutines interleave in more than one way.
 test-race:
 	go test -race ./...
-	go test -race -count=20 -run 'RunOverlap|RunBudget|RunFill' ./internal/core
+	go test -race -count=20 -run 'RunOverlap|RunBudget|RunFill|SimulateConcurrentCheckpoints|SiblingFailureBeatsCancel' ./internal/core ./internal/timing ./internal/pool
 
 # Fault-tolerance suites (injection, retries, corruption matrices,
 # quarantine, degradation, resume) under the race detector, swept over

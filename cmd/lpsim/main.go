@@ -252,11 +252,10 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 		fail(err)
 	}
 
-	// Stage 2: simulate the surviving checkpoints. Each worker reuses
-	// one Simulator across all the regions it draws (timing-state
-	// arenas); the identity tests pin reused reports byte-identical to
-	// fresh construction at every width.
-	sims := &timing.Arena{Cfg: cfg}
+	// Stage 2: simulate the surviving checkpoints. Every simulation
+	// takes its timing system from the timing package's pool, so only
+	// the first regions in flight pay for building one; the identity
+	// tests pin pooled reports byte-identical to fresh construction.
 	runs, errs, err := pool.MapWith(context.Background(), len(files), pool.Options{Width: width, Degraded: true},
 		func(_ context.Context, i int) (regionRun, error) {
 			if loadErrs[i] != nil {
@@ -266,11 +265,10 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 				return regionRun{}, err
 			}
 			start := time.Now()
-			sim, err := sims.Get(w.App.Prog)
+			sim, err := timing.New(cfg, w.App.Prog)
 			if err != nil {
 				return regionRun{}, err
 			}
-			defer sims.Put(sim)
 			var st *timing.Stats
 			if opts.constrain {
 				st, err = sim.SimulateConstrained(pbs[i].pb)

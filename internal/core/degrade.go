@@ -78,9 +78,6 @@ type SimOpts struct {
 	// own. Waiters do not watch ctx — holders are CPU-bound and finish, and
 	// Run joins them anyway. Nil for a sweep on its own.
 	slots chan struct{}
-	// arena is Run's simulator arena, shared with its full run; nil for a
-	// sweep on its own.
-	arena *timing.Arena
 	// fill, when set, is Run's way to read point 0 — region 0, which starts
 	// where the full run starts — off the full run instead of simulating
 	// it: the sweep skips the point and calls fill once the others are
@@ -147,7 +144,7 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 // simulation kernel itself is CPU-bound and does not poll ctx; the pool's
 // per-item claim check plus SimulateRegions' check once a region holds its
 // slot are what make a cancelled sweep stop at region boundaries.
-func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
+func simulateOneRegion(sel *Selection, simCfg timing.Config, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
 	if err := faults.Check("core.region.sim"); err != nil {
 		return RegionResult{}, err
 	}
@@ -156,11 +153,10 @@ func simulateOneRegion(sel *Selection, arena *timing.Arena, checkpoints []*pinba
 	a := sel.Analysis
 	lp := sel.Points[i]
 	start := time.Now()
-	sim, err := arena.Get(a.Prog)
+	sim, err := timing.New(simCfg, a.Prog)
 	if err != nil {
 		return RegionResult{}, err
 	}
-	defer arena.Put(sim)
 	sim.Seed = a.Config.Seed
 	var st *timing.Stats
 	if checkpoints != nil {
@@ -208,10 +204,6 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 	if slots == nil { // never blocks: the pool runs at most one worker per point
 		slots = make(chan struct{}, len(sel.Points))
 	}
-	arena := opts.arena
-	if arena == nil {
-		arena = &timing.Arena{Cfg: simCfg}
-	}
 	// With Config.ProgressDir set, completed regions are stored durably
 	// and a sweep serves every region the store holds instead of
 	// re-simulating it (see simprogress.go); rs is nil otherwise.
@@ -227,7 +219,7 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 		if err := ctx.Err(); err != nil {
 			return RegionResult{}, err
 		}
-		res, err := simulateOneRegion(sel, arena, checkpoints, i)
+		res, err := simulateOneRegion(sel, simCfg, checkpoints, i)
 		if err == nil {
 			rs.record(i, res)
 		}

@@ -43,7 +43,7 @@ func TestSimulateRegionsWidthInvariant(t *testing.T) {
 				t.Errorf("width %d: result %d is region %d, want %d (ordering unstable)",
 					width, i, res[i].Point.Region.Index, base[i].Point.Region.Index)
 			}
-			// Full deep equality: the simulator-arena reuse path must
+			// Full deep equality: pooled timing systems must
 			// leave no residue regardless of which worker simulated which
 			// region, so every counter — not just the headline three —
 			// must match the width-1 sweep bit-for-bit.

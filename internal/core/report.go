@@ -146,13 +146,10 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 		width = pool.DefaultWidth()
 	}
 	slots := make(chan struct{}, width)
-	// One arena for the job: at width 1 the full run reuses the timing
-	// system the sweep's last region released instead of building its own.
-	arena := &timing.Arena{Cfg: simCfg}
 	var overlapped chan fullRun
 	if opts.SimulateFull && width >= 2 {
 		overlapped = make(chan fullRun, 1)
-		go func() { overlapped <- simulateFull(ctx, prog, cfg, arena, slots, bbv.Marker{IsEnd: true}) }()
+		go func() { overlapped <- simulateFull(ctx, prog, cfg, simCfg, slots, bbv.Marker{IsEnd: true}) }()
 	}
 	// fullWith joins the overlapped run, or runs the full run in place
 	// tapped at tap, the first time it is called; the sweep may call it
@@ -165,12 +162,12 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 			if overlapped != nil {
 				full = <-overlapped
 			} else {
-				full = simulateFull(ctx, prog, cfg, arena, slots, tap)
+				full = simulateFull(ctx, prog, cfg, simCfg, slots, tap)
 			}
 		}
 		return full
 	}
-	rep, err := runSampled(ctx, prog, cfg, arena, opts, slots, overlapped != nil, fullWith)
+	rep, err := runSampled(ctx, prog, cfg, simCfg, opts, slots, overlapped != nil, fullWith)
 	if opts.SimulateFull && (overlapped != nil || err == nil) {
 		fullWith(bbv.Marker{}) // a start marker: no tap
 	}
@@ -196,9 +193,8 @@ func Run(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Confi
 // under the shared slot budget, and extrapolation. With the full run
 // requested, fullWith hands the sweep the full run tapped at region 0's
 // end (overlapped: the run already started, tapped at the program's end).
-func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, opts RunOpts, slots chan struct{},
+func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts, slots chan struct{},
 	overlapped bool, fullWith func(bbv.Marker) fullRun) (*Report, error) {
-	simCfg := arena.Cfg
 	a, err := Analyze(prog, cfg)
 	if err != nil {
 		return nil, err
@@ -212,7 +208,6 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, arena *timin
 		Degraded:    opts.Degraded,
 		MinCoverage: opts.MinCoverage,
 		slots:       slots,
-		arena:       arena,
 	}
 	if tap, ok := firstPointTap(sel, cfg.Seed); ok && opts.SimulateFull && (!overlapped || tap.IsEnd) {
 		sopts.fill = func() (RegionResult, bool) {
@@ -283,7 +278,7 @@ type fullRun struct {
 // simulateFull runs the reference simulation in one slot of the budget,
 // tapped at tap, unless ctx is already done; a panic comes back as a
 // *pool.PanicError.
-func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *timing.Arena, slots chan struct{}, tap bbv.Marker) fullRun {
+func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Config, slots chan struct{}, tap bbv.Marker) fullRun {
 	if err := ctx.Err(); err != nil {
 		return fullRun{err: err}
 	}
@@ -293,11 +288,10 @@ func simulateFull(ctx context.Context, prog *isa.Program, cfg Config, arena *tim
 		simGauge(true, +1)
 		defer simGauge(true, -1)
 		start := time.Now()
-		sim, err := arena.Get(prog)
+		sim, err := timing.New(simCfg, prog)
 		if err != nil {
 			return fullRun{}, err
 		}
-		defer arena.Put(sim)
 		sim.Seed = cfg.Seed
 		var f fullRun
 		f.stats, err = sim.SimulateFullTap(tap, func(st *timing.Stats) {

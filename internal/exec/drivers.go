@@ -118,8 +118,7 @@ func (m *Machine) Run(opts RunOpts) (err error) {
 		defer func() { *opts.Record = rec.schedule() }()
 	}
 	var steps uint64
-	ev := m.getBlockEvent()
-	defer m.putBlockEvent(ev)
+	ev := new(BlockEvent)
 	for !m.Done() {
 		progressed := false
 		minIC := m.minRunningICount()
@@ -225,8 +224,7 @@ func (r *recorder) schedule() Schedule {
 // Machine faults surface as a *ExecError wrapping ErrMachine, as in Run.
 func (m *Machine) RunSchedule(sched Schedule) (err error) {
 	defer Recover(&err)
-	ev := m.getBlockEvent()
-	defer m.putBlockEvent(ev)
+	ev := new(BlockEvent)
 	for _, e := range sched {
 		rem := uint64(e.N)
 		for rem > 0 {

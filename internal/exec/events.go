@@ -16,8 +16,8 @@ import "looppoint/internal/isa"
 // BlockEvent describes a batched run of instructions inside one basic
 // block: at most one partial leading pass (when resuming mid-block) plus
 // any number of passes starting at instruction 0. Like Event, the value
-// handed to observers is recycled (via the machine's free list) after
-// dispatch; observers must not retain it or its slices past OnBlock.
+// handed to observers is reused for the driver's next batch; observers
+// must not retain it or its slices past OnBlock.
 type BlockEvent struct {
 	Tid   int
 	Block *isa.Block
@@ -88,20 +88,4 @@ func markBreakPCs(p *isa.Program, brk []bool, o BlockObserver) {
 			}
 		}
 	}
-}
-
-// getBlockEvent pops a recycled event from the machine's free list (or
-// allocates the pool's first). putBlockEvent returns it after dispatch.
-// The pool keeps the drivers' steady state allocation-free.
-func (m *Machine) getBlockEvent() *BlockEvent {
-	if n := len(m.evFree); n > 0 {
-		ev := m.evFree[n-1]
-		m.evFree = m.evFree[:n-1]
-		return ev
-	}
-	return &BlockEvent{}
-}
-
-func (m *Machine) putBlockEvent(ev *BlockEvent) {
-	m.evFree = append(m.evFree, ev)
 }

@@ -377,16 +377,3 @@ func TestBlockEventDispatchAllocFree(t *testing.T) {
 		t.Fatal("observer saw no instructions")
 	}
 }
-
-// TestBlockEventFreeListRecycles verifies events are actually recycled.
-func TestBlockEventFreeListRecycles(t *testing.T) {
-	p, _ := buildCounterProgram(t, 1, 10, omp.Passive)
-	m := NewMachine(p, 1)
-	a := m.getBlockEvent()
-	m.putBlockEvent(a)
-	b := m.getBlockEvent()
-	if a != b {
-		t.Fatal("free list did not recycle the event")
-	}
-	m.putBlockEvent(b)
-}

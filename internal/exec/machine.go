@@ -92,7 +92,6 @@ type Machine struct {
 	blockObservers []BlockObserver
 	futexQ         map[uint64][]int // word address -> waiting thread IDs (FIFO)
 	ev             Event
-	evFree         []*BlockEvent // recycled block events (see getBlockEvent)
 	steps          uint64
 
 	// brk flags the registered break PCs (AddBreakPC) by Block.Global.

@@ -268,3 +268,32 @@ func TestRunWithStrictFailurePrecedesMarkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunWithStrictSiblingFailureBeatsCancel: item 0 waits for the pool's
+// cancellation and returns ctx.Err(), the way a sweep item waiting for a
+// slot does; item 1's failure caused that cancellation, so the aggregate
+// is item 1's error even though item 0 has the lower index.
+func TestRunWithStrictSiblingFailureBeatsCancel(t *testing.T) {
+	organic := errors.New("item 1 broke")
+	errs, err := RunWith(context.Background(), 2, Options{Width: 2}, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return organic
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, organic) {
+		t.Fatalf("aggregate err = %v, want item 1's failure", err)
+	}
+	if !errors.Is(errs[0], context.Canceled) || !errors.Is(errs[1], organic) {
+		t.Fatalf("errs = %v", errs)
+	}
+
+	// With nothing else failing, the cancellation is still reported.
+	_, err = RunWith(context.Background(), 2, Options{Width: 2}, func(ctx context.Context, i int) error {
+		return context.Canceled
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("only cancellations: aggregate err = %v, want context.Canceled", err)
+	}
+}

@@ -16,6 +16,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -87,7 +88,9 @@ type Options struct {
 // cancels the derived context and stops unstarted items; items already
 // running observe ctx.Done(). When several items fail before
 // cancellation lands, the error of the lowest index is returned, so the
-// reported error does not depend on goroutine scheduling. A panic in fn
+// reported error does not depend on goroutine scheduling; an item that
+// only reports the pool's own cancellation does not count as a failure
+// unless nothing else failed. A panic in fn
 // is recovered, the pool drains, and the panic is re-raised on the
 // calling goroutine wrapped in *PanicError.
 func Run(ctx context.Context, width, n int, fn func(ctx context.Context, i int) error) error {
@@ -98,10 +101,12 @@ func Run(ctx context.Context, width, n int, fn func(ctx context.Context, i int) 
 // RunWith is Run with Options. It returns the per-item error slice
 // (indexed like the items, nil entries for successes) and an aggregate
 // error. In strict mode (Degraded false) the aggregate is the
-// lowest-index item error, matching Run. In degraded mode the aggregate
-// reflects only caller-context cancellation; item failures — including
-// recovered worker panics as *PanicError — are reported solely through
-// the slice, and every item gets its chance to run.
+// lowest-index item error, matching Run; while the caller's context is
+// live, an item's context.Canceled is taken for the pool's own
+// cancellation and loses to any other failure. In degraded mode the
+// aggregate reflects only caller-context cancellation; item failures —
+// including recovered worker panics as *PanicError — are reported solely
+// through the slice, and every item gets its chance to run.
 //
 // Once the sweep is cancelled — by the caller's context or, in strict
 // mode, by an earlier item's failure — the remaining items are not run;
@@ -182,10 +187,23 @@ func RunWith(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 		panic(panicked)
 	}
 	if !opts.Degraded {
+		// An item waiting when a sibling's failure cancelled ctx returns
+		// ctx.Err(), at whatever index; the failure is the cause.
+		live := parent.Err() == nil
+		var cancelled error
 		for _, err := range errs {
-			if err != nil {
+			switch {
+			case err == nil:
+			case live && errors.Is(err, context.Canceled):
+				if cancelled == nil {
+					cancelled = err
+				}
+			default:
 				return errs, err
 			}
+		}
+		if cancelled != nil {
+			return errs, cancelled
 		}
 	}
 	return errs, parent.Err()

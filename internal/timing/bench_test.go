@@ -30,29 +30,23 @@ func BenchmarkBranchPredictor(b *testing.B) {
 	}
 }
 
-// BenchmarkPerRegionFresh measures the per-region cost the sampling
-// pipeline paid before timing-state arenas: every region builds a fresh
-// Simulator (cache sets, line arrays, predictor tables, directory maps)
-// and then simulates a small region. The allocs/op column is the
-// per-region allocation wave that Reset-based reuse eliminates.
+// BenchmarkPerRegionFresh measures the per-region cost of a timing
+// system built for every region (cache sets, line arrays, predictor
+// tables, directory), as the pipeline paid before systems were pooled.
+// The allocs/op column is the allocation wave the pool removes.
 func BenchmarkPerRegionFresh(b *testing.B) {
 	p := testprog.Phased(4, 2, 60, omp.Passive)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim, err := New(Gainestown(4), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.SimulateFull(); err != nil {
+		if _, err := freshSim(b, Gainestown(4), p).SimulateFull(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPerRegionReused is the same per-region workload on one
-// reused Simulator: the timing-state arena absorbs the allocation wave
-// BenchmarkPerRegionFresh pays per region.
+// BenchmarkPerRegionReused is the same per-region workload on pooled
+// systems: every run after the first resets an idle one.
 func BenchmarkPerRegionReused(b *testing.B) {
 	p := testprog.Phased(4, 2, 60, omp.Passive)
 	sim, err := New(Gainestown(4), p)

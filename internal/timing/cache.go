@@ -94,7 +94,7 @@ func fill(ways []cacheLine, key, clock uint64) {
 }
 
 // Reset invalidates every line and zeroes statistics while reusing the
-// backing array — the arena path for cross-region Simulator reuse. Only
+// backing array — the path a pooled timing system takes back. Only
 // this level is reset: hierarchies are walked explicitly by callers so
 // a shared L3 is cleared once, not once per core above it.
 func (c *Cache) Reset() {

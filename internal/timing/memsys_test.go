@@ -221,32 +221,28 @@ func TestDirectoryGrowsPastMemory(t *testing.T) {
 	}
 }
 
-// TestResetIdentityWithPrefetcher: a Simulator whose directory grew past
-// memory on earlier runs, and holds their sharer sets until reset, reports
-// what a fresh one reports.
+// TestResetIdentityWithPrefetcher: a pooled system whose directory grew
+// past memory on earlier runs, and holds their sharer sets until reset,
+// reports what a fresh one reports.
 func TestResetIdentityWithPrefetcher(t *testing.T) {
-	p := arenaProg()
+	p := phasedProg()
 	cfg := Gainestown(4)
 	cfg.PrefetchNextLines = 2
-	reused, err := New(cfg, p)
+	pooled, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		fresh, err := New(cfg, p)
+		got, err := pooled.SimulateFull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.SimulateFull()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := reused.SimulateFull()
+		want, err := freshSim(t, cfg, p).SimulateFull()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: reused-Simulator stats differ from fresh\nreused: %+v\nfresh:  %+v", i, got, want)
+			t.Fatalf("run %d: pooled-system stats differ from fresh\npooled: %+v\nfresh:  %+v", i, got, want)
 		}
 		if want.CoherenceInvalidations == 0 {
 			t.Fatal("workload has no coherence traffic: stale sharer bits would go unnoticed")

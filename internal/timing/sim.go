@@ -31,7 +31,10 @@ func (w WarmupMode) String() string {
 }
 
 // Simulator runs timing simulations of one program under one system
-// configuration.
+// configuration. It holds only settings: each simulation takes an idle
+// timing system for Cfg from the package pool and hands it back when it
+// returns (see acquire), so concurrent simulations on one Simulator are
+// safe as long as Trace is nil.
 type Simulator struct {
 	Cfg  Config
 	Prog *isa.Program
@@ -42,11 +45,10 @@ type Simulator struct {
 	// MaxSteps bounds any single simulation (0 = default safety cap).
 	MaxSteps uint64
 
-	// sys is the timing-state arena, reused across simulations: the
-	// first run pays the allocation wave (cache backing arrays,
-	// predictor tables, the directory), later runs clear and rebind it.
-	// Reuse makes a Simulator single-threaded; run one per worker.
-	sys *system
+	// fresh, set only by tests, builds every system with newSystem
+	// instead of taking one from the pool: the reference a pooled run is
+	// compared against.
+	fresh bool
 }
 
 // New validates the pairing of configuration and program.
@@ -60,65 +62,39 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	return &Simulator{Cfg: cfg, Prog: prog, Seed: 1, MaxSteps: 2_000_000_000}, nil
 }
 
-// Reset re-points the Simulator at a new program and restores New's
-// defaults (seed, step cap, no trace) while keeping the
-// timing-state arenas for reuse — the region-restart path a sampling
-// worker takes between pinballs. It performs the same validation as
-// New: after a successful Reset the Simulator behaves exactly as a
-// freshly constructed one, only without the allocation wave.
-func (s *Simulator) Reset(prog *isa.Program) error {
-	if err := s.Cfg.Validate(); err != nil {
-		return err
-	}
-	if s.Cfg.Cores < prog.NumThreads() {
-		return fmt.Errorf("timing: %d cores for %d threads", s.Cfg.Cores, prog.NumThreads())
-	}
-	s.Prog = prog
-	s.Seed = 1
-	s.Trace = nil
-	s.MaxSteps = 2_000_000_000
-	return nil
-}
+// systems keeps the process's idle timing systems, one sync.Pool per
+// Config (the configuration is a system's shape: core count, cache
+// geometry, predictor tables). A simulation pays the allocation wave
+// (cache backing arrays, predictor tables, the directory) only when its
+// configuration's pool is empty: while every system of that shape is in
+// use, or after the garbage collector emptied the pool.
+var systems sync.Map // Config -> *sync.Pool of *system
 
-// Arena recycles Simulators across the regions of one sweep: a worker's
-// first region pays the allocation wave (cache backing arrays, predictor
-// tables, directory maps); later regions clear and reuse it via Reset.
-// The identity tests pin reused-simulator reports byte-identical to
-// fresh construction, so a sweep's results are independent of which
-// worker simulated which region at which width. Safe for concurrent
-// use; the zero value with Cfg set is ready.
-type Arena struct {
-	Cfg  Config
-	pool sync.Pool
-}
-
-// Get returns a simulator for prog in New's initial state.
-func (ar *Arena) Get(prog *isa.Program) (*Simulator, error) {
-	if v := ar.pool.Get(); v != nil {
-		sim := v.(*Simulator)
-		if err := sim.Reset(prog); err == nil {
-			return sim, nil
+// acquire takes an idle system for the simulator's configuration from the
+// pool and resets it onto m, or builds one; release hands it back.
+func (s *Simulator) acquire(m *exec.Machine) *system {
+	if !s.fresh {
+		if sys, _ := idle(s.Cfg).Get().(*system); sys != nil {
+			sys.reset(m)
+			return sys
 		}
-		// A simulator that fails revalidation (config mutated somehow) is
-		// dropped; fall through to fresh construction.
 	}
-	return New(ar.Cfg, prog)
+	return newSystem(s.Cfg, m)
 }
 
-// Put hands a simulator back for reuse by a later Get.
-func (ar *Arena) Put(sim *Simulator) { ar.pool.Put(sim) }
+// release returns sys to its configuration's pool, unbound from its
+// machine so that an idle system keeps no program state alive.
+func release(sys *system) {
+	sys.m = nil
+	idle(sys.cfg).Put(sys)
+}
 
-// acquireSystem returns the reusable timing system bound to m, clearing
-// the cached arena when one exists for the current configuration and
-// building it otherwise (the configuration is the arena's shape: core
-// count, cache geometry, predictor tables).
-func (s *Simulator) acquireSystem(m *exec.Machine) *system {
-	if s.sys != nil && s.sys.cfg == s.Cfg {
-		s.sys.reset(m)
-		return s.sys
+func idle(cfg Config) *sync.Pool {
+	p, ok := systems.Load(cfg)
+	if !ok {
+		p, _ = systems.LoadOrStore(cfg, new(sync.Pool))
 	}
-	s.sys = newSystem(s.Cfg, m)
-	return s.sys
+	return p.(*sync.Pool)
 }
 
 // SimulateFull runs an unconstrained, fully detailed simulation of the
@@ -178,7 +154,8 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 // begin mid-program. A non-nil at is SimulateFullTap's tap.
 func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode, tap bbv.Marker, at func(*Stats)) (_ *Stats, err error) {
 	defer exec.Recover(&err)
-	sys := s.acquireSystem(m)
+	sys := s.acquire(m)
+	defer release(sys)
 	var atEnd func(*Stats)
 	if tap.IsEnd {
 		atEnd, at = at, nil
@@ -310,7 +287,8 @@ func (s *Simulator) SimulatePeriodic(detail, period uint64) (_ *Stats, err error
 		return nil, fmt.Errorf("timing: invalid periodic sampling %d/%d", detail, period)
 	}
 	m := exec.NewMachine(s.Prog, s.Seed)
-	sys := s.acquireSystem(m)
+	sys := s.acquire(m)
+	defer release(sys)
 	sys.setDetail(true)
 
 	var steps uint64
@@ -365,8 +343,8 @@ func (s *Simulator) SimulateConstrained(pb *pinball.Pinball) (_ *Stats, err erro
 	m.Restore(pb.Start)
 	replay := exec.NewReplayOS(pb.Syscalls)
 	m.OS = replay
-	sys := s.acquireSystem(m)
-	sys.constrained = true
+	sys := s.acquire(m)
+	defer release(sys)
 	inDetail := pb.WarmupSteps == 0
 	sys.setDetail(inDetail)
 

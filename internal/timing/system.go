@@ -43,8 +43,7 @@ type system struct {
 	alive    int
 
 	// constrained-mode shared-order enforcement
-	constrained bool
-	lineLast    map[uint64]lineAccess
+	lineLast map[uint64]lineAccess
 
 	coherenceInv uint64
 	futexWaits   uint64
@@ -169,7 +168,6 @@ func (s *system) reset(m *exec.Machine) {
 	clear(s.dir)
 	s.clock = 0
 	s.detail = false
-	s.constrained = false
 	clear(s.lineLast)
 	s.coherenceInv = 0
 	s.futexWaits = 0

@@ -115,6 +115,12 @@ func (t *TraceWriter) Close() error {
 // blocked resumes no earlier than the previously retired record's core
 // clock plus the wake latency.
 func SimulateTrace(cfg Config, src io.Reader) (*Stats, error) {
+	return (&Simulator{Cfg: cfg}).simulateTrace(src)
+}
+
+// simulateTrace is SimulateTrace, taking its system like any simulation.
+func (s *Simulator) simulateTrace(src io.Reader) (*Stats, error) {
+	cfg := s.Cfg
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -130,7 +136,8 @@ func SimulateTrace(cfg Config, src io.Reader) (*Stats, error) {
 		return nil, fmt.Errorf("timing: unsupported trace version %d", v)
 	}
 
-	sys := newSystem(cfg, nil)
+	sys := s.acquire(nil)
+	defer release(sys)
 	sys.setDetail(true)
 	blocked := make([]bool, cfg.Cores)
 	var lastCycle float64
