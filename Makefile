@@ -10,7 +10,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Non-test Go lines outside bench/, per package directory and in total —
-# the number ROADMAP item 3 tracks.
+# the number ROADMAP item 7 tracks.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \

@@ -53,7 +53,7 @@ func main() {
 		core        = flag.String("core", "", "core model for -apps campaigns: ooo (default) or inorder")
 		full        = flag.Bool("full", false, "also run whole-program simulation (report class)")
 
-		tag     = flag.String("tag", "default", "campaign tag: distinct tags never share keys, caches, or journals")
+		tag     = flag.String("tag", "default", "campaign tag: distinct tags never share keys, so never each other's cache or journal entries")
 		out     = flag.String("out", "", "write the report here (empty: stdout)")
 		resume  = flag.String("resume", "", "campaign journal path: completions are fsync'd here and restored on restart (empty disables)")
 		cache   = flag.String("cache", "", "content-addressed result cache directory (empty: in-memory only)")

@@ -26,9 +26,9 @@
 // graph and every finished region simulation are saved durably as jobs
 // run. Shutdown is crash-only: after a SIGTERM or a SIGKILL alike, a
 // restarted daemon keeps nothing but that directory, and the caller
-// resubmits — a job stopped after its recording resumes without
-// executing the program again, and re-simulates only the regions it had
-// not finished.
+// resubmits — a job stopped after its recording resumes without recording
+// again (one replay of the saved recording feeds its profile), and
+// re-simulates only the regions it had not finished.
 package main
 
 import (

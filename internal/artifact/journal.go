@@ -158,8 +158,8 @@ var ErrJournalDead = errors.New("artifact: journal dead after a failed append")
 
 // Journal is the append side of every checksummed-JSONL journal: one
 // envelope line per record, fsynced before the append returns, safe for
-// concurrent use. What the records mean, how they are fingerprinted and
-// which of them a restart trusts is the owning package's business.
+// concurrent use. What the records mean, how they are keyed and which of
+// them a restart trusts is the owning package's business.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File

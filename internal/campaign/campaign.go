@@ -32,8 +32,8 @@ import (
 )
 
 // SchemaVersion names the campaign wire/journal schema. It participates
-// in every job key and in the journal config fingerprint, so a schema
-// change can never silently reuse stale keys or resume a stale journal.
+// in every job key, so a schema change can never silently reuse a stale
+// cache entry or journal entry.
 const SchemaVersion = "v3"
 
 // Spec is one campaign: the jobs to run. Order is preserved in the

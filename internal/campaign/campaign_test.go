@@ -132,22 +132,19 @@ func TestKeyTaggedNormalizes(t *testing.T) {
 	}
 }
 
-// TestJournalResumeRoundTrip: results appended before a crash are
-// restored byte-identically; a torn final line is repaired away; a
-// journal from a different campaign config restores nothing and resets.
-func TestJournalResumeRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.jsonl")
-	j, restored, err := OpenJournal(path, "tag-a")
+// journalEntries appends one completed result per job of npbSpec(n) under
+// tag to the journal at path and returns each entry's canonical bytes.
+func journalEntries(t *testing.T, path, tag string, n int) [][]byte {
+	t.Helper()
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != 0 {
-		t.Fatalf("fresh journal restored %d results", len(restored))
-	}
+	defer j.Close()
 	var want [][]byte
-	for _, job := range npbSpec(3).Jobs {
+	for _, job := range npbSpec(n).Jobs {
 		n := Normalize(job)
-		key := KeyTagged("tag-a", n)
+		key := KeyTagged(tag, n)
 		r := &Result{Key: key, Job: n, Res: CanonicalResult(key, fakeResult(n))}
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
@@ -155,20 +152,15 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		b, _ := r.CanonicalBytes()
 		want = append(want, b)
 	}
-	j.Close()
+	return want
+}
 
-	// Simulate the coordinator dying mid-append: a torn line trails.
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"fnv1a":"0xdead","record":{"key":"torn`)
-	f.Close()
-
-	j2, restored, err := OpenJournal(path, "tag-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	if len(restored) != 3 {
-		t.Fatalf("restored %d results, want 3", len(restored))
+// restoredEqual fails unless the restored results are, in order, exactly
+// the entries with canonical bytes want.
+func restoredEqual(t *testing.T, restored []*Result, want [][]byte) {
+	t.Helper()
+	if len(restored) != len(want) {
+		t.Fatalf("restored %d results, want %d", len(restored), len(want))
 	}
 	for i, r := range restored {
 		got, err := r.CanonicalBytes()
@@ -179,19 +171,81 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 			t.Fatalf("result %d not rehydrated byte-identically:\n got %s\nwant %s", i, got, want[i])
 		}
 	}
+}
 
-	// A different tag is a different campaign: nothing restores, and the
-	// journal resets to a fresh header rather than mixing campaigns.
-	j3, restored, err := OpenJournal(path, "tag-b")
+// TestJournalResumeRoundTrip: results appended before a crash are
+// restored byte-identically, and a torn final line is repaired away.
+func TestJournalResumeRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	j, restored, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j3.Close()
+	j.Close()
 	if len(restored) != 0 {
-		t.Fatalf("mismatched config restored %d results, want 0", len(restored))
+		t.Fatalf("fresh journal restored %d results", len(restored))
 	}
-	if _, restored, _ = OpenJournal(path, "tag-a"); len(restored) != 0 {
-		t.Fatal("reset journal still serves the old campaign's results")
+	want := journalEntries(t, path, "tag-a", 3)
+
+	// Simulate the coordinator dying mid-append: a torn line trails.
+	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f.WriteString(`{"fnv1a":"0xdead","record":{"key":"torn`)
+	f.Close()
+
+	j2, restored, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	restoredEqual(t, restored, want)
+}
+
+// TestJournalFlippedInteriorLineRestoresIntactEntries: a bit flipped at
+// rest inside one line costs that entry alone; every intact entry before
+// and after it is restored byte-identically.
+func TestJournalFlippedInteriorLineRestoresIntactEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	want := journalEntries(t, path, "tag-a", 4)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	victim := lines[1]
+	victim[len(victim)/2] ^= 0x01
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, restored, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	restoredEqual(t, restored, [][]byte{want[0], want[2], want[3]})
+}
+
+// TestCoordinatorForeignJournalDispatchesEverything: a campaign under tag
+// B resumed over tag A's journal of the same jobs restores nothing —
+// A's entries are keyed as A's tasks, which B never looks up — so it
+// dispatches every job, and every result it reports is B's own.
+func TestCoordinatorForeignJournalDispatchesEverything(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	spec := npbSpec(3)
+	cfg := quickConfig("tag-a")
+	cfg.JournalPath = path
+	if rep := runCampaign(t, cfg, []WorkerClient{&fakeWorker{name: "w"}}, spec); rep.Stats.Completed != 3 {
+		t.Fatalf("tag A: %s", rep.Stats.Line())
+	}
+
+	cfg.Tag = "tag-b"
+	rep := runCampaign(t, cfg, []WorkerClient{&fakeWorker{name: "w"}}, spec)
+	if rep.Stats.Restored != 0 || rep.Stats.CacheHits != 0 || rep.Stats.Dispatched != 3 || rep.Stats.Completed != 3 {
+		t.Fatalf("tag B over tag A's journal: %s; want restored=0 cache_hits=0 dispatched=3 completed=3", rep.Stats.Line())
+	}
+	for _, r := range rep.Results {
+		if want := KeyTagged("tag-b", r.Job); r.Key != want || r.Res.ID != want {
+			t.Fatalf("tag B reported %s (result id %s) for a job keyed %s", r.Key, r.Res.ID, want)
+		}
 	}
 }
 

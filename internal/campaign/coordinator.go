@@ -27,9 +27,9 @@ const (
 
 // Config tunes one campaign run. Zero values take the defaults above.
 type Config struct {
-	// Tag names the campaign; it participates in every job key and in
-	// the journal fingerprint, so distinct campaigns never share cache
-	// entries or journals by accident.
+	// Tag names the campaign; it participates in every job key, so
+	// distinct campaigns never share cache or journal entries by
+	// accident.
 	Tag string
 	// Lease is how long one dispatch owns its job before the coordinator
 	// re-enqueues it for another worker (work stealing). It is also sent
@@ -238,20 +238,26 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 
 	// Restore: journal first (crash log of a killed coordinator), then
 	// the cache pre-pass — restored results are seeded, so every job the
-	// previous run completed resolves as a cache hit, not a dispatch.
+	// previous run completed resolves as a cache hit, not a dispatch. Only
+	// entries keyed as one of this campaign's tasks are seeded: another
+	// campaign's (another tag or spec) are never looked up.
 	if c.cfg.JournalPath != "" {
-		j, restored, err := OpenJournal(c.cfg.JournalPath, c.cfg.Tag)
+		j, entries, err := OpenJournal(c.cfg.JournalPath)
 		if err != nil {
 			return nil, err
 		}
 		c.journal = j
 		defer c.journal.Close()
-		for _, r := range restored {
-			c.cache.Seed(r.Key, r)
+		var restored uint64
+		for _, r := range entries {
+			if _, ok := c.tasks[r.Key]; ok {
+				c.cache.Seed(r.Key, r)
+				restored++
+			}
 		}
-		c.restored.Store(uint64(len(restored)))
-		if len(restored) > 0 {
-			c.logf("campaign: restored %d completed jobs from %s", len(restored), c.cfg.JournalPath)
+		c.restored.Store(restored)
+		if restored > 0 {
+			c.logf("campaign: restored %d completed jobs from %s", restored, c.cfg.JournalPath)
 		}
 	}
 	var pending []*task

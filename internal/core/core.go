@@ -71,16 +71,13 @@ type Config struct {
 	// ProgressDir enables durable progress (crash-only workers): Analyze
 	// publishes the recording and its graph, checksummed, the moment the
 	// recording ends, and region simulation stores every completed
-	// region, all under this directory. A killed job restarted with the
-	// same ProgressKey re-derives its profile from the saved recording
-	// instead of executing the program again, byte-identically, and
-	// re-simulates only unfinished regions. Empty disables.
+	// region, all under this directory and named by their content (the
+	// program's checksum and the analysis knobs). A killed job restarted
+	// over the same directory — or any job over the same program and
+	// knobs — re-derives its profile from the saved recording without
+	// recording again, byte-identically, and re-simulates only unfinished
+	// regions. Empty disables.
 	ProgressDir string
-	// ProgressKey names this job's progress files. Jobs sharing a key and
-	// an analysis-relevant configuration resume each other's work (the
-	// serving layer derives it from the job's content address). Empty
-	// derives a key from the program name.
-	ProgressKey string
 	// Progress, when set, receives durable-progress counters — saves,
 	// recoveries, steps those recoveries skipped — shared across every job
 	// of a server and exposed via /v1/stats.
@@ -157,9 +154,9 @@ type Analysis struct {
 // boundaries, the log is played into a single bbv.Collector, which gathers
 // sliced, spin-filtered vectors. With Config.ProgressDir set the recording
 // and its graph are published as the job's recovery point before the log is
-// played, and a restart that finds them executes nothing: it feeds the same
-// collector from a constrained replay of the saved recording instead (see
-// progress.go — a resumed process has the pinball but no log).
+// played, and a restart that finds them records nothing again: it feeds the
+// same collector from one constrained replay of the saved recording instead
+// (see progress.go — a resumed process has the pinball but no log).
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
 	dp := openProgress(prog, &cfg)
@@ -321,9 +318,9 @@ func (s *Selection) Engine() string {
 	return s.Sample.Engine
 }
 
-// Select projects and clusters the profile's regions, then draws
+// Select projects and clusters the profile's regions, draws
 // representatives with the configured selection engine (Section III-E;
-// Config.Selector). The default "simpoint" engine picks one medoid per
+// Config.Selector) and attaches the extrapolation multipliers. The default "simpoint" engine picks one medoid per
 // cluster and is byte-identical to the pre-interface pipeline — pinned
 // by the identity suite and the selections golden file.
 func Select(a *Analysis) (*Selection, error) {
@@ -343,16 +340,6 @@ func Select(a *Analysis) (*Selection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", a.Prog.Name, err)
 	}
-	return selectFrom(a, vectors, sl)
-}
-
-// selectFrom draws representatives from the projected regions with the
-// given engine and attaches the extrapolation multipliers. Split from
-// Select so the pipeline-vs-oracles test can feed it the naive projection
-// and a naive medoid engine.
-func selectFrom(a *Analysis, vectors [][]float64, sl simpoint.Selector) (*Selection, error) {
-	cfg := a.Config
-	regions := a.Profile.Regions
 	weights := make([]float64, len(regions))
 	for i, r := range regions {
 		weights[i] = float64(r.Filtered)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"looppoint/internal/omp"
-	"looppoint/internal/simpoint"
 	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
 )
@@ -99,41 +98,15 @@ func TestSelectClusterWorkersInvariant(t *testing.T) {
 	}
 }
 
-// naiveMedoid is the medoid selection engine over the naive clustering
-// reference: one stratum per cluster of simpoint.ClusterSlow (serial
-// KMeansSlow sweep), each cluster's nearest-to-centroid region drawn once.
-type naiveMedoid struct{}
-
-func (naiveMedoid) Name() string { return "simpoint" }
-
-func (naiveMedoid) Select(vectors [][]float64, weights []float64, copts simpoint.Options, _ simpoint.SelectorOpts) (*simpoint.Selection, error) {
-	res, err := simpoint.ClusterSlow(vectors, weights, copts)
-	if err != nil {
-		return nil, err
-	}
-	sel := &simpoint.Selection{Engine: "simpoint", Result: res, Strata: make([]simpoint.Stratum, res.K)}
-	for i, j := range res.Assign {
-		sel.Strata[j].Members = append(sel.Strata[j].Members, i)
-		sel.Strata[j].Work += weights[i]
-	}
-	simpoint.NormalizeStrata(sel.Strata)
-	for j, rep := range res.Reps {
-		sel.Strata[j].Sampled = 1
-		sel.Regions = append(sel.Regions, simpoint.SelectedRegion{Index: rep, Stratum: j})
-	}
-	return simpoint.FinishSelection(sel), nil
-}
-
-// TestFastSlowPathsByteIdentical holds the pipeline to the layer oracles.
+// TestFastSlowPathsByteIdentical holds the analysis to the layer oracles.
 // No flag selects a reference engine; the expected side is composed here
 // from the references themselves — a bare recording, the DCFG builder's
-// OnInstr driven through a replay of it, a Collector driven per
-// instruction (referenceAnalysis), the naive projection
-// (ProjectRegionsSlow / SumProjectRegionsSlow) and the naive k-means
-// sweep behind a hand-rolled medoid engine — and Analyze→Select must
-// equal it on markers, profile, clustering, looppoints and multipliers.
-// Region simulation against the per-instruction warm-up loop is pinned
-// where that loop lives, in timing/fastforward_test.go.
+// OnInstr driven through a replay of it and a Collector driven per
+// instruction (referenceAnalysis) — and Analyze must equal it on graph,
+// loops, markers and profile. The selection half (the naive projection and
+// k-means sweep behind a hand-rolled medoid engine, against Select) lives
+// beside those references, in simpoint's pipeline_test.go. Region
+// simulation has one loop and no oracle; timing's TestStatsGolden pins it.
 func TestFastSlowPathsByteIdentical(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	configs := identityConfigs()
@@ -142,37 +115,12 @@ func TestFastSlowPathsByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
 			mutate(&cfg)
-
 			want := referenceAnalysis(t, p, cfg)
-			prof := want.Profile
-			project := simpoint.ProjectRegionsSlow
-			if cfg.SumBBVs {
-				project = simpoint.SumProjectRegionsSlow
-			}
-			wantSel, err := selectFrom(want,
-				project(prof.Regions, prof.NumBlocks, simpoint.DefaultDims, want.Config.Seed), naiveMedoid{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			got, err := Analyze(p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotSel, err := Select(got)
-			if err != nil {
-				t.Fatal(err)
-			}
 			analysisEquals(t, "pipeline vs oracles", got, want)
-			if !reflect.DeepEqual(gotSel.Result, wantSel.Result) {
-				t.Error("clustering Result differs from the naive projection + k-means sweep")
-			}
-			if !reflect.DeepEqual(gotSel.Sample, wantSel.Sample) {
-				t.Error("strata and draws differ from the naive medoid engine")
-			}
-			if len(gotSel.Points) == 0 || !reflect.DeepEqual(gotSel.Points, wantSel.Points) {
-				t.Errorf("looppoints or multipliers differ from the oracles:\npipeline: %+v\noracles:  %+v", gotSel.Points, wantSel.Points)
-			}
 		})
 	}
 }

@@ -19,34 +19,32 @@ import (
 // rungs. With Config.ProgressDir set, Analyze publishes both products of
 // the recording run the moment it ends, before the BBV pass reads the
 // block-event log: the pinball in its own checksummed envelope
-// (<stem>.pinball) and then the finished DCFG (<stem>.graph, a checksummed
-// JSON record naming the job and the recording's length). Every later pass
-// is a deterministic function of that pair, so a worker SIGKILLed after the
-// recording resumes from it: the restart loads and validates the pair and
-// feeds a fresh Collector — configured exactly as a cold run's — from one
-// constrained replay of the pinball, which verifies the recording's final
-// memory checksum. The resumed profile is byte-identical to an
-// uninterrupted run's (the analysis identity matrix and the kill drills).
+// (<key>.pinball) and then the finished DCFG (<key>.graph, a checksummed
+// JSON record carrying the recording's length). Both are named by the
+// analysis's content address (analysisKey), so a job finds exactly the
+// recovery point of its own program and knobs, and no file carries a
+// header, fingerprint or version to compare. Every later pass is a
+// deterministic function of that pair, so a worker SIGKILLed after the
+// recording resumes from it without recording again: the restart loads and
+// validates the pair and feeds a fresh Collector — configured exactly as a
+// cold run's — from one constrained replay of the pinball, which verifies
+// the recording's final memory checksum. The resumed profile is
+// byte-identical to an uninterrupted run's (the analysis identity matrix
+// and the kill drills).
 //
 // Recovery ladder (never wedges a job):
 //
 //	saved pinball + graph → re-record
 //
-// Any failure on the top rung — a missing half, a torn write, bit rot,
-// version skew, a foreign job, a replay that does not end on the recorded
-// checksum — counts a ladder fall and falls to recording; a file whose
-// bytes are proven bad is deleted so it cannot re-fail every restart, one
-// that merely failed to read is left in place. The graph is written last:
+// Any failure on the top rung — a missing half, a torn write, bit rot, a
+// pinball of another program, a graph of another recording, a replay that
+// does not end on the recorded checksum — counts a ladder fall and falls
+// to recording; a file whose bytes are proven bad is deleted so it cannot
+// re-fail every restart, one that merely failed to read is left in place. The graph is written last:
 // it is the commit record, and a kill between the two writes leaves a
 // pinball nobody resumes from. Saves are best-effort: a failed save
 // (injection site "core.progress.save", disk trouble) costs resumability,
 // never correctness.
-
-// progressVersion is the recovery-point format version; it is part of the
-// fingerprint in every file name, so files of another version are never
-// looked at. 4: one pinball + graph pair per analysis (3 was LOOPPROG epoch
-// files carrying snapshots and collector state).
-const progressVersion = 4
 
 // ProgressStats aggregates durable-progress counters, shared by every
 // job that is handed the same instance (the serving layer exposes them
@@ -88,9 +86,10 @@ func (s *ProgressStats) countLadderFall() {
 // Snapshot returns the current counter values: durable saves (one per
 // analysis recovery point, one per stored region), failed saves,
 // successful recoveries, the work those recoveries skipped (the schedule
-// steps of the recording a resumed analysis did not execute again, plus
+// steps of the recording a resumed analysis did not record again, plus
 // instructions of region simulations served from the store), and
-// recovery-ladder falls (progress files rejected as torn/corrupt/foreign).
+// recovery-ladder falls (progress files rejected as torn, corrupt or of
+// another program).
 func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved, ladderFalls uint64) {
 	if s == nil {
 		return
@@ -99,42 +98,30 @@ func (s *ProgressStats) Snapshot() (saves, saveFailures, recoveries, stepsSaved,
 		s.stepsSaved.Load(), s.ladderFalls.Load()
 }
 
-// progressFingerprint hashes the configuration that determines the
-// recording and the profile: two jobs with the same key and fingerprint
-// may resume each other's progress; anything else falls the ladder.
-func progressFingerprint(prog *isa.Program, cfg *Config) string {
-	sig := fmt.Sprintf("v%d|prog=%s|threads=%d|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v|varslices=%v",
-		progressVersion, prog.Name, prog.NumThreads(), cfg.SliceUnit, cfg.Seed,
-		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter, cfg.VariableSlices)
-	return artifact.Key(sig)
+// analysisKey is the content address of one analysis: the name both of
+// its files start with, and the prefix of every region result it leads to.
+// It covers the program's content (isa.Program.Checksum, and its name,
+// which the pinball carries) and every knob that shapes the recording or
+// the profile. Another program or configuration is simply another key;
+// core-analysis/1 tags the schema of what is stored under it.
+func analysisKey(prog *isa.Program, cfg *Config) string {
+	return artifact.Key(fmt.Sprintf("core-analysis/1|prog=%s|sum=%#x|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v|varslices=%v",
+		prog.Name, prog.Checksum(), cfg.SliceUnit, cfg.Seed,
+		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter, cfg.VariableSlices))
 }
 
-// progressBase returns the per-job file-name stem inside the progress
-// directory: <key>-<fingerprint>. Every file the durable path writes
-// shares this stem, so one job's files never collide with another's and
-// a changed configuration starts cleanly instead of mis-resuming.
-func progressBase(dir string, prog *isa.Program, cfg *Config) string {
-	key := cfg.ProgressKey
-	if key == "" {
-		key = artifact.Key(prog.Name)
-	}
-	return filepath.Join(dir, key+"-"+progressFingerprint(prog, cfg))
-}
-
-// graphRecord is the JSON record of <stem>.graph: the finished DCFG (loops
+// graphRecord is the JSON record of <key>.graph: the finished DCFG (loops
 // and markers are re-derived from it on resume — they are deterministic
-// functions of it) and what ties it to its recording.
+// functions of it) and the length of the recording it was built on.
 type graphRecord struct {
-	Version int
-	Job     string // the file-name stem (progressBase): key and configuration fingerprint
-	Total   uint64 // schedule steps of the recording the graph was built on
-	Graph   *dcfg.GraphState
+	Total uint64 // schedule steps of the recording the graph was built on
+	Graph *dcfg.GraphState
 }
 
-// progressLog is one job's recovery point: the stem its two files share
+// progressLog is one job's recovery point: the path its two files share
 // and the counters they report to.
 type progressLog struct {
-	base string // <dir>/<key>-<fingerprint>
+	base string // <dir>/<analysisKey>
 	ps   *ProgressStats
 }
 
@@ -147,7 +134,7 @@ func openProgress(prog *isa.Program, cfg *Config) *progressLog {
 	if cfg.ProgressDir == "" {
 		return nil
 	}
-	return &progressLog{base: progressBase(cfg.ProgressDir, prog, cfg), ps: cfg.Progress}
+	return &progressLog{base: filepath.Join(cfg.ProgressDir, analysisKey(prog, cfg)), ps: cfg.Progress}
 }
 
 // save publishes the recovery point and counts the outcome. Best-effort: a
@@ -166,10 +153,7 @@ func (dp *progressLog) save(pb *pinball.Pinball, g *dcfg.Graph) {
 // publish writes the pinball, then the graph record as a checksummed
 // envelope file; the graph is never written without its pinball.
 func (dp *progressLog) publish(pb *pinball.Pinball, g *dcfg.Graph) error {
-	rec, err := json.Marshal(graphRecord{
-		Version: progressVersion, Job: filepath.Base(dp.base),
-		Total: pb.Schedule.Steps(), Graph: g.State(),
-	})
+	rec, err := json.Marshal(graphRecord{Total: pb.Schedule.Steps(), Graph: g.State()})
 	if err != nil {
 		return err
 	}
@@ -225,11 +209,10 @@ func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
 	return nil
 }
 
-// restore loads the saved pair, validates it against the program, the job
-// and each other, and feeds a fresh collector from one constrained replay
-// of the pinball, which verifies the recording's final memory checksum. On
-// failure it names the file at fault; validation failures wrap
-// artifact.ErrCorrupt.
+// restore loads the saved pair, validates it against the program and each
+// other, and feeds a fresh collector from one constrained replay of the
+// pinball, which verifies the recording's final memory checksum. On failure
+// it names the file at fault; validation failures wrap artifact.ErrCorrupt.
 func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string, error) {
 	blamed := dp.pinballPath()
 	corrupt := func(err error) error {
@@ -262,11 +245,8 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 	if json.Unmarshal(rec, &st) != nil {
 		return nil, blamed, corrupt(errors.New("graph record does not parse"))
 	}
-	if st.Version != progressVersion {
-		return nil, blamed, fmt.Errorf("core: progress file %s: version %d (want %d): %w", blamed, st.Version, progressVersion, artifact.ErrVersion)
-	}
-	if job, total := filepath.Base(dp.base), pb.Schedule.Steps(); st.Job != job || st.Total != total || st.Graph == nil {
-		return nil, blamed, corrupt(fmt.Errorf("is job %s's graph of a %d-step recording, not %s's of %d steps", st.Job, st.Total, job, total))
+	if total := pb.Schedule.Steps(); st.Total != total || st.Graph == nil {
+		return nil, blamed, corrupt(fmt.Errorf("is the graph of a %d-step recording, not of %d steps", st.Total, total))
 	}
 	g, err := dcfg.RestoreGraph(prog, st.Graph)
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 func durableConfig(dir string) Config {
 	cfg := testConfig()
 	cfg.ProgressDir = dir
-	cfg.ProgressKey = "job"
 	cfg.Progress = &ProgressStats{}
 	return cfg
 }
@@ -69,7 +68,7 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) {
 // between the two writes (the pinball is on disk, its commit record — the
 // graph — is not), the restart records again. Killed once the pair is
 // published — recordPass has returned, nothing of the BBV pass has run —
-// the restart executes nothing and reports the recording's whole schedule
+// the restart records nothing again and reports the recording's whole schedule
 // as steps saved. Every restart is byte-identical to the per-instruction
 // reference.
 func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
@@ -183,11 +182,20 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 		{"pinball bit flipped", func(t *testing.T, pb, _ string) { mangle(t, pb, flip) }, pinballFile},
 		{"graph truncated", func(t *testing.T, _, g string) { mangle(t, g, truncate) }, graphFile},
 		{"graph bit flipped", func(t *testing.T, _, g string) { mangle(t, g, flip) }, graphFile},
-		{"graph version skewed", func(t *testing.T, _, g string) {
-			rewriteGraph(t, g, func(st *graphRecord) { st.Version++ })
-		}, graphFile},
-		{"graph of a foreign job", func(t *testing.T, _, g string) {
-			rewriteGraph(t, g, func(st *graphRecord) { st.Job = "other-" + st.Job })
+		{"graph of another program copied under this key", func(t *testing.T, _, g string) {
+			other := testprog.Phased(4, 3, 40, omp.Passive)
+			cfg := durableConfig(t.TempDir())
+			if _, err := Analyze(other, cfg); err != nil {
+				t.Fatal(err)
+			}
+			_, otherGraph := recoveryPoint(other, cfg)
+			data, err := os.ReadFile(otherGraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(g, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}, graphFile},
 		{"graph Total disagrees with the pinball", func(t *testing.T, _, g string) {
 			rewriteGraph(t, g, func(st *graphRecord) { st.Total++ })
@@ -358,6 +366,37 @@ func TestProgressFingerprintCoversVariableSlices(t *testing.T) {
 	}
 	if reflect.DeepEqual(fx.Profile, want.Profile) {
 		t.Fatal("variable slicing left the profile unchanged; the toggle proves nothing on this program")
+	}
+}
+
+// TestAnalyzeSameNameProgramsShareProgressDir: a recovery point is named
+// by the program's content, not by its name. The passive and active builds
+// of one phased program are both "phased-4t"; analysed in turn over one
+// progress directory, each afterwards resumes its own recording, falls no
+// ladder, and matches its reference analysis.
+func TestAnalyzeSameNameProgramsShareProgressDir(t *testing.T) {
+	passive := testprog.Phased(4, 10, 150, omp.Passive)
+	active := testprog.Phased(4, 10, 150, omp.Active)
+	if passive.Name != active.Name {
+		t.Fatalf("names %q and %q differ: the test needs one name for two programs", passive.Name, active.Name)
+	}
+	dir := t.TempDir()
+	for _, p := range []*isa.Program{passive, active} {
+		if _, err := Analyze(p, durableConfig(dir)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []*isa.Program{passive, active} {
+		want := referenceAnalysis(t, p, testConfig())
+		cfg := durableConfig(dir)
+		got, err := Analyze(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analysisEquals(t, "resumed "+p.Name, got, want)
+		if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 1 || falls != 0 {
+			t.Fatalf("re-analysing one of two same-name programs: recoveries=%d ladder_falls=%d, want 1 and 0", recoveries, falls)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"looppoint/internal/artifact"
@@ -30,13 +29,14 @@ type regionEntry struct {
 	HostTimeNS int64         `json:"host_time_ns"`
 }
 
-// regionKey names one region's result: the job stem (progressBase — the
-// program and every analysis knob), the region's bounds and warm-up start,
-// the simulator configuration, the seed, and the warm-up and region-sim
-// modes. The selection the region belongs to is not part of it.
-func regionKey(stem string, spec pinball.RegionSpec, simCfg timing.Config, cfg *Config) string {
+// regionKey names one region's result: the analysis it belongs to
+// (analysisKey — the program and every analysis knob), the region's bounds
+// and warm-up start, the simulator configuration, the seed, and the warm-up
+// and region-sim modes. The selection the region belongs to, and its
+// engine, are not part of it.
+func regionKey(analysis string, spec pinball.RegionSpec, simCfg timing.Config, cfg *Config) string {
 	return artifact.Key(fmt.Sprintf("core-region/1|%s|warm=%d|start=%d|end=%d|sim=%+v|seed=%d|warmup=%d|mode=%d",
-		stem, spec.WarmupStartStep, spec.StartStep, spec.EndStep, simCfg, cfg.Seed, cfg.Warmup, cfg.RegionSim))
+		analysis, spec.WarmupStartStep, spec.StartStep, spec.EndStep, simCfg, cfg.Seed, cfg.Warmup, cfg.RegionSim))
 }
 
 // regionStore is one sweep's view of the store: the key of every
@@ -71,11 +71,11 @@ func openRegionStore(sel *Selection, simCfg timing.Config) *regionStore {
 		recovered: make([]*RegionResult, len(sel.Points)),
 		ps:        cfg.Progress,
 	}
-	stem := filepath.Base(progressBase(cfg.ProgressDir, a.Prog, &cfg))
+	analysis := analysisKey(a.Prog, &cfg)
 	var served int
 	var stepsSaved uint64
 	for i, spec := range sel.RegionSpecs() {
-		rs.keys[i] = regionKey(stem, spec, simCfg, &cfg)
+		rs.keys[i] = regionKey(analysis, spec, simCfg, &cfg)
 		if e, ok := st.Get(rs.keys[i]); ok {
 			lp := sel.Points[i]
 			rs.recovered[i] = &RegionResult{Point: lp, Stats: e.Stats, HostTime: time.Duration(e.HostTimeNS)}

@@ -9,7 +9,7 @@ import (
 
 // The serializable form of a Graph, for the durable analysis's recovery
 // point: the finished graph is saved beside the recording that built it,
-// so a restarted worker gets it without executing the program again
+// so a restarted worker gets it without recording again
 // (core/progress.go). Restoring it into a fresh process must reproduce the
 // exact in-memory structure, including the Node.Out/In insertion order the
 // builder produced — downstream passes (loop finding, marker ranking)

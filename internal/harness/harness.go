@@ -155,17 +155,6 @@ func (o Options) config() core.Config {
 	return cfg
 }
 
-// progressKey derives the durable-progress job key for one analysis:
-// stable across restarts (it hashes only the identifying strings) and
-// filename-safe. Keyed on the workload identity plus the selection
-// engine — not the report class — so an analyze job, a simulate job, and
-// a report job over the same workload resume each other's saved
-// recording and region results; core's config fingerprint rejects any
-// progress the key alone would conflate.
-func progressKey(app string, policy omp.WaitPolicy, input workloads.InputClass, threads int, selector string) string {
-	return artifact.Key(fmt.Sprintf("analysis/%s/%v/%s/%d/%s", app, policy, input, threads, selector))
-}
-
 // SpecApps returns the SPEC CPU2017 workload names used by the run.
 func (o Options) SpecApps() []string {
 	if o.Quick {
@@ -390,7 +379,6 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 		if k.Selector != "" {
 			cfg.Selector = k.Selector
 		}
-		cfg.ProgressKey = progressKey(k.App, k.Policy, k.Input, k.Threads, cfg.Selector)
 		rep, err := core.Run(ctx, app.Prog, cfg, simCfg, core.RunOpts{
 			SimulateFull: k.Full, Width: e.Opts.Parallelism,
 			Degraded: e.Opts.Degraded, MinCoverage: e.Opts.MinCoverage,
@@ -432,7 +420,6 @@ func (e *Evaluator) AnalyzeOnly(ctx context.Context, name string, policy omp.Wai
 		e.logf("analyzing %s (%v, %s)", name, policy, input)
 		start := time.Now()
 		cfg := e.Opts.config()
-		cfg.ProgressKey = progressKey(name, policy, input, threads, cfg.Selector)
 		a, err := core.Analyze(app.Prog, cfg)
 		if err != nil {
 			return nil, err

@@ -8,12 +8,12 @@ import (
 	"looppoint/internal/omp"
 )
 
-// TestConfigFingerprintIgnoresProgressKnobs: the durable-progress knobs
+// TestResumeKeyIgnoresProgressKnobs: the durable-progress knobs
 // relocate mid-job checkpoints and the width only changes host time; none
 // can change what an evaluation computes, so none may change a resume
 // entry's key — and the shared stats pointer must not leak an address
 // into it.
-func TestConfigFingerprintIgnoresProgressKnobs(t *testing.T) {
+func TestResumeKeyIgnoresProgressKnobs(t *testing.T) {
 	base := smokeOpts().fill()
 	with := base
 	with.ProgressDir = "/tmp/progress"
@@ -83,5 +83,65 @@ func TestEvaluatorProgressResumeIdentical(t *testing.T) {
 	_, _, recovB, stepsB, _ := optsB.Progress.Snapshot()
 	if recovB == 0 || stepsB == 0 {
 		t.Fatalf("restart over a warm progress dir: recoveries=%d steps_saved=%d, want both > 0", recovB, stepsB)
+	}
+}
+
+// TestEvaluatorProgressSharedAcrossSelectors: the recording and the region
+// results are named by what they are, so the selection engine — which
+// reads the analysis but shapes neither — does not split them. A fresh
+// evaluator under "stratified" resumes the recording a "simpoint"
+// AnalyzeOnly saved in the same progress directory; a Report pair under
+// the two engines also serves the regions both selections share, and the
+// stratified report matches its stateless run.
+func TestEvaluatorProgressSharedAcrossSelectors(t *testing.T) {
+	const app = "644.nab_s.1"
+	evaluator := func(dir, selector string) (*Evaluator, *core.ProgressStats) {
+		opts := smokeOpts()
+		opts.ProgressDir = dir
+		opts.Progress = &core.ProgressStats{}
+		opts.Selector = selector
+		return NewEvaluator(opts), opts.Progress
+	}
+	ctx := context.Background()
+
+	dir := t.TempDir()
+	first, _ := evaluator(dir, "simpoint")
+	input, threads := first.Opts.trainInput(), first.Opts.Threads
+	if _, _, err := first.AnalyzeOnly(ctx, app, omp.Passive, input, threads); err != nil {
+		t.Fatal(err)
+	}
+	second, ps := evaluator(dir, "stratified")
+	if _, _, err := second.AnalyzeOnly(ctx, app, omp.Passive, input, threads); err != nil {
+		t.Fatal(err)
+	}
+	if saves, _, recoveries, steps, falls := ps.Snapshot(); recoveries != 1 || steps == 0 || falls != 0 || saves != 0 {
+		t.Fatalf("stratified AnalyzeOnly after simpoint: saves=%d recoveries=%d steps_saved=%d ladder_falls=%d, want 0, 1, > 0, 0",
+			saves, recoveries, steps, falls)
+	}
+
+	key := ReportKey{App: app, Policy: omp.Passive, Input: input, Threads: threads}
+	dir = t.TempDir()
+	first, _ = evaluator(dir, "simpoint")
+	if _, err := first.Report(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	second, ps = evaluator(dir, "stratified")
+	got, err := second.Report(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One recovery is the recording, the other the regions both
+	// selections share.
+	if _, _, recoveries, _, falls := ps.Snapshot(); recoveries != 2 || falls != 0 {
+		t.Fatalf("stratified Report after simpoint: recoveries=%d ladder_falls=%d, want 2 (recording and shared regions) and 0",
+			recoveries, falls)
+	}
+	stateless, _ := evaluator("", "stratified")
+	want, err := stateless.Report(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary() != want.Summary() {
+		t.Fatalf("stratified report over a simpoint progress directory diverged from its stateless run:\n%s\nvs\n%s", got.Summary(), want.Summary())
 	}
 }

@@ -11,7 +11,12 @@
 // operations carry addresses that exercise a cache hierarchy.
 package isa
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+)
 
 // Op enumerates the instruction opcodes.
 type Op uint8
@@ -515,6 +520,59 @@ func (p *Program) checkBlock(b *Block) error {
 		}
 	}
 	return nil
+}
+
+// Checksum returns an FNV-1a hash of everything execution reads (valid
+// after Link): every instruction — opcode, registers, immediates,
+// condition, branch targets, callee and address — in link order with the
+// block and routine shape around it, each image's Sync flag, the
+// per-thread entry routines and MemWords. Two builds of one workload share
+// it; programs that could execute differently do not. Names, labels and
+// symbols are not read by execution and are not part of it.
+func (p *Program) Checksum() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	put(p.MemWords)
+	put(uint64(len(p.Entries)))
+	for _, e := range p.Entries {
+		put(e.Blocks[0].Addr)
+	}
+	for _, img := range p.Images {
+		put(flag(img.Sync))
+		put(uint64(len(img.Routines)))
+		for _, r := range img.Routines {
+			put(uint64(len(r.Blocks)))
+			for _, b := range r.Blocks {
+				put(uint64(len(b.Instrs)))
+				for i := range b.Instrs {
+					in := &b.Instrs[i]
+					put(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.A)<<16 | uint64(in.B)<<24 |
+						flag(in.UseImm)<<32 | uint64(in.Cond)<<40)
+					put(uint64(in.Imm))
+					put(math.Float64bits(in.FImm))
+					put(uint64(in.Target))
+					put(uint64(in.Else))
+					var callee uint64
+					if in.Callee != nil {
+						callee = in.Callee.Blocks[0].Addr
+					}
+					put(callee)
+					put(in.Addr)
+				}
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 // Blocks returns all blocks in link order (valid after Link).

@@ -24,10 +24,11 @@ import (
 //
 //   - the slab path (AppendBinary / Decode) serializes into one
 //     exact-size buffer and decodes from a byte slice with a single
-//     checksum pass — the hot path used by Save and Load;
-//   - the streaming path (ReadFrom) reads incrementally from any
-//     io.Reader with growth caps, so a corrupted-but-plausible length
-//     fails at the real end of input instead of committing gigabytes.
+//     checksum pass — the product path used by Save and Load;
+//   - the streaming reference (ReadFrom, io_stream_test.go) reads
+//     incrementally from any io.Reader with growth caps, so a
+//     corrupted-but-plausible length fails at the real end of input
+//     instead of committing gigabytes. Only tests and FuzzReadFrom use it.
 //
 // Both paths are pinned byte-identical by the compatibility tests, and
 // both classify failures into the artifact package's typed sentinels —

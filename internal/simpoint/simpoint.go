@@ -11,7 +11,7 @@
 // projection-matrix rows so each touched row is hashed exactly once,
 // accelerates Lloyd's iterations with Hamerly-style triangle-inequality
 // bounds over flat contiguous arrays, and fans the k=1..maxK BIC sweep
-// out over a worker pool. The naive reference (slowpath.go:
+// out over a worker pool. The naive reference (slowpath_test.go:
 // ProjectRegionsSlow, KMeansSlow, ClusterSlow) is the original
 // straight-line implementation, kept as the oracle the identity tests
 // compare the fast engine against byte for byte; nothing but tests calls
@@ -37,7 +37,7 @@ const DefaultMaxK = 50
 // bicCutoff selects the smallest k scoring at least this fraction of
 // the best BIC range (the standard SimPoint heuristic), and lloydIters
 // bounds the Lloyd iterations of each k's run. They are constants of the
-// method, not options; the product sweep and its reference (slowpath.go)
+// method, not options; the product sweep and its reference (slowpath_test.go)
 // read the same two.
 const (
 	bicCutoff  = 0.9
