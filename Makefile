@@ -60,7 +60,7 @@ test-stats:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/pinball/
-	go test -run '^$$' -fuzz '^FuzzRestoreGraph$$' -fuzztime $(FUZZTIME) ./internal/dcfg/
+	go test -run '^$$' -fuzz '^FuzzDecodeBlockLog$$' -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run '^$$' -fuzz '^FuzzSelectors$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 	go test -run '^$$' -fuzz '^FuzzStratifiedAllocation$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 	go test -run '^$$' -fuzz '^FuzzKMeansFastSlow$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
@@ -109,7 +109,7 @@ bench-test:
 	cd bench && go test ./...
 
 # Stateless vs durable Analyze (recording included; the durable run is
-# the same pipeline plus its recovery point — pinball and graph published
+# the same pipeline plus its recovery point — pinball and block log published
 # once — cold in a fresh temp dir every iteration). Feeds
 # BENCH_analyze.json.
 bench-analyze:

@@ -23,11 +23,11 @@
 // whatever is left — each request still gets its own answer — and exits 0.
 //
 // Crash recovery: with -progress-dir set, each analysis's recording and
-// graph and every finished region simulation are saved durably as jobs
-// run. Shutdown is crash-only: after a SIGTERM or a SIGKILL alike, a
-// restarted daemon keeps nothing but that directory, and the caller
-// resubmits — a job stopped after its recording resumes without recording
-// again (one replay of the saved recording feeds its profile), and
+// block-event log and every finished region simulation are saved durably
+// as jobs run. Shutdown is crash-only: after a SIGTERM or a SIGKILL alike,
+// a restarted daemon keeps nothing but that directory, and the caller
+// resubmits — a job stopped after its recording resumes without executing
+// the program again (the saved log feeds its graph and profile), and
 // re-simulates only the regions it had not finished.
 package main
 
@@ -59,7 +59,7 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", serve.DefaultMaxDeadline, "cap on client-requested deadlines")
 		drainDL     = flag.Duration("drain-deadline", serve.DefaultDrainDeadline, "SIGTERM drain bound before unfinished jobs are cancelled")
 
-		progressDir = flag.String("progress-dir", "", "durable progress directory: each analysis's recording and graph and every finished region simulation persist here, and a restarted daemon resumes from them instead of redoing the work (empty disables)")
+		progressDir = flag.String("progress-dir", "", "durable progress directory: each analysis's recording and block log and every finished region simulation persist here, and a restarted daemon resumes from them instead of redoing the work (empty disables)")
 
 		brFailures = flag.Int("breaker-failures", serve.DefaultFailureThreshold, "consecutive failures that trip a job class's circuit breaker")
 		brOpen     = flag.Duration("breaker-open", serve.DefaultOpenFor, "how long a tripped breaker holds open before probing")

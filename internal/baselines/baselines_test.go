@@ -206,3 +206,9 @@ func TestSimCostModel(t *testing.T) {
 		t.Error("time-based cost below pure fast-forward floor")
 	}
 }
+
+// SampledSerialTime returns the seconds to simulate all sampled regions
+// back to back.
+func (c SimCostModel) SampledSerialTime(totalSampled float64) float64 {
+	return totalSampled / (c.DetailKIPS * 1e3)
+}

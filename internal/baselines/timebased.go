@@ -53,9 +53,3 @@ func (c SimCostModel) TimeBasedTime(totalInstrs, detailFraction float64) float64
 func (c SimCostModel) SampledParallelTime(largestRegion float64) float64 {
 	return largestRegion / (c.DetailKIPS * 1e3)
 }
-
-// SampledSerialTime returns the seconds to simulate all sampled regions
-// back to back.
-func (c SimCostModel) SampledSerialTime(totalSampled float64) float64 {
-	return totalSampled / (c.DetailKIPS * 1e3)
-}

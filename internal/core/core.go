@@ -69,14 +69,14 @@ type Config struct {
 	// width; only host time changes.
 	ClusterWorkers int
 	// ProgressDir enables durable progress (crash-only workers): Analyze
-	// publishes the recording and its graph, checksummed, the moment the
-	// recording ends, and region simulation stores every completed
-	// region, all under this directory and named by their content (the
-	// program's checksum and the analysis knobs). A killed job restarted
-	// over the same directory — or any job over the same program and
-	// knobs — re-derives its profile from the saved recording without
-	// recording again, byte-identically, and re-simulates only unfinished
-	// regions. Empty disables.
+	// publishes the recording and its block-event log, checksummed, the
+	// moment the recording ends, and region simulation stores every
+	// completed region, all under this directory and named by their content
+	// (the program's checksum and the analysis knobs). A killed job
+	// restarted over the same directory — or any job over the same program
+	// and knobs — re-derives its graph and profile from the saved log without
+	// executing the program again, byte-identically, and re-simulates only
+	// unfinished regions. Empty disables.
 	ProgressDir string
 	// Progress, when set, receives durable-progress counters — saves,
 	// recoveries, steps those recoveries skipped — shared across every job
@@ -152,11 +152,10 @@ type Analysis struct {
 // (the builder rides the recording machine on the block tier) and logs its
 // block events (exec.BlockLog); once the finished graph has named the loop
 // boundaries, the log is played into a single bbv.Collector, which gathers
-// sliced, spin-filtered vectors. With Config.ProgressDir set the recording
-// and its graph are published as the job's recovery point before the log is
-// played, and a restart that finds them records nothing again: it feeds the
-// same collector from one constrained replay of the saved recording instead
-// (see progress.go — a resumed process has the pinball but no log).
+// sliced, spin-filtered vectors. With Config.ProgressDir set the pinball and
+// the log are published as the job's recovery point before the log is
+// played, and a restart that finds them executes nothing again: it plays the
+// saved log into a fresh builder and then into the collector (progress.go).
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
 	dp := openProgress(prog, &cfg)
@@ -176,10 +175,10 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 
 // recordPass records the whole-program pinball with the DCFG builder and
 // the block-event log riding the recording machine on the block tier,
-// publishes the two as dp's recovery point (a nil dp saves nothing) and
-// returns the BBV pass the finished graph defines, its collector not yet
-// fed. The save sits here, ahead of everything that reads the log, so a
-// kill at any later point finds it on disk.
+// publishes the pinball and the log as dp's recovery point (a nil dp saves
+// nothing) and returns the BBV pass the finished graph defines, its
+// collector not yet fed. The save sits here, ahead of every Play, so a kill
+// at any later point finds it on disk.
 func recordPass(prog *isa.Program, cfg *Config, dp *progressLog, log *exec.BlockLog) (*bbvPass, error) {
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
 	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
@@ -189,9 +188,8 @@ func recordPass(prog *isa.Program, cfg *Config, dp *progressLog, log *exec.Block
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
-	g := db.Graph()
-	dp.save(pb, g)
-	return newBBVPass(prog, cfg, pb, g)
+	dp.save(pb, log)
+	return newBBVPass(prog, cfg, pb, db.Graph())
 }
 
 // sliceTargetFor returns the global filtered-instruction budget per
@@ -202,9 +200,9 @@ func sliceTargetFor(prog *isa.Program, cfg *Config) uint64 {
 
 // markersAndModulus derives everything the BBV pass needs from the
 // whole-run DCFG — the loop table, the marker set and the per-marker
-// hit-count moduli. A resumed job re-derives them from its restored graph
-// through this same function, so marker choice can never differ between a
-// fresh and a resumed run.
+// hit-count moduli. A resumed job re-derives them from the graph its saved
+// log rebuilds, through this same function, so marker choice can never
+// differ between a fresh and a resumed run.
 func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*dcfg.LoopTable, []uint64, map[uint64]uint64, error) {
 	loops := g.FindLoops()
 	sliceTarget := sliceTargetFor(prog, cfg)
@@ -234,7 +232,7 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 
 // bbvPass is the BBV pass between its two halves: the analysis it is
 // filling in and the one Collector, fed by the recording's block-event log
-// or, on a resume, by a replay of the saved recording.
+// (on a resume, the log saved beside the recording).
 type bbvPass struct {
 	a   *Analysis // Profile is set by finish
 	col *bbv.Collector

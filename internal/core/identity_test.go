@@ -2,14 +2,12 @@ package core
 
 import (
 	"bytes"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
-	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
@@ -112,13 +110,11 @@ func variableSlices(c *Config) {
 }
 
 // TestAnalyzeIdentityMatrix is the tentpole pin: there is one Collector,
-// and however it is fed — from the recording run's block-event log
-// (stateless, and cold with durable progress on), or from a constrained
-// replay of the saved recording by a restart that found the recovery point
-// on disk — Profile, Graph, Loops and Markers are DeepEqual to the reference
-// built on the OnInstr oracle graph and a per-instruction replay. The resume
-// is the product's one replay-fed collector, so the matrix is a standing
-// differential test of log-fed against replay-fed collection.
+// and whichever log feeds it — the recording run's own (stateless, and cold
+// with durable progress on), or the one a restart that found the recovery
+// point on disk decoded, which also rebuilds the graph — Profile, Graph,
+// Loops and Markers are DeepEqual to the reference built on the OnInstr
+// oracle graph and a per-instruction replay.
 func TestAnalyzeIdentityMatrix(t *testing.T) {
 	for name, p := range parallelTestPrograms() {
 		for cname, mutate := range identityConfigs() {
@@ -168,46 +164,6 @@ func TestAnalyzeIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestBBVPassVerifiesFinalChecksum: a saved recording whose final memory
-// checksum is wrong — sealed in a valid envelope, so only replaying it to
-// the end can tell — is rejected by the resume: one ladder fall, the pinball
-// deleted, and the analysis re-recorded correctly. (The log-fed pass reads
-// the recording run's own events and replays nothing, so it has no final
-// state to check.)
-func TestBBVPassVerifiesFinalChecksum(t *testing.T) {
-	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := durableConfig(t.TempDir())
-	want, err := Analyze(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pbPath, graphPath := recoveryPoint(p, cfg)
-	pb, err := pinball.Load(pbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb.FinalChecksum ^= 1
-	if err := os.WriteFile(pbPath, pb.AppendBinary(nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Progress = &ProgressStats{}
-	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
-		faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))()
-	got, err := Analyze(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analysisEquals(t, "re-recorded", got, want)
-	if _, _, recoveries, stepsSaved, falls := cfg.Progress.Snapshot(); recoveries != 0 || stepsSaved != 0 || falls != 1 {
-		t.Fatalf("recoveries=%d steps_saved=%d ladder_falls=%d: the resume accepted a recording that does not end on its checksum",
-			recoveries, stepsSaved, falls)
-	}
-	if exists(t, pbPath) || !exists(t, graphPath) {
-		t.Fatal("the pinball that failed its final checksum must be deleted, and only it")
-	}
-}
-
 // TestAnalyzePublicMatchesOracle pins the public entry point's recording:
 // attaching the DCFG builder to the recording machine leaves the pinball
 // byte-identical to a bare recording.
@@ -225,13 +181,14 @@ func TestAnalyzePublicMatchesOracle(t *testing.T) {
 }
 
 // TestStatelessAnalyzeReplaysNothing pins that Analyze executes the program
-// once, with durable progress off or on, and that a resume replays the saved
-// recording once and executes nothing else. Executions are counted by what
-// each one must allocate: a machine's memory and one snapshot of it (the
-// recording's start; a resume decodes the start snapshot and restores it into
-// a machine), on a program given 8 MB of memory so that nothing else Analyze
+// once, with durable progress off or on, and that a resume executes nothing:
+// it plays the saved block log. Executions are counted by what each one must
+// allocate: a machine's memory and one snapshot of it (the recording's
+// start), on a program given 8 MB of memory so that nothing else Analyze
 // allocates comes near one of those. A cold durable run allocates a third
-// such block: the encoded pinball it publishes.
+// such block: the encoded pinball it publishes. A resume allocates two: the
+// pinball file it reads and the start snapshot decoded from it; a replay
+// would add a third, the machine.
 func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	p.MemWords += 1 << 20
@@ -254,8 +211,8 @@ func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
 		t.Errorf("cold durable Analyze allocated %d bytes, %.2f machine memories; want the recording's two, the encoded pinball and no replay's",
 			got, float64(got)/float64(machine))
 	}
-	if got := allocated(durable); got >= 4*machine {
-		t.Errorf("resumed Analyze allocated %d bytes, %.2f machine memories; want no more than one replay's (file, decoded snapshot, machine)",
+	if got := allocated(durable); got >= 5*machine/2 {
+		t.Errorf("resumed Analyze allocated %d bytes, %.2f machine memories; want the pinball file and its decoded snapshot and no machine",
 			got, float64(got)/float64(machine))
 	}
 	if saves, _, recoveries, _, _ := durable.Progress.Snapshot(); saves != 1 || recoveries != 1 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,37 +9,39 @@ import (
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/dcfg"
+	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
 )
 
 // Durable analysis progress (crash-only workers): one recovery point, two
-// rungs. With Config.ProgressDir set, Analyze publishes both products of
-// the recording run the moment it ends, before the BBV pass reads the
-// block-event log: the pinball in its own checksummed envelope
-// (<key>.pinball) and then the finished DCFG (<key>.graph, a checksummed
-// JSON record carrying the recording's length). Both are named by the
-// analysis's content address (analysisKey), so a job finds exactly the
-// recovery point of its own program and knobs, and no file carries a
-// header, fingerprint or version to compare. Every later pass is a
-// deterministic function of that pair, so a worker SIGKILLed after the
-// recording resumes from it without recording again: the restart loads and
-// validates the pair and feeds a fresh Collector — configured exactly as a
-// cold run's — from one constrained replay of the pinball, which verifies
-// the recording's final memory checksum. The resumed profile is
-// byte-identical to an uninterrupted run's (the analysis identity matrix
+// files. With Config.ProgressDir set, Analyze publishes the recording run's
+// two products the moment it ends, before its block-event log is played:
+// the pinball in its own checksummed envelope (<key>.pinball) and then the
+// log itself (<key>.log, exec.BlockLog.AppendBinary: the records and an
+// FNV-1a trailer). Both are named by the analysis's content address
+// (analysisKey), so a job finds exactly the recovery point of its own
+// program and knobs, and no file carries a header, fingerprint or version to
+// compare. The DCFG and the profile are deterministic functions of the log,
+// so a worker SIGKILLed after the recording resumes from the pair without
+// executing the program again: the restart loads both, checks the log
+// against the program and the pinball's schedule (exec.DecodeBlockLog), and
+// plays it into a fresh dcfg.Builder and then into a collector configured
+// from that graph — the OnBlock calls a cold run makes. The resumed profile
+// is byte-identical to an uninterrupted run's (the analysis identity matrix
 // and the kill drills).
 //
 // Recovery ladder (never wedges a job):
 //
-//	saved pinball + graph → re-record
+//	saved pinball + log → re-record
 //
 // Any failure on the top rung — a missing half, a torn write, bit rot, a
-// pinball of another program, a graph of another recording, a replay that
-// does not end on the recorded checksum — counts a ladder fall and falls
-// to recording; a file whose bytes are proven bad is deleted so it cannot
-// re-fail every restart, one that merely failed to read is left in place. The graph is written last:
+// pinball of another program, a log of another recording (a block, thread
+// or count no event of this program has, or an interleaving that is not the
+// pinball's schedule) — counts a ladder fall and falls to recording; a file
+// whose bytes are proven bad is deleted so it cannot re-fail every restart,
+// one that merely failed to read is left in place. The log is written last:
 // it is the commit record, and a kill between the two writes leaves a
 // pinball nobody resumes from. Saves are best-effort: a failed save
 // (injection site "core.progress.save", disk trouble) costs resumability,
@@ -86,7 +87,7 @@ func (s *ProgressStats) countLadderFall() {
 // Snapshot returns the current counter values: durable saves (one per
 // analysis recovery point, one per stored region), failed saves,
 // successful recoveries, the work those recoveries skipped (the schedule
-// steps of the recording a resumed analysis did not record again, plus
+// steps of the recording a resumed analysis did not execute again, plus
 // instructions of region simulations served from the store), and
 // recovery-ladder falls (progress files rejected as torn, corrupt or of
 // another program).
@@ -110,14 +111,6 @@ func analysisKey(prog *isa.Program, cfg *Config) string {
 		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter, cfg.VariableSlices))
 }
 
-// graphRecord is the JSON record of <key>.graph: the finished DCFG (loops
-// and markers are re-derived from it on resume — they are deterministic
-// functions of it) and the length of the recording it was built on.
-type graphRecord struct {
-	Total uint64 // schedule steps of the recording the graph was built on
-	Graph *dcfg.GraphState
-}
-
 // progressLog is one job's recovery point: the path its two files share
 // and the counters they report to.
 type progressLog struct {
@@ -126,7 +119,7 @@ type progressLog struct {
 }
 
 func (dp *progressLog) pinballPath() string { return dp.base + ".pinball" }
-func (dp *progressLog) graphPath() string   { return dp.base + ".graph" }
+func (dp *progressLog) logPath() string     { return dp.base + ".log" }
 
 // openProgress returns the job's recovery point, or nil with durable
 // progress off.
@@ -139,35 +132,33 @@ func openProgress(prog *isa.Program, cfg *Config) *progressLog {
 
 // save publishes the recovery point and counts the outcome. Best-effort: a
 // failure costs resumability, never the analysis.
-func (dp *progressLog) save(pb *pinball.Pinball, g *dcfg.Graph) {
+func (dp *progressLog) save(pb *pinball.Pinball, log *exec.BlockLog) {
 	if dp == nil {
 		return
 	}
-	if err := dp.publish(pb, g); err != nil {
+	if err := dp.publish(pb, log); err != nil {
 		dp.ps.countSaveFailure()
 		return
 	}
 	dp.ps.countSave()
 }
 
-// publish writes the pinball, then the graph record as a checksummed
-// envelope file; the graph is never written without its pinball.
-func (dp *progressLog) publish(pb *pinball.Pinball, g *dcfg.Graph) error {
-	rec, err := json.Marshal(graphRecord{Total: pb.Schedule.Steps(), Graph: g.State()})
-	if err != nil {
-		return err
-	}
+// publish writes the pinball, then the log; the log is never written
+// without its pinball.
+func (dp *progressLog) publish(pb *pinball.Pinball, log *exec.BlockLog) error {
 	if err := os.MkdirAll(filepath.Dir(dp.base), 0o755); err != nil {
 		return err
 	}
-	data := pb.AppendBinary(nil)
-	if err := saveFault(data); err != nil {
+	write := func(path string, data []byte) error {
+		if err := saveFault(data); err != nil {
+			return err
+		}
+		return artifact.WriteFileDurable(path, data)
+	}
+	if err := write(dp.pinballPath(), pb.AppendBinary(nil)); err != nil {
 		return err
 	}
-	if err := artifact.WriteFileDurable(dp.pinballPath(), data); err != nil {
-		return err
-	}
-	return artifact.WriteChecksummedFile(dp.graphPath(), rec, saveFault)
+	return write(dp.logPath(), log.AppendBinary(nil))
 }
 
 // saveFault and loadFault are the fault seams every durable-progress byte
@@ -193,8 +184,8 @@ func progressFault(site string, b []byte) error {
 // Transient, I/O trouble) is left in place.
 func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
 	_, pbErr := os.Stat(dp.pinballPath())
-	_, gErr := os.Stat(dp.graphPath())
-	if errors.Is(pbErr, os.ErrNotExist) && errors.Is(gErr, os.ErrNotExist) {
+	_, logErr := os.Stat(dp.logPath())
+	if errors.Is(pbErr, os.ErrNotExist) && errors.Is(logErr, os.ErrNotExist) {
 		return nil
 	}
 	pass, blamed, err := dp.restore(prog, cfg)
@@ -209,19 +200,20 @@ func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
 	return nil
 }
 
-// restore loads the saved pair, validates it against the program and each
-// other, and feeds a fresh collector from one constrained replay of the
-// pinball, which verifies the recording's final memory checksum. On failure
-// it names the file at fault; validation failures wrap artifact.ErrCorrupt.
+// restore loads the saved pair, checks the log against the program and the
+// pinball's schedule, and plays it into a fresh DCFG builder and then into
+// the collector that graph configures. On failure it names the file at
+// fault; validation failures wrap artifact.ErrCorrupt.
 func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string, error) {
+	read := func(path string) ([]byte, error) {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = loadFault(data)
+		}
+		return data, err
+	}
 	blamed := dp.pinballPath()
-	corrupt := func(err error) error {
-		return fmt.Errorf("core: progress file %s: %v: %w", blamed, err, artifact.ErrCorrupt)
-	}
-	data, err := os.ReadFile(blamed)
-	if err == nil {
-		err = loadFault(data)
-	}
+	data, err := read(blamed)
 	if err != nil {
 		return nil, blamed, err
 	}
@@ -230,38 +222,28 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 		return nil, blamed, err
 	}
 	if pb.Name != prog.Name || pb.NumThreads != prog.NumThreads() {
-		return nil, blamed, corrupt(fmt.Errorf("records %s on %d threads", pb.Name, pb.NumThreads))
+		return nil, blamed, fmt.Errorf("core: progress file %s records %s on %d threads: %w", blamed, pb.Name, pb.NumThreads, artifact.ErrCorrupt)
 	}
 	if err := pb.Verify(); err != nil {
 		return nil, blamed, err
 	}
 
-	blamed = dp.graphPath()
-	rec, err := artifact.ReadChecksummedFile(blamed, loadFault)
+	blamed = dp.logPath()
+	if data, err = read(blamed); err != nil {
+		return nil, blamed, err
+	}
+	log, err := exec.DecodeBlockLog(prog, pb.Schedule, data)
 	if err != nil {
 		return nil, blamed, err
 	}
-	var st graphRecord
-	if json.Unmarshal(rec, &st) != nil {
-		return nil, blamed, corrupt(errors.New("graph record does not parse"))
-	}
-	if total := pb.Schedule.Steps(); st.Total != total || st.Graph == nil {
-		return nil, blamed, corrupt(fmt.Errorf("is the graph of a %d-step recording, not of %d steps", st.Total, total))
-	}
-	g, err := dcfg.RestoreGraph(prog, st.Graph)
+	// The builder rode the recording beside the log with no break PC, so
+	// the log played into it alone is the stream it saw.
+	db := dcfg.NewBuilder(prog, prog.NumThreads())
+	log.Play(db)
+	pass, err := newBBVPass(prog, cfg, pb, db.Graph())
 	if err != nil {
-		return nil, blamed, corrupt(err)
+		return nil, blamed, fmt.Errorf("core: progress file %s: %v: %w", blamed, err, artifact.ErrCorrupt)
 	}
-	pass, err := newBBVPass(prog, cfg, pb, g)
-	if err != nil {
-		return nil, blamed, corrupt(err)
-	}
-
-	// The collector implements exec.BlockObserver, so the replay drives it
-	// on the block-batched tier.
-	if _, err := pb.Replay(prog, pass.col); err != nil {
-		blamed = dp.pinballPath()
-		return nil, blamed, corrupt(err)
-	}
+	log.Play(pass.col)
 	return pass, "", nil
 }

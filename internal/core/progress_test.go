@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"looppoint/internal/artifact"
 	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
@@ -30,10 +29,10 @@ func durableConfig(dir string) Config {
 }
 
 // recoveryPoint names the two files of the job's recovery point.
-func recoveryPoint(p *isa.Program, cfg Config) (pinballPath, graphPath string) {
+func recoveryPoint(p *isa.Program, cfg Config) (pinballPath, logPath string) {
 	cfg.fill()
 	dp := openProgress(p, &cfg)
-	return dp.pinballPath(), dp.graphPath()
+	return dp.pinballPath(), dp.logPath()
 }
 
 func exists(t *testing.T, path string) bool {
@@ -66,7 +65,7 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) {
 // TestAnalyzeDurableResumeAfterKill is the chaos drill, at the places a
 // kill can differ. Killed at the save site before anything is durable, or
 // between the two writes (the pinball is on disk, its commit record — the
-// graph — is not), the restart records again. Killed once the pair is
+// log — is not), the restart records again. Killed once the pair is
 // published — recordPass has returned, nothing of the BBV pass has run —
 // the restart records nothing again and reports the recording's whole schedule
 // as steps saved. Every restart is byte-identical to the per-instruction
@@ -98,18 +97,18 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	}
 
 	cfg := durableConfig(t.TempDir())
-	pbPath, graphPath := recoveryPoint(p, cfg)
+	pbPath, logPath := recoveryPoint(p, cfg)
 	crashAnalyze(t, p, cfg, 0)
-	if exists(t, pbPath) || exists(t, graphPath) {
+	if exists(t, pbPath) || exists(t, logPath) {
 		t.Fatal("a kill at the first durable write left a file behind")
 	}
 	restart(cfg, "kill before anything is durable", 0, 0)
 
 	cfg = durableConfig(t.TempDir())
-	pbPath, graphPath = recoveryPoint(p, cfg)
+	pbPath, logPath = recoveryPoint(p, cfg)
 	crashAnalyze(t, p, cfg, 1)
-	if !exists(t, pbPath) || exists(t, graphPath) {
-		t.Fatal("a kill between the two writes must find the pinball durable and no graph: the graph is the commit record")
+	if !exists(t, pbPath) || exists(t, logPath) {
+		t.Fatal("a kill between the two writes must find the pinball durable and no log: the log is the commit record")
 	}
 	restart(cfg, "kill between the two writes", 0, 1)
 
@@ -136,26 +135,6 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
 
-	// rewriteGraph edits the graph record and re-seals its envelope, so the
-	// edit reaches the validation behind the checksum.
-	rewriteGraph := func(t *testing.T, path string, edit func(*graphRecord)) {
-		t.Helper()
-		rec, err := artifact.ReadChecksummedFile(path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st graphRecord
-		if err := json.Unmarshal(rec, &st); err != nil {
-			t.Fatal(err)
-		}
-		edit(&st)
-		if rec, err = json.Marshal(st); err != nil {
-			t.Fatal(err)
-		}
-		if err := artifact.WriteChecksummedFile(path, rec, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	mangle := func(t *testing.T, path string, f func([]byte) []byte) {
 		t.Helper()
 		data, err := os.ReadFile(path)
@@ -171,38 +150,67 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 
 	type damage struct {
 		name string
-		do   func(t *testing.T, pbPath, graphPath string)
+		do   func(t *testing.T, pbPath, logPath string)
 		// gone is the suffix of the file the ladder must delete ("" =
 		// neither: an orphan's bytes are not proven bad).
 		gone string
 	}
-	const pinballFile, graphFile, neither = ".pinball", ".graph", ""
+	const pinballFile, logFile, neither = ".pinball", ".log", ""
 	for _, d := range []damage{
 		{"pinball truncated", func(t *testing.T, pb, _ string) { mangle(t, pb, truncate) }, pinballFile},
 		{"pinball bit flipped", func(t *testing.T, pb, _ string) { mangle(t, pb, flip) }, pinballFile},
-		{"graph truncated", func(t *testing.T, _, g string) { mangle(t, g, truncate) }, graphFile},
-		{"graph bit flipped", func(t *testing.T, _, g string) { mangle(t, g, flip) }, graphFile},
-		{"graph of another program copied under this key", func(t *testing.T, _, g string) {
+		{"log truncated", func(t *testing.T, _, l string) { mangle(t, l, truncate) }, logFile},
+		{"log bit flipped", func(t *testing.T, _, l string) { mangle(t, l, flip) }, logFile},
+		{"log of another program copied under this key", func(t *testing.T, _, l string) {
 			other := testprog.Phased(4, 3, 40, omp.Passive)
 			cfg := durableConfig(t.TempDir())
 			if _, err := Analyze(other, cfg); err != nil {
 				t.Fatal(err)
 			}
-			_, otherGraph := recoveryPoint(other, cfg)
-			data, err := os.ReadFile(otherGraph)
+			_, otherLog := recoveryPoint(other, cfg)
+			data, err := os.ReadFile(otherLog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(g, data, 0o644); err != nil {
+			if err := os.WriteFile(l, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, graphFile},
-		{"graph Total disagrees with the pinball", func(t *testing.T, _, g string) {
-			rewriteGraph(t, g, func(st *graphRecord) { st.Total++ })
-		}, graphFile},
-		{"graph references a block outside the program", func(t *testing.T, _, g string) {
-			rewriteGraph(t, g, func(st *graphRecord) { st.Graph.Edges[0].To = 1 << 30 })
-		}, graphFile},
+		}, logFile},
+		{"log names a block outside the program", func(t *testing.T, pb, l string) {
+			resealLog(t, p, pb, l, func(evs []exec.BlockEvent) []exec.BlockEvent {
+				outside := *evs[0].Block
+				outside.Global = p.NumBlocks()
+				evs[0].Block = &outside
+				return evs
+			})
+		}, logFile},
+		{"log interleaving unlike the pinball", func(t *testing.T, pb, l string) {
+			// Swap the first two neighbouring events of different threads:
+			// each thread's own stream stays what it was.
+			resealLog(t, p, pb, l, func(evs []exec.BlockEvent) []exec.BlockEvent {
+				for i := 1; i < len(evs); i++ {
+					if evs[i].Tid != evs[i-1].Tid {
+						evs[i-1], evs[i] = evs[i], evs[i-1]
+						return evs
+					}
+				}
+				t.Fatal("the log never switches threads")
+				return nil
+			})
+		}, logFile},
+		{"log ends short of the pinball", func(t *testing.T, pb, l string) {
+			// Drop the last event that retired anything, and what follows
+			// it: every record left is one the pinball's schedule runs.
+			resealLog(t, p, pb, l, func(evs []exec.BlockEvent) []exec.BlockEvent {
+				for i := len(evs) - 1; i >= 0; i-- {
+					if evs[i].Instrs > 0 {
+						return evs[:i]
+					}
+				}
+				t.Fatal("the log retires nothing")
+				return nil
+			})
+		}, logFile},
 		{"pinball of another program", func(t *testing.T, pb, _ string) {
 			other, err := pinball.Record(testprog.Phased(4, 3, 40, omp.Passive), 5, 0)
 			if err != nil {
@@ -213,22 +221,22 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, pinballFile},
-		{"pinball without graph", func(t *testing.T, _, g string) { os.Remove(g) }, neither},
-		{"graph without pinball", func(t *testing.T, pb, _ string) { os.Remove(pb) }, neither},
+		{"pinball without log", func(t *testing.T, _, l string) { os.Remove(l) }, neither},
+		{"log without pinball", func(t *testing.T, pb, _ string) { os.Remove(pb) }, neither},
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			cfg := durableConfig(t.TempDir())
 			if _, err := Analyze(p, cfg); err != nil {
 				t.Fatal(err)
 			}
-			pbPath, graphPath := recoveryPoint(p, cfg)
-			d.do(t, pbPath, graphPath)
+			pbPath, logPath := recoveryPoint(p, cfg)
+			d.do(t, pbPath, logPath)
 			// The crash-between-write-and-rename artifact, which loaders
 			// must ignore.
-			if err := os.WriteFile(graphPath+".tmp123", []byte("torn temp write"), 0o644); err != nil {
+			if err := os.WriteFile(logPath+".tmp123", []byte("torn temp write"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			hadPinball, hadGraph := exists(t, pbPath), exists(t, graphPath)
+			hadPinball, hadLog := exists(t, pbPath), exists(t, logPath)
 
 			cfg.Progress = &ProgressStats{}
 			restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
@@ -243,9 +251,9 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 				t.Fatalf("recoveries=%d ladder_falls=%d, want 0 and 1", recoveries, falls)
 			}
 			deleted := func(path string) bool { return d.gone != "" && strings.HasSuffix(path, d.gone) }
-			if exists(t, pbPath) != (hadPinball && !deleted(pbPath)) || exists(t, graphPath) != (hadGraph && !deleted(graphPath)) {
-				t.Fatalf("after the fall: pinball present=%v graph present=%v, want only %q deleted",
-					exists(t, pbPath), exists(t, graphPath), d.gone)
+			if exists(t, pbPath) != (hadPinball && !deleted(pbPath)) || exists(t, logPath) != (hadLog && !deleted(logPath)) {
+				t.Fatalf("after the fall: pinball present=%v log present=%v, want only %q deleted",
+					exists(t, pbPath), exists(t, logPath), d.gone)
 			}
 
 			// With saves working again the next start is clean: the
@@ -267,6 +275,35 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	}
 }
 
+// resealLog rewrites the saved log at logPath as a genuine log would be
+// written — checksum and all — with the events edit returns, so the edit
+// reaches the checks behind the checksum.
+func resealLog(t *testing.T, p *isa.Program, pbPath, logPath string, edit func([]exec.BlockEvent) []exec.BlockEvent) {
+	t.Helper()
+	pb, err := pinball.Load(pbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := exec.DecodeBlockLog(p, pb.Schedule, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []exec.BlockEvent
+	log.Play(exec.BlockObserverFunc(func(ev *exec.BlockEvent) { evs = append(evs, *ev) }))
+	evs = edit(evs)
+	resealed := exec.NewBlockLog(p)
+	for i := range evs {
+		resealed.OnBlock(&evs[i])
+	}
+	if err := os.WriteFile(logPath, resealed.AppendBinary(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAnalyzeDurableSaveFaultNonFatal: every save failing (injected
 // Transient) costs resumability, never the analysis itself.
 func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
@@ -284,7 +321,7 @@ func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 	if saves != 0 || fails == 0 {
 		t.Fatalf("saves=%d fails=%d under a Rate-1 Transient", saves, fails)
 	}
-	if pbPath, graphPath := recoveryPoint(p, cfg); exists(t, pbPath) || exists(t, graphPath) {
+	if pbPath, logPath := recoveryPoint(p, cfg); exists(t, pbPath) || exists(t, logPath) {
 		t.Fatal("recovery-point files written despite save faults")
 	}
 }
@@ -300,9 +337,9 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	if _, err := Analyze(p, cfg); err != nil {
 		t.Fatal(err)
 	}
-	pbPath, graphPath := recoveryPoint(p, cfg)
+	pbPath, logPath := recoveryPoint(p, cfg)
 	// After: 0 faults the pinball's read, After: 1 lets it through and
-	// faults the graph's.
+	// faults the log's.
 	for after := uint64(0); after < 2; after++ {
 		cfg.Progress = &ProgressStats{}
 		restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
@@ -317,7 +354,7 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 		if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 0 || falls != 1 {
 			t.Fatalf("recoveries=%d ladder_falls=%d under a load fault on read %d", recoveries, falls, after)
 		}
-		if !exists(t, pbPath) || !exists(t, graphPath) {
+		if !exists(t, pbPath) || !exists(t, logPath) {
 			t.Fatalf("a file that merely failed to read (read %d) was deleted", after)
 		}
 	}

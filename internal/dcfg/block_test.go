@@ -15,8 +15,9 @@ import (
 )
 
 type recording struct {
-	prog *isa.Program
-	pb   *pinball.Pinball
+	prog       *isa.Program
+	pb         *pinball.Pinball
+	seed, flow uint64 // what pb was recorded with
 }
 
 func testRecordings(t *testing.T) map[string]recording {
@@ -36,7 +37,7 @@ func testRecordings(t *testing.T) map[string]recording {
 		if err != nil {
 			t.Fatalf("%s: %v", rec.name, err)
 		}
-		out[rec.name] = recording{rec.prog, pb}
+		out[rec.name] = recording{rec.prog, pb, rec.seed, rec.flow}
 	}
 	return out
 }
@@ -246,6 +247,34 @@ func TestBlockTierMatchesInstrOracle(t *testing.T) {
 		if n == 0 {
 			t.Errorf("the suite never produced an event with %s", name)
 		}
+	}
+}
+
+// TestGraphStateRoundTrip pins the graph's saved state round trip exact: the
+// block log that rode the recording beside the builder, saved
+// (AppendBinary), decoded against the pinball's schedule and played into a
+// fresh builder, rebuilds a graph DeepEqual to the one built on the
+// recording, including Node.Out/In insertion order and the unexported edge
+// map. A resumed analysis rebuilds its graph this way.
+func TestGraphStateRoundTrip(t *testing.T) {
+	for name, w := range testRecordings(t) {
+		t.Run(name, func(t *testing.T) {
+			log := exec.NewBlockLog(w.prog)
+			db := NewBuilder(w.prog, w.prog.NumThreads())
+			pb, err := pinball.RecordWithOptions(w.prog, w.seed, exec.RunOpts{FlowWindow: w.flow}, log, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved, err := exec.DecodeBlockLog(w.prog, pb.Schedule, log.AppendBinary(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := NewBuilder(w.prog, w.prog.NumThreads())
+			saved.Play(restored)
+			if !reflect.DeepEqual(restored.Graph(), db.Graph()) {
+				t.Fatal("graph rebuilt from the saved log differs from the one built on the recording")
+			}
+		})
 	}
 }
 

@@ -156,8 +156,13 @@ func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	// An event that enters nothing resumes the block the thread is in
 	// (after a budget or break-PC split, a futex wake, or a return to the
 	// call site), so the cursor is already its node — the builder, like
-	// OnInstr, must watch a thread from a block entry on.
+	// OnInstr, must watch a thread from a block entry on. An event that
+	// resumes a thread it is not watching (no run has one; a saved log
+	// decoded on a resume may) adds nothing.
 	n := b.cur[tid]
+	if ev.Entries == 0 && n == nil {
+		return
+	}
 	if ev.Entries > 0 {
 		prev := n
 		if n = b.nodes[blk.Global]; n == nil {

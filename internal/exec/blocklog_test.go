@@ -1,8 +1,10 @@
 package exec_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"looppoint/internal/exec"
@@ -78,7 +80,8 @@ func (s *instrStream) OnBlock(ev *exec.BlockEvent) {
 // differently (the recorder merges back-to-back quanta of one thread, so
 // the replay coalesces across boundaries the recording split at), hence the
 // per-instruction comparison; the break-PC contract is checked on the
-// events of both.
+// events of both. The log's saved form (AppendBinary, DecodeBlockLog) and a
+// second Play of the same log must each reproduce the first Play exactly.
 func TestBlockLogPlayMatchesReplay(t *testing.T) {
 	progs := map[string]*isa.Program{"phased": testprog.Phased(4, 3, 40, omp.Passive)}
 	for _, spec := range workloads.All() {
@@ -101,7 +104,8 @@ func TestBlockLogPlayMatchesReplay(t *testing.T) {
 				third = append(third, blk.Addr)
 			}
 		}
-		// Play empties a log, so the one recording run keeps one per set.
+		// One log per set, so each set's first Play is a fresh log's; the
+		// saved-form round trip and a second Play then reuse it.
 		sets := map[string][]uint64{"none": nil, "third": third, "all": all}
 		logs := map[string]*exec.BlockLog{}
 		var observers []exec.BlockObserver
@@ -140,6 +144,27 @@ func TestBlockLogPlayMatchesReplay(t *testing.T) {
 			}
 			if setName == "none" {
 				resplit += played.resumedEntries
+			}
+			// The log's saved form decodes to the same bytes and plays the
+			// same stream, and so does the log itself, played again.
+			saved := logs[setName].AppendBinary(nil)
+			decoded, err := exec.DecodeBlockLog(p, pb.Schedule, saved)
+			if err != nil {
+				t.Fatalf("%s: decoding the saved log: %v", label, err)
+			}
+			if !bytes.Equal(decoded.AppendBinary(nil), saved) {
+				t.Fatalf("%s: the decoded log saves to other bytes", label)
+			}
+			for _, again := range []struct {
+				name string
+				log  *exec.BlockLog
+			}{{"decoded", decoded}, {"played again", logs[setName]}} {
+				s := newInstrStream(p, breakPCs, steps)
+				again.log.Play(s)
+				if s.err != nil || s.events != played.events || !slices.Equal(s.instrs, played.instrs) {
+					t.Fatalf("%s: the %s log plays %d events (err %v) unlike the first Play's %d, or other instructions",
+						label, again.name, s.events, s.err, played.events)
+				}
 			}
 		}
 	}

@@ -73,7 +73,7 @@ type Options struct {
 	// (0: core.DefaultMinCoverage; negative: no floor).
 	MinCoverage float64
 	// ProgressDir, when set, makes every evaluation crash-only: the
-	// analysis's recording and graph, and every completed region
+	// analysis's recording and block log, and every completed region
 	// simulation, are saved durably under this directory, and a restarted
 	// evaluation of the same key resumes from them instead of executing
 	// the program again (the -progress-dir flag; see

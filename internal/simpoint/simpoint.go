@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"looppoint/internal/bbv"
 	"looppoint/internal/pool"
@@ -443,27 +442,4 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// NearestCentroid returns the centroid index closest to v (exported for
-// invariant checking in tests).
-func NearestCentroid(v []float64, cents [][]float64) int {
-	bestJ, bestD := 0, math.Inf(1)
-	for j, c := range cents {
-		if d := sqDist(v, c); d < bestD {
-			bestJ, bestD = j, d
-		}
-	}
-	return bestJ
-}
-
-// SortedClusterSizes returns the cluster occupancy counts in descending
-// order (diagnostics).
-func (r *Result) SortedClusterSizes() []int {
-	counts := make([]int, r.K)
-	for _, a := range r.Assign {
-		counts[a]++
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	return counts
 }

@@ -2,6 +2,7 @@ package simpoint
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -240,4 +241,27 @@ func TestSortedClusterSizes(t *testing.T) {
 	if total != 30 {
 		t.Errorf("cluster sizes sum to %d, want 30", total)
 	}
+}
+
+// NearestCentroid returns the centroid index closest to v: the invariant
+// every final assignment must satisfy.
+func NearestCentroid(v []float64, cents [][]float64) int {
+	bestJ, bestD := 0, math.Inf(1)
+	for j, c := range cents {
+		if d := sqDist(v, c); d < bestD {
+			bestJ, bestD = j, d
+		}
+	}
+	return bestJ
+}
+
+// SortedClusterSizes returns the cluster occupancy counts in descending
+// order (diagnostics).
+func (r *Result) SortedClusterSizes() []int {
+	counts := make([]int, r.K)
+	for _, a := range r.Assign {
+		counts[a]++
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	return counts
 }

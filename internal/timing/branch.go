@@ -92,14 +92,6 @@ func (bp *BranchPredictor) Predict(pc uint64, taken bool) bool {
 	return correct
 }
 
-// MissRate returns mispredictions per lookup.
-func (bp *BranchPredictor) MissRate() float64 {
-	if bp.Lookups == 0 {
-		return 0
-	}
-	return float64(bp.Mispredict) / float64(bp.Lookups)
-}
-
 func satInc(v uint8) uint8 {
 	if v < 3 {
 		return v + 1

@@ -97,27 +97,6 @@ func (s *Stats) String() string {
 		s.Cycles, s.Instructions, s.IPC(), s.BranchMPKI(), s.L2MPKI(), s.L3MPKI())
 }
 
-// Accumulate adds other's counters into s (used when summing region
-// simulations; Cycles accumulate additively for serial composition).
-func (s *Stats) Accumulate(other *Stats) {
-	s.Cycles += other.Cycles
-	s.Instructions += other.Instructions
-	s.FilteredInstructions += other.FilteredInstructions
-	s.Branches += other.Branches
-	s.BranchMisses += other.BranchMisses
-	s.L1IAccesses += other.L1IAccesses
-	s.L1IMisses += other.L1IMisses
-	s.L1DAccesses += other.L1DAccesses
-	s.L1DMisses += other.L1DMisses
-	s.L2Accesses += other.L2Accesses
-	s.L2Misses += other.L2Misses
-	s.L3Accesses += other.L3Accesses
-	s.L3Misses += other.L3Misses
-	s.CoherenceInvalidations += other.CoherenceInvalidations
-	s.FutexWaits += other.FutexWaits
-	s.Stack.Add(other.Stack)
-}
-
 // IPCSample is one point of an IPC-over-time trace (Figure 4).
 type IPCSample struct {
 	Instructions uint64

@@ -431,3 +431,32 @@ func TestCPIStackAccounting(t *testing.T) {
 		t.Errorf("imbalanced active sync share %.3f implausibly low", share)
 	}
 }
+
+// MissRate returns mispredictions per lookup.
+func (bp *BranchPredictor) MissRate() float64 {
+	if bp.Lookups == 0 {
+		return 0
+	}
+	return float64(bp.Mispredict) / float64(bp.Lookups)
+}
+
+// Accumulate adds other's counters into s: the serial composition of two
+// region simulations, Cycles adding up like every other counter.
+func (s *Stats) Accumulate(other *Stats) {
+	s.Cycles += other.Cycles
+	s.Instructions += other.Instructions
+	s.FilteredInstructions += other.FilteredInstructions
+	s.Branches += other.Branches
+	s.BranchMisses += other.BranchMisses
+	s.L1IAccesses += other.L1IAccesses
+	s.L1IMisses += other.L1IMisses
+	s.L1DAccesses += other.L1DAccesses
+	s.L1DMisses += other.L1DMisses
+	s.L2Accesses += other.L2Accesses
+	s.L2Misses += other.L2Misses
+	s.L3Accesses += other.L3Accesses
+	s.L3Misses += other.L3Misses
+	s.CoherenceInvalidations += other.CoherenceInvalidations
+	s.FutexWaits += other.FutexWaits
+	s.Stack.Add(other.Stack)
+}

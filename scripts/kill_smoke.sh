@@ -127,7 +127,7 @@ await_save "$victim_base" "$victim_pid"
 kill -KILL "$victim_pid" 2>/dev/null || true
 wait "$curlpid" 2>/dev/null || true
 echo "kill-smoke: killed the worker after $SAVES durable save(s)"
-ls "$progdir" | grep -q '\.graph$' || fail "progress dir holds no recovery point after the kill"
+ls "$progdir" | grep -q '\.log$' || fail "progress dir holds no recovery point after the kill"
 
 echo "kill-smoke: restarting over the same progress dir and resubmitting"
 resume_and_compare survivor "$JOB" ref "$progdir"
