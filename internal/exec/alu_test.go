@@ -121,6 +121,82 @@ func TestFloatALU(t *testing.T) {
 	}
 }
 
+// TestFloatOpsHostIndependent pins the two float ops Go leaves to the host:
+// OpFCvtI on NaN, ±Inf and out-of-range values, and OpFMA's rounding (two,
+// never one fused). Each case runs on all three interpreter paths: Step,
+// StepBlock's leading compute run (execComputeRun), and StepBlock's
+// per-instruction switch, reached past a store.
+func TestFloatOpsHostIndependent(t *testing.T) {
+	// eval runs emit, which leaves its result in R3 (or in F3 if float),
+	// on each path and returns the result's bits from each.
+	eval := func(t *testing.T, float bool, emit func(b *isa.Block)) []uint64 {
+		var got []uint64
+		for _, pastStore := range []bool{false, true} {
+			p := isa.NewProgram("float", 1)
+			out := p.Alloc("out", 1)
+			r := p.AddImage("main", false).NewRoutine("main")
+			blk := r.NewBlock("entry")
+			if pastStore {
+				blk.IMovI(4, int64(out))
+				blk.IStore(4, 0, 4)
+			}
+			emit(blk)
+			blk.IMovI(4, int64(out))
+			if float {
+				blk.FStore(4, 0, 3)
+			} else {
+				blk.IStore(4, 0, 3)
+			}
+			blk.Halt()
+			p.SetEntry(0, r)
+			if err := p.Link(); err != nil {
+				t.Fatal(err)
+			}
+			if !pastStore && p.Blocks()[0].ALULen < 3 {
+				t.Fatal("the op is not in the block's leading compute run")
+			}
+			run, step := NewMachine(p, 1), NewMachine(p, 1)
+			if err := run.Run(RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			for step.Threads[0].State == StateRunning {
+				step.Step(0)
+			}
+			got = append(got, run.LoadWord(out), step.LoadWord(out))
+		}
+		return got
+	}
+	for _, c := range []struct {
+		f    float64
+		want int64
+	}{
+		{math.NaN(), math.MinInt64},
+		{math.Inf(1), math.MinInt64},
+		{math.Inf(-1), math.MinInt64},
+		{1 << 63, math.MinInt64},
+		{-1 << 63, math.MinInt64},
+		{1e300, math.MinInt64},
+		{-1e300, math.MinInt64},
+		{3.9, 3},
+		{-3.9, -3},
+		{math.Copysign(0, -1), 0},
+	} {
+		for i, got := range eval(t, false, func(b *isa.Block) { b.FMovI(1, c.f).FCvtI(3, 1) }) {
+			if int64(got) != c.want {
+				t.Errorf("FCvtI(%v) on path %d = %d, want %d", c.f, i, int64(got), c.want)
+			}
+		}
+	}
+	// (1+2^-30)² - (1+2^-29) is 2^-60 exactly: a fused multiply-add keeps
+	// it, the product's rounding loses it.
+	a := 1 + math.Ldexp(1, -30)
+	for i, got := range eval(t, true, func(b *isa.Block) { b.FMovI(1, a).FMovI(3, -(1+math.Ldexp(1, -29))).FMA(3, 1, 1) }) {
+		if f := math.Float64frombits(got); f != 0 {
+			t.Errorf("FMA on path %d = %v, want 0 (the product rounded before the add)", i, f)
+		}
+	}
+}
+
 func TestCmpXchgSemantics(t *testing.T) {
 	p := isa.NewProgram("cas", 1)
 	cell := p.Alloc("cell", 1)

@@ -44,11 +44,12 @@ const (
 	OpFMul
 	OpFDiv
 	OpFMov  // FDst = FA (or FImm)
-	OpFMA   // FDst = FA*FB + FDst
+	OpFMA   // FDst = FA*FB + FDst, the product rounded before the add (never fused)
 	OpFSqrt // FDst = sqrt(FA)
 	// FCmp writes 1 to integer Dst if FA cond FB else 0.
 	OpFCmp
-	// ICvtF converts integer A to float Dst; FCvtI the reverse.
+	// ICvtF converts integer A to float Dst; FCvtI the reverse, truncating
+	// toward zero, with NaN, ±Inf and out-of-range values giving MinInt64.
 	OpICvtF
 	OpFCvtI
 	// Memory: address (in words) = R[A] + Imm.
