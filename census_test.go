@@ -18,27 +18,26 @@ import (
 // entry missing here and on an entry here that is no longer test-only, so
 // the table can only shrink.
 var censusExempt = map[string]string{
-	"looppoint.Experiments":            "public library API: the harness evaluator behind lpreport",
-	"looppoint.ExportSelection":        "public library API: writes a portable selection file",
-	"internal/baselines.TimeBased":     "the periodic-sampling baseline as a whole-run call; the product reaches it through the timebased engine",
-	"internal/dcfg.LoopTable.Lookup":   "read accessor of the loop table; tests check loop headers through it",
-	"internal/exec.ExecError.Unwrap":   "called by errors.Is and errors.As through the interface",
-	"internal/exec.Machine.AddBreakPC": "marker boundary hook pinned by the block-tier break tests",
-	"internal/exec.Machine.LoadWord":   "read accessor of shared memory for tests that check program results",
-	"internal/faults.Fault.Unwrap":     "called by errors.Is and errors.As through the interface",
-	"internal/faults.Plan.Fired":       "fault-plan observability; the fault suites count firings with it",
-	"internal/isa.Block.FCmp":          "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.FCvtI":         "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.ICvtF":         "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.Nop":           "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.Xchg":          "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Op.IsWrite":          "opcode class predicate beside IsMem and IsAtomic, which the product reads",
-	"internal/isa.Program.NumInstrs":   "static size accessor beside NumBlocks, which the product reads",
-	"internal/testprog.Heterogeneous":  "test-program builder shared by several packages' tests",
-	"internal/testprog.OutAddr":        "test-program builder shared by several packages' tests",
-	"internal/testprog.Phased":         "test-program builder shared by several packages' tests",
-	"internal/testprog.WithSyscalls":   "test-program builder shared by several packages' tests",
-	"internal/timing.Cache.Contains":   "cache residency probe; the memory-system tests check inclusion with it",
+	"looppoint.Experiments":           "public library API: the harness evaluator behind lpreport",
+	"looppoint.ExportSelection":       "public library API: writes a portable selection file",
+	"internal/baselines.TimeBased":    "the periodic-sampling baseline as a whole-run call; the product reaches it through the timebased engine",
+	"internal/dcfg.LoopTable.Lookup":  "read accessor of the loop table; tests check loop headers through it",
+	"internal/exec.ExecError.Unwrap":  "called by errors.Is and errors.As through the interface",
+	"internal/exec.Machine.LoadWord":  "read accessor of shared memory for tests that check program results",
+	"internal/faults.Fault.Unwrap":    "called by errors.Is and errors.As through the interface",
+	"internal/faults.Plan.Fired":      "fault-plan observability; the fault suites count firings with it",
+	"internal/isa.Block.FCmp":         "ISA builder op: the builder covers the whole instruction set",
+	"internal/isa.Block.FCvtI":        "ISA builder op: the builder covers the whole instruction set",
+	"internal/isa.Block.ICvtF":        "ISA builder op: the builder covers the whole instruction set",
+	"internal/isa.Block.Nop":          "ISA builder op: the builder covers the whole instruction set",
+	"internal/isa.Block.Xchg":         "ISA builder op: the builder covers the whole instruction set",
+	"internal/isa.Op.IsWrite":         "opcode class predicate beside IsMem and IsAtomic, which the product reads",
+	"internal/isa.Program.NumInstrs":  "static size accessor beside NumBlocks, which the product reads",
+	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
+	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",
+	"internal/testprog.Phased":        "test-program builder shared by several packages' tests",
+	"internal/testprog.WithSyscalls":  "test-program builder shared by several packages' tests",
+	"internal/timing.Cache.Contains":  "cache residency probe; the memory-system tests check inclusion with it",
 }
 
 // TestCensusTestOnlyCode is the caller census: it lists every top-level

@@ -31,20 +31,25 @@ func profileBoth(t *testing.T, build func() *isa.Program, addrs []uint64, slice 
 	if err := m.Run(exec.RunOpts{FlowWindow: 1000, Record: &sched}); err != nil {
 		t.Fatalf("block run: %v", err)
 	}
-
 	p = build()
-	m = exec.NewMachine(p, 1)
-	ic := collector(p)
+	return stepProfile(t, p, sched, collector(p)), bc.Finish()
+}
+
+// stepProfile is the oracle: it steps sched on a fresh machine one
+// instruction at a time into c.OnInstr and returns c's profile.
+func stepProfile(t *testing.T, p *isa.Program, sched exec.Schedule, c *Collector) *Profile {
+	t.Helper()
+	m := exec.NewMachine(p, 1)
 	for _, e := range sched {
 		for i := uint32(0); i < e.N; i++ {
 			ev, ok := m.Step(e.Tid)
 			if !ok {
 				t.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
 			}
-			ic.OnInstr(ev)
+			c.OnInstr(ev)
 		}
 	}
-	return ic.Finish(), bc.Finish()
+	return c.Finish()
 }
 
 func requireProfilesEqual(t *testing.T, perInstr, block *Profile) {
@@ -111,21 +116,98 @@ func TestCollectorBlockTierMatchesPerInstr(t *testing.T) {
 	}
 }
 
-// TestCollectorPanicsOnUnregisteredMarker documents the contract: marker
-// PCs must be break PCs before block-tier profiling starts.
-func TestCollectorPanicsOnUnregisteredMarker(t *testing.T) {
+// TestCollectorAsBareObserverMatchesPerInstr: the collector asks nothing
+// of the engine. Attached to a live run as a bare BlockObserverFunc, it
+// receives its markers' entries coalesced with the passes around them and
+// still builds the per-instruction oracle's profile.
+func TestCollectorAsBareObserverMatchesPerInstr(t *testing.T) {
 	p := buildPhased(t, 2, 3, 80, omp.Passive)
-	addrs := markerAddrs(t, buildPhased(t, 2, 3, 80, omp.Passive))
-	m := exec.NewMachine(p, 1)
+	addrs := markerAddrs(t, p)
+	isMarker := map[uint64]bool{}
+	for _, a := range addrs {
+		isMarker[a] = true
+	}
 	c := NewCollector(p, addrs, 2*500)
-	// Wrongly attached as a bare BlockObserverFunc: BreakPCs never runs.
-	m.AddBlockObserver(exec.BlockObserverFunc(c.OnBlock))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for coalesced marker entry")
+	coalesced := 0
+	m := exec.NewMachine(p, 1)
+	m.AddBlockObserver(exec.BlockObserverFunc(func(ev *exec.BlockEvent) {
+		if isMarker[ev.Block.Addr] && ev.Entries > 0 && ev.Instrs > 1 {
+			coalesced++
 		}
-	}()
-	_ = m.Run(exec.RunOpts{FlowWindow: 1000})
+		c.OnBlock(ev)
+	}))
+	var sched exec.Schedule
+	if err := m.Run(exec.RunOpts{FlowWindow: 1000, Record: &sched}); err != nil {
+		t.Fatal(err)
+	}
+	if coalesced == 0 {
+		t.Fatal("no marker entry arrived coalesced; the collector split nothing")
+	}
+	requireProfilesEqual(t, stepProfile(t, p, sched, NewCollector(p, addrs, 2*500)), c.Finish())
+}
+
+// handProgram links a one-thread program that is never run, only named by
+// hand-built events: entry (two instructions), loop (a four-instruction
+// self-loop) and spin (a one-instruction self-loop).
+func handProgram(t *testing.T) (p *isa.Program, entry, loop, spin *isa.Block) {
+	t.Helper()
+	p = isa.NewProgram("hand", 1)
+	r := p.AddImage("main", false).NewRoutine("main")
+	entry, loop, spin = r.NewBlock("entry"), r.NewBlock("loop"), r.NewBlock("spin")
+	done := r.NewBlock("done")
+	entry.IMovI(0, 0).Br(loop)
+	loop.IOpI(isa.OpIAdd, 0, 0, 1).IOpI(isa.OpIAdd, 1, 1, 2).IOpI(isa.OpIAdd, 2, 2, 3).BrCondI(isa.CondLT, 0, 100, loop, spin)
+	spin.BrCondI(isa.CondLT, 0, 200, spin, done)
+	done.Halt()
+	p.SetEntry(0, r)
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	return p, entry, loop, spin
+}
+
+// TestCollectorSplitsMarkerEvents feeds hand-built events that enter a
+// marker block to OnBlock, and each instruction they stand for to the
+// OnInstr oracle, and requires the same profile. A slice target of five
+// puts a region boundary on most marker entries, so an entry counted one
+// instruction early or late moves a region's end.
+func TestCollectorSplitsMarkerEvents(t *testing.T) {
+	p, entry, loop, spin := handProgram(t)
+	for _, c := range []struct {
+		name string
+		evs  []exec.BlockEvent
+	}{
+		{"self-loop", []exec.BlockEvent{{Block: entry, Entries: 1, Instrs: 2}, {Block: loop, Entries: 5, Instrs: 20}}},
+		{"resumed", []exec.BlockEvent{{Block: loop, Entries: 1, Instrs: 2}, {Block: loop, FirstIdx: 2, Entries: 3, Instrs: 14}}},
+		{"cut short", []exec.BlockEvent{{Block: loop, Entries: 3, Instrs: 10}, {Block: loop, FirstIdx: 2, Instrs: 2}}},
+		{"resumed and cut short", []exec.BlockEvent{{Block: loop, Entries: 1, Instrs: 3}, {Block: loop, FirstIdx: 3, Entries: 2, Instrs: 7}}},
+		{"one-instruction passes", []exec.BlockEvent{{Block: spin, Entries: 4, Instrs: 4}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			block := NewCollector(p, []uint64{loop.Addr, spin.Addr}, 5)
+			oracle := NewCollector(p, []uint64{loop.Addr, spin.Addr}, 5)
+			for range 3 {
+				for i := range c.evs {
+					ev := &c.evs[i]
+					block.OnBlock(ev)
+					entries := ev.Entries
+					for k := range ev.Instrs {
+						idx := (ev.FirstIdx + int(k)) % len(ev.Block.Instrs)
+						entry := idx == 0 && entries > 0
+						if entry {
+							entries--
+						}
+						oracle.OnInstr(&exec.Event{Tid: ev.Tid, Block: ev.Block, Instr: &ev.Block.Instrs[idx], BlockEntry: entry})
+					}
+				}
+			}
+			a, b := oracle.Finish(), block.Finish()
+			if len(a.Regions) < 3 {
+				t.Fatalf("the events closed %d regions; the slice target no longer lands on marker entries", len(a.Regions))
+			}
+			requireProfilesEqual(t, a, b)
+		})
+	}
 }
 
 // TestCollectorOnBlockAllocFree pins the block tier's steady state: once a
@@ -137,7 +219,7 @@ func TestCollectorOnBlockAllocFree(t *testing.T) {
 	c := NewCollector(p, markerAddrs(t, buildPhased(t, 4, 6, 150, omp.Passive)), 1<<40) // never closes a region
 	var events []exec.BlockEvent
 	m := exec.NewMachine(p, 1)
-	m.AddBlockObserver(c) // the warm-up pass; registers the break PCs
+	m.AddBlockObserver(c) // the warm-up pass
 	m.AddBlockObserver(exec.BlockObserverFunc(func(ev *exec.BlockEvent) {
 		events = append(events, exec.BlockEvent{Tid: ev.Tid, Block: ev.Block, FirstIdx: ev.FirstIdx, Entries: ev.Entries, Instrs: ev.Instrs})
 	}))

@@ -236,8 +236,8 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 	if err != nil {
 		return nil, blamed, err
 	}
-	// The builder rode the recording beside the log with no break PC, so
-	// the log played into it alone is the stream it saw.
+	// The builder rode the recording beside the log, so the log played
+	// into it is the stream it saw.
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
 	log.Play(db)
 	pass, err := newBBVPass(prog, cfg, pb, db.Graph())

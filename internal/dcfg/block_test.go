@@ -56,7 +56,7 @@ func replayGraph(t *testing.T, p *isa.Program, pb *pinball.Pinball) *Graph {
 // eventShapes counts the block-event shapes the differential suite must
 // reach for its verdict to mean anything.
 type eventShapes struct {
-	midBlock      int // FirstIdx > 0: resumed after a futex wake, a budget or break-PC split, a return
+	midBlock      int // FirstIdx > 0: resumed after a futex wake, a budget split, a return
 	coalesced     int // Entries > 1: back-to-back self-loop passes in one event
 	parked        int // the event's last instruction parked the thread on a futex
 	budgetSplit   int // the event ended mid-block for no reason but its budget
@@ -99,9 +99,8 @@ func (s *eventShapes) note(ev *exec.BlockEvent) {
 
 // tierGraphs runs p twice from the same seed under the same scheduler
 // options — recorded and stepped through per instruction by StepReplay
-// (the oracle), and run on the block tier with the hottest
-// multi-instruction block registered as a break PC — and returns both
-// graphs.
+// (the oracle), and run on the block tier, where the quantum cuts passes
+// mid-block — and returns both graphs.
 func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventShapes) (oracle, block *Graph) {
 	t.Helper()
 	pb, err := pinball.RecordWithOptions(p, 3, opts)
@@ -114,18 +113,8 @@ func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventSh
 	}
 	oracle = ob.Graph()
 
-	var hot *Node
-	for _, e := range oracle.Edges() { // sorted: the choice is deterministic
-		if n := oracle.Nodes[e.To]; len(n.Block.Instrs) > 1 && (hot == nil || n.Execs > hot.Execs) {
-			hot = n
-		}
-	}
-
 	bb := NewBuilder(p, p.NumThreads())
 	m := exec.NewMachine(p, 3)
-	if hot != nil {
-		m.AddBreakPC(hot.Block.Addr)
-	}
 	m.AddBlockObserver(exec.BlockObserverFunc(func(ev *exec.BlockEvent) {
 		shapes.note(ev)
 		bb.OnBlock(ev)
@@ -189,8 +178,8 @@ func selfLoopWithCall(t *testing.T, nthreads int, iters int64) *isa.Program {
 
 // TestBlockTierMatchesInstrOracle is the differential pin for the block
 // tier: over hand-built programs and every registered workload, at
-// several scheduling quanta and with a break PC registered, OnBlock must
-// build exactly the graph OnInstr builds.
+// several scheduling quanta, OnBlock must build exactly the graph OnInstr
+// builds.
 func TestBlockTierMatchesInstrOracle(t *testing.T) {
 	type prog struct {
 		name string

@@ -154,8 +154,8 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	tid, blk := ev.Tid, ev.Block
 	// An event that enters nothing resumes the block the thread is in
-	// (after a budget or break-PC split, a futex wake, or a return to the
-	// call site), so the cursor is already its node — the builder, like
+	// (after a budget split, a futex wake, or a return to the call
+	// site), so the cursor is already its node — the builder, like
 	// OnInstr, must watch a thread from a block entry on. An event that
 	// resumes a thread it is not watching (no run has one; a saved log
 	// decoded on a resume may) adds nothing.

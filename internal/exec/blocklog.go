@@ -25,7 +25,7 @@ type blockLogChunk struct {
 
 // BlockLog is a BlockObserver that keeps a run's block-event stream — Tid,
 // Block, FirstIdx, Entries and Instrs of each event; not Blocked or Woken —
-// so that an observer that could not ride the run (its break PCs come from
+// so that an observer that could not ride the run (its markers come from
 // the run's own outcome) can be fed the stream afterwards, by Play, without
 // executing the program again — in the same process, or in another one
 // through the saved form AppendBinary writes and DecodeBlockLog reads.
@@ -75,28 +75,14 @@ func (l *BlockLog) grow() *blockLogChunk {
 	return c
 }
 
-// Play re-emits the logged stream to the observers; the log keeps it, so
-// one log can be played more than once. Break PCs are taken from the
-// observers as AddBlockObserver takes them, and StepBlock's break-PC rule is
-// applied after the fact: an event that enters a break block (Entries > 0)
-// becomes its leading partial pass if FirstIdx > 0, then for every entry
-// {FirstIdx 0, Entries 1, Instrs 1} followed by the rest of that pass,
-// {FirstIdx 1, Entries 0}. Instructions, their order and the entries are
-// the logged run's; as between any two block-tier runs of one execution,
-// only where a pass is cut into events may differ from a replay's stream.
+// Play re-emits the logged stream to the observers, one OnBlock call per
+// record per observer; the log keeps it, so one log can be played more than
+// once. Instructions, their order and the entries are the logged run's; as
+// between any two block-tier runs of one execution, only where a pass is
+// cut into events may differ from a replay's stream.
 func (l *BlockLog) Play(obs ...BlockObserver) {
 	blocks := l.prog.Blocks() // by Block.Global
-	brk := make([]bool, len(blocks))
-	for _, o := range obs {
-		markBreakPCs(l.prog, brk, o)
-	}
 	var ev BlockEvent
-	emit := func(firstIdx int, entries, instrs uint64) {
-		ev.FirstIdx, ev.Entries, ev.Instrs = firstIdx, entries, instrs
-		for _, o := range obs {
-			o.OnBlock(&ev)
-		}
-	}
 	for c := l.head; c != nil; c = c.next {
 		rec := c.buf[:c.n]
 		next := func() uint64 {
@@ -107,28 +93,13 @@ func (l *BlockLog) Play(obs ...BlockObserver) {
 		for len(rec) > 0 {
 			g := next()
 			ev.Block = blocks[g>>1]
-			pass := uint64(len(ev.Block.Instrs))
-			firstIdx, entries, instrs := 0, uint64(1), pass
+			ev.FirstIdx, ev.Entries, ev.Instrs = 0, 1, uint64(len(ev.Block.Instrs))
 			if g&1 != 0 {
 				ev.Tid = int(next())
-				firstIdx, entries, instrs = int(next()), next(), next()
+				ev.FirstIdx, ev.Entries, ev.Instrs = int(next()), next(), next()
 			}
-			if entries == 0 || !brk[g>>1] {
-				emit(firstIdx, entries, instrs)
-				continue
-			}
-			if firstIdx > 0 {
-				lead := pass - uint64(firstIdx)
-				emit(firstIdx, 0, lead)
-				instrs -= lead
-			}
-			for ; entries > 0; entries-- {
-				n := min(pass, instrs) // this entry's pass, possibly cut short
-				emit(0, 1, 1)
-				if n > 1 {
-					emit(1, 0, n-1)
-				}
-				instrs -= n
+			for _, o := range obs {
+				o.OnBlock(&ev)
 			}
 		}
 	}

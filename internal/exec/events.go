@@ -6,12 +6,10 @@ import "looppoint/internal/isa"
 // interpreter executes whole basic blocks (and back-to-back re-entries of
 // self-loop blocks) in a tight loop and emits ONE coalesced BlockEvent per
 // batch, which is all recording, DCFG construction, BBV profiling and
-// region extraction need.
-//
-// Exactness is preserved through break PCs (AddBreakPC): entering a block
-// whose address is registered produces a single-instruction event, so a
-// (PC, count) region marker fires at precisely the retired-instruction
-// position a per-instruction Step loop would see.
+// region extraction need. An event's shape depends only on budgets,
+// control flow, futexes and halts, never on its observers: an observer
+// that needs an exact position inside an event (the BBV collector's
+// (PC, count) markers) computes it from FirstIdx, Entries and Instrs.
 
 // BlockEvent describes a batched run of instructions inside one basic
 // block: at most one partial leading pass (when resuming mid-block) plus
@@ -23,7 +21,7 @@ type BlockEvent struct {
 	Block *isa.Block
 	// FirstIdx is the index within Block.Instrs of the event's first
 	// executed instruction. Non-zero when resuming mid-block (after a
-	// futex wake, a budget split, or a break-PC split).
+	// futex wake, a budget split, or a return).
 	FirstIdx int
 	// Entries counts block entries in the event: passes that began at
 	// instruction 0 (a resumed partial pass is not an entry, matching
@@ -63,29 +61,7 @@ type BlockObserverFunc func(ev *BlockEvent)
 // OnBlock implements BlockObserver.
 func (f BlockObserverFunc) OnBlock(ev *BlockEvent) { f(ev) }
 
-// PCBreaker is implemented by block observers that need exact
-// per-instruction positioning at specific block addresses — region-marker
-// consumers, chiefly. AddBlockObserver registers every returned address
-// as a break PC so entries of those blocks arrive as single-instruction
-// events at their precise (PC, count) boundary.
-type PCBreaker interface {
-	BreakPCs() []uint64
-}
-
-// AddBlockObserver registers a block-granular observer. If it implements
-// PCBreaker, its addresses are registered as break PCs first.
+// AddBlockObserver registers a block-granular observer.
 func (m *Machine) AddBlockObserver(o BlockObserver) {
-	markBreakPCs(m.Prog, m.brk, o)
 	m.blockObservers = append(m.blockObservers, o)
-}
-
-// markBreakPCs flags in brk, by Block.Global, the break PCs o asks for.
-func markBreakPCs(p *isa.Program, brk []bool, o BlockObserver) {
-	if br, ok := o.(PCBreaker); ok {
-		for _, pc := range br.BreakPCs() {
-			if blk, ok := p.BlockByAddr(pc); ok {
-				brk[blk.Global] = true
-			}
-		}
-	}
 }

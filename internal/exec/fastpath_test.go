@@ -66,14 +66,10 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 	cb := t.cur.blk
 	rt := t.cur.rt
 	blk := rt.Blocks[cb]
-	brk := m.brk[blk.Global]
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {
 		ev.Entries = 1
-		if brk {
-			budget = 1
-		}
 	}
 
 	var retired uint64
@@ -97,7 +93,7 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 		op := sev.Instr.Op
 		if op == isa.OpBr || op == isa.OpBrCond {
 			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
-			if selfEntry && blk.SelfLoop && !brk && retired < budget {
+			if selfEntry && blk.SelfLoop && retired < budget {
 				ev.Entries++
 				continue
 			}
@@ -179,9 +175,7 @@ func TestStepBlockMatchesStep(t *testing.T) {
 			fast := NewMachine(p, 7)
 			slow := NewMachine(p, 7)
 
-			// A break PC exercises marker splitting: use the first
-			// worker-loop-like block address we can find (any block with
-			// a conditional self-loop), plus varied budgets.
+			// Varied budgets cut passes mid-block and coalesce others.
 			var fev, sev BlockEvent
 			budgets := []uint64{1, 3, 64, 7, 1000, 2, 17}
 			bi := 0
@@ -286,68 +280,6 @@ func TestRunScheduleBlockModeMatches(t *testing.T) {
 				t.Fatal("replayed state differs from recorded run")
 			}
 		})
-	}
-}
-
-// TestBreakPCSplitsBlocks pins the marker-exactness mechanism: entering
-// a registered break-PC block must always produce a single-instruction
-// event with FirstIdx 0, the block's remainder arriving separately, and
-// coalescing across the break block must be fully suppressed.
-func TestBreakPCSplitsBlocks(t *testing.T) {
-	p, _ := buildCounterProgram(t, 2, 50, omp.Passive)
-	// Each thread's routine has its own conditional self-loop block;
-	// register every one of them as a break PC.
-	loopAddrs := map[uint64]bool{}
-	for _, img := range p.Images {
-		for _, rt := range img.Routines {
-			for i, blk := range rt.Blocks {
-				term := blk.Instrs[len(blk.Instrs)-1]
-				if term.Op == isa.OpBrCond && (term.Target == i || term.Else == i) {
-					loopAddrs[blk.Addr] = true
-				}
-			}
-		}
-	}
-	if len(loopAddrs) == 0 {
-		t.Fatal("no self-loop block found")
-	}
-
-	m := NewMachine(p, 1)
-	for addr := range loopAddrs {
-		m.AddBreakPC(addr)
-	}
-	var ev BlockEvent
-	entries := uint64(0)
-	for !m.Done() {
-		tid := -1
-		for i, th := range m.Threads {
-			if th.State == StateRunning {
-				tid = i
-				break
-			}
-		}
-		if tid < 0 {
-			t.Fatal("deadlock")
-		}
-		if !m.StepBlock(tid, 1000, &ev) {
-			t.Fatal("StepBlock failed on running thread")
-		}
-		if loopAddrs[ev.Block.Addr] && ev.FirstIdx == 0 {
-			if ev.Instrs != 1 {
-				t.Fatalf("break-PC entry event has %d instrs, want 1", ev.Instrs)
-			}
-			if ev.Entries != 1 {
-				t.Fatalf("break-PC entry event has %d entries, want 1", ev.Entries)
-			}
-			entries++
-		}
-		if loopAddrs[ev.Block.Addr] && ev.Entries > 1 {
-			t.Fatalf("break-PC block was coalesced: %d entries", ev.Entries)
-		}
-	}
-	// Each thread iterates the loop 50 times: 100 entries total.
-	if entries != 100 {
-		t.Fatalf("observed %d break-PC entries, want 100", entries)
 	}
 }
 

@@ -9,10 +9,7 @@ import "sort"
 // A snapshot taken mid-run carries everything a resumed machine needs to
 // continue byte-identically to the uninterrupted execution: the futex
 // wait queues in their exact FIFO order (Futexes) and the OS model's
-// internal state (OS) when the machine's OS implements StatefulOS. The
-// registered break PCs are deliberately absent — they are configuration
-// derived from the attached observers, not architectural state, so any
-// machine running the same program registers them independently.
+// internal state (OS) when the machine's OS implements StatefulOS.
 type Snapshot struct {
 	Mem     []uint64
 	Threads []ThreadSnapshot

@@ -8,37 +8,35 @@ import (
 )
 
 // roundTripVariant configures how the continued machine runs: the block
-// tier, the per-instruction reference (stepSchedule), or the block tier
-// with a break PC registered (marker splitting). A mid-run snapshot must
+// tier, the per-instruction reference (stepSchedule), or the block tier in
+// budgets of three instructions, which resumes blocks mid-pass
+// (FirstIdx > 0) wherever a budget runs out. A mid-run snapshot must
 // restore byte-identically under every mode: the extraction sweep that
 // captures checkpoints and the replays and simulations that resume from
 // them retire instructions at different granularities.
 type roundTripVariant struct {
-	name  string
-	setup func(m *Machine, p *isa.Program)
-	run   func(m *Machine, s Schedule) error
+	name string
+	run  func(m *Machine, s Schedule) error
 }
 
 func roundTripVariants() []roundTripVariant {
-	runSchedule := (*Machine).RunSchedule
 	return []roundTripVariant{
-		{"fast", func(m *Machine, p *isa.Program) {}, runSchedule},
-		{"per-instr", func(m *Machine, p *isa.Program) {}, stepSchedule},
-		{"break-pc", func(m *Machine, p *isa.Program) {
-			// Register every conditional self-loop header as a break PC so
-			// the continuation exercises single-instruction marker events.
-			for _, img := range p.Images {
-				for _, rt := range img.Routines {
-					for i, blk := range rt.Blocks {
-						term := blk.Instrs[len(blk.Instrs)-1]
-						if term.Op == isa.OpBrCond && (term.Target == i || term.Else == i) {
-							m.AddBreakPC(blk.Addr)
-						}
-					}
-				}
-			}
-		}, runSchedule},
+		{"fast", (*Machine).RunSchedule},
+		{"per-instr", stepSchedule},
+		{"budget-3", func(m *Machine, s Schedule) error { return m.RunSchedule(chop(s, 3)) }},
 	}
+}
+
+// chop re-cuts s into entries of at most n instructions: the same
+// interleaving, which RunSchedule then retires in budgets of at most n.
+func chop(s Schedule, n uint32) Schedule {
+	var out Schedule
+	for _, e := range s {
+		for left := e.N; left > 0; left -= min(left, n) {
+			out = append(out, ScheduleEntry{Tid: e.Tid, N: min(left, n)})
+		}
+	}
+	return out
 }
 
 // TestSnapshotRoundTrip is the mid-run resume property test: for swept
@@ -99,7 +97,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				for _, v := range roundTripVariants() {
 					b := NewMachine(p, 99) // wrong seed on purpose: Restore must overwrite OS state
-					v.setup(b, p)
 					b.Restore(snap)
 					if err := v.run(b, sched.Window(n, total-n)); err != nil {
 						t.Fatalf("cut %d (%s): resume: %v", n, v.name, err)

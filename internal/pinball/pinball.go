@@ -129,8 +129,9 @@ func (pb *Pinball) Verify() error {
 }
 
 // Replay performs a constrained replay of the pinball on a fresh machine
-// for the same program, with the given block observers attached (their
-// break PCs registered). The returned machine holds the final state.
+// for the same program, with the given block observers attached; they see
+// coalesced events, cut only by the schedule, control flow, futexes and
+// halts. The returned machine holds the final state.
 // Replay verifies the snapshot checksum before starting and the final
 // memory checksum afterwards.
 func (pb *Pinball) Replay(p *isa.Program, observers ...exec.BlockObserver) (*exec.Machine, error) {
