@@ -20,7 +20,6 @@ import (
 var censusExempt = map[string]string{
 	"looppoint.Experiments":           "public library API: the harness evaluator behind lpreport",
 	"looppoint.ExportSelection":       "public library API: writes a portable selection file",
-	"internal/baselines.TimeBased":    "the periodic-sampling baseline as a whole-run call; the product reaches it through the timebased engine",
 	"internal/dcfg.LoopTable.Lookup":  "read accessor of the loop table; tests check loop headers through it",
 	"internal/exec.ExecError.Unwrap":  "called by errors.Is and errors.As through the interface",
 	"internal/exec.Machine.LoadWord":  "read accessor of shared memory for tests that check program results",

@@ -11,7 +11,6 @@ import (
 	"looppoint/internal/bbv"
 	"looppoint/internal/core"
 	"looppoint/internal/isa"
-	"looppoint/internal/simpoint"
 )
 
 // ErrNoBarriers is returned for applications without barriers, where
@@ -22,16 +21,14 @@ var ErrNoBarriers = fmt.Errorf("baselines: application has no barriers; BarrierP
 // the unit of work: every global barrier release ends a region. The
 // barrier-release address comes from the threading runtime (the paper's
 // implementation hooks the OpenMP runtime's barrier callback the same
-// way).
+// way). The rule needs no loops, so the collector rides the one recording
+// and the analysis has no Graph or Loops.
 func AnalyzeBarrierPoint(prog *isa.Program, barrierRelease uint64, cfg core.Config) (*core.Analysis, error) {
-	a, err := core.Analyze(prog, cfg) // records the pinball, finds loops
-	if err != nil {
-		return nil, err
-	}
-	// Re-profile with barrier releases as the only markers and a slice
-	// budget of one instruction: every release closes a region.
+	// Barrier releases are the only markers and the slice budget is one
+	// instruction: every release closes a region.
 	col := bbv.NewCollector(prog, []uint64{barrierRelease}, 1)
-	if _, err := a.Pinball.Replay(prog, col); err != nil {
+	pb, err := core.Record(prog, &cfg, col)
+	if err != nil {
 		return nil, fmt.Errorf("baselines: barrierpoint profile: %w", err)
 	}
 	prof := col.Finish()
@@ -40,9 +37,7 @@ func AnalyzeBarrierPoint(prog *isa.Program, barrierRelease uint64, cfg core.Conf
 	}
 	return &core.Analysis{
 		Prog:    prog,
-		Pinball: a.Pinball,
-		Graph:   a.Graph,
-		Loops:   a.Loops,
+		Pinball: pb,
 		Markers: []uint64{barrierRelease},
 		Profile: prof,
 		Config:  cfg,
@@ -73,12 +68,6 @@ func RegionStats(a *core.Analysis) BarrierPointStats {
 	return s
 }
 
-// SelectBarrierPoint clusters inter-barrier regions and picks
-// representatives, exactly as LoopPoint does for loop-bounded regions.
-func SelectBarrierPoint(a *core.Analysis) (*core.Selection, error) {
-	return core.Select(a)
-}
-
 // NaiveSimPointAnalysis profiles with the naive multi-threaded SimPoint
 // adaptation of Section II: fixed-size slices counted in *global
 // unfiltered* instructions (spin-loops included), per-thread BBVs summed
@@ -87,26 +76,13 @@ func SelectBarrierPoint(a *core.Analysis) (*core.Selection, error) {
 func NaiveSimPointAnalysis(prog *isa.Program, cfg core.Config) (*core.Analysis, error) {
 	cfg.NoSpinFilter = true
 	cfg.SumBBVs = true
-	a, err := core.Analyze(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Re-profile on fixed instruction counts: no markers, straight
-	// icount slicing.
+	// Fixed instruction counts: no markers, straight icount slicing.
 	col := bbv.NewCollector(prog, nil, cfg.SliceUnit*uint64(prog.NumThreads()))
 	col.DisableSyncFilter()
 	col.SliceOnICount()
-	if _, err := a.Pinball.Replay(prog, col); err != nil {
+	pb, err := core.Record(prog, &cfg, col)
+	if err != nil {
 		return nil, fmt.Errorf("baselines: naive profile: %w", err)
 	}
-	a.Profile = col.Finish()
-	a.Markers = nil
-	return a, nil
+	return &core.Analysis{Prog: prog, Pinball: pb, Profile: col.Finish(), Config: cfg}, nil
 }
-
-// SelectNaive clusters the naive profile with summed projections.
-func SelectNaive(a *core.Analysis) (*core.Selection, error) {
-	return core.Select(a)
-}
-
-var _ = simpoint.DefaultDims // simpoint is consumed through core.Select

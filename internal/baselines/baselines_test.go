@@ -47,7 +47,7 @@ func TestBarrierPointSelectAndExtrapolate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := SelectBarrierPoint(a)
+	sel, err := core.Select(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNaiveSimPointProfilesOnRawICount(t *testing.T) {
 			t.Errorf("region %d boundary %v is not an icount marker", i, r.End)
 		}
 	}
-	if _, err := SelectNaive(a); err != nil {
+	if _, err := core.Select(a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +134,7 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsel, err := SelectNaive(na)
+	nsel, err := core.Select(na)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,12 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 
 func TestTimeBasedSampling(t *testing.T) {
 	p := testprog.Phased(4, 8, 150, omp.Passive)
-	st, err := TimeBased(p, timing.Gainestown(4), 2000, 10000, 1)
+	sim, err := timing.New(timing.Gainestown(4), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Seed = 1
+	st, err := sim.SimulatePeriodic(2000, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +180,11 @@ func TestTimeBasedSampling(t *testing.T) {
 	// Compare against full simulation: periodic sampling with warming
 	// should land within a reasonable band.
 	p2 := testprog.Phased(4, 8, 150, omp.Passive)
-	sim, err := timing.New(timing.Gainestown(4), p2)
+	fsim, err := timing.New(timing.Gainestown(4), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := sim.SimulateFull()
+	full, err := fsim.SimulateFull()
 	if err != nil {
 		t.Fatal(err)
 	}

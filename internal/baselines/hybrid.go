@@ -58,7 +58,7 @@ func AnalyzeHybrid(prog *isa.Program, barrierRelease uint64, cfg core.Config) (*
 	case err != nil:
 		return nil, fmt.Errorf("baselines: hybrid: %w", err)
 	}
-	bpSel, err := SelectBarrierPoint(bpa)
+	bpSel, err := core.Select(bpa)
 	if err != nil {
 		return nil, err
 	}

@@ -1,23 +1,5 @@
 package baselines
 
-import (
-	"looppoint/internal/isa"
-	"looppoint/internal/timing"
-)
-
-// TimeBased runs the time-based periodic-sampling baseline: detail
-// instructions of every period are simulated in detail, the rest
-// fast-forwards with functional warming, and the detail windows are
-// extrapolated to the whole run.
-func TimeBased(prog *isa.Program, simCfg timing.Config, detail, period, seed uint64) (*timing.Stats, error) {
-	sim, err := timing.New(simCfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	sim.Seed = seed
-	return sim.SimulatePeriodic(detail, period)
-}
-
 // SimCostModel estimates wall-clock evaluation time for Figure 1: how
 // long each methodology takes to evaluate an application of totalInstrs
 // instructions given a detailed-simulation speed (KIPS) and a functional

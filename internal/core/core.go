@@ -181,15 +181,25 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 // at any later point finds it on disk.
 func recordPass(prog *isa.Program, cfg *Config, dp *progressLog, log *exec.BlockLog) (*bbvPass, error) {
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	pb, err := pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
-		FlowWindow:  cfg.FlowWindow,
-		QuantumBias: cfg.HostBias,
-	}, log, db)
+	pb, err := Record(prog, cfg, log, db)
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
 	dp.save(pb, log)
 	return newBBVPass(prog, cfg, pb, db.Graph())
+}
+
+// Record is the recording rule every analysis shares: it fills cfg's
+// defaults and records the whole-program pinball under cfg's seed,
+// flow-control window and host bias, with the observers riding the
+// recording machine on the block tier. Recording is fully seeded, so the
+// same program and cfg always yield the same pinball.
+func Record(prog *isa.Program, cfg *Config, observers ...exec.BlockObserver) (*pinball.Pinball, error) {
+	cfg.fill()
+	return pinball.RecordWithOptions(prog, cfg.Seed, exec.RunOpts{
+		FlowWindow:  cfg.FlowWindow,
+		QuantumBias: cfg.HostBias,
+	}, observers...)
 }
 
 // sliceTargetFor returns the global filtered-instruction budget per

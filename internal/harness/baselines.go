@@ -4,9 +4,7 @@ import (
 	"context"
 	"looppoint/internal/baselines"
 	"looppoint/internal/core"
-	"looppoint/internal/exec"
 	"looppoint/internal/omp"
-	"looppoint/internal/pinball"
 	"looppoint/internal/results"
 	"looppoint/internal/timing"
 )
@@ -49,7 +47,7 @@ func (e *Evaluator) NaiveSimPoint() (*NaiveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			nsel, err := baselines.SelectNaive(na)
+			nsel, err := core.Select(na)
 			if err != nil {
 				return nil, err
 			}
@@ -132,8 +130,7 @@ func (e *Evaluator) Constrained() (*ConstrainedResult, error) {
 			// analysis pinball; recording is fully seeded, so re-recording
 			// reproduces the exact pinball the original analysis used.
 			cfg := e.Opts.config()
-			pb, err = pinball.RecordWithOptions(app.Prog, cfg.Seed,
-				exec.RunOpts{FlowWindow: cfg.FlowWindow})
+			pb, err = core.Record(app.Prog, &cfg)
 			if err != nil {
 				return nil, err
 			}

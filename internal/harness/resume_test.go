@@ -119,6 +119,30 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	}
 }
 
+// TestConstrainedReRecordsRestoredReports: a report served from the resume
+// store carries no analysis pinball, so the constrained experiment
+// re-records it through core.Record. The rows must equal those of the
+// evaluator that analyzed and stored the reports.
+func TestConstrainedReRecordsRestoredReports(t *testing.T) {
+	opts := smokeOpts()
+	opts.Resume = t.TempDir()
+	fresh, err := NewEvaluator(opts).Constrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := NewEvaluator(opts)
+	served, err := e2.Constrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2.Restored() == 0 || e2.Evaluations() != 0 {
+		t.Fatalf("restored %d reports and evaluated %d, want every report from the store", e2.Restored(), e2.Evaluations())
+	}
+	if !reflect.DeepEqual(served.Rows, fresh.Rows) {
+		t.Errorf("re-recorded rows differ:\n got %+v\nwant %+v", served.Rows, fresh.Rows)
+	}
+}
+
 // TestResumeJournalRejectsCorruptLines: a bit-flipped entry is deleted and
 // re-evaluated instead of poisoning the cache, and the re-evaluation
 // stores it again.

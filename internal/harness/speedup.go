@@ -103,7 +103,7 @@ func (e *Evaluator) Fig9() (*Fig9Result, error) {
 		case err != nil:
 			return RefSpeedupRow{}, err
 		default:
-			bsel, err := baselines.SelectBarrierPoint(bpa)
+			bsel, err := core.Select(bpa)
 			if err != nil {
 				return RefSpeedupRow{}, err
 			}
