@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"looppoint"
 	"looppoint/internal/core"
@@ -32,7 +33,7 @@ func main() {
 		waitPolicy = flag.String("w", "passive", "wait policy: passive or active")
 		sliceUnit  = flag.Uint64("slice", 0, "per-thread slice unit (default 100000)")
 		maxK       = flag.Int("maxk", 0, "maximum clusters (default 50)")
-		selector   = flag.String("selector", "", "selection engine: simpoint, stratified, barrierpoint, timebased (default simpoint)")
+		selector   = flag.String("selector", "", "selection engine: "+strings.Join(looppoint.Selectors(), ", ")+" (default simpoint)")
 		budget     = flag.Int("budget", 0, "stratified engine: total region draw budget (0 = 2x cluster count)")
 		regions    = flag.Bool("regions", false, "also dump every profiled region")
 		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
@@ -176,21 +177,12 @@ func main() {
 	emit(t, *csv)
 
 	if *regions {
-		// Non-clustering engines (e.g. timebased) carry no k-means result;
-		// recover each region's stratum from the sample's membership lists.
+		// Every engine's strata partition the regions (for the clustering
+		// engines, one stratum per cluster).
 		cluster := make([]int, len(prof.Regions))
-		for i := range cluster {
-			cluster[i] = -1
-		}
-		if sel.Result != nil {
-			cluster = sel.Result.Assign
-		} else if sel.Sample != nil {
-			for h, st := range sel.Sample.Strata {
-				for _, m := range st.Members {
-					if m >= 0 && m < len(cluster) {
-						cluster[m] = h
-					}
-				}
+		for h, st := range sel.Sample.Strata {
+			for _, m := range st.Members {
+				cluster[m] = h
 			}
 		}
 		rt := &results.Table{

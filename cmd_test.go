@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,28 @@ func TestCmdLpprofile(t *testing.T) {
 	csv := goRun(t, "./cmd/lpprofile", "-p", "demo-matrix-1", "-n", "4", "-i", "test", "-csv")
 	if !strings.Contains(csv, "region,start,end") {
 		t.Errorf("lpprofile CSV header missing:\n%s", csv)
+	}
+}
+
+// TestCmdSelectorClosedSet pins the one engine list: Selectors returns
+// exactly the three engines, lpprofile's -selector help is built from it,
+// and a name outside it (the retired barrierpoint alias of the medoid
+// rule) exits non-zero with an error naming the three.
+func TestCmdSelectorClosedSet(t *testing.T) {
+	engines := []string{"simpoint", "stratified", "timebased"}
+	if got := Selectors(); !reflect.DeepEqual(got, engines) {
+		t.Fatalf("Selectors() = %v, want %v", got, engines)
+	}
+	out, err := goRunEnv(nil, "./cmd/lpprofile", "-p", "demo-matrix-1", "-n", "2", "-i", "test", "-selector", "barrierpoint")
+	if err == nil {
+		t.Fatalf("lpprofile -selector barrierpoint succeeded:\n%s", out)
+	}
+	if !strings.Contains(out, `unknown selector "barrierpoint" (have [simpoint stratified timebased])`) {
+		t.Errorf("rejection does not name the three engines:\n%s", out)
+	}
+	help, _ := goRunEnv(nil, "./cmd/lpprofile", "-h")
+	if !strings.Contains(help, "selection engine: simpoint, stratified, timebased (default simpoint)") {
+		t.Errorf("-selector help does not list the three engines:\n%s", help)
 	}
 }
 

@@ -72,9 +72,7 @@ func (o overAdvertised) Ready(ctx context.Context) (int, error) {
 // armed — the reference the chaos run must reproduce byte-for-byte.
 func baselineReport(t *testing.T, tag string, spec Spec) string {
 	t.Helper()
-	if faults.Enabled() {
-		t.Fatal("baseline must run without faults armed")
-	}
+	defer faults.Enable(nil)()
 	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16})
 	rep := runCampaign(t, chaosConfig(tag), []WorkerClient{NewHTTPWorker("baseline", ts.URL)}, spec)
 	if rep.Stats.Failed != 0 {

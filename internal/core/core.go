@@ -82,7 +82,7 @@ type Config struct {
 	// recoveries, steps those recoveries skipped — shared across every job
 	// of a server and exposed via /v1/stats.
 	Progress *ProgressStats
-	// Selector names the selection engine ("simpoint" by default; see
+	// Selector names the selection engine ("simpoint" by default; one of
 	// simpoint.SelectorNames). "stratified" draws multiple seeded random
 	// representatives per cluster with two-phase budget allocation and
 	// makes per-metric confidence intervals estimable.
@@ -308,29 +308,21 @@ type LoopPoint struct {
 // Selection is the set of looppoints chosen for an application.
 type Selection struct {
 	Analysis *Analysis
-	Result   *simpoint.Result
 	// Sample is the engine-level selection: which engine drew the
-	// points, the sampling strata, and the per-draw weights. It is what
-	// interval estimation consumes; Result is nil for engines that
-	// stratify without clustering (e.g. "timebased").
+	// points, the clustering (nil for "timebased"), the sampling strata,
+	// and the per-draw weights. It is what interval estimation consumes.
 	Sample *simpoint.Selection
 	Points []LoopPoint
 }
 
-// Engine names the selection engine that produced the selection
-// ("simpoint" for pre-interface selections served from the resume store).
-func (s *Selection) Engine() string {
-	if s.Sample == nil {
-		return "simpoint"
-	}
-	return s.Sample.Engine
-}
+// Engine names the selection engine that produced the selection.
+func (s *Selection) Engine() string { return s.Sample.Engine }
 
 // Select projects and clusters the profile's regions, draws
 // representatives with the configured selection engine (Section III-E;
-// Config.Selector) and attaches the extrapolation multipliers. The default "simpoint" engine picks one medoid per
-// cluster and is byte-identical to the pre-interface pipeline — pinned
-// by the identity suite and the selections golden file.
+// Config.Selector) and attaches the extrapolation multipliers. The
+// default "simpoint" engine picks one medoid per cluster; its selections
+// are pinned by the identity suite and the selections golden file.
 func Select(a *Analysis) (*Selection, error) {
 	cfg := a.Config
 	regions := a.Profile.Regions
@@ -344,22 +336,18 @@ func Select(a *Analysis) (*Selection, error) {
 	if engine == "" {
 		engine = "simpoint"
 	}
-	sl, err := simpoint.NewSelector(engine)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", a.Prog.Name, err)
-	}
 	weights := make([]float64, len(regions))
 	for i, r := range regions {
 		weights[i] = float64(r.Filtered)
 	}
-	sp, err := sl.Select(vectors, weights, simpoint.Options{
+	sp, err := simpoint.Select(engine, vectors, weights, simpoint.Options{
 		MaxK: cfg.MaxK, Seed: cfg.Seed, Workers: cfg.ClusterWorkers,
 	}, simpoint.SelectorOpts{Budget: cfg.SampleBudget})
 	if err != nil {
 		return nil, fmt.Errorf("core: selecting %s: %w", a.Prog.Name, err)
 	}
 
-	sel := &Selection{Analysis: a, Result: sp.Result, Sample: sp}
+	sel := &Selection{Analysis: a, Sample: sp}
 	// Exact per-stratum work totals (uint64 sums — no float rounding).
 	stratumFiltered := make([]uint64, len(sp.Strata))
 	for h, st := range sp.Strata {
@@ -378,8 +366,7 @@ func Select(a *Analysis) (*Selection, error) {
 				(float64(st.Sampled) * float64(rep.Filtered))
 		}
 		// Mean member distance to this representative, accumulated in
-		// ascending member order — the same add sequence the
-		// pre-interface loop produced for medoid selections.
+		// ascending member order.
 		var spread float64
 		for _, m := range st.Members {
 			spread += dist(vectors[m], vectors[dr.Index])

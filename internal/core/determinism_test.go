@@ -89,7 +89,7 @@ func TestSelectClusterWorkersInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(base.Result, sel.Result) {
+		if !reflect.DeepEqual(base.Sample.Result, sel.Sample.Result) {
 			t.Errorf("workers=%d: clustering Result differs from workers=1", workers)
 		}
 		if !reflect.DeepEqual(base.Points, sel.Points) {

@@ -167,24 +167,13 @@ func (f *SelectionFile) SaveJSON(path string) error {
 	if err := faults.Check("core.selection.save"); err != nil {
 		return fmt.Errorf("core: save selection %s: %w", path, err)
 	}
-	if faults.Enabled() {
-		var buf bytes.Buffer
-		if err := f.WriteJSON(&buf); err != nil {
-			return err
-		}
-		data := buf.Bytes()
-		faults.CorruptBytes("core.selection.save", data)
-		return os.WriteFile(path, data, 0o644)
-	}
-	fd, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf); err != nil {
 		return err
 	}
-	if err := f.WriteJSON(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
+	data := buf.Bytes()
+	faults.CorruptBytes("core.selection.save", data)
+	return os.WriteFile(path, data, 0o644)
 }
 
 // LoadSelectionFile reads and validates a selection file — the v2

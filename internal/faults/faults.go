@@ -299,9 +299,6 @@ func Enable(p *Plan) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Enabled reports whether a plan is active.
-func Enabled() bool { return active.Load() != nil }
-
 // Check consults the active plan, if any. The nil fast path is one
 // atomic load.
 func Check(site string) error {

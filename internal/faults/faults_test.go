@@ -192,21 +192,21 @@ func TestSlowKind(t *testing.T) {
 // TestGlobalEnableDisable: the package-level fast path consults the
 // active plan and restores the previous one.
 func TestGlobalEnableDisable(t *testing.T) {
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatalf("plan active at test start")
 	}
 	if err := Check("x"); err != nil {
 		t.Fatalf("disabled Check returned %v", err)
 	}
 	restore := Enable(NewPlan(1, Rule{Site: "x", Kind: Transient, Rate: 1}))
-	if !Enabled() {
-		t.Fatalf("Enabled false after Enable")
+	if active.Load() == nil {
+		t.Fatalf("no plan active after Enable")
 	}
 	if Check("x") == nil {
 		t.Fatalf("enabled Check did not fire")
 	}
 	restore()
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatalf("restore did not clear plan")
 	}
 	if CorruptBytes("x", []byte{1}) {

@@ -32,15 +32,15 @@ type EngineRow struct {
 	Covered bool
 }
 
-// EnginesResult compares every registered selection engine on the same
+// EnginesResult compares every selection engine on the same
 // applications: prediction error of the classic medoid rule, the
 // stratified multi-draw engine (with its confidence interval), and the
-// prior-work baselines, all under one region definition and budget.
+// time-based baseline, all under one region definition and budget.
 type EnginesResult struct {
 	Rows []EngineRow
 }
 
-// Engines evaluates the given engines (nil = every registered engine)
+// Engines evaluates the given engines (nil = every engine)
 // over the configured SPEC subset with full-simulation ground truth.
 func (e *Evaluator) Engines(engines []string) (*EnginesResult, error) {
 	if engines == nil {

@@ -82,7 +82,7 @@ type Options struct {
 	// Progress, when non-nil, receives the durable-progress counters of
 	// every evaluation (shared with the serving layer's /v1/stats).
 	Progress *core.ProgressStats
-	// Selector names the selection engine ("" = "simpoint"; see
+	// Selector names the selection engine ("" = "simpoint"; one of
 	// simpoint.SelectorNames) — the -selector flag.
 	Selector string
 	// SampleBudget caps the stratified engine's total region draws

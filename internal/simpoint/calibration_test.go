@@ -13,7 +13,7 @@ package simpoint_test
 //     point of spending the pilot phase).
 //
 // The estimator under test is the production path: draws come from
-// StratifiedSelector.Select and intervals from stats.StratifiedEstimate
+// Select("stratified", …) and intervals from stats.StratifiedEstimate
 // — the same code core.ComputeIntervals runs on simulated regions.
 
 import (
@@ -99,11 +99,7 @@ func estimateTotal(p *calibPopulation, sel *simpoint.Selection, level float64) s
 // selectTrial runs one seeded stratified selection on the population.
 func selectTrial(t *testing.T, p *calibPopulation, seed uint64, proportional bool) *simpoint.Selection {
 	t.Helper()
-	sl, err := simpoint.NewSelector("stratified")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := sl.Select(p.vectors, p.weights,
+	sel, err := simpoint.Select("stratified", p.vectors, p.weights,
 		simpoint.Options{MaxK: 8, Seed: seed},
 		simpoint.SelectorOpts{Budget: 60, Proportional: proportional})
 	if err != nil {

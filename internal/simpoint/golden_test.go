@@ -6,7 +6,7 @@ package simpoint_test
 // draws, and full-precision stratum/draw weights. The comparison is on
 // exact file bytes (Go's float64 JSON encoding is shortest-round-trip,
 // so equal bytes means equal bits) — the "simpoint" entries pin the
-// medoid rule byte-identical to the pre-interface selections, and the
+// medoid rule's selections byte for byte, and the
 // "stratified" entries pin the seeded draw streams so an innocent
 // refactor of the permutation or allocation code cannot silently
 // reshuffle every published selection.
@@ -62,11 +62,7 @@ func TestGoldenSelections(t *testing.T) {
 	for _, fx := range fixtures {
 		vectors, weights := synthPopulation(fx.seed, fx.n, fx.k, fx.dim, fx.jitter)
 		for _, engine := range []string{"simpoint", "stratified"} {
-			sl, err := simpoint.NewSelector(engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel, err := sl.Select(vectors, weights,
+			sel, err := simpoint.Select(engine, vectors, weights,
 				simpoint.Options{MaxK: 8, Seed: fx.seed},
 				simpoint.SelectorOpts{Budget: fx.budget})
 			if err != nil {

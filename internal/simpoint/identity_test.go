@@ -399,12 +399,11 @@ func TestClusterGoldenSelections(t *testing.T) {
 	}
 }
 
-// TestSimPointSelectorMatchesDirectCluster pins the refactored medoid
-// engine to the pre-interface selection rule: SimPointSelector.Select
-// must carry exactly the Result a direct Cluster call produces (same
-// arguments, same floats) and draw exactly its Reps, one per cluster —
-// the identity that keeps every existing selection, golden file, and
-// resume store valid under the Selector interface.
+// TestSimPointSelectorMatchesDirectCluster pins the medoid engine to the
+// plain SimPoint rule: Select("simpoint", …) must carry exactly the
+// Result a direct Cluster call produces (same arguments, same floats)
+// and draw exactly its Reps, one per cluster — the identity that keeps
+// every existing selection, golden file, and stored result valid.
 func TestSimPointSelectorMatchesDirectCluster(t *testing.T) {
 	rng := testRNG(31)
 	for trial := 0; trial < 5; trial++ {
@@ -420,7 +419,7 @@ func TestSimPointSelectorMatchesDirectCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := SimPointSelector{}.Select(vectors, weights, opts, SelectorOpts{})
+		sel, err := Select("simpoint", vectors, weights, opts, SelectorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 package simpoint
 
-// This file defines the pluggable selection-engine layer: a Selector
-// turns projected region vectors and per-region work weights into a
-// Selection — which regions to simulate, organized into strata with
-// per-draw weights. Two engines live here:
+// This file defines the selection engines: Select turns projected
+// region vectors and per-region work weights into a Selection — which
+// regions to simulate, organized into strata with per-draw weights. The
+// set of engines is closed:
 //
 //   - "simpoint": the classic SimPoint medoid rule — cluster, then pick
 //     the one region nearest each centroid. One draw per stratum, so
@@ -16,17 +16,17 @@ package simpoint
 //     budget where the variance lives (Neyman allocation) and draws
 //     seeded random representatives. Multiple draws per stratum make
 //     per-metric confidence intervals estimable (internal/stats).
+//   - "timebased": periodic sampling, the time-based baseline. The
+//     region list is cut into contiguous segments and the first region
+//     of each is simulated, weighted by its segment's work.
 //
-// The BarrierPoint and time-based baselines (internal/baselines) register
-// additional engines beside these through RegisterSelector. Every engine
-// is deterministic: the same (vectors, weights, seeds) produce the same
-// Selection at every worker width.
+// Every engine is deterministic: the same (vectors, weights, seeds)
+// produce the same Selection at every worker width.
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // DefaultPilot is the phase-one pilot draw count per stratum.
@@ -36,12 +36,17 @@ const DefaultPilot = 2
 // computed from a stratified selection.
 const DefaultConfidence = 0.95
 
+// DefaultTimeBasedSegments is the segment count the time-based engine
+// uses when no budget is given.
+const DefaultTimeBasedSegments = 10
+
 // SelectorOpts parameterizes a Select call beyond the clustering knobs.
 type SelectorOpts struct {
 	// Budget is the total number of regions to draw across all strata.
 	// Engines clamp it to [number of strata, number of regions]; <= 0
 	// selects the engine default (the stratified engine draws
-	// min(2·K, N); the medoid engine always draws exactly K).
+	// min(2·K, N); the medoid engine always draws exactly K; the
+	// time-based engine cuts min(DefaultTimeBasedSegments, N) segments).
 	Budget int
 	// Pilot is the phase-one draw count per stratum (stratified engine;
 	// <= 0 → DefaultPilot). Pilot draws are reused in phase two.
@@ -91,12 +96,12 @@ type Stratum struct {
 // Size returns the stratum's population count N_h.
 func (s Stratum) Size() int { return len(s.Members) }
 
-// Selection is the engine-independent output of a Selector.
+// Selection is the engine-independent output of Select.
 type Selection struct {
-	// Engine names the selector that produced the selection.
+	// Engine names the engine that produced the selection.
 	Engine string
 	// Result is the clustering that defined the strata (nil for engines
-	// that stratify without clustering, e.g. time-based).
+	// that stratify without clustering, i.e. time-based).
 	Result *Result
 	// Regions are the draws, sorted by region index.
 	Regions []SelectedRegion
@@ -105,64 +110,23 @@ type Selection struct {
 	Strata []Stratum
 }
 
-// Selector is a pluggable selection engine: given projected region
-// vectors and per-region work weights, choose which regions to simulate
-// and how to weight them.
-type Selector interface {
-	// Name returns the engine's registry name.
-	Name() string
-	// Select draws the representatives. copts parameterizes the
-	// clustering that defines the strata (engines that do not cluster
-	// use only copts.Seed); sopts parameterizes the draw itself.
-	Select(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error)
-}
+// SelectorNames lists the selection engines, sorted.
+func SelectorNames() []string { return []string{"simpoint", "stratified", "timebased"} }
 
-// ---- registry ----
-
-var (
-	selectorMu       sync.RWMutex
-	selectorRegistry = map[string]func() Selector{}
-)
-
-// RegisterSelector adds a selection engine under the given name.
-// Registering a duplicate name panics: engines are wired at init time
-// and a silent overwrite would make selection depend on package-init
-// order.
-func RegisterSelector(name string, factory func() Selector) {
-	selectorMu.Lock()
-	defer selectorMu.Unlock()
-	if _, dup := selectorRegistry[name]; dup {
-		panic(fmt.Sprintf("simpoint: selector %q registered twice", name))
+// Select draws representatives with the named engine. copts
+// parameterizes the clustering that defines the strata (the time-based
+// engine does not cluster and ignores it); sopts parameterizes the draw
+// itself.
+func Select(engine string, vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
+	switch engine {
+	case "simpoint":
+		return selectMedoids(vectors, weights, copts)
+	case "stratified":
+		return selectStratified(vectors, weights, copts, sopts)
+	case "timebased":
+		return selectTimeBased(vectors, weights, sopts)
 	}
-	selectorRegistry[name] = factory
-}
-
-// NewSelector instantiates a registered engine by name.
-func NewSelector(name string) (Selector, error) {
-	selectorMu.RLock()
-	factory, ok := selectorRegistry[name]
-	selectorMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("simpoint: unknown selector %q (have %v)", name, SelectorNames())
-	}
-	return factory(), nil
-}
-
-// SelectorNames lists the registered engines, sorted.
-func SelectorNames() []string {
-	selectorMu.RLock()
-	defer selectorMu.RUnlock()
-	names := make([]string, 0, len(selectorRegistry))
-	for n := range selectorRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterSelector("simpoint", func() Selector { return SimPointSelector{} })
-	RegisterSelector("stratified", func() Selector { return StratifiedSelector{} })
+	return nil, fmt.Errorf("simpoint: unknown selector %q (have %v)", engine, SelectorNames())
 }
 
 // clusterStrata converts a clustering Result into strata: one per
@@ -174,13 +138,12 @@ func clusterStrata(res *Result, weights []float64) []Stratum {
 		strata[j].Members = append(strata[j].Members, i)
 		strata[j].Work += weights[i]
 	}
-	NormalizeStrata(strata)
+	normalizeStrata(strata)
 	return strata
 }
 
-// NormalizeStrata fills each stratum's normalized Weight from its Work
-// (exported for engines registered outside this package).
-func NormalizeStrata(strata []Stratum) {
+// normalizeStrata fills each stratum's normalized Weight from its Work.
+func normalizeStrata(strata []Stratum) {
 	var total float64
 	for i := range strata {
 		total += strata[i].Work
@@ -202,10 +165,9 @@ func NormalizeStrata(strata []Stratum) {
 	}
 }
 
-// FinishSelection sorts the draws by region index and fills per-draw
-// weights from the strata (exported for engines registered outside this
-// package).
-func FinishSelection(sel *Selection) *Selection {
+// finishSelection sorts the draws by region index and fills per-draw
+// weights from the strata.
+func finishSelection(sel *Selection) *Selection {
 	for i := range sel.Regions {
 		st := sel.Strata[sel.Regions[i].Stratum]
 		sel.Regions[i].Weight = st.Weight / float64(st.Sampled)
@@ -218,34 +180,26 @@ func FinishSelection(sel *Selection) *Selection {
 
 // ---- SimPoint medoid engine ----
 
-// SimPointSelector is the classic SimPoint rule refactored behind the
-// Selector interface: cluster with BIC-swept k-means and pick the region
-// nearest each centroid. Its Result (and therefore every downstream
-// selection, multiplier, and golden file) is byte-identical to the
-// pre-interface pipeline — Cluster is called with exactly the same
-// arguments, and the medoids are the Reps Cluster already computed.
-type SimPointSelector struct{}
-
-// Name implements Selector.
-func (SimPointSelector) Name() string { return "simpoint" }
-
-// Select implements Selector.
-func (s SimPointSelector) Select(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
+// selectMedoids is the classic SimPoint rule: cluster with BIC-swept
+// k-means and pick the region nearest each centroid. Its Result is
+// exactly what a direct Cluster call returns, and the medoids are the
+// Reps Cluster already computed.
+func selectMedoids(vectors [][]float64, weights []float64, copts Options) (*Selection, error) {
 	res, err := Cluster(vectors, weights, copts)
 	if err != nil {
 		return nil, err
 	}
-	sel := &Selection{Engine: s.Name(), Result: res, Strata: clusterStrata(res, weights)}
+	sel := &Selection{Engine: "simpoint", Result: res, Strata: clusterStrata(res, weights)}
 	for j, rep := range res.Reps {
 		sel.Strata[j].Sampled = 1
 		sel.Regions = append(sel.Regions, SelectedRegion{Index: rep, Stratum: j})
 	}
-	return FinishSelection(sel), nil
+	return finishSelection(sel), nil
 }
 
 // ---- two-phase stratified engine ----
 
-// StratifiedSelector is the two-phase stratified sampler. Clusters are
+// selectStratified is the two-phase stratified sampler. Clusters are
 // the strata. Phase one draws a seeded pilot from each stratum and
 // estimates its internal scatter in the projected BBV space (the cheap
 // proxy for metric variance — regions with similar BBVs perform
@@ -258,13 +212,7 @@ func (s SimPointSelector) Select(vectors [][]float64, weights []float64, copts O
 // is the pilot: the final sample is the first n_h elements, so the pilot
 // draws are reused rather than discarded (standard double sampling) and
 // the whole selection is a pure function of (vectors, weights, seeds).
-type StratifiedSelector struct{}
-
-// Name implements Selector.
-func (StratifiedSelector) Name() string { return "stratified" }
-
-// Select implements Selector.
-func (s StratifiedSelector) Select(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
+func selectStratified(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
 	res, err := Cluster(vectors, weights, copts)
 	if err != nil {
 		return nil, err
@@ -301,14 +249,14 @@ func (s StratifiedSelector) Select(vectors [][]float64, weights []float64, copts
 	alloc := allocate(strata, budget, sopts.Proportional)
 
 	// Phase two: the first n_h permutation elements are the sample.
-	sel := &Selection{Engine: s.Name(), Result: res, Strata: strata}
+	sel := &Selection{Engine: "stratified", Result: res, Strata: strata}
 	for h := range strata {
 		sel.Strata[h].Sampled = alloc[h]
 		for _, idx := range perms[h][:alloc[h]] {
 			sel.Regions = append(sel.Regions, SelectedRegion{Index: idx, Stratum: h})
 		}
 	}
-	return FinishSelection(sel), nil
+	return finishSelection(sel), nil
 }
 
 // drawSeed derives the per-stratum RNG seed. The stratum index is mixed
@@ -446,4 +394,43 @@ func allocate(strata []Stratum, budget int, proportional bool) []int {
 		}
 	}
 	return alloc
+}
+
+// ---- time-based engine ----
+
+// selectTimeBased picks the first region of every segment of the region
+// timeline: Budget contiguous segments (<= 0 → DefaultTimeBasedSegments,
+// at most one per region), each weighted by its work — the
+// detail-window-every-period scheme of time-based sampling, expressed
+// over profiled regions. No clustering is involved (Result is nil) and
+// every stratum holds one draw, so like the medoid rule it yields a
+// point estimate.
+func selectTimeBased(vectors [][]float64, weights []float64, sopts SelectorOpts) (*Selection, error) {
+	n := len(vectors)
+	if n == 0 {
+		return nil, fmt.Errorf("simpoint: no regions to select from")
+	}
+	if len(weights) != n {
+		return nil, fmt.Errorf("simpoint: %d weights for %d regions", len(weights), n)
+	}
+	segments := sopts.Budget
+	if segments <= 0 {
+		segments = DefaultTimeBasedSegments
+	}
+	segments = min(segments, n)
+	// Segment h covers regions [h·n/segments, (h+1)·n/segments) — the
+	// balanced split whose segment lengths differ by at most one.
+	sel := &Selection{Engine: "timebased"}
+	for h := 0; h < segments; h++ {
+		lo, hi := h*n/segments, (h+1)*n/segments
+		st := Stratum{Sampled: 1}
+		for i := lo; i < hi; i++ {
+			st.Members = append(st.Members, i)
+			st.Work += weights[i]
+		}
+		sel.Strata = append(sel.Strata, st)
+		sel.Regions = append(sel.Regions, SelectedRegion{Index: lo, Stratum: h})
+	}
+	normalizeStrata(sel.Strata)
+	return finishSelection(sel), nil
 }

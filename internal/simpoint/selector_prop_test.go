@@ -1,25 +1,24 @@
 package simpoint_test
 
-// Property and fuzz tests for every registered selection engine. The
-// invariants checked here are the contract downstream extrapolation
-// rests on: stratum weights sum to 1, every draw belongs to its claimed
-// stratum, draws are unique and sorted, per-draw weights are the
-// stratum share split evenly across its draws, and the whole selection
-// is a pure function of (vectors, weights, seeds) — identical at every
-// clustering worker width.
-//
-// The file lives in the external test package so the baseline engines
-// (internal/baselines registers "barrierpoint" and "timebased") can be
-// imported without an import cycle.
+// Property and fuzz tests for every selection engine, and for the naive
+// medoid reference beside them. The invariants checked here are the
+// contract downstream extrapolation rests on: stratum weights sum to 1,
+// every draw belongs to its claimed stratum, draws are unique and
+// sorted, per-draw weights are the stratum share split evenly across its
+// draws, and the whole selection is a pure function of (vectors,
+// weights, seeds) — identical at every clustering worker width.
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	_ "looppoint/internal/baselines" // registers the baseline engines
 	"looppoint/internal/simpoint"
 )
+
+// propertyEngines lists the engines the property tests sweep: every
+// product engine plus the naive medoid reference.
+var propertyEngines = append(simpoint.SelectorNames(), naiveEngine)
 
 // prng is a splitmix64 stream for deterministic synthetic inputs.
 type prng uint64
@@ -132,22 +131,25 @@ func checkSelectionInvariants(t *testing.T, engine string, sel *simpoint.Selecti
 	}
 }
 
-// runEngine selects with the given engine, failing the test on error.
+// runEngine selects with the given engine (or naiveMedoid), failing the
+// test on error.
 func runEngine(t *testing.T, engine string, vectors [][]float64, weights []float64,
 	copts simpoint.Options, sopts simpoint.SelectorOpts) *simpoint.Selection {
 	t.Helper()
-	sl, err := simpoint.NewSelector(engine)
-	if err != nil {
-		t.Fatal(err)
+	var sel *simpoint.Selection
+	var err error
+	if engine == naiveEngine {
+		sel, err = naiveMedoid(vectors, weights, copts)
+	} else {
+		sel, err = simpoint.Select(engine, vectors, weights, copts, sopts)
 	}
-	sel, err := sl.Select(vectors, weights, copts, sopts)
 	if err != nil {
 		t.Fatalf("%s: %v", engine, err)
 	}
 	return sel
 }
 
-// TestSelectorInvariantsAllEngines sweeps every registered engine over
+// TestSelectorInvariantsAllEngines sweeps every engine over
 // several synthetic populations — including degenerate ones — checking
 // the selection contract, determinism for a fixed seed, and that the
 // inputs are never mutated.
@@ -179,7 +181,7 @@ func TestSelectorInvariantsAllEngines(t *testing.T) {
 
 		copts := simpoint.Options{MaxK: 6, Seed: 42}
 		sopts := simpoint.SelectorOpts{Budget: 12}
-		for _, engine := range simpoint.SelectorNames() {
+		for _, engine := range propertyEngines {
 			sel := runEngine(t, engine, vectors, weights, copts, sopts)
 			t.Run(tc.name+"/"+engine, func(t *testing.T) {
 				checkSelectionInvariants(t, engine, sel, tc.n)
@@ -201,7 +203,7 @@ func TestSelectorInvariantsAllEngines(t *testing.T) {
 func TestSelectorWorkerWidthInvariant(t *testing.T) {
 	vectors, weights := synthPopulation(23, 48, 4, 6, 2.0)
 	sopts := simpoint.SelectorOpts{Budget: 16}
-	for _, engine := range simpoint.SelectorNames() {
+	for _, engine := range propertyEngines {
 		base := runEngine(t, engine, vectors, weights, simpoint.Options{MaxK: 6, Seed: 7, Workers: 1}, sopts)
 		for _, workers := range []int{2, 8} {
 			sel := runEngine(t, engine, vectors, weights, simpoint.Options{MaxK: 6, Seed: 7, Workers: workers}, sopts)
@@ -294,37 +296,7 @@ func TestStratifiedNeymanFavorsVariance(t *testing.T) {
 	}
 }
 
-// renamedSelector delegates to the medoid rule under its own registry
-// name — the other tests iterate SelectorNames(), so anything this file
-// registers must keep the name/engine contract intact.
-type renamedSelector struct{ name string }
-
-func (s renamedSelector) Name() string { return s.name }
-
-func (s renamedSelector) Select(vectors [][]float64, weights []float64, copts simpoint.Options, sopts simpoint.SelectorOpts) (*simpoint.Selection, error) {
-	sel, err := simpoint.SimPointSelector{}.Select(vectors, weights, copts, sopts)
-	if err != nil {
-		return nil, err
-	}
-	sel.Engine = s.name
-	return sel, nil
-}
-
-// TestRegisterSelectorDuplicatePanics pins the registry's duplicate
-// protection: silently overwriting an engine would make selection depend
-// on package-init order.
-func TestRegisterSelectorDuplicatePanics(t *testing.T) {
-	name := "test-duplicate-engine"
-	simpoint.RegisterSelector(name, func() simpoint.Selector { return renamedSelector{name} })
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterSelector did not panic")
-		}
-	}()
-	simpoint.RegisterSelector(name, func() simpoint.Selector { return renamedSelector{name} })
-}
-
-// FuzzSelectors drives every registered engine with adversarial
+// FuzzSelectors drives every engine with adversarial
 // populations derived from the fuzz seed and checks the full selection
 // contract plus determinism. Degenerate shapes (single region, identical
 // vectors, zero weights) are in the seed corpus.
@@ -345,7 +317,7 @@ func FuzzSelectors(f *testing.F) {
 		}
 		copts := simpoint.Options{MaxK: 6, Seed: seed}
 		sopts := simpoint.SelectorOpts{Budget: int(budgetRaw) % (2 * n)}
-		for _, engine := range simpoint.SelectorNames() {
+		for _, engine := range propertyEngines {
 			sel := runEngine(t, engine, vectors, weights, copts, sopts)
 			checkSelectionInvariants(t, engine, sel, n)
 			again := runEngine(t, engine, vectors, weights, copts, sopts)

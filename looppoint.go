@@ -86,9 +86,9 @@ const (
 // per-thread slices, maxK 50, 100 projected dimensions).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Selectors lists the registered selection engines (Config.Selector):
-// the classic "simpoint" medoid rule, the two-phase "stratified"
-// sampler, and the prior-work baselines.
+// Selectors lists the selection engines (Config.Selector): the classic
+// "simpoint" medoid rule, the two-phase "stratified" sampler, and the
+// "timebased" periodic-sampling baseline.
 func Selectors() []string { return simpoint.SelectorNames() }
 
 // Gainestown returns the paper's Table I system configuration for n cores.
