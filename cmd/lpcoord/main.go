@@ -46,9 +46,9 @@ func main() {
 		workersFlag = flag.String("workers", "", "comma-separated worker base URLs (e.g. http://127.0.0.1:8347,http://...)")
 		specPath    = flag.String("campaign", "", `campaign spec file: {"jobs":[{"class":"analyze","app":"npb-cg",...},...]} (empty: build from -apps)`)
 		apps        = flag.String("apps", "", "comma-separated workload names to build a campaign from (ignored with -campaign)")
-		class       = flag.String("class", serve.ClassAnalyze, "job class for -apps campaigns: analyze, simulate, or report")
-		input       = flag.String("input", "", "input class for -apps campaigns (empty = evaluator default)")
-		threads     = flag.Int("threads", 0, "thread count for -apps campaigns (0 = evaluator default)")
+		class       = flag.String("class", serve.ClassAnalyze, "job class for -apps campaigns: "+strings.Join(serve.JobClasses, " or "))
+		input       = flag.String("input", "", "input class for -apps campaigns (empty = train)")
+		threads     = flag.Int("threads", 0, "thread count for -apps campaigns (0 = the workload's default)")
 		policy      = flag.String("policy", "", "OMP wait policy for -apps campaigns: passive (default) or active")
 		core        = flag.String("core", "", "core model for -apps campaigns: ooo (default) or inorder")
 		full        = flag.Bool("full", false, "also run whole-program simulation (report class)")
@@ -135,7 +135,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lpcoord: %s%s\n", rep.Stats.Line(), fleetProgressLine(workerURLs))
 	}
 	if err != nil {
-		fatalf("campaign interrupted: %v", err)
+		fatalf("campaign %q: %v", *tag, err)
 	}
 
 	rendered := rep.Render()

@@ -6,7 +6,7 @@
 // SIGTERM drain. A job runs once; lpcoord retries a failed one on another
 // worker.
 //
-//	lpserved -quick -slice 2000            # fast smoke configuration
+//	lpserved -slice 2000                   # fast smoke configuration
 //	lpserved -addr 127.0.0.1:0             # ephemeral port, printed at boot
 //	curl localhost:8347/readyz
 //	curl -d '{"class":"analyze","app":"npb-cg","input":"test"}' localhost:8347/v1/jobs
@@ -46,7 +46,6 @@ import (
 	"looppoint/internal/faults"
 	"looppoint/internal/harness"
 	"looppoint/internal/serve"
-	"looppoint/internal/workloads"
 )
 
 func main() {
@@ -65,10 +64,8 @@ func main() {
 		brOpen     = flag.Duration("breaker-open", serve.DefaultOpenFor, "how long a tripped breaker holds open before probing")
 		brProbes   = flag.Int("breaker-probes", serve.DefaultHalfOpenProbes, "half-open probe slots (and successes required to close)")
 
-		quick    = flag.Bool("quick", false, "use representative workload subsets")
 		jobs     = flag.Int("j", 0, "worker-pool width inside each evaluation (0 = one worker per CPU)")
 		slice    = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
-		input    = flag.String("input", "", "override every job's input class (e.g. test) — smoke runs only")
 		resume   = flag.String("resume", "", "evaluator resume directory: completed evaluations persist here across restarts")
 		degraded = flag.Bool("degraded", false, "tolerate per-region simulation failures inside evaluations")
 		verbose  = flag.Bool("v", false, "log evaluator progress to stderr")
@@ -84,14 +81,12 @@ func main() {
 
 	progress := &core.ProgressStats{}
 	opts := harness.Options{
-		Quick:         *quick,
-		Parallelism:   *jobs,
-		SliceUnit:     *slice,
-		InputOverride: workloads.InputClass(*input),
-		Resume:        *resume,
-		Degraded:      *degraded,
-		ProgressDir:   *progressDir,
-		Progress:      progress,
+		Parallelism: *jobs,
+		SliceUnit:   *slice,
+		Resume:      *resume,
+		Degraded:    *degraded,
+		ProgressDir: *progressDir,
+		Progress:    progress,
 	}
 	if *verbose {
 		opts.Log = os.Stderr

@@ -2,11 +2,14 @@ package looppoint
 
 import (
 	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -250,6 +253,35 @@ func TestCmdLpcoordLearnsSlots(t *testing.T) {
 	out, err := goRunEnv(nil, "./cmd/lpcoord", "-worker-inflight", "2")
 	if err == nil || !strings.Contains(out, "flag provided but not defined") {
 		t.Fatalf("lpcoord -worker-inflight: err = %v, want an undefined-flag exit:\n%s", err, out)
+	}
+}
+
+// TestCmdLpcoordRejectsSimulate: the job classes are analyze and report,
+// lpcoord's -class help is built from that list, and a campaign of any
+// other class exits non-zero naming the two before a single claim reaches
+// a worker.
+func TestCmdLpcoordRejectsSimulate(t *testing.T) {
+	var claims atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/claim" {
+			claims.Add(1)
+		}
+		w.Write([]byte(`{"ready":true,"slots":1}`))
+	}))
+	defer worker.Close()
+	out, err := goRunEnv(nil, "./cmd/lpcoord", "-workers", worker.URL, "-apps", "npb-cg", "-class", "simulate")
+	if err == nil {
+		t.Fatalf("lpcoord -class simulate succeeded:\n%s", out)
+	}
+	if !strings.Contains(out, `unknown class "simulate" (want one of [analyze report])`) {
+		t.Errorf("rejection does not name the two classes:\n%s", out)
+	}
+	if n := claims.Load(); n != 0 {
+		t.Errorf("%d claims reached the worker before the spec was rejected", n)
+	}
+	help, _ := goRunEnv(nil, "./cmd/lpcoord", "-h")
+	if !strings.Contains(help, "job class for -apps campaigns: analyze or report") {
+		t.Errorf("-class help does not list the two classes:\n%s", help)
 	}
 }
 

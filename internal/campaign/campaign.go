@@ -37,38 +37,20 @@ import (
 const SchemaVersion = "v3"
 
 // Spec is one campaign: the jobs to run. Order is preserved in the
-// report; jobs that normalize to the same key are collapsed onto one
+// report; jobs whose canonical specs share a key are collapsed onto one
 // execution.
 type Spec struct {
 	Jobs []serve.JobRequest `json:"jobs"`
 }
 
-// Normalize maps a job spec to its canonical form: per-request plumbing
-// (ID, deadline) cleared, and the evaluator's documented
-// defaults spelled out, so "empty means default" and the explicit
-// default are one job, not two.
-func Normalize(j serve.JobRequest) serve.JobRequest {
-	j.ID, j.DeadlineMS = "", 0
-	if j.Input == "" {
-		j.Input = "train"
-	}
-	if j.Policy == "" {
-		j.Policy = "passive"
-	}
-	if j.Core == "" {
-		j.Core = "ooo"
-	}
-	return j
-}
-
 // KeyTagged is the job's content address: a 16-hex-digit FNV-1a over the
-// canonical spec string, which includes the schema version and the
-// campaign tag. Equal work under equal tags always hashes to the same
+// spec string, which includes the schema version and the campaign tag.
+// j is serve.Canonical's output, so an implicit default and the explicit
+// one share a key. Equal work under equal tags always hashes to the same
 // key — across coordinator restarts, across workers, across machines.
 func KeyTagged(tag string, j serve.JobRequest) string {
-	n := Normalize(j)
 	sig := fmt.Sprintf("campaign/%s|tag=%s|class=%s|app=%s|input=%s|threads=%d|policy=%s|core=%s|full=%t",
-		SchemaVersion, tag, n.Class, n.App, n.Input, n.Threads, n.Policy, n.Core, n.Full)
+		SchemaVersion, tag, j.Class, j.App, j.Input, j.Threads, j.Policy, j.Core, j.Full)
 	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"looppoint/internal/artifact"
+	"looppoint/internal/harness"
 	"looppoint/internal/serve"
 )
 
@@ -112,23 +113,62 @@ func runCampaign(t *testing.T, cfg Config, workers []WorkerClient, spec Spec) *R
 	return rep
 }
 
+// canonical is the coordinator's reading of one spec entry: the
+// canonical job, request plumbing cleared, and its key under tag.
+func canonical(t *testing.T, tag string, j serve.JobRequest) (serve.JobRequest, string) {
+	t.Helper()
+	n, err := serve.Canonical(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.ID, n.DeadlineMS = "", 0
+	return n, KeyTagged(tag, n)
+}
+
 func TestKeyTaggedNormalizes(t *testing.T) {
+	key := func(tag string, j serve.JobRequest) string {
+		_, k := canonical(t, tag, j)
+		return k
+	}
 	explicit := serve.JobRequest{ID: "x", Class: serve.ClassAnalyze, App: "npb-cg",
 		Input: "train", Policy: "passive", Core: "ooo", DeadlineMS: 5000}
 	implicit := serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg"}
-	if KeyTagged("t", explicit) != KeyTagged("t", implicit) {
+	if key("t", explicit) != key("t", implicit) {
 		t.Fatal("spelled-out defaults and empty defaults should share a key")
 	}
-	if KeyTagged("t", implicit) == KeyTagged("u", implicit) {
+	if key("t", implicit) == key("u", implicit) {
 		t.Fatal("distinct tags must produce distinct keys")
 	}
 	other := implicit
 	other.Threads = 8
-	if KeyTagged("t", implicit) == KeyTagged("t", other) {
+	if key("t", implicit) == key("t", other) {
 		t.Fatal("distinct specs must produce distinct keys")
 	}
-	if len(KeyTagged("t", implicit)) != 16 {
-		t.Fatalf("key %q is not 16 hex digits", KeyTagged("t", implicit))
+	if len(key("t", implicit)) != 16 {
+		t.Fatalf("key %q is not 16 hex digits", key("t", implicit))
+	}
+}
+
+// TestKeyTaggedPinned pins the content address of jobs whose keys were
+// computed before serve.Canonical existed: implicit and explicit
+// defaults, both classes, both policies. A campaign cache or journal
+// written then must still resolve every one of them.
+func TestKeyTaggedPinned(t *testing.T) {
+	for _, c := range []struct {
+		job  serve.JobRequest
+		want string
+	}{
+		{serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg"}, "a6a90dcb52492b6b"},
+		{serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-cg", Input: "train", Policy: "passive", Core: "ooo"}, "a6a90dcb52492b6b"},
+		{serve.JobRequest{Class: serve.ClassAnalyze, App: "npb-ft", Input: "test", Threads: 4}, "b33da160314493b7"},
+		{serve.JobRequest{Class: serve.ClassReport, App: "657.xz_s.2", Input: "test", Threads: 2, Policy: "active", Full: true}, "cd9dfb438687a5b2"},
+		{serve.JobRequest{Class: serve.ClassReport, App: "657.xz_s.2", Input: "test", Threads: 4, Policy: "active", Full: true}, "f6f5392532f47374"},
+		{serve.JobRequest{Class: serve.ClassReport, App: "621.wrf_s.1", Input: "ref", Core: "inorder", DeadlineMS: 900}, "f5a9de096359ae64"},
+		{serve.JobRequest{ID: "mine", Class: serve.ClassReport, App: "621.wrf_s.1", Policy: "passive"}, "f0f3063d712261d7"},
+	} {
+		if _, got := canonical(t, "pinned", c.job); got != c.want {
+			t.Errorf("%+v: key %s, want %s", c.job, got, c.want)
+		}
 	}
 }
 
@@ -143,8 +183,7 @@ func journalEntries(t *testing.T, path, tag string, n int) [][]byte {
 	defer j.Close()
 	var want [][]byte
 	for _, job := range npbSpec(n).Jobs {
-		n := Normalize(job)
-		key := KeyTagged(tag, n)
+		n, key := canonical(t, tag, job)
 		r := &Result{Key: key, Job: n, Res: CanonicalResult(key, fakeResult(n))}
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
@@ -548,6 +587,44 @@ func TestCoordinatorFailsPermanentlyOnBadRequest(t *testing.T) {
 	}
 	if !strings.Contains(rep.Render(), "FAILED") {
 		t.Fatalf("report should mark failed jobs:\n%s", rep.Render())
+	}
+}
+
+// TestCampaignUnknownAppFailsOnce: a spec naming an app no worker knows
+// passes Canonical (the registry is the runner's), so it is dispatched —
+// once: the worker's evaluator answers it 400, the coordinator fails it
+// without a retry, every other job completes, and no breaker on either
+// side counts it.
+func TestCampaignUnknownAppFailsOnce(t *testing.T) {
+	s := serve.New(serve.Config{MaxInflight: 2, Breaker: serve.BreakerOpts{FailureThreshold: 1}},
+		serve.EvaluatorRunner(harness.NewEvaluator(harness.Options{Parallelism: 1, SliceUnit: 2000})))
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Drain()
+	})
+	spec := Spec{}
+	for _, app := range []string{"npb-cg", "npb-nope", "npb-is"} {
+		spec.Jobs = append(spec.Jobs, serve.JobRequest{Class: serve.ClassAnalyze, App: app, Input: "test", Threads: 2})
+	}
+	cfg := quickConfig("unknown-app")
+	cfg.Lease, cfg.RequestTimeout = 20*time.Second, 40*time.Second
+	cfg.Breaker.FailureThreshold = 1
+	rep := runCampaign(t, cfg, []WorkerClient{NewHTTPWorker("w0", ts.URL)}, spec)
+	if rep.Stats.Completed != 2 || rep.Stats.Failed != 1 || rep.Stats.Dispatched != 3 {
+		t.Fatalf("stats %+v, want 2 completed, 1 failed, 3 dispatches", rep.Stats)
+	}
+	for _, r := range rep.Results {
+		if (r.Res == nil) != (r.Job.App == "npb-nope") {
+			t.Fatalf("%s: result %+v", r.Job.App, r.Res)
+		}
+	}
+	if trips := rep.Stats.BreakerTrips["w0"]; trips != 0 {
+		t.Fatalf("worker breaker tripped %d times", trips)
+	}
+	if st := s.Stats(); st.Admitted != 3 || st.Trips[serve.ClassAnalyze] != 0 {
+		t.Fatalf("worker admitted=%d analyze trips=%d, want 3 and 0", st.Admitted, st.Trips[serve.ClassAnalyze])
 	}
 }
 

@@ -98,7 +98,7 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	spec := npbSpec(8)
 	for i := range spec.Jobs {
 		if i%3 == 0 {
-			spec.Jobs[i].Class = serve.ClassSimulate
+			spec.Jobs[i].Class = serve.ClassReport
 		}
 	}
 	want := baselineReport(t, "chaos", spec)

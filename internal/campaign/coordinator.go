@@ -217,15 +217,15 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if len(spec.Jobs) == 0 {
 		return nil, errors.New("campaign: empty spec")
 	}
-	for i := range spec.Jobs {
-		if err := serve.ValidateJob(&spec.Jobs[i]); err != nil {
+
+	// Build the task set: canonicalize, key, collapse duplicate keys. A
+	// spec no worker can run fails the campaign before any dispatch.
+	for i, j := range spec.Jobs {
+		n, err := serve.Canonical(j)
+		if err != nil {
 			return nil, fmt.Errorf("campaign: job %d: %w", i, err)
 		}
-	}
-
-	// Build the task set: normalize, key, collapse duplicate keys.
-	for _, j := range spec.Jobs {
-		n := Normalize(j)
+		n.ID, n.DeadlineMS = "", 0 // per-request plumbing, not part of the job
 		key := KeyTagged(c.cfg.Tag, n)
 		if _, ok := c.tasks[key]; ok {
 			continue

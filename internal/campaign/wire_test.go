@@ -64,8 +64,8 @@ func captureReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 		"timeout":     claim(serve.ClaimRequest{Key: "k", LeaseMS: 5, Job: job(serve.ClassReport, "hang")}),
 		"bad_request": claim(serve.ClaimRequest{Key: "k", Job: job("mine-bitcoin", "x")}),
 	}
-	claim(serve.ClaimRequest{Key: "trip", Job: job(serve.ClassSimulate, "boom")}) // opens simulate's breaker
-	out["shed_breaker"] = claim(serve.ClaimRequest{Key: "k", Job: job(serve.ClassSimulate, "npb-cg")})
+	claim(serve.ClaimRequest{Key: "trip", Job: job(serve.ClassAnalyze, "boom")}) // opens analyze's breaker
+	out["shed_breaker"] = claim(serve.ClaimRequest{Key: "k", Job: job(serve.ClassAnalyze, "npb-cg")})
 	return out
 }
 

@@ -348,7 +348,7 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 	return e.reports.do(ctx, key, func() (*core.Report, error) {
 		var rkey string
 		if e.resume != nil {
-			rkey = resumeKey(e.Opts, key)
+			rkey = resumeKey(e.Opts, k)
 			if d, ok := e.resume.Get(rkey); ok {
 				e.logf("restored %s (%v, %s) from %s", k.App, k.Policy, k.Input, e.Opts.Resume)
 				return d.report(), nil

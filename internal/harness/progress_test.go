@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"looppoint/internal/core"
@@ -19,16 +20,66 @@ func TestResumeKeyIgnoresProgressKnobs(t *testing.T) {
 	with.ProgressDir = "/tmp/progress"
 	with.Progress = &core.ProgressStats{}
 	with.Parallelism = base.Parallelism + 3
-	if resumeKey(base, "k") != resumeKey(with, "k") {
+	k := ReportKey{App: "k"}
+	if resumeKey(base, k) != resumeKey(with, k) {
 		t.Fatal("progress knobs or the width changed the resume key")
 	}
 	again := with
 	again.Progress = &core.ProgressStats{} // different allocation, same key
-	if resumeKey(with, "k") != resumeKey(again, "k") {
+	if resumeKey(with, k) != resumeKey(again, k) {
 		t.Fatal("the resume key depends on the stats pointer identity")
 	}
-	if resumeKey(base, "k") == resumeKey(base, "k2") {
+	if resumeKey(base, k) == resumeKey(base, ReportKey{App: "k2"}) {
 		t.Fatal("the resume key ignores the ReportKey")
+	}
+}
+
+// TestResumeSigNamesEveryField: every field of core.Config and of
+// ReportKey either moves the resume key or is on the short list of fields
+// that cannot change a report. A field added to either struct fails here
+// until it is named in resumeSig or, if it only changes host time or
+// where mid-job state lives, added to that list.
+func TestResumeSigNamesEveryField(t *testing.T) {
+	resultFree := map[string]bool{"ClusterWorkers": true, "ProgressDir": true, "Progress": true}
+	cfg, k := core.DefaultConfig(), ReportKey{App: "644.nab_s.1", Input: "train", Threads: 8}
+	base := resumeSig(cfg, k, false, 0)
+
+	check := func(typ string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			old := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Slice:
+				f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+			case reflect.Pointer:
+				f.Set(reflect.New(f.Type().Elem()))
+			default:
+				t.Fatalf("%s.%s: no mutation for kind %v", typ, name, f.Kind())
+			}
+			moved := resumeSig(cfg, k, false, 0) != base
+			f.Set(old)
+			switch {
+			case resultFree[name] && moved:
+				t.Errorf("%s.%s cannot change a report but moves the resume key", typ, name)
+			case !resultFree[name] && !moved:
+				t.Errorf("%s.%s is not in the resume key", typ, name)
+			}
+		}
+	}
+	check("core.Config", reflect.ValueOf(&cfg).Elem())
+	check("ReportKey", reflect.ValueOf(&k).Elem())
+	if resumeSig(cfg, k, true, 0) == base || resumeSig(cfg, k, false, 0.5) == base {
+		t.Error("the degraded knobs are not in the resume key")
 	}
 }
 

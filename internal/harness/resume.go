@@ -18,26 +18,30 @@ import (
 // tables and figures consume (prediction, errors, speedups, degradation,
 // and the selection's region/looppoint counts) — everything the renderers
 // read, nothing that cannot be serialized.
-//
-// ReportKey alone does not pin down a report's numbers — -slice, -seed
-// and the degraded knobs all change what an evaluation produces without
-// appearing in it — so an entry's key (resumeKey) hashes them too. A run
-// under another configuration looks up other keys: it re-evaluates, and
-// nothing has to recognise a stale entry.
 
 // reportSchema tags the stored record's schema inside every key; change
-// it when reportData changes shape.
-const reportSchema = "harness-report/1"
+// it when reportData or the key's fields change.
+const reportSchema = "harness-report/2"
 
-// resumeKey names one evaluation's entry: the ReportKey plus the resolved
-// core config and the degraded knobs. Threads and input are part of every
-// ReportKey. The width (Parallelism, and the ClusterWorkers it sets) and
-// the durable-progress knobs are zeroed first: they cannot change report
-// bytes, and the stats pointer would render as an address.
-func resumeKey(o Options, reportKey string) string {
-	o.Parallelism, o.ProgressDir, o.Progress = 0, "", nil
-	return artifact.Key(fmt.Sprintf("%s|key=%s|cfg=%+v|degraded=%v|min_coverage=%v",
-		reportSchema, reportKey, o.config(), o.Degraded, o.MinCoverage))
+// resumeKey names one evaluation's entry.
+func resumeKey(o Options, k ReportKey) string {
+	return artifact.Key(resumeSig(o.config(), k, o.Degraded, o.MinCoverage))
+}
+
+// resumeSig names, field by field, everything that can change a report:
+// the ReportKey, every core.Config knob and the degraded knobs, so a run
+// under another configuration looks up another key. ClusterWorkers,
+// ProgressDir and Progress change only host time and where mid-job state
+// lives, so they are left out.
+func resumeSig(c core.Config, k ReportKey, degraded bool, minCoverage float64) string {
+	return fmt.Sprintf("%s|app=%s|policy=%v|input=%s|threads=%d|core=%v|full=%t|selector=%s"+
+		"|slice_unit=%d|max_k=%d|seed=%d|flow_window=%d|marker_entry_budget=%d|warmup=%v|warmup_regions=%d"+
+		"|region_sim=%v|sum_bbvs=%t|host_bias=%v|no_spin_filter=%t|variable_slices=%t"+
+		"|engine=%s|sample_budget=%d|confidence=%v|degraded=%t|min_coverage=%v",
+		reportSchema, k.App, k.Policy, k.Input, k.Threads, k.Core, k.Full, k.Selector,
+		c.SliceUnit, c.MaxK, c.Seed, c.FlowWindow, c.MarkerEntryBudget, c.Warmup, c.WarmupRegions,
+		c.RegionSim, c.SumBBVs, c.HostBias, c.NoSpinFilter, c.VariableSlices,
+		c.Selector, c.SampleBudget, c.Confidence, degraded, minCoverage)
 }
 
 // reportData is the stored scalar subset of a core.Report.

@@ -6,54 +6,27 @@ import (
 
 	"looppoint/internal/harness"
 	"looppoint/internal/omp"
-	"looppoint/internal/timing"
 	"looppoint/internal/workloads"
 )
 
 // EvaluatorRunner adapts a harness.Evaluator into the server's RunFunc:
-// the daemon's job classes map onto the evaluator's memoized entry
-// points, so repeated requests for the same workload hit the evaluator
-// cache (and its resume store) instead of recomputing.
-//
-//   - analyze  → AnalyzeOnly: profile + cluster + select, no timing.
-//   - simulate → Report with Full forced off: sampled simulation and
-//     extrapolation only (the cheap production shape).
-//   - report   → Report honoring req.Full: optionally simulates the
-//     whole program too, for error reporting.
-//
-// The per-request deadline context flows through the evaluator into
-// core's region sweep, so an expiring request stops at the next region
-// boundary instead of finishing doomed work.
+// analyze maps onto AnalyzeOnly and report onto Report (honoring Full),
+// so repeated requests for the same workload hit the evaluator cache (and
+// its resume store) instead of recomputing. The request is Canonical's
+// output; an app the workload registry does not know is an ErrBadJob.
+// The deadline context flows into core's region sweep, so an expiring
+// request stops at the next region boundary.
 func EvaluatorRunner(e *harness.Evaluator) RunFunc {
 	return func(ctx context.Context, req *JobRequest) (*JobResult, error) {
-		policy := omp.Passive
-		if req.Policy != "" {
-			p, err := omp.ParseWaitPolicy(req.Policy)
-			if err != nil {
-				return nil, err
-			}
-			policy = p
+		if _, ok := workloads.Lookup(req.App); !ok {
+			return nil, badJob("unknown app %q", req.App)
 		}
-		core := timing.OOO
-		switch req.Core {
-		case "", "ooo":
-		case "inorder":
-			core = timing.InOrder
-		default:
-			return nil, fmt.Errorf("serve: unknown core model %q (want ooo or inorder)", req.Core)
-		}
+		policy, _ := omp.ParseWaitPolicy(req.Policy) // Canonical admitted it
 		input := workloads.InputClass(req.Input)
-		if req.Input == "" {
-			input = workloads.InputTrain
-		}
-		threads := req.Threads
-		if threads < 0 {
-			return nil, fmt.Errorf("serve: negative thread count %d", threads)
-		}
 
 		res := &JobResult{ID: req.ID, Class: req.Class, App: req.App}
 		if req.Class == ClassAnalyze {
-			sel, _, err := e.AnalyzeOnly(ctx, req.App, policy, input, threads)
+			sel, _, err := e.AnalyzeOnly(ctx, req.App, policy, input, req.Threads)
 			if err != nil {
 				return nil, err
 			}
@@ -63,10 +36,9 @@ func EvaluatorRunner(e *harness.Evaluator) RunFunc {
 			return res, nil
 		}
 
-		full := req.Full && req.Class == ClassReport
 		rep, err := e.Report(ctx, harness.ReportKey{
 			App: req.App, Policy: policy, Input: input,
-			Threads: threads, Core: core, Full: full,
+			Threads: req.Threads, Core: coreModels[req.Core], Full: req.Full,
 		})
 		if err != nil {
 			return nil, err

@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,19 +31,24 @@ import (
 
 	"looppoint/internal/core"
 	"looppoint/internal/faults"
+	"looppoint/internal/omp"
 	"looppoint/internal/pool"
+	"looppoint/internal/timing"
+	"looppoint/internal/workloads"
 )
 
 // Job classes. Each gets its own circuit breaker: a failing full-report
 // dependency must not stop cheap analyses from serving.
 const (
-	ClassAnalyze  = "analyze"  // profile + cluster + select, no timing simulation
-	ClassSimulate = "simulate" // full pipeline, extrapolation only
-	ClassReport   = "report"   // full pipeline, honoring Full for error reporting
+	ClassAnalyze = "analyze" // profile + cluster + select, no timing simulation
+	ClassReport  = "report"  // sampled simulation and extrapolation, plus the full run when Full is set
 )
 
 // JobClasses lists every class the server admits.
-var JobClasses = []string{ClassAnalyze, ClassSimulate, ClassReport}
+var JobClasses = []string{ClassAnalyze, ClassReport}
+
+// coreModels is every core model a job may name.
+var coreModels = map[string]timing.CoreKind{"ooo": timing.OOO, "inorder": timing.InOrder}
 
 // Serving defaults.
 const (
@@ -54,6 +60,14 @@ const (
 
 // ErrDraining rejects work because the server is shutting down.
 var ErrDraining = errors.New("serve: draining, not admitting jobs")
+
+// ErrBadJob marks a spec no run can satisfy: the server answers it 400,
+// neutral for the breaker, and lpcoord fails the job without a retry.
+var ErrBadJob = errors.New("serve: bad job")
+
+func badJob(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadJob, fmt.Sprintf(format, args...))
+}
 
 // TimeoutError is the typed deadline failure: the job did not finish
 // within its per-request deadline, either because it never left the
@@ -71,14 +85,13 @@ func (e *TimeoutError) Error() string {
 type JobRequest struct {
 	// ID is the client's correlation id (a server id is minted if empty).
 	ID string `json:"id,omitempty"`
-	// Class selects the pipeline: analyze, simulate, or report.
+	// Class selects the pipeline: analyze or report.
 	Class string `json:"class"`
 	// App names the workload (e.g. "603.bwaves_s.1", "npb-cg").
 	App string `json:"app"`
-	// Input is the input class (train, ref, test, C, D…); empty uses the
-	// evaluator's default for the class.
+	// Input is the input class (test, train, ref, A, C, D; default train).
 	Input string `json:"input,omitempty"`
-	// Threads is the thread count (0: the evaluator's default).
+	// Threads is the thread count (0: the workload's default).
 	Threads int `json:"threads,omitempty"`
 	// Policy is the OMP wait policy: "passive" (default) or "active".
 	Policy string `json:"policy,omitempty"`
@@ -298,10 +311,6 @@ func (s *Server) Start() {
 	}
 }
 
-// Breaker returns the given class's breaker (nil for unknown classes) —
-// observability for tests and the daemon.
-func (s *Server) Breaker(class string) *Breaker { return s.breakers[class] }
-
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
@@ -398,26 +407,44 @@ func decodeBody(r *http.Request, v any) (jobOutcome, bool) {
 	return jobOutcome{}, true
 }
 
-// ValidateJob rejects a structurally bad job spec — the one check every
-// way in runs before admission: both wire forms, and the campaign
-// coordinator before it dispatches anything.
-func ValidateJob(req *JobRequest) error {
-	if !slices.Contains(JobClasses, req.Class) {
-		return fmt.Errorf("unknown class %q (want one of %v)", req.Class, JobClasses)
+// Canonical is the one reading of a job spec, run before a job is
+// admitted or keyed. It rejects what no worker can run with an ErrBadJob
+// and spells out the defaults (train, passive, ooo), so an implicit
+// default and the explicit one are one job. ID, DeadlineMS and a thread
+// count of 0 (the workload's default) pass through.
+func Canonical(j JobRequest) (JobRequest, error) {
+	if !slices.Contains(JobClasses, j.Class) {
+		return j, badJob("unknown class %q (want one of %v)", j.Class, JobClasses)
 	}
-	if req.App == "" {
-		return errors.New("missing app")
+	if j.App == "" {
+		return j, badJob("missing app")
 	}
-	return nil
+	if j.Threads < 0 {
+		return j, badJob("negative thread count %d", j.Threads)
+	}
+	j.Input = cmp.Or(j.Input, string(workloads.InputTrain))
+	if err := workloads.InputClass(j.Input).Check(); err != nil {
+		return j, badJob("%v", err)
+	}
+	j.Policy = cmp.Or(j.Policy, omp.Passive.String())
+	if _, err := omp.ParseWaitPolicy(j.Policy); err != nil {
+		return j, badJob("%v", err)
+	}
+	j.Core = cmp.Or(j.Core, timing.OOO.String())
+	if _, ok := coreModels[j.Core]; !ok {
+		return j, badJob("unknown core model %q (want ooo or inorder)", j.Core)
+	}
+	return j, nil
 }
 
-// submit is the one way into a worker — validate, admit, await — and
+// submit is the one way into a worker — Canonical, admit, await — and
 // returns the job's terminal outcome. Both wire forms decode into it.
 func (s *Server) submit(ctx context.Context, req *JobRequest) jobOutcome {
-	if err := ValidateJob(req); err != nil {
+	c, err := Canonical(*req)
+	if err != nil {
 		return badRequest(err.Error())
 	}
-	j, shed := s.admit(ctx, req)
+	j, shed := s.admit(ctx, &c)
 	if shed != nil {
 		return *shed
 	}
@@ -437,7 +464,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	respond(w, o, o.errB)
 }
 
-// admit runs the admission dance for one validated job, in shed-priority
+// admit runs the admission dance for one canonical job, in shed-priority
 // order: drain beats breaker beats queue. On success the job is queued
 // and the caller must consume it with awaitJob (which releases the
 // deadline context and its tie to Drain's cancellation); a non-nil jobOutcome means the job was shed and
@@ -589,6 +616,12 @@ func (s *Server) finishOutcome(j *job, d jobDone) jobOutcome {
 		s.logLine(j, "canceled", d, d.err)
 		return jobOutcome{status: http.StatusServiceUnavailable,
 			errB: errorBody{Outcome: "canceled", Error: d.err.Error()}}
+	case errors.Is(d.err, ErrBadJob):
+		// The spec, not the dependency, is at fault: no run can succeed.
+		s.errsN.Add(1)
+		br.Forget()
+		s.logLine(j, "bad_request", d, d.err)
+		return badRequest(d.err.Error())
 	default:
 		s.errsN.Add(1)
 		br.Done(false)

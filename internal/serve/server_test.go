@@ -198,7 +198,7 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
-		if req.Class == ClassSimulate && failing.Load() {
+		if req.Class == ClassReport && failing.Load() {
 			return nil, fmt.Errorf("synthetic dependency failure")
 		}
 		return okRunner(ctx, req)
@@ -209,11 +209,11 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 	}, run)
 
 	for i := 0; i < 2; i++ {
-		if code, _ := postJob(t, s, JobRequest{Class: ClassSimulate, App: "npb-cg"}); code != http.StatusInternalServerError {
+		if code, _ := postJob(t, s, JobRequest{Class: ClassReport, App: "npb-cg"}); code != http.StatusInternalServerError {
 			t.Fatalf("failing job %d: status %d, want 500", i, code)
 		}
 	}
-	code, body := postJob(t, s, JobRequest{Class: ClassSimulate, App: "npb-cg"})
+	code, body := postJob(t, s, JobRequest{Class: ClassReport, App: "npb-cg"})
 	if code != http.StatusServiceUnavailable || body["outcome"] != "shed_breaker" {
 		t.Fatalf("status %d body %v, want 503 shed_breaker", code, body)
 	}
@@ -222,18 +222,18 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 	// The analyze class has its own breaker and keeps serving.
 	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg"}); code != http.StatusOK {
-		t.Fatalf("analyze sheared by simulate's breaker: %d", code)
+		t.Fatalf("analyze sheared by report's breaker: %d", code)
 	}
 
 	clk.Advance(10 * time.Second)
 	failing.Store(false)
-	if code, body := postJob(t, s, JobRequest{Class: ClassSimulate, App: "npb-cg"}); code != http.StatusOK {
+	if code, body := postJob(t, s, JobRequest{Class: ClassReport, App: "npb-cg"}); code != http.StatusOK {
 		t.Fatalf("probe after recovery: status %d body %v, want 200", code, body)
 	}
-	if got := s.Breaker(ClassSimulate).State(); got != BreakerClosed {
+	if got := s.breakers[ClassReport].State(); got != BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", got)
 	}
-	if got := s.Breaker(ClassSimulate).Trips(); got != 1 {
+	if got := s.breakers[ClassReport].Trips(); got != 1 {
 		t.Fatalf("trips %d, want 1", got)
 	}
 }
@@ -442,7 +442,7 @@ func TestServeHalfOpenProbeAdmission(t *testing.T) {
 	if code := <-probe; code != http.StatusOK {
 		t.Fatalf("probe finished with %d", code)
 	}
-	if b := s.Breaker(ClassAnalyze); b.State() != BreakerClosed {
+	if b := s.breakers[ClassAnalyze]; b.State() != BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", b.State())
 	}
 	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-ft"}); code != http.StatusOK {
@@ -473,7 +473,7 @@ func TestServeHalfOpenProbeRace(t *testing.T) {
 			if st := s.Stats(); st.Admitted != uint64(1+probes) {
 				t.Fatalf("stats %+v: the breaker admitted more than its %d probes", st, probes)
 			}
-			if b := s.Breaker(ClassAnalyze); b.State() != BreakerHalfOpen {
+			if b := s.breakers[ClassAnalyze]; b.State() != BreakerHalfOpen {
 				t.Fatalf("breaker %v with probes still running, want half-open", b.State())
 			}
 			close(br.release)
@@ -489,7 +489,7 @@ func TestServeHalfOpenProbeRace(t *testing.T) {
 			if ok != probes || shed != posts-probes {
 				t.Fatalf("%d succeeded, %d shed; want exactly %d probes through", ok, shed, probes)
 			}
-			if b := s.Breaker(ClassAnalyze); b.State() != BreakerClosed {
+			if b := s.breakers[ClassAnalyze]; b.State() != BreakerClosed {
 				t.Fatalf("breaker %v after every probe succeeded, want closed", b.State())
 			}
 		})
@@ -577,7 +577,7 @@ func TestServeChaosFaultNoHangs(t *testing.T) {
 	}, run)
 	s.Start()
 
-	classes := []string{ClassAnalyze, ClassSimulate, ClassReport}
+	classes := []string{ClassAnalyze, ClassReport}
 	type answer struct {
 		code    int
 		outcome string

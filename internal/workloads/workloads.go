@@ -37,26 +37,31 @@ const (
 	ClassD     InputClass = "D"
 )
 
-// scale returns (timestep multiplier, size multiplier) for a class.
-// The ratios mirror the paper's regimes at 1/Scale: train runs are big
-// enough to slice into tens of regions at the default N×100 K slice
-// target, and ref runs are roughly an order of magnitude beyond train —
-// large enough that full detailed simulation is the bottleneck, the
-// regime where Figure 1/9 live.
-func (in InputClass) scale() (int64, int64) {
-	switch in {
-	case InputTest, ClassA:
-		return 1, 1
-	case InputTrain:
-		return 8, 4
-	case InputRef:
-		return 40, 8
-	case ClassC:
-		return 20, 8
-	case ClassD:
-		return 48, 12
+// inputScales maps every input class to its (timestep, size)
+// multipliers. The ratios mirror the paper's regimes at 1/Scale: train
+// runs are big enough to slice into tens of regions at the default
+// N×100 K slice target, and ref runs are roughly an order of magnitude
+// beyond train — large enough that full detailed simulation is the
+// bottleneck, the regime where Figure 1/9 live.
+var inputScales = map[InputClass][2]int64{
+	InputTest: {1, 1}, InputTrain: {8, 4}, InputRef: {40, 8},
+	ClassA: {1, 1}, ClassC: {20, 8}, ClassD: {48, 12},
+}
+
+// Check rejects a name that is not an input class. Spec.Build applies
+// it, so no workload is ever built at a size nobody asked for.
+func (in InputClass) Check() error {
+	if _, ok := inputScales[in]; !ok {
+		return fmt.Errorf("workloads: unknown input class %q (want test, train, ref, A, C or D)", in)
 	}
-	return 1, 1
+	return nil
+}
+
+// scale returns (timestep multiplier, size multiplier) for a class
+// Spec.Build has checked.
+func (in InputClass) scale() (int64, int64) {
+	s := inputScales[in]
+	return s[0], s[1]
 }
 
 // SyncSet records which synchronization primitives an application uses
@@ -96,7 +101,8 @@ type Spec struct {
 }
 
 // Build constructs the application. Threads defaults to 8 and is
-// overridden by FixedThreads; Input defaults per suite.
+// overridden by FixedThreads; Input defaults per suite, and any other
+// class name is rejected (InputClass.Check).
 func (s Spec) Build(par BuildParams) (*App, error) {
 	if s.build == nil {
 		return nil, fmt.Errorf("workloads: %s has no builder", s.Name)
@@ -113,6 +119,9 @@ func (s Spec) Build(par BuildParams) (*App, error) {
 		} else {
 			par.Input = InputTrain
 		}
+	}
+	if err := par.Input.Check(); err != nil {
+		return nil, err
 	}
 	app := s.build(par)
 	app.Spec = s

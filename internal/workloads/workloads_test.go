@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"looppoint/internal/exec"
@@ -188,5 +189,23 @@ func TestSyncMatrixMatchesTableIII(t *testing.T) {
 		if s.Sync != want {
 			t.Errorf("%s sync = %+v, want %+v", name, s.Sync, want)
 		}
+	}
+}
+
+// TestUnknownInputClassRejected: a misspelled input class is an error at
+// Check and at Build, never a silent test-size build under its own name.
+func TestUnknownInputClassRejected(t *testing.T) {
+	for _, in := range []InputClass{InputTest, InputTrain, InputRef, ClassA, ClassC, ClassD} {
+		if err := in.Check(); err != nil {
+			t.Errorf("%s: %v", in, err)
+		}
+	}
+	err := InputClass("tset").Check()
+	if err == nil || !strings.Contains(err.Error(), `"tset"`) || !strings.Contains(err.Error(), "train") {
+		t.Fatalf("Check(tset) = %v, want an error naming tset and the classes", err)
+	}
+	spec, _ := Lookup("npb-cg")
+	if _, err := spec.Build(BuildParams{Input: "tset", Policy: omp.Passive}); err == nil {
+		t.Fatal("Build at input tset succeeded")
 	}
 }

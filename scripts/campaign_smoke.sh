@@ -35,7 +35,7 @@ go build -o "$workdir/lpcoord" ./cmd/lpcoord
 start_worker() {
     local name=$1 log="$workdir/$1.log"
     smoke_track_log "$log"
-    "$workdir/lpserved" -addr 127.0.0.1:0 -quick -slice 2000 -input test \
+    "$workdir/lpserved" -addr 127.0.0.1:0 -slice 2000 \
         -max-inflight 2 -drain-deadline 5s -progress-dir "$workdir/progress" \
         >"$log" 2>&1 &
     WORKER_PID=$!

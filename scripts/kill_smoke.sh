@@ -28,9 +28,8 @@ smoke_init
 JOB='{"class":"analyze","app":"npb-ft","input":"test","threads":4}'
 # The SIGTERM leg's job: its recording is saved ~0.3 s in, and the BBV
 # pass, selection and region sweep after the save outlast the drain
-# deadline, so the stop lands mid-job. Its workers run with -input "" so
-# the job keeps its own input class.
-STOP_JOB='{"class":"simulate","app":"npb-ft","input":"ref","threads":4}'
+# deadline, so the stop lands mid-job.
+STOP_JOB='{"class":"report","app":"npb-ft","input":"ref","threads":4}'
 progdir="$workdir/progress"
 
 echo "kill-smoke: building lpserved"
@@ -44,7 +43,7 @@ boot_worker() {
     local name=$1 log="$workdir/$1.log"
     shift
     smoke_track_log "$log"
-    "$workdir/lpserved" -addr 127.0.0.1:0 -quick -slice 2000 -input test \
+    "$workdir/lpserved" -addr 127.0.0.1:0 -slice 2000 \
         -drain-deadline 5s "$@" >"$log" 2>&1 &
     WORKER_PID=$!
     smoke_track_pid "$WORKER_PID"
@@ -139,12 +138,12 @@ echo "kill-smoke: crash recovery verified (recoveries=$RECOVERIES steps_saved=$s
 kill -KILL "$WORKER_PID" 2>/dev/null || true
 
 echo "kill-smoke: SIGTERM leg: reference run of the ref-input job"
-run_job stopref "$STOP_JOB" -input ""
+run_job stopref "$STOP_JOB"
 kill -KILL "$WORKER_PID" 2>/dev/null || true
 
 echo "kill-smoke: SIGTERM once its recovery point is durable (drain deadline 10ms)"
 termdir="$workdir/progress-term"
-boot_worker stopped -input "" -drain-deadline 10ms -progress-dir "$termdir"
+boot_worker stopped -drain-deadline 10ms -progress-dir "$termdir"
 stop_pid=$WORKER_PID
 curl -sS -m 300 -H 'Content-Type: application/json' -d "$STOP_JOB" \
     "$WORKER_BASE/v1/jobs" >"$workdir/stopped.json" 2>/dev/null &
@@ -162,7 +161,7 @@ echo "$answer" | grep -Eq '"summary"|"outcome":"(drained|canceled)"' || \
 echo "kill-smoke: stopped after $SAVES durable save(s), exit 0, the job answered: $answer"
 
 echo "kill-smoke: restarting over the same progress dir and resubmitting"
-resume_and_compare restarted "$STOP_JOB" stopref "$termdir" -input ""
+resume_and_compare restarted "$STOP_JOB" stopref "$termdir"
 echo "kill-smoke: stop recovery verified (recoveries=$RECOVERIES)"
 kill -KILL "$WORKER_PID" 2>/dev/null || true
 

@@ -21,9 +21,9 @@ smoke_track_log "$srvlog"
 echo "serve-smoke: building lpserved"
 go build -o "$workdir/lpserved" ./cmd/lpserved
 
-# Quick evaluator configuration so the job finishes in seconds; tiny
+# A small slice unit so the job finishes in seconds; tiny
 # drain deadline so shutdown is snappy.
-"$workdir/lpserved" -addr 127.0.0.1:0 -quick -slice 2000 -input test \
+"$workdir/lpserved" -addr 127.0.0.1:0 -slice 2000 \
     -drain-deadline 10s >"$srvlog" 2>&1 &
 pid=$!
 smoke_track_pid "$pid"
