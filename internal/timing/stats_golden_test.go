@@ -14,7 +14,7 @@ import (
 	"looppoint/internal/testprog"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/stats_golden.json instead of comparing")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files instead of comparing")
 
 const statsGoldenFile = "testdata/stats_golden.json"
 
