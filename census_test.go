@@ -30,13 +30,12 @@ var censusExempt = map[string]string{
 	"internal/isa.Block.ICvtF":        "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Block.Nop":          "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Block.Xchg":         "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Op.IsWrite":         "opcode class predicate beside IsMem and IsAtomic, which the product reads",
+	"internal/isa.Op.IsWrite":         "opcode class predicate beside IsMem, which the product reads",
 	"internal/isa.Program.NumInstrs":  "static size accessor beside NumBlocks, which the product reads",
 	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
 	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Phased":        "test-program builder shared by several packages' tests",
 	"internal/testprog.WithSyscalls":  "test-program builder shared by several packages' tests",
-	"internal/timing.Cache.Contains":  "cache residency probe; the memory-system tests check inclusion with it",
 }
 
 // TestCensusTestOnlyCode is the caller census: it lists every top-level

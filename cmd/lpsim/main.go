@@ -18,6 +18,7 @@ import (
 
 	"looppoint"
 	"looppoint/internal/bbv"
+	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/pinball"
 	"looppoint/internal/pool"
@@ -117,7 +118,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if _, err := pb.StepReplay(w.App.Prog, tw.OnInstr); err != nil {
+		if _, err := pb.StepReplay(w.App.Prog, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
 			fail(err)
 		}
 		if err := tw.Close(); err != nil {

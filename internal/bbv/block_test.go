@@ -197,7 +197,7 @@ func TestCollectorSplitsMarkerEvents(t *testing.T) {
 						if entry {
 							entries--
 						}
-						oracle.OnInstr(&exec.Event{Tid: ev.Tid, Block: ev.Block, Instr: &ev.Block.Instrs[idx], BlockEntry: entry})
+						oracle.OnInstr(&exec.Event{Tid: ev.Tid, Retired: exec.Retired{Block: ev.Block, Instr: &ev.Block.Instrs[idx], Flow: exec.Flow{BlockEntry: entry}}})
 					}
 				}
 			}

@@ -61,25 +61,36 @@ func (t *Thread) PC() uint64 {
 	return t.cur.rt.Blocks[t.cur.blk].Instrs[t.cur.idx].Addr
 }
 
-// Event describes one instruction executed by Step.
+// Retired is one instruction Retire executed: what a timing model reads
+// to charge it. It is small enough (at most four fields, 32 bytes) for the
+// compiler to keep in registers, so Retire returns it, and a consumer
+// passes it on, without a write to memory.
+type Retired struct {
+	Instr   *isa.Instr // nil if the thread could not run
+	Block   *isa.Block
+	MemAddr uint64 // byte address for memory ops (Instr.Op.IsMem)
+	Flow
+}
+
+// Flow is how a retired instruction moved its thread.
+type Flow struct {
+	BlockEntry bool // first instruction of the block
+	Taken      bool // a control transfer was taken
+	Blocked    bool // the instruction parked the thread on a futex
+}
+
+// Event is a Retired instruction with its thread and the threads it woke:
+// what Step hands to the per-instruction consumers, pinball's StepReplay
+// feeding the trace writer and the OnInstr test oracles.
 //
 // Aliasing contract: a single machine-owned Event value is reused by
 // every call to Step — the pointer Step returns is invalidated by the
 // next Step on the same machine. Callers must consume the event before
 // stepping again and must never retain the pointer or the Woken slice.
-// The drivers (Run, RunSchedule) never call Step: they retire block
-// batches and dispatch BlockEvents. Step is the timing model's engine and
-// the per-instruction replay (pinball's StepReplay) that feeds the trace
-// writer and the OnInstr test oracles.
 type Event struct {
-	Tid        int
-	Instr      *isa.Instr
-	Block      *isa.Block
-	BlockEntry bool   // first instruction of the block
-	MemAddr    uint64 // byte address for memory ops (Instr.Op.IsMem)
-	Taken      bool   // a control transfer was taken
-	Blocked    bool   // the instruction parked the thread on a futex
-	Woken      []int  // threads woken by a FutexWake
+	Tid int
+	Retired
+	Woken []int // threads woken by a FutexWake
 }
 
 // Machine executes a linked program.
@@ -149,25 +160,37 @@ func (m *Machine) TotalICount() uint64 {
 // LoadWord reads one word of shared memory (for tests and runtime setup).
 func (m *Machine) LoadWord(addr uint64) uint64 { return m.Mem[addr] }
 
-// Step executes one instruction of thread tid. It returns the event
-// describing the instruction and whether an instruction was retired.
-// Blocked and halted threads return (nil, false); an instruction that
-// parks the thread on a futex returns its event with Blocked set and
-// retired == true (the wait itself counts as an executed instruction,
-// matching how a futex syscall appears in a real trace).
+// Step executes one instruction of thread tid like Retire and returns it
+// as the machine's Event (see its aliasing contract), with whether an
+// instruction was retired: (nil, false) for a blocked or halted thread.
 func (m *Machine) Step(tid int) (*Event, bool) {
+	r, woken := m.Retire(tid)
+	if r.Instr == nil {
+		return nil, false
+	}
+	m.ev = Event{Tid: tid, Retired: r, Woken: woken}
+	return &m.ev, true
+}
+
+// Retire executes one instruction of thread tid and returns it with the
+// threads a FutexWake woke. A blocked or halted thread retires nothing:
+// the result's Instr is nil. An instruction that parks the thread on a
+// futex is retired with Blocked set (the wait itself counts as an executed
+// instruction, matching how a futex syscall appears in a real trace).
+// Register, load/store and branch ops run here; the rest, which touch the
+// call stack, the futex queues or the OS, run in retireSync, so that the
+// common ops pay for none of their state.
+func (m *Machine) Retire(tid int) (r Retired, woken []int) {
 	t := m.Threads[tid]
 	if t.State != StateRunning {
-		return nil, false
+		return Retired{}, nil
 	}
 	blk := t.cur.rt.Blocks[t.cur.blk]
 	in := &blk.Instrs[t.cur.idx]
-
-	ev := &m.ev
-	*ev = Event{Tid: tid, Instr: in, Block: blk, BlockEntry: t.cur.idx == 0}
+	r.Instr, r.Block, r.BlockEntry = in, blk, t.cur.idx == 0
 	m.steps++
+	t.ICount++
 
-	advance := true // move to next instruction within block
 	switch in.Op {
 	case isa.OpNop, isa.OpPause:
 		// nothing
@@ -209,29 +232,60 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 
 	case isa.OpILoad:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		r.MemAddr = a * 8
 		t.R[in.Dst] = int64(m.Mem[a])
 	case isa.OpIStore:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		r.MemAddr = a * 8
 		m.Mem[a] = uint64(t.R[in.B])
 	case isa.OpFLoad:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		r.MemAddr = a * 8
 		t.F[in.Dst] = math.Float64frombits(m.Mem[a])
 	case isa.OpFStore:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		r.MemAddr = a * 8
 		m.Mem[a] = math.Float64bits(t.F[in.B])
+
+	case isa.OpBr:
+		t.cur.blk, t.cur.idx = in.Target, 0
+		r.Taken = true
+		return r, nil
+	case isa.OpBrCond:
+		b := t.R[in.B]
+		if in.UseImm {
+			b = in.Imm
+		}
+		if in.Cond.EvalInt(t.R[in.A], b) {
+			t.cur.blk, r.Taken = in.Target, true
+		} else {
+			t.cur.blk = in.Else
+		}
+		t.cur.idx = 0
+		return r, nil
+	default:
+		r.MemAddr, r.Taken, r.Blocked, woken = m.retireSync(t, in)
+		return r, woken
+	}
+	t.cur.idx++
+	return r, nil
+}
+
+// retireSync is Retire for the ops that touch shared state beyond a word
+// of memory: atomics, calls, returns, halts, futexes and syscalls. It
+// moves the thread on itself and returns what Retire reports.
+func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, blocked bool, woken []int) {
+	advance := true // move to next instruction within block
+	switch in.Op {
 	case isa.OpAtomicAdd:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		memAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(old + t.R[in.B])
 		t.R[in.Dst] = old
 	case isa.OpCmpXchg:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		memAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			m.Mem[a] = uint64(t.R[in.Dst])
 			t.R[in.Dst] = 1
@@ -240,85 +294,66 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 		}
 	case isa.OpXchg:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		memAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(t.R[in.B])
 		t.R[in.Dst] = old
 
-	case isa.OpBr:
-		t.cur.blk, t.cur.idx = in.Target, 0
-		advance = false
-		ev.Taken = true
-	case isa.OpBrCond:
-		b := t.R[in.B]
-		if in.UseImm {
-			b = in.Imm
-		}
-		if in.Cond.EvalInt(t.R[in.A], b) {
-			t.cur.blk, ev.Taken = in.Target, true
-		} else {
-			t.cur.blk = in.Else
-		}
-		t.cur.idx = 0
-		advance = false
 	case isa.OpCall:
 		t.stack = append(t.stack, frame{rt: t.cur.rt, blk: t.cur.blk, idx: t.cur.idx + 1})
 		t.cur = frame{rt: in.Callee}
 		advance = false
-		ev.Taken = true
+		taken = true
 	case isa.OpRet:
 		if len(t.stack) == 0 {
-			throwf("exec: thread %d returned from entry routine %s", tid, t.cur.rt.Name)
+			throwf("exec: thread %d returned from entry routine %s", t.ID, t.cur.rt.Name)
 		}
 		t.cur = t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		advance = false
-		ev.Taken = true
+		taken = true
 	case isa.OpHalt:
 		t.State = StateHalted
 		advance = false
 
 	case isa.OpFutexWait:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		memAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			t.State = StateBlocked
 			t.futexAddr = a
-			m.futexQ[a] = append(m.futexQ[a], tid)
-			ev.Blocked = true
+			m.futexQ[a] = append(m.futexQ[a], t.ID)
+			blocked = true
+			advance = false
 		}
 	case isa.OpFutexWake:
 		a := m.effAddr(t, in)
-		ev.MemAddr = a * 8
+		memAddr = a * 8
 		n := t.R[in.B]
-		woken := 0
 		q := m.futexQ[a]
-		for len(q) > 0 && int64(woken) < n {
+		for len(q) > 0 && int64(len(woken)) < n {
 			wid := q[0]
 			q = q[1:]
 			w := m.Threads[wid]
 			w.State = StateRunning
 			w.cur.idx++ // resume past the FutexWait
-			ev.Woken = append(ev.Woken, wid)
-			woken++
+			woken = append(woken, wid)
 		}
 		if len(q) == 0 {
 			delete(m.futexQ, a)
 		} else {
 			m.futexQ[a] = q
 		}
-		t.R[in.Dst] = int64(woken)
+		t.R[in.Dst] = int64(len(woken))
 	case isa.OpSyscall:
-		t.R[in.Dst] = m.OS.Syscall(m, tid, isa.SyscallNo(in.Imm), t.R[in.A])
+		t.R[in.Dst] = m.OS.Syscall(m, t.ID, isa.SyscallNo(in.Imm), t.R[in.A])
 	default:
 		throwf("exec: unimplemented opcode %s", in.Op)
 	}
-
-	if advance && t.State != StateBlocked {
+	if advance {
 		t.cur.idx++
 	}
-	t.ICount++
-	return ev, true
+	return memAddr, taken, blocked, woken
 }
 
 func (m *Machine) effAddr(t *Thread, in *isa.Instr) uint64 {

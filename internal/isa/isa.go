@@ -139,15 +139,6 @@ func (o Op) IsCompute() bool {
 	return false
 }
 
-// IsAtomic reports whether the opcode is an atomic read-modify-write.
-func (o Op) IsAtomic() bool {
-	switch o {
-	case OpAtomicAdd, OpCmpXchg, OpXchg:
-		return true
-	}
-	return false
-}
-
 // Cond is a comparison condition for OpBrCond and OpFCmp.
 type Cond uint8
 

@@ -211,3 +211,12 @@ func TestOpStrings(t *testing.T) {
 		}
 	}
 }
+
+// IsAtomic reports whether the opcode is an atomic read-modify-write.
+func (o Op) IsAtomic() bool {
+	switch o {
+	case OpAtomicAdd, OpCmpXchg, OpXchg:
+		return true
+	}
+	return false
+}

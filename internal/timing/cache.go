@@ -149,11 +149,6 @@ func (c *Cache) FillQuiet(addr uint64, clock uint64) {
 	}
 }
 
-// Contains reports whether the address is resident at this level.
-func (c *Cache) Contains(addr uint64) bool {
-	return find(c.set(addr)) >= 0
-}
-
 // Invalidate drops the line holding addr from this level only (coherence).
 func (c *Cache) Invalidate(addr uint64) {
 	ways, key := c.set(addr)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"looppoint/internal/bbv"
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
@@ -178,47 +179,93 @@ func TestDirectoryGrowsPastMemory(t *testing.T) {
 	cfg := Gainestown(2)
 	cfg.PrefetchNextLines = 3
 	m := exec.NewMachine(p, 1)
-	sys := newSystem(cfg, m)
-	sys.setDetail(true)
 
 	blk := p.Entries[0].Blocks[0]
 	lastWord := uint64(len(m.Mem) - 1)
-	sized := len(sys.dir)
-	if lastLine := lastWord * 8 >> 6; uint64(sized) != lastLine+1 {
-		t.Fatalf("directory has %d lines for a memory ending in line %d", sized, lastLine)
-	}
-	load := exec.Event{Instr: &isa.Instr{Op: isa.OpILoad}, Block: blk, MemAddr: lastWord * 8}
-	sys.cost(0, &load)
-	if len(sys.dir) != sized+cfg.PrefetchNextLines {
-		t.Fatalf("directory has %d lines after prefetching %d past line %d", len(sys.dir), cfg.PrefetchNextLines, sized-1)
-	}
-	for i := 0; i <= cfg.PrefetchNextLines; i++ {
-		if sys.dir[sized-1+i] != 1 {
-			t.Errorf("line %d: sharers %#b, want core 0 only", sized-1+i, sys.dir[sized-1+i])
-		}
-	}
 	pf := lastWord*8 + 2*64
-	if !sys.cores[0].l1d.Contains(pf) {
-		t.Fatal("prefetched line not in core 0's L1D")
-	}
-	store := exec.Event{Instr: &isa.Instr{Op: isa.OpIStore}, Block: blk, MemAddr: pf}
-	sys.cost(1, &store)
-	if sys.cores[0].l1d.Contains(pf) || sys.coherenceInv != 1 || sys.dir[pf>>6] != 2 {
-		t.Errorf("write to a prefetched line past memory: still in core 0's L1D %v, %d invalidations, sharers %#b",
-			sys.cores[0].l1d.Contains(pf), sys.coherenceInv, sys.dir[pf>>6])
-	}
+	var sized int
+	f := &scriptFeed{steps: []scriptStep{{
+		tid: 0, r: exec.Retired{Instr: &isa.Instr{Op: isa.OpILoad}, Block: blk, MemAddr: lastWord * 8},
+		before: func(sys *system) {
+			sized = len(sys.dir)
+			if lastLine := lastWord * 8 >> 6; uint64(sized) != lastLine+1 {
+				t.Fatalf("directory has %d lines for a memory ending in line %d", sized, lastLine)
+			}
+		},
+		after: func(sys *system) {
+			if len(sys.dir) != sized+cfg.PrefetchNextLines {
+				t.Fatalf("directory has %d lines after prefetching %d past line %d", len(sys.dir), cfg.PrefetchNextLines, sized-1)
+			}
+			for i := 0; i <= cfg.PrefetchNextLines; i++ {
+				if sys.dir[sized-1+i] != 1 {
+					t.Errorf("line %d: sharers %#b, want core 0 only", sized-1+i, sys.dir[sized-1+i])
+				}
+			}
+			if !sys.cores[0].l1d.Contains(pf) {
+				t.Fatal("prefetched line not in core 0's L1D")
+			}
+		},
+	}, {
+		tid: 1, r: exec.Retired{Instr: &isa.Instr{Op: isa.OpIStore}, Block: blk, MemAddr: pf},
+		after: func(sys *system) {
+			if sys.cores[0].l1d.Contains(pf) || sys.coherenceInv != 1 || sys.dir[pf>>6] != 2 {
+				t.Errorf("write to a prefetched line past memory: still in core 0's L1D %v, %d invalidations, sharers %#b",
+					sys.cores[0].l1d.Contains(pf), sys.coherenceInv, sys.dir[pf>>6])
+			}
 
-	// reset keeps the grown directory's capacity and none of its bits.
-	grown := len(sys.dir)
-	sys.reset(m)
-	if len(sys.dir) != grown {
-		t.Errorf("reset changed the directory from %d to %d lines", grown, len(sys.dir))
+			// reset keeps the grown directory's capacity and none of its bits.
+			grown := len(sys.dir)
+			sys.reset(m)
+			if len(sys.dir) != grown {
+				t.Errorf("reset changed the directory from %d to %d lines", grown, len(sys.dir))
+			}
+			for line, sharers := range sys.dir {
+				if sharers != 0 {
+					t.Fatalf("reset left sharers %#b on line %d", sharers, line)
+				}
+			}
+		},
+	}}}
+	r := &run{m: m, src: f, end: bbv.Marker{IsEnd: true}, bind: func(sys *system) { f.sys = sys; sys.follow(f, false) }}
+	if _, err := freshSim(t, cfg, p).simulate(r); err != nil {
+		t.Fatal(err)
 	}
-	for line, sharers := range sys.dir {
-		if sharers != 0 {
-			t.Fatalf("reset left sharers %#b on line %d", sharers, line)
-		}
+	if f.i != len(f.steps) {
+		t.Fatalf("the loop charged %d of %d instructions", f.i, len(f.steps))
 	}
+}
+
+// scriptFeed feeds the timing loop a fixed list of instructions, in its
+// order, with a look at the system around each charge.
+type scriptFeed struct {
+	sys   *system
+	steps []scriptStep
+	i     int // steps handed out
+}
+
+type scriptStep struct {
+	tid           int
+	r             exec.Retired
+	before, after func(*system)
+}
+
+// next runs the charged step's after and names the next step's thread.
+func (f *scriptFeed) next() (int, bool) {
+	if f.i > 0 && f.steps[f.i-1].after != nil {
+		f.steps[f.i-1].after(f.sys)
+	}
+	if f.i == len(f.steps) {
+		return 0, false
+	}
+	return f.steps[f.i].tid, true
+}
+
+func (f *scriptFeed) Retire(int) (exec.Retired, []int) {
+	f.i++
+	if fn := f.steps[f.i-1].before; fn != nil {
+		fn(f.sys)
+	}
+	return f.steps[f.i-1].r, nil
 }
 
 // TestResetIdentityWithPrefetcher: a pooled system whose directory grew
@@ -248,4 +295,9 @@ func TestResetIdentityWithPrefetcher(t *testing.T) {
 			t.Fatal("workload has no coherence traffic: stale sharer bits would go unnoticed")
 		}
 	}
+}
+
+// Contains reports whether the address is resident at this level.
+func (c *Cache) Contains(addr uint64) bool {
+	return find(c.set(addr)) >= 0
 }

@@ -80,7 +80,7 @@ func newFixture(t testing.TB, p *isa.Program) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := whole.StepReplay(p, tw.OnInstr); err != nil {
+	if _, err := whole.StepReplay(p, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"looppoint/internal/bbv"
 	"looppoint/internal/exec"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
@@ -139,61 +140,63 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRunLoopsPickLikeOracle drives runMarked's loop by hand — single
-// instructions under cost, then under the fast-forward charge — and checks
-// before every step that the run queue, which keeps its pick until it is
-// overtaken, names the thread a fresh walk over all threads would. The
-// detailed statistics must equal a SimulateFull of the same program, so
-// the loop checked here is the loop that ships.
+// TestRunLoopsPickLikeOracle runs the timing loop — single instructions
+// charged in detail, then in fast-forward — and checks before every step
+// that the run queue, which keeps its pick until it is overtaken, names
+// the thread a fresh walk over all threads would. The detailed statistics
+// must equal a SimulateFull of the same program: the check watches the
+// loop that ships.
 func TestRunLoopsPickLikeOracle(t *testing.T) {
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 6, 80, policy)
 		cfg := Gainestown(4)
 		for _, detail := range []bool{true, false} {
 			m := exec.NewMachine(p, 1)
-			sys := newSystem(cfg, m)
-			sys.setDetail(detail)
-			stays := 0
-			for last := -1; sys.alive > 0; {
-				tid := checkAgainstOracle(t, sys, "run loop")
-				if tid < 0 {
-					t.Fatal("deadlock")
-				}
-				if tid == last {
-					stays++
-				}
-				last = tid
-				ev, ok := m.Step(tid)
-				if !ok {
-					t.Fatalf("thread %d could not step", tid)
-				}
-				if detail {
-					sys.cycle[tid] += sys.cost(tid, ev)
-				} else {
-					sys.warmOf(tid, ev)
-					sys.cycle[tid] += sys.slot
-				}
-				sys.settle(tid, ev.Woken)
+			o := &oracleRetirer{t: t, m: m, last: -1}
+			r := &run{m: m, src: o, end: bbv.Marker{IsEnd: true}, before: warmed,
+				bind: func(sys *system) { o.sys = sys }}
+			if !detail {
+				r.start = bbv.Marker{Count: 1 << 62} // never reached: all fast-forward
+			}
+			got, err := freshSim(t, cfg, p).simulate(r)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !detail {
 				// Under the uniform charge spinning threads alternate
 				// after every instruction; nothing more to compare.
 				continue
 			}
-			if stays == 0 {
+			if o.stays == 0 {
 				t.Errorf("policy %v: detail loop never kept its pick: stay-until-overtaken not exercised", policy)
 			}
-			sim, err := New(cfg, p)
+			want, err := freshSim(t, cfg, p).SimulateFull()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sim.SimulateFull()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sys.stats(0); !reflect.DeepEqual(got, want) {
-				t.Errorf("policy %v: hand-driven detail loop differs from SimulateFull\ngot:  %+v\nwant: %+v", policy, got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("policy %v: oracle-checked detail loop differs from SimulateFull\ngot:  %+v\nwant: %+v", policy, got, want)
 			}
 		}
 	}
+}
+
+// oracleRetirer retires the loop's picks on m after checking each against
+// pickNext.
+type oracleRetirer struct {
+	t           *testing.T
+	m           *exec.Machine
+	sys         *system
+	last, stays int
+}
+
+func (o *oracleRetirer) Retire(tid int) (exec.Retired, []int) {
+	if want := checkAgainstOracle(o.t, o.sys, "run loop"); tid != want {
+		o.t.Fatalf("the loop picked thread %d, the run queue names %d", tid, want)
+	}
+	if tid == o.last {
+		o.stays++
+	}
+	o.last = tid
+	return o.m.Retire(tid)
 }

@@ -85,7 +85,7 @@ func (s *Simulator) acquire(m *exec.Machine) *system {
 // release returns sys to its configuration's pool, unbound from its
 // machine so that an idle system keeps no program state alive.
 func release(sys *system) {
-	sys.m = nil
+	sys.m, sys.order = nil, nil
 	idle(sys.cfg).Put(sys)
 }
 
@@ -112,8 +112,13 @@ func (s *Simulator) SimulateFull() (*Stats, error) {
 // tap reports. An end tap sees the full statistics (a separate snapshot);
 // a tap that is never reached, or any other kind of marker, never calls at.
 func (s *Simulator) SimulateFullTap(tap bbv.Marker, at func(*Stats)) (*Stats, error) {
-	m := exec.NewMachine(s.Prog, s.Seed)
-	return s.runMarked(m, bbv.Marker{}, bbv.Marker{IsEnd: true}, 0, 0, WarmupFunctional, tap, at)
+	p := &run{m: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true}}
+	if tap.IsEnd {
+		p.atEnd = at
+	} else if !tap.IsStart() && !tap.IsICount() {
+		p.tap, p.at = tap, at
+	}
+	return s.simulate(p)
 }
 
 // SimulateRegion runs an unconstrained, binary-driven simulation of the
@@ -121,8 +126,11 @@ func (s *Simulator) SimulateFullTap(tap bbv.Marker, at func(*Stats)) (*Stats, er
 // initial state with the timing model deciding thread progress; detailed
 // measurement is enabled between the markers (paper Section V-A1).
 func (s *Simulator) SimulateRegion(start, end bbv.Marker, warm WarmupMode) (*Stats, error) {
-	m := exec.NewMachine(s.Prog, s.Seed)
-	return s.runMarked(m, start, end, 0, 0, warm, bbv.Marker{}, nil)
+	before := warmed
+	if warm == WarmupNone {
+		before = cold
+	}
+	return s.simulate(&run{m: exec.NewMachine(s.Prog, s.Seed), start: start, end: end, before: before})
 }
 
 // SimulateCheckpoint runs an unconstrained simulation of a region pinball
@@ -144,133 +152,8 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 	replay := exec.NewReplayOS(pb.Syscalls)
 	replay.Fallback = exec.NewDefaultOS(s.Seed)
 	m.OS = replay
-	return s.runMarked(m, pb.Region.Start, pb.Region.End,
-		pb.StartHitsAtSnapshot, pb.EndHitsAtSnapshot, WarmupFunctional, bbv.Marker{}, nil)
-}
-
-// runMarked drives an unconstrained timing simulation on a prepared
-// machine, warming until the start marker and measuring until the end
-// marker. startBase/endBase rebase global marker counts for machines that
-// begin mid-program. A non-nil at is SimulateFullTap's tap.
-func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode, tap bbv.Marker, at func(*Stats)) (_ *Stats, err error) {
-	defer exec.Recover(&err)
-	sys := s.acquire(m)
-	defer release(sys)
-	var atEnd func(*Stats)
-	if tap.IsEnd {
-		atEnd, at = at, nil
-	} else if tap.IsStart() || tap.IsICount() {
-		at = nil // only PC and end taps fire
-	}
-	var tapHits uint64
-	inDetail := start.IsStart() || (!start.IsICount() && !start.IsEnd && start.Count <= startBase)
-	warming := warm == WarmupFunctional
-	sys.setDetail(inDetail)
-
-	startHits, endHits := startBase, endBase
-	var steps uint64
-	var detailBase float64
-	maxSteps := s.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 2_000_000_000
-	}
-
-	for sys.alive > 0 {
-		tid := sys.next()
-		if tid < 0 {
-			return nil, exec.ErrDeadlock
-		}
-		ev, ok := m.Step(tid)
-		if !ok {
-			return nil, fmt.Errorf("timing: scheduled thread %d could not step", tid)
-		}
-		steps++
-		if steps > maxSteps {
-			return nil, fmt.Errorf("timing: %w", exec.ErrMaxSteps)
-		}
-
-		// Marker bookkeeping happens before charging so the start
-		// marker's own instruction is measured and the end marker's is
-		// not — matching how the profiler attributes the boundary
-		// instruction to the following region. Raw instruction-count
-		// markers (the naive baseline's boundaries) fire on the global
-		// retired count instead of a PC.
-		if start.IsICount() && !inDetail && steps >= start.Count {
-			inDetail = true
-			sys.setDetail(true)
-			detailBase = sys.wallCycle()
-		}
-		if end.IsICount() && inDetail && steps >= end.Count {
-			return sys.stats(detailBase), nil
-		}
-		if ev.BlockEntry {
-			// Detail begins and ends without resetting core clocks: the
-			// warmup phase develops the natural thread stagger of the
-			// running system, and measuring wall-clock deltas over it
-			// makes isolated regions tile the continuous run exactly
-			// (resetting clocks would force every region to re-pay the
-			// align-to-steady-state transition).
-			if !start.IsStart() && ev.Block.Addr == start.PC {
-				startHits++
-				if !inDetail && startHits >= start.Count {
-					inDetail = true
-					sys.setDetail(true)
-					detailBase = sys.wallCycle()
-				}
-			}
-			if !end.IsEnd && ev.Block.Addr == end.PC {
-				endHits++
-				if inDetail && endHits >= end.Count {
-					return sys.stats(detailBase), nil
-				}
-			}
-			if at != nil && ev.Block.Addr == tap.PC {
-				// The end-marker check above, for a run that goes on.
-				tapHits++
-				if inDetail && tapHits >= tap.Count {
-					at(sys.stats(detailBase))
-					at = nil
-				}
-			}
-		}
-
-		// Cycles always accumulate so the min-cycle scheduler interleaves
-		// threads fairly even while fast-forwarding; microarchitectural
-		// state warms functionally (warmOf) without stall arithmetic, so
-		// the fast-forward charge is a uniform dispatch slot regardless
-		// of warmup mode.
-		if inDetail {
-			sys.cycle[tid] += sys.cost(tid, ev)
-		} else {
-			if warming {
-				sys.warmOf(tid, ev)
-			}
-			sys.cycle[tid] += sys.slot
-		}
-		sys.settle(tid, ev.Woken)
-		if inDetail && s.Trace != nil {
-			s.Trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
-		}
-	}
-	if !inDetail {
-		if start.IsICount() {
-			// Raw instruction-count boundaries are not stable across
-			// thread interleavings (Section II): under a different
-			// schedule the program can retire fewer instructions (e.g.
-			// fewer spin iterations) and never reach the recorded
-			// count. The naive baseline then measures nothing for this
-			// region — one of the reasons its extrapolation degrades.
-			return sys.stats(detailBase), nil
-		}
-		return nil, fmt.Errorf("timing: start marker %v never reached", start)
-	}
-	if !end.IsEnd && !end.IsICount() && endHits < end.Count {
-		return nil, fmt.Errorf("timing: end marker %v never reached (%d/%d hits)", end, endHits, end.Count)
-	}
-	if atEnd != nil {
-		atEnd(sys.stats(detailBase))
-	}
-	return sys.stats(detailBase), nil
+	return s.simulate(&run{m: m, start: pb.Region.Start, end: pb.Region.End,
+		startHits: pb.StartHitsAtSnapshot, endHits: pb.EndHitsAtSnapshot, before: warmed})
 }
 
 // SimulatePeriodic implements time-based periodic sampling (the paper's
@@ -281,51 +164,12 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 // scaled by period/detail). The whole application is still visited
 // functionally, which is precisely why this methodology's speedup is
 // bounded by application length (Section II).
-func (s *Simulator) SimulatePeriodic(detail, period uint64) (_ *Stats, err error) {
-	defer exec.Recover(&err)
+func (s *Simulator) SimulatePeriodic(detail, period uint64) (*Stats, error) {
 	if detail == 0 || period == 0 || detail > period {
 		return nil, fmt.Errorf("timing: invalid periodic sampling %d/%d", detail, period)
 	}
-	m := exec.NewMachine(s.Prog, s.Seed)
-	sys := s.acquire(m)
-	defer release(sys)
-	sys.setDetail(true)
-
-	var steps uint64
-	var estCycles float64
-	windowStart := sys.wallCycle()
-	inDetail := true
-	for sys.alive > 0 {
-		tid := sys.next()
-		if tid < 0 {
-			return nil, exec.ErrDeadlock
-		}
-		ev, ok := m.Step(tid)
-		if !ok {
-			return nil, fmt.Errorf("timing: scheduled thread %d could not step", tid)
-		}
-		steps++
-		phase := steps % period
-		wantDetail := phase < detail
-		if wantDetail != inDetail {
-			if inDetail {
-				// Close the detail window and extrapolate it over the period.
-				estCycles += (sys.wallCycle() - windowStart) * float64(period) / float64(detail)
-			} else {
-				windowStart = sys.wallCycle()
-			}
-			inDetail = wantDetail
-			sys.setDetail(wantDetail)
-		}
-		sys.cycle[tid] += sys.cost(tid, ev)
-		sys.settle(tid, ev.Woken)
-	}
-	if inDetail {
-		estCycles += (sys.wallCycle() - windowStart) * float64(period) / float64(detail)
-	}
-	st := sys.stats(0)
-	st.Cycles = estCycles
-	return st, nil
+	return s.simulate(&run{m: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true},
+		before: timed, window: detail, period: period})
 }
 
 // SimulateConstrained replays a pinball under the timing model with the
@@ -343,33 +187,382 @@ func (s *Simulator) SimulateConstrained(pb *pinball.Pinball) (_ *Stats, err erro
 	m.Restore(pb.Start)
 	replay := exec.NewReplayOS(pb.Syscalls)
 	m.OS = replay
-	sys := s.acquire(m)
-	defer release(sys)
-	inDetail := pb.WarmupSteps == 0
-	sys.setDetail(inDetail)
-
-	var steps uint64
-	var base float64
-	for _, e := range pb.Schedule {
-		for i := uint32(0); i < e.N; i++ {
-			ev, ok := m.Step(e.Tid)
-			if !ok {
-				return nil, fmt.Errorf("timing: constrained replay diverged: thread %d is %s",
-					e.Tid, m.Threads[e.Tid].State)
-			}
-			steps++
-			if !inDetail && steps > pb.WarmupSteps {
-				inDetail = true
-				sys.setDetail(true)
-				base = sys.wallCycle()
-			}
-			sys.constrainedOrderStall(e.Tid, ev)
-			sys.cycle[e.Tid] += sys.cost(e.Tid, ev)
-			sys.wake(e.Tid, ev.Woken)
-		}
+	// The warm-up prefix is charged like the region, uncounted; the
+	// region starts at the instruction after it.
+	var start bbv.Marker
+	if pb.WarmupSteps > 0 {
+		start.Count = pb.WarmupSteps + 1
 	}
-	if replay.Diverged {
+	sched := &scheduleOrder{sched: pb.Schedule}
+	st, err := s.simulate(&run{m: m, start: start, end: bbv.Marker{IsEnd: true}, before: timed,
+		bind: func(sys *system) { sys.follow(sched, true) }})
+	if err == nil && replay.Diverged {
 		return nil, fmt.Errorf("timing: constrained replay exhausted the syscall injection log")
 	}
-	return sys.stats(base), nil
+	return st, err
+}
+
+// scheduleOrder is a recorded schedule as an order.
+type scheduleOrder struct {
+	sched exec.Schedule
+	i     int // next schedule entry
+	tid   int
+	left  uint32 // instructions left in the current entry
+}
+
+func (o *scheduleOrder) next() (int, bool) {
+	for o.left == 0 {
+		if o.i == len(o.sched) {
+			return 0, false
+		}
+		o.tid, o.left = o.sched[o.i].Tid, o.sched[o.i].N
+		o.i++
+	}
+	o.left--
+	return o.tid, true
+}
+
+// A charge is how the loop charges an instruction.
+type charge uint8
+
+const (
+	measured charge = iota // in full, counted into the statistics
+	timed                  // in full, uncounted: periodic gaps, a constrained warm-up
+	warmed                 // one dispatch slot, microarchitectural state warmed
+	cold                   // one dispatch slot, nothing warmed
+)
+
+// noPC is a block address no block has: the watch of an unused marker.
+const noPC = ^uint64(0)
+
+// A run is one simulation: where its instructions come from and which of
+// them it measures. The phase fields below the parameters move as the
+// loop goes.
+type run struct {
+	m *exec.Machine // the machine the system is bound to; nil for a trace
+	// src retires the instructions; nil means m.
+	src retirer
+	// bind, when set, finishes the system before the first instruction:
+	// a recorded order in place of the min-cycle scheduler.
+	bind func(*system)
+
+	// The run measures from start to end. startHits and endHits rebase
+	// the markers' counts for machines that begin mid-program; before
+	// says how the instructions ahead of start are charged.
+	start, end         bbv.Marker
+	startHits, endHits uint64
+	before             charge
+	// at is called at the PC tap, atEnd at the end (SimulateFullTap).
+	tap       bbv.Marker
+	at, atEnd func(*Stats)
+	// With period set, the run measures window of every period
+	// instructions and reports the windows' cycles scaled up.
+	window, period uint64
+
+	mode       charge
+	detailBase float64 // wall cycle where the measured window began
+	tapHits    uint64
+	// The loop calls step at step next (0: never) and at block entries
+	// to the watched PCs.
+	next                  uint64
+	startPC, endPC, tapPC uint64
+	// Periodic sampling: the step at which the window next opens or
+	// closes, where the open one began, the cycles extrapolated so far.
+	toggle                 uint64
+	windowStart, estCycles float64
+}
+
+// A retirer executes one instruction of a thread: exec.Machine, or a
+// trace played back.
+type retirer interface {
+	Retire(tid int) (exec.Retired, []int)
+}
+
+// simulate is the one timing loop. Each pass takes the scheduler's pick,
+// retires one of its instructions, moves the measurement phase where it
+// can change, charges the instruction and settles the thread. The charge
+// is written here, once, as one switch over the op classes that cost
+// anything, so that an instruction touching no cache costs one call to
+// retire it and one to settle it.
+func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
+	defer exec.Recover(&err)
+	sys := s.acquire(p.m)
+	defer release(sys)
+	src := p.src
+	if src == nil {
+		src = p.m
+	}
+	if p.bind != nil {
+		p.bind(sys)
+	}
+	p.begin(sys)
+	mode := p.mode
+	trace := s.Trace
+	if sys.order != nil || p.period != 0 {
+		trace = nil
+	}
+	maxSteps := s.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = 2_000_000_000
+	}
+
+	var steps uint64
+	for sys.alive > 0 {
+		tid := sys.next()
+		if tid < 0 {
+			return nil, exec.ErrDeadlock
+		}
+		r, woken := src.Retire(tid)
+		if r.Instr == nil {
+			if sys.order != nil {
+				return nil, fmt.Errorf("timing: constrained replay diverged: thread %d is %s", tid, p.m.Threads[tid].State)
+			}
+			return nil, fmt.Errorf("timing: scheduled thread %d could not step", tid)
+		}
+		steps++
+		if steps > maxSteps {
+			return nil, fmt.Errorf("timing: %w", exec.ErrMaxSteps)
+		}
+		if steps == p.next || r.BlockEntry && (r.Block.Addr == p.startPC || r.Block.Addr == p.endPC || r.Block.Addr == p.tapPC) {
+			if p.step(sys, steps, r) {
+				return sys.stats(p.detailBase), nil
+			}
+			mode = p.mode
+		}
+
+		// The charge. Cycles always accumulate so the min-cycle scheduler
+		// interleaves threads fairly even while fast-forwarding. A warmed
+		// instruction updates the caches, coherence directory, prefetcher
+		// and branch predictor in the same order as a measured one, but
+		// no stall arithmetic runs, so the warmed state is bit-identical
+		// to a detailed walk over the same instructions.
+		cycles := sys.slot
+		if mode != cold {
+			c := &sys.cores[tid]
+			sys.clock++
+			var ifetchCycles float64
+			// Instruction fetch: charge on block entry when the line
+			// misses L1I.
+			if r.BlockEntry {
+				if lvl := c.l1i.Access(r.Block.Addr*8, sys.clock); lvl > 1 && mode != warmed {
+					ifetchCycles = sys.ifetch[lvl]
+					cycles += ifetchCycles
+				}
+			}
+			base := cycles
+			var memCycles, syncCycles, computeCycles, branchCycles float64
+			switch r.Instr.Op {
+			case isa.OpILoad, isa.OpFLoad:
+				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				sys.noteFill(tid, r.MemAddr)
+				if mode != warmed {
+					memCycles = sys.memStall(tid, lvl)
+				}
+				sys.warmPrefetch(c, tid, r.MemAddr, lvl)
+			case isa.OpIStore, isa.OpFStore:
+				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				sys.noteFill(tid, r.MemAddr)
+				if mode != warmed {
+					memCycles = float64(sys.memStall(tid, lvl) / 2) // store buffer
+				}
+				memCycles += sys.coherence(tid, r.MemAddr)
+				sys.warmPrefetch(c, tid, r.MemAddr, lvl)
+			case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
+				sys.constrainedOrderStall(tid, r)
+				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				sys.noteFill(tid, r.MemAddr)
+				// Atomics serialize: full latency, no ROB hiding.
+				syncCycles = sys.lat[lvl] + sys.atomic
+				syncCycles += sys.coherence(tid, r.MemAddr)
+			case isa.OpFutexWait:
+				sys.constrainedOrderStall(tid, r)
+				syncCycles = sys.futex
+				if r.Blocked && mode == measured {
+					sys.futexWaits++
+				}
+			case isa.OpFutexWake:
+				sys.constrainedOrderStall(tid, r)
+				syncCycles = sys.futex
+			case isa.OpSyscall:
+				syncCycles = sys.futex
+			case isa.OpIDiv, isa.OpIRem, isa.OpFDiv:
+				computeCycles = sys.div
+			case isa.OpFSqrt:
+				computeCycles = sys.sqrt
+			case isa.OpPause:
+				syncCycles = sys.pause
+			case isa.OpBrCond:
+				// Conditional branches consult the predictor;
+				// unconditional transfers are free beyond the base cost.
+				if !c.bp.Predict(r.Instr.Addr*8, r.Taken) {
+					branchCycles = sys.mispredict
+				}
+			}
+			if mode == warmed {
+				cycles = sys.slot
+			} else {
+				cycles = base + memCycles + syncCycles + computeCycles + branchCycles
+				if mode == measured {
+					c.instrs++
+					if !r.Block.Routine.Image.Sync {
+						c.filtered++
+					}
+					c.stack.Base += base - ifetchCycles
+					c.stack.Ifetch += ifetchCycles
+					c.stack.Memory += memCycles
+					c.stack.Sync += syncCycles
+					c.stack.Compute += computeCycles
+					c.stack.Branch += branchCycles
+				}
+			}
+		}
+		sys.cycle[tid] += cycles
+
+		sys.settle(tid, woken)
+		if mode == measured && trace != nil {
+			trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
+		}
+	}
+	return p.result(sys)
+}
+
+// begin sets the phase before the first instruction.
+func (p *run) begin(sys *system) {
+	p.mode = p.before
+	if p.start.IsStart() || (!p.start.IsICount() && !p.start.IsEnd && p.start.Count <= p.startHits) {
+		p.mode = measured
+	}
+	sys.setDetail(p.mode == measured)
+	p.startPC, p.endPC, p.tapPC = noPC, noPC, noPC
+	if !p.start.IsStart() {
+		p.startPC = p.start.PC
+	}
+	if !p.end.IsEnd {
+		p.endPC = p.end.PC
+	}
+	if p.at != nil {
+		p.tapPC = p.tap.PC
+	}
+	if p.window < p.period { // a window as long as the period never closes
+		p.toggle = p.window
+	}
+	p.windowStart = sys.wallCycle()
+	p.schedule(0)
+}
+
+// step moves the phase at an instruction the loop flagged, before the
+// instruction is charged, so the start marker's own instruction is
+// measured and the end marker's is not — matching how the profiler
+// attributes the boundary instruction to the following region. Raw
+// instruction-count markers (the naive baseline's boundaries) fire on the
+// global retired count instead of a PC. It reports whether the run ends
+// before this instruction.
+func (p *run) step(sys *system, steps uint64, r exec.Retired) bool {
+	if steps == p.toggle {
+		if p.mode == measured {
+			// Close the window and extrapolate it over the period.
+			p.estCycles += (sys.wallCycle() - p.windowStart) * float64(p.period) / float64(p.window)
+			p.mode, p.toggle = timed, p.toggle+p.period-p.window
+		} else {
+			p.windowStart = sys.wallCycle()
+			p.mode, p.toggle = measured, p.toggle+p.window
+		}
+		sys.setDetail(p.mode == measured)
+	}
+	if p.start.IsICount() && p.mode != measured && steps >= p.start.Count {
+		p.measure(sys)
+	}
+	if p.end.IsICount() && p.mode == measured && steps >= p.end.Count {
+		return true
+	}
+	if r.BlockEntry {
+		// Detail begins and ends without resetting core clocks: the
+		// warmup phase develops the natural thread stagger of the
+		// running system, and measuring wall-clock deltas over it makes
+		// isolated regions tile the continuous run exactly (resetting
+		// clocks would force every region to re-pay the
+		// align-to-steady-state transition).
+		if r.Block.Addr == p.startPC {
+			p.startHits++
+			if p.mode != measured && p.startHits >= p.start.Count {
+				p.measure(sys)
+			}
+		}
+		if r.Block.Addr == p.endPC {
+			p.endHits++
+			if p.mode == measured && p.endHits >= p.end.Count {
+				return true
+			}
+		}
+		if r.Block.Addr == p.tapPC {
+			// The end-marker check above, for a run that goes on.
+			p.tapHits++
+			if p.mode == measured && p.tapHits >= p.tap.Count {
+				p.at(sys.stats(p.detailBase))
+				p.tapPC = noPC
+			}
+		}
+	}
+	p.schedule(steps)
+	return false
+}
+
+// measure starts the measured window.
+func (p *run) measure(sys *system) {
+	p.mode = measured
+	sys.setDetail(true)
+	p.detailBase = sys.wallCycle()
+}
+
+// schedule sets next to the first step after steps at which a counted
+// boundary can fire: a periodic toggle, or an instruction-count marker
+// that the phase makes live.
+func (p *run) schedule(steps uint64) {
+	p.next = 0
+	at := func(step uint64) {
+		step = max(step, steps+1)
+		if p.next == 0 || step < p.next {
+			p.next = step
+		}
+	}
+	if p.toggle != 0 {
+		at(p.toggle)
+	}
+	if p.start.IsICount() && p.mode != measured {
+		at(p.start.Count)
+	}
+	if p.end.IsICount() && p.mode == measured {
+		at(p.end.Count)
+	}
+}
+
+// result is the run's statistics once no instruction is left.
+func (p *run) result(sys *system) (*Stats, error) {
+	if p.period != 0 {
+		if p.mode == measured {
+			p.estCycles += (sys.wallCycle() - p.windowStart) * float64(p.period) / float64(p.window)
+		}
+		st := sys.stats(0)
+		st.Cycles = p.estCycles
+		return st, nil
+	}
+	if p.mode != measured {
+		if p.start.IsICount() {
+			// Raw instruction-count boundaries are not stable across
+			// thread interleavings (Section II): under a different
+			// schedule the program can retire fewer instructions (e.g.
+			// fewer spin iterations) and never reach the recorded
+			// count. The naive baseline then measures nothing for this
+			// region — one of the reasons its extrapolation degrades.
+			return sys.stats(p.detailBase), nil
+		}
+		return nil, fmt.Errorf("timing: start marker %v never reached", p.start)
+	}
+	if !p.end.IsEnd && !p.end.IsICount() && p.endHits < p.end.Count {
+		return nil, fmt.Errorf("timing: end marker %v never reached (%d/%d hits)", p.end, p.endHits, p.end.Count)
+	}
+	if p.atEnd != nil {
+		p.atEnd(sys.stats(p.detailBase))
+	}
+	return sys.stats(p.detailBase), nil
 }

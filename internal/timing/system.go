@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"looppoint/internal/exec"
-	"looppoint/internal/isa"
 )
 
 // coreState holds one core's timing state, except its cycle count, which
@@ -42,7 +41,10 @@ type system struct {
 	runnable int
 	alive    int
 
-	// constrained-mode shared-order enforcement
+	// A recorded order in place of the min-cycle pick (follow), and for
+	// a constrained replay the shared-order enforcement.
+	order    order
+	ordered  bool
 	lineLast map[uint64]lineAccess
 
 	coherenceInv uint64
@@ -128,6 +130,7 @@ func newSystem(cfg Config, m *exec.Machine) *system {
 // IDs the sorted order.
 func (s *system) bind(m *exec.Machine) {
 	s.m = m
+	s.order, s.ordered = nil, false
 	s.head, s.runnable, s.alive = 0, 0, 0
 	if m == nil {
 		return
@@ -230,83 +233,6 @@ func (s *system) memStall(tid, lvl int) float64 {
 	return stall
 }
 
-// cost computes the cycle cost of one executed instruction on core tid
-// and updates all microarchitectural state. It reads from ev only what
-// the instruction's class needs: the opcode, the block address on a
-// block entry, the memory address of a memory operation, the PC and
-// outcome of a conditional branch.
-func (s *system) cost(tid int, ev *exec.Event) float64 {
-	c := &s.cores[tid]
-	s.clock++
-	cycles := s.slot
-	var ifetchCycles float64
-
-	// Instruction fetch: charge on block entry when the line misses L1I.
-	if ev.BlockEntry {
-		if lvl := c.l1i.Access(ev.Block.Addr*8, s.clock); lvl > 1 {
-			ifetchCycles = s.ifetch[lvl]
-			cycles += ifetchCycles
-		}
-	}
-
-	base := cycles
-	var memCycles, syncCycles, computeCycles, branchCycles float64
-
-	switch ev.Instr.Op {
-	case isa.OpILoad, isa.OpFLoad:
-		lvl := c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		memCycles += s.memStall(tid, lvl)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
-	case isa.OpIStore, isa.OpFStore:
-		lvl := c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		memCycles += s.memStall(tid, lvl) / 2 // store buffer
-		memCycles += s.coherence(tid, ev.MemAddr)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
-	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
-		lvl := c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		// Atomics serialize: full latency, no ROB hiding.
-		syncCycles += s.lat[lvl] + s.atomic
-		syncCycles += s.coherence(tid, ev.MemAddr)
-	case isa.OpFutexWait:
-		syncCycles += s.futex
-		if ev.Blocked && s.detail {
-			s.futexWaits++
-		}
-	case isa.OpFutexWake, isa.OpSyscall:
-		syncCycles += s.futex
-	case isa.OpIDiv, isa.OpIRem, isa.OpFDiv:
-		computeCycles += s.div
-	case isa.OpFSqrt:
-		computeCycles += s.sqrt
-	case isa.OpPause:
-		syncCycles += s.pause
-	case isa.OpBrCond:
-		// Conditional branches consult the predictor; unconditional
-		// transfers are free beyond the base cost.
-		if !c.bp.Predict(ev.Instr.Addr*8, ev.Taken) {
-			branchCycles += s.mispredict
-		}
-	}
-
-	cycles = base + memCycles + syncCycles + computeCycles + branchCycles
-	if s.detail {
-		c.instrs++
-		if !ev.Block.Routine.Image.Sync {
-			c.filtered++
-		}
-		c.stack.Base += base - ifetchCycles
-		c.stack.Ifetch += ifetchCycles
-		c.stack.Memory += memCycles
-		c.stack.Sync += syncCycles
-		c.stack.Compute += computeCycles
-		c.stack.Branch += branchCycles
-	}
-	return cycles
-}
-
 // warmPrefetch replays the next-line prefetcher's fills for a data access
 // that missed L1D.
 func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int) {
@@ -316,38 +242,6 @@ func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int) {
 			c.l1d.FillQuiet(pf, s.clock)
 			s.noteFill(tid, pf)
 		}
-	}
-}
-
-// warmOf functionally warms microarchitectural state for one fast-forward
-// instruction: caches, coherence directory, prefetcher, and branch
-// predictor update exactly as cost would update them, but no stall
-// arithmetic runs and no cycles are computed (the fast-forward charge is a
-// uniform dispatch slot per instruction). The access order and LRU clocks
-// are identical to cost's, so the warmed state is bit-identical to a
-// detailed walk over the same instruction stream.
-func (s *system) warmOf(tid int, ev *exec.Event) {
-	c := &s.cores[tid]
-	s.clock++
-	if ev.BlockEntry {
-		c.l1i.Access(ev.Block.Addr*8, s.clock)
-	}
-	switch ev.Instr.Op {
-	case isa.OpILoad, isa.OpFLoad:
-		lvl := c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
-	case isa.OpIStore, isa.OpFStore:
-		lvl := c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		s.coherence(tid, ev.MemAddr)
-		s.warmPrefetch(c, tid, ev.MemAddr, lvl)
-	case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
-		c.l1d.Access(ev.MemAddr, s.clock)
-		s.noteFill(tid, ev.MemAddr)
-		s.coherence(tid, ev.MemAddr)
-	case isa.OpBrCond:
-		c.bp.Predict(ev.Instr.Addr*8, ev.Taken)
 	}
 }
 
@@ -392,12 +286,13 @@ func (s *system) coherence(tid int, addr uint64) float64 {
 // pace, which is what makes constrained timing misleading for
 // applications whose natural thread progress differs from the recording
 // (Section V-A1: worst for low-synchronization apps like 657.xz_s.2).
-func (s *system) constrainedOrderStall(tid int, ev *exec.Event) {
-	op := ev.Instr.Op
-	if !op.IsAtomic() && op != isa.OpFutexWait && op != isa.OpFutexWake {
+// The charge calls it for those accesses; it does nothing outside a
+// constrained replay.
+func (s *system) constrainedOrderStall(tid int, r exec.Retired) {
+	if !s.ordered {
 		return
 	}
-	line := ev.MemAddr >> 6
+	line := r.MemAddr >> 6
 	if last, ok := s.lineLast[line]; ok && last.tid != tid && last.cycle > s.cycle[tid] {
 		s.cycle[tid] = last.cycle
 	}
@@ -431,14 +326,44 @@ func (s *system) next() int {
 	return s.runq[s.head%MaxCores]
 }
 
+// An order is a recorded thread interleaving that drives the scheduler in
+// place of the cycle counts: next returns the thread of the next
+// instruction, or false at the end.
+type order interface {
+	next() (tid int, ok bool)
+}
+
+// follow makes o the scheduler: the ring holds just the thread o names
+// next. ordered also enforces the recorded order of synchronization
+// accesses (constrainedOrderStall).
+func (s *system) follow(o order, ordered bool) {
+	s.order, s.ordered = o, ordered
+	s.head, s.alive = 0, 1
+	s.advance()
+}
+
+func (s *system) advance() {
+	if tid, ok := s.order.next(); ok {
+		s.runq[s.head%MaxCores], s.runnable = tid, 1
+	} else {
+		s.runnable, s.alive = 0, 0
+	}
+}
+
 // settle finishes the step of the scheduled thread (tid is next's pick)
 // once its cycles are charged. While tid still runs and still precedes
 // the second thread, nothing moves: no other core's cycle count changed.
 // Otherwise it leaves the front of the ring — for good if the step parked
 // or halted it, else for its sorted place, found from the back: symmetric
 // threads run in lockstep, where the thread that just stepped goes last.
-// Threads it woke are timed and then enter the ring.
+// Threads it woke are timed and then enter the ring. Under a recorded
+// order, the threads it woke are timed and the order names the next.
 func (s *system) settle(tid int, woken []int) {
+	if s.order != nil {
+		s.wake(tid, woken)
+		s.advance()
+		return
+	}
 	h, n := s.head, s.runnable
 	if st := s.m.Threads[tid].State; st != exec.StateRunning {
 		s.head, s.runnable = h+1, n-1

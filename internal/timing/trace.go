@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"looppoint/internal/bbv"
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 )
@@ -40,8 +41,8 @@ const (
 const maxTraceAddr = 1 << 28
 
 // TraceWriter streams one compact record per executed instruction. Feed
-// OnInstr every event of a per-instruction run (pinball.StepReplay) and
-// Close when done.
+// OnInstr every instruction of a per-instruction run (pinball.StepReplay)
+// and Close when done.
 type TraceWriter struct {
 	w   *bufio.Writer
 	err error
@@ -62,13 +63,13 @@ func NewTraceWriter(dst io.Writer) (*TraceWriter, error) {
 	return w, nil
 }
 
-// OnInstr appends the record of one executed instruction.
-func (t *TraceWriter) OnInstr(ev *exec.Event) {
+// OnInstr appends the record of one instruction thread tid retired.
+func (t *TraceWriter) OnInstr(tid int, ev exec.Retired) {
 	if t.err != nil {
 		return
 	}
 	var rec [27]byte
-	rec[0] = uint8(ev.Tid)
+	rec[0] = uint8(tid)
 	rec[1] = uint8(ev.Instr.Op)
 	var flags uint8
 	if ev.BlockEntry {
@@ -135,61 +136,86 @@ func (s *Simulator) simulateTrace(src io.Reader) (*Stats, error) {
 	if v := binary.LittleEndian.Uint32(head[len(traceMagic):]); v != traceVersion {
 		return nil, fmt.Errorf("timing: unsupported trace version %d", v)
 	}
+	t := &traceSource{r: r, blocked: make([]bool, cfg.Cores), prev: -1}
+	t.routines = [2]isa.Routine{{Image: &isa.Image{}}, {Image: &isa.Image{Sync: true}}}
+	st, err := s.simulate(&run{src: t, end: bbv.Marker{IsEnd: true},
+		bind: func(sys *system) { t.sys = sys; sys.follow(t, false) }})
+	if t.err != nil {
+		return nil, t.err
+	}
+	return st, err
+}
 
-	sys := s.acquire(nil)
-	defer release(sys)
-	sys.setDetail(true)
-	blocked := make([]bool, cfg.Cores)
+// traceSource plays a trace back as the run's order (the records' threads
+// in trace order) and its retirer: each record turns back into the
+// instruction it was written from, as far as the charge reads one — the
+// instruction and its block exist only as the fields the record carries.
+type traceSource struct {
+	r        *bufio.Reader
+	sys      *system
+	rec      [27]byte // the record next named
+	err      error
+	routines [2]isa.Routine // plain and Sync
+	instr    isa.Instr
+	blk      isa.Block
+	blocked  []bool
+	// The previous record's thread (-1 before the first) and whether it
+	// parked.
+	prev        int
+	prevBlocked bool
+}
+
+// next reads the next record and names its thread; a bad record ends the
+// trace with t.err set.
+func (t *traceSource) next() (int, bool) {
+	if _, err := io.ReadFull(t.r, t.rec[:]); err != nil {
+		if err != io.EOF {
+			t.err = fmt.Errorf("timing: truncated trace record: %w", err)
+		}
+		return 0, false
+	}
+	tid := int(t.rec[0])
+	if tid >= len(t.blocked) {
+		t.err = fmt.Errorf("timing: trace thread %d exceeds %d cores", tid, len(t.blocked))
+		return 0, false
+	}
+	if addr := binary.LittleEndian.Uint64(t.rec[19:]); addr > maxTraceAddr {
+		t.err = fmt.Errorf("timing: trace address %#x beyond the %d-byte limit", addr, uint64(maxTraceAddr))
+		return 0, false
+	}
+	return tid, true
+}
+
+// Retire returns the record next named. A thread's first record after it
+// blocked resumes no earlier than the previous record's core clock plus
+// the wake latency.
+func (t *traceSource) Retire(tid int) (exec.Retired, []int) {
 	var lastCycle float64
-
-	// Each record is turned back into the event it was written from, as
-	// far as cost reads one: the instruction and its block exist only as
-	// the fields the record carries.
-	routines := [2]isa.Routine{{Image: &isa.Image{}}, {Image: &isa.Image{Sync: true}}}
-	var instr isa.Instr
-	var blk isa.Block
-	ev := exec.Event{Instr: &instr, Block: &blk}
-
-	var rec [27]byte
-	for {
-		if _, err := io.ReadFull(r, rec[:]); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("timing: truncated trace record: %w", err)
-		}
-		tid := int(rec[0])
-		if tid >= cfg.Cores {
-			return nil, fmt.Errorf("timing: trace thread %d exceeds %d cores", tid, cfg.Cores)
-		}
-		flags := rec[2]
-		instr.Op = isa.Op(rec[1])
-		instr.Addr = binary.LittleEndian.Uint64(rec[3:])
-		blk.Addr = binary.LittleEndian.Uint64(rec[11:])
-		blk.Routine = &routines[0]
-		if flags&tfSync != 0 {
-			blk.Routine = &routines[1]
-		}
-		ev.Tid = tid
-		ev.MemAddr = binary.LittleEndian.Uint64(rec[19:])
-		ev.BlockEntry = flags&tfBlockEntry != 0
-		ev.Taken = flags&tfTaken != 0
-		ev.Blocked = flags&tfBlocked != 0
-		if ev.MemAddr > maxTraceAddr {
-			return nil, fmt.Errorf("timing: trace address %#x beyond the %d-byte limit", ev.MemAddr, uint64(maxTraceAddr))
-		}
-		if blocked[tid] {
-			// Wake-up: resume after the record that (in trace order)
-			// preceded this thread's return, plus the wake latency.
-			if resume := lastCycle + float64(cfg.WakeCycles); resume > sys.cycle[tid] {
-				sys.cycle[tid] = resume
-			}
-			blocked[tid] = false
-		}
-		sys.cycle[tid] += sys.cost(tid, &ev)
-		lastCycle = sys.cycle[tid]
-		if ev.Blocked {
-			blocked[tid] = true
+	if t.prev >= 0 {
+		lastCycle = t.sys.cycle[t.prev]
+		if t.prevBlocked {
+			t.blocked[t.prev] = true
 		}
 	}
-	return sys.stats(0), nil
+	if t.blocked[tid] {
+		if resume := lastCycle + t.sys.wakeLat; resume > t.sys.cycle[tid] {
+			t.sys.cycle[tid] = resume
+		}
+		t.blocked[tid] = false
+	}
+	flags := t.rec[2]
+	t.instr.Op = isa.Op(t.rec[1])
+	t.instr.Addr = binary.LittleEndian.Uint64(t.rec[3:])
+	t.blk.Addr = binary.LittleEndian.Uint64(t.rec[11:])
+	t.blk.Routine = &t.routines[0]
+	if flags&tfSync != 0 {
+		t.blk.Routine = &t.routines[1]
+	}
+	r := exec.Retired{Instr: &t.instr, Block: &t.blk, MemAddr: binary.LittleEndian.Uint64(t.rec[19:]), Flow: exec.Flow{
+		BlockEntry: flags&tfBlockEntry != 0,
+		Taken:      flags&tfTaken != 0,
+		Blocked:    flags&tfBlocked != 0,
+	}}
+	t.prev, t.prevBlocked = tid, r.Blocked
+	return r, nil
 }

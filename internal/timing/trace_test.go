@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
@@ -30,7 +31,7 @@ func TestTraceDrivenMatchesConstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pb.StepReplay(p, tw.OnInstr); err != nil {
+	if _, err := pb.StepReplay(p, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -118,7 +119,7 @@ func TestTraceThreadBoundsChecked(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tw, _ := NewTraceWriter(&buf)
-	if _, err := pb.StepReplay(p, tw.OnInstr); err != nil {
+	if _, err := pb.StepReplay(p, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
 		t.Fatal(err)
 	}
 	tw.Close()
