@@ -220,7 +220,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Finish from the snapshot on a fresh machine.
 	p2, acc2 := buildCounterProgram(t, 4, 300, omp.Passive)
 	m2 := NewMachine(p2, 5)
-	m2.Restore(snap)
+	if err := m2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
 	if err := m2.Run(RunOpts{Quantum: 50}); err != nil {
 		t.Fatalf("resumed Run: %v", err)
 	}

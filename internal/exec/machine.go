@@ -61,10 +61,8 @@ func (t *Thread) PC() uint64 {
 	return t.cur.rt.Blocks[t.cur.blk].Instrs[t.cur.idx].Addr
 }
 
-// Retired is one instruction Retire executed: what a timing model reads
-// to charge it. It is small enough (at most four fields, 32 bytes) for the
-// compiler to keep in registers, so Retire returns it, and a consumer
-// passes it on, without a write to memory.
+// Retired is one instruction Retire executed, as a timing model reads it.
+// At four fields and 32 bytes it stays in registers, never in memory.
 type Retired struct {
 	Instr   *isa.Instr // nil if the thread could not run
 	Block   *isa.Block
@@ -173,13 +171,10 @@ func (m *Machine) Step(tid int) (*Event, bool) {
 }
 
 // Retire executes one instruction of thread tid and returns it with the
-// threads a FutexWake woke. A blocked or halted thread retires nothing:
-// the result's Instr is nil. An instruction that parks the thread on a
-// futex is retired with Blocked set (the wait itself counts as an executed
-// instruction, matching how a futex syscall appears in a real trace).
-// Register, load/store and branch ops run here; the rest, which touch the
-// call stack, the futex queues or the OS, run in retireSync, so that the
-// common ops pay for none of their state.
+// threads a FutexWake woke; a blocked or halted thread retires nothing
+// (Instr nil). A futex wait that parks the thread retires with Blocked set,
+// as a futex syscall appears in a real trace. Ops that touch the call
+// stack, futex queues or OS run apart, in retireSync.
 func (m *Machine) Retire(tid int) (r Retired, woken []int) {
 	t := m.Threads[tid]
 	if t.State != StateRunning {
@@ -248,8 +243,7 @@ func (m *Machine) Retire(tid int) (r Retired, woken []int) {
 		m.Mem[a] = math.Float64bits(t.F[in.B])
 
 	case isa.OpBr:
-		t.cur.blk, t.cur.idx = in.Target, 0
-		r.Taken = true
+		t.cur.blk, t.cur.idx, r.Taken = in.Target, 0, true
 		return r, nil
 	case isa.OpBrCond:
 		b := t.R[in.B]
@@ -271,9 +265,8 @@ func (m *Machine) Retire(tid int) (r Retired, woken []int) {
 	return r, nil
 }
 
-// retireSync is Retire for the ops that touch shared state beyond a word
-// of memory: atomics, calls, returns, halts, futexes and syscalls. It
-// moves the thread on itself and returns what Retire reports.
+// retireSync is Retire for atomics, calls, returns, halts, futexes and
+// syscalls; it moves the thread on itself.
 func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, blocked bool, woken []int) {
 	advance := true // move to next instruction within block
 	switch in.Op {

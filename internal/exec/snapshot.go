@@ -1,6 +1,14 @@
 package exec
 
-import "sort"
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
+
+// ErrForeignSnapshot is Restore's error for a snapshot of another program:
+// another thread count, or a code position this program does not have.
+var ErrForeignSnapshot = errors.New("exec: snapshot does not fit the program")
 
 // Snapshot is a deep copy of a machine's architectural state: shared
 // memory plus every thread's registers, call stack, and position. It is
@@ -59,9 +67,14 @@ func (m *Machine) frameRef(f frame) FrameRef {
 	return FrameRef{Image: f.rt.Image.ID, Routine: f.rt.ID, Block: f.blk, Index: f.idx}
 }
 
-func (m *Machine) resolveFrame(r FrameRef) frame {
-	rt := m.Prog.Images[r.Image].Routines[r.Routine]
-	return frame{rt: rt, blk: r.Block, idx: r.Index}
+func (m *Machine) resolveFrame(r FrameRef) (frame, error) {
+	if ims := m.Prog.Images; uint(r.Image) < uint(len(ims)) && uint(r.Routine) < uint(len(ims[r.Image].Routines)) {
+		rt := ims[r.Image].Routines[r.Routine]
+		if uint(r.Block) < uint(len(rt.Blocks)) && uint(r.Index) < uint(len(rt.Blocks[r.Block].Instrs)) {
+			return frame{rt: rt, blk: r.Block, idx: r.Index}, nil
+		}
+	}
+	return frame{}, fmt.Errorf("%w: no instruction at %+v in %s", ErrForeignSnapshot, r, m.Prog.Name)
 }
 
 // Snapshot captures the machine's current architectural state.
@@ -98,18 +111,29 @@ func (m *Machine) Snapshot() *Snapshot {
 // snapshot carries OS state and the machine's OS implements StatefulOS,
 // the state is poured back; set the machine's final OS before calling
 // Restore (or seed it explicitly afterward) so the state lands in the
-// model that will actually run.
-func (m *Machine) Restore(s *Snapshot) {
+// model that will actually run. A snapshot of another program fails with
+// ErrForeignSnapshot and leaves the machine unusable.
+func (m *Machine) Restore(s *Snapshot) error {
+	if len(s.Threads) != len(m.Threads) {
+		return fmt.Errorf("%w: %d threads, %s has %d", ErrForeignSnapshot, len(s.Threads), m.Prog.Name, len(m.Threads))
+	}
 	copy(m.Mem, s.Mem)
 	m.steps = s.Steps
 	m.futexQ = make(map[uint64][]int)
 	for i, ts := range s.Threads {
 		t := m.Threads[i]
 		t.R, t.F, t.State = ts.R, ts.F, ts.State
-		t.cur = m.resolveFrame(ts.Cur)
+		var err error
+		if t.cur, err = m.resolveFrame(ts.Cur); err != nil {
+			return err
+		}
 		t.stack = t.stack[:0]
 		for _, fr := range ts.Stack {
-			t.stack = append(t.stack, m.resolveFrame(fr))
+			f, err := m.resolveFrame(fr)
+			if err != nil {
+				return err
+			}
+			t.stack = append(t.stack, f)
 		}
 		t.ICount = ts.ICount
 		t.futexAddr = ts.Futex
@@ -125,4 +149,5 @@ func (m *Machine) Restore(s *Snapshot) {
 			so.RestoreOS(s.OS)
 		}
 	}
+	return nil
 }

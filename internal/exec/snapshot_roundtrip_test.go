@@ -97,7 +97,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				for _, v := range roundTripVariants() {
 					b := NewMachine(p, 99) // wrong seed on purpose: Restore must overwrite OS state
-					b.Restore(snap)
+					if err := b.Restore(snap); err != nil {
+						t.Fatal(err)
+					}
 					if err := v.run(b, sched.Window(n, total-n)); err != nil {
 						t.Fatalf("cut %d (%s): resume: %v", n, v.name, err)
 					}
@@ -156,7 +158,9 @@ func TestRestoreHonorsFutexQueueOrder(t *testing.T) {
 		}
 	}
 	b := NewMachine(p, 5)
-	b.Restore(snap)
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range snap.Futexes {
 		if !reflect.DeepEqual(b.futexQ[q.Addr], q.Tids) {
 			t.Fatalf("futex %#x restored as %v, want %v", q.Addr, b.futexQ[q.Addr], q.Tids)

@@ -53,7 +53,10 @@ func (pb *Pinball) ExtractRegions(p *isa.Program, specs []RegionSpec) (_ []*Pinb
 		}
 	}
 
-	m, replay := pb.startMachine(p)
+	m, replay, err := pb.startMachine(p)
+	if err != nil {
+		return nil, err
+	}
 
 	// Track global hit counts of every marker PC of interest. They are
 	// accumulated from the block events' entry counts — exact, because

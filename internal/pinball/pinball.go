@@ -138,7 +138,10 @@ func (pb *Pinball) Replay(p *isa.Program, observers ...exec.BlockObserver) (*exe
 	if err := pb.Verify(); err != nil {
 		return nil, err
 	}
-	m, replay := pb.startMachine(p)
+	m, replay, err := pb.startMachine(p)
+	if err != nil {
+		return nil, err
+	}
 	for _, o := range observers {
 		m.AddBlockObserver(o)
 	}
@@ -158,7 +161,10 @@ func (pb *Pinball) StepReplay(p *isa.Program, fn func(*exec.Event)) (_ *exec.Mac
 	if err := pb.Verify(); err != nil {
 		return nil, err
 	}
-	m, replay := pb.startMachine(p)
+	m, replay, err := pb.startMachine(p)
+	if err != nil {
+		return nil, err
+	}
 	for _, e := range pb.Schedule {
 		for i := uint32(0); i < e.N; i++ {
 			ev, ok := m.Step(e.Tid)
@@ -193,12 +199,14 @@ func (pb *Pinball) finish(m *exec.Machine, replay *exec.ReplayOS) (*exec.Machine
 // the top. The snapshot is restored before the replay OS is installed: it
 // carries recording-time DefaultOS state, which must not be poured into the
 // replay OS's injection cursors.
-func (pb *Pinball) startMachine(p *isa.Program) (*exec.Machine, *exec.ReplayOS) {
+func (pb *Pinball) startMachine(p *isa.Program) (*exec.Machine, *exec.ReplayOS, error) {
 	m := exec.NewMachine(p, 0)
-	m.Restore(pb.Start)
+	if err := m.Restore(pb.Start); err != nil {
+		return nil, nil, fmt.Errorf("pinball %s: %w", pb.Name, err)
+	}
 	replay := exec.NewReplayOS(pb.Syscalls)
 	m.OS = replay
-	return m, replay
+	return m, replay, nil
 }
 
 // syscallsFrom copies each thread's injection log from its cursor on.

@@ -226,7 +226,7 @@ func TestDirectoryGrowsPastMemory(t *testing.T) {
 			}
 		},
 	}}}
-	r := &run{m: m, src: f, end: bbv.Marker{IsEnd: true}, bind: func(sys *system) { f.sys = sys; sys.follow(f, false) }}
+	r := &run{src: f, end: bbv.Marker{IsEnd: true}, bind: func(sys *system) { sys.bind(m); f.sys = sys; sys.follow(f.next, false) }}
 	if _, err := freshSim(t, cfg, p).simulate(r); err != nil {
 		t.Fatal(err)
 	}

@@ -153,8 +153,8 @@ func TestRunLoopsPickLikeOracle(t *testing.T) {
 		for _, detail := range []bool{true, false} {
 			m := exec.NewMachine(p, 1)
 			o := &oracleRetirer{t: t, m: m, last: -1}
-			r := &run{m: m, src: o, end: bbv.Marker{IsEnd: true}, before: warmed,
-				bind: func(sys *system) { o.sys = sys }}
+			r := &run{src: o, end: bbv.Marker{IsEnd: true}, before: warmed,
+				bind: func(sys *system) { sys.bind(m); o.sys = sys }}
 			if !detail {
 				r.start = bbv.Marker{Count: 1 << 62} // never reached: all fast-forward
 			}

@@ -112,7 +112,7 @@ func (s *Simulator) SimulateFull() (*Stats, error) {
 // tap reports. An end tap sees the full statistics (a separate snapshot);
 // a tap that is never reached, or any other kind of marker, never calls at.
 func (s *Simulator) SimulateFullTap(tap bbv.Marker, at func(*Stats)) (*Stats, error) {
-	p := &run{m: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true}}
+	p := &run{src: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true}}
 	if tap.IsEnd {
 		p.atEnd = at
 	} else if !tap.IsStart() && !tap.IsICount() {
@@ -130,7 +130,7 @@ func (s *Simulator) SimulateRegion(start, end bbv.Marker, warm WarmupMode) (*Sta
 	if warm == WarmupNone {
 		before = cold
 	}
-	return s.simulate(&run{m: exec.NewMachine(s.Prog, s.Seed), start: start, end: end, before: before})
+	return s.simulate(&run{src: exec.NewMachine(s.Prog, s.Seed), start: start, end: end, before: before})
 }
 
 // SimulateCheckpoint runs an unconstrained simulation of a region pinball
@@ -145,14 +145,16 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 		return nil, err
 	}
 	m := exec.NewMachine(s.Prog, s.Seed)
-	m.Restore(pb.Start)
+	if err := m.Restore(pb.Start); err != nil {
+		return nil, err
+	}
 	// Recorded syscall results are injected while they last; once the
 	// unconstrained interleaving consumes them differently, the OS model
 	// takes over.
 	replay := exec.NewReplayOS(pb.Syscalls)
 	replay.Fallback = exec.NewDefaultOS(s.Seed)
 	m.OS = replay
-	return s.simulate(&run{m: m, start: pb.Region.Start, end: pb.Region.End,
+	return s.simulate(&run{src: m, start: pb.Region.Start, end: pb.Region.End,
 		startHits: pb.StartHitsAtSnapshot, endHits: pb.EndHitsAtSnapshot, before: warmed})
 }
 
@@ -168,7 +170,7 @@ func (s *Simulator) SimulatePeriodic(detail, period uint64) (*Stats, error) {
 	if detail == 0 || period == 0 || detail > period {
 		return nil, fmt.Errorf("timing: invalid periodic sampling %d/%d", detail, period)
 	}
-	return s.simulate(&run{m: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true},
+	return s.simulate(&run{src: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true},
 		before: timed, window: detail, period: period})
 }
 
@@ -184,42 +186,31 @@ func (s *Simulator) SimulateConstrained(pb *pinball.Pinball) (_ *Stats, err erro
 		return nil, err
 	}
 	m := exec.NewMachine(s.Prog, 0)
-	m.Restore(pb.Start)
+	if err := m.Restore(pb.Start); err != nil {
+		return nil, err
+	}
 	replay := exec.NewReplayOS(pb.Syscalls)
 	m.OS = replay
 	// The warm-up prefix is charged like the region, uncounted; the
 	// region starts at the instruction after it.
-	var start bbv.Marker
-	if pb.WarmupSteps > 0 {
-		start.Count = pb.WarmupSteps + 1
+	start := bbv.Marker{Count: pb.WarmupSteps + 1}
+	i, tid, left := 0, 0, uint32(0) // the next entry; the current one's thread, steps left
+	order := func() (int, bool) {
+		for ; left == 0; i++ {
+			if i == len(pb.Schedule) {
+				return 0, false
+			}
+			tid, left = pb.Schedule[i].Tid, pb.Schedule[i].N
+		}
+		left--
+		return tid, true
 	}
-	sched := &scheduleOrder{sched: pb.Schedule}
-	st, err := s.simulate(&run{m: m, start: start, end: bbv.Marker{IsEnd: true}, before: timed,
-		bind: func(sys *system) { sys.follow(sched, true) }})
+	st, err := s.simulate(&run{src: m, start: start, end: bbv.Marker{IsEnd: true}, before: timed,
+		bind: func(sys *system) { sys.follow(order, true) }})
 	if err == nil && replay.Diverged {
 		return nil, fmt.Errorf("timing: constrained replay exhausted the syscall injection log")
 	}
 	return st, err
-}
-
-// scheduleOrder is a recorded schedule as an order.
-type scheduleOrder struct {
-	sched exec.Schedule
-	i     int // next schedule entry
-	tid   int
-	left  uint32 // instructions left in the current entry
-}
-
-func (o *scheduleOrder) next() (int, bool) {
-	for o.left == 0 {
-		if o.i == len(o.sched) {
-			return 0, false
-		}
-		o.tid, o.left = o.sched[o.i].Tid, o.sched[o.i].N
-		o.i++
-	}
-	o.left--
-	return o.tid, true
 }
 
 // A charge is how the loop charges an instruction.
@@ -232,75 +223,53 @@ const (
 	cold                   // one dispatch slot, nothing warmed
 )
 
-// noPC is a block address no block has: the watch of an unused marker.
-const noPC = ^uint64(0)
+const never = ^uint64(0) // a step no run reaches
 
-// A run is one simulation: where its instructions come from and which of
-// them it measures. The phase fields below the parameters move as the
-// loop goes.
+// A run is one simulation: src retires its instructions (the system is
+// bound to src if it is a machine, and bind finishes it); it measures from start to end (startHits and
+// endHits rebase the counts of a machine that begins mid-program), charging
+// what comes before start as before says, calls at at the PC tap and atEnd
+// at the end, or measures window of every period instructions. The fields
+// after period are the phase, which moves as the loop goes.
 type run struct {
-	m *exec.Machine // the machine the system is bound to; nil for a trace
-	// src retires the instructions; nil means m.
-	src retirer
-	// bind, when set, finishes the system before the first instruction:
-	// a recorded order in place of the min-cycle scheduler.
-	bind func(*system)
-
-	// The run measures from start to end. startHits and endHits rebase
-	// the markers' counts for machines that begin mid-program; before
-	// says how the instructions ahead of start are charged.
+	src                retirer
+	bind               func(*system)
 	start, end         bbv.Marker
 	startHits, endHits uint64
 	before             charge
-	// at is called at the PC tap, atEnd at the end (SimulateFullTap).
-	tap       bbv.Marker
-	at, atEnd func(*Stats)
-	// With period set, the run measures window of every period
-	// instructions and reports the windows' cycles scaled up.
-	window, period uint64
+	tap                bbv.Marker
+	at, atEnd          func(*Stats)
+	window, period     uint64
 
-	mode       charge
-	detailBase float64 // wall cycle where the measured window began
-	tapHits    uint64
-	// The loop calls step at step next (0: never) and at block entries
-	// to the watched PCs.
-	next                  uint64
-	startPC, endPC, tapPC uint64
-	// Periodic sampling: the step at which the window next opens or
-	// closes, where the open one began, the cycles extrapolated so far.
+	mode          charge
+	detailBase    float64 // wall cycle where the measured window began
+	tapHits, next uint64  // the loop calls step at step next and at marker PCs
+	// Periodic: the step the window next opens or closes, where the open
+	// one began, the cycles extrapolated so far.
 	toggle                 uint64
 	windowStart, estCycles float64
 }
 
-// A retirer executes one instruction of a thread: exec.Machine, or a
-// trace played back.
+// A retirer executes one instruction of a thread: exec.Machine or a trace.
 type retirer interface {
 	Retire(tid int) (exec.Retired, []int)
 }
 
-// simulate is the one timing loop. Each pass takes the scheduler's pick,
-// retires one of its instructions, moves the measurement phase where it
-// can change, charges the instruction and settles the thread. The charge
-// is written here, once, as one switch over the op classes that cost
-// anything, so that an instruction touching no cache costs one call to
-// retire it and one to settle it.
+// simulate is the one timing loop: it retires one instruction of the
+// scheduler's pick, moves the phase where it can change, charges the
+// instruction — written once, here, as one switch over the op classes
+// that cost anything — and settles the thread.
 func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	defer exec.Recover(&err)
-	sys := s.acquire(p.m)
+	m, _ := p.src.(*exec.Machine)
+	sys := s.acquire(m)
 	defer release(sys)
-	src := p.src
-	if src == nil {
-		src = p.m
-	}
 	if p.bind != nil {
 		p.bind(sys)
 	}
 	p.begin(sys)
 	mode := p.mode
 	trace := s.Trace
-	if sys.order != nil || p.period != 0 {
-		trace = nil
-	}
 	maxSteps := s.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 2_000_000_000
@@ -312,30 +281,25 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 		if tid < 0 {
 			return nil, exec.ErrDeadlock
 		}
-		r, woken := src.Retire(tid)
-		if r.Instr == nil {
-			if sys.order != nil {
-				return nil, fmt.Errorf("timing: constrained replay diverged: thread %d is %s", tid, p.m.Threads[tid].State)
-			}
-			return nil, fmt.Errorf("timing: scheduled thread %d could not step", tid)
+		r, woken := p.src.Retire(tid)
+		if r.Instr == nil { // a constrained replay that diverged
+			return nil, fmt.Errorf("timing: scheduled thread %d could not step: it is %s", tid, m.Threads[tid].State)
 		}
 		steps++
 		if steps > maxSteps {
 			return nil, fmt.Errorf("timing: %w", exec.ErrMaxSteps)
 		}
-		if steps == p.next || r.BlockEntry && (r.Block.Addr == p.startPC || r.Block.Addr == p.endPC || r.Block.Addr == p.tapPC) {
+		if steps == p.next || r.BlockEntry && (r.Block.Addr == p.start.PC || r.Block.Addr == p.end.PC || r.Block.Addr == p.tap.PC) {
 			if p.step(sys, steps, r) {
 				return sys.stats(p.detailBase), nil
 			}
 			mode = p.mode
 		}
 
-		// The charge. Cycles always accumulate so the min-cycle scheduler
-		// interleaves threads fairly even while fast-forwarding. A warmed
-		// instruction updates the caches, coherence directory, prefetcher
-		// and branch predictor in the same order as a measured one, but
-		// no stall arithmetic runs, so the warmed state is bit-identical
-		// to a detailed walk over the same instructions.
+		// The charge. Cycles accumulate even while fast-forwarding, so the
+		// scheduler interleaves threads fairly. A warmed instruction updates
+		// caches, directory, prefetcher and predictor as a measured one
+		// does, without the stall arithmetic: warmed state is bit-identical.
 		cycles := sys.slot
 		if mode != cold {
 			c := &sys.cores[tid]
@@ -426,37 +390,29 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	return p.result(sys)
 }
 
-// begin sets the phase before the first instruction.
+// begin sets the phase for the first instruction.
 func (p *run) begin(sys *system) {
 	p.mode = p.before
 	if p.start.IsStart() || (!p.start.IsICount() && !p.start.IsEnd && p.start.Count <= p.startHits) {
 		p.mode = measured
 	}
 	sys.setDetail(p.mode == measured)
-	p.startPC, p.endPC, p.tapPC = noPC, noPC, noPC
-	if !p.start.IsStart() {
-		p.startPC = p.start.PC
+	if p.end.IsEnd {
+		p.end.PC = 0 // no block sits at address 0: a PC of 0 watches nothing
 	}
-	if !p.end.IsEnd {
-		p.endPC = p.end.PC
-	}
-	if p.at != nil {
-		p.tapPC = p.tap.PC
-	}
+	p.toggle = never
 	if p.window < p.period { // a window as long as the period never closes
 		p.toggle = p.window
 	}
-	p.windowStart = sys.wallCycle()
 	p.schedule(0)
 }
 
-// step moves the phase at an instruction the loop flagged, before the
-// instruction is charged, so the start marker's own instruction is
-// measured and the end marker's is not — matching how the profiler
-// attributes the boundary instruction to the following region. Raw
-// instruction-count markers (the naive baseline's boundaries) fire on the
-// global retired count instead of a PC. It reports whether the run ends
-// before this instruction.
+// step moves the phase at an instruction the loop flagged, before it is
+// charged, so the start marker's own instruction is measured and the end
+// marker's is not, as the profiler attributes the boundary instruction to
+// the following region; it reports whether the run ends before it. Raw
+// instruction-count markers (the naive baseline's) fire on the global
+// retired count instead of a PC.
 func (p *run) step(sys *system, steps uint64, r exec.Retired) bool {
 	if steps == p.toggle {
 		if p.mode == measured {
@@ -482,24 +438,24 @@ func (p *run) step(sys *system, steps uint64, r exec.Retired) bool {
 		// isolated regions tile the continuous run exactly (resetting
 		// clocks would force every region to re-pay the
 		// align-to-steady-state transition).
-		if r.Block.Addr == p.startPC {
+		if r.Block.Addr == p.start.PC {
 			p.startHits++
 			if p.mode != measured && p.startHits >= p.start.Count {
 				p.measure(sys)
 			}
 		}
-		if r.Block.Addr == p.endPC {
+		if r.Block.Addr == p.end.PC {
 			p.endHits++
 			if p.mode == measured && p.endHits >= p.end.Count {
 				return true
 			}
 		}
-		if r.Block.Addr == p.tapPC {
+		if r.Block.Addr == p.tap.PC {
 			// The end-marker check above, for a run that goes on.
 			p.tapHits++
 			if p.mode == measured && p.tapHits >= p.tap.Count {
 				p.at(sys.stats(p.detailBase))
-				p.tapPC = noPC
+				p.tap.PC = 0
 			}
 		}
 	}
@@ -514,29 +470,19 @@ func (p *run) measure(sys *system) {
 	p.detailBase = sys.wallCycle()
 }
 
-// schedule sets next to the first step after steps at which a counted
-// boundary can fire: a periodic toggle, or an instruction-count marker
-// that the phase makes live.
+// schedule sets next to the first step after steps at which a periodic
+// toggle or a live instruction-count marker can fire.
 func (p *run) schedule(steps uint64) {
-	p.next = 0
-	at := func(step uint64) {
-		step = max(step, steps+1)
-		if p.next == 0 || step < p.next {
-			p.next = step
-		}
-	}
-	if p.toggle != 0 {
-		at(p.toggle)
-	}
+	p.next = p.toggle
 	if p.start.IsICount() && p.mode != measured {
-		at(p.start.Count)
+		p.next = min(p.next, max(p.start.Count, steps+1))
 	}
 	if p.end.IsICount() && p.mode == measured {
-		at(p.end.Count)
+		p.next = min(p.next, max(p.end.Count, steps+1))
 	}
 }
 
-// result is the run's statistics once no instruction is left.
+// result is the run's statistics when no instruction is left.
 func (p *run) result(sys *system) (*Stats, error) {
 	if p.period != 0 {
 		if p.mode == measured {

@@ -41,9 +41,8 @@ type system struct {
 	runnable int
 	alive    int
 
-	// A recorded order in place of the min-cycle pick (follow), and for
-	// a constrained replay the shared-order enforcement.
-	order    order
+	// A recorded order (follow) and constrained shared-order enforcement.
+	order    func() (tid int, ok bool)
 	ordered  bool
 	lineLast map[uint64]lineAccess
 
@@ -286,8 +285,7 @@ func (s *system) coherence(tid int, addr uint64) float64 {
 // pace, which is what makes constrained timing misleading for
 // applications whose natural thread progress differs from the recording
 // (Section V-A1: worst for low-synchronization apps like 657.xz_s.2).
-// The charge calls it for those accesses; it does nothing outside a
-// constrained replay.
+// The charge calls it for those accesses; only a constrained replay stalls.
 func (s *system) constrainedOrderStall(tid int, r exec.Retired) {
 	if !s.ordered {
 		return
@@ -326,27 +324,18 @@ func (s *system) next() int {
 	return s.runq[s.head%MaxCores]
 }
 
-// An order is a recorded thread interleaving that drives the scheduler in
-// place of the cycle counts: next returns the thread of the next
-// instruction, or false at the end.
-type order interface {
-	next() (tid int, ok bool)
-}
-
-// follow makes o the scheduler: the ring holds just the thread o names
-// next. ordered also enforces the recorded order of synchronization
-// accesses (constrainedOrderStall).
-func (s *system) follow(o order, ordered bool) {
-	s.order, s.ordered = o, ordered
-	s.head, s.alive = 0, 1
+// follow makes order the scheduler: the ring holds just the thread it
+// names next. ordered turns on constrainedOrderStall.
+func (s *system) follow(order func() (tid int, ok bool), ordered bool) {
+	s.order, s.ordered, s.head = order, ordered, 0
 	s.advance()
 }
 
 func (s *system) advance() {
-	if tid, ok := s.order.next(); ok {
-		s.runq[s.head%MaxCores], s.runnable = tid, 1
-	} else {
-		s.runnable, s.alive = 0, 0
+	tid, ok := s.order()
+	s.runq[s.head%MaxCores], s.runnable, s.alive = tid, 0, 0
+	if ok {
+		s.runnable, s.alive = 1, 1
 	}
 }
 
@@ -356,8 +345,8 @@ func (s *system) advance() {
 // Otherwise it leaves the front of the ring — for good if the step parked
 // or halted it, else for its sorted place, found from the back: symmetric
 // threads run in lockstep, where the thread that just stepped goes last.
-// Threads it woke are timed and then enter the ring. Under a recorded
-// order, the threads it woke are timed and the order names the next.
+// Threads it woke are timed and then enter the ring, or under a recorded
+// order the order names the next thread.
 func (s *system) settle(tid int, woken []int) {
 	if s.order != nil {
 		s.wake(tid, woken)

@@ -136,38 +136,35 @@ func (s *Simulator) simulateTrace(src io.Reader) (*Stats, error) {
 	if v := binary.LittleEndian.Uint32(head[len(traceMagic):]); v != traceVersion {
 		return nil, fmt.Errorf("timing: unsupported trace version %d", v)
 	}
-	t := &traceSource{r: r, blocked: make([]bool, cfg.Cores), prev: -1}
+	t := &traceSource{r: r, blocked: make([]bool, cfg.Cores)}
 	t.routines = [2]isa.Routine{{Image: &isa.Image{}}, {Image: &isa.Image{Sync: true}}}
 	st, err := s.simulate(&run{src: t, end: bbv.Marker{IsEnd: true},
-		bind: func(sys *system) { t.sys = sys; sys.follow(t, false) }})
+		bind: func(sys *system) { t.sys = sys; sys.follow(t.next, false) }})
 	if t.err != nil {
 		return nil, t.err
 	}
 	return st, err
 }
 
-// traceSource plays a trace back as the run's order (the records' threads
-// in trace order) and its retirer: each record turns back into the
-// instruction it was written from, as far as the charge reads one — the
-// instruction and its block exist only as the fields the record carries.
+// traceSource plays a trace back as a run's order and retirer: each record
+// turns back into the instruction it was written from, as far as the
+// charge reads one — the fields the record carries.
 type traceSource struct {
-	r        *bufio.Reader
-	sys      *system
-	rec      [27]byte // the record next named
-	err      error
-	routines [2]isa.Routine // plain and Sync
-	instr    isa.Instr
-	blk      isa.Block
-	blocked  []bool
-	// The previous record's thread (-1 before the first) and whether it
-	// parked.
-	prev        int
-	prevBlocked bool
+	r         *bufio.Reader
+	sys       *system
+	rec       [27]byte // the record last read
+	err       error
+	routines  [2]isa.Routine // plain and Sync
+	instr     isa.Instr
+	blk       isa.Block
+	blocked   []bool
+	lastCycle float64 // the core clock after the last charged record
 }
 
-// next reads the next record and names its thread; a bad record ends the
-// trace with t.err set.
+// next notes the clock of the record just charged (0 before the first),
+// then reads the next record and names its thread; a bad one sets t.err.
 func (t *traceSource) next() (int, bool) {
+	t.lastCycle = t.sys.cycle[t.rec[0]]
 	if _, err := io.ReadFull(t.r, t.rec[:]); err != nil {
 		if err != io.EOF {
 			t.err = fmt.Errorf("timing: truncated trace record: %w", err)
@@ -186,24 +183,17 @@ func (t *traceSource) next() (int, bool) {
 	return tid, true
 }
 
-// Retire returns the record next named. A thread's first record after it
-// blocked resumes no earlier than the previous record's core clock plus
-// the wake latency.
+// Retire returns the record last read. A thread's first record after one
+// that parked it resumes no earlier than the previous record's core clock
+// plus the wake latency.
 func (t *traceSource) Retire(tid int) (exec.Retired, []int) {
-	var lastCycle float64
-	if t.prev >= 0 {
-		lastCycle = t.sys.cycle[t.prev]
-		if t.prevBlocked {
-			t.blocked[t.prev] = true
-		}
-	}
+	flags := t.rec[2]
 	if t.blocked[tid] {
-		if resume := lastCycle + t.sys.wakeLat; resume > t.sys.cycle[tid] {
+		if resume := t.lastCycle + t.sys.wakeLat; resume > t.sys.cycle[tid] {
 			t.sys.cycle[tid] = resume
 		}
-		t.blocked[tid] = false
 	}
-	flags := t.rec[2]
+	t.blocked[tid] = flags&tfBlocked != 0
 	t.instr.Op = isa.Op(t.rec[1])
 	t.instr.Addr = binary.LittleEndian.Uint64(t.rec[3:])
 	t.blk.Addr = binary.LittleEndian.Uint64(t.rec[11:])
@@ -211,11 +201,9 @@ func (t *traceSource) Retire(tid int) (exec.Retired, []int) {
 	if flags&tfSync != 0 {
 		t.blk.Routine = &t.routines[1]
 	}
-	r := exec.Retired{Instr: &t.instr, Block: &t.blk, MemAddr: binary.LittleEndian.Uint64(t.rec[19:]), Flow: exec.Flow{
+	return exec.Retired{Instr: &t.instr, Block: &t.blk, MemAddr: binary.LittleEndian.Uint64(t.rec[19:]), Flow: exec.Flow{
 		BlockEntry: flags&tfBlockEntry != 0,
 		Taken:      flags&tfTaken != 0,
 		Blocked:    flags&tfBlocked != 0,
-	}}
-	t.prev, t.prevBlocked = tid, r.Blocked
-	return r, nil
+	}}, nil
 }
