@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build fmt-check loc test test-race test-faults test-stats fuzz-smoke serve-smoke campaign-smoke kill-smoke bench bench-full bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
+.PHONY: build fmt-check loc portable test test-race test-faults test-stats fuzz-smoke serve-smoke campaign-smoke kill-smoke bench bench-full bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
 
 build:
 	go build ./...
@@ -15,6 +15,14 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# The portability gate (ROADMAP item 13): cross-builds every command for
+# arm64, ppc64le, s390x and riscv64 and fails if go tool objdump finds a
+# fused multiply-add in a looppoint/ function that
+# scripts/portable_exempt.txt does not exempt with a reason (the table may
+# only shrink). Needs only the Go toolchain; ~1 min cold, seconds cached.
+portable:
+	bash scripts/portable.sh
 
 test:
 	go test ./...
