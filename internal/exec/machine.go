@@ -358,6 +358,8 @@ func (m *Machine) effAddr(t *Thread, in *isa.Instr) uint64 {
 	return a
 }
 
+// intALU computes an integer ALU op, taking any op that is none of the
+// first nine for IShr, so that it is small enough to inline.
 func intALU(op isa.Op, a, b int64) int64 {
 	switch op {
 	case isa.OpIAdd:
@@ -366,14 +368,12 @@ func intALU(op isa.Op, a, b int64) int64 {
 		return a - b
 	case isa.OpIMul:
 		return a * b
-	case isa.OpIDiv:
+	case isa.OpIDiv, isa.OpIRem:
 		if b == 0 {
 			return 0
 		}
-		return a / b
-	case isa.OpIRem:
-		if b == 0 {
-			return 0
+		if op == isa.OpIDiv {
+			return a / b
 		}
 		return a % b
 	case isa.OpIAnd:
@@ -384,10 +384,8 @@ func intALU(op isa.Op, a, b int64) int64 {
 		return a ^ b
 	case isa.OpIShl:
 		return a << (uint64(b) & 63)
-	case isa.OpIShr:
-		return int64(uint64(a) >> (uint64(b) & 63))
 	}
-	panic("exec: not an integer ALU op")
+	return int64(uint64(a) >> (uint64(b) & 63)) // isa.OpIShr
 }
 
 func floatALU(op isa.Op, a, b float64) float64 {
