@@ -226,11 +226,12 @@ const (
 const never = ^uint64(0) // a step no run reaches
 
 // A run is one simulation: src retires its instructions (the system is
-// bound to src if it is a machine, and bind finishes it); it measures from start to end (startHits and
-// endHits rebase the counts of a machine that begins mid-program), charging
-// what comes before start as before says, calls at at the PC tap and atEnd
-// at the end, or measures window of every period instructions. The fields
-// after period are the phase, which moves as the loop goes.
+// bound to src if it is a machine, and bind finishes it); it measures from
+// start to end (startHits and endHits rebase the counts of a machine that
+// begins mid-program), charging what comes before start as before says,
+// calls at at the PC tap and atEnd at the end, or measures window of every
+// period instructions. The fields after period are the phase, which moves
+// as the loop goes.
 type run struct {
 	src                retirer
 	bind               func(*system)
