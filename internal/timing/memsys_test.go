@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,6 +22,7 @@ type refCache struct {
 	lineShift uint
 
 	accesses, misses uint64
+	warming          bool
 }
 
 type refLine struct {
@@ -62,14 +64,18 @@ func (c *refCache) fill(ways []refLine, tag, clock uint64) {
 
 func (c *refCache) access(addr, clock uint64) int {
 	ways, tag := c.locate(addr)
-	c.accesses++
+	if !c.warming {
+		c.accesses++
+	}
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = clock
 			return 1
 		}
 	}
-	c.misses++
+	if !c.warming {
+		c.misses++
+	}
 	below := 1
 	if c.next != nil {
 		below = c.next.access(addr, clock)
@@ -101,6 +107,19 @@ func (c *refCache) invalidate(addr uint64) {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].valid = false
 		}
+	}
+}
+
+func (c *refCache) reset() {
+	for _, ways := range c.sets {
+		clear(ways)
+	}
+	c.accesses, c.misses, c.warming = 0, 0, false
+}
+
+func (c *refCache) setWarming(w bool) {
+	for ; c != nil; c = c.next {
+		c.warming = w
 	}
 }
 
@@ -166,6 +185,83 @@ func TestCacheIndexMatchesDivModReference(t *testing.T) {
 				t.Errorf("%s/%d: counters L1 %d/%d L2 %d/%d, reference L1 %d/%d L2 %d/%d", l1cfg.Name, l2sets,
 					l1.Accesses, l1.Misses, l2.Accesses, l2.Misses, r1.accesses, r1.misses, r2.accesses, r2.misses)
 			}
+		}
+	}
+}
+
+// TestCacheRepeatLinesMatchReference: on streams where most accesses
+// repeat the line the cache looked up last, interleaved with quiet fills,
+// invalidations at either level, warming toggles and resets of either
+// level, a two-level hierarchy returns the hit levels and counts of the
+// %,/ reference and holds exactly its lines — for direct-mapped,
+// two-way and four-way first levels on power-of-two and other set counts.
+func TestCacheRepeatLinesMatchReference(t *testing.T) {
+	for _, l1cfg := range []CacheConfig{
+		{Name: "direct", SizeBytes: 256, Assoc: 1, LineBytes: 64, Latency: 1}, // 4 sets
+		{Name: "pow2", SizeBytes: 512, Assoc: 2, LineBytes: 64, Latency: 1},   // 4 sets
+		{Name: "three", SizeBytes: 384, Assoc: 2, LineBytes: 64, Latency: 1},  // 3 sets
+		{Name: "five", SizeBytes: 1280, Assoc: 4, LineBytes: 64, Latency: 1},  // 5 sets
+	} {
+		for _, l2sets := range []int{8, 6} {
+			name := fmt.Sprintf("%s/%d", l1cfg.Name, l2sets)
+			l2cfg := CacheConfig{Name: "L2", SizeBytes: l2sets * 2 * 64, Assoc: 2, LineBytes: 64, Latency: 8}
+			l2 := NewCache(l2cfg, nil)
+			l1 := NewCache(l1cfg, l2)
+			r2 := newRefCache(l2cfg, nil)
+			r1 := newRefCache(l1cfg, r2)
+			sameCounts := func(clock uint64, when string) {
+				if l1.Accesses != r1.accesses || l1.Misses != r1.misses || l2.Accesses != r2.accesses || l2.Misses != r2.misses {
+					t.Fatalf("%s clock %d %s: counters L1 %d/%d L2 %d/%d, reference L1 %d/%d L2 %d/%d", name, clock, when,
+						l1.Accesses, l1.Misses, l2.Accesses, l2.Misses, r1.accesses, r1.misses, r2.accesses, r2.misses)
+				}
+			}
+
+			const universe = 32 * 64 // 32 lines: every set overflows
+			rng := rand.New(rand.NewSource(int64(l1cfg.SizeBytes*10 + l2sets)))
+			var addr uint64
+			for clock := uint64(1); clock <= 30000; clock++ {
+				if rng.Intn(3) == 0 {
+					addr = uint64(rng.Intn(universe))
+				} else {
+					addr = addr&^63 | uint64(rng.Intn(64)) // the same line again
+				}
+				switch op := rng.Intn(40); {
+				case op < 30:
+					if got, want := l1.Access(addr, clock), r1.access(addr, clock); got != want {
+						t.Fatalf("%s clock %d: access %#x hit level %d, reference %d", name, clock, addr, got, want)
+					}
+				case op < 33:
+					l1.FillQuiet(addr, clock)
+					r1.fillQuiet(addr, clock)
+				case op < 35:
+					l1.Invalidate(addr)
+					r1.invalidate(addr)
+				case op < 37:
+					l2.Invalidate(addr)
+					r2.invalidate(addr)
+				case op < 39:
+					w := rng.Intn(2) == 0
+					l1.SetWarming(w)
+					r1.setWarming(w)
+				default:
+					sameCounts(clock, "before a reset")
+					l1.Reset()
+					r1.reset()
+					if rng.Intn(2) == 0 {
+						l2.Reset()
+						r2.reset()
+					}
+				}
+				if clock%50 == 0 {
+					sameCounts(clock, "")
+					for a := uint64(0); a < universe; a += 64 {
+						if l1.Contains(a) != r1.contains(a) || l2.Contains(a) != r2.contains(a) {
+							t.Fatalf("%s clock %d: residency of %#x differs from the reference", name, clock, a)
+						}
+					}
+				}
+			}
+			sameCounts(30000, "at the end")
 		}
 	}
 }
