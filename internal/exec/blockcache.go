@@ -26,8 +26,8 @@ func (m *Machine) StepBlock(tid int, budget uint64, ev *BlockEvent) bool {
 	if t.State != StateRunning || budget == 0 {
 		return false
 	}
-	cb := t.cur.blk
-	blk := t.cur.rt.Blocks[cb]
+	blk := t.cur.b
+	cb := blk.ID
 	aluLen := blk.ALULen
 
 	ev.reset(tid, blk, t.cur.idx)
@@ -131,7 +131,7 @@ passes:
 				t.R[in.Dst] = old
 
 			case isa.OpBr:
-				t.cur.blk, t.cur.idx = in.Target, 0
+				t.cur.jump(in.Target)
 				if in.Target == cb && retired < budget {
 					ev.Entries++
 					continue passes
@@ -147,15 +147,15 @@ passes:
 				if taken {
 					nxt = in.Target
 				}
-				t.cur.blk, t.cur.idx = nxt, 0
+				t.cur.jump(nxt)
 				if nxt == cb && blk.SelfLoop && retired < budget {
 					ev.Entries++
 					continue passes
 				}
 				break passes
 			case isa.OpCall:
-				t.stack = append(t.stack, frame{rt: t.cur.rt, blk: t.cur.blk, idx: idx + 1})
-				t.cur = frame{rt: in.Callee}
+				t.stack = append(t.stack, frame{rt: t.cur.rt, b: blk, idx: idx + 1})
+				t.cur = entry(in.Callee)
 				break passes
 			case isa.OpRet:
 				if len(t.stack) == 0 {

@@ -63,9 +63,7 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 	if t.State != StateRunning || budget == 0 {
 		return false
 	}
-	cb := t.cur.blk
-	rt := t.cur.rt
-	blk := rt.Blocks[cb]
+	rt, blk := t.cur.rt, t.cur.b
 
 	ev.reset(tid, blk, t.cur.idx)
 	if t.cur.idx == 0 {
@@ -92,7 +90,7 @@ func (m *Machine) stepBlockViaStep(tid int, budget uint64, ev *BlockEvent) bool 
 		}
 		op := sev.Instr.Op
 		if op == isa.OpBr || op == isa.OpBrCond {
-			selfEntry := t.cur.rt == rt && t.cur.blk == cb && t.cur.idx == 0
+			selfEntry := t.cur.rt == rt && t.cur.b == blk && t.cur.idx == 0
 			if selfEntry && blk.SelfLoop && retired < budget {
 				ev.Entries++
 				continue

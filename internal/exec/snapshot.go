@@ -64,14 +64,14 @@ type FrameRef struct {
 }
 
 func (m *Machine) frameRef(f frame) FrameRef {
-	return FrameRef{Image: f.rt.Image.ID, Routine: f.rt.ID, Block: f.blk, Index: f.idx}
+	return FrameRef{Image: f.rt.Image.ID, Routine: f.rt.ID, Block: f.b.ID, Index: f.idx}
 }
 
 func (m *Machine) resolveFrame(r FrameRef) (frame, error) {
 	if ims := m.Prog.Images; uint(r.Image) < uint(len(ims)) && uint(r.Routine) < uint(len(ims[r.Image].Routines)) {
 		rt := ims[r.Image].Routines[r.Routine]
 		if uint(r.Block) < uint(len(rt.Blocks)) && uint(r.Index) < uint(len(rt.Blocks[r.Block].Instrs)) {
-			return frame{rt: rt, blk: r.Block, idx: r.Index}, nil
+			return frame{rt: rt, b: rt.Blocks[r.Block], idx: r.Index}, nil
 		}
 	}
 	return frame{}, fmt.Errorf("%w: no instruction at %+v in %s", ErrForeignSnapshot, r, m.Prog.Name)

@@ -23,7 +23,20 @@ type Cache struct {
 	setMask  uint64
 	setShift uint
 	warming  bool
+
+	// The way the last lookup found or filled, and its line: a repeat of
+	// that line hits it without the set walk. A key is in at most one way
+	// of its set, so the way holds the line until a way is written, and
+	// every write forgets it (lastLine noLine) except a miss's fill, which
+	// remembers the way it filled.
+	last     *cacheLine
+	lastLine uint64
 }
+
+// noLine is no address's line: the byte addresses the timing model looks
+// up are a word's, a multiple of eight, or a trace's, below 2^28, so none
+// is all ones.
+const noLine = ^uint64(0)
 
 // cacheLine is one way of a set. key is the line's tag plus one, so that
 // zero means invalid and a lookup is one compare; lru survives
@@ -43,6 +56,7 @@ func NewCache(cfg CacheConfig, next *Cache) *Cache {
 		assoc: cfg.Assoc,
 		nsets: uint64(sets),
 	}
+	c.forget()
 	if sets&(sets-1) == 0 {
 		c.pow2 = true
 		c.setMask = uint64(sets - 1)
@@ -78,8 +92,8 @@ func find(ways []cacheLine, key uint64) int {
 }
 
 // fill installs key in ways, evicting the first invalid way after way 0
-// or else the least recently used.
-func fill(ways []cacheLine, key, clock uint64) {
+// or else the least recently used, and returns the way it filled.
+func fill(ways []cacheLine, key, clock uint64) *cacheLine {
 	victim := 0
 	for i := 1; i < len(ways); i++ {
 		if ways[i].key == 0 {
@@ -91,6 +105,7 @@ func fill(ways []cacheLine, key, clock uint64) {
 		}
 	}
 	ways[victim] = cacheLine{key: key, lru: clock}
+	return &ways[victim]
 }
 
 // Reset invalidates every line and zeroes statistics while reusing the
@@ -101,7 +116,11 @@ func (c *Cache) Reset() {
 	clear(c.lines)
 	c.Accesses, c.Misses = 0, 0
 	c.warming = false
+	c.forget()
 }
+
+// forget drops the remembered way.
+func (c *Cache) forget() { c.last, c.lastLine = nil, noLine }
 
 // SetWarming toggles warming mode: state updates happen but statistics do
 // not accumulate (functional warmup, paper Section III-F).
@@ -112,16 +131,35 @@ func (c *Cache) SetWarming(w bool) {
 	}
 }
 
+// repeat reports whether addr is in the line the last lookup found or
+// filled; if it is, it hits that way as Access's set walk would. It is
+// Access's first step, and small enough to inline: the timing loop calls
+// it before Access.
+func (c *Cache) repeat(addr uint64, clock uint64) bool {
+	if addr>>c.lineShift != c.lastLine {
+		return false
+	}
+	c.last.lru = clock
+	if !c.warming {
+		c.Accesses++
+	}
+	return true
+}
+
 // Access looks up the byte address, filling lines on a miss. It returns
 // the 1-based level at which the access hit; if no level hits, it returns
 // number-of-levels + 1 (memory). clock provides LRU ordering.
 func (c *Cache) Access(addr uint64, clock uint64) int {
+	if c.repeat(addr, clock) {
+		return 1
+	}
 	ways, key := c.set(addr)
 	if !c.warming {
 		c.Accesses++
 	}
 	if i := find(ways, key); i >= 0 {
 		ways[i].lru = clock
+		c.last, c.lastLine = &ways[i], addr>>c.lineShift
 		return 1
 	}
 	if !c.warming {
@@ -131,7 +169,7 @@ func (c *Cache) Access(addr uint64, clock uint64) int {
 	if c.next != nil {
 		below = c.next.Access(addr, clock)
 	}
-	fill(ways, key, clock)
+	c.last, c.lastLine = fill(ways, key, clock), addr>>c.lineShift
 	return below + 1
 }
 
@@ -143,6 +181,7 @@ func (c *Cache) FillQuiet(addr uint64, clock uint64) {
 		ways[i].lru = clock
 	} else {
 		fill(ways, key, clock)
+		c.forget()
 	}
 	if c.next != nil {
 		c.next.FillQuiet(addr, clock)
@@ -154,5 +193,6 @@ func (c *Cache) Invalidate(addr uint64) {
 	ways, key := c.set(addr)
 	if i := find(ways, key); i >= 0 {
 		ways[i].key = 0
+		c.forget()
 	}
 }

@@ -307,9 +307,10 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			sys.clock++
 			var ifetchCycles float64
 			// Instruction fetch: charge on block entry when the line
-			// misses L1I.
-			if r.BlockEntry {
-				if lvl := c.l1i.Access(r.Block.Addr*8, sys.clock); lvl > 1 && mode != warmed {
+			// misses L1I. Each cache access first checks for a repeat of
+			// the cache's last line, which hits at level 1.
+			if a := r.Block.Addr * 8; r.BlockEntry && !c.l1i.repeat(a, sys.clock) {
+				if lvl := c.l1i.Access(a, sys.clock); lvl > 1 && mode != warmed {
 					ifetchCycles = sys.ifetch[lvl]
 					cycles += ifetchCycles
 				}
@@ -318,27 +319,44 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			var memCycles, syncCycles, computeCycles, branchCycles float64
 			switch r.Instr.Op {
 			case isa.OpILoad, isa.OpFLoad:
-				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				lvl := 1
+				if !c.l1d.repeat(r.MemAddr, sys.clock) {
+					lvl = c.l1d.Access(r.MemAddr, sys.clock)
+				}
 				sys.noteFill(tid, r.MemAddr)
 				if mode != warmed {
 					memCycles = sys.memStall(tid, lvl)
 				}
-				sys.warmPrefetch(c, tid, r.MemAddr, lvl)
+				if lvl > 1 {
+					sys.warmPrefetch(c, tid, r.MemAddr)
+				}
 			case isa.OpIStore, isa.OpFStore:
-				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				lvl := 1
+				if !c.l1d.repeat(r.MemAddr, sys.clock) {
+					lvl = c.l1d.Access(r.MemAddr, sys.clock)
+				}
 				sys.noteFill(tid, r.MemAddr)
 				if mode != warmed {
 					memCycles = float64(sys.memStall(tid, lvl) / 2) // store buffer
 				}
-				memCycles += sys.coherence(tid, r.MemAddr)
-				sys.warmPrefetch(c, tid, r.MemAddr, lvl)
+				if sys.shared(tid, r.MemAddr) {
+					memCycles += sys.coherence(tid, r.MemAddr)
+				}
+				if lvl > 1 {
+					sys.warmPrefetch(c, tid, r.MemAddr)
+				}
 			case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
 				sys.constrainedOrderStall(tid, r)
-				lvl := c.l1d.Access(r.MemAddr, sys.clock)
+				lvl := 1
+				if !c.l1d.repeat(r.MemAddr, sys.clock) {
+					lvl = c.l1d.Access(r.MemAddr, sys.clock)
+				}
 				sys.noteFill(tid, r.MemAddr)
 				// Atomics serialize: full latency, no ROB hiding.
 				syncCycles = sys.lat[lvl] + sys.atomic
-				syncCycles += sys.coherence(tid, r.MemAddr)
+				if sys.shared(tid, r.MemAddr) {
+					syncCycles += sys.coherence(tid, r.MemAddr)
+				}
 			case isa.OpFutexWait:
 				sys.constrainedOrderStall(tid, r)
 				syncCycles = sys.futex
@@ -383,7 +401,20 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 		}
 		sys.cycle[tid] += cycles
 
-		sys.settle(tid, woken)
+		// settle's two outcomes for a thread that still runs and woke
+		// nobody, inline: it stays first while it precedes the second
+		// thread, or else goes to the back of the ring if it does not
+		// precede the back (lockstep). Anything else is settle's.
+		if len(woken) > 0 || r.Blocked || r.Instr.Op == isa.OpHalt || sys.order != nil {
+			sys.settle(tid, woken)
+		} else if c, h, n := sys.cycle[tid], sys.head, uint(sys.runnable); n > 1 && !sys.before(c, tid, sys.runq[(h+1)%MaxCores]) {
+			if sys.before(c, tid, sys.runq[(h+n-1)%MaxCores]) {
+				sys.settle(tid, nil)
+			} else {
+				sys.runq[(h+n)%MaxCores] = tid
+				sys.head = h + 1
+			}
+		}
 		if mode == measured && trace != nil {
 			trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
 		}

@@ -233,14 +233,12 @@ func (s *system) memStall(tid, lvl int) float64 {
 }
 
 // warmPrefetch replays the next-line prefetcher's fills for a data access
-// that missed L1D.
-func (s *system) warmPrefetch(c *coreState, tid int, addr uint64, lvl int) {
-	if lvl > 1 && s.cfg.PrefetchNextLines > 0 {
-		for n := 1; n <= s.cfg.PrefetchNextLines; n++ {
-			pf := addr + uint64(n*64)
-			c.l1d.FillQuiet(pf, s.clock)
-			s.noteFill(tid, pf)
-		}
+// that missed L1D; the loop calls it only for one.
+func (s *system) warmPrefetch(c *coreState, tid int, addr uint64) {
+	for n := 1; n <= s.cfg.PrefetchNextLines; n++ {
+		pf := addr + uint64(n*64)
+		c.l1d.FillQuiet(pf, s.clock)
+		s.noteFill(tid, pf)
 	}
 }
 
@@ -255,14 +253,18 @@ func (s *system) noteFill(tid int, addr uint64) {
 	s.dir[line] |= 1 << uint(tid)
 }
 
-// coherence invalidates remote copies on a write and charges the penalty.
-// The writer's own fill (noteFill) comes first, so the line is in range.
+// shared reports whether the directory shows a core other than tid
+// holding the line of addr. The writer's own fill (noteFill) comes first,
+// so the line is in range.
+func (s *system) shared(tid int, addr uint64) bool {
+	return s.dir[addr>>6]&^(1<<uint(tid)) != 0
+}
+
+// coherence invalidates remote copies on a write and charges the penalty;
+// the loop calls it only when the line is shared.
 func (s *system) coherence(tid int, addr uint64) float64 {
 	line := addr >> 6
 	others := s.dir[line] &^ (1 << uint(tid))
-	if others == 0 {
-		return 0
-	}
 	for ; others != 0; others &= others - 1 {
 		t := bits.TrailingZeros64(others)
 		s.cores[t].l1d.Invalidate(addr)
