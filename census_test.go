@@ -20,9 +20,7 @@ import (
 var censusExempt = map[string]string{
 	"looppoint.Experiments":           "public library API: the harness evaluator behind lpreport",
 	"looppoint.ExportSelection":       "public library API: writes a portable selection file",
-	"internal/dcfg.LoopTable.Lookup":  "read accessor of the loop table; tests check loop headers through it",
 	"internal/exec.ExecError.Unwrap":  "called by errors.Is and errors.As through the interface",
-	"internal/exec.Machine.LoadWord":  "read accessor of shared memory for tests that check program results",
 	"internal/faults.Fault.Unwrap":    "called by errors.Is and errors.As through the interface",
 	"internal/faults.Plan.Fired":      "fault-plan observability; the fault suites count firings with it",
 	"internal/isa.Block.FCmp":         "ISA builder op: the builder covers the whole instruction set",
@@ -31,7 +29,6 @@ var censusExempt = map[string]string{
 	"internal/isa.Block.Nop":          "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Block.Xchg":         "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Op.IsWrite":         "opcode class predicate beside IsMem, which the product reads",
-	"internal/isa.Program.NumInstrs":  "static size accessor beside NumBlocks, which the product reads",
 	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
 	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Phased":        "test-program builder shared by several packages' tests",

@@ -264,3 +264,9 @@ func TestBuilderTracksPerThreadExecs(t *testing.T) {
 		t.Errorf("per-thread execs sum %d != total %d", sum, n.Execs)
 	}
 }
+
+// Lookup returns the loop headed by the block with the given global index.
+func (lt *LoopTable) Lookup(global int) (*Loop, bool) {
+	l, ok := lt.byHeader[global]
+	return l, ok
+}

@@ -27,12 +27,6 @@ type LoopTable struct {
 	byHeader map[int]*Loop
 }
 
-// Lookup returns the loop headed by the block with the given global index.
-func (lt *LoopTable) Lookup(global int) (*Loop, bool) {
-	l, ok := lt.byHeader[global]
-	return l, ok
-}
-
 // IsHeader reports whether the block with the given global index heads a loop.
 func (lt *LoopTable) IsHeader(global int) bool {
 	_, ok := lt.byHeader[global]

@@ -335,3 +335,6 @@ func TestThreadStateString(t *testing.T) {
 		t.Error("bad state strings")
 	}
 }
+
+// LoadWord reads one word of shared memory.
+func (m *Machine) LoadWord(addr uint64) uint64 { return m.Mem[addr] }

@@ -357,7 +357,6 @@ type Program struct {
 
 	linked      bool
 	numBlocks   int
-	numInstrs   int
 	blockByAddr map[uint64]*Block
 }
 
@@ -415,9 +414,6 @@ func (p *Program) SetEntry(tid int, r *Routine) {
 // NumBlocks returns the total number of basic blocks (valid after Link).
 func (p *Program) NumBlocks() int { return p.numBlocks }
 
-// NumInstrs returns the total number of static instructions (valid after Link).
-func (p *Program) NumInstrs() int { return p.numInstrs }
-
 // BlockByAddr returns the block whose first instruction is at addr.
 func (p *Program) BlockByAddr(addr uint64) (*Block, bool) {
 	b, ok := p.blockByAddr[addr]
@@ -453,7 +449,6 @@ func (p *Program) Link() error {
 				for j := range b.Instrs {
 					b.Instrs[j].Addr = addr
 					addr += codeAlign
-					p.numInstrs++
 				}
 				if err := p.checkBlock(b); err != nil {
 					return err

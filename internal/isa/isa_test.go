@@ -220,3 +220,16 @@ func (o Op) IsAtomic() bool {
 	}
 	return false
 }
+
+// NumInstrs returns the total number of static instructions.
+func (p *Program) NumInstrs() int {
+	n := 0
+	for _, img := range p.Images {
+		for _, r := range img.Routines {
+			for _, b := range r.Blocks {
+				n += len(b.Instrs)
+			}
+		}
+	}
+	return n
+}

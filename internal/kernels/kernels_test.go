@@ -44,7 +44,7 @@ func TestStreamFMAComputes(t *testing.T) {
 		e.StreamFMA(base, Equal(n), 3.0, 1.5)
 	})
 	for i := uint64(0); i < n; i++ {
-		got := math.Float64frombits(m.LoadWord(base + i))
+		got := math.Float64frombits(m.Mem[base+i])
 		if got != 1.5 { // 0*3 + 1.5
 			t.Fatalf("a[%d] = %v, want 1.5", i, got)
 		}
@@ -61,7 +61,7 @@ func TestStreamFMAPartitionsThreads(t *testing.T) {
 	})
 	// Every thread's slice must be written: n*threads consecutive slots.
 	for i := uint64(0); i < n*threads; i++ {
-		if got := math.Float64frombits(m.LoadWord(base + i)); got != 7.0 {
+		if got := math.Float64frombits(m.Mem[base+i]); got != 7.0 {
 			t.Fatalf("slot %d = %v, want 7 (thread slice unwritten)", i, got)
 		}
 	}
@@ -94,7 +94,7 @@ func TestStencil3Averages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= n; i++ {
-		got := math.Float64frombits(m.LoadWord(dst + i))
+		got := math.Float64frombits(m.Mem[dst+i])
 		if math.Abs(got-3.0) > 1e-12 {
 			t.Fatalf("dst[%d] = %v, want 3.0", i, got)
 		}
@@ -132,7 +132,7 @@ func TestHistogramCountsEverything(t *testing.T) {
 		}
 		var total int64
 		for i := uint64(0); i < histWords; i++ {
-			total += int64(m.LoadWord(hist + i))
+			total += int64(m.Mem[hist+i])
 		}
 		if total != 2*n {
 			t.Errorf("shared=%v: histogram total %d, want %d", shared, total, 2*n)
@@ -157,7 +157,7 @@ func TestBranchyCompressDeterministic(t *testing.T) {
 			e.SeededInit(base, 600, 2654435761, 1<<20, 0)
 			e.BranchyCompress(base, Equal(512))
 		})
-		return m.LoadWord(base + 100)
+		return m.Mem[base+100]
 	}
 	if run() != run() {
 		t.Error("BranchyCompress not deterministic")
@@ -192,11 +192,11 @@ func TestChunkStream(t *testing.T) {
 	})
 	// Elements [4, 12) were rewritten to 0*1.000001 + 0.5.
 	for i := uint64(4); i < 12; i++ {
-		if got := math.Float64frombits(m.LoadWord(base + i)); got != 0.5 {
+		if got := math.Float64frombits(m.Mem[base+i]); got != 0.5 {
 			t.Fatalf("chunk element %d = %v, want 0.5", i, got)
 		}
 	}
-	if m.LoadWord(base+3) != 0 || m.LoadWord(base+12) != 0 {
+	if m.Mem[base+3] != 0 || m.Mem[base+12] != 0 {
 		t.Error("chunk wrote outside its bounds")
 	}
 }

@@ -78,7 +78,7 @@ func TestBarrierAndLockCorrectness(t *testing.T) {
 				t.Fatalf("policy %v n=%d: %v", policy, n, err)
 			}
 			want := int64(rounds) * int64(n*(n+1)/2)
-			if got := int64(m.LoadWord(sumAddr)); got != want {
+			if got := int64(m.Mem[sumAddr]); got != want {
 				t.Errorf("policy %v n=%d: sum = %d, want %d", policy, n, got, want)
 			}
 		}
@@ -124,7 +124,7 @@ func TestDynNextDistributesAllChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < total; i++ {
-		if got := m.LoadWord(claimed + i); got != 1 {
+		if got := m.Mem[claimed+i]; got != 1 {
 			t.Fatalf("index %d claimed %d times, want exactly 1", i, got)
 		}
 	}
@@ -158,7 +158,7 @@ func TestReduceFAccumulatesAcrossThreads(t *testing.T) {
 	if err := m.Run(exec.RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	got := math.Float64frombits(m.LoadWord(acc))
+	got := math.Float64frombits(m.Mem[acc])
 	if got != 1+2+3+4 {
 		t.Errorf("reduction = %v, want 10", got)
 	}
@@ -205,7 +205,7 @@ func TestGateReleasesAllThreads(t *testing.T) {
 			t.Fatalf("policy %v: %v", policy, err)
 		}
 		for tid := 0; tid < nthreads; tid++ {
-			if m.LoadWord(flag+uint64(tid)) != 1 {
+			if m.Mem[flag+uint64(tid)] != 1 {
 				t.Errorf("policy %v: thread %d never passed the gate", policy, tid)
 			}
 		}

@@ -46,8 +46,8 @@ func TestPinballSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("loaded pinball replay: %v", err)
 	}
 	for tid := 0; tid < 4; tid++ {
-		a := m1.LoadWord(testprog.OutAddr(p, tid))
-		b := m2.LoadWord(testprog.OutAddr(p, tid))
+		a := m1.Mem[testprog.OutAddr(p, tid)]
+		b := m2.Mem[testprog.OutAddr(p, tid)]
 		if a != b {
 			t.Errorf("thread %d output differs after round trip", tid)
 		}

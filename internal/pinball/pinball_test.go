@@ -57,8 +57,8 @@ func TestReplayReproducesSyscallResults(t *testing.T) {
 	}
 	same := true
 	for tid := 0; tid < 4; tid++ {
-		a := m1.LoadWord(testprog.OutAddr(p, tid))
-		b := m2.LoadWord(testprog.OutAddr(p, tid))
+		a := m1.Mem[testprog.OutAddr(p, tid)]
+		b := m2.Mem[testprog.OutAddr(p, tid)]
 		if a != b {
 			same = false
 		}
@@ -72,7 +72,7 @@ func TestReplayReproducesSyscallResults(t *testing.T) {
 		t.Fatalf("Replay: %v", err)
 	}
 	for tid := 0; tid < 4; tid++ {
-		if m1.LoadWord(testprog.OutAddr(p, tid)) != m3.LoadWord(testprog.OutAddr(p, tid)) {
+		if m1.Mem[testprog.OutAddr(p, tid)] != m3.Mem[testprog.OutAddr(p, tid)] {
 			t.Errorf("thread %d output differs across replays", tid)
 		}
 	}
