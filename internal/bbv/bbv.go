@@ -349,7 +349,7 @@ func (c *Collector) markerEntry(addr uint64) {
 	switch {
 	case inRegion >= c.sliceTarget && (allowed || inRegion >= 2*c.sliceTarget):
 		c.closeRegion(Marker{PC: addr, Count: c.markerCounts[addr]})
-	case c.varEnabled && allowed && inRegion >= uint64(c.varMinFrac*float64(c.sliceTarget)) && c.phaseChanged():
+	case c.varEnabled && allowed && inRegion >= uint64(float64(c.varMinFrac*float64(c.sliceTarget))) && c.phaseChanged():
 		c.closeRegion(Marker{PC: addr, Count: c.markerCounts[addr]})
 	}
 }
