@@ -1,6 +1,6 @@
 # Convenience targets mirroring the paper artifact's workflow.
 
-.PHONY: build fmt-check loc portable test test-race test-faults test-stats fuzz-smoke serve-smoke campaign-smoke kill-smoke bench bench-full bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
+.PHONY: build fmt-check loc portable inline test test-race test-faults test-stats fuzz-smoke serve-smoke campaign-smoke kill-smoke bench bench-full bench-e2e bench-test bench-analyze bench-scaling prof-analyze report report-full demo clean
 
 build:
 	go build ./...
@@ -23,6 +23,12 @@ loc:
 # only shrink). Needs only the Go toolchain; ~1 min cold, seconds cached.
 portable:
 	bash scripts/portable.sh
+
+# The inlining gate: builds internal/exec and internal/timing with
+# -gcflags=-m and fails unless every function scripts/inline_required.txt
+# names is reported "can inline" (the timing loop's short paths). Seconds.
+inline:
+	bash scripts/inline.sh
 
 test:
 	go test ./...
