@@ -28,7 +28,6 @@ var censusExempt = map[string]string{
 	"internal/isa.Block.ICvtF":        "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Block.Nop":          "ISA builder op: the builder covers the whole instruction set",
 	"internal/isa.Block.Xchg":         "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Op.IsWrite":         "opcode class predicate beside IsMem, which the product reads",
 	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
 	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Phased":        "test-program builder shared by several packages' tests",

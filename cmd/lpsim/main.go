@@ -18,7 +18,6 @@ import (
 
 	"looppoint"
 	"looppoint/internal/bbv"
-	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/pinball"
 	"looppoint/internal/pool"
@@ -42,8 +41,6 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "simulate a saved region pinball, or every *.pinball in a directory (from lpprofile -save-regions); build flags must match the profiling run")
 		jobs       = flag.Int("j", 0, "worker-pool width for directory checkpoint simulation (0 = one worker per CPU)")
 		constrain  = flag.Bool("constrained", false, "with -checkpoint: constrained replay instead of unconstrained simulation")
-		dumpTrace  = flag.String("dump-trace", "", "record the workload and write an instruction trace to this file (no timing simulation)")
-		fromTrace  = flag.String("from-trace", "", "run a timing-only simulation of a trace file (-n selects the core count; no workload executes)")
 		minCov     = flag.Float64("min-coverage", 1.0, "directory mode: minimum fraction of checkpoints that must simulate; bad pinballs are quarantined and the rest continue, but falling below this exits nonzero")
 		confid     = flag.Float64("confidence", 0.95, "directory mode: level for the across-checkpoint IPC confidence interval")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile to this file")
@@ -65,24 +62,6 @@ func main() {
 	}
 	defer stopProf()
 
-	if *fromTrace != "" {
-		cfg := timing.Gainestown(*ncores)
-		if *inorder {
-			cfg = timing.InOrderConfig(*ncores)
-		}
-		f, err := os.Open(*fromTrace)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		st, err := timing.SimulateTrace(cfg, f)
-		if err != nil {
-			fail(err)
-		}
-		printStats(fmt.Sprintf("trace %s", *fromTrace), cfg, st, nil)
-		return
-	}
-
 	policy := looppoint.Passive
 	if *waitPolicy == "active" {
 		policy = looppoint.Active
@@ -103,32 +82,6 @@ func main() {
 	}
 	if *trace > 0 {
 		sim.Trace = timing.NewIPCTrace(*trace)
-	}
-
-	if *dumpTrace != "" {
-		pb, err := pinball.Record(w.App.Prog, 1, 4096)
-		if err != nil {
-			fail(err)
-		}
-		f, err := os.Create(*dumpTrace)
-		if err != nil {
-			fail(err)
-		}
-		tw, err := timing.NewTraceWriter(f)
-		if err != nil {
-			fail(err)
-		}
-		if _, err := pb.StepReplay(w.App.Prog, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
-			fail(err)
-		}
-		if err := tw.Close(); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %d-record trace to %s\n", tw.Records(), *dumpTrace)
-		return
 	}
 
 	var st *timing.Stats

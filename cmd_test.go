@@ -1,7 +1,6 @@
 package looppoint
 
 import (
-	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -325,48 +324,5 @@ func TestCmdLpprofileDisasmAndDot(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "digraph dcfg {") {
 		t.Fatalf("bad DOT file: %.100s", data)
-	}
-}
-
-// TestCmdTraceWorkflow pins the trace dump byte for byte (its FNV-1a) and
-// the statistics a trace-driven simulation of it reports.
-func TestCmdTraceWorkflow(t *testing.T) {
-	dir := t.TempDir()
-	trace := dir + "/demo.trace"
-	out := goRun(t, "./cmd/lpsim", "-p", "demo-matrix-1", "-n", "4", "-i", "test",
-		"-dump-trace", trace)
-	if !strings.Contains(out, "wrote 30000-record trace") {
-		t.Fatalf("trace dump output: %s", out)
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	if got := h.Sum64(); got != 0x20b09db65c8e2985 {
-		t.Errorf("trace FNV-1a = %#x, want 0x20b09db65c8e2985", got)
-	}
-	sim := goRun(t, "./cmd/lpsim", "-n", "4", "-from-trace", trace)
-	const stats = `
-  instructions  30000
-  cycles        10787
-  runtime       0.000004 s @ 2.66 GHz
-  IPC           2.781
-  branch MPKI   1.767 (53/3471)
-  L1D MPKI      7.833
-  L2 MPKI       9.533
-  L3 MPKI       4.567
-  coherence inv 93, futex waits 11
-  CPI stack (share of core-busy cycles):
-    base      32.16%
-    ifetch     6.88%
-    memory    31.96%
-    branch     3.41%
-    compute    9.30%
-    sync      16.29%
-`
-	if _, body, _ := strings.Cut(sim, "\n"); "\n"+body != stats {
-		t.Fatalf("trace-driven statistics changed:\n%s", sim)
 	}
 }

@@ -307,30 +307,6 @@ func (c *Collector) newRegion(start Marker, startIC uint64) *Region {
 	return r
 }
 
-// OnInstr is the per-instruction reference OnBlock is tested against, fed
-// by pinball.StepReplay; an oracle kept for ROADMAP item 2a.
-func (c *Collector) OnInstr(ev *exec.Event) {
-	if c.finished {
-		return
-	}
-	c.icount++
-	blk := ev.Block
-	if c.byICount {
-		if c.icount-c.cur.StartICount >= c.sliceTarget {
-			c.closeRegion(Marker{Count: c.icount})
-		}
-	} else if ev.BlockEntry && c.markers[blk.Addr] {
-		c.markerEntry(blk.Addr)
-	}
-	if blk.Routine.Image.Sync && !c.includeSync {
-		return // synchronization code: execute but do not count (IV-F)
-	}
-	c.filtered++
-	c.cur.Filtered++
-	c.cur.ThreadFiltered[ev.Tid]++
-	c.cur.Vectors[ev.Tid][blk.Global]++
-}
-
 // markerEntry handles one global entry of a marker block: bump its count
 // and close the region if this entry is an admissible boundary.
 func (c *Collector) markerEntry(addr uint64) {

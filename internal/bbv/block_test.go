@@ -36,17 +36,18 @@ func profileBoth(t *testing.T, build func() *isa.Program, addrs []uint64, slice 
 }
 
 // stepProfile is the oracle: it steps sched on a fresh machine one
-// instruction at a time into c.OnInstr and returns c's profile.
+// instruction at a time (StepBlock with a budget of one) into c.OnInstr
+// and returns c's profile.
 func stepProfile(t *testing.T, p *isa.Program, sched exec.Schedule, c *Collector) *Profile {
 	t.Helper()
 	m := exec.NewMachine(p, 1)
+	var ev exec.BlockEvent
 	for _, e := range sched {
 		for i := uint32(0); i < e.N; i++ {
-			ev, ok := m.Step(e.Tid)
-			if !ok {
+			if !m.StepBlock(e.Tid, 1, &ev) {
 				t.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
 			}
-			c.OnInstr(ev)
+			c.OnInstr(&ev)
 		}
 	}
 	return c.Finish()
@@ -192,12 +193,12 @@ func TestCollectorSplitsMarkerEvents(t *testing.T) {
 					block.OnBlock(ev)
 					entries := ev.Entries
 					for k := range ev.Instrs {
-						idx := (ev.FirstIdx + int(k)) % len(ev.Block.Instrs)
-						entry := idx == 0 && entries > 0
-						if entry {
+						one := exec.BlockEvent{Tid: ev.Tid, Block: ev.Block, FirstIdx: (ev.FirstIdx + int(k)) % len(ev.Block.Instrs), Instrs: 1}
+						if one.FirstIdx == 0 && entries > 0 {
+							one.Entries = 1
 							entries--
 						}
-						oracle.OnInstr(&exec.Event{Tid: ev.Tid, Retired: exec.Retired{Block: ev.Block, Instr: &ev.Block.Instrs[idx], Flow: exec.Flow{BlockEntry: entry}}})
+						oracle.OnInstr(&one)
 					}
 				}
 			}

@@ -6,9 +6,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
+	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
 	"looppoint/internal/workloads"
@@ -17,10 +19,10 @@ import (
 // TestCollectorFeedsAgree is the collector's differential test over every
 // registered workload at test input under both wait policies: collectors
 // fed by a live, coalesced Replay of a recording, by the recording's
-// BlockLog, and by StepReplay into the OnInstr oracle must build DeepEqual
-// profiles. It covers the main-image loop headers as markers at fixed
-// slices, with every header's modulus the thread count, and at variable
-// slices, and BarrierPoint's collector: the barrier release as the one
+// BlockLog, and one instruction at a time, into OnBlock and into the
+// OnInstr oracle, must build DeepEqual profiles. It covers the main-image
+// loop headers as markers at fixed slices, with every header's modulus the
+// thread count, and at variable slices, and BarrierPoint's collector: the barrier release as the one
 // marker at a slice target of one instruction.
 func TestCollectorFeedsAgree(t *testing.T) {
 	var coalesced, resumed atomic.Int64 // marker events with Entries > 1; with FirstIdx > 0 and Entries > 0
@@ -40,7 +42,7 @@ func TestCollectorFeedsAgree(t *testing.T) {
 	}
 }
 
-// feedsAgree records one workload and compares the three feeds' profiles
+// feedsAgree records one workload and compares the four feeds' profiles
 // under every collector configuration, counting the marker event shapes.
 func feedsAgree(t *testing.T, spec workloads.Spec, policy omp.WaitPolicy, coalesced, resumed *atomic.Int64) {
 	app, err := spec.Build(workloads.BuildParams{Threads: 4, Input: workloads.InputTest, Policy: policy})
@@ -99,18 +101,17 @@ func feedsAgree(t *testing.T, spec workloads.Spec, policy omp.WaitPolicy, coales
 		}
 		return out
 	}
-	live, played, oracle := cols(), cols(), cols()
+	live, played, single, oracle := cols(), cols(), cols(), cols()
 	if _, err := pb.Replay(p, observers(live)...); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	log.Play(observers(played)...)
-	if _, err := pb.StepReplay(p, func(ev *exec.Event) {
-		for _, c := range oracle {
+	stepReplay(t, p, pb, func(ev *exec.BlockEvent) {
+		for i, c := range oracle {
 			c.OnInstr(ev)
+			single[i].OnBlock(ev)
 		}
-	}); err != nil {
-		t.Fatalf("step replay: %v", err)
-	}
+	})
 	for i, cfg := range configs {
 		want := oracle[i].Finish()
 		if got := live[i].Finish(); !reflect.DeepEqual(got, want) {
@@ -119,5 +120,37 @@ func feedsAgree(t *testing.T, spec workloads.Spec, policy omp.WaitPolicy, coales
 		if got := played[i].Finish(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the played log's profile differs from the oracle's", cfg.name)
 		}
+		if got := single[i].Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the profile of one-instruction events differs from the oracle's", cfg.name)
+		}
+	}
+}
+
+// stepReplay replays recording pb of p one instruction at a time —
+// StepBlock with a budget of one over the recorded schedule — and hands
+// fn every one-instruction event; the replay must end on the recording's
+// memory, as Replay checks.
+func stepReplay(tb testing.TB, p *isa.Program, pb *pinball.Pinball, fn func(*exec.BlockEvent)) {
+	tb.Helper()
+	m := exec.NewMachine(p, 0)
+	if err := m.Restore(pb.Start); err != nil {
+		tb.Fatal(err)
+	}
+	replay := exec.NewReplayOS(pb.Syscalls)
+	m.OS = replay
+	var ev exec.BlockEvent
+	for _, e := range pb.Schedule {
+		for i := uint32(0); i < e.N; i++ {
+			if !m.StepBlock(e.Tid, 1, &ev) {
+				tb.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
+			}
+			fn(&ev)
+		}
+	}
+	if replay.Diverged {
+		tb.Fatal("per-instruction replay exhausted the syscall injection log")
+	}
+	if got := artifact.ChecksumWords(m.Mem); got != pb.FinalChecksum {
+		tb.Fatalf("per-instruction replay ended on memory %#x, the recording on %#x", got, pb.FinalChecksum)
 	}
 }

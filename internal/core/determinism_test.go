@@ -100,9 +100,9 @@ func TestSelectClusterWorkersInvariant(t *testing.T) {
 
 // TestFastSlowPathsByteIdentical holds the analysis to the layer oracles.
 // No flag selects a reference engine; the expected side is composed here
-// from the references themselves — a bare recording, the DCFG builder's
-// OnInstr driven through a replay of it and a Collector driven per
-// instruction (referenceAnalysis) — and Analyze must equal it on graph,
+// from the references themselves — a bare recording, a DCFG builder and a
+// Collector each driven one instruction at a time through a replay of it
+// (referenceAnalysis) — and Analyze must equal it on graph,
 // loops, markers and profile. The selection half (the naive projection and
 // k-means sweep behind a hand-rolled medoid engine, against Select) lives
 // beside those references, in simpoint's pipeline_test.go. Region

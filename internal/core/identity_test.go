@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
@@ -45,11 +46,12 @@ func parallelTestPrograms() map[string]*isa.Program {
 }
 
 // recordFor records the analysis pinball exactly as Analyze does, but
-// bare, and builds the reference graph the old way: the per-instruction
-// OnInstr oracle driven through a StepReplay of the recording. Every identity
-// suite's expectation therefore rests on the oracle, and the paths under
-// test (which take their graph from the recording run itself) are checked
-// against it.
+// bare, and builds the reference graph per instruction: a builder fed one
+// instruction at a time through a stepReplay of the recording (dcfg's tests
+// hold that stream equal to the builder's OnInstr oracle). Every identity
+// suite's expectation therefore rests on the per-instruction stream, and
+// the paths under test (which take their graph from the recording run
+// itself) are checked against it.
 func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcfg.Graph) {
 	t.Helper()
 	cfg.fill()
@@ -60,19 +62,18 @@ func recordFor(t *testing.T, p *isa.Program, cfg Config) (*pinball.Pinball, *dcf
 		t.Fatal(err)
 	}
 	db := dcfg.NewBuilder(p, p.NumThreads())
-	if _, err := pb.StepReplay(p, db.OnInstr); err != nil {
-		t.Fatal(err)
-	}
+	stepReplay(t, p, pb, db.OnBlock)
 	return pb, db.Graph()
 }
 
 // referenceAnalysis is what every route through Analyze must equal: the
-// bare recording and the oracle graph of recordFor, profiled by one
-// Collector driven per instruction — its OnInstr oracle — over a single
-// unbroken StepReplay. Every
-// column of the identity matrix is therefore a comparison of the product
-// path (block-tier builder riding the recording, block-tier collector fed by
-// the event log or a replay) against the per-instruction reference engines.
+// bare recording and the per-instruction graph of recordFor, profiled by
+// one Collector driven per instruction over a single unbroken stepReplay
+// (bbv's tests hold that stream equal to the collector's OnInstr oracle).
+// Every column of the identity matrix is therefore a comparison of the
+// product path (block-tier builder riding the recording, block-tier
+// collector fed by the event log or a replay) against the per-instruction
+// stream.
 func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	t.Helper()
 	cfg.fill()
@@ -81,9 +82,7 @@ func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pb.StepReplay(p, bp.col.OnInstr); err != nil {
-		t.Fatal(err)
-	}
+	stepReplay(t, p, pb, bp.col.OnBlock)
 	bp.a.Profile = bp.col.Finish()
 	return bp.a
 }
@@ -113,8 +112,8 @@ func variableSlices(c *Config) {
 // and whichever log feeds it — the recording run's own (stateless, and cold
 // with durable progress on), or the one a restart that found the recovery
 // point on disk decoded, which also rebuilds the graph — Profile, Graph,
-// Loops and Markers are DeepEqual to the reference built on the OnInstr
-// oracle graph and a per-instruction replay.
+// Loops and Markers are DeepEqual to the reference built on a
+// per-instruction replay.
 func TestAnalyzeIdentityMatrix(t *testing.T) {
 	for name, p := range parallelTestPrograms() {
 		for cname, mutate := range identityConfigs() {
@@ -217,5 +216,34 @@ func TestStatelessAnalyzeReplaysNothing(t *testing.T) {
 	}
 	if saves, _, recoveries, _, _ := durable.Progress.Snapshot(); saves != 1 || recoveries != 1 {
 		t.Fatalf("saves=%d recoveries=%d: the second durable run did not resume", saves, recoveries)
+	}
+}
+
+// stepReplay replays recording pb of p one instruction at a time —
+// StepBlock with a budget of one over the recorded schedule — and hands
+// fn every one-instruction event; the replay must end on the recording's
+// memory, as Replay checks.
+func stepReplay(tb testing.TB, p *isa.Program, pb *pinball.Pinball, fn func(*exec.BlockEvent)) {
+	tb.Helper()
+	m := exec.NewMachine(p, 0)
+	if err := m.Restore(pb.Start); err != nil {
+		tb.Fatal(err)
+	}
+	replay := exec.NewReplayOS(pb.Syscalls)
+	m.OS = replay
+	var ev exec.BlockEvent
+	for _, e := range pb.Schedule {
+		for i := uint32(0); i < e.N; i++ {
+			if !m.StepBlock(e.Tid, 1, &ev) {
+				tb.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
+			}
+			fn(&ev)
+		}
+	}
+	if replay.Diverged {
+		tb.Fatal("per-instruction replay exhausted the syscall injection log")
+	}
+	if got := artifact.ChecksumWords(m.Mem); got != pb.FinalChecksum {
+		tb.Fatalf("per-instruction replay ended on memory %#x, the recording on %#x", got, pb.FinalChecksum)
 	}
 }

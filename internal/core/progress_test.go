@@ -212,7 +212,7 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 			})
 		}, logFile},
 		{"pinball of another program", func(t *testing.T, pb, _ string) {
-			other, err := pinball.Record(testprog.Phased(4, 3, 40, omp.Passive), 5, 0)
+			other, err := pinball.RecordWithOptions(testprog.Phased(4, 3, 40, omp.Passive), 5, exec.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/exec"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
@@ -33,7 +34,7 @@ func testRecordings(t *testing.T) map[string]recording {
 		{"syscalls", testprog.WithSyscalls(4, 60, omp.Passive), 11, 16},
 		{"active", testprog.Phased(3, 2, 20, omp.Active), 1, 8},
 	} {
-		pb, err := pinball.Record(rec.prog, rec.seed, rec.flow)
+		pb, err := pinball.RecordWithOptions(rec.prog, rec.seed, exec.RunOpts{FlowWindow: rec.flow})
 		if err != nil {
 			t.Fatalf("%s: %v", rec.name, err)
 		}
@@ -98,7 +99,7 @@ func (s *eventShapes) note(ev *exec.BlockEvent) {
 }
 
 // tierGraphs runs p twice from the same seed under the same scheduler
-// options — recorded and stepped through per instruction by StepReplay
+// options — recorded and stepped through per instruction by stepReplay
 // (the oracle), and run on the block tier, where the quantum cuts passes
 // mid-block — and returns both graphs.
 func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventShapes) (oracle, block *Graph) {
@@ -108,9 +109,7 @@ func tierGraphs(t *testing.T, p *isa.Program, opts exec.RunOpts, shapes *eventSh
 		t.Fatalf("record: %v", err)
 	}
 	ob := NewBuilder(p, p.NumThreads())
-	if _, err := pb.StepReplay(p, ob.OnInstr); err != nil {
-		t.Fatalf("per-instruction replay: %v", err)
-	}
+	stepReplay(t, p, pb, ob.OnInstr)
 	oracle = ob.Graph()
 
 	bb := NewBuilder(p, p.NumThreads())
@@ -268,14 +267,46 @@ func TestGraphStateRoundTrip(t *testing.T) {
 }
 
 // TestBlockTierMatchesInstrOracleOnReplay: the same identity through the
-// replay entry points — Replay feeds the builder block events, StepReplay
-// feeds the oracle every instruction.
+// replay entry points — Replay feeds the builder block events, stepReplay
+// feeds the oracle every instruction — and a builder fed those
+// one-instruction events through OnBlock builds the oracle's graph too.
 func TestBlockTierMatchesInstrOracleOnReplay(t *testing.T) {
 	for name, w := range testRecordings(t) {
-		ob := NewBuilder(w.prog, w.prog.NumThreads())
-		if _, err := w.pb.StepReplay(w.prog, ob.OnInstr); err != nil {
-			t.Fatal(err)
-		}
+		ob, single := NewBuilder(w.prog, w.prog.NumThreads()), NewBuilder(w.prog, w.prog.NumThreads())
+		stepReplay(t, w.prog, w.pb, func(ev *exec.BlockEvent) {
+			ob.OnInstr(ev)
+			single.OnBlock(ev)
+		})
 		requireSameGraph(t, name, replayGraph(t, w.prog, w.pb), ob.Graph())
+		requireSameGraph(t, name+" one instruction an event", single.Graph(), ob.Graph())
+	}
+}
+
+// stepReplay replays recording pb of p one instruction at a time —
+// StepBlock with a budget of one over the recorded schedule — and hands
+// fn every one-instruction event; the replay must end on the recording's
+// memory, as Replay checks.
+func stepReplay(tb testing.TB, p *isa.Program, pb *pinball.Pinball, fn func(*exec.BlockEvent)) {
+	tb.Helper()
+	m := exec.NewMachine(p, 0)
+	if err := m.Restore(pb.Start); err != nil {
+		tb.Fatal(err)
+	}
+	replay := exec.NewReplayOS(pb.Syscalls)
+	m.OS = replay
+	var ev exec.BlockEvent
+	for _, e := range pb.Schedule {
+		for i := uint32(0); i < e.N; i++ {
+			if !m.StepBlock(e.Tid, 1, &ev) {
+				tb.Fatalf("per-instruction replay: thread %d is %s", e.Tid, m.Threads[e.Tid].State)
+			}
+			fn(&ev)
+		}
+	}
+	if replay.Diverged {
+		tb.Fatal("per-instruction replay exhausted the syscall injection log")
+	}
+	if got := artifact.ChecksumWords(m.Mem); got != pb.FinalChecksum {
+		tb.Fatalf("per-instruction replay ended on memory %#x, the recording on %#x", got, pb.FinalChecksum)
 	}
 }

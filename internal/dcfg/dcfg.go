@@ -84,10 +84,8 @@ type Graph struct {
 
 // Builder constructs a Graph while a program runs. It observes on the
 // block tier (OnBlock) — cheap enough to ride the recording run itself,
-// which is where core.Analyze attaches it — and keeps the per-instruction
-// OnInstr as the reference the block tier is tested against (block_test.go
-// here and the identity suites of internal/core drive it through a
-// StepReplay of a bare recording).
+// which is where core.Analyze attaches it. Its tests hold it to a
+// per-instruction reference, OnInstr, fed one instruction at a time.
 type Builder struct {
 	g   *Graph
 	cur []*Node   // the node each thread is in, nil right after a call
@@ -105,42 +103,6 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 		cur:   make([]*Node, nthreads),
 		stk:   make([][]*Node, nthreads),
 		nodes: make([]*Node, p.NumBlocks()),
-	}
-}
-
-// OnInstr is the per-instruction reference the block tier is tested
-// against, fed by pinball.StepReplay; an oracle kept for ROADMAP item 2a.
-func (b *Builder) OnInstr(ev *exec.Event) {
-	tid := ev.Tid
-	if ev.BlockEntry {
-		n := b.g.node(ev.Block)
-		n.Execs++
-		n.ThreadExecs[tid]++
-		if prev := b.cur[tid]; prev != nil && prev.Block.Routine == ev.Block.Routine {
-			b.g.addEdge(prev.Block, ev.Block, EdgeBranch, 1)
-		}
-		b.cur[tid] = n
-	}
-	switch ev.Instr.Op {
-	case isa.OpCall:
-		caller := b.cur[tid]
-		callee := ev.Instr.Callee.Blocks[0]
-		b.g.addEdge(caller.Block, callee, EdgeCall, 1)
-		b.stk[tid] = append(b.stk[tid], caller)
-		b.cur[tid] = nil // callee entry must not become an intra-routine edge
-	case isa.OpRet:
-		n := len(b.stk[tid])
-		if n == 0 {
-			return
-		}
-		caller := b.stk[tid][n-1]
-		b.stk[tid] = b.stk[tid][:n-1]
-		if b.cur[tid] != nil {
-			b.g.addEdge(b.cur[tid].Block, caller.Block, EdgeReturn, 1)
-		}
-		// Execution resumes mid-block in the caller; the next
-		// intra-routine edge hangs off the call-site block.
-		b.cur[tid] = caller
 	}
 }
 

@@ -16,8 +16,9 @@ var ErrMachine = errors.New("exec: machine fault")
 // without losing their shape, so faults travel as a panic of this type
 // and are converted back into an ordinary error by Recover at each
 // public API boundary (exec.Run/RunSchedule and the pinball
-// and timing entry points). Programmer-error panics — plain strings,
-// other types — are not intercepted and still crash loudly.
+// and timing entry points); an address outside memory travels as a
+// badAddr, which Recover turns into one. Programmer-error panics — plain
+// strings, other types — are not intercepted and still crash loudly.
 type ExecError struct {
 	Msg string
 }
@@ -42,6 +43,10 @@ func Recover(err *error) {
 	case *ExecError:
 		if *err == nil {
 			*err = r
+		}
+	case badAddr:
+		if *err == nil {
+			*err = r.fault()
 		}
 	default:
 		panic(r)

@@ -252,11 +252,12 @@ func TestObserverSeesBlockEntriesAndBranches(t *testing.T) {
 				taken++
 			}
 		}
-		if ev.Instr.Op.IsMem() {
+		switch ev.Instr.Op {
+		case isa.OpIStore, isa.OpFStore, isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
 			mem++
-			if ev.Instr.Op.IsWrite() {
-				writes++
-			}
+			writes++
+		case isa.OpILoad, isa.OpFLoad, isa.OpFutexWait, isa.OpFutexWake:
+			mem++
 		}
 	})
 	if err != nil {

@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 
 	"looppoint/internal/isa"
@@ -68,36 +69,6 @@ func (t *Thread) PC() uint64 {
 	return t.cur.b.Instrs[t.cur.idx].Addr
 }
 
-// Retired is one instruction Retire executed, as a timing model reads it.
-// At four fields and 32 bytes it stays in registers, never in memory.
-type Retired struct {
-	Instr   *isa.Instr // nil if the thread could not run
-	Block   *isa.Block
-	MemAddr uint64 // byte address for memory ops (Instr.Op.IsMem)
-	Flow
-}
-
-// Flow is how a retired instruction moved its thread.
-type Flow struct {
-	BlockEntry bool // first instruction of the block
-	Taken      bool // a control transfer was taken
-	Blocked    bool // the instruction parked the thread on a futex
-}
-
-// Event is a Retired instruction with its thread and the threads it woke:
-// what Step hands to the per-instruction consumers, pinball's StepReplay
-// feeding the trace writer and the OnInstr test oracles.
-//
-// Aliasing contract: a single machine-owned Event value is reused by
-// every call to Step — the pointer Step returns is invalidated by the
-// next Step on the same machine. Callers must consume the event before
-// stepping again and must never retain the pointer or the Woken slice.
-type Event struct {
-	Tid int
-	Retired
-	Woken []int // threads woken by a FutexWake
-}
-
 // Machine executes a linked program.
 type Machine struct {
 	Prog    *isa.Program
@@ -107,7 +78,6 @@ type Machine struct {
 
 	blockObservers []BlockObserver
 	futexQ         map[uint64][]int // word address -> waiting thread IDs (FIFO)
-	ev             Event
 	steps          uint64
 }
 
@@ -162,127 +132,40 @@ func (m *Machine) TotalICount() uint64 {
 	return n
 }
 
-// Step executes one instruction of thread tid like Retire and returns it
-// as the machine's Event (see its aliasing contract), with whether an
-// instruction was retired: (nil, false) for a blocked or halted thread.
-func (m *Machine) Step(tid int) (*Event, bool) {
-	r, woken := m.Retire(tid)
-	if r.Instr == nil {
-		return nil, false
-	}
-	m.ev = Event{Tid: tid, Retired: r, Woken: woken}
-	return &m.ev, true
-}
-
-// Retire executes one instruction of thread tid and returns it with the
-// threads a FutexWake woke; a blocked or halted thread retires nothing
-// (Instr nil). A futex wait that parks the thread retires with Blocked set,
-// as a futex syscall appears in a real trace. Ops that touch the call
-// stack, futex queues or OS run apart, in retireSync.
-func (m *Machine) Retire(tid int) (r Retired, woken []int) {
-	t := m.Threads[tid]
-	if t.State != StateRunning {
-		return Retired{}, nil
-	}
-	blk := t.cur.b
-	in := &blk.Instrs[t.cur.idx]
-	r.Instr, r.Block, r.BlockEntry = in, blk, t.cur.idx == 0
+// Fetch counts the next instruction of running thread t as retired and
+// returns where it stands: blk.Instrs[idx], a block entry when idx is 0.
+// This is the instruction tier, which the timing loop drives: the caller
+// executes the instruction itself with the helpers below (IntALU,
+// FloatALU, FCvtI and Addr compute; Advance and Jump move the thread on),
+// or hands an op that touches the call stack, futex queues or OS to Rare.
+func (m *Machine) Fetch(t *Thread) (blk *isa.Block, idx int) {
 	m.steps++
 	t.ICount++
-
-	switch in.Op {
-	case isa.OpNop, isa.OpPause:
-		// nothing
-	case isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIDiv, isa.OpIRem,
-		isa.OpIAnd, isa.OpIOr, isa.OpIXor, isa.OpIShl, isa.OpIShr:
-		b := t.R[in.B]
-		if in.UseImm {
-			b = in.Imm
-		}
-		t.R[in.Dst] = intALU(in.Op, t.R[in.A], b)
-	case isa.OpIMov:
-		if in.UseImm {
-			t.R[in.Dst] = in.Imm
-		} else {
-			t.R[in.Dst] = t.R[in.A]
-		}
-	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv:
-		t.F[in.Dst] = floatALU(in.Op, t.F[in.A], t.F[in.B])
-	case isa.OpFMov:
-		if in.UseImm {
-			t.F[in.Dst] = in.FImm
-		} else {
-			t.F[in.Dst] = t.F[in.A]
-		}
-	case isa.OpFMA:
-		t.F[in.Dst] = float64(t.F[in.A]*t.F[in.B]) + t.F[in.Dst]
-	case isa.OpFSqrt:
-		t.F[in.Dst] = math.Sqrt(t.F[in.A])
-	case isa.OpFCmp:
-		if in.Cond.EvalFloat(t.F[in.A], t.F[in.B]) {
-			t.R[in.Dst] = 1
-		} else {
-			t.R[in.Dst] = 0
-		}
-	case isa.OpICvtF:
-		t.F[in.Dst] = float64(t.R[in.A])
-	case isa.OpFCvtI:
-		t.R[in.Dst] = fcvti(t.F[in.A])
-
-	case isa.OpILoad:
-		a := m.effAddr(t, in)
-		r.MemAddr = a * 8
-		t.R[in.Dst] = int64(m.Mem[a])
-	case isa.OpIStore:
-		a := m.effAddr(t, in)
-		r.MemAddr = a * 8
-		m.Mem[a] = uint64(t.R[in.B])
-	case isa.OpFLoad:
-		a := m.effAddr(t, in)
-		r.MemAddr = a * 8
-		t.F[in.Dst] = math.Float64frombits(m.Mem[a])
-	case isa.OpFStore:
-		a := m.effAddr(t, in)
-		r.MemAddr = a * 8
-		m.Mem[a] = math.Float64bits(t.F[in.B])
-
-	case isa.OpBr:
-		t.cur.jump(in.Target)
-		r.Taken = true
-		return r, nil
-	case isa.OpBrCond:
-		b := t.R[in.B]
-		if in.UseImm {
-			b = in.Imm
-		}
-		if in.Cond.EvalInt(t.R[in.A], b) {
-			t.cur.jump(in.Target)
-			r.Taken = true
-		} else {
-			t.cur.jump(in.Else)
-		}
-		return r, nil
-	default:
-		r.MemAddr, r.Taken, r.Blocked, woken = m.retireSync(t, in)
-		return r, woken
-	}
-	t.cur.idx++
-	return r, nil
+	return t.cur.b, t.cur.idx
 }
 
-// retireSync is Retire for atomics, calls, returns, halts, futexes and
-// syscalls; it moves the thread on itself.
-func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, blocked bool, woken []int) {
+// Advance moves thread t to the next instruction of its block.
+func (t *Thread) Advance() { t.cur.idx++ }
+
+// Jump moves thread t to the first instruction of block blk of its routine.
+func (t *Thread) Jump(blk int) { t.cur.jump(blk) }
+
+// Rare executes instruction in of thread t, fetched by Fetch, when it is
+// an atomic, a call, a return, a halt, a futex op or a syscall, and moves
+// the thread on itself. It returns the byte address an atomic or futex op
+// touches and the threads a FutexWake woke; a FutexWait that parks the
+// thread leaves it StateBlocked, a halt StateHalted.
+func (m *Machine) Rare(t *Thread, in *isa.Instr) (memAddr uint64, woken []int) {
 	advance := true // move to next instruction within block
 	switch in.Op {
 	case isa.OpAtomicAdd:
-		a := m.effAddr(t, in)
+		a := m.Addr(t, in)
 		memAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(old + t.R[in.B])
 		t.R[in.Dst] = old
 	case isa.OpCmpXchg:
-		a := m.effAddr(t, in)
+		a := m.Addr(t, in)
 		memAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			m.Mem[a] = uint64(t.R[in.Dst])
@@ -291,7 +174,7 @@ func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, b
 			t.R[in.Dst] = 0
 		}
 	case isa.OpXchg:
-		a := m.effAddr(t, in)
+		a := m.Addr(t, in)
 		memAddr = a * 8
 		old := int64(m.Mem[a])
 		m.Mem[a] = uint64(t.R[in.B])
@@ -301,7 +184,6 @@ func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, b
 		t.stack = append(t.stack, frame{rt: t.cur.rt, b: t.cur.b, idx: t.cur.idx + 1})
 		t.cur = entry(in.Callee)
 		advance = false
-		taken = true
 	case isa.OpRet:
 		if len(t.stack) == 0 {
 			throwf("exec: thread %d returned from entry routine %s", t.ID, t.cur.rt.Name)
@@ -309,23 +191,21 @@ func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, b
 		t.cur = t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		advance = false
-		taken = true
 	case isa.OpHalt:
 		t.State = StateHalted
 		advance = false
 
 	case isa.OpFutexWait:
-		a := m.effAddr(t, in)
+		a := m.Addr(t, in)
 		memAddr = a * 8
 		if int64(m.Mem[a]) == t.R[in.B] {
 			t.State = StateBlocked
 			t.futexAddr = a
 			m.futexQ[a] = append(m.futexQ[a], t.ID)
-			blocked = true
 			advance = false
 		}
 	case isa.OpFutexWake:
-		a := m.effAddr(t, in)
+		a := m.Addr(t, in)
 		memAddr = a * 8
 		n := t.R[in.B]
 		q := m.futexQ[a]
@@ -351,21 +231,37 @@ func (m *Machine) retireSync(t *Thread, in *isa.Instr) (memAddr uint64, taken, b
 	if advance {
 		t.cur.idx++
 	}
-	return memAddr, taken, blocked, woken
+	return memAddr, woken
 }
 
-func (m *Machine) effAddr(t *Thread, in *isa.Instr) uint64 {
+// Addr is the word address memory instruction in of thread t reads or
+// writes. An address outside memory is a machine fault, raised out of line
+// so that the check inlines.
+func (m *Machine) Addr(t *Thread, in *isa.Instr) uint64 {
 	a := uint64(t.R[in.A] + in.Imm)
 	if a >= uint64(len(m.Mem)) {
-		throwf("exec: thread %d: address %d out of range (mem %d words) at %s pc=%#x",
-			t.ID, a, len(m.Mem), in.Op, in.Addr)
+		panic(badAddr{t.ID, a, len(m.Mem), in})
 	}
 	return a
 }
 
-// intALU computes an integer ALU op, taking any op that is none of the
+// badAddr is the fault of an address outside memory: Recover makes its
+// message, so that Addr inlines.
+type badAddr struct {
+	tid   int
+	a     uint64
+	words int
+	in    *isa.Instr
+}
+
+func (b badAddr) fault() *ExecError {
+	return &ExecError{Msg: fmt.Sprintf("exec: thread %d: address %d out of range (mem %d words) at %s pc=%#x",
+		b.tid, b.a, b.words, b.in.Op, b.in.Addr)}
+}
+
+// IntALU computes an integer ALU op, taking any op that is none of the
 // first nine for IShr, so that it is small enough to inline.
-func intALU(op isa.Op, a, b int64) int64 {
+func IntALU(op isa.Op, a, b int64) int64 {
 	switch op {
 	case isa.OpIAdd:
 		return a + b
@@ -393,7 +289,9 @@ func intALU(op isa.Op, a, b int64) int64 {
 	return int64(uint64(a) >> (uint64(b) & 63)) // isa.OpIShr
 }
 
-func floatALU(op isa.Op, a, b float64) float64 {
+// FloatALU computes a float ALU op, taking any op that is none of the
+// first three for FDiv, so that it is small enough to inline.
+func FloatALU(op isa.Op, a, b float64) float64 {
 	switch op {
 	case isa.OpFAdd:
 		return a + b
@@ -401,16 +299,14 @@ func floatALU(op isa.Op, a, b float64) float64 {
 		return a - b
 	case isa.OpFMul:
 		return a * b
-	case isa.OpFDiv:
-		return a / b
 	}
-	panic("exec: not a float ALU op")
+	return a / b // isa.OpFDiv
 }
 
-// fcvti is OpFCvtI: f truncated toward zero, or math.MinInt64 for NaN, ±Inf
+// FCvtI is OpFCvtI: f truncated toward zero, or math.MinInt64 for NaN, ±Inf
 // and every f outside the int64 range. Go leaves int64(f) undefined there;
 // this is what amd64 yields, so results do not depend on the host.
-func fcvti(f float64) int64 {
+func FCvtI(f float64) int64 {
 	if f >= -1<<63 && f < 1<<63 {
 		return int64(f)
 	}

@@ -106,24 +106,6 @@ func (o Op) IsBranch() bool {
 	return false
 }
 
-// IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool {
-	switch o {
-	case OpILoad, OpIStore, OpFLoad, OpFStore, OpAtomicAdd, OpCmpXchg, OpXchg, OpFutexWait, OpFutexWake:
-		return true
-	}
-	return false
-}
-
-// IsWrite reports whether the opcode writes data memory.
-func (o Op) IsWrite() bool {
-	switch o {
-	case OpIStore, OpFStore, OpAtomicAdd, OpCmpXchg, OpXchg:
-		return true
-	}
-	return false
-}
-
 // IsCompute reports whether the opcode is pure register work: no memory,
 // no control transfer, no OS model, no futex queue.
 func (o Op) IsCompute() bool {

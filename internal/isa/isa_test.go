@@ -212,6 +212,24 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
+// IsMem reports whether the opcode accesses data memory.
+func (o Op) IsMem() bool {
+	switch o {
+	case OpILoad, OpIStore, OpFLoad, OpFStore, OpAtomicAdd, OpCmpXchg, OpXchg, OpFutexWait, OpFutexWake:
+		return true
+	}
+	return false
+}
+
+// IsWrite reports whether the opcode writes data memory.
+func (o Op) IsWrite() bool {
+	switch o {
+	case OpIStore, OpFStore, OpAtomicAdd, OpCmpXchg, OpXchg:
+		return true
+	}
+	return false
+}
+
 // IsAtomic reports whether the opcode is an atomic read-modify-write.
 func (o Op) IsAtomic() bool {
 	switch o {

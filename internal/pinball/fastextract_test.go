@@ -15,7 +15,7 @@ import (
 
 // TestExtractRegionsFastSlowIdentical holds the block-batched extraction
 // sweep to an independent per-instruction reference: for every spec, a
-// StepReplay of the recording's first WarmupStartStep steps gives the
+// stepReplay of the recording's first WarmupStartStep steps gives the
 // snapshot, the syscall cursors and the marker hit counts the region
 // pinball must carry. Every registered workload runs at its test input.
 func TestExtractRegionsFastSlowIdentical(t *testing.T) {
@@ -43,8 +43,8 @@ func checkExtraction(t *testing.T, p *isa.Program) {
 	// The most-entered main-image block gives the hit-count rebasing
 	// something to track.
 	entries := map[uint64]uint64{}
-	if _, err := pb.StepReplay(p, func(ev *exec.Event) {
-		if ev.BlockEntry && !ev.Block.Routine.Image.Sync {
+	if _, err := pb.stepReplay(p, func(ev *exec.BlockEvent) {
+		if ev.Entries > 0 && !ev.Block.Routine.Image.Sync {
 			entries[ev.Block.Addr]++
 		}
 	}); err != nil {
@@ -73,8 +73,8 @@ func checkExtraction(t *testing.T, p *isa.Program) {
 		prefix.Schedule = pb.Schedule.Window(0, s.WarmupStartStep)
 		prefix.FinalChecksum = 0
 		hits := map[uint64]uint64{}
-		m, err := prefix.StepReplay(p, func(ev *exec.Event) {
-			if ev.BlockEntry {
+		m, err := prefix.stepReplay(p, func(ev *exec.BlockEvent) {
+			if ev.Entries > 0 {
 				hits[ev.Block.Addr]++
 			}
 		})
@@ -109,7 +109,8 @@ func checkExtraction(t *testing.T, p *isa.Program) {
 
 // TestReplayRoutesBlockObservers pins that the two replay entry points
 // see one execution: a Collector fed block events by Replay and one fed
-// every instruction by StepReplay build the same profile.
+// every instruction as an event of its own by stepReplay build the same
+// profile.
 func TestReplayRoutesBlockObservers(t *testing.T) {
 	p := testprog.Phased(2, 3, 60, omp.Passive)
 	pb, err := Record(p, 9, 128)
@@ -121,7 +122,7 @@ func TestReplayRoutesBlockObservers(t *testing.T) {
 		c.SliceOnICount()
 		var err error
 		if perInstr {
-			_, err = pb.StepReplay(p, c.OnInstr)
+			_, err = pb.stepReplay(p, c.OnBlock)
 		} else {
 			_, err = pb.Replay(p, c)
 		}
@@ -131,6 +132,6 @@ func TestReplayRoutesBlockObservers(t *testing.T) {
 		return c.Finish()
 	}
 	if !reflect.DeepEqual(prof(true), prof(false)) {
-		t.Fatal("profiles differ between Replay and StepReplay")
+		t.Fatal("profiles differ between Replay and stepReplay")
 	}
 }

@@ -70,17 +70,12 @@ type RegionBounds struct {
 // the repository share one FNV-1a source of truth.
 func fnv1a(words []uint64) uint64 { return artifact.ChecksumWords(words) }
 
-// Record executes the whole program from its initial state, recording a
-// whole-program pinball. seed seeds the OS model (the source of
-// non-determinism being captured). flowWindow, when non-zero, applies the
-// flow-control scheduler during recording so the captured trace is not
-// skewed by scheduler imbalance (Section III-B).
-func Record(p *isa.Program, seed uint64, flowWindow uint64) (*Pinball, error) {
-	return RecordWithOptions(p, seed, exec.RunOpts{FlowWindow: flowWindow})
-}
-
-// RecordWithOptions is Record with full scheduler control — most notably
-// exec.RunOpts.QuantumBias, which emulates host imbalance during the
+// RecordWithOptions executes the whole program from its initial state,
+// recording a whole-program pinball. seed seeds the OS model (the source
+// of non-determinism being captured); opts.FlowWindow, when non-zero,
+// applies the flow-control scheduler during recording so the captured
+// trace is not skewed by scheduler imbalance (Section III-B), and
+// opts.QuantumBias, which emulates host imbalance during the
 // recording so the flow-control ablation can show what the paper's
 // equal-progress mechanism protects against. Block observers ride the
 // recording run itself — the logged run is the one pass that executes at
@@ -147,33 +142,6 @@ func (pb *Pinball) Replay(p *isa.Program, observers ...exec.BlockObserver) (*exe
 	}
 	if err := m.RunSchedule(pb.Schedule); err != nil {
 		return nil, fmt.Errorf("pinball %s: %w", pb.Name, err)
-	}
-	return pb.finish(m, replay)
-}
-
-// StepReplay is Replay one instruction at a time: it retires the recorded
-// schedule through exec.Machine.Step, hands every event to fn, and makes
-// the same checks. It serves the per-instruction consumers — the trace
-// writer behind lpsim -dump-trace and the OnInstr reference oracles the
-// block tier is tested against.
-func (pb *Pinball) StepReplay(p *isa.Program, fn func(*exec.Event)) (_ *exec.Machine, err error) {
-	defer exec.Recover(&err)
-	if err := pb.Verify(); err != nil {
-		return nil, err
-	}
-	m, replay, err := pb.startMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range pb.Schedule {
-		for i := uint32(0); i < e.N; i++ {
-			ev, ok := m.Step(e.Tid)
-			if !ok {
-				return nil, fmt.Errorf("pinball %s: %w: thread %d is %s", pb.Name,
-					exec.ErrScheduleDiverged, e.Tid, m.Threads[e.Tid].State)
-			}
-			fn(ev)
-		}
 	}
 	return pb.finish(m, replay)
 }

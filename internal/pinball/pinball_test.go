@@ -163,8 +163,8 @@ func TestReplayMachineFaultIsTypedError(t *testing.T) {
 	if _, err := pb.Replay(faulty); !errors.Is(err, exec.ErrMachine) {
 		t.Errorf("Replay = %v, want ErrMachine", err)
 	}
-	if _, err := pb.StepReplay(faulty, func(*exec.Event) {}); !errors.Is(err, exec.ErrMachine) {
-		t.Errorf("StepReplay = %v, want ErrMachine", err)
+	if _, err := pb.stepReplay(faulty, func(*exec.BlockEvent) {}); !errors.Is(err, exec.ErrMachine) {
+		t.Errorf("stepReplay = %v, want ErrMachine", err)
 	}
 }
 

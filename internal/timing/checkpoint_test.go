@@ -5,6 +5,7 @@ import (
 
 	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
+	"looppoint/internal/exec"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
@@ -12,7 +13,7 @@ import (
 
 func TestSimulateCheckpointMatchesRegionSpan(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
-	pb, err := pinball.Record(p, 5, 512)
+	pb, err := pinball.RecordWithOptions(p, 5, exec.RunOpts{FlowWindow: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSimulateCheckpointMatchesRegionSpan(t *testing.T) {
 func TestSimulateCheckpointNoWarmupRegion(t *testing.T) {
 	// WarmupStartStep == StartStep: detail begins immediately.
 	p := testprog.Phased(2, 8, 100, omp.Passive)
-	pb, err := pinball.Record(p, 3, 256)
+	pb, err := pinball.RecordWithOptions(p, 3, exec.RunOpts{FlowWindow: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -21,7 +20,7 @@ import (
 // the analysis a test needs before it can extract region pinballs.
 func recordedProfile(tb testing.TB, p *isa.Program, slice uint64) (*pinball.Pinball, *bbv.Profile) {
 	tb.Helper()
-	whole, err := pinball.Record(p, 5, 512)
+	whole, err := pinball.RecordWithOptions(p, 5, exec.RunOpts{FlowWindow: 512})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,13 +45,11 @@ func recordedProfile(tb testing.TB, p *isa.Program, slice uint64) (*pinball.Pinb
 }
 
 // fixture is one program with the inputs every simulation mode needs:
-// its whole-program pinball, three region pinballs extracted from it, and
-// a trace of the whole recording.
+// its whole-program pinball and three region pinballs extracted from it.
 type fixture struct {
 	prog  *isa.Program
 	whole *pinball.Pinball
 	rps   []*pinball.Pinball
-	trace []byte
 }
 
 func newFixture(t testing.TB, p *isa.Program) fixture {
@@ -75,18 +72,7 @@ func newFixture(t testing.TB, p *isa.Program) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := whole.StepReplay(p, func(ev *exec.Event) { tw.OnInstr(ev.Tid, ev.Retired) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return fixture{prog: p, whole: whole, rps: rps, trace: buf.Bytes()}
+	return fixture{prog: p, whole: whole, rps: rps}
 }
 
 func phasedProg() *isa.Program { return testprog.Phased(4, 10, 150, omp.Passive) }
@@ -141,7 +127,6 @@ var modes = []mode{
 	{"checkpoint", func(s *Simulator, fx fixture) (*Stats, error) { return s.SimulateCheckpoint(fx.rps[0]) }},
 	{"constrained", func(s *Simulator, fx fixture) (*Stats, error) { return s.SimulateConstrained(fx.whole) }},
 	{"periodic", func(s *Simulator, _ fixture) (*Stats, error) { return s.SimulatePeriodic(500, 2000) }},
-	{"trace", func(s *Simulator, fx fixture) (*Stats, error) { return s.simulateTrace(bytes.NewReader(fx.trace)) }},
 	// Repeat the first mode: state left by the others must not leak in.
 	{"full-again", func(s *Simulator, _ fixture) (*Stats, error) { return s.SimulateFull() }},
 }

@@ -140,21 +140,24 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRunLoopsPickLikeOracle runs the timing loop — single instructions
-// charged in detail, then in fast-forward — and checks before every step
-// that the run queue, which keeps its pick until it is overtaken, names
-// the thread a fresh walk over all threads would. The detailed statistics
-// must equal a SimulateFull of the same program: the check watches the
-// loop that ships.
+// TestRunLoopsPickLikeOracle runs the shipping timing loop — single
+// instructions charged in detail, then in fast-forward — under an order
+// that a shadow run queue writes as the loop goes: after each step the
+// shadow hands the stepped thread off or settles it as the loop does in an
+// unordered run (the same staysFirst, goesLast and settle), and before every step it
+// must name the thread a fresh walk over all threads would. So every pick
+// of the run is the run queue's, checked, and the detailed statistics
+// must equal a SimulateFull of the same program, where the loop keeps its
+// own run queue.
 func TestRunLoopsPickLikeOracle(t *testing.T) {
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 6, 80, policy)
 		cfg := Gainestown(4)
 		for _, detail := range []bool{true, false} {
 			m := exec.NewMachine(p, 1)
-			o := &oracleRetirer{t: t, m: m, last: -1}
-			r := &run{src: o, end: bbv.Marker{IsEnd: true}, before: warmed,
-				bind: func(sys *system) { sys.bind(m); o.sys = sys }}
+			o := &shadowQueue{t: t, last: -1}
+			r := &run{src: m, end: bbv.Marker{IsEnd: true}, before: warmed,
+				bind: func(sys *system) { o.sys = sys; sys.follow(o.next, false) }}
 			if !detail {
 				r.start = bbv.Marker{Count: 1 << 62} // never reached: all fast-forward
 			}
@@ -181,22 +184,48 @@ func TestRunLoopsPickLikeOracle(t *testing.T) {
 	}
 }
 
-// oracleRetirer retires the loop's picks on m after checking each against
-// pickNext.
-type oracleRetirer struct {
+// shadowQueue is a run's order: a run queue of its own over the run's
+// machine and cycle counts, kept as the loop keeps its queue in an
+// unordered run, whose every pick is checked against pickNext.
+type shadowQueue struct {
 	t           *testing.T
-	m           *exec.Machine
-	sys         *system
+	sys, q      *system // the run's system; the shadow queue
+	states      []exec.ThreadState
 	last, stays int
 }
 
-func (o *oracleRetirer) Retire(tid int) (exec.Retired, []int) {
-	if want := checkAgainstOracle(o.t, o.sys, "run loop"); tid != want {
-		o.t.Fatalf("the loop picked thread %d, the run queue names %d", tid, want)
+// next settles the thread that just stepped (none at the bind), then
+// names the shadow queue's pick.
+func (o *shadowQueue) next() (int, bool) {
+	m := o.sys.m
+	if o.q == nil {
+		o.q = &system{cycle: o.sys.cycle, charges: o.sys.charges}
+		o.q.bind(m)
+	} else {
+		tid := o.last
+		var woken []int
+		for w, th := range m.Threads {
+			if o.states[w] != exec.StateRunning && th.State == exec.StateRunning {
+				woken = append(woken, w)
+			}
+		}
+		// Under the order the loop's settle has already timed the woken
+		// threads; timing them again changes nothing.
+		if m.Threads[tid].State != exec.StateRunning || len(woken) > 0 || !o.q.staysFirst(tid) && !o.q.goesLast(tid) {
+			o.q.settle(tid, woken)
+		}
+	}
+	tid := checkAgainstOracle(o.t, o.q, "run loop")
+	if tid < 0 {
+		return 0, false
 	}
 	if tid == o.last {
 		o.stays++
 	}
 	o.last = tid
-	return o.m.Retire(tid)
+	o.states = o.states[:0]
+	for _, th := range m.Threads {
+		o.states = append(o.states, th.State)
+	}
+	return tid, true
 }

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"looppoint/internal/bbv"
@@ -225,15 +226,14 @@ const (
 
 const never = ^uint64(0) // a step no run reaches
 
-// A run is one simulation: src retires its instructions (the system is
-// bound to src if it is a machine, and bind finishes it); it measures from
-// start to end (startHits and endHits rebase the counts of a machine that
-// begins mid-program), charging what comes before start as before says,
-// calls at at the PC tap and atEnd at the end, or measures window of every
-// period instructions. The fields after period are the phase, which moves
-// as the loop goes.
+// A run is one simulation: the system is bound to machine src, and bind
+// finishes the binding; it measures from start to end (startHits and
+// endHits rebase the counts of a machine that begins mid-program),
+// charging what comes before start as before says, calls at at the PC tap
+// and atEnd at the end, or measures window of every period instructions.
+// The fields after period are the phase, which moves as the loop goes.
 type run struct {
-	src                retirer
+	src                *exec.Machine
 	bind               func(*system)
 	start, end         bbv.Marker
 	startHits, endHits uint64
@@ -251,18 +251,16 @@ type run struct {
 	windowStart, estCycles float64
 }
 
-// A retirer executes one instruction of a thread: exec.Machine or a trace.
-type retirer interface {
-	Retire(tid int) (exec.Retired, []int)
-}
-
-// simulate is the one timing loop: it retires one instruction of the
-// scheduler's pick, moves the phase where it can change, charges the
-// instruction — written once, here, as one switch over the op classes
-// that cost anything — and settles the thread.
+// simulate is the one timing loop, and the instruction tier: it fetches
+// the scheduler's pick's next instruction, moves the phase where it can
+// change, and then executes and charges the instruction in one switch
+// over its op. Each case adds its own stall to its own CPI-stack
+// component. The ops that touch the call stack, futex queues or OS run
+// out of line (exec's Rare, charged by system.rare) and always settle the
+// thread; the rest hand it off inline.
 func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	defer exec.Recover(&err)
-	m, _ := p.src.(*exec.Machine)
+	m := p.src
 	sys := s.acquire(m)
 	defer release(sys)
 	if p.bind != nil {
@@ -282,138 +280,231 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 		if tid < 0 {
 			return nil, exec.ErrDeadlock
 		}
-		r, woken := p.src.Retire(tid)
-		if r.Instr == nil { // a constrained replay that diverged
-			return nil, fmt.Errorf("timing: scheduled thread %d could not step: it is %s", tid, m.Threads[tid].State)
+		t := m.Threads[tid]
+		if t.State != exec.StateRunning { // a recorded order that diverged
+			return nil, fmt.Errorf("timing: scheduled thread %d could not step: it is %s", tid, t.State)
 		}
 		steps++
 		if steps > maxSteps {
 			return nil, fmt.Errorf("timing: %w", exec.ErrMaxSteps)
 		}
-		if steps == p.next || r.BlockEntry && (r.Block.Addr == p.start.PC || r.Block.Addr == p.end.PC || r.Block.Addr == p.tap.PC) {
-			if p.step(sys, steps, r) {
+		blk, idx := m.Fetch(t)
+		if steps == p.next || idx == 0 && (blk.Addr == p.start.PC || blk.Addr == p.end.PC || blk.Addr == p.tap.PC) {
+			if p.step(sys, steps, blk.Addr, idx == 0) {
 				return sys.stats(p.detailBase), nil
 			}
 			mode = p.mode
 		}
+		in := &blk.Instrs[idx]
+		c := &sys.cores[tid]
 
-		// The charge. Cycles accumulate even while fast-forwarding, so the
-		// scheduler interleaves threads fairly. A warmed instruction updates
-		// caches, directory, prefetcher and predictor as a measured one
-		// does, without the stall arithmetic: warmed state is bit-identical.
-		cycles := sys.slot
+		// The base charge and the fetch. Cycles accumulate even while
+		// fast-forwarding, so the scheduler interleaves threads fairly. A
+		// warmed instruction updates caches, directory, prefetcher and
+		// predictor as a measured one does, without the stall
+		// arithmetic: warmed state is bit-identical. A cold one costs its
+		// dispatch slot alone. Each cache access first checks for a
+		// repeat of the cache's last line, which hits at level 1.
+		cycles, ifetch := sys.slot, 0.0
 		if mode != cold {
-			c := &sys.cores[tid]
 			sys.clock++
-			var ifetchCycles float64
-			// Instruction fetch: charge on block entry when the line
-			// misses L1I. Each cache access first checks for a repeat of
-			// the cache's last line, which hits at level 1.
-			if a := r.Block.Addr * 8; r.BlockEntry && !c.l1i.repeat(a, sys.clock) {
+			if a := blk.Addr * 8; idx == 0 && !c.l1i.repeat(a, sys.clock) {
 				if lvl := c.l1i.Access(a, sys.clock); lvl > 1 && mode != warmed {
-					ifetchCycles = sys.ifetch[lvl]
-					cycles += ifetchCycles
-				}
-			}
-			base := cycles
-			var memCycles, syncCycles, computeCycles, branchCycles float64
-			switch r.Instr.Op {
-			case isa.OpILoad, isa.OpFLoad:
-				lvl := 1
-				if !c.l1d.repeat(r.MemAddr, sys.clock) {
-					lvl = c.l1d.Access(r.MemAddr, sys.clock)
-				}
-				sys.noteFill(tid, r.MemAddr)
-				if mode != warmed {
-					memCycles = sys.memStall(tid, lvl)
-				}
-				if lvl > 1 {
-					sys.warmPrefetch(c, tid, r.MemAddr)
-				}
-			case isa.OpIStore, isa.OpFStore:
-				lvl := 1
-				if !c.l1d.repeat(r.MemAddr, sys.clock) {
-					lvl = c.l1d.Access(r.MemAddr, sys.clock)
-				}
-				sys.noteFill(tid, r.MemAddr)
-				if mode != warmed {
-					memCycles = float64(sys.memStall(tid, lvl) / 2) // store buffer
-				}
-				if sys.shared(tid, r.MemAddr) {
-					memCycles += sys.coherence(tid, r.MemAddr)
-				}
-				if lvl > 1 {
-					sys.warmPrefetch(c, tid, r.MemAddr)
-				}
-			case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg:
-				sys.constrainedOrderStall(tid, r)
-				lvl := 1
-				if !c.l1d.repeat(r.MemAddr, sys.clock) {
-					lvl = c.l1d.Access(r.MemAddr, sys.clock)
-				}
-				sys.noteFill(tid, r.MemAddr)
-				// Atomics serialize: full latency, no ROB hiding.
-				syncCycles = sys.lat[lvl] + sys.atomic
-				if sys.shared(tid, r.MemAddr) {
-					syncCycles += sys.coherence(tid, r.MemAddr)
-				}
-			case isa.OpFutexWait:
-				sys.constrainedOrderStall(tid, r)
-				syncCycles = sys.futex
-				if r.Blocked && mode == measured {
-					sys.futexWaits++
-				}
-			case isa.OpFutexWake:
-				sys.constrainedOrderStall(tid, r)
-				syncCycles = sys.futex
-			case isa.OpSyscall:
-				syncCycles = sys.futex
-			case isa.OpIDiv, isa.OpIRem, isa.OpFDiv:
-				computeCycles = sys.div
-			case isa.OpFSqrt:
-				computeCycles = sys.sqrt
-			case isa.OpPause:
-				syncCycles = sys.pause
-			case isa.OpBrCond:
-				// Conditional branches consult the predictor;
-				// unconditional transfers are free beyond the base cost.
-				if !c.bp.Predict(r.Instr.Addr*8, r.Taken) {
-					branchCycles = sys.mispredict
-				}
-			}
-			if mode == warmed {
-				cycles = sys.slot
-			} else {
-				cycles = base + memCycles + syncCycles + computeCycles + branchCycles
-				if mode == measured {
-					c.instrs++
-					if !r.Block.Routine.Image.Sync {
-						c.filtered++
+					ifetch = sys.ifetch[lvl]
+					cycles += ifetch
+					if mode == measured {
+						c.stack.Ifetch += ifetch
 					}
-					c.stack.Base += base - ifetchCycles
-					c.stack.Ifetch += ifetchCycles
-					c.stack.Memory += memCycles
-					c.stack.Sync += syncCycles
-					c.stack.Compute += computeCycles
-					c.stack.Branch += branchCycles
 				}
 			}
 		}
-		sys.cycle[tid] += cycles
-
-		// settle's two outcomes for a thread that still runs and woke
-		// nobody, inline: it stays first while it precedes the second
-		// thread, or else goes to the back of the ring if it does not
-		// precede the back (lockstep). Anything else is settle's.
-		if len(woken) > 0 || r.Blocked || r.Instr.Op == isa.OpHalt || sys.order != nil {
-			sys.settle(tid, woken)
-		} else if c, h, n := sys.cycle[tid], sys.head, uint(sys.runnable); n > 1 && !sys.before(c, tid, sys.runq[(h+1)%MaxCores]) {
-			if sys.before(c, tid, sys.runq[(h+n-1)%MaxCores]) {
-				sys.settle(tid, nil)
-			} else {
-				sys.runq[(h+n)%MaxCores] = tid
-				sys.head = h + 1
+		if mode == measured {
+			c.instrs++
+			if !blk.Routine.Image.Sync {
+				c.filtered++
 			}
+			c.stack.Base += cycles - ifetch
+		}
+
+		// Execute and charge. A stall counts (mode <= timed) only for an
+		// instruction charged in full.
+		switch in.Op {
+		case isa.OpNop:
+			t.Advance()
+		case isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIAnd, isa.OpIOr, isa.OpIXor, isa.OpIShl, isa.OpIShr:
+			b := t.R[in.B]
+			if in.UseImm {
+				b = in.Imm
+			}
+			t.R[in.Dst] = exec.IntALU(in.Op, t.R[in.A], b)
+			t.Advance()
+		case isa.OpIMov:
+			if in.UseImm {
+				t.R[in.Dst] = in.Imm
+			} else {
+				t.R[in.Dst] = t.R[in.A]
+			}
+			t.Advance()
+		case isa.OpFAdd, isa.OpFSub, isa.OpFMul:
+			t.F[in.Dst] = exec.FloatALU(in.Op, t.F[in.A], t.F[in.B])
+			t.Advance()
+		case isa.OpFMov:
+			if in.UseImm {
+				t.F[in.Dst] = in.FImm
+			} else {
+				t.F[in.Dst] = t.F[in.A]
+			}
+			t.Advance()
+		case isa.OpFMA:
+			t.F[in.Dst] = float64(t.F[in.A]*t.F[in.B]) + t.F[in.Dst]
+			t.Advance()
+		case isa.OpFCmp:
+			if in.Cond.EvalFloat(t.F[in.A], t.F[in.B]) {
+				t.R[in.Dst] = 1
+			} else {
+				t.R[in.Dst] = 0
+			}
+			t.Advance()
+		case isa.OpICvtF:
+			t.F[in.Dst] = float64(t.R[in.A])
+			t.Advance()
+		case isa.OpFCvtI:
+			t.R[in.Dst] = exec.FCvtI(t.F[in.A])
+			t.Advance()
+
+		case isa.OpIDiv, isa.OpIRem:
+			b := t.R[in.B]
+			if in.UseImm {
+				b = in.Imm
+			}
+			t.R[in.Dst] = exec.IntALU(in.Op, t.R[in.A], b)
+			t.Advance()
+			if mode <= timed {
+				cycles += sys.div
+				if mode == measured {
+					c.stack.Compute += sys.div
+				}
+			}
+		case isa.OpFDiv:
+			t.F[in.Dst] = exec.FloatALU(in.Op, t.F[in.A], t.F[in.B])
+			t.Advance()
+			if mode <= timed {
+				cycles += sys.div
+				if mode == measured {
+					c.stack.Compute += sys.div
+				}
+			}
+		case isa.OpFSqrt:
+			t.F[in.Dst] = math.Sqrt(t.F[in.A])
+			t.Advance()
+			if mode <= timed {
+				cycles += sys.sqrt
+				if mode == measured {
+					c.stack.Compute += sys.sqrt
+				}
+			}
+		case isa.OpPause:
+			t.Advance()
+			if mode <= timed {
+				cycles += sys.pause
+				if mode == measured {
+					c.stack.Sync += sys.pause
+				}
+			}
+
+		case isa.OpILoad, isa.OpFLoad:
+			a := m.Addr(t, in)
+			if in.Op == isa.OpILoad {
+				t.R[in.Dst] = int64(m.Mem[a])
+			} else {
+				t.F[in.Dst] = math.Float64frombits(m.Mem[a])
+			}
+			t.Advance()
+			if mode != cold {
+				a *= 8
+				lvl := 1
+				if !c.l1d.repeat(a, sys.clock) {
+					lvl = c.l1d.Access(a, sys.clock)
+				}
+				sys.noteFill(tid, a)
+				if mode != warmed {
+					x := sys.memStall(tid, lvl)
+					cycles += x
+					if mode == measured {
+						c.stack.Memory += x
+					}
+				}
+				if lvl > 1 {
+					sys.warmPrefetch(c, tid, a)
+				}
+			}
+		case isa.OpIStore, isa.OpFStore:
+			a := m.Addr(t, in)
+			if in.Op == isa.OpIStore {
+				m.Mem[a] = uint64(t.R[in.B])
+			} else {
+				m.Mem[a] = math.Float64bits(t.F[in.B])
+			}
+			t.Advance()
+			if mode != cold {
+				a *= 8
+				lvl := 1
+				if !c.l1d.repeat(a, sys.clock) {
+					lvl = c.l1d.Access(a, sys.clock)
+				}
+				sys.noteFill(tid, a)
+				var x float64
+				if mode != warmed {
+					x = float64(sys.memStall(tid, lvl) / 2) // store buffer
+				}
+				if sys.shared(tid, a) {
+					x += sys.coherence(tid, a)
+				}
+				if lvl > 1 {
+					sys.warmPrefetch(c, tid, a)
+				}
+				if mode <= timed {
+					cycles += x
+					if mode == measured {
+						c.stack.Memory += x
+					}
+				}
+			}
+
+		case isa.OpBr:
+			t.Jump(in.Target)
+		case isa.OpBrCond:
+			// Conditional branches consult the predictor; unconditional
+			// transfers are free beyond the base cost.
+			b := t.R[in.B]
+			if in.UseImm {
+				b = in.Imm
+			}
+			taken := in.Cond.EvalInt(t.R[in.A], b)
+			next := in.Else
+			if taken {
+				next = in.Target
+			}
+			t.Jump(next)
+			if mode != cold && !c.bp.Predict(in.Addr*8, taken) && mode != warmed {
+				cycles += sys.mispredict
+				if mode == measured {
+					c.stack.Branch += sys.mispredict
+				}
+			}
+
+		default:
+			addr, woken := m.Rare(t, in)
+			sys.cycle[tid] += sys.rare(c, tid, in.Op, addr, t.State == exec.StateBlocked, mode, cycles)
+			sys.settle(tid, woken)
+			if mode == measured && trace != nil {
+				trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
+			}
+			continue
+		}
+		sys.cycle[tid] += cycles
+		if sys.order != nil || !sys.staysFirst(tid) && !sys.goesLast(tid) {
+			sys.settle(tid, nil)
 		}
 		if mode == measured && trace != nil {
 			trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
@@ -445,7 +536,7 @@ func (p *run) begin(sys *system) {
 // the following region; it reports whether the run ends before it. Raw
 // instruction-count markers (the naive baseline's) fire on the global
 // retired count instead of a PC.
-func (p *run) step(sys *system, steps uint64, r exec.Retired) bool {
+func (p *run) step(sys *system, steps, addr uint64, entry bool) bool {
 	if steps == p.toggle {
 		if p.mode == measured {
 			// Close the window and extrapolate it over the period.
@@ -463,26 +554,26 @@ func (p *run) step(sys *system, steps uint64, r exec.Retired) bool {
 	if p.end.IsICount() && p.mode == measured && steps >= p.end.Count {
 		return true
 	}
-	if r.BlockEntry {
+	if entry {
 		// Detail begins and ends without resetting core clocks: the
 		// warmup phase develops the natural thread stagger of the
 		// running system, and measuring wall-clock deltas over it makes
 		// isolated regions tile the continuous run exactly (resetting
 		// clocks would force every region to re-pay the
 		// align-to-steady-state transition).
-		if r.Block.Addr == p.start.PC {
+		if addr == p.start.PC {
 			p.startHits++
 			if p.mode != measured && p.startHits >= p.start.Count {
 				p.measure(sys)
 			}
 		}
-		if r.Block.Addr == p.end.PC {
+		if addr == p.end.PC {
 			p.endHits++
 			if p.mode == measured && p.endHits >= p.end.Count {
 				return true
 			}
 		}
-		if r.Block.Addr == p.tap.PC {
+		if addr == p.tap.PC {
 			// The end-marker check above, for a run that goes on.
 			p.tapHits++
 			if p.mode == measured && p.tapHits >= p.tap.Count {

@@ -6,6 +6,7 @@ import (
 
 	"looppoint/internal/bbv"
 	"looppoint/internal/dcfg"
+	"looppoint/internal/exec"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
 	"looppoint/internal/testprog"
@@ -198,7 +199,7 @@ func TestActiveRetiresMoreThanPassive(t *testing.T) {
 
 func TestSimulateRegionMatchesProfileSpan(t *testing.T) {
 	p := testprog.Phased(4, 8, 150, omp.Passive)
-	pb, err := pinball.Record(p, 5, 512)
+	pb, err := pinball.RecordWithOptions(p, 5, exec.RunOpts{FlowWindow: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSimulateRegionFullEqualsSimulateFull(t *testing.T) {
 
 func TestSimulateConstrained(t *testing.T) {
 	p := testprog.Phased(4, 4, 150, omp.Active)
-	pb, err := pinball.Record(p, 9, 512)
+	pb, err := pinball.RecordWithOptions(p, 9, exec.RunOpts{FlowWindow: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
