@@ -34,8 +34,7 @@ type Cache struct {
 }
 
 // noLine is no address's line: the byte addresses the timing model looks
-// up are a word's, a multiple of eight, or a trace's, below 2^28, so none
-// is all ones.
+// up are a word's, a multiple of eight, so none is all ones.
 const noLine = ^uint64(0)
 
 // cacheLine is one way of a set. key is the line's tag plus one, so that
@@ -133,8 +132,8 @@ func (c *Cache) SetWarming(w bool) {
 
 // repeat reports whether addr is in the line the last lookup found or
 // filled; if it is, it hits that way as Access's set walk would. It is
-// Access's first step, and small enough to inline: the timing loop calls
-// it before Access.
+// small enough to inline: the timing loop's L1I and L1D sites call it
+// before Access, which below L1 almost never sees a repeat.
 func (c *Cache) repeat(addr uint64, clock uint64) bool {
 	if addr>>c.lineShift != c.lastLine {
 		return false
@@ -150,9 +149,6 @@ func (c *Cache) repeat(addr uint64, clock uint64) bool {
 // the 1-based level at which the access hit; if no level hits, it returns
 // number-of-levels + 1 (memory). clock provides LRU ordering.
 func (c *Cache) Access(addr uint64, clock uint64) int {
-	if c.repeat(addr, clock) {
-		return 1
-	}
 	ways, key := c.set(addr)
 	if !c.warming {
 		c.Accesses++
