@@ -13,9 +13,9 @@ import "looppoint/internal/isa"
 
 // BlockEvent describes a batched run of instructions inside one basic
 // block: at most one partial leading pass (when resuming mid-block) plus
-// any number of passes starting at instruction 0. Like Event, the value
-// handed to observers is reused for the driver's next batch; observers
-// must not retain it or its slices past OnBlock.
+// any number of passes starting at instruction 0. The value handed to
+// observers is reused for the driver's next batch; observers must not
+// retain it or its slices past OnBlock.
 type BlockEvent struct {
 	Tid   int
 	Block *isa.Block
@@ -24,8 +24,7 @@ type BlockEvent struct {
 	// futex wake, a budget split, or a return).
 	FirstIdx int
 	// Entries counts block entries in the event: passes that began at
-	// instruction 0 (a resumed partial pass is not an entry, matching
-	// Event.BlockEntry semantics).
+	// instruction 0 (a resumed partial pass is not an entry).
 	Entries uint64
 	// Instrs is the number of instructions the event retired.
 	Instrs uint64
