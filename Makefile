@@ -24,9 +24,10 @@ loc:
 portable:
 	bash scripts/portable.sh
 
-# The inlining gate: builds internal/exec and internal/timing with
-# -gcflags=-m and fails unless every function scripts/inline_required.txt
-# names is reported "can inline" (the timing loop's short paths). Seconds.
+# The inlining gate: builds internal/exec, internal/timing, internal/dcfg
+# and internal/bbv with -gcflags=-m and fails unless every function
+# scripts/inline_required.txt names is reported "can inline" (the timing
+# loop's short paths, the block-log readers' steps). Seconds.
 inline:
 	bash scripts/inline.sh
 

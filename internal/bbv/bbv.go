@@ -128,14 +128,18 @@ type Collector struct {
 	prevNorm map[int]float64
 
 	// The block tier's hot path indexes by Block.Global and hashes
-	// nothing: isMarker is markers resolved once, and acc[tid][g] holds the
-	// instructions OnBlock has accounted to the open region and flush has
-	// not yet folded into cur.Vectors[tid][g]; touched[tid] lists the g
-	// with acc[tid][g] != 0. Every reader of the open region's vectors
+	// nothing. plain marks the blocks that are no marker (markers resolved
+	// once), counted those whose instructions are work (the sync filter),
+	// and pass holds each block's length. acc[tid*len(pass)+g] holds the
+	// instructions accounted to the open region and not yet folded into
+	// cur.Vectors[tid][g] by flush; touched[tid] lists those g with a
+	// non-zero accumulator. Every reader of the open region's vectors
 	// (closeRegion, phaseChanged) flushes first.
-	isMarker []bool
-	acc      [][]float64
-	touched  [][]int
+	plain   []bool
+	counted []bool
+	pass    []uint64
+	acc     []float64
+	touched [][]int
 
 	// modulus restricts which hit counts of a marker may end a region:
 	// only counts with (count-1) % modulus == 0 qualify. Symmetric
@@ -249,7 +253,12 @@ func (c *Collector) phaseChanged() bool {
 // DisableSyncFilter makes the collector count synchronization-library
 // instructions as work (the naive-SimPoint baseline of Section II; the
 // spin-filter ablation).
-func (c *Collector) DisableSyncFilter() { c.includeSync = true }
+func (c *Collector) DisableSyncFilter() {
+	c.includeSync = true
+	for g := range c.counted {
+		c.counted[g] = true
+	}
+}
 
 // SliceOnICount switches slicing to raw global instruction counts (the
 // naive SimPoint baseline): a region closes as soon as the unfiltered
@@ -264,17 +273,16 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 		panic("bbv: sliceTarget must be positive")
 	}
 	mk := make(map[uint64]bool, len(markerAddrs))
-	isMarker := make([]bool, p.NumBlocks())
 	for _, a := range markerAddrs {
 		mk[a] = true
-		if blk, ok := p.BlockByAddr(a); ok {
-			isMarker[blk.Global] = true
-		}
 	}
+	nb := p.NumBlocks()
 	c := &Collector{
 		prog:        p,
 		markers:     mk,
-		isMarker:    isMarker,
+		plain:       make([]bool, nb),
+		counted:     make([]bool, nb),
+		pass:        make([]uint64, nb),
 		sliceTarget: sliceTarget,
 		nthreads:    p.NumThreads(),
 		profile: &Profile{
@@ -283,13 +291,15 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 			MarkerCounts: make(map[uint64]uint64),
 		},
 		markerCounts: make(map[uint64]uint64),
-		acc:          make([][]float64, p.NumThreads()),
+		acc:          make([]float64, p.NumThreads()*nb),
 		touched:      make([][]int, p.NumThreads()),
 	}
-	c.cur = c.newRegion(Marker{}, 0)
-	for t := range c.acc {
-		c.acc[t] = make([]float64, p.NumBlocks())
+	for g, blk := range p.Blocks() {
+		c.plain[g] = !mk[blk.Addr]
+		c.counted[g] = !blk.Routine.Image.Sync
+		c.pass[g] = uint64(len(blk.Instrs))
 	}
+	c.cur = c.newRegion(Marker{}, 0)
 	return c
 }
 
@@ -330,34 +340,37 @@ func (c *Collector) markerEntry(addr uint64) {
 	}
 }
 
-// account attributes n > 0 instructions of a block event to the current
-// region, applying the synchronization filter. Counts are added as a
+// account attributes n > 0 instructions of block g retired by thread tid
+// to the current region, applying the synchronization filter; flush adds
+// them to the region's vector and filtered counts. Counts are added as a
 // single float64 — exact (and identical to n unit additions, in the
 // accumulator or the map, in any order) for any region size below 2^53
 // instructions.
-func (c *Collector) account(ev *exec.BlockEvent, n uint64) {
-	blk := ev.Block
-	if blk.Routine.Image.Sync && !c.includeSync {
+func (c *Collector) account(tid, g int, n uint64) {
+	if !c.counted[g] {
 		return
 	}
 	c.filtered += n
-	c.cur.Filtered += n
-	c.cur.ThreadFiltered[ev.Tid] += n
-	acc, g := c.acc[ev.Tid], blk.Global
-	if acc[g] == 0 {
-		c.touched[ev.Tid] = append(c.touched[ev.Tid], g)
+	k := tid*len(c.pass) + g
+	if c.acc[k] == 0 {
+		c.touched[tid] = append(c.touched[tid], g)
 	}
-	acc[g] += float64(n)
+	c.acc[k] += float64(n)
 }
 
-// flush folds the accumulators into the open region's vectors.
+// flush folds the accumulators into the open region's vectors and its
+// filtered counts.
 func (c *Collector) flush() {
 	for t, touched := range c.touched {
-		acc, v := c.acc[t], c.cur.Vectors[t]
+		acc, v := c.acc[t*len(c.pass):], c.cur.Vectors[t]
+		var n float64
 		for _, g := range touched {
 			v[g] += acc[g]
+			n += acc[g]
 			acc[g] = 0
 		}
+		c.cur.ThreadFiltered[t] += uint64(n)
+		c.cur.Filtered += uint64(n)
 		c.touched[t] = touched[:0]
 	}
 }
@@ -377,17 +390,18 @@ func (c *Collector) OnBlock(ev *exec.BlockEvent) {
 		c.onBlockByICount(ev)
 		return
 	}
-	blk := ev.Block
-	if ev.Entries == 0 || !c.isMarker[blk.Global] {
+	tid, blk := ev.Tid, ev.Block
+	g := blk.Global
+	if ev.Entries == 0 || c.plain[g] {
 		c.icount += ev.Instrs
-		c.account(ev, ev.Instrs)
+		c.account(tid, g, ev.Instrs)
 		return
 	}
-	pass, n := uint64(len(blk.Instrs)), ev.Instrs
+	pass, n := c.pass[g], ev.Instrs
 	if ev.FirstIdx > 0 {
 		lead := pass - uint64(ev.FirstIdx)
 		c.icount += lead
-		c.account(ev, lead)
+		c.account(tid, g, lead)
 		n -= lead
 	}
 	for e := ev.Entries; e > 0; e-- {
@@ -395,8 +409,40 @@ func (c *Collector) OnBlock(ev *exec.BlockEvent) {
 		c.icount++
 		c.markerEntry(blk.Addr)
 		c.icount += k - 1
-		c.account(ev, k)
+		c.account(tid, g, k)
 		n -= k
+	}
+}
+
+// ReadLog feeds the collector a recording's block log. A common record of
+// a block that is no marker is accounted here; every other record, and
+// every record when slicing on instruction counts, goes to OnBlock.
+func (c *Collector) ReadLog(l *exec.BlockLog) {
+	if c.finished {
+		return
+	}
+	take := c.plain
+	if c.byICount {
+		take = make([]bool, len(c.plain))
+	}
+	r := l.Reader()
+	for {
+		rec, tid := r.Records()
+		icount := c.icount
+		for {
+			g, rest, ok := exec.CommonRecord(rec, take)
+			if !ok {
+				break
+			}
+			rec = rest
+			icount += c.pass[g]
+			c.account(tid, g, c.pass[g])
+		}
+		c.icount = icount
+		if !r.Next(rec) {
+			return
+		}
+		c.OnBlock(r.Event())
 	}
 }
 
@@ -405,22 +451,22 @@ func (c *Collector) OnBlock(ev *exec.BlockEvent) {
 // the slice target closes the region and is itself accounted to the new
 // region (exactly as OnInstr orders close-then-account).
 func (c *Collector) onBlockByICount(ev *exec.BlockEvent) {
-	n := ev.Instrs
+	tid, g, n := ev.Tid, ev.Block.Global, ev.Instrs
 	for n > 0 {
 		untilClose := c.cur.StartICount + c.sliceTarget - c.icount
 		if untilClose > n {
 			c.icount += n
-			c.account(ev, n)
+			c.account(tid, g, n)
 			return
 		}
 		if pre := untilClose - 1; pre > 0 {
 			c.icount += pre
-			c.account(ev, pre)
+			c.account(tid, g, pre)
 			n -= pre
 		}
 		c.icount++
 		c.closeRegion(Marker{Count: c.icount})
-		c.account(ev, 1)
+		c.account(tid, g, 1)
 		n--
 	}
 }
@@ -442,6 +488,7 @@ func (c *Collector) Finish() *Profile {
 		return c.profile
 	}
 	c.finished = true
+	c.flush()
 	if c.cur.Filtered > 0 || len(c.profile.Regions) == 0 {
 		c.closeRegion(Marker{IsEnd: true})
 	}

@@ -18,8 +18,8 @@ import (
 
 // TestCollectorFeedsAgree is the collector's differential test over every
 // registered workload at test input under both wait policies: collectors
-// fed by a live, coalesced Replay of a recording, by the recording's
-// BlockLog, and one instruction at a time, into OnBlock and into the
+// fed by a live, coalesced Replay of a recording, reading the recording's
+// BlockLog (ReadLog), and one instruction at a time, into OnBlock and into the
 // OnInstr oracle, must build DeepEqual profiles. It covers the main-image
 // loop headers as markers at fixed slices, with every header's modulus the
 // thread count, and at variable slices, and BarrierPoint's collector: the barrier release as the one
@@ -105,7 +105,9 @@ func feedsAgree(t *testing.T, spec workloads.Spec, policy omp.WaitPolicy, coales
 	if _, err := pb.Replay(p, observers(live)...); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	log.Play(observers(played)...)
+	for _, c := range played {
+		c.ReadLog(log)
+	}
 	stepReplay(t, p, pb, func(ev *exec.BlockEvent) {
 		for i, c := range oracle {
 			c.OnInstr(ev)
@@ -118,7 +120,7 @@ func feedsAgree(t *testing.T, spec workloads.Spec, policy omp.WaitPolicy, coales
 			t.Errorf("%s: the live replay's profile differs from the oracle's", cfg.name)
 		}
 		if got := played[i].Finish(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the played log's profile differs from the oracle's", cfg.name)
+			t.Errorf("%s: the read log's profile differs from the oracle's", cfg.name)
 		}
 		if got := single[i].Finish(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the profile of one-instruction events differs from the oracle's", cfg.name)

@@ -148,45 +148,46 @@ type Analysis struct {
 	Config  Config
 }
 
-// Analyze executes the program once: the recording run builds the DCFG
-// (the builder rides the recording machine on the block tier) and logs its
-// block events (exec.BlockLog); once the finished graph has named the loop
-// boundaries, the log is played into a single bbv.Collector, which gathers
-// sliced, spin-filtered vectors. With Config.ProgressDir set the pinball and
-// the log are published as the job's recovery point before the log is
-// played, and a restart that finds them executes nothing again: it plays the
-// saved log into a fresh builder and then into the collector (progress.go).
+// Analyze executes the program once: the recording run logs its block
+// events (exec.BlockLog), and the analysis reads that log twice — into the
+// DCFG builder, and, once the finished graph has named the loop
+// boundaries, into a single bbv.Collector, which gathers sliced,
+// spin-filtered vectors. With Config.ProgressDir set the pinball and the log
+// are published as the job's recovery point before the log is read, and a
+// restart that finds them executes nothing again: it decodes the saved log
+// (progress.go) and reads it the same way.
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
 	dp := openProgress(prog, &cfg)
-	if dp != nil {
-		if pass := dp.resume(prog, &cfg); pass != nil {
-			return pass.finish()
+	pb, log := dp.resume(prog)
+	if pb == nil {
+		var err error
+		if pb, log, err = recordLog(prog, &cfg, dp); err != nil {
+			return nil, err
 		}
 	}
-	log := exec.NewBlockLog(prog)
-	pass, err := recordPass(prog, &cfg, dp, log)
+	db := dcfg.NewBuilder(prog, prog.NumThreads())
+	db.ReadLog(log)
+	pass, err := newBBVPass(prog, &cfg, pb, db.Graph())
 	if err != nil {
 		return nil, err
 	}
-	log.Play(pass.col)
+	pass.col.ReadLog(log)
 	return pass.finish()
 }
 
-// recordPass records the whole-program pinball with the DCFG builder and
-// the block-event log riding the recording machine on the block tier,
-// publishes the pinball and the log as dp's recovery point (a nil dp saves
-// nothing) and returns the BBV pass the finished graph defines, its
-// collector not yet fed. The save sits here, ahead of every Play, so a kill
-// at any later point finds it on disk.
-func recordPass(prog *isa.Program, cfg *Config, dp *progressLog, log *exec.BlockLog) (*bbvPass, error) {
-	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	pb, err := Record(prog, cfg, log, db)
+// recordLog records the whole-program pinball with the block-event log
+// riding the recording machine and publishes both as dp's recovery point
+// (a nil dp saves nothing). The save sits ahead of every read of the log,
+// so a kill at any later point finds it on disk.
+func recordLog(prog *isa.Program, cfg *Config, dp *progressLog) (*pinball.Pinball, *exec.BlockLog, error) {
+	log := exec.NewBlockLog(prog)
+	pb, err := Record(prog, cfg, log)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
+		return nil, nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
 	dp.save(pb, log)
-	return newBBVPass(prog, cfg, pb, db.Graph())
+	return pb, log, nil
 }
 
 // Record is the recording rule every analysis shares: it fills cfg's

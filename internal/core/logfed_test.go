@@ -112,8 +112,15 @@ func logFedAgrees(t *testing.T, p *isa.Program) int {
 			fed, read := logFedPass(t, p, &vcfg, pb, want), logFedPass(t, p, &vcfg, pb, got)
 			v.col(fed.col)
 			v.col(read.col)
-			l.log.Play(fed.col)
-			readProfile(read.col, l.log)
+			r := l.log.Reader()
+			for {
+				rec, _ := r.Records()
+				if !r.Next(rec) {
+					break
+				}
+				fed.col.OnBlock(r.Event())
+			}
+			read.col.ReadLog(l.log)
 			if w, g := fed.col.Finish(), read.col.Finish(); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s log, %s: the log-fed profile differs from the OnBlock-fed one (%d vs %d regions, totals %d/%d vs %d/%d)",
 					l.name, v.name, len(g.Regions), len(w.Regions), g.TotalFiltered, g.TotalICount, w.TotalFiltered, w.TotalICount)
@@ -129,12 +136,9 @@ func logFedAgrees(t *testing.T, p *isa.Program) int {
 // logGraph builds the DCFG from a block log.
 func logGraph(p *isa.Program, log *exec.BlockLog) *dcfg.Graph {
 	db := dcfg.NewBuilder(p, p.NumThreads())
-	log.Play(db)
+	db.ReadLog(log)
 	return db.Graph()
 }
-
-// readProfile feeds col the whole log.
-func readProfile(col *bbv.Collector, log *exec.BlockLog) { log.Play(col) }
 
 // logFedPass is newBBVPass for a test that must configure the collector
 // further before feeding it.

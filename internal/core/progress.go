@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/dcfg"
 	"looppoint/internal/exec"
 	"looppoint/internal/faults"
 	"looppoint/internal/isa"
@@ -17,7 +16,7 @@ import (
 
 // Durable analysis progress (crash-only workers): one recovery point, two
 // files. With Config.ProgressDir set, Analyze publishes the recording run's
-// two products the moment it ends, before its block-event log is played:
+// two products the moment it ends, before its block-event log is read:
 // the pinball in its own checksummed envelope (<key>.pinball) and then the
 // log itself (<key>.log, exec.BlockLog.AppendBinary: the records and an
 // FNV-1a trailer). Both are named by the analysis's content address
@@ -27,9 +26,9 @@ import (
 // so a worker SIGKILLed after the recording resumes from the pair without
 // executing the program again: the restart loads both, checks the log
 // against the program and the pinball's schedule (exec.DecodeBlockLog), and
-// plays it into a fresh dcfg.Builder and then into a collector configured
-// from that graph — the OnBlock calls a cold run makes. The resumed profile
-// is byte-identical to an uninterrupted run's (the analysis identity matrix
+// Analyze reads it as a cold run reads its own: into a fresh dcfg.Builder,
+// then into a collector configured from that graph. The resumed profile is
+// byte-identical to an uninterrupted run's (the analysis identity matrix
 // and the kill drills).
 //
 // Recovery ladder (never wedges a job):
@@ -177,34 +176,37 @@ func progressFault(site string, b []byte) error {
 	return nil
 }
 
-// resume walks the ladder's top rung and returns the BBV pass it fed, or
-// nil when the job must record: silently when no file exists (a cold job),
-// otherwise after counting a ladder fall and deleting the blamed file if
-// its bytes were proven bad — one that merely failed to read (injected
-// Transient, I/O trouble) is left in place.
-func (dp *progressLog) resume(prog *isa.Program, cfg *Config) *bbvPass {
+// resume walks the ladder's top rung and returns the saved recording and
+// its log, or nils when the job must record: silently when no file exists
+// (a cold job), otherwise after counting a ladder fall and deleting the
+// blamed file if its bytes were proven bad — one that merely failed to
+// read (injected Transient, I/O trouble) is left in place. A nil dp has
+// nothing to resume.
+func (dp *progressLog) resume(prog *isa.Program) (*pinball.Pinball, *exec.BlockLog) {
+	if dp == nil {
+		return nil, nil
+	}
 	_, pbErr := os.Stat(dp.pinballPath())
 	_, logErr := os.Stat(dp.logPath())
 	if errors.Is(pbErr, os.ErrNotExist) && errors.Is(logErr, os.ErrNotExist) {
-		return nil
+		return nil, nil
 	}
-	pass, blamed, err := dp.restore(prog, cfg)
+	pb, log, blamed, err := dp.restore(prog)
 	if err == nil {
-		dp.ps.countRecovery(pass.a.Pinball.Schedule.Steps())
-		return pass
+		dp.ps.countRecovery(pb.Schedule.Steps())
+		return pb, log
 	}
 	dp.ps.countLadderFall()
 	if errors.Is(err, artifact.ErrCorrupt) || errors.Is(err, artifact.ErrTruncated) || errors.Is(err, artifact.ErrVersion) {
 		_ = os.Remove(blamed) // best-effort: the re-record republishes it anyway
 	}
-	return nil
+	return nil, nil
 }
 
-// restore loads the saved pair, checks the log against the program and the
-// pinball's schedule, and plays it into a fresh DCFG builder and then into
-// the collector that graph configures. On failure it names the file at
-// fault; validation failures wrap artifact.ErrCorrupt.
-func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string, error) {
+// restore loads the saved pair and checks the log against the program and
+// the pinball's schedule. On failure it names the file at fault;
+// validation failures wrap artifact.ErrCorrupt.
+func (dp *progressLog) restore(prog *isa.Program) (*pinball.Pinball, *exec.BlockLog, string, error) {
 	read := func(path string) ([]byte, error) {
 		data, err := os.ReadFile(path)
 		if err == nil {
@@ -215,35 +217,26 @@ func (dp *progressLog) restore(prog *isa.Program, cfg *Config) (*bbvPass, string
 	blamed := dp.pinballPath()
 	data, err := read(blamed)
 	if err != nil {
-		return nil, blamed, err
+		return nil, nil, blamed, err
 	}
 	pb, err := pinball.Decode(data)
 	if err != nil {
-		return nil, blamed, err
+		return nil, nil, blamed, err
 	}
 	if pb.Name != prog.Name || pb.NumThreads != prog.NumThreads() {
-		return nil, blamed, fmt.Errorf("core: progress file %s records %s on %d threads: %w", blamed, pb.Name, pb.NumThreads, artifact.ErrCorrupt)
+		return nil, nil, blamed, fmt.Errorf("core: progress file %s records %s on %d threads: %w", blamed, pb.Name, pb.NumThreads, artifact.ErrCorrupt)
 	}
 	if err := pb.Verify(); err != nil {
-		return nil, blamed, err
+		return nil, nil, blamed, err
 	}
 
 	blamed = dp.logPath()
 	if data, err = read(blamed); err != nil {
-		return nil, blamed, err
+		return nil, nil, blamed, err
 	}
 	log, err := exec.DecodeBlockLog(prog, pb.Schedule, data)
 	if err != nil {
-		return nil, blamed, err
+		return nil, nil, blamed, err
 	}
-	// The builder rode the recording beside the log, so the log played
-	// into it is the stream it saw.
-	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	log.Play(db)
-	pass, err := newBBVPass(prog, cfg, pb, db.Graph())
-	if err != nil {
-		return nil, blamed, fmt.Errorf("core: progress file %s: %v: %w", blamed, err, artifact.ErrCorrupt)
-	}
-	log.Play(pass.col)
-	return pass, "", nil
+	return pb, log, "", nil
 }

@@ -66,7 +66,7 @@ func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) {
 // kill can differ. Killed at the save site before anything is durable, or
 // between the two writes (the pinball is on disk, its commit record — the
 // log — is not), the restart records again. Killed once the pair is
-// published — recordPass has returned, nothing of the BBV pass has run —
+// published — recordLog has returned, nothing has read the log —
 // the restart records nothing again and reports the recording's whole schedule
 // as steps saved. Every restart is byte-identical to the per-instruction
 // reference.
@@ -113,16 +113,16 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	restart(cfg, "kill between the two writes", 0, 1)
 
 	// The kill after the pair is published: the worker dies holding the
-	// pass recordPass returned, its collector never fed.
+	// log recordLog returned, never read.
 	cfg = durableConfig(t.TempDir())
 	cfg.fill()
-	if _, err := recordPass(p, &cfg, openProgress(p, &cfg), exec.NewBlockLog(p)); err != nil {
+	if _, _, err := recordLog(p, &cfg, openProgress(p, &cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if saves, fails, _, _, _ := cfg.Progress.Snapshot(); saves != 1 || fails != 0 {
 		t.Fatalf("saves=%d save_failures=%d once the recording has ended; a kill in the BBV pass must find the pair on disk", saves, fails)
 	}
-	restart(cfg, "kill before the log is played", 1, 0)
+	restart(cfg, "kill before the log is read", 1, 0)
 }
 
 // TestAnalyzeDurableCorruptLadderFalls is the corruption matrix over the
@@ -293,7 +293,14 @@ func resealLog(t *testing.T, p *isa.Program, pbPath, logPath string, edit func([
 		t.Fatal(err)
 	}
 	var evs []exec.BlockEvent
-	log.Play(exec.BlockObserverFunc(func(ev *exec.BlockEvent) { evs = append(evs, *ev) }))
+	r := log.Reader()
+	for {
+		rec, _ := r.Records()
+		if !r.Next(rec) {
+			break
+		}
+		evs = append(evs, *r.Event())
+	}
 	evs = edit(evs)
 	resealed := exec.NewBlockLog(p)
 	for i := range evs {

@@ -258,7 +258,7 @@ func TestGraphStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored := NewBuilder(w.prog, w.prog.NumThreads())
-			saved.Play(restored)
+			restored.ReadLog(saved)
 			if !reflect.DeepEqual(restored.Graph(), db.Graph()) {
 				t.Fatal("graph rebuilt from the saved log differs from the one built on the recording")
 			}

@@ -8,6 +8,7 @@ package dcfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"looppoint/internal/exec"
@@ -82,27 +83,106 @@ type Graph struct {
 	edges map[[2]int]*Edge
 }
 
-// Builder constructs a Graph while a program runs. It observes on the
-// block tier (OnBlock) — cheap enough to ride the recording run itself,
-// which is where core.Analyze attaches it. Its tests hold it to a
+// Builder constructs a Graph from a run's block events: the events of a
+// recording's block log (ReadLog, where core.Analyze builds its graph), or
+// events handed to OnBlock one at a time. Its tests hold it to a
 // per-instruction reference, OnInstr, fed one instruction at a time.
+//
+// Its state is dense, indexed by Block.Global, and Graph turns it into
+// nodes and edge lists once the run is over.
 type Builder struct {
-	g   *Graph
-	cur []*Node   // the node each thread is in, nil right after a call
-	stk [][]*Node // per-thread call-site stacks
-	// nodes indexes the graph's nodes by Block.Global: the block tier's
-	// hot-path lookup. Graph.Nodes stays the sparse public view; both
-	// tiers create nodes through it, so they can share one builder.
-	nodes []*Node
+	prog    *isa.Program
+	blocks  []*isa.Block // by Global
+	nb      int          // the program's blocks
+	routine []int32      // by Global: the block's routine, a dense id
+	// plain marks the blocks that contain no call and do not end in a
+	// return: a whole pass of one is an entry and nothing else.
+	plain  []bool
+	texecs []uint64 // by tid*nb + Global: entries per thread
+	// The edges, indexed by from*nb + to (17 KB at the 44 blocks of the
+	// largest registered workload): traversals, and the kind the first one
+	// fixed (EdgeBranch is the zero kind). order lists the traversed ones
+	// in first-traversal order.
+	count []uint64
+	kind  []EdgeKind
+	order []int32
+	// Per thread: the block it is in (-1 before its first entry and right
+	// after a call), and its call-site blocks.
+	cur []int32
+	stk [][]int32
+	g   *Graph // built by Graph
 }
 
 // NewBuilder creates a DCFG builder for a machine with nthreads threads.
 func NewBuilder(p *isa.Program, nthreads int) *Builder {
-	return &Builder{
-		g:     &Graph{Prog: p, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge)},
-		cur:   make([]*Node, nthreads),
-		stk:   make([][]*Node, nthreads),
-		nodes: make([]*Node, p.NumBlocks()),
+	nb := p.NumBlocks()
+	b := &Builder{
+		prog:    p,
+		blocks:  p.Blocks(),
+		nb:      nb,
+		routine: make([]int32, nb),
+		plain:   make([]bool, nb),
+		texecs:  make([]uint64, p.NumThreads()*nb),
+		count:   make([]uint64, nb*nb),
+		kind:    make([]EdgeKind, nb*nb),
+		cur:     make([]int32, nthreads),
+		stk:     make([][]int32, nthreads),
+	}
+	ids := map[*isa.Routine]int32{}
+	for g, blk := range b.blocks {
+		id, ok := ids[blk.Routine]
+		if !ok {
+			id = int32(len(ids))
+			ids[blk.Routine] = id
+		}
+		b.routine[g] = id
+		b.plain[g] = blk.Instrs[len(blk.Instrs)-1].Op != isa.OpRet &&
+			!slices.ContainsFunc(blk.Instrs, func(in isa.Instr) bool { return in.Op == isa.OpCall })
+	}
+	for tid := range b.cur {
+		b.cur[tid] = -1
+	}
+	return b
+}
+
+// ReadLog builds the graph from a recording's block log. A common record
+// of a plain block is its entry, taken here; every other record goes to
+// OnBlock.
+func (b *Builder) ReadLog(l *exec.BlockLog) {
+	r := l.Reader()
+	for {
+		rec, tid := r.Records()
+		cur := b.cur[tid]
+		for {
+			g, rest, ok := exec.CommonRecord(rec, b.plain)
+			if !ok {
+				break
+			}
+			rec = rest
+			b.enter(tid, cur, int32(g), 1)
+			cur = int32(g)
+		}
+		b.cur[tid] = cur
+		if !r.Next(rec) {
+			return
+		}
+		b.OnBlock(r.Event())
+	}
+}
+
+// enter is the per-event step: thread tid, in block prev (-1: none),
+// enters block g entries times, the first over a branch edge from prev
+// when both are of one routine, the rest through g's self-loop, which the
+// caller counts. The caller moves the thread's cursor to g.
+func (b *Builder) enter(tid int, prev, g int32, entries uint64) {
+	b.texecs[tid*b.nb+int(g)] += entries
+	if prev >= 0 && b.routine[prev] == b.routine[g] {
+		// addEdge(prev, g, EdgeBranch, 1), spelt out so that enter inlines.
+		k := int(prev)*b.nb + int(g)
+		if b.count[k] == 0 {
+			b.order = append(b.order, int32(k))
+		}
+		b.count[k]++
 	}
 }
 
@@ -115,31 +195,25 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 // so it can only be the event's last retired instruction.
 func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	tid, blk := ev.Tid, ev.Block
+	g := int32(blk.Global)
 	// An event that enters nothing resumes the block the thread is in
 	// (after a budget split, a futex wake, or a return to the call
 	// site), so the cursor is already its node — the builder, like
 	// OnInstr, must watch a thread from a block entry on. An event that
 	// resumes a thread it is not watching (no run has one; a saved log
 	// decoded on a resume may) adds nothing.
-	n := b.cur[tid]
-	if ev.Entries == 0 && n == nil {
+	if ev.Entries == 0 && b.cur[tid] < 0 {
 		return
 	}
 	if ev.Entries > 0 {
-		prev := n
-		if n = b.nodes[blk.Global]; n == nil {
-			n = b.g.node(blk)
-			b.nodes[blk.Global] = n
-		}
-		n.Execs += ev.Entries
-		n.ThreadExecs[tid] += ev.Entries
-		if prev != nil && prev.Block.Routine == blk.Routine {
-			b.addEdge(prev, blk, EdgeBranch, 1)
-		}
+		b.enter(tid, b.cur[tid], g, ev.Entries)
+		b.cur[tid] = g
 		if ev.Entries > 1 {
-			b.addEdge(n, blk, EdgeBranch, ev.Entries-1)
+			b.addEdge(g, g, EdgeBranch, ev.Entries-1)
 		}
-		b.cur[tid] = n
+	}
+	if b.plain[g] {
+		return
 	}
 	// The event's last retired instruction; the index wraps when the
 	// event coalesced further passes.
@@ -147,12 +221,12 @@ func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 	if li >= len(blk.Instrs) {
 		li %= len(blk.Instrs)
 	}
-	last := &blk.Instrs[li]
-	switch last.Op {
+	n := b.cur[tid]
+	switch last := &blk.Instrs[li]; last.Op {
 	case isa.OpCall:
-		b.addEdge(n, last.Callee.Blocks[0], EdgeCall, 1)
+		b.addEdge(n, int32(last.Callee.Blocks[0].Global), EdgeCall, 1)
 		b.stk[tid] = append(b.stk[tid], n)
-		b.cur[tid] = nil
+		b.cur[tid] = -1
 	case isa.OpRet:
 		k := len(b.stk[tid])
 		if k == 0 {
@@ -160,48 +234,64 @@ func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 		}
 		caller := b.stk[tid][k-1]
 		b.stk[tid] = b.stk[tid][:k-1]
-		b.addEdge(n, caller.Block, EdgeReturn, 1)
+		b.addEdge(n, caller, EdgeReturn, 1)
 		b.cur[tid] = caller
 	}
 }
 
-// addEdge is Graph.addEdge behind a scan of the source's short out-list:
-// a known edge is found without hashing the pair.
-func (b *Builder) addEdge(from *Node, to *isa.Block, kind EdgeKind, count uint64) {
-	for _, e := range from.Out {
-		if e.To == to.Global {
-			e.Count += count
-			return
+// addEdge records count traversals of the (from, to) edge. The first
+// traversal fixes the edge's Kind and its place in first-traversal order.
+func (b *Builder) addEdge(from, to int32, kind EdgeKind, count uint64) {
+	k := int(from)*b.nb + int(to)
+	if b.count[k] == 0 {
+		b.order = append(b.order, int32(k))
+		b.kind[k] = kind
+	}
+	b.count[k] += count
+}
+
+// Graph returns the constructed graph: a node for every block entered or
+// at either end of an edge, and each node's Out and In edges in
+// first-traversal order. It is built on the first call, once the run is
+// over; events handed to the builder later do not reach it.
+func (b *Builder) Graph() *Graph {
+	if b.g != nil {
+		return b.g
+	}
+	nt := b.prog.NumThreads()
+	g := &Graph{Prog: b.prog, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge, len(b.order))}
+	node := func(gl int) *Node {
+		n, ok := g.Nodes[gl]
+		if !ok {
+			n = &Node{Block: b.blocks[gl], ThreadExecs: make([]uint64, nt)}
+			for tid := range n.ThreadExecs {
+				n.ThreadExecs[tid] = b.texecs[tid*b.nb+gl]
+				n.Execs += n.ThreadExecs[tid]
+			}
+			g.Nodes[gl] = n
+		}
+		return n
+	}
+	for gl := range b.blocks {
+		for tid := range nt {
+			if b.texecs[tid*b.nb+gl] > 0 {
+				node(gl)
+				break
+			}
 		}
 	}
-	b.g.addEdge(from.Block, to, kind, count)
-}
-
-// Graph returns the constructed graph.
-func (b *Builder) Graph() *Graph { return b.g }
-
-func (g *Graph) node(blk *isa.Block) *Node {
-	n, ok := g.Nodes[blk.Global]
-	if !ok {
-		n = &Node{Block: blk, ThreadExecs: make([]uint64, g.Prog.NumThreads())}
-		g.Nodes[blk.Global] = n
+	edges := make([]Edge, len(b.order))
+	for i, k := range b.order {
+		e := &edges[i]
+		*e = Edge{From: int(k) / b.nb, To: int(k) % b.nb, Kind: b.kind[k], Count: b.count[k]}
+		g.edges[[2]int{e.From, e.To}] = e
+		from := node(e.From)
+		from.Out = append(from.Out, e)
+		to := node(e.To)
+		to.In = append(to.In, e)
 	}
-	return n
-}
-
-// addEdge records count traversals of the (from, to) edge. The first
-// traversal fixes the edge's Kind and its position in the endpoint
-// nodes' Out/In order.
-func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind, count uint64) {
-	key := [2]int{from.Global, to.Global}
-	e, ok := g.edges[key]
-	if !ok {
-		e = &Edge{From: from.Global, To: to.Global, Kind: kind}
-		g.edges[key] = e
-		g.node(from).Out = append(g.node(from).Out, e)
-		g.node(to).In = append(g.node(to).In, e)
-	}
-	e.Count += count
+	b.g = g
+	return g
 }
 
 // Edges returns all edges sorted by (From, To) for stable iteration.

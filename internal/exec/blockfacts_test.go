@@ -165,3 +165,20 @@ func TestBlockLogTraffic(t *testing.T) {
 	t.Logf("%d events, %d instructions: %d bytes in %d chunks (%.3f B/instr, %.2f B/event), %d allocations",
 		events, instrs, size, chunks, float64(size)/float64(instrs), float64(size)/float64(events), allocs)
 }
+
+// Play hands the logged stream to the observers, one OnBlock call per
+// record per observer, through the log's reader: the per-event feed the
+// tests compare the analysis's log readers and a replay's stream with.
+func (l *BlockLog) Play(obs ...BlockObserver) {
+	r := l.Reader()
+	for {
+		rec, _ := r.Records()
+		if !r.Next(rec) {
+			return
+		}
+		ev := r.Event()
+		for _, o := range obs {
+			o.OnBlock(ev)
+		}
+	}
+}

@@ -25,8 +25,7 @@ type blockLogChunk struct {
 
 // BlockLog is a BlockObserver that keeps a run's block-event stream — Tid,
 // Block, FirstIdx, Entries and Instrs of each event; not Blocked or Woken —
-// so that an observer that could not ride the run (its markers come from
-// the run's own outcome) can be fed the stream afterwards, by Play, without
+// so that the analysis can read the stream afterwards (Reader) without
 // executing the program again — in the same process, or in another one
 // through the saved form AppendBinary writes and DecodeBlockLog reads.
 //
@@ -75,35 +74,91 @@ func (l *BlockLog) grow() *blockLogChunk {
 	return c
 }
 
-// Play re-emits the logged stream to the observers, one OnBlock call per
-// record per observer; the log keeps it, so one log can be played more than
-// once. Instructions, their order and the entries are the logged run's; as
-// between any two block-tier runs of one execution, only where a pass is
-// cut into events may differ from a replay's stream.
-func (l *BlockLog) Play(obs ...BlockObserver) {
-	blocks := l.prog.Blocks() // by Block.Global
-	var ev BlockEvent
-	for c := l.head; c != nil; c = c.next {
-		rec := c.buf[:c.n]
-		next := func() uint64 {
-			v, n := binary.Uvarint(rec)
-			rec = rec[n:]
-			return v
-		}
-		for len(rec) > 0 {
-			g := next()
-			ev.Block = blocks[g>>1]
-			ev.FirstIdx, ev.Entries, ev.Instrs = 0, 1, uint64(len(ev.Block.Instrs))
-			if g&1 != 0 {
-				ev.Tid = int(next())
-				ev.FirstIdx, ev.Entries, ev.Instrs = int(next()), next(), next()
+// BlockLogReader walks a log's records in order. A consumer takes the
+// common records at the front of Records itself, with CommonRecord, whose
+// step inlines, and hands the rest back to Next, which reads the record
+// after them as a full block event.
+type BlockLogReader struct {
+	rec    []byte         // the current chunk's records not yet read
+	next   *blockLogChunk // the chunk after it
+	blocks []*isa.Block   // by Block.Global
+	ev     BlockEvent     // the record Next read; its Tid is the current thread
+}
+
+// Reader returns a reader at the log's first record. The log keeps its
+// records, so it can be read more than once.
+func (l *BlockLog) Reader() BlockLogReader {
+	return BlockLogReader{next: l.head, blocks: l.prog.Blocks()}
+}
+
+// Records returns the current chunk's records after the last one Next
+// read, and the thread a common record among them continues.
+func (r *BlockLogReader) Records() (rec []byte, tid int) { return r.rec, r.ev.Tid }
+
+// CommonRecord decodes the record at the front of rec if it is a common one
+// — the current thread's one whole pass of block g, at whatever uvarint
+// length — and take[g] is set; it returns g and the records after it.
+// Otherwise ok is false, and the record is Next's.
+func CommonRecord(rec []byte, take []bool) (g int, rest []byte, ok bool) {
+	var v uint64
+	for i, b := range rec {
+		// & 63 spares the shift its overflow check: a uvarint is at most
+		// ten bytes.
+		v |= uint64(b&0x7f) << (7 * uint(i) & 63)
+		if b < 0x80 {
+			if v&1 != 0 || !take[v>>1] {
+				break
 			}
-			for _, o := range obs {
-				o.OnBlock(&ev)
-			}
+			return int(v >> 1), rec[i+1:], true
 		}
 	}
+	return 0, rec, false
 }
+
+// Next reads the record at the front of rest, the tail of Records the
+// consumer did not take — or the next chunk's first, when rest is empty —
+// as the block event Event returns, and reports false at the log's end.
+func (r *BlockLogReader) Next(rest []byte) bool {
+	for len(rest) == 0 {
+		if r.next == nil {
+			return false
+		}
+		rest, r.next = r.next.buf[:r.next.n], r.next.next
+	}
+	v, rest := uvarint(rest)
+	ev := &r.ev
+	ev.Block = r.blocks[v>>1]
+	ev.FirstIdx, ev.Entries, ev.Instrs = 0, 1, uint64(len(ev.Block.Instrs))
+	if v&1 != 0 {
+		var tid, first uint64
+		tid, rest = uvarint(rest)
+		first, rest = uvarint(rest)
+		ev.Entries, rest = uvarint(rest)
+		ev.Instrs, rest = uvarint(rest)
+		ev.Tid, ev.FirstIdx = int(tid), int(first)
+	}
+	r.rec = rest
+	return true
+}
+
+// uvarint decodes the value at the front of rec, which holds whole
+// records, and returns the bytes after it.
+func uvarint(rec []byte) (v uint64, rest []byte) {
+	if b := rec[0]; b < 0x80 {
+		return uint64(b), rec[1:]
+	}
+	for i, b := range rec {
+		v |= uint64(b&0x7f) << (7 * uint(i) & 63)
+		if b < 0x80 {
+			return v, rec[i+1:]
+		}
+	}
+	return v, nil
+}
+
+// Event returns the record Next read. It is the reader's: valid until the
+// next call to Next.
+func (r *BlockLogReader) Event() *BlockEvent { return &r.ev }
 
 // AppendBinary appends the log's saved form to dst: its records, chunk
 // after chunk, then the little-endian FNV-1a checksum of those bytes. The
@@ -125,10 +180,10 @@ func (l *BlockLog) AppendBinary(dst []byte) []byte {
 // DecodeBlockLog reads a log saved by AppendBinary for a recording of p
 // under sched. Bytes that end early, inside the trailer or a record, are
 // artifact.ErrTruncated. A checksum mismatch is artifact.ErrCorrupt, and so
-// is any record Play could not re-emit as one event of a run of p (a block,
-// thread or first index outside the program, or counts no event has), and
-// a log whose per-thread instruction runs, merged, are not sched: the log
-// of another recording.
+// is any record a reader could not hand over as one event of a run of p (a
+// block, thread or first index outside the program, or counts no event
+// has), and a log whose per-thread instruction runs, merged, are not sched:
+// the log of another recording.
 func DecodeBlockLog(p *isa.Program, sched Schedule, data []byte) (*BlockLog, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("exec: block log: %w at byte offset %d", artifact.ErrTruncated, len(data))

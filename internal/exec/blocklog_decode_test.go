@@ -177,14 +177,14 @@ func FuzzDecodeBlockLog(f *testing.F) {
 			return
 		}
 		db := dcfg.NewBuilder(p, p.NumThreads())
-		log.Play(db)
+		db.ReadLog(log)
 		g := db.Graph()
 		var markers []uint64
 		for _, h := range g.StableMarkers(g.FindLoops(), 64) {
 			markers = append(markers, h.Addr)
 		}
 		col := bbv.NewCollector(p, markers, 1000)
-		log.Play(col)
+		col.ReadLog(log)
 		col.Finish()
 		if _, err := exec.DecodeBlockLog(p, sched, log.AppendBinary(nil)); err != nil {
 			t.Fatalf("an accepted log saves to bytes that do not decode: %v", err)

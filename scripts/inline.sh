@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The inlining gate (make inline): builds the timing loop's packages with
-# -gcflags=-m and fails unless every function scripts/inline_required.txt
-# names is reported "can inline". The loop's speed rests on these calls
-# being inlined (a call spills the loop's live state), and an edit that
-# takes one over the inliner's budget changes no result, so only this gate
-# sees it. Needs only the Go toolchain; the go build cache replays the
+# The inlining gate (make inline): builds the timing loop's packages and
+# the analysis's block-log readers with -gcflags=-m and fails unless every
+# function scripts/inline_required.txt names is reported "can inline". The
+# loops' speed rests on these calls being inlined (a call spills the loop's
+# live state), and an edit that takes one over the inliner's budget changes
+# no result, so only this gate sees it. Needs only the Go toolchain; the go build cache replays the
 # compiler's report, so a warm run takes seconds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,7 +14,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # "internal/timing/cache.go:136:6: can inline (*Cache).repeat" -> timing.(*Cache).repeat
-go build -gcflags=-m ./internal/exec ./internal/timing 2>&1 |
+go build -gcflags=-m ./internal/exec ./internal/timing ./internal/dcfg ./internal/bbv 2>&1 |
 	sed -nE 's|^internal/([a-z]+)/[^:]+:[0-9]+:[0-9]+: can inline ([^ ]+).*$|\1.\2|p' |
 	sort -u > "$out/inlinable"
 awk -F'\t' '!/^#/ && NF { print $1 }' "$required" | sort -u > "$out/required"
