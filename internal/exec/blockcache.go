@@ -112,25 +112,6 @@ passes:
 			case isa.OpFStore:
 				a := m.Addr(t, in)
 				m.Mem[a] = math.Float64bits(t.F[in.B])
-			case isa.OpAtomicAdd:
-				a := m.Addr(t, in)
-				old := int64(m.Mem[a])
-				m.Mem[a] = uint64(old + t.R[in.B])
-				t.R[in.Dst] = old
-			case isa.OpCmpXchg:
-				a := m.Addr(t, in)
-				if int64(m.Mem[a]) == t.R[in.B] {
-					m.Mem[a] = uint64(t.R[in.Dst])
-					t.R[in.Dst] = 1
-				} else {
-					t.R[in.Dst] = 0
-				}
-			case isa.OpXchg:
-				a := m.Addr(t, in)
-				old := int64(m.Mem[a])
-				m.Mem[a] = uint64(t.R[in.B])
-				t.R[in.Dst] = old
-
 			case isa.OpBr:
 				t.cur.jump(in.Target)
 				if in.Target == cb && retired < budget {
@@ -154,57 +135,18 @@ passes:
 					continue passes
 				}
 				break passes
-			case isa.OpCall:
-				t.stack = append(t.stack, frame{rt: t.cur.rt, b: blk, idx: idx + 1})
-				t.cur = entry(in.Callee)
-				break passes
-			case isa.OpRet:
-				if len(t.stack) == 0 {
-					throwf("exec: thread %d returned from entry routine %s", tid, t.cur.rt.Name)
-				}
-				t.cur = t.stack[len(t.stack)-1]
-				t.stack = t.stack[:len(t.stack)-1]
-				break passes
-			case isa.OpHalt:
-				t.State = StateHalted
-				break passes
-
-			case isa.OpFutexWait:
-				a := m.Addr(t, in)
-				if int64(m.Mem[a]) == t.R[in.B] {
-					t.State = StateBlocked
-					t.futexAddr = a
-					m.futexQ[a] = append(m.futexQ[a], tid)
-					ev.Blocked = true
-					t.cur.idx = idx // stay on the wait; wake resumes past it
+			case isa.OpAtomicAdd, isa.OpCmpXchg, isa.OpXchg, isa.OpCall, isa.OpRet, isa.OpHalt,
+				isa.OpFutexWait, isa.OpFutexWake, isa.OpSyscall:
+				_, ev.Woken = m.Rare(t, in, ev.Woken)
+				if t.State != StateRunning || len(ev.Woken) > 0 || in.Op == isa.OpCall || in.Op == isa.OpRet {
+					// A park, a halt, a wake that woke a thread, a call
+					// or a return ends the event where Rare left the
+					// thread.
+					ev.Blocked = t.State == StateBlocked
 					break passes
 				}
-			case isa.OpFutexWake:
-				a := m.Addr(t, in)
-				n := t.R[in.B]
-				woken := 0
-				q := m.futexQ[a]
-				for len(q) > 0 && int64(woken) < n {
-					wid := q[0]
-					q = q[1:]
-					w := m.Threads[wid]
-					w.State = StateRunning
-					w.cur.idx++ // resume past the FutexWait
-					ev.Woken = append(ev.Woken, wid)
-					woken++
-				}
-				if len(q) == 0 {
-					delete(m.futexQ, a)
-				} else {
-					m.futexQ[a] = q
-				}
-				t.R[in.Dst] = int64(woken)
-				if woken > 0 {
-					t.cur.idx = idx + 1
-					break passes
-				}
-			case isa.OpSyscall:
-				t.R[in.Dst] = m.OS.Syscall(m, tid, isa.SyscallNo(in.Imm), t.R[in.A])
+				idx = t.cur.idx
+				continue
 			default:
 				throwf("exec: unimplemented opcode %s", in.Op)
 			}

@@ -150,12 +150,14 @@ func (t *Thread) Advance() { t.cur.idx++ }
 // Jump moves thread t to the first instruction of block blk of its routine.
 func (t *Thread) Jump(blk int) { t.cur.jump(blk) }
 
-// Rare executes instruction in of thread t, fetched by Fetch, when it is
-// an atomic, a call, a return, a halt, a futex op or a syscall, and moves
-// the thread on itself. It returns the byte address an atomic or futex op
-// touches and the threads a FutexWake woke; a FutexWait that parks the
-// thread leaves it StateBlocked, a halt StateHalted.
-func (m *Machine) Rare(t *Thread, in *isa.Instr) (memAddr uint64, woken []int) {
+// Rare executes instruction in of thread t, the one at t's position, when
+// it is an atomic, a call, a return, a halt, a futex op or a syscall, and
+// moves the thread on itself. It returns the byte address an atomic or
+// futex op touches, and woken with the threads a FutexWake woke appended;
+// a FutexWait that parks the thread leaves it StateBlocked, a halt
+// StateHalted. It is the one copy of these ops' semantics: the timing
+// loop's out-of-line path and StepBlock's.
+func (m *Machine) Rare(t *Thread, in *isa.Instr, woken []int) (memAddr uint64, _ []int) {
 	advance := true // move to next instruction within block
 	switch in.Op {
 	case isa.OpAtomicAdd:
@@ -207,9 +209,9 @@ func (m *Machine) Rare(t *Thread, in *isa.Instr) (memAddr uint64, woken []int) {
 	case isa.OpFutexWake:
 		a := m.Addr(t, in)
 		memAddr = a * 8
-		n := t.R[in.B]
+		n, before := t.R[in.B], len(woken)
 		q := m.futexQ[a]
-		for len(q) > 0 && int64(len(woken)) < n {
+		for len(q) > 0 && int64(len(woken)-before) < n {
 			wid := q[0]
 			q = q[1:]
 			w := m.Threads[wid]
@@ -222,7 +224,7 @@ func (m *Machine) Rare(t *Thread, in *isa.Instr) (memAddr uint64, woken []int) {
 		} else {
 			m.futexQ[a] = q
 		}
-		t.R[in.Dst] = int64(len(woken))
+		t.R[in.Dst] = int64(len(woken) - before)
 	case isa.OpSyscall:
 		t.R[in.Dst] = m.OS.Syscall(m, t.ID, isa.SyscallNo(in.Imm), t.R[in.A])
 	default:

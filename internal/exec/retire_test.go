@@ -129,7 +129,7 @@ func (m *Machine) Retire(tid int) (r Retired, woken []int) {
 		}
 		return r, nil
 	default:
-		r.MemAddr, woken = m.Rare(t, in)
+		r.MemAddr, woken = m.Rare(t, in, nil)
 		r.Taken = in.Op == isa.OpCall || in.Op == isa.OpRet
 		r.Blocked = t.State == StateBlocked
 		return r, woken

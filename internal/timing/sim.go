@@ -275,6 +275,7 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	}
 
 	var steps uint64
+	var woken []int // Rare's buffer, reused by every wake
 	for sys.alive > 0 {
 		tid := sys.next()
 		if tid < 0 {
@@ -494,7 +495,8 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			}
 
 		default:
-			addr, woken := m.Rare(t, in)
+			var addr uint64
+			addr, woken = m.Rare(t, in, woken[:0])
 			sys.cycle[tid] += sys.rare(c, tid, in.Op, addr, t.State == exec.StateBlocked, mode, cycles)
 			sys.settle(tid, woken)
 			if mode == measured && trace != nil {
