@@ -23,11 +23,7 @@ var censusExempt = map[string]string{
 	"internal/exec.ExecError.Unwrap":  "called by errors.Is and errors.As through the interface",
 	"internal/faults.Fault.Unwrap":    "called by errors.Is and errors.As through the interface",
 	"internal/faults.Plan.Fired":      "fault-plan observability; the fault suites count firings with it",
-	"internal/isa.Block.FCmp":         "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.FCvtI":        "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.ICvtF":        "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.Nop":          "ISA builder op: the builder covers the whole instruction set",
-	"internal/isa.Block.Xchg":         "ISA builder op: the builder covers the whole instruction set",
+	"internal/testprog.EveryOp":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
 	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Phased":        "test-program builder shared by several packages' tests",

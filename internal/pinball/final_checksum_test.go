@@ -8,17 +8,24 @@ import (
 	"testing"
 
 	"looppoint/internal/omp"
+	"looppoint/internal/testprog"
 	"looppoint/internal/workloads"
 )
 
 // TestFinalChecksumsGolden pins what every registered workload computes:
 // the memory checksum at the end of a seed-1 recording at test input, four
-// threads, under both wait policies. Nothing else pins a program's
+// threads, under both wait policies, and of testprog.EveryOp, whose loop
+// executes the ops no workload does (OpFSub). Nothing else pins a program's
 // results, so a change to an instruction's semantics (OpFMA fused into one
 // rounding, OpFCvtI saturating) fails here and nowhere else.
 // Regenerate with: go test ./internal/pinball/ -run FinalChecksums -update
 func TestFinalChecksumsGolden(t *testing.T) {
 	got := map[string]string{}
+	pb, err := Record(testprog.EveryOp(), 1, 0)
+	if err != nil {
+		t.Fatalf("every-op: %v", err)
+	}
+	got["every-op"] = fmt.Sprintf("%#016x", pb.FinalChecksum)
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		for _, spec := range workloads.All() {
 			app, err := spec.Build(workloads.BuildParams{Threads: 4, Input: workloads.InputTest, Policy: policy})

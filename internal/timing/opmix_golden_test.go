@@ -12,6 +12,7 @@ import (
 	"looppoint/internal/core"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
+	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
 	"looppoint/internal/workloads"
 )
@@ -33,7 +34,8 @@ var opMixShort = map[string]bool{"657.xz_s.2": true, "621.wrf_s.1": true, "npb-c
 // of its JSON, so any charge rule that moves one bit fails here: the FP,
 // divide and square-root charges, atomics, the lock paths and the
 // in-order core that stats_golden.json (one synthetic program, one core)
-// never reaches. -short runs three of the workloads.
+// never reaches. testprog.EveryOp adds the ops no workload executes, FSub
+// among them. -short runs three of the workloads and EveryOp.
 // Regenerate with: go test ./internal/timing/ -run OpMixGolden -update
 func TestOpMixGolden(t *testing.T) {
 	var want map[string]string
@@ -48,7 +50,22 @@ func TestOpMixGolden(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := map[string]string{}
+	run := func(t *testing.T, name string, prog *isa.Program) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for key, sum := range opMixDigests(t, prog) {
+				key = name + "/" + key
+				mu.Lock()
+				got[key] = sum
+				mu.Unlock()
+				if want != nil && want[key] != sum {
+					t.Errorf("%s: Stats digest %s, golden %s", key, sum, want[key])
+				}
+			}
+		})
+	}
 	t.Run("apps", func(t *testing.T) {
+		run(t, "every-op", testprog.EveryOp())
 		for _, spec := range workloads.All() {
 			if testing.Short() && !opMixShort[spec.Name] {
 				continue
@@ -58,19 +75,7 @@ func TestOpMixGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("%s/%v", spec.Name, policy)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					for key, sum := range opMixDigests(t, app.Prog) {
-						key = name + "/" + key
-						mu.Lock()
-						got[key] = sum
-						mu.Unlock()
-						if want != nil && want[key] != sum {
-							t.Errorf("%s: Stats digest %s, golden %s", key, sum, want[key])
-						}
-					}
-				})
+				run(t, fmt.Sprintf("%s/%v", spec.Name, policy), app.Prog)
 			}
 		}
 	})
