@@ -17,6 +17,7 @@ package bbv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"looppoint/internal/exec"
@@ -105,10 +106,7 @@ func (p *Profile) ThreadShare() [][]float64 {
 
 // Collector is an exec.BlockObserver that builds a Profile.
 type Collector struct {
-	prog        *isa.Program
-	markers     map[uint64]bool // marker block addresses (main-image loop headers)
-	sliceTarget uint64          // global filtered instructions per slice
-	nthreads    int
+	sliceTarget uint64 // global filtered instructions per slice
 
 	profile      *Profile
 	markerCounts map[uint64]uint64
@@ -117,7 +115,6 @@ type Collector struct {
 	filtered     uint64 // global filtered
 	sliceStart   uint64 // filtered count at current region start
 	finished     bool
-	includeSync  bool
 	byICount     bool
 
 	varMinFrac float64
@@ -133,8 +130,8 @@ type Collector struct {
 	// and pass holds each block's length. acc[tid*len(pass)+g] holds the
 	// instructions accounted to the open region and not yet folded into
 	// cur.Vectors[tid][g] by flush; touched[tid] lists those g with a
-	// non-zero accumulator. Every reader of the open region's vectors
-	// (closeRegion, phaseChanged) flushes first.
+	// non-zero accumulator. Every reader of the open region's vectors and
+	// filtered counts (closeRegion, phaseChanged, Finish) flushes first.
 	plain   []bool
 	counted []bool
 	pass    []uint64
@@ -254,7 +251,6 @@ func (c *Collector) phaseChanged() bool {
 // instructions as work (the naive-SimPoint baseline of Section II; the
 // spin-filter ablation).
 func (c *Collector) DisableSyncFilter() {
-	c.includeSync = true
 	for g := range c.counted {
 		c.counted[g] = true
 	}
@@ -272,19 +268,12 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 	if sliceTarget == 0 {
 		panic("bbv: sliceTarget must be positive")
 	}
-	mk := make(map[uint64]bool, len(markerAddrs))
-	for _, a := range markerAddrs {
-		mk[a] = true
-	}
 	nb := p.NumBlocks()
 	c := &Collector{
-		prog:        p,
-		markers:     mk,
 		plain:       make([]bool, nb),
 		counted:     make([]bool, nb),
 		pass:        make([]uint64, nb),
 		sliceTarget: sliceTarget,
-		nthreads:    p.NumThreads(),
 		profile: &Profile{
 			NumThreads:   p.NumThreads(),
 			NumBlocks:    p.NumBlocks(),
@@ -295,7 +284,7 @@ func NewCollector(p *isa.Program, markerAddrs []uint64, sliceTarget uint64) *Col
 		touched:      make([][]int, p.NumThreads()),
 	}
 	for g, blk := range p.Blocks() {
-		c.plain[g] = !mk[blk.Addr]
+		c.plain[g] = !slices.Contains(markerAddrs, blk.Addr)
 		c.counted[g] = !blk.Routine.Image.Sync
 		c.pass[g] = uint64(len(blk.Instrs))
 	}
@@ -308,8 +297,8 @@ func (c *Collector) newRegion(start Marker, startIC uint64) *Region {
 		Index:          len(c.profile.Regions),
 		Start:          start,
 		StartICount:    startIC,
-		ThreadFiltered: make([]uint64, c.nthreads),
-		Vectors:        make([]map[int]float64, c.nthreads),
+		ThreadFiltered: make([]uint64, c.profile.NumThreads),
+		Vectors:        make([]map[int]float64, c.profile.NumThreads),
 	}
 	for t := range r.Vectors {
 		r.Vectors[t] = make(map[int]float64)
@@ -341,11 +330,10 @@ func (c *Collector) markerEntry(addr uint64) {
 }
 
 // account attributes n > 0 instructions of block g retired by thread tid
-// to the current region, applying the synchronization filter; flush adds
-// them to the region's vector and filtered counts. Counts are added as a
-// single float64 — exact (and identical to n unit additions, in the
-// accumulator or the map, in any order) for any region size below 2^53
-// instructions.
+// to the current region's accumulator, which flush folds into its vector
+// and filtered counts, applying the sync filter. A single float64 add is
+// exact (and identical to n unit additions, in any order) for any region
+// size below 2^53 instructions.
 func (c *Collector) account(tid, g int, n uint64) {
 	if !c.counted[g] {
 		return
@@ -414,15 +402,12 @@ func (c *Collector) OnBlock(ev *exec.BlockEvent) {
 	}
 }
 
-// ReadLog feeds the collector a recording's block log. A common record of
-// a block that is no marker is accounted here; every other record, and
-// every record when slicing on instruction counts, goes to OnBlock.
+// ReadLog feeds the collector a recording's block log: a common record of
+// a block that is no marker is accounted here; every other record (all of
+// them when slicing on instruction counts) goes to OnBlock.
 func (c *Collector) ReadLog(l *exec.BlockLog) {
-	if c.finished {
-		return
-	}
 	take := c.plain
-	if c.byICount {
+	if c.byICount || c.finished {
 		take = make([]bool, len(c.plain))
 	}
 	r := l.Reader()
@@ -439,10 +424,11 @@ func (c *Collector) ReadLog(l *exec.BlockLog) {
 			c.account(tid, g, c.pass[g])
 		}
 		c.icount = icount
-		if !r.Next(rec) {
+		ev := r.Next(rec)
+		if ev == nil {
 			return
 		}
-		c.OnBlock(r.Event())
+		c.OnBlock(ev)
 	}
 }
 

@@ -15,10 +15,10 @@ func (c *Collector) OnInstr(ev *exec.BlockEvent) {
 		if c.icount-c.cur.StartICount >= c.sliceTarget {
 			c.closeRegion(Marker{Count: c.icount})
 		}
-	} else if ev.Entries > 0 && c.markers[blk.Addr] {
+	} else if ev.Entries > 0 && !c.plain[blk.Global] {
 		c.markerEntry(blk.Addr)
 	}
-	if blk.Routine.Image.Sync && !c.includeSync {
+	if !c.counted[blk.Global] {
 		return // synchronization code: execute but do not count (IV-F)
 	}
 	c.filtered++

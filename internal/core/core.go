@@ -168,12 +168,15 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	}
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
 	db.ReadLog(log)
-	pass, err := newBBVPass(prog, &cfg, pb, db.Graph())
+	a, col, err := newCollector(prog, &cfg, pb, db.Graph())
 	if err != nil {
 		return nil, err
 	}
-	pass.col.ReadLog(log)
-	return pass.finish()
+	col.ReadLog(log)
+	if a.Profile = col.Finish(); len(a.Profile.Regions) == 0 {
+		return nil, fmt.Errorf("core: %s produced no regions", prog.Name)
+	}
+	return a, nil
 }
 
 // recordLog records the whole-program pinball with the block-event log
@@ -209,12 +212,13 @@ func sliceTargetFor(prog *isa.Program, cfg *Config) uint64 {
 	return cfg.SliceUnit * uint64(prog.NumThreads())
 }
 
-// markersAndModulus derives everything the BBV pass needs from the
-// whole-run DCFG — the loop table, the marker set and the per-marker
-// hit-count moduli. A resumed job re-derives them from the graph its saved
-// log rebuilds, through this same function, so marker choice can never
-// differ between a fresh and a resumed run.
-func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*dcfg.LoopTable, []uint64, map[uint64]uint64, error) {
+// newCollector derives everything the BBV pass needs from the whole-run
+// DCFG — the loop table, the marker set and the per-marker hit-count
+// moduli — and returns the analysis it fills in, Profile unset, and a fresh
+// collector configured for them. A resumed job takes the same path from
+// the graph its saved log rebuilds, so marker choice can never differ
+// between a fresh and a resumed run.
+func newCollector(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*Analysis, *bbv.Collector, error) {
 	loops := g.FindLoops()
 	sliceTarget := sliceTargetFor(prog, cfg)
 	expectedSlices := pb.Schedule.Steps()/sliceTarget + 1
@@ -224,7 +228,7 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 		markers = append(markers, h.Addr)
 	}
 	if len(markers) == 0 {
-		return nil, nil, nil, fmt.Errorf("core: %s has no loops to mark regions with", prog.Name)
+		return nil, nil, fmt.Errorf("core: %s has no loops to mark regions with", prog.Name)
 	}
 	// Symmetric worker-loop headers (entered once per thread per episode)
 	// fire in N-hit bursts under natural scheduling; restrict their
@@ -238,25 +242,7 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 			}
 		}
 	}
-	return loops, markers, modulus, nil
-}
-
-// bbvPass is the BBV pass between its two halves: the analysis it is
-// filling in and the one Collector, fed by the recording's block-event log
-// (on a resume, the log saved beside the recording).
-type bbvPass struct {
-	a   *Analysis // Profile is set by finish
-	col *bbv.Collector
-}
-
-// newBBVPass derives the loop table and markers from the finished graph
-// and configures a fresh collector for them.
-func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) (*bbvPass, error) {
-	loops, markers, modulus, err := markersAndModulus(prog, cfg, pb, g)
-	if err != nil {
-		return nil, err
-	}
-	col := bbv.NewCollector(prog, markers, sliceTargetFor(prog, cfg))
+	col := bbv.NewCollector(prog, markers, sliceTarget)
 	col.SetMarkerModulus(modulus)
 	if cfg.NoSpinFilter {
 		col.DisableSyncFilter()
@@ -264,23 +250,8 @@ func newBBVPass(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Gra
 	if cfg.VariableSlices {
 		col.SetVariableSlices(0.25, 0.5)
 	}
-	return &bbvPass{
-		a: &Analysis{
-			Prog: prog, Pinball: pb, Graph: g, Loops: loops,
-			Markers: markers, Config: *cfg,
-		},
-		col: col,
-	}, nil
-}
-
-// finish closes the collector's profile once it has seen the whole run.
-func (bp *bbvPass) finish() (*Analysis, error) {
-	a := bp.a
-	a.Profile = bp.col.Finish()
-	if len(a.Profile.Regions) == 0 {
-		return nil, fmt.Errorf("core: %s produced no regions", a.Prog.Name)
-	}
-	return a, nil
+	a := &Analysis{Prog: prog, Pinball: pb, Graph: g, Loops: loops, Markers: markers, Config: *cfg}
+	return a, col, nil
 }
 
 // LoopPoint is one selected representative region with its extrapolation

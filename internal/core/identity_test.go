@@ -78,13 +78,13 @@ func referenceAnalysis(t *testing.T, p *isa.Program, cfg Config) *Analysis {
 	t.Helper()
 	cfg.fill()
 	pb, g := recordFor(t, p, cfg)
-	bp, err := newBBVPass(p, &cfg, pb, g)
+	a, col, err := newCollector(p, &cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepReplay(t, p, pb, bp.col.OnBlock)
-	bp.a.Profile = bp.col.Finish()
-	return bp.a
+	stepReplay(t, p, pb, col.OnBlock)
+	a.Profile = col.Finish()
+	return a
 }
 
 // identityConfigs are the analysis configurations that change what the

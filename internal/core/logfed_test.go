@@ -109,19 +109,20 @@ func logFedAgrees(t *testing.T, p *isa.Program) int {
 		for _, v := range variants {
 			vcfg := cfg
 			v.cfg(&vcfg)
-			fed, read := logFedPass(t, p, &vcfg, pb, want), logFedPass(t, p, &vcfg, pb, got)
-			v.col(fed.col)
-			v.col(read.col)
+			fed, read := logFedCollector(t, p, &vcfg, pb, want), logFedCollector(t, p, &vcfg, pb, got)
+			v.col(fed)
+			v.col(read)
 			r := l.log.Reader()
 			for {
 				rec, _ := r.Records()
-				if !r.Next(rec) {
+				ev := r.Next(rec)
+				if ev == nil {
 					break
 				}
-				fed.col.OnBlock(r.Event())
+				fed.OnBlock(ev)
 			}
-			read.col.ReadLog(l.log)
-			if w, g := fed.col.Finish(), read.col.Finish(); !reflect.DeepEqual(g, w) {
+			read.ReadLog(l.log)
+			if w, g := fed.Finish(), read.Finish(); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s log, %s: the log-fed profile differs from the OnBlock-fed one (%d vs %d regions, totals %d/%d vs %d/%d)",
 					l.name, v.name, len(g.Regions), len(w.Regions), g.TotalFiltered, g.TotalICount, w.TotalFiltered, w.TotalICount)
 			}
@@ -140,15 +141,15 @@ func logGraph(p *isa.Program, log *exec.BlockLog) *dcfg.Graph {
 	return db.Graph()
 }
 
-// logFedPass is newBBVPass for a test that must configure the collector
-// further before feeding it.
-func logFedPass(t *testing.T, p *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) *bbvPass {
+// logFedCollector is newCollector's collector, for a test that must
+// configure it further before feeding it.
+func logFedCollector(t *testing.T, p *isa.Program, cfg *Config, pb *pinball.Pinball, g *dcfg.Graph) *bbv.Collector {
 	t.Helper()
-	pass, err := newBBVPass(p, cfg, pb, g)
+	_, col, err := newCollector(p, cfg, pb, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pass
+	return col
 }
 
 // wideProgram builds an nthreads-thread program whose timestep loop runs

@@ -296,10 +296,11 @@ func resealLog(t *testing.T, p *isa.Program, pbPath, logPath string, edit func([
 	r := log.Reader()
 	for {
 		rec, _ := r.Records()
-		if !r.Next(rec) {
+		ev := r.Next(rec)
+		if ev == nil {
 			break
 		}
-		evs = append(evs, *r.Event())
+		evs = append(evs, *ev)
 	}
 	evs = edit(evs)
 	resealed := exec.NewBlockLog(p)

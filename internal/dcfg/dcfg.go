@@ -80,26 +80,21 @@ func (n *Node) Symmetric(nthreads int) bool {
 type Graph struct {
 	Prog  *isa.Program
 	Nodes map[int]*Node // keyed by global block index
-	edges map[[2]int]*Edge
 }
 
-// Builder constructs a Graph from a run's block events: the events of a
-// recording's block log (ReadLog, where core.Analyze builds its graph), or
-// events handed to OnBlock one at a time. Its tests hold it to a
-// per-instruction reference, OnInstr, fed one instruction at a time.
-//
-// Its state is dense, indexed by Block.Global, and Graph turns it into
-// nodes and edge lists once the run is over.
+// Builder constructs a Graph from a run's block events: a recording's block
+// log (ReadLog, where core.Analyze builds its graph) or events handed to
+// OnBlock. Its state is dense, by Block.Global; Graph turns it into nodes
+// and edges. Its tests hold it to a per-instruction reference, OnInstr.
 type Builder struct {
 	prog    *isa.Program
-	blocks  []*isa.Block // by Global
-	nb      int          // the program's blocks
-	routine []int32      // by Global: the block's routine, a dense id
+	blocks  []*isa.Block   // by Global
+	routine []*isa.Routine // by Global
 	// plain marks the blocks that contain no call and do not end in a
 	// return: a whole pass of one is an entry and nothing else.
 	plain  []bool
-	texecs []uint64 // by tid*nb + Global: entries per thread
-	// The edges, indexed by from*nb + to (17 KB at the 44 blocks of the
+	texecs []uint64 // by tid*len(blocks) + Global: entries per thread
+	// The edges, indexed by from*len(blocks) + to (17 KB at the 44 blocks of the
 	// largest registered workload): traversals, and the kind the first one
 	// fixed (EdgeBranch is the zero kind). order lists the traversed ones
 	// in first-traversal order.
@@ -110,7 +105,6 @@ type Builder struct {
 	// after a call), and its call-site blocks.
 	cur []int32
 	stk [][]int32
-	g   *Graph // built by Graph
 }
 
 // NewBuilder creates a DCFG builder for a machine with nthreads threads.
@@ -119,8 +113,7 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	b := &Builder{
 		prog:    p,
 		blocks:  p.Blocks(),
-		nb:      nb,
-		routine: make([]int32, nb),
+		routine: make([]*isa.Routine, nb),
 		plain:   make([]bool, nb),
 		texecs:  make([]uint64, p.NumThreads()*nb),
 		count:   make([]uint64, nb*nb),
@@ -128,14 +121,8 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 		cur:     make([]int32, nthreads),
 		stk:     make([][]int32, nthreads),
 	}
-	ids := map[*isa.Routine]int32{}
 	for g, blk := range b.blocks {
-		id, ok := ids[blk.Routine]
-		if !ok {
-			id = int32(len(ids))
-			ids[blk.Routine] = id
-		}
-		b.routine[g] = id
+		b.routine[g] = blk.Routine
 		b.plain[g] = blk.Instrs[len(blk.Instrs)-1].Op != isa.OpRet &&
 			!slices.ContainsFunc(blk.Instrs, func(in isa.Instr) bool { return in.Op == isa.OpCall })
 	}
@@ -145,9 +132,8 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	return b
 }
 
-// ReadLog builds the graph from a recording's block log. A common record
-// of a plain block is its entry, taken here; every other record goes to
-// OnBlock.
+// ReadLog reads a recording's block log: a common record of a plain block
+// is its entry, taken here; every other record goes to OnBlock.
 func (b *Builder) ReadLog(l *exec.BlockLog) {
 	r := l.Reader()
 	for {
@@ -163,22 +149,22 @@ func (b *Builder) ReadLog(l *exec.BlockLog) {
 			cur = int32(g)
 		}
 		b.cur[tid] = cur
-		if !r.Next(rec) {
+		ev := r.Next(rec)
+		if ev == nil {
 			return
 		}
-		b.OnBlock(r.Event())
+		b.OnBlock(ev)
 	}
 }
 
-// enter is the per-event step: thread tid, in block prev (-1: none),
-// enters block g entries times, the first over a branch edge from prev
-// when both are of one routine, the rest through g's self-loop, which the
-// caller counts. The caller moves the thread's cursor to g.
+// enter is the per-event step: thread tid, in block prev (-1: none), enters
+// block g entries times, first over a branch edge from prev if both are of
+// one routine; the caller counts the self-loop and moves the cursor to g.
 func (b *Builder) enter(tid int, prev, g int32, entries uint64) {
-	b.texecs[tid*b.nb+int(g)] += entries
+	b.texecs[tid*len(b.blocks)+int(g)] += entries
 	if prev >= 0 && b.routine[prev] == b.routine[g] {
 		// addEdge(prev, g, EdgeBranch, 1), spelt out so that enter inlines.
-		k := int(prev)*b.nb + int(g)
+		k := int(prev)*len(b.blocks) + int(g)
 		if b.count[k] == 0 {
 			b.order = append(b.order, int32(k))
 		}
@@ -242,7 +228,7 @@ func (b *Builder) OnBlock(ev *exec.BlockEvent) {
 // addEdge records count traversals of the (from, to) edge. The first
 // traversal fixes the edge's Kind and its place in first-traversal order.
 func (b *Builder) addEdge(from, to int32, kind EdgeKind, count uint64) {
-	k := int(from)*b.nb + int(to)
+	k := int(from)*len(b.blocks) + int(to)
 	if b.count[k] == 0 {
 		b.order = append(b.order, int32(k))
 		b.kind[k] = kind
@@ -250,22 +236,18 @@ func (b *Builder) addEdge(from, to int32, kind EdgeKind, count uint64) {
 	b.count[k] += count
 }
 
-// Graph returns the constructed graph: a node for every block entered or
-// at either end of an edge, and each node's Out and In edges in
-// first-traversal order. It is built on the first call, once the run is
-// over; events handed to the builder later do not reach it.
+// Graph builds the graph of the events so far: a node for every block
+// entered or at either end of an edge, and each node's Out and In edges in
+// first-traversal order.
 func (b *Builder) Graph() *Graph {
-	if b.g != nil {
-		return b.g
-	}
 	nt := b.prog.NumThreads()
-	g := &Graph{Prog: b.prog, Nodes: make(map[int]*Node), edges: make(map[[2]int]*Edge, len(b.order))}
+	g := &Graph{Prog: b.prog, Nodes: make(map[int]*Node)}
 	node := func(gl int) *Node {
-		n, ok := g.Nodes[gl]
-		if !ok {
+		n := g.Nodes[gl]
+		if n == nil {
 			n = &Node{Block: b.blocks[gl], ThreadExecs: make([]uint64, nt)}
-			for tid := range n.ThreadExecs {
-				n.ThreadExecs[tid] = b.texecs[tid*b.nb+gl]
+			for tid := range nt {
+				n.ThreadExecs[tid] = b.texecs[tid*len(b.blocks)+gl]
 				n.Execs += n.ThreadExecs[tid]
 			}
 			g.Nodes[gl] = n
@@ -273,32 +255,23 @@ func (b *Builder) Graph() *Graph {
 		return n
 	}
 	for gl := range b.blocks {
-		for tid := range nt {
-			if b.texecs[tid*b.nb+gl] > 0 {
-				node(gl)
-				break
-			}
+		if node(gl).Execs == 0 {
+			delete(g.Nodes, gl) // unless an edge ends there, below
 		}
 	}
-	edges := make([]Edge, len(b.order))
-	for i, k := range b.order {
-		e := &edges[i]
-		*e = Edge{From: int(k) / b.nb, To: int(k) % b.nb, Kind: b.kind[k], Count: b.count[k]}
-		g.edges[[2]int{e.From, e.To}] = e
-		from := node(e.From)
-		from.Out = append(from.Out, e)
-		to := node(e.To)
-		to.In = append(to.In, e)
+	for _, k := range b.order {
+		e := &Edge{From: int(k) / len(b.blocks), To: int(k) % len(b.blocks), Kind: b.kind[k], Count: b.count[k]}
+		node(e.From).Out = append(node(e.From).Out, e)
+		node(e.To).In = append(node(e.To).In, e)
 	}
-	b.g = g
 	return g
 }
 
 // Edges returns all edges sorted by (From, To) for stable iteration.
 func (g *Graph) Edges() []*Edge {
-	out := make([]*Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		out = append(out, e)
+	var out []*Edge
+	for _, n := range g.Nodes {
+		out = append(out, n.Out...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -310,5 +283,5 @@ func (g *Graph) Edges() []*Edge {
 }
 
 func (g *Graph) String() string {
-	return fmt.Sprintf("dcfg{%d nodes, %d edges}", len(g.Nodes), len(g.edges))
+	return fmt.Sprintf("dcfg{%d nodes, %d edges}", len(g.Nodes), len(g.Edges()))
 }

@@ -13,7 +13,7 @@ func (b *Builder) OnInstr(ev *exec.BlockEvent) {
 	tid, g := ev.Tid, int32(ev.Block.Global)
 	in := &ev.Block.Instrs[ev.FirstIdx]
 	if ev.Entries > 0 {
-		b.texecs[tid*b.nb+int(g)]++
+		b.texecs[tid*len(b.blocks)+int(g)]++
 		if prev := b.cur[tid]; prev >= 0 && b.blocks[prev].Routine == ev.Block.Routine {
 			b.addEdge(prev, g, EdgeBranch, 1)
 		}

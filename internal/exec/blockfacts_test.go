@@ -173,10 +173,10 @@ func (l *BlockLog) Play(obs ...BlockObserver) {
 	r := l.Reader()
 	for {
 		rec, _ := r.Records()
-		if !r.Next(rec) {
+		ev := r.Next(rec)
+		if ev == nil {
 			return
 		}
-		ev := r.Event()
 		for _, o := range obs {
 			o.OnBlock(ev)
 		}

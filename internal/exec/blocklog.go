@@ -76,7 +76,7 @@ func (l *BlockLog) grow() *blockLogChunk {
 
 // BlockLogReader walks a log's records in order. A consumer takes the
 // common records at the front of Records itself, with CommonRecord, whose
-// step inlines, and hands the rest back to Next, which reads the record
+// step inlines, and hands the rest back to Next, which returns the record
 // after them as a full block event.
 type BlockLogReader struct {
 	rec    []byte         // the current chunk's records not yet read
@@ -91,8 +91,8 @@ func (l *BlockLog) Reader() BlockLogReader {
 	return BlockLogReader{next: l.head, blocks: l.prog.Blocks()}
 }
 
-// Records returns the current chunk's records after the last one Next
-// read, and the thread a common record among them continues.
+// Records returns the current chunk's records after Next's last, and the
+// thread a common record among them continues.
 func (r *BlockLogReader) Records() (rec []byte, tid int) { return r.rec, r.ev.Tid }
 
 // CommonRecord decodes the record at the front of rec if it is a common one
@@ -102,9 +102,7 @@ func (r *BlockLogReader) Records() (rec []byte, tid int) { return r.rec, r.ev.Ti
 func CommonRecord(rec []byte, take []bool) (g int, rest []byte, ok bool) {
 	var v uint64
 	for i, b := range rec {
-		// & 63 spares the shift its overflow check: a uvarint is at most
-		// ten bytes.
-		v |= uint64(b&0x7f) << (7 * uint(i) & 63)
+		v |= uint64(b&0x7f) << (7 * uint(i) & 63) // as uvarint's
 		if b < 0x80 {
 			if v&1 != 0 || !take[v>>1] {
 				break
@@ -115,13 +113,14 @@ func CommonRecord(rec []byte, take []bool) (g int, rest []byte, ok bool) {
 	return 0, rec, false
 }
 
-// Next reads the record at the front of rest, the tail of Records the
+// Next returns the record at the front of rest, the tail of Records the
 // consumer did not take — or the next chunk's first, when rest is empty —
-// as the block event Event returns, and reports false at the log's end.
-func (r *BlockLogReader) Next(rest []byte) bool {
+// as a block event, or nil at the log's end. The event is the reader's:
+// valid until the next call.
+func (r *BlockLogReader) Next(rest []byte) *BlockEvent {
 	for len(rest) == 0 {
 		if r.next == nil {
-			return false
+			return nil
 		}
 		rest, r.next = r.next.buf[:r.next.n], r.next.next
 	}
@@ -138,7 +137,7 @@ func (r *BlockLogReader) Next(rest []byte) bool {
 		ev.Tid, ev.FirstIdx = int(tid), int(first)
 	}
 	r.rec = rest
-	return true
+	return ev
 }
 
 // uvarint decodes the value at the front of rec, which holds whole
@@ -148,6 +147,8 @@ func uvarint(rec []byte) (v uint64, rest []byte) {
 		return uint64(b), rec[1:]
 	}
 	for i, b := range rec {
+		// & 63 spares the shift its overflow check: a uvarint is at most
+		// ten bytes.
 		v |= uint64(b&0x7f) << (7 * uint(i) & 63)
 		if b < 0x80 {
 			return v, rec[i+1:]
@@ -155,10 +156,6 @@ func uvarint(rec []byte) (v uint64, rest []byte) {
 	}
 	return v, nil
 }
-
-// Event returns the record Next read. It is the reader's: valid until the
-// next call to Next.
-func (r *BlockLogReader) Event() *BlockEvent { return &r.ev }
 
 // AppendBinary appends the log's saved form to dst: its records, chunk
 // after chunk, then the little-endian FNV-1a checksum of those bytes. The

@@ -179,57 +179,25 @@ func EveryOp() *isa.Program {
 	r := main.NewRoutine("main")
 	entry, loop := r.NewBlock("entry"), r.NewBlock("loop")
 	below, above, done := r.NewBlock("below"), r.NewBlock("above"), r.NewBlock("done")
-	entry.IMovI(1, 0) // r1: the iteration
-	entry.IOpI(isa.OpIMul, 2, isa.RegTid, 16)
-	entry.IOpI(isa.OpIAdd, 2, 2, int64(out)) // r2: the thread's 16 cells
-	entry.FMovI(1, 1.5)
-	entry.Br(loop)
-	loop.IOpI(isa.OpIAdd, 3, 1, 7)
-	loop.IOp(isa.OpIMul, 4, 3, 3)
-	loop.IOp(isa.OpISub, 5, 4, 1)
-	loop.IOp(isa.OpIDiv, 6, 4, 3)
-	loop.IOpI(isa.OpIRem, 7, 4, 5)
-	loop.IOp(isa.OpIAnd, 8, 5, 6)
-	loop.IOp(isa.OpIOr, 8, 8, 7)
-	loop.IOp(isa.OpIXor, 8, 8, 3)
-	loop.IOpI(isa.OpIShl, 10, 8, 3)
-	loop.IOpI(isa.OpIShr, 10, 10, 1)
-	loop.IMov(11, 10)
-	loop.ICvtF(2, 3)
-	loop.FOp(isa.OpFSub, 3, 2, 1)
-	loop.FOp(isa.OpFMul, 4, 3, 2)
-	loop.FOp(isa.OpFDiv, 5, 4, 1)
-	loop.FOp(isa.OpFAdd, 6, 5, 3)
-	loop.FMA(6, 2, 3)
-	loop.FOp(isa.OpFSqrt, 7, 6, 0)
-	loop.FCmp(isa.CondLT, 12, 3, 4)
-	loop.FCvtI(13, 7)
-	loop.IStore(2, 0, 11)
-	loop.IStore(2, 1, 12)
-	loop.IStore(2, 2, 13)
-	loop.FStore(2, 3, 6)
-	loop.FLoad(8, 2, 3)
-	loop.FOp(isa.OpFAdd, 1, 1, 8)
-	loop.ILoad(14, 2, 0)
-	loop.IOp(isa.OpIAdd, 9, 9, 14)
-	loop.AtomicAdd(15, 2, 4, 1)
-	loop.Xchg(16, 2, 5, 3)
-	loop.CmpXchg(16, 2, 5, 3)
-	loop.Syscall(17, isa.SysRand, 1)
-	loop.IOp(isa.OpIXor, 9, 9, 17)
-	loop.Pause()
-	loop.Nop()
-	loop.Call(helper)
-	loop.IOpI(isa.OpIAdd, 1, 1, 1)
-	loop.BrCondI(isa.CondEQ, 12, 0, above, below)
+	// r1: the iteration; r2: the thread's 16 cells.
+	entry.IMovI(1, 0).IOpI(isa.OpIMul, 2, isa.RegTid, 16).IOpI(isa.OpIAdd, 2, 2, int64(out))
+	entry.FMovI(1, 1.5).Br(loop)
+	loop.IOpI(isa.OpIAdd, 3, 1, 7).IOp(isa.OpIMul, 4, 3, 3).IOp(isa.OpISub, 5, 4, 1)
+	loop.IOp(isa.OpIDiv, 6, 4, 3).IOpI(isa.OpIRem, 7, 4, 5).IOp(isa.OpIAnd, 8, 5, 6)
+	loop.IOp(isa.OpIOr, 8, 8, 7).IOp(isa.OpIXor, 8, 8, 3).IOpI(isa.OpIShl, 10, 8, 3)
+	loop.IOpI(isa.OpIShr, 10, 10, 1).IMov(11, 10).ICvtF(2, 3)
+	loop.FOp(isa.OpFSub, 3, 2, 1).FOp(isa.OpFMul, 4, 3, 2).FOp(isa.OpFDiv, 5, 4, 1)
+	loop.FOp(isa.OpFAdd, 6, 5, 3).FMA(6, 2, 3).FOp(isa.OpFSqrt, 7, 6, 0)
+	loop.FCmp(isa.CondLT, 12, 3, 4).FCvtI(13, 7)
+	loop.IStore(2, 0, 11).IStore(2, 1, 12).IStore(2, 2, 13).FStore(2, 3, 6)
+	loop.FLoad(8, 2, 3).FOp(isa.OpFAdd, 1, 1, 8).ILoad(14, 2, 0).IOp(isa.OpIAdd, 9, 9, 14)
+	loop.AtomicAdd(15, 2, 4, 1).Xchg(16, 2, 5, 3).CmpXchg(16, 2, 5, 3)
+	loop.Syscall(17, isa.SysRand, 1).IOp(isa.OpIXor, 9, 9, 17).Pause().Nop().Call(helper)
+	loop.IOpI(isa.OpIAdd, 1, 1, 1).BrCondI(isa.CondEQ, 12, 0, above, below)
 	for i, latch := range []*isa.Block{below, above} {
-		latch.IOpI(isa.OpIAdd, 18, 18, int64(i+1))
-		latch.BrCondI(isa.CondLT, 1, 20, loop, done)
+		latch.IOpI(isa.OpIAdd, 18, 18, int64(i+1)).BrCondI(isa.CondLT, 1, 20, loop, done)
 	}
-	done.IStore(2, 6, 9)
-	done.IStore(2, 7, 16)
-	done.IStore(2, 8, 18)
-	done.Halt()
+	done.IStore(2, 6, 9).IStore(2, 7, 16).IStore(2, 8, 18).Halt()
 	p.SetEntry(0, r)
 	p.SetEntry(1, r)
 	if err := p.Link(); err != nil {
