@@ -275,7 +275,6 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	}
 
 	var steps uint64
-	var woken []int // Rare's buffer, reused by every wake
 	for sys.alive > 0 {
 		tid := sys.next()
 		if tid < 0 {
@@ -496,9 +495,9 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 
 		default:
 			var addr uint64
-			addr, woken = m.Rare(t, in, woken[:0])
+			addr, sys.woken = m.Rare(t, in, sys.woken[:0])
 			sys.cycle[tid] += sys.rare(c, tid, in.Op, addr, t.State == exec.StateBlocked, mode, cycles)
-			sys.settle(tid, woken)
+			sys.settle(tid, sys.woken)
 			if mode == measured && trace != nil {
 				trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
 			}

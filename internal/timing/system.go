@@ -49,6 +49,8 @@ type system struct {
 
 	coherenceInv uint64
 	futexWaits   uint64
+
+	woken []int // Rare's buffer, reused by every wake
 }
 
 type lineAccess struct {
