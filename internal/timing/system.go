@@ -49,8 +49,7 @@ type system struct {
 
 	coherenceInv uint64
 	futexWaits   uint64
-
-	woken []int // Rare's buffer, reused by every wake
+	woken        []int // Rare's buffer, reused by every wake
 }
 
 type lineAccess struct {
