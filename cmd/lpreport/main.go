@@ -45,8 +45,6 @@ func main() {
 		slice     = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
 		verbose   = flag.Bool("v", false, "log per-application progress")
 		resume    = flag.String("resume", "", "store completed evaluations in this directory and skip ones already stored — a killed run restarts where it stopped")
-		degraded  = flag.Bool("degraded", false, "tolerate per-region simulation failures: drop the region, reweight the prediction, and mark the report degraded")
-		minCov    = flag.Float64("min-coverage", 0, "degraded mode: minimum surviving fraction of extrapolation weight (0 = default 0.9, negative = no floor)")
 		selector  = flag.String("selector", "", "selection engine for every experiment: "+strings.Join(simpoint.SelectorNames(), ", ")+" (default simpoint); the engines experiment always sweeps all of them")
 		budget    = flag.Int("budget", 0, "stratified engine: total region draw budget (0 = 2x cluster count)")
 		confid    = flag.Float64("confidence", 0, "confidence level for extrapolated intervals (0 = 0.95)")
@@ -78,8 +76,6 @@ func main() {
 		SliceUnit:     *slice,
 		InputOverride: workloads.InputClass(*input),
 		Resume:        *resume,
-		Degraded:      *degraded,
-		MinCoverage:   *minCov,
 		Selector:      *selector,
 		SampleBudget:  *budget,
 		Confidence:    *confid,

@@ -64,11 +64,10 @@ func main() {
 		brOpen     = flag.Duration("breaker-open", serve.DefaultOpenFor, "how long a tripped breaker holds open before probing")
 		brProbes   = flag.Int("breaker-probes", serve.DefaultHalfOpenProbes, "half-open probe slots (and successes required to close)")
 
-		jobs     = flag.Int("j", 0, "worker-pool width inside each evaluation (0 = one worker per CPU)")
-		slice    = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
-		resume   = flag.String("resume", "", "evaluator resume directory: completed evaluations persist here across restarts")
-		degraded = flag.Bool("degraded", false, "tolerate per-region simulation failures inside evaluations")
-		verbose  = flag.Bool("v", false, "log evaluator progress to stderr")
+		jobs    = flag.Int("j", 0, "worker-pool width inside each evaluation (0 = one worker per CPU)")
+		slice   = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
+		resume  = flag.String("resume", "", "evaluator resume directory: completed evaluations persist here across restarts")
+		verbose = flag.Bool("v", false, "log evaluator progress to stderr")
 	)
 	flag.Parse()
 
@@ -84,7 +83,6 @@ func main() {
 		Parallelism: *jobs,
 		SliceUnit:   *slice,
 		Resume:      *resume,
-		Degraded:    *degraded,
 		ProgressDir: *progressDir,
 		Progress:    progress,
 	}

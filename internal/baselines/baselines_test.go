@@ -138,7 +138,7 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres, _, err := core.SimulateRegions(context.Background(), nsel, timing.Gainestown(4), core.SimOpts{})
+	nres, err := core.SimulateRegions(context.Background(), nsel, timing.Gainestown(4), core.SimOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ func (r *Report) Render() string {
 		if jr.RuntimeErrPct != 0 {
 			fmt.Fprintf(&b, " runtime_err_pct=%g", jr.RuntimeErrPct)
 		}
-		if jr.Degraded {
-			fmt.Fprintf(&b, " degraded=true residual_coverage=%g", jr.ResidualCoverage)
-		}
 		if jr.Summary != "" {
 			fmt.Fprintf(&b, " summary=%q", jr.Summary)
 		}

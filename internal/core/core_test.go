@@ -17,11 +17,29 @@ func testConfig() Config {
 	return cfg
 }
 
-// simulateAll is the strict (non-degraded) region sweep at the given
-// pool width (0 = one worker per CPU).
+// simulateAll is the region sweep at the given pool width (0 = one
+// worker per CPU).
 func simulateAll(sel *Selection, simCfg timing.Config, width int) ([]RegionResult, error) {
-	res, _, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: width})
-	return res, err
+	return SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: width})
+}
+
+// testSelection is the selection of a small phased program, with at least
+// two looppoints.
+func testSelection(t *testing.T) *Selection {
+	t.Helper()
+	p := testprog.Phased(4, 10, 150, omp.Passive)
+	a, err := Analyze(p, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := Select(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.Points) < 2 {
+		t.Fatalf("need >= 2 looppoints, got %d", len(sel.Points))
+	}
+	return sel
 }
 
 func TestAnalyzeProducesRegionsAndMarkers(t *testing.T) {

@@ -29,7 +29,7 @@ func TestSimulateRegionsCtxCancelledStopsSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, _, err := SimulateRegions(ctx, sel, timing.Gainestown(p.NumThreads()), SimOpts{Width: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := SimulateRegions(ctx, sel, timing.Gainestown(p.NumThreads()), SimOpts{Width: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SimulateRegions err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -38,7 +38,7 @@ func TestSimulateRegionsCtxCancelledStopsSweep(t *testing.T) {
 	if _, err := Run(ctx, p, testConfig(), timing.Gainestown(p.NumThreads()), RunOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
-	if _, _, err := SimulateRegions(ctx, sel, timing.Gainestown(p.NumThreads()), SimOpts{Width: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := SimulateRegions(ctx, sel, timing.Gainestown(p.NumThreads()), SimOpts{Width: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SimulateRegions(width 2) err = %v, want context.Canceled", err)
 	}
 }

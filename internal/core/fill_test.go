@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
-	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pool"
@@ -17,9 +15,9 @@ import (
 )
 
 // simulatedReport is Run's report computed the way it was before region 0
-// could be read off the full run: the strict or degraded sweep simulates
-// every point at width 1, and the full run is a separate SimulateFull.
-func simulatedReport(t *testing.T, p *isa.Program, cfg Config, simCfg timing.Config, opts RunOpts) *Report {
+// could be read off the full run: the sweep simulates every point at
+// width 1, and the full run is a separate SimulateFull.
+func simulatedReport(t *testing.T, p *isa.Program, cfg Config, simCfg timing.Config) *Report {
 	t.Helper()
 	a, err := Analyze(p, cfg)
 	if err != nil {
@@ -29,20 +27,17 @@ func simulatedReport(t *testing.T, p *isa.Program, cfg Config, simCfg timing.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, deg, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{
-		Width: 1, Degraded: opts.Degraded, MinCoverage: opts.MinCoverage,
-	})
+	regions, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := &Report{
-		Name:        p.Name,
-		Selection:   sel,
-		Regions:     regions,
-		Degradation: deg,
-		Predicted:   ExtrapolateDegraded(regions, simCfg.FreqGHz, deg),
-		Intervals:   ComputeIntervals(sel, regions, simCfg.FreqGHz, a.Config.Confidence),
-		Speedups:    ComputeTheoretical(sel),
+		Name:      p.Name,
+		Selection: sel,
+		Regions:   regions,
+		Predicted: Extrapolate(regions, simCfg.FreqGHz),
+		Intervals: ComputeIntervals(sel, regions, simCfg.FreqGHz, a.Config.Confidence),
+		Speedups:  ComputeTheoretical(sel),
 	}
 	sim, err := timing.New(simCfg, p)
 	if err != nil {
@@ -115,7 +110,7 @@ func TestRunFillCountsSimulations(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := RunOpts{SimulateFull: true, Width: tc.width}
-			want := simulatedReport(t, p, tc.cfg, simCfg, opts)
+			want := simulatedReport(t, p, tc.cfg, simCfg)
 			points := len(want.Selection.Points)
 			if want.Selection.Points[0].Region.Index != 0 {
 				t.Fatalf("region 0 is not selected; the case needs it")
@@ -211,7 +206,7 @@ func TestRunFillDeclinesInjectedSyscalls(t *testing.T) {
 			cfg := wholeRun()
 			cfg.RegionSim, cfg.Seed = tc.mode, tc.seed
 			opts := RunOpts{SimulateFull: true, Width: width}
-			want := simulatedReport(t, p, cfg, simCfg, opts)
+			want := simulatedReport(t, p, cfg, simCfg)
 			if _, fills := firstPointTap(want.Selection, cfg.Seed); fills != tc.fills {
 				t.Fatalf("%v, seed %d: the rule reads region 0 off the full run: %v", tc.mode, tc.seed, fills)
 			}
@@ -271,69 +266,9 @@ func TestRunFillSimulatesWhenTapNeverFires(t *testing.T) {
 	t.Fatal("Run returned after its full run panicked")
 }
 
-// injectedAt is the text of a transient fault injected at
-// core.region.sim's invocation i.
-func injectedAt(i int) string {
-	return fmt.Sprintf("faults: injected transient fault at core.region.sim[%d]", i)
-}
-
 func btoi(b bool) int {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// TestRunFillDegradedMatchesSweep: a degraded run that loses a non-zero
-// point while region 0 is read off the full run reports the same loss,
-// survivors and prediction as the sweep that simulates region 0 and loses
-// the same point. The filled point never reaches the core.region.sim
-// fault site, so the run's first invocation is point 1 and the sweep's
-// second; the error texts differ only in that invocation index.
-func TestRunFillDegradedMatchesSweep(t *testing.T) {
-	p := testprog.Phased(4, 10, 150, omp.Passive)
-	simCfg := timing.Gainestown(4)
-	opts := RunOpts{SimulateFull: true, Width: 1, Degraded: true, MinCoverage: 0.01}
-	lose := func(after uint64) func() {
-		return faults.Enable(faults.NewPlan(1, faults.Rule{
-			Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1, After: after}))
-	}
-
-	restore := lose(1)
-	want := simulatedReport(t, p, testConfig(), simCfg, opts)
-	restore()
-	if want.Selection.Points[0].Region.Index != 0 {
-		t.Fatal("region 0 is not selected; the test needs it")
-	}
-	if f := want.Degradation; !f.Degraded() || len(f.Failed) != 1 || f.Failed[0].Region == 0 {
-		t.Fatalf("the sweep did not lose exactly one non-zero point: %+v", f)
-	}
-
-	restore = lose(0)
-	rep, err := Run(context.Background(), p, testConfig(), simCfg, opts)
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, exp := deterministicOf(rep), deterministicOf(want)
-	if !rep.Degradation.Degraded() || len(rep.Degradation.Failed) != 1 {
-		t.Fatalf("degradation %+v, want one lost point", rep.Degradation)
-	}
-	if g, w := rep.Degradation.Failed[0].Err, want.Degradation.Failed[0].Err; g != injectedAt(0) || w != injectedAt(1) {
-		t.Errorf("lost with %q, the sweep with %q", g, w)
-	}
-	withoutErr := func(d Degradation) Degradation {
-		d.Failed = append([]RegionFailure(nil), d.Failed...)
-		d.Failed[0].Err = ""
-		return d
-	}
-	if g, w := withoutErr(*rep.Degradation), withoutErr(*want.Degradation); !reflect.DeepEqual(g, w) {
-		t.Errorf("degradation %+v, want %+v", g, w)
-	}
-	if !reflect.DeepEqual(got.Regions, exp.Regions) {
-		t.Error("survivors differ from the sweep's")
-	}
-	if got.Predicted != exp.Predicted {
-		t.Errorf("predicted %+v, want %+v", got.Predicted, exp.Predicted)
-	}
 }

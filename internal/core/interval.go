@@ -46,16 +46,12 @@ var regionMetrics = []struct {
 // selection carries no strata (stubs served from the resume store), when no stratum
 // holds two or more simulated draws, or when level is out of (0, 1) —
 // the cases where a half-width would be fiction.
-//
-// In degraded mode the results list only holds surviving regions; the
-// per-stratum sample sizes shrink accordingly, so intervals widen rather
-// than silently overstate confidence.
 func ComputeIntervals(sel *Selection, results []RegionResult, freqGHz, level float64) *Intervals {
 	if sel == nil || sel.Sample == nil || !(level > 0 && level < 1) {
 		return nil
 	}
 	strata := sel.Sample.Strata
-	// Group surviving results by stratum, keeping per-metric rates.
+	// Group the results by stratum, keeping per-metric rates.
 	rates := make([][][]float64, len(regionMetrics))
 	for m := range rates {
 		rates[m] = make([][]float64, len(strata))

@@ -24,7 +24,6 @@ type deterministic struct {
 	Points      []LoopPoint
 	Regions     []RegionResult // HostTime zeroed
 	Predicted   Prediction
-	Degradation *Degradation
 	Intervals   *Intervals
 	Full        *timing.Stats
 	Errs        [6]float64
@@ -33,11 +32,10 @@ type deterministic struct {
 
 func deterministicOf(rep *Report) deterministic {
 	d := deterministic{
-		Points:      rep.Selection.Points,
-		Predicted:   rep.Predicted,
-		Degradation: rep.Degradation,
-		Intervals:   rep.Intervals,
-		Full:        rep.Full,
+		Points:    rep.Selection.Points,
+		Predicted: rep.Predicted,
+		Intervals: rep.Intervals,
+		Full:      rep.Full,
 		Errs: [6]float64{rep.RuntimeErrPct, rep.CyclesErrPct, rep.BranchMPKIDiff,
 			rep.L1DMPKIDiff, rep.L2MPKIDiff, rep.L3MPKIDiff},
 		Theoretical: [2]float64{rep.Speedups.TheoreticalSerial, rep.Speedups.TheoreticalParallel},
@@ -210,19 +208,17 @@ func TestRunBudgetBoundsSimulationsInFlight(t *testing.T) {
 }
 
 // TestRunBudgetJoinsFullRunOnEveryPath: whichever way the sampled lane
-// ends — a failed sweep, a context cancelled during Analyze, a degraded
-// sweep — Run returns what the serial order returns, and only after the
+// ends — a failed sweep, a context cancelled during Analyze, a slow
+// region — Run returns what the serial order returns, and only after the
 // overlapped full run has finished.
 func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	simCfg := timing.Gainestown(4)
-	failEvery := faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1}
 
 	t.Run("sweep-error", func(t *testing.T) {
 		// One fault, on the sweep's first invocation whichever region
-		// makes it: the strict sweep fails with it at every width.
-		first := failEvery
-		first.Count = 1
+		// makes it: the sweep fails with it at every width.
+		first := faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}
 		run := func(width int) error {
 			defer faults.Enable(faults.NewPlan(1, first))()
 			_, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: width})
@@ -240,16 +236,6 @@ func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 		}
 	})
 
-	t.Run("low-coverage", func(t *testing.T) {
-		defer faults.Enable(faults.NewPlan(1, failEvery))()
-		w := watchSims(t, 0)
-		_, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: 2, Degraded: true})
-		w.settled(t, 1)
-		if !errors.Is(err, ErrLowCoverage) {
-			t.Errorf("err = %v, want ErrLowCoverage", err)
-		}
-	})
-
 	t.Run("cancel-during-analyze", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -261,26 +247,6 @@ func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 		w.settled(t, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	})
-
-	t.Run("degraded", func(t *testing.T) {
-		one := failEvery
-		one.Count = 1
-		defer faults.Enable(faults.NewPlan(1, one))()
-		w := watchSims(t, 0)
-		rep, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{
-			SimulateFull: true, Width: 2, Degraded: true, MinCoverage: 0.01,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.settled(t, 1)
-		if !rep.Degradation.Degraded() || len(rep.Degradation.Failed) != 1 {
-			t.Errorf("degradation = %+v, want exactly one lost region", rep.Degradation)
-		}
-		if rep.Full == nil || rep.RuntimeErrPct == 0 {
-			t.Error("degraded report lost the full run's comparison")
 		}
 	})
 
@@ -321,7 +287,7 @@ func TestRunBudgetSlotWaitOutsideHostTime(t *testing.T) {
 		released <- time.Now()
 		<-slots
 	}()
-	res, _, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
+	res, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
 		Width: 1, slots: slots,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -644,55 +643,6 @@ func TestSimulateRegionsReusesRegionsAcrossSelections(t *testing.T) {
 		sweep(c.sel, c.simCfg)
 		if _, _, recoveries, _, _ := c.sel.Analysis.Config.Progress.Snapshot(); recoveries != 0 {
 			t.Fatalf("%s: %d recoveries, want none", c.name, recoveries)
-		}
-	}
-}
-
-// TestSimulateRegionsResumePartialDegraded: a degraded sweep that loses
-// regions stores only the survivors; the clean restart re-simulates
-// just the losses and matches the never-faulted reference.
-func TestSimulateRegionsResumePartialDegraded(t *testing.T) {
-	dir := t.TempDir()
-	p := testprog.Phased(4, 10, 150, omp.Passive)
-	cfg := durableConfig(dir)
-	a, err := Analyze(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := Select(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference, err := simulateAll(sel, timing.Gainestown(4), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wipe the entries the reference sweep just stored: the degraded
-	// sweep below must start cold to lose anything.
-	for _, f := range regionEntries(t, dir) {
-		os.Remove(f)
-	}
-
-	restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(4),
-		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))
-	partial, deg, err := SimulateRegions(context.Background(), sel, timing.Gainestown(4), SimOpts{
-		Width: 1, Degraded: true, MinCoverage: 0.01,
-	})
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !deg.Degraded() || len(partial) >= len(sel.Points) {
-		t.Fatalf("fault did not degrade the sweep (%d of %d survived)", len(partial), len(sel.Points))
-	}
-
-	full, err := simulateAll(sel, timing.Gainestown(4), 1)
-	if err != nil {
-		t.Fatalf("restart after degraded sweep: %v", err)
-	}
-	for i := range reference {
-		if !reflect.DeepEqual(full[i].Stats, reference[i].Stats) {
-			t.Fatalf("region %d stats differ after partial resume", i)
 		}
 	}
 }

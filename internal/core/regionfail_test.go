@@ -50,7 +50,7 @@ func TestSimulateRegionsFailsOnUnreachableMarker(t *testing.T) {
 				simCfg := timing.Gainestown(4)
 				want := fmt.Sprintf("core: region %d: timing: end marker", r.Index)
 				for sweep := 1; sweep <= 2; sweep++ {
-					res, _, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: width})
+					res, err := SimulateRegions(context.Background(), sel, simCfg, SimOpts{Width: width})
 					if err == nil || !strings.Contains(err.Error(), want) {
 						t.Fatalf("sweep %d: err = %v, want one containing %q", sweep, err, want)
 					}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -12,65 +11,11 @@ import (
 	"looppoint/internal/timing"
 )
 
-// ErrLowCoverage reports that too much of the selection's work mass was
-// lost to failed region simulations for the extrapolation to be
-// trustworthy.
-var ErrLowCoverage = errors.New("core: residual coverage below threshold")
-
-// DefaultMinCoverage is the default residual-coverage floor for degraded
-// simulation: losing more than 10% of the selection's extrapolation
-// weight fails the run rather than silently reporting a reweighted
-// estimate.
-const DefaultMinCoverage = 0.9
-
-// RegionFailure records one looppoint whose simulation failed. Err is a
-// string, not an error, so failures serialize cleanly into the harness
-// resume store.
-type RegionFailure struct {
-	// Region is the failed looppoint's region index.
-	Region int `json:"region"`
-	// Err is the simulation's error text.
-	Err string `json:"err"`
-	// Weight is the share of the selection's extrapolation mass
-	// (multiplier × filtered work) this looppoint carried.
-	Weight float64 `json:"weight"`
-}
-
-// Degradation summarizes what a degraded-mode simulation lost: which
-// regions failed and how much extrapolation weight survives. A nil or
-// empty Degradation means the run was complete.
-type Degradation struct {
-	Failed []RegionFailure `json:"failed"`
-	// ResidualCoverage is the surviving share of the selection's
-	// extrapolation mass, in (0, 1]; 1 means nothing was lost.
-	ResidualCoverage float64 `json:"residual_coverage"`
-}
-
-// Degraded reports whether any region was lost.
-func (d *Degradation) Degraded() bool { return d != nil && len(d.Failed) > 0 }
-
-// Summary renders the degradation for reports.
-func (d *Degradation) Summary() string {
-	if !d.Degraded() {
-		return "complete"
-	}
-	return fmt.Sprintf("%d region(s) lost, residual coverage %.1f%%",
-		len(d.Failed), d.ResidualCoverage*100)
-}
-
-// SimOpts controls a fault-tolerant region-simulation sweep.
+// SimOpts controls a region-simulation sweep.
 type SimOpts struct {
 	// Width bounds the sweep's simulations in flight (<= 0: one per CPU);
 	// under Run it is one budget shared with an overlapped full run.
 	Width int
-	// Degraded enables collect-what-you-can mode: a region that fails is
-	// dropped and recorded instead of aborting the sweep.
-	Degraded bool
-	// MinCoverage is the residual-coverage floor in degraded mode.
-	// Falling below it returns ErrLowCoverage. Zero means
-	// DefaultMinCoverage; a negative value disables the floor entirely
-	// (any surviving coverage is accepted).
-	MinCoverage float64
 
 	// slots is Run's budget of simulations in flight, a semaphore shared
 	// with the overlapped full run: a simulation holds one token while it
@@ -140,7 +85,7 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 
 // simulateOneRegion runs one looppoint's detailed simulation. Injection
 // site "core.region.sim" can force transient failures, slow calls, or
-// panics here — the unit of failure the degraded mode tolerates. The
+// panics here, each of which fails the sweep. The
 // simulation kernel itself is CPU-bound and does not poll ctx; the pool's
 // per-item claim check plus SimulateRegions' check once a region holds its
 // slot are what make a cancelled sweep stop at region boundaries.
@@ -181,24 +126,20 @@ func simulateOneRegion(sel *Selection, simCfg timing.Config, checkpoints []*pinb
 // Run with the full run requested, region 0 may not be simulated at all:
 // its statistics are read off the full run (see Run).
 //
-// In strict mode (Degraded false) the first failure aborts the sweep and
-// the returned Degradation is nil. In degraded mode every region runs;
-// regions that fail are dropped, their loss is recorded in the returned
-// Degradation, and the surviving results are returned in region order. If
-// the surviving extrapolation mass falls below MinCoverage the sweep
-// fails with ErrLowCoverage.
+// The first failure fails the sweep (a simulation error names its
+// region): the extrapolation (Eq. 2) needs every looppoint.
 //
 // Cancellation or deadline expiry of ctx stops the sweep at the next
 // region boundary instead of draining the queue, unstarted regions report
 // ctx.Err(), and the aggregate error is the cancellation. The serving
 // layer uses this to bound jobs by per-request deadlines.
-func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, opts SimOpts) ([]RegionResult, *Degradation, error) {
+func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, opts SimOpts) ([]RegionResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	checkpoints, err := extractCheckpoints(sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	slots := opts.slots
 	if slots == nil { // never blocks: the pool runs at most one worker per point
@@ -225,8 +166,7 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 		}
 		return res, err
 	}
-	popts := pool.Options{Width: opts.Width, Degraded: opts.Degraded}
-	results, errs, err := pool.MapWith(ctx, len(sel.Points), popts,
+	results, err := pool.Map(ctx, opts.Width, len(sel.Points),
 		func(ctx context.Context, i int) (RegionResult, error) {
 			if i == 0 && opts.fill != nil {
 				return RegionResult{}, nil
@@ -234,7 +174,7 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 			return simulate(ctx, i)
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opts.fill != nil {
 		if res, ok := opts.fill(); ok {
@@ -242,84 +182,12 @@ func SimulateRegions(ctx context.Context, sel *Selection, simCfg timing.Config, 
 		} else {
 			// The full run never reached the tap: point 0 is simulated like
 			// any other, so it fails the way it always did.
-			res, perr, err := pool.MapWith(ctx, 1, popts, simulate)
+			res, err := pool.Map(ctx, 1, 1, simulate)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			results[0], errs[0] = res[0], perr[0]
+			results[0] = res[0]
 		}
 	}
-	if !opts.Degraded {
-		return results, nil, nil
-	}
-
-	// Weigh each looppoint by its share of the selection's extrapolation
-	// mass (multiplier × filtered work), so coverage reflects how much of
-	// the whole-program estimate each loss removes.
-	var totalMass float64
-	for _, lp := range sel.Points {
-		totalMass += lp.Multiplier * float64(lp.Region.Filtered)
-	}
-	deg := &Degradation{ResidualCoverage: 1}
-	var survivors []RegionResult
-	for i, lp := range sel.Points {
-		if errs[i] == nil {
-			survivors = append(survivors, results[i])
-			continue
-		}
-		w := 0.0
-		if totalMass > 0 {
-			w = lp.Multiplier * float64(lp.Region.Filtered) / totalMass
-		}
-		deg.Failed = append(deg.Failed, RegionFailure{
-			Region: lp.Region.Index,
-			Err:    errs[i].Error(),
-			Weight: w,
-		})
-		deg.ResidualCoverage -= w
-	}
-	if !deg.Degraded() {
-		return survivors, nil, nil
-	}
-	minCov := opts.MinCoverage
-	switch {
-	case minCov == 0:
-		minCov = DefaultMinCoverage
-	case minCov < 0:
-		minCov = 0 // explicit "no floor": accept any surviving coverage
-	}
-	if deg.ResidualCoverage < minCov {
-		return survivors, deg, fmt.Errorf(
-			"core: %d of %d regions failed, residual coverage %.1f%% < %.1f%%: %w",
-			len(deg.Failed), len(sel.Points), deg.ResidualCoverage*100, minCov*100, ErrLowCoverage)
-	}
-	return survivors, deg, nil
-}
-
-// ExtrapolateDegraded reconstructs whole-program metrics from an
-// incomplete region sweep: the surviving extrapolation is scaled by
-// 1/ResidualCoverage, treating the lost regions as behaving like the
-// weighted average of the survivors. With no degradation it is exactly
-// Extrapolate.
-func ExtrapolateDegraded(results []RegionResult, freqGHz float64, deg *Degradation) Prediction {
-	p := Extrapolate(results, freqGHz)
-	if !deg.Degraded() || deg.ResidualCoverage <= 0 {
-		return p
-	}
-	s := 1 / deg.ResidualCoverage
-	p.Cycles *= s
-	p.Instructions *= s
-	p.BranchMisses *= s
-	p.Branches *= s
-	p.L1DMisses *= s
-	p.L2Misses *= s
-	p.L3Misses *= s
-	p.Stack.Base *= s
-	p.Stack.Ifetch *= s
-	p.Stack.Memory *= s
-	p.Stack.Branch *= s
-	p.Stack.Compute *= s
-	p.Stack.Sync *= s
-	p.Seconds = p.Cycles / (freqGHz * 1e9)
-	return p
+	return results, nil
 }

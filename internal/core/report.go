@@ -72,11 +72,6 @@ type Report struct {
 	Regions   []RegionResult
 	Predicted Prediction
 
-	// Degradation is non-nil when the region sweep ran in degraded mode
-	// and lost regions; Predicted is then the coverage-reweighted
-	// estimate.
-	Degradation *Degradation
-
 	// Intervals carries per-metric confidence intervals around Predicted
 	// (mean ± half-width at Intervals.Level). Nil for point-estimate
 	// selection engines — only engines drawing two or more
@@ -108,13 +103,6 @@ type RunOpts struct {
 	// per CPU, 1: serial). The report is identical at every width; only
 	// host time changes.
 	Width int
-	// Degraded tolerates per-region simulation failures: failed regions
-	// are dropped, recorded in Report.Degradation, and the prediction is
-	// reweighted by the residual coverage.
-	Degraded bool
-	// MinCoverage is the degraded-mode residual-coverage floor
-	// (0: DefaultMinCoverage; negative: no floor).
-	MinCoverage float64
 }
 
 // Run performs the complete LoopPoint flow on one program: analyze,
@@ -203,12 +191,7 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timin
 	if err != nil {
 		return nil, err
 	}
-	sopts := SimOpts{
-		Width:       opts.Width,
-		Degraded:    opts.Degraded,
-		MinCoverage: opts.MinCoverage,
-		slots:       slots,
-	}
+	sopts := SimOpts{Width: opts.Width, slots: slots}
 	if tap, ok := firstPointTap(sel, cfg.Seed); ok && opts.SimulateFull && (!overlapped || tap.IsEnd) {
 		sopts.fill = func() (RegionResult, bool) {
 			f := fullWith(tap)
@@ -218,18 +201,17 @@ func runSampled(ctx context.Context, prog *isa.Program, cfg Config, simCfg timin
 			return RegionResult{Point: sel.Points[0], Stats: f.tap, HostTime: f.tapHost}, true
 		}
 	}
-	regions, deg, err := SimulateRegions(ctx, sel, simCfg, sopts)
+	regions, err := SimulateRegions(ctx, sel, simCfg, sopts)
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
-		Name:        prog.Name,
-		Selection:   sel,
-		Regions:     regions,
-		Degradation: deg,
-		Predicted:   ExtrapolateDegraded(regions, simCfg.FreqGHz, deg),
-		Intervals:   ComputeIntervals(sel, regions, simCfg.FreqGHz, sel.Analysis.Config.Confidence),
-		Speedups:    ComputeTheoretical(sel),
+		Name:      prog.Name,
+		Selection: sel,
+		Regions:   regions,
+		Predicted: Extrapolate(regions, simCfg.FreqGHz),
+		Intervals: ComputeIntervals(sel, regions, simCfg.FreqGHz, sel.Analysis.Config.Confidence),
+		Speedups:  ComputeTheoretical(sel),
 	}, nil
 }
 
@@ -328,9 +310,6 @@ func absDiff(a, b float64) float64 {
 func (r *Report) Summary() string {
 	s := fmt.Sprintf("%s: %d regions -> %d looppoints", r.Name,
 		len(r.Selection.Analysis.Profile.Regions), len(r.Selection.Points))
-	if r.Degradation.Degraded() {
-		s += fmt.Sprintf(" [degraded: %s]", r.Degradation.Summary())
-	}
 	if r.Intervals != nil {
 		s += fmt.Sprintf(", runtime %s s (%.0f%% CI)",
 			r.Intervals.Seconds, r.Intervals.Level*100)

@@ -51,7 +51,7 @@ func (e *Evaluator) NaiveSimPoint() (*NaiveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			nres, _, err := core.SimulateRegions(context.TODO(), nsel, timing.Gainestown(app.Prog.NumThreads()),
+			nres, err := core.SimulateRegions(context.TODO(), nsel, timing.Gainestown(app.Prog.NumThreads()),
 				core.SimOpts{Width: e.Opts.Parallelism})
 			if err != nil {
 				return nil, err

@@ -62,16 +62,10 @@ type Options struct {
 	// configuration is served instead of re-run, and every new one is
 	// stored durably — a killed campaign restarts where it stopped. An
 	// entry is keyed by the ReportKey plus every setting that changes its
-	// numbers (slice, seed, degraded knobs), so another configuration
+	// numbers (slice, seed), so another configuration
 	// re-evaluates; a corrupt entry is deleted and re-evaluated, and a
 	// directory that cannot be created is logged and ignored.
 	Resume string
-	// Degraded tolerates per-region simulation failures inside each
-	// evaluation (see core.RunOpts.Degraded).
-	Degraded bool
-	// MinCoverage is the degraded-mode residual-coverage floor
-	// (0: core.DefaultMinCoverage; negative: no floor).
-	MinCoverage float64
 	// ProgressDir, when set, makes every evaluation crash-only: the
 	// analysis's recording and block log, and every completed region
 	// simulation, are saved durably under this directory, and a restarted
@@ -381,7 +375,6 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 		}
 		rep, err := core.Run(ctx, app.Prog, cfg, simCfg, core.RunOpts{
 			SimulateFull: k.Full, Width: e.Opts.Parallelism,
-			Degraded: e.Opts.Degraded, MinCoverage: e.Opts.MinCoverage,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", k.App, err)

@@ -185,7 +185,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 
 // TestResumeJournalRejectsConfigMismatch: an entry stored under one
 // evaluator configuration must not satisfy a resume under another —
-// -slice, -seed and the degraded knobs change every report's numbers
+// -slice and -seed change every report's numbers
 // without appearing in the ReportKey, so serving across them would
 // silently serve wrong tables. Each is part of the entry's key.
 func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
@@ -199,9 +199,8 @@ func TestResumeJournalRejectsConfigMismatch(t *testing.T) {
 	}
 
 	for name, edit := range map[string]func(*Options){
-		"slice":    func(o *Options) { o.SliceUnit = opts.config().SliceUnit * 2 },
-		"seed":     func(o *Options) { o.Seed = 7 },
-		"degraded": func(o *Options) { o.Degraded = true },
+		"slice": func(o *Options) { o.SliceUnit = opts.config().SliceUnit * 2 },
+		"seed":  func(o *Options) { o.Seed = 7 },
 	} {
 		mopts := opts
 		edit(&mopts)
@@ -375,25 +374,5 @@ func TestJournalIntervalsTornRecord(t *testing.T) {
 		if got == nil || got.Intervals == nil || got.Intervals.Level != 0.95 {
 			t.Fatalf("cut %d: intact interval entry damaged: %+v", cut, got)
 		}
-	}
-}
-
-// TestDegradedEvaluatorSurvivesRegionLoss: with a region fault injected
-// and degraded mode on, an evaluation completes and the report carries
-// the loss.
-func TestDegradedEvaluatorSurvivesRegionLoss(t *testing.T) {
-	opts := smokeOpts()
-	opts.Degraded = true
-	opts.MinCoverage = 0.01
-	opts.Parallelism = 1
-	e := NewEvaluator(opts)
-	defer faults.Enable(faults.NewPlan(1,
-		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	rep, err := e.Report(context.Background(), resumeKeys(e)[0])
-	if err != nil {
-		t.Fatalf("degraded evaluation failed: %v", err)
-	}
-	if !rep.Degradation.Degraded() {
-		t.Error("report does not record the injected region loss")
 	}
 }

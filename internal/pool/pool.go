@@ -67,8 +67,8 @@ func Protect[T any](fn func() (T, error)) (v T, err error) {
 	return fn()
 }
 
-// Options extends Run/Map with the degraded mode the sampling pipeline
-// uses. The zero value is Run/Map: DefaultWidth workers, one call per
+// Options extends Run/Map with the degraded mode lpsim's checkpoint
+// directory mode uses to quarantine corrupt files. The zero value is Run/Map: DefaultWidth workers, one call per
 // item, strict first-error cancellation with panic re-raise. There is no
 // per-item retry: an item is a deterministic function of its input, so a
 // second call in place fails the same way (DESIGN.md §9).
@@ -224,8 +224,8 @@ func Map[T any](ctx context.Context, width, n int, fn func(ctx context.Context, 
 // MapWith is Map with Options. Results come back in index order. In
 // degraded mode a failed item leaves its zero value in the result slice
 // with the cause at the same index of the error slice, and the surviving
-// results are kept — the collect-what-you-can contract degradation in
-// core builds on. In strict mode a failure returns the aggregate error
+// results are kept — the collect-what-you-can contract lpsim's checkpoint
+// directory mode builds on. In strict mode a failure returns the aggregate error
 // and the partial results should be discarded, as with Map.
 func MapWith[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	out := make([]T, n)

@@ -48,10 +48,6 @@ func EvaluatorRunner(e *harness.Evaluator) RunFunc {
 		res.PredictedSeconds = rep.Predicted.Seconds
 		res.PredictedCycles = rep.Predicted.Cycles
 		res.RuntimeErrPct = rep.RuntimeErrPct
-		if rep.Degradation.Degraded() {
-			res.Degraded = true
-			res.ResidualCoverage = rep.Degradation.ResidualCoverage
-		}
 		res.Summary = rep.Summary()
 		return res, nil
 	}

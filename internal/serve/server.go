@@ -119,9 +119,6 @@ type JobResult struct {
 	PredictedCycles  float64 `json:"predicted_cycles,omitempty"`
 	RuntimeErrPct    float64 `json:"runtime_err_pct,omitempty"`
 
-	Degraded         bool    `json:"degraded,omitempty"`
-	ResidualCoverage float64 `json:"residual_coverage,omitempty"`
-
 	// Filled by the server.
 	QueueWaitMS int64 `json:"queue_wait_ms"`
 	RunMS       int64 `json:"run_ms"`
