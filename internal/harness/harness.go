@@ -62,9 +62,9 @@ type Options struct {
 	// configuration is served instead of re-run, and every new one is
 	// stored durably — a killed campaign restarts where it stopped. An
 	// entry is keyed by the ReportKey plus every setting that changes its
-	// numbers (slice, seed), so another configuration
-	// re-evaluates; a corrupt entry is deleted and re-evaluated, and a
-	// directory that cannot be created is logged and ignored.
+	// numbers (slice, seed), so another configuration re-evaluates; a
+	// corrupt entry is deleted and re-evaluated, and a directory that
+	// cannot be created is logged and ignored.
 	Resume string
 	// ProgressDir, when set, makes every evaluation crash-only: the
 	// analysis's recording and block log, and every completed region

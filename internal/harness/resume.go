@@ -15,7 +15,7 @@ import (
 // Options.Resume directory, and a fresh Evaluator pointed at the same
 // directory serves it instead of redoing the record/profile/cluster/
 // simulate work. Entries hold the scalar subset of a core.Report that the
-// tables and figures consume (prediction, errors, speedups, intervals
+// tables and figures consume (prediction, errors, speedups, intervals,
 // and the selection's region/looppoint counts) — everything the renderers
 // read, nothing that cannot be serialized.
 
@@ -30,9 +30,9 @@ func resumeKey(o Options, k ReportKey) string {
 
 // resumeSig names, field by field, everything that can change a report:
 // the ReportKey and every core.Config knob, so a run under another
-// configuration looks up another key. ClusterWorkers,
-// ProgressDir and Progress change only host time and where mid-job state
-// lives, so they are left out.
+// configuration looks up another key. ClusterWorkers, ProgressDir and
+// Progress change only host time and where mid-job state lives, so they
+// are left out.
 func resumeSig(c core.Config, k ReportKey) string {
 	return fmt.Sprintf("%s|app=%s|policy=%v|input=%s|threads=%d|core=%v|full=%t|selector=%s"+
 		"|slice_unit=%d|max_k=%d|seed=%d|flow_window=%d|marker_entry_budget=%d|warmup=%v|warmup_regions=%d"+
