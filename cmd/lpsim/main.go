@@ -215,9 +215,6 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 			if loadErrs[i] != nil {
 				return regionRun{}, loadErrs[i]
 			}
-			if err := faults.Check("lpsim.region"); err != nil {
-				return regionRun{}, err
-			}
 			start := time.Now()
 			sim, err := timing.New(cfg, w.App.Prog)
 			if err != nil {

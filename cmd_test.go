@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"looppoint/internal/pinball"
 )
 
 // goRun executes one of the repository's commands via `go run`.
@@ -226,15 +228,63 @@ func TestCmdLpsimQuarantine(t *testing.T) {
 	}
 }
 
-// TestCmdLpsimEnvFaultQuarantine injects a transient region fault
-// through the FAULTS_PLAN environment and requires directory-mode lpsim
-// to quarantine the faulted checkpoint and finish the rest: a checkpoint
-// simulation runs once, and the quarantine is what absorbs its failure.
+// TestCmdLpsimSimFailureQuarantine saves a region pinball whose end
+// marker count is never reached — a simulation that fails for a reason in
+// its input, nothing injected — and requires directory-mode lpsim to
+// quarantine that checkpoint with its simulation error and finish the
+// rest: a checkpoint simulation runs once, and the quarantine is what
+// absorbs its failure.
+func TestCmdLpsimSimFailureQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	goRun(t, "./cmd/lpprofile", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+		"-slice", "3000", "-save-regions", dir)
+	pinballs, err := filepath.Glob(filepath.Join(dir, "*.pinball"))
+	if err != nil || len(pinballs) < 2 {
+		t.Fatalf("need >= 2 exported pinballs, got %v (%v)", pinballs, err)
+	}
+	bad := ""
+	for _, f := range pinballs {
+		pb, err := pinball.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := pb.Region.End; end.IsEnd || end.IsICount() {
+			continue
+		}
+		pb.Region.End.Count = 1 << 62
+		if err := pb.Save(f); err != nil {
+			t.Fatal(err)
+		}
+		bad = filepath.Base(f)
+		break
+	}
+	if bad == "" {
+		t.Fatal("no exported pinball ends at a PC marker; the test needs one")
+	}
+	out, err := goRunEnv(nil, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+		"-checkpoint", dir, "-min-coverage", "0.1")
+	if err != nil {
+		t.Fatalf("sweep with an unreachable end marker failed outright: %v\n%s", err, out)
+	}
+	quarantined := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, bad) {
+			quarantined = strings.Contains(line, "QUARANTINED") && strings.Contains(line, "end marker")
+		}
+	}
+	if !quarantined || !strings.Contains(out, "quarantined    1 of") {
+		t.Fatalf("the unreachable end marker did not quarantine exactly %s:\n%s", bad, out)
+	}
+}
+
+// TestCmdLpsimEnvFaultQuarantine injects a transient load fault through
+// the FAULTS_PLAN environment and requires directory-mode lpsim to
+// quarantine the faulted checkpoint and finish the rest.
 func TestCmdLpsimEnvFaultQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	goRun(t, "./cmd/lpprofile", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-slice", "3000", "-save-regions", dir)
-	env := []string{"FAULTS_PLAN=lpsim.region:transient:1:1", "FAULTS_SEED=1"}
+	env := []string{"FAULTS_PLAN=pinball.load:transient:1:1", "FAULTS_SEED=1"}
 	out, err := goRunEnv(env, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-checkpoint", dir, "-min-coverage", "0.1")
 	if err != nil {

@@ -2,25 +2,24 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/faults"
 	"looppoint/internal/serve"
 )
 
-// chaosRunner is the workers' deterministic job runner: the fake result
-// (a pure function of the spec), with a fault-injection site in front so
-// the chaos plan can make any worker flake or stall mid-job. Each job
-// takes a few milliseconds, like a real one, so claims sent to a busy
-// worker meet a job still running and a queue still full.
-func chaosRunner(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
-	if err := faults.Check("campaign.worker.run"); err != nil {
-		return nil, err
-	}
+// jobRunner is the workers' deterministic job runner: the fake result (a
+// pure function of the spec). Each job takes a few milliseconds, like a
+// real one, so claims sent to a busy worker meet a job still running and
+// a queue still full.
+func jobRunner(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -29,11 +28,30 @@ func chaosRunner(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, 
 	return fakeResult(*req), nil
 }
 
-// startWorker boots one real serve.Server behind an httptest listener —
-// a genuine lpserved fleet member, minus the process boundary.
-func startWorker(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
+// chaosRunner is jobRunner for the chaos drill: the n-th run, counted
+// across every worker that shares it, flakes or stalls past the lease as
+// a pure function of (seed, n) — about one run in three fails (six at
+// most), and of the rest about one in four stalls 150 ms (four at most).
+func chaosRunner(seed uint64) serve.RunFunc {
+	var runs, fails, stalls atomic.Uint64
+	return func(ctx context.Context, req *serve.JobRequest) (*serve.JobResult, error) {
+		n := runs.Add(1) - 1
+		h := artifact.Checksum([]byte(fmt.Sprintf("%d/%d", seed, n)))
+		switch {
+		case h%3 == 0 && fails.Add(1) <= 6:
+			return nil, fmt.Errorf("chaos: run %d fails", n)
+		case h%4 == 0 && stalls.Add(1) <= 4:
+			time.Sleep(150 * time.Millisecond)
+		}
+		return jobRunner(ctx, req)
+	}
+}
+
+// startWorker boots one real serve.Server running run behind an httptest
+// listener — a genuine lpserved fleet member, minus the process boundary.
+func startWorker(t *testing.T, cfg serve.Config, run serve.RunFunc) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s := serve.New(cfg, chaosRunner)
+	s := serve.New(cfg, run)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -73,7 +91,7 @@ func (o overAdvertised) Ready(ctx context.Context) (int, error) {
 func baselineReport(t *testing.T, tag string, spec Spec) string {
 	t.Helper()
 	defer faults.Enable(nil)()
-	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16})
+	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16}, jobRunner)
 	rep := runCampaign(t, chaosConfig(tag), []WorkerClient{NewHTTPWorker("baseline", ts.URL)}, spec)
 	if rep.Stats.Failed != 0 {
 		t.Fatalf("baseline failed jobs: %+v", rep.Stats)
@@ -85,7 +103,7 @@ func baselineReport(t *testing.T, tag string, spec Spec) string {
 // fleet of real serve.Servers where, mid-campaign,
 //
 //   - one worker is SIGKILL-equivalent killed (listener torn down),
-//   - jobs randomly fail and stall longer than the lease (stealing),
+//   - jobs fail and stall longer than the lease (stealing),
 //   - claim calls drop at the transport,
 //   - response bytes are corrupted in flight (checksum must catch them),
 //   - and tiny queues turn coordinator pressure into 429/503 storms,
@@ -105,8 +123,6 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 
 	seed := faults.SeedFromEnv(1)
 	restore := faults.Enable(faults.NewPlan(seed,
-		faults.Rule{Site: "campaign.worker.run", Kind: faults.Transient, Rate: 3, Count: 6},
-		faults.Rule{Site: "campaign.worker.run", Kind: faults.Slow, Rate: 4, Count: 4, Delay: 150 * time.Millisecond},
 		faults.Rule{Site: "campaign.claim", Kind: faults.Transient, Rate: 5, Count: 4},
 		faults.Rule{Site: "campaign.result", Kind: faults.Corrupt, Rate: 4, Count: 3},
 	))
@@ -114,9 +130,10 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 
 	// Tiny admission windows: each worker runs one job and queues one, but
 	// advertises three slots, so the coordinator's third claim sheds.
-	s0, ts0 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
-	s1, ts1 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
-	s2, ts2 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1})
+	run := chaosRunner(seed)
+	s0, ts0 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1}, run)
+	s1, ts1 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1}, run)
+	s2, ts2 := startWorker(t, serve.Config{MaxInflight: 1, QueueDepth: 1}, run)
 	// Kill worker 2 mid-flight. httptest.Close waits for in-flight
 	// handlers, so tear the listener down from a goroutine exactly like
 	// a kill -9 would look from the coordinator's side: connections die,
@@ -162,7 +179,7 @@ func TestCampaignResumeAfterCoordinatorKill(t *testing.T) {
 	spec := npbSpec(8)
 	want := baselineReport(t, "resume", spec)
 
-	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16})
+	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16}, jobRunner)
 	worker := func() []WorkerClient { return []WorkerClient{NewHTTPWorker("w", ts.URL)} }
 
 	// First life: the coordinator only ever sees half the campaign, then

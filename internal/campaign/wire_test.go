@@ -119,7 +119,7 @@ func TestClaimReplyBitFlipMatrix(t *testing.T) {
 // ready.
 func TestReadyzAdvertisesSlots(t *testing.T) {
 	for _, c := range []struct{ maxInflight, want int }{{3, 3}, {0, pool.DefaultWidth()}} {
-		_, ts := startWorker(t, serve.Config{MaxInflight: c.maxInflight})
+		_, ts := startWorker(t, serve.Config{MaxInflight: c.maxInflight}, jobRunner)
 		got, err := NewHTTPWorker("w", ts.URL).Ready(context.Background())
 		if err != nil || got != c.want {
 			t.Fatalf("MaxInflight %d: Ready = %d, %v; want %d slots", c.maxInflight, got, err, c.want)
@@ -174,7 +174,7 @@ func TestCoordinatorRetriesCorruptReplies(t *testing.T) {
 	spec := npbSpec(8)
 	want := baselineReport(t, "corrupt", spec)
 
-	_, ts := startWorker(t, serve.Config{MaxInflight: 2, QueueDepth: 8})
+	_, ts := startWorker(t, serve.Config{MaxInflight: 2, QueueDepth: 8}, jobRunner)
 	w := NewHTTPWorker("w", ts.URL)
 	w.hc = &http.Client{Transport: &corruptingTransport{n: 16}}
 	cfg := chaosConfig("corrupt")

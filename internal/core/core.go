@@ -427,25 +427,27 @@ func fmpki(m, i float64) float64 {
 }
 
 // Extrapolate reconstructs whole-program metrics from the region results:
-// total = Σ_i value_i × multiplier_i.
+// total = Σ_i value_i × multiplier_i. Each product is rounded before the
+// sum takes it (float64(…)), so no host fuses the two into one
+// multiply-add and every host sums amd64's bits.
 func Extrapolate(results []RegionResult, freqGHz float64) Prediction {
 	var p Prediction
 	for _, r := range results {
 		m := r.Point.Multiplier
-		p.Cycles += r.Stats.Cycles * m
-		p.Instructions += float64(r.Stats.Instructions) * m
-		p.BranchMisses += float64(r.Stats.BranchMisses) * m
-		p.Branches += float64(r.Stats.Branches) * m
-		p.L1DMisses += float64(r.Stats.L1DMisses) * m
-		p.L2Misses += float64(r.Stats.L2Misses) * m
-		p.L3Misses += float64(r.Stats.L3Misses) * m
+		p.Cycles += float64(r.Stats.Cycles * m)
+		p.Instructions += float64(float64(r.Stats.Instructions) * m)
+		p.BranchMisses += float64(float64(r.Stats.BranchMisses) * m)
+		p.Branches += float64(float64(r.Stats.Branches) * m)
+		p.L1DMisses += float64(float64(r.Stats.L1DMisses) * m)
+		p.L2Misses += float64(float64(r.Stats.L2Misses) * m)
+		p.L3Misses += float64(float64(r.Stats.L3Misses) * m)
 		p.Stack.Add(timing.CPIStack{
-			Base:    r.Stats.Stack.Base * m,
-			Ifetch:  r.Stats.Stack.Ifetch * m,
-			Memory:  r.Stats.Stack.Memory * m,
-			Branch:  r.Stats.Stack.Branch * m,
-			Compute: r.Stats.Stack.Compute * m,
-			Sync:    r.Stats.Stack.Sync * m,
+			Base:    float64(r.Stats.Stack.Base * m),
+			Ifetch:  float64(r.Stats.Stack.Ifetch * m),
+			Memory:  float64(r.Stats.Stack.Memory * m),
+			Branch:  float64(r.Stats.Stack.Branch * m),
+			Compute: float64(r.Stats.Stack.Compute * m),
+			Sync:    float64(r.Stats.Stack.Sync * m),
 		})
 	}
 	p.Seconds = p.Cycles / (freqGHz * 1e9)
@@ -456,7 +458,7 @@ func dist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d) // rounded before the add: never fused
 	}
 	return math.Sqrt(s)
 }

@@ -6,10 +6,10 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
@@ -107,6 +107,8 @@ func TestRunOverlapIdentical(t *testing.T) {
 // and, when rendezvous > 0, parks every region attempt at its start until
 // that many regions are in flight at once — which a sweep sharing its
 // budget with a live full run can only reach after that run has ended.
+// onFullStart and onRegionStart, when set, run as a simulation starts,
+// inside its slot.
 type simWatch struct {
 	t                    *testing.T
 	mu                   sync.Mutex
@@ -118,6 +120,7 @@ type simWatch struct {
 	reached              chan struct{}
 	reachedOnce          sync.Once
 	onFullStart          func()
+	onRegionStart        func()
 }
 
 func watchSims(t *testing.T, rendezvous int) *simWatch {
@@ -150,11 +153,13 @@ func (w *simWatch) gauge(full bool, delta int) {
 			w.reachedOnce.Do(func() { close(w.reached) })
 		}
 	}
-	start := w.onFullStart
+	fullStart, regionStart := w.onFullStart, w.onRegionStart
 	w.mu.Unlock()
 	switch {
-	case full && delta > 0 && start != nil:
-		start()
+	case full && delta > 0 && fullStart != nil:
+		fullStart()
+	case !full && delta > 0 && regionStart != nil:
+		regionStart()
 	case !full && delta > 0 && w.rendezvous > 0:
 		select {
 		case <-w.reached:
@@ -210,26 +215,46 @@ func TestRunBudgetBoundsSimulationsInFlight(t *testing.T) {
 // TestRunBudgetJoinsFullRunOnEveryPath: whichever way the sampled lane
 // ends — a failed sweep, a context cancelled during Analyze, a slow
 // region — Run returns what the serial order returns, and only after the
-// overlapped full run has finished.
+// overlapped full run has finished. The sweep's failure and the slow
+// region are both made at a region's start, on simGauge.
 func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	simCfg := timing.Gainestown(4)
 
 	t.Run("sweep-error", func(t *testing.T) {
-		// One fault, on the sweep's first invocation whichever region
-		// makes it: the sweep fails with it at every width.
-		first := faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1, Count: 1}
-		run := func(width int) error {
-			defer faults.Enable(faults.NewPlan(1, first))()
-			_, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: width})
+		// The first region to start, whichever it is, cancels the run —
+		// once the overlapped full run is under way, so that it is one to
+		// join: the regions not yet started fail the sweep at every width.
+		// The full run holds its slot for a while as it starts, so it is
+		// still running when the sweep fails.
+		run := func(w *simWatch, width int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fullStarted := make(chan struct{})
+			if width >= 2 {
+				w.onFullStart = func() {
+					close(fullStarted)
+					time.Sleep(200 * time.Millisecond)
+				}
+			} else {
+				close(fullStarted) // the full run would follow the sweep
+			}
+			var first atomic.Bool
+			w.onRegionStart = func() {
+				if first.CompareAndSwap(false, true) {
+					<-fullStarted
+					cancel()
+				}
+			}
+			_, err := Run(ctx, p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: width})
 			return err
 		}
-		want := run(1)
-		if !errors.Is(want, faults.ErrInjected) {
-			t.Fatalf("width 1: err = %v, want the injected fault", want)
+		want := run(watchSims(t, 0), 1)
+		if !errors.Is(want, context.Canceled) {
+			t.Fatalf("width 1: err = %v, want the cancellation", want)
 		}
 		w := watchSims(t, 0)
-		got := run(2)
+		got := run(w, 2)
 		w.settled(t, 1)
 		if got == nil || got.Error() != want.Error() {
 			t.Errorf("overlapped run: err = %v, serial order: %v", got, want)
@@ -254,9 +279,13 @@ func TestRunBudgetJoinsFullRunOnEveryPath(t *testing.T) {
 		// A region that runs long stays inside its slot until it ends: Run
 		// returns only after every simulation it started has ended, and the
 		// slow region never pushes the width past its budget.
-		defer faults.Enable(faults.NewPlan(1, faults.Rule{
-			Site: "core.region.sim", Kind: faults.Slow, Rate: 1, Count: 1, Delay: 200 * time.Millisecond}))()
 		w := watchSims(t, 0)
+		var first atomic.Bool
+		w.onRegionStart = func() {
+			if first.CompareAndSwap(false, true) {
+				time.Sleep(200 * time.Millisecond)
+			}
+		}
 		rep, err := Run(context.Background(), p, testConfig(), simCfg, RunOpts{SimulateFull: true, Width: 2})
 		if err != nil {
 			t.Fatal(err)

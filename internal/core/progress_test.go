@@ -445,9 +445,9 @@ func TestAnalyzeSameNameProgramsShareProgressDir(t *testing.T) {
 }
 
 // TestSimulateRegionsResumeFromJournal: a sweep stores every region; a
-// restarted sweep serves all of them from the store — proven by
-// arming a Rate-1 fault at the simulation site, which recovered regions
-// never reach — with identical results including recorded host times.
+// restarted sweep serves all of them from the store — proven by counting
+// the detailed simulations it starts, which must be none — with identical
+// results including recorded host times.
 func TestSimulateRegionsResumeFromJournal(t *testing.T) {
 	dir := t.TempDir()
 	p := testprog.Phased(4, 10, 150, omp.Passive)
@@ -466,13 +466,15 @@ func TestSimulateRegionsResumeFromJournal(t *testing.T) {
 	}
 	saves1, _, _, _, _ := cfg.Progress.Snapshot()
 
-	// Every fresh simulation would fail — recovered regions never
-	// simulate, so an error-free identical sweep proves full recovery.
-	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(2),
-		faults.Rule{Site: "core.region.sim", Kind: faults.Transient, Rate: 1}))()
+	// Recovered regions never simulate, so a sweep that starts no
+	// simulation and returns identical results proves full recovery.
+	sims := countSims(t)
 	second, err := simulateAll(sel, timing.Gainestown(4), 2)
 	if err != nil {
 		t.Fatalf("store-resumed sweep failed: %v", err)
+	}
+	if sims.regions != 0 {
+		t.Fatalf("store-resumed sweep simulated %d regions, want 0", sims.regions)
 	}
 	if !reflect.DeepEqual(second, first) {
 		t.Fatal("store-resumed results differ from the original sweep")

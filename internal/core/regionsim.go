@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"looppoint/internal/faults"
 	"looppoint/internal/pinball"
 	"looppoint/internal/pool"
 	"looppoint/internal/timing"
@@ -83,16 +82,11 @@ func extractCheckpoints(sel *Selection) ([]*pinball.Pinball, error) {
 	return checkpoints, nil
 }
 
-// simulateOneRegion runs one looppoint's detailed simulation. Injection
-// site "core.region.sim" can force transient failures, slow calls, or
-// panics here, each of which fails the sweep. The
+// simulateOneRegion runs one looppoint's detailed simulation. The
 // simulation kernel itself is CPU-bound and does not poll ctx; the pool's
 // per-item claim check plus SimulateRegions' check once a region holds its
 // slot are what make a cancelled sweep stop at region boundaries.
 func simulateOneRegion(sel *Selection, simCfg timing.Config, checkpoints []*pinball.Pinball, i int) (RegionResult, error) {
-	if err := faults.Check("core.region.sim"); err != nil {
-		return RegionResult{}, err
-	}
 	simGauge(false, +1)
 	defer simGauge(false, -1)
 	a := sel.Analysis

@@ -275,7 +275,7 @@ func decodeSelection(data []byte) (*SelectionFile, error) {
 		if p.Multiplier < 1 {
 			return nil, fmt.Errorf("core: point %d multiplier %f < 1: %w", i, p.Multiplier, artifact.ErrCorrupt)
 		}
-		mass += p.Multiplier * float64(p.Filtered)
+		mass += float64(p.Multiplier * float64(p.Filtered)) // rounded before the add: never fused
 	}
 	if f.TotalFiltered > 0 {
 		if ratio := mass / float64(f.TotalFiltered); ratio < 0.99 || ratio > 1.01 {

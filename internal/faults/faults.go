@@ -1,18 +1,18 @@
 // Package faults is a deterministic, seed-driven fault injector for the
-// whole sampling pipeline. Production code calls Check/CorruptBytes at
-// named injection sites; with no plan enabled those calls are a single
-// atomic load, so the hot path pays nothing. Tests (and the FAULTS_SEED
-// CI sweep) arm a Plan that decides — purely from the seed, the site
-// name, and the per-site invocation index — which invocations fail and
-// how: a transient error, a deterministic bit flip in an artifact byte
-// stream, a bounded slowdown, or a worker panic. Because the decision is
-// a pure function of (seed, site, index), every recovery path in the
-// repository is exercised by ordinary `go test` with zero wall-clock
-// flakiness, and a failing sweep seed reproduces exactly.
+// disk and network edges of the pipeline. Production code calls
+// Check/CorruptBytes at named injection sites; with no plan enabled those
+// calls are a single atomic load, so the hot path pays nothing. Tests
+// (and the FAULTS_SEED CI sweep) arm a Plan that decides — purely from
+// the seed, the site name, and the per-site invocation index — which
+// invocations fail and how: a transient error, a deterministic bit flip
+// in an artifact byte stream, or a panic. Because the decision is a pure
+// function of (seed, site, index), every recovery path in the repository
+// is exercised by ordinary `go test` with zero wall-clock flakiness, and
+// a failing sweep seed reproduces exactly.
 //
 // Site naming convention: `<package>.<operation>`, lower-case, dots as
-// separators — e.g. "pinball.load", "core.region.sim", "harness.report".
-// DESIGN.md §9 lists the armed sites.
+// separators — e.g. "pinball.load", "core.progress.save",
+// "campaign.claim". DESIGN.md §9 lists the armed sites.
 package faults
 
 import (
@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"looppoint/internal/artifact"
 )
@@ -38,11 +37,8 @@ const (
 	// Corrupt makes CorruptBytes flip one deterministic bit in the
 	// artifact byte stream passing through the site.
 	Corrupt
-	// Slow makes Check sleep for the rule's Delay — long enough to trip
-	// a small per-item timeout in tests, bounded so suites stay fast.
-	Slow
-	// Panic makes Check panic with a *Fault — the crashed-worker class
-	// degraded mode must survive.
+	// Panic makes Check panic with a *Fault — the in-process stand-in
+	// for a process killed at the site.
 	Panic
 )
 
@@ -52,8 +48,6 @@ func (k Kind) String() string {
 		return "transient"
 	case Corrupt:
 		return "corrupt"
-	case Slow:
-		return "slow"
 	case Panic:
 		return "panic"
 	}
@@ -67,8 +61,6 @@ func ParseKind(s string) (Kind, error) {
 		return Transient, nil
 	case "corrupt":
 		return Corrupt, nil
-	case "slow":
-		return Slow, nil
 	case "panic":
 		return Panic, nil
 	}
@@ -94,11 +86,6 @@ func (f *Fault) Error() string {
 // Unwrap lets errors.Is(err, faults.ErrInjected) match.
 func (f *Fault) Unwrap() error { return ErrInjected }
 
-// DefaultSlowDelay bounds Slow faults when the rule leaves Delay zero:
-// long enough to trip millisecond-scale test timeouts, short enough to
-// keep suites fast.
-const DefaultSlowDelay = 5 * time.Millisecond
-
 // Rule arms one injection site. Which invocations fire is decided by a
 // hash of (plan seed, site, invocation index): with Rate r, roughly one
 // in r invocations at or past After fires, until Count fires have
@@ -118,9 +105,6 @@ type Rule struct {
 	// After skips the first After invocations of the site — "let some
 	// work finish, then kill it" scripting for resume tests.
 	After uint64
-	// Delay is the added latency for Slow faults (DefaultSlowDelay when
-	// zero).
-	Delay time.Duration
 }
 
 // armedRule pairs a rule with its fire counter.
@@ -209,52 +193,37 @@ func (p *Plan) hit(r *armedRule, idx uint64) bool {
 	return true
 }
 
-// fire looks up the first matching rule of the given kinds at this
-// site's next invocation index of the given class.
-func (p *Plan) fire(siteName string, class int, kinds ...Kind) (*Fault, *armedRule) {
+// fire looks up the first rule of the given class — Corrupt rules for
+// classCorrupt, the others for classCheck — that fires at this site's
+// next invocation index of that class.
+func (p *Plan) fire(siteName string, class int) *Fault {
 	s := p.sites[siteName]
 	if s == nil {
-		return nil, nil
+		return nil
 	}
 	idx := s.calls[class].Add(1) - 1
 	for _, r := range s.rules {
-		match := false
-		for _, k := range kinds {
-			if r.Kind == k {
-				match = true
-				break
-			}
-		}
-		if match && p.hit(r, idx) {
-			return &Fault{Site: siteName, Index: idx, Kind: r.Kind}, r
+		if (r.Kind == Corrupt) == (class == classCorrupt) && p.hit(r, idx) {
+			return &Fault{Site: siteName, Index: idx, Kind: r.Kind}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // Check is the general injection point: it counts one Check-class
-// invocation of the site and, if a Transient/Slow/Panic rule fires,
-// returns an injected error, sleeps, or panics respectively. Corrupt
-// rules never fire here — they belong to CorruptBytes, whose invocations
-// are counted separately.
+// invocation of the site and, if a Transient or Panic rule fires,
+// returns an injected error or panics respectively. Corrupt rules never
+// fire here — they belong to CorruptBytes, whose invocations are counted
+// separately.
 func (p *Plan) Check(siteName string) error {
-	f, r := p.fire(siteName, classCheck, Transient, Slow, Panic)
+	f := p.fire(siteName, classCheck)
 	if f == nil {
 		return nil
 	}
-	switch f.Kind {
-	case Slow:
-		d := r.Delay
-		if d <= 0 {
-			d = DefaultSlowDelay
-		}
-		time.Sleep(d)
-		return nil
-	case Panic:
+	if f.Kind == Panic {
 		panic(f)
-	default:
-		return f
 	}
+	return f
 }
 
 // CorruptBytes counts one Corrupt-class invocation of the site
@@ -265,7 +234,7 @@ func (p *Plan) CorruptBytes(siteName string, data []byte) bool {
 	if len(data) == 0 {
 		return false
 	}
-	f, _ := p.fire(siteName, classCorrupt, Corrupt)
+	f := p.fire(siteName, classCorrupt)
 	if f == nil {
 		return false
 	}
@@ -332,8 +301,10 @@ func SeedFromEnv(def uint64) uint64 {
 //	FAULTS_PLAN="site:kind:rate[:count[:after]][;site:kind:rate...]"
 //	FAULTS_SEED=7   # optional, default 1
 //
-// e.g. FAULTS_PLAN="lpsim.region:transient:1:1" fails the first region
-// simulation once. Returns (nil, nil) when FAULTS_PLAN is unset.
+// e.g. FAULTS_PLAN="pinball.load:transient:1:1" fails the first pinball
+// load once. An entry with an empty site or more than five fields is
+// rejected, never read in part. Returns (nil, nil) when FAULTS_PLAN is
+// unset.
 func FromEnv() (*Plan, error) {
 	spec := os.Getenv("FAULTS_PLAN")
 	if spec == "" {
@@ -346,7 +317,7 @@ func FromEnv() (*Plan, error) {
 			continue
 		}
 		parts := strings.Split(entry, ":")
-		if len(parts) < 3 {
+		if len(parts) < 3 || len(parts) > 5 || parts[0] == "" {
 			return nil, fmt.Errorf("faults: bad FAULTS_PLAN entry %q (want site:kind:rate[:count[:after]])", entry)
 		}
 		kind, err := ParseKind(parts[1])

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/timing"
 )
@@ -168,27 +167,30 @@ func TestReportCancelledFailsFast(t *testing.T) {
 
 // TestReportJoinerOutlivesLeaderCancel: a caller that joins another
 // caller's in-flight evaluation of the same key is not answered with that
-// caller's cancellation. A slow fault at harness.report holds A inside its
-// evaluation while B joins it with a live context; A is then cancelled
-// and its evaluation ends canceled, and B — failures are not cached —
-// leads a fresh evaluation and gets its report: two evaluations in all.
+// caller's cancellation. A leads the key's flight with a compute that
+// holds it until A's context ends and then fails with that cancellation,
+// as an evaluation cut short does; B joins it with a live context. A is
+// then cancelled, and B — failures are not cached — leads a fresh
+// evaluation and gets its report: two evaluations in all.
 func TestReportJoinerOutlivesLeaderCancel(t *testing.T) {
 	e := smokeEvaluator()
 	k := ReportKey{App: "644.nab_s.1", Policy: omp.Passive, Input: e.Opts.trainInput(), Threads: e.Opts.Threads}
-	plan := faults.NewPlan(1, faults.Rule{Site: "harness.report", Kind: faults.Slow, Rate: 1, Count: 1,
-		Delay: 300 * time.Millisecond})
-	defer faults.Enable(plan)()
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
+	held := make(chan struct{})
 	errA := make(chan error, 1)
+	evalsA := 0
 	go func() {
-		_, err := e.Report(ctxA, k)
+		_, err := e.reports.do(ctxA, fmt.Sprintf("%+v", k), func() (*core.Report, error) {
+			evalsA++
+			close(held) // A now leads the flight, held until it is cancelled
+			<-ctxA.Done()
+			return nil, ctxA.Err()
+		})
 		errA <- err
 	}()
-	for plan.Fired("harness.report") == 0 { // A now leads the flight, held by the fault
-		time.Sleep(time.Millisecond)
-	}
+	<-held
 	type result struct {
 		rep *core.Report
 		err error
@@ -198,7 +200,7 @@ func TestReportJoinerOutlivesLeaderCancel(t *testing.T) {
 		rep, err := e.Report(context.Background(), k)
 		resB <- result{rep, err}
 	}()
-	time.Sleep(50 * time.Millisecond) // B attaches to A's flight while the fault holds A
+	time.Sleep(50 * time.Millisecond) // B attaches to A's flight while A holds it
 	cancelA()
 
 	if err := <-errA; !errors.Is(err, context.Canceled) {
@@ -208,7 +210,7 @@ func TestReportJoinerOutlivesLeaderCancel(t *testing.T) {
 	if b.err != nil || b.rep == nil {
 		t.Fatalf("B inherited A's cancellation: %v", b.err)
 	}
-	if n := e.Evaluations(); n != 2 {
+	if n := evalsA + int(e.Evaluations()); n != 2 {
 		t.Fatalf("evaluations = %d, want 2 (A's cancelled one, B's fresh one)", n)
 	}
 }

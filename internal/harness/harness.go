@@ -26,7 +26,6 @@ import (
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/pool"
 	"looppoint/internal/timing"
@@ -350,12 +349,6 @@ func (e *Evaluator) Report(ctx context.Context, k ReportKey) (*core.Report, erro
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		// Injection site "harness.report" lets the fault suite kill an
-		// experiment campaign between evaluations and exercise the
-		// resume store.
-		if err := faults.Check("harness.report"); err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", k.App, err)
 		}
 		e.evals.Add(1)
 		app, err := e.BuildApp(k.App, k.Policy, k.Input, k.Threads)

@@ -13,7 +13,6 @@ import (
 	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/stats"
 )
@@ -38,14 +37,14 @@ func storeEntries(t *testing.T, dir string) []string {
 }
 
 // TestResumeJournalSkipsCompletedWork kills a campaign between
-// evaluations with an injected fault, restarts it against the same resume
+// evaluations by cancelling its context, restarts it against the same resume
 // directory, and requires (a) the stored report is served without
 // re-evaluating and (b) the resumed reports match an uninterrupted run
 // byte-for-byte.
 func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 	dir := t.TempDir()
 
-	// Uninterrupted reference run (no resume store, no faults).
+	// Uninterrupted reference run (no resume store, no kill).
 	ref := NewEvaluator(smokeOpts())
 	refKeys := resumeKeys(ref)
 	refSums := make([]string, len(refKeys))
@@ -57,25 +56,23 @@ func TestResumeJournalSkipsCompletedWork(t *testing.T) {
 		refSums[i] = rep.Summary()
 	}
 
-	// Run 1: the first evaluation completes and is stored; the fault then
-	// kills every later evaluation (After skips the first invocation of
-	// the site).
+	// Run 1: the first evaluation completes and is stored; the campaign's
+	// context then ends, killing the later evaluation.
 	opts := smokeOpts()
 	opts.Resume = dir
 	e1 := NewEvaluator(opts)
-	restore := faults.Enable(faults.NewPlan(1,
-		faults.Rule{Site: "harness.report", Kind: faults.Transient, Rate: 1, After: 1}))
+	ctx, kill := context.WithCancel(context.Background())
 	keys := resumeKeys(e1)
-	rep0, err := e1.Report(context.Background(), keys[0])
+	rep0, err := e1.Report(ctx, keys[0])
 	if err != nil {
-		t.Fatalf("first report under fault plan: %v", err)
+		t.Fatalf("first report before the kill: %v", err)
 	}
-	if _, err := e1.Report(context.Background(), keys[1]); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("second report: err = %v, want injected kill", err)
+	kill()
+	if _, err := e1.Report(ctx, keys[1]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("second report: err = %v, want the kill's cancellation", err)
 	}
-	restore()
 	if got := rep0.Summary(); got != refSums[0] {
-		t.Errorf("faulted run report differs from reference:\n%s\n%s", got, refSums[0])
+		t.Errorf("killed run report differs from reference:\n%s\n%s", got, refSums[0])
 	}
 	if n := len(storeEntries(t, dir)); n != 1 {
 		t.Fatalf("%d store entries after one completed evaluation, want 1", n)

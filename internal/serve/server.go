@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/pool"
 	"looppoint/internal/timing"
@@ -664,18 +663,12 @@ func (s *Server) runOne(j *job) {
 	j.done <- jobDone{res: res, err: err, wait: wait, run: s.cfg.Now().Sub(start), prog: prog}
 }
 
-// executeJob runs the job once, panic-protected; site "serve.job" is the
-// chaos injection point. A failure — a panic included, as a
-// *pool.PanicError — is the job's answer: the job is a deterministic
-// function of its spec, so a second run in place would fail the same way,
-// and the coordinator retries on another worker.
+// executeJob runs the job once, panic-protected. A failure — a panic
+// included, as a *pool.PanicError — is the job's answer: the job is a
+// deterministic function of its spec, so a second run in place would fail
+// the same way, and the coordinator retries on another worker.
 func (s *Server) executeJob(ctx context.Context, req *JobRequest) (*JobResult, error) {
-	return pool.Protect(func() (*JobResult, error) {
-		if err := faults.Check("serve.job"); err != nil {
-			return nil, err
-		}
-		return s.run(ctx, req)
-	})
+	return pool.Protect(func() (*JobResult, error) { return s.run(ctx, req) })
 }
 
 // Drain performs graceful shutdown: stop admitting, wait for admitted

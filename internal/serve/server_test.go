@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"looppoint/internal/artifact"
 	"looppoint/internal/faults"
 )
 
@@ -538,20 +539,14 @@ func TestServeDrainCleanWhenIdle(t *testing.T) {
 	}
 }
 
-// TestServeChaosFaultNoHangs is the deterministic chaos drill: with the
-// "serve.job" site armed (transient errors, slowdowns, and worker
-// panics, seed-swept in CI via FAULTS_SEED), a burst of concurrent
-// requests with tight deadlines must all be answered — success, typed
-// error, typed timeout, or shed — with no request hanging past its
-// deadline, inflight never exceeding MaxInflight, and a clean drain
-// afterwards.
+// TestServeChaosFaultNoHangs is the deterministic chaos drill: with a
+// runner that fails, stalls, and panics (seed-swept in CI via
+// FAULTS_SEED), a burst of concurrent requests with tight deadlines must
+// all be answered — success, typed error, typed timeout, or shed — with
+// no request hanging past its deadline, inflight never exceeding
+// MaxInflight, and a clean drain afterwards.
 func TestServeChaosFaultNoHangs(t *testing.T) {
 	seed := faults.SeedFromEnv(1)
-	defer faults.Enable(faults.NewPlan(seed,
-		faults.Rule{Site: "serve.job", Kind: faults.Transient, Rate: 3},
-		faults.Rule{Site: "serve.job", Kind: faults.Slow, Rate: 5, Delay: 10 * time.Millisecond},
-		faults.Rule{Site: "serve.job", Kind: faults.Panic, Rate: 11, Count: 3},
-	))()
 
 	const (
 		maxInflight = 4
@@ -559,9 +554,24 @@ func TestServeChaosFaultNoHangs(t *testing.T) {
 		deadline    = 2 * time.Second
 		slack       = 8 * time.Second // CI scheduling headroom on top of the deadline
 	)
+	// The n-th run's fate is a pure function of (seed, n): every seventh
+	// run panics (at most three times), and of the rest about one in three
+	// fails and one in five stalls 10 ms; every run not failed does a
+	// sliver of deterministic work that respects cancellation.
+	var runs atomic.Uint64
+	var panics atomic.Int64
 	run := func(ctx context.Context, req *JobRequest) (*JobResult, error) {
-		// A sliver of deterministic work that respects cancellation.
+		n := runs.Add(1) - 1
+		h := artifact.Checksum([]byte(fmt.Sprintf("%d/%d", seed, n)))
 		d := time.Duration(req.Threads%5+1) * time.Millisecond
+		switch {
+		case n%7 == seed%7 && panics.Add(1) <= 3:
+			panic(fmt.Sprintf("chaos: run %d panics", n))
+		case h%3 == 0:
+			return nil, fmt.Errorf("chaos: run %d fails", n)
+		case h%5 == 0:
+			d += 10 * time.Millisecond
+		}
 		select {
 		case <-time.After(d):
 			return &JobResult{ID: req.ID, Summary: "ok"}, nil
@@ -631,7 +641,8 @@ func TestServeChaosFaultNoHangs(t *testing.T) {
 	if st.Admitted > total {
 		t.Fatalf("admitted %d > accounted %d: some request vanished (stats %+v)", st.Admitted, total, st)
 	}
-	t.Logf("seed %d outcomes: %v (high water %d, trips %v)", seed, outcomes, st.HighWater, st.Trips)
+	t.Logf("seed %d outcomes: %v (runs %d, panics %d, high water %d, trips %v)",
+		seed, outcomes, runs.Load(), min(panics.Load(), 3), st.HighWater, st.Trips)
 
 	ds := s.Drain()
 	if !ds.Clean {
