@@ -24,6 +24,7 @@ type kmeansScratch struct {
 	cents  []float64 // k*dims current centroids
 	prev   []float64 // k*dims previous centroids (movement computation)
 	counts []int     // per-centroid member count
+	moved  []bool    // per-centroid: its member list changed this pass
 	mv     []float64 // per-centroid movement since last iteration (inflated)
 	half   []float64 // per-centroid half-distance to nearest other centroid (deflated)
 	upper  []float64 // per-point upper bound on distance to assigned centroid
@@ -40,6 +41,7 @@ func newKMeansScratch(n, k, dims int) *kmeansScratch {
 		cents:  make([]float64, k*dims),
 		prev:   make([]float64, k*dims),
 		counts: make([]int, k),
+		moved:  make([]bool, k),
 		mv:     make([]float64, k),
 		half:   make([]float64, k),
 		upper:  make([]float64, n),
@@ -72,7 +74,9 @@ func newKMeansScratch(n, k, dims int) *kmeansScratch {
 //     and drop a pair that can lower neither endpoint's minimum;
 //   - centroid recomputation accumulates members in point order over the
 //     flat arrays, the same op sequence as the slow path's nested loops,
-//     and the iteration/termination structure is mirrored exactly.
+//     and the iteration/termination structure is mirrored exactly; a
+//     centroid whose member list did not change would be summed by the
+//     same float sequence, so it is kept as it is.
 //
 // Every distance that is finished is accumulated term by term in
 // dimension order (sqDist, partialSqDist), so it is the slow path's
@@ -160,6 +164,9 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 			// that cannot skip on half[a] next pass gets an exact one
 			// from argmin2 then.
 			fold(k - 1)
+			for j := range s.moved {
+				s.moved[j] = true // the seeds are no members' means
+			}
 			for i := 0; i < n; i++ {
 				if assign[i] != s.near[i] {
 					assign[i] = s.near[i]
@@ -188,6 +195,7 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 				if bestJ != a {
 					assign[i] = bestJ
 					changed = true
+					s.moved[a], s.moved[bestJ] = true, true
 				}
 				s.upper[i] = math.Sqrt(bestD) * inflate
 				s.lower[i] = math.Sqrt(secondD) * deflate
@@ -197,27 +205,28 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 			break
 		}
 
-		// Recompute centroids from the assignments — the slow path's op
-		// sequence on flat arrays: zero, accumulate members in point
-		// order, divide occupied centroids (a dead centroid becomes the
-		// origin, compacted later).
+		// Recompute the centroids whose member lists changed — the slow
+		// path's op sequence on flat arrays: zero, accumulate members in
+		// point order, divide occupied centroids (a dead centroid becomes
+		// the origin, compacted later).
 		copy(s.prev, s.cents)
-		for j := range s.counts {
-			s.counts[j] = 0
-		}
-		for i := range s.cents {
-			s.cents[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			j := assign[i]
-			s.counts[j]++
-			c := s.cents[j*dims : (j+1)*dims]
-			for d, x := range pt(i) {
-				c[d] += x
+		for j, moved := range s.moved {
+			if moved {
+				s.counts[j] = 0
+				clear(cent(j))
 			}
 		}
-		for j := 0; j < k; j++ {
-			if s.counts[j] == 0 {
+		for i := 0; i < n; i++ {
+			if j := assign[i]; s.moved[j] {
+				s.counts[j]++
+				c := cent(j)
+				for d, x := range pt(i) {
+					c[d] += x
+				}
+			}
+		}
+		for j, moved := range s.moved {
+			if !moved || s.counts[j] == 0 {
 				continue
 			}
 			c := cent(j)
@@ -225,6 +234,7 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 				c[d] /= float64(s.counts[j])
 			}
 		}
+		clear(s.moved)
 
 		// Drift the bounds by the centroid movements (triangle
 		// inequality): the assigned centroid moved at most mv[a] closer
@@ -238,7 +248,7 @@ func kmeansFast(pts []float64, n, dims, k int, seed uint64, maxIter int) ([]int,
 		}
 		for i := 0; i < n; i++ {
 			s.upper[i] = (s.upper[i] + s.mv[assign[i]]) * inflate
-			s.lower[i] = s.lower[i]*deflate - maxMv
+			s.lower[i] = float64(s.lower[i]*deflate) - maxMv
 		}
 		// Half the distance from each centroid to its nearest sibling: a
 		// point within that radius of its centroid cannot be closer to
@@ -286,20 +296,20 @@ func partialSqDist(a, b []float64, limit float64) float64 {
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 		d = a[i+1] - b[i+1]
-		s += d * d
+		s += float64(d * d)
 		d = a[i+2] - b[i+2]
-		s += d * d
+		s += float64(d * d)
 		d = a[i+3] - b[i+3]
-		s += d * d
+		s += float64(d * d)
 		if s >= limit {
 			return s
 		}
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -56,7 +56,7 @@ func splitmix64(x uint64) uint64 {
 // for (row, col) under the given seed, without materializing the matrix.
 func projEntry(seed uint64, row, col int) float64 {
 	h := splitmix64(seed ^ splitmix64(uint64(row)*0x100000001B3+uint64(col)))
-	return float64(h>>11)/float64(1<<53)*2 - 1
+	return float64(float64(h>>11)/float64(1<<53))*2 - 1
 }
 
 // projRows lazily materializes projection-matrix rows into one flat
@@ -181,7 +181,7 @@ func projectSparse(sv []bbv.SparseEntry, rows *projRows, dims, foldMod int) []fl
 		nw := e.Weight / total
 		pr := rows.row(foldRow(e.Index, foldMod))[:len(v)]
 		for d := range v {
-			v[d] += nw * pr[d]
+			v[d] += float64(nw * pr[d])
 		}
 	}
 	return v
@@ -314,7 +314,7 @@ func cluster(vectors [][]float64, weights []float64, opts Options,
 		}
 	}
 	// Smallest k whose BIC reaches the threshold fraction of the range.
-	cut := worst + bicCutoff*(best-worst)
+	cut := worst + float64(bicCutoff*(best-worst))
 	chosen := attempts[len(attempts)-1]
 	for _, a := range attempts {
 		if a.bic >= cut {
@@ -428,18 +428,18 @@ func bic(vectors [][]float64, assign []int, cents [][]float64, distortion, varFl
 		if rn <= 0 {
 			continue
 		}
-		llh += rn*math.Log(rn) - rn*math.Log(r) -
-			rn*m/2*math.Log(2*math.Pi*variance) - (rn-1)*m/2
+		llh += float64(rn*math.Log(rn)) - float64(rn*math.Log(r)) -
+			float64(rn*m/2*math.Log(2*math.Pi*variance)) - float64((rn-1)*m/2)
 	}
 	params := k * (m + 1)
-	return llh - params/2*math.Log(r)
+	return llh - float64(params/2*math.Log(r))
 }
 
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -26,7 +26,7 @@ func BenchmarkBranchPredictor(b *testing.B) {
 	bp := NewBranchPredictor()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bp.Predict(uint64(i&1023)<<2, i%7 != 0)
+		bp.update(uint64(i&1023)<<2, i%7 != 0)
 	}
 }
 

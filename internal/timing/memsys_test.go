@@ -189,7 +189,8 @@ func TestCacheIndexMatchesDivModReference(t *testing.T) {
 
 // TestCacheRepeatLinesMatchReference: on streams where most accesses
 // repeat the line the cache looked up last, each looked up as the timing
-// loop's L1 sites do (the repeat check, then Access), interleaved with quiet fills,
+// loop's L1 sites do (the repeat check, then hit, then miss) or as Access
+// does, interleaved with quiet fills,
 // invalidations at either level, warming toggles and resets of either
 // level, a two-level hierarchy returns the hit levels and counts of the
 // %,/ reference and holds exactly its lines — for direct-mapped,
@@ -227,8 +228,10 @@ func TestCacheRepeatLinesMatchReference(t *testing.T) {
 				switch op := rng.Intn(40); {
 				case op < 30:
 					got := 1
-					if !l1.repeat(addr, clock) { // as the loop's L1 sites look up
+					if op < 5 {
 						got = l1.Access(addr, clock)
+					} else if !l1.repeat(addr, clock) && !l1.hit(addr, clock) { // as the loop's L1 sites look up
+						got = l1.miss(addr, clock)
 					}
 					if want := r1.access(addr, clock); got != want {
 						t.Fatalf("%s clock %d: access %#x hit level %d, reference %d", name, clock, addr, got, want)

@@ -54,30 +54,45 @@ func checkAgainstOracle(t *testing.T, sys *system, when string) int {
 // picks, and its alive count agrees with Done and Deadlocked. Cycle
 // vectors are built to collide: exact ties, offsets below one dispatch
 // slot, and magnitudes just under a power of two, where adding a slot
-// rounds.
+// rounds, or just under lockstep's bound. Half the walks charge every
+// step one slot and hand off as the timing loop does while every
+// instruction costs one: once lockstep reports the ring flat, every
+// thread that steps is rotated to the back without a comparison, and
+// each of those picks must still be the oracle's.
 func TestSchedulerMatchesOracle(t *testing.T) {
 	machines := map[int]*exec.Machine{}
 	for _, n := range []int{1, 2, 3, 8, MaxCores} {
 		machines[n] = exec.NewMachine(testprog.Phased(n, 1, 1, omp.Passive), 1)
 	}
 	sizes := []int{1, 2, 3, 8, 8, 8, MaxCores}
-	slots := []float64{1.0 / 4, 1.0 / 2, 1.0 / 3}
+	dispatch := []int{4, 2, 3} // slots 1/4, 1/2, 1/3
 	rng := rand.New(rand.NewSource(17))
 
-	cases, emptyStarts, singleStarts := 0, 0, 0
+	cases, emptyStarts, singleStarts, rotations := 0, 0, 0, 0
 	for ; cases < 12000; cases++ {
 		n := sizes[rng.Intn(len(sizes))]
 		m := machines[n]
-		sys := &system{m: m, cycle: make([]float64, n)}
-		sys.slot = slots[rng.Intn(len(slots))]
+		cfg := Gainestown(n)
+		cfg.Dispatch = dispatch[rng.Intn(len(dispatch))]
+		sys := &system{m: m, cycle: make([]float64, n), charges: newCharges(cfg)}
 		sys.wakeLat = float64(rng.Intn(2) * 180) // 0: a woken thread ties with its waker
+		uniform := rng.Intn(2) == 0
 
-		// A base magnitude, sometimes a few slots below a binade boundary.
+		// A base magnitude, sometimes a few slots below a binade boundary
+		// or below lockstep's bound.
 		base := float64(rng.Intn(1000))
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(6) {
+		case 0, 1:
 			base = math.Ldexp(1, 1+rng.Intn(40)) - float64(rng.Intn(4))*sys.slot
+		case 2:
+			base = math.Ldexp(sys.slot, 51) - float64(rng.Intn(3))*sys.slot
 		}
 		offsets := []float64{0, 0, 0, sys.slot, 2 * sys.slot, sys.slot / 2, sys.slot / 3, 1e-9, 7.5}
+		if uniform {
+			// Where every charge is one slot, every count is a whole
+			// number of slots, from zero and whole-cycle wake latencies.
+			offsets = []float64{0, 0, 0, sys.slot, sys.slot, 2 * sys.slot, 180}
+		}
 		density := rng.Intn(5) // 0: nobody runnable at the start
 		var starters []int
 		for tid, th := range m.Threads {
@@ -112,7 +127,7 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 			}
 			// Charge like a fast-forward instruction (one slot) or like a
 			// detailed one (any positive cost).
-			if rng.Intn(2) == 0 {
+			if uniform || rng.Intn(2) == 0 {
 				sys.cycle[tid] += sys.slot
 			} else {
 				sys.cycle[tid] += sys.slot + float64(rng.Intn(200))*sys.slot/2
@@ -132,11 +147,22 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			sys.settle(tid, woken)
+			switch {
+			case !uniform || m.Threads[tid].State != exec.StateRunning || len(woken) > 0:
+				sys.settle(tid, woken)
+			case sys.flat:
+				sys.rotate(tid)
+				rotations++
+			default:
+				if !sys.staysFirst(tid) {
+					sys.insert(tid)
+				}
+				sys.flat = sys.lockstep()
+			}
 		}
 	}
-	if emptyStarts == 0 || singleStarts == 0 {
-		t.Fatalf("%d cases never started empty (%d) or with one runnable thread (%d)", cases, emptyStarts, singleStarts)
+	if emptyStarts == 0 || singleStarts == 0 || rotations == 0 {
+		t.Fatalf("%d cases never started empty (%d), with one runnable thread (%d) or rotated (%d)", cases, emptyStarts, singleStarts, rotations)
 	}
 }
 
@@ -144,41 +170,51 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 // instructions charged in detail, then in fast-forward — under an order
 // that a shadow run queue writes as the loop goes: after each step the
 // shadow hands the stepped thread off or settles it as the loop does in an
-// unordered run (the same staysFirst, goesLast and settle), and before every step it
-// must name the thread a fresh walk over all threads would. So every pick
-// of the run is the run queue's, checked, and the detailed statistics
-// must equal a SimulateFull of the same program, where the loop keeps its
-// own run queue.
+// unordered run (the same rotate, staysFirst, insert, lockstep and
+// settle), and before every step it must name the thread a fresh walk
+// over all threads would. So every pick of the run is the run queue's,
+// checked, and the run must end as the same run does without the order,
+// where the loop keeps its own run queue: the same statistics (in detail,
+// SimulateFull's) and, in fast-forward, where the ring is flat from the
+// start, the same cycle count on every core.
 func TestRunLoopsPickLikeOracle(t *testing.T) {
 	for _, policy := range []omp.WaitPolicy{omp.Passive, omp.Active} {
 		p := testprog.Phased(4, 6, 80, policy)
 		cfg := Gainestown(4)
 		for _, detail := range []bool{true, false} {
-			m := exec.NewMachine(p, 1)
-			o := &shadowQueue{t: t, last: -1}
-			r := &run{src: m, end: bbv.Marker{IsEnd: true}, before: warmed,
-				bind: func(sys *system) { o.sys = sys; sys.follow(o.next, false) }}
-			if !detail {
-				r.start = bbv.Marker{Count: 1 << 62} // never reached: all fast-forward
+			// Unless in detail, fast-forward throughout: the start marker
+			// is never reached.
+			newRun := func(bind func(*system)) *run {
+				r := &run{src: exec.NewMachine(p, 1), end: bbv.Marker{IsEnd: true}, before: warmed, bind: bind}
+				if !detail {
+					r.start = bbv.Marker{Count: 1 << 62}
+				}
+				return r
 			}
-			got, err := freshSim(t, cfg, p).simulate(r)
+			o := &shadowQueue{t: t, last: -1, uniform: !detail}
+			var ordered, own []float64
+			got, err := freshSim(t, cfg, p).simulate(newRun(func(sys *system) {
+				o.sys, ordered = sys, sys.cycle
+				sys.follow(o.next, false)
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !detail {
-				// Under the uniform charge spinning threads alternate
-				// after every instruction; nothing more to compare.
-				continue
-			}
-			if o.stays == 0 {
+			if o.stays == 0 && detail {
 				t.Errorf("policy %v: detail loop never kept its pick: stay-until-overtaken not exercised", policy)
 			}
-			want, err := freshSim(t, cfg, p).SimulateFull()
+			if o.rotations == 0 && !detail {
+				t.Errorf("policy %v: fast-forward loop never rotated a flat ring", policy)
+			}
+			want, err := freshSim(t, cfg, p).simulate(newRun(func(sys *system) { own = sys.cycle }))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("policy %v: oracle-checked detail loop differs from SimulateFull\ngot:  %+v\nwant: %+v", policy, got, want)
+				t.Errorf("policy %v, detail %v: oracle-checked loop differs from its own\ngot:  %+v\nwant: %+v", policy, detail, got, want)
+			}
+			if !reflect.DeepEqual(ordered, own) {
+				t.Errorf("policy %v, detail %v: oracle-checked loop ends at cycles %v, its own at %v", policy, detail, ordered, own)
 			}
 		}
 	}
@@ -192,6 +228,8 @@ type shadowQueue struct {
 	sys, q      *system // the run's system; the shadow queue
 	states      []exec.ThreadState
 	last, stays int
+	rotations   int
+	uniform     bool // the run charges every instruction one slot
 }
 
 // next settles the thread that just stepped (none at the bind), then
@@ -201,6 +239,7 @@ func (o *shadowQueue) next() (int, bool) {
 	if o.q == nil {
 		o.q = &system{cycle: o.sys.cycle, charges: o.sys.charges}
 		o.q.bind(m)
+		o.q.flat = o.uniform // as the run's begin leaves it
 	} else {
 		tid := o.last
 		var woken []int
@@ -211,8 +250,19 @@ func (o *shadowQueue) next() (int, bool) {
 		}
 		// Under the order the loop's settle has already timed the woken
 		// threads; timing them again changes nothing.
-		if m.Threads[tid].State != exec.StateRunning || len(woken) > 0 || !o.q.staysFirst(tid) && !o.q.goesLast(tid) {
+		switch {
+		case m.Threads[tid].State != exec.StateRunning || len(woken) > 0:
 			o.q.settle(tid, woken)
+		case o.q.flat:
+			o.q.rotate(tid)
+			o.rotations++
+		default:
+			if !o.q.staysFirst(tid) {
+				o.q.insert(tid)
+			}
+			if o.uniform {
+				o.q.flat = o.q.lockstep()
+			}
 		}
 	}
 	tid := checkAgainstOracle(o.t, o.q, "run loop")

@@ -303,13 +303,14 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 		// warmed instruction updates caches, directory, prefetcher and
 		// predictor as a measured one does, without the stall
 		// arithmetic: warmed state is bit-identical. A cold one costs its
-		// dispatch slot alone. Each cache access first checks for a
-		// repeat of the cache's last line, which hits at level 1.
+		// dispatch slot alone. Each level-1 access checks for a repeat
+		// of the cache's last line, then walks the set; only a miss
+		// calls out.
 		cycles, ifetch := sys.slot, 0.0
 		if mode != cold {
 			sys.clock++
-			if a := blk.Addr * 8; idx == 0 && !c.l1i.repeat(a, sys.clock) {
-				if lvl := c.l1i.Access(a, sys.clock); lvl > 1 && mode != warmed {
+			if a := blk.Addr * 8; idx == 0 && !c.l1i.repeat(a, sys.clock) && !c.l1i.hit(a, sys.clock) {
+				if lvl := c.l1i.miss(a, sys.clock); mode != warmed {
 					ifetch = sys.ifetch[lvl]
 					cycles += ifetch
 					if mode == measured {
@@ -423,8 +424,8 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			if mode != cold {
 				a *= 8
 				lvl := 1
-				if !c.l1d.repeat(a, sys.clock) {
-					lvl = c.l1d.Access(a, sys.clock)
+				if !c.l1d.repeat(a, sys.clock) && !c.l1d.hit(a, sys.clock) {
+					lvl = c.l1d.miss(a, sys.clock)
 				}
 				sys.noteFill(tid, a)
 				if mode != warmed {
@@ -434,7 +435,7 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 						c.stack.Memory += x
 					}
 				}
-				if lvl > 1 {
+				if lvl > 1 && sys.cfg.PrefetchNextLines > 0 {
 					sys.warmPrefetch(c, tid, a)
 				}
 			}
@@ -449,8 +450,8 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			if mode != cold {
 				a *= 8
 				lvl := 1
-				if !c.l1d.repeat(a, sys.clock) {
-					lvl = c.l1d.Access(a, sys.clock)
+				if !c.l1d.repeat(a, sys.clock) && !c.l1d.hit(a, sys.clock) {
+					lvl = c.l1d.miss(a, sys.clock)
 				}
 				sys.noteFill(tid, a)
 				var x float64
@@ -460,7 +461,7 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 				if sys.shared(tid, a) {
 					x += sys.coherence(tid, a)
 				}
-				if lvl > 1 {
+				if lvl > 1 && sys.cfg.PrefetchNextLines > 0 {
 					sys.warmPrefetch(c, tid, a)
 				}
 				if mode <= timed {
@@ -486,10 +487,17 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 				next = in.Target
 			}
 			t.Jump(next)
-			if mode != cold && !c.bp.Predict(in.Addr*8, taken) && mode != warmed {
-				cycles += sys.mispredict
+			if mode != cold {
+				right := c.bp.update(in.Addr*8, taken)
+				if !right && mode <= timed {
+					cycles += sys.mispredict
+				}
 				if mode == measured {
-					c.stack.Branch += sys.mispredict
+					c.bp.Lookups++
+					if !right {
+						c.bp.Mispredict++
+						c.stack.Branch += sys.mispredict
+					}
 				}
 			}
 
@@ -503,9 +511,22 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 			}
 			continue
 		}
+		// The hand-off. A flat ring needs no comparison; otherwise the
+		// thread stays first or is inserted, and while every
+		// instruction costs one slot the ring is checked for lockstep.
 		sys.cycle[tid] += cycles
-		if sys.order != nil || !sys.staysFirst(tid) && !sys.goesLast(tid) {
+		switch {
+		case sys.flat:
+			sys.rotate(tid)
+		case sys.order != nil:
 			sys.settle(tid, nil)
+		default:
+			if !sys.staysFirst(tid) {
+				sys.insert(tid)
+			}
+			if mode >= warmed {
+				sys.flat = sys.lockstep()
+			}
 		}
 		if mode == measured && trace != nil {
 			trace.maybeSample(sys.totalInstrs(), sys.wallCycle())
@@ -514,13 +535,15 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	return p.result(sys)
 }
 
-// begin sets the phase for the first instruction.
+// begin sets the phase for the first instruction. The ring stays flat
+// only while every instruction costs one slot.
 func (p *run) begin(sys *system) {
 	p.mode = p.before
 	if p.start.IsStart() || (!p.start.IsICount() && !p.start.IsEnd && p.start.Count <= p.startHits) {
 		p.mode = measured
 	}
 	sys.setDetail(p.mode == measured)
+	sys.flat = sys.flat && p.mode >= warmed
 	if p.end.IsEnd {
 		p.end.PC = 0 // no block sits at address 0: a PC of 0 watches nothing
 	}
@@ -589,7 +612,7 @@ func (p *run) step(sys *system, steps, addr uint64, entry bool) bool {
 
 // measure starts the measured window.
 func (p *run) measure(sys *system) {
-	p.mode = measured
+	p.mode, sys.flat = measured, false
 	sys.setDetail(true)
 	p.detailBase = sys.wallCycle()
 }

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"math"
 	"math/bits"
 
 	"looppoint/internal/exec"
@@ -36,11 +37,15 @@ type system struct {
 	// (cycle, tid), runq[head] first, so the pick and the thread that
 	// bounds how long it stays the pick are the first two. settle keeps
 	// it sorted from the stepped thread's state and the threads it woke;
-	// alive counts the threads that have not halted.
-	runq     [MaxCores]int
-	head     uint
-	runnable int
+	// alive counts the threads that have not halted. flat says the ring
+	// is one round in lockstep (see lockstep); it is set only while every
+	// instruction costs one slot. The ring has 256 places, so a uint8
+	// position wraps without a modulo; it holds at most MaxCores threads.
+	runq     [1 << 8]int
+	head     uint8
+	runnable uint8
 	alive    int
+	flat     bool
 
 	// A recorded order (follow) and constrained shared-order enforcement.
 	order    func() (tid int, ok bool)
@@ -63,6 +68,7 @@ type lineAccess struct {
 // hoisted value has the same bits as the recomputed one.
 type charges struct {
 	slot   float64    // one dispatch slot: the base cost of an instruction
+	flatUp float64    // lockstep's bound on the front's cycle count
 	lat    [5]float64 // data latency by hit level (1 = L1 ... 4 = memory)
 	ifetch [5]float64 // front-end penalty of an instruction fetch by hit level
 	stall  [5]float64 // lat beyond the hide window
@@ -87,6 +93,9 @@ func newCharges(cfg Config) charges {
 	if cfg.Kind == OOO {
 		ch.div /= 2
 		ch.sqrt /= 2
+	}
+	if cfg.Dispatch&(cfg.Dispatch-1) == 0 {
+		ch.flatUp = math.Ldexp(ch.slot, 51)
 	}
 	hide := cfg.hideWindow()
 	for lvl := range ch.lat {
@@ -127,10 +136,11 @@ func newSystem(cfg Config, m *exec.Machine) *system {
 // bind attaches the functional machine: the scheduler starts from its
 // thread states, and the directory covers every line of its memory so
 // that only prefetches past the last line ever grow it. Every core's cycle
-// count must be zero, which makes ascending thread IDs the sorted order.
+// count must be zero, which makes ascending thread IDs the sorted order
+// and the ring flat.
 func (s *system) bind(m *exec.Machine) {
 	s.m = m
-	s.order, s.ordered = nil, false
+	s.order, s.ordered, s.flat = nil, false, true
 	s.head, s.runnable, s.alive = 0, 0, 0
 	for tid, t := range m.Threads {
 		if t.State != exec.StateHalted {
@@ -182,7 +192,6 @@ func (s *system) setDetail(detail bool) {
 		c.l1i.SetWarming(!detail)
 		c.l1d.SetWarming(!detail)
 		c.l2.SetWarming(!detail)
-		c.bp.SetWarming(!detail)
 	}
 	s.l3.SetWarming(!detail)
 }
@@ -357,25 +366,48 @@ func (s *system) before(c float64, tid, o int) bool {
 	return c < oc || (c == oc && tid < o)
 }
 
-// staysFirst and goesLast are settle's two outcomes for a scheduled
-// thread tid that the step left running and that woke nobody, small
-// enough to inline into the loop, which tries them in turn and calls
-// settle when neither holds. staysFirst reports whether tid still
-// precedes the second thread: then nothing moves.
+// staysFirst reports whether tid, the scheduled thread, which the step
+// left running and which woke nobody, still precedes the second thread:
+// then nothing moves, as no other core's cycle count changed.
 func (s *system) staysFirst(tid int) bool {
-	return s.runnable < 2 || s.before(s.cycle[tid], tid, s.runq[(s.head+1)%MaxCores])
+	return s.runnable < 2 || s.before(s.cycle[tid], tid, s.runq[s.head+1])
 }
 
-// goesLast moves tid, which does not precede the second thread, to the
-// back of the ring if it does not precede the back either (lockstep), and
-// reports whether it did.
-func (s *system) goesLast(tid int) bool {
-	h, n := s.head, uint(s.runnable)
-	if s.before(s.cycle[tid], tid, s.runq[(h+n-1)%MaxCores]) {
-		return false
+// insert moves tid, a scheduled thread that still runs but no longer
+// precedes the second, from the front of the ring to its sorted place,
+// found from the back: in lockstep, the thread that just stepped goes
+// last. settle and the loop share it; it inlines into the loop.
+func (s *system) insert(tid int) {
+	c := s.cycle[tid]
+	s.head++
+	i := s.head + s.runnable - 1
+	for ; i != s.head && s.before(c, tid, s.runq[i-1]); i-- {
+		s.runq[i] = s.runq[i-1]
 	}
-	s.runq[(h+n)%MaxCores], s.head = tid, h+1
-	return true
+	s.runq[i] = tid
+}
+
+// rotate moves tid, the front, to the back of a flat ring: the hand-off
+// of a thread that was charged one slot.
+func (s *system) rotate(tid int) {
+	s.runq[s.head+s.runnable] = tid
+	s.head++
+}
+
+// lockstep reports whether the ring is one round in lockstep: its front
+// and back share a cycle count, or the back is one slot past the front
+// with a lower thread ID. While every instruction costs one slot, every
+// count is a whole number of slots if the slot is a power of two (from
+// zero, slots and whole-cycle wake latencies), so the ring then holds the
+// threads at the front's count and after them the threads one slot past
+// it, each group in thread order and the second of lower IDs. Each thread
+// that steps then goes last, and the ring stays so until a thread wakes.
+// flatUp keeps the front below 2^51 slots, where adding a slot stays
+// exact for 2^52 more rounds; for any other slot it is zero.
+func (s *system) lockstep() bool {
+	f, b := s.runq[s.head], s.runq[s.head+s.runnable-1]
+	cf, cb := s.cycle[f], s.cycle[b]
+	return cf < s.flatUp && (cb == cf || cb == cf+s.slot && b < f)
 }
 
 // next returns the runnable thread whose core has the smallest cycle
@@ -384,19 +416,19 @@ func (s *system) next() int {
 	if s.runnable == 0 {
 		return -1
 	}
-	return s.runq[s.head%MaxCores]
+	return s.runq[s.head]
 }
 
 // follow makes order the scheduler: the ring holds just the thread it
 // names next. ordered turns on constrainedOrderStall.
 func (s *system) follow(order func() (tid int, ok bool), ordered bool) {
-	s.order, s.ordered, s.head = order, ordered, 0
+	s.order, s.ordered, s.head, s.flat = order, ordered, 0, false
 	s.advance()
 }
 
 func (s *system) advance() {
 	tid, ok := s.order()
-	s.runq[s.head%MaxCores], s.runnable, s.alive = tid, 0, 0
+	s.runq[s.head], s.runnable, s.alive = tid, 0, 0
 	if ok {
 		s.runnable, s.alive = 1, 1
 	}
@@ -404,38 +436,28 @@ func (s *system) advance() {
 
 // settle finishes the step of the scheduled thread (tid is next's pick)
 // once its cycles are charged. While tid still runs and still precedes
-// the second thread, nothing moves: no other core's cycle count changed.
-// Otherwise it leaves the front of the ring — for good if the step parked
-// or halted it, else for its sorted place, found from the back: symmetric
-// threads run in lockstep, where the thread that just stepped goes last.
-// Threads it woke are timed and then enter the ring, or under a recorded
-// order the order names the next thread.
+// the second thread, nothing moves; if it runs on behind, it is
+// inserted; if the step parked or halted it, it leaves the ring for good,
+// which keeps a flat ring flat. Threads it woke are timed and then enter
+// the ring, which is then no longer flat; under a recorded order the
+// order names the next thread.
 func (s *system) settle(tid int, woken []int) {
 	if s.order != nil {
 		s.wake(tid, woken)
 		s.advance()
 		return
 	}
-	h, n := s.head, s.runnable
 	if st := s.m.Threads[tid].State; st != exec.StateRunning {
-		s.head, s.runnable = h+1, n-1
+		s.head++
+		s.runnable--
 		if st == exec.StateHalted {
 			s.alive--
 		}
-	} else if c := s.cycle[tid]; n > 1 && !s.before(c, tid, s.runq[(h+1)%MaxCores]) {
-		h++
-		i := h + uint(n-1)
-		for ; i != h; i-- {
-			o := s.runq[(i-1)%MaxCores]
-			if !s.before(c, tid, o) {
-				break
-			}
-			s.runq[i%MaxCores] = o
-		}
-		s.runq[i%MaxCores] = tid
-		s.head = h
+	} else if !s.staysFirst(tid) {
+		s.insert(tid)
 	}
 	if len(woken) > 0 {
+		s.flat = false
 		s.wake(tid, woken)
 		for _, w := range woken {
 			s.enter(w)
@@ -447,7 +469,7 @@ func (s *system) settle(tid int, woken []int) {
 // settles from there like a thread that just stepped.
 func (s *system) enter(w int) {
 	s.head--
-	s.runq[s.head%MaxCores] = w
+	s.runq[s.head] = w
 	s.runnable++
 	s.settle(w, nil)
 }

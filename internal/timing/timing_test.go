@@ -70,40 +70,6 @@ func TestCacheWarmingSuppressesStats(t *testing.T) {
 	}
 }
 
-func TestBranchPredictorLearnsBias(t *testing.T) {
-	bp := NewBranchPredictor()
-	// Strongly-biased loop branch: taken 99 times, not-taken once,
-	// repeatedly. Must be predicted well after warmup.
-	for warm := 0; warm < 3; warm++ {
-		for i := 0; i < 100; i++ {
-			bp.Predict(0x400, i != 99)
-		}
-	}
-	bp.Lookups, bp.Mispredict = 0, 0
-	for rep := 0; rep < 5; rep++ {
-		for i := 0; i < 100; i++ {
-			bp.Predict(0x400, i != 99)
-		}
-	}
-	if r := bp.MissRate(); r > 0.05 {
-		t.Errorf("biased branch miss rate %.3f, want <= 0.05", r)
-	}
-}
-
-func TestBranchPredictorLearnsAlternating(t *testing.T) {
-	bp := NewBranchPredictor()
-	for i := 0; i < 2000; i++ {
-		bp.Predict(0x800, i%2 == 0)
-	}
-	bp.Lookups, bp.Mispredict = 0, 0
-	for i := 2000; i < 4000; i++ {
-		bp.Predict(0x800, i%2 == 0)
-	}
-	if r := bp.MissRate(); r > 0.05 {
-		t.Errorf("alternating branch miss rate %.3f; global history should capture it", r)
-	}
-}
-
 func TestSimulateFullSanity(t *testing.T) {
 	p := testprog.Phased(4, 4, 200, omp.Passive)
 	sim, err := New(Gainestown(4), p)
@@ -431,14 +397,6 @@ func TestCPIStackAccounting(t *testing.T) {
 	if share := stA.Stack.Sync / stA.Stack.Total(); share < 0.05 {
 		t.Errorf("imbalanced active sync share %.3f implausibly low", share)
 	}
-}
-
-// MissRate returns mispredictions per lookup.
-func (bp *BranchPredictor) MissRate() float64 {
-	if bp.Lookups == 0 {
-		return 0
-	}
-	return float64(bp.Mispredict) / float64(bp.Lookups)
 }
 
 // Accumulate adds other's counters into s: the serial composition of two
