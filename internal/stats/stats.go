@@ -37,7 +37,7 @@ func SampleVariance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -81,18 +81,26 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < plow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+		return horner(q, c1, c2, c3, c4, c5, c6) / horner(q, d1, d2, d3, d4, 1)
 	case p > phigh:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+		return -horner(q, c1, c2, c3, c4, c5, c6) / horner(q, d1, d2, d3, d4, 1)
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a1*r+a2)*r+a3)*r+a4)*r+a5)*r + a6) * q /
-			(((((b1*r+b2)*r+b3)*r+b4)*r+b5)*r + 1)
+		return horner(r, a1, a2, a3, a4, a5, a6) * q / horner(r, b1, b2, b3, b4, b5, 1)
 	}
+}
+
+// horner evaluates the polynomial with coefficients cs, highest degree
+// first, at x. Each product is rounded on its own (float64(…)), so no
+// back end fuses it with the addition that follows.
+func horner(x float64, cs ...float64) float64 {
+	s := cs[0]
+	for _, c := range cs[1:] {
+		s = float64(s*x) + c
+	}
+	return s
 }
 
 // ZForLevel returns the two-sided critical value for a confidence level
@@ -101,7 +109,7 @@ func ZForLevel(level float64) float64 {
 	if !(level > 0 && level < 1) {
 		return math.NaN()
 	}
-	return NormalQuantile(0.5 + level/2)
+	return NormalQuantile(0.5 + float64(level/2)) // level/2 compiles to a product
 }
 
 // Interval is a symmetric confidence interval.
@@ -160,7 +168,7 @@ func StratifiedEstimate(strata []StratumSample, level float64) Interval {
 		if n == 0 {
 			continue
 		}
-		mean += st.Work * Mean(st.Rates)
+		mean += float64(st.Work * Mean(st.Rates))
 		if n < 2 || st.Size <= 0 {
 			continue
 		}
