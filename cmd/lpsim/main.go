@@ -1,7 +1,7 @@
 // Command lpsim runs the timing simulator directly: a fully detailed
-// simulation of a workload, a single (PC, count)-delimited region, or a
-// periodic time-based-sampling run, on the Gainestown-like out-of-order
-// model or the in-order model. It is the "how to simulate" half of the
+// simulation of a workload, a single (PC, count)-delimited region, or
+// saved region checkpoints, on the Gainestown-like out-of-order model or
+// the in-order model. It is the "how to simulate" half of the
 // methodology, exposed for experimentation.
 package main
 
@@ -36,7 +36,6 @@ func main() {
 		start      = flag.String("start", "", "region start marker as pc:count (hex pc ok); empty = program start")
 		end        = flag.String("end", "", "region end marker as pc:count; empty = program end")
 		cold       = flag.Bool("cold", false, "skip functional warmup for region simulation")
-		periodic   = flag.String("periodic", "", "time-based sampling as detail:period instruction counts")
 		trace      = flag.Uint64("trace", 0, "emit an IPC trace sampled every N instructions")
 		checkpoint = flag.String("checkpoint", "", "simulate a saved region pinball, or every *.pinball in a directory (from lpprofile -save-regions); build flags must match the profiling run")
 		jobs       = flag.Int("j", 0, "worker-pool width for directory checkpoint simulation (0 = one worker per CPU)")
@@ -110,15 +109,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-	case *periodic != "":
-		d, p, err := parsePair(*periodic)
-		if err != nil {
-			fail(err)
-		}
-		st, err = sim.SimulatePeriodic(d, p)
-		if err != nil {
-			fail(err)
-		}
 	default:
 		startM, err := parseMarker(*start, bbv.Marker{})
 		if err != nil {
@@ -189,51 +179,43 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 		pb   *pinball.Pinball
 		host time.Duration
 	}
-	pbs, loadErrs, err := pool.MapWith(context.Background(), len(files), pool.Options{Width: width, Degraded: true},
-		func(_ context.Context, i int) (loaded, error) {
-			start := time.Now()
-			pb, err := pinball.Load(files[i])
-			if err != nil {
-				return loaded{}, err
-			}
-			if pb.NumThreads != w.Threads() {
-				return loaded{}, fmt.Errorf("%s: recorded with %d threads, program built with %d",
-					files[i], pb.NumThreads, w.Threads())
-			}
-			return loaded{pb: pb, host: time.Since(start)}, nil
-		})
-	if err != nil {
-		fail(err)
-	}
+	pbs, loadErrs := quarantine(width, len(files), func(i int) (loaded, error) {
+		start := time.Now()
+		pb, err := pinball.Load(files[i])
+		if err != nil {
+			return loaded{}, err
+		}
+		if pb.NumThreads != w.Threads() {
+			return loaded{}, fmt.Errorf("%s: recorded with %d threads, program built with %d",
+				files[i], pb.NumThreads, w.Threads())
+		}
+		return loaded{pb: pb, host: time.Since(start)}, nil
+	})
 
 	// Stage 2: simulate the surviving checkpoints. Every simulation
 	// takes its timing system from the timing package's pool, so only
 	// the first regions in flight pay for building one; the identity
 	// tests pin pooled reports byte-identical to fresh construction.
-	runs, errs, err := pool.MapWith(context.Background(), len(files), pool.Options{Width: width, Degraded: true},
-		func(_ context.Context, i int) (regionRun, error) {
-			if loadErrs[i] != nil {
-				return regionRun{}, loadErrs[i]
-			}
-			start := time.Now()
-			sim, err := timing.New(cfg, w.App.Prog)
-			if err != nil {
-				return regionRun{}, err
-			}
-			var st *timing.Stats
-			if opts.constrain {
-				st, err = sim.SimulateConstrained(pbs[i].pb)
-			} else {
-				st, err = sim.SimulateCheckpoint(pbs[i].pb)
-			}
-			if err != nil {
-				return regionRun{}, fmt.Errorf("%s: %w", files[i], err)
-			}
-			return regionRun{st: st, host: pbs[i].host + time.Since(start)}, nil
-		})
-	if err != nil {
-		fail(err)
-	}
+	runs, errs := quarantine(width, len(files), func(i int) (regionRun, error) {
+		if loadErrs[i] != nil {
+			return regionRun{}, loadErrs[i]
+		}
+		start := time.Now()
+		sim, err := timing.New(cfg, w.App.Prog)
+		if err != nil {
+			return regionRun{}, err
+		}
+		var st *timing.Stats
+		if opts.constrain {
+			st, err = sim.SimulateConstrained(pbs[i].pb)
+		} else {
+			st, err = sim.SimulateCheckpoint(pbs[i].pb)
+		}
+		if err != nil {
+			return regionRun{}, fmt.Errorf("%s: %w", files[i], err)
+		}
+		return regionRun{st: st, host: pbs[i].host + time.Since(start)}, nil
+	})
 	elapsed := time.Since(wall)
 
 	var serial time.Duration
@@ -280,6 +262,20 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 				coverage*100, opts.minCoverage*100))
 		}
 	}
+}
+
+// quarantine runs fn for every index in [0, n) on width workers and keeps
+// each item's error apart, so one bad checkpoint never stops the sweep:
+// every item runs, a failed one leaves its zero value, and a panic in fn
+// is that item's *pool.PanicError. Results come back in index order.
+func quarantine[T any](width, n int, fn func(i int) (T, error)) ([]T, []error) {
+	errs := make([]error, n)
+	out, _ := pool.Map(context.Background(), width, n, func(_ context.Context, i int) (T, error) {
+		v, err := pool.Protect(func() (T, error) { return fn(i) })
+		errs[i] = err
+		return v, nil // never fails: the sweep is not cancelled
+	})
+	return out, errs
 }
 
 func printStats(label string, cfg timing.Config, st *timing.Stats, trace *timing.IPCTrace) {

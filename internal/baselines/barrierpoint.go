@@ -1,8 +1,8 @@
 // Package baselines implements the prior-work sampling methodologies the
 // paper compares against: BarrierPoint (inter-barrier regions as the unit
 // of work), the naive multi-threaded SimPoint adaptation (fixed global
-// instruction-count slices, summed BBVs, no spin filtering), and
-// time-based periodic sampling.
+// instruction-count slices, summed BBVs, no spin filtering), and the
+// cost model of time-based periodic sampling (Figure 1).
 package baselines
 
 import (

@@ -163,36 +163,6 @@ func TestNaiveWorseThanLoopPointOnActive(t *testing.T) {
 	}
 }
 
-func TestTimeBasedSampling(t *testing.T) {
-	p := testprog.Phased(4, 8, 150, omp.Passive)
-	sim, err := timing.New(timing.Gainestown(4), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Seed = 1
-	st, err := sim.SimulatePeriodic(2000, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cycles <= 0 {
-		t.Fatal("no extrapolated cycles")
-	}
-	// Compare against full simulation: periodic sampling with warming
-	// should land within a reasonable band.
-	p2 := testprog.Phased(4, 8, 150, omp.Passive)
-	fsim, err := timing.New(timing.Gainestown(4), p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fsim.SimulateFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := core.PercentError(st.Cycles, full.Cycles); e > 25 {
-		t.Errorf("time-based extrapolation error %.2f%% too high", e)
-	}
-}
-
 func TestSimCostModel(t *testing.T) {
 	m := DefaultCostModel()
 	total := 1e12 // a ref-sized app

@@ -18,16 +18,16 @@ func spinWork(seed uint64) uint64 {
 	return h
 }
 
-// BenchmarkMapWithFanOut measures the pool's fan-out throughput on
+// BenchmarkMapFanOut measures the pool's fan-out throughput on
 // CPU-bound items at the width implied by GOMAXPROCS — run it with
 // -cpu 1,2,4,8 to get the multi-core scaling curve (items are
 // independent, so throughput should scale with real cores and flatten
 // once widths oversubscribe the host).
-func BenchmarkMapWithFanOut(b *testing.B) {
+func BenchmarkMapFanOut(b *testing.B) {
 	const items = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := MapWith(context.Background(), items, Options{},
+		out, err := Map(context.Background(), 0, items,
 			func(_ context.Context, i int) (uint64, error) {
 				return spinWork(uint64(i)), nil
 			})
@@ -40,13 +40,13 @@ func BenchmarkMapWithFanOut(b *testing.B) {
 	}
 }
 
-// BenchmarkMapWithSerial is the same workload forced to width 1 — the
+// BenchmarkMapSerial is the same workload forced to width 1 — the
 // denominator for the scaling curve regardless of -cpu.
-func BenchmarkMapWithSerial(b *testing.B) {
+func BenchmarkMapSerial(b *testing.B) {
 	const items = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := MapWith(context.Background(), items, Options{Width: 1},
+		out, err := Map(context.Background(), 1, items,
 			func(_ context.Context, i int) (uint64, error) {
 				return spinWork(uint64(i)), nil
 			})

@@ -167,12 +167,18 @@ func TestRunPanicPropagates(t *testing.T) {
 func TestRunParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
+	var ran atomic.Int64
 	err := Run(ctx, 1, 50, func(ctx context.Context, i int) error {
+		ran.Add(1)
 		once.Do(cancel)
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	// An abandoned caller stops the worker at its next item boundary.
+	if got := ran.Load(); got != 1 {
+		t.Errorf("%d items ran after cancellation, want 1", got)
 	}
 }
 
@@ -368,5 +374,127 @@ func TestFlightPanicUnblocksWaiters(t *testing.T) {
 		}
 	} else if wval != 1 {
 		t.Errorf("fresh waiter got %d, want 1", wval)
+	}
+}
+
+// TestProtectReturnsPanicError: a panicking call comes back once as a
+// *PanicError error carrying the panic value, and a clean call's result
+// passes through.
+func TestProtectReturnsPanicError(t *testing.T) {
+	var calls int
+	_, err := Protect(func() (int, error) {
+		calls++
+		panic("kaboom")
+	})
+	if calls != 1 {
+		t.Fatalf("calls = %d, want 1", calls)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "kaboom" {
+		t.Fatalf("err = %v, want *PanicError(kaboom)", err)
+	}
+	if v, err := Protect(func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("clean call: %d, %v", v, err)
+	}
+}
+
+// TestRunWithStrictFailurePrecedesMarkers: after an organic item failure
+// cancels the sweep, the returned error must still be the organic one,
+// not the cancellation that stopped the later items.
+func TestRunWithStrictFailurePrecedesMarkers(t *testing.T) {
+	organic := errors.New("item 1 broke")
+	var ran atomic.Int64
+	err := Run(context.Background(), 1, 16, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		if i == 1 {
+			return organic
+		}
+		return nil
+	})
+	if !errors.Is(err, organic) {
+		t.Fatalf("err = %v, want the organic failure", err)
+	}
+	if got := ran.Load(); got != 2 {
+		t.Fatalf("%d items ran, want 2: the failure stops the rest", got)
+	}
+}
+
+// TestRunWithStrictSiblingFailureBeatsCancel: item 0 waits for the pool's
+// cancellation and returns ctx.Err(), the way a sweep item waiting for a
+// slot does; item 1's failure caused that cancellation, so Run returns
+// item 1's error even though item 0 has the lower index.
+func TestRunWithStrictSiblingFailureBeatsCancel(t *testing.T) {
+	organic := errors.New("item 1 broke")
+	err := Run(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return organic
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, organic) {
+		t.Fatalf("err = %v, want item 1's failure", err)
+	}
+
+	// With nothing else failing, the cancellation is still reported.
+	err = Run(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+		return context.Canceled
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("only cancellations: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBackoffDelayJitterDeterministic: a fixed seed reproduces the exact
+// delay schedule, every delay stays within the capped exponential
+// envelope, and distinct seeds give distinct (desynchronized) schedules.
+func TestBackoffDelayJitterDeterministic(t *testing.T) {
+	const base, max = 4 * time.Millisecond, 64 * time.Millisecond
+	schedule := func(seed uint64) []time.Duration {
+		state := seed
+		var ds []time.Duration
+		for a := 1; a <= 8; a++ {
+			ds = append(ds, BackoffDelay(base, max, a, &state))
+		}
+		return ds
+	}
+	first, second := schedule(7), schedule(7)
+	for a, d := range first {
+		if d != second[a] {
+			t.Fatalf("attempt %d: same seed gave %v then %v", a+1, d, second[a])
+		}
+		env := base << a
+		if env > max || env <= 0 {
+			env = max
+		}
+		if d < 0 || d > env {
+			t.Fatalf("attempt %d: delay %v outside [0, %v]", a+1, d, env)
+		}
+	}
+	other := schedule(8)
+	same := true
+	for a := range first {
+		if first[a] != other[a] {
+			same = false
+		}
+	}
+	if same {
+		t.Fatalf("seeds 7 and 8 produced identical schedules %v", first)
+	}
+}
+
+// TestMixSeedDecorrelatesItems: sibling jobs of one campaign must not
+// share a jitter stream, or they would all back off in lockstep.
+func TestMixSeedDecorrelatesItems(t *testing.T) {
+	seen := map[uint64]uint64{}
+	for i := uint64(0); i < 64; i++ {
+		s := MixSeed(42, i)
+		if s == 0 {
+			t.Fatalf("item %d: zero stream", i)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("items %d and %d share jitter stream %#x", prev, i, s)
+		}
+		seen[s] = i
 	}
 }

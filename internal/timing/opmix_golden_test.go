@@ -29,8 +29,7 @@ var opMixShort = map[string]bool{"657.xz_s.2": true, "621.wrf_s.1": true, "npb-c
 // core. Per (workload, policy, core) it runs SimulateFull, SimulateFullTap
 // at the first looppoint's end marker, SimulateCheckpoint on every point
 // of the default selection, SimulateRegion without warm-up on the first
-// point, SimulatePeriodic over the whole run and SimulateConstrained on
-// the first point's checkpoint. Each Stats is pinned as the FNV-1a digest
+// point and SimulateConstrained on the first point's checkpoint. Each Stats is pinned as the FNV-1a digest
 // of its JSON, so any charge rule that moves one bit fails here: the FP,
 // divide and square-root charges, atomics, the lock paths and the
 // in-order core that stats_golden.json (one synthetic program, one core)
@@ -161,8 +160,6 @@ func opMixDigests(t *testing.T, prog *isa.Program) map[string]string {
 		}
 		st, err = sim.SimulateRegion(first.Start, first.End, timing.WarmupNone)
 		pin("region-cold", st, err)
-		st, err = sim.SimulatePeriodic(2000, 20000)
-		pin("periodic", st, err)
 		st, err = sim.SimulateConstrained(cks[0])
 		pin("constrained", st, err)
 	}

@@ -126,7 +126,6 @@ var modes = []mode{
 	}},
 	{"checkpoint", func(s *Simulator, fx fixture) (*Stats, error) { return s.SimulateCheckpoint(fx.rps[0]) }},
 	{"constrained", func(s *Simulator, fx fixture) (*Stats, error) { return s.SimulateConstrained(fx.whole) }},
-	{"periodic", func(s *Simulator, _ fixture) (*Stats, error) { return s.SimulatePeriodic(500, 2000) }},
 	// Repeat the first mode: state left by the others must not leak in.
 	{"full-again", func(s *Simulator, _ fixture) (*Stats, error) { return s.SimulateFull() }},
 }

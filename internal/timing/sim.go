@@ -43,8 +43,6 @@ type Simulator struct {
 	Seed uint64
 	// Trace, when non-nil, collects an IPC-over-time trace (Figure 4).
 	Trace *IPCTrace
-	// MaxSteps bounds any single simulation (0 = default safety cap).
-	MaxSteps uint64
 
 	// fresh, set only by tests, builds every system with newSystem
 	// instead of taking one from the pool: the reference a pooled run is
@@ -60,7 +58,7 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	if cfg.Cores < prog.NumThreads() {
 		return nil, fmt.Errorf("timing: %d cores for %d threads", cfg.Cores, prog.NumThreads())
 	}
-	return &Simulator{Cfg: cfg, Prog: prog, Seed: 1, MaxSteps: 2_000_000_000}, nil
+	return &Simulator{Cfg: cfg, Prog: prog, Seed: 1}, nil
 }
 
 // systems keeps the process's idle timing systems, one sync.Pool per
@@ -159,22 +157,6 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 		startHits: pb.StartHitsAtSnapshot, endHits: pb.EndHitsAtSnapshot, before: warmed})
 }
 
-// SimulatePeriodic implements time-based periodic sampling (the paper's
-// Section VI baseline, after Carlson et al.): every period retired
-// instructions, a window of detail instructions is simulated in detail;
-// the remainder fast-forwards with functional warming. The returned
-// statistics carry the *extrapolated* cycle count (each window's cycles
-// scaled by period/detail). The whole application is still visited
-// functionally, which is precisely why this methodology's speedup is
-// bounded by application length (Section II).
-func (s *Simulator) SimulatePeriodic(detail, period uint64) (*Stats, error) {
-	if detail == 0 || period == 0 || detail > period {
-		return nil, fmt.Errorf("timing: invalid periodic sampling %d/%d", detail, period)
-	}
-	return s.simulate(&run{src: exec.NewMachine(s.Prog, s.Seed), end: bbv.Marker{IsEnd: true},
-		before: timed, window: detail, period: period})
-}
-
 // SimulateConstrained replays a pinball under the timing model with the
 // recorded thread interleaving enforced (constrained simulation). Shared
 // lines may not be touched out of recorded order, which inserts the
@@ -219,19 +201,22 @@ type charge uint8
 
 const (
 	measured charge = iota // in full, counted into the statistics
-	timed                  // in full, uncounted: periodic gaps, a constrained warm-up
+	timed                  // in full, uncounted: a constrained warm-up
 	warmed                 // one dispatch slot, microarchitectural state warmed
 	cold                   // one dispatch slot, nothing warmed
 )
 
-const never = ^uint64(0) // a step no run reaches
+const (
+	never    = ^uint64(0)    // a step no run reaches
+	maxSteps = 2_000_000_000 // the steps any one simulation may take: a safety cap
+)
 
 // A run is one simulation: the system is bound to machine src, and bind
 // finishes the binding; it measures from start to end (startHits and
 // endHits rebase the counts of a machine that begins mid-program),
-// charging what comes before start as before says, calls at at the PC tap
-// and atEnd at the end, or measures window of every period instructions.
-// The fields after period are the phase, which moves as the loop goes.
+// charging what comes before start as before says, and calls at at the PC
+// tap and atEnd at the end. The fields after atEnd are the phase, which
+// moves as the loop goes.
 type run struct {
 	src                *exec.Machine
 	bind               func(*system)
@@ -240,15 +225,10 @@ type run struct {
 	before             charge
 	tap                bbv.Marker
 	at, atEnd          func(*Stats)
-	window, period     uint64
 
 	mode          charge
 	detailBase    float64 // wall cycle where the measured window began
 	tapHits, next uint64  // the loop calls step at step next and at marker PCs
-	// Periodic: the step the window next opens or closes, where the open
-	// one began, the cycles extrapolated so far.
-	toggle                 uint64
-	windowStart, estCycles float64
 }
 
 // simulate is the one timing loop, and the instruction tier: it fetches
@@ -269,10 +249,6 @@ func (s *Simulator) simulate(p *run) (_ *Stats, err error) {
 	p.begin(sys)
 	mode := p.mode
 	trace := s.Trace
-	maxSteps := s.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 2_000_000_000
-	}
 
 	var steps uint64
 	for sys.alive > 0 {
@@ -547,10 +523,6 @@ func (p *run) begin(sys *system) {
 	if p.end.IsEnd {
 		p.end.PC = 0 // no block sits at address 0: a PC of 0 watches nothing
 	}
-	p.toggle = never
-	if p.window < p.period { // a window as long as the period never closes
-		p.toggle = p.window
-	}
 	p.schedule(0)
 }
 
@@ -561,17 +533,6 @@ func (p *run) begin(sys *system) {
 // instruction-count markers (the naive baseline's) fire on the global
 // retired count instead of a PC.
 func (p *run) step(sys *system, steps, addr uint64, entry bool) bool {
-	if steps == p.toggle {
-		if p.mode == measured {
-			// Close the window and extrapolate it over the period.
-			p.estCycles += (sys.wallCycle() - p.windowStart) * float64(p.period) / float64(p.window)
-			p.mode, p.toggle = timed, p.toggle+p.period-p.window
-		} else {
-			p.windowStart = sys.wallCycle()
-			p.mode, p.toggle = measured, p.toggle+p.window
-		}
-		sys.setDetail(p.mode == measured)
-	}
 	if p.start.IsICount() && p.mode != measured && steps >= p.start.Count {
 		p.measure(sys)
 	}
@@ -617,10 +578,10 @@ func (p *run) measure(sys *system) {
 	p.detailBase = sys.wallCycle()
 }
 
-// schedule sets next to the first step after steps at which a periodic
-// toggle or a live instruction-count marker can fire.
+// schedule sets next to the first step after steps at which a live
+// instruction-count marker can fire.
 func (p *run) schedule(steps uint64) {
-	p.next = p.toggle
+	p.next = never
 	if p.start.IsICount() && p.mode != measured {
 		p.next = min(p.next, max(p.start.Count, steps+1))
 	}
@@ -631,14 +592,6 @@ func (p *run) schedule(steps uint64) {
 
 // result is the run's statistics when no instruction is left.
 func (p *run) result(sys *system) (*Stats, error) {
-	if p.period != 0 {
-		if p.mode == measured {
-			p.estCycles += (sys.wallCycle() - p.windowStart) * float64(p.period) / float64(p.window)
-		}
-		st := sys.stats(0)
-		st.Cycles = p.estCycles
-		return st, nil
-	}
 	if p.mode != measured {
 		if p.start.IsICount() {
 			// Raw instruction-count boundaries are not stable across
