@@ -43,15 +43,17 @@ test-race:
 	go test -race ./...
 	go test -race -count=20 -run 'RunOverlap|RunBudget|RunFill|SimulateConcurrentCheckpoints|SiblingFailureBeatsCancel' ./internal/core ./internal/timing ./internal/pool
 
-# Fault-tolerance suites (injection, retries, corruption matrices,
-# quarantine, degradation, resume) under the race detector, swept over
-# five injection seeds. Injection is a pure function of the seed, so
-# each seed is a distinct — and exactly reproducible — failure pattern.
+# Fault-tolerance suites (retries, corruption matrices, quarantine,
+# resume, chaos drills) under the race detector, swept over five seeds.
+# FAULTS_SEED drives the two chaos drills: the campaign drill's dropped
+# and bit-flipped claims and its failing and stalling runs, and the serve
+# drill's failing, stalling and panicking runs. Each is a pure function of
+# the seed, so each seed is a distinct, exactly reproducible pattern.
 test-faults:
 	for seed in 1 2 3 4 5; do \
 		FAULTS_SEED=$$seed go test -race \
-			-run 'Fault|Corrupt|Quarantine|Degrad|Resume|Retr|AttemptCap|Truncat|Panic' \
-			./internal/artifact/ ./internal/faults/ ./internal/pool/ ./internal/pinball/ \
+			-run 'Fault|Corrupt|Quarantine|Resume|Retr|AttemptCap|Truncat|Panic' \
+			./internal/artifact/ ./internal/pool/ ./internal/pinball/ \
 			./internal/core/ ./internal/harness/ ./internal/exec/ \
 			./internal/serve/ ./internal/campaign/ . \
 			|| exit 1; \
@@ -78,6 +80,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSelectors$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 	go test -run '^$$' -fuzz '^FuzzStratifiedAllocation$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
 	go test -run '^$$' -fuzz '^FuzzKMeansFastSlow$$' -fuzztime $(FUZZTIME) ./internal/simpoint/
+	go test -run '^$$' -fuzz '^FuzzLoadSelectionFile$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # Boot the lpserved daemon, hit /readyz, run one job and then three
 # concurrent ones over POST /v1/jobs, SIGTERM it with three more in

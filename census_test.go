@@ -21,8 +21,6 @@ var censusExempt = map[string]string{
 	"looppoint.Experiments":           "public library API: the harness evaluator behind lpreport",
 	"looppoint.ExportSelection":       "public library API: writes a portable selection file",
 	"internal/exec.ExecError.Unwrap":  "called by errors.Is and errors.As through the interface",
-	"internal/faults.Fault.Unwrap":    "called by errors.Is and errors.As through the interface",
-	"internal/faults.Plan.Fired":      "fault-plan observability; the fault suites count firings with it",
 	"internal/testprog.EveryOp":       "test-program builder shared by several packages' tests",
 	"internal/testprog.Heterogeneous": "test-program builder shared by several packages' tests",
 	"internal/testprog.OutAddr":       "test-program builder shared by several packages' tests",

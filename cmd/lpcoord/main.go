@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"looppoint/internal/campaign"
-	"looppoint/internal/faults"
 	"looppoint/internal/serve"
 )
 
@@ -74,12 +73,6 @@ func main() {
 		verbose = flag.Bool("v", false, "log dispatch/retry/steal progress to stderr")
 	)
 	flag.Parse()
-
-	if plan, err := faults.FromEnv(); err != nil {
-		fatalf("%v", err)
-	} else if plan != nil {
-		faults.Enable(plan)
-	}
 
 	var clients []campaign.WorkerClient
 	var workerURLs []string

@@ -19,7 +19,6 @@ import (
 
 	"looppoint"
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/pinball"
 	"looppoint/internal/prof"
 	"looppoint/internal/results"
@@ -54,14 +53,6 @@ func main() {
 		fail(err)
 	}
 	defer stopProf()
-
-	// FAULTS_PLAN/FAULTS_SEED inject deterministic faults without
-	// recompiling (see internal/faults).
-	if plan, err := faults.FromEnv(); err != nil {
-		fail(err)
-	} else if plan != nil {
-		faults.Enable(plan)
-	}
 
 	policy := looppoint.Passive
 	if *waitPolicy == "active" {

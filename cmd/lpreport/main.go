@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"looppoint/internal/faults"
 	"looppoint/internal/harness"
 	"looppoint/internal/prof"
 	"looppoint/internal/simpoint"
@@ -52,15 +51,6 @@ func main() {
 		pprofHeap = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	// FAULTS_PLAN/FAULTS_SEED inject deterministic faults without
-	// recompiling (see internal/faults).
-	if plan, err := faults.FromEnv(); err != nil {
-		fmt.Fprintf(os.Stderr, "lpreport: %v\n", err)
-		os.Exit(1)
-	} else if plan != nil {
-		faults.Enable(plan)
-	}
 
 	stopProf, err := prof.Start(*pprofCPU, *pprofHeap)
 	if err != nil {

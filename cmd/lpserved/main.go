@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"looppoint/internal/core"
-	"looppoint/internal/faults"
 	"looppoint/internal/harness"
 	"looppoint/internal/serve"
 )
@@ -70,13 +69,6 @@ func main() {
 		verbose = flag.Bool("v", false, "log evaluator progress to stderr")
 	)
 	flag.Parse()
-
-	if plan, err := faults.FromEnv(); err != nil {
-		fmt.Fprintf(os.Stderr, "lpserved: %v\n", err)
-		os.Exit(1)
-	} else if plan != nil {
-		faults.Enable(plan)
-	}
 
 	progress := &core.ProgressStats{}
 	opts := harness.Options{

@@ -7,8 +7,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +20,6 @@ import (
 
 	"looppoint"
 	"looppoint/internal/bbv"
-	"looppoint/internal/faults"
 	"looppoint/internal/pinball"
 	"looppoint/internal/pool"
 	"looppoint/internal/prof"
@@ -46,14 +47,6 @@ func main() {
 		pprofHeap  = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	// FAULTS_PLAN/FAULTS_SEED inject deterministic faults without
-	// recompiling (see internal/faults).
-	if plan, err := faults.FromEnv(); err != nil {
-		fail(err)
-	} else if plan != nil {
-		faults.Enable(plan)
-	}
 
 	stopProf, err := prof.Start(*pprofCPU, *pprofHeap)
 	if err != nil {
@@ -226,7 +219,7 @@ func simulateCheckpointDir(w *looppoint.Workload, cfg timing.Config, dir string,
 	for i, r := range runs {
 		if errs[i] != nil {
 			quarantined++
-			fmt.Printf("%-32s QUARANTINED: %v\n", filepath.Base(files[i]), errs[i])
+			printQuarantined(os.Stdout, os.Stderr, filepath.Base(files[i]), errs[i])
 			continue
 		}
 		serial += r.host
@@ -276,6 +269,18 @@ func quarantine[T any](width, n int, fn func(i int) (T, error)) ([]T, []error) {
 		return v, nil // never fails: the sweep is not cancelled
 	})
 	return out, errs
+}
+
+// printQuarantined prints a quarantined checkpoint's one report line to
+// out. A panic's line carries only its value; the stack goes to errw, so
+// the name-ordered per-file lines stay one per file.
+func printQuarantined(out, errw io.Writer, name string, err error) {
+	var pe *pool.PanicError
+	if errors.As(err, &pe) {
+		fmt.Fprintf(errw, "lpsim: %s panicked: %v\n%s", name, pe.Value, pe.Stack)
+		err = fmt.Errorf("panic: %v", pe.Value)
+	}
+	fmt.Fprintf(out, "%-32s QUARANTINED: %v\n", name, err)
 }
 
 func printStats(label string, cfg timing.Config, st *timing.Stats, trace *timing.IPCTrace) {

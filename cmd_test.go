@@ -17,20 +17,18 @@ import (
 // goRun executes one of the repository's commands via `go run`.
 func goRun(t *testing.T, args ...string) string {
 	t.Helper()
-	out, err := goRunEnv(nil, args...)
+	out, err := goRunErr(args...)
 	if err != nil {
 		t.Fatalf("go run %v: %v\n%s", args, err, out)
 	}
 	return out
 }
 
-// goRunEnv executes a command with extra environment variables and
-// returns its combined output and exit error (nil on success) — the
-// variant fault-tolerance tests use to assert on nonzero exits.
-func goRunEnv(env []string, args ...string) (string, error) {
-	cmd := exec.Command("go", append([]string{"run"}, args...)...)
-	cmd.Env = append(os.Environ(), env...)
-	out, err := cmd.CombinedOutput()
+// goRunErr executes a command and returns its combined output and exit
+// error (nil on success) — the variant fault-tolerance tests use to
+// assert on nonzero exits.
+func goRunErr(args ...string) (string, error) {
+	out, err := exec.Command("go", append([]string{"run"}, args...)...).CombinedOutput()
 	return string(out), err
 }
 
@@ -72,14 +70,14 @@ func TestCmdSelectorClosedSet(t *testing.T) {
 	if got := Selectors(); !reflect.DeepEqual(got, engines) {
 		t.Fatalf("Selectors() = %v, want %v", got, engines)
 	}
-	out, err := goRunEnv(nil, "./cmd/lpprofile", "-p", "demo-matrix-1", "-n", "2", "-i", "test", "-selector", "barrierpoint")
+	out, err := goRunErr("./cmd/lpprofile", "-p", "demo-matrix-1", "-n", "2", "-i", "test", "-selector", "barrierpoint")
 	if err == nil {
 		t.Fatalf("lpprofile -selector barrierpoint succeeded:\n%s", out)
 	}
 	if !strings.Contains(out, `unknown selector "barrierpoint" (have [simpoint stratified timebased])`) {
 		t.Errorf("rejection does not name the three engines:\n%s", out)
 	}
-	help, _ := goRunEnv(nil, "./cmd/lpprofile", "-h")
+	help, _ := goRunErr("./cmd/lpprofile", "-h")
 	if !strings.Contains(help, "selection engine: simpoint, stratified, timebased (default simpoint)") {
 		t.Errorf("-selector help does not list the three engines:\n%s", help)
 	}
@@ -153,7 +151,7 @@ func TestCmdCheckpointWorkflow(t *testing.T) {
 			dirSim, narrowSim)
 	}
 	// -mmap selected a second loader of identical output; it is gone.
-	if out, err := goRunEnv(nil, "./cmd/lpsim", "-mmap"); err == nil || !strings.Contains(out, "flag provided but not defined") {
+	if out, err := goRunErr("./cmd/lpsim", "-mmap"); err == nil || !strings.Contains(out, "flag provided but not defined") {
 		t.Fatalf("lpsim -mmap: err = %v, want an undefined-flag exit:\n%s", err, out)
 	}
 }
@@ -202,7 +200,7 @@ func TestCmdLpsimQuarantine(t *testing.T) {
 
 	// Tolerant threshold: the sweep quarantines the bad pinball, keeps
 	// going, and exits zero.
-	sim, err := goRunEnv(nil, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+	sim, err := goRunErr("./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-checkpoint", dir, "-min-coverage", "0.5")
 	if err != nil {
 		t.Fatalf("lpsim with tolerant -min-coverage failed: %v\n%s", err, sim)
@@ -214,7 +212,7 @@ func TestCmdLpsimQuarantine(t *testing.T) {
 	}
 
 	// Default threshold (1.0): same sweep must exit nonzero.
-	strict, err := goRunEnv(nil, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+	strict, err := goRunErr("./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-checkpoint", dir)
 	if err == nil {
 		t.Fatalf("lpsim accepted lost coverage at -min-coverage 1.0:\n%s", strict)
@@ -257,7 +255,7 @@ func TestCmdLpsimSimFailureQuarantine(t *testing.T) {
 	if bad == "" {
 		t.Fatal("no exported pinball ends at a PC marker; the test needs one")
 	}
-	out, err := goRunEnv(nil, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
+	out, err := goRunErr("./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
 		"-checkpoint", dir, "-min-coverage", "0.1")
 	if err != nil {
 		t.Fatalf("sweep with an unreachable end marker failed outright: %v\n%s", err, out)
@@ -273,36 +271,11 @@ func TestCmdLpsimSimFailureQuarantine(t *testing.T) {
 	}
 }
 
-// TestCmdLpsimEnvFaultQuarantine injects a load fault through the
-// FAULTS_PLAN environment, once as an error and once as a panic, and
-// requires directory-mode lpsim to quarantine the faulted checkpoint and
-// finish the rest: a panic while loading one file is that file's error,
-// never the sweep's crash.
-func TestCmdLpsimEnvFaultQuarantine(t *testing.T) {
-	dir := t.TempDir()
-	goRun(t, "./cmd/lpprofile", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
-		"-slice", "3000", "-save-regions", dir)
-	for _, kind := range []string{"transient", "panic"} {
-		env := []string{"FAULTS_PLAN=pinball.load:" + kind + ":1:1", "FAULTS_SEED=1"}
-		out, err := goRunEnv(env, "./cmd/lpsim", "-p", "demo-matrix-2", "-n", "4", "-i", "test",
-			"-checkpoint", dir, "-min-coverage", "0.1")
-		if err != nil {
-			t.Fatalf("%s: faulted sweep failed outright: %v\n%s", kind, err, out)
-		}
-		if !strings.Contains(out, "QUARANTINED") || !strings.Contains(out, "quarantined    1 of") {
-			t.Fatalf("%s: injected fault did not quarantine exactly one checkpoint:\n%s", kind, out)
-		}
-		if !strings.Contains(out, "injected "+kind+" fault") {
-			t.Fatalf("%s: the quarantined checkpoint does not carry the injected fault:\n%s", kind, out)
-		}
-	}
-}
-
 // TestCmdLpcoordLearnsSlots: lpcoord has no per-worker concurrency flag —
 // it keeps as many claims in flight to a worker as the worker's /readyz
 // advertises — so the old one is rejected as undefined.
 func TestCmdLpcoordLearnsSlots(t *testing.T) {
-	out, err := goRunEnv(nil, "./cmd/lpcoord", "-worker-inflight", "2")
+	out, err := goRunErr("./cmd/lpcoord", "-worker-inflight", "2")
 	if err == nil || !strings.Contains(out, "flag provided but not defined") {
 		t.Fatalf("lpcoord -worker-inflight: err = %v, want an undefined-flag exit:\n%s", err, out)
 	}
@@ -321,7 +294,7 @@ func TestCmdLpcoordRejectsSimulate(t *testing.T) {
 		w.Write([]byte(`{"ready":true,"slots":1}`))
 	}))
 	defer worker.Close()
-	out, err := goRunEnv(nil, "./cmd/lpcoord", "-workers", worker.URL, "-apps", "npb-cg", "-class", "simulate")
+	out, err := goRunErr("./cmd/lpcoord", "-workers", worker.URL, "-apps", "npb-cg", "-class", "simulate")
 	if err == nil {
 		t.Fatalf("lpcoord -class simulate succeeded:\n%s", out)
 	}
@@ -331,7 +304,7 @@ func TestCmdLpcoordRejectsSimulate(t *testing.T) {
 	if n := claims.Load(); n != 0 {
 		t.Errorf("%d claims reached the worker before the spec was rejected", n)
 	}
-	help, _ := goRunEnv(nil, "./cmd/lpcoord", "-h")
+	help, _ := goRunErr("./cmd/lpcoord", "-h")
 	if !strings.Contains(help, "job class for -apps campaigns: analyze or report") {
 		t.Errorf("-class help does not list the two classes:\n%s", help)
 	}

@@ -115,35 +115,22 @@ func RepairTornTail(path string) error {
 // complete one — also when several writers publish the same path at once
 // (campaigns sharing a cache directory store the same content-addressed
 // key): each stages into its own temp file and the renames are atomic.
-// seam, when non-nil, sees the envelope after its checksum is taken; its
-// error fails the write.
-func WriteChecksummedFile(path string, record []byte, seam func([]byte) error) error {
+func WriteChecksummedFile(path string, record []byte) error {
 	line, err := ChecksumLine(record)
 	if err != nil {
 		return err
-	}
-	if seam != nil {
-		if err := seam(line); err != nil {
-			return err
-		}
 	}
 	return WriteFileDurable(path, append(line, '\n'))
 }
 
 // ReadChecksummedFile reads a file written by WriteChecksummedFile and
-// returns the verified record bytes. seam, when non-nil, sees the bytes
-// as they leave disk; its error is returned as is. Verification failure
-// is ErrCorrupt: the bytes are present but wrong, and rereading the same
-// file cannot help.
-func ReadChecksummedFile(path string, seam func([]byte) error) ([]byte, error) {
+// returns the verified record bytes. Verification failure is ErrCorrupt:
+// the bytes are present but wrong, and rereading the same file cannot
+// help.
+func ReadChecksummedFile(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	if seam != nil {
-		if err := seam(data); err != nil {
-			return nil, err
-		}
 	}
 	rec, ok := VerifyLine(bytes.TrimSpace(data))
 	if !ok {
@@ -182,24 +169,16 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Append wraps one compact JSON record in its checksummed envelope and
-// appends it durably.
+// Append wraps one compact JSON record in its checksummed envelope,
+// appends it as one line and fsyncs before returning, so an acknowledged
+// record survives a SIGKILL. A failed write or fsync is returned and
+// kills the journal — the file may now end mid-line, which the next
+// OpenJournal repairs — and every later append returns ErrJournalDead.
 func (j *Journal) Append(record []byte) error {
 	line, err := ChecksumLine(record)
 	if err != nil {
 		return err
 	}
-	return j.AppendLine(line)
-}
-
-// AppendLine appends one envelope line (as ChecksumLine returns it, no
-// trailing newline) and fsyncs before returning, so an acknowledged
-// record survives a SIGKILL. A failed write or fsync is returned and
-// kills the journal — the file may now end mid-line, which the next
-// OpenJournal repairs — and every later append returns ErrJournalDead.
-// Callers that checksum first and append second (fault injection that
-// corrupts the line after its checksum is taken) use this directly.
-func (j *Journal) AppendLine(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {

@@ -156,10 +156,10 @@ func TestChecksummedFileRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "deadbeef.json")
 	rec := []byte(`{"key":"deadbeef","result":{"regions":7}}`)
-	if err := WriteChecksummedFile(path, rec, nil); err != nil {
+	if err := WriteChecksummedFile(path, rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChecksummedFile(path, nil)
+	got, err := ReadChecksummedFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,11 @@ func TestChecksummedFileRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadChecksummedFile(path, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadChecksummedFile(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt cache file: err=%v, want ErrCorrupt", err)
 	}
 
-	if _, err := ReadChecksummedFile(filepath.Join(dir, "missing.json"), nil); !os.IsNotExist(err) {
+	if _, err := ReadChecksummedFile(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
 		t.Fatalf("missing file: err=%v, want IsNotExist", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestWriteChecksummedFileConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := WriteChecksummedFile(path, recs[w], nil); err != nil {
+				if err := WriteChecksummedFile(path, recs[w]); err != nil {
 					t.Errorf("writer %d round %d: %v", w, i, err)
 					return
 				}
@@ -223,7 +223,7 @@ func TestWriteChecksummedFileConcurrentWriters(t *testing.T) {
 			reading = false // one more read after the last write
 		default:
 		}
-		rec, err := ReadChecksummedFile(path, nil)
+		rec, err := ReadChecksummedFile(path)
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -263,15 +263,7 @@ func TestJournalAppendsDurableLines(t *testing.T) {
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			var err error
-			if rec := []byte(fmt.Sprintf(`{"k":%d}`, a)); a%2 == 0 {
-				err = j.Append(rec)
-			} else if line, lerr := ChecksumLine(rec); lerr != nil {
-				err = lerr
-			} else {
-				err = j.AppendLine(line)
-			}
-			if err != nil {
+			if err := j.Append([]byte(fmt.Sprintf(`{"k":%d}`, a))); err != nil {
 				t.Errorf("append %d: %v", a, err)
 			}
 		}(a)
@@ -356,7 +348,7 @@ func TestJournalAppendWithoutRepairLosesBoth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendLine(c); err != nil {
+	if err := j.Append([]byte(`{"k":"c"}`)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -36,13 +36,6 @@ type Store[T any] struct {
 	dir   string
 	valid func(key string, v *T) bool
 
-	// BeforeWrite and AfterRead, when set, see an entry's envelope bytes
-	// after its checksum is taken and after they leave disk: the seam fault
-	// injection fails or corrupts them through. An error fails the Put, or
-	// reads as a miss that leaves the file in place (its bytes were never
-	// proven bad). Set them before the store is shared.
-	BeforeWrite, AfterRead func([]byte) error
-
 	mu  sync.Mutex
 	mem map[string]*T
 
@@ -91,7 +84,7 @@ func (s *Store[T]) path(key string) string { return filepath.Join(s.dir, key+".j
 
 func (s *Store[T]) read(key string) *T {
 	path := s.path(key)
-	rec, err := ReadChecksummedFile(path, s.AfterRead)
+	rec, err := ReadChecksummedFile(path)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			s.drop(path)
@@ -123,7 +116,7 @@ func (s *Store[T]) Put(key string, v *T) error {
 	if err != nil {
 		return err
 	}
-	return WriteChecksummedFile(s.path(key), rec, s.BeforeWrite)
+	return WriteChecksummedFile(s.path(key), rec)
 }
 
 // Counters returns (hits, misses, stores, corrupt).

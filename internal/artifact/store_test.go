@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,39 +64,58 @@ func TestCacheCorruptFileReadsAsMiss(t *testing.T) {
 	}
 }
 
-// TestStoreSeamsFailAndCorrupt: an error from BeforeWrite fails the Put
-// and leaves nothing on disk; one from AfterRead is a miss that leaves the
-// file in place; bytes AfterRead corrupts fail the checksum and the file
+// TestStoreSeamsFailAndCorrupt: a Put onto a blocked path — a directory
+// at <key>.json — fails and leaves no temp file; a Get of it is a miss
+// that leaves the directory in place (no bytes were proven bad); bytes
+// flipped on disk fail the checksum, are counted corrupt, and the file
 // goes.
 func TestStoreSeamsFailAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	boom := errors.New("injected")
-	s, _ := NewStore[entry](dir, nil)
-	s.BeforeWrite = func([]byte) error { return boom }
-	if err := s.Put("a", &entry{N: 1}); !errors.Is(err, boom) {
-		t.Fatalf("Put through a failing seam: err=%v", err)
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Fatalf("a failed Put left %v", ents)
-	}
-	s.BeforeWrite = nil
-	if err := s.Put("a", &entry{N: 1}); err != nil {
+	path := filepath.Join(dir, "a.json")
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
+	}
+	s, _ := NewStore[entry](dir, nil)
+	if err := s.Put("a", &entry{N: 1}); err == nil {
+		t.Fatal("Put onto a directory succeeded")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 || ents[0].Name() != "a.json" {
+		t.Fatalf("a failed Put left %v", ents)
 	}
 
 	r, _ := NewStore[entry](dir, nil)
-	r.AfterRead = func([]byte) error { return boom }
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("a failed read was served")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "a.json")); err != nil {
-		t.Fatalf("a file that merely failed to read was deleted: %v", err)
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("a path that merely failed to read was deleted: %v", err)
 	}
-	r.AfterRead = func(b []byte) error { b[len(b)/2] ^= 0x10; return nil }
+	if _, _, _, corrupt := r.Counters(); corrupt != 0 {
+		t.Fatalf("a failed read counted %d corrupt", corrupt)
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", &entry{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, _ = NewStore[entry](dir, nil)
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("corrupted bytes were served")
 	}
 	if _, _, _, corrupt := r.Counters(); corrupt != 1 {
 		t.Fatalf("corrupt counter %d, want 1", corrupt)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("the corrupt entry was not deleted")
 	}
 }

@@ -1,17 +1,20 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 	"looppoint/internal/serve"
 )
 
@@ -45,6 +48,54 @@ func chaosRunner(seed uint64) serve.RunFunc {
 		}
 		return jobRunner(ctx, req)
 	}
+}
+
+// chaosTransport is the drill's network between the coordinator and every
+// worker. The n-th claim it carries, counted across all workers, meets a
+// fate that is a pure function of (seed, n): about one claim in five is
+// dropped before it is sent (four at most), and of the rest about one
+// reply in four that carries a result comes back with the low bit of its
+// region count flipped (three at most). The reply stays well-formed JSON
+// with a wrong number in it: damage only the envelope checksum catches.
+type chaosTransport struct {
+	seed                 uint64
+	claims, drops, flips atomic.Uint64
+}
+
+func (c *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/v1/claim" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	n := c.claims.Add(1) - 1
+	h := artifact.Checksum([]byte(fmt.Sprintf("%d/%d", c.seed, n)))
+	if h%5 == 0 && c.drops.Add(1) <= 4 {
+		req.Body.Close()
+		return nil, fmt.Errorf("chaos: claim %d dropped", n)
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || (h>>8)%4 != 0 {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	const regions = `"regions":`
+	if i := bytes.Index(body, []byte(regions)); i >= 0 && c.flips.Add(1) <= 3 {
+		body[i+len(regions)] ^= 1
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// chaosSeed is FAULTS_SEED when set (each CI matrix seed replays its own
+// failure pattern), else 1.
+func chaosSeed() uint64 {
+	if n, err := strconv.ParseUint(os.Getenv("FAULTS_SEED"), 10, 64); err == nil {
+		return n
+	}
+	return 1
 }
 
 // startWorker boots one real serve.Server running run behind an httptest
@@ -86,11 +137,10 @@ func (o overAdvertised) Ready(ctx context.Context) (int, error) {
 	return o.slots, nil
 }
 
-// baselineReport runs the campaign on one healthy worker with no faults
-// armed — the reference the chaos run must reproduce byte-for-byte.
+// baselineReport runs the campaign on one healthy worker over a clean
+// network — the reference the chaos run must reproduce byte-for-byte.
 func baselineReport(t *testing.T, tag string, spec Spec) string {
 	t.Helper()
-	defer faults.Enable(nil)()
 	_, ts := startWorker(t, serve.Config{MaxInflight: 4, QueueDepth: 16}, jobRunner)
 	rep := runCampaign(t, chaosConfig(tag), []WorkerClient{NewHTTPWorker("baseline", ts.URL)}, spec)
 	if rep.Stats.Failed != 0 {
@@ -110,8 +160,9 @@ func baselineReport(t *testing.T, tag string, spec Spec) string {
 //
 // and the campaign must still converge with zero failed jobs, zero
 // duplicate mismatches, and a report byte-identical to the single-node
-// no-fault run. Injection is a pure function of FAULTS_SEED, so each CI
-// matrix seed replays a distinct, reproducible failure pattern.
+// undisturbed run. Each drop, flip, failure and stall is a pure function of
+// FAULTS_SEED and its index, so each CI matrix seed replays a distinct,
+// reproducible failure pattern.
 func TestCampaignChaosFaultDrill(t *testing.T) {
 	spec := npbSpec(8)
 	for i := range spec.Jobs {
@@ -121,12 +172,14 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	}
 	want := baselineReport(t, "chaos", spec)
 
-	seed := faults.SeedFromEnv(1)
-	restore := faults.Enable(faults.NewPlan(seed,
-		faults.Rule{Site: "campaign.claim", Kind: faults.Transient, Rate: 5, Count: 4},
-		faults.Rule{Site: "campaign.result", Kind: faults.Corrupt, Rate: 4, Count: 3},
-	))
-	defer restore()
+	seed := chaosSeed()
+	chaos := &chaosTransport{seed: seed}
+	hc := &http.Client{Transport: chaos}
+	worker := func(name, url string) WorkerClient {
+		w := NewHTTPWorker(name, url)
+		w.hc = hc
+		return overAdvertised{w, 3}
+	}
 
 	// Tiny admission windows: each worker runs one job and queues one, but
 	// advertises three slots, so the coordinator's third claim sheds.
@@ -142,9 +195,7 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 	defer kill.Stop()
 
 	rep := runCampaign(t, chaosConfig("chaos"), []WorkerClient{
-		overAdvertised{NewHTTPWorker("w0", ts0.URL), 3},
-		overAdvertised{NewHTTPWorker("w1", ts1.URL), 3},
-		overAdvertised{NewHTTPWorker("w2", ts2.URL), 3},
+		worker("w0", ts0.URL), worker("w1", ts1.URL), worker("w2", ts2.URL),
 	}, spec)
 
 	if rep.Stats.Failed != 0 {
@@ -161,7 +212,7 @@ func TestCampaignChaosFaultDrill(t *testing.T) {
 		st := s.Stats()
 		shed += st.ShedQueue + st.ShedBreaker
 	}
-	t.Logf("%s fleet_shed=%d", rep.Stats.Line(), shed)
+	t.Logf("%s fleet_shed=%d drops=%d flips=%d", rep.Stats.Line(), shed, min(chaos.drops.Load(), 4), min(chaos.flips.Load(), 3))
 	if shed == 0 {
 		t.Fatal("no worker shed a claim: the over-advertised slots put no pressure on the 1-deep queues")
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 	"looppoint/internal/serve"
 )
 
@@ -100,9 +99,6 @@ func (w *HTTPWorker) Ready(ctx context.Context) (int, error) {
 // error) is NOT a Go error — it comes back as a ClaimOutcome for the
 // coordinator to classify.
 func (w *HTTPWorker) Claim(ctx context.Context, key string, leaseMS int64, job serve.JobRequest) (*ClaimOutcome, error) {
-	if err := faults.Check("campaign.claim"); err != nil {
-		return nil, err
-	}
 	body, err := json.Marshal(serve.ClaimRequest{Key: key, LeaseMS: leaseMS, Job: job})
 	if err != nil {
 		return nil, err
@@ -121,9 +117,6 @@ func (w *HTTPWorker) Claim(ctx context.Context, key string, leaseMS int64, job s
 	if err != nil {
 		return nil, err
 	}
-	// Chaos corruption site: the drill flips bits in the response body
-	// here to prove the checksum catches what the transport delivers.
-	faults.CorruptBytes("campaign.result", raw)
 
 	var cr serve.ClaimResponse
 	rec, ok := artifact.VerifyLine(raw)

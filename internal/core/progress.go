@@ -9,7 +9,6 @@ import (
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/exec"
-	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/pinball"
 )
@@ -42,9 +41,9 @@ import (
 // whose bytes are proven bad is deleted so it cannot re-fail every restart,
 // one that merely failed to read is left in place. The log is written last:
 // it is the commit record, and a kill between the two writes leaves a
-// pinball nobody resumes from. Saves are best-effort: a failed save
-// (injection site "core.progress.save", disk trouble) costs resumability,
-// never correctness.
+// pinball nobody resumes from. Saves are best-effort: a failed save (a
+// full disk, a path that cannot be written) costs resumability, never
+// correctness.
 
 // ProgressStats aggregates durable-progress counters, shared by every
 // job that is handed the same instance (the serving layer exposes them
@@ -148,40 +147,17 @@ func (dp *progressLog) publish(pb *pinball.Pinball, log *exec.BlockLog) error {
 	if err := os.MkdirAll(filepath.Dir(dp.base), 0o755); err != nil {
 		return err
 	}
-	write := func(path string, data []byte) error {
-		if err := saveFault(data); err != nil {
-			return err
-		}
-		return artifact.WriteFileDurable(path, data)
-	}
-	if err := write(dp.pinballPath(), pb.AppendBinary(nil)); err != nil {
+	if err := artifact.WriteFileDurable(dp.pinballPath(), pb.AppendBinary(nil)); err != nil {
 		return err
 	}
-	return write(dp.logPath(), log.AppendBinary(nil))
-}
-
-// saveFault and loadFault are the fault seams every durable-progress byte
-// passes — recovery-point files and region entries alike — on its way to
-// and from disk: injection site "core.progress.save" or
-// "core.progress.load" can fail the write or read (Transient) or flip
-// bytes (Corrupt), which the load-side checksum catches.
-func saveFault(b []byte) error { return progressFault("core.progress.save", b) }
-func loadFault(b []byte) error { return progressFault("core.progress.load", b) }
-
-func progressFault(site string, b []byte) error {
-	if err := faults.Check(site); err != nil {
-		return fmt.Errorf("core: %s: %w", site, err)
-	}
-	faults.CorruptBytes(site, b)
-	return nil
+	return artifact.WriteFileDurable(dp.logPath(), log.AppendBinary(nil))
 }
 
 // resume walks the ladder's top rung and returns the saved recording and
 // its log, or nils when the job must record: silently when no file exists
 // (a cold job), otherwise after counting a ladder fall and deleting the
 // blamed file if its bytes were proven bad — one that merely failed to
-// read (injected Transient, I/O trouble) is left in place. A nil dp has
-// nothing to resume.
+// read (I/O trouble) is left in place. A nil dp has nothing to resume.
 func (dp *progressLog) resume(prog *isa.Program) (*pinball.Pinball, *exec.BlockLog) {
 	if dp == nil {
 		return nil, nil
@@ -207,15 +183,8 @@ func (dp *progressLog) resume(prog *isa.Program) (*pinball.Pinball, *exec.BlockL
 // the pinball's schedule. On failure it names the file at fault;
 // validation failures wrap artifact.ErrCorrupt.
 func (dp *progressLog) restore(prog *isa.Program) (*pinball.Pinball, *exec.BlockLog, string, error) {
-	read := func(path string) ([]byte, error) {
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = loadFault(data)
-		}
-		return data, err
-	}
 	blamed := dp.pinballPath()
-	data, err := read(blamed)
+	data, err := os.ReadFile(blamed)
 	if err != nil {
 		return nil, nil, blamed, err
 	}
@@ -231,7 +200,7 @@ func (dp *progressLog) restore(prog *isa.Program) (*pinball.Pinball, *exec.Block
 	}
 
 	blamed = dp.logPath()
-	if data, err = read(blamed); err != nil {
+	if data, err = os.ReadFile(blamed); err != nil {
 		return nil, nil, blamed, err
 	}
 	log, err := exec.DecodeBlockLog(prog, pb.Schedule, data)

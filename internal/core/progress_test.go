@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"looppoint/internal/exec"
-	"looppoint/internal/faults"
 	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/pinball"
@@ -43,32 +42,48 @@ func exists(t *testing.T, path string) bool {
 	return err == nil
 }
 
-// crashAnalyze runs a durable Analyze with a one-shot Panic armed at the
-// save site — the in-process stand-in for SIGKILL — after `after` of its
-// two durable writes, and requires the kill to fire. What was published
-// before the kill stays on disk; the write it lands on is lost, exactly
-// like a real torn run.
-func crashAnalyze(t *testing.T, p *isa.Program, cfg Config, after uint64) {
+// occupy puts an empty directory at path. Nothing can be renamed onto it,
+// so a durable write there fails for real, and a read of it fails without
+// proving any bytes bad; being empty, a wrongful os.Remove would take it.
+func occupy(t *testing.T, path string) {
 	t.Helper()
-	plan := faults.NewPlan(faults.SeedFromEnv(7),
-		faults.Rule{Site: "core.progress.save", Kind: faults.Panic, Rate: 1, Count: 1, After: after})
-	defer faults.Enable(plan)()
-	defer func() {
-		if _, ok := recover().(*faults.Fault); !ok {
-			t.Fatalf("kill after %d durable writes never fired", after)
-		}
-	}()
-	Analyze(p, cfg)
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func isDir(t *testing.T, path string) bool {
+	t.Helper()
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
+}
+
+// killAnalyze runs a durable Analyze whose durable write to blocked fails
+// for real, then removes the directory that blocked it, so the caller's
+// restart finds what the failed run left. Writes are atomic renames, so a
+// failed write leaves on disk what a SIGKILL at that write leaves:
+// everything published before it, nothing of it.
+func killAnalyze(t *testing.T, p *isa.Program, cfg Config, blocked string) {
+	t.Helper()
+	occupy(t, blocked)
+	if _, err := Analyze(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, fails, _, _, _ := cfg.Progress.Snapshot(); fails != 1 {
+		t.Fatalf("%d failed saves with %s blocked, want 1", fails, blocked)
+	}
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAnalyzeDurableResumeAfterKill is the chaos drill, at the places a
-// kill can differ. Killed at the save site before anything is durable, or
-// between the two writes (the pinball is on disk, its commit record — the
-// log — is not), the restart records again. Killed once the pair is
-// published — recordLog has returned, nothing has read the log —
-// the restart records nothing again and reports the recording's whole schedule
-// as steps saved. Every restart is byte-identical to the per-instruction
-// reference.
+// kill can differ. Killed at the first durable write, or between the two
+// writes (the pinball is on disk, its commit record — the log — is not),
+// the restart records again. Killed once the pair is published —
+// recordLog has returned, nothing has read the log — the restart records
+// nothing again and reports the recording's whole schedule as steps saved.
+// Every restart is byte-identical to the per-instruction reference.
 func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
@@ -97,7 +112,7 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 
 	cfg := durableConfig(t.TempDir())
 	pbPath, logPath := recoveryPoint(p, cfg)
-	crashAnalyze(t, p, cfg, 0)
+	killAnalyze(t, p, cfg, pbPath)
 	if exists(t, pbPath) || exists(t, logPath) {
 		t.Fatal("a kill at the first durable write left a file behind")
 	}
@@ -105,7 +120,7 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 
 	cfg = durableConfig(t.TempDir())
 	pbPath, logPath = recoveryPoint(p, cfg)
-	crashAnalyze(t, p, cfg, 1)
+	killAnalyze(t, p, cfg, logPath)
 	if !exists(t, pbPath) || exists(t, logPath) {
 		t.Fatal("a kill between the two writes must find the pinball durable and no log: the log is the commit record")
 	}
@@ -127,9 +142,9 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 // TestAnalyzeDurableCorruptLadderFalls is the corruption matrix over the
 // recovery point's two files: whatever is wrong with the pair, the restart
 // counts one ladder fall, records again and reproduces the reference
-// analysis, and a file whose bytes were proven bad is gone. The restart's
-// own saves are failed by injection, so what is on disk afterwards is what
-// the ladder left there.
+// analysis, and a file whose bytes were proven bad is gone. The ladder's
+// rung is walked on its own first, so what is on disk afterwards is what
+// it left there, before the restart's save replaces the pair.
 func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
@@ -238,14 +253,11 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 			hadPinball, hadLog := exists(t, pbPath), exists(t, logPath)
 
 			cfg.Progress = &ProgressStats{}
-			restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
-				faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))
-			got, err := Analyze(p, cfg)
-			restore()
-			if err != nil {
-				t.Fatalf("restart over damaged recovery point: %v", err)
+			filled := cfg
+			filled.fill()
+			if pb, log := openProgress(p, &filled).resume(p); pb != nil || log != nil {
+				t.Fatal("resumed from a damaged recovery point")
 			}
-			analysisEquals(t, "re-recorded", got, want)
 			if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 0 || falls != 1 {
 				t.Fatalf("recoveries=%d ladder_falls=%d, want 0 and 1", recoveries, falls)
 			}
@@ -255,11 +267,17 @@ func TestAnalyzeDurableCorruptLadderFalls(t *testing.T) {
 					exists(t, pbPath), exists(t, logPath), d.gone)
 			}
 
-			// With saves working again the next start is clean: the
-			// re-recorded pair replaces whatever was left.
+			// The restart records again and reproduces the reference, and
+			// its re-recorded pair replaces whatever was left: the next
+			// start resumes from it.
 			cfg.Progress = &ProgressStats{}
-			if _, err := Analyze(p, cfg); err != nil {
-				t.Fatal(err)
+			got, err := Analyze(p, cfg)
+			if err != nil {
+				t.Fatalf("restart over damaged recovery point: %v", err)
+			}
+			analysisEquals(t, "re-recorded", got, want)
+			if _, _, recoveries, _, _ := cfg.Progress.Snapshot(); recoveries != 0 {
+				t.Fatalf("restart over damaged recovery point: %d recoveries", recoveries)
 			}
 			cfg.Progress = &ProgressStats{}
 			got, err = Analyze(p, cfg)
@@ -311,32 +329,35 @@ func resealLog(t *testing.T, p *isa.Program, pbPath, logPath string, edit func([
 	}
 }
 
-// TestAnalyzeDurableSaveFaultNonFatal: every save failing (injected
-// Transient) costs resumability, never the analysis itself.
+// TestAnalyzeDurableSaveFaultNonFatal: a save that fails for real — the
+// progress directory is a regular file — costs resumability, never the
+// analysis itself.
 func TestAnalyzeDurableSaveFaultNonFatal(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
-	cfg := durableConfig(t.TempDir())
-	defer faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
-		faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))()
+	dir := filepath.Join(t.TempDir(), "progress")
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableConfig(dir)
 	got, err := Analyze(p, cfg)
 	if err != nil {
-		t.Fatalf("analysis failed under save faults: %v", err)
+		t.Fatalf("analysis failed with an unwritable progress directory: %v", err)
 	}
-	analysisEquals(t, "save-faulted", got, want)
+	analysisEquals(t, "save-failed", got, want)
 	saves, fails, _, _, _ := cfg.Progress.Snapshot()
 	if saves != 0 || fails == 0 {
-		t.Fatalf("saves=%d fails=%d under a Rate-1 Transient", saves, fails)
+		t.Fatalf("saves=%d fails=%d with the progress directory a file", saves, fails)
 	}
-	if pbPath, logPath := recoveryPoint(p, cfg); exists(t, pbPath) || exists(t, logPath) {
-		t.Fatal("recovery-point files written despite save faults")
+	if data, err := os.ReadFile(dir); err != nil || string(data) != "not a directory" {
+		t.Fatalf("the failed save replaced the file at the progress path: %q, %v", data, err)
 	}
 }
 
-// TestAnalyzeDurableLoadFaultFallsToZero: a transient load fault means no
-// recovery — but the files are NOT deleted (their bytes were never proven
-// bad), the job completes by re-recording, and the next restart resumes
-// from them.
+// TestAnalyzeDurableLoadFaultFallsToZero: a read that fails — a directory
+// occupies the file's path — means no recovery, but what is there is NOT
+// deleted (no bytes were proven bad), the job completes by re-recording,
+// and once the file is back the next restart resumes from it.
 func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	want := referenceAnalysis(t, p, testConfig())
@@ -345,24 +366,30 @@ func TestAnalyzeDurableLoadFaultFallsToZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	pbPath, logPath := recoveryPoint(p, cfg)
-	// After: 0 faults the pinball's read, After: 1 lets it through and
-	// faults the log's.
-	for after := uint64(0); after < 2; after++ {
+	// The pinball's read fails first; then the pinball reads and the
+	// log's read fails. The blocked path also fails the restart's save.
+	for _, path := range []string{pbPath, logPath} {
+		if err := os.Rename(path, path+".aside"); err != nil {
+			t.Fatal(err)
+		}
+		occupy(t, path)
 		cfg.Progress = &ProgressStats{}
-		restore := faults.Enable(faults.NewPlan(faults.SeedFromEnv(3),
-			faults.Rule{Site: "core.progress.load", Kind: faults.Transient, Rate: 1, After: after},
-			faults.Rule{Site: "core.progress.save", Kind: faults.Transient, Rate: 1}))
 		got, err := Analyze(p, cfg)
-		restore()
 		if err != nil {
-			t.Fatalf("analysis failed under load faults: %v", err)
+			t.Fatalf("analysis failed with %s unreadable: %v", path, err)
 		}
-		analysisEquals(t, "load-faulted", got, want)
+		analysisEquals(t, "read-failed", got, want)
 		if _, _, recoveries, _, falls := cfg.Progress.Snapshot(); recoveries != 0 || falls != 1 {
-			t.Fatalf("recoveries=%d ladder_falls=%d under a load fault on read %d", recoveries, falls, after)
+			t.Fatalf("recoveries=%d ladder_falls=%d with %s unreadable", recoveries, falls, path)
 		}
-		if !exists(t, pbPath) || !exists(t, logPath) {
-			t.Fatalf("a file that merely failed to read (read %d) was deleted", after)
+		if !isDir(t, path) || !exists(t, pbPath) || !exists(t, logPath) {
+			t.Fatalf("a path that merely failed to read (%s) was deleted", path)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".aside", path); err != nil {
+			t.Fatal(err)
 		}
 	}
 	cfg.Progress = &ProgressStats{}

@@ -9,7 +9,6 @@ import (
 
 	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
-	"looppoint/internal/faults"
 )
 
 // SelectionFile is the JSON-serializable form of a region selection — the
@@ -161,36 +160,25 @@ func (f *SelectionFile) WriteJSON(w io.Writer) error {
 	return enc.Encode(&env)
 }
 
-// SaveJSON writes the selection file to path. Injection site
-// "core.selection.save" can fail the write or corrupt the saved bytes.
+// SaveJSON writes the selection file to path.
 func (f *SelectionFile) SaveJSON(path string) error {
-	if err := faults.Check("core.selection.save"); err != nil {
-		return fmt.Errorf("core: save selection %s: %w", path, err)
-	}
 	var buf bytes.Buffer
 	if err := f.WriteJSON(&buf); err != nil {
 		return err
 	}
-	data := buf.Bytes()
-	faults.CorruptBytes("core.selection.save", data)
-	return os.WriteFile(path, data, 0o644)
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // LoadSelectionFile reads and validates a selection file — the v2
 // integrity envelope, or legacy bare selection JSON. Failures wrap the
 // artifact sentinels: ErrTruncated for input that ends mid-JSON,
 // ErrVersion for envelope version skew, ErrCorrupt for checksum
-// mismatches and payload validation failures. Injection site
-// "core.selection.load" can fail the read or corrupt the bytes.
+// mismatches and payload validation failures.
 func LoadSelectionFile(r io.Reader) (*SelectionFile, error) {
-	if err := faults.Check("core.selection.load"); err != nil {
-		return nil, fmt.Errorf("core: selection file: %w", err)
-	}
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: selection file: %w", err)
 	}
-	faults.CorruptBytes("core.selection.load", data)
 
 	var probe struct {
 		Format string `json:"format"`

@@ -3,12 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 )
@@ -23,7 +21,7 @@ func typedArtifactErr(err error) bool {
 
 // savedSelectionBytes analyzes a small program and returns its written
 // selection file (v2 envelope).
-func savedSelectionBytes(t *testing.T) []byte {
+func savedSelectionBytes(t testing.TB) []byte {
 	t.Helper()
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	a, err := Analyze(p, testConfig())
@@ -106,13 +104,15 @@ func TestSelectionVersionSkew(t *testing.T) {
 	}
 }
 
+// legacySelection is a pre-envelope bare selection file.
+const legacySelection = `{"program":"x","threads":4,"total_filtered_instructions":100,
+	"looppoints":[{"region":0,"start":{"kind":"start"},"end":{"kind":"end"},
+	"filtered_instructions":100,"multiplier":1}]}`
+
 // TestSelectionLegacyFormatAccepted: pre-envelope bare selection JSON
 // still loads (checkpoint directories written by older builds).
 func TestSelectionLegacyFormatAccepted(t *testing.T) {
-	legacy := `{"program":"x","threads":4,"total_filtered_instructions":100,
-		"looppoints":[{"region":0,"start":{"kind":"start"},"end":{"kind":"end"},
-		"filtered_instructions":100,"multiplier":1}]}`
-	f, err := LoadSelectionFile(strings.NewReader(legacy))
+	f, err := LoadSelectionFile(strings.NewReader(legacySelection))
 	if err != nil {
 		t.Fatalf("legacy file rejected: %v", err)
 	}
@@ -121,30 +121,25 @@ func TestSelectionLegacyFormatAccepted(t *testing.T) {
 	}
 }
 
-// TestSelectionSaveCorruptionFaultCaught: a torn write injected at
-// "core.selection.save" is caught on load.
-func TestSelectionSaveCorruptionFaultCaught(t *testing.T) {
-	p := testprog.Phased(4, 10, 150, omp.Passive)
-	a, err := Analyze(p, testConfig())
-	if err != nil {
-		t.Fatal(err)
+// FuzzLoadSelectionFile: whatever bytes a selection file holds, the
+// loader never panics, and every rejection wraps one of the artifact
+// sentinels. The corpus is seeded from both corruption matrices — bit
+// flips and truncations of a written file, sampled across its length —
+// and from the legacy form.
+func FuzzLoadSelectionFile(f *testing.F) {
+	orig := savedSelectionBytes(f)
+	f.Add(orig)
+	f.Add([]byte(legacySelection))
+	stride := max(len(orig)/64, 1)
+	for off := 0; off < len(orig); off += stride {
+		flipped := append([]byte(nil), orig...)
+		flipped[off] ^= 0x10
+		f.Add(flipped)
+		f.Add(orig[:off])
 	}
-	sel, err := Select(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := faults.SeedFromEnv(5)
-	defer faults.Enable(faults.NewPlan(seed,
-		faults.Rule{Site: "core.selection.save", Kind: faults.Corrupt, Rate: 1, Count: 1}))()
-	path := t.TempDir() + "/sel.json"
-	if err := sel.File().SaveJSON(path); err != nil {
-		t.Fatalf("SaveJSON: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSelectionFile(bytes.NewReader(data)); !typedArtifactErr(err) {
-		t.Fatalf("load of torn selection: err = %v, want typed artifact error", err)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := LoadSelectionFile(bytes.NewReader(data)); err != nil && !typedArtifactErr(err) {
+			t.Fatalf("untyped error %v", err)
+		}
+	})
 }

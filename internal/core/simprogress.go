@@ -64,7 +64,6 @@ func openRegionStore(sel *Selection, simCfg timing.Config) *regionStore {
 	if err != nil {
 		return nil
 	}
-	st.BeforeWrite, st.AfterRead = saveFault, loadFault
 	rs := &regionStore{
 		st:        st,
 		keys:      make([]string, len(sel.Points)),
@@ -97,10 +96,9 @@ func (rs *regionStore) lookup(i int) (RegionResult, bool) {
 	return *rs.recovered[i], true
 }
 
-// record stores one completed region durably. Best-effort: failures —
-// including an injected Transient at "core.progress.save" — are counted
-// and swallowed; an injected Corrupt flips bytes in the envelope, which
-// the load-side checksum catches.
+// record stores one completed region durably. Best-effort: a failure is
+// counted and swallowed; bytes that rot on disk fail the load-side
+// checksum.
 func (rs *regionStore) record(i int, res RegionResult) {
 	if rs == nil {
 		return

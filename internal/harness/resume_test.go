@@ -175,7 +175,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 	if _, _, _, corrupt := e2.resume.Counters(); corrupt != 1 {
 		t.Errorf("corrupt entries counted %d, want 1", corrupt)
 	}
-	if _, err := artifact.ReadChecksummedFile(entries[0], nil); err != nil {
+	if _, err := artifact.ReadChecksummedFile(entries[0]); err != nil {
 		t.Errorf("the re-evaluation did not store a clean entry: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 )
@@ -122,48 +121,5 @@ func TestLoadReportsPathAndOffset(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(msg), []byte("byte offset")) {
 		t.Errorf("error %q does not carry the byte offset", msg)
-	}
-}
-
-// TestSaveCorruptionFaultCaught: an injected torn write at site
-// "pinball.save" is caught by Load's integrity check — the quarantine
-// path lpsim relies on.
-func TestSaveCorruptionFaultCaught(t *testing.T) {
-	p := testprog.Phased(2, 2, 30, omp.Passive)
-	pb, err := Record(p, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := faults.SeedFromEnv(3)
-	defer faults.Enable(faults.NewPlan(seed,
-		faults.Rule{Site: "pinball.save", Kind: faults.Corrupt, Rate: 1, Count: 1}))()
-	path := filepath.Join(t.TempDir(), "torn.pinball")
-	if err := pb.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if _, err := Load(path); !typed(err) {
-		t.Fatalf("Load of torn file: err = %v, want typed artifact error", err)
-	}
-}
-
-// TestLoadTransientFault: site "pinball.load" can force a retryable
-// failure; a second call succeeds.
-func TestLoadTransientFault(t *testing.T) {
-	p := testprog.Phased(2, 2, 30, omp.Passive)
-	pb, err := Record(p, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ok.pinball")
-	if err := pb.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	defer faults.Enable(faults.NewPlan(1,
-		faults.Rule{Site: "pinball.load", Kind: faults.Transient, Rate: 1, Count: 1}))()
-	if _, err := Load(path); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("first Load: err = %v, want injected", err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("second Load: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"looppoint/internal/artifact"
 	"looppoint/internal/bbv"
 	"looppoint/internal/exec"
-	"looppoint/internal/faults"
 )
 
 // Pinballs are "portable and shareable user-level checkpoints" (the
@@ -157,16 +156,10 @@ func (pb *Pinball) Write(dst io.Writer) error {
 	return err
 }
 
-// Save writes the pinball to a file. Injection site "pinball.save" can
-// fail the write (Transient) or corrupt the written bytes (Corrupt) —
-// the torn-write scenario the loader's integrity hash must catch.
+// Save writes the pinball to a file.
 func (pb *Pinball) Save(path string) error {
-	if err := faults.Check("pinball.save"); err != nil {
-		return fmt.Errorf("pinball: save %s: %w", path, err)
-	}
 	bp := slabPool.Get().(*[]byte)
 	data := pb.AppendBinary((*bp)[:0])
-	faults.CorruptBytes("pinball.save", data)
 	err := os.WriteFile(path, data, 0o644)
 	*bp = data[:0]
 	slabPool.Put(bp)
@@ -176,17 +169,12 @@ func (pb *Pinball) Save(path string) error {
 // Load reads a pinball from a file and verifies it. Errors carry the
 // file path and wrap the artifact sentinels (plus the byte offset for
 // truncation), so directory sweeps can classify and quarantine bad
-// files. Injection site "pinball.load" can fail the read or corrupt the
-// bytes after they leave disk.
+// files.
 func Load(path string) (*Pinball, error) {
-	if err := faults.Check("pinball.load"); err != nil {
-		return nil, fmt.Errorf("pinball: load %s: %w", path, err)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	faults.CorruptBytes("pinball.load", data)
 	pb, err := Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)

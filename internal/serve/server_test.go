@@ -7,13 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"looppoint/internal/artifact"
-	"looppoint/internal/faults"
 )
 
 // postJob drives the handler directly (no sockets): returns the HTTP
@@ -546,7 +547,10 @@ func TestServeDrainCleanWhenIdle(t *testing.T) {
 // no request hanging past its deadline, inflight never exceeding
 // MaxInflight, and a clean drain afterwards.
 func TestServeChaosFaultNoHangs(t *testing.T) {
-	seed := faults.SeedFromEnv(1)
+	seed := uint64(1)
+	if n, err := strconv.ParseUint(os.Getenv("FAULTS_SEED"), 10, 64); err == nil {
+		seed = n
+	}
 
 	const (
 		maxInflight = 4

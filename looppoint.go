@@ -14,14 +14,14 @@
 //     replayable user-level checkpoint) under a flow-controlled scheduler
 //     so every thread makes equal forward progress. This is the only time
 //     analysis executes the program.
-//  2. Build a dynamic control-flow graph from that run as it happens,
+//  2. Build a dynamic control-flow graph from that run's block-event log,
 //     identify loops by dominator analysis, and choose stable worker-loop
 //     headers in the main binary as region markers.
-//  3. Collect per-thread basic-block vectors from the run's block-event
-//     log (or, for a crash-resumable job, from a constrained replay of
-//     the pinball cut into saved windows), slicing at loop entries after
-//     every N×SliceUnit filtered instructions (synchronization-library
-//     code executes but is never counted). Region boundaries are
+//  3. Collect per-thread basic-block vectors from the same log (a
+//     crash-resumed job reads the log it saved beside the pinball),
+//     slicing at loop entries after every N×SliceUnit filtered
+//     instructions (synchronization-library code executes but is never
+//     counted). Region boundaries are
 //     (PC, count) pairs, valid even under spin-loops.
 //  4. Concatenate per-thread BBVs, project to 100 dimensions, cluster
 //     with k-means + BIC (maxK = 50), and pick the region nearest each
